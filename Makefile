@@ -18,11 +18,12 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./cmd/telemetryd/
 
 # Brief fuzz passes over the wire decoder and the durability surfaces (WAL
-# segment replay, snapshot decode, sketch codec).
+# segment replay, snapshot decode, sketch and sketch-page codecs).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
 
 # The full chaos/durability test surface: fault-injected equivalence over

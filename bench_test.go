@@ -7,7 +7,9 @@
 package edgescope
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -802,12 +804,9 @@ func BenchmarkSketchAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterQuery compares answering one quantile query from a single
-// ingestor against scatter-gathering the same data from a 3-node cluster
-// (sketch-page export, deterministic merge, evaluation) — the per-query
-// price of the distributed plane, with the transport taken out of the
-// picture (in-process NodeClients).
-func BenchmarkClusterQuery(b *testing.B) {
+// clusterQueryFixture is the stream and query BenchmarkClusterQuery and
+// BenchmarkSketchPage share: 8192 rtt events over 12 keys and 14 windows.
+func clusterQueryFixture() ([]telemetry.Envelope, telemetry.QuerySpec) {
 	regions := []string{"Beijing", "Shanghai", "Wuhan", "Chengdu"}
 	nets := []string{"WiFi", "LTE", "5G"}
 	events := make([]telemetry.Envelope, 8192)
@@ -820,11 +819,20 @@ func BenchmarkClusterQuery(b *testing.B) {
 			Value: r.LogNormal(3, 0.6),
 		}
 	}
-	spec := telemetry.QuerySpec{
+	return events, telemetry.QuerySpec{
 		Metric:    telemetry.MetricRTT,
 		Quantiles: []float64{0.5, 0.95, 0.99},
 		CDFAt:     []float64{10, 20, 40},
 	}
+}
+
+// BenchmarkClusterQuery compares answering one quantile query from a single
+// ingestor against scatter-gathering the same data from a 3-node cluster
+// (sketch-page export, deterministic merge, evaluation) — the per-query
+// price of the distributed plane, with the transport taken out of the
+// picture (in-process NodeClients).
+func BenchmarkClusterQuery(b *testing.B) {
+	events, spec := clusterQueryFixture()
 
 	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
 	defer single.Close()
@@ -866,6 +874,72 @@ func BenchmarkClusterQuery(b *testing.B) {
 			res, err := front.Query(ctx, spec)
 			if err != nil || res.Count == 0 || res.Partial {
 				b.Fatalf("query: %v partial=%v", err, res.Partial)
+			}
+		}
+	})
+}
+
+// BenchmarkSketchPage prices the two wire forms of one node's /sketches
+// answer over the ClusterQuery fixture: the indented JSON the external
+// surface serves (base64 sketches) against the binary, CRC-trailed page the
+// frontend↔node legs carry. binary-decode is in the allocation gate: its
+// allocations must stay O(1) per page, never per match.
+func BenchmarkSketchPage(b *testing.B) {
+	events, spec := clusterQueryFixture()
+	ing := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
+	defer ing.Close()
+	ing.OfferAll(events)
+	ing.Flush()
+	page, err := ing.MatchSketches(spec)
+	if err != nil || len(page.Matches) == 0 {
+		b.Fatalf("fixture page: %d matches, err %v", len(page.Matches), err)
+	}
+	var asJSON bytes.Buffer
+	encodeJSON := func() {
+		asJSON.Reset()
+		enc := json.NewEncoder(&asJSON)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(page); err != nil {
+			b.Fatal(err)
+		}
+	}
+	encodeJSON()
+	asBinary, _ := page.AppendBinary(nil)
+
+	b.Run("json-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(asJSON.Len()))
+		for i := 0; i < b.N; i++ {
+			encodeJSON()
+		}
+	})
+	b.Run("json-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(asJSON.Len()))
+		for i := 0; i < b.N; i++ {
+			var back telemetry.SketchPage
+			if err := json.Unmarshal(asJSON.Bytes(), &back); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("binary-encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(asBinary)))
+		for i := 0; i < b.N; i++ {
+			out, _ := page.AppendBinary(make([]byte, 0, page.BinarySize()))
+			if len(out) != len(asBinary) {
+				b.Fatal("size drifted")
+			}
+		}
+	})
+	b.Run("binary-decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(asBinary)))
+		for i := 0; i < b.N; i++ {
+			back, err := telemetry.DecodeSketchPage(asBinary)
+			if err != nil || len(back.Matches) != len(page.Matches) {
+				b.Fatalf("decode: %v", err)
 			}
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"edgescope/internal/obs"
 	"edgescope/internal/rng"
 	"edgescope/internal/telemetry"
 	"edgescope/internal/telemetry/cluster"
@@ -27,6 +28,14 @@ type clusterServers struct {
 
 func newClusterServers(t *testing.T) *clusterServers {
 	t.Helper()
+	return newClusterServersWith(t, nil, nil)
+}
+
+// newClusterServersWith additionally lets a test stand something between
+// the frontend and a node's mux (wrap, keyed by node id) and scrape the
+// frontend's instruments (reg, also served on its /metrics).
+func newClusterServersWith(t *testing.T, reg *obs.Registry, wrap func(id string, h http.Handler) http.Handler) *clusterServers {
+	t.Helper()
 	pm, err := cluster.NewMap(cluster.MapConfig{
 		Partitions: 8, Nodes: []string{"n0", "n1", "n2"},
 	})
@@ -39,7 +48,11 @@ func newClusterServers(t *testing.T) *clusterServers {
 	for _, id := range pm.Nodes() {
 		ing := telemetry.NewIngestor(telemetry.Config{Shards: 2, QueueLen: 256, Block: true, Node: pm.NodeInfo(id)})
 		t.Cleanup(func() { ing.Close() })
-		srv := httptest.NewServer(buildMux(muxConfig{ing: ing, start: time.Now()}))
+		var h http.Handler = buildMux(muxConfig{ing: ing, start: time.Now()})
+		if wrap != nil {
+			h = wrap(id, h)
+		}
+		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
 		c.ings[id] = ing
 		c.servers[id] = srv
@@ -51,9 +64,9 @@ func newClusterServers(t *testing.T) *clusterServers {
 	router := cluster.NewRouter(pm, c.tracker, cluster.HTTPTransport(httpNodes), rng.New(1), cluster.RouterConfig{
 		Retry: telemetry.RetryConfig{MaxAttempts: 2, Sleep: func(time.Duration) {}},
 	})
-	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{Timeout: time.Second})
+	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{Timeout: time.Second, Metrics: reg})
 	c.front = httptest.NewServer(buildFrontendMux(frontendMuxConfig{
-		pm: pm, router: router, front: front, tracker: c.tracker, start: time.Now(),
+		pm: pm, router: router, front: front, tracker: c.tracker, reg: reg, start: time.Now(),
 	}))
 	t.Cleanup(c.front.Close)
 	return c

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -77,7 +78,9 @@ func buildMux(cfg muxConfig) *http.ServeMux {
 	// /sketches is the scatter half of a cluster query: the matching
 	// (window, key) rollups in exact binary form, for a front-end to merge
 	// (cluster.Frontend). Served in every role — a single-node daemon is
-	// just a one-member cluster to whoever wants to aggregate it.
+	// just a one-member cluster to whoever wants to aggregate it. A caller
+	// that asks for the binary page (cluster.HTTPNode does) gets it; anyone
+	// else (curl) gets JSON.
 	mux.HandleFunc("GET /sketches", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := specFromURL(r)
 		if err != nil {
@@ -87,6 +90,11 @@ func buildMux(cfg muxConfig) *http.ServeMux {
 		page, err := cfg.ing.MatchSketches(spec)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if wantsBinaryPages(r) {
+			body, _ := page.AppendBinary(make([]byte, 0, page.BinarySize())) // encoding a page cannot fail
+			writeBinaryPages(cfg.log, w, body)
 			return
 		}
 		writeJSON(cfg.log, w, page)
@@ -175,11 +183,15 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		if wantsBinaryPages(r) {
+			writeBinaryPages(cfg.log, w, telemetry.AppendSketchPages(nil, pages))
+			return
+		}
 		writeJSON(cfg.log, w, pages)
 	})
 	mux.HandleFunc("POST /admin/absorb", func(w http.ResponseWriter, r *http.Request) {
-		var pages []telemetry.SketchPage
-		if err := json.NewDecoder(r.Body).Decode(&pages); err != nil {
+		pages, err := pagesFromBody(r)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -289,9 +301,16 @@ func buildFrontendMux(cfg frontendMuxConfig) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		// A spec the front door can reject is the caller's fault; once it
+		// is valid, whatever fails — pages that disagree on configuration,
+		// an undecodable sketch — is the cluster's.
+		if err := telemetry.ValidateQuerySpec(spec); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		res, err := cfg.front.Query(r.Context(), spec)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		writeJSON(cfg.log, w, res)
@@ -346,6 +365,38 @@ func buildFrontendMux(cfg frontendMuxConfig) *http.ServeMux {
 		})
 	}
 	return mux
+}
+
+// wantsBinaryPages reports whether the caller asked for sketch pages in
+// their binary wire form.
+func wantsBinaryPages(r *http.Request) bool {
+	return r.Header.Get("Accept") == telemetry.SketchPageContentType
+}
+
+// pagesFromBody reads the pages to absorb: a binary page set when the body
+// is declared one (the migrator's leg), a JSON page array otherwise (an
+// operator replaying a spill by hand).
+func pagesFromBody(r *http.Request) ([]telemetry.SketchPage, error) {
+	if r.Header.Get("Content-Type") == telemetry.SketchPageContentType {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		return telemetry.DecodeSketchPages(body)
+	}
+	var pages []telemetry.SketchPage
+	err := json.NewDecoder(r.Body).Decode(&pages)
+	return pages, err
+}
+
+// writeBinaryPages answers with an encoded page (or page set): declared
+// length, one Write.
+func writeBinaryPages(log *slog.Logger, w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", telemetry.SketchPageContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		log.Error("write response failed", "err", err)
+	}
 }
 
 func writeJSON(log *slog.Logger, w http.ResponseWriter, v any) {

@@ -59,101 +59,167 @@ func (sk *Sketch) AppendBinary(dst []byte) ([]byte, error) {
 // sketchBinHeader is the fixed-size prefix: magic + 4 floats + 2 counts.
 const sketchBinHeader = 4 + 4*8 + 2*4
 
+// BinarySize is the exact length of the sketch's current MarshalBinary
+// encoding, so a writer packing many sketches can size its buffer once.
+func (sk *Sketch) BinarySize() int {
+	return sketchBinHeader + 16*(len(sk.centroids)+len(sk.buf))
+}
+
+// sketchWire is the validated fixed-size prefix of a MarshalBinary encoding.
+// parseSketchWire and readPoints together are THE decode gate: both
+// UnmarshalBinary and AbsorbBinary go through them, so the two accept and
+// reject exactly the same inputs.
+type sketchWire struct {
+	compression, count, min, max float64
+	nCentroids, nBuf             int
+}
+
+func wireF64(data []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+}
+
+// parseSketchWire checks everything that can be checked without walking the
+// points: magic, exact payload size for the declared counts (so a corrupt
+// count can never size an allocation), and the scalar invariants.
+func parseSketchWire(data []byte) (sketchWire, error) {
+	if len(data) < sketchBinHeader {
+		return sketchWire{}, fmt.Errorf("stats: sketch decode: %d bytes, want >= %d", len(data), sketchBinHeader)
+	}
+	if [4]byte(data[:4]) != sketchMagic {
+		return sketchWire{}, fmt.Errorf("stats: sketch decode: bad magic/version %q", data[:4])
+	}
+	h := sketchWire{
+		compression: wireF64(data, 4),
+		count:       wireF64(data, 12),
+		min:         wireF64(data, 20),
+		max:         wireF64(data, 28),
+		nCentroids:  int(binary.LittleEndian.Uint32(data[36:])),
+		nBuf:        int(binary.LittleEndian.Uint32(data[40:])),
+	}
+	want := sketchBinHeader + 16*(h.nCentroids+h.nBuf)
+	if h.nCentroids < 0 || h.nBuf < 0 || len(data) != want {
+		return sketchWire{}, fmt.Errorf("stats: sketch decode: %d bytes, want %d for %d centroids + %d buffered",
+			len(data), want, h.nCentroids, h.nBuf)
+	}
+	if math.IsNaN(h.compression) || h.compression < 20 {
+		return sketchWire{}, fmt.Errorf("stats: sketch decode: invalid compression %v", h.compression)
+	}
+	if math.IsNaN(h.count) || h.count < 0 || math.IsInf(h.count, 0) {
+		return sketchWire{}, fmt.Errorf("stats: sketch decode: invalid count %v", h.count)
+	}
+	empty := h.nCentroids == 0 && h.nBuf == 0
+	if empty != (h.count == 0) {
+		return sketchWire{}, fmt.Errorf("stats: sketch decode: count %v with %d points", h.count, h.nCentroids+h.nBuf)
+	}
+	if empty {
+		if !math.IsInf(h.min, 1) || !math.IsInf(h.max, -1) {
+			return sketchWire{}, fmt.Errorf("stats: sketch decode: empty sketch with min/max %v/%v", h.min, h.max)
+		}
+	} else if math.IsNaN(h.min) || math.IsNaN(h.max) || math.IsInf(h.min, 0) || math.IsInf(h.max, 0) || h.min > h.max {
+		return sketchWire{}, fmt.Errorf("stats: sketch decode: invalid min/max %v/%v", h.min, h.max)
+	}
+	return h, nil
+}
+
+// readPoints validates the n wire points at off — finite means inside
+// [min,max], finite positive weights, ascending means when sorted — and
+// appends them to dst in wire order, returning total plus their weight.
+func (h sketchWire) readPoints(dst []Centroid, total float64, data []byte, off, n int, sorted bool) ([]Centroid, float64, error) {
+	prev := math.Inf(-1)
+	for i := 0; i < n; i++ {
+		mean, weight := wireF64(data, off+16*i), wireF64(data, off+16*i+8)
+		if math.IsNaN(mean) || math.IsInf(mean, 0) || mean < h.min || mean > h.max {
+			return dst, 0, fmt.Errorf("stats: sketch decode: point %d mean %v outside [%v,%v]", i, mean, h.min, h.max)
+		}
+		if math.IsNaN(weight) || math.IsInf(weight, 0) || weight <= 0 {
+			return dst, 0, fmt.Errorf("stats: sketch decode: point %d weight %v", i, weight)
+		}
+		if sorted && mean < prev {
+			return dst, 0, fmt.Errorf("stats: sketch decode: centroid %d mean %v out of order", i, mean)
+		}
+		prev = mean
+		total += weight
+		dst = append(dst, Centroid{Mean: mean, Weight: weight})
+	}
+	return dst, total, nil
+}
+
+// appendPoints appends the encoding's centroids, then its buffered points,
+// to dst — the order Merge and Absorb fold them in — after validating each,
+// and reconciles their total weight with the recorded count (within float
+// accumulation slack) so a corrupt count cannot skew every quantile. On
+// error dst's contents up to its original length are untouched.
+func (h sketchWire) appendPoints(dst []Centroid, data []byte) ([]Centroid, error) {
+	dst, total, err := h.readPoints(dst, 0, data, sketchBinHeader, h.nCentroids, true)
+	if err != nil {
+		return dst, err
+	}
+	dst, total, err = h.readPoints(dst, total, data, sketchBinHeader+16*h.nCentroids, h.nBuf, false)
+	if err != nil {
+		return dst, err
+	}
+	if math.Abs(total-h.count) > 1e-6*math.Max(1, math.Abs(h.count)) {
+		return dst, fmt.Errorf("stats: sketch decode: count %v != total weight %v", h.count, total)
+	}
+	return dst, nil
+}
+
 // UnmarshalBinary decodes a MarshalBinary encoding into sk, replacing its
 // state. Arbitrary or corrupt input yields an error, never a panic and never
 // a sketch that violates its own invariants: lengths are checked against the
 // actual payload size before any allocation, every float must be finite
 // where the sketch requires it, and weights must be positive.
 func (sk *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < sketchBinHeader {
-		return fmt.Errorf("stats: sketch decode: %d bytes, want >= %d", len(data), sketchBinHeader)
-	}
-	if [4]byte(data[:4]) != sketchMagic {
-		return fmt.Errorf("stats: sketch decode: bad magic/version %q", data[:4])
-	}
-	f64 := func(off int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-	}
-	compression, count, minV, maxV := f64(4), f64(12), f64(20), f64(28)
-	nCentroids := int(binary.LittleEndian.Uint32(data[36:]))
-	nBuf := int(binary.LittleEndian.Uint32(data[40:]))
-
-	// Validate sizes against the real payload before allocating anything, so
-	// a corrupt count cannot trigger a huge allocation.
-	want := sketchBinHeader + 16*(nCentroids+nBuf)
-	if nCentroids < 0 || nBuf < 0 || len(data) != want {
-		return fmt.Errorf("stats: sketch decode: %d bytes, want %d for %d centroids + %d buffered",
-			len(data), want, nCentroids, nBuf)
-	}
-	if math.IsNaN(compression) || compression < 20 {
-		return fmt.Errorf("stats: sketch decode: invalid compression %v", compression)
-	}
-	if math.IsNaN(count) || count < 0 || math.IsInf(count, 0) {
-		return fmt.Errorf("stats: sketch decode: invalid count %v", count)
-	}
-	empty := nCentroids == 0 && nBuf == 0
-	if empty != (count == 0) {
-		return fmt.Errorf("stats: sketch decode: count %v with %d points", count, nCentroids+nBuf)
-	}
-	if empty {
-		if !math.IsInf(minV, 1) || !math.IsInf(maxV, -1) {
-			return fmt.Errorf("stats: sketch decode: empty sketch with min/max %v/%v", minV, maxV)
-		}
-	} else if math.IsNaN(minV) || math.IsNaN(maxV) || math.IsInf(minV, 0) || math.IsInf(maxV, 0) || minV > maxV {
-		return fmt.Errorf("stats: sketch decode: invalid min/max %v/%v", minV, maxV)
-	}
-
-	readPoints := func(off, n int, sorted bool) ([]Centroid, error) {
-		if n == 0 {
-			return nil, nil
-		}
-		out := make([]Centroid, n)
-		var total float64
-		prev := math.Inf(-1)
-		for i := range out {
-			mean, weight := f64(off+16*i), f64(off+16*i+8)
-			if math.IsNaN(mean) || math.IsInf(mean, 0) || mean < minV || mean > maxV {
-				return nil, fmt.Errorf("stats: sketch decode: point %d mean %v outside [%v,%v]", i, mean, minV, maxV)
-			}
-			if math.IsNaN(weight) || math.IsInf(weight, 0) || weight <= 0 {
-				return nil, fmt.Errorf("stats: sketch decode: point %d weight %v", i, weight)
-			}
-			if sorted && mean < prev {
-				return nil, fmt.Errorf("stats: sketch decode: centroid %d mean %v out of order", i, mean)
-			}
-			prev = mean
-			total += weight
-			out[i] = Centroid{Mean: mean, Weight: weight}
-		}
-		_ = total
-		return out, nil
-	}
-	centroids, err := readPoints(sketchBinHeader, nCentroids, true)
+	h, err := parseSketchWire(data)
 	if err != nil {
 		return err
 	}
-	buf, err := readPoints(sketchBinHeader+16*nCentroids, nBuf, false)
+	var points []Centroid
+	if n := h.nCentroids + h.nBuf; n > 0 {
+		if points, err = h.appendPoints(make([]Centroid, 0, n), data); err != nil {
+			return err
+		}
+	}
+	sk.compression = h.compression
+	sk.count = h.count
+	sk.min = h.min
+	sk.max = h.max
+	// One backing array, split with full slice expressions so an append to
+	// the centroid list can never run into the buffered points.
+	sk.centroids = points[:h.nCentroids:h.nCentroids]
+	sk.buf = points[h.nCentroids:]
+	return nil
+}
+
+// AbsorbBinary folds a MarshalBinary encoding into sk exactly as
+// UnmarshalBinary followed by Absorb would — the same validation, the same
+// append order (centroids, then buffered points), the same deferred
+// compaction — without materialising the intermediate sketch. It is what the
+// cluster front-end merges sketch pages with: thousands of window rollups
+// per query, each otherwise an allocation that lives for one Absorb. On
+// error sk is unchanged.
+func (sk *Sketch) AbsorbBinary(data []byte) error {
+	h, err := parseSketchWire(data)
 	if err != nil {
 		return err
 	}
-	// Total weight must reconcile with the recorded count (within float
-	// accumulation slack) so a corrupt count cannot skew every quantile.
-	var total float64
-	for _, c := range centroids {
-		total += c.Weight
+	if h.count == 0 {
+		return nil
 	}
-	for _, c := range buf {
-		total += c.Weight
+	base := len(sk.buf)
+	if sk.buf, err = h.appendPoints(sk.buf, data); err != nil {
+		sk.buf = sk.buf[:base]
+		return err
 	}
-	if math.Abs(total-count) > 1e-6*math.Max(1, math.Abs(count)) {
-		return fmt.Errorf("stats: sketch decode: count %v != total weight %v", count, total)
+	sk.count += h.count
+	if h.min < sk.min {
+		sk.min = h.min
 	}
-
-	sk.compression = compression
-	sk.count = count
-	sk.min = minV
-	sk.max = maxV
-	sk.centroids = centroids
-	sk.buf = buf
+	if h.max > sk.max {
+		sk.max = h.max
+	}
+	if len(sk.buf) >= 8*int(sk.compression) {
+		sk.flush()
+	}
 	return nil
 }

@@ -7,7 +7,9 @@ import (
 
 // FuzzSketchUnmarshalBinary guards the snapshot decoder: arbitrary bytes
 // must never panic — they either error or yield a sketch whose invariants
-// hold and that survives a re-marshal round trip unchanged.
+// hold and that survives a re-marshal round trip unchanged. AbsorbBinary
+// shares the decoder's gate, so every input is also folded both ways into
+// twin accumulators: same verdict, same resulting state.
 func FuzzSketchUnmarshalBinary(f *testing.F) {
 	for _, n := range []int{0, 1, 10, 450} {
 		data, err := mkSketch(n, DefaultCompression).MarshalBinary()
@@ -20,6 +22,7 @@ func FuzzSketchUnmarshalBinary(f *testing.F) {
 	f.Add([]byte("esk\x01"))
 	f.Add([]byte("esk\x01aaaaaaaabbbbbbbbccccccccdddddddd\x01\x00\x00\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		absorbTwin(t, mkSketch(450, DefaultCompression), mkSketch(450, DefaultCompression), data)
 		var sk Sketch
 		if err := sk.UnmarshalBinary(data); err != nil {
 			return

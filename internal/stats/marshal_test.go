@@ -111,3 +111,89 @@ func TestSketchUnmarshalRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// absorbTwin folds data into a through AbsorbBinary and into b through
+// UnmarshalBinary+Absorb and requires the same outcome: the same verdict
+// (with the same message — one decode gate), an untouched accumulator on
+// rejection, and bit-identical accumulator state on acceptance.
+func absorbTwin(t *testing.T, a, b *Sketch, data []byte) {
+	t.Helper()
+	before, _ := a.MarshalBinary()
+	var other Sketch
+	errU := other.UnmarshalBinary(data)
+	errA := a.AbsorbBinary(data)
+	if (errU == nil) != (errA == nil) || (errU != nil && errU.Error() != errA.Error()) {
+		t.Fatalf("verdicts differ: UnmarshalBinary %v, AbsorbBinary %v", errU, errA)
+	}
+	if errU != nil {
+		if after, _ := a.MarshalBinary(); !bytes.Equal(before, after) {
+			t.Fatalf("rejected input (%v) changed the accumulator", errA)
+		}
+		return
+	}
+	b.Absorb(&other)
+	ab, _ := a.MarshalBinary()
+	bb, _ := b.MarshalBinary()
+	if !bytes.Equal(ab, bb) {
+		t.Fatalf("AbsorbBinary state differs from UnmarshalBinary+Absorb:\n got  %+v\n want %+v", a, b)
+	}
+}
+
+// TestAbsorbBinaryEqualsUnmarshalAbsorb pins AbsorbBinary ≡ UnmarshalBinary
+// + Absorb on the merged sketch's exact bytes after every step, over
+// sequences that mix empty, buffered-only (below the 4δ flush) and compacted
+// parts and cross the accumulator's own 8δ compaction several times.
+func TestAbsorbBinaryEqualsUnmarshalAbsorb(t *testing.T) {
+	sizes := []int{0, 1, 57, 399, 400, 401, 1700, 5000}
+	x := uint64(2463534242)
+	for seed := 0; seed < 8; seed++ {
+		a, b := NewSketch(DefaultCompression), NewSketch(DefaultCompression)
+		for step := 0; step < 40; step++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			part := mkSketch(sizes[x%uint64(len(sizes))], DefaultCompression)
+			// Shift each part so the merged stream is not one distribution
+			// repeated: compaction then actually reorders points.
+			shifted := NewSketch(DefaultCompression)
+			for _, c := range append(append([]Centroid(nil), part.centroids...), part.buf...) {
+				if err := shifted.AddWeighted(c.Mean+float64(x>>40%97), c.Weight); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, _ := shifted.MarshalBinary()
+			absorbTwin(t, a, b, data)
+		}
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			if got, want := a.Quantile(q), b.Quantile(q); got != want {
+				t.Fatalf("seed %d q=%v: %v != %v", seed, q, got, want)
+			}
+		}
+	}
+}
+
+// TestAbsorbBinaryRejectsCorruption: every input UnmarshalBinary rejects,
+// AbsorbBinary rejects with the same error and leaves a loaded accumulator
+// exactly as it was.
+func TestAbsorbBinaryRejectsCorruption(t *testing.T) {
+	good, _ := mkSketch(500, DefaultCompression).MarshalBinary()
+	flipWeight := append([]byte{}, good...)
+	flipWeight[sketchBinHeader+8+7] ^= 0x80 // first centroid's weight goes negative
+	lastPoint := append([]byte{}, good...)
+	lastPoint[len(lastPoint)-9] ^= 0x40 // last buffered mean leaves [min,max]
+	for name, data := range map[string][]byte{
+		"empty":      {},
+		"bad-magic":  append([]byte("xxxx"), good[4:]...),
+		"truncated":  good[:len(good)-8],
+		"extra":      append(append([]byte{}, good...), 0),
+		"weight":     flipWeight,
+		"last-point": lastPoint,
+	} {
+		a, b := mkSketch(900, DefaultCompression), mkSketch(900, DefaultCompression)
+		var probe Sketch
+		if probe.UnmarshalBinary(data) == nil {
+			t.Fatalf("%s: test premise broken: input accepted", name)
+		}
+		absorbTwin(t, a, b, data)
+	}
+}

@@ -93,11 +93,21 @@ type Frontend struct {
 	cfg FrontendConfig
 
 	mu      sync.RWMutex
-	clients map[string]NodeClient
+	clients map[string]leg
 
 	queries    *obs.Counter
 	partials   *obs.Counter
 	nodeErrors *obs.CounterVec
+	legSeconds *obs.HistogramVec
+	pageBytes  *obs.CounterVec
+}
+
+// leg is one node's wired transport with its per-node instruments resolved
+// once, at wiring time, so a scatter leg touches no label lookup.
+type leg struct {
+	c NodeClient
+	// seconds times every gather leg to this node; nil when unmetered.
+	seconds *obs.Histogram
 }
 
 // NewFrontend builds the query tier over a partition map and one client
@@ -105,26 +115,40 @@ type Frontend struct {
 // nodes that join later.
 func NewFrontend(pm *PartitionMap, clients map[string]NodeClient, cfg FrontendConfig) *Frontend {
 	cfg.fill()
-	f := &Frontend{pm: pm, cfg: cfg, clients: make(map[string]NodeClient, len(clients))}
-	for n, c := range clients {
-		f.clients[n] = c
-	}
+	f := &Frontend{pm: pm, cfg: cfg, clients: make(map[string]leg, len(clients))}
 	if cfg.Metrics != nil {
 		f.queries = cfg.Metrics.Counter("cluster_frontend_queries_total", "scatter-gather queries served")
 		f.partials = cfg.Metrics.Counter("cluster_frontend_partial_total", "queries answered with missing partitions")
 		f.nodeErrors = cfg.Metrics.CounterVec("cluster_frontend_node_errors_total", "gather legs that failed", "node")
+		f.legSeconds = cfg.Metrics.HistogramVec("cluster_frontend_leg_seconds",
+			"scatter leg latency per node: request, node-side match, page transfer and decode (failed legs included)",
+			nil, "node")
+		f.pageBytes = cfg.Metrics.CounterVec("cluster_frontend_page_bytes_total",
+			"sketch-page body bytes received from each node's /sketches", "node")
 	} else {
 		f.queries = &obs.Counter{}
 		f.partials = &obs.Counter{}
+	}
+	for n, c := range clients {
+		f.AddClient(n, c)
 	}
 	return f
 }
 
 // AddClient wires (or replaces) the query transport for a node — how a
-// joining member becomes queryable without restarting the frontend.
+// joining member becomes queryable without restarting the frontend. With
+// metrics on, the node's leg histogram is resolved here and an HTTPNode is
+// handed its page-byte counter.
 func (f *Frontend) AddClient(node string, c NodeClient) {
+	l := leg{c: c}
+	if f.legSeconds != nil {
+		l.seconds = f.legSeconds.With(node)
+		if hn, ok := c.(*HTTPNode); ok {
+			hn.MeterPageBytes(f.pageBytes.With(node))
+		}
+	}
 	f.mu.Lock()
-	f.clients[node] = c
+	f.clients[node] = l
 	f.mu.Unlock()
 }
 
@@ -135,12 +159,12 @@ func (f *Frontend) RemoveClient(node string) {
 	f.mu.Unlock()
 }
 
-// Client returns the query transport wired for a node, if any.
-func (f *Frontend) Client(node string) (NodeClient, bool) {
+// leg returns the transport wired for a node, if any.
+func (f *Frontend) leg(node string) (leg, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	c, ok := f.clients[node]
-	return c, ok
+	l, ok := f.clients[node]
+	return l, ok
 }
 
 // gather runs fn against every current member concurrently, each leg under
@@ -151,18 +175,22 @@ func (f *Frontend) gather(ctx context.Context, nodes []string, fn func(ctx conte
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, n := range nodes {
-		c, ok := f.Client(n)
+		l, ok := f.leg(n)
 		if !ok {
 			errs[i] = context.Canceled // no client wired: the node is unreachable by construction
 			continue
 		}
 		wg.Add(1)
-		go func(i int, n string, c NodeClient) {
+		go func(i int, n string, l leg) {
 			defer wg.Done()
 			legCtx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 			defer cancel()
-			errs[i] = fn(legCtx, n, c)
-		}(i, n, c)
+			began := time.Now()
+			errs[i] = fn(legCtx, n, l.c)
+			if l.seconds != nil {
+				l.seconds.ObserveDuration(time.Since(began))
+			}
+		}(i, n, l)
 	}
 	wg.Wait()
 	for i, err := range errs {

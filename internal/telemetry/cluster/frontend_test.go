@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"edgescope/internal/scenario"
 	"edgescope/internal/telemetry"
 )
 
@@ -260,5 +262,72 @@ func TestFrontendKeysMergesInventory(t *testing.T) {
 	_, missing = h.f.Keys(context.Background())
 	if !reflect.DeepEqual(missing, []string{"n0"}) {
 		t.Fatalf("missing = %v", missing)
+	}
+}
+
+// TestPageCodecsMergeIdenticalAcrossScenarios is the wire-format property
+// pin: for every built-in scenario split over three nodes, each node's
+// pages pushed through a JSON round trip and through a binary round trip
+// merge to byte-identical QueryResult JSON — and both are the single-node
+// Ingestor.Query answer. The binary leg is therefore exactly as lossless
+// as the JSON one it replaced.
+func TestPageCodecsMergeIdenticalAcrossScenarios(t *testing.T) {
+	for _, name := range builtinScenarios {
+		t.Run(name, func(t *testing.T) {
+			events := scenarioEvents(t, scenario.MustGet(name))
+			pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
+			single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
+			defer single.Close()
+			c := newTestCluster(t, pm, "")
+			for _, e := range events {
+				if !single.Offer(e) || !c.get(pm.Owner(e.Key().ShardOf(16))).Offer(e) {
+					t.Fatal("offer refused")
+				}
+			}
+			single.Flush()
+			c.flushAll()
+
+			for _, spec := range fingerprintSpecs {
+				var viaJSON, viaBinary []telemetry.SketchPage
+				for _, n := range pm.Nodes() {
+					page, err := c.get(n).MatchSketches(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, err := json.Marshal(page)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var j telemetry.SketchPage
+					if err := json.Unmarshal(raw, &j); err != nil {
+						t.Fatal(err)
+					}
+					wire, _ := page.AppendBinary(nil)
+					b, err := telemetry.DecodeSketchPage(wire)
+					if err != nil {
+						t.Fatal(err)
+					}
+					viaJSON, viaBinary = append(viaJSON, j), append(viaBinary, b)
+				}
+				answer := func(res telemetry.QueryResult, err error) []byte {
+					t.Helper()
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, err := json.Marshal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
+				}
+				want := answer(single.Query(spec))
+				if got := answer(telemetry.MergeSketchPages(spec, viaJSON)); !bytes.Equal(got, want) {
+					t.Fatalf("%s: JSON-carried pages merge to\n%s\nsingle node answers\n%s", spec.Metric, got, want)
+				}
+				if got := answer(telemetry.MergeSketchPages(spec, viaBinary)); !bytes.Equal(got, want) {
+					t.Fatalf("%s: binary-carried pages merge to\n%s\nsingle node answers\n%s", spec.Metric, got, want)
+				}
+			}
+		})
 	}
 }

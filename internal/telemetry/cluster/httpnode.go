@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,8 +10,10 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
+	"edgescope/internal/obs"
 	"edgescope/internal/telemetry"
 )
 
@@ -18,10 +21,18 @@ import (
 // POST /ingest for the router, GET /sketches and /keys for the front-end,
 // GET /healthz for the prober. It implements NodeClient and supplies the
 // Router's per-node Transport leg.
+//
+// Every leg that moves sketch pages — /sketches, /sketches/partition,
+// /admin/absorb — speaks the binary, CRC-trailed page form
+// (telemetry.SketchPageContentType) and nothing else: a node that answers
+// in any other content type, or with a page that fails its checksum or
+// framing, is a failed leg. Keys, health and the small admin acks are JSON.
 type HTTPNode struct {
 	base   string
 	client *http.Client
 	ingest func(telemetry.Envelope) bool
+	// pageBytes, when metered, counts the /sketches body bytes received.
+	pageBytes atomic.Pointer[obs.Counter]
 }
 
 // NewHTTPNode builds a client for one node's base URL (no trailing slash
@@ -53,12 +64,28 @@ func HTTPTransport(nodes map[string]*HTTPNode) Transport {
 	}
 }
 
+// MeterPageBytes makes Sketches add every page body's size to c — the
+// front-end hands each node's cluster_frontend_page_bytes_total series in
+// when it wires the client.
+func (n *HTTPNode) MeterPageBytes(c *obs.Counter) { n.pageBytes.Store(c) }
+
 // Sketches fetches the node's matching rollups: GET /sketches with the
-// same query parameters /query takes.
+// same query parameters /query takes, answered as one binary page. The
+// returned page aliases the response body.
 func (n *HTTPNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error) {
-	var page telemetry.SketchPage
-	err := n.getJSON(ctx, "/sketches?"+specParams(spec), &page)
-	return page, err
+	path := "/sketches?" + specParams(spec)
+	body, err := n.pageBody(ctx, path)
+	if err != nil {
+		return telemetry.SketchPage{}, err
+	}
+	if c := n.pageBytes.Load(); c != nil {
+		c.Add(uint64(len(body)))
+	}
+	page, err := telemetry.DecodeSketchPage(body)
+	if err != nil {
+		return telemetry.SketchPage{}, fmt.Errorf("cluster: %s%s: %w", n.base, path, err)
+	}
+	return page, nil
 }
 
 // Keys fetches the node's key inventory: GET /keys.
@@ -121,18 +148,27 @@ func (n *HTTPNode) UnfreezePartition(ctx context.Context, p, of int) error {
 	return n.postJSON(ctx, "/admin/unfreeze?"+partParams(p, of), nil, nil)
 }
 
-// PartitionPages fetches one partition's durable state in sketch-page wire
-// form: GET /sketches/partition?partition=&of=.
+// PartitionPages fetches one partition's durable state as a binary page
+// set: GET /sketches/partition?partition=&of=. The pages alias the body.
 func (n *HTTPNode) PartitionPages(ctx context.Context, p, of int) ([]telemetry.SketchPage, error) {
-	var pages []telemetry.SketchPage
-	err := n.getJSON(ctx, "/sketches/partition?"+partParams(p, of), &pages)
-	return pages, err
+	path := "/sketches/partition?" + partParams(p, of)
+	body, err := n.pageBody(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	pages, err := telemetry.DecodeSketchPages(body)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s%s: %w", n.base, path, err)
+	}
+	return pages, nil
 }
 
-// AbsorbPages ships pages into the node's rollups: POST /admin/absorb.
+// AbsorbPages ships pages into the node's rollups as a binary page set:
+// POST /admin/absorb. The ack is JSON.
 func (n *HTTPNode) AbsorbPages(ctx context.Context, pages []telemetry.SketchPage) (telemetry.AbsorbAck, error) {
 	var ack telemetry.AbsorbAck
-	err := n.postJSON(ctx, "/admin/absorb", pages, &ack)
+	err := n.do(ctx, http.MethodPost, "/admin/absorb",
+		telemetry.SketchPageContentType, telemetry.AppendSketchPages(nil, pages), "", jsonInto(&ack))
 	return ack, err
 }
 
@@ -160,23 +196,24 @@ func partParams(p, of int) string {
 	return q.Encode()
 }
 
-// postJSON runs one POST leg: body (when non-nil) is JSON-encoded, the
-// answer (when out is non-nil) JSON-decoded; non-2xx is an error.
-func (n *HTTPNode) postJSON(ctx context.Context, path string, body, out any) error {
+// do runs one leg: body (when non-nil) is sent as contentType, accept (when
+// set) names the only answer form the caller takes, and non-2xx is an error
+// carrying the node's plain-text reason. consume reads the answer; do owns
+// draining and closing it.
+func (n *HTTPNode) do(ctx context.Context, method, path, contentType string, body []byte, accept string, consume func(*http.Response) error) error {
 	var rdr io.Reader
 	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rdr = strings.NewReader(string(raw))
+		rdr = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+path, rdr)
+	req, err := http.NewRequestWithContext(ctx, method, n.base+path, rdr)
 	if err != nil {
 		return err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -190,31 +227,65 @@ func (n *HTTPNode) postJSON(ctx context.Context, path string, body, out any) err
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("cluster: %s%s: %s: %s", n.base, path, resp.Status, strings.TrimSpace(string(msg)))
 	}
-	if out == nil {
+	if consume == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return consume(resp)
+}
+
+// postJSON runs one POST leg: body (when non-nil) is JSON-encoded, the
+// answer (when out is non-nil) JSON-decoded.
+func (n *HTTPNode) postJSON(ctx context.Context, path string, body, out any) error {
+	var raw []byte
+	if body != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			return err
+		}
+	}
+	var consume func(*http.Response) error
+	if out != nil {
+		consume = jsonInto(out)
+	}
+	return n.do(ctx, http.MethodPost, path, "application/json", raw, "", consume)
 }
 
 // getJSON runs one GET leg and decodes the JSON answer.
 func (n *HTTPNode) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("cluster: %s%s: %s: %s", n.base, path, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return n.do(ctx, http.MethodGet, path, "", nil, "", jsonInto(v))
+}
+
+// jsonInto is the consume step of a leg answered in JSON.
+func jsonInto(v any) func(*http.Response) error {
+	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(v) }
+}
+
+// maxPagePrealloc caps how much of a declared Content-Length pageBody
+// reserves up front; a longer body still arrives whole, the buffer just
+// grows as its bytes actually do.
+const maxPagePrealloc = 64 << 20
+
+// pageBody runs one sketch-page GET and returns the whole answer body,
+// which must be declared as the binary page form — there is no JSON
+// fallback, so a node too old (or too broken) to speak it fails the leg.
+func (n *HTTPNode) pageBody(ctx context.Context, path string) ([]byte, error) {
+	var buf bytes.Buffer
+	err := n.do(ctx, http.MethodGet, path, "", nil, telemetry.SketchPageContentType,
+		func(resp *http.Response) error {
+			if ct := resp.Header.Get("Content-Type"); ct != telemetry.SketchPageContentType {
+				return fmt.Errorf("cluster: %s%s: content type %q, want %q", n.base, path, ct, telemetry.SketchPageContentType)
+			}
+			if size := resp.ContentLength; size > 0 {
+				// +MinRead: ReadFrom wants that much spare before each read,
+				// and would otherwise double the buffer to find it at EOF.
+				buf.Grow(int(min(size, maxPagePrealloc)) + bytes.MinRead)
+			}
+			if _, err := buf.ReadFrom(resp.Body); err != nil {
+				return fmt.Errorf("cluster: %s%s: read page: %w", n.base, path, err)
+			}
+			return nil
+		})
+	return buf.Bytes(), err
 }
 
 // specParams encodes a QuerySpec as /query-style URL parameters — the

@@ -178,53 +178,21 @@ func dropWindowLocked(s *shard, start int64, p, of int) int {
 // PartitionPages exports every rollup whose key hashes to partition p of
 // `of` as sketch pages — one page per metric, metrics sorted, matches in
 // the canonical (start, region, net) order — the exact wire shape
-// /sketches serves and MergeSketchPages consumes. Sketches are cloned
-// under the shard locks and encoded outside them.
+// /sketches serves and MergeSketchPages consumes. Like MatchSketches, each
+// sketch is encoded once, under its shard's lock.
 func (ing *Ingestor) PartitionPages(p, of int) ([]SketchPage, error) {
 	if of <= 0 || p < 0 || p >= of {
 		return nil, fmt.Errorf("telemetry: partition %d of %d", p, of)
 	}
-	var matches []sketchMatch
-	for _, s := range ing.shards {
-		s.mu.Lock()
-		for wk, sk := range s.windows {
-			if wk.Key.ShardOf(of) != p {
-				continue
-			}
-			matches = append(matches, sketchMatch{wk, sk.Clone()})
+	rollups := ing.encodeRollups(func(wk windowKey) bool { return wk.Key.ShardOf(of) == p })
+	pages := []SketchPage{} // never nil: an empty partition is `[]` on the JSON surface
+	for len(rollups) > 0 {
+		metric, n := rollups[0].wk.Metric, 1
+		for n < len(rollups) && rollups[n].wk.Metric == metric {
+			n++
 		}
-		s.mu.Unlock()
-	}
-	byMetric := map[string][]sketchMatch{}
-	var metrics []string
-	for _, m := range matches {
-		if _, ok := byMetric[m.wk.Metric]; !ok {
-			metrics = append(metrics, m.wk.Metric)
-		}
-		byMetric[m.wk.Metric] = append(byMetric[m.wk.Metric], m)
-	}
-	sort.Strings(metrics)
-	pages := make([]SketchPage, 0, len(metrics))
-	var buf []byte
-	for _, metric := range metrics {
-		ms := byMetric[metric]
-		sortMatches(ms)
-		page := SketchPage{
-			Metric:      metric,
-			Compression: ing.cfg.Compression,
-			WindowMs:    ing.cfg.Window.Milliseconds(),
-			Matches:     make([]WindowSketch, 0, len(ms)),
-		}
-		for _, m := range ms {
-			buf, _ = m.sk.AppendBinary(buf[:0]) // encoding a live sketch cannot fail
-			page.Matches = append(page.Matches, WindowSketch{
-				Start:  m.wk.Start,
-				Region: m.wk.Region,
-				Net:    m.wk.Net,
-				Sketch: append([]byte(nil), buf...),
-			})
-		}
-		pages = append(pages, page)
+		pages = append(pages, ing.pageOf(metric, rollups[:n]))
+		rollups = rollups[n:]
 	}
 	return pages, nil
 }

@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"edgescope/internal/stats"
@@ -89,35 +92,32 @@ type sketchMatch struct {
 	sk *stats.Sketch
 }
 
-// sortMatches orders matches by (start, region, net) — a total order,
-// because a query's matches share one metric and a (window, key) rollup
-// exists exactly once. Every consumer that merges matches MUST use this
-// order: it is what makes single-node answers, recovered-node answers and
-// the cluster front-end's scatter-gather merge byte-identical.
-func sortMatches(matches []sketchMatch) {
-	sort.Slice(matches, func(i, j int) bool {
-		a, b := matches[i].wk, matches[j].wk
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		return a.Net < b.Net
-	})
+// before is the canonical rollup order: (metric, start, region, net). Within
+// one query every match shares the metric, so this is the (start, region,
+// net) total order — a (window, key) rollup exists exactly once. Every
+// consumer that merges matches MUST use this order: it is what makes
+// single-node answers, recovered-node answers and the cluster front-end's
+// scatter-gather merge byte-identical.
+func (a windowKey) before(b windowKey) bool {
+	if a.Metric != b.Metric {
+		return a.Metric < b.Metric
+	}
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Region != b.Region {
+		return a.Region < b.Region
+	}
+	return a.Net < b.Net
 }
 
-// collectMatches clones every (window, key) sketch the spec selects, sorted
-// by sortMatches. Each shard is locked only while its rollups are scanned
-// and the matching sketches copied out — a few KB memcpy per match, the
-// price of a consistent cut without epoch machinery; MaxWindows bounds the
-// scan length.
-func (ing *Ingestor) collectMatches(spec QuerySpec) ([]sketchMatch, error) {
+// selector turns a spec into the predicate picking its rollups. The bounds
+// are aligned to whole windows: a window is selected iff it overlaps
+// [From, To), matching the spec's documented granularity.
+func (ing *Ingestor) selector(spec QuerySpec) (func(windowKey) bool, error) {
 	if spec.Metric == "" {
 		return nil, fmt.Errorf("telemetry: query needs a metric")
 	}
-	// Align the bounds to whole windows: a window is selected iff it
-	// overlaps [From, To), matching the spec's documented granularity.
 	var fromMs, toMs int64
 	if !spec.From.IsZero() {
 		fromMs = ing.windowStart(spec.From.UnixMilli())
@@ -128,45 +128,47 @@ func (ing *Ingestor) collectMatches(spec QuerySpec) ([]sketchMatch, error) {
 		w := ing.cfg.Window.Milliseconds()
 		toMs = ing.windowStart(spec.To.UnixMilli()-1) + w
 	}
+	return func(wk windowKey) bool {
+		return wk.Metric == spec.Metric &&
+			(spec.Region == "" || wk.Region == spec.Region) &&
+			(spec.Net == "" || wk.Net == spec.Net) &&
+			wk.Start >= fromMs && wk.Start < toMs
+	}, nil
+}
+
+// collectMatches clones every (window, key) sketch the spec selects, in
+// canonical order. Each shard is locked only while its rollups are scanned
+// and the matching sketches copied out — a few KB memcpy per match, the
+// price of a consistent cut without epoch machinery; MaxWindows bounds the
+// scan length.
+func (ing *Ingestor) collectMatches(spec QuerySpec) ([]sketchMatch, error) {
+	pick, err := ing.selector(spec)
+	if err != nil {
+		return nil, err
+	}
 	var matches []sketchMatch
 	for _, s := range ing.shards {
 		s.mu.Lock()
 		for wk, sk := range s.windows {
-			if wk.Metric != spec.Metric {
-				continue
+			if pick(wk) {
+				matches = append(matches, sketchMatch{wk, sk.Clone()})
 			}
-			if spec.Region != "" && wk.Region != spec.Region {
-				continue
-			}
-			if spec.Net != "" && wk.Net != spec.Net {
-				continue
-			}
-			if wk.Start < fromMs || wk.Start >= toMs {
-				continue
-			}
-			matches = append(matches, sketchMatch{wk, sk.Clone()})
 		}
 		s.mu.Unlock()
 	}
-	sortMatches(matches)
+	sort.Slice(matches, func(i, j int) bool { return matches[i].wk.before(matches[j].wk) })
 	return matches, nil
 }
 
-// evaluateMatches merges already-sorted matches into one sketch and
-// evaluates the requested statistics. This is THE merge+evaluate path: the
-// single-node query and the cluster scatter-gather both end here, with the
-// same compression and the same absorb order, which is why their answers
-// are byte-identical over the same rollups.
-func evaluateMatches(matches []sketchMatch, qs, cdfAt []float64, compression float64) QueryResult {
-	// Absorb defers compaction so merging W windows costs one merge pass
-	// per ~8δ absorbed centroids, not one sort per window.
-	merged := stats.NewSketch(compression)
-	for _, m := range matches {
-		merged.Absorb(m.sk)
-	}
+// evaluate computes the requested statistics on a merged sketch. This is
+// THE evaluate path: the single-node query and the cluster scatter-gather
+// both end here, having absorbed the same rollups at the same compression
+// in the same canonical order, which is why their answers are
+// byte-identical.
+func evaluate(merged *stats.Sketch, windows int, qs, cdfAt []float64) QueryResult {
 	res := QueryResult{
 		Count:   merged.Count(),
-		Windows: len(matches),
+		Windows: windows,
 	}
 	if merged.Count() > 0 {
 		res.Min, res.Max = merged.Min(), merged.Max()
@@ -203,15 +205,21 @@ func (ing *Ingestor) Query(spec QuerySpec) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	return evaluateMatches(matches, qs, spec.CDFAt, ing.cfg.Compression), nil
+	// Absorb defers compaction so merging W windows costs one merge pass
+	// per ~8δ absorbed centroids, not one sort per window.
+	merged := stats.NewSketch(ing.cfg.Compression)
+	for _, m := range matches {
+		merged.Absorb(m.sk)
+	}
+	return evaluate(merged, len(matches), qs, spec.CDFAt), nil
 }
 
 // WindowSketch is one matching (window, key) rollup in wire form: the
 // window start, the key's free dimensions (the metric is the query's, so it
 // is carried on the page, not per match) and the sketch's exact binary
-// state (stats.Sketch.MarshalBinary — JSON encodes it as base64). Because
-// the codec round-trips bit-for-bit, a front-end merging decoded
-// WindowSketches computes exactly what the node itself would.
+// state (stats.Sketch.MarshalBinary — raw in the binary page, base64 in
+// JSON). Because the codec round-trips bit-for-bit, a front-end merging
+// decoded WindowSketches computes exactly what the node itself would.
 type WindowSketch struct {
 	Start  int64  `json:"start"`
 	Region string `json:"region"`
@@ -222,12 +230,68 @@ type WindowSketch struct {
 // SketchPage is one node's answer to a sketch-collection request: every
 // rollup the spec matched, in the canonical (start, region, net) order,
 // plus the parameters a merger must agree on. It is the scatter half of the
-// cluster's scatter-gather query (cluster.Frontend gathers and merges).
+// cluster's scatter-gather query (cluster.Frontend gathers and merges). On
+// the cluster's internal legs it travels in the binary form of
+// pagecodec.go; the JSON tags serve curl and the handoff spill files.
 type SketchPage struct {
 	Metric      string         `json:"metric"`
 	Compression float64        `json:"compression"`
 	WindowMs    int64          `json:"window_ms"`
 	Matches     []WindowSketch `json:"matches"`
+}
+
+// encodedRollup is one picked rollup with its sketch's exact binary state.
+type encodedRollup struct {
+	wk  windowKey
+	enc []byte
+}
+
+// encodeRollups encodes every rollup pick selects, once, under its shard's
+// lock, straight into one exactly-sized buffer per shard that the returned
+// rollups slice into — the only copy the sketch bytes take between the live
+// rollup and the wire — and returns them in canonical order. Each shard is
+// locked only while its rollups are scanned and encoded, the same
+// consistent cut collectMatches takes by cloning.
+func (ing *Ingestor) encodeRollups(pick func(windowKey) bool) []encodedRollup {
+	var (
+		out    []encodedRollup
+		picked []sketchMatch
+	)
+	for _, s := range ing.shards {
+		picked = picked[:0]
+		size := 0
+		s.mu.Lock()
+		for wk, sk := range s.windows {
+			if pick(wk) {
+				picked = append(picked, sketchMatch{wk, sk})
+				size += sk.BinarySize()
+			}
+		}
+		chunk := make([]byte, 0, size)
+		for _, m := range picked {
+			at := len(chunk)
+			chunk, _ = m.sk.AppendBinary(chunk) // encoding a live sketch cannot fail
+			out = append(out, encodedRollup{m.wk, chunk[at:len(chunk):len(chunk)]})
+		}
+		s.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].wk.before(out[j].wk) })
+	return out
+}
+
+// pageOf assembles one metric's page over rollups already in canonical
+// order and all of that metric.
+func (ing *Ingestor) pageOf(metric string, rollups []encodedRollup) SketchPage {
+	page := SketchPage{
+		Metric:      metric,
+		Compression: ing.cfg.Compression,
+		WindowMs:    ing.cfg.Window.Milliseconds(),
+		Matches:     make([]WindowSketch, len(rollups)),
+	}
+	for i, r := range rollups {
+		page.Matches[i] = WindowSketch{Start: r.wk.Start, Region: r.wk.Region, Net: r.wk.Net, Sketch: r.enc}
+	}
+	return page
 }
 
 // MatchSketches collects the spec's matching rollups in wire form. The spec
@@ -238,27 +302,11 @@ func (ing *Ingestor) MatchSketches(spec QuerySpec) (SketchPage, error) {
 	if _, err := checkedQuantiles(spec); err != nil {
 		return SketchPage{}, err
 	}
-	matches, err := ing.collectMatches(spec)
+	pick, err := ing.selector(spec)
 	if err != nil {
 		return SketchPage{}, err
 	}
-	page := SketchPage{
-		Metric:      spec.Metric,
-		Compression: ing.cfg.Compression,
-		WindowMs:    ing.cfg.Window.Milliseconds(),
-		Matches:     make([]WindowSketch, 0, len(matches)),
-	}
-	var buf []byte
-	for _, m := range matches {
-		buf, _ = m.sk.AppendBinary(buf[:0]) // encoding a live sketch cannot fail
-		page.Matches = append(page.Matches, WindowSketch{
-			Start:  m.wk.Start,
-			Region: m.wk.Region,
-			Net:    m.wk.Net,
-			Sketch: append([]byte(nil), buf...),
-		})
-	}
-	return page, nil
+	return ing.pageOf(spec.Metric, ing.encodeRollups(pick)), nil
 }
 
 // MergeSketchPages merges the pages of a scatter-gather fan-out and
@@ -270,19 +318,21 @@ func (ing *Ingestor) MatchSketches(spec QuerySpec) (SketchPage, error) {
 // the (cross-node duplicate) ties replica failover can create, so the merge
 // is deterministic — and, when every (window, key) lives on exactly one
 // node, byte-identical to a single node that ingested the whole stream.
+// Each match's wire bytes are validated and folded straight into the merged
+// sketch (stats.Sketch.AbsorbBinary); the pages are only read.
 func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 	qs, err := checkedQuantiles(spec)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	type pageMatch struct {
-		sketchMatch
+		*WindowSketch
 		page int
 	}
 	var (
-		all         []pageMatch
 		compression float64
 		windowMs    int64
+		total       int
 	)
 	for i, p := range pages {
 		if i == 0 {
@@ -295,42 +345,37 @@ func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 		if p.Metric != spec.Metric {
 			return QueryResult{}, fmt.Errorf("telemetry: page metric %q, want %q", p.Metric, spec.Metric)
 		}
-		for _, m := range p.Matches {
-			sk := new(stats.Sketch)
-			if err := sk.UnmarshalBinary(m.Sketch); err != nil {
-				return QueryResult{}, fmt.Errorf("telemetry: page %d sketch (start=%d %s/%s): %w",
-					i, m.Start, m.Region, m.Net, err)
-			}
-			all = append(all, pageMatch{
-				sketchMatch: sketchMatch{
-					wk: windowKey{Start: m.Start, Key: Key{Metric: p.Metric, Region: m.Region, Net: m.Net}},
-					sk: sk,
-				},
-				page: i,
-			})
+		total += len(p.Matches)
+	}
+	all := make([]pageMatch, 0, total)
+	for i, p := range pages {
+		for j := range p.Matches {
+			all = append(all, pageMatch{&p.Matches[j], i})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i].wk, all[j].wk
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortFunc(all, func(a, b pageMatch) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
+		if c := strings.Compare(a.Region, b.Region); c != 0 {
+			return c
 		}
-		if a.Net != b.Net {
-			return a.Net < b.Net
+		if c := strings.Compare(a.Net, b.Net); c != 0 {
+			return c
 		}
-		return all[i].page < all[j].page
+		return cmp.Compare(a.page, b.page)
 	})
-	matches := make([]sketchMatch, len(all))
-	for i, m := range all {
-		matches[i] = m.sketchMatch
-	}
 	if compression == 0 {
 		compression = stats.DefaultCompression
 	}
-	return evaluateMatches(matches, qs, spec.CDFAt, compression), nil
+	merged := stats.NewSketch(compression)
+	for _, m := range all {
+		if err := merged.AbsorbBinary(m.Sketch); err != nil {
+			return QueryResult{}, fmt.Errorf("telemetry: page %d sketch (start=%d %s/%s): %w",
+				m.page, m.Start, m.Region, m.Net, err)
+		}
+	}
+	return evaluate(merged, len(all), qs, spec.CDFAt), nil
 }
 
 // Keys lists every distinct dimension tuple with at least one rollup,

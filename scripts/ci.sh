@@ -4,7 +4,7 @@
 #   gofmt cleanliness  → build  → vet  → full tests
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
-#     segment replay, snapshot decode, sketch codec)
+#     segment replay, snapshot decode, sketch codec, sketch-page codec)
 #   → chaos smoke: a seeded drop+duplicate+reorder fault plan on the small
 #     scenario through the retrying client must answer byte-identically to
 #     a clean run, and a killed durable ingestor must recover to the same
@@ -14,8 +14,10 @@
 #     carrying the ingest families — scraped and linted by cmd/metriclint
 #   → cluster smoke: a 3-node cluster + frontend on loopback replaying the
 #     small scenario must answer /query byte-identically to a single-node
-#     replay; a SIGKILLed member must surface as an explicit partial
-#     result; a restarted member (WAL recovery) must reconverge
+#     replay; a node asked for its /sketches in the binary page form must
+#     answer in it, and the frontend's /metrics (leg and page-byte families
+#     included) must lint; a SIGKILLed member must surface as an explicit
+#     partial result; a restarted member (WAL recovery) must reconverge
 #   → rebalance smoke: a fourth node joins the live cluster through
 #     POST /admin/join (sketch-page handoff, epoch activation), then a
 #     member drains and leaves — /query and /keys must stay byte-identical
@@ -64,9 +66,10 @@ go test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/tele
 echo "== fuzz (telemetry decoder, 5s) =="
 go test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 
-echo "== fuzz (durability surfaces: WAL replay, snapshot, sketch codec; 3s each) =="
+echo "== fuzz (durability surfaces: WAL replay, snapshot, sketch + sketch-page codecs; 3s each) =="
 go test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
+go test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
 
 echo "== chaos smoke (seeded drop+dup+reorder on small, retrying client) =="
@@ -186,6 +189,19 @@ converge "$smoke/cluster-query.json"
 curl -fsS "http://127.0.0.1:$FRONT/keys" > "$smoke/cluster-keys.json"
 diff "$smoke/cluster-single-keys.json" "$smoke/cluster-keys.json"
 echo "  3-node /query and /keys byte-identical to a single-node replay"
+
+# The frontend↔node leg's wire form, from outside: asked for the binary
+# page, a node answers in it (without the header it stays JSON for curl).
+PAGE_CT='application/x-edgescope-sketch-page'
+got_ct=$(curl -fsS -o "$smoke/cluster-n0-page.bin" -w '%{content_type}' \
+  -H "Accept: $PAGE_CT" "http://127.0.0.1:$N0/sketches?$QS")
+if [[ "$got_ct" != "$PAGE_CT" ]] || [[ "$(head -c 6 "$smoke/cluster-n0-page.bin")" != "espage" ]]; then
+  echo "n0 /sketches with Accept: $PAGE_CT answered content type '$got_ct'" >&2
+  exit 1
+fi
+"$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
+  -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total
+echo "  n0 serves binary sketch pages on request; frontend /metrics lints with the leg families"
 
 kill -9 "$NODE1_PID" 2>/dev/null
 partial_ok=""
