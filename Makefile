@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race fuzz chaos bench bench-json bench-compare bench-multicore ci repro profile
+.PHONY: build vet test race fuzz chaos bench bench-json bench-compare bench-multicore ci loc repro profile
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,10 @@ bench-multicore:
 
 ci:
 	./scripts/ci.sh
+
+# Non-test Go lines per package (ROADMAP item 5's table, reproducible).
+loc:
+	./scripts/loc.sh
 
 # Reproduce every paper artifact in parallel.
 repro:

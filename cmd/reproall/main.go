@@ -7,9 +7,8 @@
 //
 // The experiment sizing comes from the declarative scenario layer:
 // -scenario accepts a built-in name (see -list) or a path to a JSON spec
-// file, and -dump-scenario prints a built-in as JSON to edit into a custom
-// scenario. The legacy -scale small|paper flag resolves onto the matching
-// built-in scenarios.
+// file (default: small), and -dump-scenario prints a built-in as JSON to
+// edit into a custom scenario.
 //
 // Profiling the reproduction itself is first-class: -cpuprofile and
 // -memprofile write pprof profiles of the artifact run (the heap profile is
@@ -27,7 +26,7 @@
 //
 // Usage:
 //
-//	reproall [-seed N] [-scenario NAME|file.json] [-scale small|paper]
+//	reproall [-seed N] [-scenario NAME|file.json]
 //	         [-parallel N] [-csvdir DIR] [-only id,id,...] [-ext]
 //	         [-quiet-times] [-list] [-dump-scenario NAME]
 //	         [-cpuprofile FILE] [-memprofile FILE]
@@ -53,8 +52,7 @@ import (
 
 func main() {
 	seed := flag.Uint64("seed", 1, "experiment seed override (same seed → identical outputs; default: the scenario's)")
-	scale := flag.String("scale", "small", "legacy experiment scale: small or paper (alias for the matching -scenario)")
-	scn := flag.String("scenario", "", "scenario name from the registry, or path to a JSON spec (overrides -scale)")
+	scn := flag.String("scenario", "small", "scenario name from the registry, or path to a JSON spec")
 	list := flag.Bool("list", false, "print all valid artifact IDs and registered scenario names, then exit")
 	dump := flag.String("dump-scenario", "", "print the named scenario spec as JSON (a template for custom scenarios), then exit")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = one worker per CPU)")
@@ -92,7 +90,7 @@ func main() {
 		return
 	}
 
-	suite, err := core.SuiteFromFlags(flag.CommandLine, *scn, *scale, "seed", *seed)
+	suite, err := core.SuiteFromFlags(flag.CommandLine, *scn, "seed", *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "reproall: %v\n", err)
 		os.Exit(2)

@@ -33,8 +33,7 @@
 // (latency + throughput, internal/crowd) through the pipeline, so a fresh
 // process has data to query immediately. The campaign is sized by the
 // declarative scenario layer: -scenario accepts any registered name or a
-// JSON spec file, and the legacy -scale flag resolves onto the small/paper
-// built-ins:
+// JSON spec file (default: small):
 //
 //	telemetryd -replay -scenario dense-metro &
 //	curl 'localhost:8355/query?metric=rtt_ms&q=0.5,0.95,0.99'
@@ -90,7 +89,7 @@
 //	           [-compression 100] [-retain 10000] [-drop]
 //	           [-data DIR] [-sync-every 256] [-snapshot-every 4096]
 //	           [-replay] [-seed 1] [-scenario NAME|file.json]
-//	           [-scale small|paper] [-pprof] [-log-format text|json]
+//	           [-pprof] [-log-format text|json]
 //	           [-role single|node|frontend] [-node-id ID] [-peers LIST]
 //	           [-partitions 16] [-replicas 1|2]
 //	           [-probe-interval 1s] [-node-timeout 2s]
@@ -138,8 +137,7 @@ func main() {
 	snapEvery := flag.Int("snapshot-every", 4096, "snapshot a shard's rollup state every N folded records (0 = only at shutdown)")
 	replay := flag.Bool("replay", false, "stream the deterministic crowd campaign through the pipeline at startup")
 	seed := flag.Uint64("seed", 1, "replay seed override (default: the scenario's)")
-	scale := flag.String("scale", "small", "legacy replay scale: small or paper (alias for the matching -scenario)")
-	scn := flag.String("scenario", "", "replay scenario name from the registry, or path to a JSON spec (overrides -scale)")
+	scn := flag.String("scenario", "small", "replay scenario name from the registry, or path to a JSON spec")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	role := flag.String("role", "single", "cluster role: single, node, or frontend")
@@ -178,7 +176,7 @@ func main() {
 			addr: *addr, peerIDs: peerIDs, peerURLs: peerURLs,
 			partitions: *partitions, replicas: *replicas, dataDir: *dataDir,
 			probeEvery: *probeEvery, nodeTimeout: *nodeTimeout,
-			replay: *replay, scenario: *scn, scale: *scale, seed: *seed,
+			replay: *replay, scenario: *scn, seed: *seed,
 			log: log,
 		})
 		return
@@ -255,27 +253,9 @@ func main() {
 	start := time.Now()
 
 	if *replay {
-		suite, err := core.SuiteFromFlags(flag.CommandLine, *scn, *scale, "seed", *seed)
-		if err != nil {
-			log.Error("replay setup failed", "err", err)
-			os.Exit(2)
-		}
-		log.Info("replay starting", "scenario", suite.Name(), "seed", suite.Seed)
-		// Latency streams event-at-a-time through the crowd.StreamLatency
-		// emission hook (a thin sink over the one crowd.Observe walk); the
-		// rng fork mirrors Suite.LatencyObs, so the streamed observations
-		// are the batch substrate's, element for element, for any scenario.
-		// Throughput has no streaming hook yet and goes batch.
-		st := telemetry.ReplayCampaignLatency(ing, suite.Campaign(),
-			rng.New(suite.Seed).Fork("latency"), telemetry.ReplayOptions{})
-		thr := telemetry.Replay(ing, telemetry.ThroughputEvents(suite.ThroughputObs(), telemetry.ReplayOptions{}))
-		st.Events += thr.Events
-		st.Accepted += thr.Accepted
-		st.Dropped += thr.Dropped
-		if st.Dropped > 0 {
-			log.Warn("replay shed events", "dropped", st.Dropped,
-				"hint", "use a larger -queue or omit -drop for lossless replay")
-		}
+		st := replayCampaign(log, *scn, *seed, ing.Offer,
+			"replay shed events", "use a larger -queue or omit -drop for lossless replay")
+		ing.Flush()
 		log.Info("replay done", "events", st.Events, "accepted", st.Accepted, "dropped", st.Dropped)
 	}
 
@@ -303,6 +283,35 @@ func main() {
 		"dropped", t.Dropped, "windows", t.Windows)
 }
 
+// replayCampaign resolves -scenario/-seed and streams the deterministic
+// crowd campaign through send — the one replay sequence every role runs, so a
+// clustered replay feeds the nodes exactly the stream a single process folds.
+// Latency streams event-at-a-time through the crowd.StreamLatency emission
+// hook (a thin sink over the one crowd.Observe walk); the rng fork mirrors
+// Suite.LatencyObs, so the streamed observations are the batch substrate's,
+// element for element, for any scenario. Throughput has no streaming hook
+// yet and goes batch. dropMsg and dropHint word the warning for envelopes
+// send refused; the caller owns its transport's flush.
+func replayCampaign(log *slog.Logger, scenarioArg string, seed uint64, send func(telemetry.Envelope) bool,
+	dropMsg, dropHint string, startAttrs ...any) telemetry.ReplayStats {
+	suite, err := core.SuiteFromFlags(flag.CommandLine, scenarioArg, "seed", seed)
+	if err != nil {
+		log.Error("replay setup failed", "err", err)
+		os.Exit(2)
+	}
+	log.Info("replay starting", append([]any{"scenario", suite.Name(), "seed", suite.Seed}, startAttrs...)...)
+	st := telemetry.ReplayCampaignLatencyFunc(send, suite.Campaign(),
+		rng.New(suite.Seed).Fork("latency"), telemetry.ReplayOptions{})
+	thr := telemetry.ReplayFunc(send, telemetry.ThroughputEvents(suite.ThroughputObs(), telemetry.ReplayOptions{}))
+	st.Events += thr.Events
+	st.Accepted += thr.Accepted
+	st.Dropped += thr.Dropped
+	if st.Dropped > 0 {
+		log.Warn(dropMsg, "dropped", st.Dropped, "hint", dropHint)
+	}
+	return st
+}
+
 // frontendOpts carries the resolved flags into the frontend role.
 type frontendOpts struct {
 	addr        string
@@ -315,7 +324,6 @@ type frontendOpts struct {
 	nodeTimeout time.Duration
 	replay      bool
 	scenario    string
-	scale       string
 	seed        uint64
 	log         *slog.Logger
 }
@@ -436,22 +444,9 @@ func runFrontend(o frontendOpts) {
 	start := time.Now()
 
 	if o.replay {
-		suite, err := core.SuiteFromFlags(flag.CommandLine, o.scenario, o.scale, "seed", o.seed)
-		if err != nil {
-			log.Error("replay setup failed", "err", err)
-			os.Exit(2)
-		}
-		log.Info("replay starting", "scenario", suite.Name(), "seed", suite.Seed, "via", "router")
-		st := telemetry.ReplayCampaignLatencyFunc(router.Send, suite.Campaign(),
-			rng.New(suite.Seed).Fork("latency"), telemetry.ReplayOptions{})
-		thr := telemetry.ReplayFunc(router.Send, telemetry.ThroughputEvents(suite.ThroughputObs(), telemetry.ReplayOptions{}))
-		st.Events += thr.Events
-		st.Accepted += thr.Accepted
-		st.Dropped += thr.Dropped
-		if st.Dropped > 0 {
-			log.Warn("replay lost events to unreachable partitions", "dropped", st.Dropped,
-				"hint", "check node health; refused envelopes must be resent after recovery")
-		}
+		st := replayCampaign(log, o.scenario, o.seed, router.Send,
+			"replay lost events to unreachable partitions", "check node health; refused envelopes must be resent after recovery",
+			"via", "router")
 		rst := router.Stats()
 		log.Info("replay done", "events", st.Events, "accepted", st.Accepted, "dropped", st.Dropped,
 			"routed", rst.Routed, "failed_over", rst.FailedOver)

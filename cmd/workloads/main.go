@@ -1,74 +1,59 @@
-// Command workloads runs the §4 workload characterisation (Figures 8–13)
-// over generated traces, or over a trace previously written by tracegen.
+// Command workloads summarises a trace file written by tracegen: VM sizing
+// and the CPU-utilisation CDFs of the one loaded platform (no cloud
+// comparison). The §4 characterisation over generated traces (Figures 8–13)
+// is `reproall -only fig8,fig9,fig10,fig11,fig12,fig13`.
+//
+// Usage:
+//
+//	workloads -trace nep.gob.gz
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"edgescope/internal/analysis"
-	"edgescope/internal/core"
 	"edgescope/internal/report"
 	"edgescope/internal/vm"
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "experiment seed override (default: the scenario's)")
-	paper := flag.Bool("paper", false, "paper-scale traces (4 weeks; alias for -scenario paper)")
-	scn := flag.String("scenario", "", "scenario name from the registry, or path to a JSON spec (overrides -paper)")
-	tracePath := flag.String("trace", "", "optional NEP trace file from tracegen (skips generation)")
+	tracePath := flag.String("trace", "", "trace file written by tracegen (required)")
 	flag.Parse()
-
-	scaleName := "small"
-	if *paper {
-		scaleName = "paper"
-	}
-	s, err := core.SuiteFromFlags(flag.CommandLine, *scn, scaleName, "seed", *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "workloads:", err)
+	if *tracePath == "" {
+		fmt.Fprintln(os.Stderr, "workloads: -trace is required")
+		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *tracePath != "" {
-		d, err := vm.Load(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "workloads:", err)
-			os.Exit(1)
-		}
-		renderLoaded(d)
-		return
+	d, err := vm.Load(*tracePath)
+	if err == nil {
+		err = renderLoaded(os.Stdout, d)
 	}
-
-	for _, a := range []core.NamedArtifact{
-		{ID: "fig8", Desc: "VM sizes", Artifact: s.Figure8()},
-		{ID: "fig9", Desc: "VMs per app", Artifact: s.Figure9()},
-		{ID: "fig10", Desc: "CPU utilisation", Artifact: s.Figure10()},
-		{ID: "fig11", Desc: "cross-site/server imbalance", Artifact: s.Figure11()},
-		{ID: "fig12", Desc: "per-app cross-VM gap", Artifact: s.Figure12()},
-		{ID: "fig13", Desc: "weekly bandwidth volatility", Artifact: s.Figure13()},
-	} {
-		fmt.Printf("\n# %s — %s\n", a.ID, a.Desc)
-		if err := a.Artifact.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "workloads:", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "workloads:", err)
+		os.Exit(1)
 	}
 }
 
-// renderLoaded characterises a single loaded trace (no cloud comparison).
-func renderLoaded(d *vm.Dataset) {
+// renderLoaded characterises a single loaded trace, stopping at the first
+// failed write so a closed pipe or full disk is not reported as success.
+func renderLoaded(w io.Writer, d *vm.Dataset) error {
 	sz := analysis.VMSizes(d)
 	t := &report.Table{
 		Title:   fmt.Sprintf("%s trace: VM sizing", d.Platform),
 		Headers: []string{"median-vcpus", "median-mem-gb", "vms", "sites"},
 	}
 	t.AddRow(sz.MedianVCPUs, sz.MedianMemGB, len(d.VMs), len(d.Sites))
-	_ = t.Render(os.Stdout)
+	if err := t.Render(w); err != nil {
+		return err
+	}
 
 	util := analysis.Utilization(d)
 	f := &report.Figure{Title: "CPU utilisation", XLabel: "CPU %", YLabel: "CDF"}
 	f.AddCDF("mean-cpu", util.MeanCPU)
 	f.AddCDF("p95max-cpu", util.P95MaxCPU)
-	_ = f.Render(os.Stdout)
+	return f.Render(w)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"edgescope/internal/scenario"
 )
 
 var (
@@ -14,10 +16,23 @@ var (
 	artifacts []NamedArtifact
 )
 
+// newSmall is the one way this package's tests build a suite: the "small"
+// built-in scenario at the given seed.
+func newSmall(t testing.TB, seed uint64) *Suite {
+	t.Helper()
+	sp := scenario.MustGet("small")
+	sp.Seed = seed
+	s, err := NewSuiteFromSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func smallSuite(t *testing.T) (*Suite, []NamedArtifact) {
 	t.Helper()
 	suiteOnce.Do(func() {
-		suite = NewSuite(1, Small)
+		suite = newSmall(t, 1)
 		artifacts = suite.All()
 	})
 	return suite, artifacts
@@ -91,15 +106,9 @@ func TestFigure2aTableShape(t *testing.T) {
 	}
 }
 
-func TestScaleString(t *testing.T) {
-	if Small.String() != "small" || PaperScale.String() != "paper" {
-		t.Fatal("Scale String broken")
-	}
-}
-
 func TestDeterministicAcrossSuites(t *testing.T) {
-	a := NewSuite(9, Small).Table1()
-	b := NewSuite(9, Small).Table1()
+	a := newSmall(t, 9).Table1()
+	b := newSmall(t, 9).Table1()
 	var ba, bb bytes.Buffer
 	if err := a.Render(&ba); err != nil {
 		t.Fatal(err)

@@ -31,11 +31,11 @@ func renderAll(t *testing.T, results []ArtifactResult) map[string][]byte {
 // or many.
 func TestRunAllParallelismInvariance(t *testing.T) {
 	ctx := context.Background()
-	serial, err := NewSuite(3, Small).RunAll(ctx, 1)
+	serial, err := newSmall(t, 3).RunAll(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewSuite(3, Small).RunAll(ctx, 8)
+	parallel, err := newSmall(t, 3).RunAll(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,12 @@ func TestRunAllParallelismInvariance(t *testing.T) {
 // TestRunAllMatchesSerialAll pins RunAll to the legacy serial path: the
 // same registry drives both, so outputs must agree byte for byte.
 func TestRunAllMatchesSerialAll(t *testing.T) {
-	results, err := NewSuite(5, Small).RunAll(context.Background(), 4)
+	results, err := newSmall(t, 5).RunAll(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := renderAll(t, results)
-	want := NewSuite(5, Small).All()
+	want := newSmall(t, 5).All()
 	if len(got) != len(want) {
 		t.Fatalf("RunAll built %d artifacts, All has %d", len(got), len(want))
 	}
@@ -89,7 +89,7 @@ func TestRunAllMatchesSerialAll(t *testing.T) {
 }
 
 func TestRunArtifactsSubset(t *testing.T) {
-	results, err := NewSuite(1, Small).RunArtifacts(context.Background(), 2, []string{"fig8", "table7"}, false)
+	results, err := newSmall(t, 1).RunArtifacts(context.Background(), 2, []string{"fig8", "table7"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRunArtifactsSubset(t *testing.T) {
 // TestRunArtifactsUnknownID pins the typo UX: an unknown -only ID fails
 // fast and the error names every valid ID so the caller can self-correct.
 func TestRunArtifactsUnknownID(t *testing.T) {
-	_, err := NewSuite(1, Small).RunArtifacts(context.Background(), 1, []string{"nope"}, false)
+	_, err := newSmall(t, 1).RunArtifacts(context.Background(), 1, []string{"nope"}, false)
 	if err == nil {
 		t.Fatal("expected error for unknown artifact ID")
 	}
@@ -155,7 +155,7 @@ func TestArtifactIDsCoverRegistry(t *testing.T) {
 }
 
 func TestRunAllWithExtensions(t *testing.T) {
-	results, err := NewSuite(1, Small).RunArtifacts(context.Background(), 8, nil, true)
+	results, err := newSmall(t, 1).RunArtifacts(context.Background(), 8, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRunAllWithExtensions(t *testing.T) {
 func TestRunAllCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewSuite(1, Small).RunAll(ctx, 4); err == nil {
+	if _, err := newSmall(t, 1).RunAll(ctx, 4); err == nil {
 		t.Fatal("expected error from cancelled context")
 	}
 }
@@ -182,7 +182,7 @@ func TestRunAllCancelledContext(t *testing.T) {
 // goroutines; run with -race to verify the sync.Once guards. All callers
 // must observe the same built substrate.
 func TestConcurrentSubstrateAccess(t *testing.T) {
-	s := NewSuite(2, Small)
+	s := newSmall(t, 2)
 	const n = 16
 	var wg sync.WaitGroup
 	campaigns := make([]any, n)

@@ -3,52 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"flag"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"edgescope/internal/scenario"
 )
-
-func TestParseScale(t *testing.T) {
-	if sc, err := ParseScale("small"); err != nil || sc != Small {
-		t.Fatalf("ParseScale(small) = %v, %v", sc, err)
-	}
-	if sc, err := ParseScale("paper"); err != nil || sc != PaperScale {
-		t.Fatalf("ParseScale(paper) = %v, %v", sc, err)
-	}
-	if _, err := ParseScale("medium"); err == nil || !strings.Contains(err.Error(), `"medium"`) {
-		t.Fatalf("ParseScale(medium) err = %v", err)
-	}
-}
-
-// TestNewSuiteFromSpecMatchesShim pins the compatibility contract: the
-// legacy (seed, Scale) constructor and the scenario-spec constructor build
-// byte-identical artifacts, because the former is now a shim over the
-// built-in specs.
-func TestNewSuiteFromSpecMatchesShim(t *testing.T) {
-	sp := scenario.MustGet("small")
-	sp.Seed = 5
-	fromSpec, err := NewSuiteFromSpec(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim := NewSuite(5, Small)
-	if shim.Name() != "small" || fromSpec.Name() != "small" {
-		t.Fatalf("names = %q / %q, want small", shim.Name(), fromSpec.Name())
-	}
-
-	var a, b bytes.Buffer
-	if err := fromSpec.Figure2a().Render(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := shim.Figure2a().Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("spec-built and shim-built suites diverge")
-	}
-}
 
 func TestNewSuiteFromSpecRejects(t *testing.T) {
 	if _, err := NewSuiteFromSpec(nil); err == nil {
@@ -81,18 +42,11 @@ func TestSuiteSpecIsolated(t *testing.T) {
 }
 
 func TestResolveScenario(t *testing.T) {
-	// -scenario wins over -scale.
-	sp, err := ResolveScenario("dense-metro", "paper")
-	if err != nil || sp.Name != "dense-metro" {
-		t.Fatalf("ResolveScenario = %v, %v", sp, err)
-	}
-	// Legacy scale fallback.
-	sp, err = ResolveScenario("", "paper")
-	if err != nil || sp.Name != "paper" {
-		t.Fatalf("scale fallback = %v, %v", sp, err)
-	}
-	if _, err := ResolveScenario("", "huge"); err == nil {
-		t.Fatal("bad scale accepted")
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	// Registry name.
+	s, err := SuiteFromFlags(fs, "dense-metro", "seed", 0)
+	if err != nil || s.Name() != "dense-metro" {
+		t.Fatalf("name resolve = %v, %v", s, err)
 	}
 	// JSON file path.
 	custom := scenario.MustGet("flash-crowd")
@@ -101,9 +55,59 @@ func TestResolveScenario(t *testing.T) {
 	if err := scenario.Save(path, custom); err != nil {
 		t.Fatal(err)
 	}
-	sp, err = ResolveScenario(path, "small")
-	if err != nil || sp.Name != "my-flash" {
-		t.Fatalf("file resolve = %v, %v", sp, err)
+	s, err = SuiteFromFlags(fs, path, "seed", 0)
+	if err != nil || s.Name() != "my-flash" {
+		t.Fatalf("file resolve = %v, %v", s, err)
+	}
+}
+
+// TestSuiteFromFlagsSeedPrecedence pins the rule every binary shares: a
+// -seed the user set overrides the scenario's, an unset one (whatever its
+// default) keeps it, and an unknown scenario names the built-ins.
+func TestSuiteFromFlagsSeedPrecedence(t *testing.T) {
+	parse := func(args ...string) (*flag.FlagSet, *uint64) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		seed := fs.Uint64("seed", 1, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return fs, seed
+	}
+	custom := scenario.MustGet("dense-metro")
+	custom.Seed += 41
+	specSeed := custom.Seed
+	path := filepath.Join(t.TempDir(), "seeded.json")
+	if err := scenario.Save(path, custom); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		args []string
+		want uint64
+	}{
+		{nil, specSeed},
+		{[]string{"-seed", "7"}, 7},
+		{[]string{"-seed", "1"}, 1}, // set to its own default still counts as set
+	} {
+		fs, seed := parse(c.args...)
+		s, err := SuiteFromFlags(fs, path, "seed", *seed)
+		if err != nil {
+			t.Fatalf("args %v: %v", c.args, err)
+		}
+		if s.Seed != c.want || s.Spec.Seed != c.want {
+			t.Fatalf("args %v: suite seed %d, spec seed %d, want %d", c.args, s.Seed, s.Spec.Seed, c.want)
+		}
+	}
+
+	fs, seed := parse()
+	_, err := SuiteFromFlags(fs, "huge", "seed", *seed)
+	if err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+	for _, name := range scenario.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown-scenario error does not list built-in %q: %v", name, err)
+		}
 	}
 }
 

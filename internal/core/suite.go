@@ -7,14 +7,12 @@
 // A Suite is configured entirely by a scenario.Spec: the declarative layer
 // decides the user population, access mix, probe schedule, trace horizon
 // and per-study sizing, and the Suite turns that data into substrates and
-// artifacts. The legacy (seed, Scale) constructor survives as a shim over
-// the "small" and "paper" built-in scenarios.
+// artifacts.
 package core
 
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"sync"
 
 	"edgescope/internal/crowd"
@@ -26,64 +24,13 @@ import (
 	"edgescope/internal/workload"
 )
 
-// Scale selects one of the two legacy experiment sizings. It survives as a
-// compatibility shim: each value is now just a name into the scenario
-// registry, and every sizing knob lives in the scenario.Spec it resolves to.
-type Scale int
-
-// Scales: Small keeps every experiment under a second or two for CI and
-// benchmarks; PaperScale approaches the paper's parameters (158 users, 30
-// repeats, 4-week traces, LSTM sweeps).
-const (
-	Small Scale = iota
-	PaperScale
-)
-
-// String names the scale; the name doubles as the built-in scenario name.
-func (s Scale) String() string {
-	if s == PaperScale {
-		return "paper"
-	}
-	return "small"
-}
-
-// Spec resolves the scale to a copy of its built-in scenario spec.
-func (s Scale) Spec() *scenario.Spec { return scenario.MustGet(s.String()) }
-
-// ParseScale is the one place the legacy `-scale small|paper` CLI surface
-// is parsed; every binary that still offers the flag goes through it.
-func ParseScale(name string) (Scale, error) {
-	switch name {
-	case "small":
-		return Small, nil
-	case "paper":
-		return PaperScale, nil
-	}
-	return Small, fmt.Errorf("core: unknown scale %q (valid: small, paper)", name)
-}
-
-// ResolveScenario turns the CLI surface into a validated spec in one place:
-// -scenario (a registry name or a path to a JSON spec) wins when set,
-// otherwise the legacy -scale value resolves through ParseScale onto the
-// matching built-in.
-func ResolveScenario(scenarioArg, scaleArg string) (*scenario.Spec, error) {
-	if scenarioArg != "" {
-		return scenario.Resolve(scenarioArg)
-	}
-	sc, err := ParseScale(scaleArg)
-	if err != nil {
-		return nil, err
-	}
-	return sc.Spec(), nil
-}
-
 // SuiteFromFlags is the one entry point the CLI binaries share: it resolves
-// -scenario/-scale through ResolveScenario, applies the shared -seed
-// precedence rule — a seed flag the user explicitly set on fs (which must
-// already be parsed) overrides the scenario's seed, otherwise the spec
-// rules — and builds the Suite.
-func SuiteFromFlags(fs *flag.FlagSet, scenarioArg, scaleArg, seedFlagName string, seedValue uint64) (*Suite, error) {
-	spec, err := ResolveScenario(scenarioArg, scaleArg)
+// -scenario (a registry name or a path to a JSON spec) through
+// scenario.Resolve, applies the shared -seed precedence rule — a seed flag
+// the user explicitly set on fs (which must already be parsed) overrides the
+// scenario's seed, otherwise the spec rules — and builds the Suite.
+func SuiteFromFlags(fs *flag.FlagSet, scenarioArg, seedFlagName string, seedValue uint64) (*Suite, error) {
+	spec, err := scenario.Resolve(scenarioArg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,18 +119,6 @@ func NewSuiteFromSpec(sp *scenario.Spec) (*Suite, error) {
 		return d
 	})
 	return s, nil
-}
-
-// NewSuite is the legacy constructor: the scale's built-in scenario with
-// the given seed. Built-ins always validate, so it cannot fail.
-func NewSuite(seed uint64, scale Scale) *Suite {
-	sp := scale.Spec()
-	sp.Seed = seed
-	s, err := NewSuiteFromSpec(sp)
-	if err != nil {
-		panic("core: built-in scenario invalid: " + err.Error())
-	}
-	return s
 }
 
 // Name returns the scenario name the suite runs.

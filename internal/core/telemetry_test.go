@@ -13,7 +13,7 @@ import (
 // deterministic as every other artifact.
 func TestExtTelemetryDeterministic(t *testing.T) {
 	render := func(parallelism int) []byte {
-		results, err := NewSuite(4, Small).RunArtifacts(context.Background(),
+		results, err := newSmall(t, 4).RunArtifacts(context.Background(),
 			parallelism, []string{"ext-telemetry"}, true)
 		if err != nil {
 			t.Fatal(err)

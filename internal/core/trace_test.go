@@ -14,7 +14,7 @@ import (
 // root, each attributed to a worker, and the trace serializes to valid
 // Chrome trace JSON.
 func TestRunAllTraceCoversEveryNode(t *testing.T) {
-	s := NewSuite(1, Small)
+	s := newSmall(t, 1)
 	tr := obs.NewTracer(nil)
 	s.SetTracer(tr)
 	results, err := s.RunArtifacts(context.Background(), 4, nil, false)
@@ -76,7 +76,7 @@ func TestRunAllTraceCoversEveryNode(t *testing.T) {
 // a tracer must not change a single byte of any artifact.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	render := func(traced bool) []byte {
-		s := NewSuite(1, Small)
+		s := newSmall(t, 1)
 		if traced {
 			s.SetTracer(obs.NewTracer(nil))
 		}

@@ -123,8 +123,8 @@ func (p ServerlessPlan) Evaluate(w Workload) Outcome {
 	lats := make([]float64, 0, len(w.RPS.Values))
 	// The per-slot cold-start probabilities are deterministic, so they
 	// batch cleanly: collect the exponents, one ExpBulk over the buffer,
-	// then finish the latency expression in place (bit-identical to the
-	// per-slot math.Exp it replaces).
+	// then finish the latency expression in place (bit-identical to a
+	// per-slot mathx.Exp).
 	for _, r := range w.RPS.Values {
 		n := r * secs
 		inv += n

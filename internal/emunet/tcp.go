@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 )
 
 // Throughput-test protocol: the client sends a one-byte mode, then either
@@ -140,10 +139,4 @@ func (sw *ShapedWriter) Write(p []byte) (int, error) {
 		p = p[n:]
 	}
 	return written, nil
-}
-
-// SetConnDeadline is a small helper for tests and probes to bound socket
-// operations.
-func SetConnDeadline(c net.Conn, d time.Duration) error {
-	return c.SetDeadline(time.Now().Add(d))
 }

@@ -1,88 +1,18 @@
-// Package mathx provides batched math kernels for the synthesis hot
-// paths: a bulk exponential (ExpBulk) that the workload, elastic and
-// rng planes share instead of calling math.Exp one sample at a time.
+// Package mathx provides the exponential the synthesis planes share: a
+// scalar Exp and a batched ExpBulk over one kernel, so the workload,
+// elastic and rng planes never call math.Exp on a draw path.
 //
-// Bit-exactness contract: on the default path ExpBulk produces bytes
-// identical to a math.Exp loop. The package ports the two variants of
-// the Go runtime's amd64 assembly exp (the SLEEF/Shibata kernel behind
-// math.Exp: an FMA form and a plain-SSE form) to pure Go, then proves
-// at init time — against math.Exp itself, over a deterministic probe
-// set covering range-reduction boundaries, denormal results and random
-// draws — which port reproduces the platform's math.Exp bit-for-bit.
-// Only a proven kernel is used; if neither port matches (non-amd64
-// platforms use a different algorithm entirely), ExpBulk degrades to a
-// plain math.Exp loop and stays byte-identical by construction.
-//
-// The polynomial kernel can also be forced on unverified platforms via
-// the opt-in fast mode (SetMode(ModeFast) or EDGESCOPE_EXP_MODE=fast).
-// That path is NOT guaranteed bit-identical to math.Exp; its accuracy
-// is bounded by a tested max-ULP budget (see TestExpFastULPBound).
+// The kernel is the FMA form of the SLEEF/Shibata algorithm behind the Go
+// runtime's amd64 math.Exp, ported to pure Go on math.FMA, which is
+// correctly rounded on every platform with or without a hardware fused
+// multiply-add: the bytes do not depend on GOARCH, so this kernel defines
+// exp for the repository. It is bit-identical to math.Exp on amd64 with
+// FMA and within 4 ULP of the local math.Exp elsewhere (see exp_test.go).
 package mathx
 
-import (
-	"math"
-	"os"
-	"sync"
-)
+import "math"
 
-// Mode selects how ExpBulk evaluates.
-type Mode int
-
-const (
-	// ModeAuto (default): use the polynomial kernel only when the init
-	// probe proves it bit-identical to math.Exp, else fall back to a
-	// math.Exp loop. Always byte-identical to math.Exp.
-	ModeAuto Mode = iota
-	// ModeStdlib: always the math.Exp loop. Byte-identical, no speedup.
-	ModeStdlib
-	// ModeFast: always the polynomial kernel, even when the probe could
-	// not verify it against math.Exp. Opt-in; bounded-ULP, not bit-exact.
-	ModeFast
-)
-
-var (
-	modeMu sync.Mutex
-	mode   = ModeAuto
-
-	kernelOnce sync.Once
-	// kernelFMA reports which scalar core the probe verified:
-	// +1 → FMA core matches math.Exp, -1 → SSE core matches, 0 → neither.
-	kernelPick int
-)
-
-func init() {
-	switch os.Getenv("EDGESCOPE_EXP_MODE") {
-	case "stdlib":
-		mode = ModeStdlib
-	case "fast":
-		mode = ModeFast
-	}
-}
-
-// SetMode sets the evaluation mode. Safe to call at any time; intended
-// for tests and for scenario wiring of the opt-in fast path.
-func SetMode(m Mode) {
-	modeMu.Lock()
-	mode = m
-	modeMu.Unlock()
-}
-
-// CurrentMode returns the evaluation mode.
-func CurrentMode() Mode {
-	modeMu.Lock()
-	defer modeMu.Unlock()
-	return mode
-}
-
-// KernelVerified reports whether the init probe proved one of the
-// polynomial cores bit-identical to this platform's math.Exp.
-func KernelVerified() bool {
-	kernelOnce.Do(pickKernel)
-	return kernelPick != 0
-}
-
-// Constants of the SLEEF/Shibata kernel, verbatim from the Go runtime's
-// exp_amd64.s.
+// Kernel constants, verbatim from the Go runtime's exp_amd64.s.
 const (
 	log2e = 1.4426950408889634073599246810018920                  // 1/ln(2)
 	ln2u  = 0.69314718055966295651160180568695068359375           // upper half ln(2)
@@ -114,40 +44,28 @@ const (
 
 var fastAbsBoundBits = math.Float64bits(fastAbsBound)
 
-// expSSE is the non-FMA scalar core: every operation rounds separately,
-// matching the MULSD/ADDSD sequence in exp_amd64.s when useFMA is off.
-// Caller guarantees x is finite, x <= expOverflow and x >= -746 (so the
-// round-to-int magic stays in range).
-func expSSE(x float64) float64 {
+// Exp returns e**x over the complete math.Exp domain: NaN and +Inf pass
+// through, -Inf and underflow give 0, overflow gives +Inf.
+func Exp(x float64) float64 {
+	b := math.Float64bits(x)
+	if b&^uint64(signMask) >= posInfBits { // NaN or ±Inf
+		if b == negInfBits {
+			return 0
+		}
+		return x
+	}
+	if x > expOverflow {
+		return math.Inf(1)
+	}
+	if x < -746 {
+		// k would be < -1075: the assembly's denormal path underflows
+		// to zero for every such input, and the round-to-int magic below
+		// is only exercised inside its valid range.
+		return 0
+	}
+	// The VFNMADD/VFMADD sequence of exp_amd64.s with useFMA on, one
+	// math.FMA per fused instruction.
 	kd := float64(x*log2e+roundMagic) - roundMagic
-	k := int(kd)
-	fr := float64(x - float64(ln2u*kd))
-	fr = float64(fr - float64(ln2l*kd))
-	fr *= 0.0625
-	p := float64(c9 * fr)
-	p = float64(float64(p+c8) * fr)
-	p = float64(float64(p+c7) * fr)
-	p = float64(float64(p+c6) * fr)
-	p = float64(float64(p+c5) * fr)
-	p = float64(float64(p+c4) * fr)
-	p = float64(float64(p+0.5) * fr)
-	p = float64(p + 1.0)
-	fr = float64(fr * p)
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr + 1.0)
-	return ldexpK(fr, k)
-}
-
-// expFMA is the FMA scalar core, matching the VFNMADD/VFMADD sequence
-// in exp_amd64.s when useFMA is on. math.FMA is correctly rounded on
-// every platform, so the port is exact whether or not the hardware has
-// fused multiply-add. Same domain contract as expSSE.
-func expFMA(x float64) float64 {
-	kd := float64(x*log2e+roundMagic) - roundMagic
-	k := int(kd)
 	fr := math.FMA(-kd, ln2u, x)
 	fr = math.FMA(-kd, ln2l, fr)
 	fr *= 0.0625
@@ -163,13 +81,9 @@ func expFMA(x float64) float64 {
 	fr = float64(fr * float64(2+fr))
 	fr = float64(fr * float64(2+fr))
 	fr = math.FMA(fr, float64(2+fr), 1.0)
-	return ldexpK(fr, k)
-}
-
-// ldexpK scales fr by 2**k exactly as the assembly's ldexp tail does,
-// including the two-step denormal squeeze and the overflow-to-+Inf edge.
-func ldexpK(fr float64, k int) float64 {
-	n := k + 0x3FF
+	// Scale by 2**k exactly as the assembly's ldexp tail does, including
+	// the two-step denormal squeeze and the overflow-to-+Inf edge.
+	n := int(kd) + 0x3FF
 	if n <= 0 {
 		if n < -52 {
 			return 0
@@ -183,159 +97,19 @@ func ldexpK(fr float64, k int) float64 {
 	return fr * math.Float64frombits(uint64(n)<<52)
 }
 
-// expFullSSE handles the complete math.Exp domain through the SSE core.
-func expFullSSE(x float64) float64 {
-	b := math.Float64bits(x)
-	if b&^uint64(signMask) >= posInfBits { // NaN or ±Inf
-		if b == negInfBits {
-			return 0
-		}
-		return x
-	}
-	if x > expOverflow {
-		return math.Inf(1)
-	}
-	if x < -746 {
-		// k would be < -1075: the assembly's denormal path underflows
-		// to zero for every such input, and the round-to-int magic is
-		// only exercised inside its valid range.
-		return 0
-	}
-	return expSSE(x)
-}
-
-// expFullFMA is expFullSSE with the FMA core.
-func expFullFMA(x float64) float64 {
-	b := math.Float64bits(x)
-	if b&^uint64(signMask) >= posInfBits {
-		if b == negInfBits {
-			return 0
-		}
-		return x
-	}
-	if x > expOverflow {
-		return math.Inf(1)
-	}
-	if x < -746 {
-		return 0
-	}
-	return expFMA(x)
-}
-
-// probeSet returns deterministic inputs that distinguish the two cores
-// from each other and from non-SLEEF implementations: range-reduction
-// boundaries (half-odd multiples of ln 2, where round-half-even bites),
-// overflow/underflow edges, denormal results, and a seeded LCG sweep of
-// the practical domain.
-func probeSet() []float64 {
-	xs := []float64{
-		0, 1, -1, 0.5, -0.5, 1e-9, -1e-9, 2.3025850929940457, // ln(10)
-		expOverflow, expOverflow - 1e-10, -expOverflow,
-		-708.396418532264, // ~ln(smallest denormal)
-		-745.1332191019411, -745.2, -744.44007192138122,
-		709.0, -709.0, 0.0625, -0.0625,
-	}
-	// Half-odd multiples of ln 2: LOG2E*x lands on .5, exercising the
-	// round-half-even tie behaviour of the k computation.
-	for _, m := range []float64{0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 511.5, -511.5} {
-		xs = append(xs, m*math.Ln2)
-	}
-	// Seeded LCG sweep over (-710, 710).
-	s := uint64(0x9E3779B97F4A7C15)
-	for i := 0; i < 4096; i++ {
-		s = s*6364136223846793005 + 1442695040888963407
-		u := float64(s>>11) / (1 << 53) // [0,1)
-		xs = append(xs, (u-0.5)*1420)
-	}
-	// Dense sweep near zero where the Taylor tail dominates.
-	for i := 0; i < 512; i++ {
-		s = s*6364136223846793005 + 1442695040888963407
-		u := float64(s>>11) / (1 << 53)
-		xs = append(xs, (u-0.5)*0.25)
-	}
-	return xs
-}
-
-func pickKernel() {
-	fmaOK, sseOK := true, true
-	for _, x := range probeSet() {
-		want := math.Exp(x)
-		if fmaOK && math.Float64bits(expFullFMA(x)) != math.Float64bits(want) {
-			fmaOK = false
-		}
-		if sseOK && math.Float64bits(expFullSSE(x)) != math.Float64bits(want) {
-			sseOK = false
-		}
-		if !fmaOK && !sseOK {
-			break
-		}
-	}
-	switch {
-	case fmaOK:
-		kernelPick = 1
-	case sseOK:
-		kernelPick = -1
-	default:
-		kernelPick = 0
-	}
-}
-
-// Exp is a scalar convenience wrapper with the same mode semantics as
-// ExpBulk. The bulk form is the performance surface; use this only where
-// a single value is needed and mode consistency matters.
-func Exp(x float64) float64 {
-	kernelOnce.Do(pickKernel)
-	switch {
-	case CurrentMode() == ModeStdlib:
-		return math.Exp(x)
-	case kernelPick > 0 || (kernelPick == 0 && CurrentMode() == ModeFast):
-		return expFullFMA(x)
-	case kernelPick < 0:
-		return expFullSSE(x)
-	default:
-		return math.Exp(x)
-	}
-}
-
 // ExpBulk writes exp(src[i]) into dst[i] for every element of src.
 // dst must be at least as long as src; dst and src may be the same
 // slice (in-place) or otherwise alias element-for-element.
 //
-// Draw-order/bit contract: in ModeAuto and ModeStdlib the output is
-// bit-identical to `for i, x := range src { dst[i] = math.Exp(x) }`.
-// ModeFast trades that for speed on unverified platforms within the
-// tested max-ULP bound.
+// dst[i] is bit-identical to Exp(src[i]). The core runs four elements at
+// a time: the in-range gate (|x| <= fastAbsBound, compared on bits so NaN
+// and infinities fail it too) guarantees ldexp needs only one multiply, so
+// the unrolled body is branch-free and the four dependency chains overlap
+// in the pipeline. Out-of-range elements fall back to the scalar.
 func ExpBulk(dst, src []float64) {
 	if len(dst) < len(src) {
 		panic("mathx: ExpBulk dst shorter than src")
 	}
-	dst = dst[:len(src)]
-	kernelOnce.Do(pickKernel)
-	pick := kernelPick
-	if CurrentMode() == ModeStdlib {
-		pick = 0
-	} else if pick == 0 && CurrentMode() == ModeFast {
-		pick = 1 // unverified: prefer the FMA core (correctly rounded FMA everywhere)
-	}
-	switch {
-	case pick > 0:
-		bulkFMA(dst, src)
-	case pick < 0:
-		bulkSSE(dst, src)
-	default:
-		for i, x := range src {
-			dst[i] = math.Exp(x)
-		}
-	}
-}
-
-// bulkFMA runs the FMA core over the buffer four elements at a time.
-// The in-range gate (|x| <= fastAbsBound, compared on bits so NaN and
-// infinities fail it too) guarantees ldexp needs only one multiply, so
-// the unrolled body is branch-free and the four dependency chains
-// overlap in the pipeline. Out-of-range elements fall back one by one
-// to the full-domain scalar.
-func bulkFMA(dst, src []float64) {
 	dst = dst[:len(src)]
 	n := len(src)
 	i := 0
@@ -349,10 +123,10 @@ func bulkFMA(dst, src []float64) {
 		b3 := math.Float64bits(x3) &^ uint64(signMask)
 		if b0 > fastAbsBoundBits || b1 > fastAbsBoundBits ||
 			b2 > fastAbsBoundBits || b3 > fastAbsBoundBits {
-			d[0] = expFullFMA(x0)
-			d[1] = expFullFMA(x1)
-			d[2] = expFullFMA(x2)
-			d[3] = expFullFMA(x3)
+			d[0] = Exp(x0)
+			d[1] = Exp(x1)
+			d[2] = Exp(x2)
+			d[3] = Exp(x3)
 			continue
 		}
 		kd0 := float64(x0*log2e+roundMagic) - roundMagic
@@ -421,62 +195,6 @@ func bulkFMA(dst, src []float64) {
 		d[3] = f3 * math.Float64frombits(uint64(int(kd3)+0x3FF)<<52)
 	}
 	for ; i < n; i++ {
-		dst[i] = expFullFMA(src[i])
+		dst[i] = Exp(src[i])
 	}
-}
-
-// bulkSSE is bulkFMA with the separately-rounded core.
-func bulkSSE(dst, src []float64) {
-	dst = dst[:len(src)]
-	n := len(src)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s := src[i : i+4 : i+4]
-		d := dst[i : i+4 : i+4]
-		x0, x1, x2, x3 := s[0], s[1], s[2], s[3]
-		b0 := math.Float64bits(x0) &^ uint64(signMask)
-		b1 := math.Float64bits(x1) &^ uint64(signMask)
-		b2 := math.Float64bits(x2) &^ uint64(signMask)
-		b3 := math.Float64bits(x3) &^ uint64(signMask)
-		if b0 > fastAbsBoundBits || b1 > fastAbsBoundBits ||
-			b2 > fastAbsBoundBits || b3 > fastAbsBoundBits {
-			d[0] = expFullSSE(x0)
-			d[1] = expFullSSE(x1)
-			d[2] = expFullSSE(x2)
-			d[3] = expFullSSE(x3)
-			continue
-		}
-		d[0] = expInRangeSSE(x0)
-		d[1] = expInRangeSSE(x1)
-		d[2] = expInRangeSSE(x2)
-		d[3] = expInRangeSSE(x3)
-	}
-	for ; i < n; i++ {
-		dst[i] = expFullSSE(src[i])
-	}
-}
-
-// expInRangeSSE is expSSE with the single-multiply ldexp, valid only
-// for |x| <= fastAbsBound. Small enough for the compiler to inline into
-// bulkSSE so the four calls per block schedule together.
-func expInRangeSSE(x float64) float64 {
-	kd := float64(x*log2e+roundMagic) - roundMagic
-	fr := float64(x - float64(ln2u*kd))
-	fr = float64(fr - float64(ln2l*kd))
-	fr *= 0.0625
-	p := float64(c9 * fr)
-	p = float64(float64(p+c8) * fr)
-	p = float64(float64(p+c7) * fr)
-	p = float64(float64(p+c6) * fr)
-	p = float64(float64(p+c5) * fr)
-	p = float64(float64(p+c4) * fr)
-	p = float64(float64(p+0.5) * fr)
-	p = float64(p + 1.0)
-	fr = float64(fr * p)
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr * float64(2+fr))
-	fr = float64(fr + 1.0)
-	return fr * math.Float64frombits(uint64(int(kd)+0x3FF)<<52)
 }

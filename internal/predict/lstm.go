@@ -36,8 +36,7 @@ type LSTM struct {
 
 	// Forward-pass scratch: zbuf holds the 4h pre-activations of one
 	// step, abuf the 3h sigmoid-gate arguments batched through one
-	// mathx.ExpBulk call (bit-identical to per-call math.Exp on the
-	// default path).
+	// mathx.ExpBulk call (bit-identical to per-call mathx.Exp).
 	zbuf, abuf []float64
 
 	// Normalisation fitted on train.

@@ -126,7 +126,7 @@ func TestBulkFillsMatchScalarDraws(t *testing.T) {
 			}
 
 			// LogNormals: bulk normals + one ExpBulk must equal the
-			// scalar exp-of-normal stream bit-for-bit on the default path.
+			// scalar exp-of-normal stream bit-for-bit.
 			a, b = New(seed), New(seed)
 			ls := make([]float64, n)
 			a.LogNormals(ls, -0.25, 0.8)

@@ -127,7 +127,7 @@ func (s *Source) NormalPos(mean, stddev float64) float64 {
 // LogNormal returns a log-normally distributed value where mu and sigma are
 // the mean and standard deviation of the underlying normal distribution.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
+	return mathx.Exp(s.Normal(mu, sigma))
 }
 
 // Normals fills dst with normal draws, draw-for-draw and bit-for-bit
@@ -159,9 +159,9 @@ func (s *Source) Normals(dst []float64, mean, stddev float64) {
 
 // LogNormals fills dst with log-normal draws, draw-for-draw identical to
 // len(dst) sequential LogNormal(mu, sigma) calls: one bulk normal fill,
-// then one batched exponential over the buffer. On mathx's default path
-// the exponential is bit-identical to math.Exp, so the fill is bit-exact
-// against the scalar stream.
+// then one batched exponential over the buffer. ExpBulk is bit-identical
+// to the mathx.Exp LogNormal calls, so the fill is bit-exact against the
+// scalar stream.
 func (s *Source) LogNormals(dst []float64, mu, sigma float64) {
 	s.Normals(dst, mu, sigma)
 	mathx.ExpBulk(dst, dst)
@@ -174,7 +174,7 @@ func (s *Source) LogNormalMeanMedian(median, sigma float64) float64 {
 	if median <= 0 {
 		return 0
 	}
-	return median * math.Exp(s.Normal(0, sigma))
+	return median * mathx.Exp(s.Normal(0, sigma))
 }
 
 // Exponential returns an exponentially distributed value with the given mean.

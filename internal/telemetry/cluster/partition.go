@@ -320,15 +320,6 @@ func (m *PartitionMap) Frozen(p int) bool {
 	return m.frozen[p]
 }
 
-// DualTarget returns the extra node that must ack writes to partition p
-// during migration, if any.
-func (m *PartitionMap) DualTarget(p int) (string, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n, ok := m.dual[p]
-	return n, ok
-}
-
 // RouteTarget is one partition's routing state, snapshotted atomically:
 // the owner (and failover replica) to deliver to, the dual-write target
 // that must also ack while a migration is in flight, and whether ingest is

@@ -69,7 +69,7 @@ func latencyEnvelopes(o crowd.Observation, i int, opts ReplayOptions) [2]Envelop
 // ping envelopes — the batch-side bridge used where the observation set
 // already exists as a substrate (the ext-telemetry cross-check artifact).
 // For event-at-a-time replay without materialising the campaign, use
-// ReplayCampaignLatency.
+// ReplayCampaignLatencyFunc.
 func LatencyEvents(obs []crowd.Observation, opts ReplayOptions) []Envelope {
 	opts.fill()
 	out := make([]Envelope, 0, 2*len(obs))
@@ -80,23 +80,15 @@ func LatencyEvents(obs []crowd.Observation, opts ReplayOptions) []Envelope {
 	return out
 }
 
-// ReplayCampaignLatency drives the campaign's crowd.StreamLatency emission
-// hook straight into the ingestor: each observation is measured, converted
-// and offered one at a time, so the full campaign is never held in memory.
-// The hook's randomness contract makes this produce exactly the envelopes
-// LatencyEvents(campaign.RunLatency(r)) would, pinned by test.
-func ReplayCampaignLatency(ing *Ingestor, c *crowd.Campaign, r *rng.Source, opts ReplayOptions) ReplayStats {
-	st := ReplayCampaignLatencyFunc(ing.Offer, c, r, opts)
-	ing.Flush()
-	return st
-}
-
-// ReplayCampaignLatencyFunc is ReplayCampaignLatency over any send function
-// — a cluster router, an HTTP sender, a fault injector — instead of a local
-// ingestor. The emission order and envelope bytes are identical; only the
-// delivery path changes, so a clustered replay feeds every node exactly the
-// stream a single process would have folded. The caller owns whatever flush
-// or drain its transport needs.
+// ReplayCampaignLatencyFunc drives the campaign's crowd.StreamLatency
+// emission hook straight into a send function — an ingestor's Offer, a
+// cluster router, an HTTP sender, a fault injector: each observation is
+// measured, converted and sent one at a time, so the full campaign is never
+// held in memory. The hook's randomness contract makes this produce exactly
+// the envelopes LatencyEvents(campaign.RunLatency(r)) would, pinned by test,
+// whatever the delivery path, so a clustered replay feeds every node exactly
+// the stream a single process would have folded. The caller owns whatever
+// flush or drain its transport needs.
 func ReplayCampaignLatencyFunc(send func(Envelope) bool, c *crowd.Campaign, r *rng.Source, opts ReplayOptions) ReplayStats {
 	opts.fill()
 	var st ReplayStats

@@ -401,7 +401,8 @@ func TestReplayCampaignLatencyMatchesBatch(t *testing.T) {
 
 	streamed := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
 	defer streamed.Close()
-	st := ReplayCampaignLatency(streamed, mkCampaign(), rng.New(seed).Fork("latency"), ReplayOptions{})
+	st := ReplayCampaignLatencyFunc(streamed.Offer, mkCampaign(), rng.New(seed).Fork("latency"), ReplayOptions{})
+	streamed.Flush()
 	if st.Dropped != 0 || st.Events == 0 || st.Accepted != st.Events {
 		t.Fatalf("streaming replay stats: %+v", st)
 	}

@@ -222,7 +222,7 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 				}
 			}
 			for _, a := range assigns {
-				mult := math.Exp(r.Normal(0, crossSigma))
+				mult := mathx.Exp(r.Normal(0, crossSigma))
 				level := appBase * mult
 				cpu := usageSeries(r, seriesParams{
 					level: level, amp: appAmp, peakHour: appPeak,
@@ -387,8 +387,7 @@ func usageSeriesUTC(r *rng.Source, p seriesParams, vals []float64) {
 
 	// Pass 1 — randomness, in scalar draw order. vals doubles as the
 	// noise buffer: standard-normal segments, then one in-place batched
-	// exponential (bit-identical to per-sample math.Exp on the default
-	// mathx path).
+	// exponential (bit-identical to the slow path's per-sample mathx.Exp).
 	type weekSeg struct {
 		end  int     // one past the last sample of the segment
 		mult float64 // exp(weekly regime draw)
@@ -405,7 +404,7 @@ func usageSeriesUTC(r *rng.Source, p seriesParams, vals []float64) {
 			week := weekOf(i)
 			// Scalar order at a week boundary: regime draw first, then
 			// that week's noise draws.
-			mult := math.Exp(r.Normal(0, p.volatileSigma))
+			mult := mathx.Exp(r.Normal(0, p.volatileSigma))
 			j := i + 1
 			for j < len(vals) && weekOf(j) == week {
 				j++
@@ -426,7 +425,7 @@ func usageSeriesUTC(r *rng.Source, p seriesParams, vals []float64) {
 			// Gaussian bump around the peak: near-zero usage off-window.
 			dh := hourDiff(h, p.peakHour)
 			sigma := p.windowHours / 2.355 // FWHM → sigma
-			return 0.05 + math.Exp(-dh*dh/(2*sigma*sigma))*3.5
+			return 0.05 + mathx.Exp(-dh*dh/(2*sigma*sigma))*3.5
 		}
 		shape := 1 + p.amp*math.Cos((h-p.peakHour)/24*2*math.Pi)
 		if shape < 0.05 {
@@ -487,7 +486,7 @@ func usageSeriesSlow(r *rng.Source, p seriesParams, vals []float64) {
 			// Gaussian bump around the peak: near-zero usage off-window.
 			dh := hourDiff(h, p.peakHour)
 			sigma := p.windowHours / 2.355 // FWHM → sigma
-			shape = 0.05 + math.Exp(-dh*dh/(2*sigma*sigma))*3.5
+			shape = 0.05 + mathx.Exp(-dh*dh/(2*sigma*sigma))*3.5
 		} else {
 			shape = 1 + p.amp*math.Cos((h-p.peakHour)/24*2*math.Pi)
 			if shape < 0.05 {
@@ -502,11 +501,11 @@ func usageSeriesSlow(r *rng.Source, p seriesParams, vals []float64) {
 			week := int(ts.Sub(p.start).Hours() / (24 * 7))
 			if week != curWeek {
 				curWeek = week
-				weekMult = math.Exp(r.Normal(0, p.volatileSigma))
+				weekMult = mathx.Exp(r.Normal(0, p.volatileSigma))
 			}
 			shape *= weekMult
 		}
-		v := p.level * shape * math.Exp(r.Normal(0, p.noiseCV))
+		v := p.level * shape * mathx.Exp(r.Normal(0, p.noiseCV))
 		if v < 0.01 {
 			v = 0.01
 		}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the repo's tier-1 gate plus the perf-trajectory snapshot.
 #
-#   gofmt cleanliness  → build  → vet  → full tests
+#   gofmt cleanliness  → build  → vet  → arm64 cross-compile  → full tests
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
 #     segment replay, snapshot decode, sketch codec, sketch-page codec)
@@ -56,6 +56,12 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+
+echo "== cross-arch (arm64, compile only) =="
+# The exp kernel defines the artifact bytes on every GOARCH; keep it and its
+# callers free of amd64 assumptions.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/mathx ./internal/rng ./internal/workload
 
 echo "== test =="
 go test ./...
