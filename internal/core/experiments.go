@@ -354,6 +354,7 @@ func (s *Suite) Figure14() *report.Table {
 		Title:   "Figure 14: CPU usage prediction RMSE (pct points)",
 		Headers: []string{"platform", "model", "target", "median-rmse", "p90-rmse", "vms"},
 	}
+	workers := int(s.workers.Load())
 	for _, spec := range []struct {
 		name string
 		d    *vm.Dataset
@@ -363,13 +364,14 @@ func (s *Suite) Figure14() *report.Table {
 	} {
 		d := spec.d
 		hw, err := predict.Evaluate(d, predict.Options{
-			MaxVMs: s.Spec.Sizing.PredictVMs, Models: []string{"holt-winters"},
+			MaxVMs: s.Spec.Sizing.PredictVMs, Models: []string{"holt-winters"}, Workers: workers,
 		})
 		if err != nil {
 			panic("core: " + err.Error())
 		}
 		lstm, err := predict.Evaluate(d, predict.Options{
 			MaxVMs: s.Spec.Sizing.LSTMVMs, Models: []string{"lstm"}, LSTMEpochs: s.Spec.Sizing.LSTMEpochs,
+			Workers: workers,
 		})
 		if err != nil {
 			panic("core: " + err.Error())

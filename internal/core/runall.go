@@ -152,9 +152,11 @@ type ArtifactResult struct {
 // parallelism (<= 0 means one worker per CPU). Substrates are scheduled
 // first — concurrently with each other where their own dependencies allow —
 // and each artifact is released as soon as the substrates it declares are
-// ready. The output is byte-identical for a given (seed, scale) regardless
-// of parallelism: artifacts never share random-stream position, only
-// immutable substrates.
+// ready. The same count bounds the fan-out inside a node (per user in the
+// crowd campaign, per VM in Figure 14), so parallelism 1 is a serial pass.
+// The output is byte-identical for a given (seed, scale) regardless of
+// parallelism: artifacts never share random-stream position, only immutable
+// substrates.
 //
 // Results list the substrate builds first (Artifact == nil, timed), then
 // every artifact in paper order irrespective of completion order.
@@ -167,6 +169,7 @@ func (s *Suite) RunAll(ctx context.Context, parallelism int) ([]ArtifactResult, 
 // experiments. Unknown IDs are an error. Substrates not needed by the
 // selection are neither built nor timed.
 func (s *Suite) RunArtifacts(ctx context.Context, parallelism int, only []string, includeExt bool) ([]ArtifactResult, error) {
+	s.workers.Store(int32(parallelism))
 	all := specs()
 	var selected []artifactSpec
 	if len(only) > 0 {

@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"edgescope/internal/scenario"
 )
 
 // render returns the rendered bytes of every artifact in a result set,
@@ -26,31 +30,88 @@ func renderAll(t *testing.T, results []ArtifactResult) map[string][]byte {
 	return out
 }
 
-// TestRunAllParallelismInvariance is the PR's headline contract: for a
+// TestRunAllParallelismInvariance is the engine's headline contract: for a
 // fixed seed, every artifact is byte-identical whether built by one worker
-// or many.
+// or many. The worker count bounds both levels — the DAG pool and the
+// fan-out inside a node — so the stress case runs fig14 alone, where one
+// node's per-VM fan-out (60 HW VMs, 4 LSTM VMs) is all the parallelism.
 func TestRunAllParallelismInvariance(t *testing.T) {
 	ctx := context.Background()
-	serial, err := newSmall(t, 3).RunAll(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := newSmall(t, 3).RunAll(ctx, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, pr := renderAll(t, serial), renderAll(t, parallel)
-	if len(sr) != len(pr) {
-		t.Fatalf("artifact counts differ: %d vs %d", len(sr), len(pr))
-	}
-	for id, sb := range sr {
-		pb, ok := pr[id]
-		if !ok {
-			t.Fatalf("artifact %s missing from parallel run", id)
+	for _, tc := range []struct {
+		scenario string
+		seed     uint64
+		only     []string
+	}{
+		{"small", 3, nil},
+		{"stress", 1, []string{"fig14"}},
+	} {
+		run := func(parallelism int) map[string][]byte {
+			sp := scenario.MustGet(tc.scenario)
+			sp.Seed = tc.seed
+			s, err := NewSuiteFromSpec(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := s.RunArtifacts(ctx, parallelism, tc.only, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return renderAll(t, results)
 		}
-		if !bytes.Equal(sb, pb) {
-			t.Fatalf("artifact %s differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", id, sb, pb)
+		sr, pr := run(1), run(8)
+		if len(sr) != len(pr) {
+			t.Fatalf("%s: artifact counts differ: %d vs %d", tc.scenario, len(sr), len(pr))
 		}
+		for id, sb := range sr {
+			pb, ok := pr[id]
+			if !ok {
+				t.Fatalf("%s: artifact %s missing from parallel run", tc.scenario, id)
+			}
+			if !bytes.Equal(sb, pb) {
+				t.Fatalf("%s: artifact %s differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", tc.scenario, id, sb, pb)
+			}
+		}
+	}
+}
+
+// TestParallelismOneIsSerial: a run at parallelism 1 is one goroutine doing
+// one thing at a time — the pool has one worker and every fan-out under it
+// (observeUser per user, FitPredict per VM) runs inline on that worker. All
+// of the engine's concurrency is goroutines it starts, so the test watches
+// the process's goroutine count from outside while the run is in flight; the
+// parallelism-4 run shows the watcher does see a fan-out when there is one.
+func TestParallelismOneIsSerial(t *testing.T) {
+	peakExtra := func(parallelism int) int {
+		s := newSmall(t, 1)
+		base := runtime.NumGoroutine()
+		done := make(chan struct{})
+		peak := make(chan int)
+		go func() {
+			hi := 0
+			for {
+				select {
+				case <-done:
+					peak <- hi
+					return
+				default:
+					hi = max(hi, runtime.NumGoroutine())
+					time.Sleep(20 * time.Microsecond)
+				}
+			}
+		}()
+		_, err := s.RunArtifacts(context.Background(), parallelism, []string{"fig2a", "fig5", "fig14"}, false)
+		close(done)
+		hi := <-peak
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hi - base - 1 // the watcher itself
+	}
+	if extra := peakExtra(1); extra > 1 {
+		t.Fatalf("parallelism 1: up to %d goroutines at work, want the pool's one worker", extra)
+	}
+	if extra := peakExtra(4); extra < 2 {
+		t.Fatalf("parallelism 4: the watcher saw %d goroutines at work; it cannot see a fan-out", extra)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"sync"
+	"sync/atomic"
 
 	"edgescope/internal/crowd"
 	"edgescope/internal/obs"
@@ -68,6 +69,15 @@ type Suite struct {
 	// tracer records execution spans (RunArtifacts nodes, crowd chunk
 	// fan-outs). nil — the default — records nothing; see SetTracer.
 	tracer *obs.Tracer
+
+	// workers is the run's one worker count: RunArtifacts stores the
+	// parallelism it was given, and every fan-out inside a node (the crowd
+	// campaign's per-user walks, Figure 14's per-VM fits) takes its width
+	// from here, so a parallelism-1 run is serial at both levels. Zero — a
+	// suite driven without RunArtifacts — means one worker per CPU. The
+	// campaign copies it when built, like the tracer. It is scheduling only:
+	// no artifact byte depends on it.
+	workers atomic.Int32
 }
 
 // SetTracer attaches a span tracer to the suite. Call it before the first
@@ -96,6 +106,7 @@ func NewSuiteFromSpec(sp *scenario.Spec) (*Suite, error) {
 	s.campaign = sync.OnceValue(func() *crowd.Campaign {
 		c := crowd.NewCampaign(s.root().Fork("campaign"), cp.Crowd)
 		c.Tracer = s.tracer
+		c.Workers = int(s.workers.Load())
 		return c
 	})
 	s.latencyStore = sync.OnceValue(func() *crowd.ObservationStore {

@@ -143,6 +143,10 @@ type Campaign struct {
 	// affects the observations themselves — the emitted sequence stays
 	// byte-identical with and without it.
 	Tracer *obs.Tracer
+	// Workers bounds the per-user fan-out of Observe and RunThroughput
+	// (par.Workers semantics: <= 0 means one worker per CPU). Like the
+	// tracer, it never affects what is observed.
+	Workers int
 }
 
 // NewCampaign assembles the campaign a scenario declares. Unset spec fields
@@ -169,7 +173,7 @@ const observeChunk = 64
 // nearest cloud region and every cloud region (for the all-clouds average),
 // and hands each Observation to sink in user-then-target order.
 //
-// Users probe in parallel (one worker per CPU) in chunks of observeChunk,
+// Users probe in parallel (c.Workers wide) in chunks of observeChunk,
 // and each chunk is emitted in order once measured, so memory stays bounded
 // by the chunk, not the campaign. Each user draws from an independent
 // sub-stream forked deterministically from r before the fan-out, so the
@@ -201,7 +205,7 @@ func (c *Campaign) Observe(r *rng.Source, sink func(Observation)) {
 		chunk := buf[:end-start]
 		span := c.Tracer.Begin("observe-chunk", 0)
 		c.Tracer.Annotate(span, "users", strconv.Itoa(start)+"-"+strconv.Itoa(end-1))
-		par.ForEach(end-start, 0, func(j int) {
+		par.ForEach(end-start, c.Workers, func(j int) {
 			chunk[j] = c.observeUser(seeds[start+j], c.Users[start+j], chunk[j][:0], &scratch[j])
 		})
 		c.Tracer.End(span)
@@ -348,7 +352,7 @@ func (c *Campaign) RunThroughput(r *rng.Source) []ThroughputObs {
 		srcs[i] = r.Fork(fmt.Sprintf("tester-%d", c.Users[i].ID))
 	}
 	perUser := make([][]ThroughputObs, n)
-	par.ForEach(n, 0, func(i int) {
+	par.ForEach(n, c.Workers, func(i int) {
 		u, ru := c.Users[i], srcs[i]
 		if ru.Bernoulli(c.Spec.WiredShare) {
 			u.Access = netmodel.Wired

@@ -30,6 +30,15 @@ func Workers(n int) int {
 // goroutine, so failure behavior is identical at any worker count (a bare
 // goroutine panic would kill the process and bypass the caller's recover).
 func ForEach(n, workers int, fn func(i int)) {
+	ForEachWorker(n, workers, func(_, i int) { fn(i) })
+}
+
+// ForEachWorker is ForEach that also tells fn which worker runs the item:
+// worker is in [0, Workers(workers)) and no two in-flight calls share a
+// worker id, so fn may keep mutable scratch per worker and write results
+// per index. Which worker gets which item is scheduling, never an input to
+// the computation.
+func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -39,7 +48,7 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -50,7 +59,7 @@ func ForEach(n, workers int, fn func(i int)) {
 		pval     any
 		wg       sync.WaitGroup
 	)
-	runOne := func(i int) {
+	runOne := func(worker, i int) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicked.Store(true)
@@ -61,7 +70,7 @@ func ForEach(n, workers int, fn func(i int)) {
 				mu.Unlock()
 			}
 		}()
-		fn(i)
+		fn(worker, i)
 	}
 	wg.Add(w)
 	for g := 0; g < w; g++ {
@@ -72,7 +81,7 @@ func ForEach(n, workers int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				runOne(i)
+				runOne(g, i)
 			}
 		}()
 	}

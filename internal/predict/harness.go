@@ -2,8 +2,10 @@ package predict
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
+	"edgescope/internal/par"
 	"edgescope/internal/stats"
 	"edgescope/internal/timeseries"
 	"edgescope/internal/vm"
@@ -38,6 +40,9 @@ type Options struct {
 	LSTMEpochs int
 	// Models filters which models run; empty means both.
 	Models []string
+	// Workers is how many VMs are fitted at once (par.Workers semantics:
+	// <= 0 means one per CPU). It never changes the results.
+	Workers int
 }
 
 func (o *Options) fill() {
@@ -62,55 +67,101 @@ type Result struct {
 
 // Evaluate runs the Figure 14 experiment over a dataset: per VM and target,
 // rolling one-step-ahead forecasts on the test week, scored by RMSE.
+//
+// VMs are fitted in parallel over opts.Workers workers. Every (VM, target,
+// model) fit is independent — the LSTM is seeded from the VM index,
+// Holt-Winters draws nothing — so the results, their order (VM, then
+// target, then model) and the error returned are the same at any worker
+// count.
 func Evaluate(d *vm.Dataset, opts Options) ([]Result, error) {
 	opts.fill()
 	n := len(d.VMs)
 	if opts.MaxVMs > 0 && opts.MaxVMs < n {
 		n = opts.MaxVMs
 	}
-	var out []Result
-	// One resample buffer serves every (VM, target) iteration: the models
-	// only read train/test, and both are consumed before the next resample
-	// overwrites the buffer.
-	var series timeseries.Series
 	for vi := 0; vi < n; vi++ {
-		cpu := d.VMs[vi].CPU
-		if opts.Window%cpu.Interval != 0 {
+		if iv := d.VMs[vi].CPU.Interval; opts.Window%iv != 0 {
 			return nil, fmt.Errorf("predict: window %v not a multiple of series interval %v",
-				opts.Window, cpu.Interval)
+				opts.Window, iv)
 		}
-		period := int(24 * time.Hour / opts.Window)
-		for _, target := range []Target{MaxCPU, MeanCPU} {
-			agg := timeseries.AggMax
-			if target == MeanCPU {
-				agg = timeseries.AggMean
+	}
+	period := int(24 * time.Hour / opts.Window)
+	perVM := len(targets) * len(opts.Models)
+	// VM vi owns slots[vi*perVM:(vi+1)*perVM]; a slot left with an empty
+	// Model belongs to a skipped series, so the compaction below restores
+	// exactly the order a serial loop appends in.
+	slots := make([]Result, n*perVM)
+	// One resample buffer per worker serves every (VM, target) it runs: the
+	// models only read train/test, and both are consumed before the worker's
+	// next resample overwrites the buffer.
+	series := make([]timeseries.Series, par.Workers(opts.Workers))
+	var (
+		mu     sync.Mutex
+		errVM  = n
+		errOut error
+	)
+	par.ForEachWorker(n, opts.Workers, func(w, vi int) {
+		err := evaluateVM(vi, d.VMs[vi].CPU, &series[w], slots[vi*perVM:(vi+1)*perVM], period, opts)
+		if err != nil {
+			// Keep the lowest-index VM's error — the one a serial loop
+			// would have stopped at — whichever worker fails first.
+			mu.Lock()
+			if vi < errVM {
+				errVM, errOut = vi, err
 			}
-			cpu.ResampleInto(&series, opts.Window, agg)
-			split := int(float64(series.Len()) * opts.TrainFrac)
-			if split < 2*period || series.Len()-split < period/2 {
-				continue // series too short for this split
-			}
-			train := series.Values[:split]
-			test := series.Values[split:]
-			for _, model := range opts.Models {
-				f, err := buildModel(model, period, uint64(vi), opts)
-				if err != nil {
-					return nil, err
-				}
-				pred, err := f.FitPredict(train, test)
-				if err != nil {
-					return nil, fmt.Errorf("predict: VM %d %s: %w", vi, model, err)
-				}
-				out = append(out, Result{
-					VMIndex: vi,
-					Model:   f.Name(),
-					Target:  target,
-					RMSE:    stats.RMSE(pred, test),
-				})
-			}
+			mu.Unlock()
+		}
+	})
+	if errOut != nil {
+		return nil, errOut
+	}
+	out := slots[:0]
+	for _, r := range slots {
+		if r.Model != "" {
+			out = append(out, r)
 		}
 	}
 	return out, nil
+}
+
+var targets = [...]Target{MaxCPU, MeanCPU}
+
+// evaluateVM fits every (target, model) pair of VM vi and writes the scores
+// to res in that order; a series too short for the split leaves res
+// untouched. buf is the caller's resample scratch.
+func evaluateVM(vi int, cpu, buf *timeseries.Series, res []Result, period int, opts Options) error {
+	k := 0
+	for _, target := range targets {
+		agg := timeseries.AggMax
+		if target == MeanCPU {
+			agg = timeseries.AggMean
+		}
+		cpu.ResampleInto(buf, opts.Window, agg)
+		split := int(float64(buf.Len()) * opts.TrainFrac)
+		if split < 2*period || buf.Len()-split < period/2 {
+			continue // series too short for this split
+		}
+		train := buf.Values[:split]
+		test := buf.Values[split:]
+		for _, model := range opts.Models {
+			f, err := buildModel(model, period, uint64(vi), opts)
+			if err != nil {
+				return err
+			}
+			pred, err := f.FitPredict(train, test)
+			if err != nil {
+				return fmt.Errorf("predict: VM %d %s: %w", vi, model, err)
+			}
+			res[k] = Result{
+				VMIndex: vi,
+				Model:   f.Name(),
+				Target:  target,
+				RMSE:    stats.RMSE(pred, test),
+			}
+			k++
+		}
+	}
+	return nil
 }
 
 func buildModel(name string, period int, seed uint64, opts Options) (Forecaster, error) {

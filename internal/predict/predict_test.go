@@ -2,11 +2,15 @@ package predict
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"edgescope/internal/rng"
 	"edgescope/internal/stats"
+	"edgescope/internal/timeseries"
+	"edgescope/internal/vm"
 	"edgescope/internal/workload"
 )
 
@@ -222,6 +226,80 @@ func TestEvaluateRejectsBadWindow(t *testing.T) {
 	}
 	if _, err := Evaluate(nep, Options{Window: 7 * time.Minute, MaxVMs: 1}); err == nil {
 		t.Fatal("expected window-multiple error")
+	}
+}
+
+// evalDataset is a hand-built trace of 5-minute seasonal CPU series, one
+// per entry of days; a 1-day series is too short for the 3:1 split.
+func evalDataset(days ...int) *vm.Dataset {
+	d := &vm.Dataset{}
+	for i, n := range days {
+		vals := synthetic(n*288, 288, 4, 0.5, uint64(100+i))
+		d.VMs = append(d.VMs, &vm.VM{ID: i, CPU: timeseries.New(time.Time{}, 5*time.Minute, vals)})
+	}
+	return d
+}
+
+// TestEvaluateWorkerCountInvariance: the per-VM fan-out is scheduling only.
+// Both models, and a series the split skips, give the same results in the
+// same order at 1, 2 and 8 workers.
+func TestEvaluateWorkerCountInvariance(t *testing.T) {
+	d := evalDataset(8, 8, 1, 8, 8, 8, 8)
+	run := func(workers int) []Result {
+		res, err := Evaluate(d, Options{LSTMEpochs: 2, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	want := run(1)
+	if len(want) != 6*4 { // 6 long VMs × 2 targets × 2 models
+		t.Fatalf("results = %d, want 24", len(want))
+	}
+	for i, r := range want {
+		if r.VMIndex == 2 {
+			t.Fatalf("result %d is for the too-short VM: %+v", i, r)
+		}
+		if i > 0 && r.VMIndex < want[i-1].VMIndex {
+			t.Fatalf("results out of VM order at %d: %+v after %+v", i, r, want[i-1])
+		}
+	}
+	for _, workers := range []int{2, 8} {
+		if got := run(workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d results differ from workers=1:\n%+v\n%+v", workers, got, want)
+		}
+	}
+}
+
+// TestEvaluateSameErrorAtAnyWorkerCount: a bad input names the same VM
+// whichever worker reaches an error first.
+func TestEvaluateSameErrorAtAnyWorkerCount(t *testing.T) {
+	mixed := evalDataset(8, 8, 8, 8)
+	mixed.VMs[2].CPU.Interval = 7 * time.Minute
+	mixed.VMs[3].CPU.Interval = 11 * time.Minute
+	// A 24 h window makes the period 1, which every fit rejects; VM 0 is
+	// skipped as too short, so a serial loop stops at VM 1.
+	allFail := evalDataset(1, 8, 8, 8, 8, 8)
+	for _, tc := range []struct {
+		name string
+		d    *vm.Dataset
+		opts Options
+		want string
+	}{
+		{"mixed-interval", mixed, Options{}, "window 30m0s not a multiple of series interval 7m0s"},
+		{"fit", allFail, Options{Window: 24 * time.Hour, TrainFrac: 0.5, Models: []string{"holt-winters"}}, "VM 1 holt-winters"},
+		{"unknown-model", allFail, Options{Models: []string{"prophet"}}, `unknown model "prophet"`},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			tc.opts.Workers = workers
+			res, err := Evaluate(tc.d, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s workers=%d: err = %v, want it to contain %q", tc.name, workers, err, tc.want)
+			}
+			if res != nil {
+				t.Errorf("%s workers=%d: results returned beside an error", tc.name, workers)
+			}
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ echo "== test =="
 go test ./...
 
 echo "== race (parallel engine packages) =="
-go test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./cmd/telemetryd/
+go test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./cmd/telemetryd/
 
 echo "== fuzz (telemetry decoder, 5s) =="
 go test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
@@ -289,6 +289,14 @@ for sc in small dense-metro rural-sparse flash-crowd; do
   diff "$smoke/$sc-p1.txt" "$smoke/$sc-p4.txt"
   echo "  $sc ok ($(wc -c < "$smoke/$sc-p1.txt") bytes, parallel-invariant)"
 done
+# fig14 alone: with one artifact selected, the per-VM fan-out inside the
+# node is the only thing the worker count changes.
+"$smoke/reproall" -only fig14 -parallel 1 -quiet-times > "$smoke/fig14-p1.txt"
+for p in 2 8; do
+  "$smoke/reproall" -only fig14 -parallel "$p" -quiet-times > "$smoke/fig14-p$p.txt"
+  diff "$smoke/fig14-p1.txt" "$smoke/fig14-p$p.txt"
+done
+echo "  fig14 ok ($(wc -c < "$smoke/fig14-p1.txt") bytes, identical at -parallel 1, 2 and 8)"
 
 if [[ "${1:-}" != "--no-bench" ]]; then
   echo "== bench → compare gate → BENCH.json =="
