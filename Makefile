@@ -17,14 +17,16 @@ test:
 race:
 	$(GO) test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./cmd/telemetryd/
 
-# Brief fuzz passes over the wire decoder and the durability surfaces (WAL
-# segment replay, snapshot decode, sketch and sketch-page codecs).
+# Brief fuzz passes over the wire decoder, the durability surfaces (WAL
+# segment replay, snapshot decode, sketch and sketch-page codecs) and the
+# sketch flush kernel against its scalar reference.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
+	$(GO) test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
 
 # The full chaos/durability test surface: fault-injected equivalence over
 # every built-in scenario, stall/short-write survival, kill-and-recover.

@@ -759,8 +759,10 @@ func BenchmarkTelemetryEncodeDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkSketchMerge measures the query layer's hot path: merging
-// window/shard sketches into one answer.
+// BenchmarkSketchMerge measures eager merging: 32 compacted 2000-point
+// sketches, one flush per Merge. The query layer does not take this path —
+// it defers compaction (Absorb/AbsorbBinary); BenchmarkSketchAbsorbWide
+// prices that.
 func BenchmarkSketchMerge(b *testing.B) {
 	r := rng.New(19)
 	const parts = 32
@@ -780,6 +782,39 @@ func BenchmarkSketchMerge(b *testing.B) {
 		merged := stats.NewSketch(stats.DefaultCompression)
 		for _, sk := range sketches {
 			merged.Merge(sk)
+		}
+		if merged.Quantile(0.95) <= 0 {
+			b.Fatal("bad merge")
+		}
+	}
+}
+
+// BenchmarkSketchAbsorbWide is the merge a cluster `wide` query performs:
+// 7 680 encoded window rollups of ≈ 20 buffered points each folded into one
+// sketch with AbsorbBinary — one flush per 8δ absorbed points, ≈ 190 per
+// query — then evaluated. In the allocation gate: the flush kernel's scratch
+// is pooled, so a merge allocates only the accumulator's own growth.
+func BenchmarkSketchAbsorbWide(b *testing.B) {
+	r := rng.New(29)
+	const rollups = 7680
+	encs := make([][]byte, rollups)
+	for i := range encs {
+		sk := stats.NewSketch(stats.DefaultCompression)
+		for j, n := 0, 16+i%9; j < n; j++ {
+			if err := sk.Add(r.LogNormal(3, 0.6)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		encs[i], _ = sk.MarshalBinary()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged := stats.NewSketch(stats.DefaultCompression)
+		for _, enc := range encs {
+			if err := merged.AbsorbBinary(enc); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if merged.Quantile(0.95) <= 0 {
 			b.Fatal("bad merge")

@@ -238,4 +238,8 @@ func TestFrontendBadPageIsMissingNode(t *testing.T) {
 			t.Errorf("cluster_frontend_leg_seconds{%s} not on /metrics", n)
 		}
 	}
+	// Every query that reached the merge was timed, the unmergeable one too.
+	if s, ok := obs.Find(snap, "cluster_frontend_merge_seconds_count"); !ok || s.Value < 3 {
+		t.Errorf("cluster_frontend_merge_seconds_count = %v (found %v), want >= 3", s.Value, ok)
+	}
 }

@@ -211,15 +211,6 @@ func (sk *Sketch) AbsorbBinary(data []byte) error {
 		sk.buf = sk.buf[:base]
 		return err
 	}
-	sk.count += h.count
-	if h.min < sk.min {
-		sk.min = h.min
-	}
-	if h.max > sk.max {
-		sk.max = h.max
-	}
-	if len(sk.buf) >= 8*int(sk.compression) {
-		sk.flush()
-	}
+	sk.absorbed(h.count, h.min, h.max)
 	return nil
 }

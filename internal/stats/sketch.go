@@ -1,9 +1,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Sketch is a streaming quantile sketch in the t-digest family (Dunning's
@@ -104,43 +106,40 @@ func (sk *Sketch) AddWeighted(x, w float64) error {
 	return nil
 }
 
-// Merge folds other into sk. other is unchanged (its buffered points are
-// copied, not stolen). Merging preserves the error bound: the result is
-// equivalent to a single sketch that saw both streams.
+// Merge folds other into sk and compacts at once. other is unchanged (its
+// buffered points are copied, not stolen). Merging preserves the error
+// bound: the result is equivalent to a single sketch that saw both streams.
 func (sk *Sketch) Merge(other *Sketch) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	sk.buf = append(sk.buf, other.centroids...)
-	sk.buf = append(sk.buf, other.buf...)
-	sk.count += other.count
-	if other.min < sk.min {
-		sk.min = other.min
-	}
-	if other.max > sk.max {
-		sk.max = other.max
-	}
+	sk.Absorb(other)
 	sk.flush()
 }
 
 // Absorb folds other into sk like Merge but defers compaction: other's
-// centroids are only appended to the buffer, and a full merge pass runs
-// when the buffer crosses the usual threshold. Absorbing k sketches costs
-// one sort per ~8δ absorbed centroids instead of one per sketch, which is
-// what the telemetry query layer wants when merging many window rollups
-// into one answer. other is unchanged.
+// centroids and buffered points are only appended to the buffer, and flush
+// runs when the buffer crosses 8δ points. Absorbing k sketches therefore
+// costs one flush — a linear-time radix sort and one scale-function limit
+// per output centroid — per ~8δ absorbed points instead of one per sketch,
+// which is what the telemetry query layer wants when merging many window
+// rollups into one answer. other is unchanged.
 func (sk *Sketch) Absorb(other *Sketch) {
 	if other == nil || other.count == 0 {
 		return
 	}
 	sk.buf = append(sk.buf, other.centroids...)
 	sk.buf = append(sk.buf, other.buf...)
-	sk.count += other.count
-	if other.min < sk.min {
-		sk.min = other.min
+	sk.absorbed(other.count, other.min, other.max)
+}
+
+// absorbed is the one tail every fold of a whole sketch shares (Merge,
+// Absorb, AbsorbBinary), run after the sketch's points are appended to buf:
+// account for its count and range, and compact once 8δ points are buffered.
+func (sk *Sketch) absorbed(count, min, max float64) {
+	sk.count += count
+	if min < sk.min {
+		sk.min = min
 	}
-	if other.max > sk.max {
-		sk.max = other.max
+	if max > sk.max {
+		sk.max = max
 	}
 	if len(sk.buf) >= 8*int(sk.compression) {
 		sk.flush()
@@ -155,44 +154,171 @@ func (sk *Sketch) Clone() *Sketch {
 	return &c
 }
 
+// flushScratch is the working memory of one flush: the points being sorted
+// and the radix sort's second buffer. It is pooled, not a Sketch field — a
+// telemetry node holds tens of thousands of rollups and at most a few of
+// them are flushing at any moment.
+type flushScratch struct {
+	pts, tmp []Centroid
+}
+
+var flushPool = sync.Pool{New: func() any { return new(flushScratch) }}
+
 // flush merges buffered points into the centroid list, enforcing the
 // q(1-q) size limit. It is the only place centroids are created or fused,
 // so the memory bound and the error bound both live here.
+//
+// The result is a pure function of the multiset of points (centroids and
+// buffer together), count and δ: the points are put in canonical order
+// (sortCanonical) and fused left to right (fuseCanonical), so neither the
+// sort algorithm nor the arrival order inside one flush can show in the
+// output. flushReference in sketch_flush_test.go defines that function;
+// this kernel must equal it bit for bit.
 func (sk *Sketch) flush() {
 	if len(sk.buf) == 0 {
 		return
 	}
-	all := append(sk.centroids, sk.buf...)
-	sk.buf = sk.buf[:0]
-	sort.Slice(all, func(i, j int) bool { return all[i].Mean < all[j].Mean })
-
-	// k₁ scale: fuse neighbours while the combined centroid spans at most
-	// one unit of k(q) = δ/(2π)·asin(2q−1).
-	kOf := func(q float64) float64 {
-		if q < 0 {
-			q = 0
-		} else if q > 1 {
-			q = 1
-		}
-		return sk.compression / (2 * math.Pi) * math.Asin(2*q-1)
+	s := flushPool.Get().(*flushScratch)
+	s.pts = append(append(s.pts[:0], sk.centroids...), sk.buf...)
+	if cap(s.tmp) < len(s.pts) {
+		s.tmp = make([]Centroid, cap(s.pts)) // grows with pts, amortised by its append
 	}
-	merged := all[:1]
+	sk.buf = sk.buf[:0]
+	sorted := sortCanonical(s.pts, s.tmp[:len(s.pts)])
+	sk.centroids, _ = fuseCanonical(sk.centroids[:0], sorted, sk.count, sk.compression)
+	flushPool.Put(s)
+}
+
+// meanKey maps a mean to the integer whose unsigned order is IEEE-754
+// totalOrder on the float: negative values have every bit inverted,
+// non-negative ones the sign bit set, so −0 sorts just below +0.
+func meanKey(mean float64) uint64 {
+	b := math.Float64bits(mean)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// sortCanonical puts pts in the canonical point order — totalOrder(Mean),
+// then Weight; any remaining tie is a bit-identical pair — and returns
+// whichever of pts and tmp (same length) holds the result. The means are
+// sorted by a stable LSD radix sort on meanKey, one byte per pass, skipping
+// every pass whose byte is the same in all keys (the sign and exponent
+// bytes of a typical metric); runs of equal means are then ordered by
+// weight.
+func sortCanonical(pts, tmp []Centroid) []Centroid {
+	var hist [8][256]uint32
+	for i := range pts {
+		k := meanKey(pts[i].Mean)
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	first := meanKey(pts[0].Mean)
+	src, dst := pts, tmp
+	for d := range hist {
+		h, shift := &hist[d], 8*d
+		if h[byte(first>>shift)] == uint32(len(pts)) {
+			continue
+		}
+		at := uint32(0)
+		for b, n := range h {
+			h[b], at = at, at+n
+		}
+		for _, c := range src {
+			b := byte(meanKey(c.Mean) >> shift)
+			dst[h[b]] = c
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	for i := 0; i < len(src); {
+		j, bits := i+1, math.Float64bits(src[i].Mean)
+		for j < len(src) && math.Float64bits(src[j].Mean) == bits {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], func(a, b Centroid) int { return cmp.Compare(a.Weight, b.Weight) })
+		}
+		i = j
+	}
+	return src
+}
+
+// kScale is the t-digest k₁ scale function k(q) = δ/(2π)·asin(2q−1), with q
+// clamped to [0,1]. The conversion pins the product's rounding so no
+// platform may fuse it into the caller's subtraction.
+func kScale(compression, q float64) float64 {
+	if q < 0 {
+		q = 0
+	} else if q > 1 {
+		q = 1
+	}
+	return float64(compression / (2 * math.Pi) * math.Asin(2*q-1))
+}
+
+// fuseGuard is the half-width, in q, of the band around a centroid's limit
+// inside which fuseCanonical decides by the exact scale-function test.
+//
+// The exact test fuses at q iff fl(kScale(q) − kLeft) ≤ 1. Every rounding
+// in it is equivalent to moving q by a few 1e-16: forming 2q−1 and
+// 1−(2q−1)² inside Asin each perturb q by ≤ 6e-17 whatever the distance to
+// the tails; Asin's arctangent (≤ 2 ulp) and its π/2 reflection, the δ/2π
+// factor and the final subtraction are each an absolute error ≤ 1e-15 in
+// the angle φ = asin(2q−1), and dq/dφ = cos(φ)/2 ≤ ½. The limit
+// (sin((kLeft+1)·2π/δ)+1)/2 carries ≤ 1e-15 of its own from its argument
+// and Sin. So outside |q − limit| ≤ 5e-15 the exact test and the comparison
+// against the limit must agree; 1e-9 leaves five orders of magnitude for
+// a libm less careful than this analysis, and costs nothing — a q lands
+// inside the band about once per 10⁸ points, plus once at the end of each
+// flush where the limit and the last q are both 1.
+const fuseGuard = 1e-9
+
+// fuseCanonical appends to dst the centroids that pts, in canonical order,
+// fuse into under the k₁ scale: neighbours are fused while the combined
+// centroid spans at most one unit of kScale. Where the reference asks
+// kScale(q) − kLeft ≤ 1 of every point, this kernel inverts the question
+// once per output centroid — q ≤ (sin((kLeft+1)·2π/δ)+1)/2, and no limit at
+// all once kLeft+1 reaches k(1) = δ/4 — and falls back to the exact test
+// only inside fuseGuard of the limit, so every decision is the reference's.
+// It also returns how many decisions took the exact test. dst must not
+// alias pts.
+func fuseCanonical(dst, pts []Centroid, count, compression float64) (_ []Centroid, exact int) {
+	limit := func(kLeft float64) float64 {
+		if kLeft+1 >= compression/4 {
+			return 1
+		}
+		return (math.Sin((kLeft+1)*(2*math.Pi/compression)) + 1) / 2
+	}
+	last := pts[0]
 	wSoFar := 0.0
-	kLeft := kOf(0)
-	for _, c := range all[1:] {
-		last := &merged[len(merged)-1]
+	kLeft := kScale(compression, 0)
+	qLimit := limit(kLeft)
+	for _, c := range pts[1:] {
 		proposed := last.Weight + c.Weight
-		if kOf((wSoFar+proposed)/sk.count)-kLeft <= 1 {
+		q := (wSoFar + proposed) / count
+		// A NaN q or limit fails both comparisons and takes the exact test.
+		fuse := q < qLimit-fuseGuard
+		if !fuse && !(q > qLimit+fuseGuard) {
+			exact++
+			fuse = kScale(compression, q)-kLeft <= 1
+		}
+		if fuse {
 			// Weighted fuse keeps the mean exact for the combined mass.
 			last.Mean += (c.Mean - last.Mean) * c.Weight / proposed
 			last.Weight = proposed
 			continue
 		}
+		dst = append(dst, last)
 		wSoFar += last.Weight
-		kLeft = kOf(wSoFar / sk.count)
-		merged = append(merged, c)
+		kLeft = kScale(compression, wSoFar/count)
+		qLimit = limit(kLeft)
+		last = c
 	}
-	sk.centroids = append(sk.centroids[:0], merged...)
+	return append(dst, last), exact
 }
 
 // Count returns the total absorbed weight.

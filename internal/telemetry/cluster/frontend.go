@@ -100,6 +100,8 @@ type Frontend struct {
 	nodeErrors *obs.CounterVec
 	legSeconds *obs.HistogramVec
 	pageBytes  *obs.CounterVec
+	// mergeSeconds times the gather-side merge; nil when unmetered.
+	mergeSeconds *obs.Histogram
 }
 
 // leg is one node's wired transport with its per-node instruments resolved
@@ -125,6 +127,9 @@ func NewFrontend(pm *PartitionMap, clients map[string]NodeClient, cfg FrontendCo
 			nil, "node")
 		f.pageBytes = cfg.Metrics.CounterVec("cluster_frontend_page_bytes_total",
 			"sketch-page body bytes received from each node's /sketches", "node")
+		f.mergeSeconds = cfg.Metrics.Histogram("cluster_frontend_merge_seconds",
+			"gather-side merge per query: k-way page merge, sketch absorb and evaluation, after the slowest leg returned (failed merges included)",
+			nil)
 	} else {
 		f.queries = &obs.Counter{}
 		f.partials = &obs.Counter{}
@@ -303,7 +308,9 @@ func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result,
 			kept = append(kept, pages[i])
 		}
 	}
+	began := time.Now()
 	res, err := telemetry.MergeSketchPages(spec, kept)
+	f.mergeSeconds.ObserveDuration(time.Since(began))
 	if err != nil {
 		return Result{}, err
 	}

@@ -234,3 +234,41 @@ func FuzzSketchPageDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestMergeSketchPagesChecksPageOrder: the gather merge trusts each page's
+// canonical order instead of re-sorting, so it must verify it. Interleaved
+// halves of one page merge to the whole page's answer; a page with two
+// matches swapped is refused by an error that names the page, whichever
+// position it holds.
+func TestMergeSketchPagesChecksPageOrder(t *testing.T) {
+	page, _ := fixturePages(t)
+	spec := QuerySpec{Metric: MetricRTT}
+	want, err := MergeSketchPages(spec, []SketchPage{page})
+	if err != nil {
+		t.Fatal(err)
+	}
+	even, odd := page, page
+	even.Matches, odd.Matches = nil, nil
+	for i, m := range page.Matches {
+		if i%2 == 0 {
+			even.Matches = append(even.Matches, m)
+		} else {
+			odd.Matches = append(odd.Matches, m)
+		}
+	}
+	got, err := MergeSketchPages(spec, []SketchPage{odd, even})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("interleaved halves merge to %+v (err %v), whole page to %+v", got, err, want)
+	}
+
+	swapped := page
+	swapped.Matches = append([]WindowSketch(nil), page.Matches...)
+	last := len(swapped.Matches) - 1
+	swapped.Matches[last-1], swapped.Matches[last] = swapped.Matches[last], swapped.Matches[last-1]
+	for at, pages := range [][]SketchPage{{swapped, even}, {even, swapped}, {even, odd, swapped}} {
+		_, err := MergeSketchPages(spec, pages)
+		if name := "page " + string(rune('0'+at)) + " out of canonical order"; err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("swapped page at %d: error %v, want one naming %q", at, err, name)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -92,23 +91,32 @@ type sketchMatch struct {
 	sk *stats.Sketch
 }
 
-// before is the canonical rollup order: (metric, start, region, net). Within
+// compare is the canonical rollup order: (metric, start, region, net). Within
 // one query every match shares the metric, so this is the (start, region,
 // net) total order — a (window, key) rollup exists exactly once. Every
-// consumer that merges matches MUST use this order: it is what makes
-// single-node answers, recovered-node answers and the cluster front-end's
-// scatter-gather merge byte-identical.
-func (a windowKey) before(b windowKey) bool {
-	if a.Metric != b.Metric {
-		return a.Metric < b.Metric
+// consumer that orders or merges matches MUST use this comparator: it is
+// what makes single-node answers, recovered-node answers and the cluster
+// front-end's scatter-gather merge byte-identical.
+func (a windowKey) compare(b windowKey) int {
+	if c := strings.Compare(a.Metric, b.Metric); c != 0 {
+		return c
 	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
 	}
-	if a.Region != b.Region {
-		return a.Region < b.Region
+	return a.Key.compare(b.Key)
+}
+
+// compare orders keys by (metric, region, net) — Keys' listing order, and
+// the tail of the canonical rollup order.
+func (a Key) compare(b Key) int {
+	if c := strings.Compare(a.Metric, b.Metric); c != 0 {
+		return c
 	}
-	return a.Net < b.Net
+	if c := strings.Compare(a.Region, b.Region); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Net, b.Net)
 }
 
 // selector turns a spec into the predicate picking its rollups. The bounds
@@ -156,7 +164,7 @@ func (ing *Ingestor) collectMatches(spec QuerySpec) ([]sketchMatch, error) {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].wk.before(matches[j].wk) })
+	slices.SortFunc(matches, func(a, b sketchMatch) int { return a.wk.compare(b.wk) })
 	return matches, nil
 }
 
@@ -227,6 +235,11 @@ type WindowSketch struct {
 	Sketch []byte `json:"sketch"`
 }
 
+// key is the rollup the match carries, under its page's metric.
+func (m *WindowSketch) key(metric string) windowKey {
+	return windowKey{Start: m.Start, Key: Key{Metric: metric, Region: m.Region, Net: m.Net}}
+}
+
 // SketchPage is one node's answer to a sketch-collection request: every
 // rollup the spec matched, in the canonical (start, region, net) order,
 // plus the parameters a merger must agree on. It is the scatter half of the
@@ -275,7 +288,7 @@ func (ing *Ingestor) encodeRollups(pick func(windowKey) bool) []encodedRollup {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].wk.before(out[j].wk) })
+	slices.SortFunc(out, func(a, b encodedRollup) int { return a.wk.compare(b.wk) })
 	return out
 }
 
@@ -313,26 +326,31 @@ func (ing *Ingestor) MatchSketches(spec QuerySpec) (SketchPage, error) {
 // evaluates the spec on the merged sketch — the gather half of a cluster
 // query. All pages must agree on metric, compression and window length (a
 // cluster must be homogeneously configured; a mismatch is a deployment
-// error, reported loudly). Matches are ordered by the same (start, region,
-// net) comparator the single-node query uses, with the page index breaking
-// the (cross-node duplicate) ties replica failover can create, so the merge
-// is deterministic — and, when every (window, key) lives on exactly one
-// node, byte-identical to a single node that ingested the whole stream.
-// Each match's wire bytes are validated and folded straight into the merged
-// sketch (stats.Sketch.AbsorbBinary); the pages are only read.
+// error, reported loudly). Every page arrives in the canonical (start,
+// region, net) order its node exported it in, so the pages are k-way merged
+// under that comparator — the page index breaking the (cross-node
+// duplicate) ties replica failover can create — and the order is verified
+// as each page is consumed: a page out of order is an error naming it,
+// never re-sorted. The merge is therefore deterministic and, when every
+// (window, key) lives on exactly one node, byte-identical to a single node
+// that ingested the whole stream. Each match's wire bytes are validated and
+// folded straight into the merged sketch (stats.Sketch.AbsorbBinary); the
+// pages are only read.
 func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 	qs, err := checkedQuantiles(spec)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	type pageMatch struct {
-		*WindowSketch
-		page int
+	// pageCursor is one page's read position; head is the key of the match
+	// at next.
+	type pageCursor struct {
+		page, next int
+		head       windowKey
 	}
 	var (
 		compression float64
 		windowMs    int64
-		total       int
+		cursors     = make([]pageCursor, 0, len(pages))
 	)
 	for i, p := range pages {
 		if i == 0 {
@@ -345,37 +363,45 @@ func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 		if p.Metric != spec.Metric {
 			return QueryResult{}, fmt.Errorf("telemetry: page metric %q, want %q", p.Metric, spec.Metric)
 		}
-		total += len(p.Matches)
-	}
-	all := make([]pageMatch, 0, total)
-	for i, p := range pages {
-		for j := range p.Matches {
-			all = append(all, pageMatch{&p.Matches[j], i})
+		if len(p.Matches) > 0 {
+			cursors = append(cursors, pageCursor{page: i, head: p.Matches[0].key(spec.Metric)})
 		}
 	}
-	slices.SortFunc(all, func(a, b pageMatch) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Region, b.Region); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Net, b.Net); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.page, b.page)
-	})
 	if compression == 0 {
 		compression = stats.DefaultCompression
 	}
 	merged := stats.NewSketch(compression)
-	for _, m := range all {
+	windows := 0
+	for len(cursors) > 0 {
+		// cursors stay in page order, so the first of equal heads is the
+		// lowest page. A cluster has a handful of nodes: a scan beats a heap.
+		least := 0
+		for i := 1; i < len(cursors); i++ {
+			if cursors[i].head.compare(cursors[least].head) < 0 {
+				least = i
+			}
+		}
+		c := &cursors[least]
+		matches := pages[c.page].Matches
+		m := &matches[c.next]
 		if err := merged.AbsorbBinary(m.Sketch); err != nil {
 			return QueryResult{}, fmt.Errorf("telemetry: page %d sketch (start=%d %s/%s): %w",
-				m.page, m.Start, m.Region, m.Net, err)
+				c.page, m.Start, m.Region, m.Net, err)
 		}
+		windows++
+		if c.next++; c.next == len(matches) {
+			cursors = slices.Delete(cursors, least, least+1)
+			continue
+		}
+		next := matches[c.next].key(spec.Metric)
+		if next.compare(c.head) < 0 {
+			return QueryResult{}, fmt.Errorf(
+				"telemetry: page %d out of canonical order at match %d (start=%d %s/%s after start=%d %s/%s)",
+				c.page, c.next, next.Start, next.Region, next.Net, c.head.Start, c.head.Region, c.head.Net)
+		}
+		c.head = next
 	}
-	return evaluate(merged, len(all), qs, spec.CDFAt), nil
+	return evaluate(merged, windows, qs, spec.CDFAt), nil
 }
 
 // Keys lists every distinct dimension tuple with at least one rollup,
@@ -394,16 +420,7 @@ func (ing *Ingestor) Keys() []KeyCount {
 	for k, n := range acc {
 		out = append(out, KeyCount{Key: k, Count: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		return a.Net < b.Net
-	})
+	slices.SortFunc(out, func(a, b KeyCount) int { return a.Key.compare(b.Key) })
 	return out
 }
 

@@ -4,7 +4,8 @@
 #   gofmt cleanliness  → build  → vet  → arm64 cross-compile  → full tests
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
-#     segment replay, snapshot decode, sketch codec, sketch-page codec)
+#     segment replay, snapshot decode, sketch codec, sketch-page codec;
+#     the sketch flush kernel against its scalar reference)
 #   → chaos smoke: a seeded drop+duplicate+reorder fault plan on the small
 #     scenario through the retrying client must answer byte-identically to
 #     a clean run, and a killed durable ingestor must recover to the same
@@ -15,8 +16,8 @@
 #   → cluster smoke: a 3-node cluster + frontend on loopback replaying the
 #     small scenario must answer /query byte-identically to a single-node
 #     replay; a node asked for its /sketches in the binary page form must
-#     answer in it, and the frontend's /metrics (leg and page-byte families
-#     included) must lint; a SIGKILLed member must surface as an explicit
+#     answer in it, and the frontend's /metrics (leg, page-byte and merge
+#     families included) must lint; a SIGKILLed member must surface as an explicit
 #     partial result; a restarted member (WAL recovery) must reconverge
 #   → rebalance smoke: a fourth node joins the live cluster through
 #     POST /admin/join (sketch-page handoff, epoch activation), then a
@@ -77,6 +78,9 @@ go test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
+
+echo "== fuzz (sketch flush kernel ≡ scalar reference, 5s) =="
+go test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
 
 echo "== chaos smoke (seeded drop+dup+reorder on small, retrying client) =="
 # The chaos acceptance pin: >=1% drops, duplicates and reorders injected
@@ -206,8 +210,8 @@ if [[ "$got_ct" != "$PAGE_CT" ]] || [[ "$(head -c 6 "$smoke/cluster-n0-page.bin"
   exit 1
 fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
-  -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total
-echo "  n0 serves binary sketch pages on request; frontend /metrics lints with the leg families"
+  -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds
+echo "  n0 serves binary sketch pages on request; frontend /metrics lints with the leg and merge families"
 
 kill -9 "$NODE1_PID" 2>/dev/null
 partial_ok=""
