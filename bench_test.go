@@ -789,11 +789,14 @@ func BenchmarkSketchMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchAbsorbWide is the merge a cluster `wide` query performs:
-// 7 680 encoded window rollups of ≈ 20 buffered points each folded into one
-// sketch with AbsorbBinary — one flush per 8δ absorbed points, ≈ 190 per
-// query — then evaluated. In the allocation gate: the flush kernel's scratch
-// is pooled, so a merge allocates only the accumulator's own growth.
+// BenchmarkSketchAbsorbWide prices the deferred-compaction kernel at the
+// size a `wide` query folds in total: 7 680 encoded window rollups of ≈ 20
+// buffered points each absorbed into one sketch with AbsorbBinary — one
+// flush per 8δ absorbed points, ≈ 190 in all — then evaluated. (Queries now
+// do that work key by key on the nodes, BenchmarkMatchSketchesWide, and
+// merge only the sealed folds, BenchmarkMergeSketchPagesWide.) In the
+// allocation gate: the flush kernel's scratch is pooled, so a merge
+// allocates only the accumulator's own growth.
 func BenchmarkSketchAbsorbWide(b *testing.B) {
 	r := rng.New(29)
 	const rollups = 7680
@@ -863,7 +866,7 @@ func clusterQueryFixture() ([]telemetry.Envelope, telemetry.QuerySpec) {
 
 // BenchmarkClusterQuery compares answering one quantile query from a single
 // ingestor against scatter-gathering the same data from a 3-node cluster
-// (sketch-page export, deterministic merge, evaluation) — the per-query
+// (per-key fold and page export on each node, key-ordered merge, evaluation) — the per-query
 // price of the distributed plane, with the transport taken out of the
 // picture (in-process NodeClients).
 func BenchmarkClusterQuery(b *testing.B) {
@@ -978,6 +981,74 @@ func BenchmarkSketchPage(b *testing.B) {
 			}
 		}
 	})
+}
+
+// wideFixture is the key space the end-to-end benchmark's `wide` query scans
+// (bench/e2e/gen.go), rebuilt here so the in-process benches price the same
+// shape: 32 regions × 4 nets of rtt_ms, 60 one-second windows, 20 points per
+// (window, key) rollup — 7 680 rollups, 153 600 points — dealt whole-key to
+// `nodes` ingestors (1 = the single reference).
+func wideFixture(b *testing.B, nodes int) ([]*telemetry.Ingestor, telemetry.QuerySpec) {
+	nets := []string{"wifi", "lte", "5g", "wired"}
+	ings := make([]*telemetry.Ingestor, nodes)
+	for i := range ings {
+		ings[i] = telemetry.NewIngestor(telemetry.Config{Window: time.Second, Block: true})
+		b.Cleanup(func() { ings[i].Close() })
+	}
+	r := rng.New(61)
+	for i := 0; i < 32*4*60*20; i++ {
+		key, window := i%128, i/128%60
+		ings[key%nodes].Offer(telemetry.Envelope{
+			V: telemetry.SchemaVersion, TS: int64(window)*1000 + int64(i%1000), Kind: telemetry.KindPing,
+			Metric: telemetry.MetricRTT, User: key,
+			Region: fmt.Sprintf("r%02d", key/4), Net: nets[key%4],
+			Value: math.Round(r.LogNormal(math.Log(20), 0.5)*1000) / 1000,
+		})
+	}
+	for _, ing := range ings {
+		ing.Flush()
+	}
+	return ings, telemetry.QuerySpec{Metric: telemetry.MetricRTT, CDFAt: []float64{10, 20, 40}}
+}
+
+// BenchmarkMatchSketchesWide is a node's share of a `wide` query, on one
+// ingestor holding the whole bench key space: scan 7 680 rollups, fold them
+// per key, seal and encode — one page of 128 folds. In the allocation gate:
+// the fold's scratch is pooled, so what remains is one encoding per key.
+func BenchmarkMatchSketchesWide(b *testing.B) {
+	ings, spec := wideFixture(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var page telemetry.SketchPage
+	for i := 0; i < b.N; i++ {
+		var err error
+		if page, err = ings[0].MatchSketches(spec); err != nil || len(page.Matches) != 128 {
+			b.Fatalf("page: %d matches, err %v", len(page.Matches), err)
+		}
+	}
+	b.ReportMetric(float64(page.BinarySize()), "page-bytes")
+}
+
+// BenchmarkMergeSketchPagesWide is the front-end's share of the same query:
+// three nodes' folded pages (the key space dealt whole-key across them)
+// k-way merged by key and evaluated.
+func BenchmarkMergeSketchPagesWide(b *testing.B) {
+	ings, spec := wideFixture(b, 3)
+	pages := make([]telemetry.SketchPage, len(ings))
+	for i, ing := range ings {
+		var err error
+		if pages[i], err = ing.MatchSketches(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := telemetry.MergeSketchPages(spec, pages)
+		if err != nil || res.Windows != 7680 {
+			b.Fatalf("merge: %d windows, err %v", res.Windows, err)
+		}
+	}
 }
 
 // BenchmarkRebalanceHandoff prices one elastic membership change: a fourth

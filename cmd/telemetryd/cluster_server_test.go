@@ -245,8 +245,9 @@ func TestNodeHealthzSelfDescribes(t *testing.T) {
 	}
 }
 
-// TestSketchesEndpoint: /sketches serves the wire-form rollups the
-// front-end merges, and validates specs like /query does.
+// TestSketchesEndpoint: /sketches serves what the front-end merges — one
+// sealed fold per key, each saying how many rollups it covers, keys
+// ascending — and validates specs like /query does.
 func TestSketchesEndpoint(t *testing.T) {
 	_, _, srv := newTestServer(t, telemetry.Config{Shards: 2, Block: true}, false)
 	if got := postIngest(t, srv.URL, ingestLines(t)); got != 32 {
@@ -263,6 +264,16 @@ func TestSketchesEndpoint(t *testing.T) {
 	}
 	if page.Metric != "rtt_ms" || len(page.Matches) == 0 || page.Compression == 0 {
 		t.Fatalf("page = metric=%q matches=%d compression=%v", page.Metric, len(page.Matches), page.Compression)
+	}
+	for i, m := range page.Matches {
+		if m.Windows < 1 || len(m.Sketch) == 0 {
+			t.Fatalf("match %d (%s/%s) is not a fold: windows=%d, %d sketch bytes", i, m.Region, m.Net, m.Windows, len(m.Sketch))
+		}
+		if i > 0 {
+			if p := page.Matches[i-1]; p.Region > m.Region || (p.Region == m.Region && p.Net >= m.Net) {
+				t.Fatalf("match %d (%s/%s) does not follow %s/%s in key order", i, m.Region, m.Net, p.Region, p.Net)
+			}
+		}
 	}
 
 	if code, _, _ := get(t, srv.URL+"/sketches"); code != http.StatusBadRequest {

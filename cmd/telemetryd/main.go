@@ -9,8 +9,9 @@
 //	GET  /query    ?metric=rtt_ms[&region=..][&net=..][&from=RFC3339]
 //	               [&to=RFC3339][&q=0.5,0.95,0.99][&cdf=10,50,100]
 //	GET  /keys     every queryable dimension tuple with its event count
-//	GET  /sketches the matching rollups in exact binary sketch form — the
-//	               scatter half of a cluster query
+//	GET  /sketches same parameters as /query; each matching key's rollups
+//	               folded into one sealed sketch, in exact binary sketch
+//	               form — the scatter half of a cluster query
 //	GET  /healthz  liveness ("ok" or "degraded", with reasons), per-shard
 //	               ingest + WAL accounting, the startup recovery report,
 //	               and (cluster roles) this node's partition assignment

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -112,7 +115,7 @@ func TestSketchesContentNegotiation(t *testing.T) {
 // pageTamper sits between the frontend and one node and damages that node's
 // /sketches answers in a selectable way.
 type pageTamper struct {
-	mode atomic.Value // "", "flip", "json", "short", "bad-sketch"
+	mode atomic.Value // "", "flip", "json", "short", "v1", "bad-sketch"
 	next http.Handler
 }
 
@@ -135,6 +138,22 @@ func (p *pageTamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		body[len(body)/2] ^= 0x04
 	case "short": // a whole, well-declared body that ends early
 		body = body[:len(body)-7]
+	case "v1": // a node one release behind: well-formed, well-checksummed, no windows field
+		page, err := telemetry.DecodeSketchPage(body)
+		if err != nil {
+			panic(err)
+		}
+		le := binary.LittleEndian
+		str := func(b []byte, s string) []byte { return append(le.AppendUint32(b, uint32(len(s))), s...) }
+		body = str([]byte("espage\x00\x01"), page.Metric)
+		body = le.AppendUint64(body, math.Float64bits(page.Compression))
+		body = le.AppendUint64(body, uint64(page.WindowMs))
+		body = le.AppendUint32(body, uint32(len(page.Matches)))
+		for _, m := range page.Matches {
+			body = str(str(le.AppendUint64(body, uint64(m.Start)), m.Region), m.Net)
+			body = str(body, string(m.Sketch))
+		}
+		body = le.AppendUint32(body, crc32.ChecksumIEEE(body))
 	case "bad-sketch": // intact framing around a sketch that is not one
 		page, err := telemetry.DecodeSketchPage(body)
 		if err != nil {
@@ -150,7 +169,8 @@ func (p *pageTamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestFrontendBadPageIsMissingNode pins the blast radius of a bad page. A
-// leg whose page fails its CRC, content type or framing is a missing node:
+// leg whose page fails its CRC, content type, framing or format version (a
+// node still answering with v1 pages mid-upgrade) is a missing node:
 // the query is answered 200 and partial, naming that node's partitions, and
 // the node's error counter moves. A page that arrives intact but cannot be
 // merged is the cluster's fault — 502 — and only a bad spec is the
@@ -181,7 +201,7 @@ func TestFrontendBadPageIsMissingNode(t *testing.T) {
 		return s.Value
 	}
 
-	for i, mode := range []string{"flip", "json", "short"} {
+	for i, mode := range []string{"flip", "json", "short", "v1"} {
 		tamper.mode.Store(mode)
 		code, body, _ := get(t, c.front.URL+q)
 		if code != http.StatusOK {

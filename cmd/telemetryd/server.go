@@ -75,12 +75,13 @@ func buildMux(cfg muxConfig) *http.ServeMux {
 	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(cfg.log, w, cfg.ing.Keys())
 	})
-	// /sketches is the scatter half of a cluster query: the matching
-	// (window, key) rollups in exact binary form, for a front-end to merge
-	// (cluster.Frontend). Served in every role — a single-node daemon is
-	// just a one-member cluster to whoever wants to aggregate it. A caller
-	// that asks for the binary page (cluster.HTTPNode does) gets it; anyone
-	// else (curl) gets JSON.
+	// /sketches is the scatter half of a cluster query: each matching key's
+	// rollups folded here, where the data is, into one sealed sketch — one
+	// match per key, not one per key × window — in exact binary form, for a
+	// front-end to merge (cluster.Frontend). Served in every role — a
+	// single-node daemon is just a one-member cluster to whoever wants to
+	// aggregate it. A caller that asks for the binary page (cluster.HTTPNode
+	// does) gets it; anyone else (curl) gets JSON.
 	mux.HandleFunc("GET /sketches", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := specFromURL(r)
 		if err != nil {
@@ -170,8 +171,10 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 		cfg.ing.UnfreezePartition(p, of)
 		writeJSON(cfg.log, w, map[string]string{"status": "ok"})
 	})
-	// The partition-scoped cut of /sketches: this node's durable state for
-	// one partition in exact binary sketch-page form — what a handoff ships.
+	// The handoff's cut: this node's durable state for one partition as
+	// pages of raw (window, key) rollups, each sketch in its exact live
+	// state — what /admin/absorb places on the gaining node. Same page
+	// format as /sketches, the other kind of match (windows = 0).
 	mux.HandleFunc("GET /sketches/partition", func(w http.ResponseWriter, r *http.Request) {
 		p, of, err := partOfParams(r)
 		if err != nil {
@@ -303,7 +306,7 @@ func buildFrontendMux(cfg frontendMuxConfig) *http.ServeMux {
 		}
 		// A spec the front door can reject is the caller's fault; once it
 		// is valid, whatever fails — pages that disagree on configuration,
-		// an undecodable sketch — is the cluster's.
+		// an undecodable sketch, keys out of order — is the cluster's.
 		if err := telemetry.ValidateQuerySpec(spec); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

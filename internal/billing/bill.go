@@ -141,24 +141,26 @@ func cloudNetworkCost(bw *timeseries.Series, net CloudNetPricing, model NetworkM
 	}
 }
 
+// provinceRegions is regionForProvince's table: built once, read-only.
+var provinceRegions = map[string]string{
+	"Beijing": "north", "Tianjin": "north", "Hebei": "north",
+	"Shandong": "north", "Shanxi": "north", "InnerMongolia": "north",
+	"Liaoning": "northeast", "Jilin": "northeast", "Heilongjiang": "northeast",
+	"Shanghai": "east", "Jiangsu": "east", "Zhejiang": "east", "Anhui": "east",
+	"Fujian": "east", "Jiangxi": "east",
+	"Guangdong": "south", "Guangxi": "south", "Hainan": "south",
+	"Henan": "central", "Hubei": "central", "Hunan": "central",
+	"Chongqing": "southwest", "Sichuan": "southwest", "Guizhou": "southwest",
+	"Yunnan": "southwest", "Tibet": "southwest",
+	"Shaanxi": "northwest", "Gansu": "northwest", "Qinghai": "northwest",
+	"Ningxia": "northwest", "Xinjiang": "northwest",
+}
+
 // regionForProvince maps a province to a coarse cloud region (the virtual
 // baseline construction of §4.5: cluster NEP usage into the cloud's site
 // distribution by geographic distance).
 func regionForProvince(province string) string {
-	regions := map[string]string{
-		"Beijing": "north", "Tianjin": "north", "Hebei": "north",
-		"Shandong": "north", "Shanxi": "north", "InnerMongolia": "north",
-		"Liaoning": "northeast", "Jilin": "northeast", "Heilongjiang": "northeast",
-		"Shanghai": "east", "Jiangsu": "east", "Zhejiang": "east", "Anhui": "east",
-		"Fujian": "east", "Jiangxi": "east",
-		"Guangdong": "south", "Guangxi": "south", "Hainan": "south",
-		"Henan": "central", "Hubei": "central", "Hunan": "central",
-		"Chongqing": "southwest", "Sichuan": "southwest", "Guizhou": "southwest",
-		"Yunnan": "southwest", "Tibet": "southwest",
-		"Shaanxi": "northwest", "Gansu": "northwest", "Qinghai": "northwest",
-		"Ningxia": "northwest", "Xinjiang": "northwest",
-	}
-	if r, ok := regions[province]; ok {
+	if r, ok := provinceRegions[province]; ok {
 		return r
 	}
 	return "east"

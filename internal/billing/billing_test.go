@@ -389,3 +389,19 @@ func TestCloudBillsScaleWithDuration(t *testing.T) {
 		}
 	}
 }
+
+// TestRegionForProvinceLookupDoesNotAllocate: the province table is built
+// once, not per call — Table 6 looks a region up for every (app, site).
+func TestRegionForProvinceLookupDoesNotAllocate(t *testing.T) {
+	for province, want := range map[string]string{"Beijing": "north", "Sichuan": "southwest", "Atlantis": "east"} {
+		if got := regionForProvince(province); got != want {
+			t.Fatalf("regionForProvince(%q) = %q, want %q", province, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		regionForProvince("Guangdong")
+		regionForProvince("Atlantis")
+	}); allocs != 0 {
+		t.Fatalf("lookup allocates %v times", allocs)
+	}
+}

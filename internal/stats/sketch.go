@@ -130,9 +130,40 @@ func (sk *Sketch) Absorb(other *Sketch) {
 	sk.absorbed(other.count, other.min, other.max)
 }
 
+// AppendPoints appends the sketch's points to dst — centroids, then buffered
+// points, the order Absorb folds them in — and returns the extended slice.
+// With Count, Min and Max it is a sketch's whole state in a form a caller
+// can copy out under a lock and fold later (AbsorbPoints) without a Clone
+// per sketch.
+func (sk *Sketch) AppendPoints(dst []Centroid) []Centroid {
+	return append(append(dst, sk.centroids...), sk.buf...)
+}
+
+// AbsorbPoints folds in one sketch's points, count and range as copied out
+// by AppendPoints, Count, Min and Max, exactly as Absorb of that sketch
+// would: the same append order, the same deferred compaction. Like Absorb it
+// trusts its input — the points come from a live sketch in this process,
+// never off a wire (that is AbsorbBinary's job). pts is only read.
+func (sk *Sketch) AbsorbPoints(pts []Centroid, count, min, max float64) {
+	if count == 0 {
+		return
+	}
+	sk.buf = append(sk.buf, pts...)
+	sk.absorbed(count, min, max)
+}
+
+// Reset empties the sketch, keeping its compression and the capacity of its
+// point lists, so one sketch can fold many independent streams in turn
+// without allocating a fresh 8δ buffer for each.
+func (sk *Sketch) Reset() {
+	sk.centroids, sk.buf = sk.centroids[:0], sk.buf[:0]
+	sk.count, sk.min, sk.max = 0, math.Inf(1), math.Inf(-1)
+}
+
 // absorbed is the one tail every fold of a whole sketch shares (Merge,
-// Absorb, AbsorbBinary), run after the sketch's points are appended to buf:
-// account for its count and range, and compact once 8δ points are buffered.
+// Absorb, AbsorbPoints, AbsorbBinary), run after the sketch's points are
+// appended to buf: account for its count and range, and compact once 8δ
+// points are buffered.
 func (sk *Sketch) absorbed(count, min, max float64) {
 	sk.count += count
 	if min < sk.min {

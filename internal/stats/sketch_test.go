@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -191,6 +192,44 @@ func TestSketchAbsorb(t *testing.T) {
 	}
 	if n := len(merged.Centroids()); n > 2*DefaultCompression {
 		t.Errorf("absorbed centroids = %d, want <= %d", n, 2*DefaultCompression)
+	}
+}
+
+// TestAbsorbPointsEqualsAbsorb: a sketch's points, count and range copied
+// out (AppendPoints, Count, Min, Max) and folded with AbsorbPoints leave the
+// accumulator in exactly the state Absorb of the live sketch would — and a
+// Reset sketch that has folded other streams before is, for the next one,
+// exactly a new sketch. Together they are what lets the telemetry query
+// layer fold every key in one pooled sketch.
+func TestAbsorbPointsEqualsAbsorb(t *testing.T) {
+	r := rng.New(31)
+	reused := NewSketch(DefaultCompression)
+	for round := 0; round < 6; round++ {
+		fresh := NewSketch(DefaultCompression)
+		reused.Reset()
+		if reused.Count() != 0 || !math.IsInf(reused.Min(), 1) || !math.IsInf(reused.Max(), -1) || len(reused.Centroids()) != 0 {
+			t.Fatalf("round %d: Reset left count %v, range [%v, %v]", round, reused.Count(), reused.Min(), reused.Max())
+		}
+		var flat []Centroid
+		for part := 0; part < 30; part++ {
+			// Sizes straddle the 4δ self-flush, so parts arrive as centroids,
+			// as buffered points and as both; an empty one is a no-op.
+			src := NewSketch(DefaultCompression)
+			for j, n := 0, []int{0, 1, 23, 399, 400, 650}[r.IntN(6)]; j < n; j++ {
+				if err := src.Add(r.LogNormal(3, 0.7) + float64(round)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fresh.Absorb(src)
+			at := len(flat)
+			flat = src.AppendPoints(flat)
+			reused.AbsorbPoints(flat[at:], src.Count(), src.Min(), src.Max())
+		}
+		a, _ := fresh.MarshalBinary()
+		b, _ := reused.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("round %d: AbsorbPoints into a Reset sketch diverged from Absorb into a new one", round)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // HTTPNode over the wire, LocalNode for in-process tests and benchmarks —
 // either optionally wrapped in a fault injector.
 type NodeClient interface {
-	// Sketches returns the node's matching rollups in wire form
-	// (GET /sketches on a cluster node).
+	// Sketches returns the node's matching rollups folded per key, in wire
+	// form (GET /sketches on a cluster node).
 	Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error)
 	// Keys returns the node's key inventory (GET /keys).
 	Keys(ctx context.Context) ([]telemetry.KeyCount, error)
@@ -76,8 +76,9 @@ type Result struct {
 }
 
 // Frontend is the scatter-gather query tier: it fans a query out to every
-// node, gathers sketch pages under per-node timeouts, and merges them on
-// the same sorted path the single-node query uses. Nodes that cannot be
+// node, gathers each one's page of per-key folds under per-node timeouts,
+// and merges them by key with the very function the single-node query ends
+// in (telemetry.MergeSketchPages). Nodes that cannot be
 // reached do not fail the query — the answer covers what was gathered and
 // says exactly which partitions are missing.
 //
@@ -123,12 +124,12 @@ func NewFrontend(pm *PartitionMap, clients map[string]NodeClient, cfg FrontendCo
 		f.partials = cfg.Metrics.Counter("cluster_frontend_partial_total", "queries answered with missing partitions")
 		f.nodeErrors = cfg.Metrics.CounterVec("cluster_frontend_node_errors_total", "gather legs that failed", "node")
 		f.legSeconds = cfg.Metrics.HistogramVec("cluster_frontend_leg_seconds",
-			"scatter leg latency per node: request, node-side match, page transfer and decode (failed legs included)",
+			"scatter leg latency per node: request, node-side per-key fold, page transfer and decode (failed legs included)",
 			nil, "node")
 		f.pageBytes = cfg.Metrics.CounterVec("cluster_frontend_page_bytes_total",
 			"sketch-page body bytes received from each node's /sketches", "node")
 		f.mergeSeconds = cfg.Metrics.Histogram("cluster_frontend_merge_seconds",
-			"gather-side merge per query: k-way page merge, sketch absorb and evaluation, after the slowest leg returned (failed merges included)",
+			"gather-side merge per query: k-way merge of the pages' per-key folds, sketch absorb and evaluation, after the slowest leg returned (failed merges included)",
 			nil)
 	} else {
 		f.queries = &obs.Counter{}

@@ -266,15 +266,21 @@ func TestFrontendKeysMergesInventory(t *testing.T) {
 }
 
 // TestPageCodecsMergeIdenticalAcrossScenarios is the wire-format property
-// pin: for every built-in scenario split over three nodes, each node's
+// pin: for every built-in scenario — and for the stream whose per-key folds
+// really fuse points (fold_test.go) — split over three nodes, each node's
 // pages pushed through a JSON round trip and through a binary round trip
 // merge to byte-identical QueryResult JSON — and both are the single-node
 // Ingestor.Query answer. The binary leg is therefore exactly as lossless
 // as the JSON one it replaced.
 func TestPageCodecsMergeIdenticalAcrossScenarios(t *testing.T) {
-	for _, name := range builtinScenarios {
+	for _, name := range append([]string{"compressing"}, builtinScenarios...) {
 		t.Run(name, func(t *testing.T) {
-			events := scenarioEvents(t, scenario.MustGet(name))
+			var events []telemetry.Envelope
+			if name == "compressing" {
+				events = compressingEvents(5, 10)
+			} else {
+				events = scenarioEvents(t, scenario.MustGet(name))
+			}
 			pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
 			single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
 			defer single.Close()
@@ -294,6 +300,9 @@ func TestPageCodecsMergeIdenticalAcrossScenarios(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if name == "compressing" && spec.Metric == telemetry.MetricRTT {
+						assertFoldsCompress(t, page, 10)
+					}
 					raw, err := json.Marshal(page)
 					if err != nil {
 						t.Fatal(err)
@@ -309,17 +318,7 @@ func TestPageCodecsMergeIdenticalAcrossScenarios(t *testing.T) {
 					}
 					viaJSON, viaBinary = append(viaJSON, j), append(viaBinary, b)
 				}
-				answer := func(res telemetry.QueryResult, err error) []byte {
-					t.Helper()
-					if err != nil {
-						t.Fatal(err)
-					}
-					out, err := json.Marshal(res)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return out
-				}
+				answer := func(res telemetry.QueryResult, err error) []byte { return mustJSON(t, res, err) }
 				want := answer(single.Query(spec))
 				if got := answer(telemetry.MergeSketchPages(spec, viaJSON)); !bytes.Equal(got, want) {
 					t.Fatalf("%s: JSON-carried pages merge to\n%s\nsingle node answers\n%s", spec.Metric, got, want)

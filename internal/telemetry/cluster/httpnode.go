@@ -69,9 +69,10 @@ func HTTPTransport(nodes map[string]*HTTPNode) Transport {
 // when it wires the client.
 func (n *HTTPNode) MeterPageBytes(c *obs.Counter) { n.pageBytes.Store(c) }
 
-// Sketches fetches the node's matching rollups: GET /sketches with the
-// same query parameters /query takes, answered as one binary page. The
-// returned page aliases the response body.
+// Sketches fetches the node's matching rollups, folded per key: GET
+// /sketches with the same query parameters /query takes, answered as one
+// binary page. A page in any other format version fails to decode and so
+// fails the leg. The returned page aliases the response body.
 func (n *HTTPNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error) {
 	path := "/sketches?" + specParams(spec)
 	body, err := n.pageBody(ctx, path)

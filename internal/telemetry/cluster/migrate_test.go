@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -502,23 +503,37 @@ func TestHandoffPartitionSourceRollsBack(t *testing.T) {
 	}
 }
 
-// TestReplicaCatchUpAfterMarkdown is the RF2 re-sync pin: the owner of a
-// partition set is marked down for exactly one rollup window, its traffic
-// fails over to replicas (window-aligned divergence), and after CatchUp
+// TestReplicaCatchUpAfterMarkdown is the RF2 re-sync pin, on a stream whose
+// per-key folds really fuse points (fold_test.go): the owner of a partition
+// set is marked down for exactly one rollup window, its traffic fails over
+// to replicas (window-aligned divergence), and each affected key's history
+// is then split across owner and replica. In that interval the merged answer
+// is complete in data — count, windows, min and max exact, the key inventory
+// exact — and every quantile is inside the rank-error bound it reports, but
+// it is not byte-identical to a single node's: two folds of one key absorbed
+// in page order are not the one fold of the whole key. After CatchUp
 // consolidates each partition back onto its owner — rebuilding the owner
 // from its own durable state plus the replica's slice — the replicas are
 // empty, the answers are byte-identical to a single node, and the result
 // survives crash-recovery of every member.
 func TestReplicaCatchUpAfterMarkdown(t *testing.T) {
-	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
+	events := compressingEvents(3, 1)
 	ctx := context.Background()
-	const winMs = int64(60_000) // telemetry.Config.Window default
+	const winMs = foldWinMs
 
 	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
 	defer single.Close()
 	telemetry.Replay(single, events)
 	want := singleFingerprint(t, single)
+	for _, spec := range fingerprintSpecs {
+		page, err := single.MatchSketches(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Metric == telemetry.MetricRTT {
+			assertFoldsCompress(t, page, 1)
+		}
+	}
 
 	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
 	c := newTestCluster(t, pm, t.TempDir())
@@ -545,13 +560,14 @@ func TestReplicaCatchUpAfterMarkdown(t *testing.T) {
 	tracker := NewHealthTracker(pm.Nodes(), func(node string) ProbeResult {
 		return ProbeResult{Reachable: !(ownerDown && node == victim)}
 	}, HealthConfig{DownAfter: 1, UpAfter: 1})
-	router := NewRouter(pm, tracker, c.transport, rng.New(sp.Seed).Fork("router"), RouterConfig{
+	router := NewRouter(pm, tracker, c.transport, rng.New(3).Fork("router"), RouterConfig{
 		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
 	})
 
 	// Window-aligned markdown: the victim is down for every event of the
 	// markdown window and up for every other, so each (key, window) slice
-	// lands wholly on one node — owner or failover replica, never split.
+	// lands wholly on one node — owner or failover replica, never split —
+	// while the key itself is split between the two.
 	for _, e := range events {
 		down := e.TS/winMs == markdown
 		if down != ownerDown {
@@ -579,8 +595,26 @@ func TestReplicaCatchUpAfterMarkdown(t *testing.T) {
 	if diverged == 0 {
 		t.Fatal("no replica diverged — markdown window carried no victim traffic")
 	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("pre-catch-up merged answers diverged from single node")
+	if bytes.Equal(clusterFingerprint(t, f), want) {
+		t.Fatal("split keys merged byte-identically: the stream does not reach the contract's boundary")
+	}
+	keys, missing := f.Keys(ctx)
+	if !reflect.DeepEqual(keys, single.Keys()) || missing != nil {
+		t.Fatalf("pre-catch-up key inventory diverged (missing %v)", missing)
+	}
+	for _, spec := range fingerprintSpecs {
+		exact, err := single.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Query(ctx, spec)
+		if err != nil || res.Partial {
+			t.Fatalf("pre-catch-up %s: err %v, partial %v", spec.Metric, err, res.Partial)
+		}
+		if res.Windows != exact.Windows {
+			t.Fatalf("pre-catch-up %s: %d windows, single node merged %d", spec.Metric, res.Windows, exact.Windows)
+		}
+		assertInsideRankBound(t, "pre-catch-up "+spec.Metric, res.QueryResult, sortedValues(events, spec.Metric))
 	}
 
 	// Re-sync: consolidate every victim partition back onto its owner.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"edgescope/internal/stats"
@@ -175,11 +176,54 @@ func dropWindowLocked(s *shard, start int64, p, of int) int {
 	return dropped
 }
 
+// encodedRollup is one picked rollup with its sketch's exact binary state.
+type encodedRollup struct {
+	wk  windowKey
+	enc []byte
+}
+
+// encodeRollups encodes every rollup pick selects, once, under its shard's
+// lock, straight into one exactly-sized buffer per shard that the returned
+// rollups slice into — the only copy the sketch bytes take between the live
+// rollup and the wire — and returns them in windowKey.compare order. Each
+// shard is locked only while its rollups are scanned and encoded.
+func (ing *Ingestor) encodeRollups(pick func(windowKey) bool) []encodedRollup {
+	type live struct {
+		wk windowKey
+		sk *stats.Sketch
+	}
+	var (
+		out    []encodedRollup
+		picked []live
+	)
+	for _, s := range ing.shards {
+		picked = picked[:0]
+		size := 0
+		s.mu.Lock()
+		for wk, sk := range s.windows {
+			if pick(wk) {
+				picked = append(picked, live{wk, sk})
+				size += sk.BinarySize()
+			}
+		}
+		chunk := make([]byte, 0, size)
+		for _, m := range picked {
+			at := len(chunk)
+			chunk, _ = m.sk.AppendBinary(chunk) // encoding a live sketch cannot fail
+			out = append(out, encodedRollup{m.wk, chunk[at:len(chunk):len(chunk)]})
+		}
+		s.mu.Unlock()
+	}
+	slices.SortFunc(out, func(a, b encodedRollup) int { return a.wk.compare(b.wk) })
+	return out
+}
+
 // PartitionPages exports every rollup whose key hashes to partition p of
-// `of` as sketch pages — one page per metric, metrics sorted, matches in
-// the canonical (start, region, net) order — the exact wire shape
-// /sketches serves and MergeSketchPages consumes. Like MatchSketches, each
-// sketch is encoded once, under its shard's lock.
+// `of` as pages of raw rollups (WindowSketch.Windows 0) — one page per
+// metric, metrics sorted, matches in (start, region, net) order, each sketch
+// in its exact live state, encoded once under its shard's lock. It is what
+// AbsorbPages places on the gaining node; a query's pages (MatchSketches)
+// hold sealed per-key folds instead and are refused there.
 func (ing *Ingestor) PartitionPages(p, of int) ([]SketchPage, error) {
 	if of <= 0 || p < 0 || p >= of {
 		return nil, fmt.Errorf("telemetry: partition %d of %d", p, of)
@@ -187,11 +231,20 @@ func (ing *Ingestor) PartitionPages(p, of int) ([]SketchPage, error) {
 	rollups := ing.encodeRollups(func(wk windowKey) bool { return wk.Key.ShardOf(of) == p })
 	pages := []SketchPage{} // never nil: an empty partition is `[]` on the JSON surface
 	for len(rollups) > 0 {
-		metric, n := rollups[0].wk.Metric, 1
-		for n < len(rollups) && rollups[n].wk.Metric == metric {
+		page := SketchPage{
+			Metric:      rollups[0].wk.Metric,
+			Compression: ing.cfg.Compression,
+			WindowMs:    ing.cfg.Window.Milliseconds(),
+		}
+		n := 1
+		for n < len(rollups) && rollups[n].wk.Metric == page.Metric {
 			n++
 		}
-		pages = append(pages, ing.pageOf(metric, rollups[:n]))
+		page.Matches = make([]WindowSketch, n)
+		for i, r := range rollups[:n] {
+			page.Matches[i] = WindowSketch{Start: r.wk.Start, Region: r.wk.Region, Net: r.wk.Net, Sketch: r.enc}
+		}
+		pages = append(pages, page)
 		rollups = rollups[n:]
 	}
 	return pages, nil
@@ -210,9 +263,10 @@ type AbsorbAck struct {
 	Count float64 `json:"count"`
 }
 
-// AbsorbPages folds exported sketch pages into this ingestor — the gaining
-// side of a partition handoff. Every page is validated and decoded before
-// anything is folded, so a malformed transfer mutates nothing; each rollup
+// AbsorbPages folds exported pages of raw rollups into this ingestor — the
+// gaining side of a partition handoff. Every page is validated and decoded
+// before anything is folded, so a malformed transfer — or a query's page of
+// per-key folds, which cannot be placed in a window — mutates nothing; each rollup
 // is WAL-logged (control record, at its fold position) before folding, and
 // the WAL is fsynced before the ack returns, so an acked absorb survives a
 // crash. Pages must match this ingestor's compression and window length —
@@ -237,6 +291,10 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 		for _, m := range p.Matches {
 			if m.Start%windowMs != 0 {
 				return AbsorbAck{}, fmt.Errorf("telemetry: absorb page %d start %d not window-aligned", i, m.Start)
+			}
+			if m.Windows != 0 {
+				return AbsorbAck{}, fmt.Errorf("telemetry: absorb page %d (start=%d %s/%s) is a fold of %d windows, not a raw rollup",
+					i, m.Start, m.Region, m.Net, m.Windows)
 			}
 			sk := new(stats.Sketch)
 			if err := sk.UnmarshalBinary(m.Sketch); err != nil {

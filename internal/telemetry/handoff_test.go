@@ -224,8 +224,9 @@ func TestPartitionHandoffByteIdentical(t *testing.T) {
 }
 
 // TestAbsorbPagesValidatesBeforeMutating pins that a malformed transfer
-// mutates nothing: mismatched window length, misaligned starts and corrupt
-// sketch bytes are all rejected upfront.
+// mutates nothing: mismatched window length, misaligned starts, corrupt
+// sketch bytes and a query's page of per-key folds — even one whose every
+// other match is a placeable rollup — are all rejected upfront.
 func TestAbsorbPagesValidatesBeforeMutating(t *testing.T) {
 	ing := NewIngestor(Config{Shards: 2, Block: true, Window: time.Minute})
 	defer ing.Close()
@@ -249,6 +250,23 @@ func TestAbsorbPagesValidatesBeforeMutating(t *testing.T) {
 			p.Matches = []WindowSketch{{Start: 0, Region: "r", Net: "n", Sketch: []byte("nope")}}
 			return p
 		}(), "sketch"},
+		{"fold", func() SketchPage {
+			src := NewIngestor(Config{Shards: 2, Block: true, Window: time.Minute})
+			defer src.Close()
+			offerAllFlush(t, src, handoffEvents())
+			raw, err := src.PartitionPages(0, 1)
+			if err != nil || len(raw) == 0 {
+				t.Fatalf("partition pages: %d, err %v", len(raw), err)
+			}
+			folds, err := src.MatchSketches(QuerySpec{Metric: raw[0].Metric})
+			if err != nil || len(folds.Matches) == 0 || folds.Matches[0].Windows != 2 {
+				t.Fatalf("query page: %+v, err %v", folds.Matches, err)
+			}
+			// The fold goes last: everything before it is valid and must
+			// still not be placed.
+			raw[0].Matches = append(raw[0].Matches, folds.Matches[0])
+			return raw[0]
+		}(), "is a fold of 2 windows"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -246,6 +246,9 @@ type Ingestor struct {
 	frozen   map[int]bool
 	frozenOf int
 
+	// foldPool recycles foldKeys' working memory (*foldScratch) across queries.
+	foldPool sync.Pool
+
 	// m holds the registered instrument families, nil without Config.Metrics.
 	m *ingestMetrics
 }

@@ -25,7 +25,8 @@ type ingestMetrics struct {
 	walAppended, walFsyncs                                            *obs.CounterVec
 	queueDepth, walLag, windows, rollups                              *obs.GaugeVec
 	walAppend, walFsync, snapshot                                     *obs.HistogramVec
-	query                                                             *obs.Histogram
+	query, sketches                                                   *obs.Histogram
+	foldedRollups                                                     *obs.Counter
 
 	recoveryReplayed, recoverySkipped, recoveryDuration *obs.Gauge
 }
@@ -55,7 +56,10 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		walAppend:   reg.HistogramVec("telemetry_wal_append_seconds", "WAL append latency (includes the fsync when the append crosses the SyncEvery cadence)", walLatencyBuckets, "shard"),
 		walFsync:    reg.HistogramVec("telemetry_wal_fsync_seconds", "WAL fsync batch latency", walLatencyBuckets, "shard"),
 		snapshot:    reg.HistogramVec("telemetry_snapshot_seconds", "shard checkpoint latency (WAL fsync + encode + atomic rename)", nil, "shard"),
-		query:       reg.Histogram("telemetry_query_seconds", "Query latency: match scan, sketch clone and merge", nil),
+		query:       reg.Histogram("telemetry_query_seconds", "Query latency: shard scan, per-key fold, key-ordered merge of the folds and evaluation", nil),
+		sketches:    reg.Histogram("telemetry_sketches_seconds", "MatchSketches latency per /sketches request (the node's share of a cluster query): shard scan, per-key fold, seal and sketch encode", nil),
+
+		foldedRollups: reg.Counter("telemetry_sketches_folded_rollups_total", "(window, key) rollups folded into the per-key sketches /sketches answered with"),
 
 		recoveryReplayed: reg.Gauge("telemetry_recovery_records_replayed", "WAL records replayed by the startup recovery pass"),
 		recoverySkipped:  reg.Gauge("telemetry_recovery_records_skipped", "WAL records skipped at recovery (already in the snapshot)"),

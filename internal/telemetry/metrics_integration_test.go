@@ -40,6 +40,10 @@ func TestIngestorExposesMetrics(t *testing.T) {
 	if _, err := ing.Query(QuerySpec{Metric: MetricRTT}); err != nil {
 		t.Fatal(err)
 	}
+	page, err := ing.MatchSketches(QuerySpec{Metric: MetricRTT})
+	if err != nil || len(page.Matches) != 1 || page.Matches[0].Windows != 1 {
+		t.Fatalf("sketch page = %+v, err %v: want the one key's one window folded", page.Matches, err)
+	}
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -59,6 +63,8 @@ func TestIngestorExposesMetrics(t *testing.T) {
 		"telemetry_shard_queue_depth",
 		"telemetry_shard_rollup_windows",
 		"telemetry_query_seconds_count",
+		"telemetry_sketches_seconds_count",
+		"telemetry_sketches_folded_rollups_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %s", want)
@@ -89,6 +95,13 @@ func TestIngestorExposesMetrics(t *testing.T) {
 	}
 	if s, ok := obs.Find(samples, "telemetry_query_seconds_count"); !ok || s.Value != 1 {
 		t.Errorf("query latency count = %+v ok=%v, want 1", s, ok)
+	}
+	// Only MatchSketches moves the /sketches families; Query has its own.
+	if s, ok := obs.Find(samples, "telemetry_sketches_seconds_count"); !ok || s.Value != 1 {
+		t.Errorf("sketches latency count = %+v ok=%v, want 1", s, ok)
+	}
+	if s, ok := obs.Find(samples, "telemetry_sketches_folded_rollups_total"); !ok || s.Value != 1 {
+		t.Errorf("folded rollups = %+v ok=%v, want 1", s, ok)
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)

@@ -15,10 +15,16 @@ import (
 // damaged leg is detected at the receiver rather than merged. Layout, all
 // little-endian, strings and sketches u32-length-prefixed:
 //
-//	magic "espage\x00\x01"
+//	magic "espage\x00\x02"
 //	| metric str | compression f64 | window_ms i64 | n_matches u32
-//	| n_matches × ( start i64 | region str | net str | sketch bytes )
+//	| n_matches × ( start i64 | windows u32 | region str | net str | sketch bytes )
 //	| crc32 (IEEE) of everything before it
+//
+// windows is WindowSketch.Windows: 0 a raw rollup, n ≥ 1 a sealed fold of n
+// rollups. Version 1 had no such field and every match was a raw rollup; a
+// v1 page fails to decode here, so a node still speaking it is a failed leg
+// — a missing node, its partitions named — never a wrong answer. A cluster
+// upgrades together.
 //
 // A page set (handoff legs move one page per metric) is
 //
@@ -33,7 +39,7 @@ import (
 const SketchPageContentType = "application/x-edgescope-sketch-page"
 
 // pageMagic versions the page format; decoders accept exactly this.
-var pageMagic = [8]byte{'e', 's', 'p', 'a', 'g', 'e', 0, 1}
+var pageMagic = [8]byte{'e', 's', 'p', 'a', 'g', 'e', 0, 2}
 
 const (
 	// pageFixedBytes is a page with an empty metric and no matches: magic,
@@ -41,7 +47,7 @@ const (
 	pageFixedBytes = 8 + 4 + 8 + 8 + 4 + 4
 	// matchFixedBytes is a match with empty strings and an empty sketch —
 	// the floor that bounds a declared match count by the bytes present.
-	matchFixedBytes = 8 + 4 + 4 + 4
+	matchFixedBytes = 8 + 4 + 4 + 4 + 4
 )
 
 // BinarySize is the exact length of the page's AppendBinary encoding.
@@ -65,6 +71,7 @@ func (p SketchPage) AppendBinary(dst []byte) ([]byte, error) {
 	w.u32(uint32(len(p.Matches)))
 	for _, m := range p.Matches {
 		w.i64(m.Start)
+		w.u32(uint32(m.Windows))
 		w.str(m.Region)
 		w.str(m.Net)
 		w.u32(uint32(len(m.Sketch)))
@@ -117,6 +124,7 @@ func decodeSketchPage(data []byte, intern map[string]string) (SketchPage, error)
 	for i := range p.Matches {
 		m := &p.Matches[i]
 		m.Start = r.i64()
+		m.Windows = int(r.u32())
 		m.Region = str(r.bytes())
 		m.Net = str(r.bytes())
 		m.Sketch = r.bytes()

@@ -3,16 +3,22 @@ package telemetry
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
+
+	"edgescope/internal/stats"
 )
 
-// fixturePages returns the handoff fixture's rtt page (6 keys × 2 windows)
-// and a two-metric page set, as a node would serve them.
+// fixturePages returns the handoff fixture's rtt query page (6 keys, each a
+// fold of 2 windows) and a two-metric page set of raw rollups, as a node
+// would serve them.
 func fixturePages(t testing.TB) (SketchPage, []SketchPage) {
 	t.Helper()
 	ing := NewIngestor(Config{Shards: 3, Block: true, Window: time.Minute})
@@ -128,7 +134,9 @@ func TestSketchPageDecodeRejectsFraming(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     {},
 		"short":     good[:pageFixedBytes-1],
-		"bad-magic": tamper(func(b []byte) []byte { b[7] = 2; return b }),
+		"bad-magic": tamper(func(b []byte) []byte { b[0] = 'E'; return b }),
+		"v3":        tamper(func(b []byte) []byte { b[7] = 3; return b }),
+		"v1":        pageV1(page),
 		"huge-count": tamper(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[countAt:], 0xffffffff)
 			return b
@@ -185,6 +193,25 @@ func TestSketchPageDecodeRejectsFraming(t *testing.T) {
 	}
 }
 
+// pageV1 encodes a page the way version 1 framed it — no windows field per
+// match — with a valid CRC: what a node one release behind would answer.
+func pageV1(p SketchPage) []byte {
+	w := &snapWriter{b: []byte{'e', 's', 'p', 'a', 'g', 'e', 0, 1}}
+	w.str(p.Metric)
+	w.u64(math.Float64bits(p.Compression))
+	w.i64(p.WindowMs)
+	w.u32(uint32(len(p.Matches)))
+	for _, m := range p.Matches {
+		w.i64(m.Start)
+		w.str(m.Region)
+		w.str(m.Net)
+		w.u32(uint32(len(m.Sketch)))
+		w.b = append(w.b, m.Sketch...)
+	}
+	w.u32(crc32.ChecksumIEEE(w.b))
+	return w.b
+}
+
 // TestSketchPageDecodeAllocations pins the decode budget the wire change
 // exists for: a handful of allocations per page (matches slice, reader,
 // intern table and one string per distinct dimension value) — never one
@@ -217,6 +244,7 @@ func FuzzSketchPageDecode(f *testing.F) {
 	f.Add(good[:len(good)-1])
 	f.Add(mustEncode(SketchPage{}))
 	f.Add(mustEncode(set[0]))
+	f.Add(pageV1(page))
 	f.Add(append([]byte{}, pageMagic[:]...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -236,10 +264,10 @@ func FuzzSketchPageDecode(f *testing.F) {
 }
 
 // TestMergeSketchPagesChecksPageOrder: the gather merge trusts each page's
-// canonical order instead of re-sorting, so it must verify it. Interleaved
-// halves of one page merge to the whole page's answer; a page with two
-// matches swapped is refused by an error that names the page, whichever
-// position it holds.
+// key order instead of re-sorting, so it must verify it. Interleaved halves
+// of one page merge to the whole page's answer; a page with two keys
+// swapped, or one key twice, is refused by an error that names the page and
+// the key, whichever position the page holds.
 func TestMergeSketchPagesChecksPageOrder(t *testing.T) {
 	page, _ := fixturePages(t)
 	spec := QuerySpec{Metric: MetricRTT}
@@ -261,14 +289,73 @@ func TestMergeSketchPagesChecksPageOrder(t *testing.T) {
 		t.Fatalf("interleaved halves merge to %+v (err %v), whole page to %+v", got, err, want)
 	}
 
-	swapped := page
-	swapped.Matches = append([]WindowSketch(nil), page.Matches...)
-	last := len(swapped.Matches) - 1
+	last := len(page.Matches) - 1
+	swapped, doubled := page, page
+	swapped.Matches = slices.Clone(page.Matches)
 	swapped.Matches[last-1], swapped.Matches[last] = swapped.Matches[last], swapped.Matches[last-1]
-	for at, pages := range [][]SketchPage{{swapped, even}, {even, swapped}, {even, odd, swapped}} {
-		_, err := MergeSketchPages(spec, pages)
-		if name := "page " + string(rune('0'+at)) + " out of canonical order"; err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("swapped page at %d: error %v, want one naming %q", at, err, name)
+	doubled.Matches = append(slices.Clone(page.Matches), page.Matches[last])
+	key := page.Matches[last].Region + "/" + page.Matches[last].Net
+	for name, bad := range map[string]SketchPage{"swapped": swapped, "doubled": doubled} {
+		for at, pages := range [][]SketchPage{{bad, even}, {even, bad}, {even, odd, bad}} {
+			_, err := MergeSketchPages(spec, pages)
+			want := fmt.Sprintf("page %d out of key order", at)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s page at %d: error %v, want one naming %q and %s", name, at, err, want, key)
+			}
+		}
+	}
+}
+
+// TestMergeSketchPagesAcceptsOnlyFolds: the query merge takes sealed per-key
+// folds and nothing else. A raw rollup (what PartitionPages exports), a
+// window count the wire cannot carry and a fold of nothing are each refused
+// by an error naming page and key — so no page, however it was built, can
+// inflate QueryResult.Windows beyond the rollups whose points it merged.
+func TestMergeSketchPagesAcceptsOnlyFolds(t *testing.T) {
+	page, set := fixturePages(t)
+	spec := QuerySpec{Metric: MetricRTT}
+	whole, err := MergeSketchPages(spec, []SketchPage{page})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rollups := 0
+	for _, m := range page.Matches {
+		rollups += m.Windows
+	}
+	if whole.Windows != rollups || rollups != 2*len(page.Matches) {
+		t.Fatalf("windows = %d, folds carry %d over %d keys", whole.Windows, rollups, len(page.Matches))
+	}
+
+	var raw SketchPage
+	for _, p := range set {
+		if p.Metric == MetricRTT && raw.Metric == "" {
+			raw = p
+		}
+	}
+	if len(raw.Matches) == 0 || raw.Matches[0].Windows != 0 {
+		t.Fatalf("fixture: partition page = %+v", raw)
+	}
+	raw.Matches = raw.Matches[:1]
+	empty, _ := stats.NewSketch(page.Compression).MarshalBinary()
+	tamper := func(f func(m *WindowSketch)) SketchPage {
+		p := page
+		p.Matches = slices.Clone(page.Matches)
+		f(&p.Matches[1])
+		return p
+	}
+	key := page.Matches[1].Region + "/" + page.Matches[1].Net
+	for name, tc := range map[string]struct {
+		pages []SketchPage
+		want  string
+	}{
+		"raw rollup":      {[]SketchPage{page, raw}, "page 1 match 0 (" + raw.Matches[0].Region + "/" + raw.Matches[0].Net + "): windows=0"},
+		"windows zeroed":  {[]SketchPage{tamper(func(m *WindowSketch) { m.Windows = 0 })}, "page 0 match 1 (" + key + "): windows=0"},
+		"negative":        {[]SketchPage{tamper(func(m *WindowSketch) { m.Windows = -3 })}, "page 0 match 1 (" + key + "): windows=-3"},
+		"beyond u32":      {[]SketchPage{tamper(func(m *WindowSketch) { m.Windows = 1 << 32 })}, "page 0 match 1 (" + key + "): windows=4294967296"},
+		"fold of nothing": {[]SketchPage{tamper(func(m *WindowSketch) { m.Sketch = empty })}, "page 0 match 1 (" + key + "): an empty sketch claims"},
+	} {
+		if _, err := MergeSketchPages(spec, tc.pages); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -85,18 +86,11 @@ func ValidateQuerySpec(spec QuerySpec) error {
 	return err
 }
 
-// sketchMatch is one matching (window, key) rollup pulled out of a shard.
-type sketchMatch struct {
-	wk windowKey
-	sk *stats.Sketch
-}
-
-// compare is the canonical rollup order: (metric, start, region, net). Within
-// one query every match shares the metric, so this is the (start, region,
-// net) total order — a (window, key) rollup exists exactly once. Every
-// consumer that orders or merges matches MUST use this comparator: it is
-// what makes single-node answers, recovered-node answers and the cluster
-// front-end's scatter-gather merge byte-identical.
+// compare is the canonical order of raw rollups: (metric, start, region,
+// net) — the order PartitionPages exports a partition's rollups in, so a
+// handoff's pages (and its spill files) are reproducible. Queries do not
+// merge in this order: they fold each key's rollups first and merge the
+// folds by Key.compare (foldKeys, mergeFolds).
 func (a windowKey) compare(b windowKey) int {
 	if c := strings.Compare(a.Metric, b.Metric); c != 0 {
 		return c
@@ -108,7 +102,10 @@ func (a windowKey) compare(b windowKey) int {
 }
 
 // compare orders keys by (metric, region, net) — Keys' listing order, and
-// the tail of the canonical rollup order.
+// the order every query merges its per-key folds in. Every consumer that
+// orders or merges folds MUST use this order: with foldKeys it is what makes
+// single-node answers, recovered-node answers and the cluster front-end's
+// scatter-gather merge byte-identical.
 func (a Key) compare(b Key) int {
 	if c := strings.Compare(a.Metric, b.Metric); c != 0 {
 		return c
@@ -144,35 +141,175 @@ func (ing *Ingestor) selector(spec QuerySpec) (func(windowKey) bool, error) {
 	}, nil
 }
 
-// collectMatches clones every (window, key) sketch the spec selects, in
-// canonical order. Each shard is locked only while its rollups are scanned
-// and the matching sketches copied out — a few KB memcpy per match, the
-// price of a consistent cut without epoch machinery; MaxWindows bounds the
-// scan length.
-func (ing *Ingestor) collectMatches(spec QuerySpec) ([]sketchMatch, error) {
+// foldRun is one picked rollup copied out of its shard: which of the shard's
+// matched keys it belongs to, its window, where its points sit in the
+// scratch point list, and the scalars the points do not carry. It is what
+// foldKeys sorts — six words per rollup and integer comparisons, never the
+// points and never a string.
+type foldRun struct {
+	key             int32 // index into foldScratch.keys
+	at, n           int32 // its points are pts[at : at+n]
+	start           int64
+	count, min, max float64
+}
+
+// foldScratch is the working memory of one foldKeys call, pooled per
+// ingestor so a query allocates neither a point list per shard nor an 8δ
+// buffer per key: the matched keys, runs and points of the shard being
+// folded, and the one sketch every key is folded in, reset between keys.
+type foldScratch struct {
+	index map[Key]int32
+	keys  []Key
+	runs  []foldRun
+	pts   []stats.Centroid
+	sk    *stats.Sketch
+}
+
+// foldKeys is what every query merges: for each key the spec matches, the
+// key's picked rollups absorbed in ascending window start (stats.Sketch
+// Absorb semantics — compaction deferred to 8δ buffered points) into an
+// empty sketch at the ingestor's compression, then sealed with one flush.
+// The sealed folds come back in wire form — Start the earliest rollup,
+// Windows the number folded, Sketch the sealed state's exact encoding — in
+// Key.compare order. A fold is a pure function of its key's rollups, and a
+// key's rollups all live in one shard of one ingestor, so a node that holds
+// a key whole exports the very bytes a single node holding everything would
+// fold for it: that, and mergeFolds being the one merge, is why cluster and
+// single-node answers are byte-identical. Empty rollups fold nothing and
+// are not counted.
+//
+// Each shard is locked only while its window map is scanned and the picked
+// rollups' points are copied out — a linear pass, the price of a consistent
+// cut without epoch machinery; MaxWindows bounds the scan length. Ordering
+// the runs, folding, sealing and encoding all happen outside every lock.
+func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 	pick, err := ing.selector(spec)
 	if err != nil {
 		return nil, err
 	}
-	var matches []sketchMatch
+	sc, _ := ing.foldPool.Get().(*foldScratch)
+	if sc == nil {
+		sc = &foldScratch{index: map[Key]int32{}, sk: stats.NewSketch(ing.cfg.Compression)}
+	}
+	defer ing.foldPool.Put(sc)
+	folds := []WindowSketch{} // never nil: no match is `[]` on the JSON surface
 	for _, s := range ing.shards {
+		clear(sc.index)
+		sc.keys, sc.runs, sc.pts = sc.keys[:0], sc.runs[:0], sc.pts[:0]
 		s.mu.Lock()
 		for wk, sk := range s.windows {
-			if pick(wk) {
-				matches = append(matches, sketchMatch{wk, sk.Clone()})
+			if !pick(wk) || sk.Count() == 0 {
+				continue
 			}
+			key, seen := sc.index[wk.Key]
+			if !seen {
+				key = int32(len(sc.keys))
+				sc.index[wk.Key] = key
+				sc.keys = append(sc.keys, wk.Key)
+			}
+			at := len(sc.pts)
+			sc.pts = sk.AppendPoints(sc.pts)
+			sc.runs = append(sc.runs, foldRun{
+				key: key, at: int32(at), n: int32(len(sc.pts) - at),
+				start: wk.Start, count: sk.Count(), min: sk.Min(), max: sk.Max(),
+			})
 		}
 		s.mu.Unlock()
+		folds = sc.fold(folds)
 	}
-	slices.SortFunc(matches, func(a, b sketchMatch) int { return a.wk.compare(b.wk) })
-	return matches, nil
+	slices.SortFunc(folds, func(a, b WindowSketch) int { return a.compareKey(&b) })
+	return folds, nil
 }
 
-// evaluate computes the requested statistics on a merged sketch. This is
-// THE evaluate path: the single-node query and the cluster scatter-gather
-// both end here, having absorbed the same rollups at the same compression
-// in the same canonical order, which is why their answers are
-// byte-identical.
+// fold appends one sealed fold per key of the copied-out runs to folds, in
+// no particular key order (foldKeys sorts across shards).
+func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
+	slices.SortFunc(sc.runs, func(a, b foldRun) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.start, b.start)
+	})
+	folds = slices.Grow(folds, len(sc.keys))
+	for runs := sc.runs; len(runs) > 0; {
+		n := 1
+		for n < len(runs) && runs[n].key == runs[0].key {
+			n++
+		}
+		sc.sk.Reset()
+		for _, r := range runs[:n] {
+			sc.sk.AbsorbPoints(sc.pts[r.at:r.at+r.n], r.count, r.min, r.max)
+		}
+		sc.sk.Centroids()                                                 // seal: flush what the last absorbs left buffered
+		enc, _ := sc.sk.AppendBinary(make([]byte, 0, sc.sk.BinarySize())) // encoding a live sketch cannot fail
+		key := sc.keys[runs[0].key]
+		folds = append(folds, WindowSketch{Start: runs[0].start, Windows: n, Region: key.Region, Net: key.Net, Sketch: enc})
+		runs = runs[n:]
+	}
+	return folds
+}
+
+// mergeFolds is THE merge: the single-node query and the cluster
+// scatter-gather both end here. pages are lists of sealed per-key folds,
+// each strictly ascending by key; they are k-way merged by key — the page
+// index breaking the cross-page ties a replica failover can create — and
+// every fold's wire bytes are validated and absorbed into one sketch
+// (stats.Sketch.AbsorbBinary). The order is verified as each page is
+// consumed: a key out of order or repeated inside a page is an error naming
+// page and key, never re-sorted, and so is a match that is not a fold (a raw
+// rollup, Windows 0) or a fold of nothing. Returns the merged sketch and the
+// number of rollups folded into it. The pages are only read.
+func mergeFolds(compression float64, pages [][]WindowSketch) (*stats.Sketch, int, error) {
+	// cursors holds the pages not yet consumed, in page order, so the first
+	// of equal heads is the lowest page. A cluster has a handful of nodes: a
+	// scan beats a heap.
+	type cursor struct{ page, next int }
+	cursors := make([]cursor, 0, len(pages))
+	for i, p := range pages {
+		if len(p) > 0 {
+			cursors = append(cursors, cursor{page: i})
+		}
+	}
+	merged := stats.NewSketch(compression)
+	windows := 0
+	for len(cursors) > 0 {
+		least := 0
+		for i := 1; i < len(cursors); i++ {
+			a, b := cursors[i], cursors[least]
+			if pages[a.page][a.next].compareKey(&pages[b.page][b.next]) < 0 {
+				least = i
+			}
+		}
+		c := &cursors[least]
+		page := pages[c.page]
+		m := &page[c.next]
+		if m.Windows < 1 || int64(m.Windows) > math.MaxUint32 {
+			return nil, 0, fmt.Errorf("telemetry: page %d match %d (%s/%s): windows=%d is not a fold of 1..2^32-1 rollups",
+				c.page, c.next, m.Region, m.Net, m.Windows)
+		}
+		before := merged.Count()
+		if err := merged.AbsorbBinary(m.Sketch); err != nil {
+			return nil, 0, fmt.Errorf("telemetry: page %d sketch (%s/%s, %d windows from start=%d): %w",
+				c.page, m.Region, m.Net, m.Windows, m.Start, err)
+		}
+		if merged.Count() == before {
+			return nil, 0, fmt.Errorf("telemetry: page %d match %d (%s/%s): an empty sketch claims %d windows",
+				c.page, c.next, m.Region, m.Net, m.Windows)
+		}
+		windows += m.Windows
+		if c.next++; c.next == len(page) {
+			cursors = slices.Delete(cursors, least, least+1)
+			continue
+		}
+		if next := &page[c.next]; next.compareKey(m) <= 0 {
+			return nil, 0, fmt.Errorf("telemetry: page %d out of key order at match %d (%s/%s after %s/%s)",
+				c.page, c.next, next.Region, next.Net, m.Region, m.Net)
+		}
+	}
+	return merged, windows, nil
+}
+
+// evaluate computes the requested statistics on a merged sketch.
 func evaluate(merged *stats.Sketch, windows int, qs, cdfAt []float64) QueryResult {
 	res := QueryResult{
 		Count:   merged.Count(),
@@ -194,12 +331,12 @@ func evaluate(merged *stats.Sketch, windows int, qs, cdfAt []float64) QueryResul
 	return res
 }
 
-// Query merges every matching (window, key) sketch — across all shards and
-// the requested window range — and evaluates the spec's statistics on the
-// merged sketch. Merging is ordered (windows sorted by start time then key,
-// shards visited in index order), so the answer is deterministic for a
-// given rollup state. Ingestion may continue concurrently; each shard is
-// locked only while its matching sketches are copied out.
+// Query folds each matching key's rollups — across all shards and the
+// requested window range — into one sealed sketch per key (foldKeys), merges
+// the folds in key order (mergeFolds) and evaluates the spec's statistics on
+// the merged sketch. Both steps are deterministic for a given rollup state.
+// Ingestion may continue concurrently; each shard is locked only while its
+// matching rollups' points are copied out.
 func (ing *Ingestor) Query(spec QuerySpec) (QueryResult, error) {
 	if ing.m != nil {
 		began := time.Now()
@@ -209,43 +346,59 @@ func (ing *Ingestor) Query(spec QuerySpec) (QueryResult, error) {
 	if err != nil {
 		return QueryResult{}, err
 	}
-	matches, err := ing.collectMatches(spec)
+	folds, err := ing.foldKeys(spec)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	// Absorb defers compaction so merging W windows costs one merge pass
-	// per ~8δ absorbed centroids, not one sort per window.
-	merged := stats.NewSketch(ing.cfg.Compression)
-	for _, m := range matches {
-		merged.Absorb(m.sk)
+	merged, windows, err := mergeFolds(ing.cfg.Compression, [][]WindowSketch{folds})
+	if err != nil {
+		return QueryResult{}, err
 	}
-	return evaluate(merged, len(matches), qs, spec.CDFAt), nil
+	return evaluate(merged, windows, qs, spec.CDFAt), nil
 }
 
-// WindowSketch is one matching (window, key) rollup in wire form: the
-// window start, the key's free dimensions (the metric is the query's, so it
-// is carried on the page, not per match) and the sketch's exact binary
-// state (stats.Sketch.MarshalBinary — raw in the binary page, base64 in
-// JSON). Because the codec round-trips bit-for-bit, a front-end merging
-// decoded WindowSketches computes exactly what the node itself would.
+// WindowSketch is one sketch of a key's rollups in wire form: the key's free
+// dimensions (the metric is the page's, not repeated per match) and a
+// sketch's exact binary state (stats.Sketch.MarshalBinary — raw in the
+// binary page, base64 in JSON). It comes in two kinds, told apart by
+// Windows, and every consumer accepts exactly one:
+//
+//   - Windows == 0: a raw rollup — the (Start, key) window's sketch in its
+//     exact live state, buffered points and all. What PartitionPages exports
+//     and AbsorbPages places; the handoff spill files hold these.
+//   - Windows >= 1: a sealed fold of that many of the key's rollups, Start
+//     the earliest of them (foldKeys). What MatchSketches exports and
+//     MergeSketchPages merges. A fold cannot be placed in a window, and a
+//     raw rollup is not what a query merges, so each is refused by the
+//     other's consumer.
+//
+// Because the codec round-trips bit-for-bit, a front-end merging decoded
+// folds computes exactly what the node itself would.
 type WindowSketch struct {
-	Start  int64  `json:"start"`
-	Region string `json:"region"`
-	Net    string `json:"net"`
-	Sketch []byte `json:"sketch"`
+	Start   int64  `json:"start"`
+	Windows int    `json:"windows,omitempty"`
+	Region  string `json:"region"`
+	Net     string `json:"net"`
+	Sketch  []byte `json:"sketch"`
 }
 
-// key is the rollup the match carries, under its page's metric.
-func (m *WindowSketch) key(metric string) windowKey {
-	return windowKey{Start: m.Start, Key: Key{Metric: metric, Region: m.Region, Net: m.Net}}
+// compareKey orders two matches of one metric by key: (region, net), the
+// tail of Key.compare.
+func (m *WindowSketch) compareKey(o *WindowSketch) int {
+	if c := strings.Compare(m.Region, o.Region); c != 0 {
+		return c
+	}
+	return strings.Compare(m.Net, o.Net)
 }
 
-// SketchPage is one node's answer to a sketch-collection request: every
-// rollup the spec matched, in the canonical (start, region, net) order,
-// plus the parameters a merger must agree on. It is the scatter half of the
-// cluster's scatter-gather query (cluster.Frontend gathers and merges). On
-// the cluster's internal legs it travels in the binary form of
-// pagecodec.go; the JSON tags serve curl and the handoff spill files.
+// SketchPage is a list of one metric's WindowSketches plus the parameters
+// whoever folds them must agree on. A node's answer to a sketch-collection
+// request — the scatter half of the cluster's scatter-gather query, which
+// cluster.Frontend gathers and merges — is a page of sealed per-key folds,
+// strictly ascending by key; a handoff's page (PartitionPages) holds raw
+// rollups in (start, region, net) order. On the cluster's internal legs a
+// page travels in the binary form of pagecodec.go; the JSON tags serve curl
+// and the handoff spill files.
 type SketchPage struct {
 	Metric      string         `json:"metric"`
 	Compression float64        `json:"compression"`
@@ -253,104 +406,60 @@ type SketchPage struct {
 	Matches     []WindowSketch `json:"matches"`
 }
 
-// encodedRollup is one picked rollup with its sketch's exact binary state.
-type encodedRollup struct {
-	wk  windowKey
-	enc []byte
-}
-
-// encodeRollups encodes every rollup pick selects, once, under its shard's
-// lock, straight into one exactly-sized buffer per shard that the returned
-// rollups slice into — the only copy the sketch bytes take between the live
-// rollup and the wire — and returns them in canonical order. Each shard is
-// locked only while its rollups are scanned and encoded, the same
-// consistent cut collectMatches takes by cloning.
-func (ing *Ingestor) encodeRollups(pick func(windowKey) bool) []encodedRollup {
-	var (
-		out    []encodedRollup
-		picked []sketchMatch
-	)
-	for _, s := range ing.shards {
-		picked = picked[:0]
-		size := 0
-		s.mu.Lock()
-		for wk, sk := range s.windows {
-			if pick(wk) {
-				picked = append(picked, sketchMatch{wk, sk})
-				size += sk.BinarySize()
-			}
-		}
-		chunk := make([]byte, 0, size)
-		for _, m := range picked {
-			at := len(chunk)
-			chunk, _ = m.sk.AppendBinary(chunk) // encoding a live sketch cannot fail
-			out = append(out, encodedRollup{m.wk, chunk[at:len(chunk):len(chunk)]})
-		}
-		s.mu.Unlock()
-	}
-	slices.SortFunc(out, func(a, b encodedRollup) int { return a.wk.compare(b.wk) })
-	return out
-}
-
-// pageOf assembles one metric's page over rollups already in canonical
-// order and all of that metric.
-func (ing *Ingestor) pageOf(metric string, rollups []encodedRollup) SketchPage {
-	page := SketchPage{
-		Metric:      metric,
-		Compression: ing.cfg.Compression,
-		WindowMs:    ing.cfg.Window.Milliseconds(),
-		Matches:     make([]WindowSketch, len(rollups)),
-	}
-	for i, r := range rollups {
-		page.Matches[i] = WindowSketch{Start: r.wk.Start, Region: r.wk.Region, Net: r.wk.Net, Sketch: r.enc}
-	}
-	return page
-}
-
-// MatchSketches collects the spec's matching rollups in wire form. The spec
-// is validated exactly as Query validates it (so a front-end fanning out a
-// bad spec fails fast at every node the same way), but only the selection
-// fields matter — quantiles/CDF points are evaluated by whoever merges.
+// MatchSketches folds the spec's matching rollups per key (foldKeys) and
+// returns the sealed folds as a page — what a node ships for a query: one
+// sketch per key, not one per key × window. The spec is validated exactly as
+// Query validates it (so a front-end fanning out a bad spec fails fast at
+// every node the same way), but only the selection fields matter —
+// quantiles/CDF points are evaluated by whoever merges.
 func (ing *Ingestor) MatchSketches(spec QuerySpec) (SketchPage, error) {
+	if ing.m != nil {
+		began := time.Now()
+		defer func() { ing.m.sketches.ObserveDuration(time.Since(began)) }()
+	}
 	if _, err := checkedQuantiles(spec); err != nil {
 		return SketchPage{}, err
 	}
-	pick, err := ing.selector(spec)
+	folds, err := ing.foldKeys(spec)
 	if err != nil {
 		return SketchPage{}, err
 	}
-	return ing.pageOf(spec.Metric, ing.encodeRollups(pick)), nil
+	if ing.m != nil {
+		rollups := 0
+		for i := range folds {
+			rollups += folds[i].Windows
+		}
+		ing.m.foldedRollups.Add(uint64(rollups))
+	}
+	return SketchPage{
+		Metric:      spec.Metric,
+		Compression: ing.cfg.Compression,
+		WindowMs:    ing.cfg.Window.Milliseconds(),
+		Matches:     folds,
+	}, nil
 }
 
 // MergeSketchPages merges the pages of a scatter-gather fan-out and
 // evaluates the spec on the merged sketch — the gather half of a cluster
 // query. All pages must agree on metric, compression and window length (a
 // cluster must be homogeneously configured; a mismatch is a deployment
-// error, reported loudly). Every page arrives in the canonical (start,
-// region, net) order its node exported it in, so the pages are k-way merged
-// under that comparator — the page index breaking the (cross-node
-// duplicate) ties replica failover can create — and the order is verified
-// as each page is consumed: a page out of order is an error naming it,
-// never re-sorted. The merge is therefore deterministic and, when every
-// (window, key) lives on exactly one node, byte-identical to a single node
-// that ingested the whole stream. Each match's wire bytes are validated and
-// folded straight into the merged sketch (stats.Sketch.AbsorbBinary); the
-// pages are only read.
+// error, reported loudly), and hold sealed per-key folds in ascending key
+// order, as MatchSketches exports them; mergeFolds merges them — the very
+// function Query ends in. The answer is therefore deterministic and, when
+// every matched key's rollups sit on exactly one of the pages' nodes,
+// byte-identical to a single node that ingested the whole stream. A key
+// split across two pages (owner and replica between a failover and its
+// catch-up) is absorbed fold after fold in page order: complete in data,
+// inside the sketch's rank-error bound, not byte-identical.
 func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 	qs, err := checkedQuantiles(spec)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	// pageCursor is one page's read position; head is the key of the match
-	// at next.
-	type pageCursor struct {
-		page, next int
-		head       windowKey
-	}
 	var (
 		compression float64
 		windowMs    int64
-		cursors     = make([]pageCursor, 0, len(pages))
+		folds       = make([][]WindowSketch, len(pages))
 	)
 	for i, p := range pages {
 		if i == 0 {
@@ -363,43 +472,14 @@ func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 		if p.Metric != spec.Metric {
 			return QueryResult{}, fmt.Errorf("telemetry: page metric %q, want %q", p.Metric, spec.Metric)
 		}
-		if len(p.Matches) > 0 {
-			cursors = append(cursors, pageCursor{page: i, head: p.Matches[0].key(spec.Metric)})
-		}
+		folds[i] = p.Matches
 	}
 	if compression == 0 {
 		compression = stats.DefaultCompression
 	}
-	merged := stats.NewSketch(compression)
-	windows := 0
-	for len(cursors) > 0 {
-		// cursors stay in page order, so the first of equal heads is the
-		// lowest page. A cluster has a handful of nodes: a scan beats a heap.
-		least := 0
-		for i := 1; i < len(cursors); i++ {
-			if cursors[i].head.compare(cursors[least].head) < 0 {
-				least = i
-			}
-		}
-		c := &cursors[least]
-		matches := pages[c.page].Matches
-		m := &matches[c.next]
-		if err := merged.AbsorbBinary(m.Sketch); err != nil {
-			return QueryResult{}, fmt.Errorf("telemetry: page %d sketch (start=%d %s/%s): %w",
-				c.page, m.Start, m.Region, m.Net, err)
-		}
-		windows++
-		if c.next++; c.next == len(matches) {
-			cursors = slices.Delete(cursors, least, least+1)
-			continue
-		}
-		next := matches[c.next].key(spec.Metric)
-		if next.compare(c.head) < 0 {
-			return QueryResult{}, fmt.Errorf(
-				"telemetry: page %d out of canonical order at match %d (start=%d %s/%s after start=%d %s/%s)",
-				c.page, c.next, next.Start, next.Region, next.Net, c.head.Start, c.head.Region, c.head.Net)
-		}
-		c.head = next
+	merged, windows, err := mergeFolds(compression, folds)
+	if err != nil {
+		return QueryResult{}, err
 	}
 	return evaluate(merged, windows, qs, spec.CDFAt), nil
 }

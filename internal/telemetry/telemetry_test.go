@@ -3,9 +3,12 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -536,32 +539,67 @@ func TestReplayMatchesBatchSummary(t *testing.T) {
 }
 
 // TestQueryDuringIngest exercises the live path: queries racing a producer
-// must observe a consistent (locked) rollup state. Run under -race this
-// also proves the ingest/query locking.
+// — and each other — must observe a consistent (locked) rollup state. Run
+// under -race this also proves the ingest/query locking and that concurrent
+// queries share no fold scratch: once the stream has settled, every reader
+// gives the same bytes.
 func TestQueryDuringIngest(t *testing.T) {
 	ing := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
 	defer ing.Close()
+	spec := QuerySpec{Metric: MetricRTT}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 4000; i++ {
-			ing.Offer(ev(int64(i+1)*50, MetricRTT, "r", "n", float64(i%100)))
+			ing.Offer(ev(int64(i+1)*50, MetricRTT, "r"+strconv.Itoa(i%7), "n", float64(i%100)))
 		}
 	}()
-	for i := 0; i < 50; i++ {
-		if _, err := ing.Query(QuerySpec{Metric: MetricRTT}); err != nil {
-			t.Fatal(err)
+	read := func() string {
+		res, err := ing.Query(spec)
+		if err != nil {
+			t.Error(err)
 		}
-		ing.Keys()
-		ing.Stats()
+		page, err := ing.MatchSketches(spec)
+		if err != nil {
+			t.Error(err)
+		}
+		merged, err := MergeSketchPages(spec, []SketchPage{page})
+		if err != nil {
+			t.Error(err)
+		}
+		return fmt.Sprintf("%+v | %+v", res, merged)
 	}
+	readers := func(n, rounds int) []string {
+		out := make([]string, n)
+		var wg sync.WaitGroup
+		for r := range out {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					out[r] = read()
+					ing.Keys()
+					ing.Stats()
+				}
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+	readers(4, 25)
 	<-done
 	ing.Flush()
-	res, err := ing.Query(QuerySpec{Metric: MetricRTT})
+	res, err := ing.Query(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Count != 4000 {
 		t.Fatalf("final count = %v, want 4000", res.Count)
+	}
+	want := fmt.Sprintf("%+v | %+v", res, res)
+	for r, got := range readers(4, 5) {
+		if got != want {
+			t.Fatalf("settled reader %d:\n got %s\nwant %s", r, got, want)
+		}
 	}
 }

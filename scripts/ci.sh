@@ -16,9 +16,11 @@
 #   → cluster smoke: a 3-node cluster + frontend on loopback replaying the
 #     small scenario must answer /query byte-identically to a single-node
 #     replay; a node asked for its /sketches in the binary page form must
-#     answer in it, and the frontend's /metrics (leg, page-byte and merge
-#     families included) must lint; a SIGKILLed member must surface as an explicit
-#     partial result; a restarted member (WAL recovery) must reconverge
+#     answer in it, its JSON page must hold one fold per key (each match
+#     with "windows"), and the frontend's /metrics (leg, page-byte and
+#     merge families) and the node's (fold families) must lint; a SIGKILLed
+#     member must surface as an explicit partial result; a restarted member
+#     (WAL recovery) must reconverge
 #   → rebalance smoke: a fourth node joins the live cluster through
 #     POST /admin/join (sketch-page handoff, epoch activation), then a
 #     member drains and leaves — /query and /keys must stay byte-identical
@@ -209,9 +211,21 @@ if [[ "$got_ct" != "$PAGE_CT" ]] || [[ "$(head -c 6 "$smoke/cluster-n0-page.bin"
   echo "n0 /sketches with Accept: $PAGE_CT answered content type '$got_ct'" >&2
   exit 1
 fi
+# What the page holds: one sealed fold per key — every match carries
+# "windows" (the rollups folded into it), and no (region, net) repeats.
+curl -fsS "http://127.0.0.1:$N0/sketches?$QS" > "$smoke/cluster-n0-page.json"
+matches=$(grep -c '"sketch":' "$smoke/cluster-n0-page.json" || true)
+folds=$(grep -c '"windows": [1-9]' "$smoke/cluster-n0-page.json" || true)
+repeated=$(grep -E '"(region|net)":' "$smoke/cluster-n0-page.json" | paste - - | sort | uniq -d)
+if [[ "$matches" -eq 0 ]] || [[ "$matches" != "$folds" ]] || [[ -n "$repeated" ]]; then
+  echo "n0 /sketches: $matches matches, $folds of them folds, repeated keys: '$repeated'" >&2
+  exit 1
+fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
   -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds
-echo "  n0 serves binary sketch pages on request; frontend /metrics lints with the leg and merge families"
+"$smoke/metriclint" -url "http://127.0.0.1:$N0/metrics" \
+  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds
+echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge and fold families"
 
 kill -9 "$NODE1_PID" 2>/dev/null
 partial_ok=""
