@@ -144,18 +144,15 @@ func loadClusterState(dir string) (*clusterState, error) {
 	return &st, nil
 }
 
-// saveClusterState writes the membership atomically (tmp + rename), so a
-// crash mid-write leaves the previous epoch's file intact.
+// saveClusterState writes the membership atomically and durably (tmp,
+// fsync, rename), so a crash mid-write leaves the previous epoch's file
+// intact and an acknowledged activation survives a power cut.
 func saveClusterState(dir string, st clusterState) error {
 	raw, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, clusterStateFile+".tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, clusterStateFile))
+	return telemetry.WriteFileAtomic(filepath.Join(dir, clusterStateFile), raw)
 }
 
 // adminPlane serves the frontend's membership endpoints. Join, leave and

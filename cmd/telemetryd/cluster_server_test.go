@@ -43,8 +43,7 @@ func newClusterServersWith(t *testing.T, reg *obs.Registry, wrap func(id string,
 		t.Fatal(err)
 	}
 	c := &clusterServers{pm: pm, ings: map[string]*telemetry.Ingestor{}, servers: map[string]*httptest.Server{}}
-	httpNodes := map[string]*cluster.HTTPNode{}
-	clients := map[string]cluster.NodeClient{}
+	urls := map[string]string{}
 	for _, id := range pm.Nodes() {
 		ing := telemetry.NewIngestor(telemetry.Config{Shards: 2, QueueLen: 256, Block: true, Node: pm.NodeInfo(id)})
 		t.Cleanup(func() { ing.Close() })
@@ -56,12 +55,17 @@ func newClusterServersWith(t *testing.T, reg *obs.Registry, wrap func(id string,
 		t.Cleanup(srv.Close)
 		c.ings[id] = ing
 		c.servers[id] = srv
-		n := cluster.NewHTTPNode(srv.URL, &http.Client{Timeout: time.Second})
-		httpNodes[id] = n
-		clients[id] = n
+		urls[id] = srv.URL
 	}
-	c.tracker = cluster.NewHealthTracker(pm.Nodes(), cluster.HTTPProber(httpNodes), cluster.HealthConfig{DownAfter: 3})
-	router := cluster.NewRouter(pm, c.tracker, cluster.HTTPTransport(httpNodes), rng.New(1), cluster.RouterConfig{
+	// The data plane the daemon ships: router and prober read the live
+	// peerSet, exactly as runFrontend wires them.
+	peers := newPeerSet(urls, time.Second)
+	clients := map[string]cluster.NodeClient{}
+	for _, id := range pm.Nodes() {
+		clients[id] = peers.get(id)
+	}
+	c.tracker = cluster.NewHealthTracker(pm.Nodes(), peers.prober(), cluster.HealthConfig{DownAfter: 3})
+	router := cluster.NewRouter(pm, c.tracker, peers.transport(), rng.New(1), cluster.RouterConfig{
 		Retry: telemetry.RetryConfig{MaxAttempts: 2, Sleep: func(time.Duration) {}},
 	})
 	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{Timeout: time.Second, Metrics: reg})

@@ -192,8 +192,20 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 		}
 		writeJSON(cfg.log, w, pages)
 	})
+	// The rebuild's input arrives in the one machine form pages have: a
+	// binary, CRC-trailed page set, verified before anything is parsed.
 	mux.HandleFunc("POST /admin/absorb", func(w http.ResponseWriter, r *http.Request) {
-		pages, err := pagesFromBody(r)
+		if ct := r.Header.Get("Content-Type"); ct != telemetry.SketchPageContentType {
+			http.Error(w, fmt.Sprintf("content type %q: pages are absorbed as %s only", ct, telemetry.SketchPageContentType),
+				http.StatusUnsupportedMediaType)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		pages, err := telemetry.DecodeSketchPages(body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -374,22 +386,6 @@ func buildFrontendMux(cfg frontendMuxConfig) *http.ServeMux {
 // their binary wire form.
 func wantsBinaryPages(r *http.Request) bool {
 	return r.Header.Get("Accept") == telemetry.SketchPageContentType
-}
-
-// pagesFromBody reads the pages to absorb: a binary page set when the body
-// is declared one (the migrator's leg), a JSON page array otherwise (an
-// operator replaying a spill by hand).
-func pagesFromBody(r *http.Request) ([]telemetry.SketchPage, error) {
-	if r.Header.Get("Content-Type") == telemetry.SketchPageContentType {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			return nil, err
-		}
-		return telemetry.DecodeSketchPages(body)
-	}
-	var pages []telemetry.SketchPage
-	err := json.NewDecoder(r.Body).Decode(&pages)
-	return pages, err
 }
 
 // writeBinaryPages answers with an encoded page (or page set): declared

@@ -22,7 +22,6 @@ package faultinject
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"edgescope/internal/rng"
 	"edgescope/internal/scenario"
@@ -93,18 +92,10 @@ type held[E any] struct {
 // run concurrently on shard workers — they draw from independent per-shard
 // forks and share only the mutex-guarded trace.
 type Injector[E any] struct {
-	spec   scenario.FaultSpec
-	src    *rng.Source
-	active bool
-	seed   uint64
-
-	idx   uint64 // events offered so far
+	p     plan // by name, not embedded: an event stream has no nodes to Block or RecoverAll
 	held  []held[E]
 	stall map[int]uint64 // shard → event index at which it recovers
-
-	mu    sync.Mutex // guards trace+stats (shared with writer wrappers)
-	trace []TraceEntry
-	stats Stats
+	stats Stats          // guarded by p.mu (shared with writer wrappers)
 }
 
 // New builds an injector for a fault plan. scenarioSeed seeds the draw
@@ -115,35 +106,11 @@ type Injector[E any] struct {
 // byte of its output unchanged.
 func New[E any](spec *scenario.FaultSpec, scenarioSeed uint64) *Injector[E] {
 	inj := &Injector[E]{stall: map[int]uint64{}}
-	if spec != nil {
-		inj.spec = *spec
-	}
-	inj.active = spec.Active()
-	inj.seed = inj.spec.Seed
-	if inj.seed == 0 {
-		inj.seed = scenarioSeed
-	}
-	if inj.active {
-		inj.src = rng.New(inj.seed).Fork("faultinject")
-	}
-	if inj.spec.ReorderSpan == 0 {
-		inj.spec.ReorderSpan = defaultReorderSpan
-	}
-	if inj.spec.DelaySpan == 0 {
-		inj.spec.DelaySpan = defaultDelaySpan
-	}
-	if inj.spec.StallSpan == 0 {
-		inj.spec.StallSpan = defaultStallSpan
-	}
+	inj.p.init(spec, scenarioSeed, spec.Active(), "faultinject")
+	orDefault(&inj.p.spec.ReorderSpan, defaultReorderSpan)
+	orDefault(&inj.p.spec.DelaySpan, defaultDelaySpan)
+	orDefault(&inj.p.spec.StallSpan, defaultStallSpan)
 	return inj
-}
-
-// record appends a trace entry and bumps its counter.
-func (inj *Injector[E]) record(t TraceEntry, n *uint64) {
-	inj.mu.Lock()
-	inj.trace = append(inj.trace, t)
-	*n++
-	inj.mu.Unlock()
 }
 
 // Offer passes one event through the fault plan. deliver is the real send
@@ -158,70 +125,58 @@ func (inj *Injector[E]) record(t TraceEntry, n *uint64) {
 // silently, not with an error. shard routes stall faults; pass 0 when
 // sharding is not meaningful.
 func (inj *Injector[E]) Offer(e E, shard int, deliver func(E) bool) bool {
-	idx := inj.idx
-	inj.idx++
-	inj.flushHeld(deliver)
-	if !inj.active {
-		inj.mu.Lock()
-		inj.stats.Offered++
-		inj.mu.Unlock()
+	p, spec := &inj.p, &inj.p.spec
+	idx := p.tick()
+	inj.flushHeld(idx+1, deliver)
+	p.count(&inj.stats.Offered)
+	if p.src == nil {
 		return deliver(e)
 	}
-	inj.mu.Lock()
-	inj.stats.Offered++
-	inj.mu.Unlock()
-
-	// One fixed draw order per event — drop, duplicate, reorder, delay,
-	// stall — with zero-rate kinds skipped entirely, so a plan's draw
-	// sequence (and therefore its whole trace) depends only on the rates it
-	// actually sets.
 	if until, ok := inj.stall[shard]; ok {
 		if idx < until {
-			inj.mu.Lock()
-			inj.stats.Stalled++
-			inj.mu.Unlock()
+			p.count(&inj.stats.Stalled)
 			return false
 		}
 		delete(inj.stall, shard)
 	}
-	if inj.spec.Drop > 0 && inj.src.Bernoulli(inj.spec.Drop) {
-		inj.record(TraceEntry{Event: idx, Kind: KindDrop, Shard: shard}, &inj.stats.Dropped)
+
+	// One fixed draw order per event — drop, duplicate, reorder, delay,
+	// stall — with zero-rate kinds skipped entirely (plan.draw).
+	switch {
+	case p.draw(spec.Drop):
+		p.record(TraceEntry{Event: idx, Kind: KindDrop, Shard: shard}, &inj.stats.Dropped)
 		return false
-	}
-	if inj.spec.Duplicate > 0 && inj.src.Bernoulli(inj.spec.Duplicate) {
-		inj.record(TraceEntry{Event: idx, Kind: KindDuplicate, Shard: shard}, &inj.stats.Duplicated)
-		deliver(e)
-		return deliver(e)
-	}
-	if inj.spec.Reorder > 0 && inj.src.Bernoulli(inj.spec.Reorder) {
-		inj.record(TraceEntry{Event: idx, Kind: KindReorder, Span: inj.spec.ReorderSpan, Shard: shard}, &inj.stats.Reordered)
-		inj.held = append(inj.held, held[E]{e: e, release: idx + uint64(inj.spec.ReorderSpan)})
+	case p.draw(spec.Duplicate):
+		p.record(TraceEntry{Event: idx, Kind: KindDuplicate, Shard: shard}, &inj.stats.Duplicated)
+		deliver(e) // the second delivery is the common return below
+	case p.draw(spec.Reorder):
+		p.record(TraceEntry{Event: idx, Kind: KindReorder, Span: spec.ReorderSpan, Shard: shard}, &inj.stats.Reordered)
+		inj.held = append(inj.held, held[E]{e: e, release: idx + uint64(spec.ReorderSpan)})
 		return true
-	}
-	if inj.spec.Delay > 0 && inj.src.Bernoulli(inj.spec.Delay) {
-		inj.record(TraceEntry{Event: idx, Kind: KindDelay, Span: inj.spec.DelaySpan, Shard: shard}, &inj.stats.Delayed)
-		inj.held = append(inj.held, held[E]{e: e, release: idx + uint64(inj.spec.DelaySpan)})
+	case p.draw(spec.Delay):
+		p.record(TraceEntry{Event: idx, Kind: KindDelay, Span: spec.DelaySpan, Shard: shard}, &inj.stats.Delayed)
+		inj.held = append(inj.held, held[E]{e: e, release: idx + uint64(spec.DelaySpan)})
 		return true
-	}
-	if inj.spec.ShardStall > 0 && inj.src.Bernoulli(inj.spec.ShardStall) {
-		inj.record(TraceEntry{Event: idx, Kind: KindStall, Span: inj.spec.StallSpan, Shard: shard}, &inj.stats.Stalled)
-		inj.stall[shard] = idx + uint64(inj.spec.StallSpan)
+	case p.draw(spec.ShardStall):
+		p.record(TraceEntry{Event: idx, Kind: KindStall, Span: spec.StallSpan, Shard: shard}, &inj.stats.Stalled)
+		inj.stall[shard] = idx + uint64(spec.StallSpan)
 		// The trigger event itself is the stall's first casualty.
 		return false
 	}
 	return deliver(e)
 }
 
-// flushHeld re-delivers held-back events whose span has elapsed. The
-// original Offer already answered true for these, so a refused redelivery
-// is silent loss — counted in Stats.HeldLost, never ignored.
-func (inj *Injector[E]) flushHeld(deliver func(E) bool) {
+// flushHeld re-delivers held-back events whose span has elapsed by clock
+// reading now. The original Offer already answered true for these, so a
+// refused redelivery is silent loss — counted in Stats.HeldLost, never
+// ignored.
+func (inj *Injector[E]) flushHeld(now uint64, deliver func(E) bool) {
 	if len(inj.held) == 0 {
 		return
 	}
 	kept := inj.held[:0]
 	for _, h := range inj.held {
-		if h.release <= inj.idx {
+		if h.release <= now {
 			inj.redeliver(h.e, deliver)
 		} else {
 			kept = append(kept, h)
@@ -233,9 +188,7 @@ func (inj *Injector[E]) flushHeld(deliver func(E) bool) {
 // redeliver hands a held event back to the receiver, counting a refusal.
 func (inj *Injector[E]) redeliver(e E, deliver func(E) bool) {
 	if !deliver(e) {
-		inj.mu.Lock()
-		inj.stats.HeldLost++
-		inj.mu.Unlock()
+		inj.p.count(&inj.stats.HeldLost)
 	}
 }
 
@@ -251,18 +204,12 @@ func (inj *Injector[E]) Drain(deliver func(E) bool) {
 }
 
 // Trace returns a copy of the fault trace so far, in injection order.
-func (inj *Injector[E]) Trace() []TraceEntry {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make([]TraceEntry, len(inj.trace))
-	copy(out, inj.trace)
-	return out
-}
+func (inj *Injector[E]) Trace() []TraceEntry { return inj.p.Trace() }
 
 // Stats returns a copy of the fault counters.
 func (inj *Injector[E]) Stats() Stats {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
+	inj.p.mu.Lock()
+	defer inj.p.mu.Unlock()
 	return inj.stats
 }
 
@@ -273,14 +220,14 @@ func (inj *Injector[E]) Stats() Stats {
 // zero rate returns writers untouched.
 func (inj *Injector[E]) WrapWriter() func(shard int, w io.Writer) io.Writer {
 	return func(shard int, w io.Writer) io.Writer {
-		if inj.spec.ShortWrite <= 0 {
+		if inj.p.spec.ShortWrite <= 0 {
 			return w
 		}
 		return &shortWriter{
-			inj:   inj,
+			p:     &inj.p,
+			stats: &inj.stats,
 			shard: shard,
-			src:   rng.New(inj.seed).Fork(fmt.Sprintf("shortwrite-%d", shard)),
-			rate:  inj.spec.ShortWrite,
+			src:   rng.New(inj.p.seed).Fork(fmt.Sprintf("shortwrite-%d", shard)),
 			w:     w,
 		}
 	}
@@ -291,30 +238,26 @@ func (inj *Injector[E]) WrapWriter() func(shard int, w io.Writer) io.Writer {
 // reacts by degrading that shard to memory-only; recovery later finds the
 // torn tail and truncates it.
 type shortWriter struct {
-	inj interface {
-		recordShortWrite(shard int)
-	}
+	p     *plan
+	stats *Stats // guarded by p.mu
 	shard int
 	src   *rng.Source
-	rate  float64
 	w     io.Writer
 }
 
-func (inj *Injector[E]) recordShortWrite(shard int) {
-	inj.mu.Lock()
-	inj.trace = append(inj.trace, TraceEntry{Event: inj.stats.Offered, Kind: KindShortWrite, Shard: shard})
-	inj.stats.ShortWrites++
-	inj.mu.Unlock()
-}
-
-func (sw *shortWriter) Write(p []byte) (int, error) {
-	if sw.src.Bernoulli(sw.rate) {
-		sw.inj.recordShortWrite(sw.shard)
-		n, err := sw.w.Write(p[:len(p)/2])
-		if err != nil {
-			return n, err
-		}
-		return n, fmt.Errorf("faultinject: short write (%d of %d bytes)", n, len(p))
+func (sw *shortWriter) Write(b []byte) (int, error) {
+	if !sw.src.Bernoulli(sw.p.spec.ShortWrite) {
+		return sw.w.Write(b)
 	}
-	return sw.w.Write(p)
+	// Offered is read under the same lock that appends the entry, so the
+	// trace places the short write after the events offered before it.
+	sw.p.mu.Lock()
+	sw.p.trace = append(sw.p.trace, TraceEntry{Event: sw.stats.Offered, Kind: KindShortWrite, Shard: sw.shard})
+	sw.stats.ShortWrites++
+	sw.p.mu.Unlock()
+	n, err := sw.w.Write(b[:len(b)/2])
+	if err != nil {
+		return n, err
+	}
+	return n, fmt.Errorf("faultinject: short write (%d of %d bytes)", n, len(b))
 }

@@ -2,10 +2,7 @@ package faultinject
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
-	"edgescope/internal/rng"
 	"edgescope/internal/scenario"
 )
 
@@ -63,19 +60,12 @@ type HandoffHooks struct {
 // event- and node-level injectors.
 //
 // Step must be called from a single goroutine (the migrator's); accessors
-// may be called from others.
+// may be called from others. RecoverAll, Blocked and Trace come from the
+// shared plan.
 type HandoffInjector struct {
-	spec   scenario.FaultSpec
-	src    *rng.Source
-	active bool
-	hooks  HandoffHooks
-
-	idx uint64 // steps offered so far
-
-	mu      sync.Mutex
-	outages map[string]outage
-	trace   []TraceEntry
-	stats   HandoffStats
+	plan
+	hooks HandoffHooks
+	stats HandoffStats // guarded by plan.mu
 }
 
 // NewHandoff builds a handoff-phase injector for a fault plan.
@@ -84,21 +74,11 @@ type HandoffInjector struct {
 // event- and node-level forks. A plan with no handoff rates injects
 // nothing and draws nothing.
 func NewHandoff(spec *scenario.FaultSpec, scenarioSeed uint64, hooks HandoffHooks) *HandoffInjector {
-	inj := &HandoffInjector{outages: map[string]outage{}, hooks: hooks}
-	if spec != nil {
-		inj.spec = *spec
-	}
-	inj.active = spec.HandoffActive()
-	seed := inj.spec.Seed
-	if seed == 0 {
-		seed = scenarioSeed
-	}
-	if inj.active {
-		inj.src = rng.New(seed).Fork("faultinject-handoff")
-	}
-	if inj.spec.HandoffSpan == 0 {
-		inj.spec.HandoffSpan = defaultHandoffSpan
-	}
+	inj := &HandoffInjector{hooks: hooks}
+	inj.init(spec, scenarioSeed, spec.HandoffActive(), "faultinject-handoff")
+	inj.reviveKind, inj.revive = KindHandoffKill, hooks.Recover
+	inj.revivedKind = KindHandoffRecover
+	orDefault(&inj.spec.HandoffSpan, defaultHandoffSpan)
 	return inj
 }
 
@@ -106,13 +86,9 @@ func NewHandoff(spec *scenario.FaultSpec, scenarioSeed uint64, hooks HandoffHook
 // lets the step proceed; an error fails it the way a transport failure
 // would. Phase names follow cluster.HandoffStep.
 func (inj *HandoffInjector) Step(phase string, partition int, source, dest string) error {
-	idx := inj.idx
-	inj.idx++
-	inj.recoverElapsed(idx)
-	inj.mu.Lock()
-	inj.stats.Steps++
-	inj.mu.Unlock()
-	if !inj.active {
+	idx := inj.tick()
+	inj.count(&inj.stats.Steps)
+	if inj.src == nil {
 		return nil
 	}
 
@@ -123,110 +99,33 @@ func (inj *HandoffInjector) Step(phase string, partition int, source, dest strin
 		if n == "" {
 			continue
 		}
-		inj.mu.Lock()
-		o, down := inj.outages[n]
-		inj.mu.Unlock()
-		if down && idx < o.until {
-			inj.mu.Lock()
-			inj.stats.Blocked++
-			inj.mu.Unlock()
+		if o, down := inj.outageAt(n, idx); down {
+			inj.count(&inj.stats.Blocked)
 			return fmt.Errorf("faultinject: %s unreachable (%s until step %d)", n, o.kind, o.until)
 		}
 	}
 
+	spec := &inj.spec
 	rebuildStep := dest != "" && phase == "rebuild"
 	sourceStep := source != "" && (phase == "flush" || phase == "fetch")
-	if inj.spec.HandoffKillGaining > 0 && rebuildStep && inj.src.Bernoulli(inj.spec.HandoffKillGaining) {
-		span := inj.spec.HandoffSpan
-		inj.record(TraceEntry{Event: idx, Kind: KindHandoffKill, Span: span, Node: dest}, &inj.stats.Kills)
-		inj.setOutage(dest, outage{kind: KindHandoffKill, until: idx + uint64(span)})
+	switch {
+	case rebuildStep && inj.draw(spec.HandoffKillGaining):
+		inj.strike(idx, KindHandoffKill, spec.HandoffSpan, dest, &inj.stats.Kills)
 		if inj.hooks.Kill != nil {
 			inj.hooks.Kill(dest)
 		}
 		return fmt.Errorf("faultinject: gaining node %s killed mid-transfer (partition %d)", dest, partition)
-	}
-	if inj.spec.HandoffCrashRecover > 0 && rebuildStep && inj.src.Bernoulli(inj.spec.HandoffCrashRecover) {
+	case rebuildStep && inj.draw(spec.HandoffCrashRecover):
 		inj.record(TraceEntry{Event: idx, Kind: KindHandoffCrashRecover, Node: dest}, &inj.stats.CrashRecovers)
 		if inj.hooks.CrashRecover != nil {
 			inj.hooks.CrashRecover(dest)
 		}
 		return fmt.Errorf("faultinject: gaining node %s crashed and recovered (partition %d)", dest, partition)
-	}
-	if inj.spec.HandoffPartitionSource > 0 && sourceStep && inj.src.Bernoulli(inj.spec.HandoffPartitionSource) {
-		span := inj.spec.HandoffSpan
-		inj.record(TraceEntry{Event: idx, Kind: KindHandoffPartition, Span: span, Node: source}, &inj.stats.Partitions)
-		inj.setOutage(source, outage{kind: KindHandoffPartition, until: idx + uint64(span)})
+	case sourceStep && inj.draw(spec.HandoffPartitionSource):
+		inj.strike(idx, KindHandoffPartition, spec.HandoffSpan, source, &inj.stats.Partitions)
 		return fmt.Errorf("faultinject: losing owner %s partitioned from coordinator (partition %d)", source, partition)
 	}
 	return nil
-}
-
-// recoverElapsed closes every outage whose span has passed, recovering
-// killed nodes in sorted order for a deterministic trace.
-func (inj *HandoffInjector) recoverElapsed(idx uint64) {
-	inj.mu.Lock()
-	var expired []string
-	for node, o := range inj.outages {
-		if o.until <= idx {
-			expired = append(expired, node)
-		}
-	}
-	sort.Strings(expired)
-	inj.mu.Unlock()
-	for _, node := range expired {
-		inj.mu.Lock()
-		o := inj.outages[node]
-		delete(inj.outages, node)
-		inj.mu.Unlock()
-		if o.kind == KindHandoffKill {
-			if inj.hooks.Recover != nil {
-				inj.hooks.Recover(node)
-			}
-			inj.record(TraceEntry{Event: idx, Kind: KindHandoffRecover, Node: node}, nil)
-		}
-	}
-}
-
-// RecoverAll force-expires every outstanding outage, recovering killed
-// nodes — the settling step before a harness retries a rolled-back
-// migration.
-func (inj *HandoffInjector) RecoverAll() {
-	inj.recoverElapsed(^uint64(0))
-}
-
-// Blocked reports whether a step touching node would currently be refused,
-// without advancing the step clock.
-func (inj *HandoffInjector) Blocked(node string) bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	o, down := inj.outages[node]
-	return down && inj.idx < o.until
-}
-
-// setOutage records a node's fault window.
-func (inj *HandoffInjector) setOutage(node string, o outage) {
-	inj.mu.Lock()
-	inj.outages[node] = o
-	inj.mu.Unlock()
-}
-
-// record appends a trace entry and bumps its counter (nil skips counting).
-func (inj *HandoffInjector) record(t TraceEntry, n *uint64) {
-	inj.mu.Lock()
-	inj.trace = append(inj.trace, t)
-	if n != nil {
-		*n++
-	}
-	inj.mu.Unlock()
-}
-
-// Trace returns a copy of the handoff-fault trace so far, injection order.
-func (inj *HandoffInjector) Trace() []TraceEntry {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make([]TraceEntry, len(inj.trace))
-	copy(out, inj.trace)
-	return out
 }
 
 // Stats returns a copy of the handoff-fault counters.

@@ -1,12 +1,6 @@
 package faultinject
 
-import (
-	"sort"
-	"sync"
-
-	"edgescope/internal/rng"
-	"edgescope/internal/scenario"
-)
+import "edgescope/internal/scenario"
 
 // Node-level fault kinds, as recorded in the trace.
 const (
@@ -48,12 +42,6 @@ type NodeHooks struct {
 	Restart func(node string)
 }
 
-// outage is one node's current fault window.
-type outage struct {
-	kind  string
-	until uint64 // first event index at which the node is back
-}
-
 // NodeInjector applies a fault plan's node-level faults (crash, stall,
 // network partition) to a cluster transport. Where Injector shakes the
 // *event stream*, NodeInjector shakes the *membership*: a faulted node
@@ -66,19 +54,11 @@ type outage struct {
 // Blocked and the accessors may be called from others (a health prober).
 // The same determinism contract as Injector holds: one seed pins the whole
 // fault trace, and spans are event counts, so tests replay exactly with no
-// clock anywhere.
+// clock anywhere. RecoverAll, Blocked and Trace come from the shared plan.
 type NodeInjector struct {
-	spec   scenario.FaultSpec
-	src    *rng.Source
-	active bool
-	hooks  NodeHooks
-
-	idx uint64 // events offered so far (Send calls)
-
-	mu      sync.Mutex
-	outages map[string]outage
-	trace   []TraceEntry
-	stats   NodeStats
+	plan
+	crash func(node string)
+	stats NodeStats // guarded by plan.mu
 }
 
 // NewNode builds a node-level injector for a fault plan. scenarioSeed seeds
@@ -88,27 +68,13 @@ type NodeInjector struct {
 // each other's draws. A plan with no node-level rates (NodeActive false)
 // injects nothing and draws nothing.
 func NewNode(spec *scenario.FaultSpec, scenarioSeed uint64, hooks NodeHooks) *NodeInjector {
-	inj := &NodeInjector{outages: map[string]outage{}, hooks: hooks}
-	if spec != nil {
-		inj.spec = *spec
-	}
-	inj.active = spec.NodeActive()
-	seed := inj.spec.Seed
-	if seed == 0 {
-		seed = scenarioSeed
-	}
-	if inj.active {
-		inj.src = rng.New(seed).Fork("faultinject-node")
-	}
-	if inj.spec.NodeCrashSpan == 0 {
-		inj.spec.NodeCrashSpan = defaultNodeCrashSpan
-	}
-	if inj.spec.NodeStallSpan == 0 {
-		inj.spec.NodeStallSpan = defaultNodeStallSpan
-	}
-	if inj.spec.NetPartitionSpan == 0 {
-		inj.spec.NetPartitionSpan = defaultNetPartitionSpan
-	}
+	inj := &NodeInjector{crash: hooks.Crash}
+	inj.init(spec, scenarioSeed, spec.NodeActive(), "faultinject-node")
+	inj.reviveKind, inj.revive = KindNodeCrash, hooks.Restart
+	inj.revivedKind, inj.revived = KindNodeRestart, &inj.stats.Restarts
+	orDefault(&inj.spec.NodeCrashSpan, defaultNodeCrashSpan)
+	orDefault(&inj.spec.NodeStallSpan, defaultNodeStallSpan)
+	orDefault(&inj.spec.NetPartitionSpan, defaultNetPartitionSpan)
 	return inj
 }
 
@@ -119,121 +85,33 @@ func NewNode(spec *scenario.FaultSpec, scenarioSeed uint64, hooks NodeHooks) *No
 // fires hooks.Crash before refusing; an elapsed crash window fires
 // hooks.Restart before the delivery is attempted.
 func (inj *NodeInjector) Send(node string, deliver func() bool) bool {
-	idx := inj.idx
-	inj.idx++
-	inj.recoverElapsed(idx)
-	if !inj.active {
-		inj.mu.Lock()
-		inj.stats.Offered++
-		inj.mu.Unlock()
+	idx := inj.tick()
+	inj.count(&inj.stats.Offered)
+	if inj.src == nil {
 		return deliver()
 	}
-	inj.mu.Lock()
-	inj.stats.Offered++
-	o, down := inj.outages[node]
-	inj.mu.Unlock()
-	if down && idx < o.until {
-		inj.mu.Lock()
-		inj.stats.Refused++
-		inj.mu.Unlock()
+	if _, down := inj.outageAt(node, idx); down {
+		inj.count(&inj.stats.Refused)
 		return false
 	}
 
 	// One fixed draw order per send — crash, stall, partition — with
-	// zero-rate kinds skipped entirely, so a plan's draw sequence (and its
-	// trace) depends only on the rates it sets.
-	if inj.spec.NodeCrash > 0 && inj.src.Bernoulli(inj.spec.NodeCrash) {
-		span := inj.spec.NodeCrashSpan
-		inj.record(TraceEntry{Event: idx, Kind: KindNodeCrash, Span: span, Node: node}, &inj.stats.Crashes)
-		inj.setOutage(node, outage{kind: KindNodeCrash, until: idx + uint64(span)})
-		if inj.hooks.Crash != nil {
-			inj.hooks.Crash(node)
+	// zero-rate kinds skipped entirely (plan.draw).
+	spec := &inj.spec
+	switch {
+	case inj.draw(spec.NodeCrash):
+		inj.strike(idx, KindNodeCrash, spec.NodeCrashSpan, node, &inj.stats.Crashes)
+		if inj.crash != nil {
+			inj.crash(node)
 		}
-		return false
+	case inj.draw(spec.NodeStall):
+		inj.strike(idx, KindNodeStall, spec.NodeStallSpan, node, &inj.stats.Stalls)
+	case inj.draw(spec.NetPartition):
+		inj.strike(idx, KindNetPartition, spec.NetPartitionSpan, node, &inj.stats.Partitions)
+	default:
+		return deliver()
 	}
-	if inj.spec.NodeStall > 0 && inj.src.Bernoulli(inj.spec.NodeStall) {
-		span := inj.spec.NodeStallSpan
-		inj.record(TraceEntry{Event: idx, Kind: KindNodeStall, Span: span, Node: node}, &inj.stats.Stalls)
-		inj.setOutage(node, outage{kind: KindNodeStall, until: idx + uint64(span)})
-		return false
-	}
-	if inj.spec.NetPartition > 0 && inj.src.Bernoulli(inj.spec.NetPartition) {
-		span := inj.spec.NetPartitionSpan
-		inj.record(TraceEntry{Event: idx, Kind: KindNetPartition, Span: span, Node: node}, &inj.stats.Partitions)
-		inj.setOutage(node, outage{kind: KindNetPartition, until: idx + uint64(span)})
-		return false
-	}
-	return deliver()
-}
-
-// recoverElapsed closes every outage whose span has passed, restarting
-// crashed nodes. Nodes are visited in sorted order so the restart sequence
-// (hooks and trace) is deterministic even when several windows expire on
-// the same event.
-func (inj *NodeInjector) recoverElapsed(idx uint64) {
-	inj.mu.Lock()
-	var expired []string
-	for node, o := range inj.outages {
-		if o.until <= idx {
-			expired = append(expired, node)
-		}
-	}
-	sort.Strings(expired)
-	inj.mu.Unlock()
-	for _, node := range expired {
-		inj.mu.Lock()
-		o := inj.outages[node]
-		delete(inj.outages, node)
-		inj.mu.Unlock()
-		if o.kind == KindNodeCrash {
-			if inj.hooks.Restart != nil {
-				inj.hooks.Restart(node)
-			}
-			inj.record(TraceEntry{Event: idx, Kind: KindNodeRestart, Node: node}, &inj.stats.Restarts)
-		}
-	}
-}
-
-// RecoverAll force-expires every outstanding outage, restarting crashed
-// nodes — the chaos harness's end-of-run settling step, so a stream that
-// ends mid-outage still converges to a fully-recovered cluster.
-func (inj *NodeInjector) RecoverAll() {
-	inj.recoverElapsed(^uint64(0))
-}
-
-// Blocked reports whether a send to node would currently be refused — the
-// seam for wiring a health prober through the same partition the router
-// experiences. It consults outage state without advancing the event clock,
-// so probing never perturbs the fault plan.
-func (inj *NodeInjector) Blocked(node string) bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	o, down := inj.outages[node]
-	return down && inj.idx < o.until
-}
-
-// setOutage records a node's fault window.
-func (inj *NodeInjector) setOutage(node string, o outage) {
-	inj.mu.Lock()
-	inj.outages[node] = o
-	inj.mu.Unlock()
-}
-
-// record appends a trace entry and bumps its counter.
-func (inj *NodeInjector) record(t TraceEntry, n *uint64) {
-	inj.mu.Lock()
-	inj.trace = append(inj.trace, t)
-	*n++
-	inj.mu.Unlock()
-}
-
-// Trace returns a copy of the node-fault trace so far, in injection order.
-func (inj *NodeInjector) Trace() []TraceEntry {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	out := make([]TraceEntry, len(inj.trace))
-	copy(out, inj.trace)
-	return out
+	return false
 }
 
 // Stats returns a copy of the node-fault counters.

@@ -47,8 +47,8 @@ type ProbeResult struct {
 	Degraded bool
 }
 
-// Prober checks one node now. Implementations: HTTPProber (GET /healthz),
-// or any test double — the chaos harness probes through the same fault
+// Prober checks one node now. Implementations: HTTPNode.Probe (GET
+// /healthz) looked up per node id, or any test double — the chaos harness probes through the same fault
 // injector the router sends through, so a partitioned node looks down from
 // the router's vantage even though it is alive.
 type Prober func(node string) ProbeResult

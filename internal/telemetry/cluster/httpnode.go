@@ -53,17 +53,6 @@ func NewHTTPNode(base string, client *http.Client) *HTTPNode {
 // telemetry.HTTPSender semantics.
 func (n *HTTPNode) Ingest(e telemetry.Envelope) bool { return n.ingest(e) }
 
-// HTTPTransport adapts a set of per-node clients to the Router's Transport.
-func HTTPTransport(nodes map[string]*HTTPNode) Transport {
-	return func(node string, e telemetry.Envelope) bool {
-		n := nodes[node]
-		if n == nil {
-			return false
-		}
-		return n.Ingest(e)
-	}
-}
-
 // MeterPageBytes makes Sketches add every page body's size to c — the
 // front-end hands each node's cluster_frontend_page_bytes_total series in
 // when it wires the client.
@@ -117,18 +106,6 @@ func (n *HTTPNode) Probe() ProbeResult {
 		return ProbeResult{}
 	}
 	return ProbeResult{Reachable: true, Degraded: body.Status != "ok"}
-}
-
-// HTTPProber builds the health tracker's Prober over per-node clients.
-// Unknown node ids probe unreachable.
-func HTTPProber(nodes map[string]*HTTPNode) Prober {
-	return func(node string) ProbeResult {
-		n := nodes[node]
-		if n == nil {
-			return ProbeResult{}
-		}
-		return n.Probe()
-	}
 }
 
 // --- Admin plane (NodeAdmin over HTTP: cmd/telemetryd's /admin/*) ---

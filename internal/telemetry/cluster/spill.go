@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,19 +32,66 @@ type spillRecord struct {
 	// spill found while the map is already at (or past) this epoch is
 	// stale — the transition activated, the staged copy is live — and is
 	// deleted instead of restored.
-	Epoch     uint64 `json:"epoch"`
-	Partition int    `json:"partition"`
-	Of        int    `json:"of"`
-	Dst       string `json:"dst"`
+	Epoch     uint64
+	Partition int
+	Of        int
+	Dst       string
 	// Own is the destination's own pre-handoff page cut; empty when the
 	// destination held nothing (a fresh joiner), in which case restoring
 	// is just the drop.
-	Own []telemetry.SketchPage `json:"own,omitempty"`
+	Own []telemetry.SketchPage
+}
+
+// A spill file is pages in the one machine form they have everywhere else,
+// behind a checksummed header. Layout, all little-endian:
+//
+//	magic "esspill\x01" | epoch u64 | partition u32 | of u32
+//	| dst_len u32 | dst | crc32 (IEEE) of everything before it
+//	| page set (telemetry.AppendSketchPages: every page CRC-trailed)
+//
+// Both checksums are verified before the bytes they cover are acted on, so
+// a damaged spill is a named recovery failure, never a restore.
+var spillMagic = [8]byte{'e', 's', 's', 'p', 'i', 'l', 'l', 1}
+
+// spillFixedBytes is a spill header up to (not including) dst.
+const spillFixedBytes = 8 + 8 + 4 + 4 + 4
+
+func (rec spillRecord) encode() []byte {
+	b := append([]byte(nil), spillMagic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, rec.Epoch)
+	b = binary.LittleEndian.AppendUint32(b, uint32(rec.Partition))
+	b = binary.LittleEndian.AppendUint32(b, uint32(rec.Of))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rec.Dst)))
+	b = append(b, rec.Dst...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return telemetry.AppendSketchPages(b, rec.Own)
+}
+
+func decodeSpill(data []byte) (spillRecord, error) {
+	if len(data) < spillFixedBytes+4 || [8]byte(data[:8]) != spillMagic {
+		return spillRecord{}, fmt.Errorf("not a spill file (%d bytes, bad magic/version or too short)", len(data))
+	}
+	end := spillFixedBytes + int(binary.LittleEndian.Uint32(data[spillFixedBytes-4:]))
+	if end < spillFixedBytes || end > len(data)-4 {
+		return spillRecord{}, fmt.Errorf("spill header: destination id runs past the file")
+	}
+	if crc32.ChecksumIEEE(data[:end]) != binary.LittleEndian.Uint32(data[end:]) {
+		return spillRecord{}, fmt.Errorf("spill header: checksum mismatch")
+	}
+	rec := spillRecord{
+		Epoch:     binary.LittleEndian.Uint64(data[8:]),
+		Partition: int(binary.LittleEndian.Uint32(data[16:])),
+		Of:        int(binary.LittleEndian.Uint32(data[20:])),
+		Dst:       string(data[spillFixedBytes:end]),
+	}
+	var err error
+	rec.Own, err = telemetry.DecodeSketchPages(data[end+4:])
+	return rec, err
 }
 
 // spillPath names one partition's spill file.
 func (m *Migrator) spillPath(p int) string {
-	return filepath.Join(m.cfg.SpillDir, fmt.Sprintf("spill-p%d.json", p))
+	return filepath.Join(m.cfg.SpillDir, fmt.Sprintf("spill-p%d.bin", p))
 }
 
 // spillEpoch resolves the epoch a spill written right now should record:
@@ -75,27 +123,7 @@ func (m *Migrator) writeSpill(pl partPlan, own []telemetry.SketchPage) error {
 		Dst:       pl.dst,
 		Own:       own,
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(m.cfg.SpillDir, "spill-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), m.spillPath(pl.p))
+	return telemetry.WriteFileAtomic(m.spillPath(pl.p), rec.encode())
 }
 
 // clearSpill removes a partition's spill once its staged copy is safe.
@@ -142,7 +170,13 @@ func (m *Migrator) recoverSpillsList(ctx context.Context) ([]int, error) {
 	var failures []string
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "spill-p") || !strings.HasSuffix(name, ".json") {
+		if !strings.HasPrefix(name, "spill-p") || strings.HasSuffix(name, ".tmp") {
+			continue // not a spill, or the temp a torn write left behind
+		}
+		if !strings.HasSuffix(name, ".bin") {
+			// e.g. the JSON spill of an older coordinator: a restore point
+			// this build cannot read is still a rebuild that never finished.
+			failures = append(failures, fmt.Sprintf("%s: not a spill this version writes (a cluster upgrades together)", name))
 			continue
 		}
 		path := filepath.Join(m.cfg.SpillDir, name)
@@ -151,8 +185,8 @@ func (m *Migrator) recoverSpillsList(ctx context.Context) ([]int, error) {
 			failures = append(failures, fmt.Sprintf("%s: %v", name, err))
 			continue
 		}
-		var rec spillRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
+		rec, err := decodeSpill(data)
+		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", name, err))
 			continue
 		}

@@ -117,22 +117,6 @@ func AppendJSONL(dst []byte, e Envelope) ([]byte, error) {
 	return append(dst, '\n'), nil
 }
 
-// WriteJSONL writes envelopes as JSONL to w.
-func WriteJSONL(w io.Writer, events []Envelope) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for _, e := range events {
-		var err error
-		if line, err = AppendJSONL(line[:0], e); err != nil {
-			return err
-		}
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // DecodeStats summarises one JSONL read pass.
 type DecodeStats struct {
 	Decoded   int // valid envelopes yielded

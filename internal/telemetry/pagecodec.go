@@ -30,8 +30,11 @@ import (
 //
 //	n_pages u32 | n_pages × ( page_len u64 | page )
 //
-// JSON stays the form of the external edge (curl against /sketches) and of
-// the coordinator's spill files; SketchPage keeps its JSON tags for them.
+// The coordinator's handoff spill stores a page set behind its own
+// checksummed header (cluster/spill.go). JSON is only the read-only dump
+// of the external edge (curl against /sketches and /sketches/partition);
+// SketchPage keeps its JSON tags for it. Nothing in the daemon reads a
+// page back from JSON.
 
 // SketchPageContentType names the binary page (and page set) on the wire:
 // what cluster.HTTPNode sends as Accept / Content-Type and what a node
@@ -88,7 +91,7 @@ func (p SketchPage) AppendBinary(dst []byte) ([]byte, error) {
 // region/net strings are interned, so decoding costs O(1) allocations per
 // page plus one per distinct dimension value, not one per match. Only the
 // framing is checked here: the sketches are validated by whoever folds them
-// (MergeSketchPages, AbsorbPages), as with a JSON page.
+// (MergeSketchPages, AbsorbPages).
 func DecodeSketchPage(data []byte) (SketchPage, error) {
 	return decodeSketchPage(data, map[string]string{})
 }

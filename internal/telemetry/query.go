@@ -509,28 +509,3 @@ type KeyCount struct {
 	Key   Key     `json:"key"`
 	Count float64 `json:"count"`
 }
-
-// WindowRange reports the earliest window start and the end of the latest
-// window across all rollups (zero times when empty) — useful for building
-// full-range queries.
-func (ing *Ingestor) WindowRange() (from, to time.Time) {
-	var lo, hi int64
-	first := true
-	for _, s := range ing.shards {
-		s.mu.Lock()
-		for wk := range s.windows {
-			if first || wk.Start < lo {
-				lo = wk.Start
-			}
-			if first || wk.Start > hi {
-				hi = wk.Start
-			}
-			first = false
-		}
-		s.mu.Unlock()
-	}
-	if first {
-		return time.Time{}, time.Time{}
-	}
-	return time.UnixMilli(lo), time.UnixMilli(hi + ing.cfg.Window.Milliseconds())
-}

@@ -143,13 +143,22 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 
 // writeSnapshot atomically replaces the shard's snapshot file.
 func writeSnapshot(dir string, payload []byte) error {
-	path := filepath.Join(dir, snapshotFile)
+	return WriteFileAtomic(filepath.Join(dir, snapshotFile), payload)
+}
+
+// WriteFileAtomic replaces path with data so that a crash at any point
+// leaves either the previous file or the new one, never a torn mix: the
+// bytes go to path+".tmp", are fsynced and closed, and only then renamed
+// into place. Every durable file this repo rewrites whole (shard
+// snapshots, the coordinator's handoff spills, the frontend's persisted
+// membership) goes through here.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(payload); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -35,8 +35,12 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 			Region: "Wuhan", Net: "5G", Value: 11},
 	}
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, events); err != nil {
-		t.Fatal(err)
+	for _, e := range events {
+		line, err := AppendJSONL(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != len(events) {
 		t.Fatalf("lines = %d, want %d", got, len(events))
@@ -258,11 +262,6 @@ func TestWindowRangeQueries(t *testing.T) {
 	}
 	if excl.Windows != 1 || excl.Max != 0 {
 		t.Fatalf("boundary To = windows %d max %v, want 1 window of minute 0", excl.Windows, excl.Max)
-	}
-
-	from, to := ing.WindowRange()
-	if !from.Equal(base) || !to.Equal(base.Add(10*time.Minute)) {
-		t.Fatalf("WindowRange = %v..%v", from, to)
 	}
 
 	keys := ing.Keys()

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # ci.sh — the repo's tier-1 gate plus the perf-trajectory snapshot.
 #
-#   gofmt cleanliness  → build  → vet  → arm64 cross-compile  → full tests
+#   gofmt cleanliness  → build  → vet  → orphan-package check (every
+#   internal/ package is in `go list -deps` of the repo's main packages;
+#   internal/faultinject is the one test-only harness)
+#   → arm64 cross-compile  → full tests
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
 #     segment replay, snapshot decode, sketch codec, sketch-page codec;
@@ -59,6 +62,20 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+
+echo "== orphan packages (every internal/ package reachable from a main package) =="
+# Code no binary can reach is code no engine, artifact or workload runs.
+# `go list` only — nothing is downloaded. internal/faultinject is the one
+# allow-listed test-only harness: the chaos tests import it, no binary does.
+mains=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
+# shellcheck disable=SC2086  # $mains is a word list
+orphans=$(go list ./internal/... | grep -vx 'edgescope/internal/faultinject' |
+  grep -vxF -f <(go list -deps $mains) || true)
+if [[ -n "$orphans" ]]; then
+  echo "internal packages imported by no main package (delete them, or name the binary that needs them):" >&2
+  echo "$orphans" >&2
+  exit 1
+fi
 
 echo "== cross-arch (arm64, compile only) =="
 # The exp kernel defines the artifact bytes on every GOARCH; keep it and its
