@@ -135,7 +135,7 @@ func main() {
 	drop := flag.Bool("drop", false, "shed load by dropping events when a shard queue is full instead of applying backpressure")
 	dataDir := flag.String("data", "", "durable data directory: per-shard WAL + snapshots, recovered on restart (empty = in-memory only)")
 	syncEvery := flag.Int("sync-every", 256, "fsync the WAL every N appended records per shard")
-	snapEvery := flag.Int("snapshot-every", 4096, "snapshot a shard's rollup state every N folded records (0 = only at shutdown)")
+	snapEvery := flag.Int("snapshot-every", 4096, "at least N folded records between a shard's checkpoints; past N one is cut once the WAL logged since the last outweighs it (0 = only at shutdown)")
 	replay := flag.Bool("replay", false, "stream the deterministic crowd campaign through the pipeline at startup")
 	seed := flag.Uint64("seed", 1, "replay seed override (default: the scenario's)")
 	scn := flag.String("scenario", "small", "replay scenario name from the registry, or path to a JSON spec")

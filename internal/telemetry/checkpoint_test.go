@@ -1,0 +1,394 @@
+package telemetry
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"edgescope/internal/obs"
+	"edgescope/internal/rng"
+)
+
+// checkpointStream is a seeded in-order stream whose retained state keeps
+// growing: a new (region, net) key appears every 40 events, timestamps walk
+// across one-minute windows, and every third envelope is sequenced so dedup
+// trackers are part of what a checkpoint holds.
+func checkpointStream(seed uint64, n int) []Envelope {
+	r := rng.New(seed)
+	base := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+	seq := map[int]uint64{}
+	out := make([]Envelope, n)
+	for i := range out {
+		key := r.IntN(1 + i/40)
+		e := ev(base+int64(i)*700, MetricRTT, "region-"+strconv.Itoa(key/3), "net-"+strconv.Itoa(key%3), r.LogNormal(3, 0.6))
+		if i%3 == 0 {
+			e.User = key
+			seq[key]++
+			e.Seq = seq[key]
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// checkpoints counts the checkpoints an ingestor opened with a registry has
+// written so far, cadence and unconditional alike (recovery's rewrite is not
+// timed and does not count).
+func checkpoints(ing *Ingestor) uint64 {
+	var n uint64
+	for _, s := range ing.shards {
+		n += s.snapshotHist.Count()
+	}
+	return n
+}
+
+// settleCheckpoint returns once the shard's worker has nothing left to do
+// for the events Flush already saw folded: Flush waits for the fold, and the
+// checkpoint a fold may trigger comes after it. The trigger stays due until
+// the worker's cut, and the worker holds snapMu from before the cut until
+// the file is in place.
+func settleCheckpoint(ing *Ingestor, s *shard) {
+	for {
+		s.mu.Lock()
+		due := s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
+		s.mu.Unlock()
+		if !due {
+			break
+		}
+		runtime.Gosched()
+	}
+	s.snapMu.Lock() // a barrier, not a guard: wait out a write in flight
+	s.snapMu.Unlock()
+}
+
+func fileSize(t *testing.T, path string) uint64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uint64(fi.Size())
+}
+
+// TestCheckpointCostAmortised is the cadence's property pin, over a stream
+// with growing state and crashes at random points. Every checkpoint the
+// worker cuts is paid for — at least the floor's records and at least the
+// previous checkpoint's bytes of WAL were logged first — so within one
+// process the cadence writes no more checkpoint bytes than WAL bytes plus the
+// size of its latest checkpoint; and at every crash the WAL suffix recovery
+// replays holds fewer records than the floor or fewer bytes than the
+// checkpoint it loaded.
+func TestCheckpointCostAmortised(t *testing.T) {
+	const floor = 32
+	events := checkpointStream(1, 3000)
+	recLen := make([]uint64, len(events))
+	for i, e := range events {
+		line, err := AppendJSONL(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recLen[i] = uint64(len(line))
+	}
+	r := rng.New(7)
+	crashAt := map[int]bool{}
+	for len(crashAt) < 8 {
+		crashAt[1+r.IntN(len(events)-1)] = true
+	}
+
+	dir := t.TempDir()
+	snapPath := filepath.Join(shardDir(dir, 0), snapshotFile)
+	open := func() (*Ingestor, RecoveryStats) {
+		ing, rec, err := Open(Config{Shards: 1, QueueLen: 64, Block: true, Metrics: obs.NewRegistry(),
+			WAL: WALConfig{Dir: dir, SyncEvery: 1, SnapshotEvery: floor}})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return ing, rec
+	}
+	ing, _ := open()
+	defer func() { ing.Close() }()
+
+	var (
+		cuts             int    // worker checkpoints over the whole run
+		seen             uint64 // checkpoints(ing) at the last look
+		prevBytes        uint64 // size of the checkpoint the next one must outweigh
+		sinceRecs        int    // records logged since it
+		sinceBytes       uint64 // and their bytes
+		genWAL, genCkpts uint64 // this process's WAL and cadence-checkpoint bytes
+	)
+	for i, e := range events {
+		if crashAt[i] {
+			ing.Crash()
+			onDisk := fileSize(t, snapPath)
+			var rec RecoveryStats
+			ing, rec = open()
+			if got := rec.RecordsReplayed + rec.RecordsSkipped; got != uint64(i) {
+				t.Fatalf("crash at %d: recovery saw %d records", i, got)
+			}
+			var replayedBytes uint64
+			for _, n := range recLen[i-int(rec.RecordsReplayed) : i] {
+				replayedBytes += n
+			}
+			if rec.RecordsReplayed >= floor && replayedBytes >= onDisk {
+				t.Fatalf("crash at %d: replayed %d records / %d bytes beside a %d-byte checkpoint — outside max(floor %d, checkpoint)",
+					i, rec.RecordsReplayed, replayedBytes, onDisk, floor)
+			}
+			if int(rec.RecordsReplayed) != sinceRecs {
+				t.Fatalf("crash at %d: replayed %d records, %d were logged since the last checkpoint", i, rec.RecordsReplayed, sinceRecs)
+			}
+			// Recovery's rewrite is the new process's starting checkpoint.
+			prevBytes, sinceRecs, sinceBytes = fileSize(t, snapPath), 0, 0
+			seen, genWAL, genCkpts = 0, 0, 0
+		}
+		if !ing.Offer(e) {
+			t.Fatal("offer refused")
+		}
+		ing.Flush()
+		settleCheckpoint(ing, ing.shards[0])
+		sinceRecs++
+		sinceBytes += recLen[i]
+		genWAL += recLen[i]
+
+		st := ing.Stats()[0]
+		if n := checkpoints(ing); n != seen {
+			if n != seen+1 {
+				t.Fatalf("event %d: %d checkpoints for one record", i, n-seen)
+			}
+			size := fileSize(t, snapPath)
+			if st.SnapshotBytes != size || st.WALBytesSinceSnapshot != 0 {
+				t.Fatalf("event %d: Stats say a %d-byte checkpoint with %d WAL bytes since, the file is %d bytes",
+					i, st.SnapshotBytes, st.WALBytesSinceSnapshot, size)
+			}
+			if sinceRecs < floor || sinceBytes < prevBytes {
+				t.Fatalf("event %d: checkpoint cut after %d records / %d WAL bytes, want >= %d records and >= the previous checkpoint's %d bytes",
+					i, sinceRecs, sinceBytes, floor, prevBytes)
+			}
+			genCkpts += size
+			if genCkpts > genWAL+size {
+				t.Fatalf("event %d: %d checkpoint bytes written for %d WAL bytes + a %d-byte latest checkpoint", i, genCkpts, genWAL, size)
+			}
+			cuts++
+			seen, prevBytes, sinceRecs, sinceBytes = n, size, 0, 0
+		} else if st.SnapshotBytes != prevBytes || st.WALBytesSinceSnapshot != sinceBytes {
+			t.Fatalf("event %d: Stats say %d-byte checkpoint / %d WAL bytes since, want %d / %d",
+				i, st.SnapshotBytes, st.WALBytesSinceSnapshot, prevBytes, sinceBytes)
+		}
+	}
+	// The stream must have exercised both halves of the rule: checkpoints
+	// happened, and fewer than the floor alone would have cut.
+	if byFloor := len(events) / floor; cuts < 5 || cuts >= byFloor {
+		t.Fatalf("%d worker checkpoints over %d events (the floor alone gives %d): the byte rule was not exercised", cuts, len(events), byFloor)
+	}
+}
+
+// TestHandoffRecordsCountTowardCheckpoint: absorb and drop control records
+// weigh on the cadence like envelopes do, and the handoff calls evaluate it
+// before returning — so a node that absorbs a partition and then sees no
+// traffic does not replay the whole absorb on every restart.
+func TestHandoffRecordsCountTowardCheckpoint(t *testing.T) {
+	const floor = 8
+	src := NewIngestor(Config{Shards: 1, QueueLen: 64, Block: true})
+	defer src.Close()
+	offerAllFlush(t, src, handoffEvents())
+	pages, err := src.PartitionPages(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := Config{Shards: 1, QueueLen: 64, Block: true,
+		WAL: WALConfig{Dir: t.TempDir(), SyncEvery: 1 << 30, SnapshotEvery: floor}}
+	dst := NewIngestor(cfg)
+	ack, err := dst.AbsorbPages(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Rollups <= floor {
+		t.Fatalf("absorbed %d rollups, need more than the floor %d", ack.Rollups, floor)
+	}
+	if st := dst.Stats()[0]; st.SnapshotBytes == 0 || st.WALBytesSinceSnapshot != 0 {
+		t.Fatalf("after absorbing %d rollups: checkpoint %d bytes, %d WAL bytes since — AbsorbPages did not evaluate the trigger",
+			ack.Rollups, st.SnapshotBytes, st.WALBytesSinceSnapshot)
+	}
+	want := handoffFingerprint(t, dst)
+	dst.Crash()
+
+	dst, rec, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.RecordsReplayed != 0 || rec.RecordsSkipped != uint64(ack.Rollups) {
+		t.Fatalf("restart after absorb replayed %d and skipped %d records, want 0 and %d", rec.RecordsReplayed, rec.RecordsSkipped, ack.Rollups)
+	}
+	if got := handoffFingerprint(t, dst); got != want {
+		t.Fatal("absorbed state differs after restart")
+	}
+
+	// A drop logs one record per affected window; with enough windows those
+	// alone pass the floor. The checkpoint they must outweigh is the one
+	// recovery just rewrote, which holds the absorbed sketches — so the drop
+	// records do not, and the suffix stays: bounded by that checkpoint.
+	dropped, err := dst.DropPartition(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := dst.Stats()[0]
+	if dropped != ack.Rollups || st.WALBytesSinceSnapshot == 0 || st.WALBytesSinceSnapshot >= st.SnapshotBytes {
+		t.Fatalf("dropped %d rollups; %d WAL bytes since a %d-byte checkpoint", dropped, st.WALBytesSinceSnapshot, st.SnapshotBytes)
+	}
+	dst.Crash()
+}
+
+// TestEncodeSnapshotAllocatesItsPayloadOnce: the payload is one allocation
+// of exactly its own length, and the whole encode allocates little beyond it
+// (the sorted key slices) — no doubling chain, whatever the state's size and
+// whether or not a checkpoint came before.
+func TestEncodeSnapshotAllocatesItsPayloadOnce(t *testing.T) {
+	ing := NewIngestor(Config{Shards: 1, QueueLen: 64, Block: true})
+	defer ing.Close()
+	// 200 rollups of 100 points each: the payload dwarfs the key slices.
+	base := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+	r := rng.New(3)
+	var events []Envelope
+	for i := 0; i < 20000; i++ {
+		e := ev(base+int64(i%4)*60_000, MetricRTT, "region-"+strconv.Itoa(i%50), "WiFi", r.LogNormal(3, 0.6))
+		e.User, e.Seq = i%50, uint64(i/50+1)
+		events = append(events, e)
+	}
+	offerAllFlush(t, ing, events)
+	s := ing.shards[0]
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.mu.Lock()
+	payload := encodeSnapshot(s, ing.cfg)
+	s.mu.Unlock()
+	runtime.ReadMemStats(&after)
+
+	if len(payload) < 100<<10 {
+		t.Fatalf("payload is %d bytes; the state is too small to tell one allocation from a doubling chain", len(payload))
+	}
+	if cap(payload) != len(payload) {
+		t.Fatalf("payload len %d cap %d: not sized exactly", len(payload), cap(payload))
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(payload))*5/4; got > limit {
+		t.Fatalf("encoding a %d-byte payload allocated %d bytes, want <= %d", len(payload), got, limit)
+	}
+	if _, err := decodeSnapshot(payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parentDataDir is a durable data directory written by the commit before the
+// byte-weighted cadence — one shard, a checkpoint every 25 folds, hard-killed
+// after parentDataDirEvents events so a WAL suffix follows the last
+// checkpoint. Regenerate it only for a format change: it pins that there was
+// none.
+const (
+	parentDataDir       = "testdata/parent-datadir"
+	parentDataDirEvents = 640
+)
+
+func parentDataDirConfig(dir string) Config {
+	return Config{Shards: 1, QueueLen: 64, Block: true,
+		WAL: WALConfig{Dir: dir, SyncEvery: 1, SnapshotEvery: 25}}
+}
+
+// TestParentDataDirRecovers is the cross-version pin: the parent's directory
+// opens under this code from its checkpoint plus the suffix, answers exactly
+// like an uninterrupted ingestor fed the same events — and the checkpoint
+// the parent wrote is, byte for byte, what this encoder writes for that
+// state.
+func TestParentDataDirRecovers(t *testing.T) {
+	events := checkpointStream(5, parentDataDirEvents)
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(parentDataDir)); err != nil {
+		t.Fatal(err)
+	}
+
+	parentSnap, err := os.ReadFile(filepath.Join(shardDir(dir, 0), snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeSnapshot(parentSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := parentDataDirConfig(dir)
+	cfg.fill() // the header carries the default window length
+	reencoded := encodeSnapshot(&shard{windows: st.windows, seen: st.seen, wal: &shardWAL{records: st.applied}}, cfg)
+	if !bytes.Equal(reencoded, parentSnap) {
+		t.Fatal("this encoder writes different bytes than the parent did for the same state")
+	}
+
+	ing, rec, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open the parent's directory: %v", err)
+	}
+	defer ing.Close()
+	if rec.Snapshots != 1 || rec.SnapshotErrors != 0 || rec.RecordsSkipped == 0 || rec.RecordsReplayed == 0 ||
+		rec.RecordsSkipped+rec.RecordsReplayed != parentDataDirEvents {
+		t.Fatalf("recovery of the parent's directory: %+v — want its checkpoint loaded and a suffix replayed", rec)
+	}
+
+	ref := NewIngestor(Config{Shards: 1, QueueLen: 64, Block: true})
+	defer ref.Close()
+	offerAllFlush(t, ref, events)
+	if got, want := queryFingerprint(t, ing), queryFingerprint(t, ref); !bytes.Equal(got, want) {
+		t.Fatalf("recovered from the parent's directory:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestReadJSONLPoolsScannerBuffer: a read pass borrows its 64 KiB line buffer
+// instead of allocating one, and a pass that met a line too long for it — the
+// Scanner then grows a buffer of its own — leaves only original-size buffers
+// in the pool.
+func TestReadJSONLPoolsScannerBuffer(t *testing.T) {
+	line, err := AppendJSONL(nil, ev(1633046400000, MetricRTT, "Beijing", "WiFi", 12.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat(line, 20)
+	read := func(in []byte, want int) {
+		st, err := ReadJSONL(bytes.NewReader(in), func(Envelope) {})
+		if err != nil || st.Decoded != want {
+			t.Fatalf("ReadJSONL = %+v, %v; want %d decoded", st, err, want)
+		}
+	}
+
+	const passes = 200
+	read(body, 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		read(body, 20)
+	}
+	runtime.ReadMemStats(&after)
+	// The race detector makes sync.Pool drop a quarter of its Puts, so the
+	// line is half a buffer per pass, not none.
+	if perPass := (after.TotalAlloc - before.TotalAlloc) / passes; perPass > scanBufSize/2 {
+		t.Fatalf("a read pass allocates %d bytes: the %d-byte scanner buffer is not pooled", perPass, scanBufSize)
+	}
+
+	long := ev(1633046400000, MetricRTT, "Beijing", "WiFi", 1)
+	long.Target = strings.Repeat("x", 3*scanBufSize)
+	longLine, err := AppendJSONL(nil, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		read(append(bytes.Clone(body), longLine...), 21)
+		buf := scanBufPool.Get().(*[]byte)
+		if cap(*buf) != scanBufSize {
+			t.Fatalf("pool handed out a %d-byte buffer after a %d-byte line", cap(*buf), len(longLine))
+		}
+		scanBufPool.Put(buf)
+	}
+}

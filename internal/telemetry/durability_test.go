@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"edgescope/internal/obs"
 )
 
 // durCfg is the durability tests' base config: blocking ingest (lossless),
@@ -122,7 +124,9 @@ func TestRecoverSnapshotEquivalentToWALOnly(t *testing.T) {
 	cfg := durCfg(dir)
 	cfg.WAL.SnapshotEvery = 37 // frequent mid-stream snapshots
 
-	ing := NewIngestor(cfg)
+	writer := cfg
+	writer.Metrics = obs.NewRegistry() // counts the checkpoints written
+	ing := NewIngestor(writer)
 	// Sequence half the events so dedup trackers are part of the state.
 	for i, e := range events {
 		if i%2 == 0 {
@@ -135,6 +139,11 @@ func TestRecoverSnapshotEquivalentToWALOnly(t *testing.T) {
 	ing.Flush()
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The property is only about something if the worker checkpointed
+	// mid-stream: Close's one unconditional checkpoint per shard is not it.
+	if n := checkpoints(ing); n < uint64(cfg.Shards)+3 {
+		t.Fatalf("%d checkpoints written, %d of them at Close: no mid-stream snapshots to be equivalent to", n, cfg.Shards)
 	}
 
 	open := func() (*Ingestor, []byte) {
@@ -422,6 +431,11 @@ func TestSnapshotNeverClaimsUnsyncedRecords(t *testing.T) {
 	}
 	ing1.Flush()
 	ing1.Crash() // buffered WAL bytes beyond the last checkpoint are lost
+	// Crash never checkpoints, so a snapshot on disk with applied counts is
+	// one the worker cut mid-stream — the checkpoints this pin is about.
+	if snap, err := loadSnapshot(shardDir(dir, 0)); err != nil || snap == nil || len(snap.applied) == 0 {
+		t.Fatalf("generation 1 left no mid-stream checkpoint behind (snapshot %v, err %v)", snap, err)
+	}
 
 	cfg2 := Config{Shards: 1, QueueLen: 64, Block: true,
 		WAL: WALConfig{Dir: dir, SyncEvery: 1}}
@@ -456,27 +470,39 @@ func TestConcurrentSnapshotSafe(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 1, QueueLen: 256, Block: true,
 		WAL: WALConfig{Dir: dir, SyncEvery: 8, SnapshotEvery: 7}}
-	ing := NewIngestor(cfg)
+	writer := cfg
+	writer.Metrics = obs.NewRegistry() // counts the checkpoints written
+	ing := NewIngestor(writer)
 	base := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+	const snapshotters, perSnapshotter = 3, 50
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	for g := 0; g < snapshotters; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < perSnapshotter; i++ {
 				ing.Snapshot()
 			}
 		}()
 	}
-	for i := 0; i < 500; i++ {
+	// Every public Snapshot restarts the worker's cadence, so while they
+	// run the worker cuts one of its own only when the race lets 7 records
+	// through between two; the events offered after the last Snapshot make
+	// sure it cut at least one in this run, whatever the schedule.
+	for i := 0; i < 700; i++ {
+		if i == 500 {
+			wg.Wait()
+		}
 		if !ing.Offer(ev(base+int64(i), MetricRTT, "Beijing", "WiFi", float64(i%13))) {
 			t.Fatal("offer refused")
 		}
 	}
-	wg.Wait()
 	ing.Flush()
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := checkpoints(ing); n <= snapshotters*perSnapshotter+1 {
+		t.Fatalf("%d checkpoints = the %d public ones + Close's: the worker never cut one", n, snapshotters*perSnapshotter)
 	}
 	if _, err := loadSnapshot(shardDir(dir, 0)); err != nil {
 		t.Fatalf("snapshot corrupt after concurrent checkpoints: %v", err)

@@ -91,7 +91,8 @@ func decodeCtl(body []byte) (walCtl, error) {
 }
 
 // appendCtl logs one control record to a window's segment — the control
-// twin of append, with the same sticky-error and fsync-cadence behaviour.
+// twin of append, sharing its sticky-error behaviour and, through write, its
+// fsync cadence and checkpoint accounting.
 func (w *shardWAL) appendCtl(start int64, c walCtl) {
 	if w.err != nil {
 		return
@@ -113,17 +114,7 @@ func (w *shardWAL) appendCtl(start int64, c walCtl) {
 		w.err = fmt.Errorf("telemetry: control record encoded without ctl prefix: %s", line)
 		return
 	}
-	if _, err := seg.bw.Write(append(line, '\n')); err != nil {
-		w.err = err
-		return
-	}
-	w.records[start]++
-	w.appended++
-	w.appendedC.Inc()
-	w.unsynced++
-	if w.syncEvery > 0 && w.unsynced >= w.syncEvery {
-		w.sync()
-	}
+	w.write(seg, start, append(line, '\n'))
 }
 
 // applyCtl replays one control record into a shard — the recovery twin of
@@ -332,6 +323,7 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 	if err := ing.SyncWAL(); err != nil {
 		return ack, fmt.Errorf("telemetry: absorb fsync: %w", err)
 	}
+	ing.checkpointDueShards()
 	return ack, nil
 }
 
@@ -369,6 +361,7 @@ func (ing *Ingestor) DropPartition(p, of int) (int, error) {
 	if err := ing.SyncWAL(); err != nil {
 		return dropped, fmt.Errorf("telemetry: drop fsync: %w", err)
 	}
+	ing.checkpointDueShards()
 	return dropped, nil
 }
 

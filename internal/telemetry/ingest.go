@@ -62,8 +62,13 @@ type WALConfig struct {
 	// SyncEvery is the fsync cadence in appended records per shard; the
 	// durability floor is "everything up to the last fsync". Default 256.
 	SyncEvery int
-	// SnapshotEvery checkpoints a shard after this many folded records,
-	// bounding recovery replay work. 0 snapshots only at Close.
+	// SnapshotEvery is the checkpoint floor: at least this many folded
+	// records between a shard's checkpoints. Past the floor a checkpoint is
+	// cut once the WAL bytes logged since the last one weigh at least what
+	// that checkpoint did (shardWAL.checkpointDue), so checkpoint cost
+	// follows what changed, not what is retained, and a restart replays a
+	// WAL suffix of fewer than SnapshotEvery records or fewer bytes than the
+	// checkpoint it loaded. 0 snapshots only at Close.
 	SnapshotEvery int
 	// WrapWriter, when set, wraps every WAL segment writer — the
 	// fault-injection seam (internal/faultinject short writes). Production
@@ -170,8 +175,6 @@ type shard struct {
 	// concurrently, and two writers on the same tmp path would interleave
 	// bytes and rename a corrupt (wasted) checkpoint into place.
 	snapMu sync.Mutex
-	// sinceSnapshot counts folds since the last checkpoint (worker-only).
-	sinceSnapshot int
 
 	// Accounting cells (metrics.go): registered series when Config.Metrics
 	// is set, standalone obs.Counters otherwise — either way one atomic op
@@ -194,7 +197,9 @@ type shard struct {
 // time windows (what MaxWindows caps); Rollups counts (window, key)
 // sketches (memory is proportional to this × sketch compression). The WAL
 // fields are zero when durability is off; WALLag is the records appended
-// but not yet fsynced — what a crash right now would lose.
+// but not yet fsynced — what a crash right now would lose. SnapshotBytes is
+// the size of the shard's last checkpoint and WALBytesSinceSnapshot the WAL
+// logged since it — together, what a restart right now would load and replay.
 type ShardStats struct {
 	Accepted         uint64 `json:"accepted"`
 	Dropped          uint64 `json:"dropped"`
@@ -209,6 +214,9 @@ type ShardStats struct {
 	WALAppended      uint64 `json:"wal_appended,omitempty"`
 	WALLag           uint64 `json:"wal_lag,omitempty"`
 	WALError         string `json:"wal_error,omitempty"`
+
+	SnapshotBytes         uint64 `json:"snapshot_bytes,omitempty"`
+	WALBytesSinceSnapshot uint64 `json:"wal_bytes_since_snapshot,omitempty"`
 }
 
 // Ingestor is the sharded ingest stage. Producers call Offer (or OfferAll);
@@ -356,13 +364,12 @@ func (ing *Ingestor) windowStart(ts int64) int64 {
 // run is one shard worker: the sole writer of s.windows.
 func (ing *Ingestor) run(s *shard) {
 	for e := range s.ch {
-		ing.fold(s, e, foldLive)
+		due := ing.fold(s, e, foldLive)
 		s.processed.Inc()
-		if s.wal != nil && ing.cfg.WAL.SnapshotEvery > 0 {
-			if s.sinceSnapshot++; s.sinceSnapshot >= ing.cfg.WAL.SnapshotEvery {
-				s.sinceSnapshot = 0
-				ing.snapshotShard(s)
-			}
+		if due {
+			// A failed checkpoint costs nothing durable: the WAL holds every
+			// record, and a sticky WAL error already shows in Health.
+			_ = ing.snapshotShard(s, true)
 		}
 	}
 }
@@ -380,8 +387,10 @@ const (
 // fold applies one envelope to the shard state: dedup sequenced duplicates,
 // log to the WAL (live mode), then fold into the (window, key) sketch. WAL
 // append precedes the fold and shares its lock hold, so per-segment record
-// order is exactly fold order — the invariant recovery replay relies on.
-func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) {
+// order is exactly fold order — the invariant recovery replay relies on. It
+// reports whether this append made the shard's checkpoint due, read under
+// the same lock hold so the worker pays no second acquisition per event.
+func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 	wk := windowKey{Start: ing.windowStart(e.TS), Key: e.Key()}
 	s.mu.Lock()
 	if e.Seq > 0 {
@@ -398,7 +407,7 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) {
 		if dup {
 			s.mu.Unlock()
 			s.deduped.Inc()
-			return
+			return false
 		}
 		// Advance the tracker's retention clock only on folds (duplicates
 		// are not WAL-logged; replay must rebuild identical state).
@@ -414,6 +423,7 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) {
 		} else {
 			s.wal.append(e, wk.Start)
 		}
+		due = s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
 	}
 	sk := s.windows[wk]
 	if sk == nil {
@@ -427,6 +437,7 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) {
 	// value is the only thing the sketch requires.
 	_ = sk.Add(e.Value)
 	s.mu.Unlock()
+	return due
 }
 
 // enforceRetention evicts whole oldest time windows while the shard holds
@@ -555,7 +566,11 @@ func (ing *Ingestor) SyncWAL() error {
 // encoded under the shard lock (one consistent cut of sketches, dedup
 // trackers and WAL positions), then written and atomically renamed outside
 // it; snapMu serialises concurrent checkpointers on the shared tmp path.
-func (ing *Ingestor) snapshotShard(s *shard) error {
+// With ifDue it is the cadence's checkpoint and does nothing unless the
+// trigger still holds once it has the locks — the worker and a handoff
+// writer may both have seen it fire, and the first one's cut answers both.
+// Snapshot, Close and recovery checkpoint unconditionally.
+func (ing *Ingestor) snapshotShard(s *shard, ifDue bool) error {
 	var began time.Time
 	if s.snapshotHist != nil {
 		began = time.Now()
@@ -563,6 +578,10 @@ func (ing *Ingestor) snapshotShard(s *shard) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.mu.Lock()
+	if ifDue && !s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery) {
+		s.mu.Unlock()
+		return nil
+	}
 	// A snapshot may only describe fsynced state: its applied counts promise
 	// that many records are on disk, and recovery skips exactly that many.
 	// Encoding buffered-but-unsynced appends would, across two crashes,
@@ -572,7 +591,7 @@ func (ing *Ingestor) snapshotShard(s *shard) error {
 		s.mu.Unlock()
 		return err
 	}
-	payload := encodeSnapshot(s, ing.cfg)
+	payload := ing.cutCheckpoint(s)
 	dir := s.wal.dir
 	s.mu.Unlock()
 	err := writeSnapshot(dir, payload)
@@ -582,6 +601,33 @@ func (ing *Ingestor) snapshotShard(s *shard) error {
 	return err
 }
 
+// cutCheckpoint encodes the shard's state and restarts the cadence's
+// accounting from the cut: nothing logged since, and this payload as the
+// weight the next checkpoint's WAL must reach. The counters restart at the
+// cut, not at the rename, so a checkpoint whose write fails is retried a
+// floor later rather than on every event. Called with s.mu held and the WAL
+// synced (or, in recovery, not yet appended to).
+func (ing *Ingestor) cutCheckpoint(s *shard) []byte {
+	payload := encodeSnapshot(s, ing.cfg)
+	s.wal.sinceRecords, s.wal.sinceBytes, s.wal.snapBytes = 0, 0, uint64(len(payload))
+	return payload
+}
+
+// checkpointDueShards is the cadence check for writers other than the shard
+// workers (AbsorbPages, DropPartition): their control records count toward
+// the trigger like any record, so they evaluate it before returning — a node
+// that absorbs a partition and then sees little traffic must not replay the
+// whole absorb on every restart. Called after the WAL fsync that makes the
+// operation durable, so a failed checkpoint loses nothing and is not the
+// caller's error.
+func (ing *Ingestor) checkpointDueShards() {
+	for _, s := range ing.shards {
+		if s.wal != nil {
+			_ = ing.snapshotShard(s, true)
+		}
+	}
+}
+
 // Snapshot checkpoints every shard now (Close does this automatically).
 func (ing *Ingestor) Snapshot() error {
 	var first error
@@ -589,7 +635,7 @@ func (ing *Ingestor) Snapshot() error {
 		if s.wal == nil {
 			continue
 		}
-		if err := ing.snapshotShard(s); err != nil && first == nil {
+		if err := ing.snapshotShard(s, false); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -615,7 +661,7 @@ func (ing *Ingestor) Close() error {
 			if s.wal == nil {
 				continue
 			}
-			if err := ing.snapshotShard(s); err != nil && ing.closeErr == nil {
+			if err := ing.snapshotShard(s, false); err != nil && ing.closeErr == nil {
 				ing.closeErr = err
 			}
 			s.mu.Lock()
@@ -658,10 +704,11 @@ func (ing *Ingestor) Stats() []ShardStats {
 	for i, s := range ing.shards {
 		s.mu.Lock()
 		rollups, wins := len(s.windows), len(s.starts)
-		var walAppended, walLag uint64
+		var walAppended, walLag, snapBytes, sinceBytes uint64
 		var walErr string
 		if s.wal != nil {
 			walAppended, walLag = s.wal.appended, s.wal.lag()
+			snapBytes, sinceBytes = s.wal.snapBytes, s.wal.sinceBytes
 			if s.wal.err != nil {
 				walErr = s.wal.err.Error()
 			}
@@ -681,6 +728,9 @@ func (ing *Ingestor) Stats() []ShardStats {
 			WALAppended:      walAppended,
 			WALLag:           walLag,
 			WALError:         walErr,
+
+			SnapshotBytes:         snapBytes,
+			WALBytesSinceSnapshot: sinceBytes,
 		}
 	}
 	return out
@@ -702,6 +752,8 @@ func (ing *Ingestor) TotalStats() ShardStats {
 		t.Rollups += s.Rollups
 		t.WALAppended += s.WALAppended
 		t.WALLag += s.WALLag
+		t.SnapshotBytes += s.SnapshotBytes
+		t.WALBytesSinceSnapshot += s.WALBytesSinceSnapshot
 	}
 	return t
 }

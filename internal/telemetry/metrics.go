@@ -24,6 +24,7 @@ type ingestMetrics struct {
 	accepted, dropped, shed, processed, deduped, compactions, evicted *obs.CounterVec
 	walAppended, walFsyncs                                            *obs.CounterVec
 	queueDepth, walLag, windows, rollups                              *obs.GaugeVec
+	snapBytes, sinceBytes                                             *obs.GaugeVec
 	walAppend, walFsync, snapshot                                     *obs.HistogramVec
 	query, sketches                                                   *obs.Histogram
 	foldedRollups                                                     *obs.Counter
@@ -53,6 +54,8 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		walLag:      reg.GaugeVec("telemetry_wal_lag_records", "records appended but not yet fsynced (lost if the process crashes now)", "shard"),
 		windows:     reg.GaugeVec("telemetry_shard_rollup_windows", "distinct time windows held by the shard", "shard"),
 		rollups:     reg.GaugeVec("telemetry_shard_rollups", "(window, key) sketches held by the shard", "shard"),
+		snapBytes:   reg.GaugeVec("telemetry_snapshot_bytes", "size of the shard's last checkpoint (what a restart loads)", "shard"),
+		sinceBytes:  reg.GaugeVec("telemetry_wal_bytes_since_snapshot", "WAL bytes logged since the shard's last checkpoint (what a restart replays)", "shard"),
 		walAppend:   reg.HistogramVec("telemetry_wal_append_seconds", "WAL append latency (includes the fsync when the append crosses the SyncEvery cadence)", walLatencyBuckets, "shard"),
 		walFsync:    reg.HistogramVec("telemetry_wal_fsync_seconds", "WAL fsync batch latency", walLatencyBuckets, "shard"),
 		snapshot:    reg.HistogramVec("telemetry_snapshot_seconds", "shard checkpoint latency (WAL fsync + encode + atomic rename)", nil, "shard"),
@@ -103,16 +106,18 @@ func bindStandalone(s *shard) {
 }
 
 // installCollectHook registers the scrape-time gauge refresh: queue depth,
-// WAL lag and rollup population per shard, read under each shard's lock only
-// when something actually collects.
+// WAL lag, rollup population and checkpoint accounting per shard, read under
+// each shard's lock only when something actually collects.
 func (ing *Ingestor) installCollectHook(reg *obs.Registry, m *ingestMetrics) {
-	gauges := make([]struct{ queue, lag, windows, rollups *obs.Gauge }, len(ing.shards))
+	gauges := make([]struct{ queue, lag, windows, rollups, snapBytes, sinceBytes *obs.Gauge }, len(ing.shards))
 	for i := range ing.shards {
 		l := strconv.Itoa(i)
 		gauges[i].queue = m.queueDepth.With(l)
 		gauges[i].lag = m.walLag.With(l)
 		gauges[i].windows = m.windows.With(l)
 		gauges[i].rollups = m.rollups.With(l)
+		gauges[i].snapBytes = m.snapBytes.With(l)
+		gauges[i].sinceBytes = m.sinceBytes.With(l)
 	}
 	reg.OnCollect(func() {
 		for i, s := range ing.shards {
@@ -122,6 +127,8 @@ func (ing *Ingestor) installCollectHook(reg *obs.Registry, m *ingestMetrics) {
 			gauges[i].rollups.Set(float64(len(s.windows)))
 			if s.wal != nil {
 				gauges[i].lag.Set(float64(s.wal.lag()))
+				gauges[i].snapBytes.Set(float64(s.wal.snapBytes))
+				gauges[i].sinceBytes.Set(float64(s.wal.sinceBytes))
 			}
 			s.mu.Unlock()
 		}

@@ -25,6 +25,14 @@ func TestIngestorExposesMetrics(t *testing.T) {
 	})
 	base := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
 	for i := 0; i < 50; i++ {
+		if i == 25 {
+			// A checkpoint mid-stream, so both halves of "what would a
+			// restart load and replay" read nonzero below.
+			ing.Flush()
+			if err := ing.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		e := Envelope{V: SchemaVersion, TS: base + int64(i)*1000, Metric: MetricRTT, Region: "Beijing", Net: "WiFi", User: 1, Seq: uint64(i + 1), Value: float64(i)}
 		if !ing.Offer(e) {
 			t.Fatalf("offer %d refused", i)
@@ -60,6 +68,8 @@ func TestIngestorExposesMetrics(t *testing.T) {
 		"telemetry_wal_appended_total",
 		"telemetry_wal_fsyncs_total",
 		"telemetry_wal_lag_records",
+		"telemetry_snapshot_bytes",
+		"telemetry_wal_bytes_since_snapshot",
 		"telemetry_shard_queue_depth",
 		"telemetry_shard_rollup_windows",
 		"telemetry_query_seconds_count",
@@ -73,7 +83,7 @@ func TestIngestorExposesMetrics(t *testing.T) {
 
 	samples := reg.Snapshot()
 	total := ing.TotalStats()
-	var accepted, deduped, walAppended float64
+	var accepted, deduped, walAppended, snapBytes, sinceBytes float64
 	for _, s := range samples {
 		switch s.Name {
 		case "telemetry_ingest_accepted_total":
@@ -82,6 +92,10 @@ func TestIngestorExposesMetrics(t *testing.T) {
 			deduped += s.Value
 		case "telemetry_wal_appended_total":
 			walAppended += s.Value
+		case "telemetry_snapshot_bytes":
+			snapBytes += s.Value
+		case "telemetry_wal_bytes_since_snapshot":
+			sinceBytes += s.Value
 		}
 	}
 	if uint64(accepted) != total.Accepted {
@@ -92,6 +106,12 @@ func TestIngestorExposesMetrics(t *testing.T) {
 	}
 	if uint64(walAppended) != total.WALAppended {
 		t.Errorf("metrics wal appended = %v, Stats = %d", walAppended, total.WALAppended)
+	}
+	if uint64(snapBytes) != total.SnapshotBytes || snapBytes == 0 {
+		t.Errorf("metrics snapshot bytes = %v, Stats = %d (want nonzero)", snapBytes, total.SnapshotBytes)
+	}
+	if uint64(sinceBytes) != total.WALBytesSinceSnapshot || sinceBytes == 0 {
+		t.Errorf("metrics wal bytes since snapshot = %v, Stats = %d (want nonzero)", sinceBytes, total.WALBytesSinceSnapshot)
 	}
 	if s, ok := obs.Find(samples, "telemetry_query_seconds_count"); !ok || s.Value != 1 {
 		t.Errorf("query latency count = %+v ok=%v, want 1", s, ok)

@@ -127,11 +127,12 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 	// any counts a prior-format snapshot over-claimed reset. Without this, a
 	// second crash before the next periodic snapshot would replay against
 	// the stale snapshot and skip records this generation durably appended
-	// below its applied counts. Skipped on a pure cold start (nothing to
-	// describe yet).
+	// below its applied counts. It also seeds the checkpoint cadence: the
+	// next worker checkpoint has this one's size to outweigh. Skipped on a
+	// pure cold start (nothing to describe yet).
 	if snap != nil || len(starts) > 0 {
 		s.mu.Lock()
-		payload := encodeSnapshot(s, ing.cfg)
+		payload := ing.cutCheckpoint(s)
 		s.mu.Unlock()
 		if err := writeSnapshot(dir, payload); err != nil {
 			return err

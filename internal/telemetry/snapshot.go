@@ -52,19 +52,27 @@ func (w *snapWriter) i64(v int64)  { w.u64(uint64(v)) }
 func (w *snapWriter) str(s string) { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
 func (w *snapWriter) key(k Key)    { w.str(k.Metric); w.str(k.Region); w.str(k.Net) }
 
+// keySize is the encoded length of key(k).
+func keySize(k Key) int { return 12 + len(k.Metric) + len(k.Region) + len(k.Net) }
+
 // encodeSnapshot serializes a shard's state. Called with the shard mutex
 // held, so sketches, trackers and WAL record counts are one consistent cut.
 // Map iteration order is canonicalised by sorting, making snapshot bytes
 // deterministic for a given state.
+//
+// The payload is sized exactly while the maps are collected and written once
+// into a buffer of that size, so a large shard's checkpoint is one allocation
+// of its own length rather than a doubling chain that allocates and copies
+// about twice that. Nothing is kept between checkpoints: a retained
+// per-shard buffer would hold a second copy of the state's size for the
+// process's whole life.
 func encodeSnapshot(s *shard, cfg Config) []byte {
-	w := &snapWriter{b: make([]byte, 0, 4096)}
-	w.b = append(w.b, snapMagic[:]...)
-	w.u32(uint32(cfg.Shards))
-	w.i64(cfg.Window.Milliseconds())
+	size := len(snapMagic) + 4 + 8 + 3*4 + 4 // header, three section counts, CRC
 
 	wks := make([]windowKey, 0, len(s.windows))
-	for wk := range s.windows {
+	for wk, sk := range s.windows {
 		wks = append(wks, wk)
+		size += 8 + keySize(wk.Key) + 4 + sk.BinarySize()
 	}
 	sort.Slice(wks, func(i, j int) bool {
 		a, b := wks[i], wks[j]
@@ -79,15 +87,6 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		}
 		return a.Net < b.Net
 	})
-	w.u32(uint32(len(wks)))
-	var skBuf []byte
-	for _, wk := range wks {
-		w.i64(wk.Start)
-		w.key(wk.Key)
-		skBuf, _ = s.windows[wk].AppendBinary(skBuf[:0])
-		w.u32(uint32(len(skBuf)))
-		w.b = append(w.b, skBuf...)
-	}
 
 	var segs []int64
 	if s.wal != nil {
@@ -96,15 +95,12 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	w.u32(uint32(len(segs)))
-	for _, start := range segs {
-		w.i64(start)
-		w.u64(s.wal.records[start])
-	}
+	size += 16 * len(segs)
 
 	dks := make([]dedupKey, 0, len(s.seen))
-	for dk := range s.seen {
+	for dk, t := range s.seen {
 		dks = append(dks, dk)
+		size += keySize(dk.Key) + 8 + 8 + 8 + 4 + 8*len(t.sparse)
 	}
 	sort.Slice(dks, func(i, j int) bool {
 		a, b := dks[i], dks[j]
@@ -119,14 +115,36 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		}
 		return a.User < b.User
 	})
+
+	w := &snapWriter{b: make([]byte, 0, size)}
+	w.b = append(w.b, snapMagic[:]...)
+	w.u32(uint32(cfg.Shards))
+	w.i64(cfg.Window.Milliseconds())
+
+	w.u32(uint32(len(wks)))
+	for _, wk := range wks {
+		sk := s.windows[wk]
+		w.i64(wk.Start)
+		w.key(wk.Key)
+		w.u32(uint32(sk.BinarySize()))
+		w.b, _ = sk.AppendBinary(w.b) // encoding a live sketch cannot fail
+	}
+
+	w.u32(uint32(len(segs)))
+	for _, start := range segs {
+		w.i64(start)
+		w.u64(s.wal.records[start])
+	}
+
 	w.u32(uint32(len(dks)))
+	var sparse []uint64
 	for _, dk := range dks {
 		w.key(dk.Key)
 		w.i64(int64(dk.User))
 		t := s.seen[dk]
 		w.u64(t.floor)
 		w.i64(t.last)
-		sparse := make([]uint64, 0, len(t.sparse))
+		sparse = sparse[:0]
 		for seq := range t.sparse {
 			sparse = append(sparse, seq)
 		}

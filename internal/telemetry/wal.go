@@ -70,6 +70,14 @@ type shardWAL struct {
 	unsynced int    // appends since the last fsync (drives syncEvery)
 	err      error  // sticky write/sync error: shard degrades to memory-only
 
+	// Checkpoint accounting — what a restart would replay right now, and
+	// what the next checkpoint has to outweigh (checkpointDue). Records of
+	// both kinds count, in write; cutCheckpoint restarts the two since*
+	// counters and records the size it cut.
+	sinceRecords int    // records appended since the last checkpoint
+	sinceBytes   uint64 // their bytes
+	snapBytes    uint64 // size of the last checkpoint, 0 before the first
+
 	// Observability instruments (metrics.go bindWAL), nil without a registry.
 	// Updated under the shard lock like everything else here.
 	appendedC *obs.Counter
@@ -151,17 +159,40 @@ func (w *shardWAL) append(e Envelope, start int64) {
 		w.err = err
 		return
 	}
-	if _, err := seg.bw.Write(w.line); err != nil {
+	w.write(seg, start, w.line)
+}
+
+// write puts one encoded record (envelope or control, newline included) on
+// its segment and does the accounting every record shares: the segment's
+// record count, the durability lag and fsync cadence, and the checkpoint
+// trigger's records-and-bytes-since.
+func (w *shardWAL) write(seg *walSeg, start int64, line []byte) {
+	if _, err := seg.bw.Write(line); err != nil {
 		w.err = err
 		return
 	}
 	w.records[start]++
 	w.appended++
 	w.appendedC.Inc()
+	w.sinceRecords++
+	w.sinceBytes += uint64(len(line))
 	w.unsynced++
 	if w.syncEvery > 0 && w.unsynced >= w.syncEvery {
 		w.sync()
 	}
+}
+
+// checkpointDue is the cadence rule: cut a checkpoint only once at least
+// floor records have been logged since the last one AND their bytes weigh at
+// least what that checkpoint did. The second half is what makes checkpoint
+// cost amortised O(1) per logged byte however large the retained state grows:
+// each checkpoint is paid for by the WAL written before the next, so the
+// cadence never writes more checkpoint bytes than WAL bytes plus the size of
+// the latest checkpoint, and the un-checkpointed suffix a restart replays
+// holds fewer than floor records or fewer bytes than the checkpoint beside
+// it. floor 0 means never (shutdown only); a degraded WAL cannot checkpoint.
+func (w *shardWAL) checkpointDue(floor int) bool {
+	return floor > 0 && w.err == nil && w.sinceRecords >= floor && w.sinceBytes >= w.snapBytes
 }
 
 // sync flushes every open segment to the OS and fsyncs it. On success the

@@ -23,7 +23,8 @@
 #     with "windows"), and the frontend's /metrics (leg, page-byte and
 #     merge families) and the node's (fold families) must lint; a SIGKILLed
 #     member must surface as an explicit partial result; a restarted member
-#     (WAL recovery) must reconverge
+#     (WAL recovery) must reconverge, having replayed no more WAL than the
+#     documented restart bound
 #   → rebalance smoke: a fourth node joins the live cluster through
 #     POST /admin/join (sketch-page handoff, epoch activation), then a
 #     member drains and leaves — /query and /keys must stay byte-identical
@@ -241,8 +242,8 @@ fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
   -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds
 "$smoke/metriclint" -url "http://127.0.0.1:$N0/metrics" \
-  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds
-echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge and fold families"
+  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot
+echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge, fold and checkpoint families"
 
 kill -9 "$NODE1_PID" 2>/dev/null
 partial_ok=""
@@ -263,9 +264,27 @@ if [[ -z "$partial_ok" ]]; then
 fi
 echo "  killed n1: /query answers partial, naming the missing member"
 
+# README's restart bound, from what the kill left on disk: per shard, the
+# replayed WAL suffix holds fewer records than -snapshot-every (4096, the
+# default these nodes run with) or fewer bytes than the checkpoint beside it
+# (an envelope record is at least 64 bytes).
+replay_bound=0
+for shard in "$smoke"/cluster-n1/shard-*; do
+  snap_bytes=$(stat -c %s "$shard/snapshot.bin" 2>/dev/null || echo 0)
+  per_shard=$((snap_bytes / 64 + 1))
+  if [[ "$per_shard" -lt 4096 ]]; then per_shard=4096; fi
+  replay_bound=$((replay_bound + per_shard))
+done
 start_node n1 "$N1"
 converge "$smoke/cluster-recovered.json" 150
-echo "  n1 recovered from its WAL: /query reconverged to the single-node bytes"
+curl -fsS "http://127.0.0.1:$N1/healthz" > "$smoke/cluster-n1-healthz.json"
+replayed=$(grep -o '"records_replayed": [0-9]*' "$smoke/cluster-n1-healthz.json" | grep -o '[0-9]*$' || true)
+if [[ -z "$replayed" ]] || [[ "$replayed" -gt "$replay_bound" ]]; then
+  echo "n1 replayed '${replayed}' WAL records at restart, documented bound $replay_bound:" >&2
+  cat "$smoke/cluster-n1-healthz.json" >&2
+  exit 1
+fi
+echo "  n1 recovered from its WAL ($replayed records replayed, bound $replay_bound): /query reconverged to the single-node bytes"
 
 echo "== rebalance smoke (live join, drain, leave through /admin) =="
 # Elastic membership end to end over real processes: a fourth node joins
