@@ -77,7 +77,7 @@ bench-multicore:
 ci:
 	./scripts/ci.sh
 
-# Non-test Go lines per package (ROADMAP item 6's table, reproducible).
+# Non-test Go lines per package (ROADMAP item 9's table, reproducible).
 loc:
 	./scripts/loc.sh
 

@@ -19,7 +19,6 @@ import (
 
 	"edgescope/internal/core"
 	"edgescope/internal/crowd"
-	"edgescope/internal/emunet"
 	"edgescope/internal/mathx"
 	"edgescope/internal/netmodel"
 	"edgescope/internal/obs"
@@ -321,7 +320,7 @@ func BenchmarkTable7Pricing(b *testing.B) {
 // gap as a metric.
 func BenchmarkAblationPlacement(b *testing.B) {
 	for _, strat := range []placement.Strategy{
-		placement.NEPDefault{}, placement.BestFit{}, placement.Random{}, placement.LeastLoaded{},
+		placement.NEPDefault{}, placement.BestFit{}, placement.Random{},
 	} {
 		b.Run(strat.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -1107,23 +1106,6 @@ func BenchmarkRebalanceHandoff(b *testing.B) {
 				b.StartTimer()
 			}
 		})
-	}
-}
-
-// BenchmarkSocketPing measures a real UDP echo round trip through the
-// emulator (zero added delay isolates the socket + scheduler cost).
-func BenchmarkSocketPing(b *testing.B) {
-	e, err := emunet.NewUDPEcho(emunet.Link{}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := probe.Ping(e.Addr(), 1, time.Second)
-		if err != nil || st.Received != 1 {
-			b.Fatalf("ping failed: %v", err)
-		}
 	}
 }
 

@@ -66,7 +66,8 @@ func newClusterServersWith(t *testing.T, reg *obs.Registry, wrap func(id string,
 	}
 	c.tracker = cluster.NewHealthTracker(pm.Nodes(), peers.prober(), cluster.HealthConfig{DownAfter: 3})
 	router := cluster.NewRouter(pm, c.tracker, peers.transport(), rng.New(1), cluster.RouterConfig{
-		Retry: telemetry.RetryConfig{MaxAttempts: 2, Sleep: func(time.Duration) {}},
+		Retry:   telemetry.RetryConfig{MaxAttempts: 2, Sleep: func(time.Duration) {}},
+		Metrics: reg,
 	})
 	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{Timeout: time.Second, Metrics: reg})
 	c.front = httptest.NewServer(buildFrontendMux(frontendMuxConfig{
@@ -147,6 +148,31 @@ func TestClusterFrontendMatchesSingleNode(t *testing.T) {
 	}
 	if keysC != keysS {
 		t.Fatalf("cluster /keys differs from single-node:\n%s\n%s", keysC, keysS)
+	}
+}
+
+// TestFrontendMetricsCarryRetryClientFamilies: the frontend's router is the
+// one production RetryClient, so the telemetry_client_* families README's
+// /metrics table documents are on the frontend's /metrics, counting what was
+// routed.
+func TestFrontendMetricsCarryRetryClientFamilies(t *testing.T) {
+	c := newClusterServersWith(t, obs.NewRegistry(), nil)
+	if got := postIngest(t, c.front.URL, ingestLines(t)); got != 32 {
+		t.Fatalf("frontend accepted %d of 32", got)
+	}
+	code, body, _ := get(t, c.front.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
+	}
+	for _, want := range []string{
+		"telemetry_client_sent_total 32\n",
+		"telemetry_client_retries_total 0\n",
+		"telemetry_client_failed_total 0\n",
+		"# TYPE telemetry_client_backoff_seconds histogram\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("frontend /metrics lacks %q:\n%s", want, body)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"edgescope/internal/rng"
 	"edgescope/internal/stats"
+	"edgescope/internal/timeseries"
 	"edgescope/internal/vm"
 	"edgescope/internal/workload"
 )
@@ -208,7 +209,7 @@ func TestMostVolatileOrdering(t *testing.T) {
 	nep, _ := traces(t)
 	idx := MostVolatileBW(nep, 10)
 	ratio := func(i int) float64 {
-		w := nep.VMs[i].PublicBW.Resample(7*24*3600*1e9, 0)
+		w := nep.VMs[i].PublicBW.ResampleInto(&timeseries.Series{}, 7*24*3600*1e9, 0)
 		mn, mx := stats.Min(w.Values), stats.Max(w.Values)
 		if mn <= 0 {
 			mn = 1e-6

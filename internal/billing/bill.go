@@ -175,13 +175,6 @@ func sortedAppIDs(apps map[int][]int) []int {
 	return ids
 }
 
-// Ratio compares one app's cloud bill to its NEP bill (Table 6 normalises
-// to NEP, so >1 means the cloud is dearer).
-type Ratio struct {
-	App   int
-	Value float64
-}
-
 // Table6Row summarises one (cloud, model) cell of Table 6 over the N
 // heaviest apps.
 type Table6Row struct {

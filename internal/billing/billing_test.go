@@ -302,12 +302,6 @@ func TestNetworkModelString(t *testing.T) {
 	}
 }
 
-func TestFormatMoney(t *testing.T) {
-	if FormatMoney(1.5) != "1.50 RMB" {
-		t.Fatalf("FormatMoney = %q", FormatMoney(1.5))
-	}
-}
-
 // --- property tests on pricing invariants ---
 
 func TestReservedMonotoneProperty(t *testing.T) {

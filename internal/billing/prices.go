@@ -8,10 +8,7 @@
 // examples).
 package billing
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Money is an amount in RMB.
 type Money = float64
@@ -49,8 +46,6 @@ func VCloud1Hardware() HardwarePricing {
 func VCloud2Hardware() HardwarePricing {
 	return HardwarePricing{PerVCPUMonth: 30, PerMemGBMonth: 25, PerDiskGBMonth: 0.7}
 }
-
-const hoursPerMonth = 24 * 30
 
 // CloudNetPricing parameterises a cloud's three network billing models.
 type CloudNetPricing struct {
@@ -193,6 +188,3 @@ func NEP95thDailyPeak(dailyPeaks []float64) float64 {
 	}
 	return s[idx]
 }
-
-// String renders a Money value for reports.
-func FormatMoney(m Money) string { return fmt.Sprintf("%.2f RMB", m) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,7 +14,7 @@ import (
 var (
 	suiteOnce sync.Once
 	suite     *Suite
-	artifacts []NamedArtifact
+	artifacts []ArtifactResult
 )
 
 // newSmall is the one way this package's tests build a suite: the "small"
@@ -29,13 +30,31 @@ func newSmall(t testing.TB, seed uint64) *Suite {
 	return s
 }
 
-func smallSuite(t *testing.T) (*Suite, []NamedArtifact) {
+// smallSuite returns the package's shared suite and its 21 paper artifacts
+// from one serial pass, in paper order.
+func smallSuite(t *testing.T) (*Suite, []ArtifactResult) {
 	t.Helper()
 	suiteOnce.Do(func() {
 		suite = newSmall(t, 1)
-		artifacts = suite.All()
+		artifacts = builtArtifacts(t, suite, false)
 	})
 	return suite, artifacts
+}
+
+// builtArtifacts runs a serial pass and drops the substrate-build rows.
+func builtArtifacts(t *testing.T, s *Suite, includeExt bool) []ArtifactResult {
+	t.Helper()
+	results, err := s.RunArtifacts(context.Background(), 1, nil, includeExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []ArtifactResult
+	for _, r := range results {
+		if r.Artifact != nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func TestAllExperimentsProduceArtifacts(t *testing.T) {
@@ -123,7 +142,12 @@ func TestDeterministicAcrossSuites(t *testing.T) {
 
 func TestExtensionsProduceArtifacts(t *testing.T) {
 	s, _ := smallSuite(t)
-	exts := s.Extensions()
+	var exts []ArtifactResult
+	for _, a := range builtArtifacts(t, s, true) {
+		if strings.HasPrefix(a.ID, "ext-") {
+			exts = append(exts, a)
+		}
+	}
 	if len(exts) != 5 {
 		t.Fatalf("extensions = %d, want 5", len(exts))
 	}

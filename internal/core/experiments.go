@@ -430,10 +430,3 @@ func (s *Suite) Table7() *report.Table {
 	t.AddRow("NEP", "network", "chengdu-cmcc 2 Mbps", 2*billing.NEPNetUnitPrice("Sichuan", "cmcc"))
 	return t
 }
-
-// NamedArtifact pairs an experiment ID with its rendered artifact.
-type NamedArtifact struct {
-	ID       string
-	Desc     string
-	Artifact report.Artifact
-}

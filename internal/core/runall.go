@@ -366,27 +366,3 @@ func runNode(fn func()) (err error) {
 	fn()
 	return nil
 }
-
-// All runs every paper experiment serially in paper order.
-func (s *Suite) All() []NamedArtifact {
-	var out []NamedArtifact
-	for _, sp := range specs() {
-		if sp.ext {
-			continue
-		}
-		out = append(out, NamedArtifact{ID: sp.id, Desc: sp.desc, Artifact: sp.build(s)})
-	}
-	return out
-}
-
-// Extensions lists the non-paper artifacts.
-func (s *Suite) Extensions() []NamedArtifact {
-	var out []NamedArtifact
-	for _, sp := range specs() {
-		if !sp.ext {
-			continue
-		}
-		out = append(out, NamedArtifact{ID: sp.id, Desc: sp.desc, Artifact: sp.build(s)})
-	}
-	return out
-}

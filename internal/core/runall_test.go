@@ -115,35 +115,37 @@ func TestParallelismOneIsSerial(t *testing.T) {
 	}
 }
 
-// TestRunAllMatchesSerialAll pins RunAll to the legacy serial path: the
-// same registry drives both, so outputs must agree byte for byte.
+// TestRunAllMatchesSerialAll pins a pooled RunAll to the serial pass
+// (parallelism 1): same artifacts byte for byte, listed in paper order
+// whatever order they completed in.
 func TestRunAllMatchesSerialAll(t *testing.T) {
 	results, err := newSmall(t, 5).RunAll(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := renderAll(t, results)
-	want := newSmall(t, 5).All()
-	if len(got) != len(want) {
-		t.Fatalf("RunAll built %d artifacts, All has %d", len(got), len(want))
+	serial, err := newSmall(t, 5).RunAll(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, a := range want {
-		var buf bytes.Buffer
-		if err := a.Artifact.Render(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), got[a.ID]) {
-			t.Fatalf("artifact %d (%s) differs between All() and RunAll", i, a.ID)
+	want := renderAll(t, serial)
+	if len(got) != len(want) {
+		t.Fatalf("RunAll built %d artifacts, the serial pass %d", len(got), len(want))
+	}
+	for id, b := range want {
+		if !bytes.Equal(b, got[id]) {
+			t.Fatalf("artifact %s differs between the serial pass and RunAll", id)
 		}
 	}
 	// Paper order must be preserved in the result list.
+	ids := ArtifactIDs()
 	idx := 0
 	for _, r := range results {
 		if r.Artifact == nil {
 			continue
 		}
-		if r.ID != want[idx].ID {
-			t.Fatalf("result %d = %s, want %s (paper order)", idx, r.ID, want[idx].ID)
+		if r.ID != ids[idx] {
+			t.Fatalf("result %d = %s, want %s (paper order)", idx, r.ID, ids[idx])
 		}
 		idx++
 	}

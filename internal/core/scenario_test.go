@@ -4,12 +4,25 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"edgescope/internal/scenario"
 )
+
+// saveSpec writes sp to path in the form scenario.Load reads.
+func saveSpec(t *testing.T, path string, sp *scenario.Spec) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := scenario.Encode(&buf, sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestNewSuiteFromSpecRejects(t *testing.T) {
 	if _, err := NewSuiteFromSpec(nil); err == nil {
@@ -52,9 +65,7 @@ func TestResolveScenario(t *testing.T) {
 	custom := scenario.MustGet("flash-crowd")
 	custom.Name = "my-flash"
 	path := filepath.Join(t.TempDir(), "my.json")
-	if err := scenario.Save(path, custom); err != nil {
-		t.Fatal(err)
-	}
+	saveSpec(t, path, custom)
 	s, err = SuiteFromFlags(fs, path, "seed", 0)
 	if err != nil || s.Name() != "my-flash" {
 		t.Fatalf("file resolve = %v, %v", s, err)
@@ -77,9 +88,7 @@ func TestSuiteFromFlagsSeedPrecedence(t *testing.T) {
 	custom.Seed += 41
 	specSeed := custom.Seed
 	path := filepath.Join(t.TempDir(), "seeded.json")
-	if err := scenario.Save(path, custom); err != nil {
-		t.Fatal(err)
-	}
+	saveSpec(t, path, custom)
 
 	for _, c := range []struct {
 		args []string

@@ -88,9 +88,6 @@ type Suite struct {
 // without it.
 func (s *Suite) SetTracer(t *obs.Tracer) { s.tracer = t }
 
-// Tracer returns the attached span tracer, nil (record nothing) by default.
-func (s *Suite) Tracer() *obs.Tracer { return s.tracer }
-
 // NewSuiteFromSpec builds an experiment suite from a declarative scenario.
 // The spec is validated and copied, so later caller mutations cannot leak
 // into a running suite.

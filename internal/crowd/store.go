@@ -108,19 +108,10 @@ func BuildObservationStore(obs []Observation) *ObservationStore {
 	return st
 }
 
-// Len returns the number of observations.
-func (st *ObservationStore) Len() int { return len(st.view) }
-
 // View returns the array-of-structs view of the store, in emission order.
 // It is the same backing slice the store was built from; treat it as
 // read-only.
 func (st *ObservationStore) View() []Observation { return st.view }
-
-// Group returns the row indexes of one access×target group, in emission
-// order. The returned slice is the store's own; treat it as read-only.
-func (st *ObservationStore) Group(a netmodel.Access, k TargetKind) []int32 {
-	return st.groups[int(a)][int(k)]
-}
 
 // perUserMeans collapses one column of an access×target group to one mean
 // per user, in ascending user order — the columnar equivalent of perUser in

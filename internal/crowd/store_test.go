@@ -19,8 +19,8 @@ func TestObservationStoreMatchesSlice(t *testing.T) {
 		_, obs := testCampaign(t, seed)
 		st := BuildObservationStore(obs)
 
-		if st.Len() != len(obs) {
-			t.Fatalf("seed %d: Len = %d, want %d", seed, st.Len(), len(obs))
+		if len(st.userID) != len(obs) {
+			t.Fatalf("seed %d: %d rows, want %d", seed, len(st.userID), len(obs))
 		}
 		// Columns are the struct fields.
 		for i, o := range obs {
@@ -43,7 +43,7 @@ func TestObservationStoreMatchesSlice(t *testing.T) {
 		seen := 0
 		for a := 0; a < numAccessCols; a++ {
 			for k := 0; k < numTargetCols; k++ {
-				idx := st.Group(netmodel.Access(a), TargetKind(k))
+				idx := st.groups[a][k]
 				for j, ri := range idx {
 					o := obs[ri]
 					if int(o.Access) != a || int(o.Target) != k {

@@ -23,16 +23,6 @@ type Workload struct {
 	RPS *timeseries.Series
 }
 
-// TotalInvocations integrates the request rate over the series.
-func (w Workload) TotalInvocations() float64 {
-	secs := w.RPS.Interval.Seconds()
-	var total float64
-	for _, r := range w.RPS.Values {
-		total += r * secs
-	}
-	return total
-}
-
 // Outcome summarises one plan's behaviour over the workload, scaled to a
 // 30-day month.
 type Outcome struct {

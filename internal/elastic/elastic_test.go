@@ -15,9 +15,6 @@ func TestDiurnalWorkloadShape(t *testing.T) {
 	if ratio := peak / trough; ratio < 3 || ratio > 5 {
 		t.Fatalf("peak/trough = %.1f, want ~4", ratio)
 	}
-	if w.TotalInvocations() <= 0 {
-		t.Fatal("no invocations")
-	}
 }
 
 func TestVMPlanOverload(t *testing.T) {

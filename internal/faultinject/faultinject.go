@@ -106,7 +106,7 @@ type Injector[E any] struct {
 // byte of its output unchanged.
 func New[E any](spec *scenario.FaultSpec, scenarioSeed uint64) *Injector[E] {
 	inj := &Injector[E]{stall: map[int]uint64{}}
-	inj.p.init(spec, scenarioSeed, spec.Active(), "faultinject")
+	inj.p.init(spec, scenarioSeed, eventActive(spec), "faultinject")
 	orDefault(&inj.p.spec.ReorderSpan, defaultReorderSpan)
 	orDefault(&inj.p.spec.DelaySpan, defaultDelaySpan)
 	orDefault(&inj.p.spec.StallSpan, defaultStallSpan)

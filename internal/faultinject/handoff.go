@@ -75,7 +75,7 @@ type HandoffInjector struct {
 // nothing and draws nothing.
 func NewHandoff(spec *scenario.FaultSpec, scenarioSeed uint64, hooks HandoffHooks) *HandoffInjector {
 	inj := &HandoffInjector{hooks: hooks}
-	inj.init(spec, scenarioSeed, spec.HandoffActive(), "faultinject-handoff")
+	inj.init(spec, scenarioSeed, handoffActive(spec), "faultinject-handoff")
 	inj.reviveKind, inj.revive = KindHandoffKill, hooks.Recover
 	inj.revivedKind = KindHandoffRecover
 	orDefault(&inj.spec.HandoffSpan, defaultHandoffSpan)

@@ -65,11 +65,11 @@ type NodeInjector struct {
 // the draw stream when the plan does not pin its own Seed; the stream is
 // forked under "faultinject-node", independent of the event-level
 // injector's fork, so the two planes can shake one run without perturbing
-// each other's draws. A plan with no node-level rates (NodeActive false)
-// injects nothing and draws nothing.
+// each other's draws. A plan with no node-level rates injects nothing and
+// draws nothing.
 func NewNode(spec *scenario.FaultSpec, scenarioSeed uint64, hooks NodeHooks) *NodeInjector {
 	inj := &NodeInjector{crash: hooks.Crash}
-	inj.init(spec, scenarioSeed, spec.NodeActive(), "faultinject-node")
+	inj.init(spec, scenarioSeed, nodeActive(spec), "faultinject-node")
 	inj.reviveKind, inj.revive = KindNodeCrash, hooks.Restart
 	inj.revivedKind, inj.revived = KindNodeRestart, &inj.stats.Restarts
 	orDefault(&inj.spec.NodeCrashSpan, defaultNodeCrashSpan)

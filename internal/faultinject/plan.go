@@ -61,6 +61,23 @@ func (p *plan) init(spec *scenario.FaultSpec, scenarioSeed uint64, active bool, 
 	p.outages = map[string]outage{}
 }
 
+// eventActive reports whether the plan can inject anything at all on the
+// event plane; nodeActive and handoffActive whether it carries any
+// node-level or handoff-phase fault. Inactive plans (nil or all-zero rates)
+// draw no randomness.
+func eventActive(f *scenario.FaultSpec) bool {
+	return f != nil && (f.Drop > 0 || f.Duplicate > 0 || f.Reorder > 0 ||
+		f.Delay > 0 || f.ShardStall > 0 || f.ShortWrite > 0 || nodeActive(f))
+}
+
+func nodeActive(f *scenario.FaultSpec) bool {
+	return f != nil && (f.NodeCrash > 0 || f.NodeStall > 0 || f.NetPartition > 0)
+}
+
+func handoffActive(f *scenario.FaultSpec) bool {
+	return f != nil && (f.HandoffKillGaining > 0 || f.HandoffPartitionSource > 0 || f.HandoffCrashRecover > 0)
+}
+
 // orDefault applies def to a span left zero.
 func orDefault(span *int, def int) {
 	if *span == 0 {

@@ -124,59 +124,6 @@ func MustCity(name string) City {
 	return c
 }
 
-// CitiesInProvince returns all database cities in the given province.
-func CitiesInProvince(province string) []City {
-	var out []City
-	for _, c := range cities {
-		if c.Province == province {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Provinces returns the sorted list of distinct provinces in the database.
-func Provinces() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range cities {
-		if !seen[c.Province] {
-			seen[c.Province] = true
-			out = append(out, c.Province)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalPopulationM returns the summed metro population of the database in
-// millions; it normalises population weights.
-func TotalPopulationM() float64 {
-	var t float64
-	for _, c := range cities {
-		t += c.PopulationM
-	}
-	return t
-}
-
-// Located is anything with a geographic position.
-type Located interface{ Position() Point }
-
-// Position implements Located for City.
-func (c City) Position() Point { return c.Loc }
-
-// NearestCity returns the database city closest to p.
-func NearestCity(p Point) City {
-	best := cities[0]
-	bestD := Haversine(p, best.Loc)
-	for _, c := range cities[1:] {
-		if d := Haversine(p, c.Loc); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}
-
 // RankByDistance returns indices of items sorted by ascending great-circle
 // distance from p. The positions slice supplies each item's location.
 func RankByDistance(p Point, positions []Point) []int {

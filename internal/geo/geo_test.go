@@ -116,38 +116,6 @@ func TestMustCityPanics(t *testing.T) {
 	MustCity("Atlantis")
 }
 
-func TestCitiesInProvince(t *testing.T) {
-	gd := CitiesInProvince("Guangdong")
-	if len(gd) < 4 {
-		t.Fatalf("Guangdong should have several cities, got %d", len(gd))
-	}
-	for _, c := range gd {
-		if c.Province != "Guangdong" {
-			t.Fatalf("city %s has province %s", c.Name, c.Province)
-		}
-	}
-}
-
-func TestProvincesCoverage(t *testing.T) {
-	ps := Provinces()
-	if len(ps) < 25 {
-		t.Fatalf("province coverage too small: %d", len(ps))
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1] >= ps[i] {
-			t.Fatal("Provinces not sorted/deduplicated")
-		}
-	}
-}
-
-func TestNearestCity(t *testing.T) {
-	// A point near Beijing must resolve to Beijing (Tianjin is ~110 km away).
-	p := Point{39.95, 116.45}
-	if c := NearestCity(p); c.Name != "Beijing" {
-		t.Fatalf("NearestCity near Beijing = %s", c.Name)
-	}
-}
-
 func TestRankByDistance(t *testing.T) {
 	bj := MustCity("Beijing").Loc
 	pos := []Point{
@@ -182,11 +150,5 @@ func TestRankByDistanceIsPermutation(t *testing.T) {
 		return len(r) == k
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTotalPopulation(t *testing.T) {
-	if p := TotalPopulationM(); p < 300 || p > 600 {
-		t.Fatalf("total population = %v M, implausible", p)
 	}
 }

@@ -78,24 +78,6 @@ func TestFusedSampleMatchesHopWalk(t *testing.T) {
 	})
 }
 
-// TestHopRTTsIntoMatchesHopRTTs pins the buffered traceroute kernel.
-func TestHopRTTsIntoMatchesHopRTTs(t *testing.T) {
-	kernelSweep(t, func(t *testing.T, seed uint64, access Access, class SiteClass, distKm float64) {
-		p1, p2, r1, r2 := samePath(seed, access, class, distKm)
-		buf := make([]float64, p1.HopCount())
-		for rep := 0; rep < 16; rep++ {
-			p1.HopRTTsInto(r1, buf)
-			want := p2.HopRTTs(r2)
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("seed %d %v/%v %.0fkm rep %d hop %d: into %v, alloc %v",
-						seed, access, class, distKm, rep, i, buf[i], want[i])
-				}
-			}
-		}
-	})
-}
-
 // TestSampleRTTsZeroAlloc pins that the batched kernel performs no
 // allocation once the caller owns the buffer.
 func TestSampleRTTsZeroAlloc(t *testing.T) {

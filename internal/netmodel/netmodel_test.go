@@ -180,26 +180,6 @@ func TestHopSharesSumToOne(t *testing.T) {
 	}
 }
 
-func TestFiveGHopsInvisible(t *testing.T) {
-	r := rng.New(11)
-	p := BuildPath(r, FiveG, EdgeSite, 10)
-	rtts := p.HopRTTs(r)
-	if rtts[0] != -1 || rtts[1] != -1 {
-		t.Fatalf("5G first hops should be invisible, got %v", rtts[:2])
-	}
-	// Later hops visible and cumulative.
-	last := 0.0
-	for _, v := range rtts[2:] {
-		if v < 0 {
-			t.Fatal("metro+ hops should be visible")
-		}
-		if v < last-1.5 { // allow small jitter inversions
-			t.Fatalf("hop RTTs should be ~monotone: %v", rtts)
-		}
-		last = v
-	}
-}
-
 func TestSampleRTTPositiveAndNearBase(t *testing.T) {
 	r := rng.New(12)
 	p := BuildPath(r, LTE, CloudSite, 1200)

@@ -298,47 +298,6 @@ func (p *Path) SampleRTTs(r *rng.Source, dst []float64) {
 	}
 }
 
-// HopRTTs returns per-hop cumulative RTTs as a TTL-walking traceroute would
-// observe them: entry i is the RTT to hop i, or NaN-like -1 when the hop does
-// not answer TTL-expired probes (e.g. the first 5G hops).
-func (p *Path) HopRTTs(r *rng.Source) []float64 {
-	out := make([]float64, len(p.Hops))
-	p.HopRTTsInto(r, out)
-	return out
-}
-
-// HopRTTsInto is HopRTTs writing into a caller-owned buffer (len(dst) must
-// be HopCount()): identical draws and values, no allocation.
-func (p *Path) HopRTTsInto(r *rng.Source, dst []float64) {
-	if len(dst) != len(p.Hops) {
-		panic("netmodel: HopRTTsInto buffer length must equal HopCount")
-	}
-	// Hop visibility is only consulted here (the cold traceroute path), so
-	// it stays on the Hops slice rather than costing the kernel a column.
-	if p.kern.base == nil {
-		var cum float64
-		for i, h := range p.Hops {
-			cum += h.BaseRTTMs + r.Normal(0, h.JitterStdMs)
-			if h.Visible {
-				dst[i] = cum
-			} else {
-				dst[i] = -1
-			}
-		}
-		return
-	}
-	base, jitter := p.kern.base, p.kern.jitter
-	var cum float64
-	for i, b := range base {
-		cum += b + r.Normal(0, jitter[i])
-		if p.Hops[i].Visible {
-			dst[i] = cum
-		} else {
-			dst[i] = -1
-		}
-	}
-}
-
 // HopShare returns the fraction of the base RTT contributed by the 1st, 2nd,
 // 3rd hop and the rest, matching the breakdown of Table 3.
 func (p *Path) HopShare() (h1, h2, h3, rest float64) {

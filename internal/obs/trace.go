@@ -142,16 +142,6 @@ func (t *Tracer) Spans() []Span {
 	return append([]Span(nil), t.spans...)
 }
 
-// Reset drops every recorded span, keeping the store's capacity.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.mu.Unlock()
-}
-
 // chromeEvent is one Chrome trace-event object. Complete events ("ph":"X")
 // carry ts/dur in microseconds; metadata events ("ph":"M") name the tracks.
 type chromeEvent struct {

@@ -133,18 +133,3 @@ func TestBeginEndAllocationFreeAfterReserve(t *testing.T) {
 		t.Fatalf("Begin/End over reserved capacity allocates %v/op", n)
 	}
 }
-
-func TestResetKeepsCapacity(t *testing.T) {
-	tr := NewTracer(fakeClock())
-	tr.Reserve(8)
-	for i := 0; i < 8; i++ {
-		tr.End(tr.Begin("s", 0))
-	}
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", tr.Len())
-	}
-	if n := testing.AllocsPerRun(8, func() { tr.Reset(); tr.End(tr.Begin("s", 0)) }); n != 0 {
-		t.Fatalf("Reset dropped capacity: %v allocs/op", n)
-	}
-}

@@ -2,10 +2,10 @@
 // describes in §2 ("NEP operation"): customers subscribe VMs at province
 // granularity, and the platform picks concrete servers — NEP's production
 // strategy favours servers with low sales ratio and low observed CPU usage.
-// Alternative strategies (best-fit, random, least-loaded) support the
-// ablations motivated by §4.3's load-balance findings, and the request
-// schedulers model the customer-side end-user traffic scheduling (nearest
-// site via DNS/HTTP-302 vs load-aware GSLB).
+// Alternative strategies (best-fit, random) support the ablations motivated
+// by §4.3's load-balance findings, and the request schedulers model the
+// customer-side end-user traffic scheduling (nearest site via DNS/HTTP-302
+// vs load-aware GSLB).
 package placement
 
 import (
@@ -171,20 +171,6 @@ func (Random) Place(r *rng.Source, st *ClusterState, req Request) ([]Assignment,
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// LeastLoaded spreads VMs onto the server with the lowest observed usage,
-// ignoring sales ratio (a usage-only ablation of NEPDefault).
-type LeastLoaded struct{}
-
-// Name implements Strategy.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Place implements Strategy.
-func (LeastLoaded) Place(r *rng.Source, st *ClusterState, req Request) ([]Assignment, error) {
-	return placeN(st, req, func(site, server int) float64 {
-		return st.UsageEst[site][server]
-	}, false)
 }
 
 // placeN picks, once per VM, the best feasible server under the strategy's

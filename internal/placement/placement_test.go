@@ -104,20 +104,6 @@ func TestBestFitPacksFullest(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedFollowsUsage(t *testing.T) {
-	st := twoSiteState()
-	r := rng.New(6)
-	st.ObserveUsage(0, 0, 80)
-	st.ObserveUsage(0, 1, 5)
-	as, err := LeastLoaded{}.Place(r, st, Request{VCPUs: 4, MemGB: 8, Province: "Guangdong", Count: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as[0].Server != 1 {
-		t.Fatalf("LeastLoaded picked hot server")
-	}
-}
-
 func TestRandomPlacesEverywhere(t *testing.T) {
 	st := twoSiteState()
 	r := rng.New(7)
@@ -135,7 +121,7 @@ func TestRandomPlacesEverywhere(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	for _, s := range []Strategy{NEPDefault{}, BestFit{}, Random{}, LeastLoaded{}} {
+	for _, s := range []Strategy{NEPDefault{}, BestFit{}, Random{}} {
 		if s.Name() == "" {
 			t.Fatal("empty strategy name")
 		}

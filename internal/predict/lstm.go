@@ -51,12 +51,6 @@ func NewLSTM(seed uint64) *LSTM {
 // Name implements Forecaster.
 func (l *LSTM) Name() string { return "lstm" }
 
-// NumWeights returns the gate-weight count (the paper quotes 2,496).
-func (l *LSTM) NumWeights() int {
-	h := l.Hidden
-	return 4 * h * (1 + h + 1)
-}
-
 func (l *LSTM) init() {
 	l.h = l.Hidden
 	r := rng.New(l.Seed)

@@ -1,20 +1,10 @@
-// Package probe implements the measurement tools of the paper's methodology:
-// a ping client and an iperf3-like throughput client that run over real
-// sockets (against internal/emunet endpoints), plus "virtual" equivalents
-// that sample internal/netmodel paths directly. The campaign in
-// internal/crowd uses the virtual probes to generate the >2M ping dataset in
-// milliseconds of CPU time; the socket probes exist so integration tests can
-// verify that a real client measuring a shaped link observes what the model
-// prescribes.
+// Package probe implements the measurement tools of the paper's methodology
+// as "virtual" probes: a ping and an iperf3-like bulk transfer that sample
+// internal/netmodel paths directly. The campaign in internal/crowd uses them
+// to generate the >2M ping dataset in milliseconds of CPU time.
 package probe
 
-import (
-	"fmt"
-	"net"
-	"time"
-
-	"edgescope/internal/stats"
-)
+import "edgescope/internal/stats"
 
 // PingStats summarises one ping run against a single destination.
 type PingStats struct {
@@ -25,55 +15,5 @@ type PingStats struct {
 	RTTs []float64
 }
 
-// LossRate returns the fraction of probes that got no reply.
-func (p PingStats) LossRate() float64 {
-	if p.Sent == 0 {
-		return 0
-	}
-	return float64(p.Sent-p.Received) / float64(p.Sent)
-}
-
-// MedianMs returns the median RTT in milliseconds.
-func (p PingStats) MedianMs() float64 { return stats.Median(p.RTTs) }
-
 // CV returns the RTT coefficient of variation, the paper's jitter metric.
 func (p PingStats) CV() float64 { return stats.CV(p.RTTs) }
-
-// Ping sends count UDP probes to an emunet echo server, one outstanding at a
-// time (matching the paper's sequential 30-repeat methodology), waiting up
-// to timeout for each reply.
-func Ping(addr string, count int, timeout time.Duration) (PingStats, error) {
-	if count <= 0 {
-		return PingStats{}, fmt.Errorf("probe: ping count %d must be positive", count)
-	}
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		return PingStats{}, fmt.Errorf("probe: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-
-	out := PingStats{Addr: addr}
-	payload := make([]byte, 16)
-	buf := make([]byte, 64)
-	for seq := 0; seq < count; seq++ {
-		for i := range payload {
-			payload[i] = byte(seq + i)
-		}
-		start := time.Now()
-		if _, err := conn.Write(payload); err != nil {
-			return out, fmt.Errorf("probe: send seq %d: %w", seq, err)
-		}
-		out.Sent++
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return out, err
-		}
-		n, err := conn.Read(buf)
-		if err != nil {
-			continue // timeout: counted as loss
-		}
-		_ = n
-		out.Received++
-		out.RTTs = append(out.RTTs, float64(time.Since(start))/float64(time.Millisecond))
-	}
-	return out, nil
-}

@@ -1,14 +1,14 @@
 package probe
 
 import (
+	"time"
+
 	"edgescope/internal/netmodel"
 	"edgescope/internal/rng"
 )
 
-// VirtualPing samples count RTTs from a modelled path, mirroring what a
-// socket Ping against an emunet endpoint parameterised from the same path
-// would measure. It returns PingStats with loss applied per the path's
-// loss rate.
+// VirtualPing samples count RTTs from a modelled path. It returns PingStats
+// with loss applied per the path's loss rate.
 func VirtualPing(r *rng.Source, path *netmodel.Path, count int) PingStats {
 	var out PingStats
 	VirtualPingInto(r, path, count, &out)
@@ -38,25 +38,11 @@ func VirtualPingInto(r *rng.Source, path *netmodel.Path, count int, out *PingSta
 	out.Received = len(rtts)
 }
 
-// TracerouteHop is one visible hop of a virtual traceroute.
-type TracerouteHop struct {
-	TTL   int
-	RTTMs float64
-	Kind  netmodel.HopKind
-}
-
-// VirtualTraceroute walks the path by TTL, returning only hops that answer
-// TTL-expired probes (e.g. the first 5G hops do not, as the paper observed).
-func VirtualTraceroute(r *rng.Source, path *netmodel.Path) []TracerouteHop {
-	rtts := path.HopRTTs(r)
-	var out []TracerouteHop
-	for i, v := range rtts {
-		if v < 0 {
-			continue
-		}
-		out = append(out, TracerouteHop{TTL: i + 1, RTTMs: v, Kind: path.Hops[i].Kind})
-	}
-	return out
+// IperfResult is the outcome of one TCP bulk-transfer measurement.
+type IperfResult struct {
+	Bytes    int
+	Duration time.Duration
+	Mbps     float64
 }
 
 // VirtualIperf models one 15-second bulk TCP transfer over the path, in the

@@ -210,12 +210,3 @@ func Summarize(samples []Sample) Summary {
 		Breakdown: b,
 	}
 }
-
-// LANDelta estimates the delay saved by moving the backend onto the local
-// network (the paper's laptop-on-LAN micro-experiment, ≈40 ms): the mean
-// network stages of the given config minus a ~2 ms LAN round trip.
-func LANDelta(r *rng.Source, cfg Config, n int) float64 {
-	s := Summarize(Simulate(r, cfg, n))
-	lanNet := 2.0
-	return s.Breakdown.UplinkNet + s.Breakdown.DownNet - lanNet
-}

@@ -100,8 +100,10 @@ func TestFFplayFasterThanMPlayer(t *testing.T) {
 }
 
 func TestLANDelta(t *testing.T) {
-	// Paper: moving the server onto the LAN saves only ~40 ms.
-	d := LANDelta(rng.New(10), Config{Access: netmodel.WiFi, Resolution: R1080p}, 50)
+	// Paper: moving the server onto the LAN saves only ~40 ms — the mean
+	// network stages minus a ~2 ms LAN round trip.
+	s := Summarize(Simulate(rng.New(10), Config{Access: netmodel.WiFi, Resolution: R1080p}, 50))
+	d := s.Breakdown.UplinkNet + s.Breakdown.DownNet - 2
 	if d < 10 || d > 90 {
 		t.Fatalf("LAN delta = %.0f ms, paper reports ~40", d)
 	}

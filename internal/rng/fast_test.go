@@ -79,41 +79,16 @@ func TestFastAndRandShareOneStream(t *testing.T) {
 	}
 }
 
-// TestBulkFillsMatchScalarDraws pins the bulk-fill helpers: filling a buffer
+// TestBulkFillsMatchScalarDraws pins the bulk normal fill: filling a buffer
 // equals the same number of scalar calls, and a fill leaves the stream
 // positioned exactly where the scalar sequence would.
 func TestBulkFillsMatchScalarDraws(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		for _, n := range []int{0, 1, 7, 1024} {
-			a, b := New(seed), New(seed)
-			fs := make([]float64, n)
-			a.Float64s(fs)
-			for i := range fs {
-				if want := b.Float64(); fs[i] != want {
-					t.Fatalf("seed %d n %d: Float64s[%d] = %v, want %v", seed, n, i, fs[i], want)
-				}
-			}
-			// Stream position after the fill matches the scalar walk.
-			if got, want := a.Normal(0, 1), b.Normal(0, 1); got != want {
-				t.Fatalf("seed %d n %d: post-fill stream diverged: %v vs %v", seed, n, got, want)
-			}
-
-			a, b = New(seed), New(seed)
-			us := make([]uint64, n)
-			a.Uint64s(us)
-			for i := range us {
-				if want := b.Uint64(); us[i] != want {
-					t.Fatalf("seed %d n %d: Uint64s[%d] = %v, want %v", seed, n, i, us[i], want)
-				}
-			}
-			if got, want := a.Uint64(), b.Uint64(); got != want {
-				t.Fatalf("seed %d n %d: post-fill stream diverged: %v vs %v", seed, n, got, want)
-			}
-
 			// Normals: the fill must replay the exact scalar ziggurat
 			// stream, including slow-path (base strip / wedge) draws,
 			// which a 1024-element fill hits with near certainty.
-			a, b = New(seed), New(seed)
+			a, b := New(seed), New(seed)
 			ns := make([]float64, n)
 			a.Normals(ns, 1.5, 2.25)
 			for i := range ns {
@@ -124,43 +99,6 @@ func TestBulkFillsMatchScalarDraws(t *testing.T) {
 			if got, want := a.Normal(0, 1), b.Normal(0, 1); got != want {
 				t.Fatalf("seed %d n %d: post-Normals stream diverged: %v vs %v", seed, n, got, want)
 			}
-
-			// LogNormals: bulk normals + one ExpBulk must equal the
-			// scalar exp-of-normal stream bit-for-bit.
-			a, b = New(seed), New(seed)
-			ls := make([]float64, n)
-			a.LogNormals(ls, -0.25, 0.8)
-			for i := range ls {
-				if want := b.LogNormal(-0.25, 0.8); math.Float64bits(ls[i]) != math.Float64bits(want) {
-					t.Fatalf("seed %d n %d: LogNormals[%d] = %v, want %v", seed, n, i, ls[i], want)
-				}
-			}
-			if got, want := a.Normal(0, 1), b.Normal(0, 1); got != want {
-				t.Fatalf("seed %d n %d: post-LogNormals stream diverged: %v vs %v", seed, n, got, want)
-			}
 		}
 	}
-}
-
-// BenchmarkUniformDraws shows what the bulk fill amortises: scalar Float64
-// calls vs one Float64s fill of the same length.
-func BenchmarkUniformDraws(b *testing.B) {
-	const n = 4096
-	b.Run("scalar", func(b *testing.B) {
-		s := New(7)
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				sink = s.Float64()
-			}
-		}
-		_ = sink
-	})
-	b.Run("bulk", func(b *testing.B) {
-		s := New(7)
-		buf := make([]float64, n)
-		for i := 0; i < b.N; i++ {
-			s.Float64s(buf)
-		}
-	})
 }

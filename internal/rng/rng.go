@@ -20,7 +20,7 @@ import (
 // It is not safe for concurrent use; fork one Source per goroutine.
 //
 // Internally the Source keeps both a *rand.Rand (for the algorithms this
-// package does not re-implement: IntN, ExpFloat64, Perm, Shuffle, Zipf) and
+// package does not re-implement: IntN, ExpFloat64, Perm, Zipf) and
 // the concrete *rand.PCG generator behind it. The hot distribution helpers
 // (Float64, Normal and everything built on them) draw straight from the
 // PCG, skipping the rand.Rand Source-interface dispatch, with bit-identical
@@ -67,28 +67,6 @@ func (s *Source) Float64() float64 { return s.f64() }
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
 
-// Float64s fills dst with uniform [0,1) values, draw-for-draw identical to
-// len(dst) sequential Float64 calls, amortising the per-call overhead of
-// the scalar path over the whole buffer. It only fits draw sequences that
-// are a pure run of uniforms — the virtual-ping kernel cannot use it, for
-// example, because each probe's loss draw interleaves with its (normal)
-// RTT draws, and reordering draws would change every downstream bit.
-func (s *Source) Float64s(dst []float64) {
-	pcg := s.pcg
-	for i := range dst {
-		dst[i] = float64(pcg.Uint64()<<11>>11) / (1 << 53)
-	}
-}
-
-// Uint64s fills dst with uniform 64-bit values, draw-for-draw identical to
-// len(dst) sequential Uint64 calls.
-func (s *Source) Uint64s(dst []uint64) {
-	pcg := s.pcg
-	for i := range dst {
-		dst[i] = pcg.Uint64()
-	}
-}
-
 // IntN returns a uniform value in [0,n). It panics if n <= 0.
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 
@@ -133,8 +111,10 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 // Normals fills dst with normal draws, draw-for-draw and bit-for-bit
 // identical to len(dst) sequential Normal(mean, stddev) calls on the same
 // stream. The ziggurat fast path is inlined per element with the PCG handle
-// hoisted out of the loop; the same draw-sequence caveat as Float64s
-// applies — the fill only fits a pure run of normals.
+// hoisted out of the loop. The fill only fits a pure run of normals: the
+// virtual-ping kernel cannot use it, for example, because each probe's loss
+// draw interleaves with its RTT draws, and reordering draws would change
+// every downstream bit.
 func (s *Source) Normals(dst []float64, mean, stddev float64) {
 	pcg := s.pcg
 	for idx := range dst {
@@ -155,16 +135,6 @@ func (s *Source) Normals(dst []float64, mean, stddev float64) {
 		}
 		dst[idx] = mean + stddev*v
 	}
-}
-
-// LogNormals fills dst with log-normal draws, draw-for-draw identical to
-// len(dst) sequential LogNormal(mu, sigma) calls: one bulk normal fill,
-// then one batched exponential over the buffer. ExpBulk is bit-identical
-// to the mathx.Exp LogNormal calls, so the fill is bit-exact against the
-// scalar stream.
-func (s *Source) LogNormals(dst []float64, mu, sigma float64) {
-	s.Normals(dst, mu, sigma)
-	mathx.ExpBulk(dst, dst)
 }
 
 // LogNormalMeanMedian returns a log-normal sample parameterised by its median
@@ -201,22 +171,6 @@ func (s *Source) BoundedPareto(xm, alpha, hi float64) float64 {
 	return v
 }
 
-// Triangular returns a triangularly distributed value on [lo,hi] with mode.
-func (s *Source) Triangular(lo, mode, hi float64) float64 {
-	if !(lo <= mode && mode <= hi) {
-		panic(fmt.Sprintf("rng: invalid Triangular parameters lo=%v mode=%v hi=%v", lo, mode, hi))
-	}
-	if lo == hi {
-		return lo
-	}
-	u := s.f64()
-	fc := (mode - lo) / (hi - lo)
-	if u < fc {
-		return lo + math.Sqrt(u*(hi-lo)*(mode-lo))
-	}
-	return hi - math.Sqrt((1-u)*(hi-lo)*(hi-mode))
-}
-
 // Zipf draws integers in [0,n) following a Zipf distribution with exponent
 // sExp >= 1. Lower indices are more probable, which edgescope uses for
 // app-popularity and site-demand skew.
@@ -238,9 +192,6 @@ func (z *Zipf) Next() int { return int(z.z.Uint64()) }
 
 // Perm returns a pseudo-random permutation of [0,n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomises the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Choice returns a uniformly chosen index weighted by weights; weights must
 // be non-negative and not all zero.

@@ -166,32 +166,6 @@ func TestParetoPanicsOnBadParams(t *testing.T) {
 	New(1).Pareto(0, 1)
 }
 
-func TestTriangularRange(t *testing.T) {
-	s := New(10)
-	for i := 0; i < 10000; i++ {
-		v := s.Triangular(2, 3, 7)
-		if v < 2 || v > 7 {
-			t.Fatalf("Triangular(2,3,7) = %v out of range", v)
-		}
-	}
-	if got := s.Triangular(4, 4, 4); got != 4 {
-		t.Fatalf("degenerate Triangular = %v, want 4", got)
-	}
-}
-
-func TestTriangularMode(t *testing.T) {
-	s := New(11)
-	const n = 60000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Triangular(0, 6, 12)
-	}
-	// mean of triangular = (lo+mode+hi)/3 = 6
-	if mean := sum / n; math.Abs(mean-6) > 0.1 {
-		t.Fatalf("Triangular mean = %v, want ~6", mean)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	s := New(12)
 	z := NewZipf(s, 1.2, 100)

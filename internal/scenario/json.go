@@ -38,9 +38,8 @@ func Load(path string) (*Spec, error) {
 	return sp, nil
 }
 
-// Encode writes a Spec as indented JSON, the same form Save produces and
-// Load accepts. Specs are all finite scalars, so encoding cannot fail for a
-// validated spec.
+// Encode writes a Spec as indented JSON, the form Load accepts. Specs are
+// all finite scalars, so encoding cannot fail for a validated spec.
 func Encode(w io.Writer, sp *Spec) error {
 	if err := sp.Validate(); err != nil {
 		return err
@@ -53,16 +52,4 @@ func Encode(w io.Writer, sp *Spec) error {
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
-}
-
-// Save writes a validated Spec to a JSON file.
-func Save(path string, sp *Spec) error {
-	var buf bytes.Buffer
-	if err := Encode(&buf, sp); err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	return nil
 }

@@ -128,25 +128,6 @@ type FaultSpec struct {
 	HandoffSpan int `json:"handoff_span,omitempty"`
 }
 
-// Active reports whether the plan can inject anything at all. Inactive plans
-// (nil or all-zero rates) draw no randomness.
-func (f *FaultSpec) Active() bool {
-	return f != nil && (f.Drop > 0 || f.Duplicate > 0 || f.Reorder > 0 ||
-		f.Delay > 0 || f.ShardStall > 0 || f.ShortWrite > 0 || f.NodeActive())
-}
-
-// NodeActive reports whether the plan carries any node-level fault — what
-// a cluster harness (faultinject.NodeInjector) can inject.
-func (f *FaultSpec) NodeActive() bool {
-	return f != nil && (f.NodeCrash > 0 || f.NodeStall > 0 || f.NetPartition > 0)
-}
-
-// HandoffActive reports whether the plan carries any handoff-phase fault —
-// what a rebalance harness (faultinject.HandoffInjector) can inject.
-func (f *FaultSpec) HandoffActive() bool {
-	return f != nil && (f.HandoffKillGaining > 0 || f.HandoffPartitionSource > 0 || f.HandoffCrashRecover > 0)
-}
-
 // validate appends FaultSpec field errors via bad.
 func (f *FaultSpec) validate(bad func(field, format string, args ...any)) {
 	for _, r := range []struct {

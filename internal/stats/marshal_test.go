@@ -49,7 +49,7 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: state changed by round trip:\n orig: %+v\n back: %+v", n, orig, &back)
 		}
 		if back.Count() != orig.Count() || back.Min() != orig.Min() || back.Max() != orig.Max() ||
-			back.Compression() != orig.Compression() {
+			back.compression != orig.compression {
 			t.Fatalf("n=%d: scalar state diverged", n)
 		}
 		// Continue both streams identically: flush boundaries and centroid

@@ -75,9 +75,6 @@ func NewSketch(compression float64) *Sketch {
 	}
 }
 
-// Compression returns the sketch's δ parameter.
-func (sk *Sketch) Compression() float64 { return sk.compression }
-
 // Add absorbs one observation. NaN and ±Inf are rejected with an error (a
 // telemetry stream must not poison a whole window's rollup).
 func (sk *Sketch) Add(x float64) error {
@@ -417,14 +414,6 @@ func (sk *Sketch) Quantile(q float64) float64 {
 		frac = 1
 	}
 	return last.Mean + frac*(sk.max-last.Mean)
-}
-
-// Percentile mirrors Summary.Percentile's 0–100 convention over the sketch.
-func (sk *Sketch) Percentile(p float64) float64 {
-	if p < 0 || p > 100 {
-		panic("stats: percentile out of range")
-	}
-	return sk.Quantile(p / 100)
 }
 
 // CDFAt estimates the fraction of absorbed values <= v, 0 for an empty

@@ -219,13 +219,18 @@ func TestSketchFlushPermutationInvariant(t *testing.T) {
 		straight := sk.Clone()
 		straight.flush()
 		want, _ := straight.MarshalBinary()
+		shuffle := func(n int, swap func(i, j int)) {
+			for i := n - 1; i > 0; i-- {
+				swap(i, r.IntN(i+1))
+			}
+		}
 		for trial := 0; trial < 5; trial++ {
 			shuffled := sk.Clone()
-			r.Shuffle(len(shuffled.buf), func(i, j int) {
+			shuffle(len(shuffled.buf), func(i, j int) {
 				shuffled.buf[i], shuffled.buf[j] = shuffled.buf[j], shuffled.buf[i]
 			})
 			if trial > 2 {
-				r.Shuffle(len(shuffled.centroids), func(i, j int) {
+				shuffle(len(shuffled.centroids), func(i, j int) {
 					shuffled.centroids[i], shuffled.centroids[j] = shuffled.centroids[j], shuffled.centroids[i]
 				})
 			}

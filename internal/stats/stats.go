@@ -204,21 +204,6 @@ func RMSE(pred, truth []float64) float64 {
 	return math.Sqrt(s / float64(len(pred)))
 }
 
-// MAE returns the mean absolute error between predictions and truth.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic("stats: MAE length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred))
-}
-
 // CDFPoint is one step of an empirical CDF.
 type CDFPoint struct {
 	X float64 // value
@@ -275,43 +260,4 @@ func Normalize(xs []float64, floor float64) []float64 {
 		out[i] = x / mn
 	}
 	return out
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo,hi]; values
-// outside the range clamp into the edge bins. It panics if nbins <= 0 or
-// hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	bins := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins
-}
-
-// WeightedMean returns the weighted mean of xs with weights ws, 0 when the
-// weights sum to zero. It panics on length mismatch.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var sw, swx float64
-	for i := range xs {
-		sw += ws[i]
-		swx += ws[i] * xs[i]
-	}
-	if sw == 0 {
-		return 0
-	}
-	return swx / sw
 }

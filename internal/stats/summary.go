@@ -6,19 +6,17 @@ import (
 )
 
 // Summary is a sort-once view of a sample set. Construction sorts the data
-// a single time and accumulates mean and variance in the same pass (Welford's
-// algorithm); every query afterwards — Min, Max, Mean, StdDev, CV, any
-// percentile, CDF evaluation — is O(1) or O(log n). Use it wherever more
-// than one order statistic of the same slice is needed: each standalone
-// Percentile/Median call re-copies and re-sorts the input, which on the
-// paper's hot paths (Figures 6-14, Table 6) used to cost three or more
-// redundant O(n log n) sorts per series.
+// a single time and accumulates the mean in the same pass; every query
+// afterwards — Min, Max, Mean, any percentile, CDF evaluation — is O(1) or
+// O(log n). Use it wherever more than one order statistic of the same slice
+// is needed: each standalone Percentile/Median call re-copies and re-sorts
+// the input, which on the paper's hot paths (Figures 6-14, Table 6) used to
+// cost three or more redundant O(n log n) sorts per series.
 //
 // A Summary is immutable after construction and safe for concurrent use.
 type Summary struct {
 	sorted []float64
 	mean   float64
-	m2     float64 // sum of squared deviations (Welford)
 }
 
 // Summarize builds a Summary from xs without modifying it (the data is
@@ -38,7 +36,6 @@ func SummarizeInPlace(xs []float64) *Summary {
 	for i, x := range xs {
 		d := x - sum.mean
 		sum.mean += d / float64(i+1)
-		sum.m2 += d * (x - sum.mean)
 	}
 	return sum
 }
@@ -48,34 +45,6 @@ func (s *Summary) Len() int { return len(s.sorted) }
 
 // Mean returns the arithmetic mean, 0 for an empty summary.
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Sum returns the total of the samples.
-func (s *Summary) Sum() float64 { return s.mean * float64(len(s.sorted)) }
-
-// Variance returns the population variance, 0 when Len() < 2 (a single
-// sample has no spread; an empty summary is all-zero by definition). The
-// Welford accumulator can go fractionally negative from floating-point
-// cancellation on near-constant data, so the result is clamped at 0 — never
-// negative, and StdDev/CV never produce NaN from a negative sqrt.
-func (s *Summary) Variance() float64 {
-	if len(s.sorted) < 2 || s.m2 < 0 {
-		return 0
-	}
-	return s.m2 / float64(len(s.sorted))
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// CV returns the coefficient of variation (stddev/|mean|), 0 when the mean
-// is 0 — which covers the empty summary — and 0 for a single sample (whose
-// variance is 0 by definition). No input produces NaN.
-func (s *Summary) CV() float64 {
-	if s.mean == 0 {
-		return 0
-	}
-	return s.StdDev() / math.Abs(s.mean)
-}
 
 // Min returns the smallest sample, or +Inf for an empty summary (matching
 // the package-level Min).
@@ -143,18 +112,3 @@ func (s *Summary) CDFAt(v float64) float64 {
 	n := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] > v })
 	return float64(n) / float64(len(s.sorted))
 }
-
-// CDF returns the empirical distribution as sorted points, sharing the
-// summary's single sort.
-func (s *Summary) CDF() []CDFPoint {
-	out := make([]CDFPoint, len(s.sorted))
-	n := float64(len(s.sorted))
-	for i, v := range s.sorted {
-		out[i] = CDFPoint{X: v, P: float64(i+1) / n}
-	}
-	return out
-}
-
-// Sorted exposes the summary's ascending samples. The caller must not
-// modify the returned slice.
-func (s *Summary) Sorted() []float64 { return s.sorted }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -204,38 +203,17 @@ func TestHTTPSenderEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReadJSONLAbortsOnMalformedRun: satellite 3 — a bounded-tolerance read
-// fails fast on a corrupt tail, with the run's position in the error.
+// TestReadJSONLAbortsOnMalformedRun: a run of malformed lines never aborts
+// the pass — each is counted and skipped, and the good lines around it
+// decode.
 func TestReadJSONLAbortsOnMalformedRun(t *testing.T) {
 	good := `{"v":1,"ts":1,"kind":"ping","metric":"rtt_ms","user":0,"region":"a","net":"b","value":1}`
 	input := good + "\nnot json\nstill not json\nnope\n" + good + "\n"
 
-	// Unlimited (default): every bad line skipped, both good lines decoded.
+	// Every bad line skipped, both good lines decoded.
 	st, err := ReadJSONL(strings.NewReader(input), func(Envelope) {})
 	if err != nil || st.Decoded != 2 || st.Malformed != 3 {
-		t.Fatalf("default read: stats=%+v err=%v", st, err)
-	}
-
-	// Capped: the third consecutive bad line aborts, positioned at the run.
-	st, err = ReadJSONLOpts(strings.NewReader(input), ReadOptions{MaxConsecutiveMalformed: 3}, func(Envelope) {})
-	if !errors.Is(err, ErrMalformedRun) {
-		t.Fatalf("err = %v, want ErrMalformedRun", err)
-	}
-	if st.Decoded != 1 || st.Malformed != 3 {
-		t.Fatalf("aborted stats = %+v", st)
-	}
-	for _, want := range []string{"line 2", "byte offset 89"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not position the run (%s)", err, want)
-		}
-	}
-
-	// Good lines reset the run: interleaved corruption below the cap never
-	// aborts.
-	interleaved := strings.Repeat("bad\nworse\n"+good+"\n", 5)
-	st, err = ReadJSONLOpts(strings.NewReader(interleaved), ReadOptions{MaxConsecutiveMalformed: 3}, func(Envelope) {})
-	if err != nil || st.Decoded != 5 || st.Malformed != 10 {
-		t.Fatalf("interleaved: stats=%+v err=%v", st, err)
+		t.Fatalf("stats=%+v err=%v", st, err)
 	}
 }
 
@@ -250,10 +228,5 @@ func TestReadJSONLTornFinalLine(t *testing.T) {
 	}
 	if st.Decoded != 1 || st.Malformed != 1 {
 		t.Fatalf("stats = %+v, want 1 decoded + 1 malformed", st)
-	}
-	// With a cap of 1 the torn tail aborts instead, naming the line.
-	_, err = ReadJSONLOpts(strings.NewReader(torn), ReadOptions{MaxConsecutiveMalformed: 1}, func(Envelope) {})
-	if !errors.Is(err, ErrMalformedRun) || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("capped torn tail: err = %v", err)
 	}
 }

@@ -313,13 +313,6 @@ func (m *PartitionMap) Unfreeze(p int) {
 	m.mu.Unlock()
 }
 
-// Frozen reports whether a partition currently refuses ingest.
-func (m *PartitionMap) Frozen(p int) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.frozen[p]
-}
-
 // RouteTarget is one partition's routing state, snapshotted atomically:
 // the owner (and failover replica) to deliver to, the dual-write target
 // that must also ack while a migration is in flight, and whether ingest is

@@ -18,7 +18,9 @@ type RouterConfig struct {
 	// around partition routing. Its dedup sequence numbers make failover
 	// safe: a resend that lands twice folds once server-side.
 	Retry telemetry.RetryConfig
-	// Metrics, when set, registers the routing families (cluster_router_*).
+	// Metrics, when set, registers the routing families (cluster_router_*)
+	// and, unless Retry.Metrics names another registry, the retry client's
+	// (telemetry_client_*).
 	Metrics *obs.Registry
 }
 
@@ -90,6 +92,11 @@ func NewRouter(pm *PartitionMap, health *HealthTracker, transport Transport, src
 		r.unroutable = &obs.Counter{}
 		r.frozen = &obs.Counter{}
 		r.dualWrites = &obs.Counter{}
+	}
+	if cfg.Retry.Metrics == nil {
+		// The retry client under the router reports (telemetry_client_*) to
+		// the router's registry unless the caller gave it one of its own.
+		cfg.Retry.Metrics = cfg.Metrics
 	}
 	r.client = telemetry.NewRetryClient(r.route, src, cfg.Retry)
 	return r

@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 )
 
 // SchemaVersion is the current Envelope schema version. Decoders accept
@@ -59,9 +58,6 @@ type Envelope struct {
 func (e Envelope) Key() Key {
 	return Key{Metric: e.Metric, Region: e.Region, Net: e.Net}
 }
-
-// Time returns the event timestamp as a time.Time.
-func (e Envelope) Time() time.Time { return time.UnixMilli(e.TS) }
 
 // Decode errors. ErrVersion and ErrInvalid wrap the specific cause;
 // errors.Is works against both.
@@ -124,22 +120,6 @@ type DecodeStats struct {
 	Malformed int // lines rejected (bad JSON, bad version, bad fields)
 }
 
-// ReadOptions tune a JSONL read pass.
-type ReadOptions struct {
-	// MaxConsecutiveMalformed aborts the pass with a positioned error once
-	// this many malformed lines arrive back to back. 0 means unlimited —
-	// every malformed line is counted and skipped, the historical behaviour.
-	// A corrupt or truncated file tail otherwise degrades into a silent
-	// skip-to-EOF: every remaining "line" is garbage, each one is counted,
-	// and the pass ends looking merely lossy instead of broken.
-	MaxConsecutiveMalformed int
-}
-
-// ErrMalformedRun is wrapped by the abort error ReadJSONLOpts returns when
-// MaxConsecutiveMalformed is exceeded; errors.Is distinguishes it from I/O
-// errors.
-var ErrMalformedRun = errors.New("telemetry: too many consecutive malformed lines")
-
 // scanBufSize is the line buffer a read pass starts with; scanBufPool
 // recycles those buffers across passes. Unpooled it is one 64 KiB allocation
 // per /ingest request — nine tenths of what a cluster node allocates under
@@ -154,19 +134,8 @@ var scanBufPool = sync.Pool{New: func() any {
 // ReadJSONL streams JSONL from r, calling fn for every valid envelope.
 // Malformed lines are counted, not fatal — one corrupt line must not take
 // down an ingest batch — but an I/O error ends the pass. Blank lines are
-// skipped. For a bounded-tolerance pass (fail fast on a corrupt tail), use
-// ReadJSONLOpts.
+// skipped.
 func ReadJSONL(r io.Reader, fn func(Envelope)) (DecodeStats, error) {
-	return ReadJSONLOpts(r, ReadOptions{}, fn)
-}
-
-// ReadJSONLOpts is ReadJSONL with explicit options. With a
-// MaxConsecutiveMalformed cap, a run of that many malformed lines aborts
-// the pass with an error wrapping ErrMalformedRun that positions the run —
-// first bad line number and its byte offset — so a corrupt or torn WAL/data
-// file fails fast and names where, instead of silently skipping to EOF. The
-// stats cover everything consumed up to the abort.
-func ReadJSONLOpts(r io.Reader, opts ReadOptions, fn func(Envelope)) (DecodeStats, error) {
 	var st DecodeStats
 	sc := bufio.NewScanner(r)
 	buf := scanBufPool.Get().(*[]byte)
@@ -175,37 +144,16 @@ func ReadJSONLOpts(r io.Reader, opts ReadOptions, fn func(Envelope)) (DecodeStat
 	// dies with it, and the original comes back here at its original size.
 	defer scanBufPool.Put(buf)
 	sc.Buffer((*buf)[:0], 1024*1024)
-	var (
-		lineNo     int   // 1-based line number
-		offset     int64 // byte offset of the current line's start
-		runLen     int   // consecutive malformed lines so far
-		runLine    int   // line number of the run's first bad line
-		runOffset  int64 // byte offset of the run's first bad line
-		runLastErr error
-	)
 	for sc.Scan() {
 		line := sc.Bytes()
-		lineNo++
-		lineStart := offset
-		offset += int64(len(line)) + 1 // +1 for the newline Scan consumed
 		if len(line) == 0 {
 			continue
 		}
 		e, err := DecodeLine(line)
 		if err != nil {
 			st.Malformed++
-			if runLen == 0 {
-				runLine, runOffset = lineNo, lineStart
-			}
-			runLen++
-			runLastErr = err
-			if opts.MaxConsecutiveMalformed > 0 && runLen >= opts.MaxConsecutiveMalformed {
-				return st, fmt.Errorf("%w: %d starting at line %d (byte offset %d): last: %v",
-					ErrMalformedRun, runLen, runLine, runOffset, runLastErr)
-			}
 			continue
 		}
-		runLen = 0
 		st.Decoded++
 		fn(e)
 	}

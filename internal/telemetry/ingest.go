@@ -349,12 +349,6 @@ func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 	return ing, rst, nil
 }
 
-// Config returns the ingestor's effective (default-filled) configuration.
-func (ing *Ingestor) Config() Config { return ing.cfg }
-
-// Recovery returns the startup recovery stats, nil when durability is off.
-func (ing *Ingestor) Recovery() *RecoveryStats { return ing.recovery }
-
 // windowStart aligns a Unix-ms timestamp down to its window.
 func (ing *Ingestor) windowStart(ts int64) int64 {
 	w := ing.cfg.Window.Milliseconds()

@@ -1,13 +1,11 @@
 // Package timeseries provides the fixed-interval time-series container and
-// operations used by edgescope's workload analysis: resampling, rolling
-// aggregation, daily peaks (the billing granularity of the NEP platform),
-// autocorrelation, and the seasonality-strength metric the paper uses to
-// explain why edge workloads are easier to forecast than cloud workloads.
+// operations used by edgescope's workload analysis: resampling, daily peaks
+// (the billing granularity of the NEP platform), cached mean/CV summaries,
+// and the seasonality-strength metric the paper uses to explain why edge
+// workloads are easier to forecast than cloud workloads.
 package timeseries
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"edgescope/internal/stats"
@@ -17,21 +15,19 @@ import (
 // Values are owned by the Series; callers must not mutate them after
 // construction unless they created the slice.
 //
-// A Series can carry a cached running sum of its values (see PrimeStats
-// and AddSample) that turns Mean and CV from O(n) re-sums into O(1)
-// lookups — the dominant cost of placement feedback and per-VM usage
-// summaries before this cache existed. The cache invariant is strict:
+// A Series can carry a cached running sum of its values (see PrimeStats)
+// that turns Mean and CV from O(n) re-sums into O(1) lookups — the dominant
+// cost of placement feedback and per-VM usage summaries before this cache
+// existed. The cache invariant is strict:
 // when valid, statsSum is bit-identical to the left-to-right sum
 // stats.Mean would compute, so cached and uncached results match to the
 // bit. Invalidation rules:
 //
 //   - Mutators on the receiver (AddInPlace) and writers into a dst
-//     (ResampleInto, RollingInto, SliceInto) drop the target's cache.
-//   - Clone carries the cache; Slice, Add, Scale, ClampNonNegative and
-//     New return fresh Series with no cache.
-//   - Mutating Values directly — including through an aliasing view
-//     from Slice/SliceInto — bypasses these rules; callers doing that
-//     must call InvalidateStats on every Series sharing the array.
+//     (ResampleInto) drop the target's cache.
+//   - Clone carries the cache; New returns a fresh Series with none.
+//   - Mutating Values directly bypasses these rules; callers doing that
+//     must call PrimeStats again before relying on Mean or CV.
 //   - Mean and CV never memoize on a cache miss, so concurrent readers
 //     of a shared immutable Series stay race-free.
 type Series struct {
@@ -54,16 +50,6 @@ func New(start time.Time, interval time.Duration, values []float64) *Series {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
-// End returns the time just after the last sample.
-func (s *Series) End() time.Time {
-	return s.Start.Add(time.Duration(len(s.Values)) * s.Interval)
-}
-
-// TimeAt returns the timestamp of sample i.
-func (s *Series) TimeAt(i int) time.Time {
-	return s.Start.Add(time.Duration(i) * s.Interval)
-}
-
 // Clone returns a deep copy, carrying the stats cache when present.
 func (s *Series) Clone() *Series {
 	v := make([]float64, len(s.Values))
@@ -82,58 +68,10 @@ func (s *Series) PrimeStats() *Series {
 	return s
 }
 
-// AddSample appends v, maintaining the running sum so a series built
-// sample by sample arrives with its stats cache already primed. The
-// cache starts (or restarts) at the empty series, where the sum is
-// trivially exact; appending to a non-empty series whose cache was
-// invalidated leaves it invalid — re-prime explicitly if needed.
-func (s *Series) AddSample(v float64) {
-	if len(s.Values) == 0 {
-		s.statsSum, s.statsOK = 0, true
-	}
-	if s.statsOK {
-		s.statsSum += v
-	}
-	s.Values = append(s.Values, v)
-}
-
-// InvalidateStats drops the cached running sum. Required after mutating
-// Values directly or through an aliasing view (Slice/SliceInto), on
-// every Series sharing the backing array.
-func (s *Series) InvalidateStats() { s.statsOK = false }
-
-// Slice returns the sub-series of samples [i,j) as a zero-copy view: the
-// returned Series aliases s's backing array. Aliasing rules: mutating the
-// parent's samples in [i,j) is visible through the view and vice versa;
-// appending to either Values does not affect the other. Use Clone (or
-// Slice(i,j).Clone()) when an independent copy is required.
-func (s *Series) Slice(i, j int) *Series {
-	if i < 0 || j > len(s.Values) || i > j {
-		sliceBoundsPanic(i, j, len(s.Values))
-	}
-	return &Series{Start: s.TimeAt(i), Interval: s.Interval, Values: s.Values[i:j:j]}
-}
-
-// SliceInto writes the [i,j) view into *dst and returns dst — the
-// allocation-free form of Slice for hot loops that recycle one Series
-// variable. The same aliasing rules apply.
-func (s *Series) SliceInto(dst *Series, i, j int) *Series {
-	if i < 0 || j > len(s.Values) || i > j {
-		sliceBoundsPanic(i, j, len(s.Values))
-	}
-	dst.Start, dst.Interval, dst.Values = s.TimeAt(i), s.Interval, s.Values[i:j:j]
-	dst.statsOK = false
-	return dst
-}
-
-func sliceBoundsPanic(i, j, n int) {
-	panic(fmt.Sprintf("timeseries: slice bounds [%d,%d) of %d", i, j, n))
-}
-
 // Agg selects how a window of samples collapses to one value.
 type Agg int
 
-// Aggregation modes for Resample and Rolling.
+// Aggregation modes for ResampleInto.
 const (
 	AggMean Agg = iota
 	AggMax
@@ -159,15 +97,10 @@ func aggregate(a Agg, window []float64, sc *stats.Scratch) float64 {
 	}
 }
 
-// Resample aggregates the series into windows of the given duration. The
-// duration must be a positive multiple of the series interval. A trailing
-// partial window is aggregated as-is.
-func (s *Series) Resample(window time.Duration, a Agg) *Series {
-	return s.ResampleInto(&Series{}, window, a)
-}
-
-// ResampleInto is Resample with caller-owned storage: the result is written
-// into *dst, reusing dst.Values' capacity, and dst is returned. A loop that
+// ResampleInto aggregates non-overlapping windows of the given duration,
+// which must be a positive multiple of the series interval; a trailing
+// partial window is aggregated as-is. The result is written into *dst,
+// reusing dst.Values' capacity, and dst is returned. A loop that
 // resamples many series can recycle one Series variable and stops allocating
 // once its buffer has grown to the largest output. The caller must be done
 // with dst's previous contents, and dst must not alias s.
@@ -190,35 +123,6 @@ func (s *Series) ResampleInto(dst *Series, window time.Duration, a Agg) *Series 
 		out = append(out, aggregate(a, s.Values[i:j], &sc))
 	}
 	dst.Start, dst.Interval, dst.Values = s.Start, window, out
-	dst.statsOK = false
-	return dst
-}
-
-// Rolling applies agg over a sliding window of k samples; output i covers
-// input samples [i, i+k). The result has Len()-k+1 samples. It panics if
-// k <= 0 or k > Len().
-func (s *Series) Rolling(k int, a Agg) *Series {
-	return s.RollingInto(&Series{}, k, a)
-}
-
-// RollingInto is Rolling with caller-owned storage, under the same buffer
-// contract as ResampleInto.
-func (s *Series) RollingInto(dst *Series, k int, a Agg) *Series {
-	if k <= 0 || k > len(s.Values) {
-		panic("timeseries: invalid rolling window")
-	}
-	n := len(s.Values) - k + 1
-	out := dst.Values[:0]
-	if cap(out) < n {
-		out = make([]float64, n)
-	} else {
-		out = out[:n]
-	}
-	var sc stats.Scratch
-	for i := range out {
-		out[i] = aggregate(a, s.Values[i:i+k], &sc)
-	}
-	dst.Start, dst.Interval, dst.Values = s.Start, s.Interval, out
 	dst.statsOK = false
 	return dst
 }
@@ -270,28 +174,6 @@ func (s *Series) CV() float64 {
 		return stats.CVWithMean(s.Values, s.Mean())
 	}
 	return stats.CV(s.Values)
-}
-
-// ACF returns the autocorrelation of the series at the given lag (in
-// samples). It returns 0 when the lag is out of range or variance is zero.
-func (s *Series) ACF(lag int) float64 {
-	n := len(s.Values)
-	if lag <= 0 || lag >= n {
-		return 0
-	}
-	m := stats.Mean(s.Values)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := s.Values[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i < n-lag; i++ {
-		num += (s.Values[i] - m) * (s.Values[i+lag] - m)
-	}
-	return num / den
 }
 
 // SeasonalMeans returns the mean value at each phase of a cycle of the given
@@ -365,25 +247,10 @@ func (s *Series) SeasonalityStrength(period int) float64 {
 	return strength
 }
 
-// Add returns a new series whose values are s + other, which must have the
-// same length and interval.
-func (s *Series) Add(other *Series) *Series {
-	if len(s.Values) != len(other.Values) || s.Interval != other.Interval {
-		panic("timeseries: Add shape mismatch")
-	}
-	v := make([]float64, len(s.Values))
-	for i := range v {
-		v[i] = s.Values[i] + other.Values[i]
-	}
-	return &Series{Start: s.Start, Interval: s.Interval, Values: v}
-}
-
-// AddInPlace adds other into s sample by sample, mutating s's backing array
-// (and therefore every view aliasing it), and returns s. Shapes must match
-// as in Add. Accumulation loops should prefer this over Add, which allocates
-// a fresh backing array per call. s's stats cache is invalidated (a folded
-// sum is not the left-to-right re-sum bit-for-bit); views aliasing s must
-// be invalidated by the caller.
+// AddInPlace adds other into s sample by sample, mutating s's backing
+// array, and returns s. It panics unless
+// both series have the same length and interval. s's stats cache is
+// invalidated (a folded sum is not the left-to-right re-sum bit-for-bit).
 func (s *Series) AddInPlace(other *Series) *Series {
 	if len(s.Values) != len(other.Values) || s.Interval != other.Interval {
 		panic("timeseries: Add shape mismatch")
@@ -396,35 +263,4 @@ func (s *Series) AddInPlace(other *Series) *Series {
 		}
 	}
 	return s
-}
-
-// Scale returns a new series with every value multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	v := make([]float64, len(s.Values))
-	for i := range v {
-		v[i] = s.Values[i] * f
-	}
-	return &Series{Start: s.Start, Interval: s.Interval, Values: v}
-}
-
-// ClampNonNegative returns a copy with negative values set to zero.
-func (s *Series) ClampNonNegative() *Series {
-	v := make([]float64, len(s.Values))
-	for i, x := range s.Values {
-		if x < 0 {
-			x = 0
-		}
-		v[i] = x
-	}
-	return &Series{Start: s.Start, Interval: s.Interval, Values: v}
-}
-
-// IsFinite reports whether every value is finite (no NaN/Inf).
-func (s *Series) IsFinite() bool {
-	for _, v := range s.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

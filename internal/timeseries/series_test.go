@@ -26,16 +26,6 @@ func TestNewPanicsOnBadInterval(t *testing.T) {
 	New(t0, 0, nil)
 }
 
-func TestTimeAtAndEnd(t *testing.T) {
-	s := New(t0, time.Minute, seq(10))
-	if got := s.TimeAt(3); !got.Equal(t0.Add(3 * time.Minute)) {
-		t.Fatalf("TimeAt(3) = %v", got)
-	}
-	if !s.End().Equal(t0.Add(10 * time.Minute)) {
-		t.Fatalf("End = %v", s.End())
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	s := New(t0, time.Minute, seq(5))
 	c := s.Clone()
@@ -45,56 +35,9 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	s := New(t0, time.Minute, seq(10))
-	sub := s.Slice(2, 5)
-	if sub.Len() != 3 || sub.Values[0] != 2 {
-		t.Fatalf("Slice = %+v", sub.Values)
-	}
-	if !sub.Start.Equal(t0.Add(2 * time.Minute)) {
-		t.Fatalf("Slice start = %v", sub.Start)
-	}
-}
-
-// TestSliceViewAliasing pins the zero-copy contract: a Slice is a view over
-// the parent's backing array, mutations are visible in both directions, and
-// appending to the view cannot clobber the parent past the view's end.
-func TestSliceViewAliasing(t *testing.T) {
-	s := New(t0, time.Minute, seq(10))
-	sub := s.Slice(2, 5)
-	sub.Values[0] = -1
-	if s.Values[2] != -1 {
-		t.Fatal("mutating the view must be visible in the parent")
-	}
-	s.Values[4] = 99
-	if sub.Values[2] != 99 {
-		t.Fatal("mutating the parent must be visible in the view")
-	}
-	// The view is capacity-clipped: growing it must not overwrite s.Values[5].
-	sub.Values = append(sub.Values, 123)
-	if s.Values[5] != 5 {
-		t.Fatal("append through the view overwrote the parent")
-	}
-	// Clone detaches.
-	c := s.Slice(2, 5).Clone()
-	c.Values[0] = 7
-	if s.Values[2] == 7 {
-		t.Fatal("Clone still aliases the parent")
-	}
-}
-
-func TestSlicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(t0, time.Minute, seq(3)).Slice(2, 1)
-}
-
 func TestResampleMean(t *testing.T) {
 	s := New(t0, time.Minute, []float64{1, 3, 5, 7, 9})
-	r := s.Resample(2*time.Minute, AggMean)
+	r := s.ResampleInto(&Series{}, 2*time.Minute, AggMean)
 	want := []float64{2, 6, 9} // trailing partial window
 	if r.Len() != 3 {
 		t.Fatalf("Resample len = %d", r.Len())
@@ -111,16 +54,16 @@ func TestResampleMean(t *testing.T) {
 
 func TestResampleModes(t *testing.T) {
 	s := New(t0, time.Minute, []float64{1, 4, 2, 8})
-	if got := s.Resample(2*time.Minute, AggMax).Values; got[0] != 4 || got[1] != 8 {
+	if got := s.ResampleInto(&Series{}, 2*time.Minute, AggMax).Values; got[0] != 4 || got[1] != 8 {
 		t.Fatalf("AggMax = %v", got)
 	}
-	if got := s.Resample(2*time.Minute, AggMin).Values; got[0] != 1 || got[1] != 2 {
+	if got := s.ResampleInto(&Series{}, 2*time.Minute, AggMin).Values; got[0] != 1 || got[1] != 2 {
 		t.Fatalf("AggMin = %v", got)
 	}
-	if got := s.Resample(2*time.Minute, AggSum).Values; got[0] != 5 || got[1] != 10 {
+	if got := s.ResampleInto(&Series{}, 2*time.Minute, AggSum).Values; got[0] != 5 || got[1] != 10 {
 		t.Fatalf("AggSum = %v", got)
 	}
-	if got := s.Resample(4*time.Minute, AggP95).Values; len(got) != 1 || got[0] < 7 {
+	if got := s.ResampleInto(&Series{}, 4*time.Minute, AggP95).Values; len(got) != 1 || got[0] < 7 {
 		t.Fatalf("AggP95 = %v", got)
 	}
 }
@@ -131,18 +74,7 @@ func TestResamplePanicsOnNonMultiple(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(t0, time.Minute, seq(4)).Resample(90*time.Second, AggMean)
-}
-
-func TestRolling(t *testing.T) {
-	s := New(t0, time.Minute, []float64{1, 2, 3, 4})
-	r := s.Rolling(2, AggMean)
-	want := []float64{1.5, 2.5, 3.5}
-	for i := range want {
-		if r.Values[i] != want[i] {
-			t.Fatalf("Rolling = %v", r.Values)
-		}
-	}
+	New(t0, time.Minute, seq(4)).ResampleInto(&Series{}, 90*time.Second, AggMean)
 }
 
 func TestDailyPeaks(t *testing.T) {
@@ -154,22 +86,6 @@ func TestDailyPeaks(t *testing.T) {
 	}
 	if New(t0, time.Hour, nil).DailyPeaks() != nil {
 		t.Fatal("empty DailyPeaks")
-	}
-}
-
-func TestACFPeriodicSignal(t *testing.T) {
-	// Perfect 24-sample cycle: ACF at lag 24 must dominate lag 7.
-	n := 24 * 14
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Sin(2 * math.Pi * float64(i) / 24)
-	}
-	s := New(t0, time.Hour, v)
-	if a24, a7 := s.ACF(24), s.ACF(7); a24 < 0.9 || a24 <= a7 {
-		t.Fatalf("ACF(24)=%v ACF(7)=%v", a24, a7)
-	}
-	if s.ACF(0) != 0 || s.ACF(n) != 0 {
-		t.Fatal("out-of-range lags should be 0")
 	}
 }
 
@@ -237,43 +153,6 @@ func TestSeasonalityStrengthBoundsProperty(t *testing.T) {
 func TestSeasonalityStrengthShortSeries(t *testing.T) {
 	if got := New(t0, time.Hour, seq(5)).SeasonalityStrength(24); got != 0 {
 		t.Fatalf("short series strength = %v", got)
-	}
-}
-
-func TestAddScaleClamp(t *testing.T) {
-	a := New(t0, time.Minute, []float64{1, -2, 3})
-	b := New(t0, time.Minute, []float64{1, 1, 1})
-	sum := a.Add(b)
-	if sum.Values[1] != -1 {
-		t.Fatalf("Add = %v", sum.Values)
-	}
-	if got := a.Scale(2).Values[2]; got != 6 {
-		t.Fatalf("Scale = %v", got)
-	}
-	if got := a.ClampNonNegative().Values[1]; got != 0 {
-		t.Fatalf("Clamp = %v", got)
-	}
-	// original untouched
-	if a.Values[1] != -2 {
-		t.Fatal("ops mutated receiver")
-	}
-}
-
-func TestAddPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(t0, time.Minute, seq(2)).Add(New(t0, time.Minute, seq(3)))
-}
-
-func TestIsFinite(t *testing.T) {
-	if !New(t0, time.Minute, []float64{1, 2}).IsFinite() {
-		t.Fatal("finite series reported non-finite")
-	}
-	if New(t0, time.Minute, []float64{1, math.NaN()}).IsFinite() {
-		t.Fatal("NaN not detected")
 	}
 }
 

@@ -48,34 +48,6 @@ func TestPrimeStatsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestAddSampleMaintainsCache(t *testing.T) {
-	s := &Series{Start: time.Unix(0, 0).UTC(), Interval: time.Minute}
-	ref := testSeries(301)
-	for i, v := range ref.Values {
-		s.AddSample(v)
-		if !s.statsOK {
-			t.Fatalf("AddSample #%d left cache invalid", i)
-		}
-	}
-	requireCacheFresh(t, "addsample", s)
-
-	// After invalidation, appending must NOT silently re-validate a
-	// non-empty series...
-	s.InvalidateStats()
-	s.AddSample(1.25)
-	if s.statsOK {
-		t.Fatal("AddSample re-validated an invalidated non-empty series")
-	}
-	requireCacheFresh(t, "addsample-after-invalidate", s)
-	// ...but restarting from empty does.
-	s.Values = s.Values[:0]
-	s.AddSample(2.5)
-	if !s.statsOK {
-		t.Fatal("AddSample on emptied series did not restart the cache")
-	}
-	requireCacheFresh(t, "addsample-restart", s)
-}
-
 // TestEveryMutatorInvalidates walks each mutating API over a primed
 // series (or primed dst) and checks the cache cannot serve stale sums.
 func TestEveryMutatorInvalidates(t *testing.T) {
@@ -95,35 +67,10 @@ func TestEveryMutatorInvalidates(t *testing.T) {
 		}
 		requireCacheFresh(t, "ResampleInto", dst)
 	})
-	t.Run("RollingInto", func(t *testing.T) {
-		dst := testSeries(8).PrimeStats()
-		testSeries(64).RollingInto(dst, 5, AggMax)
-		if dst.statsOK {
-			t.Fatal("RollingInto left dst's cache valid")
-		}
-		requireCacheFresh(t, "RollingInto", dst)
-	})
-	t.Run("SliceInto", func(t *testing.T) {
-		dst := testSeries(8).PrimeStats()
-		testSeries(64).SliceInto(dst, 3, 40)
-		if dst.statsOK {
-			t.Fatal("SliceInto left dst's cache valid")
-		}
-		requireCacheFresh(t, "SliceInto", dst)
-	})
-	t.Run("InvalidateStats", func(t *testing.T) {
-		s := testSeries(64).PrimeStats()
-		// Aliased mutation through a Slice view: the documented contract
-		// is manual invalidation on every Series sharing the array.
-		view := s.Slice(0, 10)
-		view.Values[3] += 100
-		s.InvalidateStats()
-		requireCacheFresh(t, "InvalidateStats", s)
-	})
 }
 
-// TestNonMutatingConstructorsCacheState pins which constructors carry
-// the cache (Clone) and which start cold (everything else).
+// TestNonMutatingConstructorsCacheState pins that Clone carries the cache
+// and that clone and parent then keep separate ones.
 func TestNonMutatingConstructorsCacheState(t *testing.T) {
 	s := testSeries(64).PrimeStats()
 
@@ -135,18 +82,4 @@ func TestNonMutatingConstructorsCacheState(t *testing.T) {
 	// Mutating the clone must not corrupt the parent and vice versa.
 	c.AddInPlace(testSeries(64))
 	requireCacheFresh(t, "Clone-parent", s)
-
-	for tag, d := range map[string]*Series{
-		"Slice":            s.Slice(1, 20),
-		"Add":              s.Add(testSeries(64)),
-		"Scale":            s.Scale(1.7),
-		"ClampNonNegative": s.ClampNonNegative(),
-		"Resample":         s.Resample(4*time.Minute, AggSum),
-		"Rolling":          s.Rolling(3, AggMean),
-	} {
-		if d.statsOK {
-			t.Fatalf("%s carried a stats cache it cannot guarantee", tag)
-		}
-		requireCacheFresh(t, tag, d)
-	}
 }

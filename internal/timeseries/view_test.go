@@ -89,65 +89,29 @@ func refResample(s *Series, window time.Duration, a Agg) []float64 {
 	return out
 }
 
-func refRolling(s *Series, k int, a Agg) []float64 {
-	out := make([]float64, len(s.Values)-k+1)
-	for i := range out {
-		out[i] = refAgg(a, s.Values[i:i+k])
-	}
-	return out
-}
-
 var allAggs = []Agg{AggMean, AggMax, AggMin, AggSum, AggP95}
 
-// TestViewOpsMatchCopyingReference checks, on random series, that the
-// view-era Slice/Resample/Rolling (and their Into variants on recycled
-// buffers) produce bit-identical values to the old copying implementations.
+// TestViewOpsMatchCopyingReference checks, on random series, that
+// ResampleInto on a recycled buffer produces bit-identical values to the
+// copying reference.
 func TestViewOpsMatchCopyingReference(t *testing.T) {
-	var resBuf, rolBuf Series
+	var resBuf Series
 	for seed := uint64(1); seed <= 20; seed++ {
 		n := 40 + int(seed*13)%200
 		s := randomSeries(seed*7919, n)
 
-		// Slice: values must equal a manual copy of the range.
-		i, j := int(seed)%7, n-int(seed)%11
-		sub := s.Slice(i, j)
-		for k, v := range sub.Values {
-			if v != s.Values[i+k] {
-				t.Fatalf("seed %d: Slice[%d] = %v, want %v", seed, k, v, s.Values[i+k])
-			}
-		}
-
 		for _, a := range allAggs {
-			got := s.Resample(10*time.Minute, a)
 			want := refResample(s, 10*time.Minute, a)
-			if len(got.Values) != len(want) {
-				t.Fatalf("seed %d agg %d: Resample len %d, want %d", seed, a, len(got.Values), len(want))
-			}
-			for k := range want {
-				if got.Values[k] != want[k] {
-					t.Fatalf("seed %d agg %d: Resample[%d] = %v, want %v", seed, a, k, got.Values[k], want[k])
-				}
-			}
 			into := s.ResampleInto(&resBuf, 10*time.Minute, a)
+			if len(into.Values) != len(want) {
+				t.Fatalf("seed %d agg %d: ResampleInto len %d, want %d", seed, a, len(into.Values), len(want))
+			}
 			for k := range want {
 				if into.Values[k] != want[k] {
 					t.Fatalf("seed %d agg %d: ResampleInto[%d] = %v, want %v", seed, a, k, into.Values[k], want[k])
 				}
 			}
 
-			got = s.Rolling(7, a)
-			want = refRolling(s, 7, a)
-			for k := range want {
-				if got.Values[k] != want[k] {
-					t.Fatalf("seed %d agg %d: Rolling[%d] = %v, want %v", seed, a, k, got.Values[k], want[k])
-				}
-			}
-			intoR := s.RollingInto(&rolBuf, 7, a)
-			for k := range want {
-				if intoR.Values[k] != want[k] {
-					t.Fatalf("seed %d agg %d: RollingInto[%d] = %v, want %v", seed, a, k, intoR.Values[k], want[k])
-				}
-			}
 		}
 	}
 }
@@ -167,12 +131,6 @@ func TestAddInPlace(t *testing.T) {
 	if b.Values[0] != 10 {
 		t.Fatal("AddInPlace mutated its argument")
 	}
-	// Mutation through a view: accumulating into a slice view hits the parent.
-	p := New(t0, time.Minute, []float64{0, 0, 0, 0})
-	p.Slice(1, 4).AddInPlace(a)
-	if p.Values[0] != 0 || p.Values[1] != 11 || p.Values[3] != 33 {
-		t.Fatalf("AddInPlace through view = %v", p.Values)
-	}
 }
 
 func TestAddInPlacePanicsOnMismatch(t *testing.T) {
@@ -184,21 +142,19 @@ func TestAddInPlacePanicsOnMismatch(t *testing.T) {
 	New(t0, time.Minute, seq(2)).AddInPlace(New(t0, time.Minute, seq(3)))
 }
 
-// TestChainedViewPipelineZeroAlloc pins the headline property of the view
-// refactor: a chained slice → resample → rolling → aggregate pipeline
-// performs zero allocations per iteration once its two buffers are warm.
-// (AggP95 is excluded: its percentile scratch is per-call by design.)
+// TestChainedViewPipelineZeroAlloc pins ResampleInto's buffer-reuse
+// contract: a resample → aggregate pipeline performs zero allocations per
+// iteration once its buffer is warm. (AggP95 is excluded: its percentile
+// scratch is per-call by design.)
 func TestChainedViewPipelineZeroAlloc(t *testing.T) {
 	s := randomSeries(99, 24*60) // one day at 1-minute samples
-	var day, hourly, smooth Series
+	var hourly Series
 	var sink float64
 	pipeline := func() {
-		s.SliceInto(&day, 60, 24*60)                  // zero-copy view
-		day.ResampleInto(&hourly, time.Hour, AggMean) // buffer reuse
-		hourly.RollingInto(&smooth, 3, AggMax)        // buffer reuse
-		sink += smooth.Mean()
+		s.ResampleInto(&hourly, time.Hour, AggMean) // buffer reuse
+		sink += hourly.Mean()
 	}
-	pipeline() // warm the buffers
+	pipeline() // warm the buffer
 	if allocs := testing.AllocsPerRun(100, pipeline); allocs != 0 {
 		t.Fatalf("chained view pipeline allocates %.1f per run, want 0", allocs)
 	}
@@ -211,15 +167,13 @@ func TestChainedViewPipelineZeroAlloc(t *testing.T) {
 // zero-alloc test pins (run with -benchmem: expect 0 B/op, 0 allocs/op).
 func BenchmarkChainedViewPipeline(b *testing.B) {
 	s := randomSeries(99, 24*60)
-	var day, hourly, smooth Series
+	var hourly Series
 	var sink float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SliceInto(&day, 60, 24*60)
-		day.ResampleInto(&hourly, time.Hour, AggMean)
-		hourly.RollingInto(&smooth, 3, AggMax)
-		sink += smooth.Mean()
+		s.ResampleInto(&hourly, time.Hour, AggMean)
+		sink += hourly.Mean()
 	}
 	if math.IsNaN(sink) {
 		b.Fatal("NaN")

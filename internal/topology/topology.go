@@ -9,7 +9,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"edgescope/internal/geo"
@@ -37,9 +36,6 @@ type Site struct {
 	GatewayGbps float64
 }
 
-// Position implements geo.Located.
-func (s *Site) Position() geo.Point { return s.Loc }
-
 // Platform is a set of sites operated by one provider. Sites are immutable
 // once the platform is built.
 type Platform struct {
@@ -64,15 +60,6 @@ func (p *Platform) Locations() []geo.Point {
 		p.locs = out
 	})
 	return p.locs
-}
-
-// TotalServers sums servers across sites.
-func (p *Platform) TotalServers() int {
-	var t int
-	for _, s := range p.Sites {
-		t += s.Servers
-	}
-	return t
 }
 
 // NEPOptions configures BuildNEP.
@@ -166,27 +153,6 @@ func BuildAliCloud() *Platform {
 			City:        c,
 			Loc:         c.Loc,
 			Servers:     50000,
-			ServerCPU:   96,
-			ServerMemGB: 384,
-			GatewayGbps: 4000,
-		})
-	}
-	return p
-}
-
-// HuaweiCloud creates the second virtual cloud baseline used by the billing
-// comparison (vCloud-2): 5 Chinese regions.
-func HuaweiCloud() *Platform {
-	p := &Platform{Name: "HuaweiCloud", Class: netmodel.CloudSite}
-	for i, name := range []string{"Beijing", "Shanghai", "Guangzhou", "Guiyang", "Hohhot"} {
-		c := geo.MustCity(name)
-		p.Sites = append(p.Sites, &Site{
-			ID:          fmt.Sprintf("huawei-%s-%d", c.Name, i+1),
-			Platform:    "HuaweiCloud",
-			Class:       netmodel.CloudSite,
-			City:        c,
-			Loc:         c.Loc,
-			Servers:     40000,
 			ServerCPU:   96,
 			ServerMemGB: 384,
 			GatewayGbps: 4000,
@@ -323,24 +289,4 @@ func Table1Deployments(nep *Platform) []Deployment {
 // ascending great-circle distance from p.
 func (pl *Platform) NearestSites(p geo.Point) []int {
 	return geo.RankByDistance(p, pl.Locations())
-}
-
-// SitesByCity groups site indices by metro name.
-func (pl *Platform) SitesByCity() map[string][]int {
-	out := make(map[string][]int)
-	for i, s := range pl.Sites {
-		out[s.City.Name] = append(out[s.City.Name], i)
-	}
-	return out
-}
-
-// CityNames returns the sorted distinct metro names with at least one site.
-func (pl *Platform) CityNames() []string {
-	m := pl.SitesByCity()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -52,7 +52,10 @@ func TestNEPSiteProperties(t *testing.T) {
 
 func TestNEPCoversAllCities(t *testing.T) {
 	p := buildNEP(3)
-	byCity := p.SitesByCity()
+	byCity := make(map[string][]*Site)
+	for _, s := range p.Sites {
+		byCity[s.City.Name] = append(byCity[s.City.Name], s)
+	}
 	if len(byCity) != len(geo.Cities()) {
 		t.Fatalf("NEP covers %d metros, want %d", len(byCity), len(geo.Cities()))
 	}
@@ -87,12 +90,6 @@ func TestBuildAliCloud(t *testing.T) {
 		if s.Servers < 10000 {
 			t.Fatalf("cloud region %s too small", s.ID)
 		}
-	}
-}
-
-func TestHuaweiCloud(t *testing.T) {
-	if got := len(HuaweiCloud().Sites); got != 5 {
-		t.Fatalf("Huawei regions = %d, want 5", got)
 	}
 }
 
@@ -212,22 +209,5 @@ func TestNearestSitesOrdering(t *testing.T) {
 			t.Fatal("NearestSites not sorted")
 		}
 		last = d
-	}
-}
-
-func TestTotalServers(t *testing.T) {
-	p := &Platform{Sites: []*Site{{Servers: 3}, {Servers: 4}}}
-	if p.TotalServers() != 7 {
-		t.Fatal("TotalServers wrong")
-	}
-}
-
-func TestCityNamesSorted(t *testing.T) {
-	p := buildNEP(9)
-	names := p.CityNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("CityNames not sorted")
-		}
 	}
 }

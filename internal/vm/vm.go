@@ -33,9 +33,6 @@ type VM struct {
 	// PublicBW is the public (Internet) bandwidth usage in Mbps (paper:
 	// 5-minute reports).
 	PublicBW *timeseries.Series
-	// PrivateBW is intra-site traffic in Mbps; may be nil for apps without
-	// east-west traffic.
-	PrivateBW *timeseries.Series
 }
 
 // MeanCPU returns the VM's average CPU utilisation.
@@ -137,16 +134,6 @@ func (d *Dataset) SiteVMs() map[int][]int {
 	out := map[int][]int{}
 	for i, v := range d.VMs {
 		out[v.Site] = append(out[v.Site], i)
-	}
-	return out
-}
-
-// ServerVMs groups VM indices by (site, server).
-func (d *Dataset) ServerVMs() map[[2]int][]int {
-	out := map[[2]int][]int{}
-	for i, v := range d.VMs {
-		k := [2]int{v.Site, v.Server}
-		out[k] = append(out[k], i)
 	}
 	return out
 }

@@ -116,10 +116,6 @@ func TestGroupings(t *testing.T) {
 	if len(sites[0]) != 2 || len(sites[1]) != 1 {
 		t.Fatalf("SiteVMs = %v", sites)
 	}
-	servers := d.ServerVMs()
-	if len(servers[[2]int{0, 0}]) != 1 || len(servers[[2]int{0, 1}]) != 1 {
-		t.Fatalf("ServerVMs = %v", servers)
-	}
 }
 
 func TestSiteSalesRates(t *testing.T) {

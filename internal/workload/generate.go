@@ -238,20 +238,15 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 					start: opts.Start, clampHi: 0, weekendFactor: weekendFactorFor(cat.Name),
 					volatileWeeks: volatile, volatileSigma: 0.9,
 				})
-				var priv *timeseries.Series
-				if cat.Name == "content-delivery" || cat.Name == "live-streaming" {
-					priv = bw.Scale(0.1)
-				}
 				mean := cpu.Mean()
 				st.ObserveUsage(a.Site, a.Server, mean)
 				d.VMs = append(d.VMs, &vm.VM{
 					ID: vmID, App: app, Customer: app, // 1 app per customer
 					Site: a.Site, Server: a.Server,
 					VCPUs: vcpu, MemGB: mem,
-					DiskGB:    int(r.BoundedPareto(cat.DiskXmGB, cat.DiskAlpha, cat.DiskCapGB)),
-					CPU:       cpu,
-					PublicBW:  bw,
-					PrivateBW: priv,
+					DiskGB:   int(r.BoundedPareto(cat.DiskXmGB, cat.DiskAlpha, cat.DiskCapGB)),
+					CPU:      cpu,
+					PublicBW: bw,
 				})
 				vmID++
 			}

@@ -4,7 +4,10 @@
 #   gofmt cleanliness  → build  → vet  → orphan-package check (every
 #   internal/ package is in `go list -deps` of the repo's main packages;
 #   internal/faultinject is the one test-only harness)
-#   → arm64 cross-compile  → full tests
+#   → arm64 cross-compile  → full tests (the root package's
+#     TestEveryFunctionReachable is the per-function form of the orphan
+#     check: every non-test function is reachable from a main package or
+#     listed with a reason in scripts/reach_keep)
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
 #     segment replay, snapshot decode, sketch codec, sketch-page codec;
@@ -20,11 +23,11 @@
 #     small scenario must answer /query byte-identically to a single-node
 #     replay; a node asked for its /sketches in the binary page form must
 #     answer in it, its JSON page must hold one fold per key (each match
-#     with "windows"), and the frontend's /metrics (leg, page-byte and
-#     merge families) and the node's (fold families) must lint; a SIGKILLed
-#     member must surface as an explicit partial result; a restarted member
-#     (WAL recovery) must reconverge, having replayed no more WAL than the
-#     documented restart bound
+#     with "windows"), and the frontend's /metrics (leg, page-byte, merge
+#     and retry-client families) and the node's (fold families) must lint;
+#     a SIGKILLed member must surface as an explicit partial result; a
+#     restarted member (WAL recovery) must reconverge, having replayed no
+#     more WAL than the documented restart bound
 #   → rebalance smoke: a fourth node joins the live cluster through
 #     POST /admin/join (sketch-page handoff, epoch activation), then a
 #     member drains and leaves — /query and /keys must stay byte-identical
@@ -32,6 +35,9 @@
 #   → scenario smoke: small built-in scenarios through reproall, with the
 #     -parallel invariance diff (stdout must be byte-identical at any
 #     worker count)
+#   → examples smoke: each examples/* program runs once, exits 0 and prints
+#     something — they are roots of the reachability walk, so they must at
+#     least run
 #   → short paper-artifact benchmarks, compared against the committed
 #     BENCH.json by `benchdump -compare`: the delta table lands in the CI
 #     log, and the allocation-budget gate fails the run if B/op or
@@ -240,10 +246,10 @@ if [[ "$matches" -eq 0 ]] || [[ "$matches" != "$folds" ]] || [[ -n "$repeated" ]
   exit 1
 fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
-  -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds
+  -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds,telemetry_client_sent_total,telemetry_client_retries_total,telemetry_client_failed_total,telemetry_client_backoff_seconds
 "$smoke/metriclint" -url "http://127.0.0.1:$N0/metrics" \
   -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot
-echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge, fold and checkpoint families"
+echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge, retry-client, fold and checkpoint families"
 
 kill -9 "$NODE1_PID" 2>/dev/null
 partial_ok=""
@@ -351,6 +357,16 @@ for p in 2 8; do
   diff "$smoke/fig14-p1.txt" "$smoke/fig14-p$p.txt"
 done
 echo "  fig14 ok ($(wc -c < "$smoke/fig14-p1.txt") bytes, identical at -parallel 1, 2 and 8)"
+
+echo "== examples smoke (each examples/* program runs, exits 0, prints) =="
+for ex in examples/*/; do
+  go run "./$ex" > "$smoke/example.out"
+  if [[ ! -s "$smoke/example.out" ]]; then
+    echo "$ex printed nothing" >&2
+    exit 1
+  fi
+  echo "  ${ex%/} ok ($(wc -l < "$smoke/example.out") lines)"
+done
 
 if [[ "${1:-}" != "--no-bench" ]]; then
   echo "== bench → compare gate → BENCH.json =="

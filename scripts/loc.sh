@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Non-test Go lines (wc -l) per package under cmd/, internal/ and examples/ —
-# the table ROADMAP item 6 tracks. bench/e2e is the benchmark, not the
+# the table ROADMAP item 9 tracks. bench/e2e is the benchmark, not the
 # program it measures: it gets its own row below the total and is not
 # summed into it.
 #
