@@ -176,24 +176,22 @@ func (a *adminPlane) mount(mux *http.ServeMux, log *slog.Logger) {
 	mux.HandleFunc("POST /admin/join", a.handleJoin)
 	mux.HandleFunc("POST /admin/leave", a.handleLeave)
 	mux.HandleFunc("POST /admin/drain", a.handleDrain)
-	mux.HandleFunc("POST /admin/settle", a.handleSettle)
 }
 
 // handleAssignment reports the current epoch's table and whether it is
-// fully settled: "active" only when no migration is in flight and no
-// partition is migrating or suspect — the convergence signal an operator
-// (or ci smoke) polls after a join.
+// settled: "migrating" only while a migration is in flight, "active"
+// otherwise — the convergence signal an operator (or ci smoke) polls after
+// a join.
 func (a *adminPlane) handleAssignment(w http.ResponseWriter, r *http.Request) {
-	migrating := a.pm.Migrating()
 	status := "active"
-	if a.mig.Migrating() || len(migrating) > 0 {
+	if a.mig.Migrating() {
 		status = "migrating"
 	}
 	writeJSON(a.log, w, map[string]any{
 		"status":     status,
 		"epoch":      a.pm.Epoch(),
 		"assignment": a.pm.Current(),
-		"migrating":  migrating,
+		"migrating":  a.pm.Migrating(),
 	})
 }
 
@@ -285,12 +283,4 @@ func (a *adminPlane) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	a.log.Info("member drained", "node", req.ID, "epoch", next.Epoch)
 	writeJSON(a.log, w, next)
-}
-
-// handleSettle retries the stale-copy drops a past activation left
-// suspect; queries stop reporting those partitions partial once it
-// returns them clear.
-func (a *adminPlane) handleSettle(w http.ResponseWriter, r *http.Request) {
-	still := a.mig.Settle(context.Background())
-	writeJSON(a.log, w, map[string]any{"suspect": still})
 }

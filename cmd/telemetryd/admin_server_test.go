@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -322,6 +324,100 @@ func TestAdminStatePersistence(t *testing.T) {
 	// An absent file is a clean first boot.
 	if st, err := loadClusterState(t.TempDir()); err != nil || st != nil {
 		t.Fatalf("fresh dir: st=%v err=%v", st, err)
+	}
+}
+
+// stateFixture installs a parent-written testdata/cluster-state-*.json
+// (captured from the last build that had -replicas, after a join at epoch
+// 2) as a data directory's cluster-state.json.
+func stateFixture(t *testing.T, name string) (dir string, raw []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, clusterStateFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, raw
+}
+
+// TestParentFactor1StateResumes: a state file the parent build wrote under
+// the default replication factor resumes at its epoch, and this build
+// writes the same bytes back.
+func TestParentFactor1StateResumes(t *testing.T) {
+	dir, raw := stateFixture(t, "cluster-state-rf1.json")
+	st, err := loadClusterState(dir)
+	if err != nil {
+		t.Fatalf("parent factor-1 state refused: %v", err)
+	}
+	pm, err := cluster.NewMapFromAssignment(st.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm.Epoch() != 2 || !reflect.DeepEqual(pm.Nodes(), []string{"n0", "n1", "n2"}) || len(pm.OwnedBy("n2")) != 2 {
+		t.Fatalf("resumed map: epoch=%d nodes=%v n2 owns %v", pm.Epoch(), pm.Nodes(), pm.OwnedBy("n2"))
+	}
+	if err := saveClusterState(dir, *st); err != nil {
+		t.Fatal(err)
+	}
+	if back, _ := os.ReadFile(filepath.Join(dir, clusterStateFile)); !bytes.Equal(back, raw) {
+		t.Fatalf("state file bytes changed:\n%s\nwant\n%s", back, raw)
+	}
+}
+
+// TestFactor2StateIsRefused: the lenient JSON decode would read a table
+// written by a -replicas 2 frontend as factor 1 and hide every failover
+// slice from every query. Both ways such a table can arrive — the state
+// file at boot, a pushed POST /admin/assignment — refuse it, saying why.
+func TestFactor2StateIsRefused(t *testing.T) {
+	dir, raw := stateFixture(t, "cluster-state-rf2.json")
+	_, err := loadClusterState(dir)
+	if err == nil {
+		t.Fatal("a factor-2 cluster-state.json loaded")
+	}
+	for _, want := range []string{clusterStateFile, "replication factor 2", "replication was removed"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not mention %q", err, want)
+		}
+	}
+
+	var st struct {
+		Assignment json.RawMessage `json:"assignment"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	c := newElasticServers(t, "")
+	resp, err := http.Post(c.servers["n0"].URL+"/admin/assignment", "application/json", bytes.NewReader(st.Assignment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "replication factor 2") {
+		t.Fatalf("pushed factor-2 assignment: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestReplicasFlagIsGone: the daemon run with the removed flag exits 2 with
+// the flag package's own message, before it opens anything.
+func TestReplicasFlagIsGone(t *testing.T) {
+	if os.Getenv("TELEMETRYD_RUN_MAIN") == "1" {
+		os.Args = []string{"telemetryd", "-role", "frontend", "-replicas", "2"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestReplicasFlagIsGone$")
+	cmd.Env = append(os.Environ(), "TELEMETRYD_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("telemetryd -replicas 2: err=%v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -replicas") {
+		t.Fatalf("telemetryd -replicas 2 printed:\n%s", out)
 	}
 }
 

@@ -48,16 +48,17 @@
 //   - node: one partitioned member. -node-id names this member inside the
 //     -peers list; /healthz self-describes the partitions it owns.
 //   - frontend: the stateless routing + scatter-gather tier. POST /ingest
-//     routes each envelope to its partition's owner (failing over to the
-//     replica when the owner is marked down), GET /query fans out to every
-//     node, merges sketch pages deterministically, and answers with
-//     explicit partial-result semantics ("partial": true plus the missing
-//     partition list) when members are unreachable.
+//     routes each envelope to its partition's owner (refused while the
+//     owner is marked down — a producer's retry then lands it, dedup'd by
+//     sequence number), GET /query fans out to every node, merges sketch
+//     pages deterministically, and answers with explicit partial-result
+//     semantics ("partial": true plus the missing partition list) when
+//     members are unreachable.
 //
 // -peers lists the members as comma-separated id=url pairs in canonical
 // order; duplicate or empty entries are rejected at startup, naming the
 // offending peer. Every daemon of one cluster must be given the identical
-// boot list, -partitions and -replicas. A frontend given -replay streams
+// boot list and -partitions. A frontend given -replay streams
 // the campaign through the router — the cluster-wide equivalent of a
 // node-local replay.
 //
@@ -67,8 +68,7 @@
 // Membership is elastic after boot. The frontend serves an admin plane:
 //
 //	GET  /admin/assignment  the current epoch's table; "status" is
-//	                        "active" only once no migration is in flight
-//	                        and no partition is suspect
+//	                        "migrating" only while a migration is in flight
 //	POST /admin/join        {"id":"n3","url":"http://h3:8355"} — admit a
 //	                        member: minimal-movement rebalance, live
 //	                        sketch-page handoff, atomic epoch activation
@@ -76,7 +76,6 @@
 //	                        the survivors, then remove it
 //	POST /admin/drain       {"id":"n1"} — empty a member without removing
 //	                        it (a later leave then moves nothing)
-//	POST /admin/settle      retry stale-copy drops left suspect
 //
 // Each node mounts the matching data-plane legs the migrator drives
 // (POST /admin/flush|freeze|unfreeze|absorb|drop|assignment and
@@ -92,7 +91,7 @@
 //	           [-replay] [-seed 1] [-scenario NAME|file.json]
 //	           [-pprof] [-log-format text|json]
 //	           [-role single|node|frontend] [-node-id ID] [-peers LIST]
-//	           [-partitions 16] [-replicas 1|2]
+//	           [-partitions 16]
 //	           [-probe-interval 1s] [-node-timeout 2s]
 //
 // Logs are structured (log/slog) with stable event names and keys, -log-format
@@ -113,7 +112,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -145,7 +143,6 @@ func main() {
 	nodeID := flag.String("node-id", "", "this member's id inside -peers (role node)")
 	peers := flag.String("peers", "", "cluster members as comma-separated id=url pairs, canonical order (identical on every daemon)")
 	partitions := flag.Int("partitions", cluster.DefaultPartitions, "cluster keyspace partition count (identical on every daemon)")
-	replicas := flag.Int("replicas", 1, "replication factor: 1 (owner only) or 2 (owner + failover replica)")
 	probeEvery := flag.Duration("probe-interval", time.Second, "frontend health probe period")
 	nodeTimeout := flag.Duration("node-timeout", 2*time.Second, "frontend per-node scatter-gather timeout")
 	flag.Parse()
@@ -175,7 +172,7 @@ func main() {
 	case "frontend":
 		runFrontend(frontendOpts{
 			addr: *addr, peerIDs: peerIDs, peerURLs: peerURLs,
-			partitions: *partitions, replicas: *replicas, dataDir: *dataDir,
+			partitions: *partitions, dataDir: *dataDir,
 			probeEvery: *probeEvery, nodeTimeout: *nodeTimeout,
 			replay: *replay, scenario: *scn, seed: *seed,
 			log: log,
@@ -193,11 +190,7 @@ func main() {
 			log.Error("role node needs -node-id")
 			os.Exit(2)
 		}
-		pm, err := cluster.NewMap(cluster.MapConfig{
-			Partitions:        *partitions,
-			Nodes:             peerIDs,
-			ReplicationFactor: *replicas,
-		})
+		pm, err := cluster.NewMap(cluster.MapConfig{Partitions: *partitions, Nodes: peerIDs})
 		if err != nil {
 			log.Error("bad cluster layout", "err", err)
 			os.Exit(2)
@@ -214,8 +207,7 @@ func main() {
 			log.Info("node owns nothing under the boot layout; awaiting an assignment push", "node_id", *nodeID)
 		}
 	}
-	log.Info("starting", "role", nodeInfo.Role, "node_id", nodeInfo.ID,
-		"partitions", nodeInfo.Partitions, "replicates", nodeInfo.Replicates)
+	log.Info("starting", "role", nodeInfo.Role, "node_id", nodeInfo.ID, "partitions", nodeInfo.Partitions)
 
 	reg := obs.NewRegistry()
 	ing, rec, err := telemetry.Open(telemetry.Config{
@@ -319,7 +311,6 @@ type frontendOpts struct {
 	peerIDs     []string
 	peerURLs    map[string]string
 	partitions  int
-	replicas    int
 	dataDir     string
 	probeEvery  time.Duration
 	nodeTimeout time.Duration
@@ -366,11 +357,7 @@ func runFrontend(o frontendOpts) {
 		log.Info("resumed cluster state", "file", clusterStateFile,
 			"epoch", st.Assignment.Epoch, "nodes", st.Assignment.Nodes)
 	} else {
-		pm, err = cluster.NewMap(cluster.MapConfig{
-			Partitions:        o.partitions,
-			Nodes:             o.peerIDs,
-			ReplicationFactor: o.replicas,
-		})
+		pm, err = cluster.NewMap(cluster.MapConfig{Partitions: o.partitions, Nodes: o.peerIDs})
 		if err != nil {
 			log.Error("bad cluster layout", "err", err)
 			os.Exit(2)
@@ -385,8 +372,7 @@ func runFrontend(o frontendOpts) {
 		memberURLs[id] = urls[id]
 	}
 	log.Info("starting", "role", "frontend", "epoch", pm.Epoch(),
-		"peers", pm.Nodes(), "partitions", pm.Partitions(),
-		"replication_factor", pm.Config().ReplicationFactor)
+		"peers", pm.Nodes(), "partitions", pm.Partitions())
 
 	reg := obs.NewRegistry()
 	peers := newPeerSet(memberURLs, o.nodeTimeout)
@@ -417,13 +403,8 @@ func runFrontend(o frontendOpts) {
 		Timeout: o.nodeTimeout,
 		Metrics: reg,
 	})
-	spillDir := ""
-	if o.dataDir != "" {
-		spillDir = filepath.Join(o.dataDir, "handoff-spill")
-	}
 	mig := cluster.NewMigrator(pm, admins, cluster.MigratorConfig{
-		Health:   tracker,
-		SpillDir: spillDir,
+		Health: tracker,
 		OnActivate: func(a cluster.Assignment) {
 			if o.dataDir == "" {
 				return
@@ -433,24 +414,14 @@ func runFrontend(o frontendOpts) {
 			}
 		},
 	})
-	// A crash mid-rebalance can leave a handoff destination dropped with
-	// its replacement cut spilled here; put every such node back to its
-	// pre-handoff state before serving (migrations refuse to start over an
-	// unrecovered spill).
-	if restored, err := mig.RecoverSpills(context.Background()); err != nil {
-		log.Error("handoff spill recovery incomplete", "restored", restored, "err", err)
-	} else if len(restored) > 0 {
-		log.Info("recovered interrupted handoff", "partitions", restored)
-	}
 	start := time.Now()
 
 	if o.replay {
 		st := replayCampaign(log, o.scenario, o.seed, router.Send,
 			"replay lost events to unreachable partitions", "check node health; refused envelopes must be resent after recovery",
 			"via", "router")
-		rst := router.Stats()
 		log.Info("replay done", "events", st.Events, "accepted", st.Accepted, "dropped", st.Dropped,
-			"routed", rst.Routed, "failed_over", rst.FailedOver)
+			"routed", router.Stats().Routed)
 	}
 
 	mux := buildFrontendMux(frontendMuxConfig{

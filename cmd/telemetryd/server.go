@@ -113,8 +113,8 @@ func buildMux(cfg muxConfig) *http.ServeMux {
 		}
 		if h.Node != nil {
 			// Self-describing membership: role plus the partitions this
-			// node owns (and replicates), so an operator can curl any
-			// member and see its place in the layout.
+			// node owns, so an operator can curl any member and see its
+			// place in the layout.
 			body["node"] = h.Node
 		}
 		writeJSON(cfg.log, w, body)
@@ -270,7 +270,7 @@ type frontendMuxConfig struct {
 	front   *cluster.Frontend
 	tracker *cluster.HealthTracker
 	// admin, when set, mounts the membership plane: GET /admin/assignment,
-	// POST /admin/join|leave|drain|settle.
+	// POST /admin/join|leave|drain.
 	admin *adminPlane
 	reg   *obs.Registry
 	start time.Time
@@ -351,21 +351,19 @@ func buildFrontendMux(cfg frontendMuxConfig) *http.ServeMux {
 				status = "degraded"
 			}
 			nodes = append(nodes, map[string]any{
-				"node":       n.Node,
-				"state":      n.State,
-				"owns":       cfg.pm.OwnedBy(n.Node),
-				"replicates": cfg.pm.ReplicatedBy(n.Node),
+				"node":  n.Node,
+				"state": n.State,
+				"owns":  cfg.pm.OwnedBy(n.Node),
 			})
 		}
 		writeJSON(cfg.log, w, map[string]any{
-			"status":             status,
-			"node":               &telemetry.NodeInfo{Role: "frontend"},
-			"epoch":              cfg.pm.Epoch(),
-			"partitions":         cfg.pm.Partitions(),
-			"replication_factor": cfg.pm.Config().ReplicationFactor,
-			"nodes":              nodes,
-			"router":             cfg.router.Stats(),
-			"uptime_seconds":     int(time.Since(cfg.start).Seconds()),
+			"status":         status,
+			"node":           &telemetry.NodeInfo{Role: "frontend"},
+			"epoch":          cfg.pm.Epoch(),
+			"partitions":     cfg.pm.Partitions(),
+			"nodes":          nodes,
+			"router":         cfg.router.Stats(),
+			"uptime_seconds": int(time.Since(cfg.start).Seconds()),
 		})
 	})
 	if cfg.admin != nil {

@@ -86,12 +86,6 @@ type AccessProfile struct {
 	AggHopMs    float64
 	AggHopSigma float64
 	AggJitterMs float64
-	// AggVisible reports whether the aggregation hop answers TTL-expired
-	// probes. The paper observed that 5G operators disable ICMP on the
-	// first hops.
-	AggVisible bool
-	// AccessVisible likewise for the first hop.
-	AccessVisible bool
 
 	// DownMbpsMedian / UpMbpsMedian are the median last-mile capacities,
 	// sampled log-normally with CapSigma. The 5G uplink is strictly capped
@@ -114,7 +108,6 @@ var profiles = map[Access]AccessProfile{
 		Access:      WiFi,
 		AccessHopMs: 4.6, AccessHopSigma: 0.30, AccessJitterMs: 0.07,
 		AggHopMs: 1.1, AggHopSigma: 0.25, AggJitterMs: 0.04,
-		AccessVisible: true, AggVisible: true,
 		DownMbpsMedian: 55, UpMbpsMedian: 35, CapSigma: 0.45,
 		DownCapMbps: 150, UpCapMbps: 100,
 		ExtraLoss: 1.0e-6,
@@ -123,7 +116,6 @@ var profiles = map[Access]AccessProfile{
 		Access:      LTE,
 		AccessHopMs: 3.5, AccessHopSigma: 0.35, AccessJitterMs: 0.45,
 		AggHopMs: 24.0, AggHopSigma: 0.30, AggJitterMs: 0.40,
-		AccessVisible: true, AggVisible: true,
 		DownMbpsMedian: 35, UpMbpsMedian: 15, CapSigma: 0.45,
 		DownCapMbps: 110, UpCapMbps: 60,
 		ExtraLoss: 2.0e-6,
@@ -132,7 +124,6 @@ var profiles = map[Access]AccessProfile{
 		Access:      FiveG,
 		AccessHopMs: 2.5, AccessHopSigma: 0.25, AccessJitterMs: 0.05,
 		AggHopMs: 4.2, AggHopSigma: 0.25, AggJitterMs: 0.06,
-		AccessVisible: false, AggVisible: false, // operator disables ICMP
 		DownMbpsMedian: 480, UpMbpsMedian: 50, CapSigma: 0.22,
 		DownCapMbps: 900, UpCapMbps: 60, // TDD slot-ratio uplink cap
 		ExtraLoss: 0.8e-6,
@@ -141,7 +132,6 @@ var profiles = map[Access]AccessProfile{
 		Access:      Wired,
 		AccessHopMs: 1.0, AccessHopSigma: 0.25, AccessJitterMs: 0.02,
 		AggHopMs: 0.8, AggHopSigma: 0.25, AggJitterMs: 0.03,
-		AccessVisible: true, AggVisible: true,
 		DownMbpsMedian: 480, UpMbpsMedian: 400, CapSigma: 0.20,
 		DownCapMbps: 1000, UpCapMbps: 1000,
 		ExtraLoss: 0.3e-6,

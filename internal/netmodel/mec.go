@@ -15,19 +15,16 @@ func BuildSunkPath(r *rng.Source, access Access) *Path {
 			Kind:        HopAccess,
 			BaseRTTMs:   r.LogNormalMeanMedian(p.AccessHopMs, p.AccessHopSigma),
 			JitterStdMs: p.AccessJitterMs,
-			Visible:     p.AccessVisible,
 		},
 		{
 			Kind:        HopAgg,
 			BaseRTTMs:   r.LogNormalMeanMedian(p.AggHopMs, p.AggHopSigma),
 			JitterStdMs: p.AggJitterMs,
-			Visible:     p.AggVisible,
 		},
 		{
 			Kind:        HopDC,
 			BaseRTTMs:   r.LogNormalMeanMedian(dcHopMs, 0.3),
 			JitterStdMs: dcJitterMs,
-			Visible:     true,
 		},
 	}
 	path := &Path{

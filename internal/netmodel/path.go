@@ -57,12 +57,11 @@ func (k HopKind) String() string {
 
 // Hop is one hop of a path. BaseRTTMs is its round-trip latency
 // contribution; JitterStdMs the standard deviation of per-sample noise it
-// adds; Visible whether it responds to TTL-expired probes (traceroute).
+// adds.
 type Hop struct {
 	Kind        HopKind
 	BaseRTTMs   float64
 	JitterStdMs float64
-	Visible     bool
 }
 
 // Path is a modelled route from an end user to a destination site.
@@ -148,13 +147,11 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 		Kind:        HopAccess,
 		BaseRTTMs:   r.LogNormalMeanMedian(p.AccessHopMs, p.AccessHopSigma),
 		JitterStdMs: p.AccessJitterMs,
-		Visible:     p.AccessVisible,
 	})
 	hops = append(hops, Hop{
 		Kind:        HopAgg,
 		BaseRTTMs:   r.LogNormalMeanMedian(p.AggHopMs, p.AggHopSigma),
 		JitterStdMs: p.AggJitterMs,
-		Visible:     p.AggVisible,
 	})
 
 	// Metro hops: traffic always crosses the ISP's in-city core (the paper
@@ -165,7 +162,6 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 			Kind:        HopMetro,
 			BaseRTTMs:   r.LogNormalMeanMedian(metroHopMs, 0.4),
 			JitterStdMs: metroJitterMs,
-			Visible:     true,
 		})
 	}
 
@@ -185,7 +181,6 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 			Kind:        HopBackbone,
 			BaseRTTMs:   base,
 			JitterStdMs: backboneJitterMs,
-			Visible:     true,
 		})
 	}
 	if nBackbone == 0 && distKm > 0 {
@@ -204,7 +199,6 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 			Kind:        HopDC,
 			BaseRTTMs:   r.LogNormalMeanMedian(dcHopMs, 0.3),
 			JitterStdMs: dcJitterMs,
-			Visible:     true,
 		})
 	}
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Epoch-versioned partition assignments. An Assignment is the full
-// partition → owner (and replica) table at one point in the cluster's
+// partition → owner table at one point in the cluster's
 // membership history, stamped with a monotonically increasing epoch. It is
 // a value — JSON-serializable, comparable field by field — so the frontend
 // can persist it, push it to nodes, and every component can agree on "the
@@ -16,10 +16,10 @@ import (
 // writer of new epochs (the frontend's migrator) and activation is atomic.
 //
 // Epoch 1 is always InitialAssignment, which reproduces the arithmetic
-// round-robin placement the static cluster used (owner = nodes[p%N],
-// replica = nodes[(p+1)%N]), so a cluster that never rebalances routes
-// exactly as it always did. Later epochs come from Rebalance, which moves
-// the minimum number of partitions needed to re-level the cluster.
+// round-robin placement the static cluster used (owner = nodes[p%N]), so a
+// cluster that never rebalances routes exactly as it always did. Later
+// epochs come from Rebalance, which moves the minimum number of partitions
+// needed to re-level the cluster.
 
 // Assignment is one epoch's placement table.
 type Assignment struct {
@@ -28,7 +28,10 @@ type Assignment struct {
 	// Partitions is the keyspace partition count — immutable across epochs
 	// (the key hash depends on it; changing it would remap every key).
 	Partitions int `json:"partitions"`
-	// ReplicationFactor is 1 or 2, immutable across epochs.
+	// ReplicationFactor is always 1: every partition has exactly one
+	// assigned member. The field stays in the wire form as the upgrade gate
+	// — Validate refuses a table written under the removed factor-2 mode
+	// instead of misreading it as factor 1 and hiding its failover slices.
 	ReplicationFactor int `json:"replication_factor"`
 	// Nodes is the member list in canonical order. Placement ties break by
 	// this order, so every component must hold the same list — the
@@ -36,36 +39,24 @@ type Assignment struct {
 	Nodes []string `json:"nodes"`
 	// Owners[p] names the node owning partition p.
 	Owners []string `json:"owners"`
-	// Replicas[p] names partition p's failover node; empty slice under
-	// replication factor 1.
-	Replicas []string `json:"replicas,omitempty"`
 }
 
 // InitialAssignment is epoch 1 for a validated layout: the arithmetic
-// round-robin placement (owner = nodes[p%N], replica = nodes[(p+1)%N]).
+// round-robin placement (owner = nodes[p%N]).
 func InitialAssignment(cfg MapConfig) Assignment {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = DefaultPartitions
-	}
-	if cfg.ReplicationFactor == 0 {
-		cfg.ReplicationFactor = 1
 	}
 	n := len(cfg.Nodes)
 	a := Assignment{
 		Epoch:             1,
 		Partitions:        cfg.Partitions,
-		ReplicationFactor: cfg.ReplicationFactor,
+		ReplicationFactor: 1,
 		Nodes:             append([]string(nil), cfg.Nodes...),
 		Owners:            make([]string, cfg.Partitions),
 	}
-	if cfg.ReplicationFactor >= 2 {
-		a.Replicas = make([]string, cfg.Partitions)
-	}
 	for p := 0; p < cfg.Partitions; p++ {
 		a.Owners[p] = cfg.Nodes[p%n]
-		if a.Replicas != nil {
-			a.Replicas[p] = cfg.Nodes[(p+1)%n]
-		}
 	}
 	return a
 }
@@ -79,14 +70,11 @@ func (a Assignment) Validate() error {
 	if a.Partitions <= 0 {
 		return fmt.Errorf("cluster: assignment with %d partitions", a.Partitions)
 	}
-	if a.ReplicationFactor < 1 || a.ReplicationFactor > 2 {
-		return fmt.Errorf("cluster: assignment replication factor %d (supported: 1, 2)", a.ReplicationFactor)
+	if a.ReplicationFactor != 1 {
+		return fmt.Errorf("cluster: assignment replication factor %d: only 1 is supported — replication was removed, and a table written under factor 2 cannot be opened by this build", a.ReplicationFactor)
 	}
 	if len(a.Nodes) == 0 {
 		return fmt.Errorf("cluster: assignment with no nodes")
-	}
-	if a.ReplicationFactor == 2 && len(a.Nodes) < 2 {
-		return fmt.Errorf("cluster: replication factor 2 needs >= 2 nodes, have %d", len(a.Nodes))
 	}
 	members := make(map[string]bool, len(a.Nodes))
 	for i, n := range a.Nodes {
@@ -106,21 +94,6 @@ func (a Assignment) Validate() error {
 			return fmt.Errorf("cluster: partition %d owned by unknown node %q", p, o)
 		}
 	}
-	if a.ReplicationFactor == 2 {
-		if len(a.Replicas) != a.Partitions {
-			return fmt.Errorf("cluster: %d replicas for %d partitions", len(a.Replicas), a.Partitions)
-		}
-		for p, r := range a.Replicas {
-			if !members[r] {
-				return fmt.Errorf("cluster: partition %d replicated by unknown node %q", p, r)
-			}
-			if r == a.Owners[p] {
-				return fmt.Errorf("cluster: partition %d replicated by its own owner %q", p, r)
-			}
-		}
-	} else if len(a.Replicas) != 0 {
-		return fmt.Errorf("cluster: replicas listed under replication factor 1")
-	}
 	return nil
 }
 
@@ -128,9 +101,6 @@ func (a Assignment) Validate() error {
 func (a Assignment) clone() Assignment {
 	a.Nodes = append([]string(nil), a.Nodes...)
 	a.Owners = append([]string(nil), a.Owners...)
-	if a.Replicas != nil {
-		a.Replicas = append([]string(nil), a.Replicas...)
-	}
 	return a
 }
 
@@ -161,11 +131,6 @@ func (a Assignment) NodeInfo(node string) *telemetry.NodeInfo {
 			info.Partitions = append(info.Partitions, p)
 		}
 	}
-	for p, r := range a.Replicas {
-		if r == node {
-			info.Replicates = append(info.Replicates, p)
-		}
-	}
 	return info
 }
 
@@ -188,10 +153,7 @@ func Moves(from, to Assignment) []Move {
 // in canonical order. Quotas are ⌊P/N⌋ with the remainder going to the
 // first P%N nodes in canonical order — the same totals round-robin
 // produces, so a from-scratch Rebalance and InitialAssignment level the
-// cluster identically. Replicas are re-derived (next member after the
-// owner in canonical order); replica placement needs no data movement —
-// replicas hold only failover traffic, which stays queryable wherever it
-// landed.
+// cluster identically.
 func Rebalance(cur Assignment, nodes []string) (Assignment, error) {
 	next, err := rebalance(cur, nodes, "")
 	if err != nil {
@@ -202,8 +164,8 @@ func Rebalance(cur Assignment, nodes []string) (Assignment, error) {
 
 // RebalanceDrain computes the next epoch with one member's quota forced to
 // zero — the node stays a member (it can still serve reads while its data
-// migrates away) but owns and replicates nothing, so a subsequent
-// Rebalance without it moves nothing at all.
+// migrates away) but owns nothing, so a subsequent Rebalance without it
+// moves nothing at all.
 func RebalanceDrain(cur Assignment, drain string) (Assignment, error) {
 	found := false
 	for _, n := range cur.Nodes {
@@ -251,9 +213,6 @@ func rebalance(cur Assignment, nodes []string, drain string) (Assignment, error)
 	if len(bearing) == 0 {
 		return Assignment{}, fmt.Errorf("cluster: drain of the only node %q", drain)
 	}
-	if cur.ReplicationFactor == 2 && len(bearing) < 2 {
-		return Assignment{}, fmt.Errorf("cluster: replication factor 2 needs >= 2 quota-bearing nodes, have %d", len(bearing))
-	}
 	// Quotas: ⌊P/N⌋ each, remainder to the first P%N bearing nodes.
 	quota := make(map[string]int, len(bearing))
 	base, extra := cur.Partitions/len(bearing), cur.Partitions%len(bearing)
@@ -296,19 +255,6 @@ func rebalance(cur Assignment, nodes []string, drain string) (Assignment, error)
 	for n, ps := range owned {
 		for _, p := range ps {
 			next.Owners[p] = n
-		}
-	}
-	// Replicas: the next quota-bearing member after the owner in canonical
-	// order — matches InitialAssignment when nothing has moved.
-	if cur.ReplicationFactor == 2 {
-		next.Replicas = make([]string, cur.Partitions)
-		bearingIdx := make(map[string]int, len(bearing))
-		for i, n := range bearing {
-			bearingIdx[n] = i
-		}
-		for p := 0; p < cur.Partitions; p++ {
-			i := bearingIdx[next.Owners[p]]
-			next.Replicas[p] = bearing[(i+1)%len(bearing)]
 		}
 	}
 	if err := next.Validate(); err != nil {

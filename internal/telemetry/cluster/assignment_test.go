@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"edgescope/internal/rng"
 )
 
 func mustRebalance(t *testing.T, cur Assignment, nodes []string) Assignment {
@@ -20,7 +23,7 @@ func mustRebalance(t *testing.T, cur Assignment, nodes []string) Assignment {
 // exactly as PR 9's p%N layout did.
 func TestInitialAssignmentMatchesArithmetic(t *testing.T) {
 	nodes := []string{"n0", "n1", "n2"}
-	a := InitialAssignment(MapConfig{Partitions: 16, Nodes: nodes, ReplicationFactor: 2})
+	a := InitialAssignment(MapConfig{Partitions: 16, Nodes: nodes})
 	if a.Epoch != 1 {
 		t.Fatalf("epoch = %d", a.Epoch)
 	}
@@ -30,9 +33,6 @@ func TestInitialAssignmentMatchesArithmetic(t *testing.T) {
 	for p := 0; p < 16; p++ {
 		if a.Owners[p] != nodes[p%3] {
 			t.Fatalf("owner[%d] = %s, want %s", p, a.Owners[p], nodes[p%3])
-		}
-		if a.Replicas[p] != nodes[(p+1)%3] {
-			t.Fatalf("replica[%d] = %s, want %s", p, a.Replicas[p], nodes[(p+1)%3])
 		}
 	}
 }
@@ -106,10 +106,10 @@ func TestRebalanceLevels(t *testing.T) {
 	}
 }
 
-// TestRebalanceDrain: the drained node stays a member but owns and
-// replicates nothing, and a subsequent leave moves zero partitions.
+// TestRebalanceDrain: the drained node stays a member but owns nothing,
+// and a subsequent leave moves zero partitions.
 func TestRebalanceDrain(t *testing.T) {
-	cur := InitialAssignment(MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
+	cur := InitialAssignment(MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
 	drained, err := RebalanceDrain(cur, "n1")
 	if err != nil {
 		t.Fatalf("RebalanceDrain: %v", err)
@@ -118,7 +118,7 @@ func TestRebalanceDrain(t *testing.T) {
 		t.Fatal("drained node dropped from membership")
 	}
 	for p := range drained.Owners {
-		if drained.Owners[p] == "n1" || drained.Replicas[p] == "n1" {
+		if drained.Owners[p] == "n1" {
 			t.Fatalf("partition %d still placed on drained n1", p)
 		}
 	}
@@ -133,7 +133,7 @@ func TestRebalanceDrain(t *testing.T) {
 
 // TestRebalanceDeterministic: same inputs, same table — byte for byte.
 func TestRebalanceDeterministic(t *testing.T) {
-	cur := InitialAssignment(MapConfig{Partitions: 32, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
+	cur := InitialAssignment(MapConfig{Partitions: 32, Nodes: []string{"n0", "n1", "n2"}})
 	a := mustRebalance(t, cur, []string{"n0", "n1", "n2", "n3", "n4"})
 	b := mustRebalance(t, cur, []string{"n0", "n1", "n2", "n3", "n4"})
 	if !reflect.DeepEqual(a, b) {
@@ -144,7 +144,7 @@ func TestRebalanceDeterministic(t *testing.T) {
 // TestAssignmentJSONRoundTrip: the table survives the wire intact — what
 // lets the frontend persist it and push it to nodes.
 func TestAssignmentJSONRoundTrip(t *testing.T) {
-	cur := InitialAssignment(MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
+	cur := InitialAssignment(MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
 	next := mustRebalance(t, cur, []string{"n0", "n1", "n2", "n3"})
 	raw, err := json.Marshal(next)
 	if err != nil {
@@ -164,17 +164,16 @@ func TestAssignmentJSONRoundTrip(t *testing.T) {
 
 // TestAssignmentValidateRejects pins the malformed-table guards.
 func TestAssignmentValidateRejects(t *testing.T) {
-	good := InitialAssignment(MapConfig{Partitions: 4, Nodes: []string{"a", "b"}, ReplicationFactor: 2})
+	good := InitialAssignment(MapConfig{Partitions: 4, Nodes: []string{"a", "b"}})
 	for name, mutate := range map[string]func(*Assignment){
-		"zero epoch":      func(a *Assignment) { a.Epoch = 0 },
-		"no partitions":   func(a *Assignment) { a.Partitions = 0 },
-		"bad rf":          func(a *Assignment) { a.ReplicationFactor = 3 },
-		"empty node":      func(a *Assignment) { a.Nodes[1] = "" },
-		"duplicate node":  func(a *Assignment) { a.Nodes[1] = "a" },
-		"unknown owner":   func(a *Assignment) { a.Owners[0] = "ghost" },
-		"short owners":    func(a *Assignment) { a.Owners = a.Owners[:2] },
-		"replica==owner":  func(a *Assignment) { a.Replicas[0] = a.Owners[0] },
-		"unknown replica": func(a *Assignment) { a.Replicas[0] = "ghost" },
+		"zero epoch":     func(a *Assignment) { a.Epoch = 0 },
+		"no partitions":  func(a *Assignment) { a.Partitions = 0 },
+		"rf 2":           func(a *Assignment) { a.ReplicationFactor = 2 },
+		"rf missing":     func(a *Assignment) { a.ReplicationFactor = 0 },
+		"empty node":     func(a *Assignment) { a.Nodes[1] = "" },
+		"duplicate node": func(a *Assignment) { a.Nodes[1] = "a" },
+		"unknown owner":  func(a *Assignment) { a.Owners[0] = "ghost" },
+		"short owners":   func(a *Assignment) { a.Owners = a.Owners[:2] },
 	} {
 		a := good.clone()
 		mutate(&a)
@@ -186,7 +185,7 @@ func TestAssignmentValidateRejects(t *testing.T) {
 
 // TestAssignmentNodeInfo: the pushed identity matches the table.
 func TestAssignmentNodeInfo(t *testing.T) {
-	a := InitialAssignment(MapConfig{Partitions: 6, Nodes: []string{"a", "b", "c"}, ReplicationFactor: 2})
+	a := InitialAssignment(MapConfig{Partitions: 6, Nodes: []string{"a", "b", "c"}})
 	info := a.NodeInfo("b")
 	if info.ID != "b" || info.Role != "node" {
 		t.Fatalf("info = %+v", info)
@@ -194,7 +193,59 @@ func TestAssignmentNodeInfo(t *testing.T) {
 	if !reflect.DeepEqual(info.Partitions, []int{1, 4}) {
 		t.Fatalf("Partitions = %v", info.Partitions)
 	}
-	if !reflect.DeepEqual(info.Replicates, []int{0, 3}) {
-		t.Fatalf("Replicates = %v", info.Replicates)
+}
+
+// TestMovesHaveOneSourceAndAnUnassignedDestination pins the invariant the
+// handoff rests on, over seeded random join/leave/drain sequences: every
+// move's single source is the partition's current owner, and its
+// destination is a node the current epoch does not assign the partition to
+// — so the rebuild's destructive drop can never touch a partition's truth.
+func TestMovesHaveOneSourceAndAnUnassignedDestination(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		cur := InitialAssignment(MapConfig{Partitions: 1 + r.IntN(40), Nodes: []string{"n0", "n1", "n2"}})
+		joined := 3
+		for step := 0; step < 60; step++ {
+			var next Assignment
+			var err error
+			switch victim := cur.Nodes[r.IntN(len(cur.Nodes))]; r.IntN(3) {
+			case 0:
+				next, err = Rebalance(cur, append(append([]string(nil), cur.Nodes...), fmt.Sprintf("n%d", joined)))
+				joined++
+			case 1:
+				var rest []string
+				for _, n := range cur.Nodes {
+					if n != victim {
+						rest = append(rest, n)
+					}
+				}
+				next, err = Rebalance(cur, rest)
+			default:
+				next, err = RebalanceDrain(cur, victim)
+			}
+			if err != nil {
+				continue // leaving or draining the last quota-bearing node
+			}
+			seen := map[int]bool{}
+			for _, mv := range Moves(cur, next) {
+				if seen[mv.Partition] {
+					t.Fatalf("seed %d step %d: partition %d moves twice", seed, step, mv.Partition)
+				}
+				seen[mv.Partition] = true
+				if mv.From != cur.Owners[mv.Partition] || mv.To != next.Owners[mv.Partition] {
+					t.Fatalf("seed %d step %d: move %+v is not owner %s → owner %s",
+						seed, step, mv, cur.Owners[mv.Partition], next.Owners[mv.Partition])
+				}
+				if mv.To == cur.Owners[mv.Partition] {
+					t.Fatalf("seed %d step %d: move %+v lands on the partition's current owner", seed, step, mv)
+				}
+			}
+			for p := range cur.Owners {
+				if !seen[p] && cur.Owners[p] != next.Owners[p] {
+					t.Fatalf("seed %d step %d: partition %d changes owner without a move", seed, step, p)
+				}
+			}
+			cur = next
+		}
 	}
 }

@@ -243,7 +243,7 @@ func TestClusterQueryByteIdenticalAcrossScenarios(t *testing.T) {
 			}
 			c.flushAll()
 			st := router.Stats()
-			if st.Routed != uint64(len(events)) || st.FailedOver != 0 || st.Unroutable != 0 {
+			if st.Routed != uint64(len(events)) || st.Unroutable != 0 {
 				t.Fatalf("router stats = %+v", st)
 			}
 

@@ -61,17 +61,16 @@ type Result struct {
 	// a rebalance is moving partitions right now; the statistics cover only
 	// the partitions that answered, at the current epoch's placement.
 	Partial bool `json:"partial,omitempty"`
-	// MissingPartitions lists every partition with no surviving copy in
-	// this answer — all partitions assigned (as owner or replica) only to
-	// nodes that failed to answer. Ascending, deduplicated.
+	// MissingPartitions lists exactly the partitions absent from this
+	// answer: those whose owner failed to answer. Ascending.
 	MissingPartitions []int `json:"missing_partitions,omitempty"`
 	// MissingNodes lists the nodes that failed to answer, canonical order.
 	MissingNodes []string `json:"missing_nodes,omitempty"`
-	// MigratingPartitions lists the partitions a live rebalance is moving
-	// (or whose stale pre-migration copies are not yet dropped). Their data
-	// is answered from the current epoch's owners — never silently wrong —
-	// but a racing handoff means the answer may lag the newest writes, so
-	// the query is marked Partial and says exactly which partitions.
+	// MigratingPartitions lists the partitions a live rebalance is moving.
+	// Their data is answered from the current epoch's owners — never
+	// silently wrong — but a racing handoff means the answer may lag the
+	// newest writes, so the query is marked Partial and says exactly which
+	// partitions.
 	MigratingPartitions []int `json:"migrating_partitions,omitempty"`
 }
 
@@ -83,12 +82,11 @@ type Result struct {
 // says exactly which partitions are missing.
 //
 // Gathered pages are filtered by the current epoch's assignment: a node's
-// matches count only for partitions it is assigned (owner, or replica —
-// replicas hold failover traffic). That is what makes membership elastic
-// without lying: staged copies on a joining node are invisible until their
-// epoch activates, and stale copies on a leaving node are invisible the
-// moment it does, so a query never double-counts a partition that exists
-// on two nodes mid-rebalance.
+// matches count only for the partitions it owns. That is what makes
+// membership elastic without lying: staged copies on a joining node are
+// invisible until their epoch activates, and stale copies on a losing node
+// are invisible the moment it does (whether or not their drop ever lands),
+// so a query never double-counts a partition that exists on two nodes.
 type Frontend struct {
 	pm  *PartitionMap
 	cfg FrontendConfig
@@ -210,9 +208,8 @@ func (f *Frontend) gather(ctx context.Context, nodes []string, fn func(ctx conte
 	return missing
 }
 
-// missingPartitions resolves unreachable nodes to the partitions that have
-// no surviving copy: a partition is missing when every node it is assigned
-// to (owner, and replica under replication factor 2) failed to answer.
+// missingPartitions resolves unreachable nodes to the partitions absent
+// from the answer: those whose owner failed to answer. Ascending.
 func (f *Frontend) missingPartitions(missing []string) []int {
 	if len(missing) == 0 {
 		return nil
@@ -223,34 +220,19 @@ func (f *Frontend) missingPartitions(missing []string) []int {
 	}
 	var out []int
 	for p := 0; p < f.pm.Partitions(); p++ {
-		if !down[f.pm.Owner(p)] {
-			continue
+		if down[f.pm.Owner(p)] {
+			out = append(out, p)
 		}
-		if rep, ok := f.pm.Replica(p); ok && !down[rep] {
-			continue
-		}
-		out = append(out, p)
 	}
-	sort.Ints(out)
 	return out
 }
 
-// countsFor reports whether a node's copy of a partition belongs in this
-// answer: the node must be assigned the partition in the current epoch and
-// must not be the suspect holder of a stale pre-migration copy.
-func (f *Frontend) countsFor(node string, p int, suspects map[int]string) bool {
-	if suspects[p] == node {
-		return false
-	}
-	return f.pm.Assigned(node, p)
-}
-
 // filterPage drops the matches a node is not assigned, in place.
-func (f *Frontend) filterPage(node string, page telemetry.SketchPage, parts int, suspects map[int]string) telemetry.SketchPage {
+func (f *Frontend) filterPage(node string, page telemetry.SketchPage, parts int) telemetry.SketchPage {
 	kept := page.Matches[:0]
 	for _, m := range page.Matches {
 		k := telemetry.Key{Metric: page.Metric, Region: m.Region, Net: m.Net}
-		if f.countsFor(node, k.ShardOf(parts), suspects) {
+		if f.pm.Assigned(node, k.ShardOf(parts)) {
 			kept = append(kept, m)
 		}
 	}
@@ -284,7 +266,6 @@ func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result,
 	}
 	nodes := f.pm.Nodes()
 	parts := f.pm.Partitions()
-	suspects := f.pm.Suspects()
 	pages := make([]telemetry.SketchPage, len(nodes))
 	gathered := make([]bool, len(nodes))
 	idx := make(map[string]int, len(nodes))
@@ -297,7 +278,7 @@ func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result,
 			return err
 		}
 		i := idx[node]
-		pages[i], gathered[i] = f.filterPage(node, page, parts, suspects), true
+		pages[i], gathered[i] = f.filterPage(node, page, parts), true
 		return nil
 	})
 	// Keep only answered pages, in canonical node order — so the merge
@@ -327,7 +308,6 @@ func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result,
 func (f *Frontend) Keys(ctx context.Context) ([]telemetry.KeyCount, []string) {
 	nodes := f.pm.Nodes()
 	parts := f.pm.Partitions()
-	suspects := f.pm.Suspects()
 	perNode := make([][]telemetry.KeyCount, len(nodes))
 	idx := make(map[string]int, len(nodes))
 	for i, n := range nodes {
@@ -340,7 +320,7 @@ func (f *Frontend) Keys(ctx context.Context) ([]telemetry.KeyCount, []string) {
 		}
 		kept := keys[:0]
 		for _, kc := range keys {
-			if f.countsFor(node, kc.Key.ShardOf(parts), suspects) {
+			if f.pm.Assigned(node, kc.Key.ShardOf(parts)) {
 				kept = append(kept, kc)
 			}
 		}

@@ -50,9 +50,9 @@ type frontendHarness struct {
 	f     *Frontend
 }
 
-func newFrontendHarness(t *testing.T, rf int) *frontendHarness {
+func newFrontendHarness(t *testing.T) *frontendHarness {
 	t.Helper()
-	m := mustMap(t, MapConfig{Partitions: 12, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: rf})
+	m := mustMap(t, MapConfig{Partitions: 12, Nodes: []string{"n0", "n1", "n2"}})
 	h := &frontendHarness{m: m, nodes: map[string]*fakeNode{}}
 	clients := map[string]NodeClient{}
 	for _, n := range m.Nodes() {
@@ -91,7 +91,7 @@ var frontSpec = telemetry.QuerySpec{
 // result is complete and equals merging every node's rollups into one
 // ingestor-equivalent answer.
 func TestFrontendCompleteMatchesDirectMerge(t *testing.T) {
-	h := newFrontendHarness(t, 1)
+	h := newFrontendHarness(t)
 	res, err := h.f.Query(context.Background(), frontSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -121,9 +121,9 @@ func TestFrontendCompleteMatchesDirectMerge(t *testing.T) {
 }
 
 // TestFrontendPartialNamesMissingPartitions: an unreachable node yields
-// Partial plus exactly its owned partitions (RF1).
+// Partial plus exactly its owned partitions.
 func TestFrontendPartialNamesMissingPartitions(t *testing.T) {
-	h := newFrontendHarness(t, 1)
+	h := newFrontendHarness(t)
 	h.nodes["n1"].err = errors.New("connection refused")
 	res, err := h.f.Query(context.Background(), frontSpec)
 	if err != nil {
@@ -143,47 +143,10 @@ func TestFrontendPartialNamesMissingPartitions(t *testing.T) {
 	}
 }
 
-// TestFrontendReplicaCoversMissingNode: under RF2 a partition is missing
-// only when owner AND replica are both unreachable.
-func TestFrontendReplicaCoversMissingNode(t *testing.T) {
-	h := newFrontendHarness(t, 2)
-	h.nodes["n1"].err = errors.New("down")
-	res, err := h.f.Query(context.Background(), frontSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Partial {
-		t.Fatal("missing node did not flag partial")
-	}
-	// Every n1-owned partition has its replica on a live node, and every
-	// partition n1 replicates has a live owner: nothing is fully missing.
-	if res.MissingPartitions != nil {
-		t.Fatalf("missing partitions = %v, want none under RF2", res.MissingPartitions)
-	}
-
-	h.nodes["n2"].err = errors.New("down")
-	res, err = h.f.Query(context.Background(), frontSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Partitions owned by n1 with replica on n2 (and vice versa) now have
-	// no surviving copy.
-	if len(res.MissingPartitions) == 0 {
-		t.Fatal("two dead nodes under RF2 left nothing missing")
-	}
-	for _, p := range res.MissingPartitions {
-		owner := h.m.Owner(p)
-		rep, _ := h.m.Replica(p)
-		if owner == "n0" || rep == "n0" {
-			t.Fatalf("partition %d has a copy on live n0 but was reported missing", p)
-		}
-	}
-}
-
 // TestFrontendTimeoutBoundsGather: a hung node costs one timeout, not a
 // hung query, and is reported missing.
 func TestFrontendTimeoutBoundsGather(t *testing.T) {
-	h := newFrontendHarness(t, 1)
+	h := newFrontendHarness(t)
 	h.nodes["n2"].hang = true
 	start := time.Now()
 	res, err := h.f.Query(context.Background(), frontSpec)
@@ -202,7 +165,7 @@ func TestFrontendTimeoutBoundsGather(t *testing.T) {
 // byte-identically to the embedded single-node QueryResult — the partial
 // fields are invisible until set.
 func TestFrontendResultJSONShape(t *testing.T) {
-	h := newFrontendHarness(t, 1)
+	h := newFrontendHarness(t)
 	res, err := h.f.Query(context.Background(), frontSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +184,7 @@ func TestFrontendResultJSONShape(t *testing.T) {
 }
 
 func TestFrontendRejectsBadSpec(t *testing.T) {
-	h := newFrontendHarness(t, 1)
+	h := newFrontendHarness(t)
 	if _, err := h.f.Query(context.Background(), telemetry.QuerySpec{}); err == nil {
 		t.Fatal("metric-less spec accepted")
 	}
@@ -235,7 +198,7 @@ func TestFrontendRejectsBadSpec(t *testing.T) {
 // TestFrontendKeysMergesInventory: per-key counts sum across nodes and
 // come back in canonical order; a dead node is reported.
 func TestFrontendKeysMergesInventory(t *testing.T) {
-	h := newFrontendHarness(t, 1)
+	h := newFrontendHarness(t)
 	keys, missing := h.f.Keys(context.Background())
 	if missing != nil {
 		t.Fatalf("missing = %v", missing)

@@ -20,9 +20,9 @@ const (
 	// threshold. Degraded nodes are still routed to — they hold their
 	// partitions' data and accept writes.
 	StateDegraded
-	// StateDown: DownAfter consecutive probes failed. The router stops
-	// sending (failing over to replicas where the map has them) and the
-	// front-end reports the node's partitions as missing until it is back.
+	// StateDown: DownAfter consecutive probes failed. The router refuses the
+	// node's partitions (producers back off and resend) and the front-end
+	// reports them as missing until it is back.
 	StateDown
 )
 

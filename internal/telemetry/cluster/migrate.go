@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"edgescope/internal/telemetry"
@@ -16,7 +15,7 @@ import (
 //	per part  freeze → flush sources → fetch pages → drop dest →
 //	          absorb → cutover (dual-epoch writes on)
 //	activate  pm.Activate() — routing flips atomically to the new owners
-//	settle    drop the stale pre-migration copies on losing nodes
+//	cleanup   drop the stale pre-migration copies on losing nodes
 //
 // Data moves as sketch pages — the same binary wire format /sketches
 // serves — cut under a two-level freeze (router-side refusal plus the
@@ -25,16 +24,15 @@ import (
 // the dual-write phase, never lost between them. The destination is
 // rebuilt drop-then-absorb from coordinator-held pages on every attempt,
 // which is what makes a retry after a mid-transfer crash idempotent
-// instead of double-counting. Because that rebuild is destructive, a
-// destination that already holds the partition (a consolidating owner, a
-// promoted replica) is always one of the cut's sources — its own pages go
-// back in with everyone else's — and the cut is spilled durably on the
-// coordinator (MigratorConfig.SpillDir) before the first drop, so neither
-// a failed rebuild nor a coordinator crash between the drop and the
-// absorb can orphan the only copy. If a partition's handoff cannot
-// complete within the attempt budget, the destination is restored to its
-// pre-handoff state and the whole migration rolls back: the pending epoch
-// is discarded, freezes lift, and the cluster keeps routing on the old
+// instead of double-counting. The rebuild is destructive, but only ever at
+// a node the current epoch does not assign the partition to (a move's
+// destination is next.Owners[p] ≠ cur.Owners[p], and a partition has
+// exactly one assigned member): whatever it destroys there is a staged or
+// stale copy no query reads and no write routes to, never the partition's
+// truth, which stays on the source until activation. If a partition's
+// handoff cannot complete within the attempt budget the whole migration
+// rolls back: the pending epoch is discarded, freezes lift, the staged
+// copies are dropped best-effort, and the cluster keeps routing on the old
 // epoch exactly as before.
 
 // NodeAdmin is the rebalance control plane's transport to one node:
@@ -123,14 +121,6 @@ type MigratorConfig struct {
 	// Attempts bounds per-partition rebuild tries (each a full
 	// drop-then-absorb at the destination). Default 3.
 	Attempts int
-	// SpillDir, when set, persists each partition's fetched page cut to
-	// this directory before the destructive rebuild begins, and clears it
-	// once the staged copy is safe (epoch activated, or destination
-	// restored). A coordinator that crashes mid-rebuild recovers the
-	// destinations' pre-handoff state with RecoverSpills at boot. When
-	// empty, restore-after-failure still works from the in-memory cut, but
-	// a coordinator crash between a drop and its absorb can orphan data.
-	SpillDir string
 	// Health, when set, gains/loses probed members as the migrator
 	// admits/removes them — a joining node must be probed (and start Up)
 	// before dual writes can target it.
@@ -149,7 +139,7 @@ func (c *MigratorConfig) fill() {
 }
 
 // Migrator executes epoch transitions. One migration runs at a time
-// (Join/Leave/Drain/CatchUp serialize on an internal mutex); ingest and
+// (Join/Leave/Drain serialize on an internal mutex); ingest and
 // queries keep flowing throughout, per-partition freezes excepted.
 type Migrator struct {
 	pm  *PartitionMap
@@ -265,10 +255,6 @@ func (m *Migrator) Leave(ctx context.Context, node string) (Assignment, error) {
 		m.cfg.Health.Remove(node)
 	}
 	m.RemoveAdmin(node)
-	// Any suspect entry pinned on the departed node can never settle (its
-	// admin is gone) and no longer needs to: the assignment filter already
-	// hides non-member copies from every query.
-	m.pm.ClearSuspectsOf(node)
 	return next, nil
 }
 
@@ -294,102 +280,36 @@ func (m *Migrator) step(phase string, p int, src, dst string) error {
 	return m.cfg.Hook(HandoffStep{Phase: phase, Partition: p, Source: src, Dest: dst})
 }
 
-// partPlan is one partition's work inside a migration: rebuild its data
-// at the destination owner from the listed sources' pages. Sources are
-// the current owner and — when the slice must consolidate — the current
-// replica holding failover traffic that would otherwise strand. The
-// rebuild is drop-then-absorb at the destination, so a destination that
-// already holds the partition in the current epoch (a consolidating
-// owner, a promoted replica) is ALWAYS among the sources: its own pages
-// are cut before the drop and re-absorbed with everyone else's, never
-// destroyed.
-type partPlan struct {
-	p        int
-	dst      string   // next epoch's owner
-	srcOwner string   // current owner ("" when dst == current owner)
-	sources  []string // nodes whose pages rebuild dst, canonical order
-}
-
-// plan lists the partitions a migration must move, ascending. A partition
-// needs work when its owner changes, or when (under replication factor 2)
-// its replica changes while holding failover data — the consolidation
-// case; replica emptiness is only discoverable at fetch time, so replica
-// changes always plan and the rebuild is skipped later if the fetched
-// pages turn out empty.
-func plan(cur, next Assignment) []partPlan {
-	var out []partPlan
-	for p := 0; p < cur.Partitions; p++ {
-		ownerMoved := cur.Owners[p] != next.Owners[p]
-		replicaMoved := cur.ReplicationFactor == 2 && cur.Replicas[p] != next.Replicas[p]
-		if !ownerMoved && !replicaMoved {
-			continue
-		}
-		pl := partPlan{p: p, dst: next.Owners[p]}
-		if ownerMoved {
-			pl.srcOwner = cur.Owners[p]
-			pl.sources = append(pl.sources, cur.Owners[p])
-		} else {
-			// Replica-only move: the destination IS the current owner, and
-			// the rebuild drops it first — its live partition must be in the
-			// cut or the drop would destroy the only copy.
-			pl.sources = append(pl.sources, pl.dst)
-		}
-		if cur.ReplicationFactor == 2 {
-			// The current replica's failover slice must fold into the new
-			// owner whenever the partition moves at all — it belongs with
-			// the data it shadowed. That includes a promotion (the replica
-			// IS the new owner): its own slice is cut into the held pages
-			// before the rebuild drops it, so nothing strands.
-			if r := cur.Replicas[p]; r != pl.sources[0] {
-				pl.sources = append(pl.sources, r)
-			}
-		}
-		out = append(out, pl)
-	}
-	return out
-}
-
-// migrate drives one epoch transition end to end. On error the pending
-// epoch is aborted, every completed handoff's destination is restored to
-// its pre-handoff state, and the cluster keeps serving the current epoch.
+// migrate drives one epoch transition end to end: one handoff per owner
+// change (Moves — a move's source is the partition's one assigned member,
+// its destination a node the current epoch does not assign it to). On
+// error the pending epoch is aborted, every completed handoff's staged copy
+// is dropped, and the cluster keeps serving the current epoch.
 func (m *Migrator) migrate(ctx context.Context, cur, next Assignment) error {
-	// An outstanding spill means an earlier rebuild's restore never landed:
-	// some destination's durable state is not the current epoch's truth.
-	// Repair it first — migrating over it would cut the broken state as a
-	// "source" and launder the loss into the new epoch.
-	if err := m.recoverSpills(ctx); err != nil {
-		return fmt.Errorf("cluster: unrecovered handoff spill blocks migration: %w", err)
-	}
 	if err := m.pm.BeginMigration(next); err != nil {
 		return err
 	}
-	work := plan(cur, next)
-	var done []handoffState
-	for _, pl := range work {
-		hs, err := m.handoff(ctx, pl)
-		if err != nil {
-			m.rollback(done)
+	work := Moves(cur, next)
+	for i, mv := range work {
+		if err := m.handoff(ctx, mv); err != nil {
+			m.rollback(work[:i])
 			return fmt.Errorf("cluster: handoff of partition %d (%s → %s) failed, rolled back to epoch %d: %w",
-				pl.p, pl.srcOwner, pl.dst, cur.Epoch, err)
+				mv.Partition, mv.From, mv.To, cur.Epoch, err)
 		}
-		done = append(done, hs)
 	}
 	if err := m.step("activate", -1, "", ""); err != nil {
-		m.rollback(done)
+		m.rollback(work)
 		return fmt.Errorf("cluster: activation of epoch %d failed, rolled back: %w", next.Epoch, err)
 	}
-	if _, err := m.pm.Activate(); err != nil {
-		m.rollback(done)
+	if err := m.pm.Activate(); err != nil {
+		m.rollback(work)
 		return err
 	}
 	// The epoch is live: routing, ownership filtering and partiality all
-	// flip atomically, and the staged copies are the partitions' truth —
-	// their spills are obsolete. What remains is cleanup that can no
-	// longer fail the migration — push the table to members, then drop the
-	// stale pre-migration copies on losing nodes.
-	for _, pl := range work {
-		m.clearSpill(pl.p)
-	}
+	// flip atomically, and the staged copies are the partitions' truth.
+	// What remains is cleanup that can no longer fail the migration — push
+	// the table to members, then drop the stale pre-migration copies on
+	// losing nodes.
 	for _, n := range next.Nodes {
 		if a, ok := m.Admin(n); ok {
 			_ = a.PushAssignment(ctx, next) // best-effort: /healthz self-description only
@@ -398,197 +318,99 @@ func (m *Migrator) migrate(ctx context.Context, cur, next Assignment) error {
 	if m.cfg.OnActivate != nil {
 		m.cfg.OnActivate(next)
 	}
-	m.dropStale(ctx, next, work)
+	for _, mv := range work {
+		if m.step("drop_stale", mv.Partition, mv.From, mv.To) == nil {
+			m.dropCopy(ctx, mv.From, mv.Partition)
+		}
+	}
 	return nil
 }
 
-// dropStale removes losing nodes' copies of moved partitions after
-// activation. A failed drop on a node the new epoch still assigns the
-// partition to is marked suspect — the copy would double-count in a
-// merge, so queries exclude it and stay partial until Settle drops it. A
-// failed drop on an unassigned (or departed) node is harmless: the
-// ownership filter already hides the copy.
-func (m *Migrator) dropStale(ctx context.Context, next Assignment, work []partPlan) {
-	for _, pl := range work {
-		for _, src := range pl.sources {
-			if src == pl.dst {
-				continue
-			}
-			failed := m.step("drop_stale", pl.p, src, pl.dst) != nil
-			if !failed {
-				a, ok := m.Admin(src)
-				if ok {
-					_, err := a.DropPartition(ctx, pl.p, next.Partitions)
-					failed = err != nil
-				} else {
-					failed = true
-				}
-			}
-			if failed && next.Member(src) && assignedIn(next, src, pl.p) {
-				m.pm.MarkSuspect(pl.p, src)
-			}
-		}
+// dropCopy removes a copy of partition p from a node the current epoch
+// does not assign it to — a losing owner's stale copy after activation, a
+// destination's staged copy after a failed handoff or a rollback — best
+// effort. Whether or not the drop lands the copy is invisible: queries
+// filter every page by ownership (Frontend.filterPage) and nothing routes
+// to an unassigned node. An undropped copy costs disk until the partition
+// next moves onto that node, when the rebuild's drop-first clears it.
+func (m *Migrator) dropCopy(ctx context.Context, node string, p int) {
+	if a, ok := m.Admin(node); ok {
+		_, _ = a.DropPartition(ctx, p, m.pm.Partitions())
 	}
-}
-
-// assignedIn reports whether an assignment places partition p on node.
-func assignedIn(a Assignment, node string, p int) bool {
-	if a.Owners[p] == node {
-		return true
-	}
-	return a.ReplicationFactor == 2 && a.Replicas[p] == node
-}
-
-// Settle retries the suspect drops a past activation left behind. It
-// returns the partitions still suspect afterwards (nil means queries are
-// no longer partial on this account).
-func (m *Migrator) Settle(ctx context.Context) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	parts := m.pm.Partitions()
-	cur := m.pm.Current()
-	for p, node := range m.pm.Suspects() {
-		if !cur.Member(node) {
-			// The holder left the membership: the assignment filter hides
-			// non-member copies already, and there is no transport left to
-			// drop through — the entry would pin partiality forever.
-			m.pm.ClearSuspect(p)
-			continue
-		}
-		a, ok := m.Admin(node)
-		if !ok {
-			continue
-		}
-		if _, err := a.DropPartition(ctx, p, parts); err == nil {
-			m.pm.ClearSuspect(p)
-		}
-	}
-	var still []int
-	for p := range m.pm.Suspects() {
-		still = append(still, p)
-	}
-	sort.Ints(still)
-	return still
-}
-
-// handoffState records what one partition's handoff did to its
-// destination, so a later rollback can undo it: whether the destructive
-// rebuild was reached, and the destination's own pre-handoff page cut
-// (non-empty exactly when the destination already held the partition —
-// a consolidating owner or a promoted replica).
-type handoffState struct {
-	pl      partPlan
-	touched bool // a drop was issued at the destination
-	own     []telemetry.SketchPage
 }
 
 // handoff rebuilds one partition at its destination. The freeze and the
 // page fetch happen once; the destination rebuild (drop, then absorb the
 // held pages) retries up to the attempt budget — drop-then-rebuild from
 // an immutable cut is what makes a retry after a destination crash
-// idempotent. Before the first drop the cut is spilled durably (when
-// configured), so a coordinator crash mid-rebuild is recoverable. Any
-// failure restores the destination to its pre-handoff state, unfreezes
-// and reports; the caller rolls the migration back.
-func (m *Migrator) handoff(ctx context.Context, pl partPlan) (hs handoffState, err error) {
-	hs.pl = pl
-	dst, ok := m.Admin(pl.dst)
+// idempotent. Any failure drops what the rebuild staged, unfreezes and
+// reports; the caller rolls the migration back.
+func (m *Migrator) handoff(ctx context.Context, mv Move) (err error) {
+	p, parts := mv.Partition, m.pm.Partitions()
+	dst, ok := m.Admin(mv.To)
 	if !ok {
-		return hs, fmt.Errorf("no admin transport for destination %q", pl.dst)
+		return fmt.Errorf("no admin transport for destination %q", mv.To)
 	}
-	parts := m.pm.Partitions()
 
-	// Freeze: router-side first (new sends refuse and back off), then each
+	// Freeze: router-side first (new sends refuse and back off), then the
 	// source node-side (the exact cut — an envelope accepted before the
 	// node freeze is flushed into the pages; one accepted after cutover is
 	// dual-written; the freeze window admits nothing).
-	if err := m.step("freeze", pl.p, pl.srcOwner, pl.dst); err != nil {
-		return hs, err
+	if err := m.step("freeze", p, mv.From, mv.To); err != nil {
+		return err
 	}
-	m.pm.Freeze(pl.p)
-	frozen := make([]NodeAdmin, 0, len(pl.sources))
-	unfreeze := func() {
-		m.pm.Unfreeze(pl.p)
-		for _, a := range frozen {
-			_ = a.UnfreezePartition(ctx, pl.p, parts) // best-effort; a crash clears it anyway
-		}
-	}
+	m.pm.Freeze(p)
+	var frozen NodeAdmin // the source, once frozen node-side
+	staged := false      // a drop was issued at the destination
 	defer func() {
 		if err != nil {
-			// Undo before lifting the freeze, so no write can land at the
-			// destination between the staged copy and its restoration.
-			if hs.touched {
-				m.restoreDst(ctx, pl, hs.own)
+			if staged {
+				m.dropCopy(ctx, mv.To, p)
 			}
-			unfreeze()
+			m.pm.Unfreeze(p)
+			if frozen != nil {
+				_ = frozen.UnfreezePartition(ctx, p, parts) // best-effort; a crash clears it anyway
+			}
 		}
 	}()
-	srcAdmins := make([]NodeAdmin, len(pl.sources))
-	for i, src := range pl.sources {
-		a, ok := m.Admin(src)
-		if !ok {
-			return hs, fmt.Errorf("no admin transport for source %q", src)
-		}
-		if err := a.FreezePartition(ctx, pl.p, parts); err != nil {
-			return hs, fmt.Errorf("freeze %q: %w", src, err)
-		}
-		srcAdmins[i], frozen = a, append(frozen, a)
+	src, ok := m.Admin(mv.From)
+	if !ok {
+		return fmt.Errorf("no admin transport for source %q", mv.From)
 	}
+	if err := src.FreezePartition(ctx, p, parts); err != nil {
+		return fmt.Errorf("freeze %q: %w", mv.From, err)
+	}
+	frozen = src
 
 	// Flush + fetch: settle every accepted envelope into rollups, then cut
 	// the pages. The cut is immutable for the rest of the handoff — the
-	// freeze guarantees nothing lands behind it. The destination's own
-	// slice (when it is a source) is kept apart: it is the state a failed
-	// rebuild must restore.
-	var pages []telemetry.SketchPage
-	moved := 0 // pages cut from sources other than the destination itself
-	for i, a := range srcAdmins {
-		if err := m.step("flush", pl.p, pl.sources[i], pl.dst); err != nil {
-			return hs, err
-		}
-		if err := a.Flush(ctx); err != nil {
-			return hs, fmt.Errorf("flush %q: %w", pl.sources[i], err)
-		}
-		if err := m.step("fetch", pl.p, pl.sources[i], pl.dst); err != nil {
-			return hs, err
-		}
-		pp, err := a.PartitionPages(ctx, pl.p, parts)
-		if err != nil {
-			return hs, fmt.Errorf("fetch %q: %w", pl.sources[i], err)
-		}
-		pages = append(pages, pp...)
-		if pl.sources[i] == pl.dst {
-			hs.own = pp
-		} else {
-			moved += len(pp)
-		}
+	// freeze guarantees nothing lands behind it.
+	if err := m.step("flush", p, mv.From, mv.To); err != nil {
+		return err
+	}
+	if err := src.Flush(ctx); err != nil {
+		return fmt.Errorf("flush %q: %w", mv.From, err)
+	}
+	if err := m.step("fetch", p, mv.From, mv.To); err != nil {
+		return err
+	}
+	pages, err := src.PartitionPages(ctx, p, parts)
+	if err != nil {
+		return fmt.Errorf("fetch %q: %w", mv.From, err)
 	}
 
-	// Plans whose destination keeps its ownership (replica-only moves,
-	// catch-up) rebuild only to fold the other sources' pages in; when
-	// those turn out empty there is nothing to do — and skipping matters,
-	// because the rebuild is destructive at the destination.
-	if moved == 0 && (pl.srcOwner == "" || pl.srcOwner == pl.dst) {
-		unfreeze()
-		return hs, nil
-	}
-
-	// Rebuild: drop whatever the destination holds (its own pre-handoff
-	// slice — already inside the cut — a partial earlier attempt, a
-	// recovered crash's remnant) and absorb the held cut. Every attempt
-	// starts from empty, so retries converge instead of double-counting.
-	// The spill lands first: the drop durably deletes state whose
-	// replacement otherwise exists only in this coordinator's memory.
-	if err := m.writeSpill(pl, hs.own); err != nil {
-		return hs, fmt.Errorf("spill for partition %d: %w", pl.p, err)
-	}
+	// Rebuild: drop whatever the destination holds (a partial earlier
+	// attempt, a recovered crash's remnant, an undropped stale copy from an
+	// epoch that once placed the partition here) and absorb the held cut.
+	// Every attempt starts from empty, so retries converge instead of
+	// double-counting.
 	rebuilt := false
 	for attempt := 0; attempt < m.cfg.Attempts; attempt++ {
-		if err := m.step("rebuild", pl.p, pl.srcOwner, pl.dst); err != nil {
+		if err := m.step("rebuild", p, mv.From, mv.To); err != nil {
 			continue
 		}
-		hs.touched = true
-		if _, err := dst.DropPartition(ctx, pl.p, parts); err != nil {
+		staged = true
+		if _, err := dst.DropPartition(ctx, p, parts); err != nil {
 			continue
 		}
 		if _, err := dst.AbsorbPages(ctx, pages); err != nil {
@@ -598,119 +420,27 @@ func (m *Migrator) handoff(ctx context.Context, pl partPlan) (hs handoffState, e
 		break
 	}
 	if !rebuilt {
-		return hs, fmt.Errorf("destination %q rebuild did not complete in %d attempts", pl.dst, m.cfg.Attempts)
+		return fmt.Errorf("destination %q rebuild did not complete in %d attempts", mv.To, m.cfg.Attempts)
 	}
 
 	// Cutover: lift the router-side freeze and start dual-epoch writes
 	// (both owners must ack every envelope for this partition until
-	// activation), then unfreeze the sources so held-back traffic drains.
-	if err := m.step("cutover", pl.p, pl.srcOwner, pl.dst); err != nil {
-		return hs, err
+	// activation), then unfreeze the source so held-back traffic drains.
+	if err := m.step("cutover", p, mv.From, mv.To); err != nil {
+		return err
 	}
-	m.pm.Cutover(pl.p)
-	for _, a := range frozen {
-		_ = a.UnfreezePartition(ctx, pl.p, parts)
-	}
-	return hs, nil
-}
-
-// restoreDst returns a destination to its pre-handoff state after a failed
-// or rolled-back rebuild: drop whatever the rebuild staged, then re-absorb
-// the destination's own pre-handoff cut (non-empty exactly when the
-// current epoch already assigned it the partition). On success the
-// partition's spill clears and any suspect mark on the destination lifts.
-// On failure, a destination the current epoch assigns is marked suspect —
-// its copy is in an unknown intermediate state, so queries must exclude it
-// (and disclose partiality) until Settle or spill recovery repairs it; an
-// unassigned staged copy is invisible to queries anyway, so the failed
-// restore costs disk, not correctness.
-func (m *Migrator) restoreDst(ctx context.Context, pl partPlan, own []telemetry.SketchPage) {
-	parts := m.pm.Partitions()
-	if a, ok := m.Admin(pl.dst); ok {
-		for attempt := 0; attempt < m.cfg.Attempts; attempt++ {
-			if _, err := a.DropPartition(ctx, pl.p, parts); err != nil {
-				continue
-			}
-			if len(own) > 0 {
-				if _, err := a.AbsorbPages(ctx, own); err != nil {
-					continue
-				}
-			}
-			if m.pm.Suspects()[pl.p] == pl.dst {
-				m.pm.ClearSuspect(pl.p)
-			}
-			m.clearSpill(pl.p)
-			return
-		}
-	}
-	if assignedIn(m.pm.Current(), pl.dst, pl.p) {
-		m.pm.MarkSuspect(pl.p, pl.dst)
-	}
+	m.pm.Cutover(p)
+	_ = src.UnfreezePartition(ctx, p, parts)
+	return nil
 }
 
 // rollback discards a failed migration: the pending epoch aborts (routing
-// never left the current one), then every completed handoff's destination
-// is restored to its pre-handoff state — the staged copy is dropped and
-// the destination's own cut, if it had one (a promoted replica's failover
-// slice, a consolidating owner's live partition), is re-absorbed. Each
-// restore runs under a fresh router-side freeze so a failover write
-// cannot land at the destination mid-restore and be destroyed.
-func (m *Migrator) rollback(done []handoffState) {
+// never left the current one, and with the dual-write map cleared nothing
+// routes to a destination any more), then every completed handoff's staged
+// copy is dropped.
+func (m *Migrator) rollback(done []Move) {
 	m.pm.Abort()
-	ctx := context.Background()
-	for _, hs := range done {
-		if !hs.touched {
-			continue
-		}
-		m.pm.Freeze(hs.pl.p)
-		m.restoreDst(ctx, hs.pl, hs.own)
-		m.pm.Unfreeze(hs.pl.p)
+	for _, mv := range done {
+		m.dropCopy(context.Background(), mv.To, mv.Partition)
 	}
-}
-
-// CatchUp consolidates one partition's failover slice back onto its owner
-// — the replica re-sync after a markdown window under replication factor
-// 2. The owner's durable state and the replica's slice are cut under the
-// same freeze, the owner is rebuilt from both (its own pages re-insert
-// bit-exactly; the replica's windows merge), and the replica's copy is
-// dropped. When the markdown covered whole rollup windows the two cuts
-// are window-disjoint, so the rebuilt owner — and every query after it —
-// is byte-identical to a single node that ingested the whole stream.
-func (m *Migrator) CatchUp(ctx context.Context, p int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cur := m.pm.Current()
-	if p < 0 || p >= cur.Partitions {
-		return fmt.Errorf("cluster: partition %d of %d", p, cur.Partitions)
-	}
-	if cur.ReplicationFactor != 2 {
-		return fmt.Errorf("cluster: catch-up needs replication factor 2")
-	}
-	if err := m.recoverSpills(ctx); err != nil {
-		return fmt.Errorf("cluster: unrecovered handoff spill blocks catch-up: %w", err)
-	}
-	owner, replica := cur.Owners[p], cur.Replicas[p]
-	pl := partPlan{p: p, dst: owner, srcOwner: owner, sources: []string{owner, replica}}
-	if _, err := m.handoff(ctx, pl); err != nil {
-		return err
-	}
-	// The owner's rebuilt copy is durable (AbsorbPages acks behind a WAL
-	// fsync), so its spill is obsolete. Clear it before dropping the
-	// replica's slice: a spill restore replaying after that drop would
-	// regress the owner to its pre-merge cut with the slice's only other
-	// copy already gone.
-	m.clearSpill(p)
-	// handoff left a dual-write shadow only under a pending epoch; here
-	// there is none, so Cutover was a plain unfreeze. Drop the replica's
-	// now-merged slice; a failure leaves it suspect (it would
-	// double-count) until Settle.
-	if err := m.step("drop_stale", p, replica, owner); err == nil {
-		if a, ok := m.Admin(replica); ok {
-			if _, err := a.DropPartition(ctx, p, cur.Partitions); err == nil {
-				return nil
-			}
-		}
-	}
-	m.pm.MarkSuspect(p, replica)
-	return nil
 }

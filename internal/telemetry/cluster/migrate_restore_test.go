@@ -3,9 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"os"
-	"strings"
+	"errors"
 	"testing"
 	"time"
 
@@ -14,325 +12,199 @@ import (
 	"edgescope/internal/telemetry"
 )
 
-// markdownDivergeRF2 replays a scenario stream into an RF2 cluster with a
-// one-rollup-window markdown of the victim, so the victim's partitions
-// fail over and their replicas end up holding non-empty failover slices —
-// the precondition every destination-restore pin needs.
-func markdownDivergeRF2(t *testing.T, c *testCluster, pm *PartitionMap, events []telemetry.Envelope, victim string, seed uint64) {
+// Undropped copies. Every drop the migrator issues outside a rebuild is
+// best-effort — the stale copy on a losing owner after activation, the
+// staged copy on a destination after a rollback — because the node it
+// lands on is never assigned the partition: the ownership filter hides the
+// copy whether or not the drop succeeds, and the rebuild's drop-first
+// clears it if the partition ever moves there. These tests fail those
+// drops on purpose.
+
+// holds reports whether a member has any durable state for partition p.
+func holds(t *testing.T, c *testCluster, node string, p int) bool {
 	t.Helper()
-	const winMs = int64(60_000) // telemetry.Config.Window default
-	ownerDown := false
-	tracker := NewHealthTracker(pm.Nodes(), func(node string) ProbeResult {
-		return ProbeResult{Reachable: !(ownerDown && node == victim)}
-	}, HealthConfig{DownAfter: 1, UpAfter: 1})
-	router := NewRouter(pm, tracker, c.transport, rng.New(seed).Fork("router"), RouterConfig{
-		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
-	})
-	seen := map[int64]bool{}
-	var windows []int64
-	for _, e := range events {
-		if w := e.TS / winMs; !seen[w] {
-			seen[w] = true
-			windows = append(windows, w)
-		}
-	}
-	if len(windows) < 3 {
-		t.Fatalf("scenario too narrow: %d windows", len(windows))
-	}
-	markdown := windows[len(windows)/2]
-	for _, e := range events {
-		down := e.TS/winMs == markdown
-		if down != ownerDown {
-			ownerDown = down
-			tracker.ProbeOnce()
-		}
-		if !router.Send(e) {
-			t.Fatal("send refused despite live failover target")
-		}
-	}
-	c.flushAll()
-}
-
-// divergedPartition picks a victim-owned partition whose replica holds a
-// non-empty failover slice.
-func divergedPartition(t *testing.T, c *testCluster, pm *PartitionMap, victim string) int {
-	t.Helper()
-	for _, p := range pm.OwnedBy(victim) {
-		r, _ := pm.Replica(p)
-		if pages, err := c.get(r).PartitionPages(p, pm.Partitions()); err == nil && len(pages) > 0 {
-			return p
-		}
-	}
-	t.Fatal("no replica diverged — markdown window carried no victim traffic")
-	return -1
-}
-
-// TestReplicaOnlyMovePreservesOwnerData pins the replica-move plan: when a
-// partition's replica moves while its owner stays put, the rebuild at the
-// owner must include the owner's OWN pages in the cut — the rebuild is
-// drop-then-absorb, and a cut holding only the old replica's failover
-// slice would durably destroy the owner's entire live partition.
-func TestReplicaOnlyMovePreservesOwnerData(t *testing.T) {
-	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
-	ctx := context.Background()
-
-	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
-	defer single.Close()
-	telemetry.Replay(single, events)
-	want := singleFingerprint(t, single)
-
-	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
-	c := newTestCluster(t, pm, "")
-	f := NewFrontend(pm, c.clients(), FrontendConfig{})
-	const victim = "n1"
-	markdownDivergeRF2(t, c, pm, events, victim, sp.Seed)
-	target := divergedPartition(t, c, pm, victim)
-
-	// Craft the next epoch moving ONLY the target's replica: owner stays,
-	// the old replica's failover slice consolidates onto it, a third node
-	// becomes the fresh replica.
-	cur := pm.Current()
-	owner, oldReplica := cur.Owners[target], cur.Replicas[target]
-	next := cur.clone()
-	next.Epoch++
-	for _, n := range cur.Nodes {
-		if n != owner && n != oldReplica {
-			next.Replicas[target] = n
-			break
-		}
-	}
-
-	// The plan must list the owner (the rebuild destination) as a source.
-	pls := plan(cur, next)
-	if len(pls) != 1 || pls[0].p != target {
-		t.Fatalf("plan = %+v, want exactly partition %d", pls, target)
-	}
-	if pls[0].dst != owner || len(pls[0].sources) != 2 || pls[0].sources[0] != owner || pls[0].sources[1] != oldReplica {
-		t.Fatalf("plan sources = %+v, want dst %s rebuilt from [%s %s]", pls[0], owner, owner, oldReplica)
-	}
-
-	mig := newTestMigrator(c, pm, alwaysUpTracker(pm.Nodes()), nil)
-	if err := mig.migrate(ctx, cur, next); err != nil {
-		t.Fatalf("replica-only migration: %v", err)
-	}
-	if pm.Epoch() != cur.Epoch+1 {
-		t.Fatalf("epoch = %d, want %d", pm.Epoch(), cur.Epoch+1)
-	}
-	if mg := pm.Migrating(); mg != nil {
-		t.Fatalf("migration residue: %v", mg)
-	}
-	if pages, err := c.get(oldReplica).PartitionPages(target, 16); err != nil || len(pages) != 0 {
-		t.Fatalf("old replica still holds %d pages (err %v)", len(pages), err)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("replica-only move destroyed or duplicated owner data")
-	}
-}
-
-// TestPromotionRollbackRestoresReplicaSlice pins rollback for a promotion:
-// the rebuild stages the full partition on the current replica (dropping
-// its failover slice in the process), then the migration fails at
-// activation. Rollback must put the replica's own slice back — dropping
-// the staged copy wholesale would durably destroy the slice's only copy —
-// and the cluster must answer byte-identically on the old epoch, with a
-// clean retry still converging.
-func TestPromotionRollbackRestoresReplicaSlice(t *testing.T) {
-	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
-	ctx := context.Background()
-
-	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
-	defer single.Close()
-	telemetry.Replay(single, events)
-	want := singleFingerprint(t, single)
-
-	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
-	c := newTestCluster(t, pm, "")
-	f := NewFrontend(pm, c.clients(), FrontendConfig{})
-	const victim = "n1"
-	markdownDivergeRF2(t, c, pm, events, victim, sp.Seed)
-	target := divergedPartition(t, c, pm, victim)
-
-	// Promotion: the diverged replica becomes the owner, the old owner its
-	// replica.
-	cur := pm.Current()
-	owner, replica := cur.Owners[target], cur.Replicas[target]
-	next := cur.clone()
-	next.Epoch++
-	next.Owners[target], next.Replicas[target] = replica, owner
-
-	failActivate := true
-	mig := newTestMigrator(c, pm, alwaysUpTracker(pm.Nodes()), func(s HandoffStep) error {
-		if failActivate && s.Phase == "activate" {
-			return fmt.Errorf("injected activation failure")
-		}
-		return nil
-	})
-	if err := mig.migrate(ctx, cur, next); err == nil {
-		t.Fatal("migration with failing activation must error")
-	}
-	if pm.Epoch() != cur.Epoch || pm.Pending() != nil {
-		t.Fatalf("rollback left epoch=%d pending=%v", pm.Epoch(), pm.Pending())
-	}
-	if mg := pm.Migrating(); mg != nil {
-		t.Fatalf("rollback left suspects: %v", mg)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("rollback destroyed the promoted replica's failover slice")
-	}
-
-	// Clean retry of the same promotion converges.
-	failActivate = false
-	if err := mig.migrate(ctx, pm.Current(), next); err != nil {
-		t.Fatalf("retried promotion: %v", err)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("post-retry answers diverged from single node")
-	}
-}
-
-// flakyAbsorbAdmin fails the next *fails AbsorbPages calls — the seam for
-// rebuild-exhaustion pins.
-type flakyAbsorbAdmin struct {
-	NodeAdmin
-	fails *int
-}
-
-func (a flakyAbsorbAdmin) AbsorbPages(ctx context.Context, pages []telemetry.SketchPage) (telemetry.AbsorbAck, error) {
-	if *a.fails > 0 {
-		*a.fails--
-		return telemetry.AbsorbAck{}, fmt.Errorf("injected absorb failure")
-	}
-	return a.NodeAdmin.AbsorbPages(ctx, pages)
-}
-
-// TestCatchUpAbsorbFailureRestoresOwner pins the failed-rebuild restore: a
-// catch-up drops the owner's partition and then every absorb attempt
-// fails. The owner's own cut must be re-absorbed before the handoff
-// reports failure — the drop is durable and the replacement existed only
-// in the coordinator's memory — leaving answers byte-identical and
-// nothing suspect.
-func TestCatchUpAbsorbFailureRestoresOwner(t *testing.T) {
-	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
-	ctx := context.Background()
-
-	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
-	defer single.Close()
-	telemetry.Replay(single, events)
-	want := singleFingerprint(t, single)
-
-	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
-	c := newTestCluster(t, pm, "")
-	f := NewFrontend(pm, c.clients(), FrontendConfig{})
-	const victim = "n1"
-	markdownDivergeRF2(t, c, pm, events, victim, sp.Seed)
-	target := divergedPartition(t, c, pm, victim)
-
-	// Fail exactly the rebuild's attempt budget, so the rebuild exhausts
-	// and the restore's own absorb succeeds.
-	mig := newTestMigrator(c, pm, alwaysUpTracker(pm.Nodes()), nil)
-	fails := mig.cfg.Attempts
-	mig.AddAdmin(victim, flakyAbsorbAdmin{NodeAdmin: testAdmin{c: c, node: victim}, fails: &fails})
-	if err := mig.CatchUp(ctx, target); err == nil {
-		t.Fatal("catch-up with failing absorbs must error")
-	}
-	if mg := pm.Migrating(); mg != nil {
-		t.Fatalf("restore left suspects: %v", mg)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("failed rebuild destroyed the owner's partition")
-	}
-	// And the retry converges now that absorbs work again.
-	if err := mig.CatchUp(ctx, target); err != nil {
-		t.Fatalf("retried catch-up: %v", err)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("post-retry answers diverged from single node")
-	}
-}
-
-// TestSpillRecoveryRestoresOwnerAfterFailedRestore pins the durable spill:
-// when both the rebuild AND the in-line restore fail, the destination is
-// left suspect (queries exclude its broken copy and disclose partiality),
-// further migrations refuse to run over the wound, and the spill written
-// before the first drop lets RecoverSpills — the coordinator-reboot path —
-// put the destination back byte-identically.
-func TestSpillRecoveryRestoresOwnerAfterFailedRestore(t *testing.T) {
-	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
-	ctx := context.Background()
-
-	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
-	defer single.Close()
-	telemetry.Replay(single, events)
-	want := singleFingerprint(t, single)
-
-	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
-	c := newTestCluster(t, pm, "")
-	f := NewFrontend(pm, c.clients(), FrontendConfig{})
-	const victim = "n1"
-	markdownDivergeRF2(t, c, pm, events, victim, sp.Seed)
-	target := divergedPartition(t, c, pm, victim)
-
-	spillDir := t.TempDir()
-	admins := map[string]NodeAdmin{}
-	for _, n := range pm.Nodes() {
-		admins[n] = testAdmin{c: c, node: n}
-	}
-	mig := NewMigrator(pm, admins, MigratorConfig{SpillDir: spillDir})
-	fails := 1 << 20 // every absorb fails: rebuild exhausts AND restore fails
-	mig.AddAdmin(victim, flakyAbsorbAdmin{NodeAdmin: testAdmin{c: c, node: victim}, fails: &fails})
-
-	if err := mig.CatchUp(ctx, target); err == nil {
-		t.Fatal("catch-up with failing absorbs must error")
-	}
-	// The owner's copy is broken (dropped, restore failed): suspect, spill
-	// kept, queries partial but never double-counting.
-	if sus := pm.Suspects(); sus[target] != pm.Current().Owners[target] {
-		t.Fatalf("suspects = %v, want %d on the owner", sus, target)
-	}
-	if _, err := os.Stat(mig.spillPath(target)); err != nil {
-		t.Fatalf("spill not kept after failed restore: %v", err)
-	}
-	res, err := f.Query(ctx, fingerprintSpecs[0])
+	pages, err := c.get(node).PartitionPages(p, c.pm.Partitions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Partial {
-		t.Fatal("broken owner copy not disclosed as partial")
+	return len(pages) > 0
+}
+
+// TestFailedStaleDropsStayInvisibleAndClearOnReturn: every drop_stale of a
+// join fails, so each losing owner keeps its pre-migration copy. The epoch
+// still activates and answers stay complete and byte-identical to a single
+// node while more traffic lands on the new owners (the kept copies go
+// truly stale). Then the newcomer leaves and partitions move back onto
+// members still holding those stale copies: the rebuild's drop-first must
+// clear them, or the absorb would double-count.
+func TestFailedStaleDropsStayInvisibleAndClearOnReturn(t *testing.T) {
+	sp := scenario.MustGet("small")
+	events := scenarioEvents(t, sp)
+	ctx := context.Background()
+
+	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
+	defer single.Close()
+	telemetry.Replay(single, events)
+	want := singleFingerprint(t, single)
+
+	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
+	c := newTestCluster(t, pm, "")
+	tracker := alwaysUpTracker(pm.Nodes())
+	router := NewRouter(pm, tracker, c.transport, rng.New(sp.Seed).Fork("router"), RouterConfig{
+		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
+	})
+	f := NewFrontend(pm, c.clients(), FrontendConfig{})
+	mig := newTestMigrator(c, pm, tracker, func(s HandoffStep) error {
+		if s.Phase == "drop_stale" {
+			return errors.New("injected drop failure")
+		}
+		return nil
+	})
+
+	cut := len(events) * 2 / 3
+	if sent := router.SendAll(events[:cut]); sent != cut {
+		t.Fatalf("pre-join replay delivered %d of %d", sent, cut)
 	}
-	// Migrations refuse to run over the unrecovered wound.
-	if _, err := mig.Drain(ctx, "n2"); err == nil || !strings.Contains(err.Error(), "spill") {
-		t.Fatalf("migration over an unrecovered spill must refuse, got %v", err)
+	before := pm.Current()
+	c.add("n3")
+	f.AddClient("n3", liveNode{c: c, node: "n3"})
+	joined, err := mig.Join(ctx, "n3", testAdmin{c: c, node: "n3"})
+	if err != nil {
+		t.Fatalf("Join with every stale drop failing: %v", err)
+	}
+	if pm.Epoch() != 2 || pm.Migrating() != nil {
+		t.Fatalf("post-join epoch=%d migrating=%v", pm.Epoch(), pm.Migrating())
+	}
+	for _, mv := range Moves(before, joined) {
+		if !holds(t, c, mv.From, mv.Partition) {
+			t.Fatalf("drop_stale failed, yet %s no longer holds partition %d", mv.From, mv.Partition)
+		}
+	}
+	if sent := router.SendAll(events[cut:]); sent != len(events)-cut {
+		t.Fatalf("post-join replay delivered %d of %d", sent, len(events)-cut)
+	}
+	c.flushAll()
+	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
+		t.Fatal("undropped stale copies leaked into the answers")
 	}
 
-	// Coordinator reboot: a fresh migrator over the same spill dir (and
-	// healed transports) restores the owner's pre-handoff state.
-	reborn := NewMigrator(pm, admins, MigratorConfig{SpillDir: spillDir})
-	restored, err := reborn.RecoverSpills(ctx)
+	left, err := mig.Leave(ctx, "n3")
 	if err != nil {
-		t.Fatalf("RecoverSpills: %v", err)
+		t.Fatalf("Leave: %v", err)
 	}
-	if len(restored) != 1 || restored[0] != target {
-		t.Fatalf("restored = %v, want [%d]", restored, target)
+	returned := 0
+	for _, mv := range Moves(joined, left) {
+		if before.Owners[mv.Partition] == mv.To {
+			returned++ // back onto the member whose stale copy was never dropped
+		}
 	}
-	if _, err := os.Stat(mig.spillPath(target)); !os.IsNotExist(err) {
-		t.Fatalf("spill survived recovery: %v", err)
-	}
-	if mg := pm.Migrating(); mg != nil {
-		t.Fatalf("recovery left suspects: %v", mg)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("spill recovery did not restore the owner byte-identically")
-	}
-	// And the catch-up itself now completes.
-	if err := reborn.CatchUp(ctx, target); err != nil {
-		t.Fatalf("post-recovery catch-up: %v", err)
+	if returned == 0 {
+		t.Fatal("no partition moved back onto a stale copy; the test no longer exercises drop-first")
 	}
 	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("post-recovery catch-up diverged")
+		t.Fatal("a partition returning onto its undropped stale copy double-counted or lost data")
+	}
+}
+
+// stuckAdmin is a testAdmin whose DropPartition fails while *stuck.
+type stuckAdmin struct {
+	testAdmin
+	stuck *bool
+}
+
+func (a stuckAdmin) DropPartition(ctx context.Context, p, of int) (int, error) {
+	if *a.stuck {
+		return 0, errors.New("injected drop failure")
+	}
+	return a.testAdmin.DropPartition(ctx, p, of)
+}
+
+// TestRollbackWithFailedStagedDropsKeepsOldEpochAndRetryConverges: the
+// activation step fails after every handoff completed, and every drop of
+// the rollback fails too, so the destinations keep their staged copies —
+// on a joiner that never becomes a member, and (drain) on members every
+// query gathers from. The old epoch must answer unchanged, and the retried
+// change must converge: its rebuilds drop the leftovers first.
+func TestRollbackWithFailedStagedDropsKeepsOldEpochAndRetryConverges(t *testing.T) {
+	for name, change := range map[string]func(context.Context, *Migrator, *testCluster, *bool) (Assignment, error){
+		"join": func(ctx context.Context, mig *Migrator, c *testCluster, stuck *bool) (Assignment, error) {
+			return mig.Join(ctx, "n3", stuckAdmin{testAdmin{c: c, node: "n3"}, stuck})
+		},
+		"drain": func(ctx context.Context, mig *Migrator, _ *testCluster, _ *bool) (Assignment, error) {
+			return mig.Drain(ctx, "n2")
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sp := scenario.MustGet("small")
+			events := scenarioEvents(t, sp)
+			ctx := context.Background()
+
+			single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
+			defer single.Close()
+			telemetry.Replay(single, events)
+			want := singleFingerprint(t, single)
+
+			pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
+			c := newTestCluster(t, pm, "")
+			tracker := alwaysUpTracker(pm.Nodes())
+			router := NewRouter(pm, tracker, c.transport, rng.New(sp.Seed).Fork("router"), RouterConfig{
+				Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
+			})
+			f := NewFrontend(pm, c.clients(), FrontendConfig{})
+			c.add("n3")
+			f.AddClient("n3", liveNode{c: c, node: "n3"})
+
+			failing, stuck := true, false // first attempt: activation fails, then every drop
+			admins := map[string]NodeAdmin{}
+			for _, n := range pm.Nodes() {
+				admins[n] = stuckAdmin{testAdmin{c: c, node: n}, &stuck}
+			}
+			var staged []HandoffStep
+			mig := NewMigrator(pm, admins, MigratorConfig{Health: tracker, Hook: func(s HandoffStep) error {
+				switch {
+				case failing && s.Phase == "cutover":
+					staged = append(staged, s)
+				case failing && s.Phase == "activate":
+					stuck = true // the rollback's drops will not land
+					return errors.New("injected activation failure")
+				}
+				return nil
+			}})
+
+			if sent := router.SendAll(events); sent != len(events) {
+				t.Fatalf("replay delivered %d of %d", sent, len(events))
+			}
+			c.flushAll()
+
+			if _, err := change(ctx, mig, c, &stuck); err == nil {
+				t.Fatal("the change must fail at activation")
+			}
+			if pm.Epoch() != 1 || pm.pending != nil || pm.Migrating() != nil {
+				t.Fatalf("rollback left epoch=%d pending=%v migrating=%v", pm.Epoch(), pm.pending, pm.Migrating())
+			}
+			if len(staged) == 0 {
+				t.Fatal("no handoff completed before the activation failure")
+			}
+			for _, s := range staged {
+				if !holds(t, c, s.Dest, s.Partition) {
+					t.Fatalf("rollback drop failed, yet %s no longer holds staged partition %d", s.Dest, s.Partition)
+				}
+			}
+			if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
+				t.Fatal("undropped staged copies leaked into the old epoch's answers")
+			}
+
+			failing, stuck = false, false
+			if _, err := change(ctx, mig, c, &stuck); err != nil {
+				t.Fatalf("retried change: %v", err)
+			}
+			if pm.Epoch() != 2 {
+				t.Fatalf("retried change left epoch %d", pm.Epoch())
+			}
+			if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
+				t.Fatal("retry over undropped staged copies double-counted or lost data")
+			}
+		})
 	}
 }
 
@@ -373,8 +245,8 @@ func TestRouterActivationRaceNeverAcksOldOwnerOnly(t *testing.T) {
 		delivered := map[string]int{}
 		transport := func(node string, ev telemetry.Envelope) bool {
 			delivered[node]++
-			if node == oldOwner && pm.Pending() != nil {
-				if _, err := pm.Activate(); err != nil {
+			if node == oldOwner && pm.pending != nil {
+				if err := pm.Activate(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -400,9 +272,9 @@ func TestRouterActivationRaceNeverAcksOldOwnerOnly(t *testing.T) {
 		delivered := map[string]int{}
 		transport := func(node string, ev telemetry.Envelope) bool {
 			delivered[node]++
-			if node == oldOwner && pm.Pending() != nil {
+			if node == oldOwner && pm.pending != nil {
 				pm.Cutover(p)
-				if _, err := pm.Activate(); err != nil {
+				if err := pm.Activate(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -418,34 +290,4 @@ func TestRouterActivationRaceNeverAcksOldOwnerOnly(t *testing.T) {
 			t.Fatalf("acked envelope never reached the new owner %q: %v", newOwner, delivered)
 		}
 	})
-}
-
-// TestSuspectsClearWhenHolderLeaves pins the departed-holder fix: a
-// suspect entry pinned on a node that leaves the membership (or is simply
-// gone by Settle time) clears instead of keeping every query partial
-// forever against a copy no query can see.
-func TestSuspectsClearWhenHolderLeaves(t *testing.T) {
-	ctx := context.Background()
-	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
-	c := newTestCluster(t, pm, "")
-	mig := newTestMigrator(c, pm, alwaysUpTracker(pm.Nodes()), nil)
-
-	// Leave clears the departing holder's entries.
-	pm.MarkSuspect(3, "n2")
-	if _, err := mig.Leave(ctx, "n2"); err != nil {
-		t.Fatalf("Leave: %v", err)
-	}
-	if mg := pm.Migrating(); mg != nil {
-		t.Fatalf("departed holder still pins partiality: %v", mg)
-	}
-
-	// Settle clears entries whose holder is no longer a member, even with
-	// no admin transport left to drop through.
-	pm.MarkSuspect(5, "ghost")
-	if still := mig.Settle(ctx); still != nil {
-		t.Fatalf("Settle left suspects: %v", still)
-	}
-	if sus := pm.Suspects(); len(sus) != 0 {
-		t.Fatalf("non-member suspect survived Settle: %v", sus)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -338,8 +337,8 @@ func TestHandoffKillGainingRollsBackThenRetryConverges(t *testing.T) {
 		t.Fatalf("no kill injected: %+v", st)
 	}
 	// Rolled back: old epoch, old membership, complete answers.
-	if pm.Epoch() != 1 || pm.Pending() != nil {
-		t.Fatalf("rollback left epoch=%d pending=%v", pm.Epoch(), pm.Pending())
+	if pm.Epoch() != 1 || pm.pending != nil {
+		t.Fatalf("rollback left epoch=%d pending=%v", pm.Epoch(), pm.pending)
 	}
 	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
 		t.Fatal("rolled-back cluster diverged from single-node replay")
@@ -503,243 +502,6 @@ func TestHandoffPartitionSourceRollsBack(t *testing.T) {
 	}
 }
 
-// TestReplicaCatchUpAfterMarkdown is the RF2 re-sync pin, on a stream whose
-// per-key folds really fuse points (fold_test.go): the owner of a partition
-// set is marked down for exactly one rollup window, its traffic fails over
-// to replicas (window-aligned divergence), and each affected key's history
-// is then split across owner and replica. In that interval the merged answer
-// is complete in data — count, windows, min and max exact, the key inventory
-// exact — and every quantile is inside the rank-error bound it reports, but
-// it is not byte-identical to a single node's: two folds of one key absorbed
-// in page order are not the one fold of the whole key. After CatchUp
-// consolidates each partition back onto its owner — rebuilding the owner
-// from its own durable state plus the replica's slice — the replicas are
-// empty, the answers are byte-identical to a single node, and the result
-// survives crash-recovery of every member.
-func TestReplicaCatchUpAfterMarkdown(t *testing.T) {
-	events := compressingEvents(3, 1)
-	ctx := context.Background()
-	const winMs = foldWinMs
-
-	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
-	defer single.Close()
-	telemetry.Replay(single, events)
-	want := singleFingerprint(t, single)
-	for _, spec := range fingerprintSpecs {
-		page, err := single.MatchSketches(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spec.Metric == telemetry.MetricRTT {
-			assertFoldsCompress(t, page, 1)
-		}
-	}
-
-	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
-	c := newTestCluster(t, pm, t.TempDir())
-	f := NewFrontend(pm, c.clients(), FrontendConfig{})
-
-	// Pick the markdown window: the median distinct rollup window in the
-	// stream, so traffic exists on both sides of it.
-	seen := map[int64]bool{}
-	var windows []int64
-	for _, e := range events {
-		w := e.TS / winMs
-		if !seen[w] {
-			seen[w] = true
-			windows = append(windows, w)
-		}
-	}
-	if len(windows) < 3 {
-		t.Fatalf("scenario too narrow: %d windows", len(windows))
-	}
-	markdown := windows[len(windows)/2]
-
-	const victim = "n1"
-	ownerDown := false
-	tracker := NewHealthTracker(pm.Nodes(), func(node string) ProbeResult {
-		return ProbeResult{Reachable: !(ownerDown && node == victim)}
-	}, HealthConfig{DownAfter: 1, UpAfter: 1})
-	router := NewRouter(pm, tracker, c.transport, rng.New(3).Fork("router"), RouterConfig{
-		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
-	})
-
-	// Window-aligned markdown: the victim is down for every event of the
-	// markdown window and up for every other, so each (key, window) slice
-	// lands wholly on one node — owner or failover replica, never split —
-	// while the key itself is split between the two.
-	for _, e := range events {
-		down := e.TS/winMs == markdown
-		if down != ownerDown {
-			ownerDown = down
-			tracker.ProbeOnce()
-		}
-		if !router.Send(e) {
-			t.Fatal("send refused despite live failover target")
-		}
-	}
-	c.flushAll()
-	if st := router.Stats(); st.FailedOver == 0 {
-		t.Fatalf("markdown never failed over: %+v", st)
-	}
-
-	// Divergence is real: some replica holds a failover slice for a
-	// victim-owned partition — and the merged answer is already complete.
-	diverged := 0
-	for _, p := range pm.OwnedBy(victim) {
-		r, _ := pm.Replica(p)
-		if pages, err := c.get(r).PartitionPages(p, 16); err == nil && len(pages) > 0 {
-			diverged++
-		}
-	}
-	if diverged == 0 {
-		t.Fatal("no replica diverged — markdown window carried no victim traffic")
-	}
-	if bytes.Equal(clusterFingerprint(t, f), want) {
-		t.Fatal("split keys merged byte-identically: the stream does not reach the contract's boundary")
-	}
-	keys, missing := f.Keys(ctx)
-	if !reflect.DeepEqual(keys, single.Keys()) || missing != nil {
-		t.Fatalf("pre-catch-up key inventory diverged (missing %v)", missing)
-	}
-	for _, spec := range fingerprintSpecs {
-		exact, err := single.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := f.Query(ctx, spec)
-		if err != nil || res.Partial {
-			t.Fatalf("pre-catch-up %s: err %v, partial %v", spec.Metric, err, res.Partial)
-		}
-		if res.Windows != exact.Windows {
-			t.Fatalf("pre-catch-up %s: %d windows, single node merged %d", spec.Metric, res.Windows, exact.Windows)
-		}
-		assertInsideRankBound(t, "pre-catch-up "+spec.Metric, res.QueryResult, sortedValues(events, spec.Metric))
-	}
-
-	// Re-sync: consolidate every victim partition back onto its owner.
-	mig := newTestMigrator(c, pm, tracker, nil)
-	for _, p := range pm.OwnedBy(victim) {
-		if err := mig.CatchUp(ctx, p); err != nil {
-			t.Fatalf("CatchUp(%d): %v", p, err)
-		}
-	}
-	if mg := pm.Migrating(); mg != nil {
-		t.Fatalf("catch-up left suspects: %v", mg)
-	}
-	for _, p := range pm.OwnedBy(victim) {
-		r, _ := pm.Replica(p)
-		if pages, err := c.get(r).PartitionPages(p, 16); err != nil || len(pages) != 0 {
-			t.Fatalf("replica %s still holds %d pages of partition %d (err %v)", r, len(pages), p, err)
-		}
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("post-catch-up answers diverged from single node")
-	}
-
-	// Durability: the consolidation went through WAL control records, so a
-	// full crash-recovery cycle preserves it.
-	for _, n := range pm.Nodes() {
-		c.crash(n)
-		c.recover(n)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("post-recovery answers diverged")
-	}
-}
-
-// TestCatchUpSuspectThenSettle: when the replica's post-merge drop fails,
-// the partition is marked suspect — queries exclude the stale copy (no
-// double count) and disclose partiality — until Settle retries the drop.
-func TestCatchUpSuspectThenSettle(t *testing.T) {
-	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
-	ctx := context.Background()
-	const winMs = int64(60_000)
-
-	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
-	defer single.Close()
-	telemetry.Replay(single, events)
-	want := singleFingerprint(t, single)
-
-	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2})
-	c := newTestCluster(t, pm, "")
-	f := NewFrontend(pm, c.clients(), FrontendConfig{})
-
-	const victim = "n0"
-	ownerDown := false
-	tracker := NewHealthTracker(pm.Nodes(), func(node string) ProbeResult {
-		return ProbeResult{Reachable: !(ownerDown && node == victim)}
-	}, HealthConfig{DownAfter: 1, UpAfter: 1})
-	router := NewRouter(pm, tracker, c.transport, rng.New(sp.Seed).Fork("router"), RouterConfig{
-		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
-	})
-	seen := map[int64]bool{}
-	var windows []int64
-	for _, e := range events {
-		if w := e.TS / winMs; !seen[w] {
-			seen[w] = true
-			windows = append(windows, w)
-		}
-	}
-	markdown := windows[len(windows)/2]
-	for _, e := range events {
-		down := e.TS/winMs == markdown
-		if down != ownerDown {
-			ownerDown = down
-			tracker.ProbeOnce()
-		}
-		router.Send(e)
-	}
-	c.flushAll()
-
-	// Find a diverged partition, then catch it up with the stale drop
-	// failing (hook error at drop_stale).
-	target := -1
-	for _, p := range pm.OwnedBy(victim) {
-		r, _ := pm.Replica(p)
-		if pages, _ := c.get(r).PartitionPages(p, 16); len(pages) > 0 {
-			target = p
-			break
-		}
-	}
-	if target < 0 {
-		t.Fatal("no diverged partition")
-	}
-	failDrops := true
-	mig := newTestMigrator(c, pm, tracker, func(s HandoffStep) error {
-		if failDrops && s.Phase == "drop_stale" {
-			return fmt.Errorf("injected drop failure")
-		}
-		return nil
-	})
-	if err := mig.CatchUp(ctx, target); err != nil {
-		t.Fatalf("CatchUp: %v", err)
-	}
-	replica, _ := pm.Replica(target)
-	if sus := pm.Suspects(); sus[target] != replica {
-		t.Fatalf("suspects = %v, want %d→%s", sus, target, replica)
-	}
-
-	// Suspect contract: the stale copy is excluded (answers correct, not
-	// doubled) and the query discloses partiality naming the partition.
-	res, err := f.Query(ctx, fingerprintSpecs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Partial || len(res.MigratingPartitions) != 1 || res.MigratingPartitions[0] != target {
-		t.Fatalf("suspect query: partial=%v migrating=%v", res.Partial, res.MigratingPartitions)
-	}
-
-	failDrops = false
-	if still := mig.Settle(ctx); still != nil {
-		t.Fatalf("Settle left suspects: %v", still)
-	}
-	if got := clusterFingerprint(t, f); !bytes.Equal(got, want) {
-		t.Fatal("post-settle answers diverged from single node")
-	}
-}
-
 // TestMigratorValidation pins the admission guards.
 func TestMigratorValidation(t *testing.T) {
 	ctx := context.Background()
@@ -758,14 +520,5 @@ func TestMigratorValidation(t *testing.T) {
 	}
 	if _, err := mig.Drain(ctx, "ghost"); err == nil {
 		t.Fatal("draining a non-member must error")
-	}
-	if err := mig.CatchUp(ctx, 3); err == nil {
-		t.Fatal("catch-up under RF1 must error")
-	}
-	pm2 := mustMap(t, MapConfig{Partitions: 8, Nodes: []string{"a", "b"}, ReplicationFactor: 2})
-	c2 := newTestCluster(t, pm2, "")
-	mig2 := newTestMigrator(c2, pm2, alwaysUpTracker(pm2.Nodes()), nil)
-	if err := mig2.CatchUp(ctx, 99); err == nil {
-		t.Fatal("catch-up of an out-of-range partition must error")
 	}
 }

@@ -1,9 +1,8 @@
 // Package cluster turns the single-process telemetry pipeline into a
 // partitioned, fault-tolerant serving tier: epoch-versioned partition
 // assignments over the (metric, region, network) keyspace, health-checked
-// membership, a routing ingest client with replica failover and dual-epoch
-// migration writes, and a scatter-gather query front-end with explicit
-// partial-result semantics.
+// membership, a routing ingest client with dual-epoch migration writes, and
+// a scatter-gather query front-end with explicit partial-result semantics.
 //
 // The layering mirrors the Periscope analytics pipeline: stateless routers
 // fan ingest out to partitioned stateful nodes (each an ordinary
@@ -19,7 +18,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"edgescope/internal/telemetry"
@@ -39,15 +37,16 @@ type MapConfig struct {
 	// the same list; later epochs ship the member list inside the
 	// Assignment itself.
 	Nodes []string `json:"nodes"`
-	// ReplicationFactor is 1 (owner only) or 2 (owner + one replica, the
-	// ingest failover target). Default 1.
+	// ReplicationFactor must be 0 or 1: every partition has exactly one
+	// assigned member. The field survives only because bench/e2e sets it to
+	// 1 (ROADMAP item 1(e) removes it); NewMap rejects any other value.
 	ReplicationFactor int `json:"replication_factor,omitempty"`
 }
 
 // PartitionMap holds the cluster's live placement: the current epoch's
 // Assignment, plus the transient migration state (pending epoch, frozen
-// partitions, dual-write targets, suspect stale copies) a rebalance moves
-// through. The key→partition hash is the pipeline's stable FNV-1a
+// partitions, dual-write targets) a rebalance moves through. The
+// key→partition hash is the pipeline's stable FNV-1a
 // (telemetry.Key.ShardOf), so a key's partition depends only on the key
 // and the partition count — replays, routers and recovered nodes always
 // agree, with no coordination service anywhere.
@@ -66,11 +65,6 @@ type PartitionMap struct {
 	pending *Assignment
 	frozen  map[int]bool
 	dual    map[int]string
-	// suspect maps partitions to a still-assigned node holding a stale
-	// pre-migration copy whose post-activation drop has not succeeded yet.
-	// Queries stay partial for these until the drop lands — the copy would
-	// otherwise double-count in a merge.
-	suspect map[int]string
 }
 
 // NewMap validates a boot layout and resolves it to epoch 1.
@@ -81,14 +75,8 @@ func NewMap(cfg MapConfig) (*PartitionMap, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: map needs at least one node")
 	}
-	if cfg.ReplicationFactor == 0 {
-		cfg.ReplicationFactor = 1
-	}
-	if cfg.ReplicationFactor < 1 || cfg.ReplicationFactor > 2 {
-		return nil, fmt.Errorf("cluster: replication factor %d (supported: 1, 2)", cfg.ReplicationFactor)
-	}
-	if cfg.ReplicationFactor == 2 && len(cfg.Nodes) < 2 {
-		return nil, fmt.Errorf("cluster: replication factor 2 needs >= 2 nodes, have %d", len(cfg.Nodes))
+	if cfg.ReplicationFactor != 0 && cfg.ReplicationFactor != 1 {
+		return nil, fmt.Errorf("cluster: replication factor %d: replication was removed, every partition has exactly one copy", cfg.ReplicationFactor)
 	}
 	index := make(map[string]int, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
@@ -128,20 +116,6 @@ func (m *PartitionMap) resetLocked(a Assignment) {
 	m.pending = nil
 	m.frozen = map[int]bool{}
 	m.dual = map[int]string{}
-	if m.suspect == nil {
-		m.suspect = map[int]string{}
-	}
-}
-
-// Config returns the current epoch's layout in MapConfig form.
-func (m *PartitionMap) Config() MapConfig {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return MapConfig{
-		Partitions:        m.cur.Partitions,
-		Nodes:             append([]string(nil), m.cur.Nodes...),
-		ReplicationFactor: m.cur.ReplicationFactor,
-	}
 }
 
 // Current returns the current epoch's assignment (a deep copy).
@@ -156,17 +130,6 @@ func (m *PartitionMap) Epoch() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.cur.Epoch
-}
-
-// Pending returns the in-flight next epoch's assignment, or nil.
-func (m *PartitionMap) Pending() *Assignment {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.pending == nil {
-		return nil
-	}
-	p := m.pending.clone()
-	return &p
 }
 
 // Partitions returns the partition count.
@@ -199,17 +162,6 @@ func (m *PartitionMap) Owner(p int) string {
 	return m.cur.Owners[p]
 }
 
-// Replica returns the partition's failover node and whether the layout has
-// one (replication factor 2).
-func (m *PartitionMap) Replica(p int) (string, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.cur.ReplicationFactor < 2 {
-		return "", false
-	}
-	return m.cur.Replicas[p], true
-}
-
 // OwnedBy returns the partitions a node owns, ascending. Unknown nodes own
 // nothing.
 func (m *PartitionMap) OwnedBy(node string) []int {
@@ -224,29 +176,12 @@ func (m *PartitionMap) OwnedBy(node string) []int {
 	return out
 }
 
-// ReplicatedBy returns the partitions a node stands replica for,
-// ascending; empty under replication factor 1.
-func (m *PartitionMap) ReplicatedBy(node string) []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []int
-	for p, r := range m.cur.Replicas {
-		if r == node {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Assigned reports whether a node holds partition p in the current epoch,
-// as owner or replica — the front-end's query-time ownership filter.
+// Assigned reports whether a node owns partition p in the current epoch —
+// the front-end's query-time ownership filter.
 func (m *PartitionMap) Assigned(node string, p int) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.cur.Owners[p] == node {
-		return true
-	}
-	return m.cur.ReplicationFactor == 2 && m.cur.Replicas[p] == node
+	return m.cur.Owners[p] == node
 }
 
 // NodeInfo builds the self-describing health identity a cluster node
@@ -256,7 +191,6 @@ func (m *PartitionMap) NodeInfo(node string) *telemetry.NodeInfo {
 		Role:       "node",
 		ID:         node,
 		Partitions: m.OwnedBy(node),
-		Replicates: m.ReplicatedBy(node),
 	}
 }
 
@@ -264,7 +198,7 @@ func (m *PartitionMap) NodeInfo(node string) *telemetry.NodeInfo {
 
 // BeginMigration stages the next epoch. It refuses a table that is not the
 // direct successor of the current epoch or that changes the immutable
-// layout parameters, and refuses to stack migrations.
+// partition count, and refuses to stack migrations.
 func (m *PartitionMap) BeginMigration(next Assignment) error {
 	if err := next.Validate(); err != nil {
 		return err
@@ -277,9 +211,9 @@ func (m *PartitionMap) BeginMigration(next Assignment) error {
 	if next.Epoch != m.cur.Epoch+1 {
 		return fmt.Errorf("cluster: epoch %d does not succeed %d", next.Epoch, m.cur.Epoch)
 	}
-	if next.Partitions != m.cur.Partitions || next.ReplicationFactor != m.cur.ReplicationFactor {
-		return fmt.Errorf("cluster: epoch %d changes partitions/replication (%d/%d → %d/%d)",
-			next.Epoch, m.cur.Partitions, m.cur.ReplicationFactor, next.Partitions, next.ReplicationFactor)
+	if next.Partitions != m.cur.Partitions {
+		return fmt.Errorf("cluster: epoch %d changes the partition count (%d → %d)",
+			next.Epoch, m.cur.Partitions, next.Partitions)
 	}
 	staged := next.clone()
 	m.pending = &staged
@@ -314,19 +248,16 @@ func (m *PartitionMap) Unfreeze(p int) {
 }
 
 // RouteTarget is one partition's routing state, snapshotted atomically:
-// the owner (and failover replica) to deliver to, the dual-write target
-// that must also ack while a migration is in flight, and whether ingest is
-// frozen mid-handoff. The router must read all of these under one lock —
+// the owner to deliver to, the dual-write target that must also ack while
+// a migration is in flight, and whether ingest is frozen mid-handoff. The router must read all of these under one lock —
 // read piecemeal, an Activate could land between the owner read and the
 // dual-target read, clearing the dual map so an envelope is acked having
 // reached only the losing owner, whose copy the migrator then drops.
 type RouteTarget struct {
-	Owner      string
-	Replica    string
-	HasReplica bool
-	Dual       string
-	HasDual    bool
-	Frozen     bool
+	Owner   string
+	Dual    string
+	HasDual bool
+	Frozen  bool
 }
 
 // Route snapshots partition p's routing state under a single read lock.
@@ -334,26 +265,21 @@ func (m *PartitionMap) Route(p int) RouteTarget {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	rt := RouteTarget{Owner: m.cur.Owners[p], Frozen: m.frozen[p]}
-	if m.cur.ReplicationFactor == 2 {
-		rt.Replica, rt.HasReplica = m.cur.Replicas[p], true
-	}
 	rt.Dual, rt.HasDual = m.dual[p]
 	return rt
 }
 
 // Activate atomically installs the pending epoch as current, ending the
 // migration: routing flips to the new owners, freezes and dual writes
-// clear. Returns the moves that changed owners — whose sources now hold
-// stale copies the migrator must drop (marking them suspect until done).
-func (m *PartitionMap) Activate() ([]Move, error) {
+// clear.
+func (m *PartitionMap) Activate() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.pending == nil {
-		return nil, fmt.Errorf("cluster: no migration in flight")
+		return fmt.Errorf("cluster: no migration in flight")
 	}
-	moves := Moves(m.cur, *m.pending)
 	m.resetLocked(*m.pending)
-	return moves, nil
+	return nil
 }
 
 // Abort discards the pending epoch and clears all migration state — the
@@ -367,71 +293,18 @@ func (m *PartitionMap) Abort() {
 	m.mu.Unlock()
 }
 
-// Migrating lists the partitions whose answers may be incomplete right
-// now: every owner-changing partition while a migration is in flight, plus
-// any suspect partitions (stale copies not yet dropped). Ascending,
-// deduplicated, nil when settled.
+// Migrating lists the partitions whose answers may lag right now: every
+// owner-changing partition while a migration is in flight. Ascending, nil
+// when none is.
 func (m *PartitionMap) Migrating() []int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	set := map[int]bool{}
-	if m.pending != nil {
-		for _, mv := range Moves(m.cur, *m.pending) {
-			set[mv.Partition] = true
-		}
-	}
-	for p := range m.suspect {
-		set[p] = true
-	}
-	if len(set) == 0 {
+	if m.pending == nil {
 		return nil
 	}
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// MarkSuspect records that node still holds partition p's pre-migration
-// copy (its post-activation drop failed); queries stay partial for p until
-// ClearSuspect.
-func (m *PartitionMap) MarkSuspect(p int, node string) {
-	m.mu.Lock()
-	m.suspect[p] = node
-	m.mu.Unlock()
-}
-
-// ClearSuspect removes a suspect entry once the stale copy is gone.
-func (m *PartitionMap) ClearSuspect(p int) {
-	m.mu.Lock()
-	delete(m.suspect, p)
-	m.mu.Unlock()
-}
-
-// ClearSuspectsOf removes every suspect entry pinned on one node — called
-// when the node leaves the membership. A non-member's copies are invisible
-// to queries anyway (the assignment filter skips them) and its admin
-// transport is gone, so the entries could otherwise never clear and would
-// pin every query partial forever.
-func (m *PartitionMap) ClearSuspectsOf(node string) {
-	m.mu.Lock()
-	for p, n := range m.suspect {
-		if n == node {
-			delete(m.suspect, p)
-		}
-	}
-	m.mu.Unlock()
-}
-
-// Suspects returns the current suspect set (partition → holding node).
-func (m *PartitionMap) Suspects() map[int]string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[int]string, len(m.suspect))
-	for p, n := range m.suspect {
-		out[p] = n
+	var out []int
+	for _, mv := range Moves(m.cur, *m.pending) {
+		out = append(out, mv.Partition)
 	}
 	return out
 }

@@ -21,8 +21,7 @@ func TestNewMapValidation(t *testing.T) {
 		{},                          // no nodes
 		{Nodes: []string{"a", ""}},  // empty id
 		{Nodes: []string{"a", "a"}}, // duplicate id
-		{Nodes: []string{"a"}, ReplicationFactor: 2},      // RF2 needs 2 nodes
-		{Nodes: []string{"a", "b"}, ReplicationFactor: 3}, // unsupported RF
+		{Nodes: []string{"a", "b"}, ReplicationFactor: 2}, // replication was removed
 	}
 	for i, cfg := range bad {
 		if _, err := NewMap(cfg); err == nil {
@@ -33,8 +32,11 @@ func TestNewMapValidation(t *testing.T) {
 	if got := m.Partitions(); got != DefaultPartitions {
 		t.Fatalf("default partitions = %d", got)
 	}
-	if got := m.Config().ReplicationFactor; got != 1 {
-		t.Fatalf("default replication factor = %d", got)
+	if got := m.Current().ReplicationFactor; got != 1 {
+		t.Fatalf("replication factor = %d", got)
+	}
+	if _, err := NewMap(MapConfig{Nodes: []string{"a", "b"}, ReplicationFactor: 1}); err != nil {
+		t.Fatalf("explicit factor 1 refused: %v", err)
 	}
 }
 
@@ -56,10 +58,10 @@ func TestPartitionOfMatchesShardHash(t *testing.T) {
 }
 
 // TestPlacementCoversEveryPartition: owner sets partition the whole space
-// disjointly; replicas are distinct from owners.
+// disjointly, and ownership is the whole of assignment.
 func TestPlacementCoversEveryPartition(t *testing.T) {
 	nodes := []string{"n0", "n1", "n2"}
-	m := mustMap(t, MapConfig{Partitions: 16, Nodes: nodes, ReplicationFactor: 2})
+	m := mustMap(t, MapConfig{Partitions: 16, Nodes: nodes})
 	seen := map[int]string{}
 	for _, n := range nodes {
 		for _, p := range m.OwnedBy(n) {
@@ -76,39 +78,24 @@ func TestPlacementCoversEveryPartition(t *testing.T) {
 		t.Fatalf("owners cover %d of 16 partitions", len(seen))
 	}
 	for p := 0; p < 16; p++ {
-		rep, ok := m.Replica(p)
-		if !ok {
-			t.Fatalf("RF2 map has no replica for partition %d", p)
-		}
-		if rep == m.Owner(p) {
-			t.Fatalf("partition %d replica == owner (%s)", p, rep)
+		for _, n := range nodes {
+			if got, want := m.Assigned(n, p), n == m.Owner(p); got != want {
+				t.Fatalf("Assigned(%s, %d) = %v, owner is %s", n, p, got, m.Owner(p))
+			}
 		}
 	}
-	if m.OwnedBy("stranger") != nil || m.ReplicatedBy("stranger") != nil {
+	if m.OwnedBy("stranger") != nil {
 		t.Fatal("unknown node assigned partitions")
 	}
 }
 
-func TestReplicaAbsentUnderRF1(t *testing.T) {
-	m := mustMap(t, MapConfig{Partitions: 4, Nodes: []string{"a", "b"}})
-	if _, ok := m.Replica(0); ok {
-		t.Fatal("RF1 map produced a replica")
-	}
-	if m.ReplicatedBy("a") != nil {
-		t.Fatal("RF1 map reports replicated partitions")
-	}
-}
-
 func TestNodeInfoDescribesPlacement(t *testing.T) {
-	m := mustMap(t, MapConfig{Partitions: 6, Nodes: []string{"a", "b", "c"}, ReplicationFactor: 2})
+	m := mustMap(t, MapConfig{Partitions: 6, Nodes: []string{"a", "b", "c"}})
 	info := m.NodeInfo("b")
 	if info.Role != "node" || info.ID != "b" {
 		t.Fatalf("info = %+v", info)
 	}
 	if !reflect.DeepEqual(info.Partitions, m.OwnedBy("b")) {
 		t.Fatalf("Partitions = %v, OwnedBy = %v", info.Partitions, m.OwnedBy("b"))
-	}
-	if !reflect.DeepEqual(info.Replicates, m.ReplicatedBy("b")) {
-		t.Fatalf("Replicates = %v, ReplicatedBy = %v", info.Replicates, m.ReplicatedBy("b"))
 	}
 }

@@ -15,8 +15,8 @@ type Transport func(node string, e telemetry.Envelope) bool
 type RouterConfig struct {
 	// Retry is handed to the underlying telemetry.RetryClient — the same
 	// bounded-backoff machinery the single-node client uses, now wrapped
-	// around partition routing. Its dedup sequence numbers make failover
-	// safe: a resend that lands twice folds once server-side.
+	// around partition routing. Its dedup sequence numbers make resends
+	// safe: one that lands twice folds once server-side.
 	Retry telemetry.RetryConfig
 	// Metrics, when set, registers the routing families (cluster_router_*)
 	// and, unless Retry.Metrics names another registry, the retry client's
@@ -28,11 +28,8 @@ type RouterConfig struct {
 type RouterStats struct {
 	// Routed counts envelopes delivered to their partition's owner.
 	Routed uint64 `json:"routed"`
-	// FailedOver counts envelopes delivered to the replica because the
-	// owner was marked down.
-	FailedOver uint64 `json:"failed_over"`
-	// Unroutable counts attempts with no live target — owner down and no
-	// (live) replica. The retry client backs off and retries these, so one
+	// Unroutable counts attempts refused because the partition's owner was
+	// marked down. The retry client backs off and retries these, so one
 	// envelope can count several times while an outage lasts.
 	Unroutable uint64 `json:"unroutable"`
 	// Frozen counts attempts refused because the partition was mid-handoff
@@ -47,19 +44,14 @@ type RouterStats struct {
 }
 
 // Router is the ingest front door: it maps each envelope's key to its
-// partition, sends to the owning node, and — when the health tracker has
-// marked the owner down and the map has a replica — fails over to the
-// replica. Everything rides inside a telemetry.RetryClient, so transient
-// refusals (including the whole failover window under replication factor
-// 1) get bounded exponential backoff and per-key sequence numbers that
-// make duplicates from retries fold away server-side.
-//
-// Failover is markdown-gated on purpose: a transport failure against an
-// owner still marked up is treated as transient (return false → retry),
-// not as a cue to scatter a partition's writes across nodes. Only the
-// health state machine — evidence accumulated over consecutive probes —
-// moves a partition's traffic, which keeps each (window, key) rollup on
-// one node in the common case and preserves single-node byte-identity.
+// partition and sends to the owning node — refusing outright while the
+// health tracker has the owner marked down. Everything rides inside a
+// telemetry.RetryClient, so refusals (a transport failure, a handoff
+// freeze, the whole of an owner's outage) get bounded exponential backoff
+// and per-key sequence numbers that make duplicates from retries fold away
+// server-side. A partition's writes only ever land on its owner (and, mid-
+// migration, the pending owner), which keeps each (window, key) rollup on
+// one node and preserves single-node byte-identity at every epoch.
 //
 // Send/SendAll must be called from a single goroutine, like the
 // RetryClient they wrap.
@@ -70,7 +62,6 @@ type Router struct {
 	client    *telemetry.RetryClient
 
 	routed     *obs.Counter
-	failedOver *obs.Counter
 	unroutable *obs.Counter
 	frozen     *obs.Counter
 	dualWrites *obs.Counter
@@ -82,13 +73,11 @@ func NewRouter(pm *PartitionMap, health *HealthTracker, transport Transport, src
 	r := &Router{pm: pm, health: health, transport: transport}
 	if cfg.Metrics != nil {
 		r.routed = cfg.Metrics.Counter("cluster_router_routed_total", "envelopes delivered to their partition owner")
-		r.failedOver = cfg.Metrics.Counter("cluster_router_failed_over_total", "envelopes delivered to the replica while the owner was down")
-		r.unroutable = cfg.Metrics.Counter("cluster_router_unroutable_total", "send attempts with no live target node")
+		r.unroutable = cfg.Metrics.Counter("cluster_router_unroutable_total", "send attempts refused because the partition's owner was marked down")
 		r.frozen = cfg.Metrics.Counter("cluster_router_frozen_total", "send attempts refused during a partition's handoff freeze")
 		r.dualWrites = cfg.Metrics.Counter("cluster_router_dual_writes_total", "deliveries duplicated to the pending epoch's owner")
 	} else {
 		r.routed = &obs.Counter{}
-		r.failedOver = &obs.Counter{}
 		r.unroutable = &obs.Counter{}
 		r.frozen = &obs.Counter{}
 		r.dualWrites = &obs.Counter{}
@@ -119,28 +108,26 @@ func (r *Router) route(e telemetry.Envelope) bool {
 		r.frozen.Inc()
 		return false
 	}
-	if r.health.State(rt.Owner) != StateDown {
-		// A transport failure against an owner marked routable is transient:
-		// deliver returns false and the retry client backs off rather than
-		// failing over on a single error.
-		return r.deliver(p, rt, rt.Owner, e, r.routed)
+	if r.health.State(rt.Owner) == StateDown {
+		// Only the health state machine — evidence over consecutive probes —
+		// refuses a partition's traffic; a transport failure against an owner
+		// still marked routable is just a false from deliver. Either way the
+		// retry client backs off and resends, and nothing lands elsewhere.
+		r.unroutable.Inc()
+		return false
 	}
-	if rt.HasReplica && r.health.State(rt.Replica) != StateDown {
-		return r.deliver(p, rt, rt.Replica, e, r.failedOver)
-	}
-	r.unroutable.Inc()
-	return false
+	return r.deliver(p, rt, e)
 }
 
-// deliver transports one envelope to the chosen node, duplicates it to the
-// pending epoch's owner during a migration's dual-write phase, and guards
-// the ack against a migration racing the delivery. The attempt only
+// deliver transports one envelope to the partition's owner, duplicates it
+// to the pending epoch's owner during a migration's dual-write phase, and
+// guards the ack against a migration racing the delivery. The attempt only
 // succeeds when every required copy acks: a false makes the retry client
 // resend, and the per-key sequence numbers fold the duplicate away on
 // whichever node already folded it — idempotent convergence instead of
 // divergent copies.
-func (r *Router) deliver(p int, rt RouteTarget, target string, e telemetry.Envelope, delivered *obs.Counter) bool {
-	if !r.transport(target, e) {
+func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
+	if !r.transport(rt.Owner, e) {
 		return false
 	}
 	if rt.HasDual {
@@ -148,13 +135,11 @@ func (r *Router) deliver(p int, rt RouteTarget, target string, e telemetry.Envel
 		// ack. Once both have, the envelope is safe against any outcome:
 		// activation keeps the pending owner's copy, rollback keeps the
 		// current owner's.
-		if rt.Dual != target {
-			if !r.transport(rt.Dual, e) {
-				return false
-			}
-			r.dualWrites.Inc()
+		if !r.transport(rt.Dual, e) {
+			return false
 		}
-		delivered.Inc()
+		r.dualWrites.Inc()
+		r.routed.Inc()
 		return true
 	}
 	// No dual target when the snapshot was taken, so nothing guaranteed the
@@ -166,7 +151,7 @@ func (r *Router) deliver(p int, rt RouteTarget, target string, e telemetry.Envel
 	if after := r.pm.Route(p); after.Owner != rt.Owner || after.HasDual {
 		return false
 	}
-	delivered.Inc()
+	r.routed.Inc()
 	return true
 }
 
@@ -188,7 +173,6 @@ func (r *Router) RestoreSeqState(recs []telemetry.SeqRecord) { r.client.RestoreS
 func (r *Router) Stats() RouterStats {
 	return RouterStats{
 		Routed:     r.routed.Value(),
-		FailedOver: r.failedOver.Value(),
 		Unroutable: r.unroutable.Value(),
 		Frozen:     r.frozen.Value(),
 		DualWrites: r.dualWrites.Value(),

@@ -76,7 +76,7 @@ func (h *routerHarness) markDown(node string) {
 }
 
 func TestRouterSendsToOwner(t *testing.T) {
-	cfg := MapConfig{Partitions: 8, Nodes: []string{"n0", "n1"}, ReplicationFactor: 2}
+	cfg := MapConfig{Partitions: 8, Nodes: []string{"n0", "n1"}}
 	h := newRouterHarness(t, cfg)
 	m := h.router.pm
 	e := keyOwnedBy(t, m, "n1")
@@ -87,7 +87,7 @@ func TestRouterSendsToOwner(t *testing.T) {
 		t.Fatalf("deliveries: n0=%d n1=%d", len(h.deliveries["n0"]), len(h.deliveries["n1"]))
 	}
 	st := h.router.Stats()
-	if st.Routed != 1 || st.FailedOver != 0 || st.Unroutable != 0 {
+	if st.Routed != 1 || st.Unroutable != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if got := h.deliveries["n1"][0].Seq; got != 1 {
@@ -96,10 +96,9 @@ func TestRouterSendsToOwner(t *testing.T) {
 }
 
 // TestRouterTransientFailureRetriesOwner: a failed send against an
-// up-marked owner is retried against the owner, never failed over — only
-// the health state machine moves a partition's traffic.
+// up-marked owner is retried against the owner and lands nowhere else.
 func TestRouterTransientFailureRetriesOwner(t *testing.T) {
-	cfg := MapConfig{Partitions: 8, Nodes: []string{"n0", "n1"}, ReplicationFactor: 2}
+	cfg := MapConfig{Partitions: 8, Nodes: []string{"n0", "n1"}}
 	h := newRouterHarness(t, cfg)
 	e := keyOwnedBy(t, h.router.pm, "n0")
 	h.refuse["n0"] = 2
@@ -107,10 +106,10 @@ func TestRouterTransientFailureRetriesOwner(t *testing.T) {
 		t.Fatal("send failed despite owner recovering")
 	}
 	if len(h.deliveries["n1"]) != 0 {
-		t.Fatal("transient owner failure leaked to the replica")
+		t.Fatal("transient owner failure leaked to another node")
 	}
 	st := h.router.Stats()
-	if st.Routed != 1 || st.FailedOver != 0 {
+	if st.Routed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Client.Retries != 2 {
@@ -118,41 +117,15 @@ func TestRouterTransientFailureRetriesOwner(t *testing.T) {
 	}
 }
 
-// TestRouterFailsOverWhenOwnerDown: a down-marked owner diverts the
-// partition's writes to the replica.
-func TestRouterFailsOverWhenOwnerDown(t *testing.T) {
-	cfg := MapConfig{Partitions: 8, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2}
-	h := newRouterHarness(t, cfg)
-	m := h.router.pm
-	e := keyOwnedBy(t, m, "n0")
-	p := m.PartitionOf(e.Key())
-	replica, _ := m.Replica(p)
-
-	h.markDown("n0")
-	if !h.router.Send(e) {
-		t.Fatal("failover send failed")
-	}
-	if len(h.deliveries["n0"]) != 0 {
-		t.Fatal("delivered to a down owner")
-	}
-	if len(h.deliveries[replica]) != 1 {
-		t.Fatalf("replica %s got %d deliveries", replica, len(h.deliveries[replica]))
-	}
-	st := h.router.Stats()
-	if st.Routed != 0 || st.FailedOver != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestRouterUnroutableWithoutReplica: RF1 + down owner = bounded retries,
-// then a clean failure the caller can collect and resend after recovery.
+// TestRouterUnroutableWithoutReplica: a down owner = bounded retries, then
+// a clean failure the caller can collect and resend after recovery.
 func TestRouterUnroutableWithoutReplica(t *testing.T) {
 	cfg := MapConfig{Partitions: 8, Nodes: []string{"n0", "n1"}}
 	h := newRouterHarness(t, cfg)
 	e := keyOwnedBy(t, h.router.pm, "n0")
 	h.markDown("n0")
 	if h.router.Send(e) {
-		t.Fatal("send succeeded with owner down and no replica")
+		t.Fatal("send succeeded with the owner down")
 	}
 	if len(h.deliveries["n0"])+len(h.deliveries["n1"]) != 0 {
 		t.Fatal("unroutable envelope delivered somewhere")
@@ -174,23 +147,5 @@ func TestRouterUnroutableWithoutReplica(t *testing.T) {
 	}
 	if len(h.deliveries["n0"]) != 1 {
 		t.Fatalf("owner got %d deliveries after recovery", len(h.deliveries["n0"]))
-	}
-}
-
-// TestRouterFailoverSkipsDownReplica: both copies down → unroutable, even
-// under RF2.
-func TestRouterFailoverSkipsDownReplica(t *testing.T) {
-	cfg := MapConfig{Partitions: 8, Nodes: []string{"n0", "n1", "n2"}, ReplicationFactor: 2}
-	h := newRouterHarness(t, cfg)
-	m := h.router.pm
-	e := keyOwnedBy(t, m, "n0")
-	replica, _ := m.Replica(m.PartitionOf(e.Key()))
-	h.markDown("n0")
-	h.markDown(replica)
-	if h.router.Send(e) {
-		t.Fatal("send succeeded with owner and replica down")
-	}
-	if st := h.router.Stats(); st.Unroutable == 0 {
-		t.Fatalf("stats = %+v", st)
 	}
 }

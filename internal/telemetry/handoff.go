@@ -134,8 +134,8 @@ func (ing *Ingestor) applyCtl(s *shard, start int64, c walCtl) {
 // absorbLocked folds one rollup's sketch into the shard state: a pure
 // insert when the (window, key) is new — bit-identical to the source, the
 // property the byte-identity pins need — or a deterministic sketch merge
-// when data already accumulated there (dual-written traffic, or a catch-up
-// straddling a window boundary). Called with s.mu held.
+// when data already accumulated there (dual-written traffic). Called with
+// s.mu held.
 func (ing *Ingestor) absorbLocked(s *shard, wk windowKey, sk *stats.Sketch, mode foldMode) {
 	if existing := s.windows[wk]; existing != nil {
 		existing.Absorb(sk)

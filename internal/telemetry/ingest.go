@@ -109,7 +109,7 @@ type Config struct {
 	// standalone cells: same hot-path cost, no exposition.
 	Metrics *obs.Registry
 	// Node, when set, names this ingestor's place in a telemetry cluster —
-	// role, node id and the partitions it owns or replicates — and is
+	// role, node id and the partitions it owns — and is
 	// echoed verbatim by Health(), so a cluster node's /healthz answer is
 	// self-describing: an operator (or the front-end's health prober)
 	// learns who they are talking to from the answer alone. nil for the
@@ -762,9 +762,6 @@ type NodeInfo struct {
 	ID string `json:"id,omitempty"`
 	// Partitions lists the partition indexes this node owns, ascending.
 	Partitions []int `json:"partitions,omitempty"`
-	// Replicates lists the partitions this node stands replica for
-	// (replication factor 2), ascending.
-	Replicates []int `json:"replicates,omitempty"`
 }
 
 // HealthState is the pipeline's liveness/degradation report, served by

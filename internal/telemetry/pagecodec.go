@@ -30,11 +30,9 @@ import (
 //
 //	n_pages u32 | n_pages × ( page_len u64 | page )
 //
-// The coordinator's handoff spill stores a page set behind its own
-// checksummed header (cluster/spill.go). JSON is only the read-only dump
-// of the external edge (curl against /sketches and /sketches/partition);
-// SketchPage keeps its JSON tags for it. Nothing in the daemon reads a
-// page back from JSON.
+// JSON is only the read-only dump of the external edge (curl against
+// /sketches and /sketches/partition); SketchPage keeps its JSON tags for
+// it. Nothing in the daemon reads a page back from JSON.
 
 // SketchPageContentType names the binary page (and page set) on the wire:
 // what cluster.HTTPNode sends as Accept / Content-Type and what a node

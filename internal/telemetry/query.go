@@ -88,7 +88,7 @@ func ValidateQuerySpec(spec QuerySpec) error {
 
 // compare is the canonical order of raw rollups: (metric, start, region,
 // net) — the order PartitionPages exports a partition's rollups in, so a
-// handoff's pages (and its spill files) are reproducible. Queries do not
+// handoff's pages are reproducible. Queries do not
 // merge in this order: they fold each key's rollups first and merge the
 // folds by Key.compare (foldKeys, mergeFolds).
 func (a windowKey) compare(b windowKey) int {
@@ -252,7 +252,7 @@ func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
 // mergeFolds is THE merge: the single-node query and the cluster
 // scatter-gather both end here. pages are lists of sealed per-key folds,
 // each strictly ascending by key; they are k-way merged by key — the page
-// index breaking the cross-page ties a replica failover can create — and
+// index breaking the tie when one key appears on two pages — and
 // every fold's wire bytes are validated and absorbed into one sketch
 // (stats.Sketch.AbsorbBinary). The order is verified as each page is
 // consumed: a key out of order or repeated inside a page is an error naming
@@ -365,7 +365,7 @@ func (ing *Ingestor) Query(spec QuerySpec) (QueryResult, error) {
 //
 //   - Windows == 0: a raw rollup — the (Start, key) window's sketch in its
 //     exact live state, buffered points and all. What PartitionPages exports
-//     and AbsorbPages places; the handoff spill files hold these.
+//     and AbsorbPages places.
 //   - Windows >= 1: a sealed fold of that many of the key's rollups, Start
 //     the earliest of them (foldKeys). What MatchSketches exports and
 //     MergeSketchPages merges. A fold cannot be placed in a window, and a
@@ -397,8 +397,7 @@ func (m *WindowSketch) compareKey(o *WindowSketch) int {
 // cluster.Frontend gathers and merges — is a page of sealed per-key folds,
 // strictly ascending by key; a handoff's page (PartitionPages) holds raw
 // rollups in (start, region, net) order. On the cluster's internal legs a
-// page travels in the binary form of pagecodec.go; the JSON tags serve curl
-// and the handoff spill files.
+// page travels in the binary form of pagecodec.go; the JSON tags serve curl.
 type SketchPage struct {
 	Metric      string         `json:"metric"`
 	Compression float64        `json:"compression"`
@@ -447,10 +446,11 @@ func (ing *Ingestor) MatchSketches(spec QuerySpec) (SketchPage, error) {
 // order, as MatchSketches exports them; mergeFolds merges them — the very
 // function Query ends in. The answer is therefore deterministic and, when
 // every matched key's rollups sit on exactly one of the pages' nodes,
-// byte-identical to a single node that ingested the whole stream. A key
-// split across two pages (owner and replica between a failover and its
-// catch-up) is absorbed fold after fold in page order: complete in data,
-// inside the sketch's rank-error bound, not byte-identical.
+// byte-identical to a single node that ingested the whole stream — which
+// cluster.Frontend guarantees by keeping only each partition owner's
+// matches. A key split across two pages is absorbed fold after fold in
+// page order: complete in data, inside the sketch's rank-error bound, not
+// byte-identical.
 func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 	qs, err := checkedQuantiles(spec)
 	if err != nil {

@@ -168,8 +168,7 @@ func writeSnapshot(dir string, payload []byte) error {
 // leaves either the previous file or the new one, never a torn mix: the
 // bytes go to path+".tmp", are fsynced and closed, and only then renamed
 // into place. Every durable file this repo rewrites whole (shard
-// snapshots, the coordinator's handoff spills, the frontend's persisted
-// membership) goes through here.
+// snapshots, the frontend's persisted membership) goes through here.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

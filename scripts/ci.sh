@@ -251,6 +251,11 @@ fi
   -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot
 echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge, retry-client, fold and checkpoint families"
 
+# README's partial-result sentence, exactly: the answer below must list as
+# missing the partitions the assignment gives n1 — all of them, no others.
+n1_owns=$(curl -fsS "http://127.0.0.1:$FRONT/admin/assignment" | tr -d ' \n' |
+  grep -o '"owners":\[[^]]*\]' | grep -o '\[.*' | tr -d '[]"' | tr ',' '\n' |
+  grep -n '^n1$' | cut -d: -f1 | while read -r i; do echo $((i - 1)); done | paste -sd, -)
 kill -9 "$NODE1_PID" 2>/dev/null
 partial_ok=""
 for _ in $(seq 1 100); do
@@ -268,7 +273,14 @@ if [[ -z "$partial_ok" ]]; then
   cat "$smoke/cluster-frontend.log" >&2
   exit 1
 fi
-echo "  killed n1: /query answers partial, naming the missing member"
+missing=$(tr -d ' \n' < "$smoke/cluster-partial.json" |
+  grep -o '"missing_partitions":\[[^]]*\]' | tr -d -c '0-9,')
+if [[ -z "$n1_owns" ]] || [[ "$missing" != "$n1_owns" ]]; then
+  echo "missing_partitions [$missing] is not exactly what n1 owned [$n1_owns]:" >&2
+  cat "$smoke/cluster-partial.json" >&2
+  exit 1
+fi
+echo "  killed n1: /query answers partial, naming the missing member and exactly its partitions ($missing)"
 
 # README's restart bound, from what the kill left on disk: per shard, the
 # replayed WAL suffix holds fewer records than -snapshot-every (4096, the
