@@ -18,8 +18,9 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./cmd/telemetryd/
 
 # Brief fuzz passes over the wire decoder, the durability surfaces (WAL
-# segment replay, snapshot decode, sketch and sketch-page codecs) and the
-# sketch flush kernel against its scalar reference.
+# segment replay, snapshot decode, sketch and sketch-page codecs) and the two
+# kernels against their references: the sketch flush against its scalar form,
+# the envelope codec against encoding/json.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
@@ -27,6 +28,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
+	$(GO) test -run xxx -fuzz FuzzEnvelopeCodecMatchesReference -fuzztime 5s ./internal/telemetry/
 
 # The full chaos/durability test surface: fault-injected equivalence over
 # every built-in scenario, stall/short-write survival, kill-and-recover.

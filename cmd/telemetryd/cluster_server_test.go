@@ -112,6 +112,30 @@ func postIngest(t *testing.T, url, body string) int {
 	return ack.Accepted
 }
 
+// TestIngestOversizeLineCountedNotFatal: a line over the 1 MiB cap between
+// two good ones is one malformed line on both /ingest handlers — counts
+// answered, both good events accepted — not a bare 400 after the first event
+// is already folded, which a retrying producer would double-count.
+func TestIngestOversizeLineCountedNotFatal(t *testing.T) {
+	_, _, single := newTestServer(t, telemetry.Config{Shards: 2, QueueLen: 256, Block: true}, false)
+	c := newClusterServers(t)
+	good := `{"v":1,"ts":1700000000000,"metric":"rtt_ms","user":1,"region":"Beijing","net":"WiFi","value":10}` + "\n"
+	body := good + strings.Repeat("x", 2<<20) + "\n" + good
+	for name, url := range map[string]string{"node": single.URL, "frontend": c.front.URL} {
+		resp, err := http.Post(url+"/ingest", "application/jsonl", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ack map[string]int
+		err = json.NewDecoder(resp.Body).Decode(&ack)
+		resp.Body.Close()
+		want := map[string]int{"decoded": 2, "malformed": 1, "accepted": 2, "dropped": 0}
+		if resp.StatusCode != http.StatusOK || err != nil || !reflect.DeepEqual(ack, want) {
+			t.Errorf("%s /ingest: status %d, ack %v (%v); want 200 %v", name, resp.StatusCode, ack, err, want)
+		}
+	}
+}
+
 // TestClusterFrontendMatchesSingleNode: the same JSONL stream pushed
 // through the frontend router and through one single-node daemon answers
 // /query and /keys byte-identically over HTTP.

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
@@ -347,9 +348,9 @@ func TestParentDataDirRecovers(t *testing.T) {
 }
 
 // TestReadJSONLPoolsScannerBuffer: a read pass borrows its 64 KiB line buffer
-// instead of allocating one, and a pass that met a line too long for it — the
-// Scanner then grows a buffer of its own — leaves only original-size buffers
-// in the pool.
+// instead of allocating one, and a pass that met a line too long for it —
+// assembled in a spill of the pass's own — leaves only original-size, empty
+// readers in the pool.
 func TestReadJSONLPoolsScannerBuffer(t *testing.T) {
 	line, err := AppendJSONL(nil, ev(1633046400000, MetricRTT, "Beijing", "WiFi", 12.5))
 	if err != nil {
@@ -385,10 +386,10 @@ func TestReadJSONLPoolsScannerBuffer(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		read(append(bytes.Clone(body), longLine...), 21)
-		buf := scanBufPool.Get().(*[]byte)
-		if cap(*buf) != scanBufSize {
-			t.Fatalf("pool handed out a %d-byte buffer after a %d-byte line", cap(*buf), len(longLine))
+		br := scanBufPool.Get().(*bufio.Reader)
+		if br.Size() != scanBufSize || br.Buffered() != 0 {
+			t.Fatalf("pool handed out a %d-byte reader holding %d bytes after a %d-byte line", br.Size(), br.Buffered(), len(longLine))
 		}
-		scanBufPool.Put(buf)
+		scanBufPool.Put(br)
 	}
 }

@@ -17,6 +17,7 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,16 +87,45 @@ func (e Envelope) Validate() error {
 
 // DecodeLine parses and validates one JSONL line. Unknown JSON fields are
 // ignored (forward compatibility within a schema version); structural and
-// semantic errors wrap ErrInvalid or ErrVersion.
+// semantic errors wrap ErrInvalid or ErrVersion. The schema kernel takes the
+// canonical shape, and whatever it declines — a case-folded or escaped line,
+// an extra field, every malformed one — goes to the reference, which defines
+// the answer.
 func DecodeLine(line []byte) (Envelope, error) {
-	var e Envelope
-	if err := json.Unmarshal(line, &e); err != nil {
-		return Envelope{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	e, ok := decodeKernel(line, nil)
+	if !ok {
+		return decodeLineReference(line)
 	}
+	return e.validated()
+}
+
+// decodeInterned is DecodeLine for a read pass, whose dimension strings the
+// kernel shares through tab. A line the kernel declines is DecodeLine's —
+// one more cheap refusal there, then encoding/json — so a pass and a single
+// line cannot come to differ.
+func decodeInterned(line []byte, tab *internTable) (Envelope, error) {
+	e, ok := decodeKernel(line, tab)
+	if !ok {
+		return DecodeLine(line)
+	}
+	return e.validated()
+}
+
+func (e Envelope) validated() (Envelope, error) {
 	if err := e.Validate(); err != nil {
 		return Envelope{}, err
 	}
 	return e, nil
+}
+
+// decodeLineReference is the decoder's definition: encoding/json, then
+// Validate.
+func decodeLineReference(line []byte) (Envelope, error) {
+	var e Envelope
+	if err := json.Unmarshal(line, &e); err != nil {
+		return Envelope{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return e.validated()
 }
 
 // AppendJSONL appends the envelope's JSONL encoding (one line, trailing
@@ -106,6 +136,15 @@ func AppendJSONL(dst []byte, e Envelope) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return dst, err
 	}
+	if out, ok := appendKernel(dst, e); ok {
+		return out, nil
+	}
+	return appendJSONLReference(dst, e)
+}
+
+// appendJSONLReference is the encoder's definition — json.Marshal plus a
+// newline — and the path of any string json.Marshal would escape.
+func appendJSONLReference(dst []byte, e Envelope) ([]byte, error) {
 	b, err := json.Marshal(e)
 	if err != nil {
 		return dst, fmt.Errorf("telemetry: encode: %w", err)
@@ -117,45 +156,99 @@ func AppendJSONL(dst []byte, e Envelope) ([]byte, error) {
 // DecodeStats summarises one JSONL read pass.
 type DecodeStats struct {
 	Decoded   int // valid envelopes yielded
-	Malformed int // lines rejected (bad JSON, bad version, bad fields)
+	Malformed int // lines rejected (bad JSON, bad version, bad fields, oversize)
 }
 
-// scanBufSize is the line buffer a read pass starts with; scanBufPool
-// recycles those buffers across passes. Unpooled it is one 64 KiB allocation
+// scanBufSize is the line buffer of a read pass; scanBufPool recycles the
+// readers that hold one across passes. Unpooled it is one 64 KiB allocation
 // per /ingest request — nine tenths of what a cluster node allocates under
 // ingest load.
 const scanBufSize = 64 * 1024
 
 var scanBufPool = sync.Pool{New: func() any {
-	b := make([]byte, scanBufSize)
-	return &b
+	return bufio.NewReaderSize(nil, scanBufSize)
 }}
+
+// maxLineBytes caps an /ingest line, newline included. A longer one is
+// skipped, not buffered.
+const maxLineBytes = 1024 * 1024
+
+// errLineTooLong is lineReader's verdict on a line over its cap.
+var errLineTooLong = errors.New("telemetry: line too long")
+
+// lineReader yields newline-delimited records from br without allocating
+// per line: a line that fits br's buffer is a slice of it, and only a longer
+// one is assembled in spill.
+type lineReader struct {
+	br    *bufio.Reader
+	max   int    // longest line assembled, newline included
+	spill []byte // reused across the pass's long lines
+}
+
+// next returns the next line with its newline, valid until the following
+// call. A final line without one comes back with io.EOF (as does the empty
+// end of input). A line longer than max is consumed through its newline and
+// reported as errLineTooLong, once, holding no more than max bytes of it;
+// any other error is the underlying reader's.
+func (lr *lineReader) next() ([]byte, error) {
+	line, err := lr.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	lr.spill = append(lr.spill[:0], line...)
+	tooLong := false
+	for err == bufio.ErrBufferFull {
+		line, err = lr.br.ReadSlice('\n')
+		if tooLong = tooLong || len(lr.spill)+len(line) > lr.max; !tooLong {
+			lr.spill = append(lr.spill, line...)
+		}
+	}
+	if !tooLong {
+		return lr.spill, err
+	}
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return nil, errLineTooLong // an EOF comes back on the next call
+}
 
 // ReadJSONL streams JSONL from r, calling fn for every valid envelope.
 // Malformed lines are counted, not fatal — one corrupt line must not take
-// down an ingest batch — but an I/O error ends the pass. Blank lines are
-// skipped.
+// down an ingest batch — and that includes a line over 1 MiB, which is
+// skipped to its newline in bounded memory and counted once. Only an I/O
+// error ends the pass. Blank lines are skipped.
 func ReadJSONL(r io.Reader, fn func(Envelope)) (DecodeStats, error) {
 	var st DecodeStats
-	sc := bufio.NewScanner(r)
-	buf := scanBufPool.Get().(*[]byte)
-	// The pool only ever holds the buffers it made: a line longer than
-	// scanBufSize makes the Scanner allocate a larger one of its own, which
-	// dies with it, and the original comes back here at its original size.
-	defer scanBufPool.Put(buf)
-	sc.Buffer((*buf)[:0], 1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		e, err := DecodeLine(line)
-		if err != nil {
+	br := scanBufPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil) // the pool must not keep the request body alive
+		scanBufPool.Put(br)
+	}()
+	lr := lineReader{br: br, max: maxLineBytes}
+	var tab internTable
+	for {
+		line, err := lr.next()
+		if err == errLineTooLong {
 			st.Malformed++
 			continue
 		}
-		st.Decoded++
-		fn(e)
+		// Whatever precedes EOF or an I/O error is still a line.
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(line) > 0 {
+			if e, derr := decodeInterned(line, &tab); derr != nil {
+				st.Malformed++
+			} else {
+				st.Decoded++
+				fn(e)
+			}
+		}
+		if err == io.EOF {
+			return st, nil
+		}
+		if err != nil {
+			return st, err
+		}
 	}
-	return st, sc.Err()
 }

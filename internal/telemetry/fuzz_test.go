@@ -20,6 +20,9 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte("{\"v\":1,\"ts\":1,\"metric\":\"é\",\"value\":1}"))
+	for _, c := range declineCases { // what the schema kernel hands to encoding/json
+		f.Add([]byte(c.line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		e, err := DecodeLine(line)
 		if err != nil {

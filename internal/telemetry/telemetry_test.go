@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"edgescope/internal/crowd"
@@ -110,6 +113,65 @@ garbage line
 	if !reflect.DeepEqual(got, []float64{1, 2}) {
 		t.Fatalf("values = %v", got)
 	}
+}
+
+// TestReadJSONLSkipsOversizeLine: a line over the 1 MiB cap is one malformed
+// line, skipped to its newline without being buffered — not a failed pass
+// that strands the lines behind it. The cap itself is inclusive, CRLF line
+// ends are stripped, and an oversize line cut off by EOF counts the same.
+func TestReadJSONLSkipsOversizeLine(t *testing.T) {
+	good := `{"v":1,"ts":1,"metric":"m","value":1}`
+	huge := strings.Repeat("x", 2*maxLineBytes)
+	// A valid envelope whose line, newline included, is exactly the cap.
+	atCap := `{"v":1,"ts":1,"metric":"m","value":1,"target":"` + strings.Repeat("t", maxLineBytes-len(good)-len(`,"target":""`)-1) + `"}`
+	for _, c := range []struct {
+		name, in           string
+		decoded, malformed int
+	}{
+		{"between good lines", good + "\n" + huge + "\n" + good + "\n", 2, 1},
+		{"first and last", huge + "\n" + good + "\n" + huge + "\n", 1, 2},
+		{"cut off by EOF", good + "\n" + huge, 1, 1},
+		{"exactly the cap", atCap + "\n" + good + "\n", 2, 0},
+		{"one byte over", atCap + " \n" + good + "\n", 1, 1},
+		{"CRLF and blank lines", good + "\r\n\r\n\n" + good + "\r\n", 2, 0},
+	} {
+		st, err := ReadJSONL(strings.NewReader(c.in), func(Envelope) {})
+		if err != nil || st.Decoded != c.decoded || st.Malformed != c.malformed {
+			t.Errorf("%s: ReadJSONL = %+v, %v; want %d decoded, %d malformed",
+				c.name, st, err, c.decoded, c.malformed)
+		}
+	}
+
+	// Bounded memory: a 64 MiB line costs a pass what growing a spill to the
+	// cap costs, not the line.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := ReadJSONL(io.MultiReader(strings.NewReader(good+"\n"), io.LimitReader(xReader{}, 64<<20),
+		strings.NewReader("\n"+good+"\n")), func(Envelope) {})
+	runtime.ReadMemStats(&after)
+	if err != nil || st.Decoded != 2 || st.Malformed != 1 {
+		t.Fatalf("64 MiB line: ReadJSONL = %+v, %v", st, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*maxLineBytes {
+		t.Fatalf("skipping a 64 MiB line allocated %d bytes", grew)
+	}
+
+	// A real I/O error still ends the pass, after the lines before it.
+	boom := errors.New("boom")
+	st, err = ReadJSONL(io.MultiReader(strings.NewReader(good+"\n"+good), iotest.ErrReader(boom)), func(Envelope) {})
+	if !errors.Is(err, boom) || st.Decoded != 2 {
+		t.Fatalf("I/O error: ReadJSONL = %+v, %v; want 2 decoded and the error", st, err)
+	}
+}
+
+// xReader yields 'x' bytes forever.
+type xReader struct{}
+
+func (xReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
 }
 
 // --- sharding ---

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -314,11 +315,14 @@ func readWALSegment(path string, fn func(Envelope), ctlFn func(walCtl)) (records
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, walBufSize)
+	// No cap on a record: an absorb control record is as large as the
+	// rollups it carries.
+	lr := lineReader{br: bufio.NewReaderSize(f, walBufSize), max: math.MaxInt}
+	var tab internTable
 	var offset int64
 	lineNo := 0
 	for {
-		line, rerr := br.ReadBytes('\n')
+		line, rerr := lr.next()
 		if rerr != nil && rerr != io.EOF {
 			return records, validEnd, false, fmt.Errorf("telemetry: wal %s: %w", path, rerr)
 		}
@@ -343,7 +347,7 @@ func readWALSegment(path string, fn func(Envelope), ctlFn func(walCtl)) (records
 				ctlFn(c)
 				records++
 			} else {
-				e, derr := DecodeLine(body)
+				e, derr := decodeInterned(body, &tab)
 				if derr != nil {
 					return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
 						errWALCorrupt, path, lineNo, offset, derr)

@@ -108,6 +108,9 @@ go test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
 echo "== fuzz (sketch flush kernel ≡ scalar reference, 5s) =="
 go test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
 
+echo "== fuzz (envelope codec kernel ≡ encoding/json reference, 5s) =="
+go test -run xxx -fuzz FuzzEnvelopeCodecMatchesReference -fuzztime 5s ./internal/telemetry/
+
 echo "== chaos smoke (seeded drop+dup+reorder on small, retrying client) =="
 # The chaos acceptance pin: >=1% drops, duplicates and reorders injected
 # into the small scenario's stream through the retrying client must deliver
