@@ -655,6 +655,58 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkTelemetryIngestDurable measures what durability adds to ingest when
+// the WAL holds 1 or 8 (the handle cap) open segments and every event lands in
+// the newest window — the serving plane's steady state. One shard, fsync every
+// 256 records, no checkpoints. A cadence fsyncs the segments written since the
+// last one, so the two must read alike; a WAL that fsynced every open handle
+// read open-8 well above open-1 on a filesystem where fsync costs something
+// (on a tmpfs TMPDIR it is free and both always read alike).
+func BenchmarkTelemetryIngestDurable(b *testing.B) {
+	const minute = 60_000
+	regions := []string{"Beijing", "Shanghai", "Wuhan", "Chengdu"}
+	at := func(window, i int) telemetry.Envelope {
+		return telemetry.Envelope{
+			V: telemetry.SchemaVersion, TS: 1633046400000 + int64(window)*minute + int64(i%minute),
+			Kind: telemetry.KindPing, Metric: telemetry.MetricRTT, User: i % 64,
+			Region: regions[i%len(regions)], Net: "WiFi",
+			Value: float64(1 + i%97),
+		}
+	}
+	for _, open := range []int{1, 8} {
+		b.Run(fmt.Sprintf("open-%d", open), func(b *testing.B) {
+			ing := telemetry.NewIngestor(telemetry.Config{Shards: 1, QueueLen: 1024, Block: true,
+				WAL: telemetry.WALConfig{Dir: b.TempDir(), SyncEvery: 256}})
+			defer ing.Close()
+			events := make([]telemetry.Envelope, 4096)
+			for i := range events {
+				events[i] = at(open-1, i)
+			}
+			// Open the older windows' segments, then fold enough into the
+			// newest window's four rollups that their sketches have reached
+			// full size and the timed loop allocates nothing of its own.
+			for w := 0; w < open-1; w++ {
+				ing.Offer(at(w, 0))
+			}
+			for range 4 {
+				ing.OfferAll(events)
+			}
+			ing.Flush()
+			if err := ing.SyncWAL(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ing.Offer(events[i%len(events)])
+			}
+			ing.Flush()
+			b.StopTimer() // the deferred Close cuts a checkpoint: not ingest
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
+	}
+}
+
 // BenchmarkRecovery measures telemetryd restart cost: reopening a durable
 // data directory through both recovery paths — snapshot-primary (the clean
 // shutdown case, WAL suffixes only) and full WAL replay (the crash-without-

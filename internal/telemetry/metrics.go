@@ -22,7 +22,7 @@ import (
 // ingestMetrics holds the registered families and per-ingestor instruments.
 type ingestMetrics struct {
 	accepted, dropped, shed, processed, deduped, compactions, evicted *obs.CounterVec
-	walAppended, walFsyncs                                            *obs.CounterVec
+	walAppended, walFsyncs, walFileSync                               *obs.CounterVec
 	queueDepth, walLag, windows, rollups                              *obs.GaugeVec
 	snapBytes, sinceBytes                                             *obs.GaugeVec
 	walAppend, walFsync, snapshot                                     *obs.HistogramVec
@@ -49,7 +49,8 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		compactions: reg.CounterVec("telemetry_dedup_compactions_total", "dedup tracker sparse-window compactions (floor advanced over a gap)", "shard"),
 		evicted:     reg.CounterVec("telemetry_windows_evicted_total", "time windows evicted under MaxWindows retention", "shard"),
 		walAppended: reg.CounterVec("telemetry_wal_appended_total", "records appended to the write-ahead log", "shard"),
-		walFsyncs:   reg.CounterVec("telemetry_wal_fsyncs_total", "WAL fsync batches completed", "shard"),
+		walFsyncs:   reg.CounterVec("telemetry_wal_fsyncs_total", "WAL fsync batches completed (syncs that found a segment written since the last)", "shard"),
+		walFileSync: reg.CounterVec("telemetry_wal_file_fsyncs_total", "WAL segment files fsynced, by a batch or by handle-cap eviction (directory fsyncs excluded)", "shard"),
 		queueDepth:  reg.GaugeVec("telemetry_shard_queue_depth", "envelopes waiting in the shard's bounded queue", "shard"),
 		walLag:      reg.GaugeVec("telemetry_wal_lag_records", "records appended but not yet fsynced (lost if the process crashes now)", "shard"),
 		windows:     reg.GaugeVec("telemetry_shard_rollup_windows", "distinct time windows held by the shard", "shard"),
@@ -89,6 +90,7 @@ func (m *ingestMetrics) bindWAL(w *shardWAL, i int) {
 	l := strconv.Itoa(i)
 	w.appendedC = m.walAppended.With(l)
 	w.fsyncsC = m.walFsyncs.With(l)
+	w.fileFsyncsC = m.walFileSync.With(l)
 	w.fsyncHist = m.walFsync.With(l)
 }
 

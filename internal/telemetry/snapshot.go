@@ -23,8 +23,9 @@ import (
 // alone — the snapshot is purely a replay accelerator, never a second
 // source of truth (pinned by TestRecoverSnapshotEquivalentToWALOnly).
 //
-// The file is written whole to a temp name, fsynced and renamed, so a crash
-// mid-snapshot leaves the previous snapshot intact; a CRC32 over the
+// The file is written whole to a temp name, fsynced and renamed, and the
+// directory fsynced after the rename, so a crash mid-snapshot leaves the
+// previous snapshot intact and one after it keeps the new; a CRC32 over the
 // payload rejects bitrot, and a rejected snapshot simply falls back to full
 // WAL replay.
 
@@ -167,8 +168,10 @@ func writeSnapshot(dir string, payload []byte) error {
 // WriteFileAtomic replaces path with data so that a crash at any point
 // leaves either the previous file or the new one, never a torn mix: the
 // bytes go to path+".tmp", are fsynced and closed, and only then renamed
-// into place. Every durable file this repo rewrites whole (shard
-// snapshots, the frontend's persisted membership) goes through here.
+// into place; the parent directory is fsynced after the rename, so the
+// replacement survives a power loss once this returns. Every durable file
+// this repo rewrites whole (shard snapshots, the frontend's persisted
+// membership) goes through here.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -189,7 +192,25 @@ func WriteFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in it
+// durable: POSIX lets a power loss drop a file's name even after the file
+// itself was fsynced.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 type snapReader struct {

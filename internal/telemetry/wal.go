@@ -3,12 +3,14 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,7 +32,10 @@ import (
 // it (every SyncEvery appends, on SyncWAL, and on Close). A crash loses at
 // most the unsynced suffix; a torn final record (a write cut mid-line) is
 // detected and truncated on recovery, never replayed and never allowed to
-// corrupt subsequent appends.
+// corrupt subsequent appends. A sync flushes and fsyncs the segments written
+// since the previous one — a clean segment's bytes were made durable by the
+// sync that cleaned it — and creating a segment fsyncs the shard directory,
+// so the file's name is as durable as its records.
 
 // walSuffix and walPrefix name segment files.
 const (
@@ -47,8 +52,10 @@ const maxOpenSegments = 8
 const walBufSize = 64 * 1024
 
 type walSeg struct {
-	f  *os.File
-	bw *bufio.Writer
+	start int64
+	f     *os.File
+	bw    *bufio.Writer
+	dirty bool // holds bytes written since its last fsync; listed in shardWAL.dirty
 }
 
 // shardWAL is one shard's log. All methods are called with the owning
@@ -60,6 +67,10 @@ type shardWAL struct {
 	wrap      func(io.Writer) io.Writer // fault-injection hook; nil = identity
 
 	open map[int64]*walSeg // open segment handles by window start
+	// dirty lists the open segments written since their last fsync — in
+	// steady state the newest window's alone — so a sync costs what was
+	// written, not what is open.
+	dirty []*walSeg
 	// records counts valid records per segment, disk + buffered. Snapshots
 	// fsync before encoding these as applied counts, so a snapshot never
 	// claims more records on disk than are actually there.
@@ -81,9 +92,11 @@ type shardWAL struct {
 
 	// Observability instruments (metrics.go bindWAL), nil without a registry.
 	// Updated under the shard lock like everything else here.
-	appendedC *obs.Counter
-	fsyncsC   *obs.Counter
-	fsyncHist *obs.Histogram
+	appendedC   *obs.Counter
+	fsyncsC     *obs.Counter // sync batches that fsynced at least one file
+	fileFsyncsC *obs.Counter // files fsynced, by a batch or the handle cap
+	fsyncHist   *obs.Histogram
+	dirSyncs    uint64 // shard-directory fsyncs (one per segment created)
 }
 
 func newShardWAL(dir string, syncEvery int, wrap func(io.Writer) io.Writer) (*shardWAL, error) {
@@ -104,32 +117,39 @@ func (w *shardWAL) segPath(start int64) string {
 }
 
 // openSeg returns the segment for a window start, opening (append mode) or
-// creating it, and closing the least-recent segment past the handle cap.
+// creating it, and closing the oldest segment past the handle cap. A segment
+// it creates has its directory entry fsynced before any record goes in.
 func (w *shardWAL) openSeg(start int64) (*walSeg, error) {
 	if seg, ok := w.open[start]; ok {
 		return seg, nil
 	}
 	if len(w.open) >= maxOpenSegments {
-		oldest := int64(0)
-		first := true
+		oldest := int64(math.MaxInt64)
 		for s := range w.open {
-			if first || s < oldest {
-				oldest = s
-			}
-			first = false
+			oldest = min(oldest, s)
 		}
-		// Flush and fsync before closing so a closed segment is never
-		// dirty; sync() then only needs to visit open handles.
+		// A closed segment is never dirty: fsync the victim first if it was
+		// written since the last sync; a clean one only gives up its handle.
 		seg := w.open[oldest]
-		if err := seg.bw.Flush(); err != nil {
-			w.err = err
-		} else if err := seg.f.Sync(); err != nil {
-			w.err = err
+		if seg.dirty {
+			if err := w.syncSeg(seg); err != nil {
+				w.err = err
+			}
+			w.undirty(seg)
 		}
 		seg.f.Close()
 		delete(w.open, oldest)
 	}
-	f, err := os.OpenFile(w.segPath(start), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := w.segPath(start)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		w.dirSyncs++
+		if err = syncDir(w.dir); err != nil {
+			f.Close()
+		}
+	} else if errors.Is(err, os.ErrExist) {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -137,9 +157,30 @@ func (w *shardWAL) openSeg(start int64) (*walSeg, error) {
 	if w.wrap != nil {
 		out = w.wrap(f)
 	}
-	seg := &walSeg{f: f, bw: bufio.NewWriterSize(out, walBufSize)}
+	seg := &walSeg{start: start, f: f, bw: bufio.NewWriterSize(out, walBufSize)}
 	w.open[start] = seg
 	return seg, nil
+}
+
+// syncSeg pushes one segment's buffered bytes to the OS and fsyncs the file.
+// The segment stays dirty on failure; the caller owns w.err and w.dirty.
+func (w *shardWAL) syncSeg(seg *walSeg) error {
+	if err := seg.bw.Flush(); err != nil {
+		return err
+	}
+	if err := seg.f.Sync(); err != nil {
+		return err
+	}
+	seg.dirty = false
+	w.fileFsyncsC.Inc()
+	return nil
+}
+
+// undirty takes a segment that is about to be closed off the dirty list.
+func (w *shardWAL) undirty(seg *walSeg) {
+	if i := slices.Index(w.dirty, seg); i >= 0 {
+		w.dirty = slices.Delete(w.dirty, i, i+1)
+	}
 }
 
 // append logs one envelope to its window's segment. Errors are sticky: the
@@ -168,6 +209,11 @@ func (w *shardWAL) append(e Envelope, start int64) {
 // record count, the durability lag and fsync cadence, and the checkpoint
 // trigger's records-and-bytes-since.
 func (w *shardWAL) write(seg *walSeg, start int64, line []byte) {
+	// Dirty before the write: a failed one may still have pushed bytes out.
+	if !seg.dirty {
+		seg.dirty = true
+		w.dirty = append(w.dirty, seg)
+	}
 	if _, err := seg.bw.Write(line); err != nil {
 		w.err = err
 		return
@@ -196,32 +242,41 @@ func (w *shardWAL) checkpointDue(floor int) bool {
 	return floor > 0 && w.err == nil && w.sinceRecords >= floor && w.sinceBytes >= w.snapBytes
 }
 
-// sync flushes every open segment to the OS and fsyncs it. On success the
-// durability watermark advances to everything appended so far.
+// sync flushes and fsyncs every segment written since the last sync, in
+// ascending window order. On success the durability watermark advances to
+// everything appended so far; a failure is sticky and leaves the segment it
+// hit, and those after it, dirty. With nothing dirty there is nothing to make
+// durable: no syscall, no batch counted, no latency observed.
 func (w *shardWAL) sync() error {
 	if w.err != nil {
 		return w.err
 	}
-	var began time.Time
-	if w.fsyncHist != nil {
-		began = time.Now()
-	}
-	for _, seg := range w.open {
-		if err := seg.bw.Flush(); err != nil {
+	if len(w.dirty) > 0 {
+		var began time.Time
+		if w.fsyncHist != nil {
+			began = time.Now()
+		}
+		slices.SortFunc(w.dirty, func(a, b *walSeg) int { return cmp.Compare(a.start, b.start) })
+		var err error
+		n := 0
+		for n < len(w.dirty) {
+			if err = w.syncSeg(w.dirty[n]); err != nil {
+				break
+			}
+			n++
+		}
+		w.dirty = slices.Delete(w.dirty, 0, n) // zeroes the tail: no stale pointers
+		if err != nil {
 			w.err = err
 			return err
 		}
-		if err := seg.f.Sync(); err != nil {
-			w.err = err
-			return err
+		w.fsyncsC.Inc()
+		if w.fsyncHist != nil {
+			w.fsyncHist.ObserveDuration(time.Since(began))
 		}
 	}
 	w.synced = w.appended
 	w.unsynced = 0
-	w.fsyncsC.Inc()
-	if w.fsyncHist != nil {
-		w.fsyncHist.ObserveDuration(time.Since(began))
-	}
 	return nil
 }
 
@@ -230,6 +285,7 @@ func (w *shardWAL) sync() error {
 // unlinked.
 func (w *shardWAL) dropSegment(start int64) {
 	if seg, ok := w.open[start]; ok {
+		w.undirty(seg)
 		seg.f.Close()
 		delete(w.open, start)
 	}
@@ -242,10 +298,7 @@ func (w *shardWAL) dropSegment(start int64) {
 // closeFiles syncs and closes every open handle (graceful shutdown).
 func (w *shardWAL) closeFiles() error {
 	err := w.sync()
-	for _, seg := range w.open {
-		seg.f.Close()
-	}
-	w.open = map[int64]*walSeg{}
+	w.abort()
 	return err
 }
 
@@ -257,6 +310,7 @@ func (w *shardWAL) abort() {
 		seg.f.Close()
 	}
 	w.open = map[int64]*walSeg{}
+	w.dirty = nil
 }
 
 // lag reports records appended but not yet fsynced — the data a crash right

@@ -24,7 +24,8 @@
 #     replay; a node asked for its /sketches in the binary page form must
 #     answer in it, its JSON page must hold one fold per key (each match
 #     with "windows"), and the frontend's /metrics (leg, page-byte, merge
-#     and retry-client families) and the node's (fold families) must lint;
+#     and retry-client families) and the node's (fold families) must lint,
+#     and the node must have fsynced at most 2 WAL files per sync batch;
 #     a SIGKILLed member must surface as an explicit partial result; a
 #     restarted member (WAL recovery) must reconverge, having replayed no
 #     more WAL than the documented restart bound
@@ -251,7 +252,18 @@ fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
   -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds,telemetry_client_sent_total,telemetry_client_retries_total,telemetry_client_failed_total,telemetry_client_backoff_seconds
 "$smoke/metriclint" -url "http://127.0.0.1:$N0/metrics" \
-  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot
+  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot,telemetry_wal_file_fsyncs_total
+# A WAL sync fsyncs the segments written since the last one, not every open
+# handle: files fsynced per sync batch, summed over n0's shards, reads 1 here
+# (-sync-every 1) and read the open-handle count (3 on this replay) when every
+# cadence walked them all. Past 2, that regression is back.
+curl -fsS "http://127.0.0.1:$N0/metrics" | awk '
+  /^telemetry_wal_file_fsyncs_total\{/ { files += $NF }
+  /^telemetry_wal_fsyncs_total\{/ { batches += $NF }
+  END {
+    printf "  n0 WAL: %d files fsynced in %d sync batches\n", files, batches
+    exit !(batches > 0 && files <= 2 * batches)
+  }' || { echo "n0 fsyncs more than 2 files per WAL sync batch (or none at all)" >&2; exit 1; }
 echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge, retry-client, fold and checkpoint families"
 
 # README's partial-result sentence, exactly: the answer below must list as
