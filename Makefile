@@ -2,6 +2,12 @@
 
 GO ?= go
 
+# The gated wide-query benchmarks run at a fixed iteration count, so their
+# B/op (pooled scratch allocated once per run, spread over the iterations)
+# does not depend on how many iterations a box fits in a time budget.
+WIDE_BENCH = Wide$$
+WIDE_BENCHTIME = 20x
+
 .PHONY: build vet test race fuzz chaos bench bench-json bench-compare bench-multicore ci loc repro profile
 
 build:
@@ -38,14 +44,16 @@ chaos:
 # Full benchmark sweep. 100ms per benchmark keeps iteration counts
 # meaningful on the micro-benchmarks while the heavyweights run once.
 bench:
-	$(GO) test -bench . -benchmem -benchtime 100ms -run xxx .
+	$(GO) test -bench . -skip '$(WIDE_BENCH)' -benchmem -benchtime 100ms -run xxx .
+	$(GO) test -bench '$(WIDE_BENCH)' -benchmem -benchtime $(WIDE_BENCHTIME) -run xxx .
 
 # Record the perf trajectory for future PRs (the scenario tag comes from the
 # `scenario:` context line bench_test.go prints). The RunAll pair is
 # re-benched at an iteration-count -benchtime so its ns/op is a ≥2-iteration
 # statistic; benchdump keeps the higher-iteration entry per name.
 bench-json:
-	{ $(GO) test -bench . -benchmem -benchtime 100ms -run xxx . && \
+	{ $(GO) test -bench . -skip '$(WIDE_BENCH)' -benchmem -benchtime 100ms -run xxx . && \
+	  $(GO) test -bench '$(WIDE_BENCH)' -benchmem -benchtime $(WIDE_BENCHTIME) -run xxx . && \
 	  $(GO) test -bench '^BenchmarkRunAll(Serial|Parallel)$$' -benchmem -benchtime 2x -run xxx . ; } \
 	  | $(GO) run ./cmd/benchdump -out BENCH.json
 
@@ -55,7 +63,8 @@ bench-json:
 # in scripts/bench_gate — one source for CI and local runs). The temp
 # snapshots are removed whether the gate passes or fails.
 bench-compare:
-	{ $(GO) test -bench . -benchmem -benchtime 100ms -run xxx . && \
+	{ $(GO) test -bench . -skip '$(WIDE_BENCH)' -benchmem -benchtime 100ms -run xxx . && \
+	  $(GO) test -bench '$(WIDE_BENCH)' -benchmem -benchtime $(WIDE_BENCHTIME) -run xxx . && \
 	  $(GO) test -bench '^BenchmarkRunAll(Serial|Parallel)$$' -benchmem -benchtime 2x -run xxx . ; } \
 	  | $(GO) run ./cmd/benchdump -out BENCH.new.json
 	@git show HEAD:BENCH.json > BENCH.base.json 2>/dev/null || cp BENCH.json BENCH.base.json; \

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -862,7 +863,7 @@ func BenchmarkSketchAbsorbWide(b *testing.B) {
 		encs[i], _ = sk.MarshalBinary()
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
+	defer onePForAllocs(b)()
 	for i := 0; i < b.N; i++ {
 		merged := stats.NewSketch(stats.DefaultCompression)
 		for _, enc := range encs {
@@ -919,7 +920,10 @@ func clusterQueryFixture() ([]telemetry.Envelope, telemetry.QuerySpec) {
 // ingestor against scatter-gathering the same data from a 3-node cluster
 // (per-key fold and page export on each node, key-ordered merge, evaluation) — the per-query
 // price of the distributed plane, with the transport taken out of the
-// picture (in-process NodeClients).
+// picture (in-process NodeClients). Each side runs cold — one event offered
+// to every key before each query, so every key is folded again — and warm,
+// the same query repeated over unchanged rollups, which the nodes' fold memo
+// answers without folding.
 func BenchmarkClusterQuery(b *testing.B) {
 	events, spec := clusterQueryFixture()
 
@@ -938,34 +942,54 @@ func BenchmarkClusterQuery(b *testing.B) {
 		defer ing.Close()
 		clients[id] = cluster.LocalNode{Ing: ing}
 	}
+	owner := func(e telemetry.Envelope) *telemetry.Ingestor {
+		return clients[pm.Owner(pm.PartitionOf(e.Key()))].(cluster.LocalNode).Ing
+	}
 	for _, e := range events {
-		id := pm.Owner(pm.PartitionOf(e.Key()))
-		clients[id].(cluster.LocalNode).Ing.Offer(e)
+		owner(e).Offer(e)
 	}
 	for _, c := range clients {
 		c.(cluster.LocalNode).Ing.Flush()
 	}
 	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{})
+	// touch is one more event for each of the fixture's 12 keys, in its last
+	// window, offered to wherever that key lives.
+	touch := events[len(events)-12:]
 
-	b.Run("single", func(b *testing.B) {
+	query := func(b *testing.B, cold bool, route func(telemetry.Envelope) *telemetry.Ingestor, q func() (telemetry.QueryResult, error)) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := single.Query(spec)
-			if err != nil || res.Count == 0 {
+			if cold {
+				b.StopTimer()
+				for _, e := range touch {
+					route(e).Offer(e)
+				}
+				for _, e := range touch {
+					route(e).Flush()
+				}
+				b.StartTimer()
+			}
+			if res, err := q(); err != nil || res.Count == 0 {
 				b.Fatalf("query: %v", err)
 			}
 		}
-	})
-	b.Run("scatter-gather", func(b *testing.B) {
-		ctx := context.Background()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := front.Query(ctx, spec)
-			if err != nil || res.Count == 0 || res.Partial {
-				b.Fatalf("query: %v partial=%v", err, res.Partial)
-			}
-		}
-	})
+	}
+	toSingle := func(telemetry.Envelope) *telemetry.Ingestor { return single }
+	ctx := context.Background()
+	for _, temp := range []string{"cold", "warm"} {
+		b.Run("single/"+temp, func(b *testing.B) {
+			query(b, temp == "cold", toSingle, func() (telemetry.QueryResult, error) { return single.Query(spec) })
+		})
+		b.Run("scatter-gather/"+temp, func(b *testing.B) {
+			query(b, temp == "cold", owner, func() (telemetry.QueryResult, error) {
+				res, err := front.Query(ctx, spec)
+				if err == nil && res.Partial {
+					err = fmt.Errorf("partial answer, missing %v", res.MissingPartitions)
+				}
+				return res.QueryResult, err
+			})
+		})
+	}
 }
 
 // BenchmarkSketchPage prices the two wire forms of one node's /sketches
@@ -1040,7 +1064,6 @@ func BenchmarkSketchPage(b *testing.B) {
 // (window, key) rollup — 7 680 rollups, 153 600 points — dealt whole-key to
 // `nodes` ingestors (1 = the single reference).
 func wideFixture(b *testing.B, nodes int) ([]*telemetry.Ingestor, telemetry.QuerySpec) {
-	nets := []string{"wifi", "lte", "5g", "wired"}
 	ings := make([]*telemetry.Ingestor, nodes)
 	for i := range ings {
 		ings[i] = telemetry.NewIngestor(telemetry.Config{Window: time.Second, Block: true})
@@ -1049,12 +1072,7 @@ func wideFixture(b *testing.B, nodes int) ([]*telemetry.Ingestor, telemetry.Quer
 	r := rng.New(61)
 	for i := 0; i < 32*4*60*20; i++ {
 		key, window := i%128, i/128%60
-		ings[key%nodes].Offer(telemetry.Envelope{
-			V: telemetry.SchemaVersion, TS: int64(window)*1000 + int64(i%1000), Kind: telemetry.KindPing,
-			Metric: telemetry.MetricRTT, User: key,
-			Region: fmt.Sprintf("r%02d", key/4), Net: nets[key%4],
-			Value: math.Round(r.LogNormal(math.Log(20), 0.5)*1000) / 1000,
-		})
+		ings[key%nodes].Offer(wideEnvelope(key, int64(window)*1000+int64(i%1000), math.Round(r.LogNormal(math.Log(20), 0.5)*1000)/1000))
 	}
 	for _, ing := range ings {
 		ing.Flush()
@@ -1062,22 +1080,65 @@ func wideFixture(b *testing.B, nodes int) ([]*telemetry.Ingestor, telemetry.Quer
 	return ings, telemetry.QuerySpec{Metric: telemetry.MetricRTT, CDFAt: []float64{10, 20, 40}}
 }
 
+// wideEnvelope is one event of wideFixture's key `key` (0..127).
+func wideEnvelope(key int, ts int64, v float64) telemetry.Envelope {
+	nets := []string{"wifi", "lte", "5g", "wired"}
+	return telemetry.Envelope{
+		V: telemetry.SchemaVersion, TS: ts, Kind: telemetry.KindPing,
+		Metric: telemetry.MetricRTT, User: key,
+		Region: fmt.Sprintf("r%02d", key/4), Net: nets[key%4],
+		Value: v,
+	}
+}
+
+// onePForAllocs runs the rest of a benchmark on one P, restarts its timer
+// and returns the restore. The wide benchmarks reuse pooled scratch (the
+// fold's and the flush kernel's), and a sync.Pool keeps an object in the
+// slot of the P that put it back: a goroutine the scheduler moves to another
+// P misses it and allocates again, so on several Ps their B/op would read
+// the scheduler rather than the code. The paths they time run on one
+// goroutine either way.
+func onePForAllocs(b *testing.B) func() {
+	prev := runtime.GOMAXPROCS(1)
+	b.ResetTimer()
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
 // BenchmarkMatchSketchesWide is a node's share of a `wide` query, on one
 // ingestor holding the whole bench key space: scan 7 680 rollups, fold them
-// per key, seal and encode — one page of 128 folds. In the allocation gate:
-// the fold's scratch is pooled, so what remains is one encoding per key.
+// per key, seal and encode — one page of 128 folds. cold offers one event to
+// every key (into the last window) before each query, so every key's
+// rollups changed and all 7 680 are folded again; warm repeats the query over
+// unchanged rollups, every key a fold memo hit. Both are in the allocation
+// gate: the fold's scratch is pooled, so what remains cold is one encoding
+// per key, and warm the page.
 func BenchmarkMatchSketchesWide(b *testing.B) {
 	ings, spec := wideFixture(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var page telemetry.SketchPage
-	for i := 0; i < b.N; i++ {
-		var err error
-		if page, err = ings[0].MatchSketches(spec); err != nil || len(page.Matches) != 128 {
-			b.Fatalf("page: %d matches, err %v", len(page.Matches), err)
-		}
+	ing := ings[0]
+	touch := make([]telemetry.Envelope, 128)
+	for key := range touch {
+		touch[key] = wideEnvelope(key, 59_999, 20)
 	}
-	b.ReportMetric(float64(page.BinarySize()), "page-bytes")
+	for _, temp := range []string{"cold", "warm"} {
+		b.Run(temp, func(b *testing.B) {
+			b.ReportAllocs()
+			defer onePForAllocs(b)()
+			var page telemetry.SketchPage
+			for i := 0; i < b.N; i++ {
+				if temp == "cold" {
+					b.StopTimer()
+					ing.OfferAll(touch)
+					ing.Flush()
+					b.StartTimer()
+				}
+				var err error
+				if page, err = ing.MatchSketches(spec); err != nil || len(page.Matches) != 128 {
+					b.Fatalf("page: %d matches, err %v", len(page.Matches), err)
+				}
+			}
+			b.ReportMetric(float64(page.BinarySize()), "page-bytes")
+		})
+	}
 }
 
 // BenchmarkMergeSketchPagesWide is the front-end's share of the same query:
@@ -1093,7 +1154,7 @@ func BenchmarkMergeSketchPagesWide(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
+	defer onePForAllocs(b)()
 	for i := 0; i < b.N; i++ {
 		res, err := telemetry.MergeSketchPages(spec, pages)
 		if err != nil || res.Windows != 7680 {

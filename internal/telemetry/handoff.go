@@ -57,10 +57,10 @@ type walCtl struct {
 	Partition int `json:"partition,omitempty"`
 	Of        int `json:"of,omitempty"`
 
-	// sk is the decoded Sketch payload, filled by decodeCtl for absorb
+	// r is the decoded Sketch payload, filled by decodeCtl for absorb
 	// records so replay never re-parses and corruption fails loudly at read
 	// time.
-	sk *stats.Sketch
+	r *rollup
 }
 
 // decodeCtl parses and validates one control line. Any structural problem
@@ -76,8 +76,8 @@ func decodeCtl(body []byte) (walCtl, error) {
 		if c.Metric == "" {
 			return walCtl{}, fmt.Errorf("%w: absorb record without metric", ErrInvalid)
 		}
-		c.sk = new(stats.Sketch)
-		if err := c.sk.UnmarshalBinary(c.Sketch); err != nil {
+		c.r = new(rollup)
+		if err := c.r.UnmarshalBinary(c.Sketch); err != nil {
 			return walCtl{}, fmt.Errorf("%w: absorb sketch: %v", ErrInvalid, err)
 		}
 	case ctlDrop:
@@ -125,23 +125,25 @@ func (ing *Ingestor) applyCtl(s *shard, start int64, c walCtl) {
 	switch c.Ctl {
 	case ctlAbsorb:
 		wk := windowKey{Start: start, Key: Key{Metric: c.Metric, Region: c.Region, Net: c.Net}}
-		ing.absorbLocked(s, wk, c.sk, foldReplay)
+		ing.absorbLocked(s, wk, c.r, foldReplay)
 	case ctlDrop:
 		dropWindowLocked(s, start, c.Partition, c.Of)
 	}
 }
 
-// absorbLocked folds one rollup's sketch into the shard state: a pure
-// insert when the (window, key) is new — bit-identical to the source, the
-// property the byte-identity pins need — or a deterministic sketch merge
+// absorbLocked folds one decoded rollup into the shard state: a pure
+// insert of r when the (window, key) is new — bit-identical to the source,
+// the property the byte-identity pins need — or a deterministic sketch merge
 // when data already accumulated there (dual-written traffic). Called with
 // s.mu held.
-func (ing *Ingestor) absorbLocked(s *shard, wk windowKey, sk *stats.Sketch, mode foldMode) {
+func (ing *Ingestor) absorbLocked(s *shard, wk windowKey, r *rollup, mode foldMode) {
 	if existing := s.windows[wk]; existing != nil {
-		existing.Absorb(sk)
+		existing.Absorb(&r.Sketch)
+		s.touch(existing)
 		return
 	}
-	s.windows[wk] = sk
+	s.touch(r)
+	s.windows[wk] = r
 	if s.starts[wk.Start]++; s.starts[wk.Start] == 1 && mode == foldLive {
 		ing.enforceRetention(s)
 	}
@@ -163,6 +165,9 @@ func dropWindowLocked(s *shard, start int64, p, of int) int {
 		if s.starts[start]--; s.starts[start] <= 0 {
 			delete(s.starts, start)
 		}
+	}
+	if dropped > 0 {
+		s.forgetWindow(start, func(k Key) bool { return k.ShardOf(of) == p })
 	}
 	return dropped
 }
@@ -193,7 +198,7 @@ func (ing *Ingestor) encodeRollups(pick func(windowKey) bool) []encodedRollup {
 		s.mu.Lock()
 		for wk, sk := range s.windows {
 			if pick(wk) {
-				picked = append(picked, live{wk, sk})
+				picked = append(picked, live{wk, &sk.Sketch})
 				size += sk.BinarySize()
 			}
 		}
@@ -266,7 +271,7 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 	windowMs := ing.cfg.Window.Milliseconds()
 	type pending struct {
 		wk windowKey
-		sk *stats.Sketch
+		r  *rollup
 		ws WindowSketch
 	}
 	var todo []pending
@@ -287,14 +292,14 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 				return AbsorbAck{}, fmt.Errorf("telemetry: absorb page %d (start=%d %s/%s) is a fold of %d windows, not a raw rollup",
 					i, m.Start, m.Region, m.Net, m.Windows)
 			}
-			sk := new(stats.Sketch)
-			if err := sk.UnmarshalBinary(m.Sketch); err != nil {
+			r := new(rollup)
+			if err := r.UnmarshalBinary(m.Sketch); err != nil {
 				return AbsorbAck{}, fmt.Errorf("telemetry: absorb page %d sketch (start=%d %s/%s): %w",
 					i, m.Start, m.Region, m.Net, err)
 			}
 			todo = append(todo, pending{
 				wk: windowKey{Start: m.Start, Key: Key{Metric: p.Metric, Region: m.Region, Net: m.Net}},
-				sk: sk,
+				r:  r,
 				ws: m,
 			})
 		}
@@ -313,10 +318,10 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 				Sketch: t.ws.Sketch,
 			})
 		}
-		ing.absorbLocked(s, t.wk, t.sk, foldLive)
+		ack.Count += t.r.Count() // under the lock: once inserted, t.r is the shard worker's to write
+		ing.absorbLocked(s, t.wk, t.r, foldLive)
 		s.mu.Unlock()
 		ack.Rollups++
-		ack.Count += t.sk.Count()
 		starts[t.wk.Start] = true
 	}
 	ack.Windows = len(starts)

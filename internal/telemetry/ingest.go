@@ -152,6 +152,15 @@ type windowKey struct {
 	Key
 }
 
+// rollup is one (window, key) sketch plus the shard clock value at its last
+// creation or mutation — what a memoised query fold (foldmemo.go) is checked
+// against. Every write to a rollup goes through shard.touch. The sketch is
+// held by value, so a rollup is one allocation.
+type rollup struct {
+	stats.Sketch
+	stamp uint64
+}
+
 // shard is one single-writer ingest worker: a bounded queue, the rollup map
 // it alone writes, the idempotency trackers, its WAL, and its accounting.
 // The mutex guards the rollup/dedup/WAL state against query-time readers
@@ -160,7 +169,13 @@ type windowKey struct {
 type shard struct {
 	ch      chan Envelope
 	mu      sync.Mutex
-	windows map[windowKey]*stats.Sketch
+	windows map[windowKey]*rollup
+	// clock is the shard's monotone mutation clock (touch).
+	clock uint64
+	// memo holds sealed per-key folds of recent query ranges and forgot
+	// counts the forgets that invalidated some of them (foldmemo.go).
+	memo   map[Key]*keyMemo
+	forgot uint64
 	// starts indexes windows by start time: start → number of rollup
 	// entries in it. Retention counts and evicts *time windows* (distinct
 	// starts), never individual (window, key) entries, so a cap smaller
@@ -292,7 +307,8 @@ func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 	for i := range ing.shards {
 		s := &shard{
 			ch:      make(chan Envelope, cfg.QueueLen),
-			windows: make(map[windowKey]*stats.Sketch),
+			windows: make(map[windowKey]*rollup),
+			memo:    make(map[Key]*keyMemo),
 			starts:  make(map[int64]int),
 			seen:    make(map[dedupKey]*seqTracker),
 		}
@@ -419,17 +435,18 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 		}
 		due = s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
 	}
-	sk := s.windows[wk]
-	if sk == nil {
-		sk = stats.NewSketch(ing.cfg.Compression)
-		s.windows[wk] = sk
+	r := s.windows[wk]
+	if r == nil {
+		r = &rollup{Sketch: *stats.NewSketch(ing.cfg.Compression)}
+		s.windows[wk] = r
 		if s.starts[wk.Start]++; s.starts[wk.Start] == 1 && mode == foldLive {
 			ing.enforceRetention(s)
 		}
 	}
 	// Add cannot fail here: Offer validated the envelope, and a finite
 	// value is the only thing the sketch requires.
-	_ = sk.Add(e.Value)
+	_ = r.Add(e.Value)
+	s.touch(r)
 	s.mu.Unlock()
 	return due
 }
@@ -455,6 +472,7 @@ func (ing *Ingestor) enforceRetention(s *shard) {
 			}
 		}
 		delete(s.starts, oldest)
+		s.forgetWindow(oldest, nil)
 		// Age out dedup trackers whose streams went idle at or before the
 		// evicted window: their folds all landed in discarded windows, so
 		// keeping their receive state would grow s.seen (and every snapshot)
@@ -688,6 +706,9 @@ func (ing *Ingestor) Crash() {
 			if s.wal != nil {
 				s.wal.abort()
 			}
+			s.mu.Lock()
+			s.forgetAll()
+			s.mu.Unlock()
 		}
 	})
 }

@@ -27,7 +27,7 @@ type ingestMetrics struct {
 	snapBytes, sinceBytes                                             *obs.GaugeVec
 	walAppend, walFsync, snapshot                                     *obs.HistogramVec
 	query, sketches                                                   *obs.Histogram
-	foldedRollups                                                     *obs.Counter
+	foldedRollups, memoHits, memoMisses                               *obs.Counter
 
 	recoveryReplayed, recoverySkipped, recoveryDuration *obs.Gauge
 }
@@ -63,7 +63,9 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		query:       reg.Histogram("telemetry_query_seconds", "Query latency: shard scan, per-key fold, key-ordered merge of the folds and evaluation", nil),
 		sketches:    reg.Histogram("telemetry_sketches_seconds", "MatchSketches latency per /sketches request (the node's share of a cluster query): shard scan, per-key fold, seal and sketch encode", nil),
 
-		foldedRollups: reg.Counter("telemetry_sketches_folded_rollups_total", "(window, key) rollups folded into the per-key sketches /sketches answered with"),
+		foldedRollups: reg.Counter("telemetry_sketches_folded_rollups_total", "(window, key) rollups folded by queries into per-key sketches (a fold memo hit folds none)"),
+		memoHits:      reg.Counter("telemetry_sketches_memo_hits_total", "per-key query folds answered from the fold memo (the key's picked rollups unchanged since)"),
+		memoMisses:    reg.Counter("telemetry_sketches_memo_misses_total", "per-key query folds computed from the rollups (and memoised)"),
 
 		recoveryReplayed: reg.Gauge("telemetry_recovery_records_replayed", "WAL records replayed by the startup recovery pass"),
 		recoverySkipped:  reg.Gauge("telemetry_recovery_records_skipped", "WAL records skipped at recovery (already in the snapshot)"),

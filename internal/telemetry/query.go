@@ -116,14 +116,15 @@ func (a Key) compare(b Key) int {
 	return strings.Compare(a.Net, b.Net)
 }
 
-// selector turns a spec into the predicate picking its rollups. The bounds
-// are aligned to whole windows: a window is selected iff it overlaps
-// [From, To), matching the spec's documented granularity.
-func (ing *Ingestor) selector(spec QuerySpec) (func(windowKey) bool, error) {
+// selector turns a spec into the predicate picking its rollups and the
+// window range [fromMs, toMs) the predicate bounds starts by — the range the
+// fold memo is keyed on. The bounds are aligned to whole windows: a window
+// is selected iff it overlaps [From, To), matching the spec's documented
+// granularity.
+func (ing *Ingestor) selector(spec QuerySpec) (pick func(windowKey) bool, fromMs, toMs int64, err error) {
 	if spec.Metric == "" {
-		return nil, fmt.Errorf("telemetry: query needs a metric")
+		return nil, 0, 0, fmt.Errorf("telemetry: query needs a metric")
 	}
-	var fromMs, toMs int64
 	if !spec.From.IsZero() {
 		fromMs = ing.windowStart(spec.From.UnixMilli())
 	}
@@ -138,7 +139,7 @@ func (ing *Ingestor) selector(spec QuerySpec) (func(windowKey) bool, error) {
 			(spec.Region == "" || wk.Region == spec.Region) &&
 			(spec.Net == "" || wk.Net == spec.Net) &&
 			wk.Start >= fromMs && wk.Start < toMs
-	}, nil
+	}, fromMs, toMs, nil
 }
 
 // foldRun is one picked rollup copied out of its shard: which of the shard's
@@ -155,14 +156,32 @@ type foldRun struct {
 
 // foldScratch is the working memory of one foldKeys call, pooled per
 // ingestor so a query allocates neither a point list per shard nor an 8δ
-// buffer per key: the matched keys, runs and points of the shard being
-// folded, and the one sketch every key is folded in, reset between keys.
+// buffer per key: the matched keys, picked rollups, runs and points of the
+// shard being folded, and the one sketch every key is folded in, reset
+// between keys.
 type foldScratch struct {
-	index map[Key]int32
-	keys  []Key
-	runs  []foldRun
-	pts   []stats.Centroid
-	sk    *stats.Sketch
+	index  map[Key]int32
+	keys   []keyScan
+	picked []pickedRollup
+	runs   []foldRun
+	pts    []stats.Centroid
+	sk     *stats.Sketch
+}
+
+// keyScan is what one shard's scan saw of one matched key: how many rollups
+// were picked, the newest stamp among them, and whether the memo answered.
+type keyScan struct {
+	key   Key
+	n     int
+	stamp uint64
+	hit   bool
+}
+
+// pickedRollup is one picked rollup, held only while its shard is locked.
+type pickedRollup struct {
+	key   int32 // index into foldScratch.keys
+	start int64
+	r     *rollup
 }
 
 // foldKeys is what every query merges: for each key the spec matches, the
@@ -178,12 +197,19 @@ type foldScratch struct {
 // single-node answers are byte-identical. Empty rollups fold nothing and
 // are not counted.
 //
-// Each shard is locked only while its window map is scanned and the picked
-// rollups' points are copied out — a linear pass, the price of a consistent
-// cut without epoch machinery; MaxWindows bounds the scan length. Ordering
-// the runs, folding, sealing and encoding all happen outside every lock.
+// A key whose picked rollups are unchanged since an earlier query of the
+// same window range is not folded again: the shard's fold memo
+// (foldmemo.go) returns that query's bytes, which are the bytes a fold would
+// produce. The returned Sketch bytes may therefore be shared and must not be
+// modified.
+//
+// Each shard is locked only while its window map is scanned, the memo
+// consulted and the missed keys' points copied out — a linear pass, the
+// price of a consistent cut without epoch machinery; MaxWindows bounds the
+// scan length. Ordering the runs, folding, sealing and encoding all happen
+// outside every lock; the new folds are memoised under a second, short hold.
 func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
-	pick, err := ing.selector(spec)
+	pick, fromMs, toMs, err := ing.selector(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -193,29 +219,77 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 	}
 	defer ing.foldPool.Put(sc)
 	folds := []WindowSketch{} // never nil: no match is `[]` on the JSON surface
+	var hits, misses, folded int
 	for _, s := range ing.shards {
 		clear(sc.index)
-		sc.keys, sc.runs, sc.pts = sc.keys[:0], sc.runs[:0], sc.pts[:0]
+		sc.keys, sc.picked, sc.runs, sc.pts = sc.keys[:0], sc.picked[:0], sc.runs[:0], sc.pts[:0]
 		s.mu.Lock()
-		for wk, sk := range s.windows {
-			if !pick(wk) || sk.Count() == 0 {
+		for wk, r := range s.windows {
+			if !pick(wk) || r.Count() == 0 {
 				continue
 			}
 			key, seen := sc.index[wk.Key]
 			if !seen {
 				key = int32(len(sc.keys))
 				sc.index[wk.Key] = key
-				sc.keys = append(sc.keys, wk.Key)
+				sc.keys = append(sc.keys, keyScan{key: wk.Key})
+			}
+			k := &sc.keys[key]
+			k.n++
+			k.stamp = max(k.stamp, r.stamp)
+			sc.picked = append(sc.picked, pickedRollup{key: key, start: wk.Start, r: r})
+		}
+		for i := range sc.keys {
+			k := &sc.keys[i]
+			m := s.memo[k.key]
+			if m == nil {
+				continue
+			}
+			if e, ok := m.get(fromMs, toMs, k.n, k.stamp); ok {
+				k.hit = true
+				hits++
+				folds = append(folds, WindowSketch{Start: e.start, Windows: e.n, Region: k.key.Region, Net: k.key.Net, Sketch: e.enc})
+			}
+		}
+		for _, p := range sc.picked {
+			if sc.keys[p.key].hit {
+				continue
 			}
 			at := len(sc.pts)
-			sc.pts = sk.AppendPoints(sc.pts)
+			sc.pts = p.r.AppendPoints(sc.pts)
 			sc.runs = append(sc.runs, foldRun{
-				key: key, at: int32(at), n: int32(len(sc.pts) - at),
-				start: wk.Start, count: sk.Count(), min: sk.Min(), max: sk.Max(),
+				key: p.key, at: int32(at), n: int32(len(sc.pts) - at),
+				start: p.start, count: p.r.Count(), min: p.r.Min(), max: p.r.Max(),
 			})
 		}
+		clock, forgot := s.clock, s.forgot
 		s.mu.Unlock()
+		clear(sc.picked) // drop the rollup pointers: the pool must not pin evicted sketches
+		if len(sc.runs) == 0 {
+			continue
+		}
+		fresh := len(folds)
 		folds = sc.fold(folds)
+		misses += len(folds) - fresh
+		folded += len(sc.runs)
+		s.mu.Lock()
+		if s.forgot == forgot { // else a forget since the scan may have deleted rollups these folds cover
+			for _, f := range folds[fresh:] {
+				key := Key{Metric: spec.Metric, Region: f.Region, Net: f.Net}
+				m := s.memo[key]
+				if m == nil {
+					m = new(keyMemo)
+					s.memo[key] = m
+				}
+				m.put(foldMemo{fromMs: fromMs, toMs: toMs, n: f.Windows, clock: clock, start: f.Start, enc: f.Sketch})
+			}
+		}
+		s.mu.Unlock()
+	}
+	if ing.m != nil {
+		ing.m.memoHits.Add(uint64(hits))
+		ing.m.memoMisses.Add(uint64(misses))
+		ing.m.foldedRollups.Add(uint64(folded))
 	}
 	slices.SortFunc(folds, func(a, b WindowSketch) int { return a.compareKey(&b) })
 	return folds, nil
@@ -242,7 +316,7 @@ func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
 		}
 		sc.sk.Centroids()                                                 // seal: flush what the last absorbs left buffered
 		enc, _ := sc.sk.AppendBinary(make([]byte, 0, sc.sk.BinarySize())) // encoding a live sketch cannot fail
-		key := sc.keys[runs[0].key]
+		key := sc.keys[runs[0].key].key
 		folds = append(folds, WindowSketch{Start: runs[0].start, Windows: n, Region: key.Region, Net: key.Net, Sketch: enc})
 		runs = runs[n:]
 	}
@@ -422,13 +496,6 @@ func (ing *Ingestor) MatchSketches(spec QuerySpec) (SketchPage, error) {
 	folds, err := ing.foldKeys(spec)
 	if err != nil {
 		return SketchPage{}, err
-	}
-	if ing.m != nil {
-		rollups := 0
-		for i := range folds {
-			rollups += folds[i].Windows
-		}
-		ing.m.foldedRollups.Add(uint64(rollups))
 	}
 	return SketchPage{
 		Metric:      spec.Metric,

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"edgescope/internal/stats"
 )
 
 // Window snapshots. A snapshot is one shard's complete rollup state —
@@ -40,7 +38,7 @@ var snapMagic = [8]byte{'e', 's', 's', 'n', 'a', 'p', '0', 2}
 type snapState struct {
 	shards   int
 	windowMs int64
-	windows  map[windowKey]*stats.Sketch
+	windows  map[windowKey]*rollup
 	seen     map[dedupKey]*seqTracker
 	applied  map[int64]uint64
 }
@@ -280,7 +278,7 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 	}
 	r := &snapReader{b: payload, off: 8}
 	st := &snapState{
-		windows: map[windowKey]*stats.Sketch{},
+		windows: map[windowKey]*rollup{},
 		seen:    map[dedupKey]*seqTracker{},
 		applied: map[int64]uint64{},
 	}
@@ -295,11 +293,11 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 		if r.fail() {
 			break
 		}
-		sk := &stats.Sketch{}
-		if err := sk.UnmarshalBinary(raw); err != nil {
+		r := new(rollup)
+		if err := r.UnmarshalBinary(raw); err != nil {
 			return nil, fmt.Errorf("telemetry: snapshot window %d/%s: %w", start, key, err)
 		}
-		st.windows[windowKey{Start: start, Key: key}] = sk
+		st.windows[windowKey{Start: start, Key: key}] = r
 	}
 
 	nSegs := int(r.u32())

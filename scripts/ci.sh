@@ -56,6 +56,10 @@ cd "$(dirname "$0")/.."
 # jitter. The list lives in scripts/bench_gate so `make bench-compare` and
 # CI cannot drift.
 BENCH_GATE="$(cat scripts/bench_gate)"
+# The wide-query benchmarks and the fixed iteration count they run at (the
+# Makefile's bench targets use the same two values).
+WIDE_BENCH='Wide$'
+WIDE_BENCHTIME=20x
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -252,7 +256,20 @@ fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
   -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds,telemetry_client_sent_total,telemetry_client_retries_total,telemetry_client_failed_total,telemetry_client_backoff_seconds
 "$smoke/metriclint" -url "http://127.0.0.1:$N0/metrics" \
-  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot,telemetry_wal_file_fsyncs_total
+  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_sketches_memo_hits_total,telemetry_sketches_memo_misses_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot,telemetry_wal_file_fsyncs_total
+# The fold memo: the rollups have not changed since the converged /query, so
+# repeating it must be answered from n0's memo — its hit counter moves.
+memo_hits() {
+  curl -fsS "http://127.0.0.1:$N0/metrics" | awk '/^telemetry_sketches_memo_hits_total / { print $NF }'
+}
+hits_before=$(memo_hits)
+curl -fsS "http://127.0.0.1:$FRONT/query?$QS" > /dev/null
+hits_after=$(memo_hits)
+if ! awk -v a="$hits_before" -v b="$hits_after" 'BEGIN { exit !(b > a) }'; then
+  echo "n0 answered a repeated identical /query without a fold memo hit ($hits_before → $hits_after)" >&2
+  exit 1
+fi
+echo "  n0 answered a repeated /query from its fold memo (hits $hits_before → $hits_after)"
 # A WAL sync fsyncs the segments written since the last one, not every open
 # handle: files fsynced per sync batch, summed over n0's shards, reads 1 here
 # (-sync-every 1) and read the open-handle count (3 on this replay) when every
@@ -402,8 +419,12 @@ if [[ "${1:-}" != "--no-bench" ]]; then
   # gives the sub-microsecond benchmarks meaningful iteration counts; the
   # RunAll pair (which a 100ms budget runs exactly once) is re-benched at an
   # iteration-count -benchtime so its recorded ns/op is a ≥2-iteration
-  # statistic — benchdump keeps the higher-iteration entry per name.
-  { go test -bench . -benchmem -benchtime 100ms -run xxx . &&
+  # statistic — benchdump keeps the higher-iteration entry per name. The
+  # gated wide-query benchmarks run at a fixed iteration count instead (their
+  # pooled scratch is allocated once per run, so B/op is that allocation over
+  # the iteration count, and a time budget made it depend on the box).
+  { go test -bench . -skip "$WIDE_BENCH" -benchmem -benchtime 100ms -run xxx . &&
+    go test -bench "$WIDE_BENCH" -benchmem -benchtime "$WIDE_BENCHTIME" -run xxx . &&
     go test -bench '^BenchmarkRunAll(Serial|Parallel)$' -benchmem -benchtime 2x -run xxx . ; } \
     | tee /dev/stderr \
     | go run ./cmd/benchdump -out "$smoke/BENCH.new.json"
