@@ -21,7 +21,7 @@ test:
 
 # Race-check the packages that schedule work across goroutines.
 race:
-	$(GO) test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./cmd/telemetryd/
+	$(GO) test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./internal/telemetry/serve/ ./cmd/telemetryd/
 
 # Brief fuzz passes over the wire decoder, the durability surfaces (WAL
 # segment replay, snapshot decode, sketch and sketch-page codecs) and the two

@@ -11,7 +11,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,6 +34,7 @@ import (
 	"edgescope/internal/stats"
 	"edgescope/internal/telemetry"
 	"edgescope/internal/telemetry/cluster"
+	"edgescope/internal/telemetry/serve"
 	"edgescope/internal/timeseries"
 	"edgescope/internal/workload"
 
@@ -1166,15 +1170,17 @@ func BenchmarkMergeSketchPagesWide(b *testing.B) {
 // BenchmarkRebalanceHandoff prices one elastic membership change: a fourth
 // node joining a loaded 3-node cluster, end to end through the migrator —
 // freeze, flush, sketch-page cut, drop-then-absorb rebuild, cutover,
-// activation, stale-copy drops — over in-process admins (transport taken
-// out, the handoff protocol itself left in). Sub-benchmarks scale the
-// resident keyspace, so the reported per-join cost tracks how much state a
-// quota's worth of partitions carries.
+// activation, stale-copy drops — with cluster.HTTPNode driving each node's
+// own handlers (serve.NewNode), so every leg pays its request, page encode,
+// CRC and decode; only the sockets are taken out (memTransport).
+// Sub-benchmarks scale the resident keyspace, so the reported per-join cost
+// tracks how much state a quota's worth of partitions carries.
 func BenchmarkRebalanceHandoff(b *testing.B) {
 	regions := []string{"Beijing", "Shanghai", "Wuhan", "Chengdu"}
 	nets := []string{"WiFi", "LTE", "5G"}
+	discard := slog.New(slog.DiscardHandler)
 	for _, size := range []int{2048, 16384} {
-		b.Run(fmt.Sprintf("events-%d", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("http/events-%d", size), func(b *testing.B) {
 			events := make([]telemetry.Envelope, size)
 			r := rng.New(53)
 			for i := range events {
@@ -1194,11 +1200,13 @@ func BenchmarkRebalanceHandoff(b *testing.B) {
 					b.Fatal(err)
 				}
 				ings := map[string]*telemetry.Ingestor{}
+				nodes := memTransport{}
+				client := &http.Client{Transport: nodes}
 				admins := map[string]cluster.NodeAdmin{}
 				for _, id := range []string{"n0", "n1", "n2", "n3"} {
-					id := id
 					ings[id] = telemetry.NewIngestor(telemetry.Config{Shards: 2, QueueLen: 1024, Block: true})
-					admins[id] = cluster.LocalAdmin{Node: id, Ing: func() *telemetry.Ingestor { return ings[id] }}
+					nodes[id] = serve.NewNode(serve.NodeConfig{Ing: ings[id], Metrics: obs.NewRegistry(), ID: id, Log: discard})
+					admins[id] = cluster.NewHTTPNode("http://"+id, client)
 				}
 				for _, e := range events {
 					ings[pm.Owner(pm.PartitionOf(e.Key()))].Offer(e)
@@ -1220,6 +1228,29 @@ func BenchmarkRebalanceHandoff(b *testing.B) {
 			}
 		})
 	}
+}
+
+// memTransport hands each request to the handler its host names, in
+// process: status, headers and bodies as over HTTP, without sockets.
+type memTransport map[string]http.Handler
+
+func (m memTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		defer r.Body.Close()
+	}
+	h, ok := m[r.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("dial %s: connection refused", r.URL.Host)
+	}
+	// The handler gets its own copy, shaped as a server-side request.
+	sr := r.Clone(r.Context())
+	sr.RequestURI = r.URL.RequestURI()
+	if sr.Body == nil {
+		sr.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, sr)
+	return rec.Result(), nil
 }
 
 func BenchmarkTable2TraceSurvey(b *testing.B) {

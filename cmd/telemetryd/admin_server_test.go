@@ -7,100 +7,28 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
-	"edgescope/internal/rng"
 	"edgescope/internal/telemetry"
 	"edgescope/internal/telemetry/cluster"
+	"edgescope/internal/telemetry/serve"
 )
 
-// elasticServers is a full elastic cluster over httptest: nodes on the
-// production mux with the admin plane mounted, and a frontend wired
-// exactly as runFrontend wires it — live peerSet, migrator, admin
-// endpoints — so join/leave/drain run the same code paths the daemon does.
-type elasticServers struct {
-	pm      *cluster.PartitionMap
-	peers   *peerSet
-	mig     *cluster.Migrator
-	tracker *cluster.HealthTracker
-	ings    map[string]*telemetry.Ingestor
-	servers map[string]*httptest.Server
-	front   *httptest.Server
-}
-
-// addNodeServer boots one node daemon (ingestor + production mux with the
-// admin plane) and returns its URL. The node self-describes as owning
-// nothing until an assignment push tells it otherwise — exactly how a
-// joining daemon boots.
-func (c *elasticServers) addNodeServer(t *testing.T, id string) string {
-	t.Helper()
-	ing := telemetry.NewIngestor(telemetry.Config{
-		Shards: 2, QueueLen: 256, Block: true,
-		Node: &telemetry.NodeInfo{Role: "node", ID: id},
-	})
-	t.Cleanup(func() { ing.Close() })
-	srv := httptest.NewServer(buildMux(muxConfig{ing: ing, nodeID: id, start: time.Now()}))
-	t.Cleanup(srv.Close)
-	c.ings[id] = ing
-	c.servers[id] = srv
-	return srv.URL
-}
-
-func newElasticServers(t *testing.T, dataDir string) *elasticServers {
-	t.Helper()
-	pm, err := cluster.NewMap(cluster.MapConfig{
-		Partitions: 8, Nodes: []string{"n0", "n1", "n2"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &elasticServers{pm: pm, ings: map[string]*telemetry.Ingestor{}, servers: map[string]*httptest.Server{}}
-	urls := map[string]string{}
-	for _, id := range pm.Nodes() {
-		urls[id] = c.addNodeServer(t, id)
-	}
-	c.peers = newPeerSet(urls, time.Second)
-	clients := map[string]cluster.NodeClient{}
-	admins := map[string]cluster.NodeAdmin{}
-	for _, id := range pm.Nodes() {
-		n := c.peers.get(id)
-		clients[id] = n
-		admins[id] = n
-	}
-	c.tracker = cluster.NewHealthTracker(pm.Nodes(), c.peers.prober(), cluster.HealthConfig{DownAfter: 3})
-	router := cluster.NewRouter(pm, c.tracker, c.peers.transport(), rng.New(1), cluster.RouterConfig{
-		Retry: telemetry.RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) {}},
-	})
-	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{Timeout: time.Second})
-	c.mig = cluster.NewMigrator(pm, admins, cluster.MigratorConfig{
-		Health: c.tracker,
-		OnActivate: func(a cluster.Assignment) {
-			if dataDir == "" {
-				return
-			}
-			if err := saveClusterState(dataDir, clusterState{Assignment: a, URLs: c.peers.urlsCopy()}); err != nil {
-				t.Errorf("persist: %v", err)
-			}
-		},
-	})
-	c.front = httptest.NewServer(buildFrontendMux(frontendMuxConfig{
-		pm: pm, router: router, front: front, tracker: c.tracker,
-		admin: &adminPlane{pm: pm, mig: c.mig, peers: c.peers, front: front},
-		start: time.Now(),
-	}))
-	t.Cleanup(c.front.Close)
-	return c
+// memberReq is the body POST /admin/join|leave|drain take; url is join-only.
+type memberReq struct {
+	ID  string `json:"id"`
+	URL string `json:"url"`
 }
 
 // flushAll settles every node through the HTTP admin leg.
-func (c *elasticServers) flushAll(t *testing.T) {
+func (c *clusterServers) flushAll(t *testing.T) {
 	t.Helper()
 	for id, srv := range c.servers {
 		if code, body := postJSONBody(t, srv.URL+"/admin/flush", nil); code != http.StatusOK {
@@ -121,7 +49,7 @@ func postJSONBody(t *testing.T, url string, body any) (int, string) {
 		}
 		rdr = bytes.NewReader(raw)
 	}
-	resp, err := http.Post(url, "application/json", rdr)
+	resp, err := testClient.Post(url, "application/json", rdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +79,30 @@ func assignmentStatus(t *testing.T, frontURL string) (status string, epoch uint6
 	return res.Status, res.Epoch, res.Migrating
 }
 
+// sameAnswers fails the test unless the frontend's /query and /keys answer
+// byte-identically to the single-node daemon's, /keys complete.
+func sameAnswers(t *testing.T, stage, frontURL, singleURL string) {
+	t.Helper()
+	const q = "/query?metric=rtt_ms&q=0.5,0.95,0.99&cdf=10,20,40"
+	_, bodyC, _ := get(t, frontURL+q)
+	_, bodyS, _ := get(t, singleURL+q)
+	if bodyC != bodyS {
+		t.Fatalf("%s: cluster /query differs from single-node:\n%s\n%s", stage, bodyC, bodyS)
+	}
+	codeK, keysC, _ := get(t, frontURL+"/keys")
+	_, keysS, _ := get(t, singleURL+"/keys")
+	if codeK != http.StatusOK || keysC != keysS {
+		t.Fatalf("%s: cluster /keys differs (status %d):\n%s\n%s", stage, codeK, keysC, keysS)
+	}
+}
+
 // TestAdminJoinDrainLeaveOverHTTP drives the full elastic lifecycle
 // through the daemon's HTTP surface: a join mid-stream hands partitions to
 // the new node, a drain empties a member, a leave removes it — and after
 // every epoch the frontend's /query and /keys stay byte-identical to one
 // single-node daemon that ingested the whole stream. No daemon restarts.
 func TestAdminJoinDrainLeaveOverHTTP(t *testing.T) {
-	c := newElasticServers(t, "")
+	c := newClusterServers(t, "", nil)
 	lines := strings.SplitAfter(strings.TrimSuffix(ingestLines(t), "\n"), "\n")
 	half := len(lines) / 2
 	first, second := strings.Join(lines[:half], ""), strings.Join(lines[half:], "")
@@ -169,7 +114,7 @@ func TestAdminJoinDrainLeaveOverHTTP(t *testing.T) {
 
 	// Join a fourth node while the cluster holds data: its quota must
 	// arrive as sketch pages, and the epoch must activate atomically.
-	n3url := c.addNodeServer(t, "n3")
+	n3url := c.addNodeServer(t, "n3", nil)
 	code, body := postJSONBody(t, c.front.URL+"/admin/join", memberReq{ID: "n3", URL: n3url})
 	if code != http.StatusOK {
 		t.Fatalf("join: %d %s", code, body)
@@ -225,22 +170,7 @@ func TestAdminJoinDrainLeaveOverHTTP(t *testing.T) {
 		t.Fatalf("single accepted %d", got)
 	}
 	single.Flush()
-
-	const q = "/query?metric=rtt_ms&q=0.5,0.95,0.99&cdf=10,20,40"
-	compare := func(stage string) {
-		t.Helper()
-		_, bodyC, _ := get(t, c.front.URL+q)
-		_, bodyS, _ := get(t, singleSrv.URL+q)
-		if bodyC != bodyS {
-			t.Fatalf("%s: cluster /query differs from single-node:\n%s\n%s", stage, bodyC, bodyS)
-		}
-		codeK, keysC, _ := get(t, c.front.URL+"/keys")
-		_, keysS, _ := get(t, singleSrv.URL+"/keys")
-		if codeK != http.StatusOK || keysC != keysS {
-			t.Fatalf("%s: cluster /keys differs (status %d):\n%s\n%s", stage, codeK, keysC, keysS)
-		}
-	}
-	compare("post-join")
+	sameAnswers(t, "post-join", c.front.URL, singleSrv.URL)
 
 	// Drain n1 (it stays a member, owning nothing), then leave — which
 	// moves nothing further. Identity must hold at each epoch.
@@ -260,7 +190,7 @@ func TestAdminJoinDrainLeaveOverHTTP(t *testing.T) {
 			t.Fatalf("partition %d still on drained n1", p)
 		}
 	}
-	compare("post-drain")
+	sameAnswers(t, "post-drain", c.front.URL, singleSrv.URL)
 
 	code, body = postJSONBody(t, c.front.URL+"/admin/leave", memberReq{ID: "n1"})
 	if code != http.StatusOK {
@@ -273,12 +203,88 @@ func TestAdminJoinDrainLeaveOverHTTP(t *testing.T) {
 	if left.Epoch != 4 || left.Member("n1") {
 		t.Fatalf("leave: epoch=%d members=%v", left.Epoch, left.Nodes)
 	}
-	compare("post-leave")
+	sameAnswers(t, "post-leave", c.front.URL, singleSrv.URL)
 
 	// The departed node is unwired: leaving again refuses.
 	if code, _ := postJSONBody(t, c.front.URL+"/admin/leave", memberReq{ID: "n1"}); code != http.StatusConflict {
 		t.Fatalf("double leave: %d, want 409", code)
 	}
+}
+
+// TestConcurrentDuplicateJoin: a second join of a node whose first join is
+// still migrating waits for that migration, then refuses without unwiring
+// the member the first one admitted — the router keeps delivering to it and
+// every query stays complete, byte-identical to one single-node daemon's.
+func TestConcurrentDuplicateJoin(t *testing.T) {
+	joins := make(chan struct{}, 2) // one per join request
+	absorbing, release := make(chan struct{}), make(chan struct{})
+	var gated atomic.Bool
+	c := newClusterServers(t, "", func(id string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case id == "frontend" && r.URL.Path == "/admin/join":
+				joins <- struct{}{}
+			case id == "n3" && r.URL.Path == "/admin/absorb" && gated.CompareAndSwap(false, true):
+				close(absorbing)
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	lines := strings.SplitAfter(strings.TrimSuffix(ingestLines(t), "\n"), "\n")
+	half := len(lines) / 2
+	first, second := strings.Join(lines[:half], ""), strings.Join(lines[half:], "")
+	if got := postIngest(t, c.front.URL, first); got != half {
+		t.Fatalf("accepted %d of %d", got, half)
+	}
+	c.flushAll(t)
+
+	n3url := c.addNodeServer(t, "n3", nil)
+	codes := make(chan int, 2)
+	join := func() {
+		resp, err := testClient.Post(c.front.URL+"/admin/join", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"id":"n3","url":%q}`, n3url)))
+		if err != nil {
+			t.Error(err)
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go join()
+	<-absorbing // the first join is mid-handoff: n3 wired, its epoch pending
+	go join()
+	<-joins
+	<-joins // the second join has reached the frontend too
+	close(release)
+	got := []int{<-codes, <-codes}
+	sort.Ints(got)
+	if !reflect.DeepEqual(got, []int{http.StatusOK, http.StatusConflict}) {
+		t.Fatalf("concurrent joins answered %v, want one 200 and one 409", got)
+	}
+	if status, epoch, _ := assignmentStatus(t, c.front.URL); status != "active" || epoch != 2 {
+		t.Fatalf("after the joins: status=%s epoch=%d, want active at 2", status, epoch)
+	}
+
+	single, _, singleSrv := newTestServer(t, telemetry.Config{Shards: 4, Block: true}, false)
+	if got := postIngest(t, singleSrv.URL, first); got != half {
+		t.Fatalf("single accepted %d", got)
+	}
+	single.Flush()
+	c.flushAll(t)
+	sameAnswers(t, "after the joins", c.front.URL, singleSrv.URL)
+
+	// n3's partitions still route: the rest of the stream lands whole.
+	if got := postIngest(t, c.front.URL, second); got != len(lines)-half {
+		t.Fatalf("accepted %d of %d", got, len(lines)-half)
+	}
+	if got := postIngest(t, singleSrv.URL, second); got != len(lines)-half {
+		t.Fatalf("single accepted %d", got)
+	}
+	c.flushAll(t)
+	single.Flush()
+	sameAnswers(t, "after more ingest", c.front.URL, singleSrv.URL)
 }
 
 // TestAdminStatePersistence: each activated epoch lands in
@@ -287,13 +293,13 @@ func TestAdminJoinDrainLeaveOverHTTP(t *testing.T) {
 // restart resumes from.
 func TestAdminStatePersistence(t *testing.T) {
 	dir := t.TempDir()
-	c := newElasticServers(t, dir)
-	n3url := c.addNodeServer(t, "n3")
+	c := newClusterServers(t, dir, nil)
+	n3url := c.addNodeServer(t, "n3", nil)
 	if code, body := postJSONBody(t, c.front.URL+"/admin/join", memberReq{ID: "n3", URL: n3url}); code != http.StatusOK {
 		t.Fatalf("join: %d %s", code, body)
 	}
 
-	st, err := loadClusterState(dir)
+	st, err := serve.LoadClusterState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,14 +321,14 @@ func TestAdminStatePersistence(t *testing.T) {
 	}
 
 	// Corrupt state must refuse loudly, not resume garbage placement.
-	if err := os.WriteFile(filepath.Join(dir, clusterStateFile), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, serve.ClusterStateFile), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadClusterState(dir); err == nil {
+	if _, err := serve.LoadClusterState(dir); err == nil {
 		t.Fatal("corrupt cluster-state.json loaded")
 	}
 	// An absent file is a clean first boot.
-	if st, err := loadClusterState(t.TempDir()); err != nil || st != nil {
+	if st, err := serve.LoadClusterState(t.TempDir()); err != nil || st != nil {
 		t.Fatalf("fresh dir: st=%v err=%v", st, err)
 	}
 }
@@ -337,7 +343,7 @@ func stateFixture(t *testing.T, name string) (dir string, raw []byte) {
 		t.Fatal(err)
 	}
 	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, clusterStateFile), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, serve.ClusterStateFile), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir, raw
@@ -348,7 +354,7 @@ func stateFixture(t *testing.T, name string) (dir string, raw []byte) {
 // writes the same bytes back.
 func TestParentFactor1StateResumes(t *testing.T) {
 	dir, raw := stateFixture(t, "cluster-state-rf1.json")
-	st, err := loadClusterState(dir)
+	st, err := serve.LoadClusterState(dir)
 	if err != nil {
 		t.Fatalf("parent factor-1 state refused: %v", err)
 	}
@@ -359,10 +365,10 @@ func TestParentFactor1StateResumes(t *testing.T) {
 	if pm.Epoch() != 2 || !reflect.DeepEqual(pm.Nodes(), []string{"n0", "n1", "n2"}) || len(pm.OwnedBy("n2")) != 2 {
 		t.Fatalf("resumed map: epoch=%d nodes=%v n2 owns %v", pm.Epoch(), pm.Nodes(), pm.OwnedBy("n2"))
 	}
-	if err := saveClusterState(dir, *st); err != nil {
+	if err := serve.SaveClusterState(dir, *st); err != nil {
 		t.Fatal(err)
 	}
-	if back, _ := os.ReadFile(filepath.Join(dir, clusterStateFile)); !bytes.Equal(back, raw) {
+	if back, _ := os.ReadFile(filepath.Join(dir, serve.ClusterStateFile)); !bytes.Equal(back, raw) {
 		t.Fatalf("state file bytes changed:\n%s\nwant\n%s", back, raw)
 	}
 }
@@ -373,11 +379,11 @@ func TestParentFactor1StateResumes(t *testing.T) {
 // file at boot, a pushed POST /admin/assignment — refuse it, saying why.
 func TestFactor2StateIsRefused(t *testing.T) {
 	dir, raw := stateFixture(t, "cluster-state-rf2.json")
-	_, err := loadClusterState(dir)
+	_, err := serve.LoadClusterState(dir)
 	if err == nil {
 		t.Fatal("a factor-2 cluster-state.json loaded")
 	}
-	for _, want := range []string{clusterStateFile, "replication factor 2", "replication was removed"} {
+	for _, want := range []string{serve.ClusterStateFile, "replication factor 2", "replication was removed"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("refusal %q does not mention %q", err, want)
 		}
@@ -389,8 +395,8 @@ func TestFactor2StateIsRefused(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	c := newElasticServers(t, "")
-	resp, err := http.Post(c.servers["n0"].URL+"/admin/assignment", "application/json", bytes.NewReader(st.Assignment))
+	c := newClusterServers(t, "", nil)
+	resp, err := testClient.Post(c.servers["n0"].URL+"/admin/assignment", "application/json", bytes.NewReader(st.Assignment))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +431,7 @@ func TestReplicasFlagIsGone(t *testing.T) {
 // freeze refuses ingest for the frozen partition only, pages fetched from
 // one node absorb into another bit-exactly, and drop empties the source.
 func TestNodeAdminHTTPRoundTrip(t *testing.T) {
-	c := newElasticServers(t, "")
+	c := newClusterServers(t, "", nil)
 	a, b := c.servers["n0"].URL, c.servers["n1"].URL
 	line := `{"v":1,"ts":1700000000000,"metric":"rtt_ms","user":7,"region":"Beijing","net":"WiFi","value":42}` + "\n"
 	e := telemetry.Envelope{V: 1, TS: 1700000000000, Metric: telemetry.MetricRTT, User: 7, Region: "Beijing", Net: "WiFi", Value: 42}
@@ -510,7 +516,7 @@ func TestNodeAdminHTTPRoundTrip(t *testing.T) {
 // postPages posts a binary sketch-page set, as the migrator's leg does.
 func postPages(t *testing.T, url string, pageSet []byte) (int, string) {
 	t.Helper()
-	resp, err := http.Post(url, telemetry.SketchPageContentType, bytes.NewReader(pageSet))
+	resp, err := testClient.Post(url, telemetry.SketchPageContentType, bytes.NewReader(pageSet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +532,7 @@ func postPages(t *testing.T, url string, pageSet []byte) (int, string) {
 // accepted count.
 func postFreezeProbe(t *testing.T, nodeURL, line string) int {
 	t.Helper()
-	resp, err := http.Post(nodeURL+"/ingest", "application/jsonl", strings.NewReader(line))
+	resp, err := testClient.Post(nodeURL+"/ingest", "application/jsonl", strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,77 +4,81 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"edgescope/internal/obs"
-	"edgescope/internal/rng"
 	"edgescope/internal/telemetry"
 	"edgescope/internal/telemetry/cluster"
+	"edgescope/internal/telemetry/serve"
 )
 
-// clusterServers is a 3-node cluster + frontend, every tier on the real
-// production mux over httptest.
+// clusterServers is a 3-node cluster and its frontend, each daemon the
+// handler telemetryd serves for its role, reached over testNet.
 type clusterServers struct {
 	pm      *cluster.PartitionMap
-	ings    map[string]*telemetry.Ingestor
-	servers map[string]*httptest.Server
 	tracker *cluster.HealthTracker
-	front   *httptest.Server
+	reg     *obs.Registry // the frontend's instruments, also on its /metrics
+	ings    map[string]*telemetry.Ingestor
+	servers map[string]*daemon
+	front   *daemon
+	wrap    func(id string, h http.Handler) http.Handler
 }
 
-func newClusterServers(t *testing.T) *clusterServers {
+// newClusterServers boots nodes n0–n2 over 8 partitions and a frontend that
+// persists its cluster state under dataDir (nowhere when empty). wrap, when
+// set, stands something in front of each daemon's handler, keyed by node id
+// or "frontend" — nodes added later included.
+func newClusterServers(t *testing.T, dataDir string, wrap func(id string, h http.Handler) http.Handler) *clusterServers {
 	t.Helper()
-	return newClusterServersWith(t, nil, nil)
-}
-
-// newClusterServersWith additionally lets a test stand something between
-// the frontend and a node's mux (wrap, keyed by node id) and scrape the
-// frontend's instruments (reg, also served on its /metrics).
-func newClusterServersWith(t *testing.T, reg *obs.Registry, wrap func(id string, h http.Handler) http.Handler) *clusterServers {
-	t.Helper()
-	pm, err := cluster.NewMap(cluster.MapConfig{
-		Partitions: 8, Nodes: []string{"n0", "n1", "n2"},
+	peers := []string{"n0", "n1", "n2"}
+	layout, err := cluster.NewMap(cluster.MapConfig{Partitions: 8, Nodes: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &clusterServers{ings: map[string]*telemetry.Ingestor{}, servers: map[string]*daemon{}, wrap: wrap}
+	urls := map[string]string{}
+	for _, id := range peers {
+		urls[id] = c.addNodeServer(t, id, layout.NodeInfo(id))
+	}
+	fr, err := serve.NewFrontend(serve.FrontendConfig{
+		Peers: peers, URLs: urls, Partitions: 8, DataDir: dataDir,
+		Client: &http.Client{Timeout: time.Second, Transport: testNet},
+		Seed:   1, Log: testLog,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &clusterServers{pm: pm, ings: map[string]*telemetry.Ingestor{}, servers: map[string]*httptest.Server{}}
-	urls := map[string]string{}
-	for _, id := range pm.Nodes() {
-		ing := telemetry.NewIngestor(telemetry.Config{Shards: 2, QueueLen: 256, Block: true, Node: pm.NodeInfo(id)})
-		t.Cleanup(func() { ing.Close() })
-		var h http.Handler = buildMux(muxConfig{ing: ing, start: time.Now()})
-		if wrap != nil {
-			h = wrap(id, h)
-		}
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
-		c.ings[id] = ing
-		c.servers[id] = srv
-		urls[id] = srv.URL
-	}
-	// The data plane the daemon ships: router and prober read the live
-	// peerSet, exactly as runFrontend wires them.
-	peers := newPeerSet(urls, time.Second)
-	clients := map[string]cluster.NodeClient{}
-	for _, id := range pm.Nodes() {
-		clients[id] = peers.get(id)
-	}
-	c.tracker = cluster.NewHealthTracker(pm.Nodes(), peers.prober(), cluster.HealthConfig{DownAfter: 3})
-	router := cluster.NewRouter(pm, c.tracker, peers.transport(), rng.New(1), cluster.RouterConfig{
-		Retry:   telemetry.RetryConfig{MaxAttempts: 2, Sleep: func(time.Duration) {}},
-		Metrics: reg,
-	})
-	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{Timeout: time.Second, Metrics: reg})
-	c.front = httptest.NewServer(buildFrontendMux(frontendMuxConfig{
-		pm: pm, router: router, front: front, tracker: c.tracker, reg: reg, start: time.Now(),
-	}))
-	t.Cleanup(c.front.Close)
+	t.Cleanup(fr.Close)
+	c.pm, c.tracker, c.reg = fr.Map, fr.Health, fr.Metrics
+	c.front = testNet.listen(t, c.wrapped("frontend", fr))
 	return c
+}
+
+// addNodeServer boots one node daemon — an ingestor self-describing as info
+// behind the node handler with its admin plane — and returns its URL. A
+// joiner boots with info nil: it owns nothing until an assignment push tells
+// it otherwise.
+func (c *clusterServers) addNodeServer(t *testing.T, id string, info *telemetry.NodeInfo) string {
+	t.Helper()
+	if info == nil {
+		info = &telemetry.NodeInfo{Role: "node", ID: id}
+	}
+	ing := telemetry.NewIngestor(telemetry.Config{Shards: 2, QueueLen: 256, Block: true, Node: info})
+	t.Cleanup(func() { ing.Close() })
+	h := serve.NewNode(serve.NodeConfig{Ing: ing, Metrics: obs.NewRegistry(), ID: id, Log: testLog})
+	c.ings[id] = ing
+	c.servers[id] = testNet.listen(t, c.wrapped(id, h))
+	return c.servers[id].URL
+}
+
+func (c *clusterServers) wrapped(id string, h http.Handler) http.Handler {
+	if c.wrap == nil {
+		return h
+	}
+	return c.wrap(id, h)
 }
 
 // ingestLines builds a deterministic JSONL body spanning several keys.
@@ -94,7 +98,7 @@ func ingestLines(t *testing.T) string {
 
 func postIngest(t *testing.T, url, body string) int {
 	t.Helper()
-	resp, err := http.Post(url+"/ingest", "application/jsonl", strings.NewReader(body))
+	resp, err := testClient.Post(url+"/ingest", "application/jsonl", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +122,11 @@ func postIngest(t *testing.T, url, body string) int {
 // is already folded, which a retrying producer would double-count.
 func TestIngestOversizeLineCountedNotFatal(t *testing.T) {
 	_, _, single := newTestServer(t, telemetry.Config{Shards: 2, QueueLen: 256, Block: true}, false)
-	c := newClusterServers(t)
+	c := newClusterServers(t, "", nil)
 	good := `{"v":1,"ts":1700000000000,"metric":"rtt_ms","user":1,"region":"Beijing","net":"WiFi","value":10}` + "\n"
 	body := good + strings.Repeat("x", 2<<20) + "\n" + good
 	for name, url := range map[string]string{"node": single.URL, "frontend": c.front.URL} {
-		resp, err := http.Post(url+"/ingest", "application/jsonl", strings.NewReader(body))
+		resp, err := testClient.Post(url+"/ingest", "application/jsonl", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +144,7 @@ func TestIngestOversizeLineCountedNotFatal(t *testing.T) {
 // through the frontend router and through one single-node daemon answers
 // /query and /keys byte-identically over HTTP.
 func TestClusterFrontendMatchesSingleNode(t *testing.T) {
-	c := newClusterServers(t)
+	c := newClusterServers(t, "", nil)
 	body := ingestLines(t)
 	if got := postIngest(t, c.front.URL, body); got != 32 {
 		t.Fatalf("frontend accepted %d of 32", got)
@@ -180,7 +184,7 @@ func TestClusterFrontendMatchesSingleNode(t *testing.T) {
 // /metrics table documents are on the frontend's /metrics, counting what was
 // routed.
 func TestFrontendMetricsCarryRetryClientFamilies(t *testing.T) {
-	c := newClusterServersWith(t, obs.NewRegistry(), nil)
+	c := newClusterServers(t, "", nil)
 	if got := postIngest(t, c.front.URL, ingestLines(t)); got != 32 {
 		t.Fatalf("frontend accepted %d of 32", got)
 	}
@@ -204,7 +208,7 @@ func TestFrontendMetricsCarryRetryClientFamilies(t *testing.T) {
 // partial + missing partitions, and /keys answers 206 with the missing
 // node named — explicit partiality, never silent gaps.
 func TestClusterFrontendPartialOverHTTP(t *testing.T) {
-	c := newClusterServers(t)
+	c := newClusterServers(t, "", nil)
 	if got := postIngest(t, c.front.URL, ingestLines(t)); got != 32 {
 		t.Fatalf("accepted %d of 32", got)
 	}
@@ -280,7 +284,7 @@ func TestClusterFrontendPartialOverHTTP(t *testing.T) {
 // TestNodeHealthzSelfDescribes: a cluster node's /healthz names its role
 // and partition assignment.
 func TestNodeHealthzSelfDescribes(t *testing.T) {
-	c := newClusterServers(t)
+	c := newClusterServers(t, "", nil)
 	code, body, _ := get(t, c.servers["n2"].URL+"/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -303,10 +307,11 @@ func TestNodeHealthzSelfDescribes(t *testing.T) {
 // sealed fold per key, each saying how many rollups it covers, keys
 // ascending — and validates specs like /query does.
 func TestSketchesEndpoint(t *testing.T) {
-	_, _, srv := newTestServer(t, telemetry.Config{Shards: 2, Block: true}, false)
+	ing, _, srv := newTestServer(t, telemetry.Config{Shards: 2, Block: true}, false)
 	if got := postIngest(t, srv.URL, ingestLines(t)); got != 32 {
 		t.Fatalf("accepted %d", got)
 	}
+	ing.Flush() // an accepted event is queued, not yet folded
 
 	code, body, _ := get(t, srv.URL+"/sketches?metric=rtt_ms")
 	if code != http.StatusOK {

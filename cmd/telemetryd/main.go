@@ -121,6 +121,7 @@ import (
 	"edgescope/internal/rng"
 	"edgescope/internal/telemetry"
 	"edgescope/internal/telemetry/cluster"
+	"edgescope/internal/telemetry/serve"
 )
 
 func main() {
@@ -170,13 +171,37 @@ func main() {
 
 	switch *role {
 	case "frontend":
-		runFrontend(frontendOpts{
-			addr: *addr, peerIDs: peerIDs, peerURLs: peerURLs,
-			partitions: *partitions, dataDir: *dataDir,
-			probeEvery: *probeEvery, nodeTimeout: *nodeTimeout,
-			replay: *replay, scenario: *scn, seed: *seed,
-			log: log,
+		// With -data the last activated assignment is resumed from
+		// cluster-state.json (-peers then only supplies URLs for members the
+		// persisted state doesn't know); without it membership starts from
+		// the -peers boot layout at epoch 1.
+		fr, err := serve.NewFrontend(serve.FrontendConfig{
+			Peers: peerIDs, URLs: peerURLs, Partitions: *partitions,
+			DataDir: *dataDir, ProbeEvery: *probeEvery,
+			Client: &http.Client{Timeout: *nodeTimeout},
+			Seed:   *seed, Log: log,
 		})
+		if err != nil {
+			log.Error("frontend boot failed", "err", err)
+			if errors.Is(err, serve.ErrLayout) {
+				os.Exit(2)
+			}
+			os.Exit(1)
+		}
+		defer fr.Close()
+		if *replay {
+			st := replayCampaign(log, *scn, *seed, fr.Router.Send,
+				"replay lost events to unreachable partitions", "check node health; refused envelopes must be resent after recovery",
+				"via", "router")
+			log.Info("replay done", "events", st.Events, "accepted", st.Accepted, "dropped", st.Dropped,
+				"routed", fr.Router.Stats().Routed)
+		}
+		if err := serveUntilSignal(*addr, fr, log,
+			"addr", *addr, "role", "frontend", "peers", len(fr.Map.Nodes())); err != nil {
+			log.Error("serve failed", "err", err)
+			os.Exit(1)
+		}
+		log.Info("clean shutdown", "router", fr.Router.Stats())
 		return
 	case "single", "node":
 	default:
@@ -243,7 +268,7 @@ func main() {
 			"windows", rec.Windows,
 			"duration_ms", rec.DurationMs)
 	}
-	start := time.Now()
+	h := serve.NewNode(serve.NodeConfig{Ing: ing, Metrics: reg, ID: nodeInfo.ID, Pprof: *pprofOn, Log: log})
 
 	if *replay {
 		st := replayCampaign(log, *scn, *seed, ing.Offer,
@@ -252,17 +277,11 @@ func main() {
 		log.Info("replay done", "events", st.Events, "accepted", st.Accepted, "dropped", st.Dropped)
 	}
 
-	adminID := ""
-	if *role == "node" {
-		adminID = *nodeID
-	}
-	mux := buildMux(muxConfig{ing: ing, reg: reg, pprof: *pprofOn, nodeID: adminID, start: start, log: log})
-
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting HTTP, drain the
 	// shard queues, fsync every WAL and write final snapshots (Close), then
 	// exit 0 — so a deliberate restart recovers instantly from the snapshot
 	// with zero replay and zero loss.
-	if err := serve(*addr, mux, log,
+	if err := serveUntilSignal(*addr, h, log,
 		"addr", *addr, "role", nodeInfo.Role, "shards", *shards, "window", window.String(), "pprof", *pprofOn); err != nil {
 		log.Error("serve failed", "err", err)
 		os.Exit(1)
@@ -305,141 +324,9 @@ func replayCampaign(log *slog.Logger, scenarioArg string, seed uint64, send func
 	return st
 }
 
-// frontendOpts carries the resolved flags into the frontend role.
-type frontendOpts struct {
-	addr        string
-	peerIDs     []string
-	peerURLs    map[string]string
-	partitions  int
-	dataDir     string
-	probeEvery  time.Duration
-	nodeTimeout time.Duration
-	replay      bool
-	scenario    string
-	seed        uint64
-	log         *slog.Logger
-}
-
-// runFrontend stands up the routing + scatter-gather tier and its
-// membership plane. With -data the last activated assignment is resumed
-// from cluster-state.json (the -peers flag then only supplies URLs for
-// members the persisted state doesn't know); without it membership starts
-// from the -peers boot layout at epoch 1.
-func runFrontend(o frontendOpts) {
-	log := o.log
-	urls := make(map[string]string, len(o.peerURLs))
-	for id, u := range o.peerURLs {
-		urls[id] = u
-	}
-	st, err := loadClusterState(o.dataDir)
-	if err != nil {
-		log.Error("bad cluster state", "dir", o.dataDir, "err", err)
-		os.Exit(1)
-	}
-	if o.dataDir != "" {
-		if err := os.MkdirAll(o.dataDir, 0o755); err != nil {
-			log.Error("cluster state dir", "dir", o.dataDir, "err", err)
-			os.Exit(1)
-		}
-	}
-	var pm *cluster.PartitionMap
-	if st != nil {
-		pm, err = cluster.NewMapFromAssignment(st.Assignment)
-		if err != nil {
-			log.Error("bad persisted assignment", "err", err)
-			os.Exit(1)
-		}
-		for id, u := range st.URLs {
-			if u != "" {
-				urls[id] = u
-			}
-		}
-		log.Info("resumed cluster state", "file", clusterStateFile,
-			"epoch", st.Assignment.Epoch, "nodes", st.Assignment.Nodes)
-	} else {
-		pm, err = cluster.NewMap(cluster.MapConfig{Partitions: o.partitions, Nodes: o.peerIDs})
-		if err != nil {
-			log.Error("bad cluster layout", "err", err)
-			os.Exit(2)
-		}
-	}
-	memberURLs := make(map[string]string, len(pm.Nodes()))
-	for _, id := range pm.Nodes() {
-		if urls[id] == "" {
-			log.Error("peer without url (frontend needs id=url for every member)", "node_id", id)
-			os.Exit(2)
-		}
-		memberURLs[id] = urls[id]
-	}
-	log.Info("starting", "role", "frontend", "epoch", pm.Epoch(),
-		"peers", pm.Nodes(), "partitions", pm.Partitions())
-
-	reg := obs.NewRegistry()
-	peers := newPeerSet(memberURLs, o.nodeTimeout)
-	clients := map[string]cluster.NodeClient{}
-	admins := map[string]cluster.NodeAdmin{}
-	for _, id := range pm.Nodes() {
-		n := peers.get(id)
-		clients[id] = n
-		admins[id] = n
-	}
-	tracker := cluster.NewHealthTracker(pm.Nodes(), peers.prober(), cluster.HealthConfig{
-		Interval: o.probeEvery,
-		// ±10% seeded jitter de-synchronizes probe bursts when several
-		// frontends share a probe interval.
-		Jitter:  rng.New(o.seed).Fork("health-jitter"),
-		Metrics: reg,
-	})
-	// Seed the state machine with one synchronous sweep so the very first
-	// routed envelope already sees real membership, then probe on the
-	// jittered timer.
-	tracker.ProbeOnce()
-	tracker.Start()
-	defer tracker.Stop()
-
-	router := cluster.NewRouter(pm, tracker, peers.transport(),
-		rng.New(o.seed).Fork("router"), cluster.RouterConfig{Metrics: reg})
-	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{
-		Timeout: o.nodeTimeout,
-		Metrics: reg,
-	})
-	mig := cluster.NewMigrator(pm, admins, cluster.MigratorConfig{
-		Health: tracker,
-		OnActivate: func(a cluster.Assignment) {
-			if o.dataDir == "" {
-				return
-			}
-			if err := saveClusterState(o.dataDir, clusterState{Assignment: a, URLs: peers.urlsCopy()}); err != nil {
-				log.Error("cluster state persist failed", "epoch", a.Epoch, "err", err)
-			}
-		},
-	})
-	start := time.Now()
-
-	if o.replay {
-		st := replayCampaign(log, o.scenario, o.seed, router.Send,
-			"replay lost events to unreachable partitions", "check node health; refused envelopes must be resent after recovery",
-			"via", "router")
-		log.Info("replay done", "events", st.Events, "accepted", st.Accepted, "dropped", st.Dropped,
-			"routed", router.Stats().Routed)
-	}
-
-	mux := buildFrontendMux(frontendMuxConfig{
-		pm: pm, router: router, front: front, tracker: tracker,
-		admin: &adminPlane{pm: pm, mig: mig, peers: peers, front: front, log: log},
-		reg:   reg, start: start, log: log,
-	})
-	if err := serve(o.addr, mux, log,
-		"addr", o.addr, "role", "frontend", "peers", len(pm.Nodes())); err != nil {
-		log.Error("serve failed", "err", err)
-		os.Exit(1)
-	}
-	log.Info("clean shutdown", "router", router.Stats())
-}
-
-// serve runs an HTTP server until SIGINT/SIGTERM (graceful drain, nil
+// serveUntilSignal runs an HTTP server until SIGINT/SIGTERM (graceful drain, nil
 // return) or a listen failure (returned).
-func serve(addr string, h http.Handler, log *slog.Logger, fields ...any) error {
+func serveUntilSignal(addr string, h http.Handler, log *slog.Logger, fields ...any) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv := &http.Server{Addr: addr, Handler: h}

@@ -17,6 +17,7 @@ import (
 
 	"edgescope/internal/obs"
 	"edgescope/internal/telemetry"
+	"edgescope/internal/telemetry/serve"
 )
 
 // getAs is get with an Accept header.
@@ -27,7 +28,7 @@ func getAs(t *testing.T, url, accept string) (int, []byte, http.Header) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Accept", accept)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +61,7 @@ func TestSketchesContentNegotiation(t *testing.T) {
 	reg := obs.NewRegistry()
 	ing := telemetry.NewIngestor(telemetry.Config{Shards: 2, Block: true, Metrics: reg})
 	t.Cleanup(func() { ing.Close() })
-	srv := httptest.NewServer(buildMux(muxConfig{ing: ing, reg: reg, nodeID: "n0"}))
-	t.Cleanup(srv.Close)
+	srv := testNet.listen(t, serve.NewNode(serve.NodeConfig{Ing: ing, Metrics: reg, ID: "n0", Log: testLog}))
 	if got := postIngest(t, srv.URL, ingestLines(t)); got != 32 {
 		t.Fatalf("accepted %d", got)
 	}
@@ -176,15 +176,15 @@ func (p *pageTamper) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // merged is the cluster's fault — 502 — and only a bad spec is the
 // caller's — 400.
 func TestFrontendBadPageIsMissingNode(t *testing.T) {
-	reg := obs.NewRegistry()
 	tamper := &pageTamper{}
-	c := newClusterServersWith(t, reg, func(id string, h http.Handler) http.Handler {
+	c := newClusterServers(t, "", func(id string, h http.Handler) http.Handler {
 		if id != "n1" {
 			return h
 		}
 		tamper.next = h
 		return tamper
 	})
+	reg := c.reg
 	if got := postIngest(t, c.front.URL, ingestLines(t)); got != 32 {
 		t.Fatalf("frontend accepted %d of 32", got)
 	}

@@ -5,17 +5,83 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"edgescope/internal/obs"
 	"edgescope/internal/telemetry"
+	"edgescope/internal/telemetry/serve"
 )
 
-func newTestServer(t *testing.T, cfg telemetry.Config, pprofOn bool) (*telemetry.Ingestor, *obs.Registry, *httptest.Server) {
+// memNet is the tests' network: each daemon a test stands up is a handler
+// under a host of its own, reached through an http.RoundTripper with no
+// sockets. A host that is not serving (never was, or was closed) fails its
+// round trip, as a dead daemon's refused connection does.
+type memNet struct {
+	mu    sync.Mutex
+	hosts map[string]http.Handler
+	seq   int
+}
+
+var (
+	testNet    = &memNet{hosts: map[string]http.Handler{}}
+	testClient = &http.Client{Transport: testNet}
+	testLog    = slog.New(slog.DiscardHandler)
+)
+
+// daemon is one server on a memNet, addressed like an httptest.Server.
+type daemon struct {
+	URL  string
+	host string
+	net  *memNet
+}
+
+// listen serves h under a host of its own until the test ends.
+func (m *memNet) listen(t *testing.T, h http.Handler) *daemon {
+	m.mu.Lock()
+	m.seq++
+	host := fmt.Sprintf("daemon-%d.test", m.seq)
+	m.hosts[host] = h
+	m.mu.Unlock()
+	d := &daemon{URL: "http://" + host, host: host, net: m}
+	t.Cleanup(d.Close)
+	return d
+}
+
+// Close kills the daemon: every later round trip to it fails.
+func (d *daemon) Close() {
+	d.net.mu.Lock()
+	delete(d.net.hosts, d.host)
+	d.net.mu.Unlock()
+}
+
+func (m *memNet) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body != nil {
+		defer r.Body.Close()
+	}
+	m.mu.Lock()
+	h := m.hosts[r.URL.Host]
+	m.mu.Unlock()
+	if h == nil {
+		return nil, fmt.Errorf("dial %s: connection refused", r.URL.Host)
+	}
+	// The handler gets its own copy, shaped as a server-side request.
+	sr := r.Clone(r.Context())
+	sr.RequestURI = r.URL.RequestURI()
+	if sr.Body == nil {
+		sr.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, sr)
+	return rec.Result(), nil
+}
+
+func newTestServer(t *testing.T, cfg telemetry.Config, pprofOn bool) (*telemetry.Ingestor, *obs.Registry, *daemon) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
@@ -24,14 +90,12 @@ func newTestServer(t *testing.T, cfg telemetry.Config, pprofOn bool) (*telemetry
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ing.Close() })
-	srv := httptest.NewServer(buildMux(muxConfig{ing: ing, reg: reg, pprof: pprofOn, start: time.Now()}))
-	t.Cleanup(srv.Close)
-	return ing, reg, srv
+	return ing, reg, testNet.listen(t, serve.NewNode(serve.NodeConfig{Ing: ing, Metrics: reg, Pprof: pprofOn, Log: testLog}))
 }
 
 func get(t *testing.T, url string) (int, string, http.Header) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, err := testClient.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +181,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Counters move after an ingest through the HTTP surface.
 	line := `{"v":1,"ts":1633046400000,"metric":"rtt_ms","region":"Beijing","net":"WiFi","value":34.5}` + "\n"
-	resp, err := http.Post(srv.URL+"/ingest", "application/jsonl", strings.NewReader(line))
+	resp, err := testClient.Post(srv.URL+"/ingest", "application/jsonl", strings.NewReader(line))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func (n *HTTPNode) Probe() ProbeResult {
 	return ProbeResult{Reachable: true, Degraded: body.Status != "ok"}
 }
 
-// --- Admin plane (NodeAdmin over HTTP: cmd/telemetryd's /admin/*) ---
+// --- Admin plane (NodeAdmin over HTTP: a node's /admin/* legs) ---
 
 // Flush settles the node's queues into rollups: POST /admin/flush.
 func (n *HTTPNode) Flush(ctx context.Context) error {

@@ -36,8 +36,8 @@ import (
 // epoch exactly as before.
 
 // NodeAdmin is the rebalance control plane's transport to one node:
-// LocalAdmin in-process, HTTPAdmin over the wire (cmd/telemetryd's
-// /admin/* endpoints) — either optionally wrapped in a fault injector.
+// HTTPNode, over the /admin/* legs a node serves (internal/telemetry/serve),
+// optionally wrapped in a fault injector.
 type NodeAdmin interface {
 	// Flush settles every accepted envelope into queryable rollups (and
 	// the WAL), so a page cut taken after it is complete.
@@ -58,45 +58,6 @@ type NodeAdmin interface {
 	// PushAssignment installs an activated epoch's table on the node, so
 	// its /healthz self-description tracks the placement it serves.
 	PushAssignment(ctx context.Context, a Assignment) error
-}
-
-// LocalAdmin adapts an in-process Ingestor to NodeAdmin — the test and
-// benchmark transport. Ing is resolved on every call so a harness that
-// crash-recovers a node (swapping the Ingestor) keeps the same admin.
-type LocalAdmin struct {
-	Node string
-	Ing  func() *telemetry.Ingestor
-}
-
-func (l LocalAdmin) Flush(context.Context) error {
-	l.Ing().Flush()
-	return nil
-}
-
-func (l LocalAdmin) FreezePartition(_ context.Context, p, of int) error {
-	return l.Ing().FreezePartition(p, of)
-}
-
-func (l LocalAdmin) UnfreezePartition(_ context.Context, p, of int) error {
-	l.Ing().UnfreezePartition(p, of)
-	return nil
-}
-
-func (l LocalAdmin) PartitionPages(_ context.Context, p, of int) ([]telemetry.SketchPage, error) {
-	return l.Ing().PartitionPages(p, of)
-}
-
-func (l LocalAdmin) AbsorbPages(_ context.Context, pages []telemetry.SketchPage) (telemetry.AbsorbAck, error) {
-	return l.Ing().AbsorbPages(pages)
-}
-
-func (l LocalAdmin) DropPartition(_ context.Context, p, of int) (int, error) {
-	return l.Ing().DropPartition(p, of)
-}
-
-func (l LocalAdmin) PushAssignment(_ context.Context, a Assignment) error {
-	l.Ing().SetNodeInfo(a.NodeInfo(l.Node))
-	return nil
 }
 
 // HandoffStep names one point in a partition's handoff, for fault

@@ -1,4 +1,11 @@
-package main
+// Package serve is edgescope's telemetry serving plane: the HTTP handlers
+// of every telemetryd role, built one constructor per role. NewNode serves
+// one Ingestor (the single and node roles); NewFrontend boots the routing
+// and scatter-gather tier with its membership plane. cmd/telemetryd only
+// parses flags and runs the handler a constructor returns; tests, the
+// benchmarks and anything else that needs the daemon's exact behaviour call
+// the same constructors.
+package serve
 
 import (
 	"encoding/json"
@@ -9,7 +16,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"edgescope/internal/obs"
@@ -17,63 +23,44 @@ import (
 	"edgescope/internal/telemetry/cluster"
 )
 
-// muxConfig assembles the daemon's HTTP surface; split from main so tests
-// can stand the exact production mux up against httptest.
-type muxConfig struct {
-	ing *telemetry.Ingestor
-	// reg, when set, serves Prometheus text exposition on GET /metrics.
-	reg *obs.Registry
-	// pprof mounts net/http/pprof under /debug/pprof/ — opt-in because the
+// NodeConfig is what a node's HTTP surface serves.
+type NodeConfig struct {
+	Ing *telemetry.Ingestor
+	// Metrics is served as Prometheus text on GET /metrics.
+	Metrics *obs.Registry
+	// ID, when non-empty, marks a cluster node and mounts the rebalance
+	// admin plane (/admin/*, /sketches/partition) the frontend's migrator
+	// drives during join/leave/drain handoffs. Empty is the single role.
+	ID string
+	// Pprof mounts net/http/pprof under /debug/pprof/ — opt-in because the
 	// profile endpoints can pause the process (heap dumps, CPU profiles) and
 	// a telemetry daemon's default surface should be read-only-cheap.
-	pprof bool
-	// nodeID, when non-empty, marks a cluster node and mounts the rebalance
-	// admin plane (/admin/*, /sketches/partition) the frontend's migrator
-	// drives during join/leave/drain handoffs.
-	nodeID string
-	start  time.Time
-	log    *slog.Logger
+	Pprof bool
+	Log   *slog.Logger
 }
 
-// buildMux wires every endpoint of the daemon onto a fresh mux.
-func buildMux(cfg muxConfig) *http.ServeMux {
-	if cfg.log == nil {
-		cfg.log = slog.Default()
-	}
+// NewNode wires every endpoint of a single or node daemon onto a fresh mux.
+// Its /healthz uptime counts from this call.
+func NewNode(cfg NodeConfig) *http.ServeMux {
+	start := time.Now()
+	ing, log := cfg.Ing, cfg.Log
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		accepted := 0
-		st, err := telemetry.ReadJSONL(r.Body, func(e telemetry.Envelope) {
-			if cfg.ing.Offer(e) {
-				accepted++
-			}
-		})
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(cfg.log, w, map[string]int{
-			"decoded":   st.Decoded,
-			"malformed": st.Malformed,
-			"accepted":  accepted,
-			"dropped":   st.Decoded - accepted,
-		})
-	})
+	mux.HandleFunc("POST /ingest", handleIngest(log, ing.Offer))
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := specFromURL(r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		res, err := cfg.ing.Query(spec)
+		res, err := ing.Query(spec)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(cfg.log, w, res)
+		writeJSON(log, w, res)
 	})
 	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(cfg.log, w, cfg.ing.Keys())
+		writeJSON(log, w, ing.Keys())
 	})
 	// /sketches is the scatter half of a cluster query: each matching key's
 	// rollups folded here, where the data is, into one sealed sketch — one
@@ -88,25 +75,25 @@ func buildMux(cfg muxConfig) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		page, err := cfg.ing.MatchSketches(spec)
+		page, err := ing.MatchSketches(spec)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		if wantsBinaryPages(r) {
 			body, _ := page.AppendBinary(make([]byte, 0, page.BinarySize())) // encoding a page cannot fail
-			writeBinaryPages(cfg.log, w, body)
+			writeBinaryPages(log, w, body)
 			return
 		}
-		writeJSON(cfg.log, w, page)
+		writeJSON(log, w, page)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := cfg.ing.Health()
+		h := ing.Health()
 		body := map[string]any{
 			"status":         h.Status,
 			"reasons":        h.Reasons,
 			"durable":        h.Durable,
-			"uptime_seconds": int(time.Since(cfg.start).Seconds()),
+			"uptime_seconds": int(time.Since(start).Seconds()),
 			"shards":         h.Shards,
 			"total":          h.Total,
 			"recovery":       h.Recovery,
@@ -117,20 +104,13 @@ func buildMux(cfg muxConfig) *http.ServeMux {
 			// place in the layout.
 			body["node"] = h.Node
 		}
-		writeJSON(cfg.log, w, body)
+		writeJSON(log, w, body)
 	})
-	if cfg.nodeID != "" {
+	if cfg.ID != "" {
 		mountNodeAdmin(mux, cfg)
 	}
-	if cfg.reg != nil {
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", obs.ExpositionContentType)
-			if err := cfg.reg.WritePrometheus(w); err != nil {
-				cfg.log.Error("metrics write failed", "err", err)
-			}
-		})
-	}
-	if cfg.pprof {
+	mux.HandleFunc("GET /metrics", handleMetrics(log, cfg.Metrics))
+	if cfg.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -145,10 +125,11 @@ func buildMux(cfg muxConfig) *http.ServeMux {
 // (through cluster.HTTPNode). Every leg maps one-to-one onto an Ingestor
 // handoff primitive; errors come back as plain-text non-2xx bodies, which
 // HTTPNode surfaces verbatim to the coordinator.
-func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
+func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
+	ing, log := cfg.Ing, cfg.Log
 	mux.HandleFunc("POST /admin/flush", func(w http.ResponseWriter, r *http.Request) {
-		cfg.ing.Flush()
-		writeJSON(cfg.log, w, map[string]string{"status": "ok"})
+		ing.Flush()
+		writeJSON(log, w, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("POST /admin/freeze", func(w http.ResponseWriter, r *http.Request) {
 		p, of, err := partOfParams(r)
@@ -156,11 +137,11 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if err := cfg.ing.FreezePartition(p, of); err != nil {
+		if err := ing.FreezePartition(p, of); err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		writeJSON(cfg.log, w, map[string]string{"status": "frozen"})
+		writeJSON(log, w, map[string]string{"status": "frozen"})
 	})
 	mux.HandleFunc("POST /admin/unfreeze", func(w http.ResponseWriter, r *http.Request) {
 		p, of, err := partOfParams(r)
@@ -168,8 +149,8 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		cfg.ing.UnfreezePartition(p, of)
-		writeJSON(cfg.log, w, map[string]string{"status": "ok"})
+		ing.UnfreezePartition(p, of)
+		writeJSON(log, w, map[string]string{"status": "ok"})
 	})
 	// The handoff's cut: this node's durable state for one partition as
 	// pages of raw (window, key) rollups, each sketch in its exact live
@@ -181,16 +162,16 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		pages, err := cfg.ing.PartitionPages(p, of)
+		pages, err := ing.PartitionPages(p, of)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		if wantsBinaryPages(r) {
-			writeBinaryPages(cfg.log, w, telemetry.AppendSketchPages(nil, pages))
+			writeBinaryPages(log, w, telemetry.AppendSketchPages(nil, pages))
 			return
 		}
-		writeJSON(cfg.log, w, pages)
+		writeJSON(log, w, pages)
 	})
 	// The rebuild's input arrives in the one machine form pages have: a
 	// binary, CRC-trailed page set, verified before anything is parsed.
@@ -210,12 +191,12 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ack, err := cfg.ing.AbsorbPages(pages)
+		ack, err := ing.AbsorbPages(pages)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(cfg.log, w, ack)
+		writeJSON(log, w, ack)
 	})
 	mux.HandleFunc("POST /admin/drop", func(w http.ResponseWriter, r *http.Request) {
 		p, of, err := partOfParams(r)
@@ -223,12 +204,12 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		dropped, err := cfg.ing.DropPartition(p, of)
+		dropped, err := ing.DropPartition(p, of)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(cfg.log, w, map[string]int{"dropped": dropped})
+		writeJSON(log, w, map[string]int{"dropped": dropped})
 	})
 	// An activated epoch's table, pushed by the migrator so this node's
 	// /healthz self-description tracks the placement it actually serves.
@@ -242,13 +223,46 @@ func mountNodeAdmin(mux *http.ServeMux, cfg muxConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if !a.Member(cfg.nodeID) {
-			http.Error(w, fmt.Sprintf("node %q is not a member of epoch %d", cfg.nodeID, a.Epoch), http.StatusConflict)
+		if !a.Member(cfg.ID) {
+			http.Error(w, fmt.Sprintf("node %q is not a member of epoch %d", cfg.ID, a.Epoch), http.StatusConflict)
 			return
 		}
-		cfg.ing.SetNodeInfo(a.NodeInfo(cfg.nodeID))
-		writeJSON(cfg.log, w, map[string]any{"status": "ok", "epoch": a.Epoch})
+		ing.SetNodeInfo(a.NodeInfo(cfg.ID))
+		writeJSON(log, w, map[string]any{"status": "ok", "epoch": a.Epoch})
 	})
+}
+
+// handleIngest serves POST /ingest: every decoded envelope goes to offer,
+// and the answer counts what was decoded, malformed, accepted and dropped.
+func handleIngest(log *slog.Logger, offer func(telemetry.Envelope) bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		accepted := 0
+		st, err := telemetry.ReadJSONL(r.Body, func(e telemetry.Envelope) {
+			if offer(e) {
+				accepted++
+			}
+		})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		writeJSON(log, w, map[string]int{
+			"decoded":   st.Decoded,
+			"malformed": st.Malformed,
+			"accepted":  accepted,
+			"dropped":   st.Decoded - accepted,
+		})
+	}
+}
+
+// handleMetrics serves GET /metrics: the registry in Prometheus text form.
+func handleMetrics(log *slog.Logger, reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", obs.ExpositionContentType)
+		if err := reg.WritePrometheus(w); err != nil {
+			log.Error("metrics write failed", "err", err)
+		}
+	}
 }
 
 // partOfParams parses the ?partition=&of= selector the admin legs share.
@@ -261,123 +275,6 @@ func partOfParams(r *http.Request) (p, of int, err error) {
 		return 0, 0, fmt.Errorf("bad of: %w", err)
 	}
 	return p, of, nil
-}
-
-// frontendMuxConfig assembles the query front-end's HTTP surface.
-type frontendMuxConfig struct {
-	pm      *cluster.PartitionMap
-	router  *cluster.Router
-	front   *cluster.Frontend
-	tracker *cluster.HealthTracker
-	// admin, when set, mounts the membership plane: GET /admin/assignment,
-	// POST /admin/join|leave|drain.
-	admin *adminPlane
-	reg   *obs.Registry
-	start time.Time
-	log   *slog.Logger
-}
-
-// buildFrontendMux wires the cluster front-end endpoints: /ingest routed
-// per partition, /query and /keys scatter-gathered, /healthz reporting
-// cluster membership. The response shapes match the single-node daemon's
-// wherever the cluster has nothing to disclose — a complete /query answer
-// is byte-identical to a single process's.
-func buildFrontendMux(cfg frontendMuxConfig) *http.ServeMux {
-	if cfg.log == nil {
-		cfg.log = slog.Default()
-	}
-	// The router wraps a RetryClient, which is single-goroutine by
-	// contract — serialize ingest requests over it.
-	var ingestMu sync.Mutex
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		accepted := 0
-		ingestMu.Lock()
-		st, err := telemetry.ReadJSONL(r.Body, func(e telemetry.Envelope) {
-			if cfg.router.Send(e) {
-				accepted++
-			}
-		})
-		ingestMu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		writeJSON(cfg.log, w, map[string]int{
-			"decoded":   st.Decoded,
-			"malformed": st.Malformed,
-			"accepted":  accepted,
-			"dropped":   st.Decoded - accepted,
-		})
-	})
-	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
-		spec, err := specFromURL(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// A spec the front door can reject is the caller's fault; once it
-		// is valid, whatever fails — pages that disagree on configuration,
-		// an undecodable sketch, keys out of order — is the cluster's.
-		if err := telemetry.ValidateQuerySpec(spec); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := cfg.front.Query(r.Context(), spec)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		writeJSON(cfg.log, w, res)
-	})
-	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
-		keys, missing := cfg.front.Keys(r.Context())
-		if len(missing) > 0 {
-			// The body stays the plain inventory (so a complete answer is
-			// byte-identical to a node's /keys); partiality rides on the
-			// status code and a header.
-			w.Header().Set("X-Missing-Nodes", strings.Join(missing, ","))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusPartialContent)
-		}
-		writeJSON(cfg.log, w, keys)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		snap := cfg.tracker.Snapshot()
-		status := "ok"
-		nodes := make([]map[string]any, 0, len(snap))
-		for _, n := range snap {
-			if n.State != "up" {
-				status = "degraded"
-			}
-			nodes = append(nodes, map[string]any{
-				"node":  n.Node,
-				"state": n.State,
-				"owns":  cfg.pm.OwnedBy(n.Node),
-			})
-		}
-		writeJSON(cfg.log, w, map[string]any{
-			"status":         status,
-			"node":           &telemetry.NodeInfo{Role: "frontend"},
-			"epoch":          cfg.pm.Epoch(),
-			"partitions":     cfg.pm.Partitions(),
-			"nodes":          nodes,
-			"router":         cfg.router.Stats(),
-			"uptime_seconds": int(time.Since(cfg.start).Seconds()),
-		})
-	})
-	if cfg.admin != nil {
-		cfg.admin.mount(mux, cfg.log)
-	}
-	if cfg.reg != nil {
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", obs.ExpositionContentType)
-			if err := cfg.reg.WritePrometheus(w); err != nil {
-				cfg.log.Error("metrics write failed", "err", err)
-			}
-		})
-	}
-	return mux
 }
 
 // wantsBinaryPages reports whether the caller asked for sketch pages in

@@ -313,7 +313,7 @@ func TestEveryFunctionReachable(t *testing.T) {
 	live := g.reachable(roots)
 
 	// The keep-list: exact names, or "prefix.*" for every function under a
-	// package or type no binary links (internal/faultinject, LocalAdmin).
+	// package or type no binary links (internal/faultinject).
 	kept := map[string]bool{}
 	f, err := os.Open(reachKeepFile)
 	if err != nil {

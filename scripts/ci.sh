@@ -99,7 +99,7 @@ echo "== test =="
 go test ./...
 
 echo "== race (parallel engine packages) =="
-go test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./cmd/telemetryd/
+go test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./internal/telemetry/serve/ ./cmd/telemetryd/
 
 echo "== fuzz (telemetry decoder, 5s) =="
 go test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
