@@ -1167,6 +1167,57 @@ func BenchmarkMergeSketchPagesWide(b *testing.B) {
 	}
 }
 
+// keyspaceFixture is the end-to-end benchmark's whole preloaded key space
+// (bench/e2e/gen.go) on one ingestor: its 3 metrics over wideFixture's 128
+// (region, net) keys, 60 one-second windows, 8 points per (window, key)
+// rollup — 23 040 rollups, of which a node's /keys lists 384 keys and a
+// narrow query picks 15.
+func keyspaceFixture(b *testing.B) *telemetry.Ingestor {
+	ing := telemetry.NewIngestor(telemetry.Config{Window: time.Second, Block: true})
+	b.Cleanup(func() { ing.Close() })
+	metrics := []string{"rtt_ms", "hop_count", "tput_mbps"}
+	r := rng.New(67)
+	for i := 0; i < len(metrics)*128*60*8; i++ {
+		key, window := i%128, i/(len(metrics)*128)%60
+		e := wideEnvelope(key, int64(window+1)*1000+int64(i%1000), math.Round(r.LogNormal(math.Log(20), 0.5)*1000)/1000)
+		e.Metric = metrics[i/128%len(metrics)]
+		ing.Offer(e)
+	}
+	ing.Flush()
+	return ing
+}
+
+// BenchmarkKeys is a node's /keys inventory over the end-to-end key space:
+// 384 keys and their event counts, from 23 040 rollups.
+func BenchmarkKeys(b *testing.B) {
+	ing := keyspaceFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if keys := ing.Keys(); len(keys) != 384 {
+			b.Fatalf("%d keys, want 384", len(keys))
+		}
+	}
+}
+
+// BenchmarkMatchSketchesNarrow is a node's share of the end-to-end `narrow`
+// query — one fully keyed (region, net) over the last 15 of 60 windows — on
+// the whole key space. warm repeats it over unchanged rollups, a fold memo
+// hit: what is left is finding the key's windows and building the page.
+func BenchmarkMatchSketchesNarrow(b *testing.B) {
+	ing := keyspaceFixture(b)
+	spec := telemetry.QuerySpec{Metric: telemetry.MetricRTT, Region: "r07", Net: "lte",
+		From: time.UnixMilli(46_000), To: time.UnixMilli(61_000), CDFAt: []float64{10, 50, 100}}
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if page, err := ing.MatchSketches(spec); err != nil || len(page.Matches) != 1 || page.Matches[0].Windows != 15 {
+				b.Fatalf("page: %+v, err %v", page.Matches, err)
+			}
+		}
+	})
+}
+
 // BenchmarkRebalanceHandoff prices one elastic membership change: a fourth
 // node joining a loaded 3-node cluster, end to end through the migrator —
 // freeze, flush, sketch-page cut, drop-then-absorb rebuild, cutover,

@@ -324,7 +324,9 @@ func TestParentDataDirRecovers(t *testing.T) {
 	}
 	cfg := parentDataDirConfig(dir)
 	cfg.fill() // the header carries the default window length
-	reencoded := encodeSnapshot(&shard{windows: st.windows, seen: st.seen, wal: &shardWAL{records: st.applied}}, cfg)
+	s := &shard{keys: map[Key]*keySeries{}, starts: map[int64]int{}, seen: st.seen, wal: &shardWAL{records: st.applied}}
+	s.load(st.rollups)
+	reencoded := encodeSnapshot(s, cfg)
 	if !bytes.Equal(reencoded, parentSnap) {
 		t.Fatal("this encoder writes different bytes than the parent did for the same state")
 	}

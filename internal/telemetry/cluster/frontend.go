@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -337,15 +337,6 @@ func (f *Frontend) Keys(ctx context.Context) ([]telemetry.KeyCount, []string) {
 	for k, n := range acc {
 		out = append(out, telemetry.KeyCount{Key: k, Count: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		return a.Net < b.Net
-	})
+	slices.SortFunc(out, func(a, b telemetry.KeyCount) int { return a.Key.Compare(b.Key) })
 	return out, missing
 }

@@ -1,20 +1,21 @@
 package telemetry
 
 // The fold memo. A query's per-key fold (foldKeys) is a pure function of the
-// key's picked rollups, so a shard keeps the sealed folds of the last few
-// ranges each key was queried over and returns the stored bytes while those
-// rollups are unchanged. Unchanged is decided without comparing any sketch:
-// every rollup carries the shard clock value of its last write (touch), and
-// an entry records how many rollups it folded and the clock when they were
-// scanned. An entry answers a later scan iff that scan picks the same number
-// of rollups and none of them is stamped past the entry's clock — a mutated
-// rollup and a new one are stamped past it, a deleted one lowers the count,
-// and a deletion plus a creation still brings a fresh stamp. A hit therefore
-// returns exactly the bytes a fresh fold would produce.
+// key's picked rollups, so each key's series keeps the sealed folds of the
+// last few ranges the key was queried over and returns the stored bytes while
+// those rollups are unchanged. Unchanged is decided without comparing any
+// sketch: every rollup carries the shard clock value of its last write
+// (touch), and an entry records how many rollups it folded and the clock when
+// they were scanned. An entry answers a later scan iff that scan picks the
+// same number of rollups and none of them is stamped past the entry's clock —
+// a mutated rollup and a new one are stamped past it, a deleted one lowers
+// the count, and a deletion plus a creation still brings a fresh stamp. A hit
+// therefore returns exactly the bytes a fresh fold would produce.
 //
-// The memo lives under the shard lock, beside the rollups, and is written
-// only by queries and by the paths that delete rollups: ingest pays one
-// integer store per event (the stamp), never a memo write.
+// The memo lives under the shard lock, in the key's series beside its
+// rollups, and is written only by queries and by the paths that delete
+// rollups: ingest pays one integer store per event (the stamp), never a memo
+// write.
 
 // memoRanges caps the memoised ranges per key: a dashboard's `wide` and
 // `narrow` ranges with room to spare. The least recently used range makes
@@ -34,11 +35,11 @@ type foldMemo struct {
 // keyMemo holds one key's memoised folds, most recently used first.
 type keyMemo [memoRanges]foldMemo
 
-// touch records a write to r: the shard clock ticks and stamps it. Called
-// with s.mu held at every site that creates or mutates a rollup.
-func (s *shard) touch(r *rollup) {
+// touch records a write to rollup w: the shard clock ticks and stamps it.
+// Called with s.mu held at every site that creates or mutates a rollup.
+func (s *shard) touch(w *keyWindow) {
 	s.clock++
-	r.stamp = s.clock
+	w.stamp = s.clock
 }
 
 // get returns the memoised fold of [fromMs, toMs) if it is still the fold
@@ -79,31 +80,20 @@ func (m *keyMemo) put(e foldMemo) {
 	m[0] = e
 }
 
-// forgetWindow drops the memoised folds whose range covers the window
-// starting at start, for the keys match selects (every key when nil) — the
-// folds that window's deleted rollups were part of — and any key left with
-// none. Called with s.mu held wherever rollups are deleted.
-func (s *shard) forgetWindow(start int64, match func(Key) bool) {
-	s.forgot++
-	for k, m := range s.memo {
-		if match != nil && !match(k) {
-			continue
-		}
-		live := false
-		for i := range m {
-			if m[i].n > 0 && m[i].fromMs <= start && start < m[i].toMs {
-				m[i] = foldMemo{}
-			}
-			live = live || m[i].n > 0
-		}
-		if !live {
-			delete(s.memo, k)
+// forget drops the memoised folds whose range covers the window starting at
+// start — the folds a deleted rollup of that window was part of.
+func (m *keyMemo) forget(start int64) {
+	for i := range m {
+		if m[i].n > 0 && m[i].fromMs <= start && start < m[i].toMs {
+			m[i] = foldMemo{}
 		}
 	}
 }
 
-// forgetAll empties the memo. Called with s.mu held.
+// forgetAll empties every key's memo. Called with s.mu held.
 func (s *shard) forgetAll() {
 	s.forgot++
-	clear(s.memo)
+	for _, ks := range s.keys {
+		ks.memo = keyMemo{}
+	}
 }

@@ -26,18 +26,14 @@ func forgetMemos(ing *Ingestor) {
 func memoEntries(s *shard) (entries, keys int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, m := range s.memo {
-		for _, e := range m {
+	for _, ks := range s.keys {
+		for _, e := range ks.memo {
 			if e.n > 0 {
 				entries++
 			}
 		}
 	}
-	seen := map[Key]bool{}
-	for wk := range s.windows {
-		seen[wk.Key] = true
-	}
-	return entries, len(seen)
+	return entries, len(s.keys)
 }
 
 // requireFreshAnswers checks that memo answers spec — MatchSketches page

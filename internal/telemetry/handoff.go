@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"edgescope/internal/stats"
 )
@@ -57,10 +57,10 @@ type walCtl struct {
 	Partition int `json:"partition,omitempty"`
 	Of        int `json:"of,omitempty"`
 
-	// r is the decoded Sketch payload, filled by decodeCtl for absorb
+	// sk is the decoded Sketch payload, filled by decodeCtl for absorb
 	// records so replay never re-parses and corruption fails loudly at read
 	// time.
-	r *rollup
+	sk *stats.Sketch
 }
 
 // decodeCtl parses and validates one control line. Any structural problem
@@ -76,8 +76,8 @@ func decodeCtl(body []byte) (walCtl, error) {
 		if c.Metric == "" {
 			return walCtl{}, fmt.Errorf("%w: absorb record without metric", ErrInvalid)
 		}
-		c.r = new(rollup)
-		if err := c.r.UnmarshalBinary(c.Sketch); err != nil {
+		c.sk = new(stats.Sketch)
+		if err := c.sk.UnmarshalBinary(c.Sketch); err != nil {
 			return walCtl{}, fmt.Errorf("%w: absorb sketch: %v", ErrInvalid, err)
 		}
 	case ctlDrop:
@@ -124,124 +124,139 @@ func (ing *Ingestor) applyCtl(s *shard, start int64, c walCtl) {
 	defer s.mu.Unlock()
 	switch c.Ctl {
 	case ctlAbsorb:
-		wk := windowKey{Start: start, Key: Key{Metric: c.Metric, Region: c.Region, Net: c.Net}}
-		ing.absorbLocked(s, wk, c.r, foldReplay)
+		ing.absorbLocked(s, Key{Metric: c.Metric, Region: c.Region, Net: c.Net}, start, c.sk, foldReplay)
 	case ctlDrop:
 		dropWindowLocked(s, start, c.Partition, c.Of)
 	}
 }
 
 // absorbLocked folds one decoded rollup into the shard state: a pure
-// insert of r when the (window, key) is new — bit-identical to the source,
+// insert of sk when the (window, key) is new — bit-identical to the source,
 // the property the byte-identity pins need — or a deterministic sketch merge
 // when data already accumulated there (dual-written traffic). Called with
 // s.mu held.
-func (ing *Ingestor) absorbLocked(s *shard, wk windowKey, r *rollup, mode foldMode) {
-	if existing := s.windows[wk]; existing != nil {
-		existing.Absorb(&r.Sketch)
-		s.touch(existing)
+func (ing *Ingestor) absorbLocked(s *shard, key Key, start int64, sk *stats.Sketch, mode foldMode) {
+	ks, i, found := s.lookup(key, start)
+	if found {
+		w := &ks.wins[i]
+		w.sk.Absorb(sk)
+		ks.count += sk.Count()
+		s.touch(w)
 		return
 	}
-	s.touch(r)
-	s.windows[wk] = r
-	if s.starts[wk.Start]++; s.starts[wk.Start] == 1 && mode == foldLive {
+	ks, newStart := s.insert(ks, key, i, start, sk)
+	s.touch(&ks.wins[i])
+	if newStart && mode == foldLive {
 		ing.enforceRetention(s)
 	}
 }
 
-// dropWindowLocked deletes one window's rollups in one partition. Dedup
-// trackers are kept: their (key, user, seq) memory is harmless across a
-// drop (a re-absorbed partition arrives as sketches, not as sequenced
+// dropWindowLocked deletes one window's rollups in one partition — the
+// replay of one drop record: a binary search per key of the partition.
+// Dedup trackers are kept: their (key, user, seq) memory is harmless across
+// a drop (a re-absorbed partition arrives as sketches, not as sequenced
 // envelopes), and keeping them means live drops and segment replay agree
 // without cross-segment ordering. Called with s.mu held.
-func dropWindowLocked(s *shard, start int64, p, of int) int {
-	dropped := 0
-	for wk := range s.windows {
-		if wk.Start != start || wk.Key.ShardOf(of) != p {
+func dropWindowLocked(s *shard, start int64, p, of int) {
+	for k, ks := range s.keys {
+		if k.ShardOf(of) != p {
 			continue
 		}
-		delete(s.windows, wk)
-		dropped++
-		if s.starts[start]--; s.starts[start] <= 0 {
-			delete(s.starts, start)
+		if i, ok := ks.find(start); ok {
+			s.remove(ks, i)
 		}
 	}
-	if dropped > 0 {
-		s.forgetWindow(start, func(k Key) bool { return k.ShardOf(of) == p })
-	}
-	return dropped
 }
 
-// encodedRollup is one picked rollup with its sketch's exact binary state.
-type encodedRollup struct {
-	wk  windowKey
-	enc []byte
-}
-
-// encodeRollups encodes every rollup pick selects, once, under its shard's
-// lock, straight into one exactly-sized buffer per shard that the returned
-// rollups slice into — the only copy the sketch bytes take between the live
-// rollup and the wire — and returns them in windowKey.compare order. Each
-// shard is locked only while its rollups are scanned and encoded.
-func (ing *Ingestor) encodeRollups(pick func(windowKey) bool) []encodedRollup {
-	type live struct {
-		wk windowKey
-		sk *stats.Sketch
-	}
-	var (
-		out    []encodedRollup
-		picked []live
-	)
-	for _, s := range ing.shards {
-		picked = picked[:0]
-		size := 0
-		s.mu.Lock()
-		for wk, sk := range s.windows {
-			if pick(wk) {
-				picked = append(picked, live{wk, &sk.Sketch})
-				size += sk.BinarySize()
+// inStartOrder visits every element of runs in (start, run) order: each run
+// is one key's rollups ascending by window start, and the runs come in key
+// order, so this is the canonical order of raw rollups — by window, then by
+// Key.Compare — with one cursor per run and no sort.
+func inStartOrder[W any](runs [][]W, start func(W) int64, visit func(run int, w W)) {
+	for {
+		next, more := int64(math.MaxInt64), false
+		for _, r := range runs {
+			if len(r) > 0 && start(r[0]) <= next {
+				next, more = start(r[0]), true
 			}
 		}
-		chunk := make([]byte, 0, size)
-		for _, m := range picked {
-			at := len(chunk)
-			chunk, _ = m.sk.AppendBinary(chunk) // encoding a live sketch cannot fail
-			out = append(out, encodedRollup{m.wk, chunk[at:len(chunk):len(chunk)]})
+		if !more {
+			return
 		}
-		s.mu.Unlock()
+		for i, r := range runs {
+			if len(r) > 0 && start(r[0]) == next {
+				visit(i, r[0])
+				runs[i] = r[1:]
+			}
+		}
 	}
-	slices.SortFunc(out, func(a, b encodedRollup) int { return a.wk.compare(b.wk) })
-	return out
 }
 
 // PartitionPages exports every rollup whose key hashes to partition p of
 // `of` as pages of raw rollups (WindowSketch.Windows 0) — one page per
 // metric, metrics sorted, matches in (start, region, net) order, each sketch
-// in its exact live state, encoded once under its shard's lock. It is what
-// AbsorbPages places on the gaining node; a query's pages (MatchSketches)
-// hold sealed per-key folds instead and are refused there.
+// in its exact live state. Each shard is locked only while its partition
+// keys' rollups are encoded, straight into one exactly-sized buffer per
+// shard that the matches slice into — the only copy the sketch bytes take
+// between the live rollup and the wire. It is what AbsorbPages places on
+// the gaining node; a query's pages (MatchSketches) hold sealed per-key
+// folds instead and are refused there.
 func (ing *Ingestor) PartitionPages(p, of int) ([]SketchPage, error) {
 	if of <= 0 || p < 0 || p >= of {
 		return nil, fmt.Errorf("telemetry: partition %d of %d", p, of)
 	}
-	rollups := ing.encodeRollups(func(wk windowKey) bool { return wk.Key.ShardOf(of) == p })
+	// keyRun is one partition key's rollups as matches, ascending by start.
+	type keyRun struct {
+		key     Key
+		matches []WindowSketch
+	}
+	var (
+		runs   []keyRun
+		picked []*keySeries
+	)
+	for _, s := range ing.shards {
+		picked = picked[:0]
+		size := 0
+		s.mu.Lock()
+		for k, ks := range s.keys {
+			if k.ShardOf(of) == p {
+				picked = append(picked, ks)
+				for _, w := range ks.wins {
+					size += w.sk.BinarySize()
+				}
+			}
+		}
+		chunk := make([]byte, 0, size)
+		for _, ks := range picked {
+			run := keyRun{key: ks.key, matches: make([]WindowSketch, len(ks.wins))}
+			for i, w := range ks.wins {
+				at := len(chunk)
+				chunk, _ = w.sk.AppendBinary(chunk) // encoding a live sketch cannot fail
+				run.matches[i] = WindowSketch{Start: w.start, Region: ks.key.Region, Net: ks.key.Net, Sketch: chunk[at:len(chunk):len(chunk)]}
+			}
+			runs = append(runs, run)
+		}
+		s.mu.Unlock()
+	}
+	slices.SortFunc(runs, func(a, b keyRun) int { return a.key.Compare(b.key) })
 	pages := []SketchPage{} // never nil: an empty partition is `[]` on the JSON surface
-	for len(rollups) > 0 {
+	for len(runs) > 0 {
 		page := SketchPage{
-			Metric:      rollups[0].wk.Metric,
+			Metric:      runs[0].key.Metric,
 			Compression: ing.cfg.Compression,
 			WindowMs:    ing.cfg.Window.Milliseconds(),
 		}
-		n := 1
-		for n < len(rollups) && rollups[n].wk.Metric == page.Metric {
-			n++
+		var group [][]WindowSketch
+		n := 0
+		for ; len(runs) > 0 && runs[0].key.Metric == page.Metric; runs = runs[1:] {
+			group = append(group, runs[0].matches)
+			n += len(runs[0].matches)
 		}
-		page.Matches = make([]WindowSketch, n)
-		for i, r := range rollups[:n] {
-			page.Matches[i] = WindowSketch{Start: r.wk.Start, Region: r.wk.Region, Net: r.wk.Net, Sketch: r.enc}
-		}
+		page.Matches = make([]WindowSketch, 0, n)
+		inStartOrder(group, func(m WindowSketch) int64 { return m.Start }, func(_ int, m WindowSketch) {
+			page.Matches = append(page.Matches, m)
+		})
 		pages = append(pages, page)
-		rollups = rollups[n:]
 	}
 	return pages, nil
 }
@@ -271,7 +286,7 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 	windowMs := ing.cfg.Window.Milliseconds()
 	type pending struct {
 		wk windowKey
-		r  *rollup
+		sk *stats.Sketch
 		ws WindowSketch
 	}
 	var todo []pending
@@ -292,14 +307,14 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 				return AbsorbAck{}, fmt.Errorf("telemetry: absorb page %d (start=%d %s/%s) is a fold of %d windows, not a raw rollup",
 					i, m.Start, m.Region, m.Net, m.Windows)
 			}
-			r := new(rollup)
-			if err := r.UnmarshalBinary(m.Sketch); err != nil {
+			sk := new(stats.Sketch)
+			if err := sk.UnmarshalBinary(m.Sketch); err != nil {
 				return AbsorbAck{}, fmt.Errorf("telemetry: absorb page %d sketch (start=%d %s/%s): %w",
 					i, m.Start, m.Region, m.Net, err)
 			}
 			todo = append(todo, pending{
 				wk: windowKey{Start: m.Start, Key: Key{Metric: p.Metric, Region: m.Region, Net: m.Net}},
-				r:  r,
+				sk: sk,
 				ws: m,
 			})
 		}
@@ -318,8 +333,8 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 				Sketch: t.ws.Sketch,
 			})
 		}
-		ack.Count += t.r.Count() // under the lock: once inserted, t.r is the shard worker's to write
-		ing.absorbLocked(s, t.wk, t.r, foldLive)
+		ack.Count += t.sk.Count() // under the lock: once inserted, t.sk is the shard worker's to write
+		ing.absorbLocked(s, t.wk.Key, t.wk.Start, t.sk, foldLive)
 		s.mu.Unlock()
 		ack.Rollups++
 		starts[t.wk.Start] = true
@@ -336,30 +351,40 @@ func (ing *Ingestor) AbsorbPages(pages []SketchPage) (AbsorbAck, error) {
 // `of`, WAL-logging a drop control record into each affected window's
 // segment first (and fsyncing before returning), so recovery replays the
 // drop at its exact position. Dedup trackers survive — see
-// dropWindowLocked. Returns the number of rollups dropped.
+// dropWindowLocked. Each shard deletes its partition keys' series whole, so
+// the cost is the partition's rollups, not the shard's per affected window.
+// Returns the number of rollups dropped.
 func (ing *Ingestor) DropPartition(p, of int) (int, error) {
 	if of <= 0 || p < 0 || p >= of {
 		return 0, fmt.Errorf("telemetry: partition %d of %d", p, of)
 	}
 	dropped := 0
+	var (
+		victims []*keySeries
+		starts  []int64
+	)
 	for _, s := range ing.shards {
+		victims, starts = victims[:0], starts[:0]
 		s.mu.Lock()
-		affected := map[int64]bool{}
-		for wk := range s.windows {
-			if wk.Key.ShardOf(of) == p {
-				affected[wk.Start] = true
+		for k, ks := range s.keys {
+			if k.ShardOf(of) == p {
+				victims = append(victims, ks)
+				for _, w := range ks.wins {
+					starts = append(starts, w.start)
+				}
 			}
 		}
-		starts := make([]int64, 0, len(affected))
-		for start := range affected {
-			starts = append(starts, start)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		for _, start := range starts {
-			if s.wal != nil {
+		if s.wal != nil {
+			slices.Sort(starts)
+			for _, start := range slices.Compact(starts) {
 				s.wal.appendCtl(start, walCtl{Ctl: ctlDrop, Partition: p, Of: of})
 			}
-			dropped += dropWindowLocked(s, start, p, of)
+		}
+		for _, ks := range victims {
+			dropped += len(ks.wins)
+			for len(ks.wins) > 0 {
+				s.remove(ks, len(ks.wins)-1)
+			}
 		}
 		s.mu.Unlock()
 	}

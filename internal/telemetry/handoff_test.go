@@ -69,8 +69,8 @@ func partitionRollups(ing *Ingestor, of int) map[int]int {
 	counts := map[int]int{}
 	for _, s := range ing.shards {
 		s.mu.Lock()
-		for wk := range s.windows {
-			counts[wk.Key.ShardOf(of)]++
+		for k, ks := range s.keys {
+			counts[k.ShardOf(of)] += len(ks.wins)
 		}
 		s.mu.Unlock()
 	}

@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -152,29 +154,48 @@ type windowKey struct {
 	Key
 }
 
-// rollup is one (window, key) sketch plus the shard clock value at its last
-// creation or mutation — what a memoised query fold (foldmemo.go) is checked
-// against. Every write to a rollup goes through shard.touch. The sketch is
-// held by value, so a rollup is one allocation.
-type rollup struct {
-	stats.Sketch
-	stamp uint64
+// keySeries is one key's rollups in its shard: one sketch per window the key
+// has data in, ascending by window start, beside the key's running event
+// count and its memoised query folds (foldmemo.go). Every reader and every
+// deletion works key by key — a map lookup, then a binary search into the
+// windows — so none of them walks the shard's other (window, key) rollups.
+type keySeries struct {
+	key   Key
+	wins  []keyWindow // ascending by start, starts distinct, never empty
+	count float64     // the wins' sketch counts summed: Keys' answer
+	memo  keyMemo
 }
 
-// shard is one single-writer ingest worker: a bounded queue, the rollup map
-// it alone writes, the idempotency trackers, its WAL, and its accounting.
+// keyWindow is one (window, key) rollup: the window start, the sketch, and
+// the shard clock value at the rollup's last creation or mutation — what a
+// memoised query fold is checked against. Every write to a rollup goes
+// through shard.touch.
+type keyWindow struct {
+	start int64
+	stamp uint64
+	sk    *stats.Sketch
+}
+
+// find returns where the window at start is in ks.wins, or where it would be
+// inserted, and whether it is there.
+func (ks *keySeries) find(start int64) (int, bool) {
+	return slices.BinarySearchFunc(ks.wins, start, func(w keyWindow, start int64) int { return cmp.Compare(w.start, start) })
+}
+
+// shard is one single-writer ingest worker: a bounded queue, the rollups it
+// alone writes, the idempotency trackers, its WAL, and its accounting.
 // The mutex guards the rollup/dedup/WAL state against query-time readers
 // and SyncWAL/snapshot callers; the hot path contends on it solely while
 // one of those is in flight.
 type shard struct {
-	ch      chan Envelope
-	mu      sync.Mutex
-	windows map[windowKey]*rollup
-	// clock is the shard's monotone mutation clock (touch).
-	clock uint64
-	// memo holds sealed per-key folds of recent query ranges and forgot
-	// counts the forgets that invalidated some of them (foldmemo.go).
-	memo   map[Key]*keyMemo
+	ch chan Envelope
+	mu sync.Mutex
+	// keys indexes the shard's rollups by key; a key is present while it
+	// holds at least one rollup.
+	keys map[Key]*keySeries
+	// clock is the shard's monotone mutation clock (touch); forgot counts
+	// the rollup deletions, which invalidate memoised folds (foldmemo.go).
+	clock  uint64
 	forgot uint64
 	// starts indexes windows by start time: start → number of rollup
 	// entries in it. Retention counts and evicts *time windows* (distinct
@@ -306,11 +327,10 @@ func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 	var rst RecoveryStats
 	for i := range ing.shards {
 		s := &shard{
-			ch:      make(chan Envelope, cfg.QueueLen),
-			windows: make(map[windowKey]*rollup),
-			memo:    make(map[Key]*keyMemo),
-			starts:  make(map[int64]int),
-			seen:    make(map[dedupKey]*seqTracker),
+			ch:     make(chan Envelope, cfg.QueueLen),
+			keys:   make(map[Key]*keySeries),
+			starts: make(map[int64]int),
+			seen:   make(map[dedupKey]*seqTracker),
 		}
 		// Bind the accounting cells before recovery: replayed folds count.
 		if im != nil {
@@ -371,7 +391,7 @@ func (ing *Ingestor) windowStart(ts int64) int64 {
 	return ts - ts%w
 }
 
-// run is one shard worker: the sole writer of s.windows.
+// run is one shard worker: the sole writer of its shard's rollups.
 func (ing *Ingestor) run(s *shard) {
 	for e := range s.ch {
 		due := ing.fold(s, e, foldLive)
@@ -435,44 +455,116 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 		}
 		due = s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
 	}
-	r := s.windows[wk]
-	if r == nil {
-		r = &rollup{Sketch: *stats.NewSketch(ing.cfg.Compression)}
-		s.windows[wk] = r
-		if s.starts[wk.Start]++; s.starts[wk.Start] == 1 && mode == foldLive {
-			ing.enforceRetention(s)
-		}
+	ks, i, found := s.lookup(wk.Key, wk.Start)
+	newStart := false
+	if !found {
+		ks, newStart = s.insert(ks, wk.Key, i, wk.Start, stats.NewSketch(ing.cfg.Compression))
 	}
+	w := &ks.wins[i]
 	// Add cannot fail here: Offer validated the envelope, and a finite
 	// value is the only thing the sketch requires.
-	_ = r.Add(e.Value)
-	s.touch(r)
+	if w.sk.Add(e.Value) == nil {
+		ks.count++
+	}
+	s.touch(w)
+	// Retention runs last: it may delete this very window (a late event
+	// past the horizon), which moves ks.wins under w.
+	if newStart && mode == foldLive {
+		ing.enforceRetention(s)
+	}
 	s.mu.Unlock()
 	return due
+}
+
+// lookup returns key's series (nil when the shard holds none of its
+// rollups) and the index of its window at start in it — where the window
+// is, or where it would be inserted — and whether it is there. The newest
+// window, where an in-order stream lands, is checked before any search.
+// Called with s.mu held.
+func (s *shard) lookup(key Key, start int64) (ks *keySeries, i int, found bool) {
+	ks = s.keys[key]
+	if ks == nil {
+		return nil, 0, false
+	}
+	if n := len(ks.wins); ks.wins[n-1].start == start {
+		return ks, n - 1, true
+	}
+	i, found = ks.find(start)
+	return ks, i, found
+}
+
+// insert places sk as key's rollup of the window at start, at index i of
+// ks.wins as lookup returned it (ks nil: the key's first rollup), and
+// counts it. It returns the key's series and whether start is a window the
+// shard held no rollup of. The caller stamps the new rollup (touch) once it
+// has written it, and then enforces retention. Called with s.mu held.
+func (s *shard) insert(ks *keySeries, key Key, i int, start int64, sk *stats.Sketch) (*keySeries, bool) {
+	if ks == nil {
+		ks = &keySeries{key: key}
+		s.keys[key] = ks
+	}
+	ks.wins = slices.Insert(ks.wins, i, keyWindow{start: start, sk: sk})
+	ks.count += sk.Count()
+	s.starts[start]++
+	return ks, s.starts[start] == 1
+}
+
+// remove deletes rollup i of ks: its events leave the key's count, its
+// window's tally drops, the memoised folds it was part of are forgotten,
+// and a key left with no rollup leaves the index. Called with s.mu held.
+func (s *shard) remove(ks *keySeries, i int) {
+	w := ks.wins[i]
+	ks.wins = slices.Delete(ks.wins, i, i+1)
+	ks.count -= w.sk.Count()
+	ks.memo.forget(w.start)
+	s.forgot++
+	if s.starts[w.start]--; s.starts[w.start] == 0 {
+		delete(s.starts, w.start)
+	}
+	if len(ks.wins) == 0 {
+		delete(s.keys, ks.key)
+	}
+}
+
+// load inserts decoded snapshot rollups, each stamped as a write;
+// decodeSnapshot admits each (window, key) once. Called with s.mu held, or
+// before the shard is shared.
+func (s *shard) load(rollups []snapRollup) {
+	for _, r := range rollups {
+		ks, i, _ := s.lookup(r.Key, r.Start)
+		ks, _ = s.insert(ks, r.Key, i, r.Start, r.sk)
+		s.touch(&ks.wins[i])
+	}
+}
+
+// rollups counts the shard's (window, key) rollups. Called with s.mu held.
+func (s *shard) rollups() int {
+	n := 0
+	for _, ks := range s.keys {
+		n += len(ks.wins)
+	}
+	return n
 }
 
 // enforceRetention evicts whole oldest time windows while the shard holds
 // more distinct window starts than MaxWindows, unlinking their WAL segments
 // with them. Called with s.mu held, only when a new *start* appears (not
-// per rollup entry or event), so the eviction scans are paid once per
-// window rollover. A late event older than the retention horizon opens a
-// window that is immediately the eviction victim — its data is discarded,
-// the standard retention trade.
+// per rollup entry or event), so the eviction is paid once per window
+// rollover: the oldest start is every holding key's first window, so each
+// eviction looks at each key once. A late event older than the retention
+// horizon opens a window that is immediately the eviction victim — its data
+// is discarded, the standard retention trade.
 func (ing *Ingestor) enforceRetention(s *shard) {
 	for ing.cfg.MaxWindows > 0 && len(s.starts) > ing.cfg.MaxWindows {
 		oldest := int64(math.MaxInt64)
 		for start := range s.starts {
-			if start < oldest {
-				oldest = start
+			oldest = min(oldest, start)
+		}
+		for _, ks := range s.keys {
+			if ks.wins[0].start == oldest {
+				s.remove(ks, 0)
 			}
 		}
-		for wk := range s.windows {
-			if wk.Start == oldest {
-				delete(s.windows, wk)
-			}
-		}
-		delete(s.starts, oldest)
-		s.forgetWindow(oldest, nil)
 		// Age out dedup trackers whose streams went idle at or before the
 		// evicted window: their folds all landed in discarded windows, so
 		// keeping their receive state would grow s.seen (and every snapshot)
@@ -718,7 +810,7 @@ func (ing *Ingestor) Stats() []ShardStats {
 	out := make([]ShardStats, len(ing.shards))
 	for i, s := range ing.shards {
 		s.mu.Lock()
-		rollups, wins := len(s.windows), len(s.starts)
+		rollups, wins := s.rollups(), len(s.starts)
 		var walAppended, walLag, snapBytes, sinceBytes uint64
 		var walErr string
 		if s.wal != nil {

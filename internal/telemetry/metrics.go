@@ -23,7 +23,7 @@ import (
 type ingestMetrics struct {
 	accepted, dropped, shed, processed, deduped, compactions, evicted *obs.CounterVec
 	walAppended, walFsyncs, walFileSync                               *obs.CounterVec
-	queueDepth, walLag, windows, rollups                              *obs.GaugeVec
+	queueDepth, walLag, windows, rollups, keys                        *obs.GaugeVec
 	snapBytes, sinceBytes                                             *obs.GaugeVec
 	walAppend, walFsync, snapshot                                     *obs.HistogramVec
 	query, sketches                                                   *obs.Histogram
@@ -55,6 +55,7 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		walLag:      reg.GaugeVec("telemetry_wal_lag_records", "records appended but not yet fsynced (lost if the process crashes now)", "shard"),
 		windows:     reg.GaugeVec("telemetry_shard_rollup_windows", "distinct time windows held by the shard", "shard"),
 		rollups:     reg.GaugeVec("telemetry_shard_rollups", "(window, key) sketches held by the shard", "shard"),
+		keys:        reg.GaugeVec("telemetry_shard_keys", "distinct (metric, region, net) keys held by the shard", "shard"),
 		snapBytes:   reg.GaugeVec("telemetry_snapshot_bytes", "size of the shard's last checkpoint (what a restart loads)", "shard"),
 		sinceBytes:  reg.GaugeVec("telemetry_wal_bytes_since_snapshot", "WAL bytes logged since the shard's last checkpoint (what a restart replays)", "shard"),
 		walAppend:   reg.HistogramVec("telemetry_wal_append_seconds", "WAL append latency (includes the fsync when the append crosses the SyncEvery cadence)", walLatencyBuckets, "shard"),
@@ -110,16 +111,17 @@ func bindStandalone(s *shard) {
 }
 
 // installCollectHook registers the scrape-time gauge refresh: queue depth,
-// WAL lag, rollup population and checkpoint accounting per shard, read under
-// each shard's lock only when something actually collects.
+// WAL lag, rollup and key population and checkpoint accounting per shard,
+// read under each shard's lock only when something actually collects.
 func (ing *Ingestor) installCollectHook(reg *obs.Registry, m *ingestMetrics) {
-	gauges := make([]struct{ queue, lag, windows, rollups, snapBytes, sinceBytes *obs.Gauge }, len(ing.shards))
+	gauges := make([]struct{ queue, lag, windows, rollups, keys, snapBytes, sinceBytes *obs.Gauge }, len(ing.shards))
 	for i := range ing.shards {
 		l := strconv.Itoa(i)
 		gauges[i].queue = m.queueDepth.With(l)
 		gauges[i].lag = m.walLag.With(l)
 		gauges[i].windows = m.windows.With(l)
 		gauges[i].rollups = m.rollups.With(l)
+		gauges[i].keys = m.keys.With(l)
 		gauges[i].snapBytes = m.snapBytes.With(l)
 		gauges[i].sinceBytes = m.sinceBytes.With(l)
 	}
@@ -128,7 +130,8 @@ func (ing *Ingestor) installCollectHook(reg *obs.Registry, m *ingestMetrics) {
 			gauges[i].queue.Set(float64(len(s.ch)))
 			s.mu.Lock()
 			gauges[i].windows.Set(float64(len(s.starts)))
-			gauges[i].rollups.Set(float64(len(s.windows)))
+			gauges[i].rollups.Set(float64(s.rollups()))
+			gauges[i].keys.Set(float64(len(s.keys)))
 			if s.wal != nil {
 				gauges[i].lag.Set(float64(s.wal.lag()))
 				gauges[i].snapBytes.Set(float64(s.wal.snapBytes))

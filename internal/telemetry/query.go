@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -86,27 +85,15 @@ func ValidateQuerySpec(spec QuerySpec) error {
 	return err
 }
 
-// compare is the canonical order of raw rollups: (metric, start, region,
-// net) — the order PartitionPages exports a partition's rollups in, so a
-// handoff's pages are reproducible. Queries do not
-// merge in this order: they fold each key's rollups first and merge the
-// folds by Key.compare (foldKeys, mergeFolds).
-func (a windowKey) compare(b windowKey) int {
-	if c := strings.Compare(a.Metric, b.Metric); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Start, b.Start); c != 0 {
-		return c
-	}
-	return a.Key.compare(b.Key)
-}
-
-// compare orders keys by (metric, region, net) — Keys' listing order, and
+// Compare orders keys by (metric, region, net) — Keys' listing order, and
 // the order every query merges its per-key folds in. Every consumer that
 // orders or merges folds MUST use this order: with foldKeys it is what makes
 // single-node answers, recovered-node answers and the cluster front-end's
-// scatter-gather merge byte-identical.
-func (a Key) compare(b Key) int {
+// scatter-gather merge byte-identical. Raw rollups have their own canonical
+// order, (metric, start, region, net) for a handoff's pages and (start,
+// metric, region, net) in a snapshot: inStartOrder walks them by start with
+// this order breaking ties.
+func (a Key) Compare(b Key) int {
 	if c := strings.Compare(a.Metric, b.Metric); c != 0 {
 		return c
 	}
@@ -116,14 +103,13 @@ func (a Key) compare(b Key) int {
 	return strings.Compare(a.Net, b.Net)
 }
 
-// selector turns a spec into the predicate picking its rollups and the
-// window range [fromMs, toMs) the predicate bounds starts by — the range the
-// fold memo is keyed on. The bounds are aligned to whole windows: a window
-// is selected iff it overlaps [From, To), matching the spec's documented
-// granularity.
-func (ing *Ingestor) selector(spec QuerySpec) (pick func(windowKey) bool, fromMs, toMs int64, err error) {
+// windowRange validates a spec's selection and returns the window range
+// [fromMs, toMs) its bounds pick rollups from — the range the fold memo is
+// keyed on. The bounds are aligned to whole windows: a window is selected
+// iff it overlaps [From, To), matching the spec's documented granularity.
+func (ing *Ingestor) windowRange(spec QuerySpec) (fromMs, toMs int64, err error) {
 	if spec.Metric == "" {
-		return nil, 0, 0, fmt.Errorf("telemetry: query needs a metric")
+		return 0, 0, fmt.Errorf("telemetry: query needs a metric")
 	}
 	if !spec.From.IsZero() {
 		fromMs = ing.windowStart(spec.From.UnixMilli())
@@ -134,19 +120,20 @@ func (ing *Ingestor) selector(spec QuerySpec) (pick func(windowKey) bool, fromMs
 		w := ing.cfg.Window.Milliseconds()
 		toMs = ing.windowStart(spec.To.UnixMilli()-1) + w
 	}
-	return func(wk windowKey) bool {
-		return wk.Metric == spec.Metric &&
-			(spec.Region == "" || wk.Region == spec.Region) &&
-			(spec.Net == "" || wk.Net == spec.Net) &&
-			wk.Start >= fromMs && wk.Start < toMs
-	}, fromMs, toMs, nil
+	return fromMs, toMs, nil
+}
+
+// selects reports whether the spec's dimensions pick key k: the metric, and
+// the region and net unless left empty.
+func (spec *QuerySpec) selects(k Key) bool {
+	return k.Metric == spec.Metric &&
+		(spec.Region == "" || k.Region == spec.Region) &&
+		(spec.Net == "" || k.Net == spec.Net)
 }
 
 // foldRun is one picked rollup copied out of its shard: which of the shard's
-// matched keys it belongs to, its window, where its points sit in the
-// scratch point list, and the scalars the points do not carry. It is what
-// foldKeys sorts — six words per rollup and integer comparisons, never the
-// points and never a string.
+// missed keys it belongs to, its window, where its points sit in the scratch
+// point list, and the scalars the points do not carry.
 type foldRun struct {
 	key             int32 // index into foldScratch.keys
 	at, n           int32 // its points are pts[at : at+n]
@@ -156,32 +143,14 @@ type foldRun struct {
 
 // foldScratch is the working memory of one foldKeys call, pooled per
 // ingestor so a query allocates neither a point list per shard nor an 8δ
-// buffer per key: the matched keys, picked rollups, runs and points of the
-// shard being folded, and the one sketch every key is folded in, reset
+// buffer per key: the series of the shard's keys the memo did not answer,
+// their runs and points, and the one sketch every key is folded in, reset
 // between keys.
 type foldScratch struct {
-	index  map[Key]int32
-	keys   []keyScan
-	picked []pickedRollup
-	runs   []foldRun
-	pts    []stats.Centroid
-	sk     *stats.Sketch
-}
-
-// keyScan is what one shard's scan saw of one matched key: how many rollups
-// were picked, the newest stamp among them, and whether the memo answered.
-type keyScan struct {
-	key   Key
-	n     int
-	stamp uint64
-	hit   bool
-}
-
-// pickedRollup is one picked rollup, held only while its shard is locked.
-type pickedRollup struct {
-	key   int32 // index into foldScratch.keys
-	start int64
-	r     *rollup
+	keys []*keySeries
+	runs []foldRun
+	pts  []stats.Centroid
+	sk   *stats.Sketch
 }
 
 // foldKeys is what every query merges: for each key the spec matches, the
@@ -190,7 +159,7 @@ type pickedRollup struct {
 // empty sketch at the ingestor's compression, then sealed with one flush.
 // The sealed folds come back in wire form — Start the earliest rollup,
 // Windows the number folded, Sketch the sealed state's exact encoding — in
-// Key.compare order. A fold is a pure function of its key's rollups, and a
+// Key.Compare order. A fold is a pure function of its key's rollups, and a
 // key's rollups all live in one shard of one ingestor, so a node that holds
 // a key whole exports the very bytes a single node holding everything would
 // fold for it: that, and mergeFolds being the one merge, is why cluster and
@@ -198,73 +167,55 @@ type pickedRollup struct {
 // are not counted.
 //
 // A key whose picked rollups are unchanged since an earlier query of the
-// same window range is not folded again: the shard's fold memo
+// same window range is not folded again: the key's fold memo
 // (foldmemo.go) returns that query's bytes, which are the bytes a fold would
 // produce. The returned Sketch bytes may therefore be shared and must not be
 // modified.
 //
-// Each shard is locked only while its window map is scanned, the memo
-// consulted and the missed keys' points copied out — a linear pass, the
-// price of a consistent cut without epoch machinery; MaxWindows bounds the
-// scan length. Ordering the runs, folding, sealing and encoding all happen
-// outside every lock; the new folds are memoised under a second, short hold.
+// Each shard is locked only while its selected keys are looked up, each
+// one's windows in range found by binary search, the memo consulted and the
+// missed keys' points copied out — the price of a consistent cut without
+// epoch machinery. That is one map lookup for a fully keyed spec (Region and
+// Net both set), in the one shard the key hashes to, and otherwise a pass
+// over the shard's keys, never over its (window, key) rollups. Folding,
+// sealing and encoding happen outside every lock; the new folds are memoised
+// under a second, short hold.
 func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
-	pick, fromMs, toMs, err := ing.selector(spec)
+	fromMs, toMs, err := ing.windowRange(spec)
 	if err != nil {
 		return nil, err
 	}
 	sc, _ := ing.foldPool.Get().(*foldScratch)
 	if sc == nil {
-		sc = &foldScratch{index: map[Key]int32{}, sk: stats.NewSketch(ing.cfg.Compression)}
+		sc = &foldScratch{sk: stats.NewSketch(ing.cfg.Compression)}
 	}
 	defer ing.foldPool.Put(sc)
+	shards, exact := ing.shards, spec.Region != "" && spec.Net != ""
+	key := Key{Metric: spec.Metric, Region: spec.Region, Net: spec.Net}
+	if exact {
+		i := key.ShardOf(len(shards))
+		shards = shards[i : i+1]
+	}
 	folds := []WindowSketch{} // never nil: no match is `[]` on the JSON surface
 	var hits, misses, folded int
-	for _, s := range ing.shards {
-		clear(sc.index)
-		sc.keys, sc.picked, sc.runs, sc.pts = sc.keys[:0], sc.picked[:0], sc.runs[:0], sc.pts[:0]
+	for _, s := range shards {
+		sc.keys, sc.runs, sc.pts = sc.keys[:0], sc.runs[:0], sc.pts[:0]
+		answered := len(folds)
 		s.mu.Lock()
-		for wk, r := range s.windows {
-			if !pick(wk) || r.Count() == 0 {
-				continue
+		if exact {
+			if ks := s.keys[key]; ks != nil {
+				folds = sc.pick(ks, fromMs, toMs, folds)
 			}
-			key, seen := sc.index[wk.Key]
-			if !seen {
-				key = int32(len(sc.keys))
-				sc.index[wk.Key] = key
-				sc.keys = append(sc.keys, keyScan{key: wk.Key})
+		} else {
+			for k, ks := range s.keys {
+				if spec.selects(k) {
+					folds = sc.pick(ks, fromMs, toMs, folds)
+				}
 			}
-			k := &sc.keys[key]
-			k.n++
-			k.stamp = max(k.stamp, r.stamp)
-			sc.picked = append(sc.picked, pickedRollup{key: key, start: wk.Start, r: r})
-		}
-		for i := range sc.keys {
-			k := &sc.keys[i]
-			m := s.memo[k.key]
-			if m == nil {
-				continue
-			}
-			if e, ok := m.get(fromMs, toMs, k.n, k.stamp); ok {
-				k.hit = true
-				hits++
-				folds = append(folds, WindowSketch{Start: e.start, Windows: e.n, Region: k.key.Region, Net: k.key.Net, Sketch: e.enc})
-			}
-		}
-		for _, p := range sc.picked {
-			if sc.keys[p.key].hit {
-				continue
-			}
-			at := len(sc.pts)
-			sc.pts = p.r.AppendPoints(sc.pts)
-			sc.runs = append(sc.runs, foldRun{
-				key: p.key, at: int32(at), n: int32(len(sc.pts) - at),
-				start: p.start, count: p.r.Count(), min: p.r.Min(), max: p.r.Max(),
-			})
 		}
 		clock, forgot := s.clock, s.forgot
 		s.mu.Unlock()
-		clear(sc.picked) // drop the rollup pointers: the pool must not pin evicted sketches
+		hits += len(folds) - answered
 		if len(sc.runs) == 0 {
 			continue
 		}
@@ -273,18 +224,13 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 		misses += len(folds) - fresh
 		folded += len(sc.runs)
 		s.mu.Lock()
-		if s.forgot == forgot { // else a forget since the scan may have deleted rollups these folds cover
-			for _, f := range folds[fresh:] {
-				key := Key{Metric: spec.Metric, Region: f.Region, Net: f.Net}
-				m := s.memo[key]
-				if m == nil {
-					m = new(keyMemo)
-					s.memo[key] = m
-				}
-				m.put(foldMemo{fromMs: fromMs, toMs: toMs, n: f.Windows, clock: clock, start: f.Start, enc: f.Sketch})
+		if s.forgot == forgot { // else a deletion since the scan may have removed rollups (or whole series) these folds cover
+			for i, f := range folds[fresh:] {
+				sc.keys[i].memo.put(foldMemo{fromMs: fromMs, toMs: toMs, n: f.Windows, clock: clock, start: f.Start, enc: f.Sketch})
 			}
 		}
 		s.mu.Unlock()
+		clear(sc.keys) // the pool must not pin dropped series
 	}
 	if ing.m != nil {
 		ing.m.memoHits.Add(uint64(hits))
@@ -295,15 +241,51 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 	return folds, nil
 }
 
-// fold appends one sealed fold per key of the copied-out runs to folds, in
-// no particular key order (foldKeys sorts across shards).
-func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
-	slices.SortFunc(sc.runs, func(a, b foldRun) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+// pick selects one key's rollups in [fromMs, toMs) — a binary search for
+// each bound in its windows — and either appends the memoised fold that
+// still covers them to folds or copies their points out as runs, ascending
+// by window start, for fold. Empty rollups fold nothing and are not counted.
+// Called with the key's shard locked.
+func (sc *foldScratch) pick(ks *keySeries, fromMs, toMs int64, folds []WindowSketch) []WindowSketch {
+	lo, _ := ks.find(fromMs)
+	hi, _ := ks.find(toMs)
+	if hi <= lo { // nothing in range, or an inverted one
+		return folds
+	}
+	wins := ks.wins[lo:hi]
+	n, stamp := 0, uint64(0)
+	for _, w := range wins {
+		if w.sk.Count() > 0 {
+			n++
+			stamp = max(stamp, w.stamp)
 		}
-		return cmp.Compare(a.start, b.start)
-	})
+	}
+	if n == 0 {
+		return folds
+	}
+	if e, ok := ks.memo.get(fromMs, toMs, n, stamp); ok {
+		return append(folds, WindowSketch{Start: e.start, Windows: e.n, Region: ks.key.Region, Net: ks.key.Net, Sketch: e.enc})
+	}
+	key := int32(len(sc.keys))
+	sc.keys = append(sc.keys, ks)
+	for _, w := range wins {
+		if w.sk.Count() == 0 {
+			continue
+		}
+		at := len(sc.pts)
+		sc.pts = w.sk.AppendPoints(sc.pts)
+		sc.runs = append(sc.runs, foldRun{
+			key: key, at: int32(at), n: int32(len(sc.pts) - at),
+			start: w.start, count: w.sk.Count(), min: w.sk.Min(), max: w.sk.Max(),
+		})
+	}
+	return folds
+}
+
+// fold appends one sealed fold per key of the copied-out runs to folds, in
+// sc.keys order (foldKeys sorts across shards): pick leaves each key's runs
+// contiguous and ascending by window start, so they fold as they lie.
+func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
 	folds = slices.Grow(folds, len(sc.keys))
 	for runs := sc.runs; len(runs) > 0; {
 		n := 1
@@ -457,7 +439,7 @@ type WindowSketch struct {
 }
 
 // compareKey orders two matches of one metric by key: (region, net), the
-// tail of Key.compare.
+// tail of Key.Compare.
 func (m *WindowSketch) compareKey(o *WindowSketch) int {
 	if c := strings.Compare(m.Region, o.Region); c != 0 {
 		return c
@@ -553,21 +535,18 @@ func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 
 // Keys lists every distinct dimension tuple with at least one rollup,
 // sorted, with its total event count — the pipeline's "what can I query"
-// introspection.
+// introspection. It reads each key's running count, so it costs one step
+// per key, not per rollup; a key lives in exactly one shard.
 func (ing *Ingestor) Keys() []KeyCount {
-	acc := map[Key]float64{}
+	out := []KeyCount{}
 	for _, s := range ing.shards {
 		s.mu.Lock()
-		for wk, sk := range s.windows {
-			acc[wk.Key] += sk.Count()
+		for k, ks := range s.keys {
+			out = append(out, KeyCount{Key: k, Count: ks.count})
 		}
 		s.mu.Unlock()
 	}
-	out := make([]KeyCount, 0, len(acc))
-	for k, n := range acc {
-		out = append(out, KeyCount{Key: k, Count: n})
-	}
-	slices.SortFunc(out, func(a, b KeyCount) int { return a.Key.compare(b.Key) })
+	slices.SortFunc(out, func(a, b KeyCount) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -62,11 +62,7 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 			return fmt.Errorf("telemetry: %s: snapshot is for %d shards / %dms windows, ingestor configured %d / %dms",
 				dir, snap.shards, snap.windowMs, ing.cfg.Shards, ing.cfg.Window.Milliseconds())
 		}
-		for wk, r := range snap.windows {
-			s.touch(r)
-			s.windows[wk] = r
-			s.starts[wk.Start]++
-		}
+		s.load(snap.rollups)
 		s.seen = snap.seen
 		applied = snap.applied
 		st.Snapshots++

@@ -1,12 +1,16 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+
+	"edgescope/internal/stats"
 )
 
 // Window snapshots. A snapshot is one shard's complete rollup state —
@@ -38,9 +42,15 @@ var snapMagic = [8]byte{'e', 's', 's', 'n', 'a', 'p', '0', 2}
 type snapState struct {
 	shards   int
 	windowMs int64
-	windows  map[windowKey]*rollup
+	rollups  []snapRollup // strictly ascending by (start, key), as encoded
 	seen     map[dedupKey]*seqTracker
 	applied  map[int64]uint64
+}
+
+// snapRollup is one decoded (window, key) rollup.
+type snapRollup struct {
+	windowKey
+	sk *stats.Sketch
 }
 
 type snapWriter struct{ b []byte }
@@ -56,8 +66,10 @@ func keySize(k Key) int { return 12 + len(k.Metric) + len(k.Region) + len(k.Net)
 
 // encodeSnapshot serializes a shard's state. Called with the shard mutex
 // held, so sketches, trackers and WAL record counts are one consistent cut.
-// Map iteration order is canonicalised by sorting, making snapshot bytes
-// deterministic for a given state.
+// Map iteration order is canonicalised, making snapshot bytes deterministic
+// for a given state: rollups go in (start, key) order — the keys sorted once
+// and their windows swept by start (inStartOrder) — and the other sections
+// are sorted.
 //
 // The payload is sized exactly while the maps are collected and written once
 // into a buffer of that size, so a large shard's checkpoint is one allocation
@@ -68,24 +80,20 @@ func keySize(k Key) int { return 12 + len(k.Metric) + len(k.Region) + len(k.Net)
 func encodeSnapshot(s *shard, cfg Config) []byte {
 	size := len(snapMagic) + 4 + 8 + 3*4 + 4 // header, three section counts, CRC
 
-	wks := make([]windowKey, 0, len(s.windows))
-	for wk, sk := range s.windows {
-		wks = append(wks, wk)
-		size += 8 + keySize(wk.Key) + 4 + sk.BinarySize()
+	series := make([]*keySeries, 0, len(s.keys))
+	rollups := 0
+	for _, ks := range s.keys {
+		series = append(series, ks)
+		rollups += len(ks.wins)
+		for _, w := range ks.wins {
+			size += 8 + keySize(ks.key) + 4 + w.sk.BinarySize()
+		}
 	}
-	sort.Slice(wks, func(i, j int) bool {
-		a, b := wks[i], wks[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		return a.Net < b.Net
-	})
+	slices.SortFunc(series, func(a, b *keySeries) int { return a.key.Compare(b.key) })
+	wins := make([][]keyWindow, len(series))
+	for i, ks := range series {
+		wins[i] = ks.wins
+	}
 
 	var segs []int64
 	if s.wal != nil {
@@ -120,14 +128,13 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 	w.u32(uint32(cfg.Shards))
 	w.i64(cfg.Window.Milliseconds())
 
-	w.u32(uint32(len(wks)))
-	for _, wk := range wks {
-		sk := s.windows[wk]
-		w.i64(wk.Start)
-		w.key(wk.Key)
-		w.u32(uint32(sk.BinarySize()))
-		w.b, _ = sk.AppendBinary(w.b) // encoding a live sketch cannot fail
-	}
+	w.u32(uint32(rollups))
+	inStartOrder(wins, func(kw keyWindow) int64 { return kw.start }, func(i int, kw keyWindow) {
+		w.i64(kw.start)
+		w.key(series[i].key)
+		w.u32(uint32(kw.sk.BinarySize()))
+		w.b, _ = kw.sk.AppendBinary(w.b) // encoding a live sketch cannot fail
+	})
 
 	w.u32(uint32(len(segs)))
 	for _, start := range segs {
@@ -278,7 +285,6 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 	}
 	r := &snapReader{b: payload, off: 8}
 	st := &snapState{
-		windows: map[windowKey]*rollup{},
 		seen:    map[dedupKey]*seqTracker{},
 		applied: map[int64]uint64{},
 	}
@@ -287,17 +293,24 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 
 	nWindows := int(r.u32())
 	for i := 0; i < nWindows && !r.fail(); i++ {
-		start := r.i64()
-		key := r.key()
+		wk := windowKey{Start: r.i64(), Key: r.key()}
 		raw := r.bytes()
 		if r.fail() {
 			break
 		}
-		r := new(rollup)
-		if err := r.UnmarshalBinary(raw); err != nil {
-			return nil, fmt.Errorf("telemetry: snapshot window %d/%s: %w", start, key, err)
+		// The encoder writes each rollup once, in (start, key) order; a
+		// repeat or a step back is corruption, not a state to guess at.
+		if n := len(st.rollups); n > 0 {
+			last := st.rollups[n-1].windowKey
+			if c := cmp.Compare(last.Start, wk.Start); c > 0 || c == 0 && last.Key.Compare(wk.Key) >= 0 {
+				return nil, fmt.Errorf("telemetry: snapshot window %d/%s out of order", wk.Start, wk.Key)
+			}
 		}
-		st.windows[windowKey{Start: start, Key: key}] = r
+		sk := new(stats.Sketch)
+		if err := sk.UnmarshalBinary(raw); err != nil {
+			return nil, fmt.Errorf("telemetry: snapshot window %d/%s: %w", wk.Start, wk.Key, err)
+		}
+		st.rollups = append(st.rollups, snapRollup{wk, sk})
 	}
 
 	nSegs := int(r.u32())

@@ -81,11 +81,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if st.shards <= 0 || st.windowMs <= 0 {
 			t.Fatalf("accepted snapshot with invalid header: %d shards %dms", st.shards, st.windowMs)
 		}
-		for wk, sk := range st.windows {
+		for _, r := range st.rollups {
 			// Accepted sketches must be usable, not booby-trapped.
-			sk.Quantile(0.5)
-			if sk.Count() < 0 {
-				t.Fatalf("window %v: negative count", wk)
+			r.sk.Quantile(0.5)
+			if r.sk.Count() < 0 {
+				t.Fatalf("window %v: negative count", r.windowKey)
 			}
 		}
 	})

@@ -11,7 +11,8 @@
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
 #     segment replay, snapshot decode, sketch codec, sketch-page codec;
-#     the sketch flush kernel against its scalar reference)
+#     the shard key index against a flat-map scan; the sketch flush kernel
+#     against its scalar reference)
 #   → chaos smoke: a seeded drop+duplicate+reorder fault plan on the small
 #     scenario through the retrying client must answer byte-identically to
 #     a clean run, and a killed durable ingestor must recover to the same
@@ -109,6 +110,9 @@ go test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
+
+echo "== fuzz (shard key index ≡ flat-map scan, 3s) =="
+go test -run xxx -fuzz FuzzShardIndexMatchesScan -fuzztime 3s ./internal/telemetry/
 
 echo "== fuzz (sketch flush kernel ≡ scalar reference, 5s) =="
 go test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
@@ -256,7 +260,7 @@ fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
   -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds,telemetry_client_sent_total,telemetry_client_retries_total,telemetry_client_failed_total,telemetry_client_backoff_seconds
 "$smoke/metriclint" -url "http://127.0.0.1:$N0/metrics" \
-  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_sketches_memo_hits_total,telemetry_sketches_memo_misses_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot,telemetry_wal_file_fsyncs_total
+  -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_sketches_memo_hits_total,telemetry_sketches_memo_misses_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot,telemetry_wal_file_fsyncs_total,telemetry_shard_keys
 # The fold memo: the rollups have not changed since the converged /query, so
 # repeating it must be answered from n0's memo — its hit counter moves.
 memo_hits() {
