@@ -24,19 +24,21 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./internal/telemetry/serve/ ./cmd/telemetryd/
 
 # Brief fuzz passes over the wire decoder, the durability surfaces (WAL
-# segment replay, snapshot decode, sketch and sketch-page codecs), the shard
-# index against a flat-map scan, and the two kernels against their
-# references: the sketch flush against its scalar form, the envelope codec
-# against encoding/json.
+# segment replay, snapshot decode, sketch, sketch-page and key-inventory
+# codecs), the shard index against a flat-map scan, and the three kernels
+# against their references: the sketch flush against its scalar form, the
+# envelope codec and the /keys JSON writer against encoding/json.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzKeyInventoryDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzShardIndexMatchesScan -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzEnvelopeCodecMatchesReference -fuzztime 5s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzKeysJSONMatchesEncoder -fuzztime 5s ./internal/telemetry/
 
 # The full chaos/durability test surface: fault-injected equivalence over
 # every built-in scenario, stall/short-write survival, kill-and-recover.

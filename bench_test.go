@@ -1173,18 +1173,29 @@ func BenchmarkMergeSketchPagesWide(b *testing.B) {
 // rollup — 23 040 rollups, of which a node's /keys lists 384 keys and a
 // narrow query picks 15.
 func keyspaceFixture(b *testing.B) *telemetry.Ingestor {
+	ing := keyspaceNode(b)
+	offerKeyspace(ing.Offer)
+	ing.Flush()
+	return ing
+}
+
+// keyspaceNode is one empty ingestor configured as keyspaceFixture's.
+func keyspaceNode(b *testing.B) *telemetry.Ingestor {
 	ing := telemetry.NewIngestor(telemetry.Config{Window: time.Second, Block: true})
 	b.Cleanup(func() { ing.Close() })
+	return ing
+}
+
+// offerKeyspace hands keyspaceFixture's events, in order, to offer.
+func offerKeyspace(offer func(telemetry.Envelope) bool) {
 	metrics := []string{"rtt_ms", "hop_count", "tput_mbps"}
 	r := rng.New(67)
 	for i := 0; i < len(metrics)*128*60*8; i++ {
 		key, window := i%128, i/(len(metrics)*128)%60
 		e := wideEnvelope(key, int64(window+1)*1000+int64(i%1000), math.Round(r.LogNormal(math.Log(20), 0.5)*1000)/1000)
 		e.Metric = metrics[i/128%len(metrics)]
-		ing.Offer(e)
+		offer(e)
 	}
-	ing.Flush()
-	return ing
 }
 
 // BenchmarkKeys is a node's /keys inventory over the end-to-end key space:
@@ -1198,6 +1209,43 @@ func BenchmarkKeys(b *testing.B) {
 			b.Fatalf("%d keys, want 384", len(keys))
 		}
 	}
+}
+
+// BenchmarkFrontendKeys is the frontend's /keys over keyspaceFixture split
+// by owner across three nodes: cluster.Frontend.Keys gathers each node's
+// binary inventory through cluster.HTTPNode and the node's own handlers
+// (serve.NewNode over memTransport), merges the runs, and the answer is
+// encoded as the edge's JSON.
+func BenchmarkFrontendKeys(b *testing.B) {
+	pm, err := cluster.NewMap(cluster.MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	discard := slog.New(slog.DiscardHandler)
+	nodes := memTransport{}
+	client := &http.Client{Transport: nodes}
+	ings := map[string]*telemetry.Ingestor{}
+	clients := map[string]cluster.NodeClient{}
+	for _, id := range pm.Nodes() {
+		ings[id] = keyspaceNode(b)
+		nodes[id] = serve.NewNode(serve.NodeConfig{Ing: ings[id], Metrics: obs.NewRegistry(), ID: id, Log: discard})
+		clients[id] = cluster.NewHTTPNode("http://"+id, client)
+	}
+	offerKeyspace(func(e telemetry.Envelope) bool { return ings[pm.Owner(pm.PartitionOf(e.Key()))].Offer(e) })
+	for _, ing := range ings {
+		ing.Flush()
+	}
+	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{})
+	ctx := context.Background()
+	b.Run("http", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keys, missing := front.Keys(ctx)
+			if _, ok := telemetry.AppendKeysJSON(nil, keys); len(keys) != 384 || missing != nil || !ok {
+				b.Fatalf("%d keys, missing %v, encoded %v", len(keys), missing, ok)
+			}
+		}
+	})
 }
 
 // BenchmarkMatchSketchesNarrow is a node's share of the end-to-end `narrow`

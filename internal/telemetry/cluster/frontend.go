@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"time"
 
@@ -17,7 +16,8 @@ type NodeClient interface {
 	// Sketches returns the node's matching rollups folded per key, in wire
 	// form (GET /sketches on a cluster node).
 	Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error)
-	// Keys returns the node's key inventory (GET /keys).
+	// Keys returns the node's key inventory (GET /keys): sorted in
+	// Key.Compare order, each key once, as Ingestor.Keys returns it.
 	Keys(ctx context.Context) ([]telemetry.KeyCount, error)
 }
 
@@ -303,8 +303,10 @@ func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result,
 
 // Keys scatter-gathers the cluster's key inventory: per-key counts summed
 // across nodes — each node contributing only the keys of partitions it is
-// assigned — sorted exactly like Ingestor.Keys. The second return lists
-// nodes that failed to answer (empty means the inventory is complete).
+// assigned — sorted exactly like Ingestor.Keys. Every node's run is already
+// sorted and unique (the NodeClient contract), so the runs are merged, not
+// re-sorted. The second return lists nodes that failed to answer (empty
+// means the inventory is complete).
 func (f *Frontend) Keys(ctx context.Context) ([]telemetry.KeyCount, []string) {
 	nodes := f.pm.Nodes()
 	parts := f.pm.Partitions()
@@ -327,16 +329,35 @@ func (f *Frontend) Keys(ctx context.Context) ([]telemetry.KeyCount, []string) {
 		perNode[idx[node]] = kept
 		return nil
 	})
-	acc := map[telemetry.Key]float64{}
-	for _, keys := range perNode {
-		for _, kc := range keys {
-			acc[kc.Key] += kc.Count
+	return mergeKeyRuns(perNode), missing
+}
+
+// mergeKeyRuns merges sorted, unique key runs into one sorted inventory,
+// summing a key's counts in run order wherever several runs hold it. It
+// consumes runs: each is re-sliced past the keys it has given.
+func mergeKeyRuns(runs [][]telemetry.KeyCount) []telemetry.KeyCount {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	out := make([]telemetry.KeyCount, 0, n)
+	for {
+		var least *telemetry.Key
+		for _, r := range runs {
+			if len(r) > 0 && (least == nil || r[0].Key.Compare(*least) < 0) {
+				least = &r[0].Key
+			}
 		}
+		if least == nil {
+			return out
+		}
+		kc := telemetry.KeyCount{Key: *least}
+		for i, r := range runs {
+			if len(r) > 0 && r[0].Key == kc.Key {
+				kc.Count += r[0].Count
+				runs[i] = r[1:]
+			}
+		}
+		out = append(out, kc)
 	}
-	out := make([]telemetry.KeyCount, 0, len(acc))
-	for k, n := range acc {
-		out = append(out, telemetry.KeyCount{Key: k, Count: n})
-	}
-	slices.SortFunc(out, func(a, b telemetry.KeyCount) int { return a.Key.Compare(b.Key) })
-	return out, missing
 }

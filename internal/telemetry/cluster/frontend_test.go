@@ -5,10 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"edgescope/internal/rng"
 	"edgescope/internal/scenario"
 	"edgescope/internal/telemetry"
 )
@@ -225,6 +230,117 @@ func TestFrontendKeysMergesInventory(t *testing.T) {
 	_, missing = h.f.Keys(context.Background())
 	if !reflect.DeepEqual(missing, []string{"n0"}) {
 		t.Fatalf("missing = %v", missing)
+	}
+}
+
+// TestMergeKeyRunsMatchesMapSum: merging sorted, unique runs — keys shared
+// between runs included — gives exactly the map-sum-then-sort inventory the
+// frontend built before, counts summed in run order.
+func TestMergeKeyRunsMatchesMapSum(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 300; trial++ {
+		runs := make([][]telemetry.KeyCount, r.IntN(5))
+		acc := map[telemetry.Key]float64{}
+		for i := range runs {
+			seen := map[telemetry.Key]bool{}
+			for j := r.IntN(12); j > 0; j-- {
+				k := telemetry.Key{Metric: fmt.Sprint("m", r.IntN(2)), Region: fmt.Sprint("r", r.IntN(3)), Net: fmt.Sprint("n", r.IntN(2))}
+				if !seen[k] {
+					seen[k] = true
+					runs[i] = append(runs[i], telemetry.KeyCount{Key: k, Count: r.Float64() * 100})
+				}
+			}
+			slices.SortFunc(runs[i], func(a, b telemetry.KeyCount) int { return a.Key.Compare(b.Key) })
+			for _, kc := range runs[i] {
+				acc[kc.Key] += kc.Count
+			}
+		}
+		want := make([]telemetry.KeyCount, 0, len(acc))
+		for k, n := range acc {
+			want = append(want, telemetry.KeyCount{Key: k, Count: n})
+		}
+		slices.SortFunc(want, func(a, b telemetry.KeyCount) int { return a.Key.Compare(b.Key) })
+		if got := mergeKeyRuns(runs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: merged %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// handlerTransport serves every request with h in process, as an httptest
+// server would over a socket.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// TestFrontendKeysFailedInventoryLeg: a node whose /keys answer is not a
+// sound binary inventory — JSON, as a node predating the inventory form
+// answers; a damaged inventory; keys out of order — is a failed leg. The
+// frontend names it missing and lists exactly the other nodes' keys, never
+// a wrong inventory. A sound answer over the same HTTP leg merges exactly
+// like the in-process one.
+func TestFrontendKeysFailedInventoryLeg(t *testing.T) {
+	h := newFrontendHarness(t)
+	ctx := context.Background()
+	want, missing := h.f.Keys(ctx)
+	if missing != nil {
+		t.Fatalf("missing = %v", missing)
+	}
+	var others []telemetry.KeyCount
+	for _, kc := range want {
+		if h.m.Owner(h.m.PartitionOf(kc.Key)) != "n2" {
+			others = append(others, kc)
+		}
+	}
+	n2 := h.nodes["n2"].ing.Keys()
+	if len(n2) < 2 || len(others) == 0 {
+		t.Fatalf("fixture: n2 holds %d keys, the others %d", len(n2), len(others))
+	}
+	binaryKeys := func(keys []telemetry.KeyCount, damage func([]byte)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/keys" || r.Header.Get("Accept") != telemetry.KeyInventoryContentType {
+				http.Error(w, "want GET /keys asking for the binary inventory", http.StatusNotAcceptable)
+				return
+			}
+			body := telemetry.AppendKeyInventory(nil, keys)
+			damage(body)
+			w.Header().Set("Content-Type", telemetry.KeyInventoryContentType)
+			w.Write(body)
+		}
+	}
+	reversed := slices.Clone(n2)
+	slices.Reverse(reversed)
+	for _, c := range []struct {
+		name  string
+		node  http.HandlerFunc
+		sound bool
+	}{
+		{"sound", binaryKeys(n2, func([]byte) {}), true},
+		{"json", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(n2)
+		}, false},
+		{"corrupt", binaryKeys(n2, func(b []byte) { b[len(b)/2] ^= 0x10 }), false},
+		{"out-of-order", binaryKeys(reversed, func([]byte) {}), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clients := map[string]NodeClient{
+				"n0": h.nodes["n0"],
+				"n1": h.nodes["n1"],
+				"n2": NewHTTPNode("http://n2", &http.Client{Transport: handlerTransport{c.node}}),
+			}
+			keys, missing := NewFrontend(h.m, clients, FrontendConfig{Timeout: time.Second}).Keys(ctx)
+			wantKeys, wantMissing := others, []string{"n2"}
+			if c.sound {
+				wantKeys, wantMissing = want, nil
+			}
+			if !reflect.DeepEqual(missing, wantMissing) || !reflect.DeepEqual(keys, wantKeys) {
+				t.Fatalf("missing %v, %d keys; want missing %v, %d keys", missing, len(keys), wantMissing, len(wantKeys))
+			}
+		})
 	}
 }
 

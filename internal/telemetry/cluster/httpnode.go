@@ -24,9 +24,11 @@ import (
 //
 // Every leg that moves sketch pages — /sketches, /sketches/partition,
 // /admin/absorb — speaks the binary, CRC-trailed page form
-// (telemetry.SketchPageContentType) and nothing else: a node that answers
-// in any other content type, or with a page that fails its checksum or
-// framing, is a failed leg. Keys, health and the small admin acks are JSON.
+// (telemetry.SketchPageContentType), and /keys the binary, CRC-trailed key
+// inventory (telemetry.KeyInventoryContentType), and nothing else: a node
+// that answers in any other content type, or with a body that fails its
+// checksum, framing or key order, is a failed leg. Health and the small
+// admin acks are JSON.
 type HTTPNode struct {
 	base   string
 	client *http.Client
@@ -64,7 +66,7 @@ func (n *HTTPNode) MeterPageBytes(c *obs.Counter) { n.pageBytes.Store(c) }
 // fails the leg. The returned page aliases the response body.
 func (n *HTTPNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error) {
 	path := "/sketches?" + specParams(spec)
-	body, err := n.pageBody(ctx, path)
+	body, err := n.binaryBody(ctx, path, telemetry.SketchPageContentType)
 	if err != nil {
 		return telemetry.SketchPage{}, err
 	}
@@ -78,11 +80,18 @@ func (n *HTTPNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (tele
 	return page, nil
 }
 
-// Keys fetches the node's key inventory: GET /keys.
+// Keys fetches the node's key inventory: GET /keys, answered as one binary
+// inventory — sorted and unique, or the leg fails.
 func (n *HTTPNode) Keys(ctx context.Context) ([]telemetry.KeyCount, error) {
-	var keys []telemetry.KeyCount
-	err := n.getJSON(ctx, "/keys", &keys)
-	return keys, err
+	body, err := n.binaryBody(ctx, "/keys", telemetry.KeyInventoryContentType)
+	if err != nil {
+		return nil, err
+	}
+	keys, err := telemetry.DecodeKeyInventory(body)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s/keys: %w", n.base, err)
+	}
+	return keys, nil
 }
 
 // Probe checks the node's /healthz: reachable on any well-formed answer,
@@ -130,7 +139,7 @@ func (n *HTTPNode) UnfreezePartition(ctx context.Context, p, of int) error {
 // set: GET /sketches/partition?partition=&of=. The pages alias the body.
 func (n *HTTPNode) PartitionPages(ctx context.Context, p, of int) ([]telemetry.SketchPage, error) {
 	path := "/sketches/partition?" + partParams(p, of)
-	body, err := n.pageBody(ctx, path)
+	body, err := n.binaryBody(ctx, path, telemetry.SketchPageContentType)
 	if err != nil {
 		return nil, err
 	}
@@ -228,30 +237,26 @@ func (n *HTTPNode) postJSON(ctx context.Context, path string, body, out any) err
 	return n.do(ctx, http.MethodPost, path, "application/json", raw, "", consume)
 }
 
-// getJSON runs one GET leg and decodes the JSON answer.
-func (n *HTTPNode) getJSON(ctx context.Context, path string, v any) error {
-	return n.do(ctx, http.MethodGet, path, "", nil, "", jsonInto(v))
-}
-
 // jsonInto is the consume step of a leg answered in JSON.
 func jsonInto(v any) func(*http.Response) error {
 	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(v) }
 }
 
-// maxPagePrealloc caps how much of a declared Content-Length pageBody
+// maxPagePrealloc caps how much of a declared Content-Length binaryBody
 // reserves up front; a longer body still arrives whole, the buffer just
 // grows as its bytes actually do.
 const maxPagePrealloc = 64 << 20
 
-// pageBody runs one sketch-page GET and returns the whole answer body,
-// which must be declared as the binary page form — there is no JSON
-// fallback, so a node too old (or too broken) to speak it fails the leg.
-func (n *HTTPNode) pageBody(ctx context.Context, path string) ([]byte, error) {
+// binaryBody runs one GET for a binary form (a sketch page, page set or key
+// inventory) and returns the whole answer body, which must be declared as
+// contentType — there is no JSON fallback, so a node too old (or too
+// broken) to speak it fails the leg.
+func (n *HTTPNode) binaryBody(ctx context.Context, path, contentType string) ([]byte, error) {
 	var buf bytes.Buffer
-	err := n.do(ctx, http.MethodGet, path, "", nil, telemetry.SketchPageContentType,
+	err := n.do(ctx, http.MethodGet, path, "", nil, contentType,
 		func(resp *http.Response) error {
-			if ct := resp.Header.Get("Content-Type"); ct != telemetry.SketchPageContentType {
-				return fmt.Errorf("cluster: %s%s: content type %q, want %q", n.base, path, ct, telemetry.SketchPageContentType)
+			if ct := resp.Header.Get("Content-Type"); ct != contentType {
+				return fmt.Errorf("cluster: %s%s: content type %q, want %q", n.base, path, ct, contentType)
 			}
 			if size := resp.ContentLength; size > 0 {
 				// +MinRead: ReadFrom wants that much spare before each read,
@@ -259,7 +264,7 @@ func (n *HTTPNode) pageBody(ctx context.Context, path string) ([]byte, error) {
 				buf.Grow(int(min(size, maxPagePrealloc)) + bytes.MinRead)
 			}
 			if _, err := buf.ReadFrom(resp.Body); err != nil {
-				return fmt.Errorf("cluster: %s%s: read page: %w", n.base, path, err)
+				return fmt.Errorf("cluster: %s%s: read body: %w", n.base, path, err)
 			}
 			return nil
 		})

@@ -91,10 +91,10 @@ func (p SketchPage) AppendBinary(dst []byte) ([]byte, error) {
 // framing is checked here: the sketches are validated by whoever folds them
 // (MergeSketchPages, AbsorbPages).
 func DecodeSketchPage(data []byte) (SketchPage, error) {
-	return decodeSketchPage(data, map[string]string{})
+	return decodeSketchPage(data, interner{})
 }
 
-func decodeSketchPage(data []byte, intern map[string]string) (SketchPage, error) {
+func decodeSketchPage(data []byte, str interner) (SketchPage, error) {
 	if len(data) < pageFixedBytes {
 		return SketchPage{}, fmt.Errorf("telemetry: sketch page: %d bytes, too short", len(data))
 	}
@@ -105,16 +105,8 @@ func decodeSketchPage(data []byte, intern map[string]string) (SketchPage, error)
 	if crc32.ChecksumIEEE(payload) != sum {
 		return SketchPage{}, fmt.Errorf("telemetry: sketch page: checksum mismatch")
 	}
-	str := func(b []byte) string {
-		if s, ok := intern[string(b)]; ok {
-			return s
-		}
-		s := string(b)
-		intern[s] = s
-		return s
-	}
 	r := &snapReader{b: payload, off: 8}
-	p := SketchPage{Metric: str(r.bytes())}
+	p := SketchPage{Metric: str.of(r.bytes())}
 	p.Compression = math.Float64frombits(r.u64())
 	p.WindowMs = r.i64()
 	n := int(r.u32())
@@ -126,8 +118,8 @@ func decodeSketchPage(data []byte, intern map[string]string) (SketchPage, error)
 		m := &p.Matches[i]
 		m.Start = r.i64()
 		m.Windows = int(r.u32())
-		m.Region = str(r.bytes())
-		m.Net = str(r.bytes())
+		m.Region = str.of(r.bytes())
+		m.Net = str.of(r.bytes())
 		m.Sketch = r.bytes()
 	}
 	if r.fail() || r.off != len(payload) {
@@ -160,7 +152,7 @@ func DecodeSketchPages(data []byte) ([]SketchPage, error) {
 		return nil, fmt.Errorf("telemetry: sketch page set: %d pages declared in %d bytes", n, len(rest))
 	}
 	pages := make([]SketchPage, n)
-	intern := map[string]string{}
+	intern := interner{}
 	for i := range pages {
 		if len(rest) < 8 {
 			return nil, fmt.Errorf("telemetry: sketch page set: truncated before page %d", i)

@@ -538,7 +538,13 @@ func MergeSketchPages(spec QuerySpec, pages []SketchPage) (QueryResult, error) {
 // introspection. It reads each key's running count, so it costs one step
 // per key, not per rollup; a key lives in exactly one shard.
 func (ing *Ingestor) Keys() []KeyCount {
-	out := []KeyCount{}
+	n := 0
+	for _, s := range ing.shards {
+		s.mu.Lock()
+		n += len(s.keys)
+		s.mu.Unlock()
+	}
+	out := make([]KeyCount, 0, n)
 	for _, s := range ing.shards {
 		s.mu.Lock()
 		for k, ks := range s.keys {

@@ -199,7 +199,7 @@ func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, log *slog.Log
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusPartialContent)
 		}
-		writeJSON(log, w, keys)
+		writeKeysJSON(log, w, keys)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := f.Health.Snapshot()

@@ -59,8 +59,15 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 		}
 		writeJSON(log, w, res)
 	})
+	// /keys is the inventory: binary for a frontend's scatter leg (which
+	// asks for it), JSON for anyone else.
 	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(log, w, ing.Keys())
+		keys := ing.Keys()
+		if wantsBinary(r, telemetry.KeyInventoryContentType) {
+			writeBinary(log, w, telemetry.KeyInventoryContentType, telemetry.AppendKeyInventory(nil, keys))
+			return
+		}
+		writeKeysJSON(log, w, keys)
 	})
 	// /sketches is the scatter half of a cluster query: each matching key's
 	// rollups folded here, where the data is, into one sealed sketch — one
@@ -80,9 +87,9 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if wantsBinaryPages(r) {
+		if wantsBinary(r, telemetry.SketchPageContentType) {
 			body, _ := page.AppendBinary(make([]byte, 0, page.BinarySize())) // encoding a page cannot fail
-			writeBinaryPages(log, w, body)
+			writeBinary(log, w, telemetry.SketchPageContentType, body)
 			return
 		}
 		writeJSON(log, w, page)
@@ -167,8 +174,8 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if wantsBinaryPages(r) {
-			writeBinaryPages(log, w, telemetry.AppendSketchPages(nil, pages))
+		if wantsBinary(r, telemetry.SketchPageContentType) {
+			writeBinary(log, w, telemetry.SketchPageContentType, telemetry.AppendSketchPages(nil, pages))
 			return
 		}
 		writeJSON(log, w, pages)
@@ -277,16 +284,16 @@ func partOfParams(r *http.Request) (p, of int, err error) {
 	return p, of, nil
 }
 
-// wantsBinaryPages reports whether the caller asked for sketch pages in
-// their binary wire form.
-func wantsBinaryPages(r *http.Request) bool {
-	return r.Header.Get("Accept") == telemetry.SketchPageContentType
+// wantsBinary reports whether the caller asked for the binary wire form
+// named by contentType (a sketch page or a key inventory).
+func wantsBinary(r *http.Request, contentType string) bool {
+	return r.Header.Get("Accept") == contentType
 }
 
-// writeBinaryPages answers with an encoded page (or page set): declared
-// length, one Write.
-func writeBinaryPages(log *slog.Logger, w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", telemetry.SketchPageContentType)
+// writeBinary answers with an encoded page, page set or key inventory:
+// declared type and length, one Write.
+func writeBinary(log *slog.Logger, w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if _, err := w.Write(body); err != nil {
 		log.Error("write response failed", "err", err)
@@ -298,6 +305,20 @@ func writeJSON(log *slog.Logger, w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
+		log.Error("write response failed", "err", err)
+	}
+}
+
+// writeKeysJSON answers with the key inventory's JSON: the bytes writeJSON
+// would write, by telemetry.AppendKeysJSON unless it declines.
+func writeKeysJSON(log *slog.Logger, w http.ResponseWriter, keys []telemetry.KeyCount) {
+	body, ok := telemetry.AppendKeysJSON(nil, keys)
+	if !ok {
+		writeJSON(log, w, keys)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(body); err != nil {
 		log.Error("write response failed", "err", err)
 	}
 }

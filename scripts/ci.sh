@@ -10,9 +10,10 @@
 #     listed with a reason in scripts/reach_keep)
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
-#     segment replay, snapshot decode, sketch codec, sketch-page codec;
-#     the shard key index against a flat-map scan; the sketch flush kernel
-#     against its scalar reference)
+#     segment replay, snapshot decode, sketch codec, sketch-page and
+#     key-inventory codecs; the shard key index against a flat-map scan;
+#     the sketch flush kernel against its scalar reference; the envelope
+#     and /keys JSON kernels against encoding/json)
 #   → chaos smoke: a seeded drop+duplicate+reorder fault plan on the small
 #     scenario through the retrying client must answer byte-identically to
 #     a clean run, and a killed durable ingestor must recover to the same
@@ -22,10 +23,11 @@
 #     carrying the ingest families — scraped and linted by cmd/metriclint
 #   → cluster smoke: a 3-node cluster + frontend on loopback replaying the
 #     small scenario must answer /query byte-identically to a single-node
-#     replay; a node asked for its /sketches in the binary page form must
-#     answer in it, its JSON page must hold one fold per key (each match
-#     with "windows"), and the frontend's /metrics (leg, page-byte, merge
-#     and retry-client families) and the node's (fold families) must lint,
+#     replay; a node asked for its /sketches in the binary page form, or
+#     its /keys in the binary inventory form, must answer in it, its JSON
+#     page must hold one fold per key (each match with "windows"), and the
+#     frontend's /metrics (leg, page-byte, merge and retry-client
+#     families) and the node's (fold families) must lint,
 #     and the node must have fsynced at most 2 WAL files per sync batch;
 #     a SIGKILLed member must surface as an explicit partial result; a
 #     restarted member (WAL recovery) must reconverge, having replayed no
@@ -105,10 +107,11 @@ go test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/pred
 echo "== fuzz (telemetry decoder, 5s) =="
 go test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 
-echo "== fuzz (durability surfaces: WAL replay, snapshot, sketch + sketch-page codecs; 3s each) =="
+echo "== fuzz (durability surfaces: WAL replay, snapshot, sketch, sketch-page + key-inventory codecs; 3s each) =="
 go test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
+go test -run xxx -fuzz FuzzKeyInventoryDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
 
 echo "== fuzz (shard key index ≡ flat-map scan, 3s) =="
@@ -117,8 +120,9 @@ go test -run xxx -fuzz FuzzShardIndexMatchesScan -fuzztime 3s ./internal/telemet
 echo "== fuzz (sketch flush kernel ≡ scalar reference, 5s) =="
 go test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
 
-echo "== fuzz (envelope codec kernel ≡ encoding/json reference, 5s) =="
+echo "== fuzz (envelope codec and /keys JSON kernels ≡ encoding/json reference, 5s each) =="
 go test -run xxx -fuzz FuzzEnvelopeCodecMatchesReference -fuzztime 5s ./internal/telemetry/
+go test -run xxx -fuzz FuzzKeysJSONMatchesEncoder -fuzztime 5s ./internal/telemetry/
 
 echo "== chaos smoke (seeded drop+dup+reorder on small, retrying client) =="
 # The chaos acceptance pin: >=1% drops, duplicates and reorders injected
@@ -238,13 +242,21 @@ curl -fsS "http://127.0.0.1:$FRONT/keys" > "$smoke/cluster-keys.json"
 diff "$smoke/cluster-single-keys.json" "$smoke/cluster-keys.json"
 echo "  3-node /query and /keys byte-identical to a single-node replay"
 
-# The frontend↔node leg's wire form, from outside: asked for the binary
-# page, a node answers in it (without the header it stays JSON for curl).
+# The frontend↔node legs' wire forms, from outside: asked for the binary
+# page or key inventory, a node answers in it (without the header it stays
+# JSON for curl).
 PAGE_CT='application/x-edgescope-sketch-page'
 got_ct=$(curl -fsS -o "$smoke/cluster-n0-page.bin" -w '%{content_type}' \
   -H "Accept: $PAGE_CT" "http://127.0.0.1:$N0/sketches?$QS")
 if [[ "$got_ct" != "$PAGE_CT" ]] || [[ "$(head -c 6 "$smoke/cluster-n0-page.bin")" != "espage" ]]; then
   echo "n0 /sketches with Accept: $PAGE_CT answered content type '$got_ct'" >&2
+  exit 1
+fi
+KEYS_CT='application/x-edgescope-keys'
+got_ct=$(curl -fsS -o "$smoke/cluster-n0-keys.bin" -w '%{content_type}' \
+  -H "Accept: $KEYS_CT" "http://127.0.0.1:$N0/keys")
+if [[ "$got_ct" != "$KEYS_CT" ]] || [[ "$(head -c 6 "$smoke/cluster-n0-keys.bin")" != "eskeys" ]]; then
+  echo "n0 /keys with Accept: $KEYS_CT answered content type '$got_ct'" >&2
   exit 1
 fi
 # What the page holds: one sealed fold per key — every match carries
@@ -285,7 +297,7 @@ curl -fsS "http://127.0.0.1:$N0/metrics" | awk '
     printf "  n0 WAL: %d files fsynced in %d sync batches\n", files, batches
     exit !(batches > 0 && files <= 2 * batches)
   }' || { echo "n0 fsyncs more than 2 files per WAL sync batch (or none at all)" >&2; exit 1; }
-echo "  n0 serves binary sketch pages on request, one fold per key; frontend and node /metrics lint with the leg, merge, retry-client, fold and checkpoint families"
+echo "  n0 serves binary sketch pages and key inventories on request, one fold per key; frontend and node /metrics lint with the leg, merge, retry-client, fold and checkpoint families"
 
 # README's partial-result sentence, exactly: the answer below must list as
 # missing the partitions the assignment gives n1 — all of them, no others.
