@@ -313,8 +313,8 @@ func replayCampaign(log *slog.Logger, scenarioArg string, seed uint64, send func
 	}
 	log.Info("replay starting", append([]any{"scenario", suite.Name(), "seed", suite.Seed}, startAttrs...)...)
 	st := telemetry.ReplayCampaignLatencyFunc(send, suite.Campaign(),
-		rng.New(suite.Seed).Fork("latency"), telemetry.ReplayOptions{})
-	thr := telemetry.ReplayFunc(send, telemetry.ThroughputEvents(suite.ThroughputObs(), telemetry.ReplayOptions{}))
+		rng.New(suite.Seed).Fork("latency"))
+	thr := telemetry.ReplayFunc(send, telemetry.ThroughputEvents(suite.ThroughputObs()))
 	st.Events += thr.Events
 	st.Accepted += thr.Accepted
 	st.Dropped += thr.Dropped

@@ -21,7 +21,7 @@ import (
 func (s *Suite) ExtTelemetry() *report.Table {
 	st := s.LatencyStore()
 	// The streaming side replays whole records: the thin []Observation view.
-	events := telemetry.LatencyEvents(st.View(), telemetry.ReplayOptions{})
+	events := telemetry.LatencyEvents(st.View())
 
 	ing := telemetry.NewIngestor(telemetry.Config{
 		Shards: 4,

@@ -116,12 +116,10 @@ type Observation struct {
 	UserID      int
 	Access      netmodel.Access
 	Target      TargetKind
-	SiteID      string
 	SiteMetro   string
 	DistanceKm  float64 // great-circle user→site
 	CityDistKm  float64 // city-level distance (0 when co-located, Table 4)
 	MedianRTTMs float64
-	MeanRTTMs   float64
 	CV          float64
 	HopCount    int
 	Share1      float64
@@ -285,12 +283,10 @@ func (c *Campaign) observe(r *rng.Source, u User, kind TargetKind, site *topolog
 		UserID:      u.ID,
 		Access:      u.Access,
 		Target:      kind,
-		SiteID:      site.ID,
 		SiteMetro:   site.City.Name,
 		DistanceKm:  dist,
 		CityDistKm:  cityDist,
 		MedianRTTMs: sc.sel.Percentile(st.RTTs, 50), // == st.MedianMs(), no copy alloc
-		MeanRTTMs:   mean(st.RTTs),
 		CV:          st.CV(),
 		HopCount:    path.HopCount(),
 		Share1:      s1,
@@ -298,17 +294,6 @@ func (c *Campaign) observe(r *rng.Source, u User, kind TargetKind, site *topolog
 		Share3:      s3,
 		ShareRest:   rest,
 	}
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // ThroughputObs is one user×site×direction iperf measurement (Figure 5).

@@ -53,9 +53,7 @@ func (k Kind) String() string {
 }
 
 // Counter is a monotonically increasing uint64 cell. The zero value is ready
-// to use; a standalone (unregistered) counter is a valid accounting cell —
-// internal/telemetry uses them when no registry is configured. All methods
-// are safe on a nil receiver and for concurrent use.
+// to use. All methods are safe on a nil receiver and for concurrent use.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.

@@ -30,10 +30,6 @@ func (t Target) String() string {
 
 // Options configures the Figure 14 evaluation.
 type Options struct {
-	// Window is the aggregation window (paper: 30 minutes).
-	Window time.Duration
-	// TrainFrac is the training share (paper: 3 of 4 weeks = 0.75).
-	TrainFrac float64
 	// MaxVMs bounds how many VMs are evaluated (0 = all).
 	MaxVMs int
 	// LSTMEpochs caps LSTM training epochs (0 = default).
@@ -45,13 +41,14 @@ type Options struct {
 	Workers int
 }
 
+const (
+	// window is the aggregation window (paper: 30 minutes).
+	window = 30 * time.Minute
+	// trainFrac is the training share (paper: 3 of 4 weeks = 0.75).
+	trainFrac = 0.75
+)
+
 func (o *Options) fill() {
-	if o.Window == 0 {
-		o.Window = 30 * time.Minute
-	}
-	if o.TrainFrac == 0 {
-		o.TrainFrac = 0.75
-	}
 	if len(o.Models) == 0 {
 		o.Models = []string{"holt-winters", "lstm"}
 	}
@@ -80,12 +77,12 @@ func Evaluate(d *vm.Dataset, opts Options) ([]Result, error) {
 		n = opts.MaxVMs
 	}
 	for vi := 0; vi < n; vi++ {
-		if iv := d.VMs[vi].CPU.Interval; opts.Window%iv != 0 {
+		if iv := d.VMs[vi].CPU.Interval; window%iv != 0 {
 			return nil, fmt.Errorf("predict: window %v not a multiple of series interval %v",
-				opts.Window, iv)
+				window, iv)
 		}
 	}
-	period := int(24 * time.Hour / opts.Window)
+	period := int(24 * time.Hour / window)
 	perVM := len(targets) * len(opts.Models)
 	// VM vi owns slots[vi*perVM:(vi+1)*perVM]; a slot left with an empty
 	// Model belongs to a skipped series, so the compaction below restores
@@ -136,8 +133,8 @@ func evaluateVM(vi int, cpu, buf *timeseries.Series, res []Result, period int, o
 		if target == MeanCPU {
 			agg = timeseries.AggMean
 		}
-		cpu.ResampleInto(buf, opts.Window, agg)
-		split := int(float64(buf.Len()) * opts.TrainFrac)
+		cpu.ResampleInto(buf, window, agg)
+		split := int(float64(buf.Len()) * trainFrac)
 		if split < 2*period || buf.Len()-split < period/2 {
 			continue // series too short for this split
 		}

@@ -221,11 +221,9 @@ func TestEvaluateLSTMOnFewVMs(t *testing.T) {
 }
 
 func TestEvaluateRejectsBadWindow(t *testing.T) {
-	nep, err := workload.GenerateNEP(rng.New(23), workload.Options{Apps: 2, Days: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Evaluate(nep, Options{Window: 7 * time.Minute, MaxVMs: 1}); err == nil {
+	d := evalDataset(8)
+	d.VMs[0].CPU.Interval = 7 * time.Minute // the 30-minute window is no multiple of it
+	if _, err := Evaluate(d, Options{MaxVMs: 1}); err == nil {
 		t.Fatal("expected window-multiple error")
 	}
 }
@@ -278,8 +276,8 @@ func TestEvaluateSameErrorAtAnyWorkerCount(t *testing.T) {
 	mixed := evalDataset(8, 8, 8, 8)
 	mixed.VMs[2].CPU.Interval = 7 * time.Minute
 	mixed.VMs[3].CPU.Interval = 11 * time.Minute
-	// A 24 h window makes the period 1, which every fit rejects; VM 0 is
-	// skipped as too short, so a serial loop stops at VM 1.
+	// Every model is unknown; VM 0 is skipped as too short, so a serial loop
+	// stops at VM 1.
 	allFail := evalDataset(1, 8, 8, 8, 8, 8)
 	for _, tc := range []struct {
 		name string
@@ -288,7 +286,6 @@ func TestEvaluateSameErrorAtAnyWorkerCount(t *testing.T) {
 		want string
 	}{
 		{"mixed-interval", mixed, Options{}, "window 30m0s not a multiple of series interval 7m0s"},
-		{"fit", allFail, Options{Window: 24 * time.Hour, TrainFrac: 0.5, Models: []string{"holt-winters"}}, "VM 1 holt-winters"},
 		{"unknown-model", allFail, Options{Models: []string{"prophet"}}, `unknown model "prophet"`},
 	} {
 		for _, workers := range []int{1, 2, 8} {
@@ -301,6 +298,20 @@ func TestEvaluateSameErrorAtAnyWorkerCount(t *testing.T) {
 				t.Errorf("%s workers=%d: results returned beside an error", tc.name, workers)
 			}
 		}
+	}
+}
+
+// TestEvaluateVMNamesFitError: a fit error names the VM and the model. The
+// split Evaluate applies skips exactly the series Holt-Winters would reject
+// (fewer than two seasons of training data), and the window and period are
+// fixed, so no Evaluate input reaches a fit error; a period of 1 does.
+func TestEvaluateVMNamesFitError(t *testing.T) {
+	d := evalDataset(8)
+	var buf timeseries.Series
+	res := make([]Result, len(targets))
+	err := evaluateVM(1, d.VMs[0].CPU, &buf, res, 1, Options{Models: []string{"holt-winters"}})
+	if want := "predict: VM 1 holt-winters: predict: period 1 must exceed 1"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

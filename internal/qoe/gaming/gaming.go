@@ -90,10 +90,10 @@ type Config struct {
 	// GPURendering offloads rendering to a GPU, saving 10–20 ms (the
 	// paper's laptop micro-experiment).
 	GPURendering bool
-	// FrameKB is the encoded response-frame size; the 800×600 default is
-	// ~25 KB.
-	FrameKB float64
 }
+
+// frameKB is the encoded response-frame size; an 800×600 frame is ~25 KB.
+const frameKB = 25
 
 // fill applies the paper's default setting: Flare on a Samsung Note 10+
 // over WiFi with an 8-core backend.
@@ -109,9 +109,6 @@ func (c *Config) fill() {
 	}
 	if c.ServerCores == 0 {
 		c.ServerCores = 8
-	}
-	if c.FrameKB == 0 {
-		c.FrameKB = 25
 	}
 }
 
@@ -156,7 +153,7 @@ func Simulate(r *rng.Source, cfg Config, n int) []Sample {
 		}
 		// The game loop is single-threaded: ServerCores does not speed it
 		// up (it only caps at least one core being available).
-		txMs := cfg.FrameKB * 8 / prof.DownMbpsMedian // frame serialisation
+		txMs := frameKB * 8 / prof.DownMbpsMedian // frame serialisation
 		out[i] = Sample{
 			Input:    r.NormalPos(cfg.Device.InputMs, 0.8),
 			Uplink:   rtt / 2,

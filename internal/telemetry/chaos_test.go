@@ -24,7 +24,7 @@ func scenarioEvents(t *testing.T, sp *scenario.Spec) []Envelope {
 	t.Helper()
 	r := rng.New(sp.Seed)
 	c := crowd.NewCampaign(r.Fork("campaign"), sp.Crowd)
-	return LatencyEvents(c.RunLatency(r.Fork("latency")), ReplayOptions{})
+	return LatencyEvents(c.RunLatency(r.Fork("latency")))
 }
 
 // chaosRun streams events through a fault injector + retrying client into a
@@ -37,8 +37,7 @@ func chaosRun(t *testing.T, events []Envelope, fault *scenario.FaultSpec, seed u
 	client := NewRetryClient(func(e Envelope) bool {
 		return inj.Offer(e, e.Key().ShardOf(shards), ing.Offer)
 	}, rng.New(seed).Fork("client"), RetryConfig{
-		MaxAttempts: 32,
-		Sleep:       func(time.Duration) {}, // faults are event-counted; no wall-clock backoff needed
+		Sleep: func(time.Duration) {}, // faults are event-counted; no wall-clock backoff needed
 	})
 	for i, e := range events {
 		if !client.Send(e) {
@@ -94,8 +93,8 @@ func TestChaosEquivalenceAcrossScenarios(t *testing.T) {
 }
 
 // TestChaosStallSurvivedByRetry: a stalled shard refuses whole spans of
-// offers; with enough attempts the client outlasts every stall and delivery
-// is still exactly-once.
+// offers; stalls half as long as the client's attempt budget are outlasted
+// and delivery is still exactly-once.
 func TestChaosStallSurvivedByRetry(t *testing.T) {
 	sp := scenario.MustGet("small")
 	events := scenarioEvents(t, sp)
@@ -106,7 +105,7 @@ func TestChaosStallSurvivedByRetry(t *testing.T) {
 	Replay(clean, events)
 	want := queryFingerprint(t, clean)
 
-	fault := &scenario.FaultSpec{ShardStall: 0.01, StallSpan: 8}
+	fault := &scenario.FaultSpec{ShardStall: 0.01, StallSpan: maxAttempts / 2}
 	got, _, fst := chaosRun(t, events, fault, sp.Seed, shards)
 	if fst.Stalled == 0 {
 		t.Fatalf("no stalls injected: %+v", fst)

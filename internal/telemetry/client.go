@@ -16,49 +16,46 @@ import (
 // RetryConfig tunes a RetryClient. The zero value gets the documented
 // defaults.
 type RetryConfig struct {
-	// MaxAttempts bounds sends per event, first try included. Default 8.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each later retry
-	// doubles it up to MaxDelay. Default 5ms / 500ms.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Sleep replaces time.Sleep, letting tests (and the chaos harness,
 	// whose faults are event-counted, not timed) run backoff at full speed
 	// with the delay sequence still computed — and still drawn from the
 	// jitter stream — exactly as in production.
 	Sleep func(time.Duration)
-	// Metrics, when set, registers the client's instrument families there
+	// Metrics is the registry the client's instrument families register on
 	// (telemetry_client_*): sends, retries, failures, and the computed
-	// backoff delay distribution. One client per registry.
+	// backoff delay distribution. One client per registry; nil gets a
+	// private registry nothing scrapes.
 	Metrics *obs.Registry
 }
 
 func (c *RetryConfig) fill() {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.BaseDelay <= 0 {
-		c.BaseDelay = 5 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 500 * time.Millisecond
-	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
 	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
+	}
 }
+
+const (
+	// maxAttempts bounds a RetryClient's sends per event, first try included.
+	maxAttempts = 8
+	// baseDelay is the backoff before the first retry; each later retry
+	// doubles it up to maxDelay.
+	baseDelay = 5 * time.Millisecond
+	maxDelay  = 500 * time.Millisecond
+)
 
 // ClientStats counts a RetryClient's work.
 type ClientStats struct {
 	Sent    uint64 `json:"sent"`    // events handed to Send
 	Retries uint64 `json:"retries"` // extra attempts beyond the first
-	Failed  uint64 `json:"failed"`  // events abandoned after MaxAttempts
+	Failed  uint64 `json:"failed"`  // events abandoned after maxAttempts
 }
 
-// clientMetrics are the client's accounting cells. Always populated with
-// obs.Counters (registered series when RetryConfig.Metrics is set, standalone
-// otherwise) so Stats() reads atomics — safe to call while SendAll runs in
-// the producer goroutine. backoff is nil without a registry.
+// clientMetrics are the client's accounting cells, registered series, so
+// Stats() reads atomics — safe to call while SendAll runs in the producer
+// goroutine.
 type clientMetrics struct {
 	sent    *obs.Counter
 	retries *obs.Counter
@@ -67,9 +64,6 @@ type clientMetrics struct {
 }
 
 func newClientMetrics(reg *obs.Registry) clientMetrics {
-	if reg == nil {
-		return clientMetrics{sent: &obs.Counter{}, retries: &obs.Counter{}, failed: &obs.Counter{}}
-	}
 	return clientMetrics{
 		sent:    reg.Counter("telemetry_client_sent_total", "events handed to Send"),
 		retries: reg.Counter("telemetry_client_retries_total", "extra send attempts beyond the first"),
@@ -134,8 +128,8 @@ func (c *RetryClient) Send(e Envelope) bool {
 	if c.send(e) {
 		return true
 	}
-	d := c.cfg.BaseDelay
-	for attempt := 1; attempt < c.cfg.MaxAttempts; attempt++ {
+	d := baseDelay
+	for attempt := 1; attempt < maxAttempts; attempt++ {
 		// Jittered backoff: uniform in [d/2, d). Decorrelates producers
 		// that fail together without ever collapsing the delay to zero.
 		delay := d/2 + time.Duration(c.src.Float64()*float64(d/2))
@@ -145,8 +139,8 @@ func (c *RetryClient) Send(e Envelope) bool {
 		if c.send(e) {
 			return true
 		}
-		if d *= 2; d > c.cfg.MaxDelay {
-			d = c.cfg.MaxDelay
+		if d *= 2; d > maxDelay {
+			d = maxDelay
 		}
 	}
 	c.m.failed.Inc()

@@ -60,10 +60,9 @@ func newFlakyServer(t *testing.T, mode string, failures int) *flakyServer {
 	return f
 }
 
-func flakyClient(f *flakyServer, httpClient *http.Client, maxAttempts int) *RetryClient {
+func flakyClient(f *flakyServer, httpClient *http.Client) *RetryClient {
 	return NewRetryClient(HTTPSender(httpClient, f.srv.URL+"/ingest"), rng.New(11), RetryConfig{
-		MaxAttempts: maxAttempts,
-		Sleep:       func(time.Duration) {},
+		Sleep: func(time.Duration) {},
 	})
 }
 
@@ -71,7 +70,7 @@ func flakyClient(f *flakyServer, httpClient *http.Client, maxAttempts int) *Retr
 // the envelope lands exactly once, with the stats counting every attempt.
 func TestHTTPSenderSurvives5xxBurst(t *testing.T) {
 	f := newFlakyServer(t, "5xx", 4)
-	c := flakyClient(f, nil, 8)
+	c := flakyClient(f, nil)
 	if !c.Send(ev(time.Now().UnixMilli(), MetricRTT, "Beijing", "WiFi", 12)) {
 		t.Fatal("send failed despite the burst ending")
 	}
@@ -91,7 +90,7 @@ func TestHTTPSenderSurvives5xxBurst(t *testing.T) {
 // connection is indistinguishable from loss — retried, not fatal.
 func TestHTTPSenderSurvivesConnectionResets(t *testing.T) {
 	f := newFlakyServer(t, "reset", 3)
-	c := flakyClient(f, nil, 8)
+	c := flakyClient(f, nil)
 	if !c.Send(ev(time.Now().UnixMilli(), MetricRTT, "Beijing", "WiFi", 12)) {
 		t.Fatal("send failed despite resets ending")
 	}
@@ -113,7 +112,7 @@ func TestHTTPSenderSurvivesConnectionResets(t *testing.T) {
 func TestHTTPSenderSurvivesSlowResponses(t *testing.T) {
 	f := newFlakyServer(t, "slow", 2)
 	hc := &http.Client{Timeout: 30 * time.Millisecond}
-	c := flakyClient(f, hc, 8)
+	c := flakyClient(f, hc)
 	if !c.Send(ev(time.Now().UnixMilli(), MetricRTT, "Beijing", "WiFi", 12)) {
 		t.Fatal("send failed despite server recovering")
 	}
@@ -124,19 +123,19 @@ func TestHTTPSenderSurvivesSlowResponses(t *testing.T) {
 }
 
 // TestHTTPSenderBoundedRetries: a server that never recovers costs exactly
-// MaxAttempts requests, then a clean failure — no unbounded hammering.
+// maxAttempts requests, then a clean failure — no unbounded hammering.
 func TestHTTPSenderBoundedRetries(t *testing.T) {
 	f := newFlakyServer(t, "5xx", 1<<30)
-	c := flakyClient(f, nil, 5)
+	c := flakyClient(f, nil)
 	if c.Send(ev(time.Now().UnixMilli(), MetricRTT, "Beijing", "WiFi", 12)) {
 		t.Fatal("send succeeded against an always-failing server")
 	}
-	if got := atomic.LoadInt32(&f.requests); got != 5 {
-		t.Fatalf("server saw %d requests, want exactly MaxAttempts=5", got)
+	if got := atomic.LoadInt32(&f.requests); got != 8 {
+		t.Fatalf("server saw %d requests, want exactly maxAttempts=8", got)
 	}
 	st := c.Stats()
-	if st.Sent != 1 || st.Retries != 4 || st.Failed != 1 {
-		t.Fatalf("stats = %+v, want sent=1 retries=4 failed=1", st)
+	if st.Sent != 1 || st.Retries != 7 || st.Failed != 1 {
+		t.Fatalf("stats = %+v, want sent=1 retries=7 failed=1", st)
 	}
 }
 
@@ -144,8 +143,8 @@ func TestHTTPSenderBoundedRetries(t *testing.T) {
 // a mixed batch — every envelope accounted as delivered or failed, with
 // the server's view agreeing.
 func TestHTTPSenderStatsAccurateAcrossBatch(t *testing.T) {
-	f := newFlakyServer(t, "5xx", 7)
-	c := flakyClient(f, nil, 3)
+	f := newFlakyServer(t, "5xx", 19)
+	c := flakyClient(f, nil)
 	events := make([]Envelope, 6)
 	for i := range events {
 		events[i] = ev(time.Now().UnixMilli()+int64(i), MetricRTT, "Beijing", "WiFi", float64(10+i))
@@ -155,18 +154,19 @@ func TestHTTPSenderStatsAccurateAcrossBatch(t *testing.T) {
 	if st.Sent != 6 {
 		t.Fatalf("sent = %d, want 6", st.Sent)
 	}
-	// 7 failing requests at <=3 attempts each: envelopes 0,1 exhaust (3+3),
-	// envelope 2 eats the last 503 and lands on attempt 2, the rest sail.
+	// 19 failing requests at <=8 attempts each: envelopes 0,1 exhaust (8+8),
+	// envelope 2 eats the last three 503s and lands on attempt 4, the rest
+	// sail.
 	if delivered != 4 || st.Failed != 2 {
 		t.Fatalf("delivered=%d failed=%d, want 4/2", delivered, st.Failed)
 	}
-	if st.Retries != 5 { // 2+2 exhausted retries, 1 for envelope 2
-		t.Fatalf("retries = %d, want 5", st.Retries)
+	if st.Retries != 17 { // 7+7 exhausted retries, 3 for envelope 2
+		t.Fatalf("retries = %d, want 17", st.Retries)
 	}
 	if got := atomic.LoadInt32(&f.accepted); got != 4 {
 		t.Fatalf("server accepted %d, client says %d", got, delivered)
 	}
-	if got := atomic.LoadInt32(&f.requests); got != 7+4 {
-		t.Fatalf("server saw %d requests, want 11", got)
+	if got := atomic.LoadInt32(&f.requests); got != 19+4 {
+		t.Fatalf("server saw %d requests, want 23", got)
 	}
 }

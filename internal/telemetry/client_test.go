@@ -59,12 +59,12 @@ func TestRetryClientGivesUp(t *testing.T) {
 	attempts := 0
 	var delays []time.Duration
 	c := NewRetryClient(func(Envelope) bool { attempts++; return false },
-		rng.New(1), RetryConfig{MaxAttempts: 4, Sleep: noSleep(&delays)})
+		rng.New(1), RetryConfig{Sleep: noSleep(&delays)})
 	if c.Send(ev(time.Now().UnixMilli(), MetricRTT, "x", "y", 1)) {
 		t.Fatal("Send succeeded on an always-failing transport")
 	}
-	if attempts != 4 {
-		t.Fatalf("attempts = %d, want 4", attempts)
+	if attempts != maxAttempts || maxAttempts != 8 {
+		t.Fatalf("attempts = %d (maxAttempts %d), want 8", attempts, maxAttempts)
 	}
 	if st := c.Stats(); st.Failed != 1 {
 		t.Fatalf("stats = %+v", st)

@@ -30,7 +30,7 @@ func scenarioEvents(t *testing.T, sp *scenario.Spec) []telemetry.Envelope {
 	t.Helper()
 	r := rng.New(sp.Seed)
 	c := crowd.NewCampaign(r.Fork("campaign"), sp.Crowd)
-	return telemetry.LatencyEvents(c.RunLatency(r.Fork("latency")), telemetry.ReplayOptions{})
+	return telemetry.LatencyEvents(c.RunLatency(r.Fork("latency")))
 }
 
 // fingerprintSpecs are the answer surfaces the identity pins compare.
@@ -320,12 +320,12 @@ func TestClusterNodeCrashPartialThenConverges(t *testing.T) {
 			return ProbeResult{}
 		}
 		return ProbeResult{Reachable: true}
-	}, HealthConfig{DownAfter: 3})
+	}, HealthConfig{})
 
 	router := NewRouter(pm, tracker, func(node string, e telemetry.Envelope) bool {
 		return inj.Send(node, func() bool { return c.transport(node, e) })
 	}, rng.New(sp.Seed).Fork("router"), RouterConfig{
-		Retry: telemetry.RetryConfig{MaxAttempts: 8, Sleep: func(time.Duration) {}},
+		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
 	})
 
 	// Replay through the shaken transport. RF1: while a member is down its
@@ -395,7 +395,7 @@ func TestClusterNetPartitionHealsTransparently(t *testing.T) {
 	router := NewRouter(pm, alwaysUpTracker(pm.Nodes()), func(node string, e telemetry.Envelope) bool {
 		return inj.Send(node, func() bool { return c.transport(node, e) })
 	}, rng.New(sp.Seed).Fork("router"), RouterConfig{
-		Retry: telemetry.RetryConfig{MaxAttempts: 8, Sleep: func(time.Duration) {}},
+		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
 	})
 
 	var lost []telemetry.Envelope

@@ -41,13 +41,17 @@ type FrontendConfig struct {
 	// cannot answer in time is reported missing, not waited for — partial
 	// answers beat hung queries.
 	Timeout time.Duration
-	// Metrics, when set, registers the front-end families (cluster_frontend_*).
+	// Metrics is the registry the front-end families (cluster_frontend_*)
+	// register on. nil gets a private registry nothing scrapes.
 	Metrics *obs.Registry
 }
 
 func (c *FrontendConfig) fill() {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
 	}
 }
 
@@ -99,7 +103,7 @@ type Frontend struct {
 	nodeErrors *obs.CounterVec
 	legSeconds *obs.HistogramVec
 	pageBytes  *obs.CounterVec
-	// mergeSeconds times the gather-side merge; nil when unmetered.
+	// mergeSeconds times the gather-side merge.
 	mergeSeconds *obs.Histogram
 }
 
@@ -107,7 +111,7 @@ type Frontend struct {
 // once, at wiring time, so a scatter leg touches no label lookup.
 type leg struct {
 	c NodeClient
-	// seconds times every gather leg to this node; nil when unmetered.
+	// seconds times every gather leg to this node.
 	seconds *obs.Histogram
 }
 
@@ -116,22 +120,19 @@ type leg struct {
 // nodes that join later.
 func NewFrontend(pm *PartitionMap, clients map[string]NodeClient, cfg FrontendConfig) *Frontend {
 	cfg.fill()
-	f := &Frontend{pm: pm, cfg: cfg, clients: make(map[string]leg, len(clients))}
-	if cfg.Metrics != nil {
-		f.queries = cfg.Metrics.Counter("cluster_frontend_queries_total", "scatter-gather queries served")
-		f.partials = cfg.Metrics.Counter("cluster_frontend_partial_total", "queries answered with missing partitions")
-		f.nodeErrors = cfg.Metrics.CounterVec("cluster_frontend_node_errors_total", "gather legs that failed", "node")
-		f.legSeconds = cfg.Metrics.HistogramVec("cluster_frontend_leg_seconds",
+	f := &Frontend{
+		pm: pm, cfg: cfg, clients: make(map[string]leg, len(clients)),
+		queries:    cfg.Metrics.Counter("cluster_frontend_queries_total", "scatter-gather queries served"),
+		partials:   cfg.Metrics.Counter("cluster_frontend_partial_total", "queries answered with missing partitions"),
+		nodeErrors: cfg.Metrics.CounterVec("cluster_frontend_node_errors_total", "gather legs that failed", "node"),
+		legSeconds: cfg.Metrics.HistogramVec("cluster_frontend_leg_seconds",
 			"scatter leg latency per node: request, node-side per-key fold, page transfer and decode (failed legs included)",
-			nil, "node")
-		f.pageBytes = cfg.Metrics.CounterVec("cluster_frontend_page_bytes_total",
-			"sketch-page body bytes received from each node's /sketches", "node")
-		f.mergeSeconds = cfg.Metrics.Histogram("cluster_frontend_merge_seconds",
+			nil, "node"),
+		pageBytes: cfg.Metrics.CounterVec("cluster_frontend_page_bytes_total",
+			"sketch-page body bytes received from each node's /sketches", "node"),
+		mergeSeconds: cfg.Metrics.Histogram("cluster_frontend_merge_seconds",
 			"gather-side merge per query: k-way merge of the pages' per-key folds, sketch absorb and evaluation, after the slowest leg returned (failed merges included)",
-			nil)
-	} else {
-		f.queries = &obs.Counter{}
-		f.partials = &obs.Counter{}
+			nil),
 	}
 	for n, c := range clients {
 		f.AddClient(n, c)
@@ -140,16 +141,13 @@ func NewFrontend(pm *PartitionMap, clients map[string]NodeClient, cfg FrontendCo
 }
 
 // AddClient wires (or replaces) the query transport for a node — how a
-// joining member becomes queryable without restarting the frontend. With
-// metrics on, the node's leg histogram is resolved here and an HTTPNode is
-// handed its page-byte counter.
+// joining member becomes queryable without restarting the frontend. The
+// node's leg histogram is resolved here and an HTTPNode is handed its
+// page-byte counter.
 func (f *Frontend) AddClient(node string, c NodeClient) {
-	l := leg{c: c}
-	if f.legSeconds != nil {
-		l.seconds = f.legSeconds.With(node)
-		if hn, ok := c.(*HTTPNode); ok {
-			hn.MeterPageBytes(f.pageBytes.With(node))
-		}
+	l := leg{c: c, seconds: f.legSeconds.With(node)}
+	if hn, ok := c.(*HTTPNode); ok {
+		hn.MeterPageBytes(f.pageBytes.With(node))
 	}
 	f.mu.Lock()
 	f.clients[node] = l
@@ -191,18 +189,14 @@ func (f *Frontend) gather(ctx context.Context, nodes []string, fn func(ctx conte
 			defer cancel()
 			began := time.Now()
 			errs[i] = fn(legCtx, n, l.c)
-			if l.seconds != nil {
-				l.seconds.ObserveDuration(time.Since(began))
-			}
+			l.seconds.ObserveDuration(time.Since(began))
 		}(i, n, l)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			missing = append(missing, nodes[i])
-			if f.nodeErrors != nil {
-				f.nodeErrors.With(nodes[i]).Inc()
-			}
+			f.nodeErrors.With(nodes[i]).Inc()
 		}
 	}
 	return missing

@@ -20,7 +20,7 @@ const (
 	// threshold. Degraded nodes are still routed to — they hold their
 	// partitions' data and accept writes.
 	StateDegraded
-	// StateDown: DownAfter consecutive probes failed. The router refuses the
+	// StateDown: downAfter consecutive probes failed. The router refuses the
 	// node's partitions (producers back off and resend) and the front-end
 	// reports them as missing until it is back.
 	StateDown
@@ -59,21 +59,14 @@ type HealthConfig struct {
 	// Interval is Start's probe period. Default 1s. Tests that need
 	// deterministic schedules skip Start and call ProbeOnce directly.
 	Interval time.Duration
-	// DownAfter is the consecutive unreachable probes that mark a node
-	// down. Default 3 — one lost probe degrades, a run of them downs.
-	DownAfter int
-	// UpAfter is the consecutive successful probes a down node needs
-	// before it is routable again. Default 2 — a flapping node must hold
-	// still briefly before traffic returns.
-	UpAfter int
-	// Jitter, when set, spreads Start's probe schedule: each wait is drawn
-	// uniformly from [0.9, 1.1) × Interval, so N trackers booted together
-	// (every node probing every other) drift apart instead of probing in
-	// synchronized bursts — the thundering-herd fix. The seeded source
-	// makes the schedule deterministic under test. nil keeps the fixed
-	// ticker.
+	// Jitter spreads Start's probe schedule: each wait is drawn uniformly
+	// from [0.9, 1.1) × Interval, so N trackers booted together (every node
+	// probing every other) drift apart instead of probing in synchronized
+	// bursts — the thundering-herd fix. The seeded source makes the
+	// schedule deterministic under test. nil gets a fixed-seed source.
 	Jitter *rng.Source
-	// Metrics, when set, registers the membership families (cluster_node_*).
+	// Metrics is the registry the membership families (cluster_node_*)
+	// register on. nil gets a private registry nothing scrapes.
 	Metrics *obs.Registry
 }
 
@@ -81,13 +74,23 @@ func (c *HealthConfig) fill() {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
+	if c.Jitter == nil {
+		c.Jitter = rng.New(1).Fork("health-jitter")
 	}
-	if c.UpAfter <= 0 {
-		c.UpAfter = 2
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
 	}
 }
+
+const (
+	// downAfter is the consecutive unreachable probes that mark a node
+	// down: one lost probe degrades, a run of them downs.
+	downAfter = 3
+	// upAfter is the consecutive successful probes a down node needs
+	// before it is routable again: a flapping node must hold still briefly
+	// before traffic returns.
+	upAfter = 2
+)
 
 // nodeHealth is one member's state-machine cell.
 type nodeHealth struct {
@@ -121,8 +124,7 @@ type HealthTracker struct {
 	nodes []string
 	st    map[string]*nodeHealth
 
-	// Vector families for Add to bind late-joining nodes' cells to; nil
-	// without a registry.
+	// Vector families for Add to bind late-joining nodes' cells to.
 	stateG *obs.GaugeVec
 	failC  *obs.CounterVec
 	transC *obs.CounterVec
@@ -137,17 +139,15 @@ type HealthTracker struct {
 func NewHealthTracker(nodes []string, probe Prober, cfg HealthConfig) *HealthTracker {
 	cfg.fill()
 	h := &HealthTracker{
-		nodes: append([]string(nil), nodes...),
-		probe: probe,
-		cfg:   cfg,
-		st:    make(map[string]*nodeHealth, len(nodes)),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	if cfg.Metrics != nil {
-		h.stateG = cfg.Metrics.GaugeVec("cluster_node_state", "membership state: 0 up, 1 degraded, 2 down", "node")
-		h.failC = cfg.Metrics.CounterVec("cluster_probe_failures_total", "health probes that got no answer", "node")
-		h.transC = cfg.Metrics.CounterVec("cluster_node_transitions_total", "membership state transitions", "node")
+		nodes:  append([]string(nil), nodes...),
+		probe:  probe,
+		cfg:    cfg,
+		st:     make(map[string]*nodeHealth, len(nodes)),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		stateG: cfg.Metrics.GaugeVec("cluster_node_state", "membership state: 0 up, 1 degraded, 2 down", "node"),
+		failC:  cfg.Metrics.CounterVec("cluster_probe_failures_total", "health probes that got no answer", "node"),
+		transC: cfg.Metrics.CounterVec("cluster_node_transitions_total", "membership state transitions", "node"),
 	}
 	for _, n := range h.nodes {
 		h.st[n] = h.newCell(n)
@@ -156,18 +156,9 @@ func NewHealthTracker(nodes []string, probe Prober, cfg HealthConfig) *HealthTra
 }
 
 // newCell builds one member's state cell, bound to the registered vector
-// families when metrics are on.
+// families.
 func (h *HealthTracker) newCell(n string) *nodeHealth {
-	cell := &nodeHealth{}
-	if h.stateG != nil {
-		cell.stateG = h.stateG.With(n)
-		cell.failures = h.failC.With(n)
-		cell.transC = h.transC.With(n)
-	} else {
-		cell.failures = &obs.Counter{}
-		cell.transC = &obs.Counter{}
-	}
-	return cell
+	return &nodeHealth{stateG: h.stateG.With(n), failures: h.failC.With(n), transC: h.transC.With(n)}
 }
 
 // Add starts tracking a joining member (idempotent). The node starts Up,
@@ -224,7 +215,7 @@ func (h *HealthTracker) observe(node string, res ProbeResult) {
 		c.fails++
 		c.oks = 0
 		c.failures.Inc()
-		if c.fails >= h.cfg.DownAfter || c.state == StateDown {
+		if c.fails >= downAfter || c.state == StateDown {
 			next = StateDown
 		} else {
 			next = StateDegraded
@@ -233,7 +224,7 @@ func (h *HealthTracker) observe(node string, res ProbeResult) {
 		c.fails = 0
 		c.oks++
 		switch {
-		case c.state == StateDown && c.oks < h.cfg.UpAfter:
+		case c.state == StateDown && c.oks < upAfter:
 			next = StateDown // hold a flapping node out until it proves stable
 		case res.Degraded:
 			next = StateDegraded
@@ -246,31 +237,17 @@ func (h *HealthTracker) observe(node string, res ProbeResult) {
 		c.transitions++
 		c.transC.Inc()
 	}
-	if c.stateG != nil {
-		c.stateG.Set(float64(c.state))
-	}
+	c.stateG.Set(float64(c.state))
 }
 
 // Start launches the periodic probe loop. Stop ends it; both are
-// idempotent. Deterministic tests skip Start and drive ProbeOnce. With
-// HealthConfig.Jitter set, each wait is a fresh draw from [0.9, 1.1) ×
-// Interval so co-booted trackers desynchronize; otherwise a fixed ticker.
+// idempotent. Deterministic tests skip Start and drive ProbeOnce. Each wait
+// is a fresh draw from [0.9, 1.1) × Interval (HealthConfig.Jitter), so
+// co-booted trackers desynchronize.
 func (h *HealthTracker) Start() {
 	h.startOnce.Do(func() {
 		go func() {
 			defer close(h.done)
-			if h.cfg.Jitter == nil {
-				t := time.NewTicker(h.cfg.Interval)
-				defer t.Stop()
-				for {
-					select {
-					case <-h.stop:
-						return
-					case <-t.C:
-						h.ProbeOnce()
-					}
-				}
-			}
 			t := time.NewTimer(h.nextWait())
 			defer t.Stop()
 			for {
@@ -311,7 +288,8 @@ func (h *HealthTracker) State(node string) NodeState {
 	return c.state
 }
 
-// Snapshot reports every member, canonical node order.
+// Snapshot reports every member, sorted by node id as strings (so "n10"
+// comes before "n2").
 func (h *HealthTracker) Snapshot() []NodeHealth {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -43,9 +43,10 @@ func TestHealthStartsUpAndHoldsUp(t *testing.T) {
 }
 
 // TestHealthMarkdownAfterConsecutiveFailures: one missed probe degrades,
-// DownAfter misses down — and recovery needs UpAfter consecutive successes.
+// downAfter (3) misses down — and recovery needs upAfter (2) consecutive
+// successes.
 func TestHealthMarkdownAfterConsecutiveFailures(t *testing.T) {
-	h, p := newHealthHarness(HealthConfig{DownAfter: 3, UpAfter: 2}, "a")
+	h, p := newHealthHarness(HealthConfig{}, "a")
 	p.res["a"] = ProbeResult{}
 
 	h.ProbeOnce()
@@ -70,17 +71,18 @@ func TestHealthMarkdownAfterConsecutiveFailures(t *testing.T) {
 	// ...the second is.
 	h.ProbeOnce()
 	if got := h.State("a"); got != StateUp {
-		t.Fatalf("after UpAfter successes: %v", got)
+		t.Fatalf("after upAfter successes: %v", got)
 	}
 }
 
 // TestHealthFlappingHeldDown: a node alternating answer/miss while down
-// never accumulates UpAfter consecutive successes, so it stays down.
+// never accumulates upAfter consecutive successes, so it stays down.
 func TestHealthFlappingHeldDown(t *testing.T) {
-	h, p := newHealthHarness(HealthConfig{DownAfter: 2, UpAfter: 2}, "a")
+	h, p := newHealthHarness(HealthConfig{}, "a")
 	p.res["a"] = ProbeResult{}
-	h.ProbeOnce()
-	h.ProbeOnce()
+	for range downAfter {
+		h.ProbeOnce()
+	}
 	if h.State("a") != StateDown {
 		t.Fatal("setup: node not down")
 	}
@@ -119,7 +121,8 @@ func TestHealthSnapshotAndMetrics(t *testing.T) {
 		"a": {Reachable: true},
 		"b": {},
 	}}
-	h := NewHealthTracker([]string{"b", "a"}, p.probe, HealthConfig{DownAfter: 2, Metrics: reg})
+	h := NewHealthTracker([]string{"b", "a"}, p.probe, HealthConfig{Metrics: reg})
+	h.ProbeOnce()
 	h.ProbeOnce()
 	h.ProbeOnce()
 
@@ -130,7 +133,7 @@ func TestHealthSnapshotAndMetrics(t *testing.T) {
 	if snap[0].State != "up" || snap[1].State != "down" {
 		t.Fatalf("states = %s/%s", snap[0].State, snap[1].State)
 	}
-	if snap[1].ConsecutiveFailures != 2 {
+	if snap[1].ConsecutiveFailures != 3 {
 		t.Fatalf("b failures = %d", snap[1].ConsecutiveFailures)
 	}
 
@@ -141,7 +144,7 @@ func TestHealthSnapshotAndMetrics(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		`cluster_node_state{node="b"} 2`,
-		`cluster_probe_failures_total{node="b"} 2`,
+		`cluster_probe_failures_total{node="b"} 3`,
 		`cluster_node_transitions_total{node="b"} 2`,
 	} {
 		if !strings.Contains(text, want) {
@@ -187,8 +190,8 @@ func TestHealthJitterDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// TestHealthJitteredLoopProbes: Start with Jitter set actually drives
-// probes through the timer loop.
+// TestHealthJitteredLoopProbes: Start drives probes through the jittered
+// timer loop.
 func TestHealthJitteredLoopProbes(t *testing.T) {
 	var n atomic.Int64
 	h := NewHealthTracker([]string{"a"}, func(string) ProbeResult {

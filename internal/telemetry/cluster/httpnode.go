@@ -70,9 +70,7 @@ func (n *HTTPNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (tele
 	if err != nil {
 		return telemetry.SketchPage{}, err
 	}
-	if c := n.pageBytes.Load(); c != nil {
-		c.Add(uint64(len(body)))
-	}
+	n.pageBytes.Load().Add(uint64(len(body))) // nil, and a no-op, until a Frontend wires the node
 	page, err := telemetry.DecodeSketchPage(body)
 	if err != nil {
 		return telemetry.SketchPage{}, fmt.Errorf("cluster: %s%s: %w", n.base, path, err)

@@ -79,9 +79,6 @@ type StepHook func(HandoffStep) error
 
 // MigratorConfig tunes the rebalance coordinator.
 type MigratorConfig struct {
-	// Attempts bounds per-partition rebuild tries (each a full
-	// drop-then-absorb at the destination). Default 3.
-	Attempts int
 	// Health, when set, gains/loses probed members as the migrator
 	// admits/removes them — a joining node must be probed (and start Up)
 	// before dual writes can target it.
@@ -93,11 +90,9 @@ type MigratorConfig struct {
 	OnActivate func(Assignment)
 }
 
-func (c *MigratorConfig) fill() {
-	if c.Attempts <= 0 {
-		c.Attempts = 3
-	}
-}
+// rebuildAttempts bounds per-partition rebuild tries (each a full
+// drop-then-absorb at the destination).
+const rebuildAttempts = 3
 
 // Migrator executes epoch transitions. One migration runs at a time
 // (Join/Leave/Drain serialize on an internal mutex); ingest and
@@ -115,7 +110,6 @@ type Migrator struct {
 // NewMigrator builds a coordinator over a partition map and one admin
 // transport per current member.
 func NewMigrator(pm *PartitionMap, admins map[string]NodeAdmin, cfg MigratorConfig) *Migrator {
-	cfg.fill()
 	m := &Migrator{pm: pm, cfg: cfg, admins: make(map[string]NodeAdmin, len(admins))}
 	for n, a := range admins {
 		m.admins[n] = a
@@ -366,7 +360,7 @@ func (m *Migrator) handoff(ctx context.Context, mv Move) (err error) {
 	// Every attempt starts from empty, so retries converge instead of
 	// double-counting.
 	rebuilt := false
-	for attempt := 0; attempt < m.cfg.Attempts; attempt++ {
+	for attempt := 0; attempt < rebuildAttempts; attempt++ {
 		if err := m.step("rebuild", p, mv.From, mv.To); err != nil {
 			continue
 		}
@@ -381,7 +375,7 @@ func (m *Migrator) handoff(ctx context.Context, mv Move) (err error) {
 		break
 	}
 	if !rebuilt {
-		return fmt.Errorf("destination %q rebuild did not complete in %d attempts", mv.To, m.cfg.Attempts)
+		return fmt.Errorf("destination %q rebuild did not complete in %d attempts", mv.To, rebuildAttempts)
 	}
 
 	// Cutover: lift the router-side freeze and start dual-epoch writes

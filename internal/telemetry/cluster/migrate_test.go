@@ -256,7 +256,7 @@ func TestJoinMidMigrationFreezeAndDualWrites(t *testing.T) {
 	}
 	mig := newTestMigrator(c, pm, tracker, hook)
 	router = NewRouter(pm, tracker, c.transport, rng.New(sp.Seed).Fork("router"), RouterConfig{
-		Retry: telemetry.RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) {}},
+		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
 	})
 
 	if sent := router.SendAll(events[:cut]); sent != cut {

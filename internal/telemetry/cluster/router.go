@@ -18,9 +18,10 @@ type RouterConfig struct {
 	// around partition routing. Its dedup sequence numbers make resends
 	// safe: one that lands twice folds once server-side.
 	Retry telemetry.RetryConfig
-	// Metrics, when set, registers the routing families (cluster_router_*)
-	// and, unless Retry.Metrics names another registry, the retry client's
-	// (telemetry_client_*).
+	// Metrics is the registry the routing families (cluster_router_*)
+	// register on and, unless Retry.Metrics names another registry, the
+	// retry client's (telemetry_client_*). nil gets a private registry
+	// nothing scrapes.
 	Metrics *obs.Registry
 }
 
@@ -70,17 +71,15 @@ type Router struct {
 // NewRouter wires a routing client over a partition map, a health tracker
 // and a node transport. src seeds the retry client's backoff jitter.
 func NewRouter(pm *PartitionMap, health *HealthTracker, transport Transport, src *rng.Source, cfg RouterConfig) *Router {
-	r := &Router{pm: pm, health: health, transport: transport}
-	if cfg.Metrics != nil {
-		r.routed = cfg.Metrics.Counter("cluster_router_routed_total", "envelopes delivered to their partition owner")
-		r.unroutable = cfg.Metrics.Counter("cluster_router_unroutable_total", "send attempts refused because the partition's owner was marked down")
-		r.frozen = cfg.Metrics.Counter("cluster_router_frozen_total", "send attempts refused during a partition's handoff freeze")
-		r.dualWrites = cfg.Metrics.Counter("cluster_router_dual_writes_total", "deliveries duplicated to the pending epoch's owner")
-	} else {
-		r.routed = &obs.Counter{}
-		r.unroutable = &obs.Counter{}
-		r.frozen = &obs.Counter{}
-		r.dualWrites = &obs.Counter{}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry() // private: nothing scrapes it
+	}
+	r := &Router{
+		pm: pm, health: health, transport: transport,
+		routed:     cfg.Metrics.Counter("cluster_router_routed_total", "envelopes delivered to their partition owner"),
+		unroutable: cfg.Metrics.Counter("cluster_router_unroutable_total", "send attempts refused because the partition's owner was marked down"),
+		frozen:     cfg.Metrics.Counter("cluster_router_frozen_total", "send attempts refused during a partition's handoff freeze"),
+		dualWrites: cfg.Metrics.Counter("cluster_router_dual_writes_total", "deliveries duplicated to the pending epoch's owner"),
 	}
 	if cfg.Retry.Metrics == nil {
 		// The retry client under the router reports (telemetry_client_*) to

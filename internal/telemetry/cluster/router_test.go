@@ -52,7 +52,7 @@ func newRouterHarness(t *testing.T, cfg MapConfig) *routerHarness {
 	for _, n := range cfg.Nodes {
 		h.prober.res[n] = ProbeResult{Reachable: true}
 	}
-	h.health = NewHealthTracker(cfg.Nodes, h.prober.probe, HealthConfig{DownAfter: 3})
+	h.health = NewHealthTracker(cfg.Nodes, h.prober.probe, HealthConfig{})
 	transport := func(node string, e telemetry.Envelope) bool {
 		if h.refuse[node] > 0 {
 			h.refuse[node]--
@@ -62,7 +62,7 @@ func newRouterHarness(t *testing.T, cfg MapConfig) *routerHarness {
 		return true
 	}
 	h.router = NewRouter(m, h.health, transport, rng.New(7), RouterConfig{
-		Retry: telemetry.RetryConfig{MaxAttempts: 4, Sleep: func(time.Duration) {}},
+		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
 	})
 	return h
 }
@@ -131,8 +131,8 @@ func TestRouterUnroutableWithoutReplica(t *testing.T) {
 		t.Fatal("unroutable envelope delivered somewhere")
 	}
 	st := h.router.Stats()
-	if st.Unroutable != 4 { // one per attempt
-		t.Fatalf("unroutable = %d, want 4", st.Unroutable)
+	if st.Unroutable != 8 { // one per attempt of the retry client's 8
+		t.Fatalf("unroutable = %d, want 8", st.Unroutable)
 	}
 	if st.Client.Failed != 1 {
 		t.Fatalf("client stats = %+v", st.Client)

@@ -702,29 +702,18 @@ func TestQueryOfferCloseRace(t *testing.T) {
 	}
 }
 
-// TestLoadShedding: past the high-water mark a non-blocking ingestor sheds
-// priority<=0 envelopes first while priority traffic still lands.
-func TestLoadShedding(t *testing.T) {
-	ing := NewIngestor(Config{
-		Shards:   1,
-		QueueLen: 8,
-		ShedPriority: func(e Envelope) int {
-			if e.Metric == MetricRTT {
-				return 1 // latency is load-bearing
-			}
-			return 0 // hop counts are sheddable
-		},
-	})
+// TestHardFullQueueDrops: a non-blocking ingestor refuses an envelope its
+// hard-full shard queue has no room for, counting it as dropped.
+func TestHardFullQueueDrops(t *testing.T) {
+	ing := NewIngestor(Config{Shards: 1, QueueLen: 8})
 	defer ing.Close()
 
 	// Park the shard worker by holding the fold lock, then fill the queue.
 	s := ing.shards[0]
 	s.mu.Lock()
 	base := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
-	hi := func(i int) Envelope { return ev(base+int64(i), MetricRTT, "Beijing", "WiFi", 1) }
-	lo := func(i int) Envelope { return ev(base+int64(i), MetricHops, "Beijing", "WiFi", 1) }
 	for i := 0; ; i++ {
-		if !ing.Offer(hi(i)) {
+		if !ing.Offer(ev(base+int64(i), MetricRTT, "Beijing", "WiFi", 1)) {
 			break // queue hard full
 		}
 	}
@@ -732,18 +721,7 @@ func TestLoadShedding(t *testing.T) {
 	if s.dropped.Value() == 0 {
 		t.Fatal("expected hard-full drop")
 	}
-	if ing.Offer(lo(0)) {
-		t.Fatal("sheddable envelope accepted past high water")
-	}
-	if s.shed.Value() == 0 {
-		t.Fatal("shed not counted")
-	}
 	s.mu.Unlock()
-	ing.Flush()
-	// Once the queue drains below high water, sheddable traffic lands again.
-	if !ing.Offer(lo(1)) {
-		t.Fatal("sheddable envelope refused on an idle queue")
-	}
 }
 
 // TestHealthReportsDegradedWAL: a shard whose WAL write fails degrades to

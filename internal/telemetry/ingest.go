@@ -103,12 +103,11 @@ type Config struct {
 	// right for replay and tests, unbounded for a daemon on an endless
 	// stream, so cmd/telemetryd sets a cap.
 	MaxWindows int
-	// Metrics, when set, registers the pipeline's instrument families on
-	// the registry (see metrics.go for the catalogue) and binds every
-	// shard's accounting to registered series, so a /metrics scrape and
-	// Stats()/Health() read the same cells. At most one Ingestor may use a
-	// given registry (families register once). nil keeps the accounting in
-	// standalone cells: same hot-path cost, no exposition.
+	// Metrics is the registry the pipeline's instrument families register
+	// on (see metrics.go for the catalogue); every shard's accounting is
+	// bound to registered series, so a /metrics scrape and Stats()/Health()
+	// read the same cells. At most one Ingestor may use a given registry
+	// (families register once). nil gets a private registry nothing scrapes.
 	Metrics *obs.Registry
 	// Node, when set, names this ingestor's place in a telemetry cluster —
 	// role, node id and the partitions it owns — and is
@@ -117,14 +116,6 @@ type Config struct {
 	// learns who they are talking to from the answer alone. nil for the
 	// single-process deployment.
 	Node *NodeInfo
-	// ShedPriority enables drop-priority load shedding on a non-Block
-	// ingestor: when a shard queue passes its high-water mark (3/4 full),
-	// envelopes whose priority is <= 0 are shed — counted in
-	// ShardStats.Shed, Offer returns false — so saturation sacrifices the
-	// least important traffic first instead of whatever arrives when the
-	// queue finally fills. Higher values survive until the queue is hard
-	// full. nil sheds nothing early (historical behaviour).
-	ShedPriority func(Envelope) int
 	// WAL configures durability; see WALConfig.
 	WAL WALConfig
 }
@@ -212,19 +203,16 @@ type shard struct {
 	// bytes and rename a corrupt (wasted) checkpoint into place.
 	snapMu sync.Mutex
 
-	// Accounting cells (metrics.go): registered series when Config.Metrics
-	// is set, standalone obs.Counters otherwise — either way one atomic op
-	// on the hot path, and the single source Stats() and /metrics share.
+	// Accounting cells (metrics.go): registered series, one atomic op on
+	// the hot path, and the single source Stats() and /metrics share.
 	accepted    *obs.Counter // enqueued into this shard
 	dropped     *obs.Counter // rejected at a hard-full queue (only when !Block)
-	shed        *obs.Counter // rejected by priority shedding at high water
 	processed   *obs.Counter // consumed from the queue (folded or deduped)
 	deduped     *obs.Counter // sequenced duplicates folded zero times
 	compactions *obs.Counter // dedup tracker sparse-window compactions
 	evicted     *obs.Counter // time windows evicted under MaxWindows retention
 
-	// Latency instruments, nil without a registry — fold skips the clock
-	// reads entirely then.
+	// Latency instruments.
 	walAppendHist *obs.Histogram
 	snapshotHist  *obs.Histogram
 }
@@ -239,7 +227,6 @@ type shard struct {
 type ShardStats struct {
 	Accepted         uint64 `json:"accepted"`
 	Dropped          uint64 `json:"dropped"`
-	Shed             uint64 `json:"shed,omitempty"`
 	Processed        uint64 `json:"processed"`
 	Deduped          uint64 `json:"deduped,omitempty"`
 	DedupCompactions uint64 `json:"dedup_compactions,omitempty"`
@@ -293,7 +280,7 @@ type Ingestor struct {
 	// foldPool recycles foldKeys' working memory (*foldScratch) across queries.
 	foldPool sync.Pool
 
-	// m holds the registered instrument families, nil without Config.Metrics.
+	// m holds the registered instrument families.
 	m *ingestMetrics
 }
 
@@ -318,12 +305,11 @@ func NewIngestor(cfg Config) *Ingestor {
 // previous process would have, for everything durable at its last fsync.
 func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 	cfg.fill()
-	began := time.Now()
-	ing := &Ingestor{cfg: cfg, shards: make([]*shard, cfg.Shards), node: cfg.Node}
-	var im *ingestMetrics
-	if cfg.Metrics != nil {
-		im = newIngestMetrics(cfg.Metrics)
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry() // private: nothing scrapes it
 	}
+	began := time.Now()
+	ing := &Ingestor{cfg: cfg, shards: make([]*shard, cfg.Shards), node: cfg.Node, m: newIngestMetrics(cfg.Metrics)}
 	var rst RecoveryStats
 	for i := range ing.shards {
 		s := &shard{
@@ -333,11 +319,7 @@ func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 			seen:   make(map[dedupKey]*seqTracker),
 		}
 		// Bind the accounting cells before recovery: replayed folds count.
-		if im != nil {
-			im.bind(s, i)
-		} else {
-			bindStandalone(s)
-		}
+		ing.m.bind(s, i)
 		ing.shards[i] = s
 		if cfg.WAL.Dir != "" {
 			wrap := func(w io.Writer) io.Writer { return w }
@@ -350,9 +332,7 @@ func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 				return nil, rst, err
 			}
 			s.wal = wal
-			if im != nil {
-				im.bindWAL(wal, i)
-			}
+			ing.m.bindWAL(wal, i)
 			if err := ing.recoverShard(s, &rst); err != nil {
 				return nil, rst, err
 			}
@@ -365,14 +345,11 @@ func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 		rst.DurationMs = time.Since(began).Milliseconds()
 		ing.recovery = &rst
 	}
-	if im != nil {
-		ing.m = im
-		ing.installCollectHook(cfg.Metrics, im)
-		if ing.recovery != nil {
-			im.recoveryReplayed.Set(float64(rst.RecordsReplayed))
-			im.recoverySkipped.Set(float64(rst.RecordsSkipped))
-			im.recoveryDuration.Set(float64(rst.DurationMs) / 1e3)
-		}
+	ing.installCollectHook()
+	if ing.recovery != nil {
+		ing.m.recoveryReplayed.Set(float64(rst.RecordsReplayed))
+		ing.m.recoverySkipped.Set(float64(rst.RecordsSkipped))
+		ing.m.recoveryDuration.Set(float64(rst.DurationMs) / 1e3)
 	}
 	for i := range ing.shards {
 		s := ing.shards[i]
@@ -446,13 +423,9 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 		}
 	}
 	if mode == foldLive && s.wal != nil {
-		if s.walAppendHist != nil {
-			began := time.Now()
-			s.wal.append(e, wk.Start)
-			s.walAppendHist.ObserveDuration(time.Since(began))
-		} else {
-			s.wal.append(e, wk.Start)
-		}
+		began := time.Now()
+		s.wal.append(e, wk.Start)
+		s.walAppendHist.ObserveDuration(time.Since(began))
 		due = s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
 	}
 	ks, i, found := s.lookup(wk.Key, wk.Start)
@@ -583,12 +556,11 @@ func (ing *Ingestor) enforceRetention(s *shard) {
 	}
 }
 
-// Offer submits one envelope. It returns false — with the reason counted on
-// its shard — when the shard queue is hard full (Dropped) or past its
-// high-water mark with a sheddable (priority <= 0) envelope (Shed), both
-// only when the ingestor is not configured to Block, or when the ingestor
-// is closed. Invalid envelopes are rejected (false) without reaching a
-// queue; use Validate/DecodeLine upstream to distinguish.
+// Offer submits one envelope. It returns false when the shard queue is hard
+// full and the ingestor is not configured to Block — counted in the shard's
+// Dropped — or when the ingestor is closed. Invalid envelopes are rejected
+// (false) without reaching a queue; use Validate/DecodeLine upstream to
+// distinguish.
 func (ing *Ingestor) Offer(e Envelope) bool {
 	if e.Validate() != nil {
 		return false
@@ -604,10 +576,6 @@ func (ing *Ingestor) Offer(e Envelope) bool {
 		s.accepted.Inc()
 		return true
 	}
-	if ing.cfg.ShedPriority != nil && len(s.ch) >= ing.shedWater() && ing.cfg.ShedPriority(e) <= 0 {
-		s.shed.Inc()
-		return false
-	}
 	select {
 	case s.ch <- e:
 		s.accepted.Inc()
@@ -616,12 +584,6 @@ func (ing *Ingestor) Offer(e Envelope) bool {
 		s.dropped.Inc()
 		return false
 	}
-}
-
-// shedWater is the queue depth at which priority shedding starts: 3/4 of
-// capacity, leaving headroom for priority traffic while the queue drains.
-func (ing *Ingestor) shedWater() int {
-	return ing.cfg.QueueLen - ing.cfg.QueueLen/4
 }
 
 // OfferAll submits a batch, returning how many were accepted.
@@ -675,10 +637,7 @@ func (ing *Ingestor) SyncWAL() error {
 // writer may both have seen it fire, and the first one's cut answers both.
 // Snapshot, Close and recovery checkpoint unconditionally.
 func (ing *Ingestor) snapshotShard(s *shard, ifDue bool) error {
-	var began time.Time
-	if s.snapshotHist != nil {
-		began = time.Now()
-	}
+	began := time.Now()
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.mu.Lock()
@@ -699,7 +658,7 @@ func (ing *Ingestor) snapshotShard(s *shard, ifDue bool) error {
 	dir := s.wal.dir
 	s.mu.Unlock()
 	err := writeSnapshot(dir, payload)
-	if err == nil && s.snapshotHist != nil {
+	if err == nil {
 		s.snapshotHist.ObserveDuration(time.Since(began))
 	}
 	return err
@@ -754,13 +713,7 @@ func (ing *Ingestor) Snapshot() error {
 // the first call's error.
 func (ing *Ingestor) Close() error {
 	ing.closeOnce.Do(func() {
-		ing.offerMu.Lock()
-		ing.closed = true
-		for _, s := range ing.shards {
-			close(s.ch)
-		}
-		ing.offerMu.Unlock()
-		ing.wg.Wait()
+		ing.stopWorkers()
 		for _, s := range ing.shards {
 			if s.wal == nil {
 				continue
@@ -787,13 +740,7 @@ func (ing *Ingestor) Close() error {
 // through it); production shutdown is Close.
 func (ing *Ingestor) Crash() {
 	ing.closeOnce.Do(func() {
-		ing.offerMu.Lock()
-		ing.closed = true
-		for _, s := range ing.shards {
-			close(s.ch)
-		}
-		ing.offerMu.Unlock()
-		ing.wg.Wait()
+		ing.stopWorkers()
 		for _, s := range ing.shards {
 			if s.wal != nil {
 				s.wal.abort()
@@ -803,6 +750,19 @@ func (ing *Ingestor) Crash() {
 			s.mu.Unlock()
 		}
 	})
+}
+
+// stopWorkers refuses further offers, closes the shard queues and waits for
+// the workers to fold what the queues held — the shared first half of Close
+// and Crash.
+func (ing *Ingestor) stopWorkers() {
+	ing.offerMu.Lock()
+	ing.closed = true
+	for _, s := range ing.shards {
+		close(s.ch)
+	}
+	ing.offerMu.Unlock()
+	ing.wg.Wait()
 }
 
 // Stats snapshots per-shard accounting, shard index order.
@@ -824,7 +784,6 @@ func (ing *Ingestor) Stats() []ShardStats {
 		out[i] = ShardStats{
 			Accepted:         s.accepted.Value(),
 			Dropped:          s.dropped.Value(),
-			Shed:             s.shed.Value(),
 			Processed:        s.processed.Value(),
 			Deduped:          s.deduped.Value(),
 			DedupCompactions: s.compactions.Value(),
@@ -849,7 +808,6 @@ func (ing *Ingestor) TotalStats() ShardStats {
 	for _, s := range ing.Stats() {
 		t.Accepted += s.Accepted
 		t.Dropped += s.Dropped
-		t.Shed += s.Shed
 		t.Processed += s.Processed
 		t.Deduped += s.Deduped
 		t.DedupCompactions += s.DedupCompactions

@@ -6,28 +6,26 @@ import (
 	"edgescope/internal/obs"
 )
 
-// Self-observability wiring. When Config.Metrics names an obs.Registry, the
-// ingestor registers its instrument families there and binds every shard's
-// accounting cells to registered series — the same cells Stats()/Health()
-// read, so /metrics and /healthz can never disagree. Without a registry each
-// shard gets standalone obs.Counter cells: identical hot-path cost (one
-// atomic add), no exposition.
+// Self-observability wiring. The ingestor registers its instrument families
+// on Config.Metrics — a private registry nothing scrapes when the caller
+// names none — and binds every shard's accounting cells to registered
+// series: the same cells Stats()/Health() read, so /metrics and /healthz can
+// never disagree.
 //
 // Hot-path discipline: counters are pre-resolved at Open (no label lookup
-// per event), gauges that mirror live state (queue depth, WAL lag, rollup
-// counts) are refreshed by an OnCollect hook only when something scrapes,
-// and latency histograms are nil — skipping their clock reads entirely —
-// unless a registry is configured.
+// per event), and gauges that mirror live state (queue depth, WAL lag,
+// rollup counts) are refreshed by an OnCollect hook only when something
+// scrapes.
 
 // ingestMetrics holds the registered families and per-ingestor instruments.
 type ingestMetrics struct {
-	accepted, dropped, shed, processed, deduped, compactions, evicted *obs.CounterVec
-	walAppended, walFsyncs, walFileSync                               *obs.CounterVec
-	queueDepth, walLag, windows, rollups, keys                        *obs.GaugeVec
-	snapBytes, sinceBytes                                             *obs.GaugeVec
-	walAppend, walFsync, snapshot                                     *obs.HistogramVec
-	query, sketches                                                   *obs.Histogram
-	foldedRollups, memoHits, memoMisses                               *obs.Counter
+	accepted, dropped, processed, deduped, compactions, evicted *obs.CounterVec
+	walAppended, walFsyncs, walFileSync                         *obs.CounterVec
+	queueDepth, walLag, windows, rollups, keys                  *obs.GaugeVec
+	snapBytes, sinceBytes                                       *obs.GaugeVec
+	walAppend, walFsync, snapshot                               *obs.HistogramVec
+	query, sketches                                             *obs.Histogram
+	foldedRollups, memoHits, memoMisses                         *obs.Counter
 
 	recoveryReplayed, recoverySkipped, recoveryDuration *obs.Gauge
 }
@@ -43,7 +41,6 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 	return &ingestMetrics{
 		accepted:    reg.CounterVec("telemetry_ingest_accepted_total", "envelopes enqueued into the shard", "shard"),
 		dropped:     reg.CounterVec("telemetry_ingest_dropped_total", "envelopes rejected at a hard-full queue", "shard"),
-		shed:        reg.CounterVec("telemetry_ingest_shed_total", "sheddable envelopes rejected past the queue high-water mark", "shard"),
 		processed:   reg.CounterVec("telemetry_ingest_processed_total", "envelopes consumed from the queue (folded or deduped)", "shard"),
 		deduped:     reg.CounterVec("telemetry_ingest_deduped_total", "sequenced duplicates folded zero times", "shard"),
 		compactions: reg.CounterVec("telemetry_dedup_compactions_total", "dedup tracker sparse-window compactions (floor advanced over a gap)", "shard"),
@@ -79,7 +76,6 @@ func (m *ingestMetrics) bind(s *shard, i int) {
 	l := strconv.Itoa(i)
 	s.accepted = m.accepted.With(l)
 	s.dropped = m.dropped.With(l)
-	s.shed = m.shed.With(l)
 	s.processed = m.processed.With(l)
 	s.deduped = m.deduped.With(l)
 	s.compactions = m.compactions.With(l)
@@ -97,23 +93,11 @@ func (m *ingestMetrics) bindWAL(w *shardWAL, i int) {
 	w.fsyncHist = m.walFsync.With(l)
 }
 
-// bindStandalone gives a shard unregistered accounting cells — the
-// no-registry configuration. Gauges and histograms stay nil (their methods
-// are no-ops), so the hot path never times anything.
-func bindStandalone(s *shard) {
-	s.accepted = &obs.Counter{}
-	s.dropped = &obs.Counter{}
-	s.shed = &obs.Counter{}
-	s.processed = &obs.Counter{}
-	s.deduped = &obs.Counter{}
-	s.compactions = &obs.Counter{}
-	s.evicted = &obs.Counter{}
-}
-
 // installCollectHook registers the scrape-time gauge refresh: queue depth,
 // WAL lag, rollup and key population and checkpoint accounting per shard,
 // read under each shard's lock only when something actually collects.
-func (ing *Ingestor) installCollectHook(reg *obs.Registry, m *ingestMetrics) {
+func (ing *Ingestor) installCollectHook() {
+	m := ing.m
 	gauges := make([]struct{ queue, lag, windows, rollups, keys, snapBytes, sinceBytes *obs.Gauge }, len(ing.shards))
 	for i := range ing.shards {
 		l := strconv.Itoa(i)
@@ -125,7 +109,7 @@ func (ing *Ingestor) installCollectHook(reg *obs.Registry, m *ingestMetrics) {
 		gauges[i].snapBytes = m.snapBytes.With(l)
 		gauges[i].sinceBytes = m.sinceBytes.With(l)
 	}
-	reg.OnCollect(func() {
+	ing.cfg.Metrics.OnCollect(func() {
 		for i, s := range ing.shards {
 			gauges[i].queue.Set(float64(len(s.ch)))
 			s.mu.Lock()

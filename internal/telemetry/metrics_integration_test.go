@@ -128,16 +128,12 @@ func TestIngestorExposesMetrics(t *testing.T) {
 	}
 }
 
-// TestShedCounterExposed covers the shedding counter: a full queue with a
-// parked worker sheds low-priority traffic into telemetry_ingest_shed_total.
-func TestShedCounterExposed(t *testing.T) {
+// TestDropCounterExposed covers the drop counter: a full queue with a parked
+// worker drops the envelope that finds it full into
+// telemetry_ingest_dropped_total.
+func TestDropCounterExposed(t *testing.T) {
 	reg := obs.NewRegistry()
-	ing := NewIngestor(Config{
-		Shards:       1,
-		QueueLen:     8,
-		Metrics:      reg,
-		ShedPriority: func(e Envelope) int { return map[string]int{MetricRTT: 1}[e.Metric] },
-	})
+	ing := NewIngestor(Config{Shards: 1, QueueLen: 8, Metrics: reg})
 	defer ing.Close()
 	s := ing.shards[0]
 	s.mu.Lock()
@@ -147,10 +143,9 @@ func TestShedCounterExposed(t *testing.T) {
 			break
 		}
 	}
-	ing.Offer(Envelope{V: SchemaVersion, TS: base, Metric: MetricHops, Region: "Beijing", Net: "WiFi", Value: 1})
 	s.mu.Unlock()
-	if smp, ok := obs.Find(reg.Snapshot(), "telemetry_ingest_shed_total", "shard", "0"); !ok || smp.Value == 0 {
-		t.Fatalf("shed counter = %+v ok=%v, want nonzero", smp, ok)
+	if smp, ok := obs.Find(reg.Snapshot(), "telemetry_ingest_dropped_total", "shard", "0"); !ok || smp.Value != 1 {
+		t.Fatalf("drop counter = %+v ok=%v, want 1", smp, ok)
 	}
 }
 

@@ -232,11 +232,9 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 		s.mu.Unlock()
 		clear(sc.keys) // the pool must not pin dropped series
 	}
-	if ing.m != nil {
-		ing.m.memoHits.Add(uint64(hits))
-		ing.m.memoMisses.Add(uint64(misses))
-		ing.m.foldedRollups.Add(uint64(folded))
-	}
+	ing.m.memoHits.Add(uint64(hits))
+	ing.m.memoMisses.Add(uint64(misses))
+	ing.m.foldedRollups.Add(uint64(folded))
 	slices.SortFunc(folds, func(a, b WindowSketch) int { return a.compareKey(&b) })
 	return folds, nil
 }
@@ -394,10 +392,8 @@ func evaluate(merged *stats.Sketch, windows int, qs, cdfAt []float64) QueryResul
 // Ingestion may continue concurrently; each shard is locked only while its
 // matching rollups' points are copied out.
 func (ing *Ingestor) Query(spec QuerySpec) (QueryResult, error) {
-	if ing.m != nil {
-		began := time.Now()
-		defer func() { ing.m.query.ObserveDuration(time.Since(began)) }()
-	}
+	began := time.Now()
+	defer func() { ing.m.query.ObserveDuration(time.Since(began)) }()
 	qs, err := checkedQuantiles(spec)
 	if err != nil {
 		return QueryResult{}, err
@@ -468,10 +464,8 @@ type SketchPage struct {
 // every node the same way), but only the selection fields matter —
 // quantiles/CDF points are evaluated by whoever merges.
 func (ing *Ingestor) MatchSketches(spec QuerySpec) (SketchPage, error) {
-	if ing.m != nil {
-		began := time.Now()
-		defer func() { ing.m.sketches.ObserveDuration(time.Since(began)) }()
-	}
+	began := time.Now()
+	defer func() { ing.m.sketches.ObserveDuration(time.Since(began)) }()
 	if _, err := checkedQuantiles(spec); err != nil {
 		return SketchPage{}, err
 	}

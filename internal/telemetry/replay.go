@@ -26,31 +26,25 @@ const (
 	KindIperf  = "iperf"
 )
 
-// ReplayOptions shape the synthetic event-time axis.
-type ReplayOptions struct {
-	// Base is the first event's timestamp. Defaults to 2021-10-01T00:00:00Z
-	// (the paper's measurement era); any fixed instant keeps replay
-	// deterministic.
-	Base time.Time
-	// Spacing is the event-time gap between consecutive observations,
-	// spreading the campaign over multiple rollup windows. Default 250ms.
-	Spacing time.Duration
-}
+// replayBase is the first replayed event's timestamp, 2021-10-01T00:00:00Z
+// (the paper's measurement era); any fixed instant keeps replay
+// deterministic.
+var replayBase = time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC)
 
-func (o *ReplayOptions) fill() {
-	if o.Base.IsZero() {
-		o.Base = time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if o.Spacing <= 0 {
-		o.Spacing = 250 * time.Millisecond
-	}
+// replaySpacing is the event-time gap between consecutive observations,
+// spreading the campaign over multiple rollup windows.
+const replaySpacing = 250 * time.Millisecond
+
+// replayTS is the timestamp of the i-th replayed observation, Unix ms.
+func replayTS(i int) int64 {
+	return replayBase.Add(time.Duration(i) * replaySpacing).UnixMilli()
 }
 
 // latencyEnvelopes converts the i-th latency observation into its ping
 // envelopes: the user's median RTT (MetricRTT) and hop count (MetricHops),
 // dimensioned by the probed site's metro and the user's access network.
-func latencyEnvelopes(o crowd.Observation, i int, opts ReplayOptions) [2]Envelope {
-	ts := opts.Base.Add(time.Duration(i) * opts.Spacing).UnixMilli()
+func latencyEnvelopes(o crowd.Observation, i int) [2]Envelope {
+	ts := replayTS(i)
 	return [2]Envelope{
 		{
 			V: SchemaVersion, TS: ts, Kind: KindPing, Metric: MetricRTT,
@@ -70,11 +64,10 @@ func latencyEnvelopes(o crowd.Observation, i int, opts ReplayOptions) [2]Envelop
 // already exists as a substrate (the ext-telemetry cross-check artifact).
 // For event-at-a-time replay without materialising the campaign, use
 // ReplayCampaignLatencyFunc.
-func LatencyEvents(obs []crowd.Observation, opts ReplayOptions) []Envelope {
-	opts.fill()
+func LatencyEvents(obs []crowd.Observation) []Envelope {
 	out := make([]Envelope, 0, 2*len(obs))
 	for i, o := range obs {
-		es := latencyEnvelopes(o, i, opts)
+		es := latencyEnvelopes(o, i)
 		out = append(out, es[0], es[1])
 	}
 	return out
@@ -89,12 +82,11 @@ func LatencyEvents(obs []crowd.Observation, opts ReplayOptions) []Envelope {
 // whatever the delivery path, so a clustered replay feeds every node exactly
 // the stream a single process would have folded. The caller owns whatever
 // flush or drain its transport needs.
-func ReplayCampaignLatencyFunc(send func(Envelope) bool, c *crowd.Campaign, r *rng.Source, opts ReplayOptions) ReplayStats {
-	opts.fill()
+func ReplayCampaignLatencyFunc(send func(Envelope) bool, c *crowd.Campaign, r *rng.Source) ReplayStats {
 	var st ReplayStats
 	i := 0
 	c.StreamLatency(r, func(o crowd.Observation) {
-		for _, e := range latencyEnvelopes(o, i, opts) {
+		for _, e := range latencyEnvelopes(o, i) {
 			st.Events++
 			if send(e) {
 				st.Accepted++
@@ -110,12 +102,11 @@ func ReplayCampaignLatencyFunc(send func(Envelope) bool, c *crowd.Campaign, r *r
 // ThroughputEvents converts iperf observations into envelopes. Throughput
 // observations carry no site metro, so the region dimension is the
 // direction label — still a stable, queryable partition.
-func ThroughputEvents(obs []crowd.ThroughputObs, opts ReplayOptions) []Envelope {
-	opts.fill()
+func ThroughputEvents(obs []crowd.ThroughputObs) []Envelope {
 	out := make([]Envelope, 0, len(obs))
 	for i, o := range obs {
 		out = append(out, Envelope{
-			V: SchemaVersion, TS: opts.Base.Add(time.Duration(i) * opts.Spacing).UnixMilli(),
+			V: SchemaVersion, TS: replayTS(i),
 			Kind: KindIperf, Metric: MetricTput,
 			User: o.UserID, Region: o.Dir.String(), Net: o.Access.String(),
 			Value: o.Mbps,

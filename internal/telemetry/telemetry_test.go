@@ -465,7 +465,7 @@ func TestReplayCampaignLatencyMatchesBatch(t *testing.T) {
 
 	streamed := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
 	defer streamed.Close()
-	st := ReplayCampaignLatencyFunc(streamed.Offer, mkCampaign(), rng.New(seed).Fork("latency"), ReplayOptions{})
+	st := ReplayCampaignLatencyFunc(streamed.Offer, mkCampaign(), rng.New(seed).Fork("latency"))
 	streamed.Flush()
 	if st.Dropped != 0 || st.Events == 0 || st.Accepted != st.Events {
 		t.Fatalf("streaming replay stats: %+v", st)
@@ -474,7 +474,7 @@ func TestReplayCampaignLatencyMatchesBatch(t *testing.T) {
 	batch := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
 	defer batch.Close()
 	obs := mkCampaign().RunLatency(rng.New(seed).Fork("latency"))
-	Replay(batch, LatencyEvents(obs, ReplayOptions{}))
+	Replay(batch, LatencyEvents(obs))
 
 	if 2*len(obs) != st.Events {
 		t.Fatalf("streamed %d events, batch path has %d", st.Events, 2*len(obs))
@@ -514,7 +514,7 @@ func campaignEvents(t *testing.T) []Envelope {
 	r := rng.New(1)
 	c := crowd.NewCampaign(r.Fork("campaign"), scenario.CrowdSpec{Users: 40, Repeats: 8})
 	obs := c.RunLatency(r.Fork("latency"))
-	return LatencyEvents(obs, ReplayOptions{})
+	return LatencyEvents(obs)
 }
 
 // TestStreamLatencyMatchesRunLatency pins the crowd emission hook: the
@@ -542,7 +542,7 @@ func TestReplayMatchesBatchSummary(t *testing.T) {
 	r := rng.New(1)
 	c := crowd.NewCampaign(r.Fork("campaign"), scenario.CrowdSpec{Users: 60, Repeats: 10})
 	obs := c.RunLatency(r.Fork("latency"))
-	events := LatencyEvents(obs, ReplayOptions{})
+	events := LatencyEvents(obs)
 
 	ing := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
 	defer ing.Close()

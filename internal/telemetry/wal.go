@@ -90,8 +90,8 @@ type shardWAL struct {
 	sinceBytes   uint64 // their bytes
 	snapBytes    uint64 // size of the last checkpoint, 0 before the first
 
-	// Observability instruments (metrics.go bindWAL), nil without a registry.
-	// Updated under the shard lock like everything else here.
+	// Observability instruments (metrics.go bindWAL), updated under the
+	// shard lock like everything else here.
 	appendedC   *obs.Counter
 	fsyncsC     *obs.Counter // sync batches that fsynced at least one file
 	fileFsyncsC *obs.Counter // files fsynced, by a batch or the handle cap
@@ -252,10 +252,7 @@ func (w *shardWAL) sync() error {
 		return w.err
 	}
 	if len(w.dirty) > 0 {
-		var began time.Time
-		if w.fsyncHist != nil {
-			began = time.Now()
-		}
+		began := time.Now()
 		slices.SortFunc(w.dirty, func(a, b *walSeg) int { return cmp.Compare(a.start, b.start) })
 		var err error
 		n := 0
@@ -271,9 +268,7 @@ func (w *shardWAL) sync() error {
 			return err
 		}
 		w.fsyncsC.Inc()
-		if w.fsyncHist != nil {
-			w.fsyncHist.ObserveDuration(time.Since(began))
-		}
+		w.fsyncHist.ObserveDuration(time.Since(began))
 	}
 	w.synced = w.appended
 	w.unsynced = 0

@@ -67,20 +67,17 @@ type NEPOptions struct {
 	// TargetSites is the approximate total number of edge sites; the paper
 	// reports >500. Defaults to 520.
 	TargetSites int
-	// ScatterKm is the mean distance from the metro centre at which sites
-	// are placed (exponentially distributed, capped at 4× the mean).
-	// Defaults to 60 km.
-	ScatterKm float64
 }
 
 func (o *NEPOptions) fill() {
 	if o.TargetSites == 0 {
 		o.TargetSites = 520
 	}
-	if o.ScatterKm == 0 {
-		o.ScatterKm = 100
-	}
 }
+
+// scatterKm is the mean distance from the metro centre at which NEP sites
+// are placed (exponentially distributed, capped at 4× the mean).
+const scatterKm = 100
 
 // BuildNEP creates the edge platform: sites distributed over the city
 // database, with the per-metro count growing sub-linearly with population
@@ -104,7 +101,7 @@ func BuildNEP(r *rng.Source, opts NEPOptions) *Platform {
 			n = 1
 		}
 		for k := 0; k < n; k++ {
-			loc := scatter(r, c.Loc, opts.ScatterKm)
+			loc := scatter(r, c.Loc, scatterKm)
 			servers := int(r.BoundedPareto(24, 1.6, 300))
 			p.Sites = append(p.Sites, &Site{
 				ID:          fmt.Sprintf("nep-%s-%02d", c.Name, k+1),

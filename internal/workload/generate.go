@@ -22,13 +22,6 @@ type Options struct {
 	// is 14 days to bound memory while spanning both daily and weekly
 	// cycles. Use 28+ for prediction experiments.
 	Days int
-	// CPUInterval is the CPU sampling period (paper: 1 min; default 5 min).
-	CPUInterval time.Duration
-	// BWInterval is the bandwidth sampling period (paper and default: 5
-	// min, but 15 min by default to bound memory).
-	BWInterval time.Duration
-	// Start is the trace start; defaults to 2020-06-01 like the dataset.
-	Start time.Time
 	// Categories overrides the platform's app mix.
 	Categories []Category
 	// Strategy overrides the placement strategy (default: NEPDefault for
@@ -43,16 +36,18 @@ func (o *Options) fill(defaultApps int) {
 	if o.Days == 0 {
 		o.Days = 14
 	}
-	if o.CPUInterval == 0 {
-		o.CPUInterval = 5 * time.Minute
-	}
-	if o.BWInterval == 0 {
-		o.BWInterval = 15 * time.Minute
-	}
-	if o.Start.IsZero() {
-		o.Start = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	}
 }
+
+const (
+	// cpuInterval is the CPU sampling period (paper: 1 min; 5 min here).
+	cpuInterval = 5 * time.Minute
+	// bwInterval is the bandwidth sampling period (paper: 5 min; 15 min
+	// here to bound memory).
+	bwInterval = 15 * time.Minute
+)
+
+// traceStart is the trace start, 2020-06-01 like the dataset.
+var traceStart = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 
 // provincePops returns provinces with their city-population totals, sorted
 // by population descending (the demand-popularity ranking).
@@ -158,7 +153,7 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 	_ = provPops
 	d := &vm.Dataset{
 		Platform: platform,
-		Start:    opts.Start,
+		Start:    traceStart,
 		Duration: time.Duration(opts.Days) * 24 * time.Hour,
 		Sites:    sites,
 	}
@@ -227,15 +222,15 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 				cpu := usageSeries(r, seriesParams{
 					level: level, amp: appAmp, peakHour: appPeak,
 					windowHours: cat.WindowHours, noiseCV: cat.NoiseCV,
-					days: opts.Days, interval: opts.CPUInterval,
-					start: opts.Start, clampHi: 95, weekendFactor: weekendFactorFor(cat.Name),
+					days: opts.Days, interval: cpuInterval,
+					start: traceStart, clampHi: 95, weekendFactor: weekendFactorFor(cat.Name),
 				})
 				volatile := r.Bernoulli(cat.VolatileBWProb)
 				bw := usageSeries(r, seriesParams{
 					level: appBWBase * mult, amp: appAmp, peakHour: appPeak,
 					windowHours: cat.WindowHours, noiseCV: cat.NoiseCV * 1.3,
-					days: opts.Days, interval: opts.BWInterval,
-					start: opts.Start, clampHi: 0, weekendFactor: weekendFactorFor(cat.Name),
+					days: opts.Days, interval: bwInterval,
+					start: traceStart, clampHi: 0, weekendFactor: weekendFactorFor(cat.Name),
 					volatileWeeks: volatile, volatileSigma: 0.9,
 				})
 				mean := cpu.Mean()

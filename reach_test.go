@@ -7,6 +7,13 @@ package edgescope
 // so the list can only shrink. scripts/ci.sh's orphan-package check is the
 // cheaper per-package form of the same rule.
 //
+// The option gate, TestEveryOptionSet, is the same rule one layer down:
+// every field of an exported struct type named *Config or *Options is set by
+// non-test code — a composite-literal key or an assignment, main packages
+// included — outside its own type's fill method, or is listed in the same
+// file as pkg.Type.Field with a reason. An option only tests set is a second
+// configuration nothing ships; make it a constant instead.
+//
 // The walk is stdlib only: `go list -deps -json` for the package graph,
 // go/types over the module's non-test files (the standard library comes from
 // the "source" importer), then a fixpoint over "declaration mentions
@@ -36,6 +43,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,6 +61,10 @@ type reachGraph struct {
 	calls map[string][]string        // declaration → method names it calls through an interface
 	types map[string]*types.TypeName // package-level named types
 	funcs map[string]token.Position  // every non-test function, by name
+
+	options map[string]token.Position // every field of an exported *Config/*Options struct, by "pkg.Type.Field"
+	fieldOf map[*types.Var]string     // those fields' objects → their names
+	written map[*types.Var]bool       // struct fields set in non-test code outside their type's fill
 }
 
 // ImportFrom hands the type checker the module's own packages (checked
@@ -139,6 +151,7 @@ func (g *reachGraph) load(importPath, dir string, goFiles []string) error {
 					g.funcs[name] = g.fset.Position(d.Pos())
 				}
 				g.mention(name, d)
+				g.noteWrites(fillOf(g.info, d), d)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
@@ -146,14 +159,91 @@ func (g *reachGraph) load(importPath, dir string, goFiles []string) error {
 						tn := g.info.Defs[spec.Name].(*types.TypeName)
 						g.types[g.reachName(tn)] = tn
 						g.mention(g.reachName(tn), spec)
+						g.addOptions(tn)
 					case *ast.ValueSpec:
 						g.mention(initNode, spec)
+						g.noteWrites(nil, spec)
 					}
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// addOptions lists the fields of tn when it is an exported struct type
+// named *Config or *Options.
+func (g *reachGraph) addOptions(tn *types.TypeName) {
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok || !tn.Exported() || !(strings.HasSuffix(tn.Name(), "Config") || strings.HasSuffix(tn.Name(), "Options")) {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		name := g.reachName(tn) + "." + f.Name()
+		g.options[name] = g.fset.Position(f.Pos())
+		g.fieldOf[f] = name
+	}
+}
+
+// fillOf is the struct a `fill` method's receiver names — the defaults it
+// writes are not a caller setting an option — or nil for any other function.
+func fillOf(info *types.Info, d *ast.FuncDecl) *types.Struct {
+	if d.Recv == nil || d.Name.Name != "fill" {
+		return nil
+	}
+	recv := info.Defs[d.Name].(*types.Func).Signature().Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	st, _ := recv.Underlying().(*types.Struct)
+	return st
+}
+
+// noteWrites records every struct field n sets: a key of a keyed composite
+// literal, or the field selected on the left of an assignment or an
+// increment. Fields of own (the receiver of a fill method) do not count.
+func (g *reachGraph) noteWrites(own *types.Struct, n ast.Node) {
+	write := func(v *types.Var) {
+		if v == nil || !v.IsField() {
+			return
+		}
+		if own != nil {
+			for i := 0; i < own.NumFields(); i++ {
+				if own.Field(i) == v {
+					return
+				}
+			}
+		}
+		g.written[v] = true
+	}
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := g.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				write(s.Obj().(*types.Var))
+			}
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						v, _ := g.info.Uses[id].(*types.Var)
+						write(v)
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				lhs(e)
+			}
+		case *ast.IncDecStmt:
+			lhs(n.X)
+		}
+		return true
+	})
 }
 
 // reachable is the fixpoint from the roots: declarations mention
@@ -250,10 +340,28 @@ func (g *reachGraph) reachable(roots []string) map[string]bool {
 	return live
 }
 
-func TestEveryFunctionReachable(t *testing.T) {
+// module is the type-checked module, loaded once for both gates.
+var module struct {
+	once  sync.Once
+	g     *reachGraph
+	roots []string // main, and init of every package a main package links
+	err   error
+}
+
+// loadModule type-checks every non-test file of the module into a reachGraph.
+func loadModule(t *testing.T) (*reachGraph, []string) {
+	t.Helper()
+	module.once.Do(func() { module.g, module.roots, module.err = buildGraph() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.g, module.roots
+}
+
+func buildGraph() (*reachGraph, []string, error) {
 	out, err := exec.Command("go", "list", "-deps", "-json=ImportPath,Name,Dir,GoFiles,Standard,Deps", "./...").Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, nil, fmt.Errorf("go list: %v", err)
 	}
 	// The source importer would run cgo for net and os/user; the pure-Go
 	// files declare the same API.
@@ -265,11 +373,14 @@ func TestEveryFunctionReachable(t *testing.T) {
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
-		pkgs:  map[string]*types.Package{},
-		edges: map[string][]string{},
-		calls: map[string][]string{},
-		types: map[string]*types.TypeName{},
-		funcs: map[string]token.Position{},
+		pkgs:    map[string]*types.Package{},
+		edges:   map[string][]string{},
+		calls:   map[string][]string{},
+		types:   map[string]*types.TypeName{},
+		funcs:   map[string]token.Position{},
+		options: map[string]token.Position{},
+		fieldOf: map[*types.Var]string{},
+		written: map[*types.Var]bool{},
 	}
 	g.std = importer.ForCompiler(g.fset, "source", nil).(types.ImporterFrom)
 
@@ -285,18 +396,18 @@ func TestEveryFunctionReachable(t *testing.T) {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			t.Fatalf("go list output: %v", err)
+			return nil, nil, fmt.Errorf("go list output: %v", err)
 		}
 		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
 		for other := range g.pkgs {
 			if path.Base(other) == path.Base(p.ImportPath) {
-				t.Fatalf("%s and %s share a last path element; functions are named by it", other, p.ImportPath)
+				return nil, nil, fmt.Errorf("%s and %s share a last path element; functions are named by it", other, p.ImportPath)
 			}
 		}
 		if err := g.load(p.ImportPath, p.Dir, p.GoFiles); err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			return nil, nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
 		}
 		if p.Name == "main" {
 			roots = append(roots, path.Base(p.ImportPath)+".main")
@@ -310,16 +421,32 @@ func TestEveryFunctionReachable(t *testing.T) {
 			roots = append(roots, base+".init")
 		}
 	}
-	live := g.reachable(roots)
+	return g, roots, nil
+}
 
-	// The keep-list: exact names, or "prefix.*" for every function under a
-	// package or type no binary links (internal/faultinject).
-	kept := map[string]bool{}
+// keepEntry is one line of scripts/reach_keep: an exact function or option
+// field name, or "prefix.*" for everything under a package or type.
+type keepEntry struct {
+	line int
+	name string
+}
+
+func (e keepEntry) match(name string) bool {
+	if prefix, ok := strings.CutSuffix(e.name, "*"); ok {
+		return strings.HasPrefix(name, prefix)
+	}
+	return name == e.name
+}
+
+// readKeep parses scripts/reach_keep, failing any entry without a reason.
+func readKeep(t *testing.T) []keepEntry {
+	t.Helper()
 	f, err := os.Open(reachKeepFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	var keep []keepEntry
 	sc := bufio.NewScanner(f)
 	for line := 1; sc.Scan(); line++ {
 		if sc.Text() == "" || strings.HasPrefix(sc.Text(), "#") {
@@ -329,13 +456,37 @@ func TestEveryFunctionReachable(t *testing.T) {
 		if strings.TrimSpace(reason) == "" {
 			t.Errorf("%s:%d: %s carries no reason (want name<TAB>reason)", reachKeepFile, line, name)
 		}
-		match := func(fn string) bool { return fn == name }
-		if prefix, ok := strings.CutSuffix(name, "*"); ok {
-			match = func(fn string) bool { return strings.HasPrefix(fn, prefix) }
+		keep = append(keep, keepEntry{line, name})
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return keep
+}
+
+// unlisted formats the names missing from kept, with their positions, sorted.
+func unlisted(names map[string]token.Position, ok func(string) bool) []string {
+	var out []string
+	root, _ := os.Getwd()
+	for name, pos := range names {
+		if !ok(name) {
+			file, _ := filepath.Rel(root, pos.Filename)
+			out = append(out, fmt.Sprintf("%s\t%s:%d", name, file, pos.Line))
 		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestEveryFunctionReachable(t *testing.T) {
+	g, roots := loadModule(t)
+	live := g.reachable(roots)
+
+	kept := map[string]bool{}
+	for _, e := range readKeep(t) {
 		covered, reached := 0, ""
 		for fn := range g.funcs {
-			if match(fn) {
+			if e.match(fn) {
 				kept[fn] = true
 				covered++
 				if live[fn] {
@@ -343,28 +494,56 @@ func TestEveryFunctionReachable(t *testing.T) {
 				}
 			}
 		}
+		for field := range g.options {
+			if e.match(field) {
+				covered++
+			}
+		}
 		switch {
 		case covered == 0:
-			t.Errorf("%s:%d: %s names nothing that exists — drop the entry", reachKeepFile, line, name)
+			t.Errorf("%s:%d: %s names no function or option field that exists — drop the entry", reachKeepFile, e.line, e.name)
 		case reached != "":
-			t.Errorf("%s:%d: %s is reachable from a main package now — drop the entry", reachKeepFile, line, reached)
+			t.Errorf("%s:%d: %s is reachable from a main package now — drop the entry", reachKeepFile, e.line, reached)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 
-	var dead []string
-	root, _ := os.Getwd()
-	for name, pos := range g.funcs {
-		if !live[name] && !kept[name] {
-			file, _ := filepath.Rel(root, pos.Filename)
-			dead = append(dead, fmt.Sprintf("%s\t%s:%d", name, file, pos.Line))
-		}
-	}
-	sort.Strings(dead)
-	if len(dead) > 0 {
+	if dead := unlisted(g.funcs, func(fn string) bool { return live[fn] || kept[fn] }); len(dead) > 0 {
 		t.Errorf("%d functions no main package can reach and %s does not list — delete each with the tests that only test it, or list it with a reason:\n%s",
 			len(dead), reachKeepFile, strings.Join(dead, "\n"))
+	}
+}
+
+func TestEveryOptionSet(t *testing.T) {
+	g, _ := loadModule(t)
+	set := map[string]bool{}
+	for v := range g.written {
+		if name, ok := g.fieldOf[v]; ok {
+			set[name] = true
+		}
+	}
+
+	kept := map[string]bool{}
+	for _, e := range readKeep(t) {
+		for field := range g.options {
+			if !e.match(field) {
+				continue
+			}
+			kept[field] = true
+			if set[field] {
+				t.Errorf("%s:%d: %s is set by non-test code now — drop the entry", reachKeepFile, e.line, field)
+			}
+		}
+	}
+
+	structs := map[string]bool{}
+	for field := range g.options {
+		structs[field[:strings.LastIndexByte(field, '.')]] = true
+	}
+	t.Logf("%d settable fields in %d exported *Config/*Options types: %d set by non-test code, %d listed in %s",
+		len(g.options), len(structs), len(set), len(kept), reachKeepFile)
+
+	if unset := unlisted(g.options, func(f string) bool { return set[f] || kept[f] }); len(unset) > 0 {
+		t.Errorf("%d option fields no non-test code sets outside their type's fill, and %s does not list — make each a constant (or delete it with the mode it selects), or list it with a reason:\n%s",
+			len(unset), reachKeepFile, strings.Join(unset, "\n"))
 	}
 }

@@ -7,7 +7,9 @@
 #   → arm64 cross-compile  → full tests (the root package's
 #     TestEveryFunctionReachable is the per-function form of the orphan
 #     check: every non-test function is reachable from a main package or
-#     listed with a reason in scripts/reach_keep)
+#     listed with a reason in scripts/reach_keep; TestEveryOptionSet is the
+#     per-option form: every field of an exported *Config/*Options struct
+#     is set by non-test code outside its type's fill, or listed there too)
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
 #     segment replay, snapshot decode, sketch codec, sketch-page and
