@@ -1211,12 +1211,10 @@ func BenchmarkKeys(b *testing.B) {
 	}
 }
 
-// BenchmarkFrontendKeys is the frontend's /keys over keyspaceFixture split
-// by owner across three nodes: cluster.Frontend.Keys gathers each node's
-// binary inventory through cluster.HTTPNode and the node's own handlers
-// (serve.NewNode over memTransport), merges the runs, and the answer is
-// encoded as the edge's JSON.
-func BenchmarkFrontendKeys(b *testing.B) {
+// keyspaceCluster is keyspaceFixture split by owner across three nodes,
+// each served by its own handlers (serve.NewNode over memTransport) and
+// reached through cluster.HTTPNode, behind one cluster.Frontend.
+func keyspaceCluster(b *testing.B) *cluster.Frontend {
 	pm, err := cluster.NewMap(cluster.MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
 	if err != nil {
 		b.Fatal(err)
@@ -1235,7 +1233,14 @@ func BenchmarkFrontendKeys(b *testing.B) {
 	for _, ing := range ings {
 		ing.Flush()
 	}
-	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{})
+	return cluster.NewFrontend(pm, clients, cluster.FrontendConfig{})
+}
+
+// BenchmarkFrontendKeys is the frontend's /keys over keyspaceCluster:
+// cluster.Frontend.Keys gathers each node's binary inventory, merges the
+// runs, and the answer is encoded as the edge's JSON.
+func BenchmarkFrontendKeys(b *testing.B) {
+	front := keyspaceCluster(b)
 	ctx := context.Background()
 	b.Run("http", func(b *testing.B) {
 		b.ReportAllocs()
@@ -1246,6 +1251,37 @@ func BenchmarkFrontendKeys(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFrontendQuery is the frontend's /query over keyspaceCluster, as
+// the end-to-end benchmark's two query classes ask it: wide (every rtt_ms
+// key over all 60 windows, a leg to each node) and narrow (one key over the
+// last 15, a leg to its owner alone). Each leg pays its request, the node's
+// page encode, the body read, CRC and decode; then the merge. Repeated, the
+// nodes answer from their fold memos, so what is priced is the gather. One
+// P, so the pooled wire buffers' B/op reads the code, not the scheduler.
+func BenchmarkFrontendQuery(b *testing.B) {
+	front := keyspaceCluster(b)
+	ctx := context.Background()
+	base := telemetry.QuerySpec{Metric: telemetry.MetricRTT, From: time.UnixMilli(1_000), To: time.UnixMilli(61_000),
+		Quantiles: []float64{0.5, 0.95, 0.99}, CDFAt: []float64{10, 50, 100}}
+	narrow := base
+	narrow.From, narrow.Region, narrow.Net = time.UnixMilli(46_000), "r07", "lte"
+	for _, c := range []struct {
+		name    string
+		spec    telemetry.QuerySpec
+		windows int
+	}{{"wide", base, 128 * 60}, {"narrow", narrow, 15}} {
+		b.Run("http/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			defer onePForAllocs(b)()
+			for i := 0; i < b.N; i++ {
+				if res, err := front.Query(ctx, c.spec); err != nil || res.Partial || res.Windows != c.windows {
+					b.Fatalf("query: %d windows, partial %v, err %v", res.Windows, res.Partial, err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMatchSketchesNarrow is a node's share of the end-to-end `narrow`

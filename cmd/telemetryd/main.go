@@ -18,7 +18,7 @@
 //	GET  /metrics  Prometheus text exposition: ingest, dedup, shedding, WAL,
 //	               recovery and query-latency instrument families
 //
-// With -pprof the daemon additionally mounts Go's net/http/pprof profiling
+// With -pprof the daemon, in any role, additionally mounts Go's net/http/pprof profiling
 // endpoints under /debug/pprof/ (opt-in: CPU profiles and heap dumps are not
 // free, so the default surface stays read-only-cheap).
 //
@@ -50,7 +50,8 @@
 //   - frontend: the stateless routing + scatter-gather tier. POST /ingest
 //     routes each envelope to its partition's owner (refused while the
 //     owner is marked down — a producer's retry then lands it, dedup'd by
-//     sequence number), GET /query fans out to every node, merges sketch
+//     sequence number), GET /query fans out to the nodes that can answer
+//     it (a query naming one key asks its owner alone), merges sketch
 //     pages deterministically, and answers with explicit partial-result
 //     semantics ("partial": true plus the missing partition list) when
 //     members are unreachable.
@@ -179,7 +180,7 @@ func main() {
 			Peers: peerIDs, URLs: peerURLs, Partitions: *partitions,
 			DataDir: *dataDir, ProbeEvery: *probeEvery,
 			Client: &http.Client{Timeout: *nodeTimeout},
-			Seed:   *seed, Log: log,
+			Seed:   *seed, Pprof: *pprofOn, Log: log,
 		})
 		if err != nil {
 			log.Error("frontend boot failed", "err", err)

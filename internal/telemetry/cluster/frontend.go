@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,35 +63,42 @@ func (c *FrontendConfig) fill() {
 type Result struct {
 	telemetry.QueryResult
 	// Partial is set when at least one node could not be gathered, or when
-	// a rebalance is moving partitions right now; the statistics cover only
-	// the partitions that answered, at the current epoch's placement.
+	// a rebalance is moving partitions right now or moved them while the
+	// query gathered; the statistics cover only the partitions that
+	// answered, at the placement the query started on.
 	Partial bool `json:"partial,omitempty"`
 	// MissingPartitions lists exactly the partitions absent from this
 	// answer: those whose owner failed to answer. Ascending.
 	MissingPartitions []int `json:"missing_partitions,omitempty"`
 	// MissingNodes lists the nodes that failed to answer, canonical order.
 	MissingNodes []string `json:"missing_nodes,omitempty"`
-	// MigratingPartitions lists the partitions a live rebalance is moving.
-	// Their data is answered from the current epoch's owners — never
-	// silently wrong — but a racing handoff means the answer may lag the
-	// newest writes, so the query is marked Partial and says exactly which
-	// partitions.
+	// MigratingPartitions lists the partitions a live rebalance is moving,
+	// and those an activation moved while the query gathered. Their data is
+	// answered from the owners of the placement the query started on —
+	// never silently wrong, never counted twice — but a racing handoff means
+	// the answer may lag the newest writes, so the query is marked Partial
+	// and says exactly which partitions.
 	MigratingPartitions []int `json:"migrating_partitions,omitempty"`
 }
 
-// Frontend is the scatter-gather query tier: it fans a query out to every
-// node, gathers each one's page of per-key folds under per-node timeouts,
-// and merges them by key with the very function the single-node query ends
-// in (telemetry.MergeSketchPages). Nodes that cannot be
-// reached do not fail the query — the answer covers what was gathered and
-// says exactly which partitions are missing.
+// Frontend is the scatter-gather query tier: it fans a query out to the
+// nodes that can answer it — the one owner of its partition when the query
+// names a single key (region and net both set), every member otherwise —
+// gathers each one's page of per-key folds under per-node timeouts, and
+// merges them by key with the very function the single-node query ends in
+// (telemetry.MergeSketchPages). Nodes that cannot be reached do not fail
+// the query — the answer covers what was gathered and says exactly which
+// partitions are missing.
 //
-// Gathered pages are filtered by the current epoch's assignment: a node's
-// matches count only for the partitions it owns. That is what makes
-// membership elastic without lying: staged copies on a joining node are
-// invisible until their epoch activates, and stale copies on a losing node
-// are invisible the moment it does (whether or not their drop ever lands),
-// so a query never double-counts a partition that exists on two nodes.
+// A gather reads the placement once, as it starts, and filters every
+// gathered page against that one snapshot: a node's matches count only for
+// the partitions it owns there. That is what makes membership elastic
+// without lying: staged copies on a joining node are invisible until their
+// epoch activates, and stale copies on a losing node are invisible the
+// moment it does (whether or not their drop ever lands), so a query never
+// double-counts a partition that exists on two nodes — not even when an
+// activation lands between two of its legs, which the answer then
+// discloses as migrating.
 type Frontend struct {
 	pm  *PartitionMap
 	cfg FrontendConfig
@@ -113,6 +121,9 @@ type leg struct {
 	c NodeClient
 	// seconds times every gather leg to this node.
 	seconds *obs.Histogram
+	// sketches is c's page fetch. Over an *HTTPNode it reads the body into
+	// buf, which the page then aliases; any other client ignores buf.
+	sketches func(ctx context.Context, spec telemetry.QuerySpec, buf *[]byte) (telemetry.SketchPage, error)
 }
 
 // NewFrontend builds the query tier over a partition map and one client
@@ -142,12 +153,16 @@ func NewFrontend(pm *PartitionMap, clients map[string]NodeClient, cfg FrontendCo
 
 // AddClient wires (or replaces) the query transport for a node — how a
 // joining member becomes queryable without restarting the frontend. The
-// node's leg histogram is resolved here and an HTTPNode is handed its
-// page-byte counter.
+// node's leg histogram and page fetch are resolved here, and an HTTPNode is
+// handed its page-byte counter.
 func (f *Frontend) AddClient(node string, c NodeClient) {
-	l := leg{c: c, seconds: f.legSeconds.With(node)}
+	l := leg{c: c, seconds: f.legSeconds.With(node),
+		sketches: func(ctx context.Context, spec telemetry.QuerySpec, _ *[]byte) (telemetry.SketchPage, error) {
+			return c.Sketches(ctx, spec)
+		}}
 	if hn, ok := c.(*HTTPNode); ok {
 		hn.MeterPageBytes(f.pageBytes.With(node))
+		l.sketches = hn.sketchesInto
 	}
 	f.mu.Lock()
 	f.clients[node] = l
@@ -169,11 +184,11 @@ func (f *Frontend) leg(node string) (leg, bool) {
 	return l, ok
 }
 
-// gather runs fn against every current member concurrently, each leg under
-// the front-end timeout, and reports which nodes failed (canonical order).
-// The member list is the current epoch's — nodes that joined or left take
-// effect the moment their epoch activates.
-func (f *Frontend) gather(ctx context.Context, nodes []string, fn func(ctx context.Context, node string, c NodeClient) error) (missing []string) {
+// gather runs fn against each of nodes concurrently — fn gets the node's
+// position and wired leg — each leg under the front-end timeout, and
+// reports which nodes failed (in nodes' order). It returns once every leg
+// has.
+func (f *Frontend) gather(ctx context.Context, nodes []string, fn func(ctx context.Context, i int, l leg) error) (missing []string) {
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
 	for i, n := range nodes {
@@ -183,14 +198,14 @@ func (f *Frontend) gather(ctx context.Context, nodes []string, fn func(ctx conte
 			continue
 		}
 		wg.Add(1)
-		go func(i int, n string, l leg) {
+		go func(i int, l leg) {
 			defer wg.Done()
 			legCtx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 			defer cancel()
 			began := time.Now()
-			errs[i] = fn(legCtx, n, l.c)
+			errs[i] = fn(legCtx, i, l)
 			l.seconds.ObserveDuration(time.Since(began))
-		}(i, n, l)
+		}(i, l)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -203,30 +218,30 @@ func (f *Frontend) gather(ctx context.Context, nodes []string, fn func(ctx conte
 }
 
 // missingPartitions resolves unreachable nodes to the partitions absent
-// from the answer: those whose owner failed to answer. Ascending.
-func (f *Frontend) missingPartitions(missing []string) []int {
-	if len(missing) == 0 {
-		return nil
-	}
-	down := make(map[string]bool, len(missing))
-	for _, n := range missing {
-		down[n] = true
-	}
+// from the answer: those whose owner in the gather's placement failed to
+// answer. Ascending.
+func missingPartitions(snap Assignment, missing []string) []int {
 	var out []int
-	for p := 0; p < f.pm.Partitions(); p++ {
-		if down[f.pm.Owner(p)] {
+	for p, owner := range snap.Owners {
+		if slices.Contains(missing, owner) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// filterPage drops the matches a node is not assigned, in place.
-func (f *Frontend) filterPage(node string, page telemetry.SketchPage, parts int) telemetry.SketchPage {
+// owns reports whether node owns key k's partition in the gather's
+// placement.
+func owns(snap Assignment, node string, k telemetry.Key) bool {
+	return snap.Owners[k.ShardOf(snap.Partitions)] == node
+}
+
+// filterPage drops the matches node does not own in the gather's
+// placement, in place.
+func filterPage(snap Assignment, node string, page telemetry.SketchPage) telemetry.SketchPage {
 	kept := page.Matches[:0]
 	for _, m := range page.Matches {
-		k := telemetry.Key{Metric: page.Metric, Region: m.Region, Net: m.Net}
-		if f.pm.Assigned(node, k.ShardOf(parts)) {
+		if owns(snap, node, telemetry.Key{Metric: page.Metric, Region: m.Region, Net: m.Net}) {
 			kept = append(kept, m)
 		}
 	}
@@ -234,13 +249,16 @@ func (f *Frontend) filterPage(node string, page telemetry.SketchPage, parts int)
 	return page
 }
 
-// finalize stamps the cluster disclosure fields onto a result.
-func (f *Frontend) finalize(out *Result, missing []string) {
-	out.MigratingPartitions = f.pm.Migrating()
+// finalize stamps the cluster disclosure fields onto a result: the nodes
+// that failed and the partitions they own in the gather's placement, and
+// the partitions moved (a migration in flight, or an activation since the
+// gather began).
+func (f *Frontend) finalize(out *Result, snap Assignment, missing []string, moved []int) {
+	out.MigratingPartitions = moved
 	if len(missing) > 0 {
 		out.Partial = true
 		out.MissingNodes = missing
-		out.MissingPartitions = f.missingPartitions(missing)
+		out.MissingPartitions = missingPartitions(snap, missing)
 	}
 	if len(out.MigratingPartitions) > 0 {
 		out.Partial = true
@@ -253,28 +271,35 @@ func (f *Frontend) finalize(out *Result, missing []string) {
 // Query scatter-gathers one query. The error return covers spec problems
 // and merge-level config mismatches only; unreachable nodes and live
 // rebalances surface in the Result's partial fields instead.
+//
+// A spec naming one key (region and net both set) is asked of that key's
+// partition owner alone: no other node holds a match it would keep. Page
+// bodies are read into pooled wire buffers, released once the merge — the
+// last reader of the sketches the pages alias — has returned.
 func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result, error) {
 	f.queries.Inc()
 	if err := telemetry.ValidateQuerySpec(spec); err != nil {
 		return Result{}, err
 	}
-	nodes := f.pm.Nodes()
-	parts := f.pm.Partitions()
-	pages := make([]telemetry.SketchPage, len(nodes))
-	gathered := make([]bool, len(nodes))
-	idx := make(map[string]int, len(nodes))
-	for i, n := range nodes {
-		idx[n] = i
+	snap := f.pm.Current()
+	nodes := snap.Nodes
+	if spec.Region != "" && spec.Net != "" {
+		k := telemetry.Key{Metric: spec.Metric, Region: spec.Region, Net: spec.Net}
+		nodes = []string{snap.Owners[k.ShardOf(snap.Partitions)]}
 	}
-	missing := f.gather(ctx, nodes, func(ctx context.Context, node string, c NodeClient) error {
-		page, err := c.Sketches(ctx, spec)
+	pages := make([]telemetry.SketchPage, len(nodes))
+	bufs := make([]*[]byte, len(nodes))
+	gathered := make([]bool, len(nodes))
+	missing := f.gather(ctx, nodes, func(ctx context.Context, i int, l leg) error {
+		bufs[i] = telemetry.TakeWireBuffer()
+		page, err := l.sketches(ctx, spec, bufs[i])
 		if err != nil {
 			return err
 		}
-		i := idx[node]
-		pages[i], gathered[i] = f.filterPage(node, page, parts), true
+		pages[i], gathered[i] = filterPage(snap, nodes[i], page), true
 		return nil
 	})
+	moved := f.pm.MovedSince(snap)
 	// Keep only answered pages, in canonical node order — so the merge
 	// input (and therefore the answer bytes) never depends on goroutine
 	// finish order.
@@ -287,11 +312,16 @@ func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result,
 	began := time.Now()
 	res, err := telemetry.MergeSketchPages(spec, kept)
 	f.mergeSeconds.ObserveDuration(time.Since(began))
+	for _, b := range bufs {
+		if b != nil {
+			telemetry.ReleaseWireBuffer(b)
+		}
+	}
 	if err != nil {
 		return Result{}, err
 	}
 	out := Result{QueryResult: res}
-	f.finalize(&out, missing)
+	f.finalize(&out, snap, missing, moved)
 	return out, nil
 }
 
@@ -299,28 +329,24 @@ func (f *Frontend) Query(ctx context.Context, spec telemetry.QuerySpec) (Result,
 // across nodes — each node contributing only the keys of partitions it is
 // assigned — sorted exactly like Ingestor.Keys. Every node's run is already
 // sorted and unique (the NodeClient contract), so the runs are merged, not
-// re-sorted. The second return lists nodes that failed to answer (empty
-// means the inventory is complete).
+// re-sorted. Like Query, it filters every node's run against the one
+// placement it started on. The second return lists nodes that failed to
+// answer (empty means the inventory is complete).
 func (f *Frontend) Keys(ctx context.Context) ([]telemetry.KeyCount, []string) {
-	nodes := f.pm.Nodes()
-	parts := f.pm.Partitions()
-	perNode := make([][]telemetry.KeyCount, len(nodes))
-	idx := make(map[string]int, len(nodes))
-	for i, n := range nodes {
-		idx[n] = i
-	}
-	missing := f.gather(ctx, nodes, func(ctx context.Context, node string, c NodeClient) error {
-		keys, err := c.Keys(ctx)
+	snap := f.pm.Current()
+	perNode := make([][]telemetry.KeyCount, len(snap.Nodes))
+	missing := f.gather(ctx, snap.Nodes, func(ctx context.Context, i int, l leg) error {
+		keys, err := l.c.Keys(ctx)
 		if err != nil {
 			return err
 		}
 		kept := keys[:0]
 		for _, kc := range keys {
-			if f.pm.Assigned(node, kc.Key.ShardOf(parts)) {
+			if owns(snap, snap.Nodes[i], kc.Key) {
 				kept = append(kept, kc)
 			}
 		}
-		perNode[idx[node]] = kept
+		perNode[i] = kept
 		return nil
 	})
 	return mergeKeyRuns(perNode), missing

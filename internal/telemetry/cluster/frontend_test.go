@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,11 +49,15 @@ func (n *fakeNode) Keys(ctx context.Context) ([]telemetry.KeyCount, error) {
 }
 
 // frontendHarness: three in-memory nodes behind a partition-routed ingest,
-// so the gather has real sketches to merge.
+// so the gather has real sketches to merge, beside one ingestor that took
+// the whole stream — the single-node reference a complete answer matches
+// byte for byte.
 type frontendHarness struct {
-	m     *PartitionMap
-	nodes map[string]*fakeNode
-	f     *Frontend
+	m      *PartitionMap
+	nodes  map[string]*fakeNode
+	f      *Frontend
+	single *telemetry.Ingestor
+	events []telemetry.Envelope
 }
 
 func newFrontendHarness(t *testing.T) *frontendHarness {
@@ -67,6 +72,8 @@ func newFrontendHarness(t *testing.T) *frontendHarness {
 		clients[n] = fn
 	}
 	h.f = NewFrontend(m, clients, FrontendConfig{Timeout: 200 * time.Millisecond})
+	h.single = telemetry.NewIngestor(telemetry.Config{Shards: 2, QueueLen: 256, Block: true})
+	t.Cleanup(func() { h.single.Close() })
 
 	// Seed deterministic traffic across all partitions.
 	for i, region := range []string{"Beijing", "Shanghai", "Shenzhen", "Chengdu", "Wuhan", "Xian"} {
@@ -74,16 +81,25 @@ func newFrontendHarness(t *testing.T) *frontendHarness {
 			for k := 0; k < 5; k++ {
 				e := clusterEnv("rtt_ms", region, net, float64(5+i*7+j*3+k))
 				owner := m.Owner(m.PartitionOf(e.Key()))
-				if !h.nodes[owner].ing.Offer(e) {
+				if !h.nodes[owner].ing.Offer(e) || !h.single.Offer(e) {
 					t.Fatal("seed offer refused")
 				}
+				h.events = append(h.events, e)
 			}
 		}
 	}
 	for _, fn := range h.nodes {
 		fn.ing.Flush()
 	}
+	h.single.Flush()
 	return h
+}
+
+// singleJSON is the single-node reference answer to spec, as JSON.
+func (h *frontendHarness) singleJSON(t *testing.T, spec telemetry.QuerySpec) []byte {
+	t.Helper()
+	res, err := h.single.Query(spec)
+	return mustJSON(t, res, err)
 }
 
 var frontSpec = telemetry.QuerySpec{
@@ -145,6 +161,181 @@ func TestFrontendPartialNamesMissingPartitions(t *testing.T) {
 	}
 	if res.Count == 0 {
 		t.Fatal("partial answer lost the surviving partitions' data")
+	}
+}
+
+// keyedSpec names one key of the harness's stream: region and net both set.
+var keyedSpec = telemetry.QuerySpec{
+	Metric: "rtt_ms", Region: "Shanghai", Net: "5G",
+	Quantiles: []float64{0.5, 0.95},
+	CDFAt:     []float64{10, 30},
+}
+
+// countingNode is LocalNode counting its Sketches calls.
+type countingNode struct {
+	LocalNode
+	calls atomic.Int64
+}
+
+func (n *countingNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error) {
+	n.calls.Add(1)
+	return n.LocalNode.Sketches(ctx, spec)
+}
+
+// TestFrontendKeyedQueryAsksOwnerOnly: a spec naming one key makes one
+// Sketches call, to its partition's owner; an unkeyed or half-keyed spec
+// asks every member once. Every answer is complete and byte-identical to
+// the single node's.
+func TestFrontendKeyedQueryAsksOwnerOnly(t *testing.T) {
+	h := newFrontendHarness(t)
+	counted := map[string]*countingNode{}
+	clients := map[string]NodeClient{}
+	for n, fn := range h.nodes {
+		counted[n] = &countingNode{LocalNode: LocalNode{Ing: fn.ing}}
+		clients[n] = counted[n]
+	}
+	f := NewFrontend(h.m, clients, FrontendConfig{Timeout: time.Second})
+	owner := h.m.Owner(h.m.PartitionOf(telemetry.Key{Metric: keyedSpec.Metric, Region: keyedSpec.Region, Net: keyedSpec.Net}))
+	halfKeyed := frontSpec
+	halfKeyed.Region = "Shanghai"
+	for _, c := range []struct {
+		name string
+		spec telemetry.QuerySpec
+		want func(node string) int64
+	}{
+		{"keyed", keyedSpec, func(n string) int64 {
+			if n == owner {
+				return 1
+			}
+			return 0
+		}},
+		{"unkeyed", frontSpec, func(string) int64 { return 1 }},
+		{"half-keyed", halfKeyed, func(string) int64 { return 1 }},
+	} {
+		for _, cn := range counted {
+			cn.calls.Store(0)
+		}
+		res, err := f.Query(context.Background(), c.spec)
+		if got, want := mustJSON(t, res, err), h.singleJSON(t, c.spec); !bytes.Equal(got, want) {
+			t.Fatalf("%s: cluster answered\n%s\nsingle node\n%s", c.name, got, want)
+		}
+		if res.Count == 0 {
+			t.Fatalf("%s: empty answer", c.name)
+		}
+		for n, cn := range counted {
+			if got, want := cn.calls.Load(), c.want(n); got != want {
+				t.Fatalf("%s: %s got %d Sketches calls, want %d", c.name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestFrontendKeyedQueryPartialOnlyWithItsOwner: a keyed query is complete,
+// and byte-identical to the single node, while a node that does not own
+// its key is down; with the owner down it is partial, naming the owner and
+// exactly the partitions the owner holds.
+func TestFrontendKeyedQueryPartialOnlyWithItsOwner(t *testing.T) {
+	h := newFrontendHarness(t)
+	owner := h.m.Owner(h.m.PartitionOf(telemetry.Key{Metric: keyedSpec.Metric, Region: keyedSpec.Region, Net: keyedSpec.Net}))
+	for _, n := range h.m.Nodes() {
+		if n != owner {
+			h.nodes[n].err = errors.New("connection refused")
+		}
+	}
+	res, err := h.f.Query(context.Background(), keyedSpec)
+	if got, want := mustJSON(t, res, err), h.singleJSON(t, keyedSpec); !bytes.Equal(got, want) {
+		t.Fatalf("keyed query beside down non-owners:\n%s\nsingle node:\n%s", got, want)
+	}
+
+	for _, n := range h.m.Nodes() {
+		h.nodes[n].err = nil
+	}
+	h.nodes[owner].err = errors.New("connection refused")
+	res, err = h.f.Query(context.Background(), keyedSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial || !reflect.DeepEqual(res.MissingNodes, []string{owner}) ||
+		!reflect.DeepEqual(res.MissingPartitions, h.m.OwnedBy(owner)) || res.Count != 0 {
+		t.Fatalf("keyed query with its owner %s down: %+v; want partial, missing %s and its partitions %v",
+			owner, res, owner, h.m.OwnedBy(owner))
+	}
+}
+
+// stepNode wraps a NodeClient, running before ahead of each Sketches call
+// and after once it has answered.
+type stepNode struct {
+	NodeClient
+	before, after func()
+}
+
+func (n stepNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error) {
+	if n.before != nil {
+		n.before()
+	}
+	page, err := n.NodeClient.Sketches(ctx, spec)
+	if n.after != nil {
+		n.after()
+	}
+	return page, err
+}
+
+// TestFrontendGatherFiltersOnOneSnapshot: a one-partition move activates
+// during one leg, after the losing owner's leg has answered, while both
+// nodes hold the partition (dual-written, as during a handoff). The answer
+// keeps the partition from the owner of the placement the query started
+// on only — the count is exact — and discloses it as migrating. Filtered
+// against the placement each leg returned into, the partition would be
+// kept from both nodes and the answer, marked complete, would double it.
+func TestFrontendGatherFiltersOnOneSnapshot(t *testing.T) {
+	h := newFrontendHarness(t)
+	moved := h.m.PartitionOf(telemetry.Key{Metric: "rtt_ms", Region: "Beijing", Net: "WiFi"})
+	loser := h.m.Owner(moved)
+	var gainer string
+	for _, n := range h.m.Nodes() {
+		if n != loser {
+			gainer = n
+			break
+		}
+	}
+	for _, e := range h.events {
+		if h.m.PartitionOf(e.Key()) == moved && !h.nodes[gainer].ing.Offer(e) {
+			t.Fatal("copy offer refused")
+		}
+	}
+	h.nodes[gainer].ing.Flush()
+	next := h.m.Current()
+	next.Epoch++
+	next.Owners[moved] = gainer
+	if err := h.m.BeginMigration(next); err != nil {
+		t.Fatal(err)
+	}
+	h.m.Cutover(moved)
+
+	answered := make(chan struct{})
+	clients := map[string]NodeClient{}
+	for n, fn := range h.nodes {
+		clients[n] = fn
+	}
+	clients[loser] = stepNode{NodeClient: h.nodes[loser], after: func() { close(answered) }}
+	clients[gainer] = stepNode{NodeClient: h.nodes[gainer], before: func() {
+		<-answered
+		time.Sleep(20 * time.Millisecond) // let the loser's page be filtered first
+		if err := h.m.Activate(); err != nil {
+			t.Error(err)
+		}
+	}}
+	res, err := NewFrontend(h.m, clients, FrontendConfig{Timeout: 2 * time.Second}).Query(context.Background(), frontSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := h.single.Query(frontSpec)
+	if res.Count != want.Count || !reflect.DeepEqual(res.QueryResult, want) {
+		t.Fatalf("count %v across an activation, want %v (the single node's answer)", res.Count, want.Count)
+	}
+	if !res.Partial || !reflect.DeepEqual(res.MigratingPartitions, []int{moved}) || res.MissingNodes != nil {
+		t.Fatalf("answer across an activation: partial=%v migrating=%v missing=%v; want partial, migrating [%d]",
+			res.Partial, res.MigratingPartitions, res.MissingNodes, moved)
 	}
 }
 

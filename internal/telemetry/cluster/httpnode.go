@@ -65,8 +65,15 @@ func (n *HTTPNode) MeterPageBytes(c *obs.Counter) { n.pageBytes.Store(c) }
 // binary page. A page in any other format version fails to decode and so
 // fails the leg. The returned page aliases the response body.
 func (n *HTTPNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (telemetry.SketchPage, error) {
+	return n.sketchesInto(ctx, spec, nil)
+}
+
+// sketchesInto is Sketches reading the body into *buf (a wire buffer, see
+// telemetry.TakeWireBuffer), which the returned page aliases until the
+// caller releases it; nil reads into a fresh one.
+func (n *HTTPNode) sketchesInto(ctx context.Context, spec telemetry.QuerySpec, buf *[]byte) (telemetry.SketchPage, error) {
 	path := "/sketches?" + specParams(spec)
-	body, err := n.binaryBody(ctx, path, telemetry.SketchPageContentType)
+	body, err := n.binaryBody(ctx, path, telemetry.SketchPageContentType, buf)
 	if err != nil {
 		return telemetry.SketchPage{}, err
 	}
@@ -79,9 +86,13 @@ func (n *HTTPNode) Sketches(ctx context.Context, spec telemetry.QuerySpec) (tele
 }
 
 // Keys fetches the node's key inventory: GET /keys, answered as one binary
-// inventory — sorted and unique, or the leg fails.
+// inventory — sorted and unique, or the leg fails. The body is read into a
+// pooled wire buffer, released on return: the decoded keys copy every
+// string out of it.
 func (n *HTTPNode) Keys(ctx context.Context) ([]telemetry.KeyCount, error) {
-	body, err := n.binaryBody(ctx, "/keys", telemetry.KeyInventoryContentType)
+	buf := telemetry.TakeWireBuffer()
+	defer telemetry.ReleaseWireBuffer(buf)
+	body, err := n.binaryBody(ctx, "/keys", telemetry.KeyInventoryContentType, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +148,7 @@ func (n *HTTPNode) UnfreezePartition(ctx context.Context, p, of int) error {
 // set: GET /sketches/partition?partition=&of=. The pages alias the body.
 func (n *HTTPNode) PartitionPages(ctx context.Context, p, of int) ([]telemetry.SketchPage, error) {
 	path := "/sketches/partition?" + partParams(p, of)
-	body, err := n.binaryBody(ctx, path, telemetry.SketchPageContentType)
+	body, err := n.binaryBody(ctx, path, telemetry.SketchPageContentType, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -248,25 +259,34 @@ const maxPagePrealloc = 64 << 20
 // binaryBody runs one GET for a binary form (a sketch page, page set or key
 // inventory) and returns the whole answer body, which must be declared as
 // contentType — there is no JSON fallback, so a node too old (or too
-// broken) to speak it fails the leg.
-func (n *HTTPNode) binaryBody(ctx context.Context, path, contentType string) ([]byte, error) {
-	var buf bytes.Buffer
+// broken) to speak it fails the leg. The body is read into *buf, which keeps
+// it (grown, if it had to), or into a fresh slice when buf is nil.
+func (n *HTTPNode) binaryBody(ctx context.Context, path, contentType string, buf *[]byte) ([]byte, error) {
+	var body []byte
+	if buf != nil {
+		body = (*buf)[:0]
+	}
 	err := n.do(ctx, http.MethodGet, path, "", nil, contentType,
 		func(resp *http.Response) error {
 			if ct := resp.Header.Get("Content-Type"); ct != contentType {
 				return fmt.Errorf("cluster: %s%s: content type %q, want %q", n.base, path, ct, contentType)
 			}
+			b := bytes.NewBuffer(body)
 			if size := resp.ContentLength; size > 0 {
 				// +MinRead: ReadFrom wants that much spare before each read,
 				// and would otherwise double the buffer to find it at EOF.
-				buf.Grow(int(min(size, maxPagePrealloc)) + bytes.MinRead)
+				b.Grow(int(min(size, maxPagePrealloc)) + bytes.MinRead)
 			}
-			if _, err := buf.ReadFrom(resp.Body); err != nil {
+			if _, err := b.ReadFrom(resp.Body); err != nil {
 				return fmt.Errorf("cluster: %s%s: read body: %w", n.base, path, err)
 			}
+			body = b.Bytes()
 			return nil
 		})
-	return buf.Bytes(), err
+	if buf != nil {
+		*buf = body
+	}
+	return body, err
 }
 
 // specParams encodes a QuerySpec as /query-style URL parameters — the

@@ -176,14 +176,6 @@ func (m *PartitionMap) OwnedBy(node string) []int {
 	return out
 }
 
-// Assigned reports whether a node owns partition p in the current epoch —
-// the front-end's query-time ownership filter.
-func (m *PartitionMap) Assigned(node string, p int) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.cur.Owners[p] == node
-}
-
 // NodeInfo builds the self-describing health identity a cluster node
 // surfaces through telemetry.Config.Node.
 func (m *PartitionMap) NodeInfo(node string) *telemetry.NodeInfo {
@@ -299,12 +291,26 @@ func (m *PartitionMap) Abort() {
 func (m *PartitionMap) Migrating() []int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.pending == nil {
-		return nil
-	}
+	return m.movedSinceLocked(m.cur)
+}
+
+// MovedSince lists the partitions an answer gathered on placement a may
+// have wrong now: every partition whose owner changed between a and the
+// current epoch (an activation landed since a was read), plus every
+// owner-changing partition of a migration in flight. Ascending, nil when
+// none. MovedSince(Current()) is Migrating().
+func (m *PartitionMap) MovedSince(a Assignment) []int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.movedSinceLocked(a)
+}
+
+func (m *PartitionMap) movedSinceLocked(a Assignment) []int {
 	var out []int
-	for _, mv := range Moves(m.cur, *m.pending) {
-		out = append(out, mv.Partition)
+	for p, owner := range m.cur.Owners {
+		if owner != a.Owners[p] || (m.pending != nil && m.pending.Owners[p] != owner) {
+			out = append(out, p)
+		}
 	}
 	return out
 }

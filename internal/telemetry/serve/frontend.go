@@ -52,7 +52,10 @@ type FrontendConfig struct {
 	Client *http.Client
 	// Seed seeds the probe jitter and the router's retry jitter.
 	Seed uint64
-	Log  *slog.Logger
+	// Pprof mounts net/http/pprof under /debug/pprof/, as NodeConfig.Pprof
+	// does on a node.
+	Pprof bool
+	Log   *slog.Logger
 }
 
 // Frontend is a booted frontend: the handler serving its endpoints, plus the
@@ -145,7 +148,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 			}
 		},
 	})
-	f.Handler = f.mux(front, &adminPlane{pm: pm, mig: mig, peers: peers, front: front, log: log}, log)
+	f.Handler = f.mux(front, &adminPlane{pm: pm, mig: mig, peers: peers, front: front, log: log}, cfg.Pprof, log)
 	return f, nil
 }
 
@@ -154,10 +157,11 @@ func (f *Frontend) Close() { f.Health.Stop() }
 
 // mux wires the frontend endpoints: /ingest routed per partition, /query
 // and /keys scatter-gathered, /healthz reporting cluster membership, the
-// membership plane under /admin, and /metrics. The response shapes match a
-// node's wherever the cluster has nothing to disclose — a complete /query
-// answer is byte-identical to a single process's.
-func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, log *slog.Logger) *http.ServeMux {
+// membership plane under /admin, /metrics, and with pprof the profiling
+// endpoints. The response shapes match a node's wherever the cluster has
+// nothing to disclose — a complete /query answer is byte-identical to a
+// single process's.
+func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, log *slog.Logger) *http.ServeMux {
 	start := time.Now()
 	mux := http.NewServeMux()
 	// The router wraps a RetryClient, which is single-goroutine by
@@ -230,6 +234,9 @@ func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, log *slog.Log
 	mux.HandleFunc("POST /admin/leave", admin.handleLeave)
 	mux.HandleFunc("POST /admin/drain", admin.handleDrain)
 	mux.HandleFunc("GET /metrics", handleMetrics(log, f.Metrics))
+	if pprof {
+		mountPprof(mux)
+	}
 	return mux
 }
 

@@ -208,3 +208,103 @@ func TestFrontendKeysOldNodeIsPartial(t *testing.T) {
 		t.Fatalf("partial /keys body:\n%s\nwant the other members' keys:\n%s", got, want)
 	}
 }
+
+// memCluster boots a frontend over three NodeConfig nodes on memNet, with
+// pprof as given, beside a single node that took the whole stream: 12
+// regions × 4 nets of rtt_ms over 6 windows. It returns the frontend and
+// the single node's handler.
+func memCluster(t *testing.T, pprof bool) (*Frontend, http.Handler) {
+	t.Helper()
+	discard := slog.New(slog.DiscardHandler)
+	nodes := memNet{}
+	ings := map[string]*telemetry.Ingestor{}
+	for _, id := range []string{"n0", "n1", "n2", "single"} {
+		ings[id] = telemetry.NewIngestor(telemetry.Config{Shards: 2, QueueLen: 1024, Block: true})
+		t.Cleanup(func() { ings[id].Close() })
+		nodes[id] = NewNode(NodeConfig{Ing: ings[id], Metrics: obs.NewRegistry(), ID: id, Log: discard})
+	}
+	f, err := NewFrontend(FrontendConfig{
+		Peers: []string{"n0", "n1", "n2"}, URLs: map[string]string{"n0": "http://n0", "n1": "http://n1", "n2": "http://n2"},
+		Partitions: 16, ProbeEvery: time.Hour, Client: &http.Client{Timeout: 5 * time.Second, Transport: nodes},
+		Pprof: pprof, Log: discard,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	for i := 0; i < 12*4*6*8; i++ {
+		e := telemetry.Envelope{V: telemetry.SchemaVersion, TS: 1_700_000_000_000 + int64(i/(12*4*8))*60_000 + int64(i%1000),
+			Kind: telemetry.KindPing, Metric: telemetry.MetricRTT, User: i % 97,
+			Region: fmt.Sprintf("r%02d", i%12), Net: []string{"wifi", "lte", "5g", "4g"}[i/12%4], Value: float64(i%211) / 3}
+		if !ings[f.Map.Owner(f.Map.PartitionOf(e.Key()))].Offer(e) || !ings["single"].Offer(e) {
+			t.Fatal("offer refused")
+		}
+	}
+	for _, ing := range ings {
+		ing.Flush()
+	}
+	return f, nodes["single"]
+}
+
+// getBody serves one GET on h in process: status and body.
+func getBody(h http.Handler, target string) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	return rec.Code, rec.Body.String()
+}
+
+// TestFrontendConcurrentGathersAliasNothing: wide, narrow and /keys
+// queries, many at once, through HTTPNode legs whose page bodies live in
+// pooled wire buffers until the merge — and whose nodes encode into the
+// same pool. Every answer is byte-identical to the single node's: a
+// buffer handed back while a page still aliased it would be refilled by
+// another leg mid-merge and show here (run it under -race).
+func TestFrontendConcurrentGathersAliasNothing(t *testing.T) {
+	f, single := memCluster(t, false)
+	targets := []string{
+		"/query?metric=rtt_ms&q=0.5,0.9,0.99&cdf=10,40",
+		"/query?metric=rtt_ms&region=r03&net=lte&q=0.5",
+		"/query?metric=rtt_ms&region=r07&q=0.25,0.75&cdf=20",
+		"/keys",
+	}
+	want := make([]string, len(targets))
+	for i, target := range targets {
+		code, body := getBody(single, target)
+		if code != http.StatusOK || len(body) < 100 {
+			t.Fatalf("single node %s: %d %q", target, code, body)
+		}
+		want[i] = body
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (g + i) % len(targets)
+				if code, got := getBody(f, targets[k]); code != http.StatusOK || got != want[k] {
+					t.Errorf("%s: %d, answer differs from the single node's:\n%s\nwant\n%s", targets[k], code, got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestFrontendPprofOptIn: the frontend mounts /debug/pprof/ with Pprof set
+// and not without it.
+func TestFrontendPprofOptIn(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		f, _ := memCluster(t, on)
+		want := http.StatusNotFound
+		if on {
+			want = http.StatusOK
+		}
+		for _, target := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+			if code, _ := getBody(f, target); code != want {
+				t.Fatalf("Pprof=%v: GET %s = %d, want %d", on, target, code, want)
+			}
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -64,7 +65,9 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
 		keys := ing.Keys()
 		if wantsBinary(r, telemetry.KeyInventoryContentType) {
-			writeBinary(log, w, telemetry.KeyInventoryContentType, telemetry.AppendKeyInventory(nil, keys))
+			writeBinary(log, w, telemetry.KeyInventoryContentType, func(b []byte) []byte {
+				return telemetry.AppendKeyInventory(b, keys)
+			})
 			return
 		}
 		writeKeysJSON(log, w, keys)
@@ -88,8 +91,10 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 			return
 		}
 		if wantsBinary(r, telemetry.SketchPageContentType) {
-			body, _ := page.AppendBinary(make([]byte, 0, page.BinarySize())) // encoding a page cannot fail
-			writeBinary(log, w, telemetry.SketchPageContentType, body)
+			writeBinary(log, w, telemetry.SketchPageContentType, func(b []byte) []byte {
+				b, _ = page.AppendBinary(slices.Grow(b, page.BinarySize())) // encoding a page cannot fail
+				return b
+			})
 			return
 		}
 		writeJSON(log, w, page)
@@ -118,13 +123,19 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 	}
 	mux.HandleFunc("GET /metrics", handleMetrics(log, cfg.Metrics))
 	if cfg.Pprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		mountPprof(mux)
 	}
 	return mux
+}
+
+// mountPprof mounts net/http/pprof under /debug/pprof/ — what -pprof turns
+// on in every role.
+func mountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // mountNodeAdmin wires a cluster node's rebalance control plane — the HTTP
@@ -175,7 +186,9 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			return
 		}
 		if wantsBinary(r, telemetry.SketchPageContentType) {
-			writeBinary(log, w, telemetry.SketchPageContentType, telemetry.AppendSketchPages(nil, pages))
+			writeBinary(log, w, telemetry.SketchPageContentType, func(b []byte) []byte {
+				return telemetry.AppendSketchPages(b, pages)
+			})
 			return
 		}
 		writeJSON(log, w, pages)
@@ -290,12 +303,16 @@ func wantsBinary(r *http.Request, contentType string) bool {
 	return r.Header.Get("Accept") == contentType
 }
 
-// writeBinary answers with an encoded page, page set or key inventory:
-// declared type and length, one Write.
-func writeBinary(log *slog.Logger, w http.ResponseWriter, contentType string, body []byte) {
+// writeBinary answers with the page, page set or key inventory encode
+// appends to a pooled wire buffer: declared type and length, one Write,
+// then the buffer goes back to the pool.
+func writeBinary(log *slog.Logger, w http.ResponseWriter, contentType string, encode func([]byte) []byte) {
+	buf := telemetry.TakeWireBuffer()
+	defer telemetry.ReleaseWireBuffer(buf)
+	*buf = encode(*buf)
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	if _, err := w.Write(body); err != nil {
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	if _, err := w.Write(*buf); err != nil {
 		log.Error("write response failed", "err", err)
 	}
 }
@@ -310,13 +327,17 @@ func writeJSON(log *slog.Logger, w http.ResponseWriter, v any) {
 }
 
 // writeKeysJSON answers with the key inventory's JSON: the bytes writeJSON
-// would write, by telemetry.AppendKeysJSON unless it declines.
+// would write, by telemetry.AppendKeysJSON into a pooled wire buffer unless
+// it declines.
 func writeKeysJSON(log *slog.Logger, w http.ResponseWriter, keys []telemetry.KeyCount) {
-	body, ok := telemetry.AppendKeysJSON(nil, keys)
+	buf := telemetry.TakeWireBuffer()
+	defer telemetry.ReleaseWireBuffer(buf)
+	body, ok := telemetry.AppendKeysJSON(*buf, keys)
 	if !ok {
 		writeJSON(log, w, keys)
 		return
 	}
+	*buf = body
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(body); err != nil {
 		log.Error("write response failed", "err", err)
