@@ -100,20 +100,17 @@ type UtilizationSummary struct {
 	CPUCVs    []float64
 }
 
-// Utilization computes Figure 10's inputs. The P95 column reuses one
-// percentile scratch across the VM walk: the per-VM copy+sort of the whole
-// CPU series used to dominate both the time and the allocations of this
-// figure.
+// Utilization computes Figure 10's inputs from the per-VM summaries the
+// trace holds: no CPU series is read.
 func Utilization(d *vm.Dataset) UtilizationSummary {
 	out := UtilizationSummary{
 		MeanCPU:   make([]float64, len(d.VMs)),
 		P95MaxCPU: make([]float64, len(d.VMs)),
 		CPUCVs:    make([]float64, len(d.VMs)),
 	}
-	var sc stats.Scratch
 	for i, v := range d.VMs {
 		out.MeanCPU[i] = v.MeanCPU()
-		out.P95MaxCPU[i] = v.P95MaxCPUScratch(&sc)
+		out.P95MaxCPU[i] = v.P95MaxCPU()
 		out.CPUCVs[i] = v.CPUCV()
 	}
 	return out
@@ -139,45 +136,38 @@ type ImbalanceReport struct {
 }
 
 // Imbalance computes Figure 11 over the sites of one province (the paper
-// samples Guangdong). Site CPU usage is the mean of its servers' weighted
-// usage; NET is total bandwidth. Returns a zero report when the province
+// samples Guangdong). A server's CPU usage is the vCPU-weighted mean
+// utilisation of its VMs at each sample, and a site's is the mean of its
+// servers'; NET is total bandwidth. Returns a zero report when the province
 // hosts nothing.
 func Imbalance(d *vm.Dataset, province string) ImbalanceReport {
 	rep := ImbalanceReport{Province: province}
 	siteVMs := d.SiteVMs()
 
 	type siteStat struct {
-		idx  int
-		cpu  float64
-		net  float64
-		vmCt int
+		idx   int
+		cpu   float64
+		net   float64
+		vmCt  int
+		usage []serverUsage
 	}
 	var sites []siteStat
+	var cpu timeseries.Series // the regeneration buffer every VM shares
 	for i, s := range d.Sites {
 		if s.Province != province || len(siteVMs[i]) == 0 {
 			continue
 		}
-		// Mean CPU across hosted servers.
-		servers := map[int]bool{}
-		for _, vi := range siteVMs[i] {
-			servers[d.VMs[vi].Server] = true
-		}
+		usage := serverUsages(d, siteVMs[i], &cpu)
 		var cpuSum float64
-		var cnt int
-		for srv := range servers {
-			if u := d.ServerCPUUsage(i, srv); u != nil {
-				cpuSum += u.Mean()
-				cnt++
-			}
+		for _, u := range usage {
+			cpuSum += u.cpu
 		}
 		var net float64
 		if bw := d.SiteBandwidth(i); bw != nil {
 			net = bw.Mean()
 		}
-		if cnt == 0 {
-			continue
-		}
-		sites = append(sites, siteStat{idx: i, cpu: cpuSum / float64(cnt), net: net, vmCt: len(siteVMs[i])})
+		sites = append(sites, siteStat{idx: i, cpu: cpuSum / float64(len(usage)), net: net,
+			vmCt: len(siteVMs[i]), usage: usage})
 	}
 	if len(sites) == 0 {
 		return rep
@@ -199,34 +189,67 @@ func Imbalance(d *vm.Dataset, province string) ImbalanceReport {
 			busiest = s
 		}
 	}
-	servers := map[int]bool{}
-	for _, vi := range siteVMs[busiest.idx] {
-		servers[d.VMs[vi].Server] = true
-	}
-	srvIdx := make([]int, 0, len(servers))
-	for s := range servers {
-		srvIdx = append(srvIdx, s)
-	}
-	sort.Ints(srvIdx)
-	for _, srv := range srvIdx {
-		u := d.ServerCPUUsage(busiest.idx, srv)
-		if u == nil {
-			continue
-		}
-		rep.ServerCPU = append(rep.ServerCPU, u.Mean())
-		var net float64
-		for _, vi := range siteVMs[busiest.idx] {
-			if d.VMs[vi].Server == srv && d.VMs[vi].PublicBW != nil {
-				net += d.VMs[vi].PublicBW.Mean()
-			}
-		}
-		rep.ServerNET = append(rep.ServerNET, net)
+	for _, u := range busiest.usage {
+		rep.ServerCPU = append(rep.ServerCPU, u.cpu)
+		rep.ServerNET = append(rep.ServerNET, u.net)
 	}
 	rep.ServerCPUGap = gap(rep.ServerCPU)
 	rep.ServerNETGap = gap(rep.ServerNET)
 	rep.ServerCPU = stats.Normalize(rep.ServerCPU, 1e-6)
 	rep.ServerNET = stats.Normalize(rep.ServerNET, 1e-6)
 	return rep
+}
+
+// serverUsage is one server's Figure 11 load: the mean of its weighted CPU
+// usage series and its VMs' total mean bandwidth.
+type serverUsage struct {
+	cpu, net float64
+}
+
+// serverUsages walks one site's VMs once, in d.VMs order, regenerating each
+// VM's CPU series into buf and folding it, weighted by vCPUs, into its
+// server's usage series; it returns the hosting servers' loads by ascending
+// server index. The weighted series has the first hosted VM's length.
+func serverUsages(d *vm.Dataset, vmIdx []int, buf *timeseries.Series) []serverUsage {
+	type acc struct {
+		vals   []float64
+		weight float64
+		net    float64
+	}
+	accs := map[int]*acc{}
+	for _, vi := range vmIdx {
+		v := d.VMs[vi]
+		v.CPUSeries(buf)
+		a := accs[v.Server]
+		if a == nil {
+			a = &acc{vals: make([]float64, buf.Len())}
+			accs[v.Server] = a
+		}
+		w := float64(v.VCPUs)
+		a.weight += w
+		for t := range min(len(a.vals), buf.Len()) {
+			a.vals[t] += w * buf.Values[t]
+		}
+		if v.PublicBW != nil {
+			a.net += v.PublicBW.Mean()
+		}
+	}
+	servers := make([]int, 0, len(accs))
+	for srv := range accs {
+		servers = append(servers, srv)
+	}
+	sort.Ints(servers)
+	out := make([]serverUsage, len(servers))
+	for i, srv := range servers {
+		a := accs[srv]
+		if a.weight > 0 {
+			for t := range a.vals {
+				a.vals[t] /= a.weight
+			}
+		}
+		out[i] = serverUsage{cpu: stats.Mean(a.vals), net: a.net}
+	}
+	return out
 }
 
 // gap is max/min with a tiny floor to keep ratios finite.
@@ -282,11 +305,12 @@ func AppDaySample(d *vm.Dataset, maxVMs int) [][]float64 {
 		return nil
 	}
 	var out [][]float64
+	var cpu timeseries.Series
 	for _, vi := range apps[bestApp] {
 		if len(out) >= maxVMs {
 			break
 		}
-		cpu := d.VMs[vi].CPU
+		d.VMs[vi].CPUSeries(&cpu)
 		perDay := int(24 * time.Hour / cpu.Interval)
 		if perDay > cpu.Len() {
 			perDay = cpu.Len()

@@ -3,6 +3,7 @@ package analysis
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"edgescope/internal/rng"
 	"edgescope/internal/stats"
@@ -130,6 +131,93 @@ func TestImbalanceFigure11(t *testing.T) {
 	}
 	if rep.ServerCPUGap < 1.2 {
 		t.Fatalf("server CPU gap = %.1f", rep.ServerCPUGap)
+	}
+}
+
+// usageSeries builds a 5-minute series for the serverUsages tests.
+func usageSeries(vals ...float64) *timeseries.Series {
+	return timeseries.New(time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC), 5*time.Minute, vals)
+}
+
+// TestServerUsagesWeighted: a lone VM's vCPU weight cancels, so its server's
+// usage is the VM's own mean CPU and its NET the VM's mean bandwidth; servers
+// that host nothing are absent, and the rest come back by ascending index.
+func TestServerUsagesWeighted(t *testing.T) {
+	d := &vm.Dataset{VMs: []*vm.VM{
+		vm.New(vm.VM{ID: 0, Server: 3, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30), nil),
+		vm.New(vm.VM{ID: 1, Server: 1, VCPUs: 4, PublicBW: usageSeries(10, 10, 10)}, usageSeries(5, 5, 5), nil),
+	}}
+	var buf timeseries.Series
+	got := serverUsages(d, []int{0, 1}, &buf)
+	want := []serverUsage{{cpu: 5, net: 10}, {cpu: 20, net: 200}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("serverUsages = %+v, want %+v", got, want)
+	}
+}
+
+// TestServerUsagesMultiVM: co-located VMs' CPU samples are weighted by
+// vCPUs, (8·10 + 16·40)/24 = 30 at the first sample (30, 40, 50 in all, mean
+// 40), and their mean bandwidths add.
+func TestServerUsagesMultiVM(t *testing.T) {
+	d := &vm.Dataset{VMs: []*vm.VM{
+		vm.New(vm.VM{ID: 0, Server: 0, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30), nil),
+		vm.New(vm.VM{ID: 1, Server: 0, VCPUs: 16, PublicBW: usageSeries(50, 50, 50)}, usageSeries(40, 50, 60), nil),
+	}}
+	var buf timeseries.Series
+	got := serverUsages(d, []int{0, 1}, &buf)
+	want := serverUsage{cpu: 40, net: 250}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("serverUsages = %+v, want [%+v]", got, want)
+	}
+}
+
+// TestServerUsagesMatchPerServerScan pins the one-walk fold against the
+// per-server scan it replaced, bit for bit, on every Guangdong site of a
+// generated trace: for each server, the VMs it hosts in d.VMs order, their
+// regenerated series weighted into one, then its mean.
+func TestServerUsagesMatchPerServerScan(t *testing.T) {
+	nep, _ := traces(t)
+	siteVMs := nep.SiteVMs()
+	var buf, cpu timeseries.Series
+	for i, site := range nep.Sites {
+		if site.Province != "Guangdong" || len(siteVMs[i]) == 0 {
+			continue
+		}
+		got := serverUsages(nep, siteVMs[i], &buf)
+		k := 0
+		for srv := range site.Servers {
+			var vals []float64
+			var weight, net float64
+			for _, v := range nep.VMs {
+				if v.Site != i || v.Server != srv {
+					continue
+				}
+				v.CPUSeries(&cpu)
+				if vals == nil {
+					vals = make([]float64, cpu.Len())
+				}
+				w := float64(v.VCPUs)
+				weight += w
+				for t := range min(len(vals), cpu.Len()) {
+					vals[t] += w * cpu.Values[t]
+				}
+				net += v.PublicBW.Mean()
+			}
+			if vals == nil {
+				continue
+			}
+			for t := range vals {
+				vals[t] /= weight
+			}
+			want := serverUsage{cpu: stats.Mean(vals), net: net}
+			if k >= len(got) || got[k] != want {
+				t.Fatalf("site %d server %d: one walk %+v, per-server scan %+v", i, srv, got[k:], want)
+			}
+			k++
+		}
+		if k != len(got) {
+			t.Fatalf("site %d: one walk found %d servers, scan %d", i, len(got), k)
+		}
 	}
 }
 

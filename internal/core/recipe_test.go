@@ -1,0 +1,91 @@
+package core
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"edgescope/internal/scenario"
+	"edgescope/internal/stats"
+	"edgescope/internal/timeseries"
+	"edgescope/internal/vm"
+)
+
+// sampleHash folds a series' sample bits into one word, so two fills can be
+// compared bit for bit without holding both.
+func sampleHash(s *timeseries.Series) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range s.Values {
+		h = (h ^ math.Float64bits(x)) * 1099511628211
+	}
+	return h ^ uint64(s.Len())
+}
+
+// TestTraceRecipesReplayBitIdentical: a generated VM keeps its CPU usage as
+// a recipe, not samples. For every VM of the small scenario's two traces and
+// of flash-crowd's, the summaries recomputed from the regenerated series
+// equal the ones stored at generation bit for bit — so the replay is the
+// draw the generator made — and regenerating in reverse order, or from
+// several goroutines at once (run it under -race), gives the same samples.
+func TestTraceRecipesReplayBitIdentical(t *testing.T) {
+	for _, name := range []string{"small", "flash-crowd"} {
+		s, err := NewSuiteFromSpec(scenario.MustGet(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []*vm.Dataset{s.NEPTrace(), s.CloudTrace()} {
+			t.Run(name+"/"+d.Platform, func(t *testing.T) { checkReplay(t, d) })
+		}
+	}
+}
+
+func checkReplay(t *testing.T, d *vm.Dataset) {
+	bits := math.Float64bits
+	want := make([]uint64, len(d.VMs))
+	var cpu timeseries.Series
+	for i, v := range d.VMs {
+		v.CPUSeries(&cpu)
+		mean := stats.Mean(cpu.Values)
+		if bits(mean) != bits(v.MeanCPU()) ||
+			bits(stats.CVWithMean(cpu.Values, mean)) != bits(v.CPUCV()) ||
+			bits(stats.Percentile(cpu.Values, 95)) != bits(v.P95MaxCPU()) {
+			t.Fatalf("VM %d: replayed summaries (%v, %v, %v) differ from generated (%v, %v, %v)",
+				v.ID, mean, stats.CVWithMean(cpu.Values, mean), stats.Percentile(cpu.Values, 95),
+				v.MeanCPU(), v.CPUCV(), v.P95MaxCPU())
+		}
+		if cpu.Interval != v.CPUInterval() {
+			t.Fatalf("VM %d: series interval %v, CPUInterval %v", v.ID, cpu.Interval, v.CPUInterval())
+		}
+		want[i] = sampleHash(&cpu)
+	}
+	for i := len(d.VMs) - 1; i >= 0; i-- {
+		if h := sampleHash(d.VMs[i].CPUSeries(&cpu)); h != want[i] {
+			t.Fatalf("VM %d: reverse-order replay differs", d.VMs[i].ID)
+		}
+	}
+
+	const readers = 4
+	var wg sync.WaitGroup
+	bad := make([]int, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			bad[g] = -1
+			var buf timeseries.Series
+			for k := range d.VMs {
+				i := (k + g*len(d.VMs)/readers) % len(d.VMs)
+				if sampleHash(d.VMs[i].CPUSeries(&buf)) != want[i] {
+					bad[g] = i
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, i := range bad {
+		if i >= 0 {
+			t.Fatalf("reader %d: concurrent replay of VM %d differs", g, d.VMs[i].ID)
+		}
+	}
+}

@@ -108,8 +108,9 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-// newHistogram validates and copies the bounds.
-func newHistogram(buckets []float64) *Histogram {
+// histogramBounds validates and copies a family's bucket bounds, which
+// every series of the family then shares.
+func histogramBounds(buckets []float64) []float64 {
 	b := make([]float64, len(buckets))
 	copy(b, buckets)
 	for i := 1; i < len(b); i++ {
@@ -117,7 +118,7 @@ func newHistogram(buckets []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram buckets not ascending: %v", buckets))
 		}
 	}
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b))}
+	return b
 }
 
 // Observe records one value.
@@ -184,12 +185,16 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// series is one label-value tuple's instrument within a family.
+// series is one label-value tuple's instrument within a family. The
+// instruments live inline and a one-label tuple is stored in one, so a
+// private registry (every Open with a nil Metrics builds one) costs few
+// allocations per series.
 type series struct {
 	labelVals []string
-	c         *Counter
-	g         *Gauge
-	h         *Histogram
+	one       [1]string
+	c         Counter
+	g         Gauge
+	h         Histogram
 }
 
 // family is one metric name: its type, help, label schema and series set.
@@ -197,11 +202,10 @@ type family struct {
 	name, help string
 	kind       Kind
 	labels     []string
-	buckets    []float64
+	buckets    []float64 // a histogram family's validated bounds
 
-	mu     sync.Mutex
-	series []*series
-	byKey  map[string]*series
+	mu    sync.Mutex
+	byKey map[string]*series
 }
 
 // resolve returns (creating once) the series for a label-value tuple.
@@ -215,17 +219,17 @@ func (f *family) resolve(vals []string) *series {
 	if s, ok := f.byKey[key]; ok {
 		return s
 	}
-	s := &series{labelVals: append([]string(nil), vals...)}
-	switch f.kind {
-	case KindCounter:
-		s.c = &Counter{}
-	case KindGauge:
-		s.g = &Gauge{}
-	case KindHistogram:
-		s.h = newHistogram(f.buckets)
+	s := &series{}
+	if len(vals) == 1 {
+		s.one[0] = vals[0]
+		s.labelVals = s.one[:]
+	} else {
+		s.labelVals = append([]string(nil), vals...)
+	}
+	if f.kind == KindHistogram {
+		s.h.bounds, s.h.counts = f.buckets, make([]atomic.Uint64, len(f.buckets))
 	}
 	f.byKey[key] = s
-	f.series = append(f.series, s)
 	return s
 }
 
@@ -235,10 +239,9 @@ func (f *family) resolve(vals []string) *series {
 // different type or label schema) panics, because two owners of one series
 // is always a wiring bug.
 type Registry struct {
-	mu      sync.Mutex
-	fams    map[string]*family
-	ordered []*family
-	hooks   []func()
+	mu    sync.Mutex
+	fams  map[string]*family
+	hooks []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -268,15 +271,16 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 		}
 	}
 	f := &family{name: name, help: help, kind: kind,
-		labels: append([]string(nil), labels...), buckets: buckets,
-		byKey: map[string]*series{}}
+		labels: append([]string(nil), labels...), byKey: map[string]*series{}}
+	if kind == KindHistogram {
+		f.buckets = histogramBounds(buckets)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.fams[name]; dup {
 		panic("obs: metric " + name + " registered twice")
 	}
 	r.fams[name] = f
-	r.ordered = append(r.ordered, f)
 	return f
 }
 
@@ -301,12 +305,12 @@ func validName(s string) bool {
 
 // Counter registers an unlabeled counter and returns its handle.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.register(name, help, KindCounter, nil, nil).resolve(nil).c
+	return &r.register(name, help, KindCounter, nil, nil).resolve(nil).c
 }
 
 // Gauge registers an unlabeled gauge and returns its handle.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, KindGauge, nil, nil).resolve(nil).g
+	return &r.register(name, help, KindGauge, nil, nil).resolve(nil).g
 }
 
 // Histogram registers an unlabeled histogram over the given ascending bucket
@@ -315,34 +319,34 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	return r.register(name, help, KindHistogram, nil, buckets).resolve(nil).h
+	return &r.register(name, help, KindHistogram, nil, buckets).resolve(nil).h
 }
 
 // CounterVec is a labeled counter family; With resolves one series.
-type CounterVec struct{ f *family }
+type CounterVec family
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, KindCounter, labels, nil)}
+	return (*CounterVec)(r.register(name, help, KindCounter, labels, nil))
 }
 
 // With returns (creating once) the counter for a label-value tuple. Resolve
 // once at setup and keep the handle: With itself takes the family lock.
-func (v *CounterVec) With(vals ...string) *Counter { return v.f.resolve(vals).c }
+func (v *CounterVec) With(vals ...string) *Counter { return &(*family)(v).resolve(vals).c }
 
 // GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
+type GaugeVec family
 
 // GaugeVec registers a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, KindGauge, labels, nil)}
+	return (*GaugeVec)(r.register(name, help, KindGauge, labels, nil))
 }
 
 // With returns (creating once) the gauge for a label-value tuple.
-func (v *GaugeVec) With(vals ...string) *Gauge { return v.f.resolve(vals).g }
+func (v *GaugeVec) With(vals ...string) *Gauge { return &(*family)(v).resolve(vals).g }
 
 // HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
+type HistogramVec family
 
 // HistogramVec registers a labeled histogram family (nil buckets =
 // DefBuckets).
@@ -350,11 +354,11 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	return &HistogramVec{r.register(name, help, KindHistogram, labels, buckets)}
+	return (*HistogramVec)(r.register(name, help, KindHistogram, labels, buckets))
 }
 
 // With returns (creating once) the histogram for a label-value tuple.
-func (v *HistogramVec) With(vals ...string) *Histogram { return v.f.resolve(vals).h }
+func (v *HistogramVec) With(vals ...string) *Histogram { return &(*family)(v).resolve(vals).h }
 
 // Label is one exposition label pair.
 type Label struct {
@@ -418,7 +422,10 @@ next:
 func (r *Registry) collect(emit func(Sample), fam func(name, help string, kind Kind)) {
 	r.mu.Lock()
 	hooks := append([]func(){}, r.hooks...)
-	fams := append([]*family{}, r.ordered...)
+	fams := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
+	}
 	r.mu.Unlock()
 	for _, h := range hooks {
 		h()
@@ -426,7 +433,10 @@ func (r *Registry) collect(emit func(Sample), fam func(name, help string, kind K
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
 		f.mu.Lock()
-		series := append([]*series{}, f.series...)
+		series := make([]*series, 0, len(f.byKey))
+		for _, s := range f.byKey {
+			series = append(series, s)
+		}
 		f.mu.Unlock()
 		sort.Slice(series, func(i, j int) bool {
 			a, b := series[i].labelVals, series[j].labelVals

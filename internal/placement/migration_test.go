@@ -29,18 +29,18 @@ func unbalancedDataset() *vm.Dataset {
 		},
 	}
 	for i := 0; i < 3; i++ {
-		d.VMs = append(d.VMs, &vm.VM{
+		d.VMs = append(d.VMs, vm.New(vm.VM{
 			ID: i, App: 0, Site: 0, Server: 0,
 			VCPUs: 16, MemGB: 64, DiskGB: 100,
-			CPU: mk(80), PublicBW: mk(100),
-		})
+			PublicBW: mk(100),
+		}, mk(80), nil))
 	}
 	// One cold VM on the second server so every server has a utilisation.
-	d.VMs = append(d.VMs, &vm.VM{
+	d.VMs = append(d.VMs, vm.New(vm.VM{
 		ID: 3, App: 1, Site: 0, Server: 1,
 		VCPUs: 4, MemGB: 16, DiskGB: 50,
-		CPU: mk(2), PublicBW: mk(5),
-	})
+		PublicBW: mk(5),
+	}, mk(2), nil))
 	return d
 }
 
@@ -90,12 +90,13 @@ func TestRebalanceBalancedClusterNoMoves(t *testing.T) {
 	d.VMs[0].Server = 0
 	d.VMs[1].Server = 1
 	d.VMs[2].Site, d.VMs[2].Server = 1, 0
-	for _, v := range d.VMs[:3] {
-		for i := range v.CPU.Values {
-			v.CPU.Values[i] = 40
-		}
+	level := func(v *vm.VM, cpu float64) *vm.VM {
+		return vm.New(*v, timeseries.New(d.Start, 5*time.Minute, []float64{cpu, cpu, cpu}), nil)
 	}
-	d.VMs[3].CPU.Values = []float64{38, 38, 38}
+	for i, v := range d.VMs[:3] {
+		d.VMs[i] = level(v, 40)
+	}
+	d.VMs[3] = level(d.VMs[3], 38)
 	d.VMs[3].VCPUs = 64 // similar absolute load on its server
 	res := RebalanceCPU(d, 10, 10)
 	if res.GapAfter > res.GapBefore {

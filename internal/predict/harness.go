@@ -77,7 +77,7 @@ func Evaluate(d *vm.Dataset, opts Options) ([]Result, error) {
 		n = opts.MaxVMs
 	}
 	for vi := 0; vi < n; vi++ {
-		if iv := d.VMs[vi].CPU.Interval; window%iv != 0 {
+		if iv := d.VMs[vi].CPUInterval(); window%iv != 0 {
 			return nil, fmt.Errorf("predict: window %v not a multiple of series interval %v",
 				window, iv)
 		}
@@ -88,17 +88,21 @@ func Evaluate(d *vm.Dataset, opts Options) ([]Result, error) {
 	// Model belongs to a skipped series, so the compaction below restores
 	// exactly the order a serial loop appends in.
 	slots := make([]Result, n*perVM)
-	// One resample buffer per worker serves every (VM, target) it runs: the
-	// models only read train/test, and both are consumed before the worker's
-	// next resample overwrites the buffer.
-	series := make([]timeseries.Series, par.Workers(opts.Workers))
+	// Each worker owns two buffers that serve every VM it runs: one the
+	// VM's CPU series is regenerated into, and one each (VM, target)
+	// resample writes. The models only read train/test, and both are
+	// consumed before the worker's next resample overwrites the buffer.
+	workers := par.Workers(opts.Workers)
+	cpus := make([]timeseries.Series, workers)
+	series := make([]timeseries.Series, workers)
 	var (
 		mu     sync.Mutex
 		errVM  = n
 		errOut error
 	)
 	par.ForEachWorker(n, opts.Workers, func(w, vi int) {
-		err := evaluateVM(vi, d.VMs[vi].CPU, &series[w], slots[vi*perVM:(vi+1)*perVM], period, opts)
+		cpu := d.VMs[vi].CPUSeries(&cpus[w])
+		err := evaluateVM(vi, cpu, &series[w], slots[vi*perVM:(vi+1)*perVM], period, opts)
 		if err != nil {
 			// Keep the lowest-index VM's error — the one a serial loop
 			// would have stopped at — whichever worker fails first.

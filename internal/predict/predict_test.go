@@ -222,7 +222,7 @@ func TestEvaluateLSTMOnFewVMs(t *testing.T) {
 
 func TestEvaluateRejectsBadWindow(t *testing.T) {
 	d := evalDataset(8)
-	d.VMs[0].CPU.Interval = 7 * time.Minute // the 30-minute window is no multiple of it
+	d.VMs[0] = withInterval(d.VMs[0], 7*time.Minute) // the 30-minute window is no multiple of it
 	if _, err := Evaluate(d, Options{MaxVMs: 1}); err == nil {
 		t.Fatal("expected window-multiple error")
 	}
@@ -234,9 +234,16 @@ func evalDataset(days ...int) *vm.Dataset {
 	d := &vm.Dataset{}
 	for i, n := range days {
 		vals := synthetic(n*288, 288, 4, 0.5, uint64(100+i))
-		d.VMs = append(d.VMs, &vm.VM{ID: i, CPU: timeseries.New(time.Time{}, 5*time.Minute, vals)})
+		d.VMs = append(d.VMs, vm.New(vm.VM{ID: i}, timeseries.New(time.Time{}, 5*time.Minute, vals), nil))
 	}
 	return d
+}
+
+// withInterval returns v with its CPU samples relabelled at interval.
+func withInterval(v *vm.VM, interval time.Duration) *vm.VM {
+	var cpu timeseries.Series
+	v.CPUSeries(&cpu)
+	return vm.New(*v, timeseries.New(cpu.Start, interval, cpu.Values), nil)
 }
 
 // TestEvaluateWorkerCountInvariance: the per-VM fan-out is scheduling only.
@@ -274,8 +281,8 @@ func TestEvaluateWorkerCountInvariance(t *testing.T) {
 // whichever worker reaches an error first.
 func TestEvaluateSameErrorAtAnyWorkerCount(t *testing.T) {
 	mixed := evalDataset(8, 8, 8, 8)
-	mixed.VMs[2].CPU.Interval = 7 * time.Minute
-	mixed.VMs[3].CPU.Interval = 11 * time.Minute
+	mixed.VMs[2] = withInterval(mixed.VMs[2], 7*time.Minute)
+	mixed.VMs[3] = withInterval(mixed.VMs[3], 11*time.Minute)
 	// Every model is unknown; VM 0 is skipped as too short, so a serial loop
 	// stops at VM 1.
 	allFail := evalDataset(1, 8, 8, 8, 8, 8)
@@ -307,9 +314,9 @@ func TestEvaluateSameErrorAtAnyWorkerCount(t *testing.T) {
 // fixed, so no Evaluate input reaches a fit error; a period of 1 does.
 func TestEvaluateVMNamesFitError(t *testing.T) {
 	d := evalDataset(8)
-	var buf timeseries.Series
+	var cpu, buf timeseries.Series
 	res := make([]Result, len(targets))
-	err := evaluateVM(1, d.VMs[0].CPU, &buf, res, 1, Options{Models: []string{"holt-winters"}})
+	err := evaluateVM(1, d.VMs[0].CPUSeries(&cpu), &buf, res, 1, Options{Models: []string{"holt-winters"}})
 	if want := "predict: VM 1 holt-winters: predict: period 1 must exceed 1"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}

@@ -9,6 +9,7 @@
 package rng
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -56,6 +57,25 @@ func (s *Source) Fork(name string) *Source {
 	pcg := rand.NewPCG(s.pcg.Uint64()^h, h)
 	return &Source{r: rand.New(pcg), pcg: pcg}
 }
+
+// Snapshot is a Source's whole stream position: the 16-byte PCG state. A
+// Source restored to it (Restore) draws exactly what the snapshotted Source
+// drew next, so a deterministic output can be kept as its snapshot plus its
+// parameters and replayed on demand instead of being held. A Snapshot is a
+// value: restoring from it never changes it, and any number of goroutines
+// may restore their own Sources from one snapshot at once.
+type Snapshot struct{ hi, lo uint64 }
+
+// Snapshot returns s's current stream position.
+func (s *Source) Snapshot() Snapshot {
+	var buf [20]byte // "pcg:" + big-endian hi, lo
+	b, _ := s.pcg.AppendBinary(buf[:0])
+	return Snapshot{hi: binary.BigEndian.Uint64(b[4:]), lo: binary.BigEndian.Uint64(b[12:])}
+}
+
+// Restore moves s to the stream position sn, without allocating. The next
+// draws repeat, bit for bit, those of the Source sn was taken from.
+func (s *Source) Restore(sn Snapshot) { s.pcg.Seed(sn.hi, sn.lo) }
 
 // f64 is the concrete-generator uniform draw: the exact rand.Rand.Float64
 // transform over the next PCG output, minus the Source-interface dispatch.

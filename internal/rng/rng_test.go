@@ -242,3 +242,47 @@ func TestUniformWithinBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotRestoreContinuesStream: a Source restored to a snapshot draws
+// exactly what the snapshotted Source drew next — through the PCG fast
+// paths and the rand.Rand-backed helpers alike — and drawing from it
+// changes neither the snapshot nor the Source it was taken from.
+func TestSnapshotRestoreContinuesStream(t *testing.T) {
+	orig := New(11)
+	orig.Normal(0, 1) // move off the seed position
+	sn := orig.Snapshot()
+	draw := func(s *Source) []float64 {
+		out := make([]float64, 64)
+		s.Normals(out[:32], 3, 2)
+		for i := 32; i < len(out); i++ {
+			out[i] = s.Float64() + float64(s.IntN(1000)) + s.Exponential(1)
+		}
+		return out
+	}
+
+	replay := New(999)
+	replay.Restore(sn)
+	got := draw(replay)
+	if orig.Snapshot() != sn {
+		t.Fatal("drawing from the restored Source moved the original")
+	}
+	want := draw(orig)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("draw %d: restored %v, original %v", i, got[i], want[i])
+		}
+	}
+
+	// The snapshot is a value: restoring from it again replays the same
+	// draws, whatever the earlier replay did.
+	again := New(0)
+	again.Restore(sn)
+	for i, v := range draw(again) {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("second replay draw %d: %v, want %v", i, v, want[i])
+		}
+	}
+	if replay.Snapshot() == sn {
+		t.Fatal("a Source that drew still reports the snapshot it was restored to")
+	}
+}

@@ -95,31 +95,24 @@ func (m *ingestMetrics) bindWAL(w *shardWAL, i int) {
 
 // installCollectHook registers the scrape-time gauge refresh: queue depth,
 // WAL lag, rollup and key population and checkpoint accounting per shard,
-// read under each shard's lock only when something actually collects.
+// read under each shard's lock only when something actually collects. The
+// gauge series are resolved in the hook, so an Open whose registry nothing
+// scrapes (a nil Config.Metrics) never builds them.
 func (ing *Ingestor) installCollectHook() {
 	m := ing.m
-	gauges := make([]struct{ queue, lag, windows, rollups, keys, snapBytes, sinceBytes *obs.Gauge }, len(ing.shards))
-	for i := range ing.shards {
-		l := strconv.Itoa(i)
-		gauges[i].queue = m.queueDepth.With(l)
-		gauges[i].lag = m.walLag.With(l)
-		gauges[i].windows = m.windows.With(l)
-		gauges[i].rollups = m.rollups.With(l)
-		gauges[i].keys = m.keys.With(l)
-		gauges[i].snapBytes = m.snapBytes.With(l)
-		gauges[i].sinceBytes = m.sinceBytes.With(l)
-	}
 	ing.cfg.Metrics.OnCollect(func() {
 		for i, s := range ing.shards {
-			gauges[i].queue.Set(float64(len(s.ch)))
+			l := strconv.Itoa(i)
+			lag, snapBytes, sinceBytes := m.walLag.With(l), m.snapBytes.With(l), m.sinceBytes.With(l)
+			m.queueDepth.With(l).Set(float64(len(s.ch)))
 			s.mu.Lock()
-			gauges[i].windows.Set(float64(len(s.starts)))
-			gauges[i].rollups.Set(float64(s.rollups()))
-			gauges[i].keys.Set(float64(len(s.keys)))
+			m.windows.With(l).Set(float64(len(s.starts)))
+			m.rollups.With(l).Set(float64(s.rollups()))
+			m.keys.With(l).Set(float64(len(s.keys)))
 			if s.wal != nil {
-				gauges[i].lag.Set(float64(s.wal.lag()))
-				gauges[i].snapBytes.Set(float64(s.wal.snapBytes))
-				gauges[i].sinceBytes.Set(float64(s.wal.sinceBytes))
+				lag.Set(float64(s.wal.lag()))
+				snapBytes.Set(float64(s.wal.snapBytes))
+				sinceBytes.Set(float64(s.wal.sinceBytes))
 			}
 			s.mu.Unlock()
 		}

@@ -1,6 +1,6 @@
 // Package timeseries provides the fixed-interval time-series container and
 // operations used by edgescope's workload analysis: resampling, daily peaks
-// (the billing granularity of the NEP platform), cached mean/CV summaries,
+// (the billing granularity of the NEP platform), a cached mean,
 // and the seasonality-strength metric the paper uses to explain why edge
 // workloads are easier to forecast than cloud workloads.
 package timeseries
@@ -16,7 +16,7 @@ import (
 // construction unless they created the slice.
 //
 // A Series can carry a cached running sum of its values (see PrimeStats)
-// that turns Mean and CV from O(n) re-sums into O(1) lookups — the dominant
+// that turns Mean from an O(n) re-sum into an O(1) lookup — the dominant
 // cost of placement feedback and per-VM usage summaries before this cache
 // existed. The cache invariant is strict:
 // when valid, statsSum is bit-identical to the left-to-right sum
@@ -27,8 +27,8 @@ import (
 //     (ResampleInto) drop the target's cache.
 //   - Clone carries the cache; New returns a fresh Series with none.
 //   - Mutating Values directly bypasses these rules; callers doing that
-//     must call PrimeStats again before relying on Mean or CV.
-//   - Mean and CV never memoize on a cache miss, so concurrent readers
+//     must call PrimeStats again before relying on Mean.
+//   - Mean never memoizes on a cache miss, so concurrent readers
 //     of a shared immutable Series stay race-free.
 type Series struct {
 	Start    time.Time
@@ -59,13 +59,26 @@ func (s *Series) Clone() *Series {
 }
 
 // PrimeStats computes and caches the running sum of the current values,
-// making subsequent Mean and CV calls O(1). Call it once at synthesis
+// making subsequent Mean calls O(1). Call it once at synthesis
 // time (it is a full pass) on series that will be summarised repeatedly.
 // It returns s for chaining.
 func (s *Series) PrimeStats() *Series {
 	s.statsSum = stats.Sum(s.Values)
 	s.statsOK = true
 	return s
+}
+
+// Refill makes s an n-sample series starting at start, reusing Values'
+// capacity, drops the stats cache and returns Values for the caller to
+// write. The returned samples hold stale data until written. It is how a
+// producer fills a caller-owned Series in ResampleInto style.
+func (s *Series) Refill(start time.Time, interval time.Duration, n int) []float64 {
+	if cap(s.Values) < n {
+		s.Values = make([]float64, n)
+	}
+	s.Start, s.Interval, s.Values = start, interval, s.Values[:n]
+	s.statsOK = false
+	return s.Values
 }
 
 // Agg selects how a window of samples collapses to one value.
@@ -165,16 +178,6 @@ func (s *Series) Mean() float64 {
 
 // MaxValue returns the maximum of the series values.
 func (s *Series) MaxValue() float64 { return stats.Max(s.Values) }
-
-// CV returns the coefficient of variation of the series values. The
-// stats cache saves the mean pass; the squared-deviation pass is
-// unchanged, so cached and uncached results are bit-identical.
-func (s *Series) CV() float64 {
-	if s.statsOK {
-		return stats.CVWithMean(s.Values, s.Mean())
-	}
-	return stats.CV(s.Values)
-}
 
 // SeasonalMeans returns the mean value at each phase of a cycle of the given
 // period (in samples): out[p] is the mean of samples whose index ≡ p mod

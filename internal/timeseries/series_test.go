@@ -161,7 +161,4 @@ func TestMeanMaxCVHelpers(t *testing.T) {
 	if s.Mean() != 4 || s.MaxValue() != 6 {
 		t.Fatal("Mean/MaxValue wrong")
 	}
-	if s.CV() <= 0 {
-		t.Fatal("CV should be positive for varying series")
-	}
 }

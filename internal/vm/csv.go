@@ -20,7 +20,9 @@ import (
 //	bw.csv:     vm_id,slot,public_mbps
 //
 // Timestamps are reconstructed from the dataset Start and the configured
-// sampling intervals.
+// sampling intervals. Samples are written in the shortest form that parses
+// back to the same float64, so an export/import round trip is lossless: an
+// imported generated trace holds exactly the samples its recipes replay.
 
 // CSVOptions parameterises ExportCSV/ImportCSV.
 type CSVOptions struct {
@@ -82,25 +84,34 @@ func ExportCSV(d *Dataset, sites, vms, cpu, bw io.Writer) error {
 		return err
 	}
 
-	if err := writeUsage(cpu, "cpu_pct", d.VMs, func(v *VM) *timeseries.Series { return v.CPU }); err != nil {
+	cpuSeries := func(v *VM, buf *timeseries.Series) *timeseries.Series {
+		if v.cpu == nil {
+			return nil
+		}
+		return v.CPUSeries(buf)
+	}
+	if err := writeUsage(cpu, "cpu_pct", d.VMs, cpuSeries); err != nil {
 		return err
 	}
-	return writeUsage(bw, "public_mbps", d.VMs, func(v *VM) *timeseries.Series { return v.PublicBW })
+	return writeUsage(bw, "public_mbps", d.VMs, func(v *VM, _ *timeseries.Series) *timeseries.Series { return v.PublicBW })
 }
 
-func writeUsage(w io.Writer, col string, vms []*VM, sel func(*VM) *timeseries.Series) error {
+// writeUsage writes one long-form usage table. sel returns a VM's series,
+// filling buf when it has to produce one, or nil to skip the VM.
+func writeUsage(w io.Writer, col string, vms []*VM, sel func(v *VM, buf *timeseries.Series) *timeseries.Series) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"vm_id", "slot", col}); err != nil {
 		return err
 	}
+	var buf timeseries.Series
 	for _, v := range vms {
-		s := sel(v)
+		s := sel(v, &buf)
 		if s == nil {
 			continue
 		}
 		id := strconv.Itoa(v.ID)
 		for slot, val := range s.Values {
-			if err := cw.Write([]string{id, strconv.Itoa(slot), strconv.FormatFloat(val, 'g', 8, 64)}); err != nil {
+			if err := cw.Write([]string{id, strconv.Itoa(slot), strconv.FormatFloat(val, 'g', -1, 64)}); err != nil {
 				return err
 			}
 		}
@@ -136,7 +147,10 @@ func ImportCSV(platform string, sites, vms, cpu, bw io.Reader, opts CSVOptions) 
 	if err != nil {
 		return nil, fmt.Errorf("vm: vms csv: %w", err)
 	}
-	byID := map[int]*VM{}
+	// The VMs are built once their CPU column is read: New computes the
+	// summaries from it.
+	rows := make([]VM, 0, len(vrecs))
+	byID := map[int]int{}
 	for _, rec := range vrecs {
 		vals := make([]int, 8)
 		for i := range vals {
@@ -146,16 +160,15 @@ func ImportCSV(platform string, sites, vms, cpu, bw io.Reader, opts CSVOptions) 
 			}
 			vals[i] = v
 		}
-		v := &VM{
+		if _, dup := byID[vals[0]]; dup {
+			return nil, fmt.Errorf("vm: duplicate vm_id %d", vals[0])
+		}
+		byID[vals[0]] = len(rows)
+		rows = append(rows, VM{
 			ID: vals[0], App: vals[1], Customer: vals[2],
 			Site: vals[3], Server: vals[4],
 			VCPUs: vals[5], MemGB: vals[6], DiskGB: vals[7],
-		}
-		if _, dup := byID[v.ID]; dup {
-			return nil, fmt.Errorf("vm: duplicate vm_id %d", v.ID)
-		}
-		byID[v.ID] = v
-		d.VMs = append(d.VMs, v)
+		})
 	}
 
 	cpuVals, err := readUsage(cpu)
@@ -166,28 +179,29 @@ func ImportCSV(platform string, sites, vms, cpu, bw io.Reader, opts CSVOptions) 
 	if err != nil {
 		return nil, fmt.Errorf("vm: bw csv: %w", err)
 	}
-	for id, vals := range cpuVals {
-		v, ok := byID[id]
-		if !ok {
+	for id := range cpuVals {
+		if _, ok := byID[id]; !ok {
 			return nil, fmt.Errorf("vm: cpu usage for unknown vm %d", id)
 		}
-		v.CPU = timeseries.New(opts.Start, opts.CPUInterval, vals)
 	}
 	for id, vals := range bwVals {
-		v, ok := byID[id]
+		i, ok := byID[id]
 		if !ok {
 			return nil, fmt.Errorf("vm: bandwidth for unknown vm %d", id)
 		}
-		v.PublicBW = timeseries.New(opts.Start, opts.BWInterval, vals)
+		rows[i].PublicBW = timeseries.New(opts.Start, opts.BWInterval, vals)
 	}
 
 	var maxDur time.Duration
-	for _, v := range d.VMs {
-		if v.CPU != nil {
-			if dur := time.Duration(v.CPU.Len()) * opts.CPUInterval; dur > maxDur {
+	for i := range rows {
+		var series *timeseries.Series
+		if vals, ok := cpuVals[rows[i].ID]; ok {
+			series = timeseries.New(opts.Start, opts.CPUInterval, vals)
+			if dur := time.Duration(len(vals)) * opts.CPUInterval; dur > maxDur {
 				maxDur = dur
 			}
 		}
+		d.VMs = append(d.VMs, New(rows[i], series, nil))
 	}
 	d.Duration = maxDur
 	return d, d.Validate()

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"edgescope/internal/timeseries"
 )
 
 func exportAll(t *testing.T, d *Dataset) (sites, vms, cpu, bw bytes.Buffer) {
@@ -36,8 +38,10 @@ func TestCSVRoundTrip(t *testing.T) {
 			g.VCPUs != v.VCPUs || g.MemGB != v.MemGB || g.DiskGB != v.DiskGB {
 			t.Fatalf("vm %d metadata mismatch: %+v vs %+v", i, g, v)
 		}
-		for k := range v.CPU.Values {
-			if g.CPU.Values[k] != v.CPU.Values[k] {
+		var want, have timeseries.Series
+		v.CPUSeries(&want)
+		for k := range want.Values {
+			if g.CPUSeries(&have).Values[k] != want.Values[k] {
 				t.Fatalf("vm %d cpu[%d] mismatch", i, k)
 			}
 		}

@@ -5,17 +5,27 @@
 // the Azure-like cloud trace, so every §4 analysis runs unchanged on either;
 // it also matches the EdgeWorkloadsTraces dataset the authors released, so
 // the analysis code would apply to the real trace directly.
+//
+// A VM's CPU samples sit behind one accessor, CPUSeries, which fills a
+// caller-owned buffer. A generated VM holds a recipe (the random-stream
+// snapshot and parameters its samples were drawn from) and regenerates them
+// bit for bit on each call; an imported VM holds its samples, since real
+// data cannot be regenerated. Only a few readers need samples; every other
+// one reads the three per-VM summaries (MeanCPU, CPUCV, P95MaxCPU), which
+// New computes once, so a trace costs a few scalars per VM, not a series.
 package vm
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"edgescope/internal/stats"
 	"edgescope/internal/timeseries"
 )
 
-// VM is one IaaS virtual machine and its usage traces.
+// VM is one IaaS virtual machine and its usage traces. Build one with New:
+// the CPU usage and its summaries are private to it.
 type VM struct {
 	ID       int
 	App      int // VMs with the same image and customer form one edge app
@@ -27,38 +37,80 @@ type VM struct {
 	MemGB  int
 	DiskGB int
 
-	// CPU is the CPU utilisation series in percent (paper: 1-minute
-	// reports; the synthetic default is 5-minute to bound memory).
-	CPU *timeseries.Series
 	// PublicBW is the public (Internet) bandwidth usage in Mbps (paper:
 	// 5-minute reports).
 	PublicBW *timeseries.Series
+
+	// cpu yields the CPU utilisation series in percent (paper: 1-minute
+	// reports; the synthetic default is 5-minute).
+	cpu                       CPUSource
+	meanCPU, cpuCV, p95MaxCPU float64
 }
 
+// CPUSource produces a VM's CPU-utilisation series on demand.
+type CPUSource interface {
+	// FillCPU writes the series into dst, reusing dst's buffer
+	// (timeseries.Series.Refill). It must be safe to call concurrently:
+	// readers share one dataset.
+	FillCPU(dst *timeseries.Series)
+	// CPUInterval is the series' sampling interval, known without a fill.
+	CPUInterval() time.Duration
+}
+
+// stored is an imported VM's CPU source: the samples themselves.
+type stored struct{ s *timeseries.Series }
+
+func (st stored) FillCPU(dst *timeseries.Series) {
+	copy(dst.Refill(st.s.Start, st.s.Interval, st.s.Len()), st.s.Values)
+}
+
+func (st stored) CPUInterval() time.Duration { return st.s.Interval }
+
+// pctScratch recycles the percentile copy New takes of each series.
+var pctScratch = sync.Pool{New: func() any { return new(stats.Scratch) }}
+
+// New returns v with its CPU usage set. cpu holds the samples; New computes
+// MeanCPU, CPUCV and P95MaxCPU from them here, once. With a nil replay the
+// VM keeps cpu itself as its source (an imported trace). With a replay the
+// VM keeps only the replay and cpu stays the caller's, free for reuse (the
+// generator's draw buffer): replay.FillCPU must write cpu's samples bit for
+// bit. A nil cpu leaves the VM without CPU usage, which Validate reports.
+func New(v VM, cpu *timeseries.Series, replay CPUSource) *VM {
+	if cpu == nil {
+		return &v
+	}
+	v.cpu = replay
+	if replay == nil {
+		v.cpu = stored{cpu}
+	}
+	v.meanCPU = stats.Mean(cpu.Values)
+	v.cpuCV = stats.CVWithMean(cpu.Values, v.meanCPU)
+	sc := pctScratch.Get().(*stats.Scratch)
+	v.p95MaxCPU = sc.Percentile(cpu.Values, 95)
+	pctScratch.Put(sc)
+	return &v
+}
+
+// CPUSeries writes the VM's CPU utilisation series (percent) into dst,
+// reusing dst's buffer, and returns dst. A generated VM regenerates it; the
+// caller must be done with dst's previous contents.
+func (v *VM) CPUSeries(dst *timeseries.Series) *timeseries.Series {
+	v.cpu.FillCPU(dst)
+	return dst
+}
+
+// CPUInterval returns the CPU series' sampling interval without filling it.
+func (v *VM) CPUInterval() time.Duration { return v.cpu.CPUInterval() }
+
 // MeanCPU returns the VM's average CPU utilisation.
-func (v *VM) MeanCPU() float64 { return v.CPU.Mean() }
+func (v *VM) MeanCPU() float64 { return v.meanCPU }
 
 // P95MaxCPU returns the 95th percentile of the VM's CPU samples, the
 // paper's "P95 Max" robust-maximum metric.
-func (v *VM) P95MaxCPU() float64 { return stats.Percentile(v.CPU.Values, 95) }
-
-// P95MaxCPUScratch is P95MaxCPU computed through a caller-owned
-// stats.Scratch, so a walk over many VMs (Figure 10 touches every VM of both
-// traces) reuses one buffer instead of copying each CPU series.
-func (v *VM) P95MaxCPUScratch(sc *stats.Scratch) float64 {
-	return sc.Percentile(v.CPU.Values, 95)
-}
+func (v *VM) P95MaxCPU() float64 { return v.p95MaxCPU }
 
 // CPUCV returns the across-time coefficient of variation of CPU usage.
-func (v *VM) CPUCV() float64 { return v.CPU.CV() }
-
-// MeanBWMbps returns the VM's average public bandwidth.
-func (v *VM) MeanBWMbps() float64 {
-	if v.PublicBW == nil {
-		return 0
-	}
-	return v.PublicBW.Mean()
-}
+func (v *VM) CPUCV() float64 { return v.cpuCV }
 
 // Server is one physical machine of a site.
 type Server struct {
@@ -83,7 +135,8 @@ type Dataset struct {
 }
 
 // Validate checks referential integrity: placements in range, series
-// non-nil, capacities positive. It returns the first problem found.
+// present, capacities positive, CPU samples within [0,100]. It returns the
+// first problem found.
 func (d *Dataset) Validate() error {
 	for i, s := range d.Sites {
 		if len(s.Servers) == 0 {
@@ -95,6 +148,7 @@ func (d *Dataset) Validate() error {
 			}
 		}
 	}
+	var cpu timeseries.Series
 	for _, v := range d.VMs {
 		if v.Site < 0 || v.Site >= len(d.Sites) {
 			return fmt.Errorf("vm: VM %d references site %d of %d", v.ID, v.Site, len(d.Sites))
@@ -105,13 +159,13 @@ func (d *Dataset) Validate() error {
 		if v.VCPUs <= 0 || v.MemGB <= 0 {
 			return fmt.Errorf("vm: VM %d has non-positive size", v.ID)
 		}
-		if v.CPU == nil || v.CPU.Len() == 0 {
+		if v.cpu == nil || v.CPUSeries(&cpu).Len() == 0 {
 			return fmt.Errorf("vm: VM %d has no CPU series", v.ID)
 		}
 		if v.PublicBW == nil || v.PublicBW.Len() == 0 {
 			return fmt.Errorf("vm: VM %d has no bandwidth series", v.ID)
 		}
-		for _, x := range v.CPU.Values {
+		for _, x := range cpu.Values {
 			if x < 0 || x > 100 {
 				return fmt.Errorf("vm: VM %d CPU sample %v out of [0,100]", v.ID, x)
 			}
@@ -167,41 +221,6 @@ func (d *Dataset) SiteSalesRates() []SalesRate {
 		}
 	}
 	return out
-}
-
-// ServerCPUUsage returns, for one server, the capacity-weighted mean CPU
-// utilisation of its hosted VMs at each sample (the paper's Figure 11
-// machine-level metric), or nil when the server hosts nothing.
-func (d *Dataset) ServerCPUUsage(site, server int) *timeseries.Series {
-	var hosted []*VM
-	for _, v := range d.VMs {
-		if v.Site == site && v.Server == server {
-			hosted = append(hosted, v)
-		}
-	}
-	if len(hosted) == 0 {
-		return nil
-	}
-	n := hosted[0].CPU.Len()
-	vals := make([]float64, n)
-	var weight float64
-	for _, v := range hosted {
-		w := float64(v.VCPUs)
-		weight += w
-		m := v.CPU.Len()
-		if m > n {
-			m = n
-		}
-		for t := 0; t < m; t++ {
-			vals[t] += w * v.CPU.Values[t]
-		}
-	}
-	if weight > 0 {
-		for t := range vals {
-			vals[t] /= weight
-		}
-	}
-	return timeseries.New(hosted[0].CPU.Start, hosted[0].CPU.Interval, vals)
 }
 
 // SiteBandwidth returns a site's total public bandwidth series in Mbps

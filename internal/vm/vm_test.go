@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -31,12 +29,12 @@ func tinyDataset() *Dataset {
 			}},
 		},
 		VMs: []*VM{
-			{ID: 0, App: 0, Customer: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, DiskGB: 100,
-				CPU: series(10, 20, 30), PublicBW: series(100, 200, 300)},
-			{ID: 1, App: 0, Customer: 0, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, DiskGB: 200,
-				CPU: series(40, 50, 60), PublicBW: series(50, 50, 50)},
-			{ID: 2, App: 1, Customer: 1, Site: 1, Server: 0, VCPUs: 4, MemGB: 16, DiskGB: 50,
-				CPU: series(5, 5, 5), PublicBW: series(10, 10, 10)},
+			New(VM{ID: 0, App: 0, Customer: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, DiskGB: 100,
+				PublicBW: series(100, 200, 300)}, series(10, 20, 30), nil),
+			New(VM{ID: 1, App: 0, Customer: 0, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, DiskGB: 200,
+				PublicBW: series(50, 50, 50)}, series(40, 50, 60), nil),
+			New(VM{ID: 2, App: 1, Customer: 1, Site: 1, Server: 0, VCPUs: 4, MemGB: 16, DiskGB: 50,
+				PublicBW: series(10, 10, 10)}, series(5, 5, 5), nil),
 		},
 	}
 }
@@ -65,7 +63,7 @@ func TestValidateCatchesBadServer(t *testing.T) {
 
 func TestValidateCatchesMissingSeries(t *testing.T) {
 	d := tinyDataset()
-	d.VMs[1].CPU = nil
+	d.VMs[1] = New(VM{ID: 1, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, PublicBW: series(50)}, nil, nil)
 	if err := d.Validate(); err == nil {
 		t.Fatal("expected CPU series error")
 	}
@@ -73,7 +71,8 @@ func TestValidateCatchesMissingSeries(t *testing.T) {
 
 func TestValidateCatchesCPURange(t *testing.T) {
 	d := tinyDataset()
-	d.VMs[0].CPU = series(10, 120, 30)
+	d.VMs[0] = New(VM{ID: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, PublicBW: series(100)},
+		series(10, 120, 30), nil)
 	if err := d.Validate(); err == nil {
 		t.Fatal("expected CPU range error")
 	}
@@ -98,11 +97,9 @@ func TestVMStats(t *testing.T) {
 	if v.CPUCV() <= 0 {
 		t.Fatal("CPUCV should be positive")
 	}
-	if v.MeanBWMbps() != 200 {
-		t.Fatalf("MeanBWMbps = %v", v.MeanBWMbps())
-	}
-	if (&VM{}).MeanBWMbps() != 0 {
-		t.Fatal("nil bandwidth should mean 0")
+	var got timeseries.Series
+	if v.CPUSeries(&got).Len() != 3 || got.Values[2] != 30 || v.CPUInterval() != 5*time.Minute {
+		t.Fatalf("CPUSeries = %+v", got)
 	}
 }
 
@@ -134,33 +131,6 @@ func TestSiteSalesRates(t *testing.T) {
 	}
 }
 
-func TestServerCPUUsageWeighted(t *testing.T) {
-	d := tinyDataset()
-	s := d.ServerCPUUsage(0, 0)
-	if s == nil || s.Len() != 3 {
-		t.Fatal("missing usage series")
-	}
-	if s.Values[0] != 10 { // single VM, weight cancels
-		t.Fatalf("usage[0] = %v", s.Values[0])
-	}
-	if d.ServerCPUUsage(1, 0) == nil {
-		t.Fatal("occupied server reported empty")
-	}
-	if d.ServerCPUUsage(0, 9) != nil {
-		t.Fatal("empty server should be nil")
-	}
-}
-
-func TestServerCPUUsageMultiVM(t *testing.T) {
-	d := tinyDataset()
-	d.VMs[1].Server = 0 // co-locate with VM 0
-	s := d.ServerCPUUsage(0, 0)
-	// weighted: (8*10 + 16*40)/24 = 30
-	if s.Values[0] != 30 {
-		t.Fatalf("weighted usage = %v, want 30", s.Values[0])
-	}
-}
-
 func TestSiteBandwidth(t *testing.T) {
 	d := tinyDataset()
 	bw := d.SiteBandwidth(0)
@@ -169,49 +139,5 @@ func TestSiteBandwidth(t *testing.T) {
 	}
 	if d.SiteBandwidth(9) != nil {
 		t.Fatal("unknown site should be nil")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	d := tinyDataset()
-	path := filepath.Join(t.TempDir(), "trace.gob.gz")
-	if err := Save(d, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Platform != d.Platform || len(got.VMs) != len(d.VMs) || len(got.Sites) != len(d.Sites) {
-		t.Fatal("round trip lost structure")
-	}
-	if got.VMs[1].CPU.Values[2] != 60 {
-		t.Fatal("round trip lost series data")
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.gob.gz")); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestWriteVMTableCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteVMTableCSV(tinyDataset(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 { // header + 3 VMs
-		t.Fatalf("CSV lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "vm_id,app_id") {
-		t.Fatalf("header = %s", lines[0])
-	}
-	if !strings.Contains(lines[1], "8,16,100") {
-		t.Fatalf("row = %s", lines[1])
 	}
 }

@@ -165,6 +165,9 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 	provZipf := rng.NewZipf(r.Fork("prov"), 1.3, len(provNames))
 
 	vmID := 0
+	// cpuBuf takes each VM's CPU draws in turn: vm.New reduces them to the
+	// VM's summaries while they are hot, and the VM keeps only the recipe.
+	var cpuBuf timeseries.Series
 	for app := 0; app < opts.Apps; app++ {
 		cat := opts.Categories[r.Choice(catWeights)]
 		nVMs := int(r.BoundedPareto(cat.MinVMs, cat.VMAlpha, cat.MaxVMs))
@@ -219,12 +222,13 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 			for _, a := range assigns {
 				mult := mathx.Exp(r.Normal(0, crossSigma))
 				level := appBase * mult
-				cpu := usageSeries(r, seriesParams{
+				cpu := &cpuRecipe{snap: r.Snapshot(), p: seriesParams{
 					level: level, amp: appAmp, peakHour: appPeak,
 					windowHours: cat.WindowHours, noiseCV: cat.NoiseCV,
 					days: opts.Days, interval: cpuInterval,
 					start: traceStart, clampHi: 95, weekendFactor: weekendFactorFor(cat.Name),
-				})
+				}}
+				fillUsage(r, cpu.p, cpuBuf.Refill(traceStart, cpuInterval, cpu.p.samples()))
 				volatile := r.Bernoulli(cat.VolatileBWProb)
 				bw := usageSeries(r, seriesParams{
 					level: appBWBase * mult, amp: appAmp, peakHour: appPeak,
@@ -233,16 +237,15 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 					start: traceStart, clampHi: 0, weekendFactor: weekendFactorFor(cat.Name),
 					volatileWeeks: volatile, volatileSigma: 0.9,
 				})
-				mean := cpu.Mean()
-				st.ObserveUsage(a.Site, a.Server, mean)
-				d.VMs = append(d.VMs, &vm.VM{
+				v := vm.New(vm.VM{
 					ID: vmID, App: app, Customer: app, // 1 app per customer
 					Site: a.Site, Server: a.Server,
 					VCPUs: vcpu, MemGB: mem,
 					DiskGB:   int(r.BoundedPareto(cat.DiskXmGB, cat.DiskAlpha, cat.DiskCapGB)),
-					CPU:      cpu,
 					PublicBW: bw,
-				})
+				}, &cpuBuf, cpu)
+				st.ObserveUsage(a.Site, a.Server, v.MeanCPU())
+				d.VMs = append(d.VMs, v)
 				vmID++
 			}
 		}
@@ -300,8 +303,45 @@ type seriesParams struct {
 	volatileSigma float64
 }
 
-// usageSeries synthesises one usage trace: diurnal cycle × weekly factor ×
-// optional weekly regime shifts × multiplicative noise.
+// samples is the series' length.
+func (p *seriesParams) samples() int {
+	return int(time.Duration(p.days) * 24 * time.Hour / p.interval)
+}
+
+// cpuRecipe is a generated VM's CPU series kept as the draws that made it:
+// the stream position before the series' first draw, and its parameters.
+// FillCPU replays them through a Source of its own, so the samples come out
+// bit for bit as generated while the snapshot stays untouched: concurrent
+// readers of one dataset each replay independently.
+type cpuRecipe struct {
+	snap rng.Snapshot
+	p    seriesParams
+}
+
+// FillCPU regenerates the series into dst without allocating once dst's
+// buffer has grown to the series length: the replay Source lives on the
+// stack (TestCPUReplayAllocatesNothing).
+func (c *cpuRecipe) FillCPU(dst *timeseries.Series) {
+	r := rng.New(0)
+	r.Restore(c.snap)
+	fillUsage(r, c.p, dst.Refill(c.p.start, c.p.interval, c.p.samples()))
+}
+
+func (c *cpuRecipe) CPUInterval() time.Duration { return c.p.interval }
+
+// usageSeries synthesises one usage trace into a fresh series.
+func usageSeries(r *rng.Source, p seriesParams) *timeseries.Series {
+	vals := make([]float64, p.samples())
+	fillUsage(r, p, vals)
+	// Prime the running-mean cache while the series is still private to
+	// this goroutine: the per-site and per-server summaries read Mean()
+	// repeatedly, and a primed cache makes those O(1) without any
+	// concurrent-memoization hazard once the dataset is shared.
+	return timeseries.New(p.start, p.interval, vals).PrimeStats()
+}
+
+// fillUsage synthesises one usage trace into vals: diurnal cycle × weekly
+// factor × optional weekly regime shifts × multiplicative noise.
 //
 // This is the workload generator's hot kernel (one call per VM per metric,
 // thousands of samples each), so the per-sample work is stripped to the
@@ -311,9 +351,7 @@ type seriesParams struct {
 // weekday come from integer nanosecond arithmetic instead of per-sample
 // time.Time decomposition. Values are bit-identical to the direct
 // per-sample formula — pinned by TestUsageSeriesFastPathMatchesSlow.
-func usageSeries(r *rng.Source, p seriesParams) *timeseries.Series {
-	n := int(time.Duration(p.days) * 24 * time.Hour / p.interval)
-	vals := make([]float64, n)
+func fillUsage(r *rng.Source, p seriesParams, vals []float64) {
 	// The integer fast path needs UTC (hour/minute shortcuts assume a fixed
 	// zero offset) and a start within UnixNano range; every built-in trace
 	// starts 2020-06-01 UTC. Anything else takes the legacy loop.
@@ -322,11 +360,6 @@ func usageSeries(r *rng.Source, p seriesParams) *timeseries.Series {
 	} else {
 		usageSeriesSlow(r, p, vals)
 	}
-	// Prime the running-mean cache while the series is still private to
-	// this goroutine: placement feedback and the per-VM summaries read
-	// Mean() repeatedly, and a primed cache makes those O(1) without any
-	// concurrent-memoization hazard once the dataset is shared.
-	return timeseries.New(p.start, p.interval, vals).PrimeStats()
 }
 
 // UsageParams is the exported form of the usage-trace parameters, for

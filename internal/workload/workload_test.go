@@ -8,6 +8,7 @@ import (
 
 	"edgescope/internal/rng"
 	"edgescope/internal/stats"
+	"edgescope/internal/timeseries"
 	"edgescope/internal/vm"
 )
 
@@ -185,12 +186,13 @@ func TestSeasonalityStrongerOnEdge(t *testing.T) {
 	strength := func(d *vm.Dataset, n int) float64 {
 		var sum float64
 		var count int
+		var cpu timeseries.Series
 		for i, v := range d.VMs {
 			if i >= n {
 				break
 			}
-			period := int(24 * time.Hour / v.CPU.Interval)
-			sum += v.CPU.SeasonalityStrength(period)
+			period := int(24 * time.Hour / v.CPUInterval())
+			sum += v.CPUSeries(&cpu).SeasonalityStrength(period)
 			count++
 		}
 		return sum / float64(count)
@@ -267,11 +269,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	if len(a.VMs) != len(b.VMs) {
 		t.Fatal("VM counts differ")
 	}
+	var ca, cb timeseries.Series
 	for i := range a.VMs {
 		if a.VMs[i].Site != b.VMs[i].Site || a.VMs[i].VCPUs != b.VMs[i].VCPUs {
 			t.Fatalf("VM %d differs", i)
 		}
-		if math.Abs(a.VMs[i].CPU.Values[0]-b.VMs[i].CPU.Values[0]) > 1e-12 {
+		if math.Abs(a.VMs[i].CPUSeries(&ca).Values[0]-b.VMs[i].CPUSeries(&cb).Values[0]) > 1e-12 {
 			t.Fatalf("VM %d series differ", i)
 		}
 	}
