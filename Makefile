@@ -8,7 +8,7 @@ GO ?= go
 WIDE_BENCH = Wide$$
 WIDE_BENCHTIME = 20x
 
-.PHONY: build vet test race fuzz chaos bench bench-json bench-compare bench-multicore ci loc repro profile
+.PHONY: build vet test race fuzz chaos bench bench-json bench-compare bench-multicore ci loc repro repro-sha profile
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,23 @@ loc:
 # Reproduce every paper artifact in parallel.
 repro:
 	$(GO) run ./cmd/reproall -parallel 0
+
+# Byte-identity across parallelism: build reproall once (trimmed, no VCS
+# stamp), then print the SHA-256 of its `-ext -quiet-times` stdout for every
+# built-in scenario at -parallel 1 and 4. Exits non-zero if a run fails or
+# the two parallelism levels disagree on any scenario.
+REPRO_SCENARIOS = small paper dense-metro rural-sparse flash-crowd stress
+repro-sha:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -trimpath -buildvcs=false -o "$$tmp/reproall" ./cmd/reproall || exit 1; \
+	st=0; for s in $(REPRO_SCENARIOS); do \
+	  for p in 1 4; do \
+	    "$$tmp/reproall" -scenario $$s -ext -quiet-times -parallel $$p > "$$tmp/out-$$p" || exit 1; \
+	  done; \
+	  a=$$(sha256sum < "$$tmp/out-1" | cut -c1-64); b=$$(sha256sum < "$$tmp/out-4" | cut -c1-64); \
+	  if [ "$$a" = "$$b" ]; then echo "$$s $$a"; \
+	  else echo "$$s MISMATCH parallel-1 $$a parallel-4 $$b"; st=1; fi; \
+	done; exit $$st
 
 # The profile-first workflow in one command: run the full serial
 # reproduction under CPU and heap profiling, then print the top consumers of

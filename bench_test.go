@@ -71,7 +71,7 @@ func benchSuite() *core.Suite {
 func suite() *core.Suite {
 	suiteOnce.Do(func() {
 		benchS = benchSuite()
-		benchS.LatencyObs()
+		benchS.LatencyStore()
 		benchS.ThroughputObs()
 		benchS.NEPTrace()
 		benchS.CloudTrace()
@@ -436,16 +436,15 @@ func BenchmarkSampleRTTBatch(b *testing.B) {
 }
 
 // BenchmarkObserveWalk measures the one observation walk of the crowd
-// campaign end to end (path build + fused pings + aggregation per target).
+// campaign end to end (path build + fused pings + aggregation per target),
+// building the whole columnar store it writes into.
 func BenchmarkObserveWalk(b *testing.B) {
 	r := rng.New(37)
 	c := crowd.NewCampaign(r.Fork("campaign"), scenario.MustGet(benchScenario).Crowd)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		c.Observe(rng.New(uint64(i)), func(crowd.Observation) { n++ })
-		if n == 0 {
+		if crowd.NewObservationStore(c, rng.New(uint64(i))).Len() == 0 {
 			b.Fatal("no observations")
 		}
 	}

@@ -119,7 +119,6 @@ import (
 
 	"edgescope/internal/core"
 	"edgescope/internal/obs"
-	"edgescope/internal/rng"
 	"edgescope/internal/telemetry"
 	"edgescope/internal/telemetry/cluster"
 	"edgescope/internal/telemetry/serve"
@@ -299,12 +298,11 @@ func main() {
 // replayCampaign resolves -scenario/-seed and streams the deterministic
 // crowd campaign through send — the one replay sequence every role runs, so a
 // clustered replay feeds the nodes exactly the stream a single process folds.
-// Latency streams event-at-a-time through the crowd.StreamLatency emission
-// hook (a thin sink over the one crowd.Observe walk); the rng fork mirrors
-// Suite.LatencyObs, so the streamed observations are the batch substrate's,
-// element for element, for any scenario. Throughput has no streaming hook
-// yet and goes batch. dropMsg and dropHint word the warning for envelopes
-// send refused; the caller owns its transport's flush.
+// It sends telemetry.LatencyEvents over the suite's latency store (the same
+// substrate the batch artifacts read, so the envelopes are theirs, element
+// for element, for any scenario), then the throughput envelopes. dropMsg and
+// dropHint word the warning for envelopes send refused; the caller owns its
+// transport's flush.
 func replayCampaign(log *slog.Logger, scenarioArg string, seed uint64, send func(telemetry.Envelope) bool,
 	dropMsg, dropHint string, startAttrs ...any) telemetry.ReplayStats {
 	suite, err := core.SuiteFromFlags(flag.CommandLine, scenarioArg, "seed", seed)
@@ -313,8 +311,7 @@ func replayCampaign(log *slog.Logger, scenarioArg string, seed uint64, send func
 		os.Exit(2)
 	}
 	log.Info("replay starting", append([]any{"scenario", suite.Name(), "seed", suite.Seed}, startAttrs...)...)
-	st := telemetry.ReplayCampaignLatencyFunc(send, suite.Campaign(),
-		rng.New(suite.Seed).Fork("latency"))
+	st := telemetry.ReplayFunc(send, telemetry.LatencyEvents(suite.LatencyStore()))
 	thr := telemetry.ReplayFunc(send, telemetry.ThroughputEvents(suite.ThroughputObs()))
 	st.Events += thr.Events
 	st.Accepted += thr.Accepted

@@ -21,18 +21,19 @@ func main() {
 	fmt.Printf("platform: %d edge sites, %d cloud regions, %d users\n",
 		len(campaign.NEP.Sites), len(campaign.Cloud.Sites), len(campaign.Users))
 
-	// Run the ping campaign and aggregate per-user medians.
-	obs := campaign.RunLatency(r.Fork("latency"))
+	// Run the ping campaign into its columnar store and aggregate per-user
+	// medians.
+	obs := crowd.NewObservationStore(campaign, r.Fork("latency"))
 	for _, access := range []netmodel.Access{netmodel.WiFi, netmodel.LTE} {
-		edge := crowd.MedianRTTAcrossUsers(obs, access, crowd.NearestEdge)
-		cloud := crowd.MedianRTTAcrossUsers(obs, access, crowd.NearestCloud)
+		edge := obs.MedianRTTAcrossUsers(access, crowd.NearestEdge)
+		cloud := obs.MedianRTTAcrossUsers(access, crowd.NearestCloud)
 		fmt.Printf("%-4s  nearest edge %5.1f ms   nearest cloud %5.1f ms   edge wins %.2fx\n",
 			access, edge, cloud, cloud/edge)
 	}
 
 	// Jitter: the edge is far more stable.
-	edgeCV := crowd.MedianCVAcrossUsers(obs, netmodel.WiFi, crowd.NearestEdge)
-	cloudCV := crowd.MedianCVAcrossUsers(obs, netmodel.WiFi, crowd.NearestCloud)
+	edgeCV := obs.MedianCVAcrossUsers(netmodel.WiFi, crowd.NearestEdge)
+	cloudCV := obs.MedianCVAcrossUsers(netmodel.WiFi, crowd.NearestCloud)
 	fmt.Printf("WiFi RTT jitter (CV): edge %.3f vs cloud %.3f (%.1fx more stable)\n",
 		edgeCV, cloudCV, cloudCV/edgeCV)
 }

@@ -109,7 +109,7 @@ func TestSuiteCachesSubstrates(t *testing.T) {
 	if s.Campaign() != s.Campaign() {
 		t.Fatal("campaign not cached")
 	}
-	if len(s.LatencyObs()) == 0 {
+	if s.LatencyStore().Len() == 0 {
 		t.Fatal("no latency observations")
 	}
 }

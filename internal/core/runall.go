@@ -39,7 +39,7 @@ func (s *Suite) buildSubstrate(id string) {
 	case subCampaign:
 		s.Campaign()
 	case subLatency:
-		s.LatencyObs()
+		s.LatencyStore()
 	case subThroughput:
 		s.ThroughputObs()
 	case subNEPTrace:

@@ -261,7 +261,7 @@ func TestConcurrentSubstrateAccess(t *testing.T) {
 			campaigns[i] = s.Campaign()
 			neps[i] = s.NEPTrace()
 			clouds[i] = s.CloudTrace()
-			lats[i] = len(s.LatencyObs())
+			lats[i] = s.LatencyStore().Len()
 			thrs[i] = len(s.ThroughputObs())
 		}()
 	}

@@ -66,8 +66,8 @@ type Suite struct {
 	nepTrace     func() *vm.Dataset
 	cloudTrace   func() *vm.Dataset
 
-	// tracer records execution spans (RunArtifacts nodes, crowd chunk
-	// fan-outs). nil — the default — records nothing; see SetTracer.
+	// tracer records execution spans (RunArtifacts nodes, the crowd
+	// observation walk). nil — the default — records nothing; see SetTracer.
 	tracer *obs.Tracer
 
 	// workers is the run's one worker count: RunArtifacts stores the
@@ -81,11 +81,10 @@ type Suite struct {
 }
 
 // SetTracer attaches a span tracer to the suite. Call it before the first
-// substrate builds: the campaign propagates the tracer to its own chunked
-// observation walk when constructed, so a tracer set later sees the
-// scheduler's spans but not the already-built substrates' internals. Tracing
-// never changes what is computed — artifacts stay byte-identical with and
-// without it.
+// substrate builds: the campaign propagates the tracer to its observation
+// walk when constructed, so a tracer set later sees the scheduler's spans but
+// not the already-built substrates' internals. Tracing never changes what is
+// computed — artifacts stay byte-identical with and without it.
 func (s *Suite) SetTracer(t *obs.Tracer) { s.tracer = t }
 
 // NewSuiteFromSpec builds an experiment suite from a declarative scenario.
@@ -138,13 +137,9 @@ func (s *Suite) root() *rng.Source { return rng.New(s.Seed) }
 func (s *Suite) Campaign() *crowd.Campaign { return s.campaign() }
 
 // LatencyStore returns (building on first use) the columnar latency
-// substrate: one observation walk, columnarised once, consumed by every
-// latency-family artifact.
+// substrate: the campaign's one observation walk, consumed by every
+// latency-family artifact and the telemetry replay.
 func (s *Suite) LatencyStore() *crowd.ObservationStore { return s.latencyStore() }
-
-// LatencyObs returns the cached latency-campaign observations — the
-// array-of-structs view over the columnar substrate, in emission order.
-func (s *Suite) LatencyObs() []crowd.Observation { return s.latencyStore().View() }
 
 // ThroughputObs returns the cached throughput-campaign observations.
 func (s *Suite) ThroughputObs() []crowd.ThroughputObs { return s.thrObs() }

@@ -20,8 +20,7 @@ import (
 // 2× bound, which the telemetry tests also pin.
 func (s *Suite) ExtTelemetry() *report.Table {
 	st := s.LatencyStore()
-	// The streaming side replays whole records: the thin []Observation view.
-	events := telemetry.LatencyEvents(st.View())
+	events := telemetry.LatencyEvents(st)
 
 	ing := telemetry.NewIngestor(telemetry.Config{
 		Shards: 4,
@@ -50,7 +49,7 @@ func (s *Suite) ExtTelemetry() *report.Table {
 	}
 	for _, sl := range slices {
 		// The batch side reads the median-RTT column straight off the
-		// columnar substrate instead of re-walking []Observation.
+		// columnar substrate.
 		xs := st.AppendMedianRTTs(nil, sl.access, sl.net == "")
 		if len(xs) == 0 {
 			continue

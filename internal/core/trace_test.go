@@ -49,13 +49,13 @@ func TestRunAllTraceCoversEveryNode(t *testing.T) {
 	// The campaign substrate propagates the tracer into the observation walk.
 	found := false
 	for _, sp := range spans {
-		if sp.Name == "observe-chunk" {
+		if sp.Name == "observe" {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Error("no observe-chunk spans: campaign did not inherit the tracer")
+		t.Error("no observe span: campaign did not inherit the tracer")
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {

@@ -1,47 +1,9 @@
 package crowd
 
 import (
-	"sort"
-
 	"edgescope/internal/netmodel"
 	"edgescope/internal/stats"
 )
-
-// perUser collapses observations of one (access, target) pair to one value
-// per user. For CloudMember targets, a user's observations over all cloud
-// regions are averaged first (the paper's "all clouds" baseline); other
-// targets have one observation per user.
-func perUser(obs []Observation, access netmodel.Access, target TargetKind, metric func(Observation) float64) []float64 {
-	byUser := map[int][]float64{}
-	for _, o := range obs {
-		if o.Access != access || o.Target != target {
-			continue
-		}
-		byUser[o.UserID] = append(byUser[o.UserID], metric(o))
-	}
-	ids := make([]int, 0, len(byUser))
-	for id := range byUser {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]float64, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, stats.Mean(byUser[id]))
-	}
-	return out
-}
-
-// MedianRTTAcrossUsers returns the median, across users, of each user's
-// median RTT to the given target — the bars of Figure 2a.
-func MedianRTTAcrossUsers(obs []Observation, access netmodel.Access, target TargetKind) float64 {
-	return stats.SummarizeInPlace(perUser(obs, access, target, func(o Observation) float64 { return o.MedianRTTMs })).Median()
-}
-
-// MedianCVAcrossUsers returns the median, across users, of the per-user RTT
-// coefficient of variation — the bars of Figure 2b.
-func MedianCVAcrossUsers(obs []Observation, access netmodel.Access, target TargetKind) float64 {
-	return stats.SummarizeInPlace(perUser(obs, access, target, func(o Observation) float64 { return o.CV })).Median()
-}
 
 // HopBreakdownRow is one cell group of Table 3: the mean share of
 // end-to-end latency contributed by the first three hops and the rest.
@@ -50,30 +12,6 @@ type HopBreakdownRow struct {
 	Target                 TargetKind
 	Share1, Share2, Share3 float64
 	ShareRest              float64
-}
-
-// HopBreakdown averages the per-hop latency shares across users for one
-// (access, target) pair.
-func HopBreakdown(obs []Observation, access netmodel.Access, target TargetKind) HopBreakdownRow {
-	row := HopBreakdownRow{Access: access, Target: target}
-	var n float64
-	for _, o := range obs {
-		if o.Access != access || o.Target != target {
-			continue
-		}
-		row.Share1 += o.Share1
-		row.Share2 += o.Share2
-		row.Share3 += o.Share3
-		row.ShareRest += o.ShareRest
-		n++
-	}
-	if n > 0 {
-		row.Share1 /= n
-		row.Share2 /= n
-		row.Share3 /= n
-		row.ShareRest /= n
-	}
-	return row
 }
 
 // CoLocClass partitions users by whether their city hosts edge/cloud sites
@@ -107,82 +45,6 @@ type Table4Row struct {
 	RTTCloudMs  float64 // average RTT to nearest cloud
 	DistEdgeKm  float64 // average city-level distance to nearest edge
 	DistCloudKm float64 // average city-level distance to nearest cloud
-}
-
-// CoLocationTable classifies every user and averages RTT and city-level
-// distance to the nearest edge/cloud per class, reproducing Table 4.
-func CoLocationTable(obs []Observation) []Table4Row {
-	type userAgg struct {
-		rttE, rttC, distE, distC float64
-		haveE, haveC             bool
-	}
-	users := map[int]*userAgg{}
-	for _, o := range obs {
-		ua := users[o.UserID]
-		if ua == nil {
-			ua = &userAgg{}
-			users[o.UserID] = ua
-		}
-		switch o.Target {
-		case NearestEdge:
-			ua.rttE, ua.distE, ua.haveE = o.MedianRTTMs, o.CityDistKm, true
-		case NearestCloud:
-			ua.rttC, ua.distC, ua.haveC = o.MedianRTTMs, o.CityDistKm, true
-		}
-	}
-	rows := make([]Table4Row, 3)
-	counts := make([]float64, 3)
-	var total float64
-	for _, ua := range users {
-		if !ua.haveE || !ua.haveC {
-			continue
-		}
-		var class CoLocClass
-		switch {
-		case ua.distE == 0 && ua.distC == 0:
-			class = BothCoLocated
-		case ua.distE == 0:
-			class = EdgeCoLocated
-		default:
-			class = NoneCoLocated
-		}
-		i := int(class)
-		rows[i].RTTEdgeMs += ua.rttE
-		rows[i].RTTCloudMs += ua.rttC
-		rows[i].DistEdgeKm += ua.distE
-		rows[i].DistCloudKm += ua.distC
-		counts[i]++
-		total++
-	}
-	for i := range rows {
-		rows[i].Class = CoLocClass(i)
-		if counts[i] > 0 {
-			rows[i].RTTEdgeMs /= counts[i]
-			rows[i].RTTCloudMs /= counts[i]
-			rows[i].DistEdgeKm /= counts[i]
-			rows[i].DistCloudKm /= counts[i]
-		}
-		if total > 0 {
-			rows[i].UserShare = counts[i] / total
-		}
-	}
-	return rows
-}
-
-// HopCounts returns the hop-count samples for Figure 3: edge collects
-// nearest-edge observations, cloud collects all cloud observations.
-func HopCounts(obs []Observation, edge bool) []float64 {
-	var out []float64
-	for _, o := range obs {
-		isEdge := o.Target == NearestEdge || o.Target == ThirdNearestEdge
-		if isEdge == edge && (edge || o.Target == NearestCloud || o.Target == CloudMember) {
-			if edge && o.Target != NearestEdge {
-				continue // Figure 3 uses the nearest edge only
-			}
-			out = append(out, float64(o.HopCount))
-		}
-	}
-	return out
 }
 
 // CorrRow is one series of Figure 5: the distance↔throughput Pearson

@@ -14,7 +14,6 @@ package crowd
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"edgescope/internal/geo"
 	"edgescope/internal/netmodel"
@@ -111,13 +110,14 @@ func (k TargetKind) String() string {
 }
 
 // Observation is one user×target latency measurement: the aggregate of
-// Repeats pings plus one traceroute over a freshly built path.
+// Repeats pings plus one traceroute over a freshly built path. It is the
+// value one probe returns and ObservationStore.Row reassembles; the
+// campaign's observations live only in the store's columns.
 type Observation struct {
 	UserID      int
 	Access      netmodel.Access
 	Target      TargetKind
 	SiteMetro   string
-	DistanceKm  float64 // great-circle user→site
 	CityDistKm  float64 // city-level distance (0 when co-located, Table 4)
 	MedianRTTMs float64
 	CV          float64
@@ -137,13 +137,13 @@ type Campaign struct {
 	// the campaign was built from; it schedules both the ping and the iperf
 	// studies.
 	Spec scenario.CrowdSpec
-	// Tracer, when set, records one span per Observe chunk fan-out. It never
-	// affects the observations themselves — the emitted sequence stays
+	// Tracer, when set, records one "observe" span per observation walk. It
+	// never affects the observations themselves — the store stays
 	// byte-identical with and without it.
 	Tracer *obs.Tracer
-	// Workers bounds the per-user fan-out of Observe and RunThroughput
-	// (par.Workers semantics: <= 0 means one worker per CPU). Like the
-	// tracer, it never affects what is observed.
+	// Workers bounds the per-user fan-out of NewObservationStore and
+	// RunThroughput (par.Workers semantics: <= 0 means one worker per CPU).
+	// Like the tracer, it never affects what is observed.
 	Workers int
 }
 
@@ -159,110 +159,26 @@ func NewCampaign(r *rng.Source, spec scenario.CrowdSpec) *Campaign {
 	}
 }
 
-// observeChunk bounds how many users' observations Observe holds in memory
-// at once: large enough to keep every worker busy between emission barriers,
-// small enough that streaming consumers never see the whole campaign
-// materialised.
-const observeChunk = 64
-
-// Observe is THE observation walk of the ping campaign — the single source
-// every consumer (batch slices, streaming telemetry) derives from. For every
-// user it measures the nearest edge site, the 3rd-nearest edge site, the
-// nearest cloud region and every cloud region (for the all-clouds average),
-// and hands each Observation to sink in user-then-target order.
-//
-// Users probe in parallel (c.Workers wide) in chunks of observeChunk,
-// and each chunk is emitted in order once measured, so memory stays bounded
-// by the chunk, not the campaign. Each user draws from an independent
-// sub-stream forked deterministically from r before the fan-out, so the
-// emitted sequence is byte-identical for a given seed regardless of
-// GOMAXPROCS — which is what guarantees batch/stream equivalence by
-// construction for every scenario.
-//
-// Within one user, every target is measured with an *identical* sub-stream
-// (common random numbers): the user's access link and local conditions are
-// shared across their probes, so coupling the draws both mirrors the
-// measurement reality and keeps per-user orderings (nearest edge vs cloud,
-// nearest vs 3rd-nearest) stable at small sample counts.
-func (c *Campaign) Observe(r *rng.Source, sink func(Observation)) {
-	seeds := make([]uint64, len(c.Users))
-	for i, u := range c.Users {
-		seeds[i] = r.Fork(fmt.Sprintf("user-%d", u.ID)).Uint64()
-	}
-	// The per-slot observation buffers and probe scratch live for the whole
-	// walk: each chunk re-fills slot j's backing arrays (observeUser sizes
-	// them exactly on first use), so steady-state chunks allocate nothing
-	// and GC pressure stays flat even at stress-scenario populations.
-	buf := make([][]Observation, observeChunk)
-	scratch := make([]obsScratch, observeChunk)
-	for start := 0; start < len(c.Users); start += observeChunk {
-		end := start + observeChunk
-		if end > len(c.Users) {
-			end = len(c.Users)
-		}
-		chunk := buf[:end-start]
-		span := c.Tracer.Begin("observe-chunk", 0)
-		c.Tracer.Annotate(span, "users", strconv.Itoa(start)+"-"+strconv.Itoa(end-1))
-		par.ForEach(end-start, c.Workers, func(j int) {
-			chunk[j] = c.observeUser(seeds[start+j], c.Users[start+j], chunk[j][:0], &scratch[j])
-		})
-		c.Tracer.End(span)
-		for _, o := range chunk {
-			for _, ob := range o {
-				sink(ob)
-			}
-		}
-	}
-}
-
-// obsScratch is one worker slot's reusable probe state: the ping buffer
+// obsScratch is one worker's reusable probe state: the ping buffer
 // VirtualPingInto refills and the selection scratch the median query reuses.
-// Both warm up to the per-target sizes on the first user and allocate
-// nothing afterwards.
 type obsScratch struct {
 	ping probe.PingStats
 	sel  stats.Scratch
 }
 
 // observeUser measures every target of one user from a common-random-number
-// sub-stream rebuilt per target off the user's pre-forked seed, appending
-// into dst (allocated to the exact per-user size when its capacity is short).
-func (c *Campaign) observeUser(seed uint64, u User, dst []Observation, sc *obsScratch) []Observation {
+// sub-stream rebuilt per target off the user's pre-forked seed, writing its
+// 3 + len(c.Cloud.Sites) observations into st from row on.
+func (c *Campaign) observeUser(seed uint64, u User, st *ObservationStore, row int, sc *obsScratch) {
 	crn := func() *rng.Source { return rng.New(seed) }
 	edgeRank := c.NEP.NearestSites(u.Loc)
 	cloudRank := c.Cloud.NearestSites(u.Loc)
-
-	if need := 3 + len(cloudRank); cap(dst) < need {
-		dst = make([]Observation, 0, need)
+	st.set(row, c.observe(crn(), u, NearestEdge, c.NEP.Sites[edgeRank[0]], sc))
+	st.set(row+1, c.observe(crn(), u, ThirdNearestEdge, c.NEP.Sites[edgeRank[2]], sc))
+	st.set(row+2, c.observe(crn(), u, NearestCloud, c.Cloud.Sites[cloudRank[0]], sc))
+	for j, ci := range cloudRank {
+		st.set(row+3+j, c.observe(crn(), u, CloudMember, c.Cloud.Sites[ci], sc))
 	}
-	obs := dst
-	obs = append(obs, c.observe(crn(), u, NearestEdge, c.NEP.Sites[edgeRank[0]], sc))
-	if len(edgeRank) >= 3 {
-		obs = append(obs, c.observe(crn(), u, ThirdNearestEdge, c.NEP.Sites[edgeRank[2]], sc))
-	}
-	obs = append(obs, c.observe(crn(), u, NearestCloud, c.Cloud.Sites[cloudRank[0]], sc))
-	for _, ci := range cloudRank {
-		obs = append(obs, c.observe(crn(), u, CloudMember, c.Cloud.Sites[ci], sc))
-	}
-	return obs
-}
-
-// RunLatency is the batch consumer of Observe: it collects the one
-// observation walk into a slice.
-func (c *Campaign) RunLatency(r *rng.Source) []Observation {
-	out := make([]Observation, 0, len(c.Users)*(3+len(c.Cloud.Sites)))
-	c.Observe(r, func(o Observation) { out = append(out, o) })
-	return out
-}
-
-// StreamLatency is the streaming consumer of Observe: each observation is
-// handed to emit as soon as its chunk is measured, without materialising
-// the campaign in memory. It is the emission hook the telemetry pipeline
-// replays through. Both RunLatency and StreamLatency are thin sinks over
-// the same walk, so for a given seed the streamed observations are the
-// batch slice's, element for element — by construction, for every scenario.
-func (c *Campaign) StreamLatency(r *rng.Source, emit func(Observation)) {
-	c.Observe(r, emit)
 }
 
 func (c *Campaign) observe(r *rng.Source, u User, kind TargetKind, site *topology.Site, sc *obsScratch) Observation {
@@ -284,7 +200,6 @@ func (c *Campaign) observe(r *rng.Source, u User, kind TargetKind, site *topolog
 		Access:      u.Access,
 		Target:      kind,
 		SiteMetro:   site.City.Name,
-		DistanceKm:  dist,
 		CityDistKm:  cityDist,
 		MedianRTTMs: sc.sel.Percentile(st.RTTs, 50), // == st.MedianMs(), no copy alloc
 		CV:          st.CV(),
@@ -326,7 +241,7 @@ func (c *Campaign) RunThroughput(r *rng.Source) []ThroughputObs {
 	}
 
 	// Testers: reuse latency users, flipping some to wired access. As in
-	// Observe, each tester gets a pre-forked sub-stream and an output slot,
+	// the latency walk, each tester gets a pre-forked sub-stream and an output slot,
 	// so the parallel fan-out stays deterministic.
 	n := c.Spec.ThroughputUsers
 	if n > len(c.Users) {

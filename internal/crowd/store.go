@@ -1,36 +1,32 @@
 package crowd
 
 import (
+	"fmt"
+	"strconv"
+
 	"edgescope/internal/netmodel"
+	"edgescope/internal/par"
 	"edgescope/internal/rng"
 	"edgescope/internal/stats"
 )
 
-// ObservationStore is the columnar observation plane of the latency
-// campaign: the fields the latency-family artifacts aggregate over
-// (median RTT, CV, hop count, shares, distances, access, target, user) laid
-// out as struct-of-arrays columns in emission order, plus prebuilt row
-// indexes grouped by access×target. It is built once as the latency
-// substrate; every builder that used to re-walk and re-bucket the
-// array-of-structs []Observation (Figure 2a/2b, Table 3, Table 4, Figure 3,
-// the telemetry batch cross-check) instead scans dense columns through a
-// precomputed group index. The original []Observation slice is retained as a
-// thin view (View) for consumers that need whole records — the streaming
-// sink and the telemetry replay — so crowd.Observe stays the one walk.
+// ObservationStore is the latency campaign's one observation
+// representation: every field of every Observation laid out as
+// struct-of-arrays columns in walk order, plus prebuilt row indexes grouped
+// by access×target. The campaign walk writes straight into the columns, and
+// every consumer reads them: the latency-family artifacts (Figure 2a/2b,
+// Table 3, Table 4, Figure 3) scan dense columns through the group index,
+// and the telemetry replay reassembles whole records with Row.
 //
-// Aggregations exploit the walk's emission order: observations arrive
-// user-major with ascending user IDs, so each user's rows are one
-// contiguous run both globally and within any group index, and per-user
-// collapses are run detections instead of map building. The aggregation
-// methods mirror the []Observation helpers in aggregate.go value for value
-// (pinned by TestObservationStoreMatchesSlice).
+// Rows are user-major with ascending user IDs (each user owns rowsPerUser
+// consecutive rows), so each user's rows are one contiguous run both
+// globally and within any group index, and per-user collapses are run
+// detections instead of map building.
 type ObservationStore struct {
-	view []Observation
-
 	userID    []int32
 	access    []uint8
 	target    []uint8
-	distKm    []float64
+	siteMetro []string
 	cityKm    []float64
 	medianRTT []float64
 	cv        []float64
@@ -41,7 +37,7 @@ type ObservationStore struct {
 	shareRest []float64
 
 	// groups[a][k] lists the row indexes with Access a and Target k, in
-	// emission order.
+	// row order.
 	groups [numAccessCols][numTargetCols][]int32
 }
 
@@ -50,23 +46,35 @@ const (
 	numTargetCols = 4 // nearest/3rd-nearest edge, nearest cloud, cloud member
 )
 
-// NewObservationStore runs the campaign's one observation walk and builds
-// the columnar substrate from it. The RNG draws are exactly RunLatency's.
+// NewObservationStore runs THE observation walk of the ping campaign. For
+// every user it measures the nearest edge site, the 3rd-nearest edge site,
+// the nearest cloud region and every cloud region (for the all-clouds
+// average), in that order, so every user contributes exactly
+// 3 + len(c.Cloud.Sites) rows.
+//
+// Users probe in parallel (c.Workers wide), each writing its rows straight
+// into the preallocated columns at its own offset. Each user draws from an
+// independent sub-stream forked deterministically from r before the
+// fan-out, so the store is byte-identical for a given seed regardless of
+// worker count or GOMAXPROCS.
+//
+// Within one user, every target is measured with an *identical* sub-stream
+// (common random numbers): the user's access link and local conditions are
+// shared across their probes, so coupling the draws both mirrors the
+// measurement reality and keeps per-user orderings (nearest edge vs cloud,
+// nearest vs 3rd-nearest) stable at small sample counts.
 func NewObservationStore(c *Campaign, r *rng.Source) *ObservationStore {
-	return BuildObservationStore(c.RunLatency(r))
-}
-
-// BuildObservationStore columnarises an already-materialised observation
-// slice. The slice is retained as the store's view; it must not be mutated
-// afterwards.
-func BuildObservationStore(obs []Observation) *ObservationStore {
-	n := len(obs)
+	seeds := make([]uint64, len(c.Users))
+	for i, u := range c.Users {
+		seeds[i] = r.Fork(fmt.Sprintf("user-%d", u.ID)).Uint64()
+	}
+	rowsPerUser := 3 + len(c.Cloud.Sites)
+	n := len(c.Users) * rowsPerUser
 	st := &ObservationStore{
-		view:      obs,
 		userID:    make([]int32, n),
 		access:    make([]uint8, n),
 		target:    make([]uint8, n),
-		distKm:    make([]float64, n),
+		siteMetro: make([]string, n),
 		cityKm:    make([]float64, n),
 		medianRTT: make([]float64, n),
 		cv:        make([]float64, n),
@@ -76,11 +84,22 @@ func BuildObservationStore(obs []Observation) *ObservationStore {
 		share3:    make([]float64, n),
 		shareRest: make([]float64, n),
 	}
+
+	span := c.Tracer.Begin("observe", 0)
+	c.Tracer.Annotate(span, "users", strconv.Itoa(len(c.Users)))
+	// Probe scratch is per worker: it warms to the per-target sizes on a
+	// worker's first user and allocates nothing afterwards.
+	scratch := make([]obsScratch, par.Workers(c.Workers))
+	par.ForEachWorker(len(c.Users), c.Workers, func(w, i int) {
+		c.observeUser(seeds[i], c.Users[i], st, i*rowsPerUser, &scratch[w])
+	})
+	c.Tracer.End(span)
+
 	// Count group sizes first so every index slice is allocated exactly
 	// once at its final length.
 	var sizes [numAccessCols][numTargetCols]int32
-	for i := range obs {
-		sizes[int(obs[i].Access)][int(obs[i].Target)]++
+	for i := range st.access {
+		sizes[st.access[i]][st.target[i]]++
 	}
 	for a := range st.groups {
 		for k := range st.groups[a] {
@@ -89,33 +108,54 @@ func BuildObservationStore(obs []Observation) *ObservationStore {
 			}
 		}
 	}
-	for i := range obs {
-		o := &obs[i]
-		st.userID[i] = int32(o.UserID)
-		st.access[i] = uint8(o.Access)
-		st.target[i] = uint8(o.Target)
-		st.distKm[i] = o.DistanceKm
-		st.cityKm[i] = o.CityDistKm
-		st.medianRTT[i] = o.MedianRTTMs
-		st.cv[i] = o.CV
-		st.hops[i] = int32(o.HopCount)
-		st.share1[i] = o.Share1
-		st.share2[i] = o.Share2
-		st.share3[i] = o.Share3
-		st.shareRest[i] = o.ShareRest
-		st.groups[int(o.Access)][int(o.Target)] = append(st.groups[int(o.Access)][int(o.Target)], int32(i))
+	for i := range st.access {
+		a, k := st.access[i], st.target[i]
+		st.groups[a][k] = append(st.groups[a][k], int32(i))
 	}
 	return st
 }
 
-// View returns the array-of-structs view of the store, in emission order.
-// It is the same backing slice the store was built from; treat it as
-// read-only.
-func (st *ObservationStore) View() []Observation { return st.view }
+// set writes one observation into row i of every column.
+func (st *ObservationStore) set(i int, o Observation) {
+	st.userID[i] = int32(o.UserID)
+	st.access[i] = uint8(o.Access)
+	st.target[i] = uint8(o.Target)
+	st.siteMetro[i] = o.SiteMetro
+	st.cityKm[i] = o.CityDistKm
+	st.medianRTT[i] = o.MedianRTTMs
+	st.cv[i] = o.CV
+	st.hops[i] = int32(o.HopCount)
+	st.share1[i] = o.Share1
+	st.share2[i] = o.Share2
+	st.share3[i] = o.Share3
+	st.shareRest[i] = o.ShareRest
+}
+
+// Len returns the number of observations (rows) in the store.
+func (st *ObservationStore) Len() int { return len(st.userID) }
+
+// Row reassembles observation i, in walk order, from the columns.
+func (st *ObservationStore) Row(i int) Observation {
+	return Observation{
+		UserID:      int(st.userID[i]),
+		Access:      netmodel.Access(st.access[i]),
+		Target:      TargetKind(st.target[i]),
+		SiteMetro:   st.siteMetro[i],
+		CityDistKm:  st.cityKm[i],
+		MedianRTTMs: st.medianRTT[i],
+		CV:          st.cv[i],
+		HopCount:    int(st.hops[i]),
+		Share1:      st.share1[i],
+		Share2:      st.share2[i],
+		Share3:      st.share3[i],
+		ShareRest:   st.shareRest[i],
+	}
+}
 
 // perUserMeans collapses one column of an access×target group to one mean
-// per user, in ascending user order — the columnar equivalent of perUser in
-// aggregate.go (same sums, same division, bit for bit).
+// per user, in ascending user order. For CloudMember targets a user's rows
+// over all cloud regions average to one value (the paper's "all clouds"
+// baseline); other targets have one row per user.
 func (st *ObservationStore) perUserMeans(a netmodel.Access, k TargetKind, col []float64) []float64 {
 	idx := st.groups[int(a)][int(k)]
 	if len(idx) == 0 {
@@ -168,14 +208,13 @@ func (st *ObservationStore) HopBreakdown(a netmodel.Access, k TargetKind) HopBre
 }
 
 // CoLocationTable classifies every user and averages RTT and city-level
-// distance to the nearest edge/cloud per class (Table 4). Unlike the
-// map-based slice helper, users accumulate in ascending-ID order, so the
-// class sums are deterministic run to run.
+// distance to the nearest edge/cloud per class (Table 4). Users accumulate
+// in ascending-ID order, so the class sums are deterministic run to run.
 func (st *ObservationStore) CoLocationTable() []Table4Row {
 	rows := make([]Table4Row, 3)
 	counts := make([]float64, 3)
 	var total float64
-	n := len(st.view)
+	n := st.Len()
 	for i := 0; i < n; {
 		uid := st.userID[i]
 		var rttE, rttC, distE, distC float64
@@ -223,8 +262,8 @@ func (st *ObservationStore) CoLocationTable() []Table4Row {
 	return rows
 }
 
-// HopCounts returns the hop-count samples for Figure 3 in emission order:
-// edge collects nearest-edge observations, cloud collects nearest-cloud and
+// HopCounts returns the hop-count samples for Figure 3 in row order: edge
+// collects nearest-edge observations, cloud collects nearest-cloud and
 // cloud-member observations.
 func (st *ObservationStore) HopCounts(edge bool) []float64 {
 	var out []float64
@@ -243,9 +282,8 @@ func (st *ObservationStore) HopCounts(edge bool) []float64 {
 }
 
 // AppendMedianRTTs appends the median-RTT column (every target) to dst in
-// emission order: every access network when all is true, otherwise only
-// rows of the given access. It is the telemetry batch cross-check's slice
-// builder.
+// row order: every access network when all is true, otherwise only rows of
+// the given access. It is the telemetry batch cross-check's slice builder.
 func (st *ObservationStore) AppendMedianRTTs(dst []float64, a netmodel.Access, all bool) []float64 {
 	if all {
 		return append(dst, st.medianRTT...)

@@ -24,7 +24,7 @@ func scenarioEvents(t *testing.T, sp *scenario.Spec) []Envelope {
 	t.Helper()
 	r := rng.New(sp.Seed)
 	c := crowd.NewCampaign(r.Fork("campaign"), sp.Crowd)
-	return LatencyEvents(c.RunLatency(r.Fork("latency")))
+	return LatencyEvents(crowd.NewObservationStore(c, r.Fork("latency")))
 }
 
 // chaosRun streams events through a fault injector + retrying client into a

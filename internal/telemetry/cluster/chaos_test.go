@@ -30,7 +30,7 @@ func scenarioEvents(t *testing.T, sp *scenario.Spec) []telemetry.Envelope {
 	t.Helper()
 	r := rng.New(sp.Seed)
 	c := crowd.NewCampaign(r.Fork("campaign"), sp.Crowd)
-	return telemetry.LatencyEvents(c.RunLatency(r.Fork("latency")))
+	return telemetry.LatencyEvents(crowd.NewObservationStore(c, r.Fork("latency")))
 }
 
 // fingerprintSpecs are the answer surfaces the identity pins compare.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"edgescope/internal/crowd"
-	"edgescope/internal/rng"
 )
 
 // Replay turns the paper's deterministic batch campaign into the streaming
@@ -59,44 +58,17 @@ func latencyEnvelopes(o crowd.Observation, i int) [2]Envelope {
 	}
 }
 
-// LatencyEvents converts already-materialised latency observations into
-// ping envelopes — the batch-side bridge used where the observation set
-// already exists as a substrate (the ext-telemetry cross-check artifact).
-// For event-at-a-time replay without materialising the campaign, use
-// ReplayCampaignLatencyFunc.
-func LatencyEvents(obs []crowd.Observation) []Envelope {
-	out := make([]Envelope, 0, 2*len(obs))
-	for i, o := range obs {
-		es := latencyEnvelopes(o, i)
+// LatencyEvents converts the campaign's latency store into ping
+// envelopes, two per observation in row order. It is the one latency
+// stream every consumer replays: the ext-telemetry cross-check artifact
+// and `telemetryd -replay`, whichever transport delivers it.
+func LatencyEvents(st *crowd.ObservationStore) []Envelope {
+	out := make([]Envelope, 0, 2*st.Len())
+	for i := 0; i < st.Len(); i++ {
+		es := latencyEnvelopes(st.Row(i), i)
 		out = append(out, es[0], es[1])
 	}
 	return out
-}
-
-// ReplayCampaignLatencyFunc drives the campaign's crowd.StreamLatency
-// emission hook straight into a send function — an ingestor's Offer, a
-// cluster router, an HTTP sender, a fault injector: each observation is
-// measured, converted and sent one at a time, so the full campaign is never
-// held in memory. The hook's randomness contract makes this produce exactly
-// the envelopes LatencyEvents(campaign.RunLatency(r)) would, pinned by test,
-// whatever the delivery path, so a clustered replay feeds every node exactly
-// the stream a single process would have folded. The caller owns whatever
-// flush or drain its transport needs.
-func ReplayCampaignLatencyFunc(send func(Envelope) bool, c *crowd.Campaign, r *rng.Source) ReplayStats {
-	var st ReplayStats
-	i := 0
-	c.StreamLatency(r, func(o crowd.Observation) {
-		for _, e := range latencyEnvelopes(o, i) {
-			st.Events++
-			if send(e) {
-				st.Accepted++
-			} else {
-				st.Dropped++
-			}
-		}
-		i++
-	})
-	return st
 }
 
 // ThroughputEvents converts iperf observations into envelopes. Throughput

@@ -447,43 +447,6 @@ func TestWindowRetentionManyKeys(t *testing.T) {
 	}
 }
 
-// TestReplayCampaignLatencyMatchesBatch pins the streaming emission path:
-// driving crowd.StreamLatency straight into the ingestor yields exactly the
-// rollup state of replaying the materialised batch observations.
-func TestReplayCampaignLatencyMatchesBatch(t *testing.T) {
-	const seed = 6
-	mkCampaign := func() *crowd.Campaign {
-		return crowd.NewCampaign(rng.New(seed).Fork("campaign"), scenario.CrowdSpec{Users: 20, Repeats: 5})
-	}
-	query := func(ing *Ingestor) QueryResult {
-		res, err := ing.Query(QuerySpec{Metric: MetricRTT, CDFAt: []float64{20, 40, 80}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	streamed := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
-	defer streamed.Close()
-	st := ReplayCampaignLatencyFunc(streamed.Offer, mkCampaign(), rng.New(seed).Fork("latency"))
-	streamed.Flush()
-	if st.Dropped != 0 || st.Events == 0 || st.Accepted != st.Events {
-		t.Fatalf("streaming replay stats: %+v", st)
-	}
-
-	batch := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
-	defer batch.Close()
-	obs := mkCampaign().RunLatency(rng.New(seed).Fork("latency"))
-	Replay(batch, LatencyEvents(obs))
-
-	if 2*len(obs) != st.Events {
-		t.Fatalf("streamed %d events, batch path has %d", st.Events, 2*len(obs))
-	}
-	if got, want := query(streamed), query(batch); !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed and batch rollups diverge:\nstream: %+v\n batch: %+v", got, want)
-	}
-}
-
 // TestIngestDeterministicForFixedShardCount pins the replay determinism
 // contract: same event stream + same shard count ⇒ identical query answers,
 // run to run.
@@ -513,26 +476,7 @@ func campaignEvents(t *testing.T) []Envelope {
 	t.Helper()
 	r := rng.New(1)
 	c := crowd.NewCampaign(r.Fork("campaign"), scenario.CrowdSpec{Users: 40, Repeats: 8})
-	obs := c.RunLatency(r.Fork("latency"))
-	return LatencyEvents(obs)
-}
-
-// TestStreamLatencyMatchesRunLatency pins the crowd emission hook: the
-// streaming path emits exactly the batch path's observations, in order.
-func TestStreamLatencyMatchesRunLatency(t *testing.T) {
-	mk := func() (*crowd.Campaign, *rng.Source) {
-		r := rng.New(3)
-		return crowd.NewCampaign(r.Fork("campaign"), scenario.CrowdSpec{Users: 12, Repeats: 4}), r.Fork("latency")
-	}
-	c1, r1 := mk()
-	batch := c1.RunLatency(r1)
-	c2, r2 := mk()
-	var streamed []crowd.Observation
-	c2.StreamLatency(r2, func(o crowd.Observation) { streamed = append(streamed, o) })
-	if !reflect.DeepEqual(batch, streamed) {
-		t.Fatalf("StreamLatency diverged from RunLatency: %d vs %d observations",
-			len(batch), len(streamed))
-	}
+	return LatencyEvents(crowd.NewObservationStore(c, r.Fork("latency")))
 }
 
 // TestReplayMatchesBatchSummary is the PR's acceptance pin: streaming
@@ -541,7 +485,7 @@ func TestStreamLatencyMatchesRunLatency(t *testing.T) {
 func TestReplayMatchesBatchSummary(t *testing.T) {
 	r := rng.New(1)
 	c := crowd.NewCampaign(r.Fork("campaign"), scenario.CrowdSpec{Users: 60, Repeats: 10})
-	obs := c.RunLatency(r.Fork("latency"))
+	obs := crowd.NewObservationStore(c, r.Fork("latency"))
 	events := LatencyEvents(obs)
 
 	ing := NewIngestor(Config{Shards: 4, Window: time.Minute, Block: true})
@@ -551,18 +495,14 @@ func TestReplayMatchesBatchSummary(t *testing.T) {
 		t.Fatalf("lossless replay violated: %+v", st)
 	}
 
-	var rtts []float64
-	for _, o := range obs {
-		rtts = append(rtts, o.MedianRTTMs)
-	}
-	batch := stats.Summarize(rtts)
+	batch := stats.Summarize(obs.AppendMedianRTTs(nil, 0, true))
 
 	res, err := ing.Query(QuerySpec{Metric: MetricRTT, Quantiles: []float64{0.5, 0.95, 0.99}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count != float64(len(obs)) {
-		t.Fatalf("streamed count %v != batch %d", res.Count, len(obs))
+	if res.Count != float64(obs.Len()) {
+		t.Fatalf("streamed count %v != batch %d", res.Count, obs.Len())
 	}
 	for _, qe := range res.Quantiles {
 		rankErr := math.Abs(batch.CDFAt(qe.Value) - qe.Q)
@@ -575,8 +515,8 @@ func TestReplayMatchesBatchSummary(t *testing.T) {
 	// Per-dimension cross-check: each access network separately.
 	for _, net := range []string{"WiFi", "LTE"} {
 		var sub []float64
-		for _, o := range obs {
-			if o.Access.String() == net {
+		for i := 0; i < obs.Len(); i++ {
+			if o := obs.Row(i); o.Access.String() == net {
 				sub = append(sub, o.MedianRTTMs)
 			}
 		}
