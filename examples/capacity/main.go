@@ -46,10 +46,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		var rates []float64
-		for _, sr := range t.SiteSalesRates() {
-			rates = append(rates, sr.CPU)
-		}
+		rates := t.SiteSalesRates()
 		fmt.Printf("placement %-12s cross-site CPU sales-rate gap (P95/P5): %6.1fx\n",
 			strat.Name(), stats.GapRatio(rates, 0.005))
 	}

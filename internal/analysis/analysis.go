@@ -120,7 +120,6 @@ func Utilization(d *vm.Dataset) UtilizationSummary {
 // and per-site CPU usage and bandwidth, normalised to the smallest, plus
 // their max/min gaps.
 type ImbalanceReport struct {
-	Province string
 	// SiteCPU / SiteNET hold one mean value per site (normalised); Gap
 	// fields are max/min ratios before normalisation flooring.
 	SiteCPU []float64
@@ -141,11 +140,10 @@ type ImbalanceReport struct {
 // servers'; NET is total bandwidth. Returns a zero report when the province
 // hosts nothing.
 func Imbalance(d *vm.Dataset, province string) ImbalanceReport {
-	rep := ImbalanceReport{Province: province}
+	var rep ImbalanceReport
 	siteVMs := d.SiteVMs()
 
 	type siteStat struct {
-		idx   int
 		cpu   float64
 		net   float64
 		vmCt  int
@@ -166,7 +164,7 @@ func Imbalance(d *vm.Dataset, province string) ImbalanceReport {
 		if bw := d.SiteBandwidth(i); bw != nil {
 			net = bw.Mean()
 		}
-		sites = append(sites, siteStat{idx: i, cpu: cpuSum / float64(len(usage)), net: net,
+		sites = append(sites, siteStat{cpu: cpuSum / float64(len(usage)), net: net,
 			vmCt: len(siteVMs[i]), usage: usage})
 	}
 	if len(sites) == 0 {

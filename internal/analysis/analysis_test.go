@@ -139,13 +139,25 @@ func usageSeries(vals ...float64) *timeseries.Series {
 	return timeseries.New(time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC), 5*time.Minute, vals)
 }
 
+// fixedCPU is a hand-built VM's CPUSource: it replays the samples it holds.
+type fixedCPU struct{ s *timeseries.Series }
+
+func (c fixedCPU) FillCPU(dst *timeseries.Series) {
+	copy(dst.Refill(c.s.Start, c.s.Interval, c.s.Len()), c.s.Values)
+}
+
+func (c fixedCPU) CPUInterval() time.Duration { return c.s.Interval }
+
+// withCPU builds v with the CPU samples cpu.
+func withCPU(v vm.VM, cpu *timeseries.Series) *vm.VM { return vm.New(v, cpu, fixedCPU{cpu}) }
+
 // TestServerUsagesWeighted: a lone VM's vCPU weight cancels, so its server's
 // usage is the VM's own mean CPU and its NET the VM's mean bandwidth; servers
 // that host nothing are absent, and the rest come back by ascending index.
 func TestServerUsagesWeighted(t *testing.T) {
 	d := &vm.Dataset{VMs: []*vm.VM{
-		vm.New(vm.VM{ID: 0, Server: 3, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30), nil),
-		vm.New(vm.VM{ID: 1, Server: 1, VCPUs: 4, PublicBW: usageSeries(10, 10, 10)}, usageSeries(5, 5, 5), nil),
+		withCPU(vm.VM{Server: 3, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30)),
+		withCPU(vm.VM{Server: 1, VCPUs: 4, PublicBW: usageSeries(10, 10, 10)}, usageSeries(5, 5, 5)),
 	}}
 	var buf timeseries.Series
 	got := serverUsages(d, []int{0, 1}, &buf)
@@ -160,8 +172,8 @@ func TestServerUsagesWeighted(t *testing.T) {
 // 40), and their mean bandwidths add.
 func TestServerUsagesMultiVM(t *testing.T) {
 	d := &vm.Dataset{VMs: []*vm.VM{
-		vm.New(vm.VM{ID: 0, Server: 0, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30), nil),
-		vm.New(vm.VM{ID: 1, Server: 0, VCPUs: 16, PublicBW: usageSeries(50, 50, 50)}, usageSeries(40, 50, 60), nil),
+		withCPU(vm.VM{Server: 0, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30)),
+		withCPU(vm.VM{Server: 0, VCPUs: 16, PublicBW: usageSeries(50, 50, 50)}, usageSeries(40, 50, 60)),
 	}}
 	var buf timeseries.Series
 	got := serverUsages(d, []int{0, 1}, &buf)

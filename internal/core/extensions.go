@@ -76,7 +76,7 @@ func (s *Suite) ExtMigration() *report.Table {
 	}
 	for _, budget := range []int{10, 50, 200} {
 		res := placement.RebalanceCPU(d, budget, 10)
-		t.AddRow(budget, len(res.Migrations), res.GapBefore, res.GapAfter,
+		t.AddRow(budget, res.Moves, res.GapBefore, res.GapAfter,
 			res.MovedGB, res.EstSeconds)
 	}
 	return t

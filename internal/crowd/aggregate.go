@@ -8,8 +8,6 @@ import (
 // HopBreakdownRow is one cell group of Table 3: the mean share of
 // end-to-end latency contributed by the first three hops and the rest.
 type HopBreakdownRow struct {
-	Access                 netmodel.Access
-	Target                 TargetKind
 	Share1, Share2, Share3 float64
 	ShareRest              float64
 }

@@ -262,13 +262,12 @@ func (c *Campaign) RunThroughput(r *rng.Source) []ThroughputObs {
 			dist := geo.Haversine(u.Loc, s.Loc)
 			path := netmodel.BuildPath(ru, u.Access, netmodel.EdgeSite, dist)
 			for _, dir := range []netmodel.Direction{netmodel.Downlink, netmodel.Uplink} {
-				res := probe.VirtualIperf(ru, path, dir, c.Spec.ServerMbps)
 				obs = append(obs, ThroughputObs{
 					UserID:     u.ID,
 					Access:     u.Access,
 					Dir:        dir,
 					DistanceKm: dist,
-					Mbps:       res.Mbps,
+					Mbps:       probe.VirtualIperf(ru, path, dir, c.Spec.ServerMbps),
 				})
 			}
 		}

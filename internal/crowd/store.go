@@ -190,7 +190,7 @@ func (st *ObservationStore) MedianCVAcrossUsers(a netmodel.Access, k TargetKind)
 // HopBreakdown averages the per-hop latency shares across one access×target
 // group (Table 3).
 func (st *ObservationStore) HopBreakdown(a netmodel.Access, k TargetKind) HopBreakdownRow {
-	row := HopBreakdownRow{Access: a, Target: k}
+	var row HopBreakdownRow
 	idx := st.groups[int(a)][int(k)]
 	for _, i := range idx {
 		row.Share1 += st.share1[i]

@@ -69,7 +69,7 @@ func refMedianCVAcrossUsers(obs []Observation, a netmodel.Access, k TargetKind) 
 }
 
 func refHopBreakdown(obs []Observation, a netmodel.Access, k TargetKind) HopBreakdownRow {
-	row := HopBreakdownRow{Access: a, Target: k}
+	var row HopBreakdownRow
 	var n float64
 	for _, o := range obs {
 		if o.Access != a || o.Target != k {

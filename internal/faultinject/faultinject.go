@@ -1,6 +1,6 @@
 // Package faultinject is edgescope's deterministic chaos harness for the
 // telemetry ingest path. An Injector wraps an offer function with a
-// seed-driven fault plan (scenario.FaultSpec): events are dropped,
+// seed-driven fault plan (Spec): events are dropped,
 // duplicated, held back and re-delivered out of order, or refused wholesale
 // while a shard "stalls"; a companion io.Writer wrapper cuts WAL writes
 // short to forge torn tails. Every fault is decided by a deterministic draw
@@ -24,7 +24,6 @@ import (
 	"io"
 
 	"edgescope/internal/rng"
-	"edgescope/internal/scenario"
 )
 
 // Fault kinds as recorded in the trace.
@@ -104,7 +103,7 @@ type Injector[E any] struct {
 // substreams. A nil/zero-rate spec is valid and injects nothing — and draws
 // nothing, so wiring an inactive injector through a pipeline leaves every
 // byte of its output unchanged.
-func New[E any](spec *scenario.FaultSpec, scenarioSeed uint64) *Injector[E] {
+func New[E any](spec *Spec, scenarioSeed uint64) *Injector[E] {
 	inj := &Injector[E]{stall: map[int]uint64{}}
 	inj.p.init(spec, scenarioSeed, eventActive(spec), "faultinject")
 	orDefault(&inj.p.spec.ReorderSpan, defaultReorderSpan)

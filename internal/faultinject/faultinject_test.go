@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"edgescope/internal/scenario"
 )
 
 // run pushes n synthetic events through an injector, collecting deliveries.
@@ -19,7 +17,7 @@ func run(inj *Injector[int], n int) []int {
 }
 
 func TestInactivePlanIsIdentity(t *testing.T) {
-	for _, spec := range []*scenario.FaultSpec{nil, {}} {
+	for _, spec := range []*Spec{nil, {}} {
 		inj := New[int](spec, 1)
 		got := run(inj, 100)
 		if len(got) != 100 {
@@ -37,7 +35,7 @@ func TestInactivePlanIsIdentity(t *testing.T) {
 }
 
 func TestSameSeedSameTrace(t *testing.T) {
-	spec := &scenario.FaultSpec{Drop: 0.05, Duplicate: 0.05, Reorder: 0.05, ShardStall: 0.01}
+	spec := &Spec{Drop: 0.05, Duplicate: 0.05, Reorder: 0.05, ShardStall: 0.01}
 	a := New[int](spec, 42)
 	b := New[int](spec, 42)
 	run(a, 2000)
@@ -60,12 +58,12 @@ func TestSameSeedSameTrace(t *testing.T) {
 	d := New[int](&pinned, 99)
 	run(d, 2000)
 	if !reflect.DeepEqual(ta, d.Trace()) {
-		t.Fatal("FaultSpec.Seed did not override the scenario seed")
+		t.Fatal("Spec.Seed did not override the scenario seed")
 	}
 }
 
 func TestDropLosesEvents(t *testing.T) {
-	inj := New[int](&scenario.FaultSpec{Drop: 1}, 1)
+	inj := New[int](&Spec{Drop: 1}, 1)
 	if got := run(inj, 50); len(got) != 0 {
 		t.Fatalf("drop=1 delivered %d events", len(got))
 	}
@@ -75,14 +73,14 @@ func TestDropLosesEvents(t *testing.T) {
 }
 
 func TestDuplicateDeliversTwice(t *testing.T) {
-	inj := New[int](&scenario.FaultSpec{Duplicate: 1}, 1)
+	inj := New[int](&Spec{Duplicate: 1}, 1)
 	if got := run(inj, 50); len(got) != 100 {
 		t.Fatalf("duplicate=1 delivered %d events, want 100", len(got))
 	}
 }
 
 func TestReorderHoldsBackAndRedelivers(t *testing.T) {
-	inj := New[int](&scenario.FaultSpec{Reorder: 0.3, ReorderSpan: 5}, 7)
+	inj := New[int](&Spec{Reorder: 0.3, ReorderSpan: 5}, 7)
 	got := run(inj, 500)
 	if len(got) != 500 {
 		t.Fatalf("reorder lost events: %d of 500", len(got))
@@ -104,7 +102,7 @@ func TestReorderHoldsBackAndRedelivers(t *testing.T) {
 }
 
 func TestShardStallRefusesShard(t *testing.T) {
-	inj := New[int](&scenario.FaultSpec{ShardStall: 1, StallSpan: 1 << 30}, 1)
+	inj := New[int](&Spec{ShardStall: 1, StallSpan: 1 << 30}, 1)
 	okShard0 := 0
 	for i := 0; i < 100; i++ {
 		if inj.Offer(i, 0, func(int) bool { return true }) {
@@ -123,7 +121,7 @@ func TestShardStallRefusesShard(t *testing.T) {
 // held-back event, so a refused redelivery (hard-full queue, shed) is real
 // loss — it must surface in Stats.HeldLost, never vanish.
 func TestHeldRedeliveryRefusedCounted(t *testing.T) {
-	inj := New[int](&scenario.FaultSpec{Reorder: 1, ReorderSpan: 2}, 1)
+	inj := New[int](&Spec{Reorder: 1, ReorderSpan: 2}, 1)
 	refuse := func(int) bool { return false }
 	for i := 0; i < 10; i++ {
 		if !inj.Offer(i, 0, refuse) {
@@ -139,7 +137,7 @@ func TestHeldRedeliveryRefusedCounted(t *testing.T) {
 		t.Fatalf("HeldLost = %d, want 10 (every redelivery refused)", st.HeldLost)
 	}
 	// Accepted redeliveries count nothing.
-	ok := New[int](&scenario.FaultSpec{Reorder: 1, ReorderSpan: 2}, 1)
+	ok := New[int](&Spec{Reorder: 1, ReorderSpan: 2}, 1)
 	if got := run(ok, 10); len(got) != 10 {
 		t.Fatalf("lossless redelivery delivered %d of 10", len(got))
 	}
@@ -149,7 +147,7 @@ func TestHeldRedeliveryRefusedCounted(t *testing.T) {
 }
 
 func TestShortWriteCutsAndErrors(t *testing.T) {
-	inj := New[int](&scenario.FaultSpec{ShortWrite: 1}, 1)
+	inj := New[int](&Spec{ShortWrite: 1}, 1)
 	var sink bytes.Buffer
 	w := inj.WrapWriter()(0, &sink)
 	n, err := w.Write([]byte("0123456789"))
@@ -163,7 +161,7 @@ func TestShortWriteCutsAndErrors(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Zero rate wraps nothing: the writer passes through untouched.
-	clean := New[int](&scenario.FaultSpec{Drop: 0.5}, 1)
+	clean := New[int](&Spec{Drop: 0.5}, 1)
 	var direct bytes.Buffer
 	if w := clean.WrapWriter()(0, &direct); w != &direct {
 		t.Fatal("zero short-write rate still wrapped the writer")

@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"edgescope/internal/scenario"
 )
 
 // update rewrites testdata/*.golden.json from the current implementation.
@@ -59,7 +57,7 @@ func kinds(trace []TraceEntry) map[string]int {
 }
 
 func TestGoldenEventTrace(t *testing.T) {
-	spec := &scenario.FaultSpec{
+	spec := &Spec{
 		Drop: 0.03, Duplicate: 0.03, Reorder: 0.03, Delay: 0.02,
 		ShardStall: 0.004, StallSpan: 24, ShortWrite: 0.02,
 	}
@@ -94,7 +92,7 @@ func TestGoldenEventTrace(t *testing.T) {
 }
 
 func TestGoldenNodeTrace(t *testing.T) {
-	spec := &scenario.FaultSpec{
+	spec := &Spec{
 		NodeCrash: 0.004, NodeCrashSpan: 40, NodeStall: 0.006, NetPartition: 0.005, NetPartitionSpan: 48,
 	}
 	var hooks []string
@@ -120,7 +118,7 @@ func TestGoldenNodeTrace(t *testing.T) {
 }
 
 func TestGoldenHandoffTrace(t *testing.T) {
-	spec := &scenario.FaultSpec{
+	spec := &Spec{
 		HandoffKillGaining: 0.08, HandoffPartitionSource: 0.06, HandoffCrashRecover: 0.08, HandoffSpan: 5,
 	}
 	var hooks []string

@@ -2,8 +2,6 @@ package faultinject
 
 import (
 	"fmt"
-
-	"edgescope/internal/scenario"
 )
 
 // Handoff-phase fault kinds, as recorded in the trace.
@@ -73,7 +71,7 @@ type HandoffInjector struct {
 // Seed; the stream forks under "faultinject-handoff", independent of the
 // event- and node-level forks. A plan with no handoff rates injects
 // nothing and draws nothing.
-func NewHandoff(spec *scenario.FaultSpec, scenarioSeed uint64, hooks HandoffHooks) *HandoffInjector {
+func NewHandoff(spec *Spec, scenarioSeed uint64, hooks HandoffHooks) *HandoffInjector {
 	inj := &HandoffInjector{hooks: hooks}
 	inj.init(spec, scenarioSeed, handoffActive(spec), "faultinject-handoff")
 	inj.reviveKind, inj.revive = KindHandoffKill, hooks.Recover

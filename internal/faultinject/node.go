@@ -1,7 +1,5 @@
 package faultinject
 
-import "edgescope/internal/scenario"
-
 // Node-level fault kinds, as recorded in the trace.
 const (
 	KindNodeCrash    = "node_crash"
@@ -67,7 +65,7 @@ type NodeInjector struct {
 // injector's fork, so the two planes can shake one run without perturbing
 // each other's draws. A plan with no node-level rates injects nothing and
 // draws nothing.
-func NewNode(spec *scenario.FaultSpec, scenarioSeed uint64, hooks NodeHooks) *NodeInjector {
+func NewNode(spec *Spec, scenarioSeed uint64, hooks NodeHooks) *NodeInjector {
 	inj := &NodeInjector{crash: hooks.Crash}
 	inj.init(spec, scenarioSeed, nodeActive(spec), "faultinject-node")
 	inj.reviveKind, inj.revive = KindNodeCrash, hooks.Restart

@@ -3,8 +3,6 @@ package faultinject
 import (
 	"reflect"
 	"testing"
-
-	"edgescope/internal/scenario"
 )
 
 // nodeHarness drives a NodeInjector over a synthetic cluster of delivery
@@ -49,7 +47,7 @@ func (h *nodeHarness) run(inj *NodeInjector, sends int) {
 
 func TestNodeInjectorInactiveDeliversEverything(t *testing.T) {
 	h := newNodeHarness("n0", "n1", "n2")
-	inj := NewNode(&scenario.FaultSpec{}, 7, h.hooks())
+	inj := NewNode(&Spec{}, 7, h.hooks())
 	h.run(inj, 300)
 	st := inj.Stats()
 	if st.Offered != 300 || st.Refused != 0 || st.Crashes != 0 {
@@ -65,7 +63,7 @@ func TestNodeInjectorInactiveDeliversEverything(t *testing.T) {
 
 func TestNodeInjectorCrashRefusesThenRestarts(t *testing.T) {
 	h := newNodeHarness("n0", "n1", "n2")
-	spec := &scenario.FaultSpec{NodeCrash: 0.01, NodeCrashSpan: 30}
+	spec := &Spec{NodeCrash: 0.01, NodeCrashSpan: 30}
 	inj := NewNode(spec, 42, h.hooks())
 	h.run(inj, 2000)
 	inj.RecoverAll()
@@ -91,7 +89,7 @@ func TestNodeInjectorCrashRefusesThenRestarts(t *testing.T) {
 }
 
 func TestNodeInjectorDeterministicTrace(t *testing.T) {
-	spec := &scenario.FaultSpec{NodeCrash: 0.005, NodeStall: 0.01, NetPartition: 0.01}
+	spec := &Spec{NodeCrash: 0.005, NodeStall: 0.01, NetPartition: 0.01}
 	var traces [2][]TraceEntry
 	var stats [2]NodeStats
 	for i := range traces {
@@ -119,7 +117,7 @@ func TestNodeInjectorDeterministicTrace(t *testing.T) {
 func TestNodeInjectorBlockedTracksOutage(t *testing.T) {
 	h := newNodeHarness("n0")
 	// Rate 1: the very first send crashes its target.
-	inj := NewNode(&scenario.FaultSpec{NodeCrash: 1, NodeCrashSpan: 5}, 1, h.hooks())
+	inj := NewNode(&Spec{NodeCrash: 1, NodeCrashSpan: 5}, 1, h.hooks())
 	if inj.Send("n0", func() bool { t.Fatal("delivered through a crash"); return true }) {
 		t.Fatal("crash trigger reported success")
 	}

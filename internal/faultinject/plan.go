@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"edgescope/internal/rng"
-	"edgescope/internal/scenario"
 )
 
 // outage is one node's current fault window.
@@ -25,7 +24,7 @@ type outage struct {
 // The front's driving method (Offer, Send, Step) must be called from a
 // single goroutine; everything behind mu may be read from others.
 type plan struct {
-	spec scenario.FaultSpec
+	spec Spec
 	seed uint64
 	src  *rng.Source // nil when the plane has no rate set: nothing is drawn
 
@@ -47,7 +46,7 @@ type plan struct {
 // plane perturbs another's draws or the scenario's other substreams. An
 // inactive plane gets no stream at all: it injects nothing and draws
 // nothing, so wiring it through a pipeline leaves every byte unchanged.
-func (p *plan) init(spec *scenario.FaultSpec, scenarioSeed uint64, active bool, fork string) {
+func (p *plan) init(spec *Spec, scenarioSeed uint64, active bool, fork string) {
 	if spec != nil {
 		p.spec = *spec
 	}
@@ -65,16 +64,16 @@ func (p *plan) init(spec *scenario.FaultSpec, scenarioSeed uint64, active bool, 
 // event plane; nodeActive and handoffActive whether it carries any
 // node-level or handoff-phase fault. Inactive plans (nil or all-zero rates)
 // draw no randomness.
-func eventActive(f *scenario.FaultSpec) bool {
+func eventActive(f *Spec) bool {
 	return f != nil && (f.Drop > 0 || f.Duplicate > 0 || f.Reorder > 0 ||
 		f.Delay > 0 || f.ShardStall > 0 || f.ShortWrite > 0 || nodeActive(f))
 }
 
-func nodeActive(f *scenario.FaultSpec) bool {
+func nodeActive(f *Spec) bool {
 	return f != nil && (f.NodeCrash > 0 || f.NodeStall > 0 || f.NetPartition > 0)
 }
 
-func handoffActive(f *scenario.FaultSpec) bool {
+func handoffActive(f *Spec) bool {
 	return f != nil && (f.HandoffKillGaining > 0 || f.HandoffPartitionSource > 0 || f.HandoffCrashRecover > 0)
 }
 

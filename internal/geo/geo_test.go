@@ -83,9 +83,6 @@ func TestCityDatabaseSanity(t *testing.T) {
 		if c.Loc.Lat < 18 || c.Loc.Lat > 54 || c.Loc.Lon < 73 || c.Loc.Lon > 136 {
 			t.Fatalf("%s coordinates %v outside China bounding box", c.Name, c.Loc)
 		}
-		if c.Tier < 1 || c.Tier > 3 {
-			t.Fatalf("%s has invalid tier %d", c.Name, c.Tier)
-		}
 	}
 }
 

@@ -70,8 +70,6 @@ func PickAccess(r *rng.Source, m scenario.AccessMix) Access {
 // access network type. Latencies are round-trip contributions in
 // milliseconds; capacities are in Mbps.
 type AccessProfile struct {
-	Access Access
-
 	// AccessHopMs is the median RTT contribution of the wireless (or local
 	// wired) first hop; sampled log-normally with AccessHopSigma.
 	AccessHopMs    float64
@@ -105,7 +103,6 @@ type AccessProfile struct {
 // profiles is calibrated to the paper's reported numbers; see package doc.
 var profiles = map[Access]AccessProfile{
 	WiFi: {
-		Access:      WiFi,
 		AccessHopMs: 4.6, AccessHopSigma: 0.30, AccessJitterMs: 0.07,
 		AggHopMs: 1.1, AggHopSigma: 0.25, AggJitterMs: 0.04,
 		DownMbpsMedian: 55, UpMbpsMedian: 35, CapSigma: 0.45,
@@ -113,7 +110,6 @@ var profiles = map[Access]AccessProfile{
 		ExtraLoss: 1.0e-6,
 	},
 	LTE: {
-		Access:      LTE,
 		AccessHopMs: 3.5, AccessHopSigma: 0.35, AccessJitterMs: 0.45,
 		AggHopMs: 24.0, AggHopSigma: 0.30, AggJitterMs: 0.40,
 		DownMbpsMedian: 35, UpMbpsMedian: 15, CapSigma: 0.45,
@@ -121,7 +117,6 @@ var profiles = map[Access]AccessProfile{
 		ExtraLoss: 2.0e-6,
 	},
 	FiveG: {
-		Access:      FiveG,
 		AccessHopMs: 2.5, AccessHopSigma: 0.25, AccessJitterMs: 0.05,
 		AggHopMs: 4.2, AggHopSigma: 0.25, AggJitterMs: 0.06,
 		DownMbpsMedian: 480, UpMbpsMedian: 50, CapSigma: 0.22,
@@ -129,7 +124,6 @@ var profiles = map[Access]AccessProfile{
 		ExtraLoss: 0.8e-6,
 	},
 	Wired: {
-		Access:      Wired,
 		AccessHopMs: 1.0, AccessHopSigma: 0.25, AccessJitterMs: 0.02,
 		AggHopMs: 0.8, AggHopSigma: 0.25, AggJitterMs: 0.03,
 		DownMbpsMedian: 480, UpMbpsMedian: 400, CapSigma: 0.20,

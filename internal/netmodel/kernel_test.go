@@ -58,7 +58,6 @@ func TestFusedSampleMatchesHopWalk(t *testing.T) {
 	kernelSweep(t, func(t *testing.T, seed uint64, access Access, class SiteClass, distKm float64) {
 		fused := BuildPath(rng.New(seed), access, class, distKm)
 		walk := &Path{
-			Access: fused.Access, Class: fused.Class, DistanceKm: fused.DistanceKm,
 			Hops: fused.Hops, LossRate: fused.LossRate,
 			extraJitterStd: fused.extraJitterStd, profile: fused.profile,
 		}

@@ -11,25 +11,20 @@ import "edgescope/internal/rng"
 func BuildSunkPath(r *rng.Source, access Access) *Path {
 	p := ProfileFor(access)
 	hops := []Hop{
-		{
-			Kind:        HopAccess,
+		{ // wireless / local first hop
 			BaseRTTMs:   r.LogNormalMeanMedian(p.AccessHopMs, p.AccessHopSigma),
 			JitterStdMs: p.AccessJitterMs,
 		},
-		{
-			Kind:        HopAgg,
+		{ // aggregation (GTP-U tunnel for LTE, UPF for 5G)
 			BaseRTTMs:   r.LogNormalMeanMedian(p.AggHopMs, p.AggHopSigma),
 			JitterStdMs: p.AggJitterMs,
 		},
-		{
-			Kind:        HopDC,
+		{ // the one in-site hop
 			BaseRTTMs:   r.LogNormalMeanMedian(dcHopMs, 0.3),
 			JitterStdMs: dcJitterMs,
 		},
 	}
 	path := &Path{
-		Access:   access,
-		Class:    EdgeSite,
 		Hops:     hops,
 		LossRate: lossBase + p.ExtraLoss,
 		profile:  p,

@@ -14,9 +14,6 @@ func TestSunkPathHopCount(t *testing.T) {
 	if p.HopCount() != 3 {
 		t.Fatalf("sunk path hops = %d, want 3 (access, agg, dc)", p.HopCount())
 	}
-	if p.Class != EdgeSite {
-		t.Fatal("sunk path must be an edge destination")
-	}
 }
 
 func TestSunkPathBeatsRegularEdge(t *testing.T) {

@@ -219,9 +219,8 @@ func corrDistanceThroughput(seed uint64, access Access, dir Direction) float64 {
 	for i := 0; i < 600; i++ {
 		d := 20 + r.Float64()*2480
 		p := BuildPath(r, access, EdgeSite, d)
-		s := p.SampleThroughput(r, dir, 1000)
 		ds = append(ds, d)
-		ts = append(ts, s.Mbps)
+		ts = append(ts, p.SampleThroughput(r, dir, 1000))
 	}
 	return stats.Pearson(ds, ts)
 }
@@ -250,9 +249,8 @@ func TestFiveGUplinkCapped(t *testing.T) {
 	r := rng.New(18)
 	p := BuildPath(r, FiveG, EdgeSite, 10)
 	for i := 0; i < 500; i++ {
-		s := p.SampleThroughput(r, Uplink, 0)
-		if s.Mbps > 65 {
-			t.Fatalf("5G uplink sample %.0f Mbps above TDD cap", s.Mbps)
+		if mbps := p.SampleThroughput(r, Uplink, 0); mbps > 65 {
+			t.Fatalf("5G uplink sample %.0f Mbps above TDD cap", mbps)
 		}
 	}
 }
@@ -264,7 +262,7 @@ func TestFiveGDownlinkMean(t *testing.T) {
 	const n = 500
 	for i := 0; i < n; i++ {
 		p := BuildPath(r, FiveG, EdgeSite, 5)
-		sum += p.SampleThroughput(r, Downlink, 1000).Mbps
+		sum += p.SampleThroughput(r, Downlink, 1000)
 	}
 	mean := sum / n
 	if mean < 350 || mean > 650 {
@@ -275,28 +273,21 @@ func TestFiveGDownlinkMean(t *testing.T) {
 func TestServerBottleneck(t *testing.T) {
 	r := rng.New(20)
 	p := BuildPath(r, Wired, EdgeSite, 5)
-	s := p.SampleThroughput(r, Downlink, 3)
-	if s.Bottleneck != BottleneckServer {
-		t.Fatalf("bottleneck = %v, want server", s.Bottleneck)
-	}
-	if s.Mbps > 3.2 {
-		t.Fatalf("throughput %.1f above server allocation", s.Mbps)
+	// A wired path carries far more than 3 Mbps, so the server allocation
+	// binds: 3 Mbps at the 0.94 protocol efficiency, within the noise.
+	if mbps := p.SampleThroughput(r, Downlink, 3); mbps > 3.2 || mbps < 2.4 {
+		t.Fatalf("throughput %.2f, want the 3 Mbps server allocation to bind", mbps)
 	}
 }
 
+// TestBottleneckStrings checks the names the tables print for directions and
+// site classes.
 func TestBottleneckStrings(t *testing.T) {
-	if BottleneckAccess.String() != "access" || BottleneckWAN.String() != "wan" || BottleneckServer.String() != "server" {
-		t.Fatal("Bottleneck String broken")
-	}
 	if Downlink.String() != "down" || Uplink.String() != "up" {
 		t.Fatal("Direction String broken")
 	}
 	if EdgeSite.String() != "edge" || CloudSite.String() != "cloud" {
 		t.Fatal("SiteClass String broken")
-	}
-	if HopAccess.String() != "access" || HopAgg.String() != "agg" ||
-		HopMetro.String() != "metro" || HopBackbone.String() != "backbone" || HopDC.String() != "dc" {
-		t.Fatal("HopKind String broken")
 	}
 }
 

@@ -1,10 +1,6 @@
 package netmodel
 
-import (
-	"fmt"
-
-	"edgescope/internal/rng"
-)
+import "edgescope/internal/rng"
 
 // SiteClass distinguishes the destination datacenter type; it determines the
 // provider-internal hop count (cloud DCs have deeper internal fabrics) and
@@ -25,51 +21,17 @@ func (c SiteClass) String() string {
 	return "cloud"
 }
 
-// HopKind classifies a hop on the user→site path.
-type HopKind int
-
-// Hop kinds, ordered from the user outwards.
-const (
-	HopAccess   HopKind = iota // wireless / local first hop
-	HopAgg                     // aggregation (GTP-U tunnel for LTE, UPF for 5G)
-	HopMetro                   // metro / ISP core within the city
-	HopBackbone                // inter-city backbone
-	HopDC                      // provider-internal hops inside the DC
-)
-
-// String names the hop kind.
-func (k HopKind) String() string {
-	switch k {
-	case HopAccess:
-		return "access"
-	case HopAgg:
-		return "agg"
-	case HopMetro:
-		return "metro"
-	case HopBackbone:
-		return "backbone"
-	case HopDC:
-		return "dc"
-	default:
-		return fmt.Sprintf("HopKind(%d)", int(k))
-	}
-}
-
 // Hop is one hop of a path. BaseRTTMs is its round-trip latency
 // contribution; JitterStdMs the standard deviation of per-sample noise it
 // adds.
 type Hop struct {
-	Kind        HopKind
 	BaseRTTMs   float64
 	JitterStdMs float64
 }
 
 // Path is a modelled route from an end user to a destination site.
 type Path struct {
-	Access     Access
-	Class      SiteClass
-	DistanceKm float64
-	Hops       []Hop
+	Hops []Hop
 	// LossRate is the end-to-end packet-loss probability.
 	LossRate float64
 	// extraJitterStd models transit/peering congestion noise that is not
@@ -143,13 +105,13 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 	p := ProfileFor(access)
 	var hops []Hop
 
+	// The wireless (or local wired) first hop, then aggregation (the GTP-U
+	// tunnel for LTE, the UPF for 5G).
 	hops = append(hops, Hop{
-		Kind:        HopAccess,
 		BaseRTTMs:   r.LogNormalMeanMedian(p.AccessHopMs, p.AccessHopSigma),
 		JitterStdMs: p.AccessJitterMs,
 	})
 	hops = append(hops, Hop{
-		Kind:        HopAgg,
 		BaseRTTMs:   r.LogNormalMeanMedian(p.AggHopMs, p.AggHopSigma),
 		JitterStdMs: p.AggJitterMs,
 	})
@@ -159,7 +121,6 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 	nMetro := 2 + r.IntN(2)
 	for i := 0; i < nMetro; i++ {
 		hops = append(hops, Hop{
-			Kind:        HopMetro,
 			BaseRTTMs:   r.LogNormalMeanMedian(metroHopMs, 0.4),
 			JitterStdMs: metroJitterMs,
 		})
@@ -178,7 +139,6 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 	for i := 0; i < nBackbone; i++ {
 		base := r.LogNormalMeanMedian(backboneRouterMs, 0.4) + prop/float64(nBackbone)
 		hops = append(hops, Hop{
-			Kind:        HopBackbone,
 			BaseRTTMs:   base,
 			JitterStdMs: backboneJitterMs,
 		})
@@ -196,7 +156,6 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 	}
 	for i := 0; i < nDC; i++ {
 		hops = append(hops, Hop{
-			Kind:        HopDC,
 			BaseRTTMs:   r.LogNormalMeanMedian(dcHopMs, 0.3),
 			JitterStdMs: dcJitterMs,
 		})
@@ -204,12 +163,9 @@ func BuildPath(r *rng.Source, access Access, class SiteClass, distKm float64) *P
 
 	loss := lossBase + p.ExtraLoss + float64(nBackbone)*lossPerBackbone + distKm*lossPerKm
 	path := &Path{
-		Access:     access,
-		Class:      class,
-		DistanceKm: distKm,
-		Hops:       hops,
-		LossRate:   loss,
-		profile:    p,
+		Hops:     hops,
+		LossRate: loss,
+		profile:  p,
 	}
 	factor := edgeJitterFactor
 	if class == CloudSite {

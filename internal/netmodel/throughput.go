@@ -46,43 +46,12 @@ func MathisThroughputMbps(rttMs, loss float64) float64 {
 	return bps / 1e6
 }
 
-// ThroughputSample is the outcome of one modelled iperf run.
-type ThroughputSample struct {
-	Mbps       float64
-	Bottleneck Bottleneck
-	PathRTTMs  float64
-	PathLoss   float64
-	AccessMbps float64 // sampled last-mile capacity
-}
-
-// Bottleneck names which link bound a throughput sample.
-type Bottleneck int
-
-// Bottleneck locations.
-const (
-	BottleneckAccess Bottleneck = iota // wireless last mile
-	BottleneckWAN                      // wide-area TCP (RTT/loss bound)
-	BottleneckServer                   // server/DC gateway bandwidth
-)
-
-// String names the bottleneck.
-func (b Bottleneck) String() string {
-	switch b {
-	case BottleneckAccess:
-		return "access"
-	case BottleneckWAN:
-		return "wan"
-	default:
-		return "server"
-	}
-}
-
 // SampleThroughput models one 15-second bulk TCP transfer over the path with
 // a server whose allocated egress is serverMbps (<=0 means unconstrained).
 // The achieved rate is the minimum of the last-mile capacity, the
 // Mathis-bound WAN throughput, and the server allocation, with multiplicative
 // measurement noise.
-func (p *Path) SampleThroughput(r *rng.Source, dir Direction, serverMbps float64) ThroughputSample {
+func (p *Path) SampleThroughput(r *rng.Source, dir Direction, serverMbps float64) float64 {
 	prof := p.profile
 	var median, cap float64
 	if dir == Downlink {
@@ -98,23 +67,12 @@ func (p *Path) SampleThroughput(r *rng.Source, dir Direction, serverMbps float64
 	rtt := p.SampleRTT(r)
 	wan := MathisThroughputMbps(rtt, p.LossRate)
 
-	got := access
-	bn := BottleneckAccess
-	if wan < got {
-		got, bn = wan, BottleneckWAN
-	}
+	got := min(access, wan)
 	if serverMbps > 0 && serverMbps < got {
-		got, bn = serverMbps, BottleneckServer
+		got = serverMbps
 	}
 	// Protocol efficiency and measurement noise: a log-normal around the
 	// 0.94 efficiency median via the shared helper (bit-identical to the
 	// inline 0.94 * exp(Normal(0, 0.05)) it replaces).
-	got *= r.LogNormalMeanMedian(0.94, 0.05)
-	return ThroughputSample{
-		Mbps:       got,
-		Bottleneck: bn,
-		PathRTTMs:  rtt,
-		PathLoss:   p.LossRate,
-		AccessMbps: access,
-	}
+	return got * r.LogNormalMeanMedian(0.94, 0.05)
 }

@@ -14,17 +14,10 @@ import (
 // is to quantify the opportunity the paper identifies, and its cost (bytes
 // moved, estimated migration time), not to propose a novel algorithm.
 
-// Migration is one planned VM move.
-type Migration struct {
-	VMIndex int
-	From    Assignment
-	To      Assignment
-	MemGB   int
-}
-
 // RebalanceResult summarises a rebalancing plan.
 type RebalanceResult struct {
-	Migrations []Migration
+	// Moves is the number of planned VM migrations.
+	Moves int
 	// GapBefore/GapAfter are the P95/P5 ratios of per-server load (vCPU ×
 	// mean CPU, normalised by cores) before and after applying the plan.
 	GapBefore float64
@@ -42,7 +35,7 @@ type serverKey struct{ site, server int }
 
 // RebalanceCPU plans up to maxMoves migrations on a dataset's placement,
 // moving load from the hottest servers to the coldest feasible ones. The
-// dataset itself is not mutated; the plan records what would move.
+// dataset itself is not mutated; the result counts what would move.
 func RebalanceCPU(d *vm.Dataset, maxMoves int, linkGbps float64) RebalanceResult {
 	if linkGbps <= 0 {
 		linkGbps = 10
@@ -122,14 +115,8 @@ func RebalanceCPU(d *vm.Dataset, maxMoves int, linkGbps float64) RebalanceResult
 		if best < 0 {
 			break
 		}
-		v := d.VMs[best]
-		res.Migrations = append(res.Migrations, Migration{
-			VMIndex: best,
-			From:    Assignment{hot.key.site, hot.key.server},
-			To:      Assignment{cold.key.site, cold.key.server},
-			MemGB:   v.MemGB,
-		})
-		res.MovedGB += float64(v.MemGB)
+		res.Moves++
+		res.MovedGB += float64(d.VMs[best].MemGB)
 		hot.load -= vmLoad[best]
 		cold.load += vmLoad[best]
 		for i, vi := range hot.vms {
@@ -142,6 +129,6 @@ func RebalanceCPU(d *vm.Dataset, maxMoves int, linkGbps float64) RebalanceResult
 	}
 	res.GapAfter = gap()
 	const perMoveOverheadSec = 20 // stop-and-copy + warm-up, per §5's "tens of seconds"
-	res.EstSeconds = res.MovedGB*8/linkGbps + float64(len(res.Migrations))*perMoveOverheadSec
+	res.EstSeconds = res.MovedGB*8/linkGbps + float64(res.Moves)*perMoveOverheadSec
 	return res
 }

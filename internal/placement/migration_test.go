@@ -8,6 +8,18 @@ import (
 	"edgescope/internal/vm"
 )
 
+// fixedCPU is a hand-built VM's CPUSource: it replays the samples it holds.
+type fixedCPU struct{ s *timeseries.Series }
+
+func (c fixedCPU) FillCPU(dst *timeseries.Series) {
+	copy(dst.Refill(c.s.Start, c.s.Interval, c.s.Len()), c.s.Values)
+}
+
+func (c fixedCPU) CPUInterval() time.Duration { return c.s.Interval }
+
+// withCPU builds v with the CPU samples cpu.
+func withCPU(v vm.VM, cpu *timeseries.Series) *vm.VM { return vm.New(v, cpu, fixedCPU{cpu}) }
+
 // unbalancedDataset puts three hot VMs on one server and nothing on the
 // others.
 func unbalancedDataset() *vm.Dataset {
@@ -16,8 +28,6 @@ func unbalancedDataset() *vm.Dataset {
 		return timeseries.New(t0, 5*time.Minute, []float64{level, level, level})
 	}
 	d := &vm.Dataset{
-		Platform: "NEP",
-		Start:    t0,
 		Duration: 15 * time.Minute,
 		Sites: []*vm.Site{
 			{Name: "a", Province: "Guangdong", Servers: []vm.Server{
@@ -29,25 +39,25 @@ func unbalancedDataset() *vm.Dataset {
 		},
 	}
 	for i := 0; i < 3; i++ {
-		d.VMs = append(d.VMs, vm.New(vm.VM{
-			ID: i, App: 0, Site: 0, Server: 0,
+		d.VMs = append(d.VMs, withCPU(vm.VM{
+			App: 0, Site: 0, Server: 0,
 			VCPUs: 16, MemGB: 64, DiskGB: 100,
 			PublicBW: mk(100),
-		}, mk(80), nil))
+		}, mk(80)))
 	}
 	// One cold VM on the second server so every server has a utilisation.
-	d.VMs = append(d.VMs, vm.New(vm.VM{
-		ID: 3, App: 1, Site: 0, Server: 1,
+	d.VMs = append(d.VMs, withCPU(vm.VM{
+		App: 1, Site: 0, Server: 1,
 		VCPUs: 4, MemGB: 16, DiskGB: 50,
 		PublicBW: mk(5),
-	}, mk(2), nil))
+	}, mk(2)))
 	return d
 }
 
 func TestRebalanceReducesGap(t *testing.T) {
 	d := unbalancedDataset()
 	res := RebalanceCPU(d, 10, 10)
-	if len(res.Migrations) == 0 {
+	if res.Moves == 0 {
 		t.Fatal("no migrations planned for a pathological imbalance")
 	}
 	if res.GapAfter >= res.GapBefore {
@@ -61,26 +71,20 @@ func TestRebalanceReducesGap(t *testing.T) {
 
 func TestRebalanceCostAccounting(t *testing.T) {
 	res := RebalanceCPU(unbalancedDataset(), 10, 10)
-	var gb float64
-	for _, m := range res.Migrations {
-		gb += float64(m.MemGB)
-		if m.From == m.To {
-			t.Fatal("no-op migration planned")
-		}
-	}
-	if gb != res.MovedGB {
-		t.Fatalf("MovedGB %.0f inconsistent with plan %.0f", res.MovedGB, gb)
+	// Every move takes one of the hot server's 64 GB VMs.
+	if want := 64 * float64(res.Moves); res.MovedGB != want {
+		t.Fatalf("MovedGB %.0f for %d moves, want %.0f", res.MovedGB, res.Moves, want)
 	}
 	// 20 s per move plus transfer time.
-	if res.EstSeconds < 20*float64(len(res.Migrations)) {
+	if res.EstSeconds < 20*float64(res.Moves) {
 		t.Fatalf("EstSeconds %.0f below per-move overhead", res.EstSeconds)
 	}
 }
 
 func TestRebalanceRespectsBudget(t *testing.T) {
 	res := RebalanceCPU(unbalancedDataset(), 1, 10)
-	if len(res.Migrations) > 1 {
-		t.Fatalf("budget exceeded: %d moves", len(res.Migrations))
+	if res.Moves > 1 {
+		t.Fatalf("budget exceeded: %d moves", res.Moves)
 	}
 }
 
@@ -91,7 +95,7 @@ func TestRebalanceBalancedClusterNoMoves(t *testing.T) {
 	d.VMs[1].Server = 1
 	d.VMs[2].Site, d.VMs[2].Server = 1, 0
 	level := func(v *vm.VM, cpu float64) *vm.VM {
-		return vm.New(*v, timeseries.New(d.Start, 5*time.Minute, []float64{cpu, cpu, cpu}), nil)
+		return withCPU(*v, timeseries.New(time.Time{}, 5*time.Minute, []float64{cpu, cpu, cpu}))
 	}
 	for i, v := range d.VMs[:3] {
 		d.VMs[i] = level(v, 40)
@@ -106,7 +110,7 @@ func TestRebalanceBalancedClusterNoMoves(t *testing.T) {
 
 func TestRebalanceZeroLinkDefaults(t *testing.T) {
 	res := RebalanceCPU(unbalancedDataset(), 5, 0)
-	if res.EstSeconds <= 0 && len(res.Migrations) > 0 {
+	if res.EstSeconds <= 0 && res.Moves > 0 {
 		t.Fatal("zero link rate should default, not zero out cost")
 	}
 }

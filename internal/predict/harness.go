@@ -56,10 +56,9 @@ func (o *Options) fill() {
 
 // Result is one (VM, model, target) RMSE in CPU percentage points.
 type Result struct {
-	VMIndex int
-	Model   string
-	Target  Target
-	RMSE    float64
+	Model  string
+	Target Target
+	RMSE   float64
 }
 
 // Evaluate runs the Figure 14 experiment over a dataset: per VM and target,
@@ -153,12 +152,7 @@ func evaluateVM(vi int, cpu, buf *timeseries.Series, res []Result, period int, o
 			if err != nil {
 				return fmt.Errorf("predict: VM %d %s: %w", vi, model, err)
 			}
-			res[k] = Result{
-				VMIndex: vi,
-				Model:   f.Name(),
-				Target:  target,
-				RMSE:    stats.RMSE(pred, test),
-			}
+			res[k] = Result{Model: f.Name(), Target: target, RMSE: stats.RMSE(pred, test)}
 			k++
 		}
 	}

@@ -8,9 +8,6 @@ import "edgescope/internal/stats"
 
 // PingStats summarises one ping run against a single destination.
 type PingStats struct {
-	Addr     string
-	Sent     int
-	Received int
 	// RTTs holds one entry per received reply, in milliseconds.
 	RTTs []float64
 }

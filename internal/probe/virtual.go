@@ -1,8 +1,6 @@
 package probe
 
 import (
-	"time"
-
 	"edgescope/internal/netmodel"
 	"edgescope/internal/rng"
 )
@@ -21,8 +19,6 @@ func VirtualPing(r *rng.Source, path *netmodel.Path, count int) PingStats {
 // Draws are identical to VirtualPing's, probe-major: each probe's loss draw
 // precedes its RTT sample draws, probes in sequence.
 func VirtualPingInto(r *rng.Source, path *netmodel.Path, count int, out *PingStats) {
-	out.Addr = "virtual"
-	out.Sent = count
 	if cap(out.RTTs) < count {
 		out.RTTs = make([]float64, 0, count)
 	}
@@ -35,21 +31,12 @@ func VirtualPingInto(r *rng.Source, path *netmodel.Path, count int, out *PingSta
 		rtts = append(rtts, path.SampleRTT(r))
 	}
 	out.RTTs = rtts
-	out.Received = len(rtts)
 }
 
-// IperfResult is the outcome of one TCP bulk-transfer measurement.
-type IperfResult struct {
-	Bytes    int
-	Duration time.Duration
-	Mbps     float64
-}
-
-// VirtualIperf models one 15-second bulk TCP transfer over the path, in the
-// given direction, against a server with serverMbps of allocated bandwidth.
-func VirtualIperf(r *rng.Source, path *netmodel.Path, dir netmodel.Direction, serverMbps float64) IperfResult {
-	s := path.SampleThroughput(r, dir, serverMbps)
-	const dur = 15 // seconds, matching the paper's per-connection runtime
-	bytes := int(s.Mbps * 1e6 / 8 * dur)
-	return IperfResult{Bytes: bytes, Duration: 15e9, Mbps: s.Mbps}
+// VirtualIperf models one 15-second bulk TCP transfer (the paper's
+// per-connection runtime) over the path, in the given direction, against a
+// server with serverMbps of allocated bandwidth, and returns its rate in
+// Mbps.
+func VirtualIperf(r *rng.Source, path *netmodel.Path, dir netmodel.Direction, serverMbps float64) float64 {
+	return path.SampleThroughput(r, dir, serverMbps)
 }

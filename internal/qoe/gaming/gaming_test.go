@@ -148,7 +148,7 @@ func TestLookupHelpers(t *testing.T) {
 
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(nil)
-	if s.MedianMs != 0 || s.MeanMs != 0 {
+	if s != (Summary{}) {
 		t.Fatal("empty summary should be zero")
 	}
 }

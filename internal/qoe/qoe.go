@@ -12,23 +12,22 @@ import (
 )
 
 // Backend is one of the QoE experiment's server VMs. Each VM has 8 vCPUs,
-// 16 GB memory and ample bandwidth (§2.1.1).
+// 16 GB memory and ample bandwidth (§2.1.1), so only its placement is
+// modelled.
 type Backend struct {
 	Name       string
 	Class      netmodel.SiteClass
 	DistanceKm float64
-	VCPUs      int
-	MemGB      int
 }
 
 // Backends returns the experiment's four server VMs: the nearest edge site
 // and three cloud regions at increasing distance, as deployed in §2.1.1.
 func Backends() []Backend {
 	return []Backend{
-		{Name: "Edge", Class: netmodel.EdgeSite, DistanceKm: 25, VCPUs: 8, MemGB: 16},
-		{Name: "Cloud-1", Class: netmodel.CloudSite, DistanceKm: 670, VCPUs: 8, MemGB: 16},
-		{Name: "Cloud-2", Class: netmodel.CloudSite, DistanceKm: 1300, VCPUs: 8, MemGB: 16},
-		{Name: "Cloud-3", Class: netmodel.CloudSite, DistanceKm: 2000, VCPUs: 8, MemGB: 16},
+		{Name: "Edge", Class: netmodel.EdgeSite, DistanceKm: 25},
+		{Name: "Cloud-1", Class: netmodel.CloudSite, DistanceKm: 670},
+		{Name: "Cloud-2", Class: netmodel.CloudSite, DistanceKm: 1300},
+		{Name: "Cloud-3", Class: netmodel.CloudSite, DistanceKm: 2000},
 	}
 }
 

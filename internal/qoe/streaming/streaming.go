@@ -172,7 +172,6 @@ func Simulate(r *rng.Source, cfg Config, n int) []Sample {
 // Summary aggregates samples into the statistics Figure 7 plots.
 type Summary struct {
 	MedianMs  float64
-	MeanMs    float64
 	P95Ms     float64
 	Breakdown Sample // mean per-stage breakdown
 }
@@ -205,7 +204,6 @@ func Summarize(samples []Sample) Summary {
 	sum := stats.SummarizeInPlace(totals)
 	return Summary{
 		MedianMs:  sum.Median(),
-		MeanMs:    sum.Mean(),
 		P95Ms:     sum.Percentile(95),
 		Breakdown: b,
 	}

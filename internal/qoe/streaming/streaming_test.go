@@ -129,7 +129,7 @@ func TestSampleTotal(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.MeanMs != 0 {
+	if s := Summarize(nil); s != (Summary{}) {
 		t.Fatal("empty summary should be zero")
 	}
 }

@@ -34,139 +34,6 @@ type Spec struct {
 	Crowd    CrowdSpec    `json:"crowd"`
 	Workload WorkloadSpec `json:"workload"`
 	Sizing   SizingSpec   `json:"sizing"`
-
-	// Fault, when present, declares a deterministic fault-injection plan for
-	// the telemetry ingest path (see internal/faultinject). nil — the
-	// default for every built-in — means no fault plane at all: the spec
-	// JSON omits the block and no fault randomness is ever drawn, so adding
-	// this field changed no existing artifact byte.
-	Fault *FaultSpec `json:"fault,omitempty"`
-}
-
-// FaultSpec declares a seeded fault plan: per-event probabilities for each
-// fault kind, plus the spans that shape the time-extended faults. All rates
-// are probabilities in [0,1]; a zero-value spec injects nothing and draws no
-// randomness, so `"fault": {}` is exactly equivalent to omitting the block.
-type FaultSpec struct {
-	// Seed seeds the fault plan's random stream. 0 derives it from the
-	// scenario Seed (forked under "faultinject"), which is the common case:
-	// one scenario seed pins the fault trace along with everything else.
-	Seed uint64 `json:"seed,omitempty"`
-	// Drop is the probability an offered event is silently dropped before
-	// delivery (the retrying client's job to survive).
-	Drop float64 `json:"drop,omitempty"`
-	// Duplicate is the probability an event is delivered twice (the dedup
-	// layer's job to fold once).
-	Duplicate float64 `json:"duplicate,omitempty"`
-	// Reorder is the probability an event is held back and re-delivered
-	// after ReorderSpan subsequent events have passed it.
-	Reorder float64 `json:"reorder,omitempty"`
-	// ReorderSpan is how many later events overtake a held-back one.
-	// Default 4 when Reorder > 0.
-	ReorderSpan int `json:"reorder_span,omitempty"`
-	// Delay is like Reorder with its own (typically longer) span — a slow
-	// network path rather than local jitter. Default span 16 when > 0.
-	Delay float64 `json:"delay,omitempty"`
-	// DelaySpan is the hold-back span for Delay faults.
-	DelaySpan int `json:"delay_span,omitempty"`
-	// ShardStall is the per-event probability that the event's shard goes
-	// unresponsive — every offer to it fails — for StallSpan events.
-	ShardStall float64 `json:"shard_stall,omitempty"`
-	// StallSpan is the stall length in offered events. Default 32 when
-	// ShardStall > 0.
-	StallSpan int `json:"stall_span,omitempty"`
-	// ShortWrite is the per-write probability that a WAL write is cut short
-	// (a torn write), exercising recovery's truncation path.
-	ShortWrite float64 `json:"short_write,omitempty"`
-
-	// Node-level faults (internal/faultinject.NodeInjector) shake a
-	// telemetry *cluster* rather than a single pipeline: the target is the
-	// node an event routes to, and spans are counted in offered events —
-	// same determinism contract as the event-level faults above.
-
-	// NodeCrash is the per-event probability that the event's target node
-	// hard-crashes: it loses everything past its last fsync and refuses all
-	// traffic for NodeCrashSpan events, then restarts via WAL recovery.
-	NodeCrash float64 `json:"node_crash,omitempty"`
-	// NodeCrashSpan is the outage length in offered events. Default 64
-	// when NodeCrash > 0.
-	NodeCrashSpan int `json:"node_crash_span,omitempty"`
-	// NodeStall is the per-event probability the target node stops
-	// answering for NodeStallSpan events — alive, state intact, just
-	// unresponsive (GC pause, overload).
-	NodeStall float64 `json:"node_stall,omitempty"`
-	// NodeStallSpan is the stall length in offered events. Default 32.
-	NodeStallSpan int `json:"node_stall_span,omitempty"`
-	// NetPartition is the per-event probability the link between the
-	// router and the event's target node is cut for NetPartitionSpan
-	// events: sends and probes through the router fail, while the node
-	// itself keeps running undamaged.
-	NetPartition float64 `json:"net_partition,omitempty"`
-	// NetPartitionSpan is the partition length in offered events. Default 64.
-	NetPartitionSpan int `json:"net_partition_span,omitempty"`
-
-	// Handoff-phase faults (internal/faultinject.HandoffInjector) shake a
-	// cluster *rebalance* rather than steady-state traffic: the target is
-	// a partition handoff's source or destination node, probabilities are
-	// per coordinator step, and spans are counted in steps — the same
-	// determinism contract as above, applied to the migration plane.
-
-	// HandoffKillGaining is the per-step probability (drawn at destination
-	// rebuild steps) that the gaining node is hard-killed mid-transfer,
-	// staying dead for HandoffSpan steps before WAL recovery.
-	HandoffKillGaining float64 `json:"handoff_kill_gaining,omitempty"`
-	// HandoffPartitionSource is the per-step probability (drawn at source
-	// flush/fetch steps) that the coordinator loses the losing owner for
-	// HandoffSpan steps — the node keeps running undamaged.
-	HandoffPartitionSource float64 `json:"handoff_partition_source,omitempty"`
-	// HandoffCrashRecover is the per-step probability (drawn at
-	// destination rebuild steps) that the gaining node crashes and
-	// immediately recovers from its WAL — the attempt fails, the retry
-	// meets a node holding whatever the crash left durable.
-	HandoffCrashRecover float64 `json:"handoff_crash_recover,omitempty"`
-	// HandoffSpan is the outage length in coordinator steps. Default 4.
-	HandoffSpan int `json:"handoff_span,omitempty"`
-}
-
-// validate appends FaultSpec field errors via bad.
-func (f *FaultSpec) validate(bad func(field, format string, args ...any)) {
-	for _, r := range []struct {
-		field string
-		v     float64
-	}{
-		{"fault.drop", f.Drop},
-		{"fault.duplicate", f.Duplicate},
-		{"fault.reorder", f.Reorder},
-		{"fault.delay", f.Delay},
-		{"fault.shard_stall", f.ShardStall},
-		{"fault.short_write", f.ShortWrite},
-		{"fault.node_crash", f.NodeCrash},
-		{"fault.node_stall", f.NodeStall},
-		{"fault.net_partition", f.NetPartition},
-		{"fault.handoff_kill_gaining", f.HandoffKillGaining},
-		{"fault.handoff_partition_source", f.HandoffPartitionSource},
-		{"fault.handoff_crash_recover", f.HandoffCrashRecover},
-	} {
-		if r.v < 0 || r.v > 1 || math.IsNaN(r.v) {
-			bad(r.field, "rate %v outside [0,1]", r.v)
-		}
-	}
-	for _, sp := range []struct {
-		field string
-		v     int
-	}{
-		{"fault.reorder_span", f.ReorderSpan},
-		{"fault.delay_span", f.DelaySpan},
-		{"fault.stall_span", f.StallSpan},
-		{"fault.node_crash_span", f.NodeCrashSpan},
-		{"fault.node_stall_span", f.NodeStallSpan},
-		{"fault.net_partition_span", f.NetPartitionSpan},
-		{"fault.handoff_span", f.HandoffSpan},
-	} {
-		if sp.v < 0 {
-			bad(sp.field, "span must be non-negative (got %d)", sp.v)
-		}
-	}
 }
 
 // AccessMix weights the last-mile access networks of the user population.
@@ -381,24 +248,15 @@ func (s *Spec) Validate() error {
 		bad("sizing.billing_top_n", "must be positive (got %d)", z.BillingTopN)
 	}
 
-	if s.Fault != nil {
-		s.Fault.validate(bad)
-	}
-
 	if len(errs) > 0 {
 		return fmt.Errorf("scenario %q invalid: %w", s.Name, errors.Join(errs...))
 	}
 	return nil
 }
 
-// Clone returns an independent copy. Specs are all-scalar except the
-// optional Fault block, which is copied, so callers may mutate the clone
-// (e.g. overriding Seed or fault rates) without corrupting built-ins.
+// Clone returns an independent copy. Specs are all-scalar, so callers may
+// mutate the clone (e.g. overriding Seed) without corrupting built-ins.
 func (s *Spec) Clone() *Spec {
 	cp := *s
-	if s.Fault != nil {
-		f := *s.Fault
-		cp.Fault = &f
-	}
 	return &cp
 }

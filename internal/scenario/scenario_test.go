@@ -122,6 +122,24 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsFaultBlock: a scenario carries no fault plan (chaos is a
+// test input, built as a faultinject.Spec), so a spec file with a "fault"
+// block fails the unknown-field check by name instead of running fault-free.
+func TestDecodeRejectsFaultBlock(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, MustGet("small")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("the built-in itself does not decode: %v", err)
+	}
+	withFault := strings.Replace(buf.String(), "{", `{"fault": {"drop": 0.1},`, 1)
+	_, err := Decode(strings.NewReader(withFault))
+	if err == nil || !strings.Contains(err.Error(), `"fault"`) {
+		t.Fatalf("decoding a spec with a fault block: err = %v, want one naming \"fault\"", err)
+	}
+}
+
 // TestGetReturnsClone guards the registry against caller mutation: the
 // standard flow (Get then override Seed) must not corrupt the built-in.
 func TestGetReturnsClone(t *testing.T) {

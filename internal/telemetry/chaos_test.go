@@ -29,7 +29,7 @@ func scenarioEvents(t *testing.T, sp *scenario.Spec) []Envelope {
 
 // chaosRun streams events through a fault injector + retrying client into a
 // fresh ingestor and returns the ingestor's fingerprint and fault trace.
-func chaosRun(t *testing.T, events []Envelope, fault *scenario.FaultSpec, seed uint64, shards int) ([]byte, []faultinject.TraceEntry, faultinject.Stats) {
+func chaosRun(t *testing.T, events []Envelope, fault *faultinject.Spec, seed uint64, shards int) ([]byte, []faultinject.TraceEntry, faultinject.Stats) {
 	t.Helper()
 	ing := NewIngestor(Config{Shards: shards, QueueLen: 1024, Block: true})
 	defer ing.Close()
@@ -71,7 +71,7 @@ func TestChaosEquivalenceAcrossScenarios(t *testing.T) {
 			}
 			want := queryFingerprint(t, clean)
 
-			fault := &scenario.FaultSpec{Drop: 0.02, Duplicate: 0.02, Reorder: 0.02}
+			fault := &faultinject.Spec{Drop: 0.02, Duplicate: 0.02, Reorder: 0.02}
 			got, trace, fst := chaosRun(t, events, fault, sp.Seed, shards)
 			if fst.Dropped == 0 || fst.Duplicated == 0 || fst.Reordered == 0 {
 				t.Fatalf("fault plan under-injected: %+v", fst)
@@ -105,7 +105,7 @@ func TestChaosStallSurvivedByRetry(t *testing.T) {
 	Replay(clean, events)
 	want := queryFingerprint(t, clean)
 
-	fault := &scenario.FaultSpec{ShardStall: 0.01, StallSpan: maxAttempts / 2}
+	fault := &faultinject.Spec{ShardStall: 0.01, StallSpan: maxAttempts / 2}
 	got, _, fst := chaosRun(t, events, fault, sp.Seed, shards)
 	if fst.Stalled == 0 {
 		t.Fatalf("no stalls injected: %+v", fst)
@@ -128,7 +128,7 @@ func TestChaosShortWriteNeverCorruptsRecovery(t *testing.T) {
 	// The wrapper sits under the WAL's bufio layer, so it sees one write
 	// per flush (every SyncEvery records), not per record — the rate is per
 	// flushed batch.
-	inj := faultinject.New[Envelope](&scenario.FaultSpec{ShortWrite: 0.25}, sp.Seed)
+	inj := faultinject.New[Envelope](&faultinject.Spec{ShortWrite: 0.25}, sp.Seed)
 	cfg.WAL.WrapWriter = inj.WrapWriter()
 	ing := NewIngestor(cfg)
 	ing.OfferAll(events)

@@ -277,7 +277,7 @@ func TestClusterNodeCrashPartialThenConverges(t *testing.T) {
 
 	crashed := map[string]bool{}
 	partialChecks := 0
-	inj := faultinject.NewNode(&scenario.FaultSpec{NodeCrash: 0.002, NodeCrashSpan: 96}, sp.Seed, faultinject.NodeHooks{
+	inj := faultinject.NewNode(&faultinject.Spec{NodeCrash: 0.002, NodeCrashSpan: 96}, sp.Seed, faultinject.NodeHooks{
 		Crash: func(node string) {
 			c.crash(node)
 			crashed[node] = true
@@ -391,7 +391,7 @@ func TestClusterNetPartitionHealsTransparently(t *testing.T) {
 
 	pm := mustMap(t, MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
 	c := newTestCluster(t, pm, "")
-	inj := faultinject.NewNode(&scenario.FaultSpec{NetPartition: 0.005, NetPartitionSpan: 48}, sp.Seed, faultinject.NodeHooks{})
+	inj := faultinject.NewNode(&faultinject.Spec{NetPartition: 0.005, NetPartitionSpan: 48}, sp.Seed, faultinject.NodeHooks{})
 	router := NewRouter(pm, alwaysUpTracker(pm.Nodes()), func(node string, e telemetry.Envelope) bool {
 		return inj.Send(node, func() bool { return c.transport(node, e) })
 	}, rng.New(sp.Seed).Fork("router"), RouterConfig{

@@ -311,7 +311,7 @@ func TestHandoffKillGainingRollsBackThenRetryConverges(t *testing.T) {
 	})
 	f := NewFrontend(pm, c.clients(), FrontendConfig{})
 
-	inj := faultinject.NewHandoff(&scenario.FaultSpec{HandoffKillGaining: 1, HandoffSpan: 64}, sp.Seed, faultinject.HandoffHooks{
+	inj := faultinject.NewHandoff(&faultinject.Spec{HandoffKillGaining: 1, HandoffSpan: 64}, sp.Seed, faultinject.HandoffHooks{
 		Kill:    func(node string) { c.crash(node) },
 		Recover: func(node string) { c.recover(node) },
 	})
@@ -412,7 +412,7 @@ func TestHandoffCrashRecoverRetryIsIdempotent(t *testing.T) {
 
 	// One crash-recover fault at the first rebuild step, through the
 	// injector; the recovered node keeps its durable (polluted) state.
-	inj := faultinject.NewHandoff(&scenario.FaultSpec{HandoffCrashRecover: 1}, sp.Seed, faultinject.HandoffHooks{
+	inj := faultinject.NewHandoff(&faultinject.Spec{HandoffCrashRecover: 1}, sp.Seed, faultinject.HandoffHooks{
 		CrashRecover: func(node string) { c.crash(node); c.recover(node) },
 	})
 	fired := false
@@ -463,7 +463,7 @@ func TestHandoffPartitionSourceRollsBack(t *testing.T) {
 		Retry: telemetry.RetryConfig{Sleep: func(time.Duration) {}},
 	})
 	f := NewFrontend(pm, c.clients(), FrontendConfig{})
-	inj := faultinject.NewHandoff(&scenario.FaultSpec{HandoffPartitionSource: 1, HandoffSpan: 64}, sp.Seed, faultinject.HandoffHooks{})
+	inj := faultinject.NewHandoff(&faultinject.Spec{HandoffPartitionSource: 1, HandoffSpan: 64}, sp.Seed, faultinject.HandoffHooks{})
 	chaos := true
 	mig := newTestMigrator(c, pm, tracker, func(s HandoffStep) error {
 		if !chaos {

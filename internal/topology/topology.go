@@ -7,7 +7,6 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -16,31 +15,19 @@ import (
 	"edgescope/internal/rng"
 )
 
-// Site is one datacenter of a platform. Edge sites are micro-DCs with tens
-// of servers; cloud regions host effectively unbounded capacity.
+// Site is one datacenter of a platform.
 type Site struct {
-	ID       string
-	Platform string
-	Class    netmodel.SiteClass
+	Class netmodel.SiteClass
 	// City is the metro the site belongs to; Loc is the actual location,
 	// which for edge sites is scattered into the surrounding county-level
 	// area (NEP sites live in third-party IDCs, not city centres).
 	City geo.City
 	Loc  geo.Point
-	// Servers is the number of physical servers; ServerCPU/ServerMemGB the
-	// per-server capacity.
-	Servers     int
-	ServerCPU   int
-	ServerMemGB int
-	// GatewayGbps is the site's Internet egress capacity.
-	GatewayGbps float64
 }
 
 // Platform is a set of sites operated by one provider. Sites are immutable
 // once the platform is built.
 type Platform struct {
-	Name  string
-	Class netmodel.SiteClass
 	Sites []*Site
 
 	locsOnce sync.Once
@@ -82,9 +69,7 @@ const scatterKm = 100
 // BuildNEP creates the edge platform: sites distributed over the city
 // database, with the per-metro count growing sub-linearly with population
 // (flattened with an exponent of 0.6, because NEP expands breadth-first into
-// county-level IDCs rather than concentrating in tier-1 metros). Each site
-// hosts tens to a couple of hundred servers, the physical-infrastructure
-// constraint the paper describes.
+// county-level IDCs rather than concentrating in tier-1 metros).
 func BuildNEP(r *rng.Source, opts NEPOptions) *Platform {
 	opts.fill()
 	cities := geo.Cities()
@@ -94,26 +79,20 @@ func BuildNEP(r *rng.Source, opts NEPOptions) *Platform {
 		weights[i] = math.Pow(c.PopulationM, 0.6)
 		totalW += weights[i]
 	}
-	p := &Platform{Name: "NEP", Class: netmodel.EdgeSite}
+	p := &Platform{}
 	for i, c := range cities {
 		n := int(math.Round(weights[i] / totalW * float64(opts.TargetSites)))
 		if n < 1 {
 			n = 1
 		}
-		for k := 0; k < n; k++ {
+		for range n {
 			loc := scatter(r, c.Loc, scatterKm)
-			servers := int(r.BoundedPareto(24, 1.6, 300))
-			p.Sites = append(p.Sites, &Site{
-				ID:          fmt.Sprintf("nep-%s-%02d", c.Name, k+1),
-				Platform:    "NEP",
-				Class:       netmodel.EdgeSite,
-				City:        c,
-				Loc:         loc,
-				Servers:     servers,
-				ServerCPU:   64,
-				ServerMemGB: 256,
-				GatewayGbps: 10 + r.Float64()*30,
-			})
+			// The site's server count and gateway capacity are drawn and
+			// not kept: nothing reads them, and the draws hold every later
+			// one in place.
+			r.BoundedPareto(24, 1.6, 300)
+			r.Float64()
+			p.Sites = append(p.Sites, &Site{Class: netmodel.EdgeSite, City: c, Loc: loc})
 		}
 	}
 	return p
@@ -140,20 +119,10 @@ var aliCloudRegionCities = []string{
 
 // BuildAliCloud creates the cloud baseline: 8 large regions at major metros.
 func BuildAliCloud() *Platform {
-	p := &Platform{Name: "AliCloud", Class: netmodel.CloudSite}
-	for i, name := range aliCloudRegionCities {
+	p := &Platform{}
+	for _, name := range aliCloudRegionCities {
 		c := geo.MustCity(name)
-		p.Sites = append(p.Sites, &Site{
-			ID:          fmt.Sprintf("alicloud-%s-%d", c.Name, i+1),
-			Platform:    "AliCloud",
-			Class:       netmodel.CloudSite,
-			City:        c,
-			Loc:         c.Loc,
-			Servers:     50000,
-			ServerCPU:   96,
-			ServerMemGB: 384,
-			GatewayGbps: 4000,
-		})
+		p.Sites = append(p.Sites, &Site{Class: netmodel.CloudSite, City: c, Loc: c.Loc})
 	}
 	return p
 }
@@ -171,7 +140,6 @@ func InterSiteRTTMs(r *rng.Source, a, b *Site) float64 {
 
 // SitePairRTT is one measured site pair for Figure 4.
 type SitePairRTT struct {
-	A, B       int // indices into the platform's Sites
 	DistanceKm float64
 	RTTMs      float64
 }
@@ -204,7 +172,6 @@ func SampleInterSiteRTTs(r *rng.Source, p *Platform, maxPairs int) []SitePairRTT
 
 func pairRTT(r *rng.Source, p *Platform, i, j int) SitePairRTT {
 	return SitePairRTT{
-		A: i, B: j,
 		DistanceKm: geo.Haversine(p.Sites[i].Loc, p.Sites[j].Loc),
 		RTTMs:      InterSiteRTTMs(r, p.Sites[i], p.Sites[j]),
 	}

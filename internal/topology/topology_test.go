@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"strings"
 	"testing"
 
 	"edgescope/internal/geo"
@@ -20,32 +19,24 @@ func TestBuildNEPScale(t *testing.T) {
 	if n := len(p.Sites); n < 450 || n > 620 {
 		t.Fatalf("NEP site count = %d, want ~520", n)
 	}
-	if p.Class != netmodel.EdgeSite {
-		t.Fatal("NEP must be an edge platform")
+	for _, s := range p.Sites {
+		if s.Class != netmodel.EdgeSite {
+			t.Fatal("NEP sites must be edge sites")
+		}
 	}
 }
 
 func TestNEPSiteProperties(t *testing.T) {
 	p := buildNEP(2)
-	ids := map[string]bool{}
-	for _, s := range p.Sites {
-		if ids[s.ID] {
-			t.Fatalf("duplicate site ID %s", s.ID)
+	locs := map[geo.Point]bool{}
+	for i, s := range p.Sites {
+		if locs[s.Loc] {
+			t.Fatalf("site %d (%s) shares its location with another site", i, s.City.Name)
 		}
-		ids[s.ID] = true
-		if !strings.HasPrefix(s.ID, "nep-") {
-			t.Fatalf("bad site ID %s", s.ID)
-		}
-		// Paper: a NEP site hosts tens to hundreds of servers.
-		if s.Servers < 20 || s.Servers > 300 {
-			t.Fatalf("site %s has %d servers, want tens-to-hundreds", s.ID, s.Servers)
-		}
-		if s.GatewayGbps <= 0 {
-			t.Fatalf("site %s has no gateway bandwidth", s.ID)
-		}
+		locs[s.Loc] = true
 		// Sites are scattered but must stay near their metro (≤ ~4×100 km).
 		if d := geo.Haversine(s.Loc, s.City.Loc); d > 440 {
-			t.Fatalf("site %s is %0.f km from its metro", s.ID, d)
+			t.Fatalf("site %d is %0.f km from its metro %s", i, d, s.City.Name)
 		}
 	}
 }
@@ -72,7 +63,7 @@ func TestBuildNEPDeterministic(t *testing.T) {
 		t.Fatal("site counts differ across identical seeds")
 	}
 	for i := range a.Sites {
-		if a.Sites[i].ID != b.Sites[i].ID || a.Sites[i].Loc != b.Sites[i].Loc {
+		if a.Sites[i].City.Name != b.Sites[i].City.Name || a.Sites[i].Loc != b.Sites[i].Loc {
 			t.Fatalf("site %d differs across identical seeds", i)
 		}
 	}
@@ -83,12 +74,9 @@ func TestBuildAliCloud(t *testing.T) {
 	if len(p.Sites) != 8 {
 		t.Fatalf("AliCloud regions = %d, want 8", len(p.Sites))
 	}
-	if p.Class != netmodel.CloudSite {
-		t.Fatal("AliCloud must be a cloud platform")
-	}
 	for _, s := range p.Sites {
-		if s.Servers < 10000 {
-			t.Fatalf("cloud region %s too small", s.ID)
+		if s.Class != netmodel.CloudSite || s.Loc != s.City.Loc {
+			t.Fatalf("cloud region in %s must be a cloud site at the metro centre", s.City.Name)
 		}
 	}
 }

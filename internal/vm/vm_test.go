@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -14,11 +13,24 @@ func series(vals ...float64) *timeseries.Series {
 	return timeseries.New(t0, 5*time.Minute, vals)
 }
 
+// fixedCPU is a hand-built VM's CPUSource: it replays the samples it holds.
+type fixedCPU struct{ s *timeseries.Series }
+
+func (c fixedCPU) FillCPU(dst *timeseries.Series) {
+	copy(dst.Refill(c.s.Start, c.s.Interval, c.s.Len()), c.s.Values)
+}
+
+func (c fixedCPU) CPUInterval() time.Duration { return c.s.Interval }
+
+// withCPU builds v with the CPU samples cpu.
+func withCPU(v VM, cpu *timeseries.Series) *VM { return New(v, cpu, fixedCPU{cpu}) }
+
+// WithCPU is withCPU for the external tests in validate_test.go.
+var WithCPU = withCPU
+
 // tinyDataset builds a 2-site, 3-VM dataset used across tests.
 func tinyDataset() *Dataset {
 	return &Dataset{
-		Platform: "NEP",
-		Start:    t0,
 		Duration: time.Hour,
 		Sites: []*Site{
 			{Name: "Guangdong-01", Province: "Guangdong", Servers: []Server{
@@ -29,60 +41,13 @@ func tinyDataset() *Dataset {
 			}},
 		},
 		VMs: []*VM{
-			New(VM{ID: 0, App: 0, Customer: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, DiskGB: 100,
-				PublicBW: series(100, 200, 300)}, series(10, 20, 30), nil),
-			New(VM{ID: 1, App: 0, Customer: 0, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, DiskGB: 200,
-				PublicBW: series(50, 50, 50)}, series(40, 50, 60), nil),
-			New(VM{ID: 2, App: 1, Customer: 1, Site: 1, Server: 0, VCPUs: 4, MemGB: 16, DiskGB: 50,
-				PublicBW: series(10, 10, 10)}, series(5, 5, 5), nil),
+			withCPU(VM{App: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, DiskGB: 100,
+				PublicBW: series(100, 200, 300)}, series(10, 20, 30)),
+			withCPU(VM{App: 0, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, DiskGB: 200,
+				PublicBW: series(50, 50, 50)}, series(40, 50, 60)),
+			withCPU(VM{App: 1, Site: 1, Server: 0, VCPUs: 4, MemGB: 16, DiskGB: 50,
+				PublicBW: series(10, 10, 10)}, series(5, 5, 5)),
 		},
-	}
-}
-
-func TestValidateOK(t *testing.T) {
-	if err := tinyDataset().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateCatchesBadPlacement(t *testing.T) {
-	d := tinyDataset()
-	d.VMs[0].Site = 9
-	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "site") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestValidateCatchesBadServer(t *testing.T) {
-	d := tinyDataset()
-	d.VMs[2].Server = 5
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected server error")
-	}
-}
-
-func TestValidateCatchesMissingSeries(t *testing.T) {
-	d := tinyDataset()
-	d.VMs[1] = New(VM{ID: 1, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, PublicBW: series(50)}, nil, nil)
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected CPU series error")
-	}
-}
-
-func TestValidateCatchesCPURange(t *testing.T) {
-	d := tinyDataset()
-	d.VMs[0] = New(VM{ID: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, PublicBW: series(100)},
-		series(10, 120, 30), nil)
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected CPU range error")
-	}
-}
-
-func TestValidateCatchesEmptySite(t *testing.T) {
-	d := tinyDataset()
-	d.Sites = append(d.Sites, &Site{Name: "empty"})
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected empty site error")
 	}
 }
 
@@ -118,16 +83,9 @@ func TestGroupings(t *testing.T) {
 func TestSiteSalesRates(t *testing.T) {
 	d := tinyDataset()
 	rates := d.SiteSalesRates()
-	// Site 0: (8+16)/128 vCPU, (16+64)/512 mem.
-	if rates[0].CPU != 24.0/128 {
-		t.Fatalf("site 0 CPU sales = %v", rates[0].CPU)
-	}
-	if rates[0].Mem != 80.0/512 {
-		t.Fatalf("site 0 mem sales = %v", rates[0].Mem)
-	}
-	// Paper: CPU sells ~2× better than memory relative to capacity.
-	if rates[0].CPU <= rates[0].Mem {
-		t.Fatal("CPU sales rate should exceed memory in this dataset")
+	// Site 0: (8+16)/128 vCPU; site 1: 4/64.
+	if len(rates) != 2 || rates[0] != 24.0/128 || rates[1] != 4.0/64 {
+		t.Fatalf("CPU sales rates = %v, want [%v %v]", rates, 24.0/128, 4.0/64)
 	}
 }
 

@@ -131,7 +131,7 @@ func GenerateNEP(r *rng.Source, opts Options) (*vm.Dataset, error) {
 		opts.Strategy = placement.NEPDefault{}
 	}
 	sites := buildNEPSites(r.Fork("sites"))
-	return generate(r, opts, "NEP", sites, true)
+	return generate(r, opts, sites, true)
 }
 
 // GenerateCloud synthesises the Azure-like cloud trace.
@@ -144,16 +144,13 @@ func GenerateCloud(r *rng.Source, opts Options) (*vm.Dataset, error) {
 		opts.Strategy = placement.Random{}
 	}
 	sites := buildCloudSites(r.Fork("sites"))
-	return generate(r, opts, "Cloud", sites, false)
+	return generate(r, opts, sites, false)
 }
 
-func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, geoSkew bool) (*vm.Dataset, error) {
+func generate(r *rng.Source, opts Options, sites []*vm.Site, geoSkew bool) (*vm.Dataset, error) {
 	st := placement.NewClusterState(sites)
-	provNames, provPops := provincePops()
-	_ = provPops
+	provNames, _ := provincePops()
 	d := &vm.Dataset{
-		Platform: platform,
-		Start:    traceStart,
 		Duration: time.Duration(opts.Days) * 24 * time.Hour,
 		Sites:    sites,
 	}
@@ -164,7 +161,6 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 	}
 	provZipf := rng.NewZipf(r.Fork("prov"), 1.3, len(provNames))
 
-	vmID := 0
 	// cpuBuf takes each VM's CPU draws in turn: vm.New reduces them to the
 	// VM's summaries while they are hot, and the VM keeps only the recipe.
 	var cpuBuf timeseries.Series
@@ -238,15 +234,13 @@ func generate(r *rng.Source, opts Options, platform string, sites []*vm.Site, ge
 					volatileWeeks: volatile, volatileSigma: 0.9,
 				})
 				v := vm.New(vm.VM{
-					ID: vmID, App: app, Customer: app, // 1 app per customer
-					Site: a.Site, Server: a.Server,
+					App: app, Site: a.Site, Server: a.Server,
 					VCPUs: vcpu, MemGB: mem,
 					DiskGB:   int(r.BoundedPareto(cat.DiskXmGB, cat.DiskAlpha, cat.DiskCapGB)),
 					PublicBW: bw,
 				}, &cpuBuf, cpu)
 				st.ObserveUsage(a.Site, a.Server, v.MeanCPU())
 				d.VMs = append(d.VMs, v)
-				vmID++
 			}
 		}
 	}

@@ -14,6 +14,17 @@ package edgescope
 // file as pkg.Type.Field with a reason. An option only tests set is a second
 // configuration nothing ships; make it a constant instead.
 //
+// The field gate, TestEveryFieldRead, asks the same of data: every field of a
+// non-test struct is read by non-test code, main packages included. A write
+// is the direct left side of an assignment or an increment, or a key of a
+// composite literal; every other selection of the field is a read, and a
+// promoted selection also reads each embedded field on its path. A struct
+// compared whole (== or a map key) reads every field, and an embedded field
+// that promotes methods is read by the dynamic calls that land on them.
+// Structs with any struct tag are wire or disk formats and are exempt by
+// that rule; any other field nothing reads is deleted, or listed as
+// pkg.Type.Field.
+//
 // The walk is stdlib only: `go list -deps -json` for the package graph,
 // go/types over the module's non-test files (the standard library comes from
 // the "source" importer), then a fixpoint over "declaration mentions
@@ -65,6 +76,11 @@ type reachGraph struct {
 	options map[string]token.Position // every field of an exported *Config/*Options struct, by "pkg.Type.Field"
 	fieldOf map[*types.Var]string     // those fields' objects → their names
 	written map[*types.Var]bool       // struct fields set in non-test code outside their type's fill
+
+	fields   map[string]token.Position  // every field of an untagged non-test struct, by "pkg.Type.Field"
+	fieldVar map[*types.Var]string      // those fields' objects → their names
+	stores   map[*ast.SelectorExpr]bool // field selections that are the direct left side of a write
+	compared []types.Type               // struct types used as map keys or operands of == and !=
 }
 
 // ImportFrom hands the type checker the module's own packages (checked
@@ -141,6 +157,8 @@ func (g *reachGraph) load(importPath, dir string, goFiles []string) error {
 	g.pkgs[importPath] = pkg
 	initNode := path.Base(importPath) + ".init"
 	for _, f := range files {
+		g.addFields(f)
+		g.noteCompared(f)
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
@@ -186,6 +204,104 @@ func (g *reachGraph) addOptions(tn *types.TypeName) {
 	}
 }
 
+// addFields lists the fields of every struct type f declares, at package
+// level or inside a function, unless one of them carries a tag: a tagged
+// struct is a wire or disk format, whose fields the encoder reads.
+func (g *reachGraph) addFields(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		st, ok := spec.Type.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		for _, fl := range st.Fields.List {
+			if fl.Tag != nil {
+				return true
+			}
+		}
+		tn := g.info.Defs[spec.Name].(*types.TypeName)
+		s := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < s.NumFields(); i++ {
+			if v := s.Field(i); v.Name() != "_" {
+				name := path.Base(tn.Pkg().Path()) + "." + tn.Name() + "." + v.Name()
+				g.fields[name] = g.fset.Position(v.Pos())
+				g.fieldVar[v] = name
+			}
+		}
+		return true
+	})
+}
+
+// noteCompared records the struct types f hashes or compares whole: the key
+// of a map type, an operand of == or !=. Either reads every field.
+func (g *reachGraph) noteCompared(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.MapType:
+			g.compared = append(g.compared, g.info.TypeOf(n.Key))
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				g.compared = append(g.compared, g.info.TypeOf(n.X))
+			}
+		}
+		return true
+	})
+}
+
+// read is every listed field non-test code reads: the field of every
+// selection but a store, the embedded fields on the path of every selection
+// (stores included), every field of a struct compared whole, and every
+// embedded field that promotes a method. Fields of generic types count as
+// their Origin.
+func (g *reachGraph) read() map[string]bool {
+	out := map[string]bool{}
+	mark := func(v *types.Var) {
+		if name, ok := g.fieldVar[v.Origin()]; ok {
+			out[name] = true
+		}
+	}
+	// An embedded field that promotes methods is read by the dynamic calls
+	// that land on them (a Frontend served as its http.Handler), which no
+	// selection shows.
+	for v := range g.fieldVar {
+		if v.Embedded() && (types.NewMethodSet(v.Type()).Len() > 0 || types.NewMethodSet(types.NewPointer(v.Type())).Len() > 0) {
+			mark(v)
+		}
+	}
+	for _, t := range g.compared {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				mark(st.Field(i))
+			}
+		}
+	}
+	for expr, sel := range g.info.Selections {
+		if sel.Kind() == types.MethodExpr {
+			continue
+		}
+		t := sel.Recv()
+		idx := sel.Index()
+		for i, k := range idx {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if i == len(idx)-1 {
+				if sel.Kind() == types.FieldVal && !g.stores[expr] {
+					mark(sel.Obj().(*types.Var))
+				}
+				break
+			}
+			f := t.Underlying().(*types.Struct).Field(k)
+			mark(f)
+			t = f.Type()
+		}
+	}
+	return out
+}
+
 // fillOf is the struct a `fill` method's receiver names — the defaults it
 // writes are not a caller setting an option — or nil for any other function.
 func fillOf(info *types.Info, d *ast.FuncDecl) *types.Struct {
@@ -221,6 +337,7 @@ func (g *reachGraph) noteWrites(own *types.Struct, n ast.Node) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			if s := g.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
 				write(s.Obj().(*types.Var))
+				g.stores[sel] = true
 			}
 		}
 	}
@@ -372,15 +489,19 @@ func buildGraph() (*reachGraph, []string, error) {
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
 		},
-		pkgs:    map[string]*types.Package{},
-		edges:   map[string][]string{},
-		calls:   map[string][]string{},
-		types:   map[string]*types.TypeName{},
-		funcs:   map[string]token.Position{},
-		options: map[string]token.Position{},
-		fieldOf: map[*types.Var]string{},
-		written: map[*types.Var]bool{},
+		pkgs:     map[string]*types.Package{},
+		edges:    map[string][]string{},
+		calls:    map[string][]string{},
+		types:    map[string]*types.TypeName{},
+		funcs:    map[string]token.Position{},
+		options:  map[string]token.Position{},
+		fieldOf:  map[*types.Var]string{},
+		written:  map[*types.Var]bool{},
+		fields:   map[string]token.Position{},
+		fieldVar: map[*types.Var]string{},
+		stores:   map[*ast.SelectorExpr]bool{},
 	}
 	g.std = importer.ForCompiler(g.fset, "source", nil).(types.ImporterFrom)
 
@@ -499,9 +620,14 @@ func TestEveryFunctionReachable(t *testing.T) {
 				covered++
 			}
 		}
+		for field := range g.fields {
+			if e.match(field) {
+				covered++
+			}
+		}
 		switch {
 		case covered == 0:
-			t.Errorf("%s:%d: %s names no function or option field that exists — drop the entry", reachKeepFile, e.line, e.name)
+			t.Errorf("%s:%d: %s names no function or field that exists — drop the entry", reachKeepFile, e.line, e.name)
 		case reached != "":
 			t.Errorf("%s:%d: %s is reachable from a main package now — drop the entry", reachKeepFile, e.line, reached)
 		}
@@ -545,5 +671,38 @@ func TestEveryOptionSet(t *testing.T) {
 	if unset := unlisted(g.options, func(f string) bool { return set[f] || kept[f] }); len(unset) > 0 {
 		t.Errorf("%d option fields no non-test code sets outside their type's fill, and %s does not list — make each a constant (or delete it with the mode it selects), or list it with a reason:\n%s",
 			len(unset), reachKeepFile, strings.Join(unset, "\n"))
+	}
+}
+
+func TestEveryFieldRead(t *testing.T) {
+	g, _ := loadModule(t)
+	read := g.read()
+
+	kept := map[string]bool{}
+	for _, e := range readKeep(t) {
+		matched, stale := false, true
+		for field := range g.fields {
+			if e.match(field) {
+				matched = true
+				kept[field] = true
+				stale = stale && read[field]
+			}
+		}
+		for name := range g.funcs {
+			stale = stale && !e.match(name)
+		}
+		for field := range g.options {
+			stale = stale && !e.match(field)
+		}
+		if matched && stale {
+			t.Errorf("%s:%d: every field %s names is read by non-test code now — drop the entry", reachKeepFile, e.line, e.name)
+		}
+	}
+	t.Logf("%d fields in untagged non-test structs: %d read by non-test code, %d listed in %s",
+		len(g.fields), len(read), len(kept), reachKeepFile)
+
+	if unread := unlisted(g.fields, func(f string) bool { return read[f] || kept[f] }); len(unread) > 0 {
+		t.Errorf("%d struct fields no non-test code reads, and %s does not list — delete each (keep any random draw that set it), or list it with a reason:\n%s",
+			len(unread), reachKeepFile, strings.Join(unread, "\n"))
 	}
 }

@@ -9,7 +9,9 @@
 #     check: every non-test function is reachable from a main package or
 #     listed with a reason in scripts/reach_keep; TestEveryOptionSet is the
 #     per-option form: every field of an exported *Config/*Options struct
-#     is set by non-test code outside its type's fill, or listed there too)
+#     is set by non-test code outside its type's fill, or listed there too;
+#     TestEveryFieldRead the per-field form: every field of an untagged
+#     non-test struct is read by non-test code, or listed there too)
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
 #     segment replay, snapshot decode, sketch codec, sketch-page and
@@ -38,9 +40,10 @@
 #     POST /admin/join (sketch-page handoff, epoch activation), then a
 #     member drains and leaves — /query and /keys must stay byte-identical
 #     to the single-node replay at every epoch, with no daemon restarted
-#   → scenario smoke: small built-in scenarios through reproall, with the
-#     -parallel invariance diff (stdout must be byte-identical at any
-#     worker count)
+#   → scenario smoke: reproall -list, then `make repro-sha` — every built-in
+#     scenario with -ext through a trimmed build at -parallel 1 and 4, one
+#     SHA-256 each, failing on any mismatch (stdout must be byte-identical
+#     at any worker count) — and fig14 alone at -parallel 1, 2 and 8
 #   → examples smoke: each examples/* program runs once, exits 0 and prints
 #     something — they are roots of the reachability walk, so they must at
 #     least run
@@ -402,15 +405,10 @@ cluster_cleanup
 CLUSTER_PIDS=()
 trap 'rm -rf "$smoke"' EXIT
 
-echo "== scenario smoke (reproall, parallel-invariance diff) =="
+echo "== scenario smoke (reproall, parallel-invariance over every built-in) =="
 go build -o "$smoke/reproall" ./cmd/reproall
 "$smoke/reproall" -list > /dev/null
-for sc in small dense-metro rural-sparse flash-crowd; do
-  "$smoke/reproall" -scenario "$sc" -parallel 1 -quiet-times > "$smoke/$sc-p1.txt"
-  "$smoke/reproall" -scenario "$sc" -parallel 4 -quiet-times > "$smoke/$sc-p4.txt"
-  diff "$smoke/$sc-p1.txt" "$smoke/$sc-p4.txt"
-  echo "  $sc ok ($(wc -c < "$smoke/$sc-p1.txt") bytes, parallel-invariant)"
-done
+make --no-print-directory repro-sha
 # fig14 alone: with one artifact selected, the per-VM fan-out inside the
 # node is the only thing the worker count changes.
 "$smoke/reproall" -only fig14 -parallel 1 -quiet-times > "$smoke/fig14-p1.txt"
