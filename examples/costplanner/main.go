@@ -19,8 +19,9 @@ func main() {
 		panic(err)
 	}
 
-	nep := billing.NEPAppBills(trace)
-	cloud := billing.CloudAppBills(trace,
+	usage := billing.NewUsage(trace)
+	nep := billing.NEPAppBills(usage)
+	cloud := billing.CloudAppBills(usage,
 		billing.VCloud1Hardware(), billing.VCloud1Net(), billing.OnDemandBandwidth)
 	cloudBy := map[int]billing.AppBill{}
 	for _, b := range cloud {
@@ -62,7 +63,7 @@ func main() {
 		cheaper, len(vs))
 	fmt.Println("exceptions are hardware-heavy or high-variance apps).")
 
-	b := billing.Breakdown(trace, 25)
+	b := billing.Breakdown(usage, 25)
 	fmt.Printf("network share of edge bills: mean %.0f%%, max %.0f%% (paper: 76%%/96%%)\n",
 		100*b.MeanNetworkShare, 100*b.MaxNetworkShare)
 }

@@ -7,6 +7,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -228,9 +229,7 @@ func serverUsages(d *vm.Dataset, vmIdx []int, buf *timeseries.Series) []serverUs
 		for t := range min(len(a.vals), buf.Len()) {
 			a.vals[t] += w * buf.Values[t]
 		}
-		if v.PublicBW != nil {
-			a.net += v.PublicBW.Mean()
-		}
+		a.net += v.MeanBW()
 	}
 	servers := make([]int, 0, len(accs))
 	for srv := range accs {
@@ -321,19 +320,15 @@ func AppDaySample(d *vm.Dataset, maxVMs int) [][]float64 {
 }
 
 // WeeklyBandwidth returns each selected VM's weekly-averaged bandwidth
-// (Figure 13): one row per VM, one column per week. The resample buffer is
-// recycled across VMs; only the returned rows are fresh allocations.
+// (Figure 13): one row per VM, one column per week, copied from the VMs'
+// weekly summaries.
 func WeeklyBandwidth(d *vm.Dataset, vmIdx []int) [][]float64 {
 	var out [][]float64
-	var weekly timeseries.Series
 	for _, vi := range vmIdx {
-		if vi < 0 || vi >= len(d.VMs) || d.VMs[vi].PublicBW == nil {
+		if vi < 0 || vi >= len(d.VMs) {
 			continue
 		}
-		d.VMs[vi].PublicBW.ResampleInto(&weekly, 7*24*time.Hour, timeseries.AggMean)
-		row := make([]float64, weekly.Len())
-		copy(row, weekly.Values)
-		out = append(out, row)
+		out = append(out, slices.Clone(d.VMs[vi].WeeklyBW()))
 	}
 	return out
 }
@@ -346,16 +341,12 @@ func MostVolatileBW(d *vm.Dataset, n int) []int {
 		ratio float64
 	}
 	var cands []cand
-	var weekly timeseries.Series
 	for i, v := range d.VMs {
-		if v.PublicBW == nil {
+		weekly := v.WeeklyBW()
+		if len(weekly) < 2 {
 			continue
 		}
-		v.PublicBW.ResampleInto(&weekly, 7*24*time.Hour, timeseries.AggMean)
-		if weekly.Len() < 2 {
-			continue
-		}
-		mn, mx := stats.Min(weekly.Values), stats.Max(weekly.Values)
+		mn, mx := stats.Min(weekly), stats.Max(weekly)
 		if mn <= 0 {
 			mn = 1e-6
 		}

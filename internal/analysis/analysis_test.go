@@ -139,25 +139,27 @@ func usageSeries(vals ...float64) *timeseries.Series {
 	return timeseries.New(time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC), 5*time.Minute, vals)
 }
 
-// fixedCPU is a hand-built VM's CPUSource: it replays the samples it holds.
-type fixedCPU struct{ s *timeseries.Series }
+// fixed is a hand-built VM's Source: it replays the samples it holds.
+type fixed struct{ s *timeseries.Series }
 
-func (c fixedCPU) FillCPU(dst *timeseries.Series) {
-	copy(dst.Refill(c.s.Start, c.s.Interval, c.s.Len()), c.s.Values)
+func (f fixed) Fill(dst *timeseries.Series) {
+	copy(dst.Refill(f.s.Start, f.s.Interval, f.s.Len()), f.s.Values)
 }
 
-func (c fixedCPU) CPUInterval() time.Duration { return c.s.Interval }
+func (f fixed) Interval() time.Duration { return f.s.Interval }
 
-// withCPU builds v with the CPU samples cpu.
-func withCPU(v vm.VM, cpu *timeseries.Series) *vm.VM { return vm.New(v, cpu, fixedCPU{cpu}) }
+// withUsage builds v with the CPU samples cpu and the bandwidth samples bw.
+func withUsage(v vm.VM, cpu, bw *timeseries.Series) *vm.VM {
+	return vm.New(v, cpu, fixed{cpu}, bw, fixed{bw})
+}
 
 // TestServerUsagesWeighted: a lone VM's vCPU weight cancels, so its server's
 // usage is the VM's own mean CPU and its NET the VM's mean bandwidth; servers
 // that host nothing are absent, and the rest come back by ascending index.
 func TestServerUsagesWeighted(t *testing.T) {
 	d := &vm.Dataset{VMs: []*vm.VM{
-		withCPU(vm.VM{Server: 3, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30)),
-		withCPU(vm.VM{Server: 1, VCPUs: 4, PublicBW: usageSeries(10, 10, 10)}, usageSeries(5, 5, 5)),
+		withUsage(vm.VM{Server: 3, VCPUs: 8}, usageSeries(10, 20, 30), usageSeries(100, 200, 300)),
+		withUsage(vm.VM{Server: 1, VCPUs: 4}, usageSeries(5, 5, 5), usageSeries(10, 10, 10)),
 	}}
 	var buf timeseries.Series
 	got := serverUsages(d, []int{0, 1}, &buf)
@@ -172,8 +174,8 @@ func TestServerUsagesWeighted(t *testing.T) {
 // 40), and their mean bandwidths add.
 func TestServerUsagesMultiVM(t *testing.T) {
 	d := &vm.Dataset{VMs: []*vm.VM{
-		withCPU(vm.VM{Server: 0, VCPUs: 8, PublicBW: usageSeries(100, 200, 300)}, usageSeries(10, 20, 30)),
-		withCPU(vm.VM{Server: 0, VCPUs: 16, PublicBW: usageSeries(50, 50, 50)}, usageSeries(40, 50, 60)),
+		withUsage(vm.VM{Server: 0, VCPUs: 8}, usageSeries(10, 20, 30), usageSeries(100, 200, 300)),
+		withUsage(vm.VM{Server: 0, VCPUs: 16}, usageSeries(40, 50, 60), usageSeries(50, 50, 50)),
 	}}
 	var buf timeseries.Series
 	got := serverUsages(d, []int{0, 1}, &buf)
@@ -190,7 +192,7 @@ func TestServerUsagesMultiVM(t *testing.T) {
 func TestServerUsagesMatchPerServerScan(t *testing.T) {
 	nep, _ := traces(t)
 	siteVMs := nep.SiteVMs()
-	var buf, cpu timeseries.Series
+	var buf, cpu, bw timeseries.Series
 	for i, site := range nep.Sites {
 		if site.Province != "Guangdong" || len(siteVMs[i]) == 0 {
 			continue
@@ -213,7 +215,7 @@ func TestServerUsagesMatchPerServerScan(t *testing.T) {
 				for t := range min(len(vals), cpu.Len()) {
 					vals[t] += w * cpu.Values[t]
 				}
-				net += v.PublicBW.Mean()
+				net += v.BWSeries(&bw).Mean()
 			}
 			if vals == nil {
 				continue
@@ -309,7 +311,7 @@ func TestMostVolatileOrdering(t *testing.T) {
 	nep, _ := traces(t)
 	idx := MostVolatileBW(nep, 10)
 	ratio := func(i int) float64 {
-		w := nep.VMs[i].PublicBW.ResampleInto(&timeseries.Series{}, 7*24*3600*1e9, 0)
+		w := nep.VMs[i].BWSeries(new(timeseries.Series)).ResampleInto(&timeseries.Series{}, 7*24*time.Hour, timeseries.AggMean)
 		mn, mx := stats.Min(w.Values), stats.Max(w.Values)
 		if mn <= 0 {
 			mn = 1e-6

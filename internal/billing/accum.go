@@ -9,10 +9,8 @@ import (
 
 // bwAccum accumulates bandwidth series grouped by a key (site index for NEP,
 // region name for the virtual clouds), recycling its backing arrays across
-// groups. The per-app billing walks used to build a fresh Clone-and-Add
-// chain for every app — one full series allocation per VM, the dominant
-// allocation source of Table 6 — whereas an accumulator allocates one series
-// per distinct key over the whole walk and then reuses it.
+// groups: over a whole walk it allocates one series per distinct key, not
+// one per VM.
 //
 // Keys returns the keys touched since the last Reset in sorted order, so the
 // caller's fold over groups is deterministic: map iteration order must never

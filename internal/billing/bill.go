@@ -50,36 +50,85 @@ func monthScale(d time.Duration) float64 {
 	return float64(30*24*time.Hour) / float64(d)
 }
 
-// NEPAppBills prices every app's monthly cost on NEP: per-unit hardware
-// rates plus, per site, the province/operator unit price applied to the
-// 95th-percentile daily-peak bandwidth (traffic of an app's VMs in one site
-// is combined, per Appendix A). Per-app bandwidth combines through one
-// buffer-recycling accumulator, and sites fold into the bill in ascending
-// site order so the summation order (and therefore the bill, bit for bit)
-// never depends on map iteration.
-func NEPAppBills(d *vm.Dataset) []AppBill {
-	hw := NEPHardware()
+// Usage is a dataset's bandwidth reduced to what its bills read, built by
+// one replay walk (NewUsage) however many bills are priced from it. Per app,
+// in ascending app ID, it keeps the app's VMs, its NEP network bill and its
+// bandwidth merged per cloud region.
+type Usage struct {
+	d    *vm.Dataset
+	apps []appUsage
+}
+
+type appUsage struct {
+	app int
+	vms []int // indices into d.VMs, in dataset order
+	// nepNetwork is the NEP network bill: per site, the province/operator
+	// unit price times the 95th-percentile daily peak of the app's combined
+	// traffic there, folded in ascending site order.
+	nepNetwork Money
+	// regions holds the app's bandwidth merged per cloud region, in
+	// ascending region name.
+	regions []*timeseries.Series
+}
+
+// NewUsage walks d once, app by app in ascending ID, replaying each VM's
+// bandwidth into one buffer and folding it, in VM order, into one
+// buffer-recycling accumulator per site and one per region. Sites and
+// regions then fold in ascending order, so every sum, and therefore every
+// bill bit for bit, is the same whatever the map iteration order. Traffic
+// of an app's VMs in one site is combined for NEP's per-site billing
+// (Appendix A); the virtual clouds cluster it onto their few regions by
+// geography (§4.5).
+func NewUsage(d *vm.Dataset) *Usage {
 	apps := d.AppVMs()
 	ids := sortedAppIDs(apps)
-	out := make([]AppBill, 0, len(ids))
-	var siteBW bwAccum[int]
+	u := &Usage{d: d, apps: make([]appUsage, 0, len(ids))}
+	var (
+		bw       timeseries.Series
+		siteBW   bwAccum[int]
+		regionBW bwAccum[string]
+	)
 	for _, app := range ids {
-		bill := AppBill{App: app}
+		a := appUsage{app: app, vms: apps[app]}
 		siteBW.Reset()
-		for _, vi := range apps[app] {
+		regionBW.Reset()
+		for _, vi := range a.vms {
 			v := d.VMs[vi]
-			bill.Hardware += hw.MonthlyHardware(v.VCPUs, v.MemGB, v.DiskGB)
-			if v.PublicBW == nil {
-				continue
-			}
-			siteBW.Add(v.Site, v.PublicBW)
+			v.BWSeries(&bw)
+			siteBW.Add(v.Site, &bw)
+			regionBW.Add(regionForProvince(d.Sites[v.Site].Province), &bw)
 		}
 		for _, site := range siteBW.Keys() {
 			peak := NEP95thDailyPeak(siteBW.Get(site).DailyPeaks())
 			unit := NEPNetUnitPrice(d.Sites[site].Province, OperatorForSite(d.Sites[site].Name))
-			bill.Network += unit * peak
+			a.nepNetwork += unit * peak
 		}
-		out = append(out, bill)
+		for _, region := range regionBW.Keys() {
+			a.regions = append(a.regions, regionBW.Get(region).Clone())
+		}
+		u.apps = append(u.apps, a)
+	}
+	return u
+}
+
+// hardware prices an app's VMs under hw, in VM order.
+func (u *Usage) hardware(a *appUsage, hw HardwarePricing) Money {
+	var m Money
+	for _, vi := range a.vms {
+		v := u.d.VMs[vi]
+		m += hw.MonthlyHardware(v.VCPUs, v.MemGB, v.DiskGB)
+	}
+	return m
+}
+
+// NEPAppBills prices every app's monthly cost on NEP: per-unit hardware
+// rates plus the per-site network bill NewUsage reduced.
+func NEPAppBills(u *Usage) []AppBill {
+	hw := NEPHardware()
+	out := make([]AppBill, 0, len(u.apps))
+	for i := range u.apps {
+		a := &u.apps[i]
+		out = append(out, AppBill{App: a.app, Hardware: u.hardware(a, hw), Network: a.nepNetwork})
 	}
 	return out
 }
@@ -89,25 +138,14 @@ func NEPAppBills(d *vm.Dataset) []AppBill {
 // cloud's (few) regions by geography — which for billing purposes merges
 // each app's bandwidth into one series per region — and priced under the
 // given network model.
-func CloudAppBills(d *vm.Dataset, hw HardwarePricing, net CloudNetPricing, model NetworkModel) []AppBill {
-	apps := d.AppVMs()
-	ids := sortedAppIDs(apps)
-	scale := monthScale(d.Duration)
-	out := make([]AppBill, 0, len(ids))
-	var regionBW bwAccum[string]
-	for _, app := range ids {
-		bill := AppBill{App: app}
-		regionBW.Reset()
-		for _, vi := range apps[app] {
-			v := d.VMs[vi]
-			bill.Hardware += hw.MonthlyHardware(v.VCPUs, v.MemGB, v.DiskGB)
-			if v.PublicBW == nil {
-				continue
-			}
-			regionBW.Add(regionForProvince(d.Sites[v.Site].Province), v.PublicBW)
-		}
-		for _, region := range regionBW.Keys() {
-			bill.Network += cloudNetworkCost(regionBW.Get(region), net, model, scale)
+func CloudAppBills(u *Usage, hw HardwarePricing, net CloudNetPricing, model NetworkModel) []AppBill {
+	scale := monthScale(u.d.Duration)
+	out := make([]AppBill, 0, len(u.apps))
+	for i := range u.apps {
+		a := &u.apps[i]
+		bill := AppBill{App: a.app, Hardware: u.hardware(a, hw)}
+		for _, bw := range a.regions {
+			bill.Network += cloudNetworkCost(bw, net, model, scale)
 		}
 		out = append(out, bill)
 	}
@@ -192,8 +230,8 @@ type Table6Row struct {
 
 // Table6 computes the cost-ratio summary for both virtual clouds and all
 // three network models over the topN apps by NEP bill (paper: 50 heaviest).
-func Table6(d *vm.Dataset, topN int) []Table6Row {
-	nep := NEPAppBills(d)
+func Table6(u *Usage, topN int) []Table6Row {
+	nep := NEPAppBills(u)
 	sort.Slice(nep, func(i, j int) bool { return nep[i].Total() > nep[j].Total() })
 	if topN > 0 && topN < len(nep) {
 		nep = nep[:topN]
@@ -214,7 +252,7 @@ func Table6(d *vm.Dataset, topN int) []Table6Row {
 	var rows []Table6Row
 	for _, cs := range clouds {
 		for _, model := range []NetworkModel{OnDemandBandwidth, OnDemandQuantity, PreReserved} {
-			cloudBills := CloudAppBills(d, cs.hw, cs.net, model)
+			cloudBills := CloudAppBills(u, cs.hw, cs.net, model)
 			var ratios []float64
 			cheaper := 0
 			for _, cb := range cloudBills {
@@ -262,13 +300,13 @@ type BreakdownSummary struct {
 }
 
 // Breakdown computes the bill decomposition against vCloud-1.
-func Breakdown(d *vm.Dataset, topN int) BreakdownSummary {
-	nep := NEPAppBills(d)
+func Breakdown(u *Usage, topN int) BreakdownSummary {
+	nep := NEPAppBills(u)
 	sort.Slice(nep, func(i, j int) bool { return nep[i].Total() > nep[j].Total() })
 	if topN > 0 && topN < len(nep) {
 		nep = nep[:topN]
 	}
-	cloud := CloudAppBills(d, VCloud1Hardware(), VCloud1Net(), OnDemandBandwidth)
+	cloud := CloudAppBills(u, VCloud1Hardware(), VCloud1Net(), OnDemandBandwidth)
 	cloudByApp := map[int]AppBill{}
 	for _, b := range cloud {
 		cloudByApp[b.App] = b
@@ -277,7 +315,7 @@ func Breakdown(d *vm.Dataset, topN int) BreakdownSummary {
 	nepHW, v1HW := NEPHardware(), VCloud1Hardware()
 	computeNEP := map[int]Money{}
 	computeV1 := map[int]Money{}
-	for _, v := range d.VMs {
+	for _, v := range u.d.VMs {
 		computeNEP[v.App] += nepHW.MonthlyHardware(v.VCPUs, v.MemGB, 0)
 		computeV1[v.App] += v1HW.MonthlyHardware(v.VCPUs, v.MemGB, 0)
 	}

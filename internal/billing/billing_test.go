@@ -1,12 +1,17 @@
 package billing
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"edgescope/internal/rng"
+	"edgescope/internal/scenario"
+	"edgescope/internal/timeseries"
 	"edgescope/internal/vm"
 	"edgescope/internal/workload"
 )
@@ -150,11 +155,13 @@ func TestOperatorForSiteStable(t *testing.T) {
 // --- dataset-level billing ---
 
 var (
-	once sync.Once
-	nep  *vm.Dataset
+	once  sync.Once
+	nep   *vm.Dataset
+	usage *Usage
 )
 
-func trace(t *testing.T) *vm.Dataset {
+// trace returns the shared 50-app NEP trace and its billing usage.
+func trace(t *testing.T) (*vm.Dataset, *Usage) {
 	t.Helper()
 	once.Do(func() {
 		var err error
@@ -162,13 +169,14 @@ func trace(t *testing.T) *vm.Dataset {
 		if err != nil {
 			panic(err)
 		}
+		usage = NewUsage(nep)
 	})
-	return nep
+	return nep, usage
 }
 
 func TestNEPAppBillsBasics(t *testing.T) {
-	d := trace(t)
-	bills := NEPAppBills(d)
+	_, u := trace(t)
+	bills := NEPAppBills(u)
 	if len(bills) == 0 {
 		t.Fatal("no bills")
 	}
@@ -186,8 +194,8 @@ func TestNEPAppBillsBasics(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	d := trace(t)
-	rows := Table6(d, 30)
+	_, u := trace(t)
+	rows := Table6(u, 30)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 2 clouds × 3 models", len(rows))
 	}
@@ -230,8 +238,8 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestBreakdownFindings(t *testing.T) {
-	d := trace(t)
-	b := Breakdown(d, 30)
+	_, u := trace(t)
+	b := Breakdown(u, 30)
 	// Paper: network dominates NEP bills (76% mean, up to 96%).
 	if b.MeanNetworkShare < 0.5 || b.MeanNetworkShare > 0.99 {
 		t.Fatalf("mean network share = %.2f, want ~0.76", b.MeanNetworkShare)
@@ -255,9 +263,9 @@ func TestBurstyAppCheaperOnCloud(t *testing.T) {
 	// Construct the paper's education counter-example directly: an app
 	// whose traffic peaks 3 hours per day. NEP bills the daily peak; the
 	// cloud's per-minute on-demand billing only pays for the window.
-	d := trace(t)
-	bills := NEPAppBills(d)
-	cloud := CloudAppBills(d, VCloud1Hardware(), VCloud1Net(), OnDemandBandwidth)
+	d, u := trace(t)
+	bills := NEPAppBills(u)
+	cloud := CloudAppBills(u, VCloud1Hardware(), VCloud1Net(), OnDemandBandwidth)
 	cloudBy := map[int]AppBill{}
 	for _, b := range cloud {
 		cloudBy[b.App] = b
@@ -265,13 +273,12 @@ func TestBurstyAppCheaperOnCloud(t *testing.T) {
 	// Find apps with extreme peak-to-mean traffic (education-like).
 	apps := d.AppVMs()
 	foundBursty := false
+	var bw timeseries.Series
 	for app, vms := range apps {
 		var peak, mean float64
 		for _, vi := range vms {
-			if bw := d.VMs[vi].PublicBW; bw != nil {
-				peak += bw.MaxValue()
-				mean += bw.Mean()
-			}
+			peak += d.VMs[vi].BWSeries(&bw).MaxValue()
+			mean += d.VMs[vi].MeanBW()
 		}
 		if mean == 0 || peak/mean < 8 {
 			continue
@@ -372,8 +379,8 @@ func TestNEP95thPeakBelowMaxWhenEnoughDays(t *testing.T) {
 func TestCloudBillsScaleWithDuration(t *testing.T) {
 	// A 7-day observation scaled to a month must cost the same as the same
 	// usage observed for 14 days (both represent the same steady state).
-	d7 := trace(t)
-	bills := CloudAppBills(d7, VCloud1Hardware(), VCloud1Net(), OnDemandQuantity)
+	_, u := trace(t)
+	bills := CloudAppBills(u, VCloud1Hardware(), VCloud1Net(), OnDemandQuantity)
 	if len(bills) == 0 {
 		t.Fatal("no bills")
 	}
@@ -397,5 +404,159 @@ func TestRegionForProvinceLookupDoesNotAllocate(t *testing.T) {
 		regionForProvince("Atlantis")
 	}); allocs != 0 {
 		t.Fatalf("lookup allocates %v times", allocs)
+	}
+}
+
+// fixed is a hand-built VM's Source: it replays the samples it holds.
+type fixed struct{ s *timeseries.Series }
+
+func (f fixed) Fill(dst *timeseries.Series) {
+	copy(dst.Refill(f.s.Start, f.s.Interval, f.s.Len()), f.s.Values)
+}
+
+func (f fixed) Interval() time.Duration { return f.s.Interval }
+
+// withBW builds v with the bandwidth samples bw (Mbps, 12-hourly) and an
+// idle CPU series billing never reads.
+func withBW(v vm.VM, bw ...float64) *vm.VM {
+	cpu := timeseries.New(time.Time{}, 12*time.Hour, make([]float64, len(bw)))
+	s := timeseries.New(time.Time{}, 12*time.Hour, bw)
+	return vm.New(v, cpu, fixed{cpu}, s, fixed{s})
+}
+
+// TestUsageCombinesTrafficPerSiteAndRegion: NEP bills an app's combined
+// traffic per site, and the virtual clouds its traffic merged per region.
+// Two VMs that take turns at 100 Mbps over five days combine to a flat 100,
+// so each group bills one 100 Mbps peak, not two.
+func TestUsageCombinesTrafficPerSiteAndRegion(t *testing.T) {
+	day, night := []float64{100, 0, 100, 0, 100, 0, 100, 0, 100, 0}, []float64{0, 100, 0, 100, 0, 100, 0, 100, 0, 100}
+	small := vm.VM{VCPUs: 1, MemGB: 1, DiskGB: 1}
+	at := func(app, site int) vm.VM { v := small; v.App, v.Site = app, site; return v }
+	d := &vm.Dataset{
+		Duration: 5 * 24 * time.Hour,
+		Sites: []*vm.Site{
+			{Name: "Guangdong-01", Province: "Guangdong"},
+			{Name: "Beijing-01", Province: "Beijing"},
+			{Name: "Shandong-01", Province: "Shandong"}, // north, like Beijing
+		},
+		VMs: []*vm.VM{
+			withBW(at(0, 0), day...), withBW(at(1, 1), day...),
+			withBW(at(0, 0), night...), withBW(at(1, 2), night...),
+		},
+	}
+	u := NewUsage(d)
+	unit := func(site int) Money {
+		return NEPNetUnitPrice(d.Sites[site].Province, OperatorForSite(d.Sites[site].Name))
+	}
+	hw := 2 * NEPHardware().MonthlyHardware(1, 1, 1)
+	want := []AppBill{
+		{App: 0, Hardware: hw, Network: unit(0) * 100},
+		{App: 1, Hardware: hw, Network: unit(1)*100 + unit(2)*100},
+	}
+	if got := NEPAppBills(u); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("NEP bills = %+v, want %+v", got, want)
+	}
+	net := VCloud1Net()
+	cloud := CloudAppBills(u, VCloud1Hardware(), net, PreReserved)
+	if len(cloud) != 2 || cloud[0].Network != net.ReservedMonthly(100) || cloud[1].Network != net.ReservedMonthly(100) {
+		t.Fatalf("pre-reserved cloud bills = %+v, want one %v reservation each", cloud, net.ReservedMonthly(100))
+	}
+}
+
+// --- the one-walk aggregate against the per-bill walks it replaced ---
+
+// refNEPAppBills is the per-bill NEP walk NewUsage replaced, kept as the
+// oracle: per app in ascending ID, each VM's hardware in VM order, and its
+// bandwidth combined per site by a clone of the first VM's series and
+// in-place adds of the rest, sites folded in ascending order.
+func refNEPAppBills(d *vm.Dataset) []AppBill {
+	hw := NEPHardware()
+	apps := d.AppVMs()
+	var out []AppBill
+	for _, app := range sortedAppIDs(apps) {
+		bill := AppBill{App: app}
+		sites := map[int]*timeseries.Series{}
+		for _, vi := range apps[app] {
+			v := d.VMs[vi]
+			bill.Hardware += hw.MonthlyHardware(v.VCPUs, v.MemGB, v.DiskGB)
+			addTo(sites, v.Site, v)
+		}
+		for _, site := range slices.Sorted(maps.Keys(sites)) {
+			peak := NEP95thDailyPeak(sites[site].DailyPeaks())
+			unit := NEPNetUnitPrice(d.Sites[site].Province, OperatorForSite(d.Sites[site].Name))
+			bill.Network += unit * peak
+		}
+		out = append(out, bill)
+	}
+	return out
+}
+
+// refCloudAppBills is refNEPAppBills for a virtual cloud: bandwidth
+// combined per region, regions folded in ascending order.
+func refCloudAppBills(d *vm.Dataset, hw HardwarePricing, net CloudNetPricing, model NetworkModel) []AppBill {
+	apps := d.AppVMs()
+	scale := monthScale(d.Duration)
+	var out []AppBill
+	for _, app := range sortedAppIDs(apps) {
+		bill := AppBill{App: app}
+		regions := map[string]*timeseries.Series{}
+		for _, vi := range apps[app] {
+			v := d.VMs[vi]
+			bill.Hardware += hw.MonthlyHardware(v.VCPUs, v.MemGB, v.DiskGB)
+			addTo(regions, regionForProvince(d.Sites[v.Site].Province), v)
+		}
+		for _, region := range slices.Sorted(maps.Keys(regions)) {
+			bill.Network += cloudNetworkCost(regions[region], net, model, scale)
+		}
+		out = append(out, bill)
+	}
+	return out
+}
+
+// addTo folds v's bandwidth into m[key]: a fresh replay on first touch, an
+// in-place add after.
+func addTo[K comparable](m map[K]*timeseries.Series, key K, v *vm.VM) {
+	bw := v.BWSeries(new(timeseries.Series))
+	if acc, ok := m[key]; ok {
+		acc.AddInPlace(bw)
+		return
+	}
+	m[key] = bw
+}
+
+// TestUsageBillsMatchPerBillWalks: every bill priced from the one-walk
+// Usage equals, field for field with ==, the bill the per-bill walk prices
+// straight from the VMs' replayed bandwidth — on NEP and on both virtual
+// clouds under all three network models, for the small and flash-crowd
+// scenarios' NEP traces.
+func TestUsageBillsMatchPerBillWalks(t *testing.T) {
+	for _, name := range []string{"small", "flash-crowd"} {
+		sp := scenario.MustGet(name)
+		d, err := workload.GenerateNEP(rng.New(sp.Seed).Fork("nep-trace"), workload.NEPFromSpec(sp.Workload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := NewUsage(d)
+		same := func(what string, got, want []AppBill) {
+			t.Helper()
+			if len(got) != len(want) || len(got) == 0 {
+				t.Fatalf("%s %s: %d bills, reference %d", name, what, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %s: bill %d = %+v, reference %+v", name, what, i, got[i], want[i])
+				}
+			}
+		}
+		same("NEP", NEPAppBills(u), refNEPAppBills(d))
+		for _, c := range []struct {
+			hw  HardwarePricing
+			net CloudNetPricing
+		}{{VCloud1Hardware(), VCloud1Net()}, {VCloud2Hardware(), VCloud2Net()}} {
+			for _, model := range []NetworkModel{OnDemandBandwidth, OnDemandQuantity, PreReserved} {
+				same(c.net.Name+"/"+model.String(), CloudAppBills(u, c.hw, c.net, model),
+					refCloudAppBills(d, c.hw, c.net, model))
+			}
+		}
 	}
 }

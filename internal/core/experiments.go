@@ -392,7 +392,8 @@ func (s *Suite) Figure14() *report.Table {
 
 // Table6 reproduces the monetary-cost comparison.
 func (s *Suite) Table6() *report.Table {
-	rows := billing.Table6(s.NEPTrace(), s.Spec.Sizing.BillingTopN)
+	u := billing.NewUsage(s.NEPTrace())
+	rows := billing.Table6(u, s.Spec.Sizing.BillingTopN)
 	t := &report.Table{
 		Title:   "Table 6: cloud cost normalised to NEP (>1 = NEP cheaper)",
 		Headers: []string{"cloud", "network-model", "min", "max", "mean", "median", "cheaper-on-cloud", "apps"},
@@ -400,7 +401,7 @@ func (s *Suite) Table6() *report.Table {
 	for _, r := range rows {
 		t.AddRow(r.Cloud, r.Model.String(), r.Min, r.Max, r.Mean, r.Median, r.CheaperOnCloud, r.N)
 	}
-	b := billing.Breakdown(s.NEPTrace(), s.Spec.Sizing.BillingTopN)
+	b := billing.Breakdown(u, s.Spec.Sizing.BillingTopN)
 	t.AddRow("breakdown", "mean-network-share", b.MeanNetworkShare, "", "", "", "", "")
 	t.AddRow("breakdown", "max-network-share", b.MaxNetworkShare, "", "", "", "", "")
 	t.AddRow("breakdown", "hw-ratio-cloud/NEP", b.HardwareRatioCloudOverNEP, "", "", "", "", "")

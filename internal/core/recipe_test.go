@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"edgescope/internal/scenario"
 	"edgescope/internal/stats"
@@ -21,12 +22,13 @@ func sampleHash(s *timeseries.Series) uint64 {
 	return h ^ uint64(s.Len())
 }
 
-// TestTraceRecipesReplayBitIdentical: a generated VM keeps its CPU usage as
-// a recipe, not samples. For every VM of the small scenario's two traces and
-// of flash-crowd's, the summaries recomputed from the regenerated series
-// equal the ones stored at generation bit for bit — so the replay is the
-// draw the generator made — and regenerating in reverse order, or from
-// several goroutines at once (run it under -race), gives the same samples.
+// TestTraceRecipesReplayBitIdentical: a generated VM keeps its CPU and
+// bandwidth usage as recipes, not samples. For every VM of the small
+// scenario's two traces and of flash-crowd's, the summaries recomputed from
+// the regenerated series equal the ones stored at generation bit for bit —
+// so each replay is the draw the generator made — and regenerating in
+// reverse order, or from several goroutines at once (run it under -race),
+// gives the same samples.
 func TestTraceRecipesReplayBitIdentical(t *testing.T) {
 	for _, name := range []string{"small", "flash-crowd"} {
 		s, err := NewSuiteFromSpec(scenario.MustGet(name))
@@ -38,10 +40,16 @@ func TestTraceRecipesReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// replayHash regenerates VM v's CPU and bandwidth series into cpu and bw
+// and hashes both.
+func replayHash(v *vm.VM, cpu, bw *timeseries.Series) [2]uint64 {
+	return [2]uint64{sampleHash(v.CPUSeries(cpu)), sampleHash(v.BWSeries(bw))}
+}
+
 func checkReplay(t *testing.T, d *vm.Dataset) {
 	bits := math.Float64bits
-	want := make([]uint64, len(d.VMs))
-	var cpu timeseries.Series
+	want := make([][2]uint64, len(d.VMs))
+	var cpu, bw, weekly timeseries.Series
 	for i, v := range d.VMs {
 		v.CPUSeries(&cpu)
 		mean := stats.Mean(cpu.Values)
@@ -55,10 +63,24 @@ func checkReplay(t *testing.T, d *vm.Dataset) {
 		if cpu.Interval != v.CPUInterval() {
 			t.Fatalf("VM %d: series interval %v, CPUInterval %v", i, cpu.Interval, v.CPUInterval())
 		}
-		want[i] = sampleHash(&cpu)
+		v.BWSeries(&bw)
+		if m := stats.Mean(bw.Values); bits(m) != bits(v.MeanBW()) {
+			t.Fatalf("VM %d: replayed bandwidth mean %v, generated %v", i, m, v.MeanBW())
+		}
+		bw.ResampleInto(&weekly, 7*24*time.Hour, timeseries.AggMean)
+		stored := v.WeeklyBW()
+		if weekly.Len() != len(stored) {
+			t.Fatalf("VM %d: replay has %d weeks, summary %d", i, weekly.Len(), len(stored))
+		}
+		for w, x := range weekly.Values {
+			if bits(x) != bits(stored[w]) {
+				t.Fatalf("VM %d week %d: replayed bandwidth mean %v, generated %v", i, w, x, stored[w])
+			}
+		}
+		want[i] = [2]uint64{sampleHash(&cpu), sampleHash(&bw)}
 	}
 	for i := len(d.VMs) - 1; i >= 0; i-- {
-		if h := sampleHash(d.VMs[i].CPUSeries(&cpu)); h != want[i] {
+		if h := replayHash(d.VMs[i], &cpu, &bw); h != want[i] {
 			t.Fatalf("VM %d: reverse-order replay differs", i)
 		}
 	}
@@ -71,10 +93,10 @@ func checkReplay(t *testing.T, d *vm.Dataset) {
 		go func(g int) {
 			defer wg.Done()
 			bad[g] = -1
-			var buf timeseries.Series
+			var cpu, bw timeseries.Series
 			for k := range d.VMs {
 				i := (k + g*len(d.VMs)/readers) % len(d.VMs)
-				if sampleHash(d.VMs[i].CPUSeries(&buf)) != want[i] {
+				if replayHash(d.VMs[i], &cpu, &bw) != want[i] {
 					bad[g] = i
 					return
 				}

@@ -267,7 +267,7 @@ func (c *Campaign) RunThroughput(r *rng.Source) []ThroughputObs {
 					Access:     u.Access,
 					Dir:        dir,
 					DistanceKm: dist,
-					Mbps:       probe.VirtualIperf(ru, path, dir, c.Spec.ServerMbps),
+					Mbps:       path.SampleThroughput(ru, dir, c.Spec.ServerMbps),
 				})
 			}
 		}

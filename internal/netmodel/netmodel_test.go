@@ -225,6 +225,22 @@ func corrDistanceThroughput(seed uint64, access Access, dir Direction) float64 {
 	return stats.Pearson(ds, ts)
 }
 
+// TestSampleThroughputDeterministic: one 15-second transfer over a 5G edge
+// path is a positive rate, and the same seed builds the same path and draws
+// the same rate — the crowd campaign's iperf probe is exactly this draw.
+func TestSampleThroughputDeterministic(t *testing.T) {
+	r, twin := rng.New(7), rng.New(7)
+	path := BuildPath(r, FiveG, EdgeSite, 50)
+	twinPath := BuildPath(twin, FiveG, EdgeSite, 50)
+	mbps := path.SampleThroughput(r, Downlink, 1000)
+	if mbps <= 0 {
+		t.Fatalf("throughput = %v Mbps", mbps)
+	}
+	if want := twinPath.SampleThroughput(twin, Downlink, 1000); mbps != want {
+		t.Fatalf("throughput = %v Mbps, twin draw %v", mbps, want)
+	}
+}
+
 func TestThroughputDistanceCorrelation(t *testing.T) {
 	// Paper Fig 5: only high-capacity access (5G downlink, wired) shows a
 	// strong negative correlation between distance and throughput.
@@ -280,9 +296,9 @@ func TestServerBottleneck(t *testing.T) {
 	}
 }
 
-// TestBottleneckStrings checks the names the tables print for directions and
+// TestEnumStrings checks the names the tables print for directions and
 // site classes.
-func TestBottleneckStrings(t *testing.T) {
+func TestEnumStrings(t *testing.T) {
 	if Downlink.String() != "down" || Uplink.String() != "up" {
 		t.Fatal("Direction String broken")
 	}

@@ -8,17 +8,19 @@ import (
 	"edgescope/internal/vm"
 )
 
-// fixedCPU is a hand-built VM's CPUSource: it replays the samples it holds.
-type fixedCPU struct{ s *timeseries.Series }
+// fixed is a hand-built VM's Source: it replays the samples it holds.
+type fixed struct{ s *timeseries.Series }
 
-func (c fixedCPU) FillCPU(dst *timeseries.Series) {
-	copy(dst.Refill(c.s.Start, c.s.Interval, c.s.Len()), c.s.Values)
+func (f fixed) Fill(dst *timeseries.Series) {
+	copy(dst.Refill(f.s.Start, f.s.Interval, f.s.Len()), f.s.Values)
 }
 
-func (c fixedCPU) CPUInterval() time.Duration { return c.s.Interval }
+func (f fixed) Interval() time.Duration { return f.s.Interval }
 
-// withCPU builds v with the CPU samples cpu.
-func withCPU(v vm.VM, cpu *timeseries.Series) *vm.VM { return vm.New(v, cpu, fixedCPU{cpu}) }
+// withUsage builds v with the CPU samples cpu and the bandwidth samples bw.
+func withUsage(v vm.VM, cpu, bw *timeseries.Series) *vm.VM {
+	return vm.New(v, cpu, fixed{cpu}, bw, fixed{bw})
+}
 
 // unbalancedDataset puts three hot VMs on one server and nothing on the
 // others.
@@ -39,18 +41,16 @@ func unbalancedDataset() *vm.Dataset {
 		},
 	}
 	for i := 0; i < 3; i++ {
-		d.VMs = append(d.VMs, withCPU(vm.VM{
+		d.VMs = append(d.VMs, withUsage(vm.VM{
 			App: 0, Site: 0, Server: 0,
 			VCPUs: 16, MemGB: 64, DiskGB: 100,
-			PublicBW: mk(100),
-		}, mk(80)))
+		}, mk(80), mk(100)))
 	}
 	// One cold VM on the second server so every server has a utilisation.
-	d.VMs = append(d.VMs, withCPU(vm.VM{
+	d.VMs = append(d.VMs, withUsage(vm.VM{
 		App: 1, Site: 0, Server: 1,
 		VCPUs: 4, MemGB: 16, DiskGB: 50,
-		PublicBW: mk(5),
-	}, mk(2)))
+	}, mk(2), mk(5)))
 	return d
 }
 
@@ -95,7 +95,8 @@ func TestRebalanceBalancedClusterNoMoves(t *testing.T) {
 	d.VMs[1].Server = 1
 	d.VMs[2].Site, d.VMs[2].Server = 1, 0
 	level := func(v *vm.VM, cpu float64) *vm.VM {
-		return withCPU(*v, timeseries.New(time.Time{}, 5*time.Minute, []float64{cpu, cpu, cpu}))
+		return withUsage(*v, timeseries.New(time.Time{}, 5*time.Minute, []float64{cpu, cpu, cpu}),
+			v.BWSeries(new(timeseries.Series)))
 	}
 	for i, v := range d.VMs[:3] {
 		d.VMs[i] = level(v, 40)

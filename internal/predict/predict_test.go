@@ -228,17 +228,23 @@ func TestEvaluateRejectsBadWindow(t *testing.T) {
 	}
 }
 
-// fixedCPU is a hand-built VM's CPUSource: it replays the samples it holds.
-type fixedCPU struct{ s *timeseries.Series }
+// fixed is a hand-built VM's Source: it replays the samples it holds.
+type fixed struct{ s *timeseries.Series }
 
-func (c fixedCPU) FillCPU(dst *timeseries.Series) {
-	copy(dst.Refill(c.s.Start, c.s.Interval, c.s.Len()), c.s.Values)
+func (f fixed) Fill(dst *timeseries.Series) {
+	copy(dst.Refill(f.s.Start, f.s.Interval, f.s.Len()), f.s.Values)
 }
 
-func (c fixedCPU) CPUInterval() time.Duration { return c.s.Interval }
+func (f fixed) Interval() time.Duration { return f.s.Interval }
+
+// idleBW is the bandwidth of predict's hand-built VMs, which nothing here
+// reads: one 15-minute sample.
+var idleBW = timeseries.New(time.Time{}, 15*time.Minute, []float64{1})
 
 // withCPU builds v with the CPU samples cpu.
-func withCPU(v vm.VM, cpu *timeseries.Series) *vm.VM { return vm.New(v, cpu, fixedCPU{cpu}) }
+func withCPU(v vm.VM, cpu *timeseries.Series) *vm.VM {
+	return vm.New(v, cpu, fixed{cpu}, idleBW, fixed{idleBW})
+}
 
 // evalDataset is a hand-built trace of 5-minute seasonal CPU series, one
 // per entry of days; a 1-day series is too short for the 3:1 split.

@@ -21,18 +21,3 @@ func TestVirtualPingMatchesModel(t *testing.T) {
 		t.Fatalf("virtual median %.1f far from base %.1f", m, base)
 	}
 }
-
-func TestVirtualIperf(t *testing.T) {
-	r := rng.New(7)
-	path := netmodel.BuildPath(r, netmodel.FiveG, netmodel.EdgeSite, 50)
-	twin := rng.New(7)
-	twinPath := netmodel.BuildPath(twin, netmodel.FiveG, netmodel.EdgeSite, 50)
-	mbps := VirtualIperf(r, path, netmodel.Downlink, 1000)
-	if mbps <= 0 {
-		t.Fatalf("virtual iperf = %v Mbps", mbps)
-	}
-	// The probe is one draw of the path's throughput model.
-	if want := twinPath.SampleThroughput(twin, netmodel.Downlink, 1000); mbps != want {
-		t.Fatalf("virtual iperf = %v Mbps, model sample %v", mbps, want)
-	}
-}

@@ -32,11 +32,3 @@ func VirtualPingInto(r *rng.Source, path *netmodel.Path, count int, out *PingSta
 	}
 	out.RTTs = rtts
 }
-
-// VirtualIperf models one 15-second bulk TCP transfer (the paper's
-// per-connection runtime) over the path, in the given direction, against a
-// server with serverMbps of allocated bandwidth, and returns its rate in
-// Mbps.
-func VirtualIperf(r *rng.Source, path *netmodel.Path, dir netmodel.Direction, serverMbps float64) float64 {
-	return path.SampleThroughput(r, dir, serverMbps)
-}

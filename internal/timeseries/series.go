@@ -1,8 +1,8 @@
 // Package timeseries provides the fixed-interval time-series container and
 // operations used by edgescope's workload analysis: resampling, daily peaks
-// (the billing granularity of the NEP platform), a cached mean,
-// and the seasonality-strength metric the paper uses to explain why edge
-// workloads are easier to forecast than cloud workloads.
+// (the billing granularity of the NEP platform) and the seasonality-strength
+// metric the paper uses to explain why edge workloads are easier to forecast
+// than cloud workloads.
 package timeseries
 
 import (
@@ -14,29 +14,10 @@ import (
 // Series is a sequence of samples at a fixed interval starting at Start.
 // Values are owned by the Series; callers must not mutate them after
 // construction unless they created the slice.
-//
-// A Series can carry a cached running sum of its values (see PrimeStats)
-// that turns Mean from an O(n) re-sum into an O(1) lookup — the dominant
-// cost of placement feedback and per-VM usage summaries before this cache
-// existed. The cache invariant is strict:
-// when valid, statsSum is bit-identical to the left-to-right sum
-// stats.Mean would compute, so cached and uncached results match to the
-// bit. Invalidation rules:
-//
-//   - Mutators on the receiver (AddInPlace) and writers into a dst
-//     (ResampleInto) drop the target's cache.
-//   - Clone carries the cache; New returns a fresh Series with none.
-//   - Mutating Values directly bypasses these rules; callers doing that
-//     must call PrimeStats again before relying on Mean.
-//   - Mean never memoizes on a cache miss, so concurrent readers
-//     of a shared immutable Series stay race-free.
 type Series struct {
 	Start    time.Time
 	Interval time.Duration
 	Values   []float64
-
-	statsSum float64 // running sum of Values, valid only when statsOK
-	statsOK  bool
 }
 
 // New builds a Series. It panics if interval <= 0.
@@ -50,34 +31,22 @@ func New(start time.Time, interval time.Duration, values []float64) *Series {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
-// Clone returns a deep copy, carrying the stats cache when present.
+// Clone returns a deep copy.
 func (s *Series) Clone() *Series {
 	v := make([]float64, len(s.Values))
 	copy(v, s.Values)
-	return &Series{Start: s.Start, Interval: s.Interval, Values: v,
-		statsSum: s.statsSum, statsOK: s.statsOK}
-}
-
-// PrimeStats computes and caches the running sum of the current values,
-// making subsequent Mean calls O(1). Call it once at synthesis
-// time (it is a full pass) on series that will be summarised repeatedly.
-// It returns s for chaining.
-func (s *Series) PrimeStats() *Series {
-	s.statsSum = stats.Sum(s.Values)
-	s.statsOK = true
-	return s
+	return &Series{Start: s.Start, Interval: s.Interval, Values: v}
 }
 
 // Refill makes s an n-sample series starting at start, reusing Values'
-// capacity, drops the stats cache and returns Values for the caller to
-// write. The returned samples hold stale data until written. It is how a
-// producer fills a caller-owned Series in ResampleInto style.
+// capacity, and returns Values for the caller to write. The returned samples
+// hold stale data until written. It is how a producer fills a caller-owned
+// Series in ResampleInto style.
 func (s *Series) Refill(start time.Time, interval time.Duration, n int) []float64 {
 	if cap(s.Values) < n {
 		s.Values = make([]float64, n)
 	}
 	s.Start, s.Interval, s.Values = start, interval, s.Values[:n]
-	s.statsOK = false
 	return s.Values
 }
 
@@ -136,7 +105,6 @@ func (s *Series) ResampleInto(dst *Series, window time.Duration, a Agg) *Series 
 		out = append(out, aggregate(a, s.Values[i:j], &sc))
 	}
 	dst.Start, dst.Interval, dst.Values = s.Start, window, out
-	dst.statsOK = false
 	return dst
 }
 
@@ -162,19 +130,8 @@ func (s *Series) DailyPeaks() []float64 {
 	return peaks
 }
 
-// Mean returns the mean of the series values: O(1) from the stats cache
-// when primed (bit-identical to the re-sum by the cache invariant),
-// O(n) otherwise. A miss never memoizes, so sharing an immutable Series
-// across goroutines stays race-free.
-func (s *Series) Mean() float64 {
-	if s.statsOK {
-		if len(s.Values) == 0 {
-			return 0
-		}
-		return s.statsSum / float64(len(s.Values))
-	}
-	return stats.Mean(s.Values)
-}
+// Mean returns the mean of the series values.
+func (s *Series) Mean() float64 { return stats.Mean(s.Values) }
 
 // MaxValue returns the maximum of the series values.
 func (s *Series) MaxValue() float64 { return stats.Max(s.Values) }
@@ -252,13 +209,11 @@ func (s *Series) SeasonalityStrength(period int) float64 {
 
 // AddInPlace adds other into s sample by sample, mutating s's backing
 // array, and returns s. It panics unless
-// both series have the same length and interval. s's stats cache is
-// invalidated (a folded sum is not the left-to-right re-sum bit-for-bit).
+// both series have the same length and interval.
 func (s *Series) AddInPlace(other *Series) *Series {
 	if len(s.Values) != len(other.Values) || s.Interval != other.Interval {
 		panic("timeseries: Add shape mismatch")
 	}
-	s.statsOK = false
 	a, b := s.Values, other.Values
 	if len(a) == len(b) {
 		for i, v := range b {

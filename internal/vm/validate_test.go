@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"edgescope/internal/rng"
 	"edgescope/internal/timeseries"
@@ -14,7 +15,7 @@ import (
 // validate checks a trace's referential integrity: every site has servers
 // of positive capacity, every VM sits on a site and server that exist, has a
 // positive size, a CPU series with every sample in [0,100] and a bandwidth
-// series. It returns the first problem found.
+// series that spans the trace. It returns the first problem found.
 func validate(d *vm.Dataset) error {
 	for i, s := range d.Sites {
 		if len(s.Servers) == 0 {
@@ -26,7 +27,7 @@ func validate(d *vm.Dataset) error {
 			}
 		}
 	}
-	var cpu timeseries.Series
+	var cpu, bw timeseries.Series
 	for i, v := range d.VMs {
 		if v.Site < 0 || v.Site >= len(d.Sites) {
 			return fmt.Errorf("VM %d references site %d of %d", i, v.Site, len(d.Sites))
@@ -40,8 +41,11 @@ func validate(d *vm.Dataset) error {
 		if v.CPUSeries(&cpu).Len() == 0 {
 			return fmt.Errorf("VM %d has no CPU series", i)
 		}
-		if v.PublicBW == nil || v.PublicBW.Len() == 0 {
+		if v.BWSeries(&bw).Len() == 0 {
 			return fmt.Errorf("VM %d has no bandwidth series", i)
+		}
+		if span := time.Duration(bw.Len()) * bw.Interval; span != d.Duration {
+			return fmt.Errorf("VM %d bandwidth series spans %v of a %v trace", i, span, d.Duration)
 		}
 		for _, x := range cpu.Values {
 			if x < 0 || x > 100 {
@@ -111,15 +115,28 @@ func TestValidateCatchesEmptySite(t *testing.T) {
 	catches(t, "has no servers", func(d *vm.Dataset) { d.Sites = append(d.Sites, &vm.Site{Name: "empty"}) })
 }
 
-// TestValidateCatchesMissingSeries: a VM always has a CPU source, so the
-// series that can be missing is the bandwidth one.
+// withBW rebuilds v with the bandwidth samples bw and its own CPU samples.
+func withBW(v *vm.VM, bw *timeseries.Series) *vm.VM {
+	return vm.WithUsage(*v, v.CPUSeries(new(timeseries.Series)), bw)
+}
+
+// TestValidateCatchesMissingSeries: every VM has both sources, so what can
+// be missing is the samples — a bandwidth source that fills nothing, or
+// one that stops short of the trace.
 func TestValidateCatchesMissingSeries(t *testing.T) {
-	catches(t, "no bandwidth series", func(d *vm.Dataset) { d.VMs[0].PublicBW = nil })
+	catches(t, "no bandwidth series", func(d *vm.Dataset) {
+		d.VMs[0] = withBW(d.VMs[0], timeseries.New(d.VMs[0].BWSeries(new(timeseries.Series)).Start, 15*time.Minute, nil))
+	})
+	catches(t, "bandwidth series spans", func(d *vm.Dataset) {
+		bw := d.VMs[0].BWSeries(new(timeseries.Series))
+		d.VMs[0] = withBW(d.VMs[0], timeseries.New(bw.Start, bw.Interval, bw.Values[:bw.Len()-1]))
+	})
 }
 
 func TestValidateCatchesCPURange(t *testing.T) {
 	catches(t, "out of [0,100]", func(d *vm.Dataset) {
-		cpu := timeseries.New(d.VMs[0].PublicBW.Start, d.VMs[0].CPUInterval(), []float64{10, 120, 30})
-		d.VMs[0] = vm.WithCPU(*d.VMs[0], cpu)
+		v := d.VMs[0]
+		cpu := timeseries.New(v.CPUSeries(new(timeseries.Series)).Start, v.CPUInterval(), []float64{10, 120, 30})
+		d.VMs[0] = vm.WithUsage(*v, cpu, v.BWSeries(new(timeseries.Series)))
 	})
 }

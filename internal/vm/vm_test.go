@@ -13,20 +13,20 @@ func series(vals ...float64) *timeseries.Series {
 	return timeseries.New(t0, 5*time.Minute, vals)
 }
 
-// fixedCPU is a hand-built VM's CPUSource: it replays the samples it holds.
-type fixedCPU struct{ s *timeseries.Series }
+// fixed is a hand-built VM's Source: it replays the samples it holds.
+type fixed struct{ s *timeseries.Series }
 
-func (c fixedCPU) FillCPU(dst *timeseries.Series) {
-	copy(dst.Refill(c.s.Start, c.s.Interval, c.s.Len()), c.s.Values)
+func (f fixed) Fill(dst *timeseries.Series) {
+	copy(dst.Refill(f.s.Start, f.s.Interval, f.s.Len()), f.s.Values)
 }
 
-func (c fixedCPU) CPUInterval() time.Duration { return c.s.Interval }
+func (f fixed) Interval() time.Duration { return f.s.Interval }
 
-// withCPU builds v with the CPU samples cpu.
-func withCPU(v VM, cpu *timeseries.Series) *VM { return New(v, cpu, fixedCPU{cpu}) }
+// withUsage builds v with the CPU samples cpu and the bandwidth samples bw.
+func withUsage(v VM, cpu, bw *timeseries.Series) *VM { return New(v, cpu, fixed{cpu}, bw, fixed{bw}) }
 
-// WithCPU is withCPU for the external tests in validate_test.go.
-var WithCPU = withCPU
+// WithUsage is withUsage for the external tests in validate_test.go.
+var WithUsage = withUsage
 
 // tinyDataset builds a 2-site, 3-VM dataset used across tests.
 func tinyDataset() *Dataset {
@@ -41,12 +41,12 @@ func tinyDataset() *Dataset {
 			}},
 		},
 		VMs: []*VM{
-			withCPU(VM{App: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, DiskGB: 100,
-				PublicBW: series(100, 200, 300)}, series(10, 20, 30)),
-			withCPU(VM{App: 0, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, DiskGB: 200,
-				PublicBW: series(50, 50, 50)}, series(40, 50, 60)),
-			withCPU(VM{App: 1, Site: 1, Server: 0, VCPUs: 4, MemGB: 16, DiskGB: 50,
-				PublicBW: series(10, 10, 10)}, series(5, 5, 5)),
+			withUsage(VM{App: 0, Site: 0, Server: 0, VCPUs: 8, MemGB: 16, DiskGB: 100},
+				series(10, 20, 30), series(100, 200, 300)),
+			withUsage(VM{App: 0, Site: 0, Server: 1, VCPUs: 16, MemGB: 64, DiskGB: 200},
+				series(40, 50, 60), series(50, 50, 50)),
+			withUsage(VM{App: 1, Site: 1, Server: 0, VCPUs: 4, MemGB: 16, DiskGB: 50},
+				series(5, 5, 5), series(10, 10, 10)),
 		},
 	}
 }
@@ -65,6 +65,30 @@ func TestVMStats(t *testing.T) {
 	var got timeseries.Series
 	if v.CPUSeries(&got).Len() != 3 || got.Values[2] != 30 || v.CPUInterval() != 5*time.Minute {
 		t.Fatalf("CPUSeries = %+v", got)
+	}
+	if v.MeanBW() != 200 || len(v.WeeklyBW()) != 1 || v.WeeklyBW()[0] != 200 {
+		t.Fatalf("MeanBW = %v, WeeklyBW = %v, want 200 and [200]", v.MeanBW(), v.WeeklyBW())
+	}
+	if v.BWSeries(&got).Len() != 3 || got.Values[1] != 200 {
+		t.Fatalf("BWSeries = %+v", got)
+	}
+}
+
+// TestWeeklyBWSummary: the weekly summary is the series' 7-day means, a
+// trailing partial week averaged as-is.
+func TestWeeklyBWSummary(t *testing.T) {
+	perWeek := int(week / time.Hour)
+	vals := make([]float64, 2*perWeek+2)
+	for i := range vals {
+		vals[i] = float64(1 + i/perWeek) // 1 in week one, 2 in week two, 3 after
+	}
+	bw := timeseries.New(t0, time.Hour, vals)
+	v := withUsage(VM{}, series(1), bw)
+	if w := v.WeeklyBW(); len(w) != 3 || w[0] != 1 || w[1] != 2 || w[2] != 3 {
+		t.Fatalf("WeeklyBW = %v, want [1 2 3]", w)
+	}
+	if v.MeanBW() != bw.Mean() {
+		t.Fatalf("MeanBW = %v, want %v", v.MeanBW(), bw.Mean())
 	}
 }
 

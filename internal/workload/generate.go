@@ -161,9 +161,10 @@ func generate(r *rng.Source, opts Options, sites []*vm.Site, geoSkew bool) (*vm.
 	}
 	provZipf := rng.NewZipf(r.Fork("prov"), 1.3, len(provNames))
 
-	// cpuBuf takes each VM's CPU draws in turn: vm.New reduces them to the
-	// VM's summaries while they are hot, and the VM keeps only the recipe.
-	var cpuBuf timeseries.Series
+	// cpuBuf and bwBuf take each VM's draws in turn: vm.New reduces them to
+	// the VM's summaries while they are hot, and the VM keeps only the
+	// recipes.
+	var cpuBuf, bwBuf timeseries.Series
 	for app := 0; app < opts.Apps; app++ {
 		cat := opts.Categories[r.Choice(catWeights)]
 		nVMs := int(r.BoundedPareto(cat.MinVMs, cat.VMAlpha, cat.MaxVMs))
@@ -218,27 +219,27 @@ func generate(r *rng.Source, opts Options, sites []*vm.Site, geoSkew bool) (*vm.
 			for _, a := range assigns {
 				mult := mathx.Exp(r.Normal(0, crossSigma))
 				level := appBase * mult
-				cpu := &cpuRecipe{snap: r.Snapshot(), p: seriesParams{
+				cpu := &recipe{snap: r.Snapshot(), p: seriesParams{
 					level: level, amp: appAmp, peakHour: appPeak,
 					windowHours: cat.WindowHours, noiseCV: cat.NoiseCV,
 					days: opts.Days, interval: cpuInterval,
 					start: traceStart, clampHi: 95, weekendFactor: weekendFactorFor(cat.Name),
 				}}
-				fillUsage(r, cpu.p, cpuBuf.Refill(traceStart, cpuInterval, cpu.p.samples()))
+				cpu.draw(r, &cpuBuf)
 				volatile := r.Bernoulli(cat.VolatileBWProb)
-				bw := usageSeries(r, seriesParams{
+				bw := &recipe{snap: r.Snapshot(), p: seriesParams{
 					level: appBWBase * mult, amp: appAmp, peakHour: appPeak,
 					windowHours: cat.WindowHours, noiseCV: cat.NoiseCV * 1.3,
 					days: opts.Days, interval: bwInterval,
 					start: traceStart, clampHi: 0, weekendFactor: weekendFactorFor(cat.Name),
 					volatileWeeks: volatile, volatileSigma: 0.9,
-				})
+				}}
+				bw.draw(r, &bwBuf)
 				v := vm.New(vm.VM{
 					App: app, Site: a.Site, Server: a.Server,
 					VCPUs: vcpu, MemGB: mem,
-					DiskGB:   int(r.BoundedPareto(cat.DiskXmGB, cat.DiskAlpha, cat.DiskCapGB)),
-					PublicBW: bw,
-				}, &cpuBuf, cpu)
+					DiskGB: int(r.BoundedPareto(cat.DiskXmGB, cat.DiskAlpha, cat.DiskCapGB)),
+				}, &cpuBuf, cpu, &bwBuf, bw)
 				st.ObserveUsage(a.Site, a.Server, v.MeanCPU())
 				d.VMs = append(d.VMs, v)
 			}
@@ -302,37 +303,32 @@ func (p *seriesParams) samples() int {
 	return int(time.Duration(p.days) * 24 * time.Hour / p.interval)
 }
 
-// cpuRecipe is a generated VM's CPU series kept as the draws that made it:
-// the stream position before the series' first draw, and its parameters.
-// FillCPU replays them through a Source of its own, so the samples come out
-// bit for bit as generated while the snapshot stays untouched: concurrent
-// readers of one dataset each replay independently.
-type cpuRecipe struct {
+// recipe is one of a generated VM's usage series kept as the draws that
+// made it: the stream position before the series' first draw, and its
+// parameters. Fill replays them through a Source of its own, so the samples
+// come out bit for bit as generated while the snapshot stays untouched:
+// concurrent readers of one dataset each replay independently.
+type recipe struct {
 	snap rng.Snapshot
 	p    seriesParams
 }
 
-// FillCPU regenerates the series into dst without allocating once dst's
-// buffer has grown to the series length: the replay Source lives on the
-// stack (TestCPUReplayAllocatesNothing).
-func (c *cpuRecipe) FillCPU(dst *timeseries.Series) {
-	r := rng.New(0)
-	r.Restore(c.snap)
+// draw makes the generator's own pass: it fills dst from r, which must sit
+// at the snapshot, and leaves r after the series' last draw.
+func (c *recipe) draw(r *rng.Source, dst *timeseries.Series) {
 	fillUsage(r, c.p, dst.Refill(c.p.start, c.p.interval, c.p.samples()))
 }
 
-func (c *cpuRecipe) CPUInterval() time.Duration { return c.p.interval }
-
-// usageSeries synthesises one usage trace into a fresh series.
-func usageSeries(r *rng.Source, p seriesParams) *timeseries.Series {
-	vals := make([]float64, p.samples())
-	fillUsage(r, p, vals)
-	// Prime the running-mean cache while the series is still private to
-	// this goroutine: the per-site and per-server summaries read Mean()
-	// repeatedly, and a primed cache makes those O(1) without any
-	// concurrent-memoization hazard once the dataset is shared.
-	return timeseries.New(p.start, p.interval, vals).PrimeStats()
+// Fill regenerates the series into dst without allocating once dst's
+// buffer has grown to the series length: the replay Source lives on the
+// stack (TestCPUReplayAllocatesNothing, TestBWReplayAllocatesNothing).
+func (c *recipe) Fill(dst *timeseries.Series) {
+	r := rng.New(0)
+	r.Restore(c.snap)
+	c.draw(r, dst)
 }
+
+func (c *recipe) Interval() time.Duration { return c.p.interval }
 
 // fillUsage synthesises one usage trace into vals: diurnal cycle × weekly
 // factor × optional weekly regime shifts × multiplicative noise.
@@ -376,13 +372,16 @@ type UsageParams struct {
 // SynthUsageSeries synthesises one usage trace through the production
 // kernel (bulk draws + batched exponential + fused scale pass).
 func SynthUsageSeries(r *rng.Source, p UsageParams) *timeseries.Series {
-	return usageSeries(r, seriesParams{
+	sp := seriesParams{
 		level: p.Level, amp: p.Amp, peakHour: p.PeakHour,
 		windowHours: p.WindowHours, noiseCV: p.NoiseCV,
 		days: p.Days, interval: p.Interval, start: p.Start,
 		clampHi: p.ClampHi, weekendFactor: p.WeekendFactor,
 		volatileWeeks: p.VolatileWeeks, volatileSigma: p.VolatileSigma,
-	})
+	}
+	vals := make([]float64, sp.samples())
+	fillUsage(r, sp, vals)
+	return timeseries.New(sp.start, sp.interval, vals)
 }
 
 // usageSeriesUTC fills vals using cached diurnal shapes and integer time
@@ -409,14 +408,19 @@ func usageSeriesUTC(r *rng.Source, p seriesParams, vals []float64) {
 		end  int     // one past the last sample of the segment
 		mult float64 // exp(weekly regime draw)
 	}
-	var segs []weekSeg
+	// The segments live in a stack array that covers traces of up to eight
+	// weeks, so a replay allocates nothing; longer ones spill to the heap.
+	var segArr [8]weekSeg
+	segs := segArr[:0]
 	if !p.volatileWeeks {
 		r.Normals(vals, 0, p.noiseCV)
 	} else {
 		weekOf := func(i int) int {
 			return int((time.Duration(i) * p.interval).Hours() / (24 * 7))
 		}
-		segs = make([]weekSeg, 0, 1+len(vals)/max(1, int(7*dayNs/ivl)))
+		if n := 1 + len(vals)/max(1, int(7*dayNs/ivl)); n > len(segArr) {
+			segs = make([]weekSeg, 0, n)
+		}
 		for i := 0; i < len(vals); {
 			week := weekOf(i)
 			// Scalar order at a week boundary: regime draw first, then

@@ -235,9 +235,10 @@ func TestEducationAppsPeaky(t *testing.T) {
 	nep, _ := traces(t)
 	// Find education VMs via the windowed usage signature: peak/mean > 5.
 	found := false
+	var bw timeseries.Series
 	for _, v := range nep.VMs {
-		peak := v.PublicBW.MaxValue()
-		mean := v.PublicBW.Mean()
+		peak := v.BWSeries(&bw).MaxValue()
+		mean := v.MeanBW()
 		if mean > 0 && peak/mean > 8 {
 			found = true
 			break
@@ -307,6 +308,13 @@ func TestSplitCounts(t *testing.T) {
 	}
 }
 
+// usageSeries synthesises one usage trace into a fresh series.
+func usageSeries(r *rng.Source, p seriesParams) *timeseries.Series {
+	vals := make([]float64, p.samples())
+	fillUsage(r, p, vals)
+	return timeseries.New(p.start, p.interval, vals)
+}
+
 func TestUsageSeriesWindowed(t *testing.T) {
 	r := rng.New(4)
 	s := usageSeries(r, seriesParams{
@@ -346,6 +354,10 @@ func TestUsageSeriesFastPathMatchesSlow(t *testing.T) {
 			weekendFactor: 1, volatileWeeks: true, volatileSigma: 0.9},
 		{level: 120, amp: 0.2, peakHour: 18, windowHours: 3, noiseCV: 0.6, days: 2,
 			interval: 90 * time.Second, start: start, weekendFactor: 1.0},
+		// Ten volatile weeks: more regime segments than the stack array holds.
+		{level: 8, amp: 0.5, peakHour: 20, noiseCV: 0.3, days: 70,
+			interval: 30 * time.Minute, start: start, weekendFactor: 1.2,
+			volatileWeeks: true, volatileSigma: 0.9},
 	}
 	for ci, p := range cases {
 		n := int(time.Duration(p.days) * 24 * time.Hour / p.interval)
