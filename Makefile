@@ -25,9 +25,10 @@ race:
 
 # Brief fuzz passes over the wire decoder, the durability surfaces (WAL
 # segment replay, snapshot decode, sketch, sketch-page and key-inventory
-# codecs), the shard index against a flat-map scan, and the three kernels
-# against their references: the sketch flush against its scalar form, the
-# envelope codec and the /keys JSON writer against encoding/json.
+# codecs), the shard index against a flat-map scan, and the kernels against
+# their references: the sketch flush against its scalar form, the envelope
+# codec and the /keys JSON writer against encoding/json, the AVX2 exp and
+# LSTM kernels against their portable Go.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
@@ -39,6 +40,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzEnvelopeCodecMatchesReference -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzKeysJSONMatchesEncoder -fuzztime 5s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzExpBulkMatchesPortable -fuzztime 5s ./internal/mathx/
+	$(GO) test -run xxx -fuzz FuzzLSTMKernelsMatchPortable -fuzztime 5s ./internal/mathx/
 
 # The full chaos/durability test surface: fault-injected equivalence over
 # every built-in scenario, stall/short-write survival, kill-and-recover.

@@ -1,13 +1,22 @@
-// Package mathx provides the exponential the synthesis planes share: a
-// scalar Exp and a batched ExpBulk over one kernel, so the workload,
-// elastic and rng planes never call math.Exp on a draw path.
+// Package mathx holds the float kernels the batch engine shares: the
+// exponential (a scalar Exp and a batched ExpBulk over one kernel, so the
+// workload, elastic and rng planes never call math.Exp on a draw path), a
+// Tanh on that exponential, and the LSTM's gate matvec and backward row
+// update (GateMatVec, GateBackprop).
 //
-// The kernel is the FMA form of the SLEEF/Shibata algorithm behind the Go
-// runtime's amd64 math.Exp, ported to pure Go on math.FMA, which is
+// The exp kernel is the FMA form of the SLEEF/Shibata algorithm behind the
+// Go runtime's amd64 math.Exp, ported to pure Go on math.FMA, which is
 // correctly rounded on every platform with or without a hardware fused
-// multiply-add: the bytes do not depend on GOARCH, so this kernel defines
-// exp for the repository. It is bit-identical to math.Exp on amd64 with
-// FMA and within 4 ULP of the local math.Exp elsewhere (see exp_test.go).
+// multiply-add, and with every other product rounded before its sum (an
+// explicit float64 conversion stops the compiler fusing it): the bytes do
+// not depend on GOARCH, so this kernel defines exp for the repository. It
+// is bit-identical to math.Exp on amd64 with FMA and within 4 ULP of the
+// local math.Exp elsewhere (see exp_test.go).
+//
+// On amd64 a CPUID check at package init routes ExpBulk, GateMatVec and
+// GateBackprop to AVX2+FMA assembly (kernels_amd64.s). Each lane there runs
+// the portable Go's scalar chain, operation for operation, and no kernel
+// adds across lanes, so the check picks the speed, never the bytes.
 package mathx
 
 import "math"
@@ -65,7 +74,7 @@ func Exp(x float64) float64 {
 	}
 	// The VFNMADD/VFMADD sequence of exp_amd64.s with useFMA on, one
 	// math.FMA per fused instruction.
-	kd := float64(x*log2e+roundMagic) - roundMagic
+	kd := (float64(x*log2e) + roundMagic) - roundMagic
 	fr := math.FMA(-kd, ln2u, x)
 	fr = math.FMA(-kd, ln2l, fr)
 	fr *= 0.0625
@@ -101,16 +110,38 @@ func Exp(x float64) float64 {
 // dst must be at least as long as src; dst and src may be the same
 // slice (in-place) or otherwise alias element-for-element.
 //
-// dst[i] is bit-identical to Exp(src[i]). The core runs four elements at
-// a time: the in-range gate (|x| <= fastAbsBound, compared on bits so NaN
-// and infinities fail it too) guarantees ldexp needs only one multiply, so
-// the unrolled body is branch-free and the four dependency chains overlap
-// in the pipeline. Out-of-range elements fall back to the scalar.
+// dst[i] is bit-identical to Exp(src[i]). With AVX2 the core runs eight
+// elements at a time in assembly, and an 8-block with any lane outside the
+// gate below goes to the scalar Exp; the rest, or everything without AVX2,
+// takes expBulkGo.
 func ExpBulk(dst, src []float64) {
 	if len(dst) < len(src) {
 		panic("mathx: ExpBulk dst shorter than src")
 	}
 	dst = dst[:len(src)]
+	if useAVX2 {
+		n := len(src) &^ 7
+		for i := 0; i < n; {
+			i += expBulk8(dst[i:n], src[i:n])
+			if i < n {
+				for j := i; j < i+8; j++ {
+					dst[j] = Exp(src[j])
+				}
+				i += 8
+			}
+		}
+		dst, src = dst[n:], src[n:]
+	}
+	expBulkGo(dst, src)
+}
+
+// expBulkGo is ExpBulk's portable path, four elements at a time: the
+// in-range gate (|x| <= fastAbsBound, compared on bits so NaN and
+// infinities fail it too) guarantees ldexp needs only one multiply, so the
+// unrolled body is branch-free and the four dependency chains overlap in
+// the pipeline. Out-of-range elements fall back to the scalar. len(dst)
+// must equal len(src).
+func expBulkGo(dst, src []float64) {
 	n := len(src)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -129,10 +160,10 @@ func ExpBulk(dst, src []float64) {
 			d[3] = Exp(x3)
 			continue
 		}
-		kd0 := float64(x0*log2e+roundMagic) - roundMagic
-		kd1 := float64(x1*log2e+roundMagic) - roundMagic
-		kd2 := float64(x2*log2e+roundMagic) - roundMagic
-		kd3 := float64(x3*log2e+roundMagic) - roundMagic
+		kd0 := (float64(x0*log2e) + roundMagic) - roundMagic
+		kd1 := (float64(x1*log2e) + roundMagic) - roundMagic
+		kd2 := (float64(x2*log2e) + roundMagic) - roundMagic
+		kd3 := (float64(x3*log2e) + roundMagic) - roundMagic
 		f0 := math.FMA(-kd0, ln2u, x0)
 		f1 := math.FMA(-kd1, ln2u, x1)
 		f2 := math.FMA(-kd2, ln2u, x2)

@@ -36,8 +36,12 @@ func edgeInputs() []float64 {
 
 // TestExpBulkBitIdenticalDefault pins the one contract every bulk fill
 // rests on: ExpBulk[i] is Exp(src[i]) bit-for-bit, through the in-range
-// 4-blocks, the out-of-range 4-blocks and the scalar tail.
+// blocks, the out-of-range blocks and the scalar tail, on both paths.
 func TestExpBulkBitIdenticalDefault(t *testing.T) {
+	onBothPaths(t, testExpBulkBitIdentical)
+}
+
+func testExpBulkBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 11))
 	xs := edgeInputs()
 	for i := 0; i < 200000; i++ {
@@ -47,7 +51,7 @@ func TestExpBulkBitIdenticalDefault(t *testing.T) {
 		xs = append(xs, (r.Float64()-0.5)*4) // noise-sized draws, the hot band
 	}
 	got := make([]float64, len(xs))
-	for n := len(xs); n > len(xs)-4; n-- { // every tail length
+	for n := len(xs); n > len(xs)-8; n-- { // every tail length
 		ExpBulk(got[:n], xs[:n])
 		for i, x := range xs[:n] {
 			if want := Exp(x); math.Float64bits(got[i]) != math.Float64bits(want) {
@@ -61,6 +65,10 @@ func TestExpBulkBitIdenticalDefault(t *testing.T) {
 // TestExpGolden checks the kernel against the committed table, so a change
 // to its bytes fails on every platform whatever the local math.Exp does.
 func TestExpGolden(t *testing.T) {
+	onBothPaths(t, testExpGolden)
+}
+
+func testExpGolden(t *testing.T) {
 	src := make([]float64, len(expGolden))
 	for i, g := range expGolden {
 		src[i] = math.Float64frombits(g[0])

@@ -29,10 +29,13 @@ type LSTM struct {
 
 	// Parameters: wx maps [x; hPrev] (1+h wide) to the 4 gate blocks
 	// (i,f,g,o), each h units; b is the gate bias; wo/bo the read-out.
-	wx []float64 // (4h) × (1+h), row-major
-	b  []float64 // 4h
-	wo []float64 // h
-	bo float64
+	// wxT is wx transposed for the forward matvec, in the same allocation;
+	// refreshT copies wx into it after every change to wx.
+	wx  []float64 // (4h) × (1+h), row-major
+	wxT []float64 // (1+h) × (4h), row-major
+	b   []float64 // 4h
+	wo  []float64 // h
+	bo  float64
 
 	// Forward-pass scratch: zbuf holds the 4h pre-activations of one
 	// step, abuf the 3h sigmoid-gate arguments batched through one
@@ -55,11 +58,14 @@ func (l *LSTM) init() {
 	l.h = l.Hidden
 	r := rng.New(l.Seed)
 	in := 1 + l.h
-	l.wx = make([]float64, 4*l.h*in)
+	n := 4 * l.h * in
+	buf := make([]float64, 2*n)
+	l.wx, l.wxT = buf[:n:n], buf[n:]
 	bound := 1 / math.Sqrt(float64(in))
 	for i := range l.wx {
 		l.wx[i] = r.Uniform(-bound, bound)
 	}
+	l.refreshT()
 	l.b = make([]float64, 4*l.h)
 	// Forget-gate bias starts at 1 (standard practice for gradient flow).
 	for i := l.h; i < 2*l.h; i++ {
@@ -71,6 +77,16 @@ func (l *LSTM) init() {
 	}
 	l.zbuf = make([]float64, 4*l.h)
 	l.abuf = make([]float64, 3*l.h)
+}
+
+// refreshT copies wx into its transpose wxT.
+func (l *LSTM) refreshT() {
+	rows, in := 4*l.h, 1+l.h
+	for r := 0; r < rows; r++ {
+		for k, w := range l.wx[r*in : (r+1)*in] {
+			l.wxT[k*rows+r] = w
+		}
+	}
 }
 
 // cell state carried across steps.
@@ -142,47 +158,19 @@ func newLSTMScratch(h, steps, in int) *lstmScratch {
 // forward runs one step into rec (whose vectors are already sized h) and
 // updates st.
 //
-// The gate matvec is blocked over the flat 4h×(1+h) slab: the four gate
-// rows of unit u are hoisted into bounds-check-free row slices and their
-// dot products run fused in one pass over hPrev — four independent
-// accumulator chains per hPrev load, each accumulating in the original
-// k order so every sum is bit-identical to the scalar loop. The three
-// sigmoid gates' exponentials are then batched through one ExpBulk call.
+// The gate matvec is mathx.GateMatVec over the transposed weights: each of
+// the 4h pre-activations is its own chain, w·x then the hPrev terms in k
+// order, bit-identical to the row-major dot product. The three sigmoid
+// gates' exponentials are then batched through one ExpBulk call.
 // TestLSTMFitPredictGolden pins the whole pass to hex goldens.
 func (l *LSTM) forward(x float64, st *cellState, rec *stepRecord) {
 	h := l.h
 	rec.x = x
 	copy(rec.hPrev, st.h)
 	copy(rec.cPrev, st.c)
-	in := 1 + h
-	wx := l.wx
-	hPrev := rec.hPrev
 	z := l.zbuf
-	for u := 0; u < h; u++ {
-		// input column 0 is x; columns 1..h are hPrev.
-		ri := wx[(0*h+u)*in : (0*h+u+1)*in]
-		rf := wx[(1*h+u)*in : (1*h+u+1)*in]
-		rg := wx[(2*h+u)*in : (2*h+u+1)*in]
-		ro := wx[(3*h+u)*in : (3*h+u+1)*in]
-		zi := ri[0] * x
-		zf := rf[0] * x
-		zg := rg[0] * x
-		zo := ro[0] * x
-		ri = ri[1:][:len(hPrev)]
-		rf = rf[1:][:len(hPrev)]
-		rg = rg[1:][:len(hPrev)]
-		ro = ro[1:][:len(hPrev)]
-		for k, hp := range hPrev {
-			zi += ri[k] * hp
-			zf += rf[k] * hp
-			zg += rg[k] * hp
-			zo += ro[k] * hp
-		}
-		z[0*h+u] = zi
-		z[1*h+u] = zf
-		z[2*h+u] = zg
-		z[3*h+u] = zo
-	}
+	mathx.GateMatVec(z, l.wxT, x, rec.hPrev)
+
 	// Batched activations: sigmoid(v) = 1/(1+exp(-v)), with the three
 	// sigmoid gates' exp(-v) evaluated in one bulk call.
 	a := l.abuf
@@ -196,10 +184,10 @@ func (l *LSTM) forward(x float64, st *cellState, rec *stepRecord) {
 	for u := 0; u < h; u++ {
 		rec.i[u] = 1 / (1 + a[0*h+u])
 		rec.f[u] = 1 / (1 + a[1*h+u])
-		rec.g[u] = math.Tanh(z[2*h+u] + b[2*h+u])
+		rec.g[u] = mathx.Tanh(z[2*h+u] + b[2*h+u])
 		rec.o[u] = 1 / (1 + a[2*h+u])
 		rec.c[u] = rec.f[u]*rec.cPrev[u] + rec.i[u]*rec.g[u]
-		rec.tanhC[u] = math.Tanh(rec.c[u])
+		rec.tanhC[u] = mathx.Tanh(rec.c[u])
 		rec.h[u] = rec.o[u] * rec.tanhC[u]
 	}
 	yhat := l.bo
@@ -316,14 +304,11 @@ func (l *LSTM) FitPredict(train, test []float64) ([]float64, error) {
 				// dhPrev accumulates and must start from zero each step;
 				// dcPrev is fully assigned below and needs no clear.
 				clear(dhPrev)
-				// Blocked BPTT kernel: the four gate rows of unit u are
-				// hoisted into bounds-check-free slices and the weight-
-				// gradient scatter and dhPrev gather run fused in one
-				// pass over k. Per dhPrev[kk] the four contributions add
-				// in the original i,f,g,o order (they were blk-outer,
-				// kk-inner before; per memory location the order is
-				// unchanged), and each gWx cell keeps its single
-				// accumulator, so the gradients are bit-identical.
+				// Per unit, mathx.GateBackprop scatters the weight
+				// gradient and gathers dhPrev over k. Per dhPrev[k] the four
+				// contributions add in i,f,g,o order, unit after unit, and
+				// each gWx cell keeps its single accumulator: the order the
+				// goldens of TestLSTMFitPredictGolden were captured in.
 				hu := l.h
 				for u := 0; u < hu; u++ {
 					do := dh[u] * rec.tanhC[u]
@@ -342,41 +327,13 @@ func (l *LSTM) FitPredict(train, test []float64) ([]float64, error) {
 					gB[1*hu+u] += dzf
 					gB[2*hu+u] += dzg
 					gB[3*hu+u] += dzo
-					gi := gWx[(0*hu+u)*in : (0*hu+u+1)*in]
-					gf := gWx[(1*hu+u)*in : (1*hu+u+1)*in]
-					gg := gWx[(2*hu+u)*in : (2*hu+u+1)*in]
-
-					go_ := gWx[(3*hu+u)*in : (3*hu+u+1)*in]
-					gi[0] += dzi * rec.x
-					gf[0] += dzf * rec.x
-					gg[0] += dzg * rec.x
-					go_[0] += dzo * rec.x
-					wi := l.wx[(0*hu+u)*in : (0*hu+u+1)*in]
-					wf := l.wx[(1*hu+u)*in : (1*hu+u+1)*in]
-					wg := l.wx[(2*hu+u)*in : (2*hu+u+1)*in]
-					wo := l.wx[(3*hu+u)*in : (3*hu+u+1)*in]
-					hp := rec.hPrev
-					dhp := dhPrev[:len(hp)]
-					gi = gi[1:][:len(hp)]
-					gf = gf[1:][:len(hp)]
-					gg = gg[1:][:len(hp)]
-					go_ = go_[1:][:len(hp)]
-					wi = wi[1:][:len(hp)]
-					wf = wf[1:][:len(hp)]
-					wg = wg[1:][:len(hp)]
-					wo = wo[1:][:len(hp)]
-					for kk, hpk := range hp {
-						gi[kk] += dzi * hpk
-						gf[kk] += dzf * hpk
-						gg[kk] += dzg * hpk
-						go_[kk] += dzo * hpk
-						s := dhp[kk]
-						s += dzi * wi[kk]
-						s += dzf * wf[kk]
-						s += dzg * wg[kk]
-						s += dzo * wo[kk]
-						dhp[kk] = s
-					}
+					row, stride := u*in, hu*in
+					gWx[0*stride+row] += dzi * rec.x
+					gWx[1*stride+row] += dzf * rec.x
+					gWx[2*stride+row] += dzg * rec.x
+					gWx[3*stride+row] += dzo * rec.x
+					mathx.GateBackprop(gWx[row+1:], l.wx[row+1:], stride,
+						[4]float64{dzi, dzf, dzg, dzo}, rec.hPrev, dhPrev)
 				}
 				dhNext, dhPrev = dhPrev, dhNext
 				dcNext, dcPrev = dcPrev, dcNext
@@ -385,6 +342,7 @@ func (l *LSTM) FitPredict(train, test []float64) ([]float64, error) {
 			clip(gB, 5)
 			clip(gWo, 5)
 			optWx.update(l.wx, gWx, l.LearningRate)
+			l.refreshT()
 			optB.update(l.b, gB, l.LearningRate)
 			optWo.update(l.wo, gWo, l.LearningRate)
 			sc.bo[0], sc.gBo[0] = l.bo, gBo

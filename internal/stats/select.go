@@ -11,6 +11,14 @@ import "math"
 // callers a reusable copy buffer so a whole walk performs zero per-call
 // allocations after warm-up.
 
+// A Scratch percentile of a long input at a high p reads the top of the
+// input only: see tailPercentile.
+const (
+	tailMinLen = 1024 // shortest input the tail path takes
+	tailMinP   = 75   // lowest percentile the tail path takes
+	tailSample = 256  // strided sample the threshold comes from
+)
+
 // Scratch is a reusable buffer for percentile queries. The zero value is
 // ready to use; the buffer grows to the largest input seen and is reused
 // across calls, so a loop of Percentile calls allocates only on the first
@@ -31,8 +39,59 @@ func (sc *Scratch) Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
+	if len(xs) >= tailMinLen && p >= tailMinP {
+		if v, ok := sc.tailPercentile(xs, p); ok {
+			return v
+		}
+	}
 	sc.buf = append(sc.buf[:0], xs...)
 	return quantileSelect(sc.buf, p)
+}
+
+// tailPercentile answers a high percentile from the elements at or above a
+// threshold t instead of from a copy of all of xs. t is an order statistic
+// of a strided sample of tailSample elements, taken about four standard
+// deviations of the sample's rank below the rank that estimates the
+// answer, so nearly always at or below it. With c elements below t and c no
+// more than the floor rank lo, the kept elements are the sorted input's
+// ranks c..n-1, so ranks lo and lo+1 are the kept ranks lo-c and lo-c+1:
+// the same order statistics, and since equal non-zero floats have the same
+// bits, the same result as quantileSelect. ok is false, and the caller
+// takes the full path, when t overshoots (c > lo), when xs holds a NaN
+// (which quantileSelect places by position, not by value), and when an
+// answer is a zero (whose sign depends on where the select leaves ±0).
+func (sc *Scratch) tailPercentile(xs []float64, p float64) (v float64, ok bool) {
+	n := len(xs)
+	lo, frac := rankOf(n, p)
+	if cap(sc.buf) < n {
+		sc.buf = make([]float64, n)
+	}
+	buf := sc.buf[:n]
+	sample, step := buf[:tailSample], n/tailSample
+	for i := range sample {
+		sample[i] = xs[i*step]
+	}
+	q := float64(lo) / float64(n)
+	margin := int(4*math.Sqrt(tailSample*q*(1-q))) + 2
+	t := selectKth(sample, max(lo*tailSample/n-margin, 0))
+	kept := 0
+	for _, x := range xs {
+		if x >= t {
+			buf[kept] = x
+			kept++
+		} else if x != x {
+			return 0, false
+		}
+	}
+	below := n - kept
+	if below > lo {
+		return 0, false
+	}
+	v, w := selectPair(buf[:kept], lo-below, frac != 0)
+	if v == 0 || w == 0 {
+		return 0, false
+	}
+	return lerp(v, w, frac), true
 }
 
 // quantileSelect returns the interpolated p-th percentile of s, partially
@@ -48,22 +107,44 @@ func quantileSelect(s []float64, p float64) float64 {
 	if n == 1 {
 		return s[0]
 	}
+	lo, frac := rankOf(n, p)
+	v, w := selectPair(s, lo, frac != 0)
+	return lerp(v, w, frac)
+}
+
+// rankOf splits the p-th percentile's rank among n sorted elements into its
+// floor rank lo and the fraction frac of the way to lo+1.
+func rankOf(n int, p float64) (lo int, frac float64) {
 	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	v := selectKth(s, lo)
+	lo = int(math.Floor(rank))
+	return lo, rank - float64(lo)
+}
+
+// selectPair returns the k-th smallest element of s and, when next is set,
+// the (k+1)-th (w is v otherwise), partially reordering s in place.
+func selectPair(s []float64, k int, next bool) (v, w float64) {
+	v = selectKth(s, k)
+	if !next {
+		return v, v
+	}
+	// The (k+1)-th is the minimum of everything right of k: selectKth left
+	// s partitioned with s[k+1:] all >= s[k].
+	w = s[k+1]
+	for _, x := range s[k+2:] {
+		if x < w {
+			w = x
+		}
+	}
+	return v, w
+}
+
+// lerp interpolates frac of the way from the floor-rank statistic v to the
+// ceil-rank statistic w.
+func lerp(v, w, frac float64) float64 {
 	if frac == 0 {
 		return v
 	}
-	// The ceil-rank statistic is the minimum of everything right of lo:
-	// selectKth left s partitioned with s[lo+1:] all >= s[lo].
-	m := s[lo+1]
-	for _, x := range s[lo+2:] {
-		if x < m {
-			m = x
-		}
-	}
-	return v*(1-frac) + m*frac
+	return v*(1-frac) + w*frac
 }
 
 // selectKth places the k-th smallest element of s at index k (classic

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 )
@@ -85,4 +86,74 @@ func TestScratchPercentileEdgeCases(t *testing.T) {
 		}
 	}()
 	sc.Percentile([]float64{1}, 101)
+}
+
+// TestScratchTailPercentileMatchesSort holds the tail path (long inputs,
+// p >= 75) to the sort-based reference, bit for bit, on the input shapes
+// it meets or could trip on: random, clamped at 95 (CPU series), heavy
+// duplicates, constant, sorted both ways, and an adversary whose strided
+// sample holds only the largest values, so the threshold overshoots and
+// the full path answers.
+func TestScratchTailPercentileMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 5))
+	shapes := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"random", func(int, int) float64 { return r.Float64() * 100 }},
+		{"clamped-95", func(int, int) float64 { return min(r.NormFloat64()*30+70, 95) }},
+		{"duplicates", func(int, int) float64 { return float64(r.IntN(7)) }},
+		{"constant", func(int, int) float64 { return 42 }},
+		{"ascending", func(i, _ int) float64 { return float64(i) }},
+		{"descending", func(i, n int) float64 { return float64(n - i) }},
+		{"adversary", func(i, n int) float64 {
+			if i%(n/tailSample) == 0 {
+				return 1000 + float64(i)
+			}
+			return r.Float64()
+		}},
+	}
+	var sc Scratch
+	for _, shape := range shapes {
+		name, gen := shape.name, shape.gen
+		for _, n := range []int{tailMinLen, 1500, 4096, 8064} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = gen(i, n)
+			}
+			for _, p := range []float64{75, 90, 95, 99, 100} {
+				want := sortPercentile(xs, p)
+				if got := sc.Percentile(xs, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d p=%v: Scratch.Percentile=%v, sort-based=%v", name, n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestScratchTailPercentileDefersNaNAndZeros checks the two inputs the
+// tail path hands back: one holding a NaN, and one whose answer is a zero
+// from a mix of +0 and -0. Both must give today's full-copy select, bits
+// and all.
+func TestScratchTailPercentileDefersNaNAndZeros(t *testing.T) {
+	full := func(xs []float64, p float64) float64 {
+		return quantileSelect(append([]float64(nil), xs...), p)
+	}
+	r := rand.New(rand.NewPCG(7, 9))
+	nan := make([]float64, 2048)
+	zeros := make([]float64, 2048)
+	for i := range nan {
+		nan[i] = r.Float64()
+		zeros[i] = math.Copysign(0, float64(r.IntN(2))-0.5)
+	}
+	nan[1777] = math.NaN()
+	var sc Scratch
+	for _, p := range []float64{75, 95, 100} {
+		if got, want := sc.Percentile(nan, p), full(nan, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NaN input p=%v: %v, full path %v", p, got, want)
+		}
+		if got, want := sc.Percentile(zeros, p), full(zeros, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("±0 input p=%v: %x, full path %x", p, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
 }

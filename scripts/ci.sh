@@ -4,7 +4,9 @@
 #   gofmt cleanliness  → build  → vet  → orphan-package check (every
 #   internal/ package is in `go list -deps` of the repo's main packages;
 #   internal/faultinject is the one test-only harness)
-#   → arm64 cross-compile  → full tests (the root package's
+#   → cross-arch: arm64 build and vet; 386 tests of the kernel packages,
+#     which run natively and take the portable Go path (no AVX2 assembly
+#     off amd64)  → full tests (the root package's
 #     TestEveryFunctionReachable is the per-function form of the orphan
 #     check: every non-test function is reachable from a main package or
 #     listed with a reason in scripts/reach_keep; TestEveryOptionSet is the
@@ -17,7 +19,8 @@
 #     segment replay, snapshot decode, sketch codec, sketch-page and
 #     key-inventory codecs; the shard key index against a flat-map scan;
 #     the sketch flush kernel against its scalar reference; the envelope
-#     and /keys JSON kernels against encoding/json)
+#     and /keys JSON kernels against encoding/json; the AVX2 exp and LSTM
+#     kernels against their portable Go)
 #   → chaos smoke: a seeded drop+duplicate+reorder fault plan on the small
 #     scenario through the retrying client must answer byte-identically to
 #     a clean run, and a killed durable ingestor must recover to the same
@@ -97,11 +100,13 @@ if [[ -n "$orphans" ]]; then
   exit 1
 fi
 
-echo "== cross-arch (arm64, compile only) =="
+echo "== cross-arch (arm64 compile + vet, 386 kernel tests) =="
 # The exp kernel defines the artifact bytes on every GOARCH; keep it and its
-# callers free of amd64 assumptions.
+# callers free of amd64 assumptions. 386 binaries run on an amd64 host, so
+# the portable kernels (and the goldens they must reproduce) get a real run.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/mathx ./internal/rng ./internal/workload
+GOARCH=arm64 go vet ./internal/mathx ./internal/rng ./internal/workload ./internal/predict
+GOARCH=386 go test ./internal/mathx ./internal/rng ./internal/workload ./internal/predict
 
 echo "== test =="
 go test ./...
@@ -128,6 +133,10 @@ go test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/s
 echo "== fuzz (envelope codec and /keys JSON kernels ≡ encoding/json reference, 5s each) =="
 go test -run xxx -fuzz FuzzEnvelopeCodecMatchesReference -fuzztime 5s ./internal/telemetry/
 go test -run xxx -fuzz FuzzKeysJSONMatchesEncoder -fuzztime 5s ./internal/telemetry/
+
+echo "== fuzz (AVX2 exp and LSTM kernels ≡ portable Go, 5s each) =="
+go test -run xxx -fuzz FuzzExpBulkMatchesPortable -fuzztime 5s ./internal/mathx/
+go test -run xxx -fuzz FuzzLSTMKernelsMatchPortable -fuzztime 5s ./internal/mathx/
 
 echo "== chaos smoke (seeded drop+dup+reorder on small, retrying client) =="
 # The chaos acceptance pin: >=1% drops, duplicates and reorders injected
@@ -439,11 +448,14 @@ if [[ "${1:-}" != "--no-bench" ]]; then
   # gated wide-query benchmarks run at a fixed iteration count instead (their
   # pooled scratch is allocated once per run, so B/op is that allocation over
   # the iteration count, and a time budget made it depend on the box).
+  # The sweep goes to a file first: `tee /dev/stderr` truncated a log that
+  # stderr was redirected to.
   { go test -bench . -skip "$WIDE_BENCH" -benchmem -benchtime 100ms -run xxx . &&
     go test -bench "$WIDE_BENCH" -benchmem -benchtime "$WIDE_BENCHTIME" -run xxx . &&
     go test -bench '^BenchmarkRunAll(Serial|Parallel)$' -benchmem -benchtime 2x -run xxx . ; } \
-    | tee /dev/stderr \
-    | go run ./cmd/benchdump -out "$smoke/BENCH.new.json"
+    > "$smoke/bench.txt"
+  cat "$smoke/bench.txt" >&2
+  go run ./cmd/benchdump -out "$smoke/BENCH.new.json" < "$smoke/bench.txt"
   # Gate against the COMMITTED baseline (not the working-tree file, which a
   # previous passing run may have refreshed): repeated local runs must not
   # ratchet +14% drifts under a 15% budget. Outside git, fall back to the
