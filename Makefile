@@ -103,14 +103,30 @@ loc:
 repro:
 	$(GO) run ./cmd/reproall -parallel 0
 
-# Byte-identity across parallelism: build reproall once (trimmed, no VCS
-# stamp), then print the SHA-256 of its `-ext -quiet-times` stdout for every
-# built-in scenario at -parallel 1 and 4. Exits non-zero if a run fails or
-# the two parallelism levels disagree on any scenario.
+# Byte-identity across parallelism and across builds: build reproall once
+# (trimmed, no VCS stamp), then print the SHA-256 of its `-ext -quiet-times`
+# stdout for every built-in scenario at -parallel 1 and 4. On an amd64 host
+# the same source is also built with GOAMD64=v3 (the compiler may fuse
+# multiply-adds; skipped, with a note, on a CPU without x86-64-v3) and with
+# GOARCH=386 (the portable kernels, run natively), and each of those must
+# print the same hash for every scenario at -parallel 4: the bytes are a
+# function of the source and the seed, not of the build. Exits non-zero if a
+# run fails or any two runs disagree.
 REPRO_SCENARIOS = small paper dense-metro rural-sparse flash-crowd stress
+REPRO_V3_FLAGS = avx2 bmi1 bmi2 f16c fma movbe abm
 repro-sha:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -trimpath -buildvcs=false -o "$$tmp/reproall" ./cmd/reproall || exit 1; \
+	builds=; \
+	if [ "$$($(GO) env GOHOSTARCH)" = amd64 ]; then \
+	  builds=386; \
+	  GOARCH=386 $(GO) build -trimpath -buildvcs=false -o "$$tmp/reproall-386" ./cmd/reproall || exit 1; \
+	  v3=yes; for f in $(REPRO_V3_FLAGS); do grep -qw $$f /proc/cpuinfo || v3=; done; \
+	  if [ -n "$$v3" ]; then \
+	    builds="v3 386"; \
+	    GOAMD64=v3 $(GO) build -trimpath -buildvcs=false -o "$$tmp/reproall-v3" ./cmd/reproall || exit 1; \
+	  else echo "repro-sha: CPU lacks x86-64-v3, GOAMD64=v3 build skipped"; fi; \
+	fi; \
 	st=0; for s in $(REPRO_SCENARIOS); do \
 	  for p in 1 4; do \
 	    "$$tmp/reproall" -scenario $$s -ext -quiet-times -parallel $$p > "$$tmp/out-$$p" || exit 1; \
@@ -118,7 +134,13 @@ repro-sha:
 	  a=$$(sha256sum < "$$tmp/out-1" | cut -c1-64); b=$$(sha256sum < "$$tmp/out-4" | cut -c1-64); \
 	  if [ "$$a" = "$$b" ]; then echo "$$s $$a"; \
 	  else echo "$$s MISMATCH parallel-1 $$a parallel-4 $$b"; st=1; fi; \
-	done; exit $$st
+	  for v in $$builds; do \
+	    "$$tmp/reproall-$$v" -scenario $$s -ext -quiet-times -parallel 4 > "$$tmp/out-$$v" || exit 1; \
+	    c=$$(sha256sum < "$$tmp/out-$$v" | cut -c1-64); \
+	    if [ "$$c" != "$$a" ]; then echo "$$s MISMATCH default-build $$a $$v-build $$c"; st=1; fi; \
+	  done; \
+	done; \
+	[ $$st = 0 ] && [ -n "$$builds" ] && echo "repro-sha: the $$builds builds print the same hashes"; exit $$st
 
 # The profile-first workflow in one command: run the full serial
 # reproduction under CPU and heap profiling, then print the top consumers of

@@ -14,6 +14,12 @@
 // 1-iteration number is a single sample, not a statistic — raise -benchtime
 // if it matters.
 //
+// Trajectory mode: when stdin carries `go run ./bench/e2e` reports instead,
+// benchdump appends one entry of per-workload medians to -out, a JSON array
+// that only grows (BENCH_E2E.json; see trajectory.go):
+//
+//	cat change-runs/*.txt | go run ./cmd/benchdump -out BENCH_E2E.json
+//
 // Compare mode:
 //
 //	go run ./cmd/benchdump -compare \
@@ -153,10 +159,26 @@ func main() {
 		NumCPU:      runtime.NumCPU(),
 		Scenario:    *scn,
 	}
-	scenarioLine, err := parseStream(os.Stdin, &f)
+	scenarioLine, runs, err := parseStream(os.Stdin, &f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdump: read: %v\n", err)
 		os.Exit(1)
+	}
+	if len(runs) > 0 {
+		if len(f.Benchmarks) > 0 {
+			fmt.Fprintln(os.Stderr, "benchdump: stdin mixes bench/e2e runs with go test benchmark lines; record them separately")
+			os.Exit(1)
+		}
+		e, err := trajectoryEntry(runs, time.Now())
+		if err == nil {
+			err = appendEntry(*out, e)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchdump: trajectory: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "benchdump: appended %d runs of %d workloads to %s\n", len(runs), len(e.Workloads), *out)
+		return
 	}
 	if f.Scenario == "" {
 		f.Scenario = scenarioLine
@@ -189,12 +211,21 @@ func main() {
 }
 
 // parseStream scans bench output into f and returns the `scenario:` context
-// line's value (the -scenario flag wins over it at the call site).
-func parseStream(r io.Reader, f *File) (scenario string, err error) {
+// line's value (the -scenario flag wins over it at the call site), along
+// with the bench/e2e runs the stream carries (trajectory.go).
+func parseStream(r io.Reader, f *File) (scenario string, runs []e2eRun, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	var e2e e2eScanner
 	for sc.Scan() {
 		line := sc.Text()
+		ok, err := e2e.line(line)
+		if err != nil {
+			return "", nil, err
+		}
+		if ok {
+			continue
+		}
 		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
 			f.CPU = strings.TrimSpace(cpu)
 			continue
@@ -208,11 +239,11 @@ func parseStream(r io.Reader, f *File) (scenario string, err error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return "", err
+		return "", nil, err
 	}
 	f.Benchmarks = stripGOMAXPROCSSuffix(f.Benchmarks)
 	f.Benchmarks = dedupeKeepMostIterations(f.Benchmarks)
-	return scenario, nil
+	return scenario, e2e.runs, nil
 }
 
 // dedupeKeepMostIterations collapses duplicate benchmark names to a single

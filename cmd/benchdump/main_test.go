@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseBenchLine(t *testing.T) {
@@ -37,7 +44,7 @@ BenchmarkTelemetryIngest/shards-4  100  20639 ns/op  1104 B/op  7 allocs/op
 BenchmarkSketchAdd  100  661 ns/op  16 B/op  1 allocs/op
 `
 	var f File
-	scenario, err := parseStream(strings.NewReader(out), &f)
+	scenario, _, err := parseStream(strings.NewReader(out), &f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ BenchmarkTelemetryIngest/shards-4-8  100  20639 ns/op
 BenchmarkSketchAdd-8  100  661 ns/op
 `
 	var f File
-	if _, err := parseStream(strings.NewReader(out), &f); err != nil {
+	if _, _, err := parseStream(strings.NewReader(out), &f); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"TelemetryIngest/shards-1", "TelemetryIngest/shards-4", "SketchAdd"}
@@ -84,7 +91,7 @@ func TestMixedCPUSweepKeepsSuffixes(t *testing.T) {
 BenchmarkSketchAdd-2  100  400 ns/op
 `
 	var f File
-	if _, err := parseStream(strings.NewReader(out), &f); err != nil {
+	if _, _, err := parseStream(strings.NewReader(out), &f); err != nil {
 		t.Fatal(err)
 	}
 	if f.Benchmarks[0].Name != "SketchAdd" || f.Benchmarks[1].Name != "SketchAdd-2" {
@@ -98,7 +105,7 @@ BenchmarkSketchAdd-2  100  400 ns/op
 // name is recorded as printed.
 func TestSingleBenchmarkRunKeptVerbatim(t *testing.T) {
 	var f File
-	if _, err := parseStream(strings.NewReader("BenchmarkTelemetryIngest/shards-4  100  20639 ns/op\n"), &f); err != nil {
+	if _, _, err := parseStream(strings.NewReader("BenchmarkTelemetryIngest/shards-4  100  20639 ns/op\n"), &f); err != nil {
 		t.Fatal(err)
 	}
 	if f.Benchmarks[0].Name != "TelemetryIngest/shards-4" {
@@ -294,7 +301,7 @@ BenchmarkSketchAdd  100  661 ns/op  16 B/op  1 allocs/op
 BenchmarkRunAllSerial  2  1900000000 ns/op  1000 B/op  50 allocs/op
 `
 	var f File
-	if _, err := parseStream(strings.NewReader(out), &f); err != nil {
+	if _, _, err := parseStream(strings.NewReader(out), &f); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Benchmarks) != 2 {
@@ -305,5 +312,93 @@ BenchmarkRunAllSerial  2  1900000000 ns/op  1000 B/op  50 allocs/op
 	}
 	if f.Benchmarks[1].Name != "SketchAdd" {
 		t.Fatalf("order disturbed: %+v", f.Benchmarks[1])
+	}
+}
+
+// e2eReport is one bench/e2e run's report as the harness prints it.
+func e2eReport(workload string, seed int, ops, rss float64, correct bool) string {
+	return fmt.Sprintf(`workload %s seed %d seconds 20 trace false
+  ops_per_s     %f 1/s
+  attempted 10 failed 0 correct %v
+summary {"claim":null,"go":"go1.24.0","nproc":2,"seed":%d,"warnings":0,"workload":%q}
+{"correct":%v,"attempted":10,"failed":0,"metrics":{"ops_per_s":{"value":%v,"unit":"1/s"},"peak_rss_mb":{"value":%v,"unit":"MB"}}}
+`, workload, seed, ops, correct, seed, workload, correct, ops, rss)
+}
+
+// TestTrajectoryAppendsMedians pins trajectory mode: bench/e2e reports are
+// grouped per (workload, seed) into medians, each entry is appended as one
+// line, and earlier entries are written back byte for byte.
+func TestTrajectoryAppendsMedians(t *testing.T) {
+	stream := e2eReport("single-ingest", 1, 500, 130, true) +
+		e2eReport("single-ingest", 1, 480, 128, true) +
+		e2eReport("batch-paper", 1, 0.4, 34, true) +
+		e2eReport("single-ingest", 1, 510, 140, true) +
+		e2eReport("single-ingest", 2, 490, 129, true) +
+		e2eReport("single-ingest", 2, 470, 131, true)
+	var f File
+	_, runs, err := parseStream(strings.NewReader(stream), &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 0 || len(runs) != 6 {
+		t.Fatalf("parsed %d benchmarks and %d runs, want 0 and 6", len(f.Benchmarks), len(runs))
+	}
+	e, err := trajectoryEntry(runs, time.Date(2026, 10, 18, 0, 0, 0, 0, time.UTC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []e2eWorkload{
+		{Workload: "single-ingest", Seed: 1, Runs: 3, Seconds: 20, NProc: 2, Go: "go1.24.0", Medians: map[string]float64{"ops_per_s": 500, "peak_rss_mb": 130}},
+		{Workload: "batch-paper", Seed: 1, Runs: 1, Seconds: 20, NProc: 2, Go: "go1.24.0", Medians: map[string]float64{"ops_per_s": 0.4, "peak_rss_mb": 34}},
+		{Workload: "single-ingest", Seed: 2, Runs: 2, Seconds: 20, NProc: 2, Go: "go1.24.0", Medians: map[string]float64{"ops_per_s": 480, "peak_rss_mb": 130}},
+	}
+	if !reflect.DeepEqual(e.Workloads, want) {
+		t.Fatalf("entry workloads\n%+v\nwant\n%+v", e.Workloads, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "BENCH_E2E.json")
+	if err := appendEntry(path, e); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := os.ReadFile(path)
+	e.RecordedAt = "later"
+	if err := appendEntry(path, e); err != nil {
+		t.Fatal(err)
+	}
+	both, _ := os.ReadFile(path)
+	if !bytes.HasPrefix(both, first[:len(first)-len("\n]\n")]) {
+		t.Fatalf("the second append rewrote the first entry:\n%s\nthen\n%s", first, both)
+	}
+	var entries []e2eEntry
+	if err := json.Unmarshal(both, &entries); err != nil || len(entries) != 2 || entries[1].RecordedAt != "later" {
+		t.Fatalf("trajectory after two appends: %d entries, err %v:\n%s", len(entries), err, both)
+	}
+	if n := bytes.Count(both, []byte("\n")); n != 4 {
+		t.Fatalf("want one line per entry plus the brackets, got %d lines", n)
+	}
+}
+
+// TestTrajectoryRefusals: a run that is not correct, a traced run and a
+// BENCH.json-shaped target are refused rather than recorded.
+func TestTrajectoryRefusals(t *testing.T) {
+	for name, stream := range map[string]string{
+		"incorrect": e2eReport("single-ingest", 1, 500, 130, false),
+		"traced":    strings.Replace(e2eReport("single-ingest", 1, 500, 130, true), "trace false", "trace true", 1),
+	} {
+		var f File
+		_, runs, err := parseStream(strings.NewReader(stream), &f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trajectoryEntry(runs, time.Now()); err == nil {
+			t.Errorf("%s run recorded", name)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, []byte(`{"benchmarks":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendEntry(path, e2eEntry{}); err == nil {
+		t.Error("appended a trajectory entry to a BENCH.json object")
 	}
 }

@@ -40,6 +40,14 @@ import (
 // against the exact batch Summary at twice it (the bound is
 // expectation-level; 2× absorbs unlucky centroid boundaries).
 //
+// # Memory
+//
+// A sketch holds its centroids and the points buffered since its last
+// flush — fewer than 4δ from Add, fewer than 8δ after Absorb — at 16 bytes
+// each. Appends leave spare capacity behind them; Footprint reports the
+// bytes both lists hold by capacity, and Trim releases the spare room once
+// no more points are expected, changing no answer and no encoding.
+//
 // A Sketch is not safe for concurrent use; the telemetry ingest layer gives
 // each shard a single writer and locks rollups during query merges.
 type Sketch struct {
@@ -155,6 +163,34 @@ func (sk *Sketch) AbsorbPoints(pts []Centroid, count, min, max float64) {
 func (sk *Sketch) Reset() {
 	sk.centroids, sk.buf = sk.centroids[:0], sk.buf[:0]
 	sk.count, sk.min, sk.max = 0, math.Inf(1), math.Inf(-1)
+}
+
+// Trim releases the spare capacity of the sketch's point lists: centroids
+// and buffered points move into one backing array of their exact combined
+// length, split as UnmarshalBinary splits it. Content, Count, Min and Max
+// are untouched, so every answer and encoding is bit-identical. A trimmed
+// sketch still accepts points; the next append regrows the buffer alone. A
+// sketch whose lists are already exact is left alone without allocating.
+// The telemetry ingest calls it on a window's rollups once the window has
+// closed: a closed window gains nothing from room to buffer more points.
+func (sk *Sketch) Trim() {
+	nc, nb := len(sk.centroids), len(sk.buf)
+	if cap(sk.centroids) == nc && cap(sk.buf) == nb {
+		return
+	}
+	var points []Centroid
+	if nc+nb > 0 {
+		points = append(append(make([]Centroid, 0, nc+nb), sk.centroids...), sk.buf...)
+	}
+	sk.centroids = points[:nc:nc]
+	sk.buf = points[nc:]
+}
+
+// Footprint is the bytes the sketch's two point lists hold, by capacity:
+// what a retained sketch costs beyond its fixed header. After Trim it is 16
+// bytes per centroid and buffered point.
+func (sk *Sketch) Footprint() int {
+	return 16 * (cap(sk.centroids) + cap(sk.buf))
 }
 
 // absorbed is the one tail every fold of a whole sketch shares (Merge,

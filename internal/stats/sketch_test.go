@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"edgescope/internal/rng"
@@ -282,5 +283,62 @@ func TestSketchQuantilePanics(t *testing.T) {
 			}()
 			sk.Quantile(q)
 		}()
+	}
+}
+
+// TestSketchTrimKeepsContent pins Trim as a pure memory operation: a trimmed
+// sketch encodes, lists its points and answers quantiles bit for bit as its
+// untrimmed twin, continues the stream as the twin does, holds exactly 16 B
+// per point, and a second Trim allocates nothing.
+func TestSketchTrimKeepsContent(t *testing.T) {
+	r := rng.New(41)
+	for _, n := range []int{0, 1, 100, 399, 400, 1340} {
+		for _, absorb := range []bool{false, true} {
+			var vals []float64
+			for i := 0; i < n; i++ {
+				vals = append(vals, r.LogNormal(3, 0.7))
+			}
+			build := func() *Sketch {
+				sk := sketchFrom(t, vals, DefaultCompression)
+				if absorb {
+					sk.Absorb(sketchFrom(t, vals[:n/2], DefaultCompression))
+				}
+				return sk
+			}
+			trimmed, twin := build(), build()
+			trimmed.Trim()
+			pts := trimmed.AppendPoints(nil)
+			if got, want := trimmed.Footprint(), 16*len(pts); got != want {
+				t.Errorf("n=%d absorb=%v: Footprint after Trim = %d B, want %d for %d points", n, absorb, got, want, len(pts))
+			}
+			if allocs := testing.AllocsPerRun(10, trimmed.Trim); allocs != 0 {
+				t.Errorf("n=%d absorb=%v: a second Trim allocates %v times", n, absorb, allocs)
+			}
+			if twinPts := twin.AppendPoints(nil); !slices.Equal(pts, twinPts) {
+				t.Fatalf("n=%d absorb=%v: Trim changed the points", n, absorb)
+			}
+			// Continue both streams past a flush, then compare every answer.
+			for round := 0; round < 2; round++ {
+				a, _ := trimmed.AppendBinary(nil)
+				b, _ := twin.AppendBinary(nil)
+				if !bytes.Equal(a, b) {
+					t.Fatalf("n=%d absorb=%v round %d: encoding differs from the untrimmed twin", n, absorb, round)
+				}
+				for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+					if g, w := trimmed.Quantile(q), twin.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("n=%d absorb=%v round %d: Quantile(%v) = %v, untrimmed %v", n, absorb, round, q, g, w)
+					}
+				}
+				if trimmed.Count() != twin.Count() || trimmed.Min() != twin.Min() || trimmed.Max() != twin.Max() {
+					t.Fatalf("n=%d absorb=%v round %d: count/range differ", n, absorb, round)
+				}
+				for i := 0; i < 450; i++ {
+					x := r.Normal(20, 4)
+					if trimmed.Add(x) != nil || twin.Add(x) != nil {
+						t.Fatal("Add failed")
+					}
+				}
+			}
+		}
 	}
 }

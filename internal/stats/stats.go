@@ -1,7 +1,9 @@
 // Package stats implements the descriptive statistics the paper's analysis
 // relies on: percentiles, coefficient of variation, Pearson correlation,
 // CDFs, error metrics, and the P95/P5 "gap" ratios used to quantify load
-// imbalance.
+// imbalance. Sketch is their streaming counterpart: a mergeable t-digest
+// with a stated rank-error bound, whose memory Footprint reports and Trim
+// cuts to its exact size once its stream has ended.
 package stats
 
 import (

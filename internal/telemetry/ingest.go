@@ -188,6 +188,11 @@ type shard struct {
 	// the rollup deletions, which invalidate memoised folds (foldmemo.go).
 	clock  uint64
 	forgot uint64
+	// newest is the latest window start the shard has folded an event
+	// into, and prior the newest before that window opened (both 0, which
+	// precedes every window, until they are set). A fold that opens a
+	// window past newest trims the rollups behind it (rollover).
+	newest, prior int64
 	// starts indexes windows by start time: start → number of rollup
 	// entries in it. Retention counts and evicts *time windows* (distinct
 	// starts), never individual (window, key) entries, so a cap smaller
@@ -219,11 +224,13 @@ type shard struct {
 
 // ShardStats is one shard's accounting snapshot. Windows counts distinct
 // time windows (what MaxWindows caps); Rollups counts (window, key)
-// sketches (memory is proportional to this × sketch compression). The WAL
-// fields are zero when durability is off; WALLag is the records appended
-// but not yet fsynced — what a crash right now would lose. SnapshotBytes is
-// the size of the shard's last checkpoint and WALBytesSinceSnapshot the WAL
-// logged since it — together, what a restart right now would load and replay.
+// sketches, and RollupBytes the bytes their point lists hold — most of a
+// node's heap: a closed window's rollup is trimmed to its exact size, an
+// open one keeps room to buffer points. The WAL fields are zero when
+// durability is off; WALLag is the records appended but not yet fsynced —
+// what a crash right now would lose. SnapshotBytes is the size of the
+// shard's last checkpoint and WALBytesSinceSnapshot the WAL logged since
+// it — together, what a restart right now would load and replay.
 type ShardStats struct {
 	Accepted         uint64 `json:"accepted"`
 	Dropped          uint64 `json:"dropped"`
@@ -234,6 +241,7 @@ type ShardStats struct {
 	Queued           int    `json:"queued"`
 	Windows          int    `json:"windows"`
 	Rollups          int    `json:"rollups"`
+	RollupBytes      int    `json:"rollup_bytes"`
 	WALAppended      uint64 `json:"wal_appended,omitempty"`
 	WALLag           uint64 `json:"wal_lag,omitempty"`
 	WALError         string `json:"wal_error,omitempty"`
@@ -432,6 +440,9 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 	newStart := false
 	if !found {
 		ks, newStart = s.insert(ks, wk.Key, i, wk.Start, stats.NewSketch(ing.cfg.Compression))
+		if wk.Start > s.newest {
+			s.rollover(wk.Start)
+		}
 	}
 	w := &ks.wins[i]
 	// Add cannot fail here: Offer validated the envelope, and a finite
@@ -482,6 +493,25 @@ func (s *shard) insert(ks *keySeries, key Key, i int, start int64, sk *stats.Ske
 	return ks, s.starts[start] == 1
 }
 
+// rollover marks start, newer than every window the shard folded into
+// before, as the newest and trims the rollups of the windows behind it to
+// their exact size (stats.Sketch.Trim): a closed window gains nothing from
+// room to buffer more points. Each key's walk runs from its newest window
+// back to the window that was newest one rollover ago, because a late event
+// may have regrown a rollup the last rollover trimmed; an exact rollup's
+// Trim allocates nothing. A trim writes no content, so no rollup is
+// stamped and no memoised fold goes stale. Called with s.mu held.
+func (s *shard) rollover(start int64) {
+	for _, ks := range s.keys {
+		for j := len(ks.wins) - 1; j >= 0 && ks.wins[j].start >= s.prior; j-- {
+			if ks.wins[j].start < start {
+				ks.wins[j].sk.Trim()
+			}
+		}
+	}
+	s.prior, s.newest = s.newest, start
+}
+
 // remove deletes rollup i of ks: its events leave the key's count, its
 // window's tally drops, the memoised folds it was part of are forgotten,
 // and a key left with no rollup leaves the index. Called with s.mu held.
@@ -510,13 +540,17 @@ func (s *shard) load(rollups []snapRollup) {
 	}
 }
 
-// rollups counts the shard's (window, key) rollups. Called with s.mu held.
-func (s *shard) rollups() int {
-	n := 0
+// rollups counts the shard's (window, key) rollups and the bytes their
+// sketches' point lists hold (stats.Sketch.Footprint). Called with s.mu
+// held.
+func (s *shard) rollups() (n, bytes int) {
 	for _, ks := range s.keys {
 		n += len(ks.wins)
+		for _, w := range ks.wins {
+			bytes += w.sk.Footprint()
+		}
 	}
-	return n
+	return n, bytes
 }
 
 // enforceRetention evicts whole oldest time windows while the shard holds
@@ -770,7 +804,8 @@ func (ing *Ingestor) Stats() []ShardStats {
 	out := make([]ShardStats, len(ing.shards))
 	for i, s := range ing.shards {
 		s.mu.Lock()
-		rollups, wins := s.rollups(), len(s.starts)
+		wins := len(s.starts)
+		rollups, rollupBytes := s.rollups()
 		var walAppended, walLag, snapBytes, sinceBytes uint64
 		var walErr string
 		if s.wal != nil {
@@ -791,6 +826,7 @@ func (ing *Ingestor) Stats() []ShardStats {
 			Queued:           len(s.ch),
 			Windows:          wins,
 			Rollups:          rollups,
+			RollupBytes:      rollupBytes,
 			WALAppended:      walAppended,
 			WALLag:           walLag,
 			WALError:         walErr,
@@ -815,6 +851,7 @@ func (ing *Ingestor) TotalStats() ShardStats {
 		t.Queued += s.Queued
 		t.Windows += s.Windows
 		t.Rollups += s.Rollups
+		t.RollupBytes += s.RollupBytes
 		t.WALAppended += s.WALAppended
 		t.WALLag += s.WALLag
 		t.SnapshotBytes += s.SnapshotBytes

@@ -21,7 +21,7 @@ import (
 type ingestMetrics struct {
 	accepted, dropped, processed, deduped, compactions, evicted *obs.CounterVec
 	walAppended, walFsyncs, walFileSync                         *obs.CounterVec
-	queueDepth, walLag, windows, rollups, keys                  *obs.GaugeVec
+	queueDepth, walLag, windows, rollups, rollupBytes, keys     *obs.GaugeVec
 	snapBytes, sinceBytes                                       *obs.GaugeVec
 	walAppend, walFsync, snapshot                               *obs.HistogramVec
 	query, sketches                                             *obs.Histogram
@@ -52,6 +52,7 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		walLag:      reg.GaugeVec("telemetry_wal_lag_records", "records appended but not yet fsynced (lost if the process crashes now)", "shard"),
 		windows:     reg.GaugeVec("telemetry_shard_rollup_windows", "distinct time windows held by the shard", "shard"),
 		rollups:     reg.GaugeVec("telemetry_shard_rollups", "(window, key) sketches held by the shard", "shard"),
+		rollupBytes: reg.GaugeVec("telemetry_shard_rollup_bytes", "bytes held by the point lists of the shard's rollup sketches, by capacity (closed windows are trimmed to their exact size)", "shard"),
 		keys:        reg.GaugeVec("telemetry_shard_keys", "distinct (metric, region, net) keys held by the shard", "shard"),
 		snapBytes:   reg.GaugeVec("telemetry_snapshot_bytes", "size of the shard's last checkpoint (what a restart loads)", "shard"),
 		sinceBytes:  reg.GaugeVec("telemetry_wal_bytes_since_snapshot", "WAL bytes logged since the shard's last checkpoint (what a restart replays)", "shard"),
@@ -94,10 +95,10 @@ func (m *ingestMetrics) bindWAL(w *shardWAL, i int) {
 }
 
 // installCollectHook registers the scrape-time gauge refresh: queue depth,
-// WAL lag, rollup and key population and checkpoint accounting per shard,
-// read under each shard's lock only when something actually collects. The
-// gauge series are resolved in the hook, so an Open whose registry nothing
-// scrapes (a nil Config.Metrics) never builds them.
+// WAL lag, rollup population and bytes, key population and checkpoint
+// accounting per shard, read under each shard's lock only when something
+// actually collects. The gauge series are resolved in the hook, so an Open
+// whose registry nothing scrapes (a nil Config.Metrics) never builds them.
 func (ing *Ingestor) installCollectHook() {
 	m := ing.m
 	ing.cfg.Metrics.OnCollect(func() {
@@ -107,7 +108,9 @@ func (ing *Ingestor) installCollectHook() {
 			m.queueDepth.With(l).Set(float64(len(s.ch)))
 			s.mu.Lock()
 			m.windows.With(l).Set(float64(len(s.starts)))
-			m.rollups.With(l).Set(float64(s.rollups()))
+			rollups, bytes := s.rollups()
+			m.rollups.With(l).Set(float64(rollups))
+			m.rollupBytes.With(l).Set(float64(bytes))
 			m.keys.With(l).Set(float64(len(s.keys)))
 			if s.wal != nil {
 				lag.Set(float64(s.wal.lag()))
