@@ -25,7 +25,8 @@ race:
 
 # Brief fuzz passes over the wire decoder, the durability surfaces (WAL
 # segment replay, snapshot decode, sketch, sketch-page and key-inventory
-# codecs), the shard index against a flat-map scan, and the kernels against
+# codecs, the crash states of a power cut), the shard index against a
+# flat-map scan, and the kernels against
 # their references: the sketch flush against its scalar form, the envelope
 # codec and the /keys JSON writer against encoding/json, the AVX2 exp and
 # LSTM kernels against their portable Go.
@@ -36,6 +37,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzKeyInventoryDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzShardIndexMatchesScan -fuzztime 3s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzCrashStates -fuzztime 10s -fuzzminimizetime 10x ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzSketchFlushMatchesReference -fuzztime 5s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzEnvelopeCodecMatchesReference -fuzztime 5s ./internal/telemetry/
@@ -44,9 +46,12 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLSTMKernelsMatchPortable -fuzztime 5s ./internal/mathx/
 
 # The full chaos/durability test surface: fault-injected equivalence over
-# every built-in scenario, stall/short-write survival, kill-and-recover.
+# every built-in scenario, stall/short-write survival, kill-and-recover, and
+# a minute of the crash-state checker's schedules. Its interleaved shard
+# workers make coverage noisy, so each new input is minimised briefly.
 chaos:
 	$(GO) test -count=1 -run 'TestChaos|TestKillAndRecover|TestRecover|TestTornTail|TestCorrupt' -v ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzCrashStates -fuzztime 60s -fuzzminimizetime 10x ./internal/telemetry/
 
 # Full benchmark sweep. 100ms per benchmark keeps iteration counts
 # meaningful on the micro-benchmarks while the heavyweights run once.

@@ -2,16 +2,16 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"edgescope/internal/obs"
 	"edgescope/internal/telemetry"
@@ -125,21 +125,20 @@ func TestHealthzOK(t *testing.T) {
 	}
 }
 
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
-
 func TestHealthzDegraded(t *testing.T) {
+	dir := t.TempDir()
 	ing, _, srv := newTestServer(t, telemetry.Config{
 		Shards: 1,
 		Block:  true,
-		WAL: telemetry.WALConfig{
-			Dir:        t.TempDir(),
-			SyncEvery:  1,
-			WrapWriter: func(int, io.Writer) io.Writer { return failingWriter{} },
-		},
+		WAL:    telemetry.WALConfig{Dir: dir, SyncEvery: 1},
 	}, false)
-	e := telemetry.Envelope{V: telemetry.SchemaVersion, TS: time.Now().UnixMilli(),
+	// A directory where the event's segment file belongs: creating the
+	// segment fails, and the shard degrades to memory-only.
+	const ts = 1_633_046_400_000 // a window start at the default one-minute window
+	if err := os.Mkdir(filepath.Join(dir, "shard-0", fmt.Sprintf("wal-%d.jsonl", ts)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e := telemetry.Envelope{V: telemetry.SchemaVersion, TS: ts,
 		Metric: telemetry.MetricRTT, Region: "Beijing", Net: "WiFi", Value: 12}
 	if !ing.Offer(e) {
 		t.Fatal("offer refused")

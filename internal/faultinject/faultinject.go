@@ -2,8 +2,7 @@
 // telemetry ingest path. An Injector wraps an offer function with a
 // seed-driven fault plan (Spec): events are dropped,
 // duplicated, held back and re-delivered out of order, or refused wholesale
-// while a shard "stalls"; a companion io.Writer wrapper cuts WAL writes
-// short to forge torn tails. Every fault is decided by a deterministic draw
+// while a shard "stalls". Every fault is decided by a deterministic draw
 // sequence over an rng.Source, so one seed pins the complete fault trace —
 // the chaos tests assert byte-identical query answers against a clean run
 // AND byte-identical traces across reruns.
@@ -19,21 +18,15 @@
 // is no clock anywhere in the plan.
 package faultinject
 
-import (
-	"fmt"
-	"io"
-
-	"edgescope/internal/rng"
-)
+import "fmt"
 
 // Fault kinds as recorded in the trace.
 const (
-	KindDrop       = "drop"
-	KindDuplicate  = "duplicate"
-	KindReorder    = "reorder"
-	KindDelay      = "delay"
-	KindStall      = "stall"
-	KindShortWrite = "short_write"
+	KindDrop      = "drop"
+	KindDuplicate = "duplicate"
+	KindReorder   = "reorder"
+	KindDelay     = "delay"
+	KindStall     = "stall"
 )
 
 // Default spans applied when a rate is set but its span is zero.
@@ -65,13 +58,12 @@ func (t TraceEntry) String() string {
 
 // Stats counts injected faults by kind.
 type Stats struct {
-	Offered     uint64 `json:"offered"`
-	Dropped     uint64 `json:"dropped"`
-	Duplicated  uint64 `json:"duplicated"`
-	Reordered   uint64 `json:"reordered"`
-	Delayed     uint64 `json:"delayed"`
-	Stalled     uint64 `json:"stalled"` // offers refused inside stall windows
-	ShortWrites uint64 `json:"short_writes"`
+	Offered    uint64 `json:"offered"`
+	Dropped    uint64 `json:"dropped"`
+	Duplicated uint64 `json:"duplicated"`
+	Reordered  uint64 `json:"reordered"`
+	Delayed    uint64 `json:"delayed"`
+	Stalled    uint64 `json:"stalled"` // offers refused inside stall windows
 	// HeldLost counts held-back (reorder/delay) events whose redelivery the
 	// receiver refused (hard-full queue, shed). Offer already answered true
 	// for these, so a nonzero count is real silent loss the hold-back path
@@ -87,14 +79,12 @@ type held[E any] struct {
 }
 
 // Injector applies one fault plan to an event stream. Offer must be called
-// from a single goroutine (the ingest client); the WrapWriter wrappers may
-// run concurrently on shard workers — they draw from independent per-shard
-// forks and share only the mutex-guarded trace.
+// from a single goroutine (the ingest client).
 type Injector[E any] struct {
 	p     plan // by name, not embedded: an event stream has no nodes to Block or RecoverAll
 	held  []held[E]
 	stall map[int]uint64 // shard → event index at which it recovers
-	stats Stats          // guarded by p.mu (shared with writer wrappers)
+	stats Stats          // guarded by p.mu
 }
 
 // New builds an injector for a fault plan. scenarioSeed seeds the draw
@@ -210,53 +200,4 @@ func (inj *Injector[E]) Stats() Stats {
 	inj.p.mu.Lock()
 	defer inj.p.mu.Unlock()
 	return inj.stats
-}
-
-// WrapWriter returns a telemetry WALConfig.WrapWriter-shaped hook that cuts
-// writes short with the plan's ShortWrite rate. Each shard's wrapper draws
-// from its own fork of the plan seed, so shard workers never contend on one
-// stream and each shard's fault sequence is individually reproducible. A
-// zero rate returns writers untouched.
-func (inj *Injector[E]) WrapWriter() func(shard int, w io.Writer) io.Writer {
-	return func(shard int, w io.Writer) io.Writer {
-		if inj.p.spec.ShortWrite <= 0 {
-			return w
-		}
-		return &shortWriter{
-			p:     &inj.p,
-			stats: &inj.stats,
-			shard: shard,
-			src:   rng.New(inj.p.seed).Fork(fmt.Sprintf("shortwrite-%d", shard)),
-			w:     w,
-		}
-	}
-}
-
-// shortWriter truncates a faulted Write partway through and reports an
-// error — the footprint of a crash landing mid-write. The telemetry WAL
-// reacts by degrading that shard to memory-only; recovery later finds the
-// torn tail and truncates it.
-type shortWriter struct {
-	p     *plan
-	stats *Stats // guarded by p.mu
-	shard int
-	src   *rng.Source
-	w     io.Writer
-}
-
-func (sw *shortWriter) Write(b []byte) (int, error) {
-	if !sw.src.Bernoulli(sw.p.spec.ShortWrite) {
-		return sw.w.Write(b)
-	}
-	// Offered is read under the same lock that appends the entry, so the
-	// trace places the short write after the events offered before it.
-	sw.p.mu.Lock()
-	sw.p.trace = append(sw.p.trace, TraceEntry{Event: sw.stats.Offered, Kind: KindShortWrite, Shard: sw.shard})
-	sw.stats.ShortWrites++
-	sw.p.mu.Unlock()
-	n, err := sw.w.Write(b[:len(b)/2])
-	if err != nil {
-		return n, err
-	}
-	return n, fmt.Errorf("faultinject: short write (%d of %d bytes)", n, len(b))
 }

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -143,27 +142,5 @@ func TestHeldRedeliveryRefusedCounted(t *testing.T) {
 	}
 	if st := ok.Stats(); st.HeldLost != 0 {
 		t.Fatalf("HeldLost = %d on an accepting receiver", st.HeldLost)
-	}
-}
-
-func TestShortWriteCutsAndErrors(t *testing.T) {
-	inj := New[int](&Spec{ShortWrite: 1}, 1)
-	var sink bytes.Buffer
-	w := inj.WrapWriter()(0, &sink)
-	n, err := w.Write([]byte("0123456789"))
-	if err == nil {
-		t.Fatal("short write did not error")
-	}
-	if n != 5 || sink.String() != "01234" {
-		t.Fatalf("wrote %d bytes (%q), want half", n, sink.String())
-	}
-	if st := inj.Stats(); st.ShortWrites != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Zero rate wraps nothing: the writer passes through untouched.
-	clean := New[int](&Spec{Drop: 0.5}, 1)
-	var direct bytes.Buffer
-	if w := clean.WrapWriter()(0, &direct); w != &direct {
-		t.Fatal("zero short-write rate still wrapped the writer")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite the golden fault traces")
 // golden is one injector's complete observable story for a fixed plan.
 type golden struct {
 	Stats    any          `json:"stats"`
-	Outcomes string       `json:"outcomes"` // one byte per event/step: f/t = refused/accepted, upper case = short write or Blocked after it
+	Outcomes string       `json:"outcomes"` // one byte per event/step: f/t = refused/accepted, upper case = Blocked after it
 	Hooks    []string     `json:"hooks"`    // hook calls, in order
 	Trace    []TraceEntry `json:"trace"`
 }
@@ -59,26 +58,20 @@ func kinds(trace []TraceEntry) map[string]int {
 func TestGoldenEventTrace(t *testing.T) {
 	spec := &Spec{
 		Drop: 0.03, Duplicate: 0.03, Reorder: 0.03, Delay: 0.02,
-		ShardStall: 0.004, StallSpan: 24, ShortWrite: 0.02,
+		ShardStall: 0.004, StallSpan: 24,
 	}
 	inj := New[int](spec, 20211102)
-	wrap := inj.WrapWriter()
-	writers := make([]io.Writer, 4)
-	for s := range writers {
-		writers[s] = wrap(s, io.Discard)
-	}
 	var outcomes []byte
 	var delivered []int
 	deliver := func(v int) bool { delivered = append(delivered, v); return true }
 	for i := 0; i < 2400; i++ {
 		shard := i % 4
 		ok := inj.Offer(i, shard, deliver)
-		_, werr := writers[shard].Write([]byte("0123456789abcdef"))
-		outcomes = append(outcomes, "ftFT"[b2i(ok)+2*b2i(werr != nil)])
+		outcomes = append(outcomes, "ft"[b2i(ok)])
 	}
 	inj.Drain(deliver)
 	k := kinds(inj.Trace())
-	for _, kind := range []string{KindDrop, KindDuplicate, KindReorder, KindDelay, KindStall, KindShortWrite} {
+	for _, kind := range []string{KindDrop, KindDuplicate, KindReorder, KindDelay, KindStall} {
 		if k[kind] == 0 {
 			t.Fatalf("plan never injected %s: %v", kind, k)
 		}

@@ -66,7 +66,7 @@ func (p *plan) init(spec *Spec, scenarioSeed uint64, active bool, fork string) {
 // draw no randomness.
 func eventActive(f *Spec) bool {
 	return f != nil && (f.Drop > 0 || f.Duplicate > 0 || f.Reorder > 0 ||
-		f.Delay > 0 || f.ShardStall > 0 || f.ShortWrite > 0 || nodeActive(f))
+		f.Delay > 0 || f.ShardStall > 0 || nodeActive(f))
 }
 
 func nodeActive(f *Spec) bool {

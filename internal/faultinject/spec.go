@@ -33,9 +33,6 @@ type Spec struct {
 	// StallSpan is the stall length in offered events. Default 32 when
 	// ShardStall > 0.
 	StallSpan int
-	// ShortWrite is the per-write probability that a WAL write is cut short
-	// (a torn write), exercising recovery's truncation path.
-	ShortWrite float64
 
 	// Node-level faults (internal/faultinject.NodeInjector) shake a
 	// telemetry *cluster* rather than a single pipeline: the target is the

@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,21 +122,35 @@ func TestChaosStallSurvivedByRetry(t *testing.T) {
 // durability (the shard goes memory-only and Health says so) but never
 // poison recovery — a later Open must succeed on whatever reached disk.
 func TestChaosShortWriteNeverCorruptsRecovery(t *testing.T) {
-	dir := t.TempDir()
 	sp := scenario.MustGet("small")
 	events := scenarioEvents(t, sp)
 	cfg := Config{Shards: 2, QueueLen: 1024, Block: true,
-		WAL: WALConfig{Dir: dir, SyncEvery: 16}}
+		WAL: WALConfig{Dir: "/data", SyncEvery: 16}}
 
-	// The wrapper sits under the WAL's bufio layer, so it sees one write
-	// per flush (every SyncEvery records), not per record — the rate is per
-	// flushed batch.
-	inj := faultinject.New[Envelope](&faultinject.Spec{ShortWrite: 0.25}, sp.Seed)
-	cfg.WAL.WrapWriter = inj.WrapWriter()
-	ing := NewIngestor(cfg)
+	// The disk sees one segment write per flush (every SyncEvery records),
+	// not per record — the rate is per flushed batch. Each shard directory
+	// draws from its own fork, so the cuts do not depend on how the shard
+	// workers interleave.
+	disk := newMemFS()
+	src, cuts := map[string]*rng.Source{}, 0
+	disk.faultWrite = func(path string, b []byte) (int, error) {
+		dir := filepath.Dir(path)
+		if src[dir] == nil {
+			src[dir] = rng.New(sp.Seed).Fork("shortwrite-" + dir)
+		}
+		if !strings.HasSuffix(path, walSuffix) || !src[dir].Bernoulli(0.25) {
+			return len(b), nil
+		}
+		cuts++
+		return len(b) / 2, fmt.Errorf("short write (%d of %d bytes)", len(b)/2, len(b))
+	}
+	ing := mustOpen(t, cfg, disk)
 	ing.OfferAll(events)
 	ing.Flush()
-	if inj.Stats().ShortWrites == 0 {
+	disk.mu.Lock()
+	injected := cuts
+	disk.mu.Unlock()
+	if injected == 0 {
 		t.Fatal("no short writes injected")
 	}
 	if h := ing.Health(); h.Status != "degraded" {
@@ -150,8 +167,10 @@ func TestChaosShortWriteNeverCorruptsRecovery(t *testing.T) {
 
 	// Recovery over the torn logs: a valid (possibly partial) state, never
 	// a corruption error or panic.
-	cfg.WAL.WrapWriter = nil
-	rec2, recStats, err := Open(cfg)
+	disk.mu.Lock()
+	disk.faultWrite = nil
+	disk.mu.Unlock()
+	rec2, _, err := open(cfg, disk)
 	if err != nil {
 		t.Fatalf("recovery after short-write chaos: %v", err)
 	}
@@ -159,5 +178,4 @@ func TestChaosShortWriteNeverCorruptsRecovery(t *testing.T) {
 	if got := rec2.TotalStats().Processed; got > uint64(len(events)) {
 		t.Fatalf("recovered %d events from a %d-event stream", got, len(events))
 	}
-	_ = recStats
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -242,7 +241,7 @@ func TestTornTailTruncated(t *testing.T) {
 	ing.Crash()
 
 	// Forge the torn write: valid JSON prefix, cut before its newline.
-	segs, err := listSegments(shardDir(dir, 0))
+	segs, err := listSegments(osFS{}, shardDir(dir, 0))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in shard 0 (err=%v)", err)
 	}
@@ -291,7 +290,7 @@ func TestCorruptWALRecordFailsLoudly(t *testing.T) {
 	ing.Flush()
 	ing.Crash()
 
-	segs, err := listSegments(shardDir(dir, 1))
+	segs, err := listSegments(osFS{}, shardDir(dir, 1))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in shard 1 (err=%v)", err)
 	}
@@ -388,7 +387,7 @@ func TestRetentionUnlinksWALSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := listSegments(shardDir(dir, 0))
+	segs, err := listSegments(osFS{}, shardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +432,7 @@ func TestSnapshotNeverClaimsUnsyncedRecords(t *testing.T) {
 	ing1.Crash() // buffered WAL bytes beyond the last checkpoint are lost
 	// Crash never checkpoints, so a snapshot on disk with applied counts is
 	// one the worker cut mid-stream — the checkpoints this pin is about.
-	if snap, err := loadSnapshot(shardDir(dir, 0)); err != nil || snap == nil || len(snap.applied) == 0 {
+	if snap, err := loadSnapshot(osFS{}, shardDir(dir, 0)); err != nil || snap == nil || len(snap.applied) == 0 {
 		t.Fatalf("generation 1 left no mid-stream checkpoint behind (snapshot %v, err %v)", snap, err)
 	}
 
@@ -504,7 +503,7 @@ func TestConcurrentSnapshotSafe(t *testing.T) {
 	if n := checkpoints(ing); n <= snapshotters*perSnapshotter+1 {
 		t.Fatalf("%d checkpoints = the %d public ones + Close's: the worker never cut one", n, snapshotters*perSnapshotter)
 	}
-	if _, err := loadSnapshot(shardDir(dir, 0)); err != nil {
+	if _, err := loadSnapshot(osFS{}, shardDir(dir, 0)); err != nil {
 		t.Fatalf("snapshot corrupt after concurrent checkpoints: %v", err)
 	}
 	ing2, rec, err := Open(cfg)
@@ -730,10 +729,9 @@ func TestHealthReportsDegradedWAL(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durCfg(dir)
 	cfg.Shards = 1
-	cfg.WAL.WrapWriter = func(shard int, w io.Writer) io.Writer {
-		return failingWriter{}
-	}
-	ing := NewIngestor(cfg)
+	disk := newMemFS()
+	disk.faultWrite = func(string, []byte) (int, error) { return 0, errors.New("disk on fire") }
+	ing := mustOpen(t, cfg, disk)
 	defer ing.Close()
 	if h := ing.Health(); h.Status != "ok" {
 		t.Fatalf("fresh ingestor health = %s (%v)", h.Status, h.Reasons)
@@ -752,10 +750,4 @@ func TestHealthReportsDegradedWAL(t *testing.T) {
 	if err != nil || res.Count != 2 {
 		t.Fatalf("degraded ingest lost data: count=%v err=%v", res.Count, err)
 	}
-}
-
-type failingWriter struct{}
-
-func (failingWriter) Write(p []byte) (int, error) {
-	return 0, errors.New("disk on fire")
 }

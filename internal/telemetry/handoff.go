@@ -35,6 +35,7 @@ import (
 const (
 	ctlAbsorb = "absorb"
 	ctlDrop   = "drop"
+	ctlFresh  = "fresh" // heads a segment re-created after retention evicted its window (wal.go openSeg)
 )
 
 // ctlPrefix distinguishes control records from envelope records inside a
@@ -56,6 +57,9 @@ type walCtl struct {
 	// Partition under Of partitions.
 	Partition int `json:"partition,omitempty"`
 	Of        int `json:"of,omitempty"`
+	// Stale names, by checksum, the snapshots that count records of the
+	// evicted segment a fresh record's segment replaced.
+	Stale []uint32 `json:"stale,omitempty"`
 
 	// sk is the decoded Sketch payload, filled by decodeCtl for absorb
 	// records so replay never re-parses and corruption fails loudly at read
@@ -84,6 +88,7 @@ func decodeCtl(body []byte) (walCtl, error) {
 		if c.Of <= 0 || c.Partition < 0 || c.Partition >= c.Of {
 			return walCtl{}, fmt.Errorf("%w: drop record partition %d of %d", ErrInvalid, c.Partition, c.Of)
 		}
+	case ctlFresh:
 	default:
 		return walCtl{}, fmt.Errorf("%w: unknown control record %q", ErrInvalid, c.Ctl)
 	}

@@ -2,9 +2,10 @@ package telemetry
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -72,10 +73,6 @@ type WALConfig struct {
 	// WAL suffix of fewer than SnapshotEvery records or fewer bytes than the
 	// checkpoint it loaded. 0 snapshots only at Close.
 	SnapshotEvery int
-	// WrapWriter, when set, wraps every WAL segment writer — the
-	// fault-injection seam (internal/faultinject short writes). Production
-	// leaves it nil.
-	WrapWriter func(shard int, w io.Writer) io.Writer
 }
 
 // Config sizes an Ingestor. The zero value is usable: every field has a
@@ -312,6 +309,11 @@ func NewIngestor(cfg Config) *Ingestor {
 // that pass; a recovered ingestor answers queries byte-for-byte as the
 // previous process would have, for everything durable at its last fsync.
 func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
+	return open(cfg, osFS{})
+}
+
+// open is Open with the filesystem the WAL, snapshots and recovery use.
+func open(cfg Config, fs fsys) (*Ingestor, RecoveryStats, error) {
 	cfg.fill()
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry() // private: nothing scrapes it
@@ -330,12 +332,7 @@ func Open(cfg Config) (*Ingestor, RecoveryStats, error) {
 		ing.m.bind(s, i)
 		ing.shards[i] = s
 		if cfg.WAL.Dir != "" {
-			wrap := func(w io.Writer) io.Writer { return w }
-			if cfg.WAL.WrapWriter != nil {
-				shardIdx := i
-				wrap = func(w io.Writer) io.Writer { return cfg.WAL.WrapWriter(shardIdx, w) }
-			}
-			wal, err := newShardWAL(shardDir(cfg.WAL.Dir, i), cfg.WAL.SyncEvery, wrap)
+			wal, err := newShardWAL(fs, shardDir(cfg.WAL.Dir, i), cfg.WAL.SyncEvery)
 			if err != nil {
 				return nil, rst, err
 			}
@@ -557,8 +554,7 @@ func (s *shard) rollups() (n, bytes int) {
 // more distinct window starts than MaxWindows, unlinking their WAL segments
 // with them. Called with s.mu held, only when a new *start* appears (not
 // per rollup entry or event), so the eviction is paid once per window
-// rollover: the oldest start is every holding key's first window, so each
-// eviction looks at each key once. A late event older than the retention
+// rollover, one lookup per key. A late event older than the retention
 // horizon opens a window that is immediately the eviction victim — its data
 // is discarded, the standard retention trade.
 func (ing *Ingestor) enforceRetention(s *shard) {
@@ -567,27 +563,26 @@ func (ing *Ingestor) enforceRetention(s *shard) {
 		for start := range s.starts {
 			oldest = min(oldest, start)
 		}
-		for _, ks := range s.keys {
-			if ks.wins[0].start == oldest {
-				s.remove(ks, 0)
-			}
-		}
-		// Age out dedup trackers whose streams went idle at or before the
-		// evicted window: their folds all landed in discarded windows, so
-		// keeping their receive state would grow s.seen (and every snapshot)
-		// without bound on a long-running daemon. A stream outliving the
-		// retention horizon restarts with a fresh tracker — its dedup memory
-		// is scoped to the data the pipeline still holds.
-		for dk, t := range s.seen {
-			if t.last <= oldest {
-				delete(s.seen, dk)
-			}
-		}
-		if s.wal != nil {
-			s.wal.dropSegment(oldest)
-		}
-		s.evicted.Inc()
+		ing.evict(s, oldest)
 	}
+}
+
+// evict drops the window at start whole: its rollups, the dedup trackers
+// last fed at or before it, and its WAL segment. Called with s.mu held.
+func (ing *Ingestor) evict(s *shard, start int64) {
+	dropWindowLocked(s, start, 0, 1) // partition 0 of 1: every key
+	// An idle tracker's folds all landed in discarded windows; keeping it
+	// would grow s.seen, and every snapshot, without bound. A stream that
+	// outlives the horizon restarts with a fresh tracker.
+	for dk, t := range s.seen {
+		if t.last <= start {
+			delete(s.seen, dk)
+		}
+	}
+	if s.wal != nil {
+		s.wal.dropSegment(start)
+	}
+	s.evicted.Inc()
 }
 
 // Offer submits one envelope. It returns false when the shard queue is hard
@@ -647,15 +642,22 @@ func (ing *Ingestor) Flush() {
 // SyncWAL flushes and fsyncs every shard's WAL, advancing the durability
 // floor to everything folded so far. A no-op (nil) without durability.
 func (ing *Ingestor) SyncWAL() error {
+	return ing.eachWAL(func(s *shard) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.wal.sync()
+	})
+}
+
+// eachWAL calls fn on every shard that has a WAL, in order, and returns the
+// first error.
+func (ing *Ingestor) eachWAL(fn func(s *shard) error) error {
 	var first error
 	for _, s := range ing.shards {
 		if s.wal == nil {
 			continue
 		}
-		s.mu.Lock()
-		err := s.wal.sync()
-		s.mu.Unlock()
-		if err != nil && first == nil {
+		if err := fn(s); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -689,10 +691,12 @@ func (ing *Ingestor) snapshotShard(s *shard, ifDue bool) error {
 		return err
 	}
 	payload := ing.cutCheckpoint(s)
-	dir := s.wal.dir
 	s.mu.Unlock()
-	err := writeSnapshot(dir, payload)
+	err := writeFileAtomic(s.wal.fs, filepath.Join(s.wal.dir, snapshotFile), payload)
 	if err == nil {
+		s.mu.Lock()
+		s.wal.wroteSnapshot()
+		s.mu.Unlock()
 		s.snapshotHist.ObserveDuration(time.Since(began))
 	}
 	return err
@@ -707,6 +711,7 @@ func (ing *Ingestor) snapshotShard(s *shard, ifDue bool) error {
 func (ing *Ingestor) cutCheckpoint(s *shard) []byte {
 	payload := encodeSnapshot(s, ing.cfg)
 	s.wal.sinceRecords, s.wal.sinceBytes, s.wal.snapBytes = 0, 0, uint64(len(payload))
+	s.wal.cutSnapshot(binary.LittleEndian.Uint32(payload[len(payload)-4:]))
 	return payload
 }
 
@@ -718,25 +723,12 @@ func (ing *Ingestor) cutCheckpoint(s *shard) []byte {
 // operation durable, so a failed checkpoint loses nothing and is not the
 // caller's error.
 func (ing *Ingestor) checkpointDueShards() {
-	for _, s := range ing.shards {
-		if s.wal != nil {
-			_ = ing.snapshotShard(s, true)
-		}
-	}
+	_ = ing.eachWAL(func(s *shard) error { return ing.snapshotShard(s, true) })
 }
 
 // Snapshot checkpoints every shard now (Close does this automatically).
 func (ing *Ingestor) Snapshot() error {
-	var first error
-	for _, s := range ing.shards {
-		if s.wal == nil {
-			continue
-		}
-		if err := ing.snapshotShard(s, false); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return ing.eachWAL(func(s *shard) error { return ing.snapshotShard(s, false) })
 }
 
 // Close is idempotent: the first call drains the queues, stops and waits
@@ -748,19 +740,16 @@ func (ing *Ingestor) Snapshot() error {
 func (ing *Ingestor) Close() error {
 	ing.closeOnce.Do(func() {
 		ing.stopWorkers()
-		for _, s := range ing.shards {
-			if s.wal == nil {
-				continue
-			}
-			if err := ing.snapshotShard(s, false); err != nil && ing.closeErr == nil {
-				ing.closeErr = err
-			}
+		ing.closeErr = ing.eachWAL(func(s *shard) error {
+			err := ing.snapshotShard(s, false)
 			s.mu.Lock()
-			if err := s.wal.closeFiles(); err != nil && ing.closeErr == nil {
-				ing.closeErr = err
+			defer s.mu.Unlock()
+			if serr := s.wal.sync(); err == nil {
+				err = serr
 			}
-			s.mu.Unlock()
-		}
+			s.wal.abort()
+			return err
+		})
 	})
 	return ing.closeErr
 }

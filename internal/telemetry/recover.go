@@ -2,8 +2,9 @@ package telemetry
 
 import (
 	"fmt"
-	"os"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strconv"
 )
 
@@ -47,8 +48,8 @@ func shardDir(root string, shard int) string {
 // open on it). Seeds s.wal.records with what each segment holds so future
 // snapshots record correct applied counts and appends continue in place.
 func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
-	dir := s.wal.dir
-	snap, err := loadSnapshot(dir)
+	fs, dir := s.wal.fs, s.wal.dir
+	snap, err := loadSnapshot(fs, dir)
 	if err != nil {
 		// A corrupt snapshot is recoverable: the WAL retains every record
 		// of every live window (segments are only unlinked on eviction), so
@@ -68,42 +69,55 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 		st.Snapshots++
 	}
 
-	starts, err := listSegments(dir)
+	starts, err := listSegments(fs, dir)
 	if err != nil {
 		return err
 	}
 	for _, start := range starts {
-		path := filepath.Join(dir, walPrefix+strconv.FormatInt(start, 10)+walSuffix)
-		skip := applied[start]
-		var idx uint64
-		n, validEnd, torn, err := readWALSegment(path, func(e Envelope) {
-			if idx < skip {
-				idx++
-				st.RecordsSkipped++
-				return
-			}
-			idx++
-			st.RecordsReplayed++
-			ing.fold(s, e, foldReplay)
-		}, func(c walCtl) {
+		path := s.wal.segPath(start)
+		replay := func(skip uint64) (uint64, int64, bool, error) {
 			// Control records share the per-segment index clock with
 			// envelopes, so snapshot applied counts skip both uniformly.
-			if idx < skip {
-				idx++
-				st.RecordsSkipped++
-				return
+			var idx uint64
+			skipped := func() bool {
+				if idx++; idx <= skip {
+					st.RecordsSkipped++
+					return true
+				}
+				st.RecordsReplayed++
+				return false
 			}
-			idx++
-			st.RecordsReplayed++
-			ing.applyCtl(s, start, c)
-		})
+			return readWALSegment(fs, path, func(e Envelope) {
+				if !skipped() {
+					ing.fold(s, e, foldReplay)
+				}
+			}, func(c walCtl) {
+				if c.Ctl == ctlFresh && skip > 0 && slices.Contains(c.Stale, snap.crc) {
+					// This segment replaced the one the snapshot counted.
+					skip = 0
+					dropWindowLocked(s, start, 0, 1)
+				}
+				if !skipped() {
+					ing.applyCtl(s, start, c)
+				}
+			})
+		}
+		n, validEnd, torn, err := replay(applied[start])
+		if err == nil && n < applied[start] {
+			// The snapshot counts only fsynced records, so it counted an
+			// earlier segment of this window, evicted before a late event
+			// created this one: its rollups of the window are stale.
+			st.RecordsSkipped -= n
+			dropWindowLocked(s, start, 0, 1)
+			n, validEnd, torn, err = replay(0)
+		}
 		if err != nil {
 			return err
 		}
 		st.SegmentsScanned++
 		if torn {
 			// Trim the torn write so future appends start on a clean line.
-			if err := os.Truncate(path, validEnd); err != nil {
+			if err := fs.Truncate(path, validEnd); err != nil {
 				return fmt.Errorf("telemetry: wal %s: truncate torn tail: %w", path, err)
 			}
 			st.TornTails++
@@ -114,8 +128,17 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 	// Retention is applied once, after every segment is in: replay visits
 	// windows in ascending start order, so evicting past the cap here keeps
 	// exactly the newest MaxWindows windows — the same set the live path
-	// retains for an in-order stream — and unlinks the evicted segments.
+	// retains for an in-order stream — and unlinks the evicted segments. A
+	// window no segment holds came from the snapshot alone, evicted after
+	// the cut (a window's segment and its name are durable before its first
+	// record): it goes first, as it went live, even when a DropPartition
+	// since the cut left the shard under MaxWindows.
 	s.mu.Lock()
+	for _, start := range slices.Sorted(maps.Keys(s.starts)) {
+		if _, ok := slices.BinarySearch(starts, start); !ok {
+			ing.evict(s, start)
+		}
+	}
 	ing.enforceRetention(s)
 	s.mu.Unlock()
 
@@ -131,7 +154,7 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 		s.mu.Lock()
 		payload := ing.cutCheckpoint(s)
 		s.mu.Unlock()
-		if err := writeSnapshot(dir, payload); err != nil {
+		if err := writeFileAtomic(fs, filepath.Join(dir, snapshotFile), payload); err != nil {
 			return err
 		}
 	}

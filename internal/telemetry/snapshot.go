@@ -3,12 +3,12 @@ package telemetry
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"edgescope/internal/stats"
 )
@@ -45,6 +45,7 @@ type snapState struct {
 	rollups  []snapRollup // strictly ascending by (start, key), as encoded
 	seen     map[dedupKey]*seqTracker
 	applied  map[int64]uint64
+	crc      uint32 // the payload checksum: which snapshot this is
 }
 
 // snapRollup is one decoded (window, key) rollup.
@@ -101,7 +102,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 			segs = append(segs, start)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.Sort(segs)
 	size += 16 * len(segs)
 
 	dks := make([]dedupKey, 0, len(s.seen))
@@ -109,19 +110,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		dks = append(dks, dk)
 		size += keySize(dk.Key) + 8 + 8 + 8 + 4 + 8*len(t.sparse)
 	}
-	sort.Slice(dks, func(i, j int) bool {
-		a, b := dks[i], dks[j]
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		if a.Net != b.Net {
-			return a.Net < b.Net
-		}
-		return a.User < b.User
-	})
+	slices.SortFunc(dks, func(a, b dedupKey) int { return cmp.Or(a.Key.Compare(b.Key), cmp.Compare(a.User, b.User)) })
 
 	w := &snapWriter{b: make([]byte, 0, size)}
 	w.b = append(w.b, snapMagic[:]...)
@@ -154,7 +143,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		for seq := range t.sparse {
 			sparse = append(sparse, seq)
 		}
-		sort.Slice(sparse, func(i, j int) bool { return sparse[i] < sparse[j] })
+		slices.Sort(sparse)
 		w.u32(uint32(len(sparse)))
 		for _, seq := range sparse {
 			w.u64(seq)
@@ -165,11 +154,6 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 	return w.b
 }
 
-// writeSnapshot atomically replaces the shard's snapshot file.
-func writeSnapshot(dir string, payload []byte) error {
-	return WriteFileAtomic(filepath.Join(dir, snapshotFile), payload)
-}
-
 // WriteFileAtomic replaces path with data so that a crash at any point
 // leaves either the previous file or the new one, never a torn mix: the
 // bytes go to path+".tmp", are fsynced and closed, and only then renamed
@@ -178,44 +162,30 @@ func writeSnapshot(dir string, payload []byte) error {
 // this repo rewrites whole (shard snapshots, the frontend's persisted
 // membership) goes through here.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return writeFileAtomic(osFS{}, path, data)
 }
 
-// syncDir fsyncs a directory, making the entries created or renamed in it
-// durable: POSIX lets a power loss drop a file's name even after the file
-// itself was fsynced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+func writeFileAtomic(fs fsys, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return err
+	if err != nil {
+		fs.Remove(tmp)
+		return err
+	}
+	if err := fs.Rename(tmp, path); err != nil {
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
 }
 
 type snapReader struct {
@@ -287,6 +257,7 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 	st := &snapState{
 		seen:    map[dedupKey]*seqTracker{},
 		applied: map[int64]uint64{},
+		crc:     sum,
 	}
 	st.shards = int(r.u32())
 	st.windowMs = r.i64()
@@ -352,10 +323,10 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 
 // loadSnapshot reads a shard directory's snapshot. A missing file returns
 // (nil, nil): cold start or WAL-only recovery.
-func loadSnapshot(dir string) (*snapState, error) {
-	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+func loadSnapshot(fs fsys, dir string) (*snapState, error) {
+	data, err := fs.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
 		}
 		return nil, err

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -34,8 +33,10 @@ import (
 // detected and truncated on recovery, never replayed and never allowed to
 // corrupt subsequent appends. A sync flushes and fsyncs the segments written
 // since the previous one — a clean segment's bytes were made durable by the
-// sync that cleaned it — and creating a segment fsyncs the shard directory,
-// so the file's name is as durable as its records.
+// sync that cleaned it — and creating or unlinking a segment fsyncs the shard
+// directory, so the file's name is as durable as its records and an evicted
+// window cannot come back after a power loss. Every call reaches the disk
+// through fsys (fsys.go).
 
 // walSuffix and walPrefix name segment files.
 const (
@@ -53,7 +54,7 @@ const walBufSize = 64 * 1024
 
 type walSeg struct {
 	start int64
-	f     *os.File
+	f     file
 	bw    *bufio.Writer
 	dirty bool // holds bytes written since its last fsync; listed in shardWAL.dirty
 }
@@ -62,9 +63,9 @@ type walSeg struct {
 // shard's mutex held (or before the shard's worker starts), so there is no
 // internal locking.
 type shardWAL struct {
+	fs        fsys
 	dir       string
 	syncEvery int
-	wrap      func(io.Writer) io.Writer // fault-injection hook; nil = identity
 
 	open map[int64]*walSeg // open segment handles by window start
 	// dirty lists the open segments written since their last fsync — in
@@ -76,6 +77,12 @@ type shardWAL struct {
 	// claims more records on disk than are actually there.
 	records map[int64]uint64
 	line    []byte // encode scratch
+
+	// The snapshots that may be on disk (the last written, any cut since)
+	// by checksum, and the windows they count records of: a segment created
+	// anew for one names them in a fresh record (recover.go).
+	snaps             []uint32
+	claims, cutClaims map[int64]bool
 
 	appended uint64 // records appended this process
 	synced   uint64 // value of appended at the last successful fsync
@@ -96,19 +103,19 @@ type shardWAL struct {
 	fsyncsC     *obs.Counter // sync batches that fsynced at least one file
 	fileFsyncsC *obs.Counter // files fsynced, by a batch or the handle cap
 	fsyncHist   *obs.Histogram
-	dirSyncs    uint64 // shard-directory fsyncs (one per segment created)
 }
 
-func newShardWAL(dir string, syncEvery int, wrap func(io.Writer) io.Writer) (*shardWAL, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func newShardWAL(fs fsys, dir string, syncEvery int) (*shardWAL, error) {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("telemetry: wal: %w", err)
 	}
 	return &shardWAL{
+		fs:        fs,
 		dir:       dir,
 		syncEvery: syncEvery,
-		wrap:      wrap,
 		open:      map[int64]*walSeg{},
 		records:   map[int64]uint64{},
+		claims:    map[int64]bool{},
 	}, nil
 }
 
@@ -141,25 +148,42 @@ func (w *shardWAL) openSeg(start int64) (*walSeg, error) {
 		delete(w.open, oldest)
 	}
 	path := w.segPath(start)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err == nil {
-		w.dirSyncs++
-		if err = syncDir(w.dir); err != nil {
+	f, err := w.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND)
+	created := err == nil
+	if created {
+		if err = w.fs.SyncDir(w.dir); err != nil {
 			f.Close()
 		}
 	} else if errors.Is(err, os.ErrExist) {
-		f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err = w.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND)
 	}
 	if err != nil {
 		return nil, err
 	}
-	var out io.Writer = f
-	if w.wrap != nil {
-		out = w.wrap(f)
-	}
-	seg := &walSeg{start: start, f: f, bw: bufio.NewWriterSize(out, walBufSize)}
+	seg := &walSeg{start: start, f: f, bw: bufio.NewWriterSize(f, walBufSize)}
 	w.open[start] = seg
+	if created && w.claims[start] {
+		w.appendCtl(start, walCtl{Ctl: ctlFresh, Stale: w.snaps})
+		if w.err != nil {
+			return nil, w.err
+		}
+	}
 	return seg, nil
+}
+
+// cutSnapshot notes a checkpoint cut with checksum crc: until its write
+// succeeds, it and the snapshots before it may each be the one on disk.
+func (w *shardWAL) cutSnapshot(crc uint32) {
+	w.snaps = append(w.snaps, crc)
+	w.cutClaims = make(map[int64]bool, len(w.records))
+	for start := range w.records {
+		w.claims[start], w.cutClaims[start] = true, true
+	}
+}
+
+// wroteSnapshot notes that the last cut's snapshot is on disk, alone.
+func (w *shardWAL) wroteSnapshot() {
+	w.snaps, w.claims = w.snaps[len(w.snaps)-1:], w.cutClaims
 }
 
 // syncSeg pushes one segment's buffered bytes to the OS and fsyncs the file.
@@ -276,8 +300,9 @@ func (w *shardWAL) sync() error {
 }
 
 // dropSegment removes a window's durability when retention evicts it: the
-// handle is closed unflushed (the data is being discarded) and the file
-// unlinked.
+// handle is closed unflushed (the data is being discarded), the file
+// unlinked and the unlink fsynced, so no power loss brings the window back
+// into a recovery that a DropPartition since left under MaxWindows.
 func (w *shardWAL) dropSegment(start int64) {
 	if seg, ok := w.open[start]; ok {
 		w.undirty(seg)
@@ -285,21 +310,19 @@ func (w *shardWAL) dropSegment(start int64) {
 		delete(w.open, start)
 	}
 	delete(w.records, start)
-	if err := os.Remove(w.segPath(start)); err != nil && !errors.Is(err, os.ErrNotExist) && w.err == nil {
+	err := w.fs.Remove(w.segPath(start))
+	if err == nil {
+		err = w.fs.SyncDir(w.dir)
+	}
+	if err != nil && !errors.Is(err, os.ErrNotExist) && w.err == nil {
 		w.err = err
 	}
 }
 
-// closeFiles syncs and closes every open handle (graceful shutdown).
-func (w *shardWAL) closeFiles() error {
-	err := w.sync()
-	w.abort()
-	return err
-}
-
-// abort closes handles WITHOUT flushing buffered writes — the test double
-// for a process crash: bytes not yet pushed to the OS are lost, exactly the
-// unsynced suffix the durability contract allows to disappear.
+// abort closes handles WITHOUT flushing buffered writes. After a sync
+// (Close) nothing is buffered; for Crash, the test double for a process
+// crash, bytes not yet pushed to the OS are lost, exactly the unsynced
+// suffix the durability contract allows to disappear.
 func (w *shardWAL) abort() {
 	for _, seg := range w.open {
 		seg.f.Close()
@@ -315,8 +338,8 @@ func (w *shardWAL) lag() uint64 { return w.appended - w.synced }
 // listSegments returns the window starts of every segment file in the
 // shard's directory, ascending. Unparseable names are ignored (they are not
 // WAL segments).
-func listSegments(dir string) ([]int64, error) {
-	entries, err := os.ReadDir(dir)
+func listSegments(fs fsys, dir string) ([]int64, error) {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
@@ -325,17 +348,13 @@ func listSegments(dir string) ([]int64, error) {
 	}
 	var starts []int64
 	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
-			continue
+		num, isSeg := strings.CutPrefix(ent.Name(), walPrefix)
+		num, hasSuffix := strings.CutSuffix(num, walSuffix)
+		if start, err := strconv.ParseInt(num, 10, 64); isSeg && hasSuffix && err == nil {
+			starts = append(starts, start)
 		}
-		start, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		starts = append(starts, start)
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	slices.Sort(starts)
 	return starts, nil
 }
 
@@ -358,8 +377,8 @@ var errWALCorrupt = errors.New("telemetry: wal segment corrupt")
 //     before the tail, is real corruption: a positioned error wrapping
 //     errWALCorrupt, never a silent skip — durable data that cannot be
 //     replayed must fail recovery loudly.
-func readWALSegment(path string, fn func(Envelope), ctlFn func(walCtl)) (records uint64, validEnd int64, torn bool, err error) {
-	f, err := os.Open(path)
+func readWALSegment(fs fsys, path string, fn func(Envelope), ctlFn func(walCtl)) (records uint64, validEnd int64, torn bool, err error) {
+	f, err := fs.Open(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -387,23 +406,23 @@ func readWALSegment(path string, fn func(Envelope), ctlFn func(walCtl)) (records
 		lineLen := int64(len(line))
 		body := line[:len(line)-1] // strip newline
 		if len(body) > 0 {
+			var derr error
 			if bytes.HasPrefix(body, ctlPrefix) {
-				c, derr := decodeCtl(body)
-				if derr != nil {
-					return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
-						errWALCorrupt, path, lineNo, offset, derr)
+				var c walCtl
+				if c, derr = decodeCtl(body); derr == nil {
+					ctlFn(c)
 				}
-				ctlFn(c)
-				records++
 			} else {
-				e, derr := decodeInterned(body, &tab)
-				if derr != nil {
-					return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
-						errWALCorrupt, path, lineNo, offset, derr)
+				var e Envelope
+				if e, derr = decodeInterned(body, &tab); derr == nil {
+					fn(e)
 				}
-				fn(e)
-				records++
 			}
+			if derr != nil {
+				return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
+					errWALCorrupt, path, lineNo, offset, derr)
+			}
+			records++
 		}
 		offset += lineLen
 		validEnd = offset

@@ -30,7 +30,7 @@ func FuzzWALSegmentReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		records, validEnd, torn, err := readWALSegment(path, func(Envelope) {}, func(walCtl) {})
+		records, validEnd, torn, err := readWALSegment(osFS{}, path, func(Envelope) {}, func(walCtl) {})
 		if err != nil {
 			return // corruption detected loudly — acceptable, no panic
 		}
@@ -44,7 +44,7 @@ func FuzzWALSegmentReplay(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		again, _, torn2, err2 := readWALSegment(path, func(Envelope) {}, func(walCtl) {})
+		again, _, torn2, err2 := readWALSegment(osFS{}, path, func(Envelope) {}, func(walCtl) {})
 		if err2 != nil || torn2 || again != records {
 			t.Fatalf("re-read after handling diverged: records %d->%d torn=%v err=%v",
 				records, again, torn2, err2)

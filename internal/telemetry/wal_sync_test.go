@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 	"time"
 
@@ -42,8 +41,8 @@ func offerAll(t *testing.T, ing *Ingestor, events ...Envelope) {
 
 // walCost is what the shard's WAL has paid so far.
 type walCost struct {
-	batches, files, timed, dirSyncs uint64
-	open                            int
+	batches, files, timed uint64
+	open                  int
 }
 
 func costOf(ing *Ingestor) walCost {
@@ -52,7 +51,7 @@ func costOf(ing *Ingestor) walCost {
 	defer s.mu.Unlock()
 	w := s.wal
 	return walCost{batches: w.fsyncsC.Value(), files: w.fileFsyncsC.Value(),
-		timed: w.fsyncHist.Count(), dirSyncs: w.dirSyncs, open: len(w.open)}
+		timed: w.fsyncHist.Count(), open: len(w.open)}
 }
 
 // TestCadenceFsyncsOnlyTheWrittenSegment: with the handle cap's worth of
@@ -218,19 +217,14 @@ func TestSyncWithNothingWrittenIsFree(t *testing.T) {
 	}
 }
 
-// shortAt fails its n-th Write halfway through, like a full disk.
-type shortAt struct {
-	w      io.Writer
-	n      int
-	writes int
-}
-
-func (s *shortAt) Write(b []byte) (int, error) {
-	if s.writes++; s.writes == s.n {
-		n, _ := s.w.Write(b[:len(b)/2])
-		return n, errors.New("short write")
+// mustOpen opens an ingestor on an in-memory disk.
+func mustOpen(t *testing.T, cfg Config, disk *memFS) *Ingestor {
+	t.Helper()
+	ing, _, err := open(cfg, disk)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s.w.Write(b)
+	return ing
 }
 
 // TestShortWriteKeepsLagAndStickyError: a flush cut short fails the cadence,
@@ -239,9 +233,16 @@ func (s *shortAt) Write(b []byte) (int, error) {
 // the segment it hit is still marked written.
 func TestShortWriteKeepsLagAndStickyError(t *testing.T) {
 	const syncEvery = 4
-	cfg := walSyncCfg(t.TempDir(), syncEvery)
-	cfg.WAL.WrapWriter = func(_ int, w io.Writer) io.Writer { return &shortAt{w: w, n: 2} }
-	ing := NewIngestor(cfg)
+	disk := newMemFS()
+	writes := 0
+	disk.faultWrite = func(path string, b []byte) (int, error) {
+		// The segment's second write lands half, like a full disk.
+		if writes++; writes == 2 {
+			return len(b) / 2, errors.New("short write")
+		}
+		return len(b), nil
+	}
+	ing := mustOpen(t, walSyncCfg("/data", syncEvery), disk)
 	defer ing.Close()
 	for i := 0; i < 3*syncEvery; i++ { // first cadence lands, second is cut, third never logs
 		offerAll(t, ing, inWindow(0, i))
@@ -273,36 +274,39 @@ func TestShortWriteKeepsLagAndStickyError(t *testing.T) {
 // fsynced when the file is created and at no other time — not on later
 // appends, not when an evicted handle or a recovered log is reopened.
 func TestSegmentCreationSyncsDirectoryOnce(t *testing.T) {
-	dir := t.TempDir()
-	cfg := walSyncCfg(dir, 4)
-	ing := NewIngestor(cfg)
+	disk := newMemFS()
+	dirSyncs := func() int {
+		disk.mu.Lock()
+		defer disk.mu.Unlock()
+		return disk.dirSyncs
+	}
+	cfg := walSyncCfg("/data", 4)
+	ing := mustOpen(t, cfg, disk)
 	offerAll(t, ing, inWindow(0, 0), inWindow(0, 1), inWindow(0, 2))
-	if c := costOf(ing); c.dirSyncs != 1 {
-		t.Fatalf("%d directory fsyncs for one new segment, want 1", c.dirSyncs)
+	if n := dirSyncs(); n != 1 {
+		t.Fatalf("%d directory fsyncs for one new segment, want 1", n)
 	}
 	for w := 1; w <= maxOpenSegments; w++ {
 		offerAll(t, ing, inWindow(w, 0))
 	}
-	created := costOf(ing).dirSyncs
+	created := dirSyncs()
 	if created != 1+maxOpenSegments {
 		t.Fatalf("%d directory fsyncs for %d new segments", created, 1+maxOpenSegments)
 	}
 	offerAll(t, ing, inWindow(0, 3)) // window 0 was evicted: a reopen, not a create
-	if c := costOf(ing); c.dirSyncs != created {
-		t.Fatalf("reopening an evicted segment fsynced the directory (%d → %d)", created, c.dirSyncs)
+	if n := dirSyncs(); n != created {
+		t.Fatalf("reopening an evicted segment fsynced the directory (%d → %d)", created, n)
 	}
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	cfg.Metrics = obs.NewRegistry()
-	rec, _, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := mustOpen(t, cfg, disk)
 	defer rec.Close()
+	recovered := dirSyncs() // the snapshots of Close and of recovery each fsync it once
 	offerAll(t, rec, inWindow(2, 1))
-	if c := costOf(rec); c.dirSyncs != 0 {
-		t.Fatalf("appending to a recovered segment fsynced the directory %d times", c.dirSyncs)
+	if n := dirSyncs(); n != recovered {
+		t.Fatalf("appending to a recovered segment fsynced the directory %d times", n-recovered)
 	}
 }
