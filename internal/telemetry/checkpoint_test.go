@@ -307,6 +307,13 @@ func parentDataDirConfig(dir string) Config {
 // like an uninterrupted ingestor fed the same events — and the checkpoint
 // the parent wrote is, byte for byte, what this encoder writes for that
 // state.
+//
+// Compatibility runs one way only. A segment re-created for a window that
+// retention evicted while a snapshot still counted it begins with a `fresh`
+// control record (wal.go openSeg, recover.go), which builds before it do
+// not know: they refuse such a directory with "unknown control record"
+// instead of misreading it. Every other byte is as the parent wrote it, so
+// this directory, which never evicts, still pins the rest of the format.
 func TestParentDataDirRecovers(t *testing.T) {
 	events := checkpointStream(5, parentDataDirEvents)
 	dir := t.TempDir()

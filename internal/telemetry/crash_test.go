@@ -512,28 +512,56 @@ func TestSnapshotWindowEvictedSinceTheCutStaysEvicted(t *testing.T) {
 
 // TestRecreatedSegmentReplaysWhole: a snapshot counts records of a window
 // whose segment retention evicted and a late event then created anew.
-// Recovery must replay the new segment whole, not skip the old one's count
-// of it on top of the old one's rollups — whether the new segment holds
-// fewer records than that count (told by the count: a crash right after
-// the create leaves it empty) or as many (told by its fresh record).
+// Recovery must replay the new segment whole, and once, not skip the old
+// one's count of it on top of the old one's rollups — whether the new
+// segment holds fewer records than that count or as many; either way its
+// fresh record tells. A crash right after the create leaves it empty, and
+// the count alone tells. Replayed twice, its sequenced events would be
+// thrown away as duplicates of themselves; replayed against the snapshot's
+// dedup tracker, which the eviction had aged out, as duplicates of the
+// evicted events they retry.
 func TestRecreatedSegmentReplaysWhole(t *testing.T) {
 	for _, late := range []int{1, 3} {
 		t.Run(fmt.Sprint(late, "-late"), func(t *testing.T) {
 			cfg := oneShardCfg()
 			disk := newMemFS()
 			ing := mustOpen(t, cfg, disk)
-			offerAll(t, ing, inWindow(0, 0), inWindow(0, 1), inWindow(1, 0))
-			if err := ing.Snapshot(); err != nil {
+			seq := func(i int) Envelope {
+				e := inWindow(0, i)
+				e.User, e.Seq = 1, uint64(i+1)
+				return e
+			}
+			offerAll(t, ing, seq(0), seq(1), seq(2), inWindow(1, 0))
+			if err := ing.Snapshot(); err != nil { // counts 3 records of window 0
 				t.Fatal(err)
 			}
 			offerAll(t, ing, inWindow(2, 0)) // evicts window 0
 			if _, err := ing.DropPartition(0, 1); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < late; i++ { // window 0 again, with room to stay
-				offerAll(t, ing, inWindow(0, 2+i))
+			// Window 0 again, with room to stay: retries of its evicted
+			// events, folded anew because eviction aged out their tracker.
+			for i := 0; i < late; i++ {
+				offerAll(t, ing, seq(i))
 			}
+			live := queryFingerprint(t, ing)
 			ing.Crash()
+
+			rec, st, err := open(cfg, disk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := queryFingerprint(t, rec)
+			rec.Crash()
+			if !bytes.Equal(got, live) {
+				t.Fatalf("recovered answers differ from the live ones\nrecovered %s\nlive      %s", got, live)
+			}
+			// Window 0 holds a fresh record and the late events, windows 1
+			// and 2 an event and a drop record each; the snapshot covers
+			// window 1's event alone.
+			if st.Snapshots != 1 || st.SegmentsScanned != 3 || st.RecordsSkipped != 1 || st.RecordsReplayed != uint64(late+4) {
+				t.Fatalf("recovery stats %+v, want 1 snapshot, 3 segments, 1 record skipped and %d replayed", st, late+4)
+			}
 			checkEveryCrashPoint(t, cfg, disk)
 		})
 	}

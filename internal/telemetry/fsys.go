@@ -11,7 +11,7 @@ import (
 // package's tests pass an in-memory disk that can fail a write or lose, at
 // a power cut, whatever was not fsynced.
 type fsys interface {
-	MkdirAll(dir string) error
+	Mkdir(dir string) error                       // one level: os.ErrNotExist without the parent
 	OpenFile(path string, flag int) (file, error) // os.OpenFile's flags, mode 0644
 	Open(path string) (io.ReadCloser, error)
 	ReadFile(path string) ([]byte, error)
@@ -35,7 +35,7 @@ type file interface {
 // holding a nil *os.File: callers test the error first.
 type osFS struct{}
 
-func (osFS) MkdirAll(dir string) error                    { return os.MkdirAll(dir, 0o755) }
+func (osFS) Mkdir(dir string) error                       { return os.Mkdir(dir, 0o755) }
 func (osFS) OpenFile(path string, flag int) (file, error) { return os.OpenFile(path, flag, 0o644) }
 func (osFS) Open(path string) (io.ReadCloser, error)      { return os.Open(path) }
 func (osFS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }

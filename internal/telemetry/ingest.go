@@ -554,7 +554,8 @@ func (s *shard) rollups() (n, bytes int) {
 // more distinct window starts than MaxWindows, unlinking their WAL segments
 // with them. Called with s.mu held, only when a new *start* appears (not
 // per rollup entry or event), so the eviction is paid once per window
-// rollover, one lookup per key. A late event older than the retention
+// rollover: the oldest start is every holding key's first window, so each
+// eviction looks at each key once. A late event older than the retention
 // horizon opens a window that is immediately the eviction victim — its data
 // is discarded, the standard retention trade.
 func (ing *Ingestor) enforceRetention(s *shard) {
@@ -563,26 +564,37 @@ func (ing *Ingestor) enforceRetention(s *shard) {
 		for start := range s.starts {
 			oldest = min(oldest, start)
 		}
-		ing.evict(s, oldest)
+		for _, ks := range s.keys {
+			if ks.wins[0].start == oldest {
+				s.remove(ks, 0)
+			}
+		}
+		s.evictedWindow(oldest)
 	}
 }
 
-// evict drops the window at start whole: its rollups, the dedup trackers
-// last fed at or before it, and its WAL segment. Called with s.mu held.
-func (ing *Ingestor) evict(s *shard, start int64) {
-	dropWindowLocked(s, start, 0, 1) // partition 0 of 1: every key
-	// An idle tracker's folds all landed in discarded windows; keeping it
-	// would grow s.seen, and every snapshot, without bound. A stream that
-	// outlives the horizon restarts with a fresh tracker.
+// evictedWindow finishes evicting the window at start once its rollups are
+// gone. Called with s.mu held.
+func (s *shard) evictedWindow(start int64) {
+	s.ageTrackers(start)
+	if s.wal != nil {
+		s.wal.dropSegment(start)
+	}
+	s.evicted.Inc()
+}
+
+// ageTrackers ages out the dedup trackers whose streams went idle at or
+// before the evicted window at start: their folds all landed in discarded
+// windows, so keeping their receive state would grow s.seen (and every
+// snapshot) without bound on a long-running daemon. A stream outliving the
+// retention horizon restarts with a fresh tracker — its dedup memory is
+// scoped to the data the pipeline still holds. Called with s.mu held.
+func (s *shard) ageTrackers(start int64) {
 	for dk, t := range s.seen {
 		if t.last <= start {
 			delete(s.seen, dk)
 		}
 	}
-	if s.wal != nil {
-		s.wal.dropSegment(start)
-	}
-	s.evicted.Inc()
 }
 
 // Offer submits one envelope. It returns false when the shard queue is hard
@@ -642,22 +654,15 @@ func (ing *Ingestor) Flush() {
 // SyncWAL flushes and fsyncs every shard's WAL, advancing the durability
 // floor to everything folded so far. A no-op (nil) without durability.
 func (ing *Ingestor) SyncWAL() error {
-	return ing.eachWAL(func(s *shard) error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.wal.sync()
-	})
-}
-
-// eachWAL calls fn on every shard that has a WAL, in order, and returns the
-// first error.
-func (ing *Ingestor) eachWAL(fn func(s *shard) error) error {
 	var first error
 	for _, s := range ing.shards {
 		if s.wal == nil {
 			continue
 		}
-		if err := fn(s); err != nil && first == nil {
+		s.mu.Lock()
+		err := s.wal.sync()
+		s.mu.Unlock()
+		if err != nil && first == nil {
 			first = err
 		}
 	}
@@ -723,12 +728,25 @@ func (ing *Ingestor) cutCheckpoint(s *shard) []byte {
 // operation durable, so a failed checkpoint loses nothing and is not the
 // caller's error.
 func (ing *Ingestor) checkpointDueShards() {
-	_ = ing.eachWAL(func(s *shard) error { return ing.snapshotShard(s, true) })
+	for _, s := range ing.shards {
+		if s.wal != nil {
+			_ = ing.snapshotShard(s, true)
+		}
+	}
 }
 
 // Snapshot checkpoints every shard now (Close does this automatically).
 func (ing *Ingestor) Snapshot() error {
-	return ing.eachWAL(func(s *shard) error { return ing.snapshotShard(s, false) })
+	var first error
+	for _, s := range ing.shards {
+		if s.wal == nil {
+			continue
+		}
+		if err := ing.snapshotShard(s, false); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Close is idempotent: the first call drains the queues, stops and waits
@@ -740,16 +758,19 @@ func (ing *Ingestor) Snapshot() error {
 func (ing *Ingestor) Close() error {
 	ing.closeOnce.Do(func() {
 		ing.stopWorkers()
-		ing.closeErr = ing.eachWAL(func(s *shard) error {
-			err := ing.snapshotShard(s, false)
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if serr := s.wal.sync(); err == nil {
-				err = serr
+		for _, s := range ing.shards {
+			if s.wal == nil {
+				continue
 			}
-			s.wal.abort()
-			return err
-		})
+			if err := ing.snapshotShard(s, false); err != nil && ing.closeErr == nil {
+				ing.closeErr = err
+			}
+			s.mu.Lock()
+			if err := s.wal.closeFiles(); err != nil && ing.closeErr == nil {
+				ing.closeErr = err
+			}
+			s.mu.Unlock()
+		}
 	})
 	return ing.closeErr
 }

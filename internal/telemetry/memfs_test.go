@@ -26,13 +26,14 @@ import (
 // The crash model is POSIX's, bounded the way CrashMonkey bounds it:
 //   - a file's bytes written since its last fsync may be kept, dropped, cut
 //     at a record boundary or cut once mid-record;
-//   - a create, rename or unlink its directory has not fsynced since may be
-//     undone or kept, each independently;
+//   - a create, mkdir, rename or unlink its directory has not fsynced since
+//     may be undone or kept, each independently; an undone mkdir takes
+//     everything under the directory with it;
 //   - a truncate not yet covered by an fsync of the file is undone with the
 //     rest of the file's unsynced changes.
 //
-// Directory creation is durable at once, and writes are never reordered
-// within a file beyond losing a suffix: a real kernel or disk can do worse.
+// Writes are never reordered within a file beyond losing a suffix: a real
+// kernel or disk can do worse.
 type memFS struct {
 	mu   sync.Mutex
 	dirs map[string]*memDir
@@ -49,9 +50,12 @@ type memFS struct {
 }
 
 type memDir struct {
-	live, durable map[string]int // entry name → inode
+	live, durable map[string]int // entry name → inode, or dirIno
 	pending       []int          // log indices of the entry changes since the last SyncDir
 }
+
+// dirIno is a subdirectory's entry in its parent.
+const dirIno = -1
 
 type inode struct {
 	data, durable []byte
@@ -79,7 +83,16 @@ type fsOp struct {
 	size     int64
 }
 
-func newMemFS() *memFS { return &memFS{dirs: map[string]*memDir{}} }
+// newMemFS is an empty disk: the roots "/" and "." only.
+func newMemFS() *memFS {
+	m := &memFS{dirs: map[string]*memDir{}}
+	for _, root := range []string{"/", "."} {
+		m.dirs[root] = newMemDir()
+	}
+	return m
+}
+
+func newMemDir() *memDir { return &memDir{live: map[string]int{}, durable: map[string]int{}} }
 
 // memFSAt rebuilds the first n operations of m's log on a fresh disk.
 func memFSAt(m *memFS, n int) *memFS {
@@ -100,9 +113,8 @@ func (m *memFS) do(op fsOp) {
 	m.log = append(m.log, op)
 	switch op.kind {
 	case opMkdir:
-		for d := op.path; m.dirs[d] == nil; d = filepath.Dir(d) {
-			m.dirs[d] = &memDir{live: map[string]int{}, durable: map[string]int{}}
-		}
+		m.dirs[op.path] = newMemDir()
+		m.dir(op.path).live[filepath.Base(op.path)] = op.ino
 	case opCreate:
 		m.inos = append(m.inos, &inode{})
 		m.dir(op.path).live[filepath.Base(op.path)] = op.ino
@@ -124,7 +136,7 @@ func (m *memFS) do(op fsOp) {
 		d.durable = copyNames(d.live)
 		d.pending = d.pending[:0]
 	}
-	if op.kind == opCreate || op.kind == opRename || op.kind == opRemove {
+	if op.kind == opMkdir || op.kind == opCreate || op.kind == opRename || op.kind == opRemove {
 		d := m.dir(op.path)
 		d.pending = append(d.pending, len(m.log)-1)
 	}
@@ -140,20 +152,33 @@ func copyNames(src map[string]int) map[string]int {
 
 func (m *memFS) dir(path string) *memDir { return m.dirs[filepath.Dir(path)] }
 
-// lookup resolves path to its inode, or a *fs.PathError for op.
+// lookup resolves path to its file's inode, or a *fs.PathError for op.
 func (m *memFS) lookup(op, path string) (int, error) {
 	if d := m.dir(path); d != nil {
-		if ino, ok := d.live[filepath.Base(path)]; ok {
+		if ino, ok := d.live[filepath.Base(path)]; ok && ino != dirIno {
 			return ino, nil
+		} else if ok {
+			return 0, &fs.PathError{Op: op, Path: path, Err: errors.New("is a directory")}
 		}
 	}
 	return 0, &fs.PathError{Op: op, Path: path, Err: fs.ErrNotExist}
 }
 
-func (m *memFS) MkdirAll(dir string) error {
+func (m *memFS) Mkdir(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.do(fsOp{kind: opMkdir, path: filepath.Clean(dir)})
+	dir = filepath.Clean(dir)
+	if m.dirs[dir] != nil {
+		return &fs.PathError{Op: "mkdir", Path: dir, Err: fs.ErrExist}
+	}
+	d := m.dir(dir)
+	if d == nil {
+		return &fs.PathError{Op: "mkdir", Path: dir, Err: fs.ErrNotExist}
+	}
+	if _, ok := d.live[filepath.Base(dir)]; ok {
+		return &fs.PathError{Op: "mkdir", Path: dir, Err: fs.ErrExist}
+	}
+	m.do(fsOp{kind: opMkdir, path: dir, ino: dirIno})
 	return nil
 }
 
@@ -167,7 +192,7 @@ func (m *memFS) OpenFile(path string, flag int) (file, error) {
 		return nil, &fs.PathError{Op: "open", Path: path, Err: fs.ErrExist}
 	case err == nil && flag&os.O_TRUNC != 0:
 		m.do(fsOp{kind: opTrunc, path: path, ino: ino})
-	case err != nil && flag&os.O_CREATE != 0:
+	case errors.Is(err, fs.ErrNotExist) && flag&os.O_CREATE != 0:
 		if m.dir(path) == nil {
 			return nil, err
 		}
@@ -211,17 +236,25 @@ func (m *memFS) ReadDir(dir string) ([]os.DirEntry, error) {
 	sort.Strings(names)
 	entries := make([]os.DirEntry, len(names))
 	for i, name := range names {
-		entries[i] = memEntry(name)
+		entries[i] = memEntry{name, d.live[name] == dirIno}
 	}
 	return entries, nil
 }
 
-// memEntry is a file's directory entry.
-type memEntry string
+// memEntry is a directory entry.
+type memEntry struct {
+	name string
+	dir  bool
+}
 
-func (e memEntry) Name() string             { return string(e) }
-func (memEntry) IsDir() bool                { return false }
-func (memEntry) Type() fs.FileMode          { return 0 }
+func (e memEntry) Name() string { return e.name }
+func (e memEntry) IsDir() bool  { return e.dir }
+func (e memEntry) Type() fs.FileMode {
+	if e.dir {
+		return fs.ModeDir
+	}
+	return 0
+}
 func (memEntry) Info() (fs.FileInfo, error) { return nil, errors.ErrUnsupported }
 
 func (m *memFS) Rename(from, to string) error {
@@ -499,8 +532,9 @@ func (m *memFS) content(ino int, dirty []dirtyFile, c crashState) []byte {
 }
 
 // materialise builds the disk a crash in state c leaves: each directory's
-// fsynced entries with the kept changes replayed over them in order, each
-// file cut as c says. Everything on the new disk is durable; its log holds
+// fsynced entries with the kept changes replayed over them in order, a
+// directory whose entry in its parent did not survive gone with everything
+// under it, each file cut as c says. Everything on the new disk is durable; its log holds
 // only the operations that built it (its prelude). resurrected maps each
 // name that an undone unlink brought back to that unlink's log index, and
 // reached lists the inodes of m the new disk's files hold.
@@ -515,11 +549,16 @@ func (m *memFS) materialise(pending []int, dirty []dirtyFile, c crashState) (out
 	for d := range m.dirs {
 		dirs = append(dirs, d)
 	}
-	sort.Strings(dirs)
+	sort.Strings(dirs) // a parent before its subdirectories
+	// entries holds each surviving directory's entries.
+	entries := map[string]map[string]int{}
 	for _, d := range dirs {
-		out.do(fsOp{kind: opMkdir, path: d})
-	}
-	for _, d := range dirs {
+		if p := filepath.Dir(d); p != d {
+			if ino, ok := entries[p][filepath.Base(d)]; !ok || ino != dirIno {
+				continue
+			}
+			out.do(fsOp{kind: opMkdir, path: d, ino: dirIno})
+		}
 		md := m.dirs[d]
 		ns := copyNames(md.durable)
 		undone := map[string]int{} // name → the undone unlink that left it in place
@@ -533,7 +572,7 @@ func (m *memFS) materialise(pending []int, dirty []dirtyFile, c crashState) (out
 				continue
 			}
 			switch op.kind {
-			case opCreate:
+			case opMkdir, opCreate:
 				ns[name] = op.ino
 			case opRename:
 				if ino, ok := ns[name]; ok && ino == op.ino {
@@ -546,9 +585,12 @@ func (m *memFS) materialise(pending []int, dirty []dirtyFile, c crashState) (out
 				}
 			}
 		}
+		entries[d] = ns
 		names := make([]string, 0, len(ns))
-		for name := range ns {
-			names = append(names, name)
+		for name, ino := range ns {
+			if ino != dirIno {
+				names = append(names, name)
+			}
 		}
 		sort.Strings(names)
 		for _, name := range names {
@@ -564,7 +606,11 @@ func (m *memFS) materialise(pending []int, dirty []dirtyFile, c crashState) (out
 			out.do(fsOp{kind: opWrite, path: path, ino: ino, data: slices.Clone(m.content(ns[name], dirty, c))})
 			out.do(fsOp{kind: opSync, path: path, ino: ino})
 		}
-		out.do(fsOp{kind: opSyncDir, path: d})
+	}
+	for _, d := range dirs {
+		if entries[d] != nil {
+			out.do(fsOp{kind: opSyncDir, path: d})
+		}
 	}
 	out.prelude = len(out.log)
 	return out, resurrected, reached

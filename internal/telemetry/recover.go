@@ -75,7 +75,8 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 	}
 	for _, start := range starts {
 		path := s.wal.segPath(start)
-		replay := func(skip uint64) (uint64, int64, bool, error) {
+		skip := applied[start]
+		replay := func() (uint64, int64, bool, error) {
 			// Control records share the per-segment index clock with
 			// envelopes, so snapshot applied counts skip both uniformly.
 			var idx uint64
@@ -93,23 +94,28 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 				}
 			}, func(c walCtl) {
 				if c.Ctl == ctlFresh && skip > 0 && slices.Contains(c.Stale, snap.crc) {
-					// This segment replaced the one the snapshot counted.
+					// This segment replaced the one the snapshot counted:
+					// evict the window as the live process did.
 					skip = 0
 					dropWindowLocked(s, start, 0, 1)
+					s.ageTrackers(start)
 				}
 				if !skipped() {
 					ing.applyCtl(s, start, c)
 				}
 			})
 		}
-		n, validEnd, torn, err := replay(applied[start])
-		if err == nil && n < applied[start] {
+		n, validEnd, torn, err := replay()
+		if err == nil && n < skip {
 			// The snapshot counts only fsynced records, so it counted an
 			// earlier segment of this window, evicted before a late event
-			// created this one: its rollups of the window are stale.
+			// created this one: its rollups of the window are stale. Every
+			// record was skipped (a fresh record would have zeroed skip),
+			// so none was folded yet.
 			st.RecordsSkipped -= n
+			skip = 0
 			dropWindowLocked(s, start, 0, 1)
-			n, validEnd, torn, err = replay(0)
+			n, validEnd, torn, err = replay()
 		}
 		if err != nil {
 			return err
@@ -136,7 +142,8 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 	s.mu.Lock()
 	for _, start := range slices.Sorted(maps.Keys(s.starts)) {
 		if _, ok := slices.BinarySearch(starts, start); !ok {
-			ing.evict(s, start)
+			dropWindowLocked(s, start, 0, 1) // partition 0 of 1: every key
+			s.evictedWindow(start)
 		}
 	}
 	ing.enforceRetention(s)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 
 	"edgescope/internal/stats"
 )
@@ -102,7 +103,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 			segs = append(segs, start)
 		}
 	}
-	slices.Sort(segs)
+	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	size += 16 * len(segs)
 
 	dks := make([]dedupKey, 0, len(s.seen))
@@ -110,7 +111,19 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		dks = append(dks, dk)
 		size += keySize(dk.Key) + 8 + 8 + 8 + 4 + 8*len(t.sparse)
 	}
-	slices.SortFunc(dks, func(a, b dedupKey) int { return cmp.Or(a.Key.Compare(b.Key), cmp.Compare(a.User, b.User)) })
+	sort.Slice(dks, func(i, j int) bool {
+		a, b := dks[i], dks[j]
+		if a.Metric != b.Metric {
+			return a.Metric < b.Metric
+		}
+		if a.Region != b.Region {
+			return a.Region < b.Region
+		}
+		if a.Net != b.Net {
+			return a.Net < b.Net
+		}
+		return a.User < b.User
+	})
 
 	w := &snapWriter{b: make([]byte, 0, size)}
 	w.b = append(w.b, snapMagic[:]...)
@@ -143,7 +156,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		for seq := range t.sparse {
 			sparse = append(sparse, seq)
 		}
-		slices.Sort(sparse)
+		sort.Slice(sparse, func(i, j int) bool { return sparse[i] < sparse[j] })
 		w.u32(uint32(len(sparse)))
 		for _, seq := range sparse {
 			w.u64(seq)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -35,8 +36,9 @@ import (
 // since the previous one — a clean segment's bytes were made durable by the
 // sync that cleaned it — and creating or unlinking a segment fsyncs the shard
 // directory, so the file's name is as durable as its records and an evicted
-// window cannot come back after a power loss. Every call reaches the disk
-// through fsys (fsys.go).
+// window cannot come back after a power loss; creating a shard directory
+// fsyncs its parent likewise. Every call reaches the disk through fsys
+// (fsys.go).
 
 // walSuffix and walPrefix name segment files.
 const (
@@ -106,7 +108,7 @@ type shardWAL struct {
 }
 
 func newShardWAL(fs fsys, dir string, syncEvery int) (*shardWAL, error) {
-	if err := fs.MkdirAll(dir); err != nil {
+	if err := mkdirDurable(fs, dir); err != nil {
 		return nil, fmt.Errorf("telemetry: wal: %w", err)
 	}
 	return &shardWAL{
@@ -117,6 +119,25 @@ func newShardWAL(fs fsys, dir string, syncEvery int) (*shardWAL, error) {
 		records:   map[int64]uint64{},
 		claims:    map[int64]bool{},
 	}, nil
+}
+
+// mkdirDurable creates dir and its missing parents, fsyncing the parent of
+// each directory it creates: a power loss may otherwise drop a new shard
+// directory whole, with every record acknowledged in it.
+func mkdirDurable(fs fsys, dir string) error {
+	err := fs.Mkdir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		if err = mkdirDurable(fs, filepath.Dir(dir)); err == nil {
+			err = fs.Mkdir(dir)
+		}
+	}
+	if errors.Is(err, os.ErrExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(dir))
 }
 
 func (w *shardWAL) segPath(start int64) string {
@@ -319,10 +340,16 @@ func (w *shardWAL) dropSegment(start int64) {
 	}
 }
 
-// abort closes handles WITHOUT flushing buffered writes. After a sync
-// (Close) nothing is buffered; for Crash, the test double for a process
-// crash, bytes not yet pushed to the OS are lost, exactly the unsynced
-// suffix the durability contract allows to disappear.
+// closeFiles syncs and closes every open handle (graceful shutdown).
+func (w *shardWAL) closeFiles() error {
+	err := w.sync()
+	w.abort()
+	return err
+}
+
+// abort closes handles WITHOUT flushing buffered writes — the test double
+// for a process crash: bytes not yet pushed to the OS are lost, exactly the
+// unsynced suffix the durability contract allows to disappear.
 func (w *shardWAL) abort() {
 	for _, seg := range w.open {
 		seg.f.Close()
@@ -348,13 +375,17 @@ func listSegments(fs fsys, dir string) ([]int64, error) {
 	}
 	var starts []int64
 	for _, ent := range entries {
-		num, isSeg := strings.CutPrefix(ent.Name(), walPrefix)
-		num, hasSuffix := strings.CutSuffix(num, walSuffix)
-		if start, err := strconv.ParseInt(num, 10, 64); isSeg && hasSuffix && err == nil {
-			starts = append(starts, start)
+		name := ent.Name()
+		if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
+			continue
 		}
+		start, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix), 10, 64)
+		if err != nil {
+			continue
+		}
+		starts = append(starts, start)
 	}
-	slices.Sort(starts)
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	return starts, nil
 }
 
@@ -406,23 +437,23 @@ func readWALSegment(fs fsys, path string, fn func(Envelope), ctlFn func(walCtl))
 		lineLen := int64(len(line))
 		body := line[:len(line)-1] // strip newline
 		if len(body) > 0 {
-			var derr error
 			if bytes.HasPrefix(body, ctlPrefix) {
-				var c walCtl
-				if c, derr = decodeCtl(body); derr == nil {
-					ctlFn(c)
+				c, derr := decodeCtl(body)
+				if derr != nil {
+					return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
+						errWALCorrupt, path, lineNo, offset, derr)
 				}
+				ctlFn(c)
+				records++
 			} else {
-				var e Envelope
-				if e, derr = decodeInterned(body, &tab); derr == nil {
-					fn(e)
+				e, derr := decodeInterned(body, &tab)
+				if derr != nil {
+					return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
+						errWALCorrupt, path, lineNo, offset, derr)
 				}
+				fn(e)
+				records++
 			}
-			if derr != nil {
-				return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
-					errWALCorrupt, path, lineNo, offset, derr)
-			}
-			records++
 		}
 		offset += lineLen
 		validEnd = offset

@@ -272,7 +272,8 @@ func TestShortWriteKeepsLagAndStickyError(t *testing.T) {
 
 // TestSegmentCreationSyncsDirectoryOnce: a new segment's directory entry is
 // fsynced when the file is created and at no other time — not on later
-// appends, not when an evicted handle or a recovered log is reopened.
+// appends, not when an evicted handle or a recovered log is reopened. So is
+// a new data or shard directory's entry in its parent.
 func TestSegmentCreationSyncsDirectoryOnce(t *testing.T) {
 	disk := newMemFS()
 	dirSyncs := func() int {
@@ -282,16 +283,19 @@ func TestSegmentCreationSyncsDirectoryOnce(t *testing.T) {
 	}
 	cfg := walSyncCfg("/data", 4)
 	ing := mustOpen(t, cfg, disk)
+	if n := dirSyncs(); n != 2 {
+		t.Fatalf("%d directory fsyncs for a new data and shard directory, want 2", n)
+	}
 	offerAll(t, ing, inWindow(0, 0), inWindow(0, 1), inWindow(0, 2))
-	if n := dirSyncs(); n != 1 {
-		t.Fatalf("%d directory fsyncs for one new segment, want 1", n)
+	if n := dirSyncs(); n != 3 {
+		t.Fatalf("%d directory fsyncs for one new segment, want 1", n-2)
 	}
 	for w := 1; w <= maxOpenSegments; w++ {
 		offerAll(t, ing, inWindow(w, 0))
 	}
 	created := dirSyncs()
-	if created != 1+maxOpenSegments {
-		t.Fatalf("%d directory fsyncs for %d new segments", created, 1+maxOpenSegments)
+	if created != 3+maxOpenSegments {
+		t.Fatalf("%d directory fsyncs for %d new segments", created-2, 1+maxOpenSegments)
 	}
 	offerAll(t, ing, inWindow(0, 3)) // window 0 was evicted: a reopen, not a create
 	if n := dirSyncs(); n != created {
