@@ -24,8 +24,8 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/predict/ ./internal/telemetry/ ./internal/telemetry/cluster/ ./internal/telemetry/serve/ ./cmd/telemetryd/
 
 # Brief fuzz passes over the wire decoder, the durability surfaces (WAL
-# segment replay, snapshot decode, sketch, sketch-page and key-inventory
-# codecs, the crash states of a power cut), the shard index against a
+# segment replay, the WAL record codec, snapshot decode, sketch, sketch-page
+# and key-inventory codecs, the crash states of a power cut), the shard index against a
 # flat-map scan, and the kernels against
 # their references: the sketch flush against its scalar form, the envelope
 # codec and the /keys JSON writer against encoding/json, the AVX2 exp and
@@ -33,6 +33,7 @@ race:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 	$(GO) test -run xxx -fuzz FuzzKeyInventoryDecode -fuzztime 3s ./internal/telemetry/

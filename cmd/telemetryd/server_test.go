@@ -135,7 +135,7 @@ func TestHealthzDegraded(t *testing.T) {
 	// A directory where the event's segment file belongs: creating the
 	// segment fails, and the shard degrades to memory-only.
 	const ts = 1_633_046_400_000 // a window start at the default one-minute window
-	if err := os.Mkdir(filepath.Join(dir, "shard-0", fmt.Sprintf("wal-%d.jsonl", ts)), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, "shard-0", fmt.Sprintf("wal-%d.rec", ts)), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	e := telemetry.Envelope{V: telemetry.SchemaVersion, TS: ts,

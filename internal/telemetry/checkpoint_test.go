@@ -92,11 +92,7 @@ func TestCheckpointCostAmortised(t *testing.T) {
 	events := checkpointStream(1, 3000)
 	recLen := make([]uint64, len(events))
 	for i, e := range events {
-		line, err := AppendJSONL(nil, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recLen[i] = uint64(len(line))
+		recLen[i] = uint64(len(mustRecord(t, e)))
 	}
 	r := rng.New(7)
 	crashAt := map[int]bool{}
@@ -308,12 +304,11 @@ func parentDataDirConfig(dir string) Config {
 // the parent wrote is, byte for byte, what this encoder writes for that
 // state.
 //
-// Compatibility runs one way only. A segment re-created for a window that
-// retention evicted while a snapshot still counted it begins with a `fresh`
-// control record (wal.go openSeg, recover.go), which builds before it do
-// not know: they refuse such a directory with "unknown control record"
-// instead of misreading it. Every other byte is as the parent wrote it, so
-// this directory, which never evicts, still pins the rest of the format.
+// Compatibility runs one way only. The directory's segments are JSONL, and
+// this build replays them and appends to them as JSONL, but every segment it
+// creates is framed (walrecord.go): a build before framed records ignores
+// those files, so opening this build's directory with it is unsupported.
+// The snapshot format is unchanged, which this directory still pins.
 func TestParentDataDirRecovers(t *testing.T) {
 	events := checkpointStream(5, parentDataDirEvents)
 	dir := t.TempDir()

@@ -65,15 +65,15 @@ func (m *memFS) liveSegments(cfg Config) []segmentAt {
 		}
 		names := make([]string, 0, len(d.live))
 		for name := range d.live {
-			if strings.HasPrefix(name, walPrefix) && strings.HasSuffix(name, walSuffix) {
+			if strings.HasPrefix(name, walPrefix) {
 				names = append(names, name)
 			}
 		}
 		slices.Sort(names)
 		for _, name := range names {
-			ino := m.inos[d.live[name]]
-			segs = append(segs, segmentAt{path: filepath.Join(dir, name),
-				fsynced: bytes.Count(ino.durable, []byte{'\n'}), appended: bytes.Count(ino.data, []byte{'\n'})})
+			path, ino := filepath.Join(dir, name), m.inos[d.live[name]]
+			segs = append(segs, segmentAt{path: path,
+				fsynced: len(recordEnds(path, ino.durable)), appended: len(recordEnds(path, ino.data))})
 		}
 	}
 	return segs
@@ -122,7 +122,7 @@ func checkCrashPoint(t *testing.T, cfg Config, m *memFS, r *rng.Source, refs map
 			if err != nil && !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("%s: %v", where, err)
 			}
-			if n := bytes.Count(b, []byte{'\n'}); n < seg.fsynced || n > seg.appended {
+			if n := len(recordEnds(seg.path, b)); n < seg.fsynced || n > seg.appended {
 				t.Fatalf("%s: %s holds %d records, fsynced %d, appended %d", where, seg.path, n, seg.fsynced, seg.appended)
 			}
 		}
@@ -206,12 +206,12 @@ func referenceAnswers(t *testing.T, cfg Config, disk *memFS, skip []string, refs
 	var key strings.Builder
 	for i := 0; i < cfg.Shards; i++ {
 		dir := shardDir(cfg.WAL.Dir, i)
-		starts, err := listSegments(disk, dir)
+		starts, legacy, err := listSegments(disk, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, start := range starts {
-			path := filepath.Join(dir, walPrefix+fmt.Sprint(start)+walSuffix)
+			path := segFile(dir, start, legacy[start])
 			if slices.Contains(skip, path) {
 				continue
 			}
@@ -219,7 +219,11 @@ func referenceAnswers(t *testing.T, cfg Config, disk *memFS, skip []string, refs
 			if err != nil {
 				t.Fatal(err)
 			}
-			data = data[:bytes.LastIndexByte(data, '\n')+1]
+			if ends := recordEnds(path, data); len(ends) > 0 {
+				data = data[:ends[len(ends)-1]]
+			} else {
+				data = nil
+			}
 			segs = append(segs, seg{i, start, path})
 			fmt.Fprintf(&key, "%s %d\n%s", path, len(data), data)
 		}
@@ -428,7 +432,7 @@ func oneShardCfg() Config {
 func TestTornTailTruncationNeedsNoFsync(t *testing.T) {
 	cfg := oneShardCfg()
 	cfg.WAL.SyncEvery = 3
-	seg := filepath.Join(shardDir(cfg.WAL.Dir, 0), walPrefix+fmt.Sprint(winStart(0))+walSuffix)
+	seg := segFile(shardDir(cfg.WAL.Dir, 0), winStart(0), false)
 	disk := newMemFS()
 	ing := mustOpen(t, cfg, disk)
 	for i := 0; i < 6; i++ {
@@ -459,7 +463,7 @@ func TestTornTailTruncationNeedsNoFsync(t *testing.T) {
 	}
 	pending, dirty, _ = m.crashStates(rng.New(1), 0)
 	undone, _, _ := m.materialise(pending, dirty, crashState{keep: make([]bool, len(pending)), cut: []int{cutDrop}})
-	if b, _ := undone.ReadFile(seg); len(b) == 0 || b[len(b)-1] == '\n' {
+	if b, _ := undone.ReadFile(seg); len(b) == 0 || slices.Contains(recordEnds(seg, b), len(b)) {
 		t.Fatalf("the undone truncation left %q, want the torn tail back", b)
 	}
 	tally := checkEveryCrashPoint(t, cfg, torn)

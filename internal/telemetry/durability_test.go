@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -240,12 +239,12 @@ func TestTornTailTruncated(t *testing.T) {
 	want := queryFingerprint(t, ing)
 	ing.Crash()
 
-	// Forge the torn write: valid JSON prefix, cut before its newline.
-	segs, err := listSegments(osFS{}, shardDir(dir, 0))
+	// Forge the torn write: the first half of a valid record.
+	segs, _, err := listSegments(osFS{}, shardDir(dir, 0))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in shard 0 (err=%v)", err)
 	}
-	path := filepath.Join(shardDir(dir, 0), walPrefix+strconv.FormatInt(segs[0], 10)+walSuffix)
+	path := segFile(shardDir(dir, 0), segs[0], false)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +253,11 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"v":1,"ts":1633046400000,"kind":"ping","met`)
+	torn, err := appendEnvelopeRecord(nil, ev(segs[0], MetricRTT, "Beijing", "WiFi", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(torn[:len(torn)/2])
 	f.Close()
 
 	ing2, rec, err := Open(cfg)
@@ -278,9 +281,9 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestCorruptWALRecordFailsLoudly: a malformed but newline-terminated WAL
-// line is durable data that cannot be replayed — recovery must fail with a
-// positioned error, not skip it.
+// TestCorruptWALRecordFailsLoudly: a complete WAL record whose checksum holds
+// but whose payload is no envelope is durable data that cannot be replayed —
+// recovery must fail with a positioned error, not skip it.
 func TestCorruptWALRecordFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durCfg(dir)
@@ -290,16 +293,16 @@ func TestCorruptWALRecordFailsLoudly(t *testing.T) {
 	ing.Flush()
 	ing.Crash()
 
-	segs, err := listSegments(osFS{}, shardDir(dir, 1))
+	segs, _, err := listSegments(osFS{}, shardDir(dir, 1))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in shard 1 (err=%v)", err)
 	}
-	path := filepath.Join(shardDir(dir, 1), walPrefix+strconv.FormatInt(segs[0], 10)+walSuffix)
+	path := segFile(shardDir(dir, 1), segs[0], false)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString("{\"v\":99,\"not\":\"an envelope\"}\n")
+	f.Write(appendRecord(nil, recEnvelope, []byte("not an envelope")))
 	f.Close()
 
 	if _, _, err := Open(cfg); !errors.Is(err, errWALCorrupt) {
@@ -387,7 +390,7 @@ func TestRetentionUnlinksWALSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := listSegments(osFS{}, shardDir(dir, 0))
+	segs, _, err := listSegments(osFS{}, shardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,10 @@ const (
 )
 
 // ctlPrefix distinguishes control records from envelope records inside a
-// WAL segment. Control records are always encoded with "ctl" as the first
-// field; envelope JSON starts with "v", so the prefix test is exact for
-// records this package wrote.
+// JSONL segment (a framed one tells them apart by the record kind). Control
+// records are always encoded with "ctl" as the first field; envelope JSON
+// starts with "v", so the prefix test is exact for records this package
+// wrote.
 var ctlPrefix = []byte(`{"ctl":`)
 
 // walCtl is one WAL control record: an absorbed rollup (with its exact
@@ -107,19 +108,23 @@ func (w *shardWAL) appendCtl(start int64, c walCtl) {
 		w.err = err
 		return
 	}
-	line, err := json.Marshal(c)
+	body, err := json.Marshal(c)
 	if err != nil {
 		w.err = err
 		return
 	}
-	if !bytes.HasPrefix(line, ctlPrefix) {
+	if !seg.legacy {
+		w.line = appendRecord(w.line[:0], recControl, body)
+	} else if bytes.HasPrefix(body, ctlPrefix) {
+		w.line = append(append(w.line[:0], body...), '\n')
+	} else {
 		// Field order is encode-stable in encoding/json; this guards the
 		// prefix dispatch against a struct reordering ever silently turning
 		// control records into "corrupt envelopes".
-		w.err = fmt.Errorf("telemetry: control record encoded without ctl prefix: %s", line)
+		w.err = fmt.Errorf("telemetry: control record encoded without ctl prefix: %s", body)
 		return
 	}
-	w.write(seg, start, append(line, '\n'))
+	w.write(seg, start, w.line)
 }
 
 // applyCtl replays one control record into a shard — the recovery twin of

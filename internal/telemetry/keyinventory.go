@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 )
@@ -55,8 +53,7 @@ func AppendKeyInventory(dst []byte, keys []KeyCount) []byte {
 		w.key(kc.Key)
 		w.u64(math.Float64bits(kc.Count))
 	}
-	w.u32(crc32.ChecksumIEEE(w.b[base:]))
-	return w.b
+	return appendCRC(w.b, base)
 }
 
 // DecodeKeyInventory decodes a binary inventory. The checksum is verified
@@ -71,8 +68,8 @@ func DecodeKeyInventory(data []byte) ([]KeyCount, error) {
 	if [8]byte(data[:8]) != keysMagic {
 		return nil, fmt.Errorf("telemetry: key inventory: bad magic/version %q", data[:8])
 	}
-	payload, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != sum {
+	payload, _, ok := checkCRC(data)
+	if !ok {
 		return nil, fmt.Errorf("telemetry: key inventory: checksum mismatch")
 	}
 	r := &snapReader{b: payload, off: 8}

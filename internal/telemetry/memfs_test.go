@@ -58,6 +58,7 @@ type memDir struct {
 const dirIno = -1
 
 type inode struct {
+	name          string // its path when last created or renamed
 	data, durable []byte
 }
 
@@ -116,7 +117,7 @@ func (m *memFS) do(op fsOp) {
 		m.dirs[op.path] = newMemDir()
 		m.dir(op.path).live[filepath.Base(op.path)] = op.ino
 	case opCreate:
-		m.inos = append(m.inos, &inode{})
+		m.inos = append(m.inos, &inode{name: op.path})
 		m.dir(op.path).live[filepath.Base(op.path)] = op.ino
 	case opWrite:
 		m.inos[op.ino].data = append(m.inos[op.ino].data, op.data...)
@@ -129,6 +130,7 @@ func (m *memFS) do(op fsOp) {
 		d := m.dir(op.path)
 		delete(d.live, filepath.Base(op.path))
 		d.live[filepath.Base(op.to)] = op.ino
+		m.inos[op.ino].name = op.to
 	case opRemove:
 		delete(m.dir(op.path).live, filepath.Base(op.path))
 	case opSyncDir:
@@ -364,7 +366,7 @@ func (f *memFile) Close() error {
 const (
 	cutKeep     = iota // every byte written stays
 	cutDrop            // back to the last fsync
-	cutBoundary        // cut just after a record's newline
+	cutBoundary        // cut just after a record (recordEnds)
 	cutMid             // cut inside a record
 )
 
@@ -431,8 +433,9 @@ func (m *memFS) dirtyFiles(r *rng.Source) []dirtyFile {
 			base++
 		}
 		var bounds, mids []int
+		ends := recordEnds(ino.name, ino.data)
 		for p := base + 1; p < len(ino.data); p++ {
-			if ino.data[p-1] == '\n' {
+			if _, ok := slices.BinarySearch(ends, p); ok {
 				bounds = append(bounds, p)
 			} else {
 				mids = append(mids, p)
@@ -448,6 +451,34 @@ func (m *memFS) dirtyFiles(r *rng.Source) []dirtyFile {
 		out = append(out, df)
 	}
 	return out
+}
+
+// recordEnds is the crash model's one parser of WAL segments: the offset
+// just past each complete record of a segment file's bytes, ascending — each
+// frame whose header checks and whose bytes are all there (walrecord.go) of
+// a framed segment, each newline of a JSONL one. Any other file holds no
+// records.
+func recordEnds(path string, data []byte) []int {
+	var ends []int
+	switch {
+	case strings.HasSuffix(path, legacySuffix):
+		for i, c := range data {
+			if c == '\n' {
+				ends = append(ends, i+1)
+			}
+		}
+	case strings.HasSuffix(path, walSuffix):
+		for p := 0; len(data)-p >= recHeaderBytes; {
+			n, _, ok := parseRecordHeader(data[p:])
+			end := int64(p) + recFrameBytes + int64(n)
+			if !ok || end > int64(len(data)) {
+				break
+			}
+			p = int(end)
+			ends = append(ends, p)
+		}
+	}
+	return ends
 }
 
 // crashStates enumerates a bounded set of the states a power loss at the

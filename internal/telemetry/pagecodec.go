@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 )
 
@@ -78,8 +77,7 @@ func (p SketchPage) AppendBinary(dst []byte) ([]byte, error) {
 		w.u32(uint32(len(m.Sketch)))
 		w.b = append(w.b, m.Sketch...)
 	}
-	w.u32(crc32.ChecksumIEEE(w.b[base:]))
-	return w.b, nil
+	return appendCRC(w.b, base), nil
 }
 
 // DecodeSketchPage decodes one binary page. The checksum is verified before
@@ -101,8 +99,8 @@ func decodeSketchPage(data []byte, str interner) (SketchPage, error) {
 	if [8]byte(data[:8]) != pageMagic {
 		return SketchPage{}, fmt.Errorf("telemetry: sketch page: bad magic/version %q", data[:8])
 	}
-	payload, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != sum {
+	payload, _, ok := checkCRC(data)
+	if !ok {
 		return SketchPage{}, fmt.Errorf("telemetry: sketch page: checksum mismatch")
 	}
 	r := &snapReader{b: payload, off: 8}

@@ -69,10 +69,11 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 		st.Snapshots++
 	}
 
-	starts, err := listSegments(fs, dir)
+	starts, legacy, err := listSegments(fs, dir)
 	if err != nil {
 		return err
 	}
+	s.wal.legacy = legacy
 	for _, start := range starts {
 		path := s.wal.segPath(start)
 		skip := applied[start]

@@ -63,6 +63,19 @@ func (w *snapWriter) i64(v int64)  { w.u64(uint64(v)) }
 func (w *snapWriter) str(s string) { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
 func (w *snapWriter) key(k Key)    { w.str(k.Metric); w.str(k.Region); w.str(k.Net) }
 
+// appendCRC closes a checksummed form — snapshot, sketch page, key inventory
+// or WAL record — with the CRC-32 (IEEE) of b[base:], little-endian.
+func appendCRC(b []byte, base int) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[base:]))
+}
+
+// checkCRC splits a form appendCRC closed into its body and trailer and
+// reports whether they agree. The caller has checked len(data) >= 4.
+func checkCRC(data []byte) (body []byte, sum uint32, ok bool) {
+	body, sum = data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	return body, sum, crc32.ChecksumIEEE(body) == sum
+}
+
 // keySize is the encoded length of key(k).
 func keySize(k Key) int { return 12 + len(k.Metric) + len(k.Region) + len(k.Net) }
 
@@ -163,8 +176,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		}
 	}
 
-	w.u32(crc32.ChecksumIEEE(w.b))
-	return w.b
+	return appendCRC(w.b, 0)
 }
 
 // WriteFileAtomic replaces path with data so that a crash at any point
@@ -262,8 +274,8 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 	if [8]byte(data[:8]) != snapMagic {
 		return nil, fmt.Errorf("telemetry: snapshot: bad magic/version %q", data[:8])
 	}
-	payload, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != sum {
+	payload, sum, ok := checkCRC(data)
+	if !ok {
 		return nil, fmt.Errorf("telemetry: snapshot: checksum mismatch")
 	}
 	r := &snapReader{b: payload, off: 8}

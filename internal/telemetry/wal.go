@@ -19,20 +19,25 @@ import (
 	"edgescope/internal/obs"
 )
 
-// Write-ahead log. Each ingest shard owns an append-only JSONL log of the
-// envelopes it folded (the Envelope wire codec, reused verbatim), split into
-// one segment file per rollup window — wal-<windowStartMs>.jsonl under
-// <dir>/shard-<i>/ — so retention eviction can unlink a whole window's
-// durability in one operation and recovery can replay windows independently.
+// Write-ahead log. Each ingest shard owns an append-only log of the
+// envelopes it folded, framed and checksummed record by record
+// (walrecord.go), split into one segment file per rollup window —
+// wal-<windowStartMs>.rec under <dir>/shard-<i>/ — so retention eviction can
+// unlink a whole window's durability in one operation and recovery can
+// replay windows independently. A segment keeps the format it was created
+// in: a JSONL segment (wal-<windowStartMs>.jsonl, one Envelope wire line per
+// record) that an older build left is replayed, and appended to, as JSONL.
 // The worker appends under the shard lock immediately before folding, so
 // per-segment record order IS fold order, which is what makes replay
 // reconstruct every sketch bit-for-bit.
 //
 // Durability contract: a record is durable once the shard has fsynced past
 // it (every SyncEvery appends, on SyncWAL, and on Close). A crash loses at
-// most the unsynced suffix; a torn final record (a write cut mid-line) is
+// most the unsynced suffix; a torn final record (a write cut mid-record) is
 // detected and truncated on recovery, never replayed and never allowed to
-// corrupt subsequent appends. A sync flushes and fsyncs the segments written
+// corrupt subsequent appends. Appends go through one write buffer per shard,
+// flushed to its segment whenever appends switch segment, at every sync and
+// before the segment closes. A sync flushes and fsyncs the segments written
 // since the previous one — a clean segment's bytes were made durable by the
 // sync that cleaned it — and creating or unlinking a segment fsyncs the shard
 // directory, so the file's name is as durable as its records and an evicted
@@ -40,25 +45,27 @@ import (
 // fsyncs its parent likewise. Every call reaches the disk through fsys
 // (fsys.go).
 
-// walSuffix and walPrefix name segment files.
+// walPrefix and a suffix name segment files: walSuffix for framed records,
+// legacySuffix for the JSONL segments of older builds.
 const (
-	walPrefix = "wal-"
-	walSuffix = ".jsonl"
+	walPrefix    = "wal-"
+	walSuffix    = ".rec"
+	legacySuffix = ".jsonl"
 )
 
 // maxOpenSegments bounds per-shard file handles. Appends target the current
 // window almost always; a late event reopens its older segment on demand.
 const maxOpenSegments = 8
 
-// walBufSize is the per-segment write buffer. Large enough that the fsync
+// walBufSize is the per-shard write buffer. Large enough that the fsync
 // cadence, not buffer pressure, decides when bytes reach the OS.
 const walBufSize = 64 * 1024
 
 type walSeg struct {
-	start int64
-	f     file
-	bw    *bufio.Writer
-	dirty bool // holds bytes written since its last fsync; listed in shardWAL.dirty
+	start  int64
+	f      file
+	legacy bool // a JSONL segment: its records are appended as JSONL
+	dirty  bool // holds bytes written since its last fsync; listed in shardWAL.dirty
 }
 
 // shardWAL is one shard's log. All methods are called with the owning
@@ -70,6 +77,14 @@ type shardWAL struct {
 	syncEvery int
 
 	open map[int64]*walSeg // open segment handles by window start
+	// bw buffers the appends to cur, the segment written last; it is
+	// flushed there before appends switch segment, at every sync and before
+	// cur closes. With no cur it is empty, and nil before the first append.
+	bw  *bufio.Writer
+	cur *walSeg
+	// legacy holds the window starts whose segment is JSONL: recovery finds
+	// them, and nothing else creates one.
+	legacy map[int64]bool
 	// dirty lists the open segments written since their last fsync — in
 	// steady state the newest window's alone — so a sync costs what was
 	// written, not what is open.
@@ -141,7 +156,16 @@ func mkdirDurable(fs fsys, dir string) error {
 }
 
 func (w *shardWAL) segPath(start int64) string {
-	return filepath.Join(w.dir, walPrefix+strconv.FormatInt(start, 10)+walSuffix)
+	return segFile(w.dir, start, w.legacy[start])
+}
+
+// segFile names the segment of the window at start in dir.
+func segFile(dir string, start int64, legacy bool) string {
+	suffix := walSuffix
+	if legacy {
+		suffix = legacySuffix
+	}
+	return filepath.Join(dir, walPrefix+strconv.FormatInt(start, 10)+suffix)
 }
 
 // openSeg returns the segment for a window start, opening (append mode) or
@@ -165,8 +189,7 @@ func (w *shardWAL) openSeg(start int64) (*walSeg, error) {
 			}
 			w.undirty(seg)
 		}
-		seg.f.Close()
-		delete(w.open, oldest)
+		w.closeSeg(seg)
 	}
 	path := w.segPath(start)
 	f, err := w.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND)
@@ -181,7 +204,7 @@ func (w *shardWAL) openSeg(start int64) (*walSeg, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := &walSeg{start: start, f: f, bw: bufio.NewWriterSize(f, walBufSize)}
+	seg := &walSeg{start: start, f: f, legacy: w.legacy[start]}
 	w.open[start] = seg
 	if created && w.claims[start] {
 		w.appendCtl(start, walCtl{Ctl: ctlFresh, Stale: w.snaps})
@@ -210,8 +233,10 @@ func (w *shardWAL) wroteSnapshot() {
 // syncSeg pushes one segment's buffered bytes to the OS and fsyncs the file.
 // The segment stays dirty on failure; the caller owns w.err and w.dirty.
 func (w *shardWAL) syncSeg(seg *walSeg) error {
-	if err := seg.bw.Flush(); err != nil {
-		return err
+	if seg == w.cur {
+		if err := w.bw.Flush(); err != nil {
+			return err
+		}
 	}
 	if err := seg.f.Sync(); err != nil {
 		return err
@@ -219,6 +244,17 @@ func (w *shardWAL) syncSeg(seg *walSeg) error {
 	seg.dirty = false
 	w.fileFsyncsC.Inc()
 	return nil
+}
+
+// closeSeg closes a segment's handle. Bytes of it still buffered are
+// dropped: the caller has flushed them, or is discarding the segment.
+func (w *shardWAL) closeSeg(seg *walSeg) {
+	if seg == w.cur {
+		w.bw.Reset(nil)
+		w.cur = nil
+	}
+	seg.f.Close()
+	delete(w.open, seg.start)
 }
 
 // undirty takes a segment that is about to be closed off the dirty list.
@@ -241,7 +277,11 @@ func (w *shardWAL) append(e Envelope, start int64) {
 		w.err = err
 		return
 	}
-	w.line, err = AppendJSONL(w.line[:0], e)
+	if seg.legacy {
+		w.line, err = AppendJSONL(w.line[:0], e)
+	} else {
+		w.line, err = appendEnvelopeRecord(w.line[:0], e)
+	}
 	if err != nil {
 		w.err = err
 		return
@@ -249,17 +289,27 @@ func (w *shardWAL) append(e Envelope, start int64) {
 	w.write(seg, start, w.line)
 }
 
-// write puts one encoded record (envelope or control, newline included) on
-// its segment and does the accounting every record shares: the segment's
-// record count, the durability lag and fsync cadence, and the checkpoint
-// trigger's records-and-bytes-since.
+// write puts one encoded record (envelope or control, framed or a JSONL
+// line) on its segment and does the accounting every record shares: the
+// segment's record count, the durability lag and fsync cadence, and the
+// checkpoint trigger's records-and-bytes-since.
 func (w *shardWAL) write(seg *walSeg, start int64, line []byte) {
+	if seg != w.cur {
+		if w.bw == nil {
+			w.bw = bufio.NewWriterSize(seg.f, walBufSize)
+		} else if err := w.bw.Flush(); err != nil {
+			w.err = err
+			return
+		}
+		w.bw.Reset(seg.f)
+		w.cur = seg
+	}
 	// Dirty before the write: a failed one may still have pushed bytes out.
 	if !seg.dirty {
 		seg.dirty = true
 		w.dirty = append(w.dirty, seg)
 	}
-	if _, err := seg.bw.Write(line); err != nil {
+	if _, err := w.bw.Write(line); err != nil {
 		w.err = err
 		return
 	}
@@ -323,15 +373,17 @@ func (w *shardWAL) sync() error {
 // dropSegment removes a window's durability when retention evicts it: the
 // handle is closed unflushed (the data is being discarded), the file
 // unlinked and the unlink fsynced, so no power loss brings the window back
-// into a recovery that a DropPartition since left under MaxWindows.
+// into a recovery that a DropPartition since left under MaxWindows. A
+// segment created for the window again is framed, whatever this one was.
 func (w *shardWAL) dropSegment(start int64) {
 	if seg, ok := w.open[start]; ok {
 		w.undirty(seg)
-		seg.f.Close()
-		delete(w.open, start)
+		w.closeSeg(seg)
 	}
 	delete(w.records, start)
-	err := w.fs.Remove(w.segPath(start))
+	path := w.segPath(start)
+	delete(w.legacy, start)
+	err := w.fs.Remove(path)
 	if err == nil {
 		err = w.fs.SyncDir(w.dir)
 	}
@@ -352,9 +404,8 @@ func (w *shardWAL) closeFiles() error {
 // unsynced suffix the durability contract allows to disappear.
 func (w *shardWAL) abort() {
 	for _, seg := range w.open {
-		seg.f.Close()
+		w.closeSeg(seg)
 	}
-	w.open = map[int64]*walSeg{}
 	w.dirty = nil
 }
 
@@ -363,30 +414,47 @@ func (w *shardWAL) abort() {
 func (w *shardWAL) lag() uint64 { return w.appended - w.synced }
 
 // listSegments returns the window starts of every segment file in the
-// shard's directory, ascending. Unparseable names are ignored (they are not
-// WAL segments).
-func listSegments(fs fsys, dir string) ([]int64, error) {
+// shard's directory, ascending, and which of them are JSONL. Unparseable
+// names are ignored (they are not WAL segments). A window with a segment of
+// each format is an error: this build never creates the second.
+func listSegments(fs fsys, dir string) (starts []int64, legacy map[int64]bool, err error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
+			return nil, nil, nil
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	var starts []int64
 	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasPrefix(name, walPrefix) || !strings.HasSuffix(name, walSuffix) {
+		num, ok := strings.CutPrefix(ent.Name(), walPrefix)
+		if !ok {
 			continue
 		}
-		start, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimPrefix(name, walPrefix), walSuffix), 10, 64)
+		isLegacy := false
+		if num, ok = strings.CutSuffix(num, walSuffix); !ok {
+			if num, isLegacy = strings.CutSuffix(num, legacySuffix); !isLegacy {
+				continue
+			}
+		}
+		start, err := strconv.ParseInt(num, 10, 64)
 		if err != nil {
 			continue
+		}
+		if isLegacy {
+			if legacy == nil {
+				legacy = map[int64]bool{}
+			}
+			legacy[start] = true
 		}
 		starts = append(starts, start)
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	return starts, nil
+	for i := 1; i < len(starts); i++ {
+		if starts[i] == starts[i-1] {
+			return nil, nil, fmt.Errorf("%w: %s holds a framed and a JSONL segment of window %d", errWALCorrupt, dir, starts[i])
+		}
+	}
+	return starts, legacy, nil
 }
 
 // errWALCorrupt marks mid-segment corruption (vs a tolerable torn tail).
@@ -395,27 +463,32 @@ var errWALCorrupt = errors.New("telemetry: wal segment corrupt")
 // readWALSegment replays one segment, calling fn for every valid envelope
 // record and ctlFn for every control record (handoff.go: absorbed rollups
 // and partition drops), in append order; both kinds count toward records,
-// so snapshot applied counts cover them uniformly. Two failure shapes are
-// distinguished:
+// so snapshot applied counts cover them uniformly. The file's suffix picks
+// the format: framed records (walrecord.go readRecords) or JSONL. Two
+// failure shapes are distinguished:
 //
-//   - A torn tail — trailing bytes with no final newline, the footprint of a
-//     write cut by a crash — is tolerated: replay stops at the last durable
-//     record and returns torn=true with validEnd positioned after it, so the
-//     caller can truncate before appending again. A record is only ever
-//     acknowledged as durable after its newline reached the OS, so nothing
-//     acknowledged is ever dropped here.
-//   - A malformed line that IS newline-terminated, or any decode failure
-//     before the tail, is real corruption: a positioned error wrapping
-//     errWALCorrupt, never a silent skip — durable data that cannot be
-//     replayed must fail recovery loudly.
+//   - A torn tail — a final record the end of the file cut short, the
+//     footprint of a write cut by a crash — is tolerated: replay stops at the
+//     last durable record and returns torn=true with validEnd positioned
+//     after it, so the caller can truncate before appending again. A record
+//     is only ever acknowledged as durable after all of it reached the OS,
+//     so nothing acknowledged is ever dropped here.
+//   - A complete record that does not check or decode is real corruption: a
+//     positioned error wrapping errWALCorrupt, never a silent skip — durable
+//     data that cannot be replayed must fail recovery loudly.
 func readWALSegment(fs fsys, path string, fn func(Envelope), ctlFn func(walCtl)) (records uint64, validEnd int64, torn bool, err error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	// No cap on a record: an absorb control record is as large as the
-	// rollups it carries.
+	if !strings.HasSuffix(path, legacySuffix) {
+		return readRecords(f, path, fn, ctlFn)
+	}
+	// A JSONL record ends at its newline: bytes with none after them are a
+	// torn tail, and a newline-terminated line that does not decode is
+	// corruption. No cap on a line: an absorb control record is as large as
+	// the rollups it carries.
 	lr := lineReader{br: bufio.NewReaderSize(f, walBufSize), max: math.MaxInt}
 	var tab internTable
 	var offset int64

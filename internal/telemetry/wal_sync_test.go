@@ -13,7 +13,7 @@ import (
 // fsync per segment written since the last one — never one per open handle —
 // and everything the contract calls durable is still on disk after a crash.
 // One shard and one-second windows throughout, so window w is segment
-// wal-<winStart(w)>.jsonl of shard 0 and the counters read are that shard's.
+// wal-<winStart(w)>.rec of shard 0 and the counters read are that shard's.
 
 func walSyncCfg(dir string, syncEvery int) Config {
 	return Config{Shards: 1, QueueLen: 64, Block: true, Window: time.Second,

@@ -16,8 +16,9 @@
 #     non-test struct is read by non-test code, or listed there too)
 #   → race tests (concurrency-bearing packages)
 #   → short fuzz passes (wire decoder + the durability surfaces: WAL
-#     segment replay, snapshot decode, sketch codec, sketch-page and
-#     key-inventory codecs; the shard key index against a flat-map scan;
+#     segment replay, the WAL record codec, snapshot decode, sketch codec,
+#     sketch-page and key-inventory codecs, the crash states of a power
+#     cut; the shard key index against a flat-map scan;
 #     the sketch flush kernel against its scalar reference; the envelope
 #     and /keys JSON kernels against encoding/json; the AVX2 exp and LSTM
 #     kernels against their portable Go)
@@ -117,12 +118,16 @@ go test -race ./internal/core/ ./internal/crowd/ ./internal/par/ ./internal/pred
 echo "== fuzz (telemetry decoder, 5s) =="
 go test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 5s ./internal/telemetry/
 
-echo "== fuzz (durability surfaces: WAL replay, snapshot, sketch, sketch-page + key-inventory codecs; 3s each) =="
+echo "== fuzz (durability surfaces: WAL replay, WAL records, snapshot, sketch, sketch-page + key-inventory codecs; 3s each) =="
 go test -run xxx -fuzz FuzzWALSegmentReplay -fuzztime 3s ./internal/telemetry/
+go test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSnapshotDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchPageDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzKeyInventoryDecode -fuzztime 3s ./internal/telemetry/
 go test -run xxx -fuzz FuzzSketchUnmarshalBinary -fuzztime 3s ./internal/stats/
+
+echo "== fuzz (crash states of a power cut, 5s) =="
+go test -run xxx -fuzz FuzzCrashStates -fuzztime 5s -fuzzminimizetime 10x ./internal/telemetry/
 
 echo "== fuzz (shard key index ≡ flat-map scan, 3s) =="
 go test -run xxx -fuzz FuzzShardIndexMatchesScan -fuzztime 3s ./internal/telemetry/
@@ -347,11 +352,11 @@ echo "  killed n1: /query answers partial, naming the missing member and exactly
 # README's restart bound, from what the kill left on disk: per shard, the
 # replayed WAL suffix holds fewer records than -snapshot-every (4096, the
 # default these nodes run with) or fewer bytes than the checkpoint beside it
-# (an envelope record is at least 64 bytes).
+# (no framed WAL record is smaller than 28 bytes: TestSmallestEnvelopeRecord).
 replay_bound=0
 for shard in "$smoke"/cluster-n1/shard-*; do
   snap_bytes=$(stat -c %s "$shard/snapshot.bin" 2>/dev/null || echo 0)
-  per_shard=$((snap_bytes / 64 + 1))
+  per_shard=$((snap_bytes / 28 + 1))
   if [[ "$per_shard" -lt 4096 ]]; then per_shard=4096; fi
   replay_bound=$((replay_bound + per_shard))
 done
