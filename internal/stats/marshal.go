@@ -44,12 +44,17 @@ func (sk *Sketch) AppendBinary(dst []byte) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sk.centroids)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(sk.buf)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(sk.buffered()))
 	for _, c := range sk.centroids {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Mean))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Weight))
 	}
-	for _, c := range sk.buf {
+	one := math.Float64bits(1)
+	for _, m := range sk.buf {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m))
+		dst = binary.LittleEndian.AppendUint64(dst, one)
+	}
+	for _, c := range sk.pairs {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Mean))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Weight))
 	}
@@ -62,11 +67,11 @@ const sketchBinHeader = 4 + 4*8 + 2*4
 // BinarySize is the exact length of the sketch's current MarshalBinary
 // encoding, so a writer packing many sketches can size its buffer once.
 func (sk *Sketch) BinarySize() int {
-	return sketchBinHeader + 16*(len(sk.centroids)+len(sk.buf))
+	return sketchBinHeader + 16*(len(sk.centroids)+sk.buffered())
 }
 
 // sketchWire is the validated fixed-size prefix of a MarshalBinary encoding.
-// parseSketchWire and readPoints together are THE decode gate: both
+// parseSketchWire and ok together are THE decode gate: both
 // UnmarshalBinary and AbsorbBinary go through them, so the two accept and
 // reject exactly the same inputs.
 type sketchWire struct {
@@ -121,73 +126,128 @@ func parseSketchWire(data []byte) (sketchWire, error) {
 	return h, nil
 }
 
-// readPoints validates the n wire points at off — finite means inside
-// [min,max], finite positive weights, ascending means when sorted — and
-// appends them to dst in wire order, returning total plus their weight.
-func (h sketchWire) readPoints(dst []Centroid, total float64, data []byte, off, n int, sorted bool) ([]Centroid, float64, error) {
+// ok is the gate every wire point passes: a finite mean inside [min,max],
+// a finite positive weight, and with sorted a mean no smaller than prev
+// (min and max are finite whenever there are points).
+func (h *sketchWire) ok(mean, weight, prev float64, sorted bool) bool {
+	return mean >= h.min && mean <= h.max && weight > 0 && weight <= math.MaxFloat64 && (!sorted || mean >= prev)
+}
+
+// pointErr says why point i failed ok.
+func (h *sketchWire) pointErr(i int, mean, weight float64) error {
+	if !(mean >= h.min && mean <= h.max) {
+		return fmt.Errorf("stats: sketch decode: point %d mean %v outside [%v,%v]", i, mean, h.min, h.max)
+	}
+	if !(weight > 0 && weight <= math.MaxFloat64) {
+		return fmt.Errorf("stats: sketch decode: point %d weight %v", i, weight)
+	}
+	return fmt.Errorf("stats: sketch decode: centroid %d mean %v out of order", i, mean)
+}
+
+// readPoints checks the n wire points at off and appends them to dst in
+// wire order, returning total plus their weight.
+func (h *sketchWire) readPoints(dst []Centroid, total float64, data []byte, off, n int, sorted bool) ([]Centroid, float64, error) {
 	prev := math.Inf(-1)
 	for i := 0; i < n; i++ {
 		mean, weight := wireF64(data, off+16*i), wireF64(data, off+16*i+8)
-		if math.IsNaN(mean) || math.IsInf(mean, 0) || mean < h.min || mean > h.max {
-			return dst, 0, fmt.Errorf("stats: sketch decode: point %d mean %v outside [%v,%v]", i, mean, h.min, h.max)
+		if !h.ok(mean, weight, prev, sorted) {
+			return dst, 0, h.pointErr(i, mean, weight)
 		}
-		if math.IsNaN(weight) || math.IsInf(weight, 0) || weight <= 0 {
-			return dst, 0, fmt.Errorf("stats: sketch decode: point %d weight %v", i, weight)
-		}
-		if sorted && mean < prev {
-			return dst, 0, fmt.Errorf("stats: sketch decode: centroid %d mean %v out of order", i, mean)
-		}
-		prev = mean
-		total += weight
+		prev, total = mean, total+weight
 		dst = append(dst, Centroid{Mean: mean, Weight: weight})
 	}
 	return dst, total, nil
 }
 
-// appendPoints appends the encoding's centroids, then its buffered points,
-// to dst — the order Merge and Absorb fold them in — after validating each,
-// and reconciles their total weight with the recorded count (within float
-// accumulation slack) so a corrupt count cannot skew every quantile. On
-// error dst's contents up to its original length are untouched.
-func (h sketchWire) appendPoints(dst []Centroid, data []byte) ([]Centroid, error) {
-	dst, total, err := h.readPoints(dst, 0, data, sketchBinHeader, h.nCentroids, true)
-	if err != nil {
-		return dst, err
+// readMeans is readPoints for points that all weigh 1 (wireUnit): it
+// appends their means alone.
+func (h *sketchWire) readMeans(dst []float64, total float64, data []byte, off, n int, sorted bool) ([]float64, float64, error) {
+	prev := math.Inf(-1)
+	for i := 0; i < n; i++ {
+		mean, weight := wireF64(data, off+16*i), wireF64(data, off+16*i+8)
+		if !h.ok(mean, weight, prev, sorted) {
+			return dst, 0, h.pointErr(i, mean, weight)
+		}
+		prev, total = mean, total+weight
+		dst = append(dst, mean)
 	}
-	dst, total, err = h.readPoints(dst, total, data, sketchBinHeader+16*h.nCentroids, h.nBuf, false)
-	if err != nil {
-		return dst, err
+	return dst, total, nil
+}
+
+// bufOff is the offset of the encoding's first buffered point.
+func (h *sketchWire) bufOff() int { return sketchBinHeader + 16*h.nCentroids }
+
+// wireUnit reports whether the encoding's n points at off all weigh 1:
+// then they can be buffered as their means alone.
+func wireUnit(data []byte, off, n int) bool {
+	for i := 0; i < n; i++ {
+		if wireF64(data, off+16*i+8) != 1 {
+			return false
+		}
 	}
+	return true
+}
+
+// countMatches reconciles the points' total weight with the recorded count
+// (within float accumulation slack), so a corrupt count cannot skew every
+// quantile.
+func (h *sketchWire) countMatches(total float64) error {
 	if math.Abs(total-h.count) > 1e-6*math.Max(1, math.Abs(h.count)) {
-		return dst, fmt.Errorf("stats: sketch decode: count %v != total weight %v", h.count, total)
+		return fmt.Errorf("stats: sketch decode: count %v != total weight %v", h.count, total)
 	}
-	return dst, nil
+	return nil
 }
 
 // UnmarshalBinary decodes a MarshalBinary encoding into sk, replacing its
 // state. Arbitrary or corrupt input yields an error, never a panic and never
 // a sketch that violates its own invariants: lengths are checked against the
 // actual payload size before any allocation, every float must be finite
-// where the sketch requires it, and weights must be positive.
+// where the sketch requires it, and weights must be positive. Buffered
+// points that all weigh 1 decode into their means alone.
 func (sk *Sketch) UnmarshalBinary(data []byte) error {
 	h, err := parseSketchWire(data)
 	if err != nil {
 		return err
 	}
-	var points []Centroid
-	if n := h.nCentroids + h.nBuf; n > 0 {
-		if points, err = h.appendPoints(make([]Centroid, 0, n), data); err != nil {
-			return err
+	var (
+		points []Centroid
+		buf    []float64
+		total  float64
+	)
+	unit := wireUnit(data, h.bufOff(), h.nBuf)
+	if n := h.nCentroids; n > 0 || !unit {
+		// One backing array for the centroids and any weighted buffered
+		// points, split below with full slice expressions so an append to
+		// the centroid list can never run into the buffered points.
+		if !unit {
+			n += h.nBuf
 		}
+		points = make([]Centroid, 0, n)
+	}
+	if points, total, err = h.readPoints(points, 0, data, sketchBinHeader, h.nCentroids, true); err != nil {
+		return err
+	}
+	switch {
+	case !unit:
+		points, total, err = h.readPoints(points, total, data, h.bufOff(), h.nBuf, false)
+	case h.nBuf > 0:
+		buf, total, err = h.readMeans(make([]float64, 0, h.nBuf), total, data, h.bufOff(), h.nBuf, false)
+	}
+	if err != nil {
+		return err
+	}
+	if err := h.countMatches(total); err != nil {
+		return err
 	}
 	sk.compression = h.compression
 	sk.count = h.count
 	sk.min = h.min
 	sk.max = h.max
-	// One backing array, split with full slice expressions so an append to
-	// the centroid list can never run into the buffered points.
 	sk.centroids = points[:h.nCentroids:h.nCentroids]
-	sk.buf = points[h.nCentroids:]
+	sk.buf, sk.pairs = buf, points[h.nCentroids:]
+	if len(sk.pairs) == 0 {
+		sk.pairs = nil
+	}
 	return nil
 }
 
@@ -206,9 +266,31 @@ func (sk *Sketch) AbsorbBinary(data []byte) error {
 	if h.count == 0 {
 		return nil
 	}
-	base := len(sk.buf)
-	if sk.buf, err = h.appendPoints(sk.buf, data); err != nil {
-		sk.buf = sk.buf[:base]
+	baseBuf, basePairs := len(sk.buf), len(sk.pairs)
+	var total float64
+	if basePairs == 0 && wireUnit(data, sketchBinHeader, h.nCentroids+h.nBuf) {
+		sk.buf, total, err = h.readMeans(sk.buf, 0, data, sketchBinHeader, h.nCentroids, true)
+		if err == nil {
+			sk.buf, total, err = h.readMeans(sk.buf, total, data, h.bufOff(), h.nBuf, false)
+		}
+	} else {
+		sk.weigh()
+		sk.pairs, total, err = h.readPoints(sk.pairs, 0, data, sketchBinHeader, h.nCentroids, true)
+		if err == nil {
+			sk.pairs, total, err = h.readPoints(sk.pairs, total, data, h.bufOff(), h.nBuf, false)
+		}
+	}
+	if err == nil {
+		err = h.countMatches(total)
+	}
+	if err != nil {
+		if basePairs == 0 && len(sk.pairs) > 0 {
+			// weigh moved the buffered means to pairs: move them back.
+			for _, c := range sk.pairs[:baseBuf] {
+				sk.buf = append(sk.buf, c.Mean)
+			}
+		}
+		sk.buf, sk.pairs = sk.buf[:baseBuf], sk.pairs[:basePairs]
 		return err
 	}
 	sk.absorbed(h.count, h.min, h.max)

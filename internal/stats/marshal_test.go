@@ -75,15 +75,15 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 // sketch: the buffer must survive a marshal unflushed.
 func TestSketchBinaryNoFlush(t *testing.T) {
 	sk := mkSketch(150, DefaultCompression) // below the 4δ flush threshold
-	if len(sk.buf) == 0 {
+	if sk.buffered() == 0 {
 		t.Fatal("test premise broken: expected unflushed buffer")
 	}
-	before := len(sk.buf)
+	before := sk.buffered()
 	if _, err := sk.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sk.buf) != before {
-		t.Fatalf("MarshalBinary flushed the buffer: %d -> %d", before, len(sk.buf))
+	if sk.buffered() != before {
+		t.Fatalf("MarshalBinary flushed the buffer: %d -> %d", before, sk.buffered())
 	}
 }
 
@@ -156,7 +156,7 @@ func TestAbsorbBinaryEqualsUnmarshalAbsorb(t *testing.T) {
 			// Shift each part so the merged stream is not one distribution
 			// repeated: compaction then actually reorders points.
 			shifted := NewSketch(DefaultCompression)
-			for _, c := range append(append([]Centroid(nil), part.centroids...), part.buf...) {
+			for _, c := range part.AppendPoints(nil) {
 				if err := shifted.AddWeighted(c.Mean+float64(x>>40%97), c.Weight); err != nil {
 					t.Fatal(err)
 				}

@@ -42,20 +42,29 @@ import (
 //
 // # Memory
 //
-// A sketch holds its centroids and the points buffered since its last
-// flush — fewer than 4δ from Add, fewer than 8δ after Absorb — at 16 bytes
-// each. Appends leave spare capacity behind them; Footprint reports the
-// bytes both lists hold by capacity, and Trim releases the spare room once
-// no more points are expected, changing no answer and no encoding.
+// A sketch holds its centroids — 16 bytes each, a mean and a weight — and
+// the points buffered since its last flush: fewer than 4δ from Add, fewer
+// than 8δ after Absorb. While every buffered point has weight 1 (all Add
+// gives) a buffered point costs 8 bytes, its mean alone; once a point of
+// another weight is buffered, the buffer holds (mean, weight) pairs, 16
+// bytes a point, until the next flush empties it. Appends leave spare
+// capacity behind them; Footprint reports the bytes the lists hold by
+// capacity, and Trim releases the spare room once no more points are
+// expected, changing no answer and no encoding.
 //
 // A Sketch is not safe for concurrent use; the telemetry ingest layer gives
 // each shard a single writer and locks rollups during query merges.
 type Sketch struct {
 	compression float64
 	centroids   []Centroid // sorted by Mean after flush
-	buf         []Centroid // unsorted incoming points
-	count       float64
-	min, max    float64
+	// The points buffered since the last flush, in arrival order, are in
+	// one of two lists, the other empty: buf holds their means while every
+	// one weighs 1, pairs holds them whole once one does not (weigh moves
+	// buf's points there).
+	buf      []float64
+	pairs    []Centroid
+	count    float64
+	min, max float64
 }
 
 // Centroid is one weighted point of a sketch.
@@ -97,7 +106,12 @@ func (sk *Sketch) AddWeighted(x, w float64) error {
 	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		return fmt.Errorf("stats: sketch rejects weight %v", w)
 	}
-	sk.buf = append(sk.buf, Centroid{Mean: x, Weight: w})
+	if w != 1 || len(sk.pairs) > 0 {
+		sk.weigh()
+		sk.pairs = append(sk.pairs, Centroid{Mean: x, Weight: w})
+	} else {
+		sk.buf = append(sk.buf, x)
+	}
 	sk.count += w
 	if x < sk.min {
 		sk.min = x
@@ -105,7 +119,7 @@ func (sk *Sketch) AddWeighted(x, w float64) error {
 	if x > sk.max {
 		sk.max = x
 	}
-	if len(sk.buf) >= 4*int(sk.compression) {
+	if sk.buffered() >= 4*int(sk.compression) {
 		sk.flush()
 	}
 	return nil
@@ -130,8 +144,14 @@ func (sk *Sketch) Absorb(other *Sketch) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	sk.buf = append(sk.buf, other.centroids...)
-	sk.buf = append(sk.buf, other.buf...)
+	sk.pushCentroids(other.centroids)
+	if len(other.pairs) > 0 {
+		sk.pushCentroids(other.pairs)
+	} else if len(sk.pairs) > 0 {
+		sk.pairs = appendUnit(sk.pairs, other.buf)
+	} else {
+		sk.buf = append(sk.buf, other.buf...)
+	}
 	sk.absorbed(other.count, other.min, other.max)
 }
 
@@ -141,7 +161,57 @@ func (sk *Sketch) Absorb(other *Sketch) {
 // can copy out under a lock and fold later (AbsorbPoints) without a Clone
 // per sketch.
 func (sk *Sketch) AppendPoints(dst []Centroid) []Centroid {
-	return append(append(dst, sk.centroids...), sk.buf...)
+	return sk.appendBuffered(append(dst, sk.centroids...))
+}
+
+// buffered is the number of points buffered since the last flush.
+func (sk *Sketch) buffered() int { return len(sk.buf) + len(sk.pairs) }
+
+// weigh readies the buffer for a point of any weight: buf's points move to
+// pairs, as (mean, 1).
+func (sk *Sketch) weigh() {
+	if len(sk.buf) > 0 {
+		sk.pairs = appendUnit(sk.pairs, sk.buf)
+		sk.buf = sk.buf[:0]
+	}
+}
+
+// appendUnit appends the points with the given means, each of weight 1.
+func appendUnit(dst []Centroid, means []float64) []Centroid {
+	dst = slices.Grow(dst, len(means))
+	for _, m := range means {
+		dst = append(dst, Centroid{Mean: m, Weight: 1})
+	}
+	return dst
+}
+
+// appendBuffered appends the buffered points to dst, in arrival order.
+func (sk *Sketch) appendBuffered(dst []Centroid) []Centroid {
+	return append(appendUnit(dst, sk.buf), sk.pairs...)
+}
+
+// pushCentroids buffers pts in order: as means while every one of them
+// and every point buffered so far weighs 1, else as pairs.
+func (sk *Sketch) pushCentroids(pts []Centroid) {
+	if len(sk.pairs) == 0 && unitWeights(pts) {
+		sk.buf = slices.Grow(sk.buf, len(pts))
+		for _, c := range pts {
+			sk.buf = append(sk.buf, c.Mean)
+		}
+		return
+	}
+	sk.weigh()
+	sk.pairs = append(sk.pairs, pts...)
+}
+
+// unitWeights reports whether every point of pts weighs 1.
+func unitWeights(pts []Centroid) bool {
+	for _, c := range pts {
+		if c.Weight != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // AbsorbPoints folds in one sketch's points, count and range as copied out
@@ -153,7 +223,7 @@ func (sk *Sketch) AbsorbPoints(pts []Centroid, count, min, max float64) {
 	if count == 0 {
 		return
 	}
-	sk.buf = append(sk.buf, pts...)
+	sk.pushCentroids(pts)
 	sk.absorbed(count, min, max)
 }
 
@@ -161,36 +231,58 @@ func (sk *Sketch) AbsorbPoints(pts []Centroid, count, min, max float64) {
 // point lists, so one sketch can fold many independent streams in turn
 // without allocating a fresh 8δ buffer for each.
 func (sk *Sketch) Reset() {
-	sk.centroids, sk.buf = sk.centroids[:0], sk.buf[:0]
+	sk.centroids, sk.buf, sk.pairs = sk.centroids[:0], sk.buf[:0], sk.pairs[:0]
 	sk.count, sk.min, sk.max = 0, math.Inf(1), math.Inf(-1)
 }
 
-// Trim releases the spare capacity of the sketch's point lists: centroids
-// and buffered points move into one backing array of their exact combined
-// length, split as UnmarshalBinary splits it. Content, Count, Min and Max
-// are untouched, so every answer and encoding is bit-identical. A trimmed
-// sketch still accepts points; the next append regrows the buffer alone. A
-// sketch whose lists are already exact is left alone without allocating.
-// The telemetry ingest calls it on a window's rollups once the window has
+// trimSlack is the spare room, in bytes, Trim leaves in place: releasing
+// it would cost an allocation and a copy per list for less than a cache
+// line, and a closed window's sparse rollups hold about that much.
+const trimSlack = 64
+
+// Trim releases the spare capacity of the sketch's point lists: each moves
+// into an array of its exact length, and buffered pairs that all weigh 1
+// go back to means. Content, Count, Min and Max are untouched, so every
+// answer and encoding is bit-identical. A trimmed sketch still accepts
+// points; the next append regrows the buffer alone. A sketch with at most
+// trimSlack bytes to release is left alone without allocating. The
+// telemetry ingest calls it on a window's rollups once the window has
 // closed: a closed window gains nothing from room to buffer more points.
 func (sk *Sketch) Trim() {
-	nc, nb := len(sk.centroids), len(sk.buf)
-	if cap(sk.centroids) == nc && cap(sk.buf) == nb {
+	unweigh := len(sk.pairs) > 0 && unitWeights(sk.pairs)
+	spare := 16*(cap(sk.centroids)-len(sk.centroids)+cap(sk.pairs)-len(sk.pairs)) + 8*(cap(sk.buf)-len(sk.buf))
+	if unweigh {
+		spare += 8 * len(sk.pairs)
+	}
+	if spare <= trimSlack {
 		return
 	}
-	var points []Centroid
-	if nc+nb > 0 {
-		points = append(append(make([]Centroid, 0, nc+nb), sk.centroids...), sk.buf...)
+	sk.centroids = exactCopy(sk.centroids)
+	if unweigh {
+		sk.buf = make([]float64, len(sk.pairs))
+		for i, c := range sk.pairs {
+			sk.buf[i] = c.Mean
+		}
+		sk.pairs = nil
+		return
 	}
-	sk.centroids = points[:nc:nc]
-	sk.buf = points[nc:]
+	sk.buf, sk.pairs = exactCopy(sk.buf), exactCopy(sk.pairs)
 }
 
-// Footprint is the bytes the sketch's two point lists hold, by capacity:
-// what a retained sketch costs beyond its fixed header. After Trim it is 16
-// bytes per centroid and buffered point.
+// exactCopy is a copy of s in an array of its length, nil when s is empty.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// Footprint is the bytes the sketch's point lists hold, by capacity: what a
+// retained sketch costs beyond its fixed header. After Trim it is 16 bytes
+// a centroid and 8 a buffered point — 16 while a buffered point of a
+// weight other than 1 is among them.
 func (sk *Sketch) Footprint() int {
-	return 16 * (cap(sk.centroids) + cap(sk.buf))
+	return 16*(cap(sk.centroids)+cap(sk.pairs)) + 8*cap(sk.buf)
 }
 
 // absorbed is the one tail every fold of a whole sketch shares (Merge,
@@ -205,7 +297,7 @@ func (sk *Sketch) absorbed(count, min, max float64) {
 	if max > sk.max {
 		sk.max = max
 	}
-	if len(sk.buf) >= 8*int(sk.compression) {
+	if sk.buffered() >= 8*int(sk.compression) {
 		sk.flush()
 	}
 }
@@ -213,8 +305,7 @@ func (sk *Sketch) absorbed(count, min, max float64) {
 // Clone returns an independent copy of the sketch.
 func (sk *Sketch) Clone() *Sketch {
 	c := *sk
-	c.centroids = append([]Centroid(nil), sk.centroids...)
-	c.buf = append([]Centroid(nil), sk.buf...)
+	c.centroids, c.buf, c.pairs = exactCopy(sk.centroids), exactCopy(sk.buf), exactCopy(sk.pairs)
 	return &c
 }
 
@@ -239,15 +330,15 @@ var flushPool = sync.Pool{New: func() any { return new(flushScratch) }}
 // output. flushReference in sketch_flush_test.go defines that function;
 // this kernel must equal it bit for bit.
 func (sk *Sketch) flush() {
-	if len(sk.buf) == 0 {
+	if sk.buffered() == 0 {
 		return
 	}
 	s := flushPool.Get().(*flushScratch)
-	s.pts = append(append(s.pts[:0], sk.centroids...), sk.buf...)
+	s.pts = sk.appendBuffered(append(s.pts[:0], sk.centroids...))
 	if cap(s.tmp) < len(s.pts) {
 		s.tmp = make([]Centroid, cap(s.pts)) // grows with pts, amortised by its append
 	}
-	sk.buf = sk.buf[:0]
+	sk.buf, sk.pairs = sk.buf[:0], sk.pairs[:0]
 	sorted := sortCanonical(s.pts, s.tmp[:len(s.pts)])
 	sk.centroids, _ = fuseCanonical(sk.centroids[:0], sorted, sk.count, sk.compression)
 	flushPool.Put(s)
@@ -371,8 +462,7 @@ func fuseCanonical(dst, pts []Centroid, count, compression float64) (_ []Centroi
 			fuse = kScale(compression, q)-kLeft <= 1
 		}
 		if fuse {
-			// Weighted fuse keeps the mean exact for the combined mass.
-			last.Mean += (c.Mean - last.Mean) * c.Weight / proposed
+			last.Mean = fuseMean(last.Mean, c.Mean, c.Weight, proposed)
 			last.Weight = proposed
 			continue
 		}
@@ -383,6 +473,24 @@ func fuseCanonical(dst, pts []Centroid, count, compression float64) (_ []Centroi
 		last = c
 	}
 	return append(dst, last), exact
+}
+
+// fuseMean is the mean of a centroid at a fused with one of weight wb at
+// b ≥ a, total weight proposed: a + (b−a)·wb/proposed, exact for the
+// combined mass. Where that overflows — a span or a weighted span past
+// float64's range, which finite points far apart can reach — the same step
+// is taken in an order that cannot: the weight's share first, or, for a
+// span itself past the range (a and b of opposite signs), as a weighted
+// sum. A fused mean thus stays finite and inside [a, b].
+func fuseMean(a, b, wb, proposed float64) float64 {
+	if step := (b - a) * wb / proposed; step <= math.MaxFloat64 {
+		return a + step
+	}
+	share := wb / proposed
+	if span := b - a; span <= math.MaxFloat64 {
+		return a + span*share
+	}
+	return float64(a*(1-share)) + float64(b*share)
 }
 
 // Count returns the total absorbed weight.

@@ -286,10 +286,22 @@ func TestSketchQuantilePanics(t *testing.T) {
 	}
 }
 
+// exactBytes is what sk's point lists hold at their exact lengths: 16 B a
+// centroid, 8 B a buffered point, and 8 B more a buffered point when one of
+// them weighs other than 1.
+func exactBytes(sk *Sketch) int {
+	n := 16 * len(sk.centroids)
+	if !unitWeights(sk.pairs) {
+		return n + 16*sk.buffered()
+	}
+	return n + 8*sk.buffered()
+}
+
 // TestSketchTrimKeepsContent pins Trim as a pure memory operation: a trimmed
 // sketch encodes, lists its points and answers quantiles bit for bit as its
-// untrimmed twin, continues the stream as the twin does, holds exactly 16 B
-// per point, and a second Trim allocates nothing.
+// untrimmed twin, continues the stream as the twin does, holds exactly its
+// points (exactBytes) unless it had no more than trimSlack to release — then
+// it is left as it was — and a second Trim allocates nothing.
 func TestSketchTrimKeepsContent(t *testing.T) {
 	r := rng.New(41)
 	for _, n := range []int{0, 1, 100, 399, 400, 1340} {
@@ -306,9 +318,13 @@ func TestSketchTrimKeepsContent(t *testing.T) {
 				return sk
 			}
 			trimmed, twin := build(), build()
+			want := exactBytes(trimmed)
+			if held := trimmed.Footprint(); held-want <= trimSlack {
+				want = held
+			}
 			trimmed.Trim()
 			pts := trimmed.AppendPoints(nil)
-			if got, want := trimmed.Footprint(), 16*len(pts); got != want {
+			if got := trimmed.Footprint(); got != want {
 				t.Errorf("n=%d absorb=%v: Footprint after Trim = %d B, want %d for %d points", n, absorb, got, want, len(pts))
 			}
 			if allocs := testing.AllocsPerRun(10, trimmed.Trim); allocs != 0 {
@@ -340,5 +356,61 @@ func TestSketchTrimKeepsContent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSketchUnitPointsCostTheirMean: a buffered point of weight 1 holds 8 B,
+// its mean; one of any other weight moves the whole buffer to (mean,
+// weight) pairs, 16 B a point, and Trim turns buffered pairs whose weights
+// are all 1 back into means. A sketch with at most trimSlack bytes to
+// release — a closed window's sparse rollup — is trimmed without
+// allocating and keeps its lists.
+func TestSketchUnitPointsCostTheirMean(t *testing.T) {
+	sk := NewSketch(DefaultCompression)
+	for i := 0; i < 300; i++ {
+		if err := sk.Add(float64(i % 17)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sk.Trim()
+	if got := sk.Footprint(); got != 8*300 || len(sk.pairs) > 0 {
+		t.Fatalf("300 unit points hold %d B (%d pairs), want %d", got, len(sk.pairs), 8*300)
+	}
+	before := mustMarshal(sk)
+	if err := sk.AddWeighted(3, 2); err != nil {
+		t.Fatal(err)
+	}
+	sk.Trim()
+	if got := sk.Footprint(); got != 16*301 || len(sk.pairs) != 301 {
+		t.Fatalf("301 points, one of weight 2, hold %d B (%d pairs), want %d", got, len(sk.pairs), 16*301)
+	}
+
+	// Pairs that all weigh 1: a unit sketch's buffer moved to pairs.
+	ones := NewSketch(DefaultCompression)
+	if err := ones.UnmarshalBinary(before); err != nil {
+		t.Fatal(err)
+	}
+	ones.weigh()
+	if !bytes.Equal(mustMarshal(ones), before) {
+		t.Fatal("weigh changed the encoding")
+	}
+	ones.Trim()
+	if len(ones.pairs) > 0 || ones.Footprint() != 8*300 || !bytes.Equal(mustMarshal(ones), before) {
+		t.Fatalf("Trim kept %d pairs of weight 1 (%d B), or changed the encoding", len(ones.pairs), ones.Footprint())
+	}
+
+	sparse := NewSketch(DefaultCompression)
+	for i := 0; i < 5; i++ {
+		if err := sparse.Add(float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := sparse.Footprint()
+	if held-exactBytes(sparse) > trimSlack {
+		t.Fatalf("test premise broken: 5 points leave %d B spare", held-exactBytes(sparse))
+	}
+	if allocs := testing.AllocsPerRun(10, sparse.Trim); allocs != 0 || sparse.Footprint() != held {
+		t.Fatalf("Trim of a sketch with %d B spare allocated %v times, footprint %d → %d B",
+			held-exactBytes(sparse), allocs, held, sparse.Footprint())
 	}
 }

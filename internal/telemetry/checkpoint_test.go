@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,7 +16,11 @@ import (
 
 	"edgescope/internal/obs"
 	"edgescope/internal/rng"
+	"edgescope/internal/stats"
 )
+
+// checkpointBase is checkpointStream's first timestamp.
+var checkpointBase = time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
 
 // checkpointStream is a seeded in-order stream whose retained state keeps
 // growing: a new (region, net) key appears every 40 events, timestamps walk
@@ -21,7 +28,7 @@ import (
 // trackers are part of what a checkpoint holds.
 func checkpointStream(seed uint64, n int) []Envelope {
 	r := rng.New(seed)
-	base := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+	base := checkpointBase
 	seq := map[int]uint64{}
 	out := make([]Envelope, n)
 	for i := range out {
@@ -243,43 +250,145 @@ func TestHandoffRecordsCountTowardCheckpoint(t *testing.T) {
 	dst.Crash()
 }
 
-// TestEncodeSnapshotAllocatesItsPayloadOnce: the payload is one allocation
-// of exactly its own length, and the whole encode allocates little beyond it
-// (the sorted key slices) — no doubling chain, whatever the state's size and
-// whether or not a checkpoint came before.
-func TestEncodeSnapshotAllocatesItsPayloadOnce(t *testing.T) {
-	ing := NewIngestor(Config{Shards: 1, QueueLen: 64, Block: true})
-	defer ing.Close()
-	// 200 rollups of 100 points each: the payload dwarfs the key slices.
-	base := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
-	r := rng.New(3)
-	var events []Envelope
-	for i := 0; i < 20000; i++ {
-		e := ev(base+int64(i%4)*60_000, MetricRTT, "region-"+strconv.Itoa(i%50), "WiFi", r.LogNormal(3, 0.6))
-		e.User, e.Seq = i%50, uint64(i/50+1)
-		events = append(events, e)
+// encodeSnapshot is a shard's checkpoint as one buffer: writeSnapshot's
+// stream, sealed — the bytes a checkpoint writes to its file. Call it with
+// the shard mutex held.
+func encodeSnapshot(s *shard, cfg Config) []byte {
+	var buf bytes.Buffer
+	w := newSnapWriter(&buf)
+	writeSnapshot(w, s, cfg)
+	w.seal()
+	if err := w.release(); err != nil {
+		panic(err) // a bytes.Buffer does not fail
 	}
-	offerAllFlush(t, ing, events)
+	return buf.Bytes()
+}
+
+// bigRollups loads n rollups of pts unit-weight points each into shard s,
+// under its lock: a large state without an event stream.
+func bigRollups(s *shard, n, pts int) {
+	r := rng.New(9)
+	var rollups []snapRollup
+	for i := 0; i < n; i++ {
+		sk := stats.NewSketch(stats.DefaultCompression)
+		for j := 0; j < pts; j++ {
+			sk.Add(r.LogNormal(3, 0.6))
+		}
+		rollups = append(rollups, snapRollup{windowKey{Start: int64(i%8) * 1000, Key: Key{Metric: MetricRTT, Region: "region-" + strconv.Itoa(i/8), Net: "WiFi"}}, sk})
+	}
+	s.mu.Lock()
+	s.load(rollups)
+	s.mu.Unlock()
+}
+
+// TestCheckpointAllocatesAChunkNotTheState: a checkpoint streams the state
+// through one chunk, so checkpointing a shard that holds over 8 MB of
+// rollups allocates under 256 KB — the sorted key slices and the chunk —
+// and the file it writes is, byte for byte, encodeSnapshot's buffer.
+func TestCheckpointAllocatesAChunkNotTheState(t *testing.T) {
+	dir := t.TempDir()
+	ing, _, err := Open(Config{Shards: 1, Window: time.Second, Block: true, WAL: WALConfig{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
 	s := ing.shards[0]
+	bigRollups(s, 2800, 399)
+	if st := ing.TotalStats(); st.RollupBytes < 8<<20 {
+		t.Fatalf("the shard holds %d B of rollups, want ≥ 8 MB", st.RollupBytes)
+	}
 
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s.mu.Lock()
-	payload := encodeSnapshot(s, ing.cfg)
-	s.mu.Unlock()
-	runtime.ReadMemStats(&after)
-
-	if len(payload) < 100<<10 {
-		t.Fatalf("payload is %d bytes; the state is too small to tell one allocation from a doubling chain", len(payload))
-	}
-	if cap(payload) != len(payload) {
-		t.Fatalf("payload len %d cap %d: not sized exactly", len(payload), cap(payload))
-	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(payload))*5/4; got > limit {
-		t.Fatalf("encoding a %d-byte payload allocated %d bytes, want <= %d", len(payload), got, limit)
-	}
-	if _, err := decodeSnapshot(payload); err != nil {
+	if err := ing.snapshotShard(s, false); err != nil {
 		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	written, err := os.ReadFile(filepath.Join(shardDir(dir, 0), snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a checkpoint of a %d-byte state allocated %d B", len(written), got)
+	if got >= 256<<10 {
+		t.Errorf("a checkpoint of a %d-byte state allocated %d B, want < 256 KB", len(written), got)
+	}
+	s.mu.Lock()
+	want := encodeSnapshot(s, ing.cfg)
+	s.mu.Unlock()
+	if !bytes.Equal(written, want) {
+		t.Fatal("the streamed checkpoint differs from the encoded buffer")
+	}
+	if st := ing.Stats()[0]; st.SnapshotBytes != uint64(len(written)) {
+		t.Fatalf("the cadence counts a %d-byte checkpoint, the file holds %d", st.SnapshotBytes, len(written))
+	}
+}
+
+// TestCheckpointWriteFailsMidStream: a disk that fills while a checkpoint
+// streams — after its first chunks are written — fails the checkpoint, and
+// nothing of it stays: the temp file is removed, the previous snapshot is
+// still the one on disk and loads, and recovery from it plus the WAL answers
+// like an ingestor that never crashed. The cadence still counts the failed
+// cut at its full length.
+func TestCheckpointWriteFailsMidStream(t *testing.T) {
+	events := checkpointStream(21, 24000)
+	cfg := Config{Shards: 1, Block: true, WAL: WALConfig{Dir: "/data", SyncEvery: 256}}
+	disk := newMemFS()
+	ing := mustOpen(t, cfg, disk)
+	offerAllFlush(t, ing, events[:8000])
+	if err := ing.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(shardDir("/data", 0), snapshotFile)
+	before, err := disk.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	offerAllFlush(t, ing, events[8000:])
+	s := ing.shards[0]
+	s.mu.Lock()
+	full := len(encodeSnapshot(s, ing.cfg))
+	s.mu.Unlock()
+	if full < 3*snapChunk {
+		t.Fatalf("a %d-byte checkpoint streams in fewer than three chunks", full)
+	}
+	disk.failWritesPast(snapshotFile+".tmp", snapChunk+100)
+	if err := ing.Snapshot(); err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("a checkpoint onto a full disk returned %v", err)
+	}
+	if _, err := disk.ReadFile(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the failed checkpoint's temp file is still there (%v)", err)
+	}
+	if after, _ := disk.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("the failed checkpoint changed the snapshot on disk")
+	}
+	if _, err := decodeSnapshot(before); err != nil {
+		t.Fatal(err)
+	}
+	if st := ing.Stats()[0]; st.SnapshotBytes != uint64(full) || st.WALBytesSinceSnapshot != 0 {
+		t.Fatalf("after the failed cut the cadence counts a %d-byte checkpoint and %d WAL bytes, want %d and 0",
+			st.SnapshotBytes, st.WALBytesSinceSnapshot, full)
+	}
+
+	disk.mu.Lock()
+	disk.faultWrite = nil
+	disk.mu.Unlock()
+	ing.Crash()
+	back, rec, err := open(cfg, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if rec.Snapshots != 1 || rec.RecordsSkipped != 8000 || rec.RecordsReplayed != uint64(len(events)-8000) {
+		t.Fatalf("recovery %+v: want the earlier checkpoint loaded and the rest replayed", rec)
+	}
+	ref := NewIngestor(Config{Shards: 1, Block: true})
+	defer ref.Close()
+	offerAllFlush(t, ref, events)
+	if got, want := queryFingerprint(t, back), queryFingerprint(t, ref); !bytes.Equal(got, want) {
+		t.Fatalf("recovered after the failed checkpoint:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -348,6 +457,85 @@ func TestParentDataDirRecovers(t *testing.T) {
 	offerAllFlush(t, ref, events)
 	if got, want := queryFingerprint(t, ing), queryFingerprint(t, ref); !bytes.Equal(got, want) {
 		t.Fatalf("recovered from the parent's directory:\n got %s\nwant %s", got, want)
+	}
+}
+
+// denseStream is n events for each of four keys in one window: enough per
+// rollup to compact it, so a handoff carries centroids.
+func denseStream(seed uint64, n int) []Envelope {
+	r := rng.New(seed)
+	var out []Envelope
+	for i := 0; i < n; i++ {
+		for k := 0; k < 4; k++ {
+			out = append(out, ev(checkpointBase+int64(i), MetricRTT, "dense-"+strconv.Itoa(k), "WiFi", r.LogNormal(3, 0.6)))
+		}
+	}
+	return out
+}
+
+// durableForms is the SHA-256 of each byte form a node writes for a fixed
+// input, over two nodes: one fed an event stream, and one that absorbed
+// half of the first one's partitions as handoff pages (its rollups'
+// buffers then hold centroids, weighted points) before taking events of
+// its own into the same windows.
+func durableForms(t *testing.T) (snapshot, page, partition string) {
+	src := NewIngestor(Config{Shards: 2, Block: true})
+	defer src.Close()
+	offerAllFlush(t, src, checkpointStream(11, 6000))
+	offerAllFlush(t, src, denseStream(13, 450))
+	pages, err := src.PartitionPages(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := NewIngestor(Config{Shards: 2, Block: true})
+	defer dst.Close()
+	if _, err := dst.AbsorbPages(pages); err != nil {
+		t.Fatal(err)
+	}
+	offerAllFlush(t, dst, checkpointStream(12, 700))
+	offerAllFlush(t, dst, denseStream(14, 30))
+
+	snaps, pageSum, partSum := sha256.New(), sha256.New(), sha256.New()
+	for _, ing := range []*Ingestor{src, dst} {
+		for _, s := range ing.shards {
+			s.mu.Lock()
+			snaps.Write(encodeSnapshot(s, ing.cfg))
+			s.mu.Unlock()
+		}
+		match, err := ing.MatchSketches(QuerySpec{Metric: MetricRTT})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := match.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pageSum.Write(b)
+		part, err := ing.PartitionPages(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partSum.Write(AppendSketchPages(nil, part))
+	}
+	hex := func(h interface{ Sum([]byte) []byte }) string { return fmt.Sprintf("%x", h.Sum(nil)) }
+	return hex(snaps), hex(pageSum), hex(partSum)
+}
+
+// TestDurableFormsGolden pins the bytes a node writes for a fixed input —
+// its checkpoints, a query's sketch page and a partition's handoff pages —
+// to the ones the build before unit-weight buffered points were kept as
+// bare means wrote: how a sketch holds its points must not show in any
+// byte it writes.
+func TestDurableFormsGolden(t *testing.T) {
+	snapshot, page, partition := durableForms(t)
+	for _, c := range []struct{ form, got, want string }{
+		{"checkpoints", snapshot, "2808386e2e0d430922514d9db304a47819509e9e9f3b9dce7292c085d1e50b29"},
+		{"query pages", page, "ae4a083b3ef539299226c657d02be4c082a0040dc80bd7f0d2cb30913f29d01a"},
+		{"partition pages", partition, "90c8cdc4d0f00cfc2aa9aeceed02e0f75ad5240e78f2125d2fbfbb682396dd1a"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: SHA-256 %s, want %s", c.form, c.got, c.want)
+		}
 	}
 }
 

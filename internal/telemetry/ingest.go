@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -495,8 +494,9 @@ func (s *shard) insert(ks *keySeries, key Key, i int, start int64, sk *stats.Ske
 // their exact size (stats.Sketch.Trim): a closed window gains nothing from
 // room to buffer more points. Each key's walk runs from its newest window
 // back to the window that was newest one rollover ago, because a late event
-// may have regrown a rollup the last rollover trimmed; an exact rollup's
-// Trim allocates nothing. A trim writes no content, so no rollup is
+// may have regrown a rollup the last rollover trimmed; the Trim of a rollup
+// within 64 B of its exact size — an exact one, or a sparse one of a few
+// points — allocates nothing. A trim writes no content, so no rollup is
 // stamped and no memoised fold goes stale. Called with s.mu held.
 func (s *shard) rollover(start int64) {
 	for _, ks := range s.keys {
@@ -670,9 +670,10 @@ func (ing *Ingestor) SyncWAL() error {
 }
 
 // snapshotShard checkpoints one shard: the WAL is fsynced and the state
-// encoded under the shard lock (one consistent cut of sketches, dedup
-// trackers and WAL positions), then written and atomically renamed outside
-// it; snapMu serialises concurrent checkpointers on the shared tmp path.
+// streamed into the temp file under the shard lock (one consistent cut of
+// sketches, dedup trackers and WAL positions), then fsynced and atomically
+// renamed outside it; snapMu serialises concurrent checkpointers on the
+// shared tmp path.
 // With ifDue it is the cadence's checkpoint and does nothing unless the
 // trigger still holds once it has the locks — the worker and a handoff
 // writer may both have seen it fire, and the first one's cut answers both.
@@ -695,9 +696,10 @@ func (ing *Ingestor) snapshotShard(s *shard, ifDue bool) error {
 		s.mu.Unlock()
 		return err
 	}
-	payload := ing.cutCheckpoint(s)
+	ckpt := beginAtomic(s.wal.fs, filepath.Join(s.wal.dir, snapshotFile))
+	ing.cutCheckpoint(s, ckpt.w)
 	s.mu.Unlock()
-	err := writeFileAtomic(s.wal.fs, filepath.Join(s.wal.dir, snapshotFile), payload)
+	err := ckpt.finish()
 	if err == nil {
 		s.mu.Lock()
 		s.wal.wroteSnapshot()
@@ -707,17 +709,17 @@ func (ing *Ingestor) snapshotShard(s *shard, ifDue bool) error {
 	return err
 }
 
-// cutCheckpoint encodes the shard's state and restarts the cadence's
-// accounting from the cut: nothing logged since, and this payload as the
-// weight the next checkpoint's WAL must reach. The counters restart at the
-// cut, not at the rename, so a checkpoint whose write fails is retried a
-// floor later rather than on every event. Called with s.mu held and the WAL
-// synced (or, in recovery, not yet appended to).
-func (ing *Ingestor) cutCheckpoint(s *shard) []byte {
-	payload := encodeSnapshot(s, ing.cfg)
-	s.wal.sinceRecords, s.wal.sinceBytes, s.wal.snapBytes = 0, 0, uint64(len(payload))
-	s.wal.cutSnapshot(binary.LittleEndian.Uint32(payload[len(payload)-4:]))
-	return payload
+// cutCheckpoint streams the shard's state to w, sealed, and restarts the
+// cadence's accounting from the cut: nothing logged since, and this
+// checkpoint's length as the weight the next checkpoint's WAL must reach.
+// The counters restart at the cut, not at the rename, so a checkpoint whose
+// write fails is retried a floor later rather than on every event. Called
+// with s.mu held and the WAL synced (or, in recovery, not yet appended to).
+func (ing *Ingestor) cutCheckpoint(s *shard, w *snapWriter) {
+	writeSnapshot(w, s, ing.cfg)
+	n, crc := w.seal()
+	s.wal.sinceRecords, s.wal.sinceBytes, s.wal.snapBytes = 0, 0, uint64(n)
+	s.wal.cutSnapshot(crc)
 }
 
 // checkpointDueShards is the cadence check for writers other than the shard

@@ -313,6 +313,26 @@ func (m *memFS) SyncDir(dir string) error {
 	return nil
 }
 
+// failWritesPast makes the disk full for files whose path ends in suffix:
+// each takes its first n bytes, and the write that would pass them lands
+// only up to n and fails, as does every write after it.
+func (m *memFS) failWritesPast(suffix string, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	taken := map[string]int{}
+	m.faultWrite = func(path string, b []byte) (int, error) {
+		if !strings.HasSuffix(path, suffix) {
+			return len(b), nil
+		}
+		k := min(len(b), max(0, n-taken[path]))
+		taken[path] += k
+		if k < len(b) {
+			return k, fmt.Errorf("memfs: %s: no space left after %d bytes", path, n)
+		}
+		return k, nil
+	}
+}
+
 // memFile is an open handle: it names an inode, not a path, so writes to an
 // unlinked file still land (on an inode nothing can reach).
 type memFile struct {

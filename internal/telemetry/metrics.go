@@ -52,7 +52,7 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		walLag:      reg.GaugeVec("telemetry_wal_lag_records", "records appended but not yet fsynced (lost if the process crashes now)", "shard"),
 		windows:     reg.GaugeVec("telemetry_shard_rollup_windows", "distinct time windows held by the shard", "shard"),
 		rollups:     reg.GaugeVec("telemetry_shard_rollups", "(window, key) sketches held by the shard", "shard"),
-		rollupBytes: reg.GaugeVec("telemetry_shard_rollup_bytes", "bytes held by the point lists of the shard's rollup sketches, by capacity (closed windows are trimmed to their exact size)", "shard"),
+		rollupBytes: reg.GaugeVec("telemetry_shard_rollup_bytes", "bytes held by the point lists of the shard's rollup sketches, by capacity: 16 B a centroid, 8 B a unit-weight buffered point, 16 B once a sketch buffers another weight (closed windows are trimmed to their exact size)", "shard"),
 		keys:        reg.GaugeVec("telemetry_shard_keys", "distinct (metric, region, net) keys held by the shard", "shard"),
 		snapBytes:   reg.GaugeVec("telemetry_snapshot_bytes", "size of the shard's last checkpoint (what a restart loads)", "shard"),
 		sinceBytes:  reg.GaugeVec("telemetry_wal_bytes_since_snapshot", "WAL bytes logged since the shard's last checkpoint (what a restart replays)", "shard"),

@@ -159,10 +159,11 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 	// next worker checkpoint has this one's size to outweigh. Skipped on a
 	// pure cold start (nothing to describe yet).
 	if snap != nil || len(starts) > 0 {
+		ckpt := beginAtomic(fs, filepath.Join(dir, snapshotFile))
 		s.mu.Lock()
-		payload := ing.cutCheckpoint(s)
+		ing.cutCheckpoint(s, ckpt.w)
 		s.mu.Unlock()
-		if err := writeFileAtomic(fs, filepath.Join(dir, snapshotFile), payload); err != nil {
+		if err := ckpt.finish(); err != nil {
 			return err
 		}
 	}

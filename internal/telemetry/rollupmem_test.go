@@ -10,8 +10,13 @@ import (
 	"edgescope/internal/rng"
 )
 
+// trimSlack is the spare room stats.Sketch.Trim leaves in place: a list
+// with no more than 64 B to release is not worth a copy.
+const trimSlack = 64
+
 // untrimmed lists the rollups of windows before `before` whose sketches hold
-// more than their exact size: spare capacity in either point list.
+// more than trimSlack bytes beyond their exact size — a Clone's, which copies
+// each point list at its length.
 func untrimmed(ing *Ingestor, before int64) []string {
 	var out []string
 	for _, s := range ing.shards {
@@ -21,7 +26,7 @@ func untrimmed(ing *Ingestor, before int64) []string {
 				if w.start >= before {
 					continue
 				}
-				if exact := 16 * len(w.sk.AppendPoints(nil)); w.sk.Footprint() != exact {
+				if exact := w.sk.Clone().Footprint(); w.sk.Footprint()-exact > trimSlack {
 					out = append(out, fmt.Sprintf("%d/%v: %d B held, %d B exact", w.start, ks.key, w.sk.Footprint(), exact))
 				}
 			}
@@ -32,9 +37,9 @@ func untrimmed(ing *Ingestor, before int64) []string {
 }
 
 // TestClosedWindowRollupsAreTrimmed pins the rollover trim: once a shard
-// folds into window W+1, every rollup of a window before W+1 holds exactly
-// its points, and a late event into W that regrows its rollup is trimmed
-// again when the shard opens W+2.
+// folds into window W+1, every rollup of a window before W+1 holds its
+// points to within trimSlack, and a late event into W that regrows its
+// rollup is trimmed again when the shard opens W+2.
 func TestClosedWindowRollupsAreTrimmed(t *testing.T) {
 	ing := NewIngestor(Config{Shards: 1, Window: time.Second, Block: true})
 	defer ing.Close()
@@ -132,13 +137,14 @@ func TestTrimKeepsFoldMemo(t *testing.T) {
 // TestRollupBytesBoundedAtSaturation states a node's memory bound as a
 // property of the gauge, not of the heap: 128 keys × 25 one-second windows
 // on 4 shards, 1 340 events per (key, window) — the single-node benchmark's
-// density — hold at most 16 MB in their rollups' point lists. Untrimmed, a
-// closed window's rollup keeps its last append's capacity: ≈ 9 KB, ≈ 29 MB
-// in all.
+// density — hold at most 9 MB in their rollups' point lists (≈ 6.9 MB at
+// 16 B a centroid and 8 B a unit-weight buffered point; it was ≈ 10.9 MB
+// when a buffered point cost 16 B). Untrimmed, a closed window's rollup
+// keeps its last append's capacity.
 func TestRollupBytesBoundedAtSaturation(t *testing.T) {
 	const (
 		keys, windows, perRollup = 128, 25, 1340
-		limit                    = 16 << 20
+		limit                    = 9 << 20
 	)
 	ing := NewIngestor(Config{Shards: 4, Window: time.Second, Block: true})
 	defer ing.Close()

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"sync"
 
 	"edgescope/internal/stats"
 )
@@ -26,11 +28,11 @@ import (
 // alone — the snapshot is purely a replay accelerator, never a second
 // source of truth (pinned by TestRecoverSnapshotEquivalentToWALOnly).
 //
-// The file is written whole to a temp name, fsynced and renamed, and the
-// directory fsynced after the rename, so a crash mid-snapshot leaves the
-// previous snapshot intact and one after it keeps the new; a CRC32 over the
-// payload rejects bitrot, and a rejected snapshot simply falls back to full
-// WAL replay.
+// The file is streamed to a temp name under the shard lock, then fsynced
+// and renamed outside it, and the directory fsynced after the rename, so a
+// crash mid-snapshot leaves the previous snapshot intact and one after it
+// keeps the new; a CRC32 over the payload rejects bitrot, and a rejected
+// snapshot simply falls back to full WAL replay.
 
 // snapshotFile is the per-shard snapshot name (atomic-replace target).
 const snapshotFile = "snapshot.bin"
@@ -55,13 +57,100 @@ type snapRollup struct {
 	sk *stats.Sketch
 }
 
-type snapWriter struct{ b []byte }
+// snapChunk is the size of the one buffer a checkpoint streams through.
+const snapChunk = 64 << 10
 
-func (w *snapWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *snapWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+var snapChunkPool = sync.Pool{New: func() any { b := make([]byte, 0, snapChunk); return &b }}
+
+// snapWriter writes the little-endian fields every binary form here is
+// made of. With no dst it appends to b, which grows: the in-memory forms
+// (sketch pages, key inventories). One from newSnapWriter streams a form
+// through one pooled chunk to dst instead, keeping the CRC-32 (IEEE) and
+// the length of every byte it passes on. Once dst fails it keeps only
+// counting, so a form whose write failed still has its exact length and
+// checksum: the checkpoint cadence accounts for a failed cut as for any
+// other.
+type snapWriter struct {
+	b     []byte
+	chunk *[]byte // the pooled array b lives in
+	dst   io.Writer
+	err   error // dst's first failure
+	crc   uint32
+	n     int
+}
+
+// newSnapWriter takes a chunk from the pool; release returns it.
+func newSnapWriter(dst io.Writer) *snapWriter {
+	chunk := snapChunkPool.Get().(*[]byte)
+	return &snapWriter{b: (*chunk)[:0], chunk: chunk, dst: dst}
+}
+
+// spill passes the chunk's bytes on and empties it.
+func (w *snapWriter) spill() {
+	w.crc = crc32.Update(w.crc, crc32.IEEETable, w.b)
+	w.n += len(w.b)
+	if w.err == nil && len(w.b) > 0 {
+		_, w.err = w.dst.Write(w.b)
+	}
+	w.b = w.b[:0]
+}
+
+// reserve spills a stream's chunk unless n more bytes fit in it. A single
+// item larger than the chunk grows it for the rest of this form.
+func (w *snapWriter) reserve(n int) {
+	if w.dst != nil && cap(w.b)-len(w.b) < n {
+		w.spill()
+	}
+}
+
+func (w *snapWriter) u32(v uint32) { w.reserve(4); w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+func (w *snapWriter) u64(v uint64) { w.reserve(8); w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *snapWriter) i64(v int64)  { w.u64(uint64(v)) }
-func (w *snapWriter) str(s string) { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
-func (w *snapWriter) key(k Key)    { w.str(k.Metric); w.str(k.Region); w.str(k.Net) }
+func (w *snapWriter) str(s string) {
+	w.reserve(4 + len(s))
+	w.b = append(binary.LittleEndian.AppendUint32(w.b, uint32(len(s))), s...)
+}
+func (w *snapWriter) key(k Key) { w.str(k.Metric); w.str(k.Region); w.str(k.Net) }
+
+// raw copies p through a stream's chunk.
+func (w *snapWriter) raw(p []byte) {
+	for len(p) > 0 {
+		if len(w.b) == cap(w.b) {
+			w.spill()
+		}
+		n := min(len(p), cap(w.b)-len(w.b))
+		w.b, p = append(w.b, p[:n]...), p[n:]
+	}
+}
+
+// sketch writes sk's MarshalBinary encoding, length-prefixed.
+func (w *snapWriter) sketch(sk *stats.Sketch) {
+	size := sk.BinarySize()
+	w.reserve(4 + size)
+	w.b = binary.LittleEndian.AppendUint32(w.b, uint32(size))
+	w.b, _ = sk.AppendBinary(w.b) // encoding a live sketch cannot fail
+}
+
+// seal closes a checksummed form as appendCRC does, with the CRC-32 of
+// everything written so far, and returns the form's length and checksum.
+func (w *snapWriter) seal() (n int, crc uint32) {
+	w.spill()
+	crc = w.crc
+	w.b = binary.LittleEndian.AppendUint32(w.b, crc)
+	return w.n + len(w.b), crc
+}
+
+// release passes on what the chunk still holds, returns the chunk to the
+// pool and reports dst's first failure.
+func (w *snapWriter) release() error {
+	w.spill()
+	if cap(w.b) == snapChunk {
+		*w.chunk = w.b
+		snapChunkPool.Put(w.chunk)
+	}
+	w.b, w.chunk = nil, nil
+	return w.err
+}
 
 // appendCRC closes a checksummed form — snapshot, sketch page, key inventory
 // or WAL record — with the CRC-32 (IEEE) of b[base:], little-endian.
@@ -76,33 +165,22 @@ func checkCRC(data []byte) (body []byte, sum uint32, ok bool) {
 	return body, sum, crc32.ChecksumIEEE(body) == sum
 }
 
-// keySize is the encoded length of key(k).
-func keySize(k Key) int { return 12 + len(k.Metric) + len(k.Region) + len(k.Net) }
-
-// encodeSnapshot serializes a shard's state. Called with the shard mutex
-// held, so sketches, trackers and WAL record counts are one consistent cut.
-// Map iteration order is canonicalised, making snapshot bytes deterministic
-// for a given state: rollups go in (start, key) order — the keys sorted once
-// and their windows swept by start (inStartOrder) — and the other sections
-// are sorted.
+// writeSnapshot streams a shard's state to w; the caller seals it. Called
+// with the shard mutex held, so sketches, trackers and WAL record counts are
+// one consistent cut. Map iteration order is canonicalised, making snapshot
+// bytes deterministic for a given state: rollups go in (start, key) order —
+// the keys sorted once and their windows swept by start (inStartOrder) —
+// and the other sections are sorted.
 //
-// The payload is sized exactly while the maps are collected and written once
-// into a buffer of that size, so a large shard's checkpoint is one allocation
-// of its own length rather than a doubling chain that allocates and copies
-// about twice that. Nothing is kept between checkpoints: a retained
-// per-shard buffer would hold a second copy of the state's size for the
-// process's whole life.
-func encodeSnapshot(s *shard, cfg Config) []byte {
-	size := len(snapMagic) + 4 + 8 + 3*4 + 4 // header, three section counts, CRC
-
+// The state is never materialised: each item is encoded into w's chunk and
+// the chunk passed on when full, so a checkpoint of any size allocates the
+// sorted key slices and nothing in proportion to its payload.
+func writeSnapshot(w *snapWriter, s *shard, cfg Config) {
 	series := make([]*keySeries, 0, len(s.keys))
 	rollups := 0
 	for _, ks := range s.keys {
 		series = append(series, ks)
 		rollups += len(ks.wins)
-		for _, w := range ks.wins {
-			size += 8 + keySize(ks.key) + 4 + w.sk.BinarySize()
-		}
 	}
 	slices.SortFunc(series, func(a, b *keySeries) int { return a.key.Compare(b.key) })
 	wins := make([][]keyWindow, len(series))
@@ -117,12 +195,10 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	size += 16 * len(segs)
 
 	dks := make([]dedupKey, 0, len(s.seen))
-	for dk, t := range s.seen {
+	for dk := range s.seen {
 		dks = append(dks, dk)
-		size += keySize(dk.Key) + 8 + 8 + 8 + 4 + 8*len(t.sparse)
 	}
 	sort.Slice(dks, func(i, j int) bool {
 		a, b := dks[i], dks[j]
@@ -138,8 +214,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 		return a.User < b.User
 	})
 
-	w := &snapWriter{b: make([]byte, 0, size)}
-	w.b = append(w.b, snapMagic[:]...)
+	w.raw(snapMagic[:])
 	w.u32(uint32(cfg.Shards))
 	w.i64(cfg.Window.Milliseconds())
 
@@ -147,8 +222,7 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 	inStartOrder(wins, func(kw keyWindow) int64 { return kw.start }, func(i int, kw keyWindow) {
 		w.i64(kw.start)
 		w.key(series[i].key)
-		w.u32(uint32(kw.sk.BinarySize()))
-		w.b, _ = kw.sk.AppendBinary(w.b) // encoding a live sketch cannot fail
+		w.sketch(kw.sk)
 	})
 
 	w.u32(uint32(len(segs)))
@@ -175,42 +249,68 @@ func encodeSnapshot(s *shard, cfg Config) []byte {
 			w.u64(seq)
 		}
 	}
-
-	return appendCRC(w.b, 0)
 }
 
-// WriteFileAtomic replaces path with data so that a crash at any point
-// leaves either the previous file or the new one, never a torn mix: the
-// bytes go to path+".tmp", are fsynced and closed, and only then renamed
-// into place; the parent directory is fsynced after the rename, so the
-// replacement survives a power loss once this returns. Every durable file
-// this repo rewrites whole (shard snapshots, the frontend's persisted
-// membership) goes through here.
+// atomicFile is a whole-file replacement in progress, so that a crash at
+// any point leaves either the previous file or the new one, never a torn
+// mix: beginAtomic opens path+".tmp", the caller streams the content
+// through w, and finish fsyncs and closes the temp file and only then
+// renames it into place, fsyncing the parent directory after the rename,
+// so the replacement survives a power loss once finish returns. Every
+// durable file this repo rewrites whole (shard snapshots, the frontend's
+// persisted membership) goes through this pair; a checkpoint streams its
+// content under the shard lock and finishes outside it.
+type atomicFile struct {
+	fs   fsys
+	path string
+	f    file // nil when the open failed: w then only counts
+	w    *snapWriter
+}
+
+func beginAtomic(fs fsys, path string) *atomicFile {
+	a := &atomicFile{fs: fs, path: path, w: newSnapWriter(io.Discard)}
+	f, err := fs.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
+	if err != nil {
+		a.w.err = err
+		return a
+	}
+	a.f, a.w.dst = f, f
+	return a
+}
+
+// finish completes the replacement, or on any failure removes the temp
+// file and leaves the previous one in place.
+func (a *atomicFile) finish() error {
+	err := a.w.release()
+	if a.f == nil {
+		return err
+	}
+	tmp := a.path + ".tmp"
+	if err == nil {
+		err = a.f.Sync()
+	}
+	if cerr := a.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		a.fs.Remove(tmp)
+		return err
+	}
+	if err := a.fs.Rename(tmp, a.path); err != nil {
+		return err
+	}
+	return a.fs.SyncDir(filepath.Dir(a.path))
+}
+
+// WriteFileAtomic replaces path with data through the atomicFile pair.
 func WriteFileAtomic(path string, data []byte) error {
 	return writeFileAtomic(osFS{}, path, data)
 }
 
 func writeFileAtomic(fs fsys, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(path))
+	a := beginAtomic(fs, path)
+	a.w.raw(data)
+	return a.finish()
 }
 
 type snapReader struct {
