@@ -664,7 +664,10 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 // 256 records, no checkpoints. A cadence fsyncs the segments written since the
 // last one, so the two must read alike; a WAL that fsynced every open handle
 // read open-8 well above open-1 on a filesystem where fsync costs something
-// (on a tmpfs TMPDIR it is free and both always read alike).
+// (on a tmpfs TMPDIR it is free and both always read alike). batch-500 is
+// open-1 offered the way a node's /ingest offers a request, OfferAll of 500
+// envelopes at a time, so the shard worker drains and folds runs; an op is
+// still one event, so its figures read against open-1's.
 func BenchmarkTelemetryIngestDurable(b *testing.B) {
 	const minute = 60_000
 	regions := []string{"Beijing", "Shanghai", "Wuhan", "Chengdu"}
@@ -676,8 +679,12 @@ func BenchmarkTelemetryIngestDurable(b *testing.B) {
 			Value: float64(1 + i%97),
 		}
 	}
-	for _, open := range []int{1, 8} {
-		b.Run(fmt.Sprintf("open-%d", open), func(b *testing.B) {
+	for _, c := range []struct {
+		name        string
+		open, batch int
+	}{{"open-1", 1, 1}, {"open-8", 8, 1}, {"batch-500", 1, 500}} {
+		open := c.open
+		b.Run(c.name, func(b *testing.B) {
 			ing := telemetry.NewIngestor(telemetry.Config{Shards: 1, QueueLen: 1024, Block: true,
 				WAL: telemetry.WALConfig{Dir: b.TempDir(), SyncEvery: 256}})
 			defer ing.Close()
@@ -700,8 +707,13 @@ func BenchmarkTelemetryIngestDurable(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ing.Offer(events[i%len(events)])
+			for i := 0; i < b.N; i += c.batch {
+				if c.batch == 1 {
+					ing.Offer(events[i%len(events)])
+					continue
+				}
+				lo := i % (len(events) - c.batch)
+				ing.OfferAll(events[lo : lo+min(c.batch, b.N-i)])
 			}
 			ing.Flush()
 			b.StopTimer() // the deferred Close cuts a checkpoint: not ingest

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -79,7 +78,8 @@ type WALConfig struct {
 type Config struct {
 	// Shards is the number of single-writer ingest workers. Default 4.
 	Shards int
-	// QueueLen is each shard's bounded channel capacity. Default 1024.
+	// QueueLen bounds each shard's queue, in envelopes: what producers have
+	// enqueued and the worker has not yet taken. Default 1024.
 	QueueLen int
 	// Window is the rollup window length. Events are bucketed by
 	// ts - ts mod Window. Default 1 minute.
@@ -87,9 +87,9 @@ type Config struct {
 	// Compression is the per-window quantile-sketch δ parameter
 	// (stats.NewSketch). Default stats.DefaultCompression.
 	Compression float64
-	// Block selects backpressure over loss: when true, Offer blocks until
-	// the shard queue has room instead of dropping. Replay uses this so a
-	// deterministic stream is ingested losslessly.
+	// Block selects backpressure over loss: when true, Offer and OfferAll
+	// wait until the shard queue has room instead of dropping. Replay uses
+	// this so a deterministic stream is ingested losslessly.
 	Block bool
 	// MaxWindows caps the distinct time windows retained per shard
 	// (independent of how many dimension keys each window holds); when a
@@ -172,10 +172,10 @@ func (ks *keySeries) find(start int64) (int, bool) {
 // shard is one single-writer ingest worker: a bounded queue, the rollups it
 // alone writes, the idempotency trackers, its WAL, and its accounting.
 // The mutex guards the rollup/dedup/WAL state against query-time readers
-// and SyncWAL/snapshot callers; the hot path contends on it solely while
-// one of those is in flight.
+// and SyncWAL/snapshot callers; the worker takes it once per drained run of
+// envelopes, and contends on it solely while one of those is in flight.
 type shard struct {
-	ch chan Envelope
+	q  shardQueue
 	mu sync.Mutex
 	// keys indexes the shard's rollups by key; a key is present while it
 	// holds at least one rollup.
@@ -206,9 +206,9 @@ type shard struct {
 
 	// Accounting cells (metrics.go): registered series, one atomic op on
 	// the hot path, and the single source Stats() and /metrics share.
-	accepted    *obs.Counter // enqueued into this shard
+	accepted    *obs.Counter // enqueued into this shard; added to under q.mu
 	dropped     *obs.Counter // rejected at a hard-full queue (only when !Block)
-	processed   *obs.Counter // consumed from the queue (folded or deduped)
+	processed   *obs.Counter // consumed from the queue (folded or deduped); added to under q.mu
 	deduped     *obs.Counter // sequenced duplicates folded zero times
 	compactions *obs.Counter // dedup tracker sparse-window compactions
 	evicted     *obs.Counter // time windows evicted under MaxWindows retention
@@ -257,10 +257,10 @@ type Ingestor struct {
 	shards []*shard
 	wg     sync.WaitGroup
 
-	// offerMu serialises Offer against Close: Offer holds the read side
-	// across its queue send, Close takes the write side to flip closed and
-	// close the queues, so an Offer racing Close returns false instead of
-	// panicking on a closed channel.
+	// offerMu serialises offers against Close and the partition freeze:
+	// OfferAll holds the read side across its enqueue, Close takes the write
+	// side to flip closed and close the queues, so an offer racing Close
+	// returns false instead of enqueueing behind the workers' last run.
 	offerMu sync.RWMutex
 	closed  bool
 
@@ -322,11 +322,11 @@ func open(cfg Config, fs fsys) (*Ingestor, RecoveryStats, error) {
 	var rst RecoveryStats
 	for i := range ing.shards {
 		s := &shard{
-			ch:     make(chan Envelope, cfg.QueueLen),
 			keys:   make(map[Key]*keySeries),
 			starts: make(map[int64]int),
 			seen:   make(map[dedupKey]*seqTracker),
 		}
+		s.q.init(cfg.QueueLen)
 		// Bind the accounting cells before recovery: replayed folds count.
 		ing.m.bind(s, i)
 		ing.shards[i] = s
@@ -372,16 +372,106 @@ func (ing *Ingestor) windowStart(ts int64) int64 {
 	return ts - ts%w
 }
 
+// shardQueue is a shard's bounded queue. Producers append their share of a
+// request under mu (OfferAll); the worker swaps out everything pending in
+// one step (take) and hands the buffer it has just folded back as the next
+// pending one, so two buffers alternate and a warm queue allocates nothing.
+type shardQueue struct {
+	mu sync.Mutex
+	// ready wakes the worker, its only waiter, when envelopes arrive in an
+	// empty queue or the queue closes.
+	ready sync.Cond
+	// settled is broadcast when the worker takes a run — room for producers
+	// that Block — and when it has folded everything it took, which is what
+	// Flush waits for.
+	settled sync.Cond
+	pending []Envelope // enqueued, not yet taken; neither its length nor its capacity passes limit
+	limit   int
+	closed  bool
+}
+
+func (q *shardQueue) init(limit int) {
+	q.limit = limit
+	q.ready.L = &q.mu
+	q.settled.L = &q.mu
+}
+
+// len is the number of envelopes waiting for the worker.
+func (q *shardQueue) len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.pending)
+}
+
+// close wakes the worker to drain what is pending and exit. Called with
+// offerMu write-held, so no producer is mid-enqueue.
+func (q *shardQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.ready.Signal()
+	q.mu.Unlock()
+}
+
+// take counts the run the worker has just folded (done) as processed and
+// waits for the next one: everything pending, swapped out for done's emptied
+// buffer. It returns nil once the queue is closed and drained.
+func (s *shard) take(done []Envelope) []Envelope {
+	q := &s.q
+	clear(done) // the emptied buffer must not pin the folded envelopes' strings
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	s.processed.Add(uint64(len(done)))
+	for len(q.pending) == 0 {
+		q.settled.Broadcast()
+		if q.closed {
+			return nil
+		}
+		q.ready.Wait()
+	}
+	run := q.pending
+	q.pending = done[:0]
+	q.settled.Broadcast()
+	return run
+}
+
 // run is one shard worker: the sole writer of its shard's rollups.
 func (ing *Ingestor) run(s *shard) {
-	for e := range s.ch {
-		due := ing.fold(s, e, foldLive)
-		s.processed.Inc()
+	var run []Envelope
+	for {
+		if run = s.take(run); run == nil {
+			return
+		}
+		ing.foldRun(s, run)
+	}
+}
+
+// foldRun folds one drained run under one s.mu hold, timing its logged fold
+// with one pair of clock reads. A run stops at the envelope whose append
+// makes the checkpoint due: the checkpoint is cut there, after the same
+// record a worker folding one envelope at a time would cut it after, and
+// the rest of the run folds under a new hold.
+func (ing *Ingestor) foldRun(s *shard, run []Envelope) {
+	for len(run) > 0 {
+		s.mu.Lock()
+		var began time.Time
+		if s.wal != nil {
+			began = time.Now()
+		}
+		n, due := 0, false
+		for n < len(run) && !due {
+			due = ing.fold(s, run[n], foldLive)
+			n++
+		}
+		if s.wal != nil {
+			s.walAppendHist.ObserveDuration(time.Since(began))
+		}
+		s.mu.Unlock()
 		if due {
 			// A failed checkpoint costs nothing durable: the WAL holds every
 			// record, and a sticky WAL error already shows in Health.
 			_ = ing.snapshotShard(s, true)
 		}
+		run = run[n:]
 	}
 }
 
@@ -400,10 +490,9 @@ const (
 // append precedes the fold and shares its lock hold, so per-segment record
 // order is exactly fold order — the invariant recovery replay relies on. It
 // reports whether this append made the shard's checkpoint due, read under
-// the same lock hold so the worker pays no second acquisition per event.
+// the same lock hold. Called with s.mu held.
 func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 	wk := windowKey{Start: ing.windowStart(e.TS), Key: e.Key()}
-	s.mu.Lock()
 	if e.Seq > 0 {
 		dk := dedupKey{Key: wk.Key, User: e.User}
 		t := s.seen[dk]
@@ -416,7 +505,6 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 			s.compactions.Inc()
 		}
 		if dup {
-			s.mu.Unlock()
 			s.deduped.Inc()
 			return false
 		}
@@ -427,9 +515,7 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 		}
 	}
 	if mode == foldLive && s.wal != nil {
-		began := time.Now()
 		s.wal.append(e, wk.Start)
-		s.walAppendHist.ObserveDuration(time.Since(began))
 		due = s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
 	}
 	ks, i, found := s.lookup(wk.Key, wk.Start)
@@ -452,7 +538,6 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 	if newStart && mode == foldLive {
 		ing.enforceRetention(s)
 	}
-	s.mu.Unlock()
 	return due
 }
 
@@ -597,57 +682,145 @@ func (s *shard) ageTrackers(start int64) {
 	}
 }
 
-// Offer submits one envelope. It returns false when the shard queue is hard
-// full and the ingestor is not configured to Block — counted in the shard's
-// Dropped — or when the ingestor is closed. Invalid envelopes are rejected
+// Offer submits one envelope: OfferAll of a one-element batch. It returns
+// false when the shard queue is hard full and the ingestor is not configured
+// to Block — counted in the shard's Dropped — when the envelope's partition
+// is frozen, or when the ingestor is closed. Invalid envelopes are rejected
 // (false) without reaching a queue; use Validate/DecodeLine upstream to
 // distinguish.
 func (ing *Ingestor) Offer(e Envelope) bool {
-	if e.Validate() != nil {
-		return false
+	one := [1]Envelope{e}
+	return ing.OfferAll(one[:]) == 1
+}
+
+// offerStackLen and offerChunk size the stack buffer OfferAll assigns
+// shards in: a batch of up to offerStackLen envelopes (an Offer) uses a
+// small one, a longer batch is assigned offerChunk envelopes at a time, so a
+// request of up to offerChunk envelopes takes each shard's queue lock once.
+const (
+	offerStackLen = 16
+	offerChunk    = 512
+)
+
+// OfferAll submits a batch and returns how many envelopes were accepted.
+// Each envelope is validated and checked against the partition freeze on
+// its own, exactly as Offer would; the accepted ones are grouped by shard,
+// keeping their order, and each shard's share is appended to its queue
+// under one lock. Without Block, each envelope that finds its queue full is
+// dropped and counted in that shard's Dropped; with Block the share waits
+// for room.
+func (ing *Ingestor) OfferAll(events []Envelope) int {
+	if len(events) <= offerStackLen {
+		var shardOf [offerStackLen]int32
+		return ing.offer(events, shardOf[:len(events)])
+	}
+	var shardOf [offerChunk]int32
+	accepted := 0
+	for len(events) > 0 {
+		n := min(len(events), offerChunk)
+		accepted += ing.offer(events[:n], shardOf[:n])
+		events = events[n:]
+	}
+	return accepted
+}
+
+// offer is OfferAll with the buffer it assigns shards in, one entry per
+// envelope: shardOf[j] is envelope j's shard, or -1 once it is refused or
+// enqueued.
+func (ing *Ingestor) offer(events []Envelope, shardOf []int32) int {
+	for j, e := range events {
+		shardOf[j] = -1
+		if e.Validate() == nil {
+			shardOf[j] = int32(e.Key().ShardOf(len(ing.shards)))
+		}
 	}
 	ing.offerMu.RLock()
 	defer ing.offerMu.RUnlock()
-	if ing.closed || ing.frozenFor(e) {
-		return false
+	if ing.closed {
+		return 0
 	}
-	s := ing.shards[e.Key().ShardOf(len(ing.shards))]
-	if ing.cfg.Block {
-		s.ch <- e
-		s.accepted.Inc()
-		return true
-	}
-	select {
-	case s.ch <- e:
-		s.accepted.Inc()
-		return true
-	default:
-		s.dropped.Inc()
-		return false
-	}
-}
-
-// OfferAll submits a batch, returning how many were accepted.
-func (ing *Ingestor) OfferAll(events []Envelope) int {
-	n := 0
-	for _, e := range events {
-		if ing.Offer(e) {
-			n++
+	if len(ing.frozen) > 0 {
+		for j, e := range events {
+			if shardOf[j] >= 0 && ing.frozenFor(e) {
+				shardOf[j] = -1
+			}
 		}
 	}
-	return n
+	accepted := 0
+	for lo := 0; lo < len(events); lo++ {
+		if si := shardOf[lo]; si >= 0 {
+			accepted += ing.enqueue(ing.shards[si], si, events[lo:], shardOf[lo:])
+		}
+	}
+	return accepted
 }
 
-// Flush blocks until every accepted envelope has been folded into a rollup.
-// It does not stop the workers; producers may keep offering afterwards.
-// Flush only settles if producers pause — it is a barrier for batch-style
-// use (replay, tests, HTTP ingest handlers), not a fence against concurrent
-// writers.
+// enqueue appends shard s's share of a batch — the envelopes whose shardOf
+// entry is si, in order — to its queue under one lock, marking each -1, and
+// returns how many it accepted. The worker is woken after the lock is
+// released, so it does not wake only to wait for it; a Block wait wakes it
+// first. Called with offerMu read-held.
+func (ing *Ingestor) enqueue(s *shard, si int32, events []Envelope, shardOf []int32) int {
+	q := &s.q
+	q.mu.Lock()
+	accepted, uncounted, dropped := 0, 0, 0
+	wake := false // envelopes arrived in an empty queue since the worker was last woken
+	for j := range events {
+		if shardOf[j] != si {
+			continue
+		}
+		shardOf[j] = -1
+		if len(q.pending) >= q.limit {
+			if !ing.cfg.Block {
+				dropped++
+				continue
+			}
+			// Count what is queued before waiting: the worker may fold it
+			// meanwhile, and processed must never pass accepted.
+			s.accepted.Add(uint64(uncounted))
+			uncounted = 0
+			if wake {
+				q.ready.Signal()
+				wake = false
+			}
+			for len(q.pending) >= q.limit {
+				q.settled.Wait()
+			}
+		}
+		if len(q.pending) == cap(q.pending) {
+			// Double, but never past the bound: a queue's buffers grow to
+			// what its load needs, and no further than QueueLen.
+			grown := make([]Envelope, len(q.pending), min(max(2*len(q.pending), 16), q.limit))
+			copy(grown, q.pending)
+			q.pending = grown
+		}
+		wake = wake || len(q.pending) == 0
+		q.pending = append(q.pending, events[j])
+		accepted++
+		uncounted++
+	}
+	s.accepted.Add(uint64(uncounted))
+	q.mu.Unlock()
+	s.dropped.Add(uint64(dropped))
+	if wake {
+		q.ready.Signal()
+	}
+	return accepted
+}
+
+// Flush blocks until every envelope accepted before the call has been folded
+// into a rollup: it waits on each shard queue's settled condition until the
+// shard's processed count has caught up with its accepted count. It does not
+// stop the workers; producers may keep offering afterwards. Flush only
+// settles if producers pause — it is a barrier for batch-style use (replay,
+// tests, HTTP ingest handlers), not a fence against concurrent writers.
 func (ing *Ingestor) Flush() {
 	for _, s := range ing.shards {
+		s.q.mu.Lock()
 		for s.processed.Value() < s.accepted.Value() {
-			runtime.Gosched()
+			s.q.settled.Wait()
 		}
+		s.q.mu.Unlock()
 	}
 }
 
@@ -805,7 +978,7 @@ func (ing *Ingestor) stopWorkers() {
 	ing.offerMu.Lock()
 	ing.closed = true
 	for _, s := range ing.shards {
-		close(s.ch)
+		s.q.close()
 	}
 	ing.offerMu.Unlock()
 	ing.wg.Wait()
@@ -815,6 +988,7 @@ func (ing *Ingestor) stopWorkers() {
 func (ing *Ingestor) Stats() []ShardStats {
 	out := make([]ShardStats, len(ing.shards))
 	for i, s := range ing.shards {
+		queued := s.q.len()
 		s.mu.Lock()
 		wins := len(s.starts)
 		rollups, rollupBytes := s.rollups()
@@ -835,7 +1009,7 @@ func (ing *Ingestor) Stats() []ShardStats {
 			Deduped:          s.deduped.Value(),
 			DedupCompactions: s.compactions.Value(),
 			EvictedWindows:   s.evicted.Value(),
-			Queued:           len(s.ch),
+			Queued:           queued,
 			Windows:          wins,
 			Rollups:          rollups,
 			RollupBytes:      rollupBytes,

@@ -56,7 +56,7 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		keys:        reg.GaugeVec("telemetry_shard_keys", "distinct (metric, region, net) keys held by the shard", "shard"),
 		snapBytes:   reg.GaugeVec("telemetry_snapshot_bytes", "size of the shard's last checkpoint (what a restart loads)", "shard"),
 		sinceBytes:  reg.GaugeVec("telemetry_wal_bytes_since_snapshot", "WAL bytes logged since the shard's last checkpoint (what a restart replays)", "shard"),
-		walAppend:   reg.HistogramVec("telemetry_wal_append_seconds", "WAL append latency (includes the fsync when the append crosses the SyncEvery cadence)", walLatencyBuckets, "shard"),
+		walAppend:   reg.HistogramVec("telemetry_wal_append_seconds", "logged fold latency, observed once per run of envelopes the shard worker drains from its queue (once per part of a run a checkpoint splits): the run's WAL appends and sketch folds, including the fsync when an append crosses the SyncEvery cadence", walLatencyBuckets, "shard"),
 		walFsync:    reg.HistogramVec("telemetry_wal_fsync_seconds", "WAL fsync batch latency", walLatencyBuckets, "shard"),
 		snapshot:    reg.HistogramVec("telemetry_snapshot_seconds", "shard checkpoint latency (WAL fsync + encode + atomic rename)", nil, "shard"),
 		query:       reg.Histogram("telemetry_query_seconds", "Query latency: shard scan, per-key fold, key-ordered merge of the folds and evaluation", nil),
@@ -105,7 +105,7 @@ func (ing *Ingestor) installCollectHook() {
 		for i, s := range ing.shards {
 			l := strconv.Itoa(i)
 			lag, snapBytes, sinceBytes := m.walLag.With(l), m.snapBytes.With(l), m.sinceBytes.With(l)
-			m.queueDepth.With(l).Set(float64(len(s.ch)))
+			m.queueDepth.With(l).Set(float64(s.q.len()))
 			s.mu.Lock()
 			m.windows.With(l).Set(float64(len(s.starts)))
 			rollups, bytes := s.rollups()

@@ -91,7 +91,9 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 			}
 			return readWALSegment(fs, path, func(e Envelope) {
 				if !skipped() {
+					s.mu.Lock()
 					ing.fold(s, e, foldReplay)
+					s.mu.Unlock()
 				}
 			}, func(c walCtl) {
 				if c.Ctl == ctlFresh && skip > 0 && slices.Contains(c.Stale, snap.crc) {

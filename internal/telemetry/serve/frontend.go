@@ -167,7 +167,7 @@ func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, l
 	// The router wraps a RetryClient, which is single-goroutine by
 	// contract — serialize ingest requests over it.
 	var ingestMu sync.Mutex
-	ingest := handleIngest(log, f.Router.Send)
+	ingest := handleIngest(log, f.Router.SendAll)
 	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
 		ingestMu.Lock()
 		defer ingestMu.Unlock()

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"edgescope/internal/obs"
@@ -46,7 +47,7 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 	start := time.Now()
 	ing, log := cfg.Ing, cfg.Log
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", handleIngest(log, ing.Offer))
+	mux.HandleFunc("POST /ingest", handleIngest(log, ing.OfferAll))
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := specFromURL(r)
 		if err != nil {
@@ -252,27 +253,63 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 	})
 }
 
-// handleIngest serves POST /ingest: every decoded envelope goes to offer,
-// and the answer counts what was decoded, malformed, accepted and dropped.
-func handleIngest(log *slog.Logger, offer func(telemetry.Envelope) bool) http.HandlerFunc {
+// ingestChunk bounds what /ingest holds decoded at once, in envelopes (120 B
+// each): a request of up to ingestChunk envelopes is offered in one call, a
+// longer body ingestChunk at a time, so its size does not decide the
+// handler's memory.
+const ingestChunk = 4096
+
+// batchPool recycles /ingest's decoded batches across requests.
+var batchPool = sync.Pool{New: func() any { return new([]telemetry.Envelope) }}
+
+// handleIngest serves POST /ingest: the body is decoded into a pooled batch,
+// the batch goes to offerAll in one call (one per ingestChunk envelopes of a
+// longer body), and the answer counts what was decoded, malformed, accepted
+// and dropped. What was decoded before an I/O error is still offered; the
+// answer is then the error.
+func handleIngest(log *slog.Logger, offerAll func([]telemetry.Envelope) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		batch := batchPool.Get().(*[]telemetry.Envelope)
 		accepted := 0
 		st, err := telemetry.ReadJSONL(r.Body, func(e telemetry.Envelope) {
-			if offer(e) {
-				accepted++
+			if *batch = append(*batch, e); len(*batch) == ingestChunk {
+				accepted += offerAll(*batch)
+				clear(*batch)
+				*batch = (*batch)[:0]
 			}
 		})
+		accepted += offerAll(*batch)
+		clear(*batch) // the pool must not pin the envelopes' strings
+		*batch = (*batch)[:0]
+		batchPool.Put(batch)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(log, w, map[string]int{
-			"decoded":   st.Decoded,
-			"malformed": st.Malformed,
-			"accepted":  accepted,
-			"dropped":   st.Decoded - accepted,
-		})
+		buf := telemetry.TakeWireBuffer()
+		defer telemetry.ReleaseWireBuffer(buf)
+		*buf = appendIngestAck(*buf, st.Decoded, st.Malformed, accepted, st.Decoded-accepted)
+		w.Header().Set("Content-Type", "application/json")
+		if _, err := w.Write(*buf); err != nil {
+			log.Error("write response failed", "err", err)
+		}
 	}
+}
+
+// appendIngestAck appends the /ingest answer: exactly the bytes writeJSON
+// writes for map[string]int{"decoded": …, "malformed": …, "accepted": …,
+// "dropped": …} — keys sorted, two-space indent, trailing newline — without
+// reflection.
+func appendIngestAck(dst []byte, decoded, malformed, accepted, dropped int) []byte {
+	dst = append(dst, "{\n  \"accepted\": "...)
+	dst = strconv.AppendInt(dst, int64(accepted), 10)
+	dst = append(dst, ",\n  \"decoded\": "...)
+	dst = strconv.AppendInt(dst, int64(decoded), 10)
+	dst = append(dst, ",\n  \"dropped\": "...)
+	dst = strconv.AppendInt(dst, int64(dropped), 10)
+	dst = append(dst, ",\n  \"malformed\": "...)
+	dst = strconv.AppendInt(dst, int64(malformed), 10)
+	return append(dst, "\n}\n"...)
 }
 
 // handleMetrics serves GET /metrics: the registry in Prometheus text form.
