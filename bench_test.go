@@ -627,6 +627,12 @@ func BenchmarkExtScheduling(b *testing.B) {
 
 // --- streaming telemetry pipeline ---
 
+// ingestWarmup is the events an ingest benchmark folds before its timed
+// loop. After 16 384 the sketches of BenchmarkTelemetryIngestDurable's four
+// rollups were still growing (their flushes allocated ≈ 17 KB over the next
+// 2 M events); after 262 144 the rest is a few hundred bytes.
+const ingestWarmup = 1 << 18
+
 // BenchmarkTelemetryIngest measures end-to-end ingest throughput: offer →
 // shard hash → bounded queue → single-writer sketch fold, reported as
 // events/sec. The event stream cycles dimensions so every shard stays busy.
@@ -647,6 +653,13 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
 			ing := telemetry.NewIngestor(telemetry.Config{Shards: shards, Block: true})
 			defer ing.Close()
+			// Warm up as the durable benchmark does: the timed loop cycles
+			// the same events, so once their rollups have taken
+			// ingestWarmup events their sketches no longer grow.
+			for range ingestWarmup / len(events) {
+				ing.OfferAll(events)
+			}
+			ing.Flush()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -698,7 +711,7 @@ func BenchmarkTelemetryIngestDurable(b *testing.B) {
 			for w := 0; w < open-1; w++ {
 				ing.Offer(at(w, 0))
 			}
-			for range 4 {
+			for range ingestWarmup / len(events) {
 				ing.OfferAll(events)
 			}
 			ing.Flush()

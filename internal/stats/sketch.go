@@ -50,7 +50,9 @@ import (
 // bytes a point, until the next flush empties it. Appends leave spare
 // capacity behind them; Footprint reports the bytes the lists hold by
 // capacity, and Trim releases the spare room once no more points are
-// expected, changing no answer and no encoding.
+// expected, changing no answer and no encoding. Seal also flushes a buffer
+// of δ or more points first: that changes the encoding, but not the flushed
+// form a fold reads (AbsorbFlushed).
 //
 // A Sketch is not safe for concurrent use; the telemetry ingest layer gives
 // each shard a single writer and locks rollups during query merges.
@@ -226,6 +228,63 @@ func (sk *Sketch) AbsorbPoints(pts []Centroid, count, min, max float64) {
 	sk.pushCentroids(pts)
 	sk.absorbed(count, min, max)
 }
+
+// AbsorbFlushed folds in one sketch's flushed form: the points, count and
+// range copied out by AppendPoints, Count, Min and Max of a sketch at
+// compression δ are put through that sketch's own flush — the canonical sort
+// and fuse at its count and δ — and the centroids it yields are absorbed as
+// AbsorbPoints absorbs points. The result is bit-identical to Absorb of the
+// source after its Centroids call, without touching the source, so a caller
+// can copy points out under a lock and flush them after releasing it. pts is
+// used as scratch: its order is not kept.
+func (sk *Sketch) AbsorbFlushed(pts []Centroid, count, min, max, compression float64) {
+	if count == 0 {
+		return
+	}
+	s := flushPool.Get().(*flushScratch)
+	if cap(s.tmp) < len(pts) {
+		s.tmp = make([]Centroid, len(pts))
+	}
+	sorted := sortCanonical(pts, s.tmp[:len(pts)])
+	s.pts, _ = fuseCanonical(s.pts[:0], sorted, count, compression)
+	sk.pushCentroids(s.pts)
+	flushPool.Put(s)
+	sk.absorbed(count, min, max)
+}
+
+// Flushed reports whether the points AppendPoints gives are already the
+// multiset a flush would leave, so a fold may absorb them as they are
+// instead of their flushed form and get the same bytes (a flush is a
+// function of the multiset alone). That holds with nothing buffered, and for
+// a sketch of only unit-weight buffered points, fewer than 2δ/π of them: k₁'s
+// slope is at least δ/π everywhere, so two points spanning 2/count of the
+// quantile range span more than one unit of k and never fuse. The bound
+// keeps a 1e-9 margin against the flush's rounding (63 points at δ = 100).
+func (sk *Sketch) Flushed() bool {
+	if sk.buffered() == 0 {
+		return true
+	}
+	return len(sk.centroids) == 0 && len(sk.pairs) == 0 &&
+		sk.count == float64(len(sk.buf)) && sk.count*math.Pi < 2*sk.compression*(1-1e-9)
+}
+
+// Seal compacts a sketch that expects few more points: it flushes once δ or
+// more points are buffered — below that the raw points take fewer bytes than
+// their centroids would — and then releases spare capacity (Trim). The
+// flushed form is what a fold of the sketch reads anyway (AbsorbFlushed), so
+// until another point arrives a sealed sketch folds to the same bytes as its
+// unsealed twin. It reports whether it flushed.
+func (sk *Sketch) Seal() bool {
+	flushed := sk.buffered() >= int(sk.compression)
+	if flushed {
+		sk.flush()
+	}
+	sk.Trim()
+	return flushed
+}
+
+// Compression is the sketch's δ.
+func (sk *Sketch) Compression() float64 { return sk.compression }
 
 // Reset empties the sketch, keeping its compression and the capacity of its
 // point lists, so one sketch can fold many independent streams in turn

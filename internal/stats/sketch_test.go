@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -412,5 +413,129 @@ func TestSketchUnitPointsCostTheirMean(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, sparse.Trim); allocs != 0 || sparse.Footprint() != held {
 		t.Fatalf("Trim of a sketch with %d B spare allocated %v times, footprint %d → %d B",
 			held-exactBytes(sparse), allocs, held, sparse.Footprint())
+	}
+}
+
+// TestAbsorbFlushedEqualsFlushedAbsorb: a sketch's points, copied out and
+// folded with AbsorbFlushed, leave the accumulator in exactly the state
+// Absorb of a flushed copy of that sketch would — whatever mix of
+// centroids, unit-weight and weighted buffered points the source holds — and
+// leave the source as it was. It is the flushed form every telemetry fold
+// reads a rollup in.
+func TestAbsorbFlushedEqualsFlushedAbsorb(t *testing.T) {
+	r := rng.New(43)
+	for round := 0; round < 6; round++ {
+		want, got := NewSketch(DefaultCompression), NewSketch(DefaultCompression)
+		for part := 0; part < 30; part++ {
+			src := NewSketch(DefaultCompression)
+			for j, n := 0, []int{0, 1, 23, 63, 64, 399, 400, 650}[r.IntN(8)]; j < n; j++ {
+				if err := src.Add(r.LogNormal(3, 0.7) + float64(round)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if part%4 == 3 {
+				if err := src.AddWeighted(r.LogNormal(3, 0.7), 2.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := mustMarshal(src)
+			pts := src.AppendPoints(nil)
+			got.AbsorbFlushed(pts, src.Count(), src.Min(), src.Max(), src.Compression())
+			if !bytes.Equal(mustMarshal(src), before) {
+				t.Fatalf("round %d part %d: AbsorbFlushed changed its source", round, part)
+			}
+			flushed := src.Clone()
+			flushed.Centroids()
+			want.Absorb(flushed)
+			if !bytes.Equal(mustMarshal(got), mustMarshal(want)) {
+				t.Fatalf("round %d part %d: AbsorbFlushed diverged from Absorb of the flushed source", round, part)
+			}
+		}
+	}
+}
+
+// TestFlushedPassThrough pins the bound under which a fold may absorb a
+// sketch's raw points instead of flushing them: a sketch of n unit-weight
+// buffered points reports Flushed exactly while n < 2δ/π, and then its flush
+// fuses nothing (the flushed multiset is the raw one); at the bound the
+// middle pair fuses, so the bound is the tightest of its form. A sketch with
+// nothing buffered is flushed; one whose buffer holds a weighted point, or
+// whose buffer follows centroids, is not.
+func TestFlushedPassThrough(t *testing.T) {
+	r := rng.New(47)
+	for _, delta := range []float64{20, 50, DefaultCompression, 333} {
+		bound := int(math.Ceil(2 * delta / math.Pi)) // the first n at or past 2δ/π
+		for n := 1; n <= bound; n++ {
+			sk := NewSketch(delta)
+			for i := 0; i < n; i++ {
+				x := math.Round(r.LogNormal(3, 0.7)) // repeats: equal means must not fuse either
+				if err := sk.Add(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raw := sk.AppendPoints(nil)
+			flushed := sk.Clone().Centroids()
+			fused := len(flushed) < n
+			if sk.Flushed() != (n < bound) {
+				t.Fatalf("δ=%v n=%d: Flushed = %v, want %v", delta, n, sk.Flushed(), n < bound)
+			}
+			if n < bound {
+				slices.SortFunc(raw, func(a, b Centroid) int { return cmp.Compare(a.Mean, b.Mean) })
+				if !slices.Equal(raw, flushed) {
+					t.Fatalf("δ=%v n=%d: Flushed, but the flush is not the raw multiset", delta, n)
+				}
+			} else if !fused {
+				t.Fatalf("δ=%v n=%d: the bound is not tight: %d points fused nothing", delta, n, n)
+			}
+		}
+	}
+	sk := NewSketch(DefaultCompression)
+	if !sk.Flushed() {
+		t.Fatal("an empty sketch is not Flushed")
+	}
+	for i := 0; i < 400; i++ { // the 4δ self-flush: centroids, nothing buffered
+		if err := sk.Add(float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sk.Flushed() {
+		t.Fatal("a sketch with nothing buffered is not Flushed")
+	}
+	if err := sk.Add(1); err != nil || sk.Flushed() {
+		t.Fatalf("a point buffered after centroids reads Flushed (err %v)", err)
+	}
+	weighted := NewSketch(DefaultCompression)
+	if err := weighted.AddWeighted(1, 2); err != nil || weighted.Flushed() {
+		t.Fatalf("a buffered weighted point reads Flushed (err %v)", err)
+	}
+}
+
+// TestSealKeepsFlushedForm: Seal flushes exactly when δ or more points are
+// buffered, leaves the sketch trimmed and holding the flushed form a fold
+// reads (AbsorbFlushed), and a sealed sketch folds to the same bytes as its
+// unsealed twin.
+func TestSealKeepsFlushedForm(t *testing.T) {
+	r := rng.New(53)
+	for _, n := range []int{0, 1, 63, 99, 100, 101, 399, 400, 401, 1340} {
+		sk := NewSketch(DefaultCompression)
+		for i := 0; i < n; i++ {
+			if err := sk.Add(r.LogNormal(3, 0.7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twin := sk.Clone()
+		buffered := sk.buffered()
+		if got := sk.Seal(); got != (buffered >= DefaultCompression) {
+			t.Fatalf("n=%d: Seal with %d buffered flushed=%v", n, buffered, got)
+		}
+		if held := sk.Footprint(); held-exactBytes(sk) > trimSlack {
+			t.Fatalf("n=%d: a sealed sketch holds %d B, %d exact", n, held, exactBytes(sk))
+		}
+		a, b := NewSketch(DefaultCompression), NewSketch(DefaultCompression)
+		a.AbsorbFlushed(sk.AppendPoints(nil), sk.Count(), sk.Min(), sk.Max(), sk.Compression())
+		b.AbsorbFlushed(twin.AppendPoints(nil), twin.Count(), twin.Min(), twin.Max(), twin.Compression())
+		if !bytes.Equal(mustMarshal(a), mustMarshal(b)) {
+			t.Fatalf("n=%d: the sealed sketch folds differently from its unsealed twin", n)
+		}
 	}
 }

@@ -36,6 +36,7 @@ const (
 	ctlAbsorb = "absorb"
 	ctlDrop   = "drop"
 	ctlFresh  = "fresh" // heads a segment re-created after retention evicted its window (wal.go openSeg)
+	ctlSeal   = "seal"  // a rollup of the segment's window sealed to its flushed form (ingest.go shard.seal)
 )
 
 // ctlPrefix distinguishes control records from envelope records inside a
@@ -46,8 +47,9 @@ const (
 var ctlPrefix = []byte(`{"ctl":`)
 
 // walCtl is one WAL control record: an absorbed rollup (with its exact
-// binary sketch state) or a partition drop. The window start is implied by
-// the segment the record lives in.
+// binary sketch state), a partition drop, a fresh segment's head or a
+// rollup's seal. The window start is implied by the segment the record
+// lives in.
 type walCtl struct {
 	Ctl    string `json:"ctl"`
 	Metric string `json:"metric,omitempty"`
@@ -84,6 +86,10 @@ func decodeCtl(body []byte) (walCtl, error) {
 		c.sk = new(stats.Sketch)
 		if err := c.sk.UnmarshalBinary(c.Sketch); err != nil {
 			return walCtl{}, fmt.Errorf("%w: absorb sketch: %v", ErrInvalid, err)
+		}
+	case ctlSeal:
+		if c.Metric == "" {
+			return walCtl{}, fmt.Errorf("%w: seal record without metric", ErrInvalid)
 		}
 	case ctlDrop:
 		if c.Of <= 0 || c.Partition < 0 || c.Partition >= c.Of {
@@ -137,6 +143,10 @@ func (ing *Ingestor) applyCtl(s *shard, start int64, c walCtl) {
 		ing.absorbLocked(s, Key{Metric: c.Metric, Region: c.Region, Net: c.Net}, start, c.sk, foldReplay)
 	case ctlDrop:
 		dropWindowLocked(s, start, c.Partition, c.Of)
+	case ctlSeal:
+		if ks, i, found := s.lookup(Key{Metric: c.Metric, Region: c.Region, Net: c.Net}, start); found {
+			s.seal(ks, i)
+		}
 	}
 }
 

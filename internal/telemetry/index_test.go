@@ -57,14 +57,27 @@ func (o *scanOracle) place(wk windowKey, sk *stats.Sketch) {
 
 // offer folds one event: its window's rollup is created (and retention
 // enforced) before the value lands, so a window born past the horizon takes
-// the value with it.
+// the value with it. A rollup created newer than every other of its key's
+// seals the key's previous-newest one.
 func (o *scanOracle) offer(e Envelope) {
 	w := o.cfg.Window.Milliseconds()
 	wk := windowKey{Start: e.TS - e.TS%w, Key: e.Key()}
 	sk := o.windows[wk]
 	if sk == nil {
+		prev, newest := windowKey{Start: -1}, true
+		for have := range o.windows {
+			if have.Key == wk.Key {
+				newest = newest && have.Start < wk.Start
+				if have.Start < wk.Start && have.Start > prev.Start {
+					prev = have
+				}
+			}
+		}
 		sk = stats.NewSketch(o.cfg.Compression)
 		o.place(wk, sk)
+		if sealed := o.windows[prev]; newest && sealed != nil {
+			sealed.Seal()
+		}
 	}
 	_ = sk.Add(e.Value)
 }
@@ -103,8 +116,8 @@ func (o *scanOracle) keys() []KeyCount {
 }
 
 // match is MatchSketches by brute force: each selected key's non-empty
-// rollups in the spec's window range, ascending by start, absorbed into a
-// fresh sketch and sealed.
+// rollups in the spec's window range, ascending by start, each flushed on
+// a copy and absorbed into a fresh sketch, which is then sealed.
 func (o *scanOracle) match(spec QuerySpec) SketchPage {
 	w := o.cfg.Window.Milliseconds()
 	from, to := int64(0), int64(1)<<62
@@ -129,7 +142,9 @@ func (o *scanOracle) match(spec QuerySpec) SketchPage {
 		}
 		fold := stats.NewSketch(o.cfg.Compression)
 		for _, wk := range picked[:n] {
-			fold.Absorb(o.windows[wk])
+			flushed := o.windows[wk].Clone()
+			flushed.Centroids()
+			fold.Absorb(flushed)
 		}
 		fold.Centroids()
 		enc, _ := fold.MarshalBinary()

@@ -212,6 +212,7 @@ type shard struct {
 	deduped     *obs.Counter // sequenced duplicates folded zero times
 	compactions *obs.Counter // dedup tracker sparse-window compactions
 	evicted     *obs.Counter // time windows evicted under MaxWindows retention
+	sealed      *obs.Counter // closed rollups sealed to their flushed form (seal)
 
 	// Latency instruments.
 	walAppendHist *obs.Histogram
@@ -488,9 +489,11 @@ const (
 // fold applies one envelope to the shard state: dedup sequenced duplicates,
 // log to the WAL (live mode), then fold into the (window, key) sketch. WAL
 // append precedes the fold and shares its lock hold, so per-segment record
-// order is exactly fold order — the invariant recovery replay relies on. It
-// reports whether this append made the shard's checkpoint due, read under
-// the same lock hold. Called with s.mu held.
+// order is exactly fold order — the invariant recovery replay relies on. An
+// event that opens a window newer than every rollup of its key seals the
+// key's previous-newest rollup (seal; replay takes the seal from the WAL
+// instead). It reports whether this fold's appends made the shard's
+// checkpoint due, read under the same lock hold. Called with s.mu held.
 func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 	wk := windowKey{Start: ing.windowStart(e.TS), Key: e.Key()}
 	if e.Seq > 0 {
@@ -514,9 +517,9 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 			t.last = wk.Start
 		}
 	}
-	if mode == foldLive && s.wal != nil {
+	logged := mode == foldLive && s.wal != nil
+	if logged {
 		s.wal.append(e, wk.Start)
-		due = s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
 	}
 	ks, i, found := s.lookup(wk.Key, wk.Start)
 	newStart := false
@@ -525,6 +528,13 @@ func (ing *Ingestor) fold(s *shard, e Envelope, mode foldMode) (due bool) {
 		if wk.Start > s.newest {
 			s.rollover(wk.Start)
 		}
+		if mode == foldLive && i > 0 && i == len(ks.wins)-1 && s.seal(ks, i-1) && logged {
+			prev := ks.wins[i-1].start
+			s.wal.appendCtl(prev, walCtl{Ctl: ctlSeal, Metric: wk.Metric, Region: wk.Region, Net: wk.Net})
+		}
+	}
+	if logged {
+		due = s.wal.checkpointDue(ing.cfg.WAL.SnapshotEvery)
 	}
 	w := &ks.wins[i]
 	// Add cannot fail here: Offer validated the envelope, and a finite
@@ -577,11 +587,12 @@ func (s *shard) insert(ks *keySeries, key Key, i int, start int64, sk *stats.Ske
 // rollover marks start, newer than every window the shard folded into
 // before, as the newest and trims the rollups of the windows behind it to
 // their exact size (stats.Sketch.Trim): a closed window gains nothing from
-// room to buffer more points. Each key's walk runs from its newest window
-// back to the window that was newest one rollover ago, because a late event
-// may have regrown a rollup the last rollover trimmed; the Trim of a rollup
-// within 64 B of its exact size — an exact one, or a sparse one of a few
-// points — allocates nothing. A trim writes no content, so no rollup is
+// room to buffer more points. A key that keeps advancing has its closed
+// rollups sealed (seal) already; this trim is for the keys that stop. Each
+// key's walk runs from its newest window back to the window that was newest
+// one rollover ago, because a late event may have regrown a rollup the last
+// rollover trimmed; the Trim of a rollup within 64 B of its exact size — an
+// exact one, or a sparse one of a few points — allocates nothing. A trim writes no content, so no rollup is
 // stamped and no memoised fold goes stale. Called with s.mu held.
 func (s *shard) rollover(start int64) {
 	for _, ks := range s.keys {
@@ -592,6 +603,24 @@ func (s *shard) rollover(start int64) {
 		}
 	}
 	s.prior, s.newest = s.newest, start
+}
+
+// seal compacts rollup j of ks, closed because its key has just folded its
+// first event of a newer window: the sketch flushes once it buffers δ or
+// more points, and is trimmed (stats.Sketch.Seal). Every fold reads a rollup
+// in its flushed form, so a seal writes no content: nothing is stamped and
+// no memoised fold goes stale. It reports whether the sketch flushed. The
+// live fold logs such a seal to the rollup's own window segment, at its
+// place among that window's records, and replay applies it there
+// (applyCtl): recovery visits segments one window at a time, so a late event
+// the live shard folded into the flushed form is replayed into the flushed
+// form too. Called with s.mu held.
+func (s *shard) seal(ks *keySeries, j int) bool {
+	if !ks.wins[j].sk.Seal() {
+		return false
+	}
+	s.sealed.Inc()
+	return true
 }
 
 // remove deletes rollup i of ks: its events leave the key's count, its

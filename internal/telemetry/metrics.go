@@ -20,11 +20,12 @@ import (
 // ingestMetrics holds the registered families and per-ingestor instruments.
 type ingestMetrics struct {
 	accepted, dropped, processed, deduped, compactions, evicted *obs.CounterVec
+	sealed                                                      *obs.CounterVec
 	walAppended, walFsyncs, walFileSync                         *obs.CounterVec
 	queueDepth, walLag, windows, rollups, rollupBytes, keys     *obs.GaugeVec
 	snapBytes, sinceBytes                                       *obs.GaugeVec
 	walAppend, walFsync, snapshot                               *obs.HistogramVec
-	query, sketches                                             *obs.Histogram
+	query, sketches, fold                                       *obs.Histogram
 	foldedRollups, memoHits, memoMisses                         *obs.Counter
 
 	recoveryReplayed, recoverySkipped, recoveryDuration *obs.Gauge
@@ -45,6 +46,7 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		deduped:     reg.CounterVec("telemetry_ingest_deduped_total", "sequenced duplicates folded zero times", "shard"),
 		compactions: reg.CounterVec("telemetry_dedup_compactions_total", "dedup tracker sparse-window compactions (floor advanced over a gap)", "shard"),
 		evicted:     reg.CounterVec("telemetry_windows_evicted_total", "time windows evicted under MaxWindows retention", "shard"),
+		sealed:      reg.CounterVec("telemetry_shard_rollups_sealed_total", "closed rollups sealed to their flushed form: a key's previous-newest rollup holding at least δ buffered points when the key folds its first event of a newer window", "shard"),
 		walAppended: reg.CounterVec("telemetry_wal_appended_total", "records appended to the write-ahead log", "shard"),
 		walFsyncs:   reg.CounterVec("telemetry_wal_fsyncs_total", "WAL fsync batches completed (syncs that found a segment written since the last)", "shard"),
 		walFileSync: reg.CounterVec("telemetry_wal_file_fsyncs_total", "WAL segment files fsynced, by a batch or by handle-cap eviction (directory fsyncs excluded)", "shard"),
@@ -61,6 +63,7 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 		snapshot:    reg.HistogramVec("telemetry_snapshot_seconds", "shard checkpoint latency (WAL fsync + encode + atomic rename)", nil, "shard"),
 		query:       reg.Histogram("telemetry_query_seconds", "Query latency: shard scan, per-key fold, key-ordered merge of the folds and evaluation", nil),
 		sketches:    reg.Histogram("telemetry_sketches_seconds", "MatchSketches latency per /sketches request (the node's share of a cluster query): shard scan, per-key fold, seal and sketch encode", nil),
+		fold:        reg.Histogram("telemetry_fold_seconds", "fold stage of a query, observed once per shard pass that folds any rollup (a pass the fold memo answers whole is not observed): flush of each copied-out rollup to its flushed form, per-key absorb, seal and encode, outside the shard lock", nil),
 
 		foldedRollups: reg.Counter("telemetry_sketches_folded_rollups_total", "(window, key) rollups folded by queries into per-key sketches (a fold memo hit folds none)"),
 		memoHits:      reg.Counter("telemetry_sketches_memo_hits_total", "per-key query folds answered from the fold memo (the key's picked rollups unchanged since)"),
@@ -81,6 +84,7 @@ func (m *ingestMetrics) bind(s *shard, i int) {
 	s.deduped = m.deduped.With(l)
 	s.compactions = m.compactions.With(l)
 	s.evicted = m.evicted.With(l)
+	s.sealed = m.sealed.With(l)
 	s.walAppendHist = m.walAppend.With(l)
 	s.snapshotHist = m.snapshot.With(l)
 }

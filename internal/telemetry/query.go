@@ -133,12 +133,14 @@ func (spec *QuerySpec) selects(k Key) bool {
 
 // foldRun is one picked rollup copied out of its shard: which of the shard's
 // missed keys it belongs to, its window, where its points sit in the scratch
-// point list, and the scalars the points do not carry.
+// point list, the scalars the points do not carry, and whether fold must
+// flush the points to read the rollup's flushed form.
 type foldRun struct {
-	key             int32 // index into foldScratch.keys
-	at, n           int32 // its points are pts[at : at+n]
-	start           int64
-	count, min, max float64
+	key                    int32 // index into foldScratch.keys
+	at, n                  int32 // its points are pts[at : at+n]
+	flush                  bool  // the points are not yet their flushed form (stats.Sketch.Flushed)
+	start                  int64
+	count, min, max, delta float64
 }
 
 // foldScratch is the working memory of one foldKeys call, pooled per
@@ -154,17 +156,20 @@ type foldScratch struct {
 }
 
 // foldKeys is what every query merges: for each key the spec matches, the
-// key's picked rollups absorbed in ascending window start (stats.Sketch
-// Absorb semantics — compaction deferred to 8δ buffered points) into an
+// flushed form of each of the key's picked rollups — the centroids the
+// rollup's own flush would leave (stats.Sketch.AbsorbFlushed) — absorbed in
+// ascending window start (compaction deferred to 8δ buffered points) into an
 // empty sketch at the ingestor's compression, then sealed with one flush.
-// The sealed folds come back in wire form — Start the earliest rollup,
-// Windows the number folded, Sketch the sealed state's exact encoding — in
-// Key.Compare order. A fold is a pure function of its key's rollups, and a
-// key's rollups all live in one shard of one ingestor, so a node that holds
-// a key whole exports the very bytes a single node holding everything would
-// fold for it: that, and mergeFolds being the one merge, is why cluster and
-// single-node answers are byte-identical. Empty rollups fold nothing and
-// are not counted.
+// Reading every rollup in its flushed form is what makes a rollup's seal
+// (shard.seal) a cache: a sealed rollup and its unsealed twin fold to the
+// same bytes until another event lands in it. The sealed folds come back in
+// wire form — Start the earliest rollup, Windows the number folded, Sketch
+// the sealed state's exact encoding — in Key.Compare order. A fold is a pure
+// function of its key's rollups, and a key's rollups all live in one shard
+// of one ingestor, so a node that holds a key whole exports the very bytes a
+// single node holding everything would fold for it: that, and mergeFolds
+// being the one merge, is why cluster and single-node answers are
+// byte-identical. Empty rollups fold nothing and are not counted.
 //
 // A key whose picked rollups are unchanged since an earlier query of the
 // same window range is not folded again: the key's fold memo
@@ -177,8 +182,9 @@ type foldScratch struct {
 // missed keys' points copied out — the price of a consistent cut without
 // epoch machinery. That is one map lookup for a fully keyed spec (Region and
 // Net both set), in the one shard the key hashes to, and otherwise a pass
-// over the shard's keys, never over its (window, key) rollups. Folding,
-// sealing and encoding happen outside every lock; the new folds are memoised
+// over the shard's keys, never over its (window, key) rollups. Flushing,
+// folding, sealing and encoding happen outside every lock, timed with one
+// clock pair per shard pass that folds anything; the new folds are memoised
 // under a second, short hold.
 func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 	fromMs, toMs, err := ing.windowRange(spec)
@@ -220,7 +226,9 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 			continue
 		}
 		fresh := len(folds)
+		began := time.Now()
 		folds = sc.fold(folds)
+		ing.m.fold.ObserveDuration(time.Since(began))
 		misses += len(folds) - fresh
 		folded += len(sc.runs)
 		s.mu.Lock()
@@ -242,8 +250,11 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 // pick selects one key's rollups in [fromMs, toMs) — a binary search for
 // each bound in its windows — and either appends the memoised fold that
 // still covers them to folds or copies their points out as runs, ascending
-// by window start, for fold. Empty rollups fold nothing and are not counted.
-// Called with the key's shard locked.
+// by window start, for fold. Each run records whether its points still need
+// the rollup's flush: a rollup with nothing buffered, or a small unit-weight
+// one whose flush fuses nothing (stats.Sketch.Flushed), is absorbed as it
+// lies. Empty rollups fold nothing and are not counted. Called with the
+// key's shard locked.
 func (sc *foldScratch) pick(ks *keySeries, fromMs, toMs int64, folds []WindowSketch) []WindowSketch {
 	lo, _ := ks.find(fromMs)
 	hi, _ := ks.find(toMs)
@@ -273,8 +284,8 @@ func (sc *foldScratch) pick(ks *keySeries, fromMs, toMs int64, folds []WindowSke
 		at := len(sc.pts)
 		sc.pts = w.sk.AppendPoints(sc.pts)
 		sc.runs = append(sc.runs, foldRun{
-			key: key, at: int32(at), n: int32(len(sc.pts) - at),
-			start: w.start, count: w.sk.Count(), min: w.sk.Min(), max: w.sk.Max(),
+			key: key, at: int32(at), n: int32(len(sc.pts) - at), flush: !w.sk.Flushed(),
+			start: w.start, count: w.sk.Count(), min: w.sk.Min(), max: w.sk.Max(), delta: w.sk.Compression(),
 		})
 	}
 	return folds
@@ -282,7 +293,9 @@ func (sc *foldScratch) pick(ks *keySeries, fromMs, toMs int64, folds []WindowSke
 
 // fold appends one sealed fold per key of the copied-out runs to folds, in
 // sc.keys order (foldKeys sorts across shards): pick leaves each key's runs
-// contiguous and ascending by window start, so they fold as they lie.
+// contiguous and ascending by window start, so they fold as they lie, each
+// in its rollup's flushed form — flushed here, on the copied-out points,
+// where pick marked that the points are not that form already.
 func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
 	folds = slices.Grow(folds, len(sc.keys))
 	for runs := sc.runs; len(runs) > 0; {
@@ -292,7 +305,11 @@ func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
 		}
 		sc.sk.Reset()
 		for _, r := range runs[:n] {
-			sc.sk.AbsorbPoints(sc.pts[r.at:r.at+r.n], r.count, r.min, r.max)
+			if pts := sc.pts[r.at : r.at+r.n]; r.flush {
+				sc.sk.AbsorbFlushed(pts, r.count, r.min, r.max, r.delta)
+			} else {
+				sc.sk.AbsorbPoints(pts, r.count, r.min, r.max)
+			}
 		}
 		sc.sk.Centroids()                                                 // seal: flush what the last absorbs left buffered
 		enc, _ := sc.sk.AppendBinary(make([]byte, 0, sc.sk.BinarySize())) // encoding a live sketch cannot fail

@@ -137,14 +137,15 @@ func TestTrimKeepsFoldMemo(t *testing.T) {
 // TestRollupBytesBoundedAtSaturation states a node's memory bound as a
 // property of the gauge, not of the heap: 128 keys × 25 one-second windows
 // on 4 shards, 1 340 events per (key, window) — the single-node benchmark's
-// density — hold at most 9 MB in their rollups' point lists (≈ 6.9 MB at
-// 16 B a centroid and 8 B a unit-weight buffered point; it was ≈ 10.9 MB
-// when a buffered point cost 16 B). Untrimmed, a closed window's rollup
-// keeps its last append's capacity.
+// density — hold at most 4.5 MB in their rollups' point lists. A closed
+// rollup is sealed to its centroids (≈ 1.1 KB; ≈ 2.2 KB with its buffered
+// points kept, 6.9 MB for the set, and ≈ 10.9 MB when a buffered point cost
+// 16 B); the open window's rollups keep their buffers. Untrimmed, a closed
+// window's rollup keeps its last append's capacity.
 func TestRollupBytesBoundedAtSaturation(t *testing.T) {
 	const (
 		keys, windows, perRollup = 128, 25, 1340
-		limit                    = 9 << 20
+		limit                    = 9 << 19
 	)
 	ing := NewIngestor(Config{Shards: 4, Window: time.Second, Block: true})
 	defer ing.Close()
