@@ -5,7 +5,7 @@ GO ?= go
 # The gated wide-query benchmarks run at a fixed iteration count, so their
 # B/op (pooled scratch allocated once per run, spread over the iterations)
 # does not depend on how many iterations a box fits in a time budget.
-WIDE_BENCH = Wide$$
+WIDE_BENCH = (Wide|AllTime)$$
 WIDE_BENCHTIME = 20x
 
 .PHONY: build vet test race fuzz chaos bench bench-json bench-compare bench-multicore ci loc repro repro-sha profile

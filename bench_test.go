@@ -1168,6 +1168,46 @@ func BenchmarkMatchSketchesWide(b *testing.B) {
 	}
 }
 
+// BenchmarkMatchSketchesAllTime is an all-time query's fold over one dense
+// shard: 32 keys × 30 one-second windows of 170 events each, the rate per
+// key a batched cluster node folds, so each key's closed rollups are sealed
+// to centroids and its newest one buffers raw points. One event to every
+// key's newest window before each query makes every key a memo miss. The
+// fold works through one rollup at a time under the shard lock, so what it
+// allocates is one encoding per key and the page, not a copy of the shard's
+// points; it is in the allocation gate for that reason.
+func BenchmarkMatchSketchesAllTime(b *testing.B) {
+	ing := telemetry.NewIngestor(telemetry.Config{Shards: 1, Window: time.Second, Block: true})
+	b.Cleanup(func() { ing.Close() })
+	const keys, windows, perRollup = 32, 30, 170
+	r := rng.New(71)
+	batch := make([]telemetry.Envelope, 0, keys*perRollup)
+	for w := 0; w < windows; w++ {
+		batch = batch[:0]
+		for i := 0; i < keys*perRollup; i++ {
+			batch = append(batch, wideEnvelope(i%keys, int64(w)*1000+int64(i%1000), math.Round(r.LogNormal(math.Log(20), 0.5)*1000)/1000))
+		}
+		ing.OfferAll(batch)
+	}
+	ing.Flush()
+	touch := make([]telemetry.Envelope, keys)
+	for key := range touch {
+		touch[key] = wideEnvelope(key, windows*1000-1, 20)
+	}
+	spec := telemetry.QuerySpec{Metric: telemetry.MetricRTT}
+	b.ReportAllocs()
+	defer onePForAllocs(b)()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ing.OfferAll(touch)
+		ing.Flush()
+		b.StartTimer()
+		if page, err := ing.MatchSketches(spec); err != nil || len(page.Matches) != keys {
+			b.Fatalf("page: %d matches, err %v", len(page.Matches), err)
+		}
+	}
+}
+
 // BenchmarkMergeSketchPagesWide is the front-end's share of the same query:
 // three nodes' folded pages (the key space dealt whole-key across them)
 // k-way merged by key and evaluated.

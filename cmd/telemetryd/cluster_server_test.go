@@ -152,6 +152,16 @@ func TestClusterFrontendMatchesSingleNode(t *testing.T) {
 	for _, ing := range c.ings {
 		ing.Flush()
 	}
+	// One POST per owner: the request reached the 3 nodes in at most 3 legs.
+	var legs float64
+	for _, s := range c.reg.Snapshot() {
+		if s.Name == "cluster_router_legs_total" {
+			legs += s.Value
+		}
+	}
+	if legs < 1 || legs > 3 {
+		t.Fatalf("one 32-envelope request took %v legs, want 1–3", legs)
+	}
 
 	single, _, singleSrv := newTestServer(t, telemetry.Config{Shards: 4, Block: true}, false)
 	if got := postIngest(t, singleSrv.URL, body); got != 32 {

@@ -160,8 +160,8 @@ func (sk *Sketch) Absorb(other *Sketch) {
 // AppendPoints appends the sketch's points to dst — centroids, then buffered
 // points, the order Absorb folds them in — and returns the extended slice.
 // With Count, Min and Max it is a sketch's whole state in a form a caller
-// can copy out under a lock and fold later (AbsorbPoints) without a Clone
-// per sketch.
+// can copy out and fold in its flushed form (AbsorbFlushed) without a Clone
+// or a flush of the sketch itself.
 func (sk *Sketch) AppendPoints(dst []Centroid) []Centroid {
 	return sk.appendBuffered(append(dst, sk.centroids...))
 }
@@ -216,26 +216,12 @@ func unitWeights(pts []Centroid) bool {
 	return true
 }
 
-// AbsorbPoints folds in one sketch's points, count and range as copied out
-// by AppendPoints, Count, Min and Max, exactly as Absorb of that sketch
-// would: the same append order, the same deferred compaction. Like Absorb it
-// trusts its input — the points come from a live sketch in this process,
-// never off a wire (that is AbsorbBinary's job). pts is only read.
-func (sk *Sketch) AbsorbPoints(pts []Centroid, count, min, max float64) {
-	if count == 0 {
-		return
-	}
-	sk.pushCentroids(pts)
-	sk.absorbed(count, min, max)
-}
-
 // AbsorbFlushed folds in one sketch's flushed form: the points, count and
 // range copied out by AppendPoints, Count, Min and Max of a sketch at
 // compression δ are put through that sketch's own flush — the canonical sort
 // and fuse at its count and δ — and the centroids it yields are absorbed as
-// AbsorbPoints absorbs points. The result is bit-identical to Absorb of the
-// source after its Centroids call, without touching the source, so a caller
-// can copy points out under a lock and flush them after releasing it. pts is
+// Absorb absorbs a sketch's points. The result is bit-identical to Absorb of
+// the source after its Centroids call, without touching the source. pts is
 // used as scratch: its order is not kept.
 func (sk *Sketch) AbsorbFlushed(pts []Centroid, count, min, max, compression float64) {
 	if count == 0 {
@@ -345,7 +331,7 @@ func (sk *Sketch) Footprint() int {
 }
 
 // absorbed is the one tail every fold of a whole sketch shares (Merge,
-// Absorb, AbsorbPoints, AbsorbBinary), run after the sketch's points are
+// Absorb, AbsorbFlushed, AbsorbBinary), run after the sketch's points are
 // appended to buf: account for its count and range, and compact once 8δ
 // points are buffered.
 func (sk *Sketch) absorbed(count, min, max float64) {

@@ -79,8 +79,8 @@ func (sk *refSketch) flushReference() {
 	sk.centroids = append(sk.centroids[:0], merged...)
 }
 
-// addWeighted, absorbPoints and absorb are AddWeighted, AbsorbPoints and
-// Absorb over flushReference, thresholds included (4δ on add, 8δ on
+// addWeighted and absorb (through absorbPoints) are AddWeighted and Absorb
+// over flushReference, thresholds included (4δ on add, 8δ on
 // absorb), so a reference sketch driven beside a real one also pins where
 // flushes fall.
 func (sk *refSketch) addWeighted(x, w float64) {
@@ -411,7 +411,7 @@ func TestSketchFlushGuardBand(t *testing.T) {
 // step is 9 bytes: a value's IEEE bits, then a control byte whose low
 // nibble picks a weight (half of them 1) and whose high nibble the
 // operation — mostly adds to either pair, else folding the side pair into
-// the main one by Absorb, AbsorbBinary or AbsorbPoints, Trim, Reset, Clone,
+// the main one by Absorb or AbsorbBinary, Trim, Reset, Clone,
 // a marshal round trip, or a checkpoint that compacts both sides
 // mid-stream. Both pairs must encode alike after every step.
 func flushProgram(t testing.TB, data []byte, compression float64) {
@@ -428,7 +428,7 @@ func flushProgram(t testing.TB, data []byte, compression float64) {
 			p.add(x, w)
 		case 7, 8:
 			side.add(x, w)
-		case 9:
+		case 9, 11:
 			p.fast.Absorb(side.fast)
 			p.ref.absorb(side.ref)
 		case 10:
@@ -438,10 +438,6 @@ func flushProgram(t testing.TB, data []byte, compression float64) {
 			if p.fast.AbsorbBinary(mustMarshal(side.fast)) == nil {
 				p.ref.absorb(side.ref)
 			}
-		case 11:
-			pts := side.fast.AppendPoints(nil)
-			p.fast.AbsorbPoints(pts, side.fast.Count(), side.fast.Min(), side.fast.Max())
-			p.ref.absorb(side.ref)
 		case 12:
 			p.fast.Trim()
 			side.fast.Trim()

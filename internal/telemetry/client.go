@@ -48,13 +48,13 @@ const (
 
 // ClientStats counts a RetryClient's work.
 type ClientStats struct {
-	Sent    uint64 `json:"sent"`    // events handed to Send
+	Sent    uint64 `json:"sent"`    // events handed to Send or numbered by Sequence
 	Retries uint64 `json:"retries"` // extra attempts beyond the first
 	Failed  uint64 `json:"failed"`  // events abandoned after maxAttempts
 }
 
 // clientMetrics are the client's accounting cells, registered series, so
-// Stats() reads atomics — safe to call while SendAll runs in the producer
+// Stats() reads atomics — safe to call while Send runs in the producer
 // goroutine.
 type clientMetrics struct {
 	sent    *obs.Counter
@@ -65,7 +65,7 @@ type clientMetrics struct {
 
 func newClientMetrics(reg *obs.Registry) clientMetrics {
 	return clientMetrics{
-		sent:    reg.Counter("telemetry_client_sent_total", "events handed to Send"),
+		sent:    reg.Counter("telemetry_client_sent_total", "events handed to Send or numbered by Sequence"),
 		retries: reg.Counter("telemetry_client_retries_total", "extra send attempts beyond the first"),
 		failed:  reg.Counter("telemetry_client_failed_total", "events abandoned after MaxAttempts"),
 		backoff: reg.Histogram("telemetry_client_backoff_seconds", "computed jittered backoff delay before each retry", walLatencyBuckets),
@@ -119,12 +119,36 @@ func NewRetryClient(send func(Envelope) bool, src *rng.Source, cfg RetryConfig) 
 // sequence of its (key, user) stream; a pre-sequenced envelope (an
 // application-level resend) keeps its number.
 func (c *RetryClient) Send(e Envelope) bool {
+	c.stamp(&e)
+	c.m.sent.Inc()
+	return c.Deliver(e)
+}
+
+// Sequence numbers a batch in place as Send numbers each envelope, and
+// counts the batch as handed to the client: Send's first half, for a caller
+// that makes the first delivery attempt itself — one request for many
+// envelopes — and hands each envelope that attempt did not settle to
+// Deliver, under the number it was given here.
+func (c *RetryClient) Sequence(events []Envelope) {
+	for i := range events {
+		c.stamp(&events[i])
+	}
+	c.m.sent.Add(uint64(len(events)))
+}
+
+// stamp gives an unsequenced envelope the next sequence of its stream.
+func (c *RetryClient) stamp(e *Envelope) {
 	if e.Seq == 0 {
 		k := dedupKey{Key: e.Key(), User: e.User}
 		c.next[k]++
 		e.Seq = c.next[k]
 	}
-	c.m.sent.Inc()
+}
+
+// Deliver is Send's second half: it sends an envelope as it is numbered,
+// retrying refusals under bounded jittered backoff, and reports whether it
+// was ever acknowledged.
+func (c *RetryClient) Deliver(e Envelope) bool {
 	if c.send(e) {
 		return true
 	}
@@ -195,17 +219,6 @@ func (c *RetryClient) RestoreSeqState(recs []SeqRecord) {
 			c.next[k] = r.LastSeq
 		}
 	}
-}
-
-// SendAll delivers a batch, returning how many were acknowledged.
-func (c *RetryClient) SendAll(events []Envelope) int {
-	n := 0
-	for _, e := range events {
-		if c.Send(e) {
-			n++
-		}
-	}
-	return n
 }
 
 // Stats snapshots the client's counters. Unlike the client itself, Stats is

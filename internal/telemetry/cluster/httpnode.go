@@ -20,7 +20,7 @@ import (
 // HTTPNode speaks to one cluster node over its telemetryd HTTP surface:
 // POST /ingest for the router, GET /sketches and /keys for the front-end,
 // GET /healthz for the prober. It implements NodeClient and supplies the
-// Router's per-node Transport leg.
+// Router's per-node Leg (IngestBatch).
 //
 // Every leg that moves sketch pages — /sketches, /sketches/partition,
 // /admin/absorb — speaks the binary, CRC-trailed page form
@@ -54,6 +54,28 @@ func NewHTTPNode(base string, client *http.Client) *HTTPNode {
 // Ingest delivers one envelope to the node, true when acknowledged —
 // telemetry.HTTPSender semantics.
 func (n *HTTPNode) Ingest(e telemetry.Envelope) bool { return n.ingest(e) }
+
+// IngestBatch delivers a run of envelopes in one POST /ingest, as JSONL, and
+// returns how many the node accepted (its ack's "accepted"): the router's
+// batch Leg. A transport or HTTP failure accepts none, and an envelope that
+// fails to encode is left out, so the ack comes back short and the router
+// resends the run one envelope at a time. Safe for concurrent use.
+func (n *HTTPNode) IngestBatch(events []telemetry.Envelope) int {
+	buf := telemetry.TakeWireBuffer()
+	defer telemetry.ReleaseWireBuffer(buf)
+	for _, e := range events {
+		if out, err := telemetry.AppendJSONL(*buf, e); err == nil {
+			*buf = out
+		}
+	}
+	var ack struct {
+		Accepted int `json:"accepted"`
+	}
+	if err := n.do(context.Background(), http.MethodPost, "/ingest", "application/jsonl", *buf, "", jsonInto(&ack)); err != nil {
+		return 0
+	}
+	return ack.Accepted
+}
 
 // MeterPageBytes makes Sketches add every page body's size to c — the
 // front-end hands each node's cluster_frontend_page_bytes_total series in

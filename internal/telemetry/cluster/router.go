@@ -1,15 +1,41 @@
 package cluster
 
 import (
+	"slices"
+	"sync"
+
 	"edgescope/internal/obs"
 	"edgescope/internal/rng"
 	"edgescope/internal/telemetry"
 )
 
 // Transport delivers one envelope to one node, returning whether the node
-// acknowledged it. Implementations: HTTPNode.Ingest over the wire, a
-// direct Ingestor.Offer in tests, or either wrapped in a fault injector.
+// acknowledged it. Implementations: a direct Ingestor.Offer in tests, or one
+// wrapped in a fault injector. A router reads it through its Leg adapter.
 type Transport func(node string, e telemetry.Envelope) bool
+
+// Leg delivers a run of envelopes to one node in one request and returns how
+// many of them the node acknowledged. A count short of len(events) does not
+// say which ones landed: the router resends the whole run, one envelope at a
+// time under the sequence numbers it already carries, and the node's
+// sequence dedup folds what had landed once. Implementations:
+// HTTPNode.IngestBatch (one JSONL POST), or a Transport adapted by
+// Transport.Leg. Legs to different nodes run concurrently, so a Leg must be
+// safe for that; the router never runs two legs to one node at once.
+type Leg func(node string, events []telemetry.Envelope) int
+
+// Leg adapts a per-envelope transport to a Leg: the run is delivered in
+// order, and the first refusal ends it.
+func (t Transport) Leg() Leg {
+	return func(node string, events []telemetry.Envelope) int {
+		for i, e := range events {
+			if !t(node, e) {
+				return i
+			}
+		}
+		return len(events)
+	}
+}
 
 // RouterConfig tunes the routing ingest client.
 type RouterConfig struct {
@@ -46,10 +72,13 @@ type RouterStats struct {
 
 // Router is the ingest front door: it maps each envelope's key to its
 // partition and sends to the owning node — refusing outright while the
-// health tracker has the owner marked down. Everything rides inside a
-// telemetry.RetryClient, so refusals (a transport failure, a handoff
-// freeze, the whole of an owner's outage) get bounded exponential backoff
-// and per-key sequence numbers that make duplicates from retries fold away
+// health tracker has the owner marked down. A batch (SendAll) is numbered
+// once and shipped as one leg per owner; whatever a leg does not settle, and
+// every envelope of a partition that is frozen, in its dual-write phase or
+// owned by a down node, takes the per-envelope path. That path rides inside
+// a telemetry.RetryClient, so refusals (a transport failure, a handoff
+// freeze, the whole of an owner's outage) get bounded exponential backoff,
+// and the per-key sequence numbers make duplicates from resends fold away
 // server-side. A partition's writes only ever land on its owner (and, mid-
 // migration, the pending owner), which keeps each (window, key) rollup on
 // one node and preserves single-node byte-identity at every epoch.
@@ -57,29 +86,45 @@ type RouterStats struct {
 // Send/SendAll must be called from a single goroutine, like the
 // RetryClient they wrap.
 type Router struct {
-	pm        *PartitionMap
-	health    *HealthTracker
-	transport Transport
-	client    *telemetry.RetryClient
+	pm     *PartitionMap
+	health *HealthTracker
+	leg    Leg
+	client *telemetry.RetryClient
+	batch  batchPlan // SendAll's working memory, reused across calls
 
 	routed     *obs.Counter
 	unroutable *obs.Counter
 	frozen     *obs.Counter
 	dualWrites *obs.Counter
+	legs       *obs.CounterVec
+	legSize    *obs.Histogram
 }
 
+// legSizeBuckets bound the envelopes-per-leg histogram: 1 (the per-envelope
+// path) up to 4096, one request's decode chunk on a node.
+var legSizeBuckets = obs.ExpBuckets(1, 2, 13)
+
 // NewRouter wires a routing client over a partition map, a health tracker
-// and a node transport. src seeds the retry client's backoff jitter.
+// and a per-envelope node transport, which carries the batch legs too
+// (Transport.Leg). src seeds the retry client's backoff jitter.
 func NewRouter(pm *PartitionMap, health *HealthTracker, transport Transport, src *rng.Source, cfg RouterConfig) *Router {
+	return NewLegRouter(pm, health, transport.Leg(), src, cfg)
+}
+
+// NewLegRouter is NewRouter over a batch leg: one request per owner per
+// SendAll, and a one-envelope run for each per-envelope attempt.
+func NewLegRouter(pm *PartitionMap, health *HealthTracker, leg Leg, src *rng.Source, cfg RouterConfig) *Router {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry() // private: nothing scrapes it
 	}
 	r := &Router{
-		pm: pm, health: health, transport: transport,
+		pm: pm, health: health, leg: leg,
 		routed:     cfg.Metrics.Counter("cluster_router_routed_total", "envelopes delivered to their partition owner"),
 		unroutable: cfg.Metrics.Counter("cluster_router_unroutable_total", "send attempts refused because the partition's owner was marked down"),
 		frozen:     cfg.Metrics.Counter("cluster_router_frozen_total", "send attempts refused during a partition's handoff freeze"),
 		dualWrites: cfg.Metrics.Counter("cluster_router_dual_writes_total", "deliveries duplicated to the pending epoch's owner"),
+		legs:       cfg.Metrics.CounterVec("cluster_router_legs_total", "ingest requests sent to a node: one per owner per batch, one per per-envelope attempt", "node"),
+		legSize:    cfg.Metrics.Histogram("cluster_router_leg_envelopes", "envelopes carried by one ingest leg", legSizeBuckets),
 	}
 	if cfg.Retry.Metrics == nil {
 		// The retry client under the router reports (telemetry_client_*) to
@@ -88,6 +133,18 @@ func NewRouter(pm *PartitionMap, health *HealthTracker, transport Transport, src
 	}
 	r.client = telemetry.NewRetryClient(r.route, src, cfg.Retry)
 	return r
+}
+
+// send runs one leg and counts it.
+func (r *Router) send(node string, events []telemetry.Envelope) int {
+	r.legs.With(node).Inc()
+	r.legSize.Observe(float64(len(events)))
+	return r.leg(node, events)
+}
+
+// sendOne runs a one-envelope leg.
+func (r *Router) sendOne(node string, e telemetry.Envelope) bool {
+	return r.send(node, []telemetry.Envelope{e}) == 1
 }
 
 // route is the RetryClient's send function: one delivery attempt. Owner,
@@ -126,7 +183,7 @@ func (r *Router) route(e telemetry.Envelope) bool {
 // whichever node already folded it — idempotent convergence instead of
 // divergent copies.
 func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
-	if !r.transport(rt.Owner, e) {
+	if !r.sendOne(rt.Owner, e) {
 		return false
 	}
 	if rt.HasDual {
@@ -134,7 +191,7 @@ func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
 		// ack. Once both have, the envelope is safe against any outcome:
 		// activation keeps the pending owner's copy, rollback keeps the
 		// current owner's.
-		if !r.transport(rt.Dual, e) {
+		if !r.sendOne(rt.Dual, e) {
 			return false
 		}
 		r.dualWrites.Inc()
@@ -158,8 +215,133 @@ func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
 // the attempt budget is spent. Reports whether the envelope was acked.
 func (r *Router) Send(e telemetry.Envelope) bool { return r.client.Send(e) }
 
-// SendAll routes a batch in order, returning how many were acked.
-func (r *Router) SendAll(events []telemetry.Envelope) int { return r.client.SendAll(events) }
+// SendAll routes a batch and returns how many envelopes were acked. The
+// batch is numbered once (RetryClient.Sequence) and grouped by owner, each
+// owner's share keeping its order, from one route snapshot per partition
+// (PartitionMap.Route); each share goes out as one leg, the legs to
+// different owners concurrently. An envelope then takes the per-envelope
+// path, under its number, when its partition is frozen, in its dual-write
+// phase or owned by a node marked down; when its leg failed or acked short;
+// or when its partition's route changed while the leg was in flight. Those
+// resends go in batch order once every leg is back, so a key's envelopes
+// reach its owner in order, and sequence dedup folds once whatever a short
+// leg had already landed.
+func (r *Router) SendAll(events []telemetry.Envelope) int {
+	b := &r.batch
+	b.plan(r, events)
+	if len(b.legs) > 0 {
+		var wg sync.WaitGroup
+		for _, l := range b.legs[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				l.acked = r.send(l.node, l.events)
+			}()
+		}
+		b.legs[0].acked = r.send(b.legs[0].node, b.legs[0].events)
+		wg.Wait()
+	}
+	acked := 0
+	for _, l := range b.legs {
+		if l.acked < len(l.events) {
+			b.resend = append(b.resend, l.at...)
+			continue
+		}
+		landed := len(l.events)
+		for i, p := range l.parts {
+			// The same guard deliver applies: no dual target at the
+			// snapshot, so a cutover or activation that landed meanwhile
+			// may leave the copy only on a node about to drop it.
+			if after := r.pm.Route(p); after.Owner != l.node || after.HasDual {
+				b.resend = append(b.resend, l.at[i])
+				landed--
+			}
+		}
+		r.routed.Add(uint64(landed))
+		acked += landed
+	}
+	slices.Sort(b.resend)
+	for _, i := range b.resend {
+		if r.client.Deliver(b.events[i]) {
+			acked++
+		}
+	}
+	b.reset()
+	return acked
+}
+
+// batchPlan is one SendAll's grouping: the numbered copy of the batch, the
+// decision taken per partition it touches (its owner when the partition
+// takes a batch leg, "" when it takes the per-envelope path), the legs of
+// the owners it touches, and the envelopes (by batch index) bound for the
+// per-envelope path. byNode keeps one leg per node ever routed to, so its
+// buffers are reused across batches.
+type batchPlan struct {
+	events []telemetry.Envelope
+	routes map[int]string
+	legs   []*batchLeg
+	byNode map[string]*batchLeg
+	resend []int
+}
+
+// batchLeg is one owner's share of a batch: its envelopes in batch order,
+// each one's partition and batch index, and what the owner acked.
+type batchLeg struct {
+	node   string
+	events []telemetry.Envelope
+	parts  []int
+	at     []int
+	acked  int
+}
+
+// plan numbers a copy of events and deals it out: envelopes of a partition
+// that may not take a batch leg go to resend, the rest to their owner's leg.
+func (b *batchPlan) plan(r *Router, events []telemetry.Envelope) {
+	if b.routes == nil {
+		b.routes, b.byNode = map[int]string{}, map[string]*batchLeg{}
+	}
+	b.events = append(b.events[:0], events...)
+	r.client.Sequence(b.events)
+	for i, e := range b.events {
+		p := r.pm.PartitionOf(e.Key())
+		owner, ok := b.routes[p]
+		if !ok {
+			if rt := r.pm.Route(p); !rt.Frozen && !rt.HasDual && r.health.State(rt.Owner) != StateDown {
+				owner = rt.Owner
+			}
+			b.routes[p] = owner
+		}
+		if owner == "" {
+			b.resend = append(b.resend, i)
+			continue
+		}
+		l := b.byNode[owner]
+		if l == nil {
+			l = &batchLeg{node: owner}
+			b.byNode[owner] = l
+		}
+		if len(l.events) == 0 {
+			b.legs = append(b.legs, l)
+		}
+		l.events = append(l.events, e)
+		l.parts = append(l.parts, p)
+		l.at = append(l.at, i)
+	}
+}
+
+// reset empties the plan for the next batch, keeping its buffers but no
+// envelope: a reused buffer must not pin a finished batch's strings.
+func (b *batchPlan) reset() {
+	clear(b.events)
+	b.events = b.events[:0]
+	clear(b.routes)
+	for _, l := range b.legs {
+		clear(l.events)
+		l.events, l.parts, l.at, l.acked = l.events[:0], l.parts[:0], l.at[:0], 0
+	}
+	clear(b.legs)
+	b.legs, b.resend = b.legs[:0], b.resend[:0]
+}
 
 // SeqState exposes the retry client's per-key sequence state (checkpoint
 // support — see telemetry.RetryClient.SeqState).

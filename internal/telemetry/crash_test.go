@@ -255,12 +255,12 @@ func referenceAnswers(t *testing.T, cfg Config, disk *memFS, skip []string, refs
 	return fp, false
 }
 
-// runCrashSchedule plays a schedule of offers, late and duplicate events,
-// absorbed rollups, partition drops, checkpoints and crashes — a process
-// crash, or a power cut that continues on one of its crash states — and
-// checks the crash states of every disk it used. A step is an opcode byte
-// and two argument bytes; a missing byte reads 0, so every prefix of a
-// schedule is a schedule.
+// runCrashSchedule plays a schedule of offers, dense bursts, late and
+// duplicate events, absorbed rollups, partition drops, checkpoints and
+// crashes — a process crash, or a power cut that continues on one of its
+// crash states — and checks the crash states of every disk it used. A step
+// is an opcode byte and two argument bytes; a missing byte reads 0, so every
+// prefix of a schedule is a schedule.
 func runCrashSchedule(t *testing.T, data []byte) crashTally {
 	cfg := crashCfg()
 	var seed uint64
@@ -304,7 +304,15 @@ func runCrashSchedule(t *testing.T, data []byte) crashTally {
 	head := int64(100) // the newest window index
 	for step := 0; len(data) > 0 && step < crashScheduleSteps; step++ {
 		op, a, b := next(), next(), next()
-		switch op % 8 {
+		switch scheduleOp(op) {
+		case opDense: // δ or more events of one key in one window; the key's next window seals it by flushing
+			k := key(a)
+			events := make([]Envelope, int(stats.DefaultCompression)+b%32)
+			for i := range events {
+				events[i] = sequenced(head*1000+int64((b*37+i*7)%1000), k, 1+i%3, float64((a*7+b+i*13)%97)+0.25)
+			}
+			head++
+			offer(append(events, sequenced(head*1000+int64(a), k, 1, float64(b%41)+0.5)))
 		case 0, 1, 2: // a burst in the newest window, sometimes opening the next
 			if a%3 == 0 {
 				head++
@@ -362,6 +370,22 @@ func runCrashSchedule(t *testing.T, data []byte) crashTally {
 	ing.Crash()
 	checkCrashPoints(t, cfg, disk, r, &tally)
 	return tally
+}
+
+// opDense is the schedules' dense-burst opcode: δ or more events of one key
+// in one window, the only step that fills a rollup past the point where its
+// seal flushes (shard.seal) and a query folds it from its flushed points.
+const opDense = 8
+
+// scheduleOp decodes a schedule step's opcode byte: opDense for a byte of 15
+// mod 16, else the byte mod 8. Dense bursts so take half the bytes of opcode
+// 7, and every schedule (and fuzz corpus entry) without such a byte keeps
+// the meaning it had before they existed.
+func scheduleOp(op int) int {
+	if op%16 == 15 {
+		return opDense
+	}
+	return op % 8
 }
 
 // crashSeeds is FuzzCrashStates' seed corpus: seeded random schedules.

@@ -92,7 +92,6 @@ func (m *keyMemo) forget(start int64) {
 
 // forgetAll empties every key's memo. Called with s.mu held.
 func (s *shard) forgetAll() {
-	s.forgot++
 	for _, ks := range s.keys {
 		ks.memo = keyMemo{}
 	}

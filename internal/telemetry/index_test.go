@@ -259,7 +259,8 @@ func (o *scanOracle) check(t *testing.T, ing *Ingestor, step int, head int64) {
 const indexScheduleSteps = 96
 
 // runIndexSchedule drives a durable ingestor and a scanOracle through the
-// steps data picks — in-order and late events, MaxWindows eviction, absorbs
+// steps data picks — in-order and late events, dense bursts that seal by
+// flushing, MaxWindows eviction, absorbs
 // into new and existing windows, partition drops, crash and reopen from the
 // snapshot or from the WAL alone — and checks every answer after every step.
 // A step is an opcode byte and two argument bytes; a missing byte reads 0,
@@ -319,7 +320,15 @@ func runIndexSchedule(t *testing.T, data []byte) {
 	head := int64(100) // the newest window index
 	for step := 0; len(data) > 0 && step < indexScheduleSteps; step++ {
 		op, a, b := next(), next(), next()
-		switch op % 8 {
+		switch scheduleOp(op) {
+		case opDense: // δ or more events of one key in one window; the key's next window seals it by flushing
+			k := key(a)
+			events := make([]Envelope, int(cfg.Compression)+b%32)
+			for i := range events {
+				events[i] = ev(head*1000+int64((b*37+i*7)%1000), k.Metric, k.Region, k.Net, float64((a*7+b+i*13)%97)+0.25)
+			}
+			head++
+			offer(append(events, ev(head*1000+int64(a), k.Metric, k.Region, k.Net, float64(b%41)+0.5)))
 		case 0, 1, 2: // a burst in the newest window, sometimes opening the next
 			if a%4 == 0 {
 				head++
@@ -399,5 +408,6 @@ func FuzzShardIndexMatchesScan(f *testing.F) {
 	f.Add([]byte{0, 4, 3, 3, 9, 1, 4, 2, 1, 5, 0, 1, 6, 0, 0})
 	f.Add([]byte{0, 0, 5, 0, 0, 5, 0, 0, 5, 0, 0, 5, 0, 0, 5, 0, 0, 5, 3, 6, 2, 7, 0, 0})
 	f.Add([]byte{4, 1, 0, 4, 2, 1, 0, 3, 2, 5, 1, 1, 7, 0, 0, 3, 2, 2})
+	f.Add([]byte{15, 3, 7, 0, 1, 2, 15, 3, 30, 3, 1, 3, 6, 0, 0, 15, 4, 9, 7, 0, 0})
 	f.Fuzz(runIndexSchedule)
 }

@@ -180,10 +180,8 @@ type shard struct {
 	// keys indexes the shard's rollups by key; a key is present while it
 	// holds at least one rollup.
 	keys map[Key]*keySeries
-	// clock is the shard's monotone mutation clock (touch); forgot counts
-	// the rollup deletions, which invalidate memoised folds (foldmemo.go).
-	clock  uint64
-	forgot uint64
+	// clock is the shard's monotone mutation clock (touch; foldmemo.go).
+	clock uint64
 	// newest is the latest window start the shard has folded an event
 	// into, and prior the newest before that window opened (both 0, which
 	// precedes every window, until they are set). A fold that opens a
@@ -631,7 +629,6 @@ func (s *shard) remove(ks *keySeries, i int) {
 	ks.wins = slices.Delete(ks.wins, i, i+1)
 	ks.count -= w.sk.Count()
 	ks.memo.forget(w.start)
-	s.forgot++
 	if s.starts[w.start]--; s.starts[w.start] == 0 {
 		delete(s.starts, w.start)
 	}

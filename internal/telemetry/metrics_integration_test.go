@@ -150,7 +150,7 @@ func TestDropCounterExposed(t *testing.T) {
 }
 
 // TestRetryClientStatsRaceFree is the -race pin for the Stats data race: a
-// monitor goroutine polls Stats while SendAll retries against a flaky
+// monitor goroutine polls Stats while Send retries against a flaky
 // transport. Before the counters became atomics this was a write/read race
 // on plain uint64 fields.
 func TestRetryClientStatsRaceFree(t *testing.T) {
@@ -181,8 +181,10 @@ func TestRetryClientStatsRaceFree(t *testing.T) {
 			}
 		}
 	}()
-	if n := c.SendAll(events); n != len(events) {
-		t.Fatalf("acknowledged %d of %d", n, len(events))
+	for i, e := range events {
+		if !c.Send(e) {
+			t.Fatalf("envelope %d of %d not acknowledged", i, len(events))
+		}
 	}
 	close(done)
 	wg.Wait()

@@ -131,28 +131,13 @@ func (spec *QuerySpec) selects(k Key) bool {
 		(spec.Net == "" || k.Net == spec.Net)
 }
 
-// foldRun is one picked rollup copied out of its shard: which of the shard's
-// missed keys it belongs to, its window, where its points sit in the scratch
-// point list, the scalars the points do not carry, and whether fold must
-// flush the points to read the rollup's flushed form.
-type foldRun struct {
-	key                    int32 // index into foldScratch.keys
-	at, n                  int32 // its points are pts[at : at+n]
-	flush                  bool  // the points are not yet their flushed form (stats.Sketch.Flushed)
-	start                  int64
-	count, min, max, delta float64
-}
-
-// foldScratch is the working memory of one foldKeys call, pooled per
-// ingestor so a query allocates neither a point list per shard nor an 8δ
-// buffer per key: the series of the shard's keys the memo did not answer,
-// their runs and points, and the one sketch every key is folded in, reset
-// between keys.
+// foldScratch is the working memory of foldKeys, pooled per ingestor so a
+// query allocates neither a point list per rollup nor an 8δ buffer per key:
+// the copied-out points of the one rollup being flushed, and the one sketch
+// every key is folded in, reset between keys.
 type foldScratch struct {
-	keys []*keySeries
-	runs []foldRun
-	pts  []stats.Centroid
-	sk   *stats.Sketch
+	pts []stats.Centroid
+	sk  *stats.Sketch
 }
 
 // foldKeys is what every query merges: for each key the spec matches, the
@@ -177,15 +162,16 @@ type foldScratch struct {
 // produce. The returned Sketch bytes may therefore be shared and must not be
 // modified.
 //
-// Each shard is locked only while its selected keys are looked up, each
-// one's windows in range found by binary search, the memo consulted and the
-// missed keys' points copied out — the price of a consistent cut without
-// epoch machinery. That is one map lookup for a fully keyed spec (Region and
-// Net both set), in the one shard the key hashes to, and otherwise a pass
-// over the shard's keys, never over its (window, key) rollups. Flushing,
-// folding, sealing and encoding happen outside every lock, timed with one
-// clock pair per shard pass that folds anything; the new folds are memoised
-// under a second, short hold.
+// Each shard is locked once per query, and a key is folded, and its fold
+// memoised, inside that hold as soon as its rollups are picked: one map
+// lookup for a fully keyed spec (Region and Net both set), in the one shard
+// the key hashes to, and otherwise a pass over the shard's keys, never over
+// its (window, key) rollups. Folding in the hold is what bounds a wide
+// query's working memory to one rollup's points, not a shard's, and it is
+// one consistent cut without epoch machinery: the lock is not released
+// between keys, so no deletion (DropPartition) can land between two keys of
+// one page. The fold stage is timed per key and observed once per shard
+// pass that folds anything.
 func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 	fromMs, toMs, err := ing.windowRange(spec)
 	if err != nil {
@@ -205,40 +191,42 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 	folds := []WindowSketch{} // never nil: no match is `[]` on the JSON surface
 	var hits, misses, folded int
 	for _, s := range shards {
-		sc.keys, sc.runs, sc.pts = sc.keys[:0], sc.runs[:0], sc.pts[:0]
-		answered := len(folds)
+		var spent time.Duration // this pass's fold stage
+		passMisses := misses
+		visit := func(ks *keySeries) {
+			lo, hi, n, stamp := ks.picked(fromMs, toMs)
+			if n == 0 {
+				return
+			}
+			if e, ok := ks.memo.get(fromMs, toMs, n, stamp); ok {
+				folds = append(folds, WindowSketch{Start: e.start, Windows: e.n, Region: ks.key.Region, Net: ks.key.Net, Sketch: e.enc})
+				hits++
+				return
+			}
+			began := time.Now()
+			f := sc.fold(ks, ks.wins[lo:hi], n)
+			spent += time.Since(began)
+			ks.memo.put(foldMemo{fromMs: fromMs, toMs: toMs, n: n, clock: s.clock, start: f.Start, enc: f.Sketch})
+			folds = append(folds, f)
+			misses++
+			folded += n
+		}
 		s.mu.Lock()
 		if exact {
 			if ks := s.keys[key]; ks != nil {
-				folds = sc.pick(ks, fromMs, toMs, folds)
+				visit(ks)
 			}
 		} else {
 			for k, ks := range s.keys {
 				if spec.selects(k) {
-					folds = sc.pick(ks, fromMs, toMs, folds)
+					visit(ks)
 				}
 			}
 		}
-		clock, forgot := s.clock, s.forgot
 		s.mu.Unlock()
-		hits += len(folds) - answered
-		if len(sc.runs) == 0 {
-			continue
+		if misses > passMisses {
+			ing.m.fold.ObserveDuration(spent)
 		}
-		fresh := len(folds)
-		began := time.Now()
-		folds = sc.fold(folds)
-		ing.m.fold.ObserveDuration(time.Since(began))
-		misses += len(folds) - fresh
-		folded += len(sc.runs)
-		s.mu.Lock()
-		if s.forgot == forgot { // else a deletion since the scan may have removed rollups (or whole series) these folds cover
-			for i, f := range folds[fresh:] {
-				sc.keys[i].memo.put(foldMemo{fromMs: fromMs, toMs: toMs, n: f.Windows, clock: clock, start: f.Start, enc: f.Sketch})
-			}
-		}
-		s.mu.Unlock()
-		clear(sc.keys) // the pool must not pin dropped series
 	}
 	ing.m.memoHits.Add(uint64(hits))
 	ing.m.memoMisses.Add(uint64(misses))
@@ -247,77 +235,54 @@ func (ing *Ingestor) foldKeys(spec QuerySpec) ([]WindowSketch, error) {
 	return folds, nil
 }
 
-// pick selects one key's rollups in [fromMs, toMs) — a binary search for
-// each bound in its windows — and either appends the memoised fold that
-// still covers them to folds or copies their points out as runs, ascending
-// by window start, for fold. Each run records whether its points still need
-// the rollup's flush: a rollup with nothing buffered, or a small unit-weight
-// one whose flush fuses nothing (stats.Sketch.Flushed), is absorbed as it
-// lies. Empty rollups fold nothing and are not counted. Called with the
-// key's shard locked.
-func (sc *foldScratch) pick(ks *keySeries, fromMs, toMs int64, folds []WindowSketch) []WindowSketch {
-	lo, _ := ks.find(fromMs)
-	hi, _ := ks.find(toMs)
+// picked finds the key's rollups in [fromMs, toMs) — a binary search for
+// each bound in its windows — as ks.wins[lo:hi], and the number n of them
+// that hold events, the newest of those stamped stamp: what the fold memo is
+// checked against. Empty rollups fold nothing and are not counted. Called
+// with the key's shard locked.
+func (ks *keySeries) picked(fromMs, toMs int64) (lo, hi, n int, stamp uint64) {
+	lo, _ = ks.find(fromMs)
+	hi, _ = ks.find(toMs)
 	if hi <= lo { // nothing in range, or an inverted one
-		return folds
+		return lo, lo, 0, 0
 	}
-	wins := ks.wins[lo:hi]
-	n, stamp := 0, uint64(0)
-	for _, w := range wins {
+	for _, w := range ks.wins[lo:hi] {
 		if w.sk.Count() > 0 {
 			n++
 			stamp = max(stamp, w.stamp)
 		}
 	}
-	if n == 0 {
-		return folds
-	}
-	if e, ok := ks.memo.get(fromMs, toMs, n, stamp); ok {
-		return append(folds, WindowSketch{Start: e.start, Windows: e.n, Region: ks.key.Region, Net: ks.key.Net, Sketch: e.enc})
-	}
-	key := int32(len(sc.keys))
-	sc.keys = append(sc.keys, ks)
-	for _, w := range wins {
-		if w.sk.Count() == 0 {
-			continue
-		}
-		at := len(sc.pts)
-		sc.pts = w.sk.AppendPoints(sc.pts)
-		sc.runs = append(sc.runs, foldRun{
-			key: key, at: int32(at), n: int32(len(sc.pts) - at), flush: !w.sk.Flushed(),
-			start: w.start, count: w.sk.Count(), min: w.sk.Min(), max: w.sk.Max(), delta: w.sk.Compression(),
-		})
-	}
-	return folds
+	return lo, hi, n, stamp
 }
 
-// fold appends one sealed fold per key of the copied-out runs to folds, in
-// sc.keys order (foldKeys sorts across shards): pick leaves each key's runs
-// contiguous and ascending by window start, so they fold as they lie, each
-// in its rollup's flushed form — flushed here, on the copied-out points,
-// where pick marked that the points are not that form already.
-func (sc *foldScratch) fold(folds []WindowSketch) []WindowSketch {
-	folds = slices.Grow(folds, len(sc.keys))
-	for runs := sc.runs; len(runs) > 0; {
-		n := 1
-		for n < len(runs) && runs[n].key == runs[0].key {
-			n++
+// fold seals the key's picked rollups wins, n of them non-empty, into one
+// fold in wire form: each rollup absorbed in ascending window start in its
+// flushed form — as it lies when its points are that form already (a rollup
+// with nothing buffered, or a small unit-weight one whose flush fuses
+// nothing: stats.Sketch.Flushed), else flushed on a copy of its points in
+// sc.pts, which so holds one rollup's points at a time. Called with the
+// key's shard locked; the rollups are only read.
+func (sc *foldScratch) fold(ks *keySeries, wins []keyWindow, n int) WindowSketch {
+	sc.sk.Reset()
+	start := int64(0)
+	for _, w := range wins {
+		sk := w.sk
+		if sk.Count() == 0 {
+			continue
 		}
-		sc.sk.Reset()
-		for _, r := range runs[:n] {
-			if pts := sc.pts[r.at : r.at+r.n]; r.flush {
-				sc.sk.AbsorbFlushed(pts, r.count, r.min, r.max, r.delta)
-			} else {
-				sc.sk.AbsorbPoints(pts, r.count, r.min, r.max)
-			}
+		if sc.sk.Count() == 0 {
+			start = w.start
 		}
-		sc.sk.Centroids()                                                 // seal: flush what the last absorbs left buffered
-		enc, _ := sc.sk.AppendBinary(make([]byte, 0, sc.sk.BinarySize())) // encoding a live sketch cannot fail
-		key := sc.keys[runs[0].key].key
-		folds = append(folds, WindowSketch{Start: runs[0].start, Windows: n, Region: key.Region, Net: key.Net, Sketch: enc})
-		runs = runs[n:]
+		if sk.Flushed() {
+			sc.sk.Absorb(sk)
+			continue
+		}
+		sc.pts = sk.AppendPoints(sc.pts[:0])
+		sc.sk.AbsorbFlushed(sc.pts, sk.Count(), sk.Min(), sk.Max(), sk.Compression())
 	}
-	return folds
+	sc.sk.Centroids()                                                 // seal: flush what the last absorbs left buffered
+	enc, _ := sc.sk.AppendBinary(make([]byte, 0, sc.sk.BinarySize())) // encoding a live sketch cannot fail
+	return WindowSketch{Start: start, Windows: n, Region: ks.key.Region, Net: ks.key.Net, Sketch: enc}
 }
 
 // mergeFolds is THE merge: the single-node query and the cluster
@@ -406,8 +371,8 @@ func evaluate(merged *stats.Sketch, windows int, qs, cdfAt []float64) QueryResul
 // requested window range — into one sealed sketch per key (foldKeys), merges
 // the folds in key order (mergeFolds) and evaluates the spec's statistics on
 // the merged sketch. Both steps are deterministic for a given rollup state.
-// Ingestion may continue concurrently; each shard is locked only while its
-// matching rollups' points are copied out.
+// Ingestion may continue concurrently; each shard is locked once, while its
+// matching keys are folded.
 func (ing *Ingestor) Query(spec QuerySpec) (QueryResult, error) {
 	began := time.Now()
 	defer func() { ing.m.query.ObserveDuration(time.Since(began)) }()

@@ -8,6 +8,8 @@ import (
 	"maps"
 	"math"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"testing"
@@ -435,5 +437,50 @@ func TestSealAndFoldStageObserved(t *testing.T) {
 		if got := folds() - before; got != c.want {
 			t.Fatalf("spec %+v: the fold stage was observed %v times, want %v", c.spec, got, c.want)
 		}
+	}
+}
+
+// TestFoldScratchHoldsOneRollup pins a wide query's working memory: after
+// an all-keys fold of a shard whose rollups range from points a fold
+// absorbs as they lie to raw points past δ, the fold scratch holds no more
+// than the largest key's points — it is filled one rollup at a time, never
+// with a whole shard's. The query runs on one P with the collector off, so
+// the scratch it takes from the pool is the one put there.
+func TestFoldScratchHoldsOneRollup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ing := NewIngestor(Config{Shards: 2, Window: time.Second, Block: true})
+	defer ing.Close()
+	offerAllFlush(t, ing, sealStream(5, 12, 10, 40, 300, 0))
+	largestKey, shardPts, copied := 0, 0, 0
+	for _, s := range ing.shards {
+		pts := 0
+		for _, ks := range s.keys {
+			n := 0
+			for _, w := range ks.wins {
+				k := len(w.sk.AppendPoints(nil))
+				n += k
+				if !w.sk.Flushed() {
+					copied = max(copied, k)
+				}
+			}
+			largestKey, pts = max(largestKey, n), pts+n
+		}
+		shardPts = max(shardPts, pts)
+	}
+	if copied == 0 {
+		t.Fatal("every rollup folds as it lies: the fixture copies nothing")
+	}
+	sc := &foldScratch{sk: stats.NewSketch(ing.cfg.Compression)}
+	ing.foldPool.Put(sc)
+	if _, err := ing.MatchSketches(QuerySpec{Metric: MetricRTT}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := ing.foldPool.Get().(*foldScratch); got != sc {
+		t.Fatal("the query did not return the pooled fold scratch")
+	}
+	t.Logf("scratch capacity %d points: largest copied rollup %d, largest key %d, largest shard %d", cap(sc.pts), copied, largestKey, shardPts)
+	if c := cap(sc.pts); c < copied || c > largestKey {
+		t.Fatalf("fold scratch holds %d points, want between the largest copied rollup's %d and the largest key's %d", c, copied, largestKey)
 	}
 }

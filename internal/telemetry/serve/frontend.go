@@ -131,7 +131,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	f.Health.ProbeOnce()
 	f.Health.Start()
 
-	f.Router = cluster.NewRouter(pm, f.Health, peers.transport(),
+	f.Router = cluster.NewLegRouter(pm, f.Health, peers.leg(),
 		rng.New(cfg.Seed).Fork("router"), cluster.RouterConfig{Metrics: f.Metrics})
 	front := cluster.NewFrontend(pm, clients, cluster.FrontendConfig{
 		Timeout: cfg.Client.Timeout,
@@ -285,14 +285,15 @@ func (ps *peerSet) urlsCopy() map[string]string {
 	return maps.Clone(ps.urls)
 }
 
-// transport is the router's per-node delivery leg over the live registry.
-func (ps *peerSet) transport() cluster.Transport {
-	return func(node string, e telemetry.Envelope) bool {
+// leg is the router's per-node ingest leg over the live registry: one POST
+// per run of envelopes (HTTPNode.IngestBatch).
+func (ps *peerSet) leg() cluster.Leg {
+	return func(node string, events []telemetry.Envelope) int {
 		n := ps.get(node)
 		if n == nil {
-			return false
+			return 0
 		}
-		return n.Ingest(e)
+		return n.IngestBatch(events)
 	}
 }
 

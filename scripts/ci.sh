@@ -70,7 +70,7 @@ cd "$(dirname "$0")/.."
 BENCH_GATE="$(cat scripts/bench_gate)"
 # The wide-query benchmarks and the fixed iteration count they run at (the
 # Makefile's bench targets use the same two values).
-WIDE_BENCH='Wide$'
+WIDE_BENCH='(Wide|AllTime)$'
 WIDE_BENCHTIME=20x
 
 echo "== gofmt =="
@@ -289,7 +289,7 @@ if [[ "$matches" -eq 0 ]] || [[ "$matches" != "$folds" ]] || [[ -n "$repeated" ]
   exit 1
 fi
 "$smoke/metriclint" -url "http://127.0.0.1:$FRONT/metrics" \
-  -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds,telemetry_client_sent_total,telemetry_client_retries_total,telemetry_client_failed_total,telemetry_client_backoff_seconds
+  -require cluster_frontend_queries_total,cluster_frontend_leg_seconds,cluster_frontend_page_bytes_total,cluster_frontend_merge_seconds,cluster_router_legs_total,cluster_router_leg_envelopes,telemetry_client_sent_total,telemetry_client_retries_total,telemetry_client_failed_total,telemetry_client_backoff_seconds
 "$smoke/metriclint" -url "http://127.0.0.1:$N0/metrics" \
   -require telemetry_sketches_seconds,telemetry_sketches_folded_rollups_total,telemetry_sketches_memo_hits_total,telemetry_sketches_memo_misses_total,telemetry_query_seconds,telemetry_snapshot_bytes,telemetry_wal_bytes_since_snapshot,telemetry_wal_file_fsyncs_total,telemetry_shard_keys
 # The fold memo: the rollups have not changed since the converged /query, so
@@ -316,7 +316,7 @@ curl -fsS "http://127.0.0.1:$N0/metrics" | awk '
     printf "  n0 WAL: %d files fsynced in %d sync batches\n", files, batches
     exit !(batches > 0 && files <= 2 * batches)
   }' || { echo "n0 fsyncs more than 2 files per WAL sync batch (or none at all)" >&2; exit 1; }
-echo "  n0 serves binary sketch pages and key inventories on request, one fold per key; frontend and node /metrics lint with the leg, merge, retry-client, fold and checkpoint families"
+echo "  n0 serves binary sketch pages and key inventories on request, one fold per key; frontend and node /metrics lint with the leg, merge, ingest-leg, retry-client, fold and checkpoint families"
 
 # README's partial-result sentence, exactly: the answer below must list as
 # missing the partitions the assignment gives n1 — all of them, no others.
@@ -415,6 +415,28 @@ converge "$smoke/cluster-left-query.json" 150
 curl -fsS "http://127.0.0.1:$FRONT/keys" > "$smoke/cluster-left-keys.json"
 diff "$smoke/cluster-single-keys.json" "$smoke/cluster-left-keys.json"
 echo "  n2 drained and left: epoch 4 active, answers still byte-identical"
+
+# One POST per owner: a 50-envelope request to the frontend reaches the
+# three owners in at most three ingest legs (cluster_router_legs_total), and
+# all 50 are accepted. It runs last: its keys are not in the single-node
+# reference.
+router_legs() {
+  curl -fsS "http://127.0.0.1:$FRONT/metrics" |
+    awk '/^cluster_router_legs_total\{/ { n += $NF } END { print n + 0 }'
+}
+legs_before=$(router_legs)
+for i in $(seq 0 49); do
+  printf '{"v":1,"ts":%d,"metric":"rtt_ms","user":%d,"region":"smoke-%d","net":"WiFi","value":%d}\n' \
+    $((1700000000000 + i * 10)) $((i % 7 + 1)) $((i % 10)) $((10 + i))
+done > "$smoke/cluster-batch.jsonl"
+accepted=$(curl -fsS -X POST -H 'Content-Type: application/jsonl' --data-binary "@$smoke/cluster-batch.jsonl" \
+  "http://127.0.0.1:$FRONT/ingest" | tr -d ' \n' | grep -o '"accepted":[0-9]*' | grep -o '[0-9]*$' || true)
+legs=$(($(router_legs) - legs_before))
+if [[ "$accepted" != 50 ]] || [[ "$legs" -lt 1 ]] || [[ "$legs" -gt 3 ]]; then
+  echo "a 50-envelope POST to the frontend: '$accepted' accepted in $legs ingest legs (want 50 in 1–3)" >&2
+  exit 1
+fi
+echo "  a 50-envelope POST to the frontend reached its owners in $legs ingest legs"
 cluster_cleanup
 CLUSTER_PIDS=()
 trap 'rm -rf "$smoke"' EXIT
