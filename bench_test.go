@@ -1347,6 +1347,96 @@ func BenchmarkFrontendQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontendIngest is the frontend's POST /ingest over three
+// in-process nodes: each op is one 50-envelope JSONL request — the
+// cluster-ingest request size — through serve.NewFrontend's handler, whose
+// router sends one POST per owner to serve.NewNode's handler over
+// memTransport. serial runs one producer; parallel runs two at once, each
+// with its own request pool, so ns/op falls below serial's only where
+// requests really overlap. The 64 request bodies repeat over one second of
+// event time, so the nodes' rollups stop growing after the first pass.
+func BenchmarkFrontendIngest(b *testing.B) {
+	pm, err := cluster.NewMap(cluster.MapConfig{Partitions: 16, Nodes: []string{"n0", "n1", "n2"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	discard := slog.New(slog.DiscardHandler)
+	nodes := memTransport{}
+	urls := map[string]string{}
+	for _, id := range pm.Nodes() {
+		ing := telemetry.NewIngestor(telemetry.Config{Window: time.Second, Block: true})
+		b.Cleanup(func() { ing.Close() })
+		nodes[id] = serve.NewNode(serve.NodeConfig{Ing: ing, Metrics: obs.NewRegistry(), ID: id, Log: discard})
+		urls[id] = "http://" + id
+	}
+	fr, err := serve.NewFrontend(serve.FrontendConfig{
+		Peers: pm.Nodes(), URLs: urls, Partitions: 16, ProbeEvery: time.Hour,
+		Client: &http.Client{Transport: nodes, Timeout: 10 * time.Second}, Log: discard,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(fr.Close)
+	front := &http.Client{Transport: memTransport{"front": fr}}
+	const producers, perRequest = 2, 50
+	var bodies [producers][64][]byte
+	r := rng.New(71)
+	for p := range bodies {
+		for j := range bodies[p] {
+			for k := range perRequest {
+				e := wideEnvelope(r.IntN(128), 1_000+int64(j*perRequest+k)%1_000, math.Round(r.LogNormal(math.Log(20), 0.5)*1000)/1000)
+				line, err := telemetry.AppendJSONL(bodies[p][j], e)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bodies[p][j] = line
+			}
+		}
+	}
+	post := func(body []byte) error {
+		resp, err := front.Post("http://front/ingest", "application/jsonl", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var ack struct {
+			Accepted int `json:"accepted"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || ack.Accepted != perRequest {
+			return fmt.Errorf("status %d: %d of %d accepted (%v)", resp.StatusCode, ack.Accepted, perRequest, err)
+		}
+		return nil
+	}
+	b.Run("http/serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := post(bodies[0][i%64]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("http/parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		errs := make([]error, producers)
+		var wg sync.WaitGroup
+		for p := range producers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := p; i < b.N && errs[p] == nil; i += producers {
+					errs[p] = post(bodies[p][i/producers%64])
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkMatchSketchesNarrow is a node's share of the end-to-end `narrow`
 // query — one fully keyed (region, net) over the last 15 of 60 windows — on
 // the whole key space. warm repeats it over unchanged rollups, a fold memo

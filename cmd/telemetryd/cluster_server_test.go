@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +26,8 @@ type clusterServers struct {
 	servers map[string]*daemon
 	front   *daemon
 	wrap    func(id string, h http.Handler) http.Handler
+	peers   []string
+	urls    map[string]string
 }
 
 // newClusterServers boots nodes n0–n2 over 8 partitions and a frontend that
@@ -38,13 +41,24 @@ func newClusterServers(t *testing.T, dataDir string, wrap func(id string, h http
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &clusterServers{ings: map[string]*telemetry.Ingestor{}, servers: map[string]*daemon{}, wrap: wrap}
-	urls := map[string]string{}
+	c := &clusterServers{ings: map[string]*telemetry.Ingestor{}, servers: map[string]*daemon{}, wrap: wrap,
+		peers: peers, urls: map[string]string{}}
 	for _, id := range peers {
-		urls[id] = c.addNodeServer(t, id, layout.NodeInfo(id))
+		c.urls[id] = c.addNodeServer(t, id, layout.NodeInfo(id))
 	}
+	fr := c.bootFrontend(t, dataDir)
+	c.pm, c.tracker, c.reg = fr.Map, fr.Health, fr.Metrics
+	c.front = testNet.listen(t, c.wrapped("frontend", fr))
+	return c
+}
+
+// bootFrontend boots a frontend daemon over the boot nodes: the one
+// newClusterServers serves, or another incarnation beside or in place of
+// it.
+func (c *clusterServers) bootFrontend(t *testing.T, dataDir string) *serve.Frontend {
+	t.Helper()
 	fr, err := serve.NewFrontend(serve.FrontendConfig{
-		Peers: peers, URLs: urls, Partitions: 8, DataDir: dataDir,
+		Peers: c.peers, URLs: c.urls, Partitions: 8, DataDir: dataDir,
 		Client: &http.Client{Timeout: time.Second, Transport: testNet},
 		Seed:   1, Log: testLog,
 	})
@@ -52,9 +66,7 @@ func newClusterServers(t *testing.T, dataDir string, wrap func(id string, h http
 		t.Fatal(err)
 	}
 	t.Cleanup(fr.Close)
-	c.pm, c.tracker, c.reg = fr.Map, fr.Health, fr.Metrics
-	c.front = testNet.listen(t, c.wrapped("frontend", fr))
-	return c
+	return fr
 }
 
 // addNodeServer boots one node daemon — an ingestor self-describing as info
@@ -98,9 +110,19 @@ func ingestLines(t *testing.T) string {
 
 func postIngest(t *testing.T, url, body string) int {
 	t.Helper()
-	resp, err := testClient.Post(url+"/ingest", "application/jsonl", strings.NewReader(body))
+	accepted, err := postAck(url, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return accepted
+}
+
+// postAck POSTs body to url's /ingest and returns the ack's "accepted"; a
+// dropped envelope is an error. Safe off the test goroutine.
+func postAck(url, body string) (int, error) {
+	resp, err := testClient.Post(url+"/ingest", "application/jsonl", strings.NewReader(body))
+	if err != nil {
+		return 0, err
 	}
 	defer resp.Body.Close()
 	var ack struct {
@@ -108,12 +130,116 @@ func postIngest(t *testing.T, url, body string) int {
 		Dropped  int `json:"dropped"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	if ack.Dropped != 0 {
-		t.Fatalf("ingest dropped %d", ack.Dropped)
+		return 0, fmt.Errorf("ingest dropped %d", ack.Dropped)
 	}
-	return ack.Accepted
+	return ack.Accepted, nil
+}
+
+// allTimeCount is the all-time rtt_ms count a daemon's /query answers.
+func allTimeCount(t *testing.T, url string) float64 {
+	t.Helper()
+	code, body, _ := get(t, url+"/query?metric=rtt_ms")
+	var res struct {
+		Count float64 `json:"count"`
+	}
+	if err := json.Unmarshal([]byte(body), &res); code != http.StatusOK || err != nil {
+		t.Fatalf("/query: %d %v\n%s", code, err, body)
+	}
+	return res.Count
+}
+
+// TestFrontendRestartFoldsEveryAckedEnvelope: a frontend restarted against
+// the same nodes folds every envelope it acks, on streams its previous
+// incarnation carried too — the all-time count rises by exactly what was
+// acked. The frontend numbers nothing, so the nodes hold no earlier number
+// to take the new envelopes for duplicates of; a frontend that numbered
+// unsequenced envelopes from in-memory cursors restarted at 1, and the
+// nodes folded its events zero times.
+func TestFrontendRestartFoldsEveryAckedEnvelope(t *testing.T) {
+	c := newClusterServers(t, "", nil)
+	body := ingestLines(t)
+	if got := postIngest(t, c.front.URL, body); got != 32 {
+		t.Fatalf("frontend accepted %d of 32", got)
+	}
+	c.flushAll(t)
+	before := allTimeCount(t, c.front.URL)
+
+	c.front.Close()
+	c.front = testNet.listen(t, c.bootFrontend(t, ""))
+	acked := postIngest(t, c.front.URL, body)
+	if acked != 32 {
+		t.Fatalf("restarted frontend accepted %d of 32", acked)
+	}
+	c.flushAll(t)
+	if after := allTimeCount(t, c.front.URL); after-before != float64(acked) {
+		t.Fatalf("all-time count %v → %v across the restart, want +%d (every acked envelope folded)", before, after, acked)
+	}
+}
+
+// sequencedLines is one sequenced producer's JSONL body: ingestLines' keys
+// under its own user id, each (key, user) stream numbered from 1.
+func sequencedLines(user int) string {
+	var sb strings.Builder
+	for _, region := range []string{"Beijing", "Shanghai", "Shenzhen", "Chengdu"} {
+		for j, net := range []string{"WiFi", "5G"} {
+			for k := 0; k < 4; k++ {
+				fmt.Fprintf(&sb, `{"v":1,"ts":%d,"metric":"rtt_ms","user":%d,"seq":%d,"region":"%s","net":"%s","value":%d}`+"\n",
+					1700000000000+int64(k)*500, user, k+1, region, net, 10+user+j*2+k)
+			}
+		}
+	}
+	return sb.String()
+}
+
+// TestTwoFrontendsFoldSequencedProducersOnce: two frontends feed one
+// cluster at once, each from its own sequenced producer, and each producer
+// posts every request twice — a whole-request resend. The frontends
+// forward the producers' numbers, so the nodes fold each envelope once:
+// the cluster answers /query and /keys as one node fed each stream once.
+func TestTwoFrontendsFoldSequencedProducersOnce(t *testing.T) {
+	c := newClusterServers(t, "", nil)
+	fronts := []*daemon{c.front, testNet.listen(t, c.bootFrontend(t, ""))}
+	bodies := []string{sequencedLines(101), sequencedLines(102)}
+	errs := make(chan error, 2*len(fronts))
+	var wg sync.WaitGroup
+	for i, front := range fronts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2 {
+				if got, err := postAck(front.URL, bodies[i]); err != nil || got != 32 {
+					errs <- fmt.Errorf("frontend %d: accepted %d of 32 (%v)", i, got, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	c.flushAll(t)
+
+	single, _, singleSrv := newTestServer(t, telemetry.Config{Shards: 4, Block: true}, false)
+	for _, body := range bodies {
+		if got := postIngest(t, singleSrv.URL, body); got != 32 {
+			t.Fatalf("single accepted %d of 32", got)
+		}
+	}
+	single.Flush()
+	for _, q := range []string{"/query?metric=rtt_ms&q=0.5,0.95,0.99&cdf=10,20,40", "/keys"} {
+		_, bodyC, _ := get(t, fronts[1].URL+q)
+		_, bodyS, _ := get(t, singleSrv.URL+q)
+		if bodyC != bodyS {
+			t.Fatalf("cluster %s differs from one node fed each stream once:\n%s\n%s", q, bodyC, bodyS)
+		}
+	}
+	if got := allTimeCount(t, c.front.URL); got != 64 {
+		t.Fatalf("all-time count %v, want 64: each of the two producers' 32 envelopes folded once", got)
+	}
 }
 
 // TestIngestOversizeLineCountedNotFatal: a line over the 1 MiB cap between
@@ -211,6 +337,70 @@ func TestFrontendMetricsCarryRetryClientFamilies(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("frontend /metrics lacks %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestFrontendForwardsRequestID: the frontend sends the caller's request
+// id on every node leg it runs for the request, ingest and scatter legs
+// alike, and mints one from a counter when the caller sends none.
+func TestFrontendForwardsRequestID(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string][]string{} // node leg path → the ids it carried
+	c := newClusterServers(t, "", func(id string, h http.Handler) http.Handler {
+		if id == "frontend" {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/healthz" {
+				mu.Lock()
+				seen[r.URL.Path] = append(seen[r.URL.Path], r.Header.Get(cluster.RequestIDHeader))
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	send := func(method, path, id, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, c.front.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "" {
+			req.Header.Set(cluster.RequestIDHeader, id)
+		}
+		resp, err := testClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d", method, path, resp.StatusCode)
+		}
+	}
+	send(http.MethodPost, "/ingest", "producer-7", ingestLines(t))
+	send(http.MethodGet, "/query?metric=rtt_ms", "dash-1", "")
+	send(http.MethodGet, "/keys", "", "")
+	send(http.MethodGet, "/keys", "", "")
+	mu.Lock()
+	defer mu.Unlock()
+	for path, want := range map[string]string{"/ingest": "producer-7", "/sketches": "dash-1"} {
+		if len(seen[path]) == 0 {
+			t.Fatalf("no %s leg ran", path)
+		}
+		for _, got := range seen[path] {
+			if got != want {
+				t.Fatalf("%s legs carried %q, want the caller's %q", path, seen[path], want)
+			}
+		}
+	}
+	// Two /keys requests without an id: each gets its own minted one, the
+	// same on all of its legs.
+	minted := map[string]int{}
+	for _, id := range seen["/keys"] {
+		minted[id]++
+	}
+	if len(minted) != 2 || minted[""] != 0 || len(seen["/keys"]) != 6 {
+		t.Fatalf("/keys legs carried %q, want one minted id per request on each of its 3 legs", seen["/keys"])
 	}
 }
 

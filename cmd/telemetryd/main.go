@@ -48,9 +48,12 @@
 //   - node: one partitioned member. -node-id names this member inside the
 //     -peers list; /healthz self-describes the partitions it owns.
 //   - frontend: the stateless routing + scatter-gather tier. POST /ingest
-//     routes each envelope to its partition's owner (refused while the
-//     owner is marked down — a producer's retry then lands it, dedup'd by
-//     sequence number), GET /query fans out to the nodes that can answer
+//     routes each envelope to its partition's owner under the sequence
+//     number its producer gave it (refused while the owner is marked down
+//     — a producer's retry then lands it, dedup'd by that number when it
+//     has one); requests run concurrently, and each carries an
+//     X-Request-Id (the caller's, or one the frontend mints) on every node
+//     leg. GET /query fans out to the nodes that can answer
 //     it (a query naming one key asks its owner alone), merges sketch
 //     pages deterministically, and answers with explicit partial-result
 //     semantics ("partial": true plus the missing partition list) when

@@ -42,7 +42,9 @@ func chaosRun(t *testing.T, events []Envelope, fault *faultinject.Spec, seed uin
 	}, rng.New(seed).Fork("client"), RetryConfig{
 		Sleep: func(time.Duration) {}, // faults are event-counted; no wall-clock backoff needed
 	})
-	for i, e := range events {
+	// The producer numbers its streams, so a duplicate or a resend whose
+	// original landed folds once.
+	for i, e := range sequenced(events) {
 		if !client.Send(e) {
 			t.Fatalf("event %d lost despite retries", i)
 		}

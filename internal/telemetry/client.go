@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"sync"
 	"time"
 
 	"edgescope/internal/obs"
@@ -48,9 +48,9 @@ const (
 
 // ClientStats counts a RetryClient's work.
 type ClientStats struct {
-	Sent    uint64 `json:"sent"`    // events handed to Send or numbered by Sequence
+	Sent    uint64 `json:"sent"`    // envelopes handed to Send or counted by Handed
 	Retries uint64 `json:"retries"` // extra attempts beyond the first
-	Failed  uint64 `json:"failed"`  // events abandoned after maxAttempts
+	Failed  uint64 `json:"failed"`  // envelopes abandoned after maxAttempts
 }
 
 // clientMetrics are the client's accounting cells, registered series, so
@@ -65,43 +65,38 @@ type clientMetrics struct {
 
 func newClientMetrics(reg *obs.Registry) clientMetrics {
 	return clientMetrics{
-		sent:    reg.Counter("telemetry_client_sent_total", "events handed to Send or numbered by Sequence"),
+		sent:    reg.Counter("telemetry_client_sent_total", "envelopes handed to the client, each sent under its producer's Seq: a resend folds once only when that is non-zero"),
 		retries: reg.Counter("telemetry_client_retries_total", "extra send attempts beyond the first"),
 		failed:  reg.Counter("telemetry_client_failed_total", "events abandoned after MaxAttempts"),
 		backoff: reg.Histogram("telemetry_client_backoff_seconds", "computed jittered backoff delay before each retry", walLatencyBuckets),
 	}
 }
 
-// RetryClient is the loss-surviving ingest producer: it numbers each
-// envelope with a per-(key, user) sequence and resends refused envelopes
-// under bounded exponential backoff with jitter. Sequencing makes retries
-// idempotent — a resend whose original actually landed is folded once, by
-// the shard's (key, user, seq) dedup — so the client can safely treat every
-// false from the transport as "maybe lost" and hammer until acknowledged.
+// RetryClient is the loss-surviving ingest sender: it resends refused
+// envelopes under bounded exponential backoff with jitter, each exactly as
+// its producer numbered it. A resend is idempotent only for a sequenced
+// envelope — one whose original actually landed is folded once, by the
+// shard's (key, user, seq) dedup — so the client can treat every false
+// from the transport as "maybe lost" and hammer until acknowledged. An
+// unsequenced envelope (Seq == 0) is at-least-once across a resend.
 //
-// Sequences are assigned contiguously per (key, user) stream. That
-// contiguity is load-bearing for the server's memory: the shard tracker
-// keeps only a floor plus out-of-order arrivals above it, so a client that
-// skipped numbers would pin sparse entries forever.
+// Producers number their own streams, contiguously per (key, user): the
+// shard tracker keeps only a floor plus out-of-order arrivals above it, so
+// a producer that skipped numbers would pin sparse entries forever. Each
+// stream must be owned by one producer incarnation at a time; a restarted
+// producer carries its own cursor forward or takes over under fresh User
+// ids, or its first events fold zero times as duplicates.
 //
-// OWNERSHIP CONTRACT: each (key, user) stream must be owned by exactly one
-// client incarnation at a time. The server's trackers live for the process
-// and are durably recovered (snapshot+WAL), but this client's cursors are
-// in-memory only — a restarted or second producer reusing a stream would
-// restart at Seq=1 and have its first events silently folded zero times
-// (counted as Deduped server-side, with no error anywhere). A producer that
-// restarts against the same durable server must carry its cursors forward:
-// persist SeqState on shutdown (or periodically) and RestoreSeqState before
-// the first Send — or take over under fresh User ids.
-//
-// A RetryClient is not safe for concurrent use; run one per producer
-// goroutine (each with its own rng fork), like any rng.Source consumer.
+// A RetryClient is safe for concurrent use: its counters are atomics and
+// each jitter draw is taken from src under a lock, so a caller that sends
+// from one goroutine still draws a delay sequence fixed by the seed.
 type RetryClient struct {
 	send func(Envelope) bool
 	cfg  RetryConfig
-	src  *rng.Source
-	next map[dedupKey]uint64
 	m    clientMetrics
+
+	mu  sync.Mutex // guards src
+	src *rng.Source
 }
 
 // NewRetryClient wraps a transport — any "offer one envelope, true if
@@ -111,56 +106,41 @@ type RetryClient struct {
 // happens, so a fault-free run consumes no randomness.
 func NewRetryClient(send func(Envelope) bool, src *rng.Source, cfg RetryConfig) *RetryClient {
 	cfg.fill()
-	return &RetryClient{send: send, cfg: cfg, src: src, next: map[dedupKey]uint64{}, m: newClientMetrics(cfg.Metrics)}
+	return &RetryClient{send: send, cfg: cfg, src: src, m: newClientMetrics(cfg.Metrics)}
 }
 
-// Send delivers one envelope, retrying refusals, and reports whether it was
-// ever acknowledged. An envelope with Seq == 0 is assigned the next
-// sequence of its (key, user) stream; a pre-sequenced envelope (an
-// application-level resend) keeps its number.
+// Send delivers one envelope through the client's transport, retrying
+// refusals, and reports whether it was ever acknowledged.
 func (c *RetryClient) Send(e Envelope) bool {
-	c.stamp(&e)
 	c.m.sent.Inc()
-	return c.Deliver(e)
+	return c.Deliver(func() bool { return c.send(e) })
 }
 
-// Sequence numbers a batch in place as Send numbers each envelope, and
-// counts the batch as handed to the client: Send's first half, for a caller
-// that makes the first delivery attempt itself — one request for many
-// envelopes — and hands each envelope that attempt did not settle to
-// Deliver, under the number it was given here.
-func (c *RetryClient) Sequence(events []Envelope) {
-	for i := range events {
-		c.stamp(&events[i])
-	}
-	c.m.sent.Add(uint64(len(events)))
-}
+// Handed counts n envelopes as handed to the client without sending them:
+// for a caller that makes the first delivery attempt itself — one request
+// for many envelopes — and hands each envelope that attempt did not settle
+// to Deliver.
+func (c *RetryClient) Handed(n int) { c.m.sent.Add(uint64(n)) }
 
-// stamp gives an unsequenced envelope the next sequence of its stream.
-func (c *RetryClient) stamp(e *Envelope) {
-	if e.Seq == 0 {
-		k := dedupKey{Key: e.Key(), User: e.User}
-		c.next[k]++
-		e.Seq = c.next[k]
-	}
-}
-
-// Deliver is Send's second half: it sends an envelope as it is numbered,
-// retrying refusals under bounded jittered backoff, and reports whether it
-// was ever acknowledged.
-func (c *RetryClient) Deliver(e Envelope) bool {
-	if c.send(e) {
+// Deliver is Send's retry half: it makes attempt — one delivery of one
+// envelope — until it reports an ack, under bounded jittered backoff, and
+// reports whether it ever did.
+func (c *RetryClient) Deliver(attempt func() bool) bool {
+	if attempt() {
 		return true
 	}
 	d := baseDelay
-	for attempt := 1; attempt < maxAttempts; attempt++ {
+	for try := 1; try < maxAttempts; try++ {
 		// Jittered backoff: uniform in [d/2, d). Decorrelates producers
 		// that fail together without ever collapsing the delay to zero.
-		delay := d/2 + time.Duration(c.src.Float64()*float64(d/2))
+		c.mu.Lock()
+		u := c.src.Float64()
+		c.mu.Unlock()
+		delay := d/2 + time.Duration(u*float64(d/2))
 		c.m.backoff.ObserveDuration(delay)
 		c.cfg.Sleep(delay)
 		c.m.retries.Inc()
-		if c.send(e) {
+		if attempt() {
 			return true
 		}
 		if d *= 2; d > maxDelay {
@@ -171,59 +151,7 @@ func (c *RetryClient) Deliver(e Envelope) bool {
 	return false
 }
 
-// SeqRecord is one (key, user) stream's persisted sequence cursor. LastSeq
-// is the highest sequence the client has assigned to that stream; the next
-// event gets LastSeq+1.
-type SeqRecord struct {
-	Metric  string `json:"metric"`
-	Region  string `json:"region"`
-	Net     string `json:"net"`
-	User    int    `json:"user"`
-	LastSeq uint64 `json:"last_seq"`
-}
-
-// SeqState exports the client's per-stream sequence cursors in a stable
-// (sorted) order, ready to persist (e.g. as JSON) across client restarts.
-// Restoring them into the next incarnation (RestoreSeqState) is what keeps
-// a restarted producer's events from colliding with the server's durable
-// dedup trackers — see the ownership contract on RetryClient.
-func (c *RetryClient) SeqState() []SeqRecord {
-	out := make([]SeqRecord, 0, len(c.next))
-	for k, last := range c.next {
-		out = append(out, SeqRecord{Metric: k.Metric, Region: k.Region, Net: k.Net, User: k.User, LastSeq: last})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		if a.Net != b.Net {
-			return a.Net < b.Net
-		}
-		return a.User < b.User
-	})
-	return out
-}
-
-// RestoreSeqState merges persisted cursors into the client, keeping the
-// higher cursor where both sides know a stream. Call it before the first
-// Send of a restarted producer; restoring afterwards could rewind a cursor
-// the current incarnation already advanced past.
-func (c *RetryClient) RestoreSeqState(recs []SeqRecord) {
-	for _, r := range recs {
-		k := dedupKey{Key: Key{Metric: r.Metric, Region: r.Region, Net: r.Net}, User: r.User}
-		if r.LastSeq > c.next[k] {
-			c.next[k] = r.LastSeq
-		}
-	}
-}
-
-// Stats snapshots the client's counters. Unlike the client itself, Stats is
-// safe to call from another goroutine while a Send is in flight: the
-// counters are atomics, so a monitor can poll mid-batch without a race.
+// Stats snapshots the client's counters.
 func (c *RetryClient) Stats() ClientStats {
 	return ClientStats{
 		Sent:    c.m.sent.Value(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -71,88 +72,47 @@ func TestRetryClientGivesUp(t *testing.T) {
 	}
 }
 
-// TestRetryClientSequencesPerStream: sequences are contiguous per
-// (key, user) — the contract that keeps the server-side trackers compact.
-func TestRetryClientSequencesPerStream(t *testing.T) {
+// TestRetryClientForwardsProducerSeq: the client numbers nothing — every
+// envelope, a retried one included, goes out under the Seq its producer
+// gave it, and an unsequenced one stays unsequenced.
+func TestRetryClientForwardsProducerSeq(t *testing.T) {
 	var got []Envelope
-	c := NewRetryClient(func(e Envelope) bool { got = append(got, e); return true },
-		rng.New(1), RetryConfig{})
+	refuse := false
+	c := NewRetryClient(func(e Envelope) bool {
+		got = append(got, e)
+		refuse = !refuse
+		return !refuse
+	}, rng.New(1), RetryConfig{Sleep: func(time.Duration) {}})
 	ts := time.Now().UnixMilli()
-	for i := 0; i < 3; i++ {
-		for user := 0; user < 2; user++ {
-			e := ev(ts, MetricRTT, "Beijing", "WiFi", 1)
-			e.User = user
-			c.Send(e)
+	for _, seq := range []uint64{0, 99, 0, 3} {
+		e := ev(ts, MetricRTT, "Beijing", "WiFi", 1)
+		e.Seq = seq
+		got = got[:0]
+		if !c.Send(e) {
+			t.Fatalf("seq %d: send failed", seq)
 		}
-	}
-	next := map[int]uint64{}
-	for _, e := range got {
-		if want := next[e.User] + 1; e.Seq != want {
-			t.Fatalf("user %d got seq %d, want %d", e.User, e.Seq, want)
+		if len(got) != 2 {
+			t.Fatalf("seq %d: %d attempts, want a refusal then an ack", seq, len(got))
 		}
-		next[e.User] = e.Seq
-	}
-	// A pre-sequenced envelope keeps its number.
-	e := ev(ts, MetricRTT, "Beijing", "WiFi", 1)
-	e.Seq = 99
-	c.Send(e)
-	if last := got[len(got)-1]; last.Seq != 99 {
-		t.Fatalf("pre-sequenced envelope renumbered to %d", last.Seq)
+		for _, sent := range got {
+			if sent.Seq != seq {
+				t.Fatalf("producer seq %d went out as %d", seq, sent.Seq)
+			}
+		}
 	}
 }
 
-// TestRetryClientSeqStatePersistsAcrossRestart pins the ownership contract:
-// a restarted producer that restores its sequence cursors continues its
-// streams seamlessly, while one that skips the restore restarts at Seq=1
-// and loses its first sends to the server's durable dedup state — the
-// documented hazard SeqState exists to prevent.
-func TestRetryClientSeqStatePersistsAcrossRestart(t *testing.T) {
-	ing := NewIngestor(Config{Shards: 2, QueueLen: 64, Block: true})
-	defer ing.Close()
-	ts := time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
-	mk := func(i int) Envelope {
-		e := ev(ts+int64(i), MetricRTT, "Beijing", "WiFi", float64(i))
-		e.User = 3
-		return e
+// sequenced returns a copy of events numbered as a producer numbers its
+// streams: contiguously per (key, user), from 1.
+func sequenced(events []Envelope) []Envelope {
+	next := map[dedupKey]uint64{}
+	out := slices.Clone(events)
+	for i := range out {
+		k := dedupKey{Key: out[i].Key(), User: out[i].User}
+		next[k]++
+		out[i].Seq = next[k]
 	}
-
-	c1 := NewRetryClient(ing.Offer, rng.New(1), RetryConfig{})
-	for i := 0; i < 5; i++ {
-		if !c1.Send(mk(i)) {
-			t.Fatal("send failed")
-		}
-	}
-	saved := c1.SeqState() // what a producer persists at shutdown
-	if len(saved) != 1 || saved[0].LastSeq != 5 || saved[0].User != 3 {
-		t.Fatalf("SeqState = %+v, want one stream cursor at 5", saved)
-	}
-
-	c2 := NewRetryClient(ing.Offer, rng.New(2), RetryConfig{})
-	c2.RestoreSeqState(saved)
-	for i := 5; i < 10; i++ {
-		if !c2.Send(mk(i)) {
-			t.Fatal("send failed")
-		}
-	}
-	ing.Flush()
-	if tot := ing.TotalStats(); tot.Deduped != 0 {
-		t.Fatalf("restored client had %d events deduped away", tot.Deduped)
-	}
-	res, err := ing.Query(QuerySpec{Metric: MetricRTT})
-	if err != nil || res.Count != 10 {
-		t.Fatalf("count = %v err = %v, want 10 (both incarnations folded)", res.Count, err)
-	}
-
-	// The hazard itself: a third incarnation without the restore collides
-	// with the durable trackers and its sends fold zero times.
-	c3 := NewRetryClient(ing.Offer, rng.New(3), RetryConfig{})
-	for i := 10; i < 15; i++ {
-		c3.Send(mk(i))
-	}
-	ing.Flush()
-	if tot := ing.TotalStats(); tot.Deduped != 5 {
-		t.Fatalf("unrestored client deduped %d, want 5 (the ownership hazard)", tot.Deduped)
-	}
+	return out
 }
 
 // TestHTTPSenderEndToEnd drives a RetryClient through a real HTTP hop into

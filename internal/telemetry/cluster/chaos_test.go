@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -31,6 +32,25 @@ func scenarioEvents(t *testing.T, sp *scenario.Spec) []telemetry.Envelope {
 	r := rng.New(sp.Seed)
 	c := crowd.NewCampaign(r.Fork("campaign"), sp.Crowd)
 	return telemetry.LatencyEvents(crowd.NewObservationStore(c, r.Fork("latency")))
+}
+
+// sequenced returns a copy of events numbered as a producer numbers its
+// streams: contiguously per (key, user), from 1. The router forwards those
+// numbers untouched, so a resend through it folds once only for a
+// sequenced stream.
+func sequenced(events []telemetry.Envelope) []telemetry.Envelope {
+	type stream struct {
+		k    telemetry.Key
+		user int
+	}
+	next := map[stream]uint64{}
+	out := slices.Clone(events)
+	for i := range out {
+		s := stream{out[i].Key(), out[i].User}
+		next[s]++
+		out[i].Seq = next[s]
+	}
+	return out
 }
 
 // fingerprintSpecs are the answer surfaces the identity pins compare.
@@ -264,7 +284,7 @@ func TestClusterQueryByteIdenticalAcrossScenarios(t *testing.T) {
 // byte-identically to a single-node replay.
 func TestClusterNodeCrashPartialThenConverges(t *testing.T) {
 	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
+	events := sequenced(scenarioEvents(t, sp))
 
 	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
 	defer single.Close()
@@ -357,9 +377,9 @@ func TestClusterNodeCrashPartialThenConverges(t *testing.T) {
 		t.Fatal("outages cost nothing — the refused-send path was not exercised")
 	}
 
-	// Heal the tracker and re-deliver. Each resend takes a fresh sequence
-	// number on its stream, so even a retry whose original secretly landed
-	// would fold once server-side.
+	// Heal the tracker and re-deliver. Each resend keeps its producer's
+	// sequence number, so even a retry whose original secretly landed
+	// folds once server-side.
 	for i := 0; i < 3; i++ {
 		tracker.ProbeOnce()
 	}
@@ -382,7 +402,7 @@ func TestClusterNodeCrashPartialThenConverges(t *testing.T) {
 // recovery at all.
 func TestClusterNetPartitionHealsTransparently(t *testing.T) {
 	sp := scenario.MustGet("small")
-	events := scenarioEvents(t, sp)
+	events := sequenced(scenarioEvents(t, sp))
 
 	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
 	defer single.Close()

@@ -37,6 +37,18 @@ type HTTPNode struct {
 	pageBytes atomic.Pointer[obs.Counter]
 }
 
+// RequestIDHeader carries a request's id: the frontend takes the caller's
+// or mints one, and sends it on every node leg it runs for the request.
+const RequestIDHeader = "X-Request-Id"
+
+type requestIDKey struct{}
+
+// WithRequestID returns ctx carrying a request id: every HTTPNode leg run
+// under it sends the id as its RequestIDHeader.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
 // NewHTTPNode builds a client for one node's base URL (no trailing slash
 // needed). client == nil uses http.DefaultClient.
 func NewHTTPNode(base string, client *http.Client) *HTTPNode {
@@ -60,7 +72,7 @@ func (n *HTTPNode) Ingest(e telemetry.Envelope) bool { return n.ingest(e) }
 // batch Leg. A transport or HTTP failure accepts none, and an envelope that
 // fails to encode is left out, so the ack comes back short and the router
 // resends the run one envelope at a time. Safe for concurrent use.
-func (n *HTTPNode) IngestBatch(events []telemetry.Envelope) int {
+func (n *HTTPNode) IngestBatch(ctx context.Context, events []telemetry.Envelope) int {
 	buf := telemetry.TakeWireBuffer()
 	defer telemetry.ReleaseWireBuffer(buf)
 	for _, e := range events {
@@ -71,7 +83,7 @@ func (n *HTTPNode) IngestBatch(events []telemetry.Envelope) int {
 	var ack struct {
 		Accepted int `json:"accepted"`
 	}
-	if err := n.do(context.Background(), http.MethodPost, "/ingest", "application/jsonl", *buf, "", jsonInto(&ack)); err != nil {
+	if err := n.do(ctx, http.MethodPost, "/ingest", "application/jsonl", *buf, "", jsonInto(&ack)); err != nil {
 		return 0
 	}
 	return ack.Accepted
@@ -215,9 +227,10 @@ func partParams(p, of int) string {
 }
 
 // do runs one leg: body (when non-nil) is sent as contentType, accept (when
-// set) names the only answer form the caller takes, and non-2xx is an error
-// carrying the node's plain-text reason. consume reads the answer; do owns
-// draining and closing it.
+// set) names the only answer form the caller takes, ctx's request id (when
+// set) rides along as RequestIDHeader, and non-2xx is an error carrying the
+// node's plain-text reason. consume reads the answer; do owns draining and
+// closing it.
 func (n *HTTPNode) do(ctx context.Context, method, path, contentType string, body []byte, accept string, consume func(*http.Response) error) error {
 	var rdr io.Reader
 	if body != nil {
@@ -232,6 +245,9 @@ func (n *HTTPNode) do(ctx context.Context, method, path, contentType string, bod
 	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
+	}
+	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
+		req.Header.Set(RequestIDHeader, id)
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {

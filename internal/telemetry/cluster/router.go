@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"slices"
 	"sync"
 
@@ -17,17 +18,18 @@ type Transport func(node string, e telemetry.Envelope) bool
 // Leg delivers a run of envelopes to one node in one request and returns how
 // many of them the node acknowledged. A count short of len(events) does not
 // say which ones landed: the router resends the whole run, one envelope at a
-// time under the sequence numbers it already carries, and the node's
-// sequence dedup folds what had landed once. Implementations:
-// HTTPNode.IngestBatch (one JSONL POST), or a Transport adapted by
-// Transport.Leg. Legs to different nodes run concurrently, so a Leg must be
-// safe for that; the router never runs two legs to one node at once.
-type Leg func(node string, events []telemetry.Envelope) int
+// time under the sequence numbers its producer gave it, and the node's
+// sequence dedup folds once what had landed of a sequenced envelope.
+// Implementations: HTTPNode.IngestBatch (one JSONL POST, carrying ctx's
+// request id), or a Transport adapted by Transport.Leg. Legs run
+// concurrently, to different nodes and, from concurrent requests, to one
+// node, so a Leg must be safe for that.
+type Leg func(ctx context.Context, node string, events []telemetry.Envelope) int
 
 // Leg adapts a per-envelope transport to a Leg: the run is delivered in
 // order, and the first refusal ends it.
 func (t Transport) Leg() Leg {
-	return func(node string, events []telemetry.Envelope) int {
+	return func(_ context.Context, node string, events []telemetry.Envelope) int {
 		for i, e := range events {
 			if !t(node, e) {
 				return i
@@ -41,8 +43,8 @@ func (t Transport) Leg() Leg {
 type RouterConfig struct {
 	// Retry is handed to the underlying telemetry.RetryClient — the same
 	// bounded-backoff machinery the single-node client uses, now wrapped
-	// around partition routing. Its dedup sequence numbers make resends
-	// safe: one that lands twice folds once server-side.
+	// around partition routing. A producer's sequence numbers make its
+	// resends safe: one that lands twice folds once server-side.
 	Retry telemetry.RetryConfig
 	// Metrics is the registry the routing families (cluster_router_*)
 	// register on and, unless Retry.Metrics names another registry, the
@@ -72,25 +74,27 @@ type RouterStats struct {
 
 // Router is the ingest front door: it maps each envelope's key to its
 // partition and sends to the owning node — refusing outright while the
-// health tracker has the owner marked down. A batch (SendAll) is numbered
-// once and shipped as one leg per owner; whatever a leg does not settle, and
-// every envelope of a partition that is frozen, in its dual-write phase or
-// owned by a down node, takes the per-envelope path. That path rides inside
-// a telemetry.RetryClient, so refusals (a transport failure, a handoff
-// freeze, the whole of an owner's outage) get bounded exponential backoff,
-// and the per-key sequence numbers make duplicates from resends fold away
-// server-side. A partition's writes only ever land on its owner (and, mid-
-// migration, the pending owner), which keeps each (window, key) rollup on
-// one node and preserves single-node byte-identity at every epoch.
+// health tracker has the owner marked down. A batch (SendAll) is shipped as
+// one leg per owner; whatever a leg does not settle, and every envelope of a
+// partition that is frozen, in its dual-write phase or owned by a down node,
+// takes the per-envelope path. That path rides inside a
+// telemetry.RetryClient, so refusals (a transport failure, a handoff
+// freeze, the whole of an owner's outage) get bounded exponential backoff.
+// The router numbers nothing: every envelope goes out under the Seq its
+// producer gave it, so a sequenced producer's resends fold away
+// server-side and an unsequenced one is at-least-once across a resend, as
+// against a single node. A partition's writes only ever land on its owner
+// (and, mid-migration, the pending owner), which keeps each (window, key)
+// rollup on one node and preserves single-node byte-identity at every
+// epoch.
 //
-// Send/SendAll must be called from a single goroutine, like the
-// RetryClient they wrap.
+// A Router is safe for concurrent use: concurrent Send and SendAll calls
+// plan and run their legs in parallel.
 type Router struct {
 	pm     *PartitionMap
 	health *HealthTracker
 	leg    Leg
 	client *telemetry.RetryClient
-	batch  batchPlan // SendAll's working memory, reused across calls
 
 	routed     *obs.Counter
 	unroutable *obs.Counter
@@ -131,29 +135,31 @@ func NewLegRouter(pm *PartitionMap, health *HealthTracker, leg Leg, src *rng.Sou
 		// the router's registry unless the caller gave it one of its own.
 		cfg.Retry.Metrics = cfg.Metrics
 	}
-	r.client = telemetry.NewRetryClient(r.route, src, cfg.Retry)
+	r.client = telemetry.NewRetryClient(func(e telemetry.Envelope) bool {
+		return r.route(context.Background(), e)
+	}, src, cfg.Retry)
 	return r
 }
 
 // send runs one leg and counts it.
-func (r *Router) send(node string, events []telemetry.Envelope) int {
+func (r *Router) send(ctx context.Context, node string, events []telemetry.Envelope) int {
 	r.legs.With(node).Inc()
 	r.legSize.Observe(float64(len(events)))
-	return r.leg(node, events)
+	return r.leg(ctx, node, events)
 }
 
 // sendOne runs a one-envelope leg.
-func (r *Router) sendOne(node string, e telemetry.Envelope) bool {
-	return r.send(node, []telemetry.Envelope{e}) == 1
+func (r *Router) sendOne(ctx context.Context, node string, e telemetry.Envelope) bool {
+	return r.send(ctx, node, []telemetry.Envelope{e}) == 1
 }
 
-// route is the RetryClient's send function: one delivery attempt. Owner,
+// route is one delivery attempt, the retry client's unit. Owner,
 // freeze state and dual-write target are snapshotted atomically under one
 // lock (PartitionMap.Route) before anything is transported — read
 // piecemeal, an epoch activation could clear the dual map between the
 // owner read and the dual check, and the envelope would be acked having
 // landed only on the losing owner, whose copy the migrator then drops.
-func (r *Router) route(e telemetry.Envelope) bool {
+func (r *Router) route(ctx context.Context, e telemetry.Envelope) bool {
 	p := r.pm.PartitionOf(e.Key())
 	rt := r.pm.Route(p)
 	if rt.Frozen {
@@ -172,18 +178,18 @@ func (r *Router) route(e telemetry.Envelope) bool {
 		r.unroutable.Inc()
 		return false
 	}
-	return r.deliver(p, rt, e)
+	return r.deliver(ctx, p, rt, e)
 }
 
 // deliver transports one envelope to the partition's owner, duplicates it
 // to the pending epoch's owner during a migration's dual-write phase, and
 // guards the ack against a migration racing the delivery. The attempt only
 // succeeds when every required copy acks: a false makes the retry client
-// resend, and the per-key sequence numbers fold the duplicate away on
+// resend, and a sequenced envelope's number folds the duplicate away on
 // whichever node already folded it — idempotent convergence instead of
 // divergent copies.
-func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
-	if !r.sendOne(rt.Owner, e) {
+func (r *Router) deliver(ctx context.Context, p int, rt RouteTarget, e telemetry.Envelope) bool {
+	if !r.sendOne(ctx, rt.Owner, e) {
 		return false
 	}
 	if rt.HasDual {
@@ -191,7 +197,7 @@ func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
 		// ack. Once both have, the envelope is safe against any outcome:
 		// activation keeps the pending owner's copy, rollback keeps the
 		// current owner's.
-		if !r.sendOne(rt.Dual, e) {
+		if !r.sendOne(ctx, rt.Dual, e) {
 			return false
 		}
 		r.dualWrites.Inc()
@@ -202,8 +208,8 @@ func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
 	// pending owner a copy. If a cutover or activation landed while the
 	// envelope was in flight it may exist only on a node whose copy is
 	// about to be dropped — refuse the ack and let the retry client
-	// redeliver under the new routing state; sequence dedup folds the
-	// duplicate on whichever node already folded it.
+	// redeliver under the new routing state; sequence dedup folds a
+	// sequenced duplicate on whichever node already folded it.
 	if after := r.pm.Route(p); after.Owner != rt.Owner || after.HasDual {
 		return false
 	}
@@ -215,30 +221,38 @@ func (r *Router) deliver(p int, rt RouteTarget, e telemetry.Envelope) bool {
 // the attempt budget is spent. Reports whether the envelope was acked.
 func (r *Router) Send(e telemetry.Envelope) bool { return r.client.Send(e) }
 
-// SendAll routes a batch and returns how many envelopes were acked. The
-// batch is numbered once (RetryClient.Sequence) and grouped by owner, each
-// owner's share keeping its order, from one route snapshot per partition
-// (PartitionMap.Route); each share goes out as one leg, the legs to
-// different owners concurrently. An envelope then takes the per-envelope
-// path, under its number, when its partition is frozen, in its dual-write
-// phase or owned by a node marked down; when its leg failed or acked short;
-// or when its partition's route changed while the leg was in flight. Those
-// resends go in batch order once every leg is back, so a key's envelopes
-// reach its owner in order, and sequence dedup folds once whatever a short
-// leg had already landed.
+// SendAll is SendAllContext without a request id.
 func (r *Router) SendAll(events []telemetry.Envelope) int {
-	b := &r.batch
+	return r.SendAllContext(context.Background(), events)
+}
+
+// SendAllContext routes a batch and returns how many envelopes were acked;
+// every node leg carries ctx (and so its request id, see WithRequestID).
+// The batch is grouped by owner, each owner's share keeping its order, from
+// one route snapshot per partition (PartitionMap.Route); each share goes
+// out as one leg, the legs to different owners concurrently. An envelope
+// then takes the per-envelope path when its partition is frozen, in its
+// dual-write phase or owned by a node marked down; when its leg failed or
+// acked short; or when its partition's route changed while the leg was in
+// flight. Those resends go in batch order once every leg is back, so a
+// key's envelopes reach its owner in order, and sequence dedup folds once
+// whatever a short leg had already landed of a sequenced envelope.
+func (r *Router) SendAllContext(ctx context.Context, events []telemetry.Envelope) int {
+	b := planPool.Get().(*batchPlan)
+	defer planPool.Put(b)
+	defer b.reset()
 	b.plan(r, events)
+	r.client.Handed(len(events))
 	if len(b.legs) > 0 {
 		var wg sync.WaitGroup
 		for _, l := range b.legs[1:] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				l.acked = r.send(l.node, l.events)
+				l.acked = r.send(ctx, l.node, l.events)
 			}()
 		}
-		b.legs[0].acked = r.send(b.legs[0].node, b.legs[0].events)
+		b.legs[0].acked = r.send(ctx, b.legs[0].node, b.legs[0].events)
 		wg.Wait()
 	}
 	acked := 0
@@ -262,22 +276,26 @@ func (r *Router) SendAll(events []telemetry.Envelope) int {
 	}
 	slices.Sort(b.resend)
 	for _, i := range b.resend {
-		if r.client.Deliver(b.events[i]) {
+		e := events[i]
+		if r.client.Deliver(func() bool { return r.route(ctx, e) }) {
 			acked++
 		}
 	}
-	b.reset()
 	return acked
 }
 
-// batchPlan is one SendAll's grouping: the numbered copy of the batch, the
-// decision taken per partition it touches (its owner when the partition
-// takes a batch leg, "" when it takes the per-envelope path), the legs of
-// the owners it touches, and the envelopes (by batch index) bound for the
-// per-envelope path. byNode keeps one leg per node ever routed to, so its
-// buffers are reused across batches.
+// planPool recycles SendAll's working memory: one plan per call in flight.
+var planPool = sync.Pool{New: func() any {
+	return &batchPlan{routes: map[int]string{}, byNode: map[string]*batchLeg{}}
+}}
+
+// batchPlan is one SendAll's grouping: the decision taken per partition it
+// touches (its owner when the partition takes a batch leg, "" when it takes
+// the per-envelope path), the legs of the owners it touches, and the
+// envelopes (by batch index) bound for the per-envelope path. byNode keeps
+// one leg per node ever routed to, so its buffers are reused across
+// batches.
 type batchPlan struct {
-	events []telemetry.Envelope
 	routes map[int]string
 	legs   []*batchLeg
 	byNode map[string]*batchLeg
@@ -294,15 +312,10 @@ type batchLeg struct {
 	acked  int
 }
 
-// plan numbers a copy of events and deals it out: envelopes of a partition
-// that may not take a batch leg go to resend, the rest to their owner's leg.
+// plan deals events out: envelopes of a partition that may not take a batch
+// leg go to resend, the rest to their owner's leg.
 func (b *batchPlan) plan(r *Router, events []telemetry.Envelope) {
-	if b.routes == nil {
-		b.routes, b.byNode = map[int]string{}, map[string]*batchLeg{}
-	}
-	b.events = append(b.events[:0], events...)
-	r.client.Sequence(b.events)
-	for i, e := range b.events {
+	for i, e := range events {
 		p := r.pm.PartitionOf(e.Key())
 		owner, ok := b.routes[p]
 		if !ok {
@@ -332,8 +345,6 @@ func (b *batchPlan) plan(r *Router, events []telemetry.Envelope) {
 // reset empties the plan for the next batch, keeping its buffers but no
 // envelope: a reused buffer must not pin a finished batch's strings.
 func (b *batchPlan) reset() {
-	clear(b.events)
-	b.events = b.events[:0]
 	clear(b.routes)
 	for _, l := range b.legs {
 		clear(l.events)
@@ -342,13 +353,6 @@ func (b *batchPlan) reset() {
 	clear(b.legs)
 	b.legs, b.resend = b.legs[:0], b.resend[:0]
 }
-
-// SeqState exposes the retry client's per-key sequence state (checkpoint
-// support — see telemetry.RetryClient.SeqState).
-func (r *Router) SeqState() []telemetry.SeqRecord { return r.client.SeqState() }
-
-// RestoreSeqState seeds sequence numbering from a checkpoint.
-func (r *Router) RestoreSeqState(recs []telemetry.SeqRecord) { r.client.RestoreSeqState(recs) }
 
 // Stats returns a snapshot of routing counters.
 func (r *Router) Stats() RouterStats {

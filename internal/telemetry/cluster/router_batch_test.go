@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -37,7 +38,9 @@ const batchSize = 50
 func newBatchRig(t *testing.T) *batchRig {
 	t.Helper()
 	sp := scenario.MustGet("small")
-	r := &batchRig{t: t, events: scenarioEvents(t, sp), down: map[string]bool{}, reg: obs.NewRegistry()}
+	// The stream is numbered as its producer would, so a resend whose
+	// original landed folds once.
+	r := &batchRig{t: t, events: sequenced(scenarioEvents(t, sp)), down: map[string]bool{}, reg: obs.NewRegistry()}
 	single := telemetry.NewIngestor(telemetry.Config{Shards: 4, QueueLen: 1024, Block: true})
 	defer single.Close()
 	telemetry.Replay(single, r.events)
@@ -51,7 +54,7 @@ func newBatchRig(t *testing.T) *batchRig {
 		return ProbeResult{Reachable: !r.down[node]}
 	}, HealthConfig{})
 	real := Transport(r.c.transport).Leg()
-	leg := func(node string, events []telemetry.Envelope) int {
+	leg := func(ctx context.Context, node string, events []telemetry.Envelope) int {
 		r.mu.Lock()
 		fault := r.fault
 		r.mu.Unlock()
@@ -60,7 +63,7 @@ func newBatchRig(t *testing.T) *batchRig {
 				return n
 			}
 		}
-		return real(node, events)
+		return real(ctx, node, events)
 	}
 	r.router = NewLegRouter(r.pm, r.health, leg, rng.New(sp.Seed).Fork("router"), RouterConfig{
 		Metrics: r.reg,
@@ -146,6 +149,43 @@ func TestRouterBatchOneLegPerOwner(t *testing.T) {
 	}
 }
 
+// TestRouterConcurrentSendAllMatchesSingleNode: producers calling SendAll
+// at once over in-process legs, each owning disjoint keys, leave the
+// cluster answering /query and /keys byte-identically to the single-node
+// replay. Run it under -race: each call plans from the pool and runs its
+// legs beside the others'.
+func TestRouterConcurrentSendAllMatchesSingleNode(t *testing.T) {
+	r := newBatchRig(t)
+	const producers = 4
+	var shares [producers][]telemetry.Envelope
+	for _, e := range r.events {
+		g := e.Key().ShardOf(producers)
+		shares[g] = append(shares[g], e)
+	}
+	var acked [producers]int
+	var wg sync.WaitGroup
+	for g, share := range shares {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := 0; lo < len(share); lo += batchSize {
+				acked[g] += r.router.SendAll(share[lo:min(lo+batchSize, len(share))])
+			}
+		}()
+	}
+	wg.Wait()
+	for g, share := range shares {
+		if len(share) == 0 || acked[g] != len(share) {
+			t.Fatalf("producer %d: %d of %d acked", g, acked[g], len(share))
+		}
+	}
+	r.c.flushAll()
+	r.check()
+	if st := r.router.Stats(); st.Routed != uint64(len(r.events)) || st.Client.Sent != uint64(len(r.events)) || st.Client.Retries != 0 {
+		t.Fatalf("router stats = %+v", st)
+	}
+}
+
 // TestRouterBatchShortAckResentFoldsOnce: legs that ack short — one that
 // landed everything but acked one fewer, one that landed only a prefix —
 // are resent envelope by envelope under their numbers, and sequence dedup
@@ -164,10 +204,10 @@ func TestRouterBatchShortAckResentFoldsOnce(t *testing.T) {
 		switch calls++; calls % 7 {
 		case 0: // every envelope landed, the ack says one fewer
 			short++
-			return real(node, events) - 1, true
+			return real(context.Background(), node, events) - 1, true
 		case 3: // only the first half landed
 			short++
-			return real(node, events[:len(events)/2]), true
+			return real(context.Background(), node, events[:len(events)/2]), true
 		}
 		return 0, false
 	}

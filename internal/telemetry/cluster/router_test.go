@@ -90,8 +90,15 @@ func TestRouterSendsToOwner(t *testing.T) {
 	if st.Routed != 1 || st.Unroutable != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := h.deliveries["n1"][0].Seq; got != 1 {
-		t.Fatalf("routed envelope seq = %d, want 1 (retry client numbering)", got)
+	if got := h.deliveries["n1"][0].Seq; got != 0 {
+		t.Fatalf("unsequenced envelope routed as seq %d, want 0 (the router numbers nothing)", got)
+	}
+	e.Seq = 41
+	if !h.router.Send(e) {
+		t.Fatal("send failed")
+	}
+	if got := h.deliveries["n1"][1].Seq; got != 41 {
+		t.Fatalf("producer seq 41 routed as %d", got)
 	}
 }
 

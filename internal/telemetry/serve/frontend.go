@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgescope/internal/obs"
@@ -148,12 +150,28 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 			}
 		},
 	})
-	f.Handler = f.mux(front, &adminPlane{pm: pm, mig: mig, peers: peers, front: front, log: log}, cfg.Pprof, log)
+	f.Handler = withRequestID(f.mux(front, &adminPlane{pm: pm, mig: mig, peers: peers, front: front, log: log}, cfg.Pprof, log))
 	return f, nil
 }
 
 // Close stops the health prober.
 func (f *Frontend) Close() { f.Health.Stop() }
+
+// withRequestID gives every request an id before h serves it: the caller's
+// cluster.RequestIDHeader, or one minted from a counter. The id rides the
+// request's header, which the failure logs read, and its context, which
+// every node leg sends on (cluster.WithRequestID).
+func withRequestID(h http.Handler) http.Handler {
+	var minted atomic.Uint64
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get(cluster.RequestIDHeader)
+		if id == "" {
+			id = "fe-" + strconv.FormatUint(minted.Add(1), 10)
+			r.Header.Set(cluster.RequestIDHeader, id)
+		}
+		h.ServeHTTP(w, r.WithContext(cluster.WithRequestID(r.Context(), id)))
+	})
+}
 
 // mux wires the frontend endpoints: /ingest routed per partition, /query
 // and /keys scatter-gathered, /healthz reporting cluster membership, the
@@ -164,15 +182,9 @@ func (f *Frontend) Close() { f.Health.Stop() }
 func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, log *slog.Logger) *http.ServeMux {
 	start := time.Now()
 	mux := http.NewServeMux()
-	// The router wraps a RetryClient, which is single-goroutine by
-	// contract — serialize ingest requests over it.
-	var ingestMu sync.Mutex
-	ingest := handleIngest(log, f.Router.SendAll)
-	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
-		ingestMu.Lock()
-		defer ingestMu.Unlock()
-		ingest(w, r)
-	})
+	// Requests run concurrently: the router numbers nothing and keeps no
+	// per-call state, so each request plans and sends its own legs.
+	mux.HandleFunc("POST /ingest", handleIngest(log, f.Router.SendAllContext))
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := specFromURL(r)
 		if err != nil {
@@ -191,7 +203,7 @@ func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, l
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		writeJSON(log, w, res)
+		writeJSON(log, w, r, res)
 	})
 	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
 		keys, missing := front.Keys(r.Context())
@@ -203,7 +215,7 @@ func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, l
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusPartialContent)
 		}
-		writeKeysJSON(log, w, keys)
+		writeKeysJSON(log, w, r, keys)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := f.Health.Snapshot()
@@ -219,7 +231,7 @@ func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, l
 				"owns":  f.Map.OwnedBy(n.Node),
 			})
 		}
-		writeJSON(log, w, map[string]any{
+		writeJSON(log, w, r, map[string]any{
 			"status":         status,
 			"node":           &telemetry.NodeInfo{Role: "frontend"},
 			"epoch":          f.Map.Epoch(),
@@ -288,12 +300,12 @@ func (ps *peerSet) urlsCopy() map[string]string {
 // leg is the router's per-node ingest leg over the live registry: one POST
 // per run of envelopes (HTTPNode.IngestBatch).
 func (ps *peerSet) leg() cluster.Leg {
-	return func(node string, events []telemetry.Envelope) int {
+	return func(ctx context.Context, node string, events []telemetry.Envelope) int {
 		n := ps.get(node)
 		if n == nil {
 			return 0
 		}
-		return n.IngestBatch(events)
+		return n.IngestBatch(ctx, events)
 	}
 }
 
@@ -379,7 +391,7 @@ func (a *adminPlane) handleAssignment(w http.ResponseWriter, r *http.Request) {
 	if a.mig.Migrating() {
 		status = "migrating"
 	}
-	writeJSON(a.log, w, map[string]any{
+	writeJSON(a.log, w, r, map[string]any{
 		"status":     status,
 		"epoch":      a.pm.Epoch(),
 		"assignment": a.pm.Current(),
@@ -433,12 +445,12 @@ func (a *adminPlane) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		a.front.RemoveClient(req.ID)
 		a.peers.remove(req.ID)
-		a.log.Error("join failed", "node", req.ID, "err", err)
+		a.log.Error("join failed", "request_id", requestID(r), "node", req.ID, "err", err)
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	a.log.Info("member joined", "node", req.ID, "epoch", next.Epoch)
-	writeJSON(a.log, w, next)
+	writeJSON(a.log, w, r, next)
 }
 
 // handleLeave removes one member after handing its partitions to the
@@ -453,14 +465,14 @@ func (a *adminPlane) handleLeave(w http.ResponseWriter, r *http.Request) {
 	defer a.mu.Unlock()
 	next, err := a.mig.Leave(context.Background(), req.ID)
 	if err != nil {
-		a.log.Error("leave failed", "node", req.ID, "err", err)
+		a.log.Error("leave failed", "request_id", requestID(r), "node", req.ID, "err", err)
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	a.front.RemoveClient(req.ID)
 	a.peers.remove(req.ID)
 	a.log.Info("member left", "node", req.ID, "epoch", next.Epoch)
-	writeJSON(a.log, w, next)
+	writeJSON(a.log, w, r, next)
 }
 
 // handleDrain empties one member without removing it — the prelude to a
@@ -475,10 +487,10 @@ func (a *adminPlane) handleDrain(w http.ResponseWriter, r *http.Request) {
 	defer a.mu.Unlock()
 	next, err := a.mig.Drain(context.Background(), req.ID)
 	if err != nil {
-		a.log.Error("drain failed", "node", req.ID, "err", err)
+		a.log.Error("drain failed", "request_id", requestID(r), "node", req.ID, "err", err)
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	a.log.Info("member drained", "node", req.ID, "epoch", next.Epoch)
-	writeJSON(a.log, w, next)
+	writeJSON(a.log, w, r, next)
 }

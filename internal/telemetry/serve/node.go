@@ -8,6 +8,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,7 +48,9 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 	start := time.Now()
 	ing, log := cfg.Ing, cfg.Log
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", handleIngest(log, ing.OfferAll))
+	mux.HandleFunc("POST /ingest", handleIngest(log, func(_ context.Context, batch []telemetry.Envelope) int {
+		return ing.OfferAll(batch)
+	}))
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := specFromURL(r)
 		if err != nil {
@@ -59,19 +62,19 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(log, w, res)
+		writeJSON(log, w, r, res)
 	})
 	// /keys is the inventory: binary for a frontend's scatter leg (which
 	// asks for it), JSON for anyone else.
 	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
 		keys := ing.Keys()
 		if wantsBinary(r, telemetry.KeyInventoryContentType) {
-			writeBinary(log, w, telemetry.KeyInventoryContentType, func(b []byte) []byte {
+			writeBinary(log, w, r, telemetry.KeyInventoryContentType, func(b []byte) []byte {
 				return telemetry.AppendKeyInventory(b, keys)
 			})
 			return
 		}
-		writeKeysJSON(log, w, keys)
+		writeKeysJSON(log, w, r, keys)
 	})
 	// /sketches is the scatter half of a cluster query: each matching key's
 	// rollups folded here, where the data is, into one sealed sketch — one
@@ -92,13 +95,13 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 			return
 		}
 		if wantsBinary(r, telemetry.SketchPageContentType) {
-			writeBinary(log, w, telemetry.SketchPageContentType, func(b []byte) []byte {
+			writeBinary(log, w, r, telemetry.SketchPageContentType, func(b []byte) []byte {
 				b, _ = page.AppendBinary(slices.Grow(b, page.BinarySize())) // encoding a page cannot fail
 				return b
 			})
 			return
 		}
-		writeJSON(log, w, page)
+		writeJSON(log, w, r, page)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		h := ing.Health()
@@ -117,7 +120,7 @@ func NewNode(cfg NodeConfig) *http.ServeMux {
 			// place in the layout.
 			body["node"] = h.Node
 		}
-		writeJSON(log, w, body)
+		writeJSON(log, w, r, body)
 	})
 	if cfg.ID != "" {
 		mountNodeAdmin(mux, cfg)
@@ -148,7 +151,7 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 	ing, log := cfg.Ing, cfg.Log
 	mux.HandleFunc("POST /admin/flush", func(w http.ResponseWriter, r *http.Request) {
 		ing.Flush()
-		writeJSON(log, w, map[string]string{"status": "ok"})
+		writeJSON(log, w, r, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("POST /admin/freeze", func(w http.ResponseWriter, r *http.Request) {
 		p, of, err := partOfParams(r)
@@ -160,7 +163,7 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		writeJSON(log, w, map[string]string{"status": "frozen"})
+		writeJSON(log, w, r, map[string]string{"status": "frozen"})
 	})
 	mux.HandleFunc("POST /admin/unfreeze", func(w http.ResponseWriter, r *http.Request) {
 		p, of, err := partOfParams(r)
@@ -169,7 +172,7 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			return
 		}
 		ing.UnfreezePartition(p, of)
-		writeJSON(log, w, map[string]string{"status": "ok"})
+		writeJSON(log, w, r, map[string]string{"status": "ok"})
 	})
 	// The handoff's cut: this node's durable state for one partition as
 	// pages of raw (window, key) rollups, each sketch in its exact live
@@ -187,12 +190,12 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			return
 		}
 		if wantsBinary(r, telemetry.SketchPageContentType) {
-			writeBinary(log, w, telemetry.SketchPageContentType, func(b []byte) []byte {
+			writeBinary(log, w, r, telemetry.SketchPageContentType, func(b []byte) []byte {
 				return telemetry.AppendSketchPages(b, pages)
 			})
 			return
 		}
-		writeJSON(log, w, pages)
+		writeJSON(log, w, r, pages)
 	})
 	// The rebuild's input arrives in the one machine form pages have: a
 	// binary, CRC-trailed page set, verified before anything is parsed.
@@ -217,7 +220,7 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(log, w, ack)
+		writeJSON(log, w, r, ack)
 	})
 	mux.HandleFunc("POST /admin/drop", func(w http.ResponseWriter, r *http.Request) {
 		p, of, err := partOfParams(r)
@@ -230,7 +233,7 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeJSON(log, w, map[string]int{"dropped": dropped})
+		writeJSON(log, w, r, map[string]int{"dropped": dropped})
 	})
 	// An activated epoch's table, pushed by the migrator so this node's
 	// /healthz self-description tracks the placement it actually serves.
@@ -249,7 +252,7 @@ func mountNodeAdmin(mux *http.ServeMux, cfg NodeConfig) {
 			return
 		}
 		ing.SetNodeInfo(a.NodeInfo(cfg.ID))
-		writeJSON(log, w, map[string]any{"status": "ok", "epoch": a.Epoch})
+		writeJSON(log, w, r, map[string]any{"status": "ok", "epoch": a.Epoch})
 	})
 }
 
@@ -267,18 +270,18 @@ var batchPool = sync.Pool{New: func() any { return new([]telemetry.Envelope) }}
 // longer body), and the answer counts what was decoded, malformed, accepted
 // and dropped. What was decoded before an I/O error is still offered; the
 // answer is then the error.
-func handleIngest(log *slog.Logger, offerAll func([]telemetry.Envelope) int) http.HandlerFunc {
+func handleIngest(log *slog.Logger, offerAll func(context.Context, []telemetry.Envelope) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		batch := batchPool.Get().(*[]telemetry.Envelope)
 		accepted := 0
 		st, err := telemetry.ReadJSONL(r.Body, func(e telemetry.Envelope) {
 			if *batch = append(*batch, e); len(*batch) == ingestChunk {
-				accepted += offerAll(*batch)
+				accepted += offerAll(r.Context(), *batch)
 				clear(*batch)
 				*batch = (*batch)[:0]
 			}
 		})
-		accepted += offerAll(*batch)
+		accepted += offerAll(r.Context(), *batch)
 		clear(*batch) // the pool must not pin the envelopes' strings
 		*batch = (*batch)[:0]
 		batchPool.Put(batch)
@@ -291,7 +294,7 @@ func handleIngest(log *slog.Logger, offerAll func([]telemetry.Envelope) int) htt
 		*buf = appendIngestAck(*buf, st.Decoded, st.Malformed, accepted, st.Decoded-accepted)
 		w.Header().Set("Content-Type", "application/json")
 		if _, err := w.Write(*buf); err != nil {
-			log.Error("write response failed", "err", err)
+			log.Error("write response failed", "request_id", requestID(r), "err", err)
 		}
 	}
 }
@@ -312,12 +315,17 @@ func appendIngestAck(dst []byte, decoded, malformed, accepted, dropped int) []by
 	return append(dst, "\n}\n"...)
 }
 
+// requestID is the id a request's failure logs carry: the frontend's, which
+// it takes from its caller or mints and sends on every node leg
+// (cluster.RequestIDHeader); empty when nobody set one.
+func requestID(r *http.Request) string { return r.Header.Get(cluster.RequestIDHeader) }
+
 // handleMetrics serves GET /metrics: the registry in Prometheus text form.
 func handleMetrics(log *slog.Logger, reg *obs.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", obs.ExpositionContentType)
 		if err := reg.WritePrometheus(w); err != nil {
-			log.Error("metrics write failed", "err", err)
+			log.Error("metrics write failed", "request_id", requestID(r), "err", err)
 		}
 	}
 }
@@ -343,41 +351,41 @@ func wantsBinary(r *http.Request, contentType string) bool {
 // writeBinary answers with the page, page set or key inventory encode
 // appends to a pooled wire buffer: declared type and length, one Write,
 // then the buffer goes back to the pool.
-func writeBinary(log *slog.Logger, w http.ResponseWriter, contentType string, encode func([]byte) []byte) {
+func writeBinary(log *slog.Logger, w http.ResponseWriter, r *http.Request, contentType string, encode func([]byte) []byte) {
 	buf := telemetry.TakeWireBuffer()
 	defer telemetry.ReleaseWireBuffer(buf)
 	*buf = encode(*buf)
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
 	if _, err := w.Write(*buf); err != nil {
-		log.Error("write response failed", "err", err)
+		log.Error("write response failed", "request_id", requestID(r), "err", err)
 	}
 }
 
-func writeJSON(log *slog.Logger, w http.ResponseWriter, v any) {
+func writeJSON(log *slog.Logger, w http.ResponseWriter, r *http.Request, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		log.Error("write response failed", "err", err)
+		log.Error("write response failed", "request_id", requestID(r), "err", err)
 	}
 }
 
 // writeKeysJSON answers with the key inventory's JSON: the bytes writeJSON
 // would write, by telemetry.AppendKeysJSON into a pooled wire buffer unless
 // it declines.
-func writeKeysJSON(log *slog.Logger, w http.ResponseWriter, keys []telemetry.KeyCount) {
+func writeKeysJSON(log *slog.Logger, w http.ResponseWriter, r *http.Request, keys []telemetry.KeyCount) {
 	buf := telemetry.TakeWireBuffer()
 	defer telemetry.ReleaseWireBuffer(buf)
 	body, ok := telemetry.AppendKeysJSON(*buf, keys)
 	if !ok {
-		writeJSON(log, w, keys)
+		writeJSON(log, w, r, keys)
 		return
 	}
 	*buf = body
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(body); err != nil {
-		log.Error("write response failed", "err", err)
+		log.Error("write response failed", "request_id", requestID(r), "err", err)
 	}
 }
 

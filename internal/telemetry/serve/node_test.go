@@ -3,14 +3,17 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"edgescope/internal/telemetry"
+	"edgescope/internal/telemetry/cluster"
 )
 
 // TestIngestAckMatchesWriteJSON: the /ingest answer's append writer writes
@@ -26,7 +29,7 @@ func TestIngestAckMatchesWriteJSON(t *testing.T) {
 		{-1, math.MinInt, 5, -6},
 	} {
 		rec := httptest.NewRecorder()
-		writeJSON(log, rec, map[string]int{"decoded": c[0], "malformed": c[1], "accepted": c[2], "dropped": c[3]})
+		writeJSON(log, rec, httptest.NewRequest(http.MethodPost, "/ingest", nil), map[string]int{"decoded": c[0], "malformed": c[1], "accepted": c[2], "dropped": c[3]})
 		if got := appendIngestAck(nil, c[0], c[1], c[2], c[3]); !bytes.Equal(got, rec.Body.Bytes()) {
 			t.Errorf("counts %v: append writer wrote\n%q\nwriteJSON\n%q", c, got, rec.Body.Bytes())
 		}
@@ -106,5 +109,36 @@ func TestNodeIngestLongBody(t *testing.T) {
 	ing.Flush()
 	if st := ing.TotalStats(); st.Processed != n {
 		t.Fatalf("node folded %d of %d envelopes", st.Processed, n)
+	}
+}
+
+// failingWriter is a ResponseWriter whose client has gone: every write
+// fails.
+type failingWriter struct{ header http.Header }
+
+func (f *failingWriter) Header() http.Header       { return f.header }
+func (f *failingWriter) WriteHeader(int)           {}
+func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+
+// TestNodeFailureLogCarriesRequestID: a node logs a failed answer with the
+// request id its caller sent, so one frontend request's legs can be found
+// in every member's log.
+func TestNodeFailureLogCarriesRequestID(t *testing.T) {
+	ing := telemetry.NewIngestor(telemetry.Config{Shards: 2, Block: true})
+	defer ing.Close()
+	var logged bytes.Buffer
+	mux := NewNode(NodeConfig{Ing: ing, Log: slog.New(slog.NewJSONHandler(&logged, nil))})
+	for _, target := range []string{"/ingest", "/healthz"} {
+		logged.Reset()
+		method := http.MethodGet
+		if target == "/ingest" {
+			method = http.MethodPost
+		}
+		req := httptest.NewRequest(method, target, strings.NewReader(""))
+		req.Header.Set(cluster.RequestIDHeader, "fe-42")
+		mux.ServeHTTP(&failingWriter{header: http.Header{}}, req)
+		if !strings.Contains(logged.String(), `"request_id":"fe-42"`) {
+			t.Fatalf("%s: failure log %q lacks the request id", target, logged.String())
+		}
 	}
 }

@@ -44,6 +44,10 @@
 #     POST /admin/join (sketch-page handoff, epoch activation), then a
 #     member drains and leaves — /query and /keys must stay byte-identical
 #     to the single-node replay at every epoch, with no daemon restarted
+#     — then a 50-envelope POST must land in 1–3 ingest legs; a restarted
+#     frontend must fold 50 envelopes on streams it carried before the
+#     restart (all-time count +50); two concurrent 50-envelope POSTs must
+#     each be acked 50
 #   → scenario smoke: reproall -list, then `make repro-sha` — every built-in
 #     scenario with -ext through a trimmed build at -parallel 1 and 4, one
 #     SHA-256 each, failing on any mismatch (stdout must be byte-identical
@@ -235,7 +239,7 @@ CLUSTER_PIDS+=($!)
   -probe-interval 200ms -node-timeout 1s -replay -scenario small \
   -data "$smoke/cluster-frontend-state" \
   -log-format json 2> "$smoke/cluster-frontend.log" &
-CLUSTER_PIDS+=($!)
+CLUSTER_PIDS+=($!); FRONT_PID=$!
 wait_http "http://127.0.0.1:$SINGLE/healthz" 300
 wait_http "http://127.0.0.1:$FRONT/healthz" 600
 
@@ -429,14 +433,60 @@ for i in $(seq 0 49); do
   printf '{"v":1,"ts":%d,"metric":"rtt_ms","user":%d,"region":"smoke-%d","net":"WiFi","value":%d}\n' \
     $((1700000000000 + i * 10)) $((i % 7 + 1)) $((i % 10)) $((10 + i))
 done > "$smoke/cluster-batch.jsonl"
-accepted=$(curl -fsS -X POST -H 'Content-Type: application/jsonl' --data-binary "@$smoke/cluster-batch.jsonl" \
-  "http://127.0.0.1:$FRONT/ingest" | tr -d ' \n' | grep -o '"accepted":[0-9]*' | grep -o '[0-9]*$' || true)
+post_batch() { # file → the frontend's "accepted"
+  curl -fsS -X POST -H 'Content-Type: application/jsonl' --data-binary "@$1" \
+    "http://127.0.0.1:$FRONT/ingest" | tr -d ' \n' | grep -o '"accepted":[0-9]*' | grep -o '[0-9]*$' || true
+}
+accepted=$(post_batch "$smoke/cluster-batch.jsonl")
 legs=$(($(router_legs) - legs_before))
 if [[ "$accepted" != 50 ]] || [[ "$legs" -lt 1 ]] || [[ "$legs" -gt 3 ]]; then
   echo "a 50-envelope POST to the frontend: '$accepted' accepted in $legs ingest legs (want 50 in 1–3)" >&2
   exit 1
 fi
 echo "  a 50-envelope POST to the frontend reached its owners in $legs ingest legs"
+
+# The frontend numbers nothing, so a restarted one forwards what producers
+# send: the same 50 envelopes again, on streams its previous incarnation
+# carried, fold, and the all-time count rises by exactly 50 (a frontend that
+# numbered unsequenced envelopes from in-memory cursors restarted at 1, and
+# the nodes folded them zero times as duplicates). Then two 50-envelope
+# POSTs at once: /ingest serves requests concurrently, and each is acked 50.
+flush_members() {
+  for port in "$N0" "$N1" "$N2" "$N3"; do
+    curl -fsS -X POST "http://127.0.0.1:$port/admin/flush" > /dev/null
+  done
+}
+alltime_count() {
+  curl -fsS "http://127.0.0.1:$FRONT/query?metric=rtt_ms" | tr -d ' \n' |
+    grep -o '"count":[0-9.e+]*' | grep -o '[0-9][0-9.e+]*$'
+}
+flush_members
+count_before=$(alltime_count)
+kill "$FRONT_PID"
+wait "$FRONT_PID" 2>/dev/null || true
+"$smoke/telemetryd" -role frontend -addr "127.0.0.1:$FRONT" -peers "$PEERS4" \
+  -probe-interval 200ms -node-timeout 1s -data "$smoke/cluster-frontend-state" \
+  -log-format json 2>> "$smoke/cluster-frontend.log" &
+CLUSTER_PIDS+=($!)
+wait_http "http://127.0.0.1:$FRONT/healthz"
+accepted=$(post_batch "$smoke/cluster-batch.jsonl")
+flush_members
+count_after=$(alltime_count)
+if [[ "$accepted" != 50 ]] || ! awk -v a="$count_before" -v b="$count_after" 'BEGIN { exit !(b - a == 50) }'; then
+  echo "restarted frontend: '$accepted' of 50 acked, all-time count $count_before → $count_after (want +50)" >&2
+  cat "$smoke/cluster-frontend.log" >&2
+  exit 1
+fi
+post_batch "$smoke/cluster-batch.jsonl" > "$smoke/cluster-post-a.txt" &
+post_a=$!
+post_batch "$smoke/cluster-batch.jsonl" > "$smoke/cluster-post-b.txt" &
+post_b=$!
+wait "$post_a" "$post_b"
+if [[ "$(cat "$smoke/cluster-post-a.txt")" != 50 ]] || [[ "$(cat "$smoke/cluster-post-b.txt")" != 50 ]]; then
+  echo "two concurrent 50-envelope POSTs acked '$(cat "$smoke/cluster-post-a.txt")' and '$(cat "$smoke/cluster-post-b.txt")' (want 50 each)" >&2
+  exit 1
+fi
+echo "  restarted frontend: 50 acked on old streams, all-time count $count_before → $count_after; two concurrent POSTs acked 50 each"
 cluster_cleanup
 CLUSTER_PIDS=()
 trap 'rm -rf "$smoke"' EXIT
