@@ -1,8 +1,11 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"log/slog"
+	"maps"
 	"net/http"
 	"reflect"
 	"strings"
@@ -28,6 +31,8 @@ type clusterServers struct {
 	wrap    func(id string, h http.Handler) http.Handler
 	peers   []string
 	urls    map[string]string
+	// frontLog is the log of frontends booted from here on; nil discards.
+	frontLog *slog.Logger
 }
 
 // newClusterServers boots nodes n0–n2 over 8 partitions and a frontend that
@@ -60,7 +65,7 @@ func (c *clusterServers) bootFrontend(t *testing.T, dataDir string) *serve.Front
 	fr, err := serve.NewFrontend(serve.FrontendConfig{
 		Peers: c.peers, URLs: c.urls, Partitions: 8, DataDir: dataDir,
 		Client: &http.Client{Timeout: time.Second, Transport: testNet},
-		Seed:   1, Log: testLog,
+		Seed:   1, Log: cmp.Or(c.frontLog, testLog),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,10 +347,13 @@ func TestFrontendMetricsCarryRetryClientFamilies(t *testing.T) {
 
 // TestFrontendForwardsRequestID: the frontend sends the caller's request
 // id on every node leg it runs for the request, ingest and scatter legs
-// alike, and mints one from a counter when the caller sends none.
+// alike, and mints one from a counter when the caller sends none. A request
+// that answers partial — an ingest acked short, a /query or /keys missing a
+// node — is logged once at Warn with that id; a complete one logs nothing.
 func TestFrontendForwardsRequestID(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string][]string{} // node leg path → the ids it carried
+	var logs lockedLog
 	c := newClusterServers(t, "", func(id string, h http.Handler) http.Handler {
 		if id == "frontend" {
 			return h
@@ -359,7 +367,10 @@ func TestFrontendForwardsRequestID(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	})
-	send := func(method, path, id, body string) {
+	c.frontLog = slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	fr := c.bootFrontend(t, "")
+	c.front = testNet.listen(t, fr)
+	send := func(method, path, id, body string, status int) {
 		t.Helper()
 		req, err := http.NewRequest(method, c.front.URL+path, strings.NewReader(body))
 		if err != nil {
@@ -373,35 +384,121 @@ func TestFrontendForwardsRequestID(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s: %d", method, path, resp.StatusCode)
+		if resp.StatusCode != status {
+			t.Fatalf("%s %s: %d, want %d", method, path, resp.StatusCode, status)
 		}
 	}
-	send(http.MethodPost, "/ingest", "producer-7", ingestLines(t))
-	send(http.MethodGet, "/query?metric=rtt_ms", "dash-1", "")
-	send(http.MethodGet, "/keys", "", "")
-	send(http.MethodGet, "/keys", "", "")
+	send(http.MethodPost, "/ingest", "producer-7", ingestLines(t), http.StatusOK)
+	send(http.MethodGet, "/query?metric=rtt_ms", "dash-1", "", http.StatusOK)
+	send(http.MethodGet, "/keys", "", "", http.StatusOK)
+	send(http.MethodGet, "/keys", "", "", http.StatusOK)
 	mu.Lock()
-	defer mu.Unlock()
+	legs := maps.Clone(seen)
+	mu.Unlock()
 	for path, want := range map[string]string{"/ingest": "producer-7", "/sketches": "dash-1"} {
-		if len(seen[path]) == 0 {
+		if len(legs[path]) == 0 {
 			t.Fatalf("no %s leg ran", path)
 		}
-		for _, got := range seen[path] {
+		for _, got := range legs[path] {
 			if got != want {
-				t.Fatalf("%s legs carried %q, want the caller's %q", path, seen[path], want)
+				t.Fatalf("%s legs carried %q, want the caller's %q", path, legs[path], want)
 			}
 		}
 	}
 	// Two /keys requests without an id: each gets its own minted one, the
 	// same on all of its legs.
 	minted := map[string]int{}
-	for _, id := range seen["/keys"] {
+	for _, id := range legs["/keys"] {
 		minted[id]++
 	}
-	if len(minted) != 2 || minted[""] != 0 || len(seen["/keys"]) != 6 {
-		t.Fatalf("/keys legs carried %q, want one minted id per request on each of its 3 legs", seen["/keys"])
+	if len(minted) != 2 || minted[""] != 0 || len(legs["/keys"]) != 6 {
+		t.Fatalf("/keys legs carried %q, want one minted id per request on each of its 3 legs", legs["/keys"])
 	}
+	if got := logs.records(t); len(got) != 0 {
+		t.Fatalf("complete answers logged %v", got)
+	}
+
+	// With n1 down: one envelope it owns and one n0 owns, a query and an
+	// inventory, each answered partial.
+	var body []byte
+	for i, want := 0, []string{"n1", "n0"}; len(want) > 0; i++ {
+		e := telemetry.Envelope{V: telemetry.SchemaVersion, TS: 1700000000000, Metric: telemetry.MetricRTT,
+			Region: fmt.Sprintf("r%d", i), Net: "WiFi", Value: 1}
+		if c.pm.Owner(c.pm.PartitionOf(e.Key())) == want[0] {
+			body, _ = telemetry.AppendJSONL(body, e)
+			want = want[1:]
+		}
+	}
+	c.servers["n1"].Close()
+	for i := 0; i < 3; i++ {
+		fr.Health.ProbeOnce()
+	}
+	send(http.MethodPost, "/ingest", "producer-8", string(body), http.StatusOK)
+	send(http.MethodGet, "/query?metric=rtt_ms", "dash-2", "", http.StatusOK)
+	send(http.MethodGet, "/keys", "dash-3", "", http.StatusPartialContent)
+	got := map[string]map[string]any{}
+	for _, rec := range logs.records(t) {
+		id, _ := rec["request_id"].(string)
+		if got[id] != nil {
+			t.Fatalf("request %s logged twice: %v and %v", id, got[id], rec)
+		}
+		got[id] = rec
+	}
+	for id, want := range map[string]string{
+		"producer-8": `"msg":"ingest acked partially","request_id":"producer-8","decoded":2,"accepted":1`,
+		"dash-2":     `"msg":"query answered partial","request_id":"dash-2","missing_nodes":["n1"],"missing_partitions":` + jsonOf(t, c.pm.OwnedBy("n1")),
+		"dash-3":     `"msg":"keys answered partial","request_id":"dash-3","missing_nodes":["n1"]`,
+	} {
+		if rec := got[id]; rec["level"] != "WARN" || !strings.Contains(rec["line"].(string), want) {
+			t.Fatalf("request %s logged %v, want a Warn line holding %s", id, rec["line"], want)
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("logged %d requests, want the 3 partial ones", len(got))
+	}
+}
+
+// lockedLog is a log sink the test reads while the daemon may still write.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// records parses each JSON log line, keeping the raw line under "line".
+func (l *lockedLog) records(t *testing.T) []map[string]any {
+	t.Helper()
+	l.mu.Lock()
+	text := l.buf.String()
+	l.mu.Unlock()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if line == "" {
+			continue
+		}
+		rec := map[string]any{}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		rec["line"] = line
+		out = append(out, rec)
+	}
+	return out
+}
+
+// jsonOf is v's compact JSON.
+func jsonOf(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestClusterFrontendPartialOverHTTP: a dead member surfaces in /query as

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -392,11 +393,11 @@ func TestCheckpointWriteFailsMidStream(t *testing.T) {
 	}
 }
 
-// parentDataDir is a durable data directory written by the commit before the
-// byte-weighted cadence — one shard, a checkpoint every 25 folds, hard-killed
-// after parentDataDirEvents events so a WAL suffix follows the last
-// checkpoint. Regenerate it only for a format change: it pins that there was
-// none.
+// parentDataDir is a durable data directory written by commit 1619428e43e2,
+// the last that also replays JSONL segments: one shard, a checkpoint floor of
+// 25 folds, fed checkpointStream(5, parentDataDirEvents) and hard-killed, so
+// a WAL suffix follows the last checkpoint. Its segments are framed.
+// Regenerate it only for a format change: it pins that there was none.
 const (
 	parentDataDir       = "testdata/parent-datadir"
 	parentDataDirEvents = 640
@@ -412,12 +413,6 @@ func parentDataDirConfig(dir string) Config {
 // like an uninterrupted ingestor fed the same events — and the checkpoint
 // the parent wrote is, byte for byte, what this encoder writes for that
 // state.
-//
-// Compatibility runs one way only. The directory's segments are JSONL, and
-// this build replays them and appends to them as JSONL, but every segment it
-// creates is framed (walrecord.go): a build before framed records ignores
-// those files, so opening this build's directory with it is unsupported.
-// The snapshot format is unchanged, which this directory still pins.
 func TestParentDataDirRecovers(t *testing.T) {
 	events := checkpointStream(5, parentDataDirEvents)
 	dir := t.TempDir()
@@ -451,12 +446,61 @@ func TestParentDataDirRecovers(t *testing.T) {
 		rec.RecordsSkipped+rec.RecordsReplayed != parentDataDirEvents {
 		t.Fatalf("recovery of the parent's directory: %+v — want its checkpoint loaded and a suffix replayed", rec)
 	}
+	t.Logf("recovery of the parent's directory: %+v", rec)
 
 	ref := NewIngestor(Config{Shards: 1, QueueLen: 64, Block: true})
 	defer ref.Close()
 	offerAllFlush(t, ref, events)
 	if got, want := queryFingerprint(t, ing), queryFingerprint(t, ref); !bytes.Equal(got, want) {
 		t.Fatalf("recovered from the parent's directory:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestOpenRefusesJSONLSegment: a data directory that still holds a JSONL
+// segment of an older build, beside framed ones, does not open. The error is
+// errWALFormat and names the file and the last commit that replays it; the
+// directory is left as it was.
+func TestOpenRefusesJSONLSegment(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(parentDataDir)); err != nil {
+		t.Fatal(err)
+	}
+	jsonl := filepath.Join(shardDir(dir, 0), walPrefix+strconv.FormatInt(checkpointBase+3_600_000, 10)+".jsonl")
+	line, err := AppendJSONL(nil, ev(checkpointBase+3_600_000, MetricRTT, "region-0", "net-0", 9.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jsonl, line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		entries, err := os.ReadDir(shardDir(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(shardDir(dir, 0), e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before := files()
+
+	ing, _, err := Open(parentDataDirConfig(dir))
+	if err == nil {
+		ing.Close()
+		t.Fatal("a directory holding a JSONL segment opened")
+	}
+	if !errors.Is(err, errWALFormat) || !strings.Contains(err.Error(), jsonl) || !strings.Contains(err.Error(), lastJSONLCommit) {
+		t.Fatalf("Open = %v, want errWALFormat naming %s and commit %s", err, jsonl, lastJSONLCommit)
+	}
+	t.Log(err)
+	if !maps.Equal(files(), before) {
+		t.Fatal("the refused Open changed the directory")
 	}
 }
 

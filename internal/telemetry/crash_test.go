@@ -206,12 +206,12 @@ func referenceAnswers(t *testing.T, cfg Config, disk *memFS, skip []string, refs
 	var key strings.Builder
 	for i := 0; i < cfg.Shards; i++ {
 		dir := shardDir(cfg.WAL.Dir, i)
-		starts, legacy, err := listSegments(disk, dir)
+		starts, err := listSegments(disk, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, start := range starts {
-			path := segFile(dir, start, legacy[start])
+			path := segFile(dir, start)
 			if slices.Contains(skip, path) {
 				continue
 			}
@@ -456,7 +456,7 @@ func oneShardCfg() Config {
 func TestTornTailTruncationNeedsNoFsync(t *testing.T) {
 	cfg := oneShardCfg()
 	cfg.WAL.SyncEvery = 3
-	seg := segFile(shardDir(cfg.WAL.Dir, 0), winStart(0), false)
+	seg := segFile(shardDir(cfg.WAL.Dir, 0), winStart(0))
 	disk := newMemFS()
 	ing := mustOpen(t, cfg, disk)
 	for i := 0; i < 6; i++ {

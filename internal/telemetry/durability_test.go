@@ -240,11 +240,11 @@ func TestTornTailTruncated(t *testing.T) {
 	ing.Crash()
 
 	// Forge the torn write: the first half of a valid record.
-	segs, _, err := listSegments(osFS{}, shardDir(dir, 0))
+	segs, err := listSegments(osFS{}, shardDir(dir, 0))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in shard 0 (err=%v)", err)
 	}
-	path := segFile(shardDir(dir, 0), segs[0], false)
+	path := segFile(shardDir(dir, 0), segs[0])
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -293,11 +293,11 @@ func TestCorruptWALRecordFailsLoudly(t *testing.T) {
 	ing.Flush()
 	ing.Crash()
 
-	segs, _, err := listSegments(osFS{}, shardDir(dir, 1))
+	segs, err := listSegments(osFS{}, shardDir(dir, 1))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments in shard 1 (err=%v)", err)
 	}
-	path := segFile(shardDir(dir, 1), segs[0], false)
+	path := segFile(shardDir(dir, 1), segs[0])
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func TestRetentionUnlinksWALSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, _, err := listSegments(osFS{}, shardDir(dir, 0))
+	segs, err := listSegments(osFS{}, shardDir(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,15 +181,14 @@ var errLineTooLong = errors.New("telemetry: line too long")
 // one is assembled in spill.
 type lineReader struct {
 	br    *bufio.Reader
-	max   int    // longest line assembled, newline included
 	spill []byte // reused across the pass's long lines
 }
 
 // next returns the next line with its newline, valid until the following
 // call. A final line without one comes back with io.EOF (as does the empty
-// end of input). A line longer than max is consumed through its newline and
-// reported as errLineTooLong, once, holding no more than max bytes of it;
-// any other error is the underlying reader's.
+// end of input). A line longer than maxLineBytes is consumed through its
+// newline and reported as errLineTooLong, once, holding no more than
+// maxLineBytes of it; any other error is the underlying reader's.
 func (lr *lineReader) next() ([]byte, error) {
 	line, err := lr.br.ReadSlice('\n')
 	if err != bufio.ErrBufferFull {
@@ -199,7 +198,7 @@ func (lr *lineReader) next() ([]byte, error) {
 	tooLong := false
 	for err == bufio.ErrBufferFull {
 		line, err = lr.br.ReadSlice('\n')
-		if tooLong = tooLong || len(lr.spill)+len(line) > lr.max; !tooLong {
+		if tooLong = tooLong || len(lr.spill)+len(line) > maxLineBytes; !tooLong {
 			lr.spill = append(lr.spill, line...)
 		}
 	}
@@ -225,7 +224,7 @@ func ReadJSONL(r io.Reader, fn func(Envelope)) (DecodeStats, error) {
 		br.Reset(nil) // the pool must not keep the request body alive
 		scanBufPool.Put(br)
 	}()
-	lr := lineReader{br: br, max: maxLineBytes}
+	lr := lineReader{br: br}
 	var tab internTable
 	for {
 		line, err := lr.next()

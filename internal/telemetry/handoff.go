@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -38,13 +37,6 @@ const (
 	ctlFresh  = "fresh" // heads a segment re-created after retention evicted its window (wal.go openSeg)
 	ctlSeal   = "seal"  // a rollup of the segment's window sealed to its flushed form (ingest.go shard.seal)
 )
-
-// ctlPrefix distinguishes control records from envelope records inside a
-// JSONL segment (a framed one tells them apart by the record kind). Control
-// records are always encoded with "ctl" as the first field; envelope JSON
-// starts with "v", so the prefix test is exact for records this package
-// wrote.
-var ctlPrefix = []byte(`{"ctl":`)
 
 // walCtl is one WAL control record: an absorbed rollup (with its exact
 // binary sketch state), a partition drop, a fresh segment's head or a
@@ -119,17 +111,7 @@ func (w *shardWAL) appendCtl(start int64, c walCtl) {
 		w.err = err
 		return
 	}
-	if !seg.legacy {
-		w.line = appendRecord(w.line[:0], recControl, body)
-	} else if bytes.HasPrefix(body, ctlPrefix) {
-		w.line = append(append(w.line[:0], body...), '\n')
-	} else {
-		// Field order is encode-stable in encoding/json; this guards the
-		// prefix dispatch against a struct reordering ever silently turning
-		// control records into "corrupt envelopes".
-		w.err = fmt.Errorf("telemetry: control record encoded without ctl prefix: %s", body)
-		return
-	}
+	w.line = appendRecord(w.line[:0], recControl, body)
 	w.write(seg, start, w.line)
 }
 

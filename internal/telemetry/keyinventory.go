@@ -62,20 +62,13 @@ func AppendKeyInventory(dst []byte, keys []KeyCount) []byte {
 // must be strictly ascending in Key.Compare order. Dimension strings are
 // interned, so decoding costs O(1) allocations plus one per distinct value.
 func DecodeKeyInventory(data []byte) ([]KeyCount, error) {
-	if len(data) < keysFixedBytes {
-		return nil, fmt.Errorf("telemetry: key inventory: %d bytes, too short", len(data))
+	r, _, err := openForm("key inventory", data, keysMagic, keysFixedBytes)
+	if err != nil {
+		return nil, err
 	}
-	if [8]byte(data[:8]) != keysMagic {
-		return nil, fmt.Errorf("telemetry: key inventory: bad magic/version %q", data[:8])
-	}
-	payload, _, ok := checkCRC(data)
-	if !ok {
-		return nil, fmt.Errorf("telemetry: key inventory: checksum mismatch")
-	}
-	r := &snapReader{b: payload, off: 8}
 	n := int(r.u32())
-	if n > (len(payload)-r.off)/keyCountFixedBytes {
-		return nil, fmt.Errorf("telemetry: key inventory: %d keys declared in %d bytes", n, len(payload)-r.off)
+	if n > (len(r.b)-r.off)/keyCountFixedBytes {
+		return nil, fmt.Errorf("telemetry: key inventory: %d keys declared in %d bytes", n, len(r.b)-r.off)
 	}
 	str := interner{}
 	keys := make([]KeyCount, n)
@@ -89,7 +82,7 @@ func DecodeKeyInventory(data []byte) ([]KeyCount, error) {
 			return nil, fmt.Errorf("telemetry: key inventory: key %d (%s) not after %s", i, k, keys[i-1].Key)
 		}
 	}
-	if r.fail() || r.off != len(payload) {
+	if r.fail() || r.off != len(r.b) {
 		return nil, fmt.Errorf("telemetry: key inventory: truncated or trailing payload")
 	}
 	return keys, nil

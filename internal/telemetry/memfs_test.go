@@ -475,28 +475,21 @@ func (m *memFS) dirtyFiles(r *rng.Source) []dirtyFile {
 
 // recordEnds is the crash model's one parser of WAL segments: the offset
 // just past each complete record of a segment file's bytes, ascending — each
-// frame whose header checks and whose bytes are all there (walrecord.go) of
-// a framed segment, each newline of a JSONL one. Any other file holds no
-// records.
+// frame whose header checks and whose bytes are all there (walrecord.go).
+// Any other file holds no records.
 func recordEnds(path string, data []byte) []int {
+	if !strings.HasSuffix(path, walSuffix) {
+		return nil
+	}
 	var ends []int
-	switch {
-	case strings.HasSuffix(path, legacySuffix):
-		for i, c := range data {
-			if c == '\n' {
-				ends = append(ends, i+1)
-			}
+	for p := 0; len(data)-p >= recHeaderBytes; {
+		n, _, ok := parseRecordHeader(data[p:])
+		end := int64(p) + recFrameBytes + int64(n)
+		if !ok || end > int64(len(data)) {
+			break
 		}
-	case strings.HasSuffix(path, walSuffix):
-		for p := 0; len(data)-p >= recHeaderBytes; {
-			n, _, ok := parseRecordHeader(data[p:])
-			end := int64(p) + recFrameBytes + int64(n)
-			if !ok || end > int64(len(data)) {
-				break
-			}
-			p = int(end)
-			ends = append(ends, p)
-		}
+		p = int(end)
+		ends = append(ends, p)
 	}
 	return ends
 }

@@ -93,22 +93,15 @@ func DecodeSketchPage(data []byte) (SketchPage, error) {
 }
 
 func decodeSketchPage(data []byte, str interner) (SketchPage, error) {
-	if len(data) < pageFixedBytes {
-		return SketchPage{}, fmt.Errorf("telemetry: sketch page: %d bytes, too short", len(data))
+	r, _, err := openForm("sketch page", data, pageMagic, pageFixedBytes)
+	if err != nil {
+		return SketchPage{}, err
 	}
-	if [8]byte(data[:8]) != pageMagic {
-		return SketchPage{}, fmt.Errorf("telemetry: sketch page: bad magic/version %q", data[:8])
-	}
-	payload, _, ok := checkCRC(data)
-	if !ok {
-		return SketchPage{}, fmt.Errorf("telemetry: sketch page: checksum mismatch")
-	}
-	r := &snapReader{b: payload, off: 8}
 	p := SketchPage{Metric: str.of(r.bytes())}
 	p.Compression = math.Float64frombits(r.u64())
 	p.WindowMs = r.i64()
 	n := int(r.u32())
-	if r.fail() || n < 0 || n > (len(payload)-r.off)/matchFixedBytes {
+	if r.fail() || n < 0 || n > (len(r.b)-r.off)/matchFixedBytes {
 		return SketchPage{}, fmt.Errorf("telemetry: sketch page: truncated header or match count beyond payload")
 	}
 	p.Matches = make([]WindowSketch, n)
@@ -120,7 +113,7 @@ func decodeSketchPage(data []byte, str interner) (SketchPage, error) {
 		m.Net = str.of(r.bytes())
 		m.Sketch = r.bytes()
 	}
-	if r.fail() || r.off != len(payload) {
+	if r.fail() || r.off != len(r.b) {
 		return SketchPage{}, fmt.Errorf("telemetry: sketch page: truncated or trailing payload")
 	}
 	return p, nil

@@ -69,11 +69,10 @@ func (ing *Ingestor) recoverShard(s *shard, st *RecoveryStats) error {
 		st.Snapshots++
 	}
 
-	starts, legacy, err := listSegments(fs, dir)
+	starts, err := listSegments(fs, dir)
 	if err != nil {
 		return err
 	}
-	s.wal.legacy = legacy
 	for _, start := range starts {
 		path := s.wal.segPath(start)
 		skip := applied[start]

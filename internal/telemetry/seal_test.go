@@ -445,7 +445,10 @@ func TestSealAndFoldStageObserved(t *testing.T) {
 // absorbs as they lie to raw points past δ, the fold scratch holds no more
 // than the largest key's points — it is filled one rollup at a time, never
 // with a whole shard's. The query runs on one P with the collector off, so
-// the scratch it takes from the pool is the one put there.
+// the scratch it takes from the pool is the one put there — but the race
+// detector makes sync.Pool drop a random quarter of Puts, so the round (every
+// memo emptied, so every key folds again) repeats until the scratch comes
+// back.
 func TestFoldScratchHoldsOneRollup(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -471,13 +474,24 @@ func TestFoldScratchHoldsOneRollup(t *testing.T) {
 	if copied == 0 {
 		t.Fatal("every rollup folds as it lies: the fixture copies nothing")
 	}
-	sc := &foldScratch{sk: stats.NewSketch(ing.cfg.Compression)}
-	ing.foldPool.Put(sc)
-	if _, err := ing.MatchSketches(QuerySpec{Metric: MetricRTT}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := ing.foldPool.Get().(*foldScratch); got != sc {
-		t.Fatal("the query did not return the pooled fold scratch")
+	var sc *foldScratch
+	for round := 0; ; round++ {
+		if round == 32 {
+			t.Fatal("the query did not return the pooled fold scratch in 32 rounds")
+		}
+		for _, s := range ing.shards {
+			s.mu.Lock()
+			s.forgetAll()
+			s.mu.Unlock()
+		}
+		sc = &foldScratch{sk: stats.NewSketch(ing.cfg.Compression)}
+		ing.foldPool.Put(sc)
+		if _, err := ing.MatchSketches(QuerySpec{Metric: MetricRTT}); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := ing.foldPool.Get().(*foldScratch); got == sc {
+			break
+		}
 	}
 	t.Logf("scratch capacity %d points: largest copied rollup %d, largest key %d, largest shard %d", cap(sc.pts), copied, largestKey, shardPts)
 	if c := cap(sc.pts); c < copied || c > largestKey {

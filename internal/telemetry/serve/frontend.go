@@ -178,13 +178,25 @@ func withRequestID(h http.Handler) http.Handler {
 // membership plane under /admin, /metrics, and with pprof the profiling
 // endpoints. The response shapes match a node's wherever the cluster has
 // nothing to disclose — a complete /query answer is byte-identical to a
-// single process's.
+// single process's. A partial answer — an /ingest whose legs acked fewer
+// envelopes than it decoded, a /query or /keys missing a node — is logged
+// once at Warn with the request id.
 func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, log *slog.Logger) *http.ServeMux {
 	start := time.Now()
 	mux := http.NewServeMux()
 	// Requests run concurrently: the router numbers nothing and keeps no
 	// per-call state, so each request plans and sends its own legs.
-	mux.HandleFunc("POST /ingest", handleIngest(log, f.Router.SendAllContext))
+	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) {
+		decoded, accepted := 0, 0
+		handleIngest(log, func(ctx context.Context, events []telemetry.Envelope) int {
+			n := f.Router.SendAllContext(ctx, events)
+			decoded, accepted = decoded+len(events), accepted+n
+			return n
+		})(w, r)
+		if accepted < decoded {
+			log.Warn("ingest acked partially", "request_id", requestID(r), "decoded", decoded, "accepted", accepted)
+		}
+	})
 	mux.HandleFunc("GET /query", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := specFromURL(r)
 		if err != nil {
@@ -203,11 +215,16 @@ func (f *Frontend) mux(front *cluster.Frontend, admin *adminPlane, pprof bool, l
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
+		if res.Partial {
+			log.Warn("query answered partial", "request_id", requestID(r),
+				"missing_nodes", res.MissingNodes, "missing_partitions", res.MissingPartitions)
+		}
 		writeJSON(log, w, r, res)
 	})
 	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) {
 		keys, missing := front.Keys(r.Context())
 		if len(missing) > 0 {
+			log.Warn("keys answered partial", "request_id", requestID(r), "missing_nodes", missing)
 			// The body stays the plain inventory (so a complete answer is
 			// byte-identical to a node's /keys); partiality rides on the
 			// status code and a header.

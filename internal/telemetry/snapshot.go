@@ -165,6 +165,24 @@ func checkCRC(data []byte) (body []byte, sum uint32, ok bool) {
 	return body, sum, crc32.ChecksumIEEE(body) == sum
 }
 
+// openForm checks the frame of a snapshot, sketch page or key inventory —
+// at least minLen bytes, magic first, a CRC trailer that agrees — and returns a
+// reader over the body after the magic, and the checksum. what names the
+// form in errors.
+func openForm(what string, data []byte, magic [8]byte, minLen int) (*snapReader, uint32, error) {
+	if len(data) < minLen {
+		return nil, 0, fmt.Errorf("telemetry: %s: %d bytes, too short", what, len(data))
+	}
+	if [8]byte(data[:8]) != magic {
+		return nil, 0, fmt.Errorf("telemetry: %s: bad magic/version %q", what, data[:8])
+	}
+	body, sum, ok := checkCRC(data)
+	if !ok {
+		return nil, 0, fmt.Errorf("telemetry: %s: checksum mismatch", what)
+	}
+	return &snapReader{b: body, off: 8}, sum, nil
+}
+
 // writeSnapshot streams a shard's state to w; the caller seals it. Called
 // with the shard mutex held, so sketches, trackers and WAL record counts are
 // one consistent cut. Map iteration order is canonicalised, making snapshot
@@ -368,17 +386,10 @@ func (r *snapReader) bytes() []byte {
 // decodeSnapshot parses and validates a snapshot payload. Corrupt input of
 // any shape errors — never panics, never partially applies.
 func decodeSnapshot(data []byte) (*snapState, error) {
-	if len(data) < len(snapMagic)+4 {
-		return nil, fmt.Errorf("telemetry: snapshot: %d bytes, too short", len(data))
+	r, sum, err := openForm("snapshot", data, snapMagic, len(snapMagic)+4)
+	if err != nil {
+		return nil, err
 	}
-	if [8]byte(data[:8]) != snapMagic {
-		return nil, fmt.Errorf("telemetry: snapshot: bad magic/version %q", data[:8])
-	}
-	payload, sum, ok := checkCRC(data)
-	if !ok {
-		return nil, fmt.Errorf("telemetry: snapshot: checksum mismatch")
-	}
-	r := &snapReader{b: payload, off: 8}
 	st := &snapState{
 		seen:    map[dedupKey]*seqTracker{},
 		applied: map[int64]uint64{},
@@ -436,7 +447,7 @@ func decodeSnapshot(data []byte) (*snapState, error) {
 		st.seen[dk] = t
 	}
 
-	if r.fail() || r.off != len(payload) {
+	if r.fail() || r.off != len(r.b) {
 		return nil, fmt.Errorf("telemetry: snapshot: truncated or trailing payload")
 	}
 	if st.shards <= 0 || st.windowMs <= 0 {

@@ -2,16 +2,13 @@ package telemetry
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -24,12 +21,11 @@ import (
 // (walrecord.go), split into one segment file per rollup window —
 // wal-<windowStartMs>.rec under <dir>/shard-<i>/ — so retention eviction can
 // unlink a whole window's durability in one operation and recovery can
-// replay windows independently. A segment keeps the format it was created
-// in: a JSONL segment (wal-<windowStartMs>.jsonl, one Envelope wire line per
-// record) that an older build left is replayed, and appended to, as JSONL.
-// The worker appends under the shard lock immediately before folding, so
-// per-segment record order IS fold order, which is what makes replay
-// reconstruct every sketch bit-for-bit.
+// replay windows independently. The JSONL segments of older builds
+// (wal-<windowStartMs>.jsonl) are not read: Open refuses a directory that
+// holds one (errWALFormat). The worker appends under the shard lock
+// immediately before folding, so per-segment record order IS fold order,
+// which is what makes replay reconstruct every sketch bit-for-bit.
 //
 // Durability contract: a record is durable once the shard has fsynced past
 // it (every SyncEvery appends, on SyncWAL, and on Close). A crash loses at
@@ -45,12 +41,10 @@ import (
 // fsyncs its parent likewise. Every call reaches the disk through fsys
 // (fsys.go).
 
-// walPrefix and a suffix name segment files: walSuffix for framed records,
-// legacySuffix for the JSONL segments of older builds.
+// walPrefix and walSuffix name segment files.
 const (
-	walPrefix    = "wal-"
-	walSuffix    = ".rec"
-	legacySuffix = ".jsonl"
+	walPrefix = "wal-"
+	walSuffix = ".rec"
 )
 
 // maxOpenSegments bounds per-shard file handles. Appends target the current
@@ -62,10 +56,9 @@ const maxOpenSegments = 8
 const walBufSize = 64 * 1024
 
 type walSeg struct {
-	start  int64
-	f      file
-	legacy bool // a JSONL segment: its records are appended as JSONL
-	dirty  bool // holds bytes written since its last fsync; listed in shardWAL.dirty
+	start int64
+	f     file
+	dirty bool // holds bytes written since its last fsync; listed in shardWAL.dirty
 }
 
 // shardWAL is one shard's log. All methods are called with the owning
@@ -82,9 +75,6 @@ type shardWAL struct {
 	// cur closes. With no cur it is empty, and nil before the first append.
 	bw  *bufio.Writer
 	cur *walSeg
-	// legacy holds the window starts whose segment is JSONL: recovery finds
-	// them, and nothing else creates one.
-	legacy map[int64]bool
 	// dirty lists the open segments written since their last fsync — in
 	// steady state the newest window's alone — so a sync costs what was
 	// written, not what is open.
@@ -155,17 +145,11 @@ func mkdirDurable(fs fsys, dir string) error {
 	return fs.SyncDir(filepath.Dir(dir))
 }
 
-func (w *shardWAL) segPath(start int64) string {
-	return segFile(w.dir, start, w.legacy[start])
-}
+func (w *shardWAL) segPath(start int64) string { return segFile(w.dir, start) }
 
 // segFile names the segment of the window at start in dir.
-func segFile(dir string, start int64, legacy bool) string {
-	suffix := walSuffix
-	if legacy {
-		suffix = legacySuffix
-	}
-	return filepath.Join(dir, walPrefix+strconv.FormatInt(start, 10)+suffix)
+func segFile(dir string, start int64) string {
+	return filepath.Join(dir, walPrefix+strconv.FormatInt(start, 10)+walSuffix)
 }
 
 // openSeg returns the segment for a window start, opening (append mode) or
@@ -204,7 +188,7 @@ func (w *shardWAL) openSeg(start int64) (*walSeg, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := &walSeg{start: start, f: f, legacy: w.legacy[start]}
+	seg := &walSeg{start: start, f: f}
 	w.open[start] = seg
 	if created && w.claims[start] {
 		w.appendCtl(start, walCtl{Ctl: ctlFresh, Stale: w.snaps})
@@ -277,22 +261,17 @@ func (w *shardWAL) append(e Envelope, start int64) {
 		w.err = err
 		return
 	}
-	if seg.legacy {
-		w.line, err = AppendJSONL(w.line[:0], e)
-	} else {
-		w.line, err = appendEnvelopeRecord(w.line[:0], e)
-	}
-	if err != nil {
+	if w.line, err = appendEnvelopeRecord(w.line[:0], e); err != nil {
 		w.err = err
 		return
 	}
 	w.write(seg, start, w.line)
 }
 
-// write puts one encoded record (envelope or control, framed or a JSONL
-// line) on its segment and does the accounting every record shares: the
-// segment's record count, the durability lag and fsync cadence, and the
-// checkpoint trigger's records-and-bytes-since.
+// write puts one framed record (envelope or control) on its segment and does
+// the accounting every record shares: the segment's record count, the
+// durability lag and fsync cadence, and the checkpoint trigger's
+// records-and-bytes-since.
 func (w *shardWAL) write(seg *walSeg, start int64, line []byte) {
 	if seg != w.cur {
 		if w.bw == nil {
@@ -373,8 +352,7 @@ func (w *shardWAL) sync() error {
 // dropSegment removes a window's durability when retention evicts it: the
 // handle is closed unflushed (the data is being discarded), the file
 // unlinked and the unlink fsynced, so no power loss brings the window back
-// into a recovery that a DropPartition since left under MaxWindows. A
-// segment created for the window again is framed, whatever this one was.
+// into a recovery that a DropPartition since left under MaxWindows.
 func (w *shardWAL) dropSegment(start int64) {
 	if seg, ok := w.open[start]; ok {
 		w.undirty(seg)
@@ -382,7 +360,6 @@ func (w *shardWAL) dropSegment(start int64) {
 	}
 	delete(w.records, start)
 	path := w.segPath(start)
-	delete(w.legacy, start)
 	err := w.fs.Remove(path)
 	if err == nil {
 		err = w.fs.SyncDir(w.dir)
@@ -414,48 +391,45 @@ func (w *shardWAL) abort() {
 func (w *shardWAL) lag() uint64 { return w.appended - w.synced }
 
 // listSegments returns the window starts of every segment file in the
-// shard's directory, ascending, and which of them are JSONL. Unparseable
-// names are ignored (they are not WAL segments). A window with a segment of
-// each format is an error: this build never creates the second.
-func listSegments(fs fsys, dir string) (starts []int64, legacy map[int64]bool, err error) {
+// shard's directory, ascending. Other names are ignored (they are not WAL
+// segments), except a JSONL segment of an older build: that is refused with
+// errWALFormat, never replayed and never skipped.
+func listSegments(fs fsys, dir string) ([]int64, error) {
 	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	var starts []int64
 	for _, ent := range entries {
 		num, ok := strings.CutPrefix(ent.Name(), walPrefix)
 		if !ok {
 			continue
 		}
-		isLegacy := false
-		if num, ok = strings.CutSuffix(num, walSuffix); !ok {
-			if num, isLegacy = strings.CutSuffix(num, legacySuffix); !isLegacy {
-				continue
-			}
+		if strings.HasSuffix(num, ".jsonl") {
+			return nil, fmt.Errorf("%w: %s; commit %s is the last that replays it: drain the node, then start it on an empty directory",
+				errWALFormat, filepath.Join(dir, ent.Name()), lastJSONLCommit)
 		}
-		start, err := strconv.ParseInt(num, 10, 64)
-		if err != nil {
+		if num, ok = strings.CutSuffix(num, walSuffix); !ok {
 			continue
 		}
-		if isLegacy {
-			if legacy == nil {
-				legacy = map[int64]bool{}
-			}
-			legacy[start] = true
-		}
-		starts = append(starts, start)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for i := 1; i < len(starts); i++ {
-		if starts[i] == starts[i-1] {
-			return nil, nil, fmt.Errorf("%w: %s holds a framed and a JSONL segment of window %d", errWALCorrupt, dir, starts[i])
+		if start, err := strconv.ParseInt(num, 10, 64); err == nil {
+			starts = append(starts, start)
 		}
 	}
-	return starts, legacy, nil
+	slices.Sort(starts)
+	return starts, nil
 }
+
+// errWALFormat marks a segment in a format this build does not read: the
+// JSONL segments (wal-<startMs>.jsonl, one envelope or control line per
+// record) that builds before framed records wrote. lastJSONLCommit is the
+// last commit that replays them.
+var errWALFormat = errors.New("telemetry: wal segment in the retired JSONL format")
+
+const lastJSONLCommit = "1619428e43e2"
 
 // errWALCorrupt marks mid-segment corruption (vs a tolerable torn tail).
 var errWALCorrupt = errors.New("telemetry: wal segment corrupt")
@@ -463,9 +437,8 @@ var errWALCorrupt = errors.New("telemetry: wal segment corrupt")
 // readWALSegment replays one segment, calling fn for every valid envelope
 // record and ctlFn for every control record (handoff.go: absorbed rollups
 // and partition drops), in append order; both kinds count toward records,
-// so snapshot applied counts cover them uniformly. The file's suffix picks
-// the format: framed records (walrecord.go readRecords) or JSONL. Two
-// failure shapes are distinguished:
+// so snapshot applied counts cover them uniformly. Two failure shapes are
+// distinguished (walrecord.go readRecords):
 //
 //   - A torn tail — a final record the end of the file cut short, the
 //     footprint of a write cut by a crash — is tolerated: replay stops at the
@@ -482,53 +455,5 @@ func readWALSegment(fs fsys, path string, fn func(Envelope), ctlFn func(walCtl))
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	if !strings.HasSuffix(path, legacySuffix) {
-		return readRecords(f, path, fn, ctlFn)
-	}
-	// A JSONL record ends at its newline: bytes with none after them are a
-	// torn tail, and a newline-terminated line that does not decode is
-	// corruption. No cap on a line: an absorb control record is as large as
-	// the rollups it carries.
-	lr := lineReader{br: bufio.NewReaderSize(f, walBufSize), max: math.MaxInt}
-	var tab internTable
-	var offset int64
-	lineNo := 0
-	for {
-		line, rerr := lr.next()
-		if rerr != nil && rerr != io.EOF {
-			return records, validEnd, false, fmt.Errorf("telemetry: wal %s: %w", path, rerr)
-		}
-		if rerr == io.EOF {
-			if len(line) > 0 {
-				// No trailing newline: a torn final write. Never durable
-				// (acks follow the newline), so truncating it is loss-free.
-				return records, validEnd, true, nil
-			}
-			return records, validEnd, false, nil
-		}
-		lineNo++
-		lineLen := int64(len(line))
-		body := line[:len(line)-1] // strip newline
-		if len(body) > 0 {
-			if bytes.HasPrefix(body, ctlPrefix) {
-				c, derr := decodeCtl(body)
-				if derr != nil {
-					return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
-						errWALCorrupt, path, lineNo, offset, derr)
-				}
-				ctlFn(c)
-				records++
-			} else {
-				e, derr := decodeInterned(body, &tab)
-				if derr != nil {
-					return records, validEnd, false, fmt.Errorf("%w: %s line %d (byte offset %d): %v",
-						errWALCorrupt, path, lineNo, offset, derr)
-				}
-				fn(e)
-				records++
-			}
-		}
-		offset += lineLen
-		validEnd = offset
-	}
+	return readRecords(f, path, fn, ctlFn)
 }

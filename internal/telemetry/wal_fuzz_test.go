@@ -9,10 +9,11 @@ import (
 	"time"
 )
 
-// FuzzWALSegmentReplay: readWALSegment over arbitrary bytes, as a framed and
-// as a JSONL segment, must never panic, and its verdict must be consistent —
-// a clean read (no error, no torn tail) must re-read identically, and a torn
-// tail must truncate to a clean segment with the same records.
+// FuzzWALSegmentReplay: readWALSegment over arbitrary bytes must never panic,
+// and its verdict must be consistent — a clean read (no error, no torn tail)
+// must re-read identically, and a torn tail must truncate to a clean segment
+// with the same records. The JSONL seeds are the lines older builds wrote:
+// to this reader they are garbage that must fail loudly or read as torn.
 func FuzzWALSegmentReplay(f *testing.F) {
 	e := ev(time.Date(2021, 10, 1, 0, 0, 0, 0, time.UTC).UnixMilli(), MetricRTT, "Beijing", "WiFi", 12.5)
 	for _, rec := range [][]byte{mustRecord(f, e), mustJSONL(f, e)} {
@@ -29,31 +30,27 @@ func FuzzWALSegmentReplay(f *testing.F) {
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', 'a', 0x01}) // binary garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		for _, suffix := range []string{walSuffix, legacySuffix} {
-			path := filepath.Join(dir, walPrefix+"0"+suffix)
-			if err := os.WriteFile(path, data, 0o644); err != nil {
+		path := filepath.Join(t.TempDir(), walPrefix+"0"+walSuffix)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records, validEnd, torn, err := readWALSegment(osFS{}, path, func(Envelope) {}, func(walCtl) {})
+		if err != nil {
+			return // corruption detected loudly — acceptable, no panic
+		}
+		if validEnd < 0 || validEnd > int64(len(data)) {
+			t.Fatalf("validEnd %d outside file of %d bytes", validEnd, len(data))
+		}
+		if torn {
+			// Truncating the torn tail must yield a clean segment with the
+			// same durable records — the recovery path's exact action.
+			if err := os.Truncate(path, validEnd); err != nil {
 				t.Fatal(err)
 			}
-			records, validEnd, torn, err := readWALSegment(osFS{}, path, func(Envelope) {}, func(walCtl) {})
-			if err != nil {
-				continue // corruption detected loudly — acceptable, no panic
-			}
-			if validEnd < 0 || validEnd > int64(len(data)) {
-				t.Fatalf("%s: validEnd %d outside file of %d bytes", suffix, validEnd, len(data))
-			}
-			if torn {
-				// Truncating the torn tail must yield a clean segment with
-				// the same durable records — the recovery path's exact action.
-				if err := os.Truncate(path, validEnd); err != nil {
-					t.Fatal(err)
-				}
-			}
-			again, _, torn2, err2 := readWALSegment(osFS{}, path, func(Envelope) {}, func(walCtl) {})
-			if err2 != nil || torn2 || again != records {
-				t.Fatalf("%s: re-read after handling diverged: records %d->%d torn=%v err=%v",
-					suffix, records, again, torn2, err2)
-			}
+		}
+		again, _, torn2, err2 := readWALSegment(osFS{}, path, func(Envelope) {}, func(walCtl) {})
+		if err2 != nil || torn2 || again != records {
+			t.Fatalf("re-read after handling diverged: records %d->%d torn=%v err=%v", records, again, torn2, err2)
 		}
 	})
 }

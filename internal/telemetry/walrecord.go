@@ -9,8 +9,8 @@ import (
 	"math"
 )
 
-// WAL records. A segment this build creates (wal-<startMs>.rec) is a run of
-// framed records, all little-endian:
+// WAL records. A segment (wal-<startMs>.rec) is a run of framed records, all
+// little-endian:
 //
 //	record    len u32 | kind u8 | hsum u8 | payload (len bytes) | crc u32
 //	envelope  v varint | ts varint | kind str | metric str | user varint
@@ -165,7 +165,7 @@ func (r *recReader) f64() float64 {
 	return v
 }
 
-// readRecords is readWALSegment's pass over a framed segment (see there for
+// readRecords is readWALSegment's pass over a segment's bytes (see there for
 // the callbacks and results).
 func readRecords(r io.Reader, path string, fn func(Envelope), ctlFn func(walCtl)) (records uint64, validEnd int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, walBufSize)
